@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use nbbs::error::{AllocError, FreeError};
+use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
 use nbbs_obs::{OpKind, OpOutcome, Recorder};
 use nbbs_sync::{cycles_now, Backoff, CachePadded, SpinLock};
@@ -51,7 +51,6 @@ struct Counters {
     depot_exchanges: AtomicU64,
     drained: AtomicU64,
     depot_spills: AtomicU64,
-    depot_steals: AtomicU64,
     resize_grows: AtomicU64,
     resize_shrinks: AtomicU64,
     transient_retries: AtomicU64,
@@ -92,7 +91,7 @@ struct ClassCtl {
 /// group boundary instead of bouncing chunks across the whole machine.
 /// With [`CacheConfig::node_groups`] set, the shard set is further
 /// partitioned into per-NUMA-node banks keyed by the
-/// [`CacheConfig::node_of`] hook: every exchange (park, refill pop, steal)
+/// [`CacheConfig::node_of`] hook: every exchange (park, refill pop)
 /// stays within the calling thread's bank, so a depot shard never spans
 /// nodes — the right configuration when the backend underneath is a
 /// multi-node `NodeSet`.
@@ -139,7 +138,7 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// machine-wide bank by default).  A thread on group `g` in slot `s`
     /// exchanges magazines with shard
     /// `g * group_shards + (s & group_shard_mask)` only — magazine traffic
-    /// (parks, refill pops, steals) never crosses the bank boundary, so a
+    /// (parks, refill pops) never crosses the bank boundary, so a
     /// shard never mixes chunks from two nodes.
     shards: Box<[CachePadded<DepotShard>]>,
     /// Number of node-group banks (`CacheConfig::node_groups`, power of two).
@@ -447,36 +446,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
         }
     }
 
-    /// Pops one full magazine of `class` from another depot shard, nearest
-    /// ring neighbour first — the bounded work-stealing path behind
-    /// [`CacheConfig::depot_steal`].  At most one magazine moves per call,
-    /// so a steal costs one tagged CAS per probed shard and never turns
-    /// into a sweep; the byte accounting is the regular pop/credit pair
-    /// (the victim shard is debited by `pop_full`, the caller's slot
-    /// credits on load).  The scan stays inside the caller's node-group
-    /// bank: with one shard per group there is nothing to steal, by design
-    /// — cached chunks never cross the node boundary through the depot.
-    fn steal_full_magazine(
-        &self,
-        shard_idx: usize,
-        class: usize,
-        class_size: usize,
-    ) -> Option<Magazine> {
-        if !self.config.depot_steal {
-            return None;
-        }
-        let bank = shard_idx & !self.group_shard_mask;
-        let local = shard_idx & self.group_shard_mask;
-        for d in 1..self.group_shards {
-            let victim = bank + ((local + d) & self.group_shard_mask);
-            if let Some(full) = self.shards[victim].pop_full(class, class_size) {
-                self.counters.depot_steals.fetch_add(1, Ordering::Relaxed);
-                return Some(full);
-            }
-        }
-        None
-    }
-
     /// Records byte-budget pressure on `class` and shrinks its capacity.
     fn note_pressure(&self, class: usize) {
         self.counters.depot_spills.fetch_add(1, Ordering::Relaxed);
@@ -539,7 +508,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// One backend allocation attempt for a refill, with bounded
     /// retry-with-jittered-backoff on *transient* failures.  Hard failures
-    /// ([`AllocError::OutOfMemory`] / [`AllocError::TooLarge`]) return
+    /// (`AllocError::OutOfMemory` / `AllocError::TooLarge`) return
     /// `None` immediately — genuine exhaustion must reach the caller (and
     /// the facade's reserve/failover machinery) without added latency.
     fn backend_alloc_retrying(&self, class_size: usize, salt: u64) -> Option<usize> {
@@ -615,10 +584,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // Own shard dry too.  Both magazines are empty, which is the one
         // safe point to adopt a changed adaptive capacity for this slot's
         // pair; size the refill batch now as well, then release the lock —
-        // the optional steal scan and the backend refill below both run
-        // outside it, so a co-located thread's magazine hit is not stalled
-        // behind our shard probes or tree walks (mirror of the flush in
-        // `dealloc_cached`).
+        // the backend refill below runs outside it, so a co-located
+        // thread's magazine hit is not stalled behind our tree walks
+        // (mirror of the flush in `dealloc_cached`).
         if self.config.adaptive_resize {
             let target = self.ctl[class].cap.load(Ordering::Relaxed);
             if pair.loaded.capacity() != target {
@@ -628,39 +596,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
         }
         let batch = (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX);
         drop(mags);
-
-        if self.config.flush_policy == FlushPolicy::Depot {
-            let shard_idx = self.shard_of(slot_idx);
-            if let Some(mut full) = self.steal_full_magazine(shard_idx, class, class_size) {
-                let off = full.pop().expect("stolen magazines are full");
-                let remaining = full.len() * class_size;
-                let mut mags = slot.mags.lock();
-                let pair = &mut mags[class];
-                if pair.loaded.is_empty() && pair.previous.is_empty() {
-                    let empty = std::mem::replace(&mut pair.loaded, full);
-                    pair.spare.get_or_insert(empty);
-                    slot.bytes.fetch_add(remaining, Ordering::Relaxed);
-                    drop(mags);
-                } else {
-                    // A co-located thread refilled the slot while we were
-                    // stealing: park the remainder in our own shard instead.
-                    // Partial magazines are fine (the depot tracks bytes by
-                    // length), but an *empty* one must never be parked —
-                    // the pop consumers rely on parked magazines holding at
-                    // least one chunk.  A twice-stolen magazine can reach
-                    // zero here; its buffer is simply dropped.
-                    drop(mags);
-                    if !full.is_empty() {
-                        self.park_full_magazine(class, full, slot_idx);
-                    }
-                }
-                self.counters
-                    .depot_exchanges
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(off);
-            }
-        }
 
         // Miss: batched refill from the backend.  A miss already pays for a
         // tree walk, so it is also the natural point to return any chunks a
@@ -793,9 +728,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// chunks to the backend when the shard is at capacity, the shard's
     /// share of the byte budget is exhausted, or the depot is bypassed.
     ///
-    /// `full` must hold at least one chunk: the depot's pop consumers
-    /// (`alloc_cached`'s exchange and steal paths) assume parked magazines
-    /// are non-empty.
+    /// `full` must hold at least one chunk: the depot's pop consumer
+    /// (`alloc_cached`'s exchange) assumes parked magazines are non-empty.
     fn park_full_magazine(&self, class: usize, mut full: Magazine, slot_idx: usize) {
         debug_assert!(!full.is_empty(), "parking an empty magazine");
         let class_size = self.class_size(class);
@@ -1041,7 +975,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             depot_exchanges: self.counters.depot_exchanges.load(Ordering::Relaxed),
             drained: self.counters.drained.load(Ordering::Relaxed),
             depot_spills: self.counters.depot_spills.load(Ordering::Relaxed),
-            depot_steals: self.counters.depot_steals.load(Ordering::Relaxed),
             resize_grows: self.counters.resize_grows.load(Ordering::Relaxed),
             resize_shrinks: self.counters.resize_shrinks.load(Ordering::Relaxed),
             transient_retries: self.counters.transient_retries.load(Ordering::Relaxed),
@@ -1058,12 +991,6 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
 
     fn geometry(&self) -> &Geometry {
         self.backend.geometry()
-    }
-
-    fn total_memory(&self) -> usize {
-        // Forwarded rather than derived from the geometry: a multi-node
-        // backend's logical span is smaller than its widened geometry.
-        self.backend.total_memory()
     }
 
     fn alloc(&self, size: usize) -> Option<usize> {
@@ -1128,15 +1055,13 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         }
     }
 
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        if size > self.backend.max_size() {
-            return Err(AllocError::TooLarge {
-                requested: size,
-                max_size: self.backend.max_size(),
-            });
-        }
-        self.alloc(size)
-            .ok_or(AllocError::OutOfMemory { requested: size })
+    /// Everything the cache does not answer itself goes to the backend —
+    /// the scrubber's claim and release among it, which is what takes them
+    /// *past* the magazines: a parked chunk is allocated in the backend, so
+    /// the claim CAS refuses it, and a scrubbed (decommitted) block parked
+    /// in a magazine could never coalesce or be claimed again.
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.backend)
     }
 
     fn allocated_bytes(&self) -> usize {
@@ -1146,10 +1071,6 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         self.backend
             .allocated_bytes()
             .saturating_sub(self.cached_bytes())
-    }
-
-    fn stats(&self) -> nbbs::stats::OpStatsSnapshot {
-        self.backend.stats()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
@@ -1164,10 +1085,6 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
 
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
         self.backend.grant_alignment_for(size)
-    }
-
-    fn frag_stats(&self) -> Option<nbbs::FragStatsSnapshot> {
-        self.backend.frag_stats()
     }
 
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
@@ -1186,32 +1103,6 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         // the freshly-drained inner cache.
         self.drain_all();
         self.backend.drain_cache();
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        self.backend.occupancy()
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        self.backend.free_chunks(min_size)
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        // Straight past the magazines: a chunk parked in a magazine is
-        // allocated in the backend, so the claim CAS refuses it — only
-        // genuinely free blocks are claimable, which is the point.
-        self.backend.scrub_claim(offset, size)
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        // Bypass the magazines on release too: a scrubbed (decommitted)
-        // block parked in a magazine could never coalesce or be claimed
-        // again, and the next cache hit would hand out cold pages anyway.
-        self.backend.scrub_dealloc(offset)
-    }
-
-    fn trim_empty_pages(&self) -> usize {
-        self.backend.trim_empty_pages()
     }
 }
 

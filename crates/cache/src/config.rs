@@ -93,9 +93,8 @@ pub struct CacheConfig {
     /// Number of NUMA-node groups the depot shards are partitioned into.
     ///
     /// With `Some(n)` the shard set is split into `n` (rounded up to a
-    /// power of two) contiguous banks; every magazine exchange — park,
-    /// refill pop *and* the [`CacheConfig::depot_steal`] scan — stays within
-    /// the calling thread's bank, so a depot shard never holds magazines
+    /// power of two) contiguous banks; every magazine exchange — park
+    /// and refill pop — stays within the calling thread's bank, so a depot shard never holds magazines
     /// from two nodes and cached chunks never migrate across the node
     /// boundary through the depot.  The calling thread's bank comes from
     /// [`CacheConfig::node_of`] (falling back to group 0 when unset).
@@ -113,28 +112,6 @@ pub struct CacheConfig {
     pub slots: Option<usize>,
     /// Overflow/refill policy.
     pub flush_policy: FlushPolicy,
-    /// Bounded depot-shard work-stealing (default **off** — measured, not
-    /// assumed; see below).
-    ///
-    /// When a refill finds both magazines empty *and* the caller's own depot
-    /// shard dry, the cache normally walks the backend tree.  With stealing
-    /// enabled it first tries to pop **one** full magazine from the other
-    /// shards, nearest ring neighbour first — trading a little cross-group
-    /// chunk circulation (the very thing sharding exists to avoid) for one
-    /// saved batched tree walk.
-    ///
-    /// The off default was decided from the committed `BENCH_<date>.json`
-    /// baseline (the `cached-4lvl/s4` vs `cached-4lvl/s4+steal` rows of the
-    /// fig13 depot sweep): across the Larson grid (sizes 8/128/1024 B,
-    /// 4–32 threads) stealing cost a **median 12% throughput** (mean −5%,
-    /// spread −41%…+56%) and bought no consistent p99.9 improvement — the
-    /// tree's batched refill walk is already cheap enough that scanning
-    /// foreign shards mostly adds contention on their stack heads.  Flip it
-    /// on only for workloads whose producer/consumer imbalance leaves whole
-    /// shards persistently full while others run dry, and re-measure: the
-    /// fig13 cache table reports the before/after backend-flush counts
-    /// (`steals` vs `misses`/`flushed`).
-    pub depot_steal: bool,
     /// Whether the per-class magazine capacity adapts to the observed
     /// spill/pressure behaviour (Bonwick dynamic resizing).  When `false`
     /// the initial capacities are final.
@@ -175,7 +152,6 @@ impl Default for CacheConfig {
             node_of: None,
             slots: None,
             flush_policy: FlushPolicy::default(),
-            depot_steal: false,
             adaptive_resize: true,
             max_magazine_capacity: 8192,
             cache_bytes_budget: None,

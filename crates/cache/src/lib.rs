@@ -22,9 +22,6 @@
 //! * **Magazine capacities adapt** (Bonwick dynamic resizing): sustained
 //!   depot spills double a class's capacity, byte-budget pressure halves
 //!   it, all within [`config::CacheConfig::cache_bytes_budget`].
-//! * **A dry shard can steal** (opt-in, [`config::CacheConfig::depot_steal`]):
-//!   one full magazine from the nearest neighbouring shard, before paying a
-//!   batched tree walk.
 //! * **Foreign threads drain on exit**: any thread — including ones that
 //!   reach the cache only through a `#[global_allocator]` facade
 //!   (`nbbs-alloc`) — gets its slot assigned panic-free on first touch, and
@@ -345,77 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn depot_steal_recovers_neighbour_shard_magazines() {
-        let c = Arc::new(MagazineCache::with_config(
-            NbbsOneLevel::new(cfg()),
-            CacheConfig {
-                magazine_capacity: 2,
-                magazine_bytes: 16,
-                depot_magazines: 4,
-                slots: Some(2),
-                depot_shards: Some(2),
-                depot_steal: true,
-                adaptive_resize: false,
-                ..CacheConfig::default()
-            },
-        ));
-        // Park full magazines in the shard of one (spawned) thread.
-        let parker = Arc::clone(&c);
-        let parker_shard = std::thread::spawn(move || {
-            let offs: Vec<_> = (0..12).filter_map(|_| parker.alloc(8)).collect();
-            for off in offs {
-                parker.dealloc(off);
-            }
-            parker.current_shard()
-        })
-        .join()
-        .unwrap();
-        assert!(
-            c.depot_parked_magazines(parker_shard) > 0,
-            "parking thread left full magazines in its shard"
-        );
-        // Probe from threads until one lands on the *other* shard: its own
-        // shard is dry, so the refill must steal from the parker's shard.
-        let mut probed = false;
-        for _ in 0..16 {
-            let probe = Arc::clone(&c);
-            let hit_other_shard = std::thread::spawn(move || {
-                if probe.current_shard() == parker_shard {
-                    return false;
-                }
-                let off = probe.alloc(8).expect("plenty of memory");
-                probe.dealloc(off);
-                true
-            })
-            .join()
-            .unwrap();
-            if hit_other_shard {
-                probed = true;
-                break;
-            }
-        }
-        assert!(probed, "no probe thread mapped to the other shard");
-        assert!(
-            c.snapshot().depot_steals > 0,
-            "dry shard stole from its neighbour: {:?}",
-            c.snapshot()
-        );
-        c.drain_all();
-        assert_eq!(c.backend().allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn depot_steal_defaults_off() {
-        assert!(!CacheConfig::default().depot_steal);
-        let c = small_cache();
-        let offs: Vec<_> = (0..32).filter_map(|_| c.alloc(8)).collect();
-        for off in offs {
-            c.dealloc(off);
-        }
-        assert_eq!(c.snapshot().depot_steals, 0);
-    }
-
-    #[test]
     fn direct_policy_skips_the_depot() {
         let c = MagazineCache::with_config(
             NbbsOneLevel::new(cfg()),
@@ -437,17 +363,13 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn nests_inside_multi_instance() {
-        use nbbs::MultiInstance;
-        let m = MultiInstance::new(
-            (0..2)
-                .map(|_| MagazineCache::new(NbbsOneLevel::new(cfg())))
-                .collect::<Vec<_>>(),
-        );
-        let off = m.alloc(64).unwrap();
+    fn nests_inside_a_slot_set() {
+        let m = nbbs::SlotSet::new(2, MagazineCache::new(NbbsOneLevel::new(cfg())));
+        m.get_or_build(1, || MagazineCache::new(NbbsOneLevel::new(cfg())));
+        let off = m.alloc_on(1, 64).unwrap();
         m.dealloc(off);
         assert_eq!(m.allocated_bytes(), 0);
+        assert_eq!(m.cache_stats().unwrap().cached_frees, 1);
     }
 
     #[test]
@@ -469,7 +391,6 @@ mod tests {
                 depot_shards: Some(2),
                 node_groups: Some(2),
                 node_of: Some(NodeOfFn(fake_node)),
-                depot_steal: true, // must never cross the bank boundary
                 adaptive_resize: false,
                 ..CacheConfig::default()
             },
@@ -494,14 +415,13 @@ mod tests {
         c.drain_current_thread(); // empty the slot, keep the depot
 
         // Homed on group 1, the parked magazines are invisible: the refill
-        // misses to the backend instead of stealing across the node
+        // misses to the backend instead of reaching across the node
         // boundary.
         FAKE_NODE.store(1, Ordering::Relaxed);
         let misses_before = c.snapshot().misses;
         let off = c.alloc(8).unwrap();
         c.dealloc(off);
         let s = c.snapshot();
-        assert_eq!(s.depot_steals, 0, "steal scan stays inside the bank");
         assert!(s.misses > misses_before, "cross-bank depot is off limits");
         c.drain_current_thread();
 

@@ -60,7 +60,7 @@ use std::hint;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nbbs::error::{AllocError, FreeError};
-use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, OpStatsSnapshot, TreeInspect};
+use nbbs::{BuddyBackend, Geometry, TreeInspect};
 
 /// SplitMix64 finalizer: a statistically strong 64-bit mix, the same
 /// generator `nbbs-workloads` seeds its per-thread streams with.  Pure, so
@@ -388,16 +388,16 @@ impl<A: BuddyBackend> BuddyBackend for FaultInjecting<A> {
         self.inner.try_dealloc(offset)
     }
 
-    fn total_memory(&self) -> usize {
-        self.inner.total_memory()
+    /// Read-outs and scrubber maintenance reach the wrapped backend
+    /// ungated: fault plans model mutator failures, and a "failed" claim
+    /// would just be skipped silently — injecting there would only hide
+    /// coverage, not exercise recovery.
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner)
     }
 
     fn allocated_bytes(&self) -> usize {
         self.inner.allocated_bytes()
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        self.inner.stats()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
@@ -410,45 +410,6 @@ impl<A: BuddyBackend> BuddyBackend for FaultInjecting<A> {
 
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
         self.inner.grant_alignment_for(size)
-    }
-
-    fn frag_stats(&self) -> Option<nbbs::FragStatsSnapshot> {
-        self.inner.frag_stats()
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.inner.cache_stats()
-    }
-
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        self.inner.cache_class_capacities()
-    }
-
-    fn drain_cache(&self) {
-        self.inner.drain_cache()
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        self.inner.occupancy()
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        self.inner.free_chunks(min_size)
-    }
-
-    // Scrubber maintenance is forwarded ungated: fault plans model mutator
-    // failures, and a "failed" claim would just be skipped silently —
-    // injecting there would only hide coverage, not exercise recovery.
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        self.inner.scrub_claim(offset, size)
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        self.inner.scrub_dealloc(offset)
-    }
-
-    fn trim_empty_pages(&self) -> usize {
-        self.inner.trim_empty_pages()
     }
 }
 

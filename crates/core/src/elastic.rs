@@ -1,10 +1,10 @@
 //! [`ElasticSet`]: a chain of buddy instances that grows under OOM
 //! pressure and retires drained instances at trough.
 //!
-//! The `nbbs-numa` crate packs N per-node buddy instances behind one
-//! widened [`BuddyBackend`] by encoding the node index in the high offset
-//! bits.  This module generalizes "node" to *dynamically added region*: the
-//! set reserves the widened offset space up front (cheap — the backing
+//! A [`SlotSet`] packs N buddy instances behind one widened
+//! [`BuddyBackend`] by encoding the slot index in the high offset bits.
+//! This module decides *when a slot is added or retired*: the set reserves
+//! the widened offset space up front (cheap — the backing
 //! [`crate::BuddyRegion`] is a demand-zero mapping, so slots that were
 //! never built cost no physical memory), builds only the first region
 //! eagerly, and
@@ -22,14 +22,13 @@
 //!
 //! Retirement is reversible: renewed pressure reactivates dormant regions
 //! (their backing recommits lazily on first touch) before building new
-//! ones.  Offsets pack exactly like [`Geometry::widened`] describes —
-//! `global = (slot << shift) | local` — so releases route by arithmetic.
+//! ones.  Routing, merged read-outs and the scrubber hooks are the
+//! [`SlotSet`]'s, reached through [`BuddyBackend::inner`].
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-use crate::error::{AllocError, FreeError};
-use crate::stats::{CacheStatsSnapshot, OpStatsSnapshot};
+use crate::error::FreeError;
+use crate::slotset::SlotSet;
 use crate::traits::BuddyBackend;
 use crate::Geometry;
 
@@ -37,12 +36,6 @@ use crate::Geometry;
 const EMPTY: u8 = 0;
 const ACTIVE: u8 = 1;
 const DORMANT: u8 = 2;
-
-/// One region slot of the chain.
-struct Slot<A> {
-    state: AtomicU8,
-    backend: OnceLock<A>,
-}
 
 /// Point-in-time growth/retirement telemetry of an [`ElasticSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -88,14 +81,10 @@ pub struct ElasticStatsSnapshot {
 /// assert_eq!(set.elastic_stats().active_regions, 1);
 /// ```
 pub struct ElasticSet<A: BuddyBackend> {
-    slots: Box<[Slot<A>]>,
+    regions: SlotSet<A>,
+    /// One EMPTY/ACTIVE/DORMANT word per slot of `regions`.
+    states: Box<[AtomicU8]>,
     builder: Box<dyn Fn(usize) -> A + Send + Sync>,
-    /// Widened geometry spanning `max_regions.next_power_of_two()` slots.
-    geometry: Geometry,
-    /// `log2(per-region total)`: the packing shift.
-    shift: u32,
-    /// `per-region total - 1`: the local-offset mask.
-    mask: usize,
     /// Consecutive allocations that failed on every active region.
     oom_streak: AtomicUsize,
     /// Failures the streak must reach before the set grows.
@@ -119,30 +108,17 @@ impl<A: BuddyBackend> ElasticSet<A> {
     /// the supported tree depth.
     pub fn new(max_regions: usize, builder: impl Fn(usize) -> A + Send + Sync + 'static) -> Self {
         assert!(max_regions > 0, "need at least one region");
-        let first = builder(0);
-        let per_region = *first.geometry();
-        let geometry = per_region
-            .widened(max_regions)
-            .expect("widened geometry within the supported depth");
-        let slots: Box<[Slot<A>]> = (0..max_regions)
-            .map(|_| Slot {
-                state: AtomicU8::new(EMPTY),
-                backend: OnceLock::new(),
-            })
-            .collect();
-        let _ = slots[0].backend.set(first);
-        slots[0].state.store(ACTIVE, Ordering::Release);
+        let states: Box<[AtomicU8]> = (0..max_regions).map(|_| AtomicU8::new(EMPTY)).collect();
+        states[0].store(ACTIVE, Ordering::Release);
         ElasticSet {
-            geometry,
-            shift: per_region.widening_shift(),
-            mask: per_region.total_memory() - 1,
+            regions: SlotSet::new(max_regions, builder(0)),
+            states,
+            builder: Box::new(builder),
             oom_streak: AtomicUsize::new(0),
             grow_threshold: Self::DEFAULT_GROW_THRESHOLD,
             grows: AtomicU64::new(0),
             retires: AtomicU64::new(0),
             reactivations: AtomicU64::new(0),
-            slots,
-            builder: Box::new(builder),
         }
     }
 
@@ -158,67 +134,39 @@ impl<A: BuddyBackend> ElasticSet<A> {
 
     /// Bytes managed by each single region.
     pub fn region_memory(&self) -> usize {
-        self.mask + 1
+        self.regions.slot_memory()
     }
 
     /// Maximum regions the reserved offset space can hold.
     pub fn max_regions(&self) -> usize {
-        self.slots.len()
+        self.regions.capacity()
     }
 
     /// Access to a built region's instance (`None` for unbuilt slots).
     pub fn region(&self, i: usize) -> Option<&A> {
-        self.slots.get(i)?.backend.get()
+        self.regions.get(i)
     }
 
     /// Growth/retirement counters and the current slot census.
     pub fn elastic_stats(&self) -> ElasticStatsSnapshot {
-        let mut active = 0;
-        let mut built = 0;
-        for slot in &self.slots {
-            if slot.backend.get().is_some() {
-                built += 1;
-            }
-            if slot.state.load(Ordering::Acquire) == ACTIVE {
-                active += 1;
-            }
-        }
+        let active = |s: &&AtomicU8| s.load(Ordering::Acquire) == ACTIVE;
         ElasticStatsSnapshot {
-            active_regions: active,
-            built_regions: built,
-            max_regions: self.slots.len(),
+            active_regions: self.states.iter().filter(active).count(),
+            built_regions: self.regions.built().count(),
+            max_regions: self.max_regions(),
             grows: self.grows.load(Ordering::Relaxed),
             retires: self.retires.load(Ordering::Relaxed),
             reactivations: self.reactivations.load(Ordering::Relaxed),
         }
     }
 
-    /// Packs `(slot, local offset)` into a global offset.
-    #[inline]
-    fn pack(&self, slot: usize, local: usize) -> usize {
-        (slot << self.shift) | local
-    }
-
-    /// Splits a global offset into `(slot, local offset)`.
-    #[inline]
-    fn split(&self, global: usize) -> (usize, usize) {
-        (global >> self.shift, global & self.mask)
-    }
-
     /// One allocation attempt across the currently active regions.
     fn alloc_once(&self, size: usize) -> Option<usize> {
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.state.load(Ordering::Acquire) != ACTIVE {
-                continue;
-            }
-            let Some(backend) = slot.backend.get() else {
-                continue;
-            };
-            if let Some(local) = backend.alloc(size) {
-                return Some(self.pack(i, local));
-            }
-        }
-        None
+        self.states
+            .iter()
+            .enumerate()
+            .filter(|(_, state)| state.load(Ordering::Acquire) == ACTIVE)
+            .find_map(|(i, _)| self.regions.alloc_on(i, size))
     }
 
     /// Brings one more region into service: reactivates the first dormant
@@ -227,9 +175,8 @@ impl<A: BuddyBackend> ElasticSet<A> {
     pub fn grow(&self) -> bool {
         // Reactivate before building: dormant regions are already mapped
         // (if mostly decommitted) and strictly cheaper than a new build.
-        for slot in &self.slots {
-            if slot
-                .state
+        for state in &self.states {
+            if state
                 .compare_exchange(DORMANT, ACTIVE, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
@@ -237,15 +184,14 @@ impl<A: BuddyBackend> ElasticSet<A> {
                 return true;
             }
         }
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.state.load(Ordering::Acquire) != EMPTY {
+        for (i, state) in self.states.iter().enumerate() {
+            if state.load(Ordering::Acquire) != EMPTY {
                 continue;
             }
-            // Racing growers both reach get_or_init; only one builds, and
+            // Racing growers both reach get_or_build; only one builds, and
             // the single EMPTY→ACTIVE transition decides who announced it.
-            slot.backend.get_or_init(|| (self.builder)(i));
-            if slot
-                .state
+            self.regions.get_or_build(i, || (self.builder)(i));
+            if state
                 .compare_exchange(EMPTY, ACTIVE, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
@@ -263,32 +209,21 @@ impl<A: BuddyBackend> ElasticSet<A> {
     /// free, so the next scrub pass decommits its span.  Returns how many
     /// regions were retired.
     pub fn retire_idle(&self) -> usize {
-        let max = self.geometry.max_size();
+        let max = self.max_size();
         let blocks_per_region = self.region_memory() / max;
         let mut retired = 0;
-        for slot in self.slots.iter().skip(1) {
-            if slot.state.load(Ordering::Acquire) != ACTIVE {
-                continue;
-            }
-            let Some(backend) = slot.backend.get() else {
-                continue;
-            };
-            if backend.allocated_bytes() != 0 {
+        for (i, backend) in self.regions.built().skip(1) {
+            let state = &self.states[i];
+            if state.load(Ordering::Acquire) != ACTIVE || backend.allocated_bytes() != 0 {
                 continue;
             }
             // Liveness barrier: own the whole span before parking it.
-            let mut claimed = Vec::with_capacity(blocks_per_region);
-            for b in 0..blocks_per_region {
-                let local = b * max;
-                if backend.scrub_claim(local, max) {
-                    claimed.push(local);
-                } else {
-                    break;
-                }
-            }
+            let claimed: Vec<usize> = (0..blocks_per_region)
+                .map(|b| b * max)
+                .take_while(|&local| backend.scrub_claim(local, max))
+                .collect();
             if claimed.len() == blocks_per_region
-                && slot
-                    .state
+                && state
                     .compare_exchange(ACTIVE, DORMANT, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
@@ -308,10 +243,8 @@ impl<A: BuddyBackend> BuddyBackend for ElasticSet<A> {
         "elastic"
     }
 
-    /// The **widened** geometry: `max_regions.next_power_of_two()`
-    /// per-region spans, per-region `min_size`/`max_size`.
     fn geometry(&self) -> &Geometry {
-        &self.geometry
+        self.regions.geometry()
     }
 
     fn alloc(&self, size: usize) -> Option<usize> {
@@ -329,164 +262,37 @@ impl<A: BuddyBackend> BuddyBackend for ElasticSet<A> {
     }
 
     fn dealloc(&self, offset: usize) {
-        let (slot, local) = self.split(offset);
-        self.slots[slot]
-            .backend
-            .get()
-            .expect("free into an unbuilt region")
-            .dealloc(local);
-    }
-
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        if size > self.max_size() {
-            return Err(AllocError::TooLarge {
-                requested: size,
-                max_size: self.max_size(),
-            });
-        }
-        self.alloc(size)
-            .ok_or(AllocError::OutOfMemory { requested: size })
+        self.regions.dealloc(offset)
     }
 
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        let (slot, local) = self.split(offset);
-        match self.slots.get(slot).and_then(|s| s.backend.get()) {
-            Some(backend) => backend.try_dealloc(local),
-            // Unbuilt slots (and the phantom widening tail) never produced
-            // an offset; report the logical span.
-            None => Err(FreeError::OutOfRange {
-                offset,
-                total_memory: self.total_memory(),
-            }),
-        }
+        self.regions.try_dealloc(offset)
     }
 
-    /// The full reservable span, `max_regions << shift`.  Unlike a NUMA
-    /// node set — whose instances all exist and are all backed — the whole
-    /// point of the elastic set is that this span is *reserved, not
-    /// committed*: a demand-zero [`crate::BuddyRegion`] backs unbuilt and
-    /// dormant slots for free.
-    fn total_memory(&self) -> usize {
-        self.slots.len() << self.shift
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.regions)
     }
 
     fn allocated_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|s| s.backend.get())
-            .map(|b| b.allocated_bytes())
-            .sum()
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        let mut acc = OpStatsSnapshot::default();
-        for backend in self.slots.iter().filter_map(|s| s.backend.get()) {
-            acc.merge(&backend.stats());
-        }
-        acc
+        self.regions.allocated_bytes()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        let (slot, local) = self.split(offset);
-        self.slots
-            .get(slot)?
-            .backend
-            .get()?
-            .granted_size_of_live(local)
+        self.regions.granted_size_of_live(offset)
     }
 
     fn granted_size_for(&self, size: usize) -> Option<usize> {
-        self.slots[0]
-            .backend
-            .get()
-            .expect("slot 0 is built eagerly")
-            .granted_size_for(size)
+        self.regions.granted_size_for(size)
     }
 
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        // Regions are homogeneous, so slot 0 speaks for all — but a packed
-        // offset's *global* alignment is also capped by the region stride.
-        let local = self.granted_size_for(size)?;
-        Some(local.min(1 << self.shift))
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        let mut merged: Option<CacheStatsSnapshot> = None;
-        for backend in self.slots.iter().filter_map(|s| s.backend.get()) {
-            if let Some(s) = backend.cache_stats() {
-                merged.get_or_insert_with(Default::default).merge(&s);
-            }
-        }
-        merged
-    }
-
-    fn drain_cache(&self) {
-        for backend in self.slots.iter().filter_map(|s| s.backend.get()) {
-            backend.drain_cache();
-        }
-    }
-
-    /// Merged over every *built* slot — dormant regions included, so the
-    /// decommit scrubber sees (and can release) their fully free spans.
-    fn occupancy(&self) -> Option<crate::occupancy::OccupancySnapshot> {
-        let mut merged: Option<crate::occupancy::OccupancySnapshot> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(backend) = slot.backend.get() else {
-                continue;
-            };
-            if let Some(mut s) = backend.occupancy() {
-                s.shift_free_chunks(i << self.shift);
-                match &mut merged {
-                    Some(acc) => acc.merge(&s),
-                    None => merged = Some(s),
-                }
-            }
-        }
-        merged
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        let mut merged: Option<Vec<(usize, usize)>> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some(backend) = slot.backend.get() else {
-                continue;
-            };
-            if let Some(chunks) = backend.free_chunks(min_size) {
-                let base = i << self.shift;
-                merged
-                    .get_or_insert_with(Vec::new)
-                    .extend(chunks.into_iter().map(|(off, size)| (base | off, size)));
-            }
-        }
-        merged
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        let (slot, local) = self.split(offset);
-        match self.slots.get(slot).and_then(|s| s.backend.get()) {
-            Some(backend) => backend.scrub_claim(local, size),
-            None => false,
-        }
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        let (slot, local) = self.split(offset);
-        self.slots[slot]
-            .backend
-            .get()
-            .expect("scrub release into an unbuilt region")
-            .scrub_dealloc(local);
+        self.regions.grant_alignment_for(size)
     }
 
     /// Trims the built regions, then retires drained ones — the scrubber's
     /// periodic call is what drives the chain back down at trough.
     fn trim_empty_pages(&self) -> usize {
-        let trimmed = self
-            .slots
-            .iter()
-            .filter_map(|s| s.backend.get())
-            .map(|b| b.trim_empty_pages())
-            .sum();
+        let trimmed = self.regions.trim_empty_pages();
         self.retire_idle();
         trimmed
     }
@@ -495,7 +301,7 @@ impl<A: BuddyBackend> BuddyBackend for ElasticSet<A> {
 impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for ElasticSet<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ElasticSet")
-            .field("max_regions", &self.slots.len())
+            .field("max_regions", &self.max_regions())
             .field("stats", &self.elastic_stats())
             .finish()
     }
@@ -529,7 +335,8 @@ mod tests {
         assert_eq!(stats.active_regions, 4);
         assert_eq!(stats.grows, 3);
         // One offset per region: pack/split round-trips by arithmetic.
-        let owners: std::collections::HashSet<usize> = held.iter().map(|&o| o >> s.shift).collect();
+        let owners: std::collections::HashSet<usize> =
+            held.iter().map(|&o| s.regions.split(o).0).collect();
         assert_eq!(owners.len(), 4);
         for off in held {
             s.dealloc(off);
@@ -586,7 +393,7 @@ mod tests {
         let s = elastic(2, 4096);
         let a = s.alloc(4096).unwrap();
         let b = s.alloc(64).unwrap();
-        assert_ne!(a >> s.shift, b >> s.shift);
+        assert_ne!(s.regions.split(a).0, s.regions.split(b).0);
         s.dealloc(a);
         // Region 1 holds the 64-byte chunk: allocated_bytes != 0, no retire.
         assert_eq!(s.retire_idle(), 0);

@@ -32,11 +32,10 @@
 //! * [`ElasticSet`] — a chain of buddy instances behind one widened
 //!   [`BuddyBackend`] that grows under sustained OOM pressure and retires
 //!   drained regions at trough.
-//! * [`MultiInstance`] — a NUMA-style multi-instance router, mirroring how the
-//!   Linux kernel deploys one buddy instance per NUMA node.  (Deprecated: the
-//!   `nbbs-numa` crate's `NodeSet` carries the same routing but implements
-//!   [`BuddyBackend`] over a widened geometry — [`Geometry::widened`] — so the
-//!   cache and facade layers stack on top of it unchanged.)
+//! * [`SlotSet`] — N identically-configured instances behind one widened
+//!   [`BuddyBackend`] ([`Geometry::widened`]), mirroring how the Linux kernel
+//!   deploys one buddy instance per NUMA node: the shared half of
+//!   [`ElasticSet`] and of the `nbbs-numa` crate's `NodeSet`.
 //! * [`verify`] — runtime checkers for the paper's safety properties (no two
 //!   live allocations overlap; a free releases exactly what was allocated).
 //!
@@ -51,7 +50,7 @@
 //! lookups), [`BuddyBackend::cache_stats`] / [`CacheStatsSnapshot`] and
 //! [`BuddyBackend::cache_class_capacities`] (cache telemetry through `dyn
 //! BuddyBackend`).  Because the cache implements [`BuddyBackend`] itself, it
-//! nests unchanged inside [`BuddyRegion`] and [`MultiInstance`].
+//! nests unchanged inside [`BuddyRegion`] and [`SlotSet`].
 //!
 //! ## Quick start
 //!
@@ -105,10 +104,10 @@ pub mod fourlvl;
 pub mod geometry;
 pub mod locked;
 pub mod mapping;
-pub mod multi;
 pub mod occupancy;
 pub mod onelvl;
 pub mod region;
+pub mod slotset;
 pub mod stats;
 pub mod status;
 pub mod traits;
@@ -121,12 +120,10 @@ pub use fourlvl::NbbsFourLevel;
 pub use geometry::Geometry;
 pub use locked::{LockedBuddy, LockedFourLevel, LockedOneLevel};
 pub use mapping::Mapping;
-pub use multi::nearest_first_order;
-#[allow(deprecated)]
-pub use multi::MultiInstance;
 pub use occupancy::{occupancy_of, LevelOccupancy, OccupancySnapshot};
 pub use onelvl::NbbsOneLevel;
 pub use region::BuddyRegion;
+pub use slotset::{nearest_first_order, SlotSet};
 pub use stats::{
     CacheStatsSnapshot, FragClassSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OpStats,
     OpStatsSnapshot, CAS_LEVELS,

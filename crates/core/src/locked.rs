@@ -14,7 +14,6 @@ use nbbs_sync::SpinLock;
 
 use crate::error::FreeError;
 use crate::geometry::Geometry;
-use crate::stats::OpStatsSnapshot;
 use crate::traits::BuddyBackend;
 use crate::{NbbsFourLevel, NbbsOneLevel};
 
@@ -95,35 +94,33 @@ impl<A: BuddyBackend> BuddyBackend for LockedBuddy<A> {
         self.inner.try_dealloc(offset)
     }
 
+    /// Read-outs reach the wrapped allocator unlocked: they are atomic
+    /// metadata reads, same contract as the snapshots.
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner)
+    }
+
     fn allocated_bytes(&self) -> usize {
         self.inner.allocated_bytes()
     }
 
-    fn stats(&self) -> OpStatsSnapshot {
-        self.inner.stats()
-    }
-
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        // Atomic metadata reads only; no need to serialize with mutators.
         self.inner.granted_size_of_live(offset)
     }
 
-    fn cache_stats(&self) -> Option<crate::stats::CacheStatsSnapshot> {
-        self.inner.cache_stats()
+    fn granted_size_for(&self, size: usize) -> Option<usize> {
+        self.inner.granted_size_for(size)
     }
 
+    fn grant_alignment_for(&self, size: usize) -> Option<usize> {
+        self.inner.grant_alignment_for(size)
+    }
+
+    // The maintenance calls mutate the tree, so they serialize like the
+    // mutator paths instead of taking the unlocked default.
     fn drain_cache(&self) {
         let _guard = self.lock.lock();
         self.inner.drain_cache();
-    }
-
-    fn occupancy(&self) -> Option<crate::occupancy::OccupancySnapshot> {
-        // Atomic metadata reads only, same contract as the snapshots.
-        self.inner.occupancy()
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        self.inner.free_chunks(min_size)
     }
 
     fn scrub_claim(&self, offset: usize, size: usize) -> bool {

@@ -141,9 +141,11 @@ impl<A: BuddyBackend> BuddyRegion<A> {
         self.inner.mapping.base()
     }
 
-    /// Total size of the managed region in bytes.
+    /// Total size of the managed region in bytes: the backend's
+    /// [`BuddyBackend::total_memory`] as read at construction (a backend's
+    /// span never changes, and every release bounds-checks against this).
     pub fn total_memory(&self) -> usize {
-        self.inner.backend.total_memory()
+        self.inner.mapping.len()
     }
 
     /// Clears the decommit accounting for a grant of `size` bytes at

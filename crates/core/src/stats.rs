@@ -160,12 +160,6 @@ pub struct CacheStatsSnapshot {
     /// chunks were flushed to the backend (the chunks themselves are
     /// counted in `flushed`).
     pub depot_spills: u64,
-    /// Full magazines stolen from a neighbouring depot shard after the
-    /// caller's own shard ran dry (the bounded work-stealing path behind
-    /// `CacheConfig::depot_steal`; zero when stealing is disabled).  Each
-    /// steal replaces one batched backend refill with a single tagged CAS
-    /// on the victim shard.
-    pub depot_steals: u64,
     /// Adaptive-resize events that grew a size class's magazine capacity
     /// (triggered by sustained depot spills).
     pub resize_grows: u64,
@@ -217,7 +211,6 @@ impl CacheStatsSnapshot {
         self.depot_exchanges += other.depot_exchanges;
         self.drained += other.drained;
         self.depot_spills += other.depot_spills;
-        self.depot_steals += other.depot_steals;
         self.resize_grows += other.resize_grows;
         self.resize_shrinks += other.resize_shrinks;
         self.transient_retries += other.transient_retries;
@@ -231,7 +224,7 @@ impl fmt::Display for CacheStatsSnapshot {
         write!(
             f,
             "hits={} misses={} hit-rate={:.3} cached-frees={} flushed={} refilled={} \
-             depot={} drained={} shards={} spills={} steals={} grows={} shrinks={} \
+             depot={} drained={} shards={} spills={} grows={} shrinks={} \
              retries={} rescued={}",
             self.hits,
             self.misses,
@@ -243,7 +236,6 @@ impl fmt::Display for CacheStatsSnapshot {
             self.drained,
             self.depot_shards,
             self.depot_spills,
-            self.depot_steals,
             self.resize_grows,
             self.resize_shrinks,
             self.transient_retries,
@@ -611,7 +603,6 @@ mod tests {
             hits: 10,
             misses: 2,
             depot_spills: 1,
-            depot_steals: 2,
             resize_grows: 3,
             depot_shards: 4,
             ..CacheStatsSnapshot::default()
@@ -619,7 +610,6 @@ mod tests {
         let b = CacheStatsSnapshot {
             hits: 5,
             flushed: 7,
-            depot_steals: 1,
             resize_shrinks: 1,
             depot_shards: 4,
             ..CacheStatsSnapshot::default()
@@ -629,7 +619,6 @@ mod tests {
         assert_eq!(a.misses, 2);
         assert_eq!(a.flushed, 7);
         assert_eq!(a.depot_spills, 1);
-        assert_eq!(a.depot_steals, 3);
         assert_eq!(a.resize_grows, 3);
         assert_eq!(a.resize_shrinks, 1);
         assert_eq!(a.depot_shards, 8, "shards sum across instances");

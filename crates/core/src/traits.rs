@@ -21,6 +21,24 @@ use crate::stats::{CacheStatsSnapshot, FragStatsSnapshot, OpStatsSnapshot};
 /// number of threads concurrently.  The *non-blocking* implementations in
 /// this crate additionally guarantee lock-freedom (some thread always makes
 /// progress); the `-sl` variants and baselines serialize internally.
+///
+/// # Writing a wrapper
+///
+/// A layer that wraps another backend (a recorder, a cache, a fault
+/// injector) implements the six required methods, overrides
+/// [`BuddyBackend::inner`] to return the backend it wraps, and overrides
+/// the methods whose answer it changes — nothing else.  Every optional
+/// read-out and maintenance method defaults to asking `inner()` first, so a
+/// hook the wrapper never heard of answers with the wrapped backend's value
+/// instead of the leaf default.  Three things do not come through `inner()`
+/// and want a one-line forward of their own: [`BuddyBackend::try_alloc`]
+/// (its default goes through `self.alloc`, so a wrapper's own gate or lock
+/// is never skipped, at the price of losing the inner backend's error
+/// detail) and the per-operation lookups
+/// [`BuddyBackend::granted_size_of_live`],
+/// [`BuddyBackend::granted_size_for`] and
+/// [`BuddyBackend::grant_alignment_for`], which caches and the facade call
+/// on every request and which should stay statically dispatched.
 pub trait BuddyBackend: Send + Sync {
     /// Short, stable identifier used in benchmark reports
     /// (e.g. `"1lvl-nb"`, `"4lvl-nb"`, `"buddy-sl"`, `"linux-buddy"`).
@@ -66,14 +84,30 @@ pub trait BuddyBackend: Send + Sync {
     /// the paper's design).
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
 
+    /// The backend this one wraps, or `None` for a leaf allocator.
+    ///
+    /// This is the single forwarding path of the trait: the default body of
+    /// every optional method below asks `inner()` first and only falls back
+    /// to its leaf answer when there is none.  The call is dynamically
+    /// dispatched, which is fine for read-outs and scrubber maintenance and
+    /// is why the per-operation methods are forwarded by hand instead (see
+    /// *Writing a wrapper* above).
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        None
+    }
+
     /// Total managed memory in bytes.
     ///
-    /// Defaults to the geometry's span; multi-node backends override it to
-    /// their *logical* span (a widened geometry rounds the node count up to
-    /// a power of two, and the phantom tail manages nothing), and wrappers
-    /// forward it so backing-memory layers never commit phantom bytes.
+    /// A leaf answers with its geometry's span; slotted sets override it to
+    /// their *logical* span (a widened geometry rounds the slot count up to
+    /// a power of two, and the phantom tail manages nothing), which reaches
+    /// backing-memory layers through [`BuddyBackend::inner`] so they never
+    /// commit phantom bytes.
     fn total_memory(&self) -> usize {
-        self.geometry().total_memory()
+        match self.inner() {
+            Some(inner) => inner.total_memory(),
+            None => self.geometry().total_memory(),
+        }
     }
 
     /// Allocation-unit size in bytes.
@@ -94,7 +128,7 @@ pub trait BuddyBackend: Send + Sync {
 
     /// Operation counters (all zeros unless the `op-stats` feature is on).
     fn stats(&self) -> OpStatsSnapshot {
-        OpStatsSnapshot::default()
+        self.inner().map(|inner| inner.stats()).unwrap_or_default()
     }
 
     /// The granted (power-of-two) size of the live allocation starting at
@@ -112,8 +146,8 @@ pub trait BuddyBackend: Send + Sync {
     /// Like `dealloc`, this is only meaningful for offsets owned by the
     /// caller (returned by `alloc` and not yet released); concurrent
     /// operations on *other* chunks never invalidate the answer.
-    fn granted_size_of_live(&self, _offset: usize) -> Option<usize> {
-        None
+    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
+        self.inner()?.granted_size_of_live(offset)
     }
 
     /// The size a request of `size` bytes *would* be granted, without
@@ -129,11 +163,14 @@ pub trait BuddyBackend: Send + Sync {
     /// asked for (e.g. the `nbbs-alloc` facade, which always has the
     /// caller's `Layout` in hand) can decide whether an in-place
     /// `grow`/`shrink` fits inside the block it already holds — no tree walk,
-    /// no `index[]` lookup, just level math.  The default answers from the
+    /// no `index[]` lookup, just level math.  A leaf answers from its
     /// geometry; wrappers forward to their backend so the answer reflects
     /// the innermost grant policy.
     fn granted_size_for(&self, size: usize) -> Option<usize> {
-        self.geometry().granted_size(size)
+        match self.inner() {
+            Some(inner) => inner.granted_size_for(size),
+            None => self.geometry().granted_size(size),
+        }
     }
 
     /// The *guaranteed alignment* of the block a request of `size` bytes
@@ -141,34 +178,36 @@ pub trait BuddyBackend: Send + Sync {
     /// maximum.
     ///
     /// Buddy grants are naturally aligned (a power-of-two chunk sits at a
-    /// multiple of its own size), so the default answers
+    /// multiple of its own size), so a leaf answers
     /// [`BuddyBackend::granted_size_for`].  Slab front-ends override it:
     /// a 40-byte class object is only guaranteed the class *granule*
     /// alignment (the largest power of two dividing the class size), so the
     /// facade bumps over-aligned requests to the next power-of-two class —
     /// whose natural alignment is restored — before allocating.
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        self.granted_size_for(size)
+        match self.inner() {
+            Some(inner) => inner.grant_alignment_for(size),
+            None => self.granted_size_for(size),
+        }
     }
 
     /// Per-class fragmentation counters of a slab layer wrapped around this
     /// backend, if any.
     ///
-    /// Plain backends return `None`; the `nbbs-slab` front-end (and wrappers
-    /// that contain one) override this so reports can surface the
-    /// bytes-requested / bytes-committed ratio through `dyn BuddyBackend`
-    /// without downcasting.
+    /// Plain backends return `None`; the `nbbs-slab` front-end overrides
+    /// this so reports can surface the bytes-requested / bytes-committed
+    /// ratio through `dyn BuddyBackend` without downcasting.
     fn frag_stats(&self) -> Option<FragStatsSnapshot> {
-        None
+        self.inner()?.frag_stats()
     }
 
     /// Counters of the caching layer wrapped around this backend, if any.
     ///
-    /// Plain backends return `None`; cache front-ends (and wrappers that
-    /// contain one) override this so reports can surface hit rates through
-    /// `dyn BuddyBackend` without downcasting.
+    /// Plain backends return `None`; cache front-ends override this so
+    /// reports can surface hit rates through `dyn BuddyBackend` without
+    /// downcasting.
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        None
+        self.inner()?.cache_stats()
     }
 
     /// Per-size-class magazine capacities of the caching layer wrapped
@@ -179,7 +218,7 @@ pub trait BuddyBackend: Send + Sync {
     /// at runtime; reports use this hook to show what geometry each class
     /// converged to without downcasting through `dyn BuddyBackend`.
     fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        None
+        self.inner()?.cache_class_capacities()
     }
 
     /// Returns any chunks parked in caching layers to the backing allocator.
@@ -190,20 +229,24 @@ pub trait BuddyBackend: Send + Sync {
     /// draining its per-CPU page lists before falling back across zones.
     /// Callers use it at quiescent points (between benchmark epochs, before
     /// capacity assertions or metadata audits).
-    fn drain_cache(&self) {}
+    fn drain_cache(&self) {
+        if let Some(inner) = self.inner() {
+            inner.drain_cache();
+        }
+    }
 
     /// Point-in-time tree occupancy (per-level fill, maximal free blocks,
     /// external fragmentation), or `None` for backends without a status
     /// tree to walk.
     ///
     /// The tree-based allocators answer via
-    /// [`crate::occupancy::occupancy_of`]; wrappers forward so reports can
-    /// render the occupancy heatmap through `dyn BuddyBackend`, and
-    /// multi-node backends merge one snapshot per node.  Like every other
-    /// snapshot the answer is exact at quiescence and best-effort while
-    /// operations are in flight.
+    /// [`crate::occupancy::occupancy_of`], which reports reach through
+    /// `dyn BuddyBackend` to render the occupancy heatmap, and slotted sets
+    /// merge one snapshot per slot.  Like every other snapshot the answer
+    /// is exact at quiescence and best-effort while operations are in
+    /// flight.
     fn occupancy(&self) -> Option<OccupancySnapshot> {
-        None
+        self.inner()?.occupancy()
     }
 
     /// Maximal free blocks of at least `min_size` bytes, ascending by
@@ -213,10 +256,12 @@ pub trait BuddyBackend: Send + Sync {
     /// via [`crate::occupancy::free_chunks_of`], which prunes subtrees too
     /// small to matter instead of descending to allocation units, so a
     /// page-granular poll costs `O(total / page_size)` rather than a full
-    /// occupancy snapshot.  The default derives the answer from
-    /// [`BuddyBackend::occupancy`] by filtering; wrappers forward to their
-    /// inner backend so the pruned walk is reached through layers.
+    /// occupancy snapshot.  A leaf without that walk derives the answer
+    /// from [`BuddyBackend::occupancy`] by filtering.
     fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
+        if let Some(inner) = self.inner() {
+            return inner.free_chunks(min_size);
+        }
         Some(
             self.occupancy()?
                 .free_chunks
@@ -240,26 +285,33 @@ pub trait BuddyBackend: Send + Sync {
     /// and a stale snapshot entry fails harmlessly: the claim is the same
     /// CAS protocol as allocation, so it refuses any block that gained an
     /// occupant since the walk.  Backends without a status tree keep the
-    /// default `false`, which makes scrubbing inert on them.
-    fn scrub_claim(&self, _offset: usize, _size: usize) -> bool {
-        false
+    /// leaf answer `false`, which makes scrubbing inert on them.  Because
+    /// the default goes to [`BuddyBackend::inner`], a cache or slab layer
+    /// is bypassed without writing anything: a chunk it has parked is
+    /// allocated in the tree, so the claim CAS refuses it.
+    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
+        self.inner()
+            .is_some_and(|inner| inner.scrub_claim(offset, size))
     }
 
     /// Releases a block claimed by [`BuddyBackend::scrub_claim`], bypassing
     /// any caching layers (a scrubbed block parked in a magazine could
-    /// never coalesce or be claimed again).  Defaults to
-    /// [`BuddyBackend::dealloc`]; cache front-ends forward past their
+    /// never coalesce or be claimed again).  A leaf releases through
+    /// [`BuddyBackend::dealloc`]; a wrapper hands the block to
+    /// [`BuddyBackend::inner`], which is what takes it past a cache's
     /// magazines.
     fn scrub_dealloc(&self, offset: usize) {
-        self.dealloc(offset)
+        match self.inner() {
+            Some(inner) => inner.scrub_dealloc(offset),
+            None => self.dealloc(offset),
+        }
     }
 
     /// Asks slab-style layers to return empty pages they were keeping
     /// warm to the backing buddy, so the scrubber can decommit them.
-    /// Returns how many pages were released; plain backends keep the
-    /// default `0`.
+    /// Returns how many pages were released; plain backends answer `0`.
     fn trim_empty_pages(&self) -> usize {
-        0
+        self.inner().map_or(0, |inner| inner.trim_empty_pages())
     }
 }
 
@@ -282,134 +334,50 @@ pub trait TreeInspect {
     fn recorded_node_of_unit(&self, unit: usize) -> Option<usize>;
 }
 
-impl<T: BuddyBackend + ?Sized> BuddyBackend for std::sync::Arc<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn geometry(&self) -> &Geometry {
-        (**self).geometry()
-    }
-    fn alloc(&self, size: usize) -> Option<usize> {
-        (**self).alloc(size)
-    }
-    fn dealloc(&self, offset: usize) {
-        (**self).dealloc(offset)
-    }
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        (**self).try_alloc(size)
-    }
-    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        (**self).try_dealloc(offset)
-    }
-    fn total_memory(&self) -> usize {
-        (**self).total_memory()
-    }
-    fn allocated_bytes(&self) -> usize {
-        (**self).allocated_bytes()
-    }
-    fn stats(&self) -> OpStatsSnapshot {
-        (**self).stats()
-    }
-    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        (**self).granted_size_of_live(offset)
-    }
-    fn granted_size_for(&self, size: usize) -> Option<usize> {
-        (**self).granted_size_for(size)
-    }
-    fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        (**self).grant_alignment_for(size)
-    }
-    fn frag_stats(&self) -> Option<FragStatsSnapshot> {
-        (**self).frag_stats()
-    }
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        (**self).cache_stats()
-    }
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        (**self).cache_class_capacities()
-    }
-    fn drain_cache(&self) {
-        (**self).drain_cache()
-    }
-    fn occupancy(&self) -> Option<OccupancySnapshot> {
-        (**self).occupancy()
-    }
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        (**self).free_chunks(min_size)
-    }
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        (**self).scrub_claim(offset, size)
-    }
-    fn scrub_dealloc(&self, offset: usize) {
-        (**self).scrub_dealloc(offset)
-    }
-    fn trim_empty_pages(&self) -> usize {
-        (**self).trim_empty_pages()
-    }
+/// Implements [`BuddyBackend`] for pointer types by dereferencing.
+///
+/// `T: ?Sized` covers `Arc<dyn BuddyBackend>`, which cannot be unsized
+/// into an [`BuddyBackend::inner`] answer, so the pointers forward every
+/// method from this one list instead.
+macro_rules! forward_through_deref {
+    ($ptr:ty: $(fn $method:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*) => {
+        impl<T: BuddyBackend + ?Sized> BuddyBackend for $ptr {
+            $(
+                #[inline]
+                fn $method(&self $(, $arg: $ty)*) $(-> $ret)? {
+                    (**self).$method($($arg),*)
+                }
+            )*
+        }
+    };
+    ($($ptr:ty),*) => {
+        $(forward_through_deref! { $ptr:
+            fn name(&self) -> &'static str;
+            fn geometry(&self) -> &Geometry;
+            fn alloc(&self, size: usize) -> Option<usize>;
+            fn dealloc(&self, offset: usize);
+            fn try_alloc(&self, size: usize) -> Result<usize, AllocError>;
+            fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
+            fn inner(&self) -> Option<&dyn BuddyBackend>;
+            fn total_memory(&self) -> usize;
+            fn min_size(&self) -> usize;
+            fn max_size(&self) -> usize;
+            fn allocated_bytes(&self) -> usize;
+            fn stats(&self) -> OpStatsSnapshot;
+            fn granted_size_of_live(&self, offset: usize) -> Option<usize>;
+            fn granted_size_for(&self, size: usize) -> Option<usize>;
+            fn grant_alignment_for(&self, size: usize) -> Option<usize>;
+            fn frag_stats(&self) -> Option<FragStatsSnapshot>;
+            fn cache_stats(&self) -> Option<CacheStatsSnapshot>;
+            fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>>;
+            fn drain_cache(&self);
+            fn occupancy(&self) -> Option<OccupancySnapshot>;
+            fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>>;
+            fn scrub_claim(&self, offset: usize, size: usize) -> bool;
+            fn scrub_dealloc(&self, offset: usize);
+            fn trim_empty_pages(&self) -> usize;
+        })*
+    };
 }
 
-impl<T: BuddyBackend + ?Sized> BuddyBackend for &T {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn geometry(&self) -> &Geometry {
-        (**self).geometry()
-    }
-    fn alloc(&self, size: usize) -> Option<usize> {
-        (**self).alloc(size)
-    }
-    fn dealloc(&self, offset: usize) {
-        (**self).dealloc(offset)
-    }
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        (**self).try_alloc(size)
-    }
-    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        (**self).try_dealloc(offset)
-    }
-    fn total_memory(&self) -> usize {
-        (**self).total_memory()
-    }
-    fn allocated_bytes(&self) -> usize {
-        (**self).allocated_bytes()
-    }
-    fn stats(&self) -> OpStatsSnapshot {
-        (**self).stats()
-    }
-    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        (**self).granted_size_of_live(offset)
-    }
-    fn granted_size_for(&self, size: usize) -> Option<usize> {
-        (**self).granted_size_for(size)
-    }
-    fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        (**self).grant_alignment_for(size)
-    }
-    fn frag_stats(&self) -> Option<FragStatsSnapshot> {
-        (**self).frag_stats()
-    }
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        (**self).cache_stats()
-    }
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        (**self).cache_class_capacities()
-    }
-    fn drain_cache(&self) {
-        (**self).drain_cache()
-    }
-    fn occupancy(&self) -> Option<OccupancySnapshot> {
-        (**self).occupancy()
-    }
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        (**self).free_chunks(min_size)
-    }
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        (**self).scrub_claim(offset, size)
-    }
-    fn scrub_dealloc(&self, offset: usize) {
-        (**self).scrub_dealloc(offset)
-    }
-    fn trim_empty_pages(&self) -> usize {
-        (**self).trim_empty_pages()
-    }
-}
+forward_through_deref!(std::sync::Arc<T>, &T);

@@ -32,17 +32,6 @@
 //! * [`NodeStatsSnapshot`] surfaces per-node allocated bytes and
 //!   local/remote/failed service counts — the data behind `nbbs-bench
 //!   fig12`'s per-node share table.
-//!
-//! ## Migrating from `nbbs::MultiInstance`
-//!
-//! `MultiInstance` (now deprecated) kept the same per-node layout but only
-//! offered an inherent API — it was *not* a `BuddyBackend`, so nothing could
-//! stack on it.  `NodeSet` is a drop-in upgrade: `new(instances)` builds the
-//! same router (`alloc`/`alloc_on`/`dealloc`/`owner_of`/`split` carry over),
-//! global offsets change from `i * total + local` to `(i << log2(total)) |
-//! local` (identical when the node count is a power of two), and everything
-//! that takes a `BuddyBackend` — `BuddyRegion`, `MagazineCache`,
-//! `NbbsAllocator`, the workload factory — now accepts the whole set.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

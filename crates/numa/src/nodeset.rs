@@ -1,29 +1,13 @@
-//! [`NodeSet`]: N per-node buddy instances behind one widened
+//! [`NodeSet`]: one buddy instance per NUMA node behind one widened
 //! [`BuddyBackend`].
 //!
-//! # The offset-widening scheme
-//!
-//! Every node manages the same per-node geometry (total size `T`, a power of
-//! two).  A *global* offset packs the node index into its high bits:
-//!
-//! ```text
-//! global = (node << log2(T)) | local        node = global >> log2(T)
-//!                                           local = global & (T - 1)
-//! ```
-//!
-//! so `owner_of`/`dealloc` are pure arithmetic — no search, no per-chunk
-//! bookkeeping — exactly how a physical frame number identifies its NUMA
-//! node.  To keep the global offset space a valid buddy geometry, the node
-//! count is rounded up to the next power of two ([`Geometry::widened`]);
-//! offsets in the phantom tail are simply never produced, and
-//! `total_memory()` reports the *logical* `n × T` span so backing-memory
-//! wrappers (`BuddyRegion`) and cache byte budgets never commit the
-//! phantom slots.  Because the
-//! widened geometry keeps the per-node `min_size`/`max_size`, a `NodeSet`
-//! **is** a [`BuddyBackend`]: `MagazineCache<NodeSet<_>>`,
-//! `BuddyRegion<NodeSet<_>>` and the `nbbs-alloc` facade all stack on top
-//! unchanged — the layering the deprecated `nbbs::MultiInstance` could
-//! never offer (its inherent-only API stopped the stack at the router).
+//! The instances sit in an [`nbbs::SlotSet`], which owns the offset scheme
+//! (`global = (node << log2(T)) | local`, so `owner_of`/`dealloc` are pure
+//! arithmetic — exactly how a physical frame number identifies its NUMA
+//! node), the widened geometry that makes the set a [`BuddyBackend`] the
+//! cache, the region and the facade stack on unchanged, and the per-node
+//! merge of every read-out.  This module decides *which node an allocation
+//! tries first*.
 //!
 //! # Routing
 //!
@@ -37,9 +21,8 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use nbbs::error::{AllocError, FreeError};
-use nbbs::stats::{CacheStatsSnapshot, OpStatsSnapshot};
-use nbbs::{nearest_first_order, BuddyBackend, Geometry};
+use nbbs::error::FreeError;
+use nbbs::{nearest_first_order, BuddyBackend, Geometry, SlotSet};
 use nbbs_sync::CachePadded;
 
 use crate::topology::Topology;
@@ -101,7 +84,8 @@ impl NodeStatsSnapshot {
 
 /// A set of per-node buddy instances behind one widened [`BuddyBackend`].
 ///
-/// See the [module docs](self) for the offset-widening scheme and routing.
+/// See the [module docs](self) for the routing and [`nbbs::SlotSet`] for
+/// the offset-widening scheme.
 ///
 /// ```
 /// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
@@ -119,13 +103,8 @@ impl NodeStatsSnapshot {
 /// assert_eq!(set.allocated_bytes(), 0);
 /// ```
 pub struct NodeSet<A: BuddyBackend> {
-    nodes: Vec<A>,
-    /// Widened geometry spanning `node_count.next_power_of_two()` slots.
-    geometry: Geometry,
-    /// `log2(per-node total)`: the packing shift.
-    node_shift: u32,
-    /// `per-node total - 1`: the local-offset mask.
-    node_mask: usize,
+    /// One slot per node, every one built.
+    nodes: SlotSet<A>,
     topology: Topology,
     policy: NodePolicy,
     next_interleave: AtomicUsize,
@@ -157,22 +136,16 @@ impl<A: BuddyBackend> NodeSet<A> {
     ///
     /// Same conditions as [`NodeSet::new`].
     pub fn with_topology(nodes: Vec<A>, topology: Topology, policy: NodePolicy) -> Self {
-        assert!(!nodes.is_empty(), "need at least one node");
-        let per_node = *nodes[0].geometry();
-        assert!(
-            nodes.iter().all(|n| *n.geometry() == per_node),
-            "all nodes must share one geometry"
-        );
-        let geometry = per_node
-            .widened(nodes.len())
-            .expect("widened geometry within the supported depth");
-        let counters = (0..nodes.len())
+        let count = nodes.len();
+        let mut rest = nodes.into_iter();
+        let nodes = SlotSet::new(count, rest.next().expect("need at least one node"));
+        for (i, node) in rest.enumerate() {
+            nodes.get_or_build(i + 1, || node);
+        }
+        let counters = (0..count)
             .map(|_| CachePadded::new(NodeCounters::default()))
             .collect();
         NodeSet {
-            geometry,
-            node_shift: per_node.widening_shift(),
-            node_mask: per_node.total_memory() - 1,
             topology,
             policy,
             next_interleave: AtomicUsize::new(0),
@@ -191,17 +164,17 @@ impl<A: BuddyBackend> NodeSet<A> {
 
     /// Number of nodes (real instances, not the widened power-of-two span).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.capacity()
     }
 
     /// Access to one node's instance (e.g. for per-node verification).
     pub fn node(&self, i: usize) -> &A {
-        &self.nodes[i]
+        self.nodes.get(i).expect("node index in range")
     }
 
     /// Bytes managed by each single node.
     pub fn node_memory(&self) -> usize {
-        self.node_mask + 1
+        self.nodes.slot_memory()
     }
 
     /// The routing policy in effect.
@@ -218,52 +191,41 @@ impl<A: BuddyBackend> NodeSet<A> {
     /// count).  Publishes the answer as the thread's trace node hint, so
     /// events this thread subsequently records carry the node lane.
     pub fn home_node(&self) -> usize {
-        let node = self.topology.current_node() % self.nodes.len();
+        let node = self.topology.current_node() % self.node_count();
         nbbs_trace::set_thread_node(node);
         node
-    }
-
-    /// Packs `(node, local offset)` into a global offset.
-    #[inline]
-    pub fn pack(&self, node: usize, local: usize) -> usize {
-        debug_assert!(node < self.nodes.len());
-        debug_assert!(local <= self.node_mask);
-        (node << self.node_shift) | local
-    }
-
-    /// Splits a global offset into `(node, local offset)` — two shifts, no
-    /// search.
-    #[inline]
-    pub fn split(&self, global: usize) -> (usize, usize) {
-        (global >> self.node_shift, global & self.node_mask)
     }
 
     /// Which node owns a global offset.
     #[inline]
     pub fn owner_of(&self, global: usize) -> usize {
-        global >> self.node_shift
+        self.nodes.split(global).0
     }
 
     /// Allocates explicitly on node `i` with **no** fallback — the
     /// `__GFP_THISNODE` analogue.  Counts as local service when `i` is the
     /// caller's home node, as remote service otherwise.
     pub fn alloc_on(&self, i: usize, size: usize) -> Option<usize> {
-        let local = self.nodes[i].alloc(size)?;
-        if i == self.home_node() {
-            self.counters[i]
-                .local_allocs
-                .fetch_add(1, Ordering::Relaxed);
+        self.alloc_from(i, self.home_node(), size)
+    }
+
+    /// Allocates on node `i` for a request that started on node `start`,
+    /// counting the service as local or remote accordingly.
+    #[inline]
+    fn alloc_from(&self, i: usize, start: usize, size: usize) -> Option<usize> {
+        let offset = self.nodes.alloc_on(i, size)?;
+        let served = if i == start {
+            &self.counters[i].local_allocs
         } else {
-            self.counters[i]
-                .remote_allocs
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Some(self.pack(i, local))
+            &self.counters[i].remote_allocs
+        };
+        served.fetch_add(1, Ordering::Relaxed);
+        Some(offset)
     }
 
     /// The node an allocation starts from under the current policy.
     fn start_node(&self) -> usize {
-        let n = self.nodes.len();
+        let n = self.node_count();
         match self.policy {
             NodePolicy::HomeFirst => self.home_node(),
             NodePolicy::Interleave => self.next_interleave.fetch_add(1, Ordering::Relaxed) % n,
@@ -275,17 +237,19 @@ impl<A: BuddyBackend> NodeSet<A> {
     /// relaxed counter read per node (phantom widening slots own nothing
     /// and are not listed).
     pub fn allocated_bytes_per_node(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.allocated_bytes()).collect()
+        self.nodes
+            .built()
+            .map(|(_, n)| n.allocated_bytes())
+            .collect()
     }
 
     /// Point-in-time per-node telemetry (allocated bytes, local/remote
     /// service counts, failures).
     pub fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
         self.nodes
-            .iter()
+            .built()
             .zip(self.counters.iter())
-            .enumerate()
-            .map(|(node, (instance, c))| NodeStatsSnapshot {
+            .map(|((node, instance), c)| NodeStatsSnapshot {
                 node,
                 allocated_bytes: instance.allocated_bytes(),
                 local_allocs: c.local_allocs.load(Ordering::Relaxed),
@@ -301,189 +265,48 @@ impl<A: BuddyBackend> BuddyBackend for NodeSet<A> {
         self.name
     }
 
-    /// The **widened** geometry: `node_count.next_power_of_two()` per-node
-    /// spans, per-node `min_size`/`max_size`.
     fn geometry(&self) -> &Geometry {
-        &self.geometry
+        self.nodes.geometry()
     }
 
     fn alloc(&self, size: usize) -> Option<usize> {
         let start = self.start_node();
-        for i in nearest_first_order(start, self.nodes.len()) {
-            if let Some(local) = self.nodes[i].alloc(size) {
-                let served = if i == start {
-                    &self.counters[i].local_allocs
-                } else {
-                    &self.counters[i].remote_allocs
-                };
-                served.fetch_add(1, Ordering::Relaxed);
-                return Some(self.pack(i, local));
-            }
+        let served = nearest_first_order(start, self.node_count())
+            .find_map(|i| self.alloc_from(i, start, size));
+        if served.is_none() {
+            self.counters[start]
+                .failed_allocs
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.counters[start]
-            .failed_allocs
-            .fetch_add(1, Ordering::Relaxed);
-        None
+        served
     }
 
     fn dealloc(&self, offset: usize) {
-        let (node, local) = self.split(offset);
-        self.nodes[node].dealloc(local);
-    }
-
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        if size > self.max_size() {
-            return Err(AllocError::TooLarge {
-                requested: size,
-                max_size: self.max_size(),
-            });
-        }
-        self.alloc(size)
-            .ok_or(AllocError::OutOfMemory { requested: size })
+        self.nodes.dealloc(offset)
     }
 
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        let (node, local) = self.split(offset);
-        if node >= self.nodes.len() {
-            // Out of the real nodes' span (including the phantom widening
-            // tail): report the *logical* span, not the widened one.
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: self.nodes.len() << self.node_shift,
-            });
-        }
-        self.nodes[node].try_dealloc(local)
+        self.nodes.try_dealloc(offset)
     }
 
-    /// The **logical** managed span, `node_count << shift` — smaller than
-    /// the widened `geometry().total_memory()` when the node count is not a
-    /// power of two.  Offsets in the phantom widening tail are never
-    /// produced, so backing-memory wrappers (`BuddyRegion`) and byte
-    /// budgets need only cover this span.
-    fn total_memory(&self) -> usize {
-        self.nodes.len() << self.node_shift
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.nodes)
     }
 
     fn allocated_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.allocated_bytes()).sum()
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        let mut acc = OpStatsSnapshot::default();
-        for n in &self.nodes {
-            acc.merge(&n.stats());
-        }
-        acc
+        self.nodes.allocated_bytes()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        let (node, local) = self.split(offset);
-        self.nodes.get(node)?.granted_size_of_live(local)
+        self.nodes.granted_size_of_live(offset)
     }
 
     fn granted_size_for(&self, size: usize) -> Option<usize> {
-        // Forward to a node so the answer reflects the innermost grant
-        // policy (a per-node cache or wrapper may refine it).
-        self.nodes[0].granted_size_for(size)
+        self.nodes.granted_size_for(size)
     }
 
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        // Nodes are homogeneous, so node 0 speaks for all — but a packed
-        // offset's *global* alignment is also capped by the node stride.
-        let local = self.nodes[0].grant_alignment_for(size)?;
-        Some(local.min(1 << self.node_shift))
-    }
-
-    fn frag_stats(&self) -> Option<nbbs::FragStatsSnapshot> {
-        let mut merged: Option<nbbs::FragStatsSnapshot> = None;
-        for n in &self.nodes {
-            if let Some(s) = n.frag_stats() {
-                match &mut merged {
-                    Some(acc) => acc.merge(&s),
-                    None => merged = Some(s),
-                }
-            }
-        }
-        merged
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        let mut merged: Option<CacheStatsSnapshot> = None;
-        for n in &self.nodes {
-            if let Some(s) = n.cache_stats() {
-                merged.get_or_insert_with(Default::default).merge(&s);
-            }
-        }
-        merged
-    }
-
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        let mut merged: Option<std::collections::BTreeMap<usize, usize>> = None;
-        for n in &self.nodes {
-            if let Some(caps) = n.cache_class_capacities() {
-                let map = merged.get_or_insert_with(Default::default);
-                for (size, cap) in caps {
-                    let entry = map.entry(size).or_insert(0);
-                    *entry = (*entry).max(cap);
-                }
-            }
-        }
-        merged.map(|m| m.into_iter().collect())
-    }
-
-    fn drain_cache(&self) {
-        for n in &self.nodes {
-            n.drain_cache();
-        }
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        let mut merged: Option<nbbs::OccupancySnapshot> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(mut s) = n.occupancy() {
-                // Free chunks come back node-local; rebase them into the
-                // packed global offset space before merging so the decommit
-                // scrubber claims the right node's blocks.
-                s.shift_free_chunks(i << self.node_shift);
-                match &mut merged {
-                    Some(acc) => acc.merge(&s),
-                    None => merged = Some(s),
-                }
-            }
-        }
-        merged
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        let mut merged: Option<Vec<(usize, usize)>> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(chunks) = n.free_chunks(min_size) {
-                // Node-local offsets rebase into the packed global space,
-                // same as the occupancy merge above.
-                let base = i << self.node_shift;
-                merged
-                    .get_or_insert_with(Vec::new)
-                    .extend(chunks.into_iter().map(|(off, size)| (base | off, size)));
-            }
-        }
-        merged
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        let (node, local) = self.split(offset);
-        match self.nodes.get(node) {
-            Some(n) => n.scrub_claim(local, size),
-            None => false,
-        }
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        let (node, local) = self.split(offset);
-        self.nodes[node].scrub_dealloc(local);
-    }
-
-    fn trim_empty_pages(&self) -> usize {
-        self.nodes.iter().map(|n| n.trim_empty_pages()).sum()
+        self.nodes.grant_alignment_for(size)
     }
 }
 
@@ -501,8 +324,7 @@ impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for NodeSet<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbbs::{BuddyConfig, NbbsFourLevel, NbbsOneLevel};
-    use std::sync::Arc;
+    use nbbs::{BuddyConfig, NbbsOneLevel};
 
     fn set(n: usize, per_node: usize) -> NodeSet<NbbsOneLevel> {
         NodeSet::new(
@@ -524,8 +346,7 @@ mod tests {
         assert_eq!(s.max_size(), 4096);
         let off = s.alloc_on(2, 64).unwrap();
         assert_eq!(s.owner_of(off), 2);
-        assert_eq!(s.split(off), (2, off & 4095));
-        assert_eq!(s.pack(2, off & 4095), off);
+        assert_eq!(off >> 12, 2, "the node index sits above the node span");
         s.dealloc(off);
         assert_eq!(s.allocated_bytes(), 0);
     }
@@ -538,11 +359,11 @@ mod tests {
         assert_ne!(s.owner_of(a), s.owner_of(b), "fallback took the other node");
         assert!(matches!(
             s.try_alloc(64),
-            Err(AllocError::OutOfMemory { .. })
+            Err(nbbs::AllocError::OutOfMemory { .. })
         ));
         assert!(matches!(
             s.try_alloc(4096),
-            Err(AllocError::TooLarge { .. })
+            Err(nbbs::AllocError::TooLarge { .. })
         ));
         let failed: u64 = s.node_stats().iter().map(|n| n.failed_allocs).sum();
         assert_eq!(failed, 1, "the OOM was recorded on the start node");
@@ -627,45 +448,6 @@ mod tests {
             s.dealloc(off);
         }
         assert_eq!(s.node_stats()[1].local_allocs, 3);
-    }
-
-    #[test]
-    fn concurrent_churn_returns_every_byte() {
-        let s = Arc::new(NodeSet::new(
-            (0..4)
-                .map(|_| NbbsFourLevel::new(BuddyConfig::new(1 << 14, 64, 1 << 12).unwrap()))
-                .collect::<Vec<_>>(),
-        ));
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut live = Vec::new();
-                    for i in 0..2_000usize {
-                        let size = 64usize << ((i + t) % 5);
-                        if let Some(off) = s.alloc(size) {
-                            assert!(s.owner_of(off) < 4);
-                            live.push(off);
-                        }
-                        if live.len() > 16 {
-                            live.rotate_left(1);
-                            s.dealloc(live.pop().unwrap());
-                        }
-                    }
-                    for off in live {
-                        s.dealloc(off);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.allocated_bytes(), 0);
-        assert_eq!(s.allocated_bytes_per_node(), vec![0; 4]);
-        for i in 0..4 {
-            nbbs::verify::audit_empty(s.node(i)).assert_clean();
-        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use nbbs::error::{AllocError, FreeError};
-use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, OpStatsSnapshot};
+use nbbs::{BuddyBackend, Geometry};
 use nbbs_sync::cycles_now;
 
 use crate::recorder::{size_detail, OpKind, OpOutcome, Recorder};
@@ -157,16 +157,15 @@ impl<A: BuddyBackend> BuddyBackend for Recorded<A> {
         out
     }
 
-    fn total_memory(&self) -> usize {
-        self.inner.total_memory()
+    /// Read-outs and maintenance traffic (the decommit scrubber) reach the
+    /// wrapped backend untimed: the latency recorders exist for the mutator
+    /// paths.
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner)
     }
 
     fn allocated_bytes(&self) -> usize {
         self.inner.allocated_bytes()
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        self.inner.stats()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
@@ -179,44 +178,6 @@ impl<A: BuddyBackend> BuddyBackend for Recorded<A> {
 
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
         self.inner.grant_alignment_for(size)
-    }
-
-    fn frag_stats(&self) -> Option<nbbs::FragStatsSnapshot> {
-        self.inner.frag_stats()
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.inner.cache_stats()
-    }
-
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        self.inner.cache_class_capacities()
-    }
-
-    fn drain_cache(&self) {
-        self.inner.drain_cache()
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        self.inner.occupancy()
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        self.inner.free_chunks(min_size)
-    }
-
-    // Maintenance traffic (the decommit scrubber) is forwarded untimed:
-    // the latency recorders exist for the mutator paths.
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        self.inner.scrub_claim(offset, size)
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        self.inner.scrub_dealloc(offset)
-    }
-
-    fn trim_empty_pages(&self) -> usize {
-        self.inner.trim_empty_pages()
     }
 }
 

@@ -226,14 +226,9 @@ impl StackSnapshot {
             );
             let _ = writeln!(
                 out,
-                "  cache    depot: {} exchanges over {} shards, {} spills, {} steals; \
+                "  cache    depot: {} exchanges over {} shards, {} spills; \
                  resize +{}/-{}",
-                c.depot_exchanges,
-                c.depot_shards,
-                c.depot_spills,
-                c.depot_steals,
-                c.resize_grows,
-                c.resize_shrinks
+                c.depot_exchanges, c.depot_shards, c.depot_spills, c.resize_grows, c.resize_shrinks
             );
         }
         if let Some(caps) = &self.capacities {
@@ -376,7 +371,7 @@ impl StackSnapshot {
                 out,
                 ",\"cache\":{{\"hits\":{},\"misses\":{},\"cached_frees\":{},\"flushed\":{},\
                  \"refilled\":{},\"depot_exchanges\":{},\"drained\":{},\"depot_spills\":{},\
-                 \"depot_steals\":{},\"resize_grows\":{},\"resize_shrinks\":{},\
+                 \"resize_grows\":{},\"resize_shrinks\":{},\
                  \"transient_retries\":{},\"orphan_rescues\":{},\"depot_shards\":{}}}",
                 c.hits,
                 c.misses,
@@ -386,7 +381,6 @@ impl StackSnapshot {
                 c.depot_exchanges,
                 c.drained,
                 c.depot_spills,
-                c.depot_steals,
                 c.resize_grows,
                 c.resize_shrinks,
                 c.transient_retries,

@@ -57,7 +57,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nbbs::error::{AllocError, FreeError};
-use nbbs::stats::{CacheStatsSnapshot, FragClassSnapshot, FragStatsSnapshot, OpStatsSnapshot};
+use nbbs::stats::{FragClassSnapshot, FragStatsSnapshot};
 use nbbs::{BuddyBackend, BuddyConfig, Geometry};
 use nbbs_obs::{OpKind, OpOutcome, Recorder};
 use nbbs_sync::{cycles_now, BoundedStack, CachePadded, SpinLock};
@@ -780,8 +780,12 @@ impl<A: BuddyBackend> BuddyBackend for SlabBackend<A> {
         self.inner.try_dealloc(offset)
     }
 
-    fn total_memory(&self) -> usize {
-        self.inner.total_memory()
+    /// Everything the slab does not answer itself goes to the buddy — the
+    /// scrubber's claim among it: a page bound to a slab class is allocated
+    /// there, so the claim CAS refuses it and only whole free buddy blocks
+    /// are claimable.
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner)
     }
 
     /// Bytes the *callers* hold: the buddy's figure minus the pages parked
@@ -803,10 +807,6 @@ impl<A: BuddyBackend> BuddyBackend for SlabBackend<A> {
             .map(|(&size, ctl)| ctl.counters.live.load(Ordering::Relaxed) as usize * size)
             .sum();
         self.inner.allocated_bytes().saturating_sub(held + stranded) + live
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        self.inner.stats()
     }
 
     fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
@@ -857,37 +857,10 @@ impl<A: BuddyBackend> BuddyBackend for SlabBackend<A> {
         Some(self.frag_snapshot())
     }
 
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        self.inner.cache_stats()
-    }
-
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        self.inner.cache_class_capacities()
-    }
-
     fn drain_cache(&self) {
         self.rescue_orphaned_pages();
         self.reclaim_empty_pages();
         self.inner.drain_cache()
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        self.inner.occupancy()
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        self.inner.free_chunks(min_size)
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        // Straight to the buddy: a page bound to a slab class is allocated
-        // there, so the claim CAS refuses it — only whole free buddy blocks
-        // are claimable.
-        self.inner.scrub_claim(offset, size)
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        self.inner.scrub_dealloc(offset)
     }
 
     /// Returns idle classes' warm empty pages to the buddy (bypassing the
@@ -1190,7 +1163,7 @@ mod tests {
         }
         s.drain_cache();
         assert_eq!(s.allocated_bytes(), 0);
-        assert_eq!(s.inner().allocated_bytes(), 0);
+        assert_eq!(SlabBackend::inner(&s).allocated_bytes(), 0);
         let snap = s.frag_snapshot();
         assert_eq!(snap.live_objects(), 0);
         assert_eq!(snap.pages_live, 0);

@@ -422,9 +422,8 @@ fn fig12_numa(opts: &Options) -> Vec<Measurement> {
 /// Figure 13 (this reproduction's own): the magazine-cache ablation.  Runs
 /// the contended user-space workloads (including the facade-level Mixed
 /// Layout churn) over the cached variants and their uncached backends,
-/// reporting the headline metric, the cache's hit/miss/flush behaviour,
-/// the per-class capacities the adaptive resize controller converged to,
-/// and a depot-steal before/after comparison.
+/// reporting the headline metric, the cache's hit/miss/flush behaviour and
+/// the per-class capacities the adaptive resize controller converged to.
 fn fig13_cache_ablation(opts: &Options) -> Vec<Measurement> {
     println!("\n=== Figure 13: Per-thread magazine cache ablation (cached vs uncached) ===");
     let harness = Harness::new(opts.verbose);
@@ -442,7 +441,6 @@ fn fig13_cache_ablation(opts: &Options) -> Vec<Measurement> {
         );
         measurements.extend(harness.run_sweep(&sweep));
     }
-    measurements.extend(fig13_depot_steal(opts));
     print!("{}", report::text_table(&measurements, Metric::Seconds));
     let cache = report::cache_table(&measurements);
     if !cache.is_empty() {
@@ -463,74 +461,6 @@ fn fig13_cache_ablation(opts: &Options) -> Vec<Measurement> {
     if !latency.is_empty() {
         println!("Tail latency (merged alloc+free, ns):");
         print!("{latency}");
-    }
-    measurements
-}
-
-/// The depot-steal before/after comparison (ROADMAP: "measure before
-/// adopting").  Larson is the workload where a dry shard actually has
-/// something to steal: remote frees park full magazines in the *freeing*
-/// thread's shard, so an allocating thread whose own shard ran dry can
-/// either walk the tree (steal off) or take one magazine from a neighbour
-/// (steal on).  Both rows pin `depot_shards` to four so the comparison is
-/// identical on any host, and they land in the same cache table as the
-/// default rows — the `flushed`/`misses` columns are the "before/after
-/// backend-flush counts".
-fn fig13_depot_steal(opts: &Options) -> Vec<Measurement> {
-    let sweep = apply_overrides(SweepConfig::user_space(Workload::Larson, opts.scale), opts);
-    let mut measurements = Vec::new();
-    for &size in &sweep.sizes {
-        for &threads in &sweep.thread_counts {
-            for steal in [false, true] {
-                // Deliberately tight, fixed magazines: at the default
-                // geometry Larson runs ~100% hits and the depot never gets
-                // exercised, so the A/B would measure nothing.  Eight-entry
-                // magazines force the overflow/refill traffic through the
-                // four shards, where the remote-free imbalance creates the
-                // dry-shard-with-full-neighbour situation stealing targets.
-                let config = CacheConfig {
-                    magazine_capacity: 8,
-                    adaptive_resize: false,
-                    depot_shards: Some(4),
-                    slots: Some(4),
-                    depot_steal: steal,
-                    ..CacheConfig::default()
-                };
-                let name = if steal {
-                    "cached-4lvl/s4+steal"
-                } else {
-                    "cached-4lvl/s4"
-                };
-                let rec = Arc::new(nbbs_obs::Recorder::new());
-                let alloc: SharedBackend = Arc::new(nbbs_obs::Recorded::sampled(
-                    MagazineCache::with_config_and_name(
-                        NbbsFourLevel::new(sweep.memory),
-                        config,
-                        name,
-                    ),
-                    Arc::clone(&rec),
-                    nbbs_obs::DEFAULT_SAMPLE_STRIDE,
-                ));
-                if opts.verbose {
-                    eprintln!(
-                        "[nbbs-bench] larson size={size} threads={threads} allocator={name} ..."
-                    );
-                }
-                let result = sweep.workload.run(&alloc, threads, size, opts.scale);
-                let latency = rec
-                    .merged_snapshot(&[nbbs_obs::OpKind::Alloc, nbbs_obs::OpKind::Free])
-                    .percentiles();
-                let m = Measurement::new(sweep.workload.name(), name, size, result)
-                    .with_cache(alloc.cache_stats())
-                    .with_backend_ops(alloc.stats())
-                    .with_capacities(alloc.cache_class_capacities())
-                    .with_latency(Some(latency));
-                if opts.verbose {
-                    eprintln!("[nbbs-bench]   -> {m}");
-                }
-                measurements.push(m);
-            }
-        }
     }
     measurements
 }
@@ -721,90 +651,120 @@ fn frag(opts: &Options) -> Vec<Measurement> {
     measurements
 }
 
-/// Latency-recording overhead A/B: Larson (the throughput-metric workload)
-/// run with recording on vs off over otherwise identical allocators.  Each
-/// side takes the best of three runs to shave scheduler noise off the
-/// comparison; the printed `overhead_pct=` lines are what CI's 5% gate
-/// parses.  The off-side rows run the exact pre-observability hot path
-/// (no `Recorded` wrapper, no timestamps).
-fn obs_overhead(opts: &Options) -> Vec<Measurement> {
-    println!("\n=== Observability overhead: Larson, recording on vs off ===");
+/// The min-gap A/B behind the four `*-overhead` subcommands: Larson (the
+/// throughput-metric workload) with one thing switched on vs off, over
+/// otherwise identical allocators.  `side(on, threads, size)` runs one side
+/// and names its row.
+///
+/// Seven off/on pairs, order alternating each round: back-to-back runs are
+/// not exchangeable on a busy host (cache warmth, turbo, neighbours), and a
+/// fixed order would bias every pair the same way.  Run-to-run throughput
+/// on a shared host swings by ±10-15%, an order of magnitude above the
+/// costs measured here, so no single pair is meaningful.  As in min-time
+/// microbenchmarking (noise only ever *slows* a run), the minimum per-round
+/// gap is the reproducible cost; that is the `overhead_pct=` CI gates at
+/// 5%.  The best-of-seven throughput of each side is printed alongside as
+/// a second, independent estimate.
+fn overhead(
+    opts: &Options,
+    tag: &str,
+    detail: &str,
+    side: impl Fn(bool, usize, usize) -> Measurement,
+) -> Vec<Measurement> {
     let threads = opts.threads.clone().unwrap_or_else(|| vec![4]);
     let sizes = opts.sizes.clone().unwrap_or_else(|| vec![128]);
+    let mut measurements = Vec::new();
+    for &size in &sizes {
+        for &t in &threads {
+            let mut rounds = Vec::new();
+            let mut best: [Option<Measurement>; 2] = [None, None];
+            for round in 0..7 {
+                let on_first = round % 2 == 1;
+                let first = side(on_first, t, size);
+                let second = side(!on_first, t, size);
+                let (off, on) = if on_first {
+                    (second, first)
+                } else {
+                    (first, second)
+                };
+                let off_kops = off.result.kops_per_sec();
+                if off_kops > 0.0 {
+                    rounds.push((off_kops - on.result.kops_per_sec()) / off_kops * 100.0);
+                }
+                for (slot, m) in best.iter_mut().zip([off, on]) {
+                    if slot
+                        .as_ref()
+                        .is_none_or(|b| m.result.kops_per_sec() > b.result.kops_per_sec())
+                    {
+                        *slot = Some(m);
+                    }
+                }
+            }
+            let [mut off, mut on] = best.map(|m| m.expect("seven rounds ran"));
+            let floor = rounds.iter().copied().fold(f64::INFINITY, f64::min);
+            let overhead = if floor.is_finite() { floor } else { 0.0 };
+            println!(
+                "[{tag}] larson size={size} threads={t}{detail} \
+                 off_kops={:.1} on_kops={:.1} rounds={} overhead_pct={overhead:.2}",
+                off.result.kops_per_sec(),
+                on.result.kops_per_sec(),
+                rounds
+                    .iter()
+                    .map(|r| format!("{r:.1}"))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            );
+            off.workload = format!("{tag}/off");
+            on.workload = format!("{tag}/on");
+            measurements.push(off);
+            measurements.push(on);
+        }
+    }
+    measurements
+}
+
+/// The default-configured cache the overhead A/Bs run Larson on, over
+/// `backend`: [`larson_tree`] or a wrapper around it.
+fn larson_cache<A: BuddyBackend>(backend: A, name: &'static str) -> MagazineCache<A> {
+    MagazineCache::with_config_and_name(backend, CacheConfig::default(), name)
+}
+
+fn larson_tree(opts: &Options) -> NbbsFourLevel {
+    NbbsFourLevel::new(SweepConfig::user_space(Workload::Larson, opts.scale).memory)
+}
+
+/// One Larson run on `alloc`, as a row named `name`.
+fn larson_row(
+    opts: &Options,
+    alloc: SharedBackend,
+    name: &str,
+    t: usize,
+    size: usize,
+) -> Measurement {
+    let result = Workload::Larson.run(&alloc, t, size, opts.scale);
+    Measurement::new("larson", name, size, result)
+}
+
+/// Latency-recording overhead: recording on vs off.  The off-side rows run
+/// the exact pre-observability hot path (no `Recorded` wrapper, no
+/// timestamps).
+fn obs_overhead(opts: &Options) -> Vec<Measurement> {
+    println!("\n=== Observability overhead: Larson, recording on vs off ===");
     let kinds = opts
         .allocators
         .clone()
         .unwrap_or_else(|| vec![AllocatorKind::FourLevelNb]);
     let mut measurements = Vec::new();
-    for &kind in &kinds {
-        for &size in &sizes {
-            for &t in &threads {
-                let sweep = SweepConfig::user_space(Workload::Larson, opts.scale)
-                    .with_threads(vec![t])
-                    .with_sizes(vec![size])
-                    .with_allocators(vec![kind]);
-                // Seven off/on pairs, order alternating each round.
-                // Run-to-run throughput on a shared host swings by
-                // ±10-15%, an order of magnitude above the sampled
-                // recording cost, so no single pair is meaningful.  As in
-                // min-time microbenchmarking (noise only ever *slows* a
-                // run), the minimum per-round gap is the reproducible
-                // recording cost; that is the `overhead_pct=` CI gates.
-                // The best-of-seven throughput of each side is printed
-                // alongside as a second, independent estimate.
-                let harness_off = Harness::new(false).with_recording(false);
-                let harness_on = Harness::new(false);
-                let mut rounds = Vec::new();
-                let (mut best_off, mut best_on): (Option<Measurement>, Option<Measurement>) =
-                    (None, None);
-                for round in 0..7 {
-                    // Alternate which side runs first: back-to-back runs
-                    // are not exchangeable on a busy host (cache warmth,
-                    // turbo, neighbours), and a fixed order would bias
-                    // every pair the same way.
-                    let (off, on) = if round % 2 == 0 {
-                        let off = harness_off.run_sweep(&sweep).remove(0);
-                        (off, harness_on.run_sweep(&sweep).remove(0))
-                    } else {
-                        let on = harness_on.run_sweep(&sweep).remove(0);
-                        (harness_off.run_sweep(&sweep).remove(0), on)
-                    };
-                    let off_kops = off.result.kops_per_sec();
-                    let on_kops = on.result.kops_per_sec();
-                    if off_kops > 0.0 {
-                        rounds.push((off_kops - on_kops) / off_kops * 100.0);
-                    }
-                    for (slot, m) in [(&mut best_off, off), (&mut best_on, on)] {
-                        if slot
-                            .as_ref()
-                            .is_none_or(|b| m.result.kops_per_sec() > b.result.kops_per_sec())
-                        {
-                            *slot = Some(m);
-                        }
-                    }
-                }
-                let mut off = best_off.expect("seven rounds ran");
-                let mut on = best_on.expect("seven rounds ran");
-                let floor = rounds.iter().copied().fold(f64::INFINITY, f64::min);
-                let overhead = if floor.is_finite() { floor } else { 0.0 };
-                println!(
-                    "[obs-overhead] larson size={size} threads={t} allocator={} \
-                     off_kops={:.1} on_kops={:.1} rounds={} overhead_pct={overhead:.2}",
-                    kind.name(),
-                    off.result.kops_per_sec(),
-                    on.result.kops_per_sec(),
-                    rounds
-                        .iter()
-                        .map(|r| format!("{r:.1}"))
-                        .collect::<Vec<_>>()
-                        .join(","),
-                );
-                off.workload = "obs-overhead/off".into();
-                on.workload = "obs-overhead/on".into();
-                measurements.push(off);
-                measurements.push(on);
-            }
-        }
+    for kind in kinds {
+        let detail = format!(" allocator={}", kind.name());
+        measurements.extend(overhead(opts, "obs-overhead", &detail, |on, t, size| {
+            let sweep = SweepConfig::user_space(Workload::Larson, opts.scale)
+                .with_threads(vec![t])
+                .with_sizes(vec![size])
+                .with_allocators(vec![kind]);
+            let harness = Harness::new(false).with_recording(on);
+            harness.run_sweep(&sweep).remove(0)
+        }));
     }
     measurements
 }
@@ -1031,191 +991,60 @@ fn trace(opts: &Options) -> Result<Vec<Measurement>, String> {
     )])
 }
 
-/// Tracing-compiled-in-but-disabled A/B: Larson with full recording on
-/// both sides; the on-side additionally has a [`TraceRing`] installed as
-/// the recorder's event sink but never started, so the measured gap is
-/// exactly the disabled-sink fan-out cost on the record path.  Same seven
-/// alternating rounds / min-gap estimator as `obs-overhead`; CI gates the
-/// printed `overhead_pct=` at 5%.
+/// Tracing-compiled-in-but-disabled overhead: full recording on both
+/// sides; the on-side additionally has a [`TraceRing`] installed as the
+/// recorder's event sink but never started, so the measured gap is exactly
+/// the disabled-sink fan-out cost on the record path.
 fn trace_overhead(opts: &Options) -> Vec<Measurement> {
     println!("\n=== Trace overhead: Larson, sink installed (ring stopped) vs recording only ===");
-    let threads = opts.threads.clone().unwrap_or_else(|| vec![4]);
-    let sizes = opts.sizes.clone().unwrap_or_else(|| vec![128]);
-    let mut measurements = Vec::new();
-    for &size in &sizes {
-        for &t in &threads {
-            let sweep = SweepConfig::user_space(Workload::Larson, opts.scale);
-            let run_side = |with_sink: bool| {
-                let rec = Arc::new(nbbs_obs::Recorder::new());
-                if with_sink {
-                    // Installed but never started: every record call takes
-                    // the sink branch and bails on the disabled flag.
-                    rec.set_event_sink(Arc::new(TraceRing::new()) as _);
-                }
-                let alloc: SharedBackend = Arc::new(nbbs_obs::Recorded::sampled(
-                    MagazineCache::with_config_and_name(
-                        NbbsFourLevel::new(sweep.memory),
-                        CacheConfig::default(),
-                        "cached-4lvl",
-                    )
-                    .with_recorder(Arc::clone(&rec)),
-                    rec,
-                    nbbs_obs::DEFAULT_SAMPLE_STRIDE,
-                ));
-                Workload::Larson.run(&alloc, t, size, opts.scale)
-            };
-            let mut rounds = Vec::new();
-            let (mut best_off, mut best_on): (Option<WorkloadResult>, Option<WorkloadResult>) =
-                (None, None);
-            for round in 0..7 {
-                // Alternate order each round, as in obs-overhead: back-to-
-                // back runs are not exchangeable on a busy host.
-                let (off, on) = if round % 2 == 0 {
-                    let off = run_side(false);
-                    (off, run_side(true))
-                } else {
-                    let on = run_side(true);
-                    (run_side(false), on)
-                };
-                let off_kops = off.kops_per_sec();
-                let on_kops = on.kops_per_sec();
-                if off_kops > 0.0 {
-                    rounds.push((off_kops - on_kops) / off_kops * 100.0);
-                }
-                for (slot, r) in [(&mut best_off, off), (&mut best_on, on)] {
-                    if slot
-                        .as_ref()
-                        .is_none_or(|b| r.kops_per_sec() > b.kops_per_sec())
-                    {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            let off = best_off.expect("seven rounds ran");
-            let on = best_on.expect("seven rounds ran");
-            let floor = rounds.iter().copied().fold(f64::INFINITY, f64::min);
-            let overhead = if floor.is_finite() { floor } else { 0.0 };
-            println!(
-                "[trace-overhead] larson size={size} threads={t} \
-                 off_kops={:.1} on_kops={:.1} rounds={} overhead_pct={overhead:.2}",
-                off.kops_per_sec(),
-                on.kops_per_sec(),
-                rounds
-                    .iter()
-                    .map(|r| format!("{r:.1}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            measurements.push(Measurement::new(
-                "trace-overhead/off",
-                "cached-4lvl+rec",
-                size,
-                off,
-            ));
-            measurements.push(Measurement::new(
-                "trace-overhead/on",
-                "cached-4lvl+rec+sink",
-                size,
-                on,
-            ));
+    overhead(opts, "trace-overhead", "", |with_sink, t, size| {
+        let rec = Arc::new(nbbs_obs::Recorder::new());
+        if with_sink {
+            // Installed but never started: every record call takes the
+            // sink branch and bails on the disabled flag.
+            rec.set_event_sink(Arc::new(TraceRing::new()) as _);
         }
-    }
-    measurements
+        let cache = larson_cache(larson_tree(opts), "cached-4lvl").with_recorder(Arc::clone(&rec));
+        let alloc = Arc::new(nbbs_obs::Recorded::sampled(
+            cache,
+            rec,
+            nbbs_obs::DEFAULT_SAMPLE_STRIDE,
+        ));
+        let name = if with_sink {
+            "cached-4lvl+rec+sink"
+        } else {
+            "cached-4lvl+rec"
+        };
+        larson_row(opts, alloc, name, t, size)
+    })
 }
 
-/// Decommit-scrubber A/B: Larson over the cached 4-level tree whose
-/// backend also sits behind a demand-zero [`nbbs::BuddyRegion`]; the
-/// on-side arms the background scrubber at the production cadence (the
-/// `NBBS_SCRUB` default, 100 ms), so its passes race the workload's
-/// allocation CAS traffic for the free blocks and charge the workload the
-/// demand-zero refaults for whatever they win.  The measured gap is the
-/// cost of leaving the scrubber always on under a hot allocator.  Same seven alternating rounds / min-gap
-/// estimator as the other overhead modes; CI gates the printed
-/// `overhead_pct=` at 5%.
+/// Decommit-scrubber overhead: the cached 4-level tree also sits behind a
+/// demand-zero [`nbbs::BuddyRegion`]; the on-side arms the background
+/// scrubber at the production cadence (the `NBBS_SCRUB` default, 100 ms),
+/// so its passes race the workload's allocation CAS traffic for the free
+/// blocks and charge the workload the demand-zero refaults for whatever
+/// they win.  The measured gap is the cost of leaving the scrubber always
+/// on under a hot allocator.
 fn scrub_overhead(opts: &Options) -> Vec<Measurement> {
     println!("\n=== Scrub overhead: Larson, background scrubber armed (100 ms) vs off ===");
-    let threads = opts.threads.clone().unwrap_or_else(|| vec![4]);
-    let sizes = opts.sizes.clone().unwrap_or_else(|| vec![128]);
-    let mut measurements = Vec::new();
-    for &size in &sizes {
-        for &t in &threads {
-            let sweep = SweepConfig::user_space(Workload::Larson, opts.scale);
-            let run_side = |armed: bool| {
-                let cache = Arc::new(MagazineCache::with_config_and_name(
-                    NbbsFourLevel::new(sweep.memory),
-                    CacheConfig::default(),
-                    "cached-4lvl",
-                ));
-                let region = nbbs::BuddyRegion::new(Arc::clone(&cache));
-                if armed {
-                    // Take the one-time whole-arena decommit burst before
-                    // the timed window: a deployed scrubber runs for the
-                    // process lifetime, so the A/B measures steady-state
-                    // passes racing the workload, not first-pass setup.
-                    region.scrub_pass();
-                    region.start_scrubber(std::time::Duration::from_millis(100));
-                }
-                let alloc: SharedBackend = cache;
-                let result = Workload::Larson.run(&alloc, t, size, opts.scale);
-                // Dropping the region stops and joins the scrubber.
-                drop(region);
-                result
-            };
-            let mut rounds = Vec::new();
-            let (mut best_off, mut best_on): (Option<WorkloadResult>, Option<WorkloadResult>) =
-                (None, None);
-            for round in 0..7 {
-                let (off, on) = if round % 2 == 0 {
-                    let off = run_side(false);
-                    (off, run_side(true))
-                } else {
-                    let on = run_side(true);
-                    (run_side(false), on)
-                };
-                let off_kops = off.kops_per_sec();
-                let on_kops = on.kops_per_sec();
-                if off_kops > 0.0 {
-                    rounds.push((off_kops - on_kops) / off_kops * 100.0);
-                }
-                for (slot, r) in [(&mut best_off, off), (&mut best_on, on)] {
-                    if slot
-                        .as_ref()
-                        .is_none_or(|b| r.kops_per_sec() > b.kops_per_sec())
-                    {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            let off = best_off.expect("seven rounds ran");
-            let on = best_on.expect("seven rounds ran");
-            let floor = rounds.iter().copied().fold(f64::INFINITY, f64::min);
-            let overhead = if floor.is_finite() { floor } else { 0.0 };
-            println!(
-                "[scrub-overhead] larson size={size} threads={t} \
-                 off_kops={:.1} on_kops={:.1} rounds={} overhead_pct={overhead:.2}",
-                off.kops_per_sec(),
-                on.kops_per_sec(),
-                rounds
-                    .iter()
-                    .map(|r| format!("{r:.1}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            measurements.push(Measurement::new(
-                "scrub-overhead/off",
-                "cached-4lvl+region",
-                size,
-                off,
-            ));
-            measurements.push(Measurement::new(
-                "scrub-overhead/on",
-                "cached-4lvl+region+scrub",
-                size,
-                on,
-            ));
-        }
-    }
-    measurements
+    overhead(opts, "scrub-overhead", "", |armed, t, size| {
+        let cache = Arc::new(larson_cache(larson_tree(opts), "cached-4lvl"));
+        let region = nbbs::BuddyRegion::new(Arc::clone(&cache));
+        let name = if armed {
+            // Take the one-time whole-arena decommit burst before the timed
+            // window: a deployed scrubber runs for the process lifetime, so
+            // the A/B measures steady-state passes racing the workload, not
+            // first-pass setup.
+            region.scrub_pass();
+            region.start_scrubber(std::time::Duration::from_millis(100));
+            "cached-4lvl+region+scrub"
+        } else {
+            "cached-4lvl+region"
+        };
+        // Dropping the region afterwards stops and joins the scrubber.
+        larson_row(opts, cache, name, t, size)
+    })
 }
 
 /// Chaos rounds: the paper-evaluation workloads (Larson and the
@@ -1325,97 +1154,20 @@ fn chaos(opts: &Options) -> Vec<Measurement> {
     measurements
 }
 
-/// Zero-cost-when-disabled A/B: Larson over the cached tree with a
-/// *disarmed* `FaultInjecting` wrapper in the stack vs the bare cached
-/// tree.  Same seven alternating rounds / min-gap estimator as
-/// `obs-overhead` (noise only ever slows a run, so the minimum per-round
-/// gap is the reproducible wrapper cost); CI gates the printed
-/// `overhead_pct=` at 5%.
+/// Zero-cost-when-disabled overhead: a *disarmed* `FaultInjecting` wrapper
+/// between the cache and the tree vs the bare cached tree.
 fn chaos_overhead(opts: &Options) -> Vec<Measurement> {
     println!("\n=== Chaos overhead: Larson, disarmed fault wrapper vs bare ===");
-    let threads = opts.threads.clone().unwrap_or_else(|| vec![4]);
-    let sizes = opts.sizes.clone().unwrap_or_else(|| vec![128]);
-    let mut measurements = Vec::new();
-    for &size in &sizes {
-        for &t in &threads {
-            let sweep = SweepConfig::user_space(Workload::Larson, opts.scale);
-            let run_bare = || {
-                let alloc: SharedBackend = Arc::new(MagazineCache::with_config_and_name(
-                    NbbsFourLevel::new(sweep.memory),
-                    CacheConfig::default(),
-                    "cached-4lvl",
-                ));
-                Workload::Larson.run(&alloc, t, size, opts.scale)
-            };
-            let run_wrapped = || {
-                let injected = FaultInjecting::inert(NbbsFourLevel::new(sweep.memory));
-                injected.disarm();
-                let alloc: SharedBackend = Arc::new(MagazineCache::with_config_and_name(
-                    injected,
-                    CacheConfig::default(),
-                    "chaos-disarmed",
-                ));
-                Workload::Larson.run(&alloc, t, size, opts.scale)
-            };
-            let mut rounds = Vec::new();
-            let (mut best_off, mut best_on): (
-                Option<nbbs_workloads::measure::WorkloadResult>,
-                Option<nbbs_workloads::measure::WorkloadResult>,
-            ) = (None, None);
-            for round in 0..7 {
-                // Alternate order each round, as in obs-overhead: back-to-
-                // back runs are not exchangeable on a busy host.
-                let (off, on) = if round % 2 == 0 {
-                    let off = run_bare();
-                    (off, run_wrapped())
-                } else {
-                    let on = run_wrapped();
-                    (run_bare(), on)
-                };
-                let off_kops = off.kops_per_sec();
-                let on_kops = on.kops_per_sec();
-                if off_kops > 0.0 {
-                    rounds.push((off_kops - on_kops) / off_kops * 100.0);
-                }
-                for (slot, r) in [(&mut best_off, off), (&mut best_on, on)] {
-                    if slot
-                        .as_ref()
-                        .is_none_or(|b| r.kops_per_sec() > b.kops_per_sec())
-                    {
-                        *slot = Some(r);
-                    }
-                }
-            }
-            let off = best_off.expect("seven rounds ran");
-            let on = best_on.expect("seven rounds ran");
-            let floor = rounds.iter().copied().fold(f64::INFINITY, f64::min);
-            let overhead = if floor.is_finite() { floor } else { 0.0 };
-            println!(
-                "[chaos-overhead] larson size={size} threads={t} \
-                 off_kops={:.1} on_kops={:.1} rounds={} overhead_pct={overhead:.2}",
-                off.kops_per_sec(),
-                on.kops_per_sec(),
-                rounds
-                    .iter()
-                    .map(|r| format!("{r:.1}"))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            measurements.push(Measurement::new(
-                "chaos-overhead/off",
-                "cached-4lvl",
-                size,
-                off,
-            ));
-            measurements.push(Measurement::new(
-                "chaos-overhead/on",
-                "chaos-disarmed",
-                size,
-                on,
-            ));
+    overhead(opts, "chaos-overhead", "", |wrapped, t, size| {
+        if wrapped {
+            let cache = larson_cache(FaultInjecting::inert(larson_tree(opts)), "chaos-disarmed");
+            cache.backend().disarm();
+            larson_row(opts, Arc::new(cache), "chaos-disarmed", t, size)
+        } else {
+            let cache = larson_cache(larson_tree(opts), "cached-4lvl");
+            larson_row(opts, Arc::new(cache), "cached-4lvl", t, size)
         }
-    }
-    measurements
+    })
 }
 
 fn write_outputs(

@@ -170,7 +170,7 @@ pub fn cache_table(measurements: &[Measurement]) -> String {
     }
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<22} {:<20} {:>8} {:>8} {:>9} {:>12} {:>12} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6} {:>8}  {}\n",
+        "{:<22} {:<20} {:>8} {:>8} {:>9} {:>12} {:>12} {:>10} {:>10} {:>7} {:>7} {:>7} {:>8} {:>6} {:>8}  {}\n",
         "workload",
         "allocator",
         "bytes",
@@ -182,7 +182,6 @@ pub fn cache_table(measurements: &[Measurement]) -> String {
         "drained",
         "shards",
         "spills",
-        "steals",
         "grows",
         "shrinks",
         "frag",
@@ -204,7 +203,7 @@ pub fn cache_table(measurements: &[Measurement]) -> String {
             "-".to_string()
         };
         out.push_str(&format!(
-            "{:<22} {:<20} {:>8} {:>8} {:>8.1}% {:>12} {:>12} {:>10} {:>10} {:>7} {:>7} {:>7} {:>7} {:>8} {:>6} {:>8}  {}\n",
+            "{:<22} {:<20} {:>8} {:>8} {:>8.1}% {:>12} {:>12} {:>10} {:>10} {:>7} {:>7} {:>7} {:>8} {:>6} {:>8}  {}\n",
             m.workload,
             m.allocator,
             m.size,
@@ -216,7 +215,6 @@ pub fn cache_table(measurements: &[Measurement]) -> String {
             c.drained,
             c.depot_shards,
             c.depot_spills,
-            c.depot_steals,
             c.resize_grows,
             c.resize_shrinks,
             fmt_ratio(m.result.committed_ratio()),
@@ -607,7 +605,6 @@ mod tests {
         assert!(out.contains("75.0%"));
         assert!(out.contains("shards"), "shard column present");
         assert!(out.contains("spills"), "spill column present");
-        assert!(out.contains("steals"), "steal column present");
         // No op-stats counters attached: the CAS column shows a dash.
         assert!(out.lines().nth(1).unwrap().trim_end().ends_with('-'));
     }

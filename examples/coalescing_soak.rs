@@ -84,7 +84,7 @@ fn run<A: BuddyBackend + 'static>(
         assert_eq!(a.allocated_bytes(), 0);
         let geo = *a.geometry();
         let dirty: Vec<(usize, u8)> = (1..geo.tree_len())
-            .map(|n| (n, node_status(a.inner(), n)))
+            .map(|n| (n, node_status(Recorded::inner(&a), n)))
             .filter(|&(_, s)| s != 0)
             .collect();
         if !dirty.is_empty() {

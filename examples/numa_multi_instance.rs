@@ -16,8 +16,8 @@
 //! the memory policy skews requests towards one node (the Figure 12
 //! scenario), and that is where the non-blocking design helps.  Since
 //! `nbbs-numa`, the multi-node deployment is a first-class
-//! [`nbbs::BuddyBackend`] — so unlike the old `MultiInstance` example this
-//! one drives it through the *whole* stack:
+//! [`nbbs::BuddyBackend`] — so this example drives it through the *whole*
+//! stack:
 //!
 //! 1. **balanced**: threads churn `Layout` allocations through
 //!    `NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>>`; the per-node

@@ -126,7 +126,7 @@ fn main() {
     // 6. Production deployments interpose a per-thread cache so the hot
     //    path rarely touches the shared tree.  MagazineCache wraps any
     //    backend — and is itself a BuddyBackend, so everything above
-    //    (BuddyRegion, MultiInstance, trait objects) nests unchanged.
+    //    (BuddyRegion, NodeSet, trait objects) nests unchanged.
     //
     //    Overflow/refill traffic goes through *sharded* depots (one
     //    lock-free magazine stack per group of thread slots, so chunks
@@ -336,7 +336,7 @@ fn main() {
         .map(|t| {
             let alloc = Arc::clone(&observed);
             std::thread::spawn(move || {
-                let _drain = alloc.inner().thread_guard();
+                let _drain = Recorded::inner(&alloc).thread_guard();
                 for i in 0..10_000usize {
                     let size = 64 << ((i + t) % 5);
                     if let Some(off) = alloc.alloc(size) {
@@ -546,7 +546,7 @@ fn main() {
         .map(|t| {
             let alloc = Arc::clone(&traced);
             std::thread::spawn(move || {
-                let _drain = alloc.inner().thread_guard();
+                let _drain = Recorded::inner(&alloc).thread_guard();
                 for i in 0..5_000usize {
                     if let Some(off) = alloc.alloc(64 << ((i + t) % 5)) {
                         alloc.dealloc(off);

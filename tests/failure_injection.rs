@@ -1,6 +1,6 @@
 //! Failure-path and edge-case integration tests: exhaustion, oversized and
 //! invalid requests, invalid frees, recovery after out-of-memory, and
-//! multi-instance fallback behaviour.
+//! multi-node fallback behaviour.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -8,9 +8,7 @@ use std::ptr::NonNull;
 use proptest::prelude::*;
 
 use nbbs::error::{AllocError, FreeError};
-#[allow(deprecated)]
-use nbbs::MultiInstance;
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
+use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::MagazineCache;
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
@@ -165,40 +163,6 @@ fn fragmentation_induced_oom_is_transient_not_permanent() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn multi_instance_falls_back_and_reports_exhaustion() {
-    let instances: Vec<NbbsOneLevel> = (0..3)
-        .map(|_| NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()))
-        .collect();
-    let multi = MultiInstance::new(instances);
-    assert_eq!(multi.total_memory(), 3 * 4096);
-
-    // Fill instance 0 explicitly; routed allocations must overflow to the
-    // other instances rather than failing.
-    let mut held = Vec::new();
-    while let Some(off) = multi.alloc_on(0, 4096) {
-        held.push(off);
-    }
-    for _ in 0..2 {
-        let off = multi.alloc(4096).expect("fallback must serve the request");
-        assert_ne!(multi.owner_of(off), 0);
-        held.push(off);
-    }
-    assert!(matches!(
-        multi.try_alloc(64),
-        Err(nbbs::AllocError::OutOfMemory { .. })
-    ));
-    assert!(matches!(
-        multi.try_alloc(1 << 20),
-        Err(nbbs::AllocError::TooLarge { .. })
-    ));
-    for off in held {
-        multi.dealloc(off);
-    }
-    assert_eq!(multi.allocated_bytes(), 0);
-}
-
-#[test]
 fn zero_sized_and_tiny_requests_round_up_to_the_unit() {
     for kind in [AllocatorKind::OneLevelNb, AllocatorKind::FourLevelNb] {
         let alloc = build(kind, BuddyConfig::new(1 << 12, 64, 1 << 12).unwrap());
@@ -274,14 +238,15 @@ fn exhaustion_surfaces_oom_through_the_cached_facade_and_recovers() {
 #[test]
 fn exhaustion_surfaces_oom_through_the_nodeset_and_recovers() {
     // Multi-node deployment: exhausting every node must report OOM (after
-    // remote fallback has genuinely tried them all), oversize must be
-    // TooLarge, and scattered frees must restore capacity on both nodes.
+    // remote fallback has genuinely tried them all, and never a grant out
+    // of the phantom slot three nodes widen to), oversize must be
+    // TooLarge, and scattered frees must restore capacity on every node.
     const PER_NODE: usize = 1 << 14;
     const UNIT: usize = 64;
     let per = BuddyConfig::new(PER_NODE, UNIT, 1 << 12).unwrap();
     let set = NodeSet::with_topology(
-        (0..2).map(|_| NbbsFourLevel::new(per)).collect(),
-        Topology::synthetic(2),
+        (0..3).map(|_| NbbsFourLevel::new(per)).collect(),
+        Topology::synthetic(3),
         NodePolicy::HomeFirst,
     );
     let mut held = Vec::new();

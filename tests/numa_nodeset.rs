@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{verify_cached_empty, MagazineCache};
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
@@ -216,6 +216,66 @@ fn cross_node_frees_route_to_the_owning_node() {
     }
 }
 
+/// Four nodes is where a `0..n` scan and nearest-first diverge: for a
+/// thread homed on `h`, the *wrapped* neighbour `h-1` must be probed before
+/// the distance-2 node `h+2`.
+#[test]
+fn fallback_respects_ring_distance_with_an_even_node_count() {
+    let node = || NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap());
+    let set = NodeSet::new((0..4).map(|_| node()).collect());
+    let home = set.home_node();
+    let mut held = vec![
+        set.alloc_on(home, 4096).expect("a fresh node serves"),
+        set.alloc_on((home + 1) % 4, 4096)
+            .expect("a fresh node serves"),
+    ];
+    // Home and home+1 are full: the next routed allocation must take the
+    // wrapped distance-1 neighbour, not march on to home+2.
+    for expected in [(home + 3) % 4, (home + 2) % 4] {
+        let spill = set.alloc(4096).expect("a node still has room");
+        assert_eq!(set.owner_of(spill), expected);
+        held.push(spill);
+    }
+    for off in held {
+        set.dealloc(off);
+    }
+    assert_eq!(set.allocated_bytes(), 0);
+}
+
+/// Random alloc/free churn from more threads than nodes: whichever thread
+/// frees, every chunk goes back to the tree that owns it.
+#[test]
+fn spill_and_owner_return_survive_concurrent_churn() {
+    let config = BuddyConfig::new(1 << 14, 64, 1 << 12).unwrap();
+    let set = NodeSet::new((0..3).map(|_| NbbsFourLevel::new(config)).collect());
+    std::thread::scope(|scope| {
+        for t in 0..6u64 {
+            let set = &set;
+            scope.spawn(move || {
+                let mut rng = nbbs_workloads::rng::SplitMix64::new(0x11AC ^ t);
+                let mut live = Vec::new();
+                for _ in 0..3_000 {
+                    if live.is_empty() || rng.next_u64() & 1 == 0 {
+                        if let Some(off) = set.alloc(64usize << rng.next_below(5)) {
+                            assert!(set.owner_of(off) < 3);
+                            live.push(off);
+                        }
+                    } else {
+                        set.dealloc(live.swap_remove(rng.next_below(live.len())));
+                    }
+                }
+                for off in live {
+                    set.dealloc(off);
+                }
+            });
+        }
+    });
+    assert_eq!(set.allocated_bytes_per_node(), vec![0; 3]);
+    for node in 0..3 {
+        nbbs::verify::audit_empty(set.node(node)).assert_clean();
+    }
+}
+
 /// Audits every node of a cache-over-`NodeSet` stack: the caller-live map
 /// (global offsets) is merged with the cache's parked chunks — parked is
 /// live to the trees — and projected onto each node's local offsets.  The
@@ -237,7 +297,7 @@ fn audit_nodes_cached(
         let node_live: BTreeMap<usize, usize> = merged
             .iter()
             .filter(|&(&off, _)| set.owner_of(off) == node)
-            .map(|(&off, &size)| (set.split(off).1, size))
+            .map(|(&off, &size)| (off % set.node_memory(), size))
             .collect();
         nbbs::verify::audit(set.node(node), &node_live, true).assert_clean();
     }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use nbbs::{AllocError, BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::{AllocError, BuddyBackend, BuddyConfig, ElasticSet, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::MagazineCache;
 use nbbs_chaos::{FaultInjecting, FaultPlan};
@@ -441,4 +441,34 @@ fn slab_composes_under_node_set() {
     for i in 0..NODES {
         nbbs::verify::audit_empty(set.node(i).inner()).assert_clean();
     }
+}
+
+/// Slabs compose under `ElasticSet` like they do under `NodeSet`: the
+/// facade must learn that a 40-byte class object is only 8-aligned (slot 1
+/// of a class page sits at offset 40) and bump a 16-aligned request to the
+/// naturally aligned 64-byte class, and `frag_stats` must come through.
+#[test]
+fn slab_composes_under_elastic_set() {
+    let stack = NbbsAllocator::new(ElasticSet::new(2, |_| {
+        SlabBackend::with_config(NbbsFourLevel::new(cfg()), slab_config())
+    }));
+    let layout = Layout::from_size_align(40, 16).unwrap();
+    let blocks: Vec<NonNull<u8>> = (0..64)
+        .map(|i| {
+            let block = stack.allocate(layout).expect("room for 64 small blocks");
+            let ptr = block.cast::<u8>();
+            assert_eq!(ptr.as_ptr() as usize % 16, 0, "allocation {i} at {ptr:?}");
+            ptr
+        })
+        .collect();
+    let frag = stack
+        .backend()
+        .frag_stats()
+        .expect("the slab's counters come through the set");
+    assert_eq!(frag.live_objects(), 64);
+    for ptr in blocks {
+        unsafe { stack.deallocate(ptr, layout) };
+    }
+    stack.backend().drain_cache();
+    assert_eq!(stack.allocated_bytes(), 0);
 }

@@ -1,0 +1,284 @@
+//! Every `BuddyBackend` wrapper must answer the optional read-out and
+//! maintenance methods with what the backend it wraps answers, unless it
+//! documents an answer of its own.
+//!
+//! The hazard is silent: the methods have defaults, so a wrapper that lacks
+//! a forward still compiles and still serves every request.  The probe
+//! below is a leaf that returns a distinct sentinel from each of the
+//! fourteen optional methods (none of them equal to the leaf default); the
+//! table wraps it in each layer of the workspace and compares answers.
+
+use std::sync::{Arc, Mutex};
+
+use nbbs::error::FreeError;
+use nbbs::{
+    BuddyBackend, BuddyConfig, CacheStatsSnapshot, ElasticSet, FragStatsSnapshot, Geometry,
+    LockedBuddy, OccupancySnapshot, OpStatsSnapshot,
+};
+use nbbs_cache::MagazineCache;
+use nbbs_chaos::FaultInjecting;
+use nbbs_numa::NodeSet;
+use nbbs_obs::{Recorded, Recorder};
+use nbbs_slab::SlabBackend;
+
+/// What reached the probe through the calls that return nothing.
+type Calls = Arc<Mutex<Vec<String>>>;
+
+/// A leaf that serves nothing and answers every optional method with a
+/// value no default produces.
+struct Probe {
+    geometry: Geometry,
+    calls: Calls,
+}
+
+impl Probe {
+    fn new(calls: &Calls) -> Self {
+        let config = BuddyConfig::new(1 << 20, 64, 1 << 16).expect("a valid geometry");
+        Probe {
+            geometry: Geometry::new(&config),
+            calls: Arc::clone(calls),
+        }
+    }
+
+    fn note(&self, call: String) {
+        self.calls.lock().unwrap().push(call);
+    }
+}
+
+/// The probe's grant ladder: multiples of 3 KiB, which no geometry grants.
+const GRANT_STEP: usize = 3 << 10;
+
+impl BuddyBackend for Probe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+    fn geometry(&self) -> &Geometry {
+        &self.geometry
+    }
+    fn alloc(&self, _size: usize) -> Option<usize> {
+        None
+    }
+    fn dealloc(&self, offset: usize) {
+        self.note(format!("dealloc({offset})"));
+    }
+    fn try_dealloc(&self, _offset: usize) -> Result<(), FreeError> {
+        Ok(())
+    }
+    fn allocated_bytes(&self) -> usize {
+        0
+    }
+
+    fn total_memory(&self) -> usize {
+        768 << 10
+    }
+    fn stats(&self) -> OpStatsSnapshot {
+        OpStatsSnapshot {
+            allocs: 7,
+            ..Default::default()
+        }
+    }
+    fn granted_size_of_live(&self, _offset: usize) -> Option<usize> {
+        Some(48)
+    }
+    fn granted_size_for(&self, size: usize) -> Option<usize> {
+        Some(size.next_multiple_of(GRANT_STEP))
+    }
+    fn grant_alignment_for(&self, _size: usize) -> Option<usize> {
+        Some(4)
+    }
+    fn frag_stats(&self) -> Option<FragStatsSnapshot> {
+        Some(FragStatsSnapshot {
+            pages_retired: 77,
+            ..Default::default()
+        })
+    }
+    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
+        Some(CacheStatsSnapshot {
+            hits: 99,
+            ..Default::default()
+        })
+    }
+    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
+        Some(vec![(96, 5)])
+    }
+    fn drain_cache(&self) {
+        self.note("drain_cache()".into());
+    }
+    fn occupancy(&self) -> Option<OccupancySnapshot> {
+        Some(OccupancySnapshot {
+            free_blocks: 11,
+            merged_trees: 1,
+            ..Default::default()
+        })
+    }
+    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
+        Some(vec![(192, min_size)])
+    }
+    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
+        self.note(format!("scrub_claim({offset}, {size})"));
+        true
+    }
+    fn scrub_dealloc(&self, offset: usize) {
+        self.note(format!("scrub_dealloc({offset})"));
+    }
+    fn trim_empty_pages(&self) -> usize {
+        3
+    }
+}
+
+/// One answer per optional method.
+#[derive(Debug, Clone, PartialEq)]
+struct Answers {
+    total_memory: usize,
+    stats: OpStatsSnapshot,
+    granted_size_of_live: Option<usize>,
+    granted_size_for: Option<usize>,
+    grant_alignment_for: Option<usize>,
+    frag_stats: Option<FragStatsSnapshot>,
+    cache_stats: Option<CacheStatsSnapshot>,
+    cache_class_capacities: Option<Vec<(usize, usize)>>,
+    occupancy: Option<OccupancySnapshot>,
+    free_chunks: Option<Vec<(usize, usize)>>,
+    scrub_claim: bool,
+    trim_empty_pages: usize,
+    /// What `drain_cache`, `scrub_claim` and `scrub_dealloc` reached the
+    /// probe as.
+    maintenance: Vec<String>,
+}
+
+/// A request size above the slab cutoff, so a slab layer passes it on.
+const ASK_SIZE: usize = 4096;
+
+fn ask(backend: &dyn BuddyBackend, calls: &Calls) -> Answers {
+    backend.drain_cache();
+    let scrub_claim = backend.scrub_claim(128, 64);
+    backend.scrub_dealloc(128);
+    Answers {
+        total_memory: backend.total_memory(),
+        stats: backend.stats(),
+        granted_size_of_live: backend.granted_size_of_live(128),
+        granted_size_for: backend.granted_size_for(ASK_SIZE),
+        grant_alignment_for: backend.grant_alignment_for(ASK_SIZE),
+        frag_stats: backend.frag_stats(),
+        cache_stats: backend.cache_stats(),
+        cache_class_capacities: backend.cache_class_capacities(),
+        occupancy: backend.occupancy(),
+        free_chunks: backend.free_chunks(256),
+        scrub_claim,
+        trim_empty_pages: backend.trim_empty_pages(),
+        maintenance: std::mem::take(&mut *calls.lock().unwrap()),
+    }
+}
+
+/// A wrapper under test: how to put it around the probe, and `own`, which
+/// rewrites the expected answers (the probe's) where the wrapper documents
+/// an answer of its own, checking that answer against what it `got`.
+struct Case {
+    wrapper: &'static str,
+    wrap: fn(Probe) -> Box<dyn BuddyBackend>,
+    own: fn(got: &Answers, want: &mut Answers),
+}
+
+fn nothing(_: &Answers, _: &mut Answers) {}
+
+const CASES: &[Case] = &[
+    Case {
+        wrapper: "&",
+        // A `&'static Probe` is the only reference a boxed case can hold.
+        wrap: |p| Box::new(&*Box::leak(Box::new(p))),
+        own: nothing,
+    },
+    Case {
+        wrapper: "Arc",
+        wrap: |p| Box::new(Arc::new(p)),
+        own: nothing,
+    },
+    Case {
+        wrapper: "Recorded",
+        wrap: |p| Box::new(Recorded::new(p, Arc::new(Recorder::new()))),
+        own: nothing,
+    },
+    Case {
+        wrapper: "FaultInjecting",
+        wrap: |p| Box::new(FaultInjecting::inert(p)),
+        own: nothing,
+    },
+    Case {
+        wrapper: "LockedBuddy",
+        wrap: |p| Box::new(LockedBuddy::with_name(p, "probe-sl")),
+        own: nothing,
+    },
+    Case {
+        wrapper: "MagazineCache",
+        wrap: |p| Box::new(MagazineCache::new(p)),
+        // The cache *is* the caching layer the two cache hooks describe.
+        own: |got, want| {
+            assert!(got.cache_stats.is_some_and(|s| s.hits == 0));
+            assert!(got.cache_class_capacities.is_some());
+            want.cache_stats = got.cache_stats;
+            want.cache_class_capacities = got.cache_class_capacities.clone();
+        },
+    },
+    Case {
+        wrapper: "SlabBackend",
+        wrap: |p| Box::new(SlabBackend::new(p)),
+        // The slab *is* the layer `frag_stats` describes.
+        own: |got, want| {
+            assert!(got
+                .frag_stats
+                .as_ref()
+                .is_some_and(|f| f.pages_retired == 0));
+            want.frag_stats = got.frag_stats.clone();
+        },
+    },
+    Case {
+        wrapper: "NodeSet",
+        wrap: |p| Box::new(NodeSet::new(vec![p])),
+        // A slotted set reports its logical span, `slots × per-slot span`.
+        own: |_, want| want.total_memory = 1 << 20,
+    },
+    Case {
+        wrapper: "ElasticSet",
+        wrap: |p| {
+            let first = Mutex::new(Some(p));
+            Box::new(ElasticSet::new(2, move |_| {
+                first.lock().unwrap().take().expect("only slot 0 is built")
+            }))
+        },
+        own: |_, want| want.total_memory = 2 << 20,
+    },
+];
+
+#[test]
+fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
+    let calls = Calls::default();
+    let bare = ask(&Probe::new(&calls), &calls);
+    assert_eq!(
+        bare.maintenance,
+        [
+            "drain_cache()",
+            "scrub_claim(128, 64)",
+            "scrub_dealloc(128)"
+        ]
+    );
+
+    let mut failures = Vec::new();
+    for case in CASES {
+        let calls = Calls::default();
+        let wrapped = (case.wrap)(Probe::new(&calls));
+        let got = ask(wrapped.as_ref(), &calls);
+        let mut want = bare.clone();
+        (case.own)(&got, &mut want);
+        if got != want {
+            failures.push(format!(
+                "{}:\n   got {got:?}\n  want {want:?}",
+                case.wrapper
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "wrappers that lost a forward:\n{}",
+        failures.join("\n")
+    );
+}
