@@ -7,9 +7,7 @@ use std::sync::Arc;
 
 use nbbs::error::AllocError;
 use nbbs::{BuddyBackend, BuddyRegion};
-use nbbs_obs::{size_detail, OpKind, OpOutcome, Recorder};
-use nbbs_sync::cycles_now;
-use nbbs_trace::HeapProfiler;
+use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
 
 use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 
@@ -110,14 +108,13 @@ pub struct NbbsAllocator<A: BuddyBackend> {
     shrinks_moved: AtomicU64,
     requested_bytes: AtomicU64,
     granted_bytes: AtomicU64,
-    /// Optional latency recorder: every *public* facade operation records
-    /// exactly one event (a moved grow is one `Grow`, not a
-    /// `Grow` + `Alloc` + `Free`).  `None` skips all timestamp reads.
+    /// Optional observer.  Every *public* facade operation records exactly
+    /// one event (a moved grow is one `Grow`, not a `Grow` + `Alloc` +
+    /// `Free`), and when the handle carries a heap profiler every granted
+    /// block is offered to [`HeapProfiler::record_alloc`] (which samples
+    /// 1-in-stride) and every release to [`HeapProfiler::record_free`].
+    /// `None` skips all of it: no timestamp read, nothing else tested.
     obs: Option<Arc<Recorder>>,
-    /// Optional sampled heap profiler: every granted block is offered to
-    /// [`HeapProfiler::record_alloc`] (which samples 1-in-stride) and every
-    /// release to [`HeapProfiler::record_free`].  `None` skips both.
-    profiler: Option<Arc<HeapProfiler>>,
 }
 
 impl<A: BuddyBackend> NbbsAllocator<A> {
@@ -133,45 +130,32 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             requested_bytes: AtomicU64::new(0),
             granted_bytes: AtomicU64::new(0),
             obs: None,
-            profiler: None,
         }
     }
 
-    /// Attaches a latency recorder: `allocate`/`deallocate`/`grow`/`shrink`
-    /// record one [`nbbs_obs::OpKind`] event each.
+    /// Attaches an observer: `allocate`/`deallocate`/`grow`/`shrink` record
+    /// one [`nbbs_obs::OpKind`] event each, and its heap profiler (if it has
+    /// one) sees every block the facade hands out, buddy or reserve.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.obs = Some(recorder);
         self
     }
 
-    /// Sets or clears the latency recorder in place.
+    /// Sets or clears the observer in place.
     pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
         self.obs = recorder;
     }
 
-    /// The attached latency recorder, if any.
+    /// The attached observer, if any.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.obs.as_ref()
     }
 
-    /// Attaches a sampled allocation-site heap profiler: every block the
-    /// facade hands out (buddy or reserve) is offered to the profiler, and
-    /// every release probes its live map.
-    #[must_use]
-    pub fn with_profiler(mut self, profiler: Arc<HeapProfiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// Sets or clears the heap profiler in place.
-    pub fn set_profiler(&mut self, profiler: Option<Arc<HeapProfiler>>) {
-        self.profiler = profiler;
-    }
-
-    /// The attached heap profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<HeapProfiler>> {
-        self.profiler.as_ref()
+    /// The observer's heap profiler, when both are there.
+    #[inline]
+    pub(crate) fn profiler(&self) -> Option<&HeapProfiler> {
+        self.obs.as_ref().and_then(|rec| rec.profiler())
     }
 
     /// Carves an OOM-path [`EmergencyReserve`] of up to `blocks` blocks of
@@ -289,7 +273,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             .fetch_add(layout.size().max(1) as u64, Ordering::Relaxed);
         self.granted_bytes
             .fetch_add(granted as u64, Ordering::Relaxed);
-        if let (Some(profiler), Some(offset)) = (&self.profiler, offset) {
+        if let (Some(profiler), Some(offset)) = (self.profiler(), offset) {
             profiler.record_alloc(offset, granted);
         }
     }
@@ -301,17 +285,12 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// caller may use every byte of it, and may pass any layout whose
     /// request rounds to the same granted size to [`NbbsAllocator::deallocate`].
     pub fn allocate(&self, layout: Layout) -> Result<NonNull<[u8]>, AllocError> {
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
-        let out = self.allocate_inner(layout);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(
-                OpKind::Alloc,
-                t0,
-                size_detail(Self::base_request_size(layout)),
-                OpOutcome::from_ok(out.is_ok()),
-            );
-        }
-        out
+        Recorder::time(
+            &self.obs,
+            OpKind::Alloc,
+            || self.allocate_inner(layout),
+            |out| (size_detail(Self::base_request_size(layout)), out.is_ok()),
+        )
     }
 
     /// [`NbbsAllocator::allocate`] without the latency recording — the
@@ -333,18 +312,14 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
                 // `block_size` bytes, naturally aligned like every buddy
                 // block, so the whole block is the grant.
                 if let Some(reserve) = &self.reserve {
-                    let t0 = self.obs.as_ref().map(|_| cycles_now());
-                    let served = reserve.serve(want);
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        // A miss records too (outcome Failed): the flight
-                        // ring and trace then show the reserve running dry.
-                        rec.record_since(
-                            OpKind::ReserveHit,
-                            t0,
-                            size_detail(want),
-                            OpOutcome::from_ok(served.is_some()),
-                        );
-                    }
+                    // A miss records too (outcome Failed): the ring then
+                    // shows the reserve running dry.
+                    let served = Recorder::time(
+                        &self.obs,
+                        OpKind::ReserveHit,
+                        || reserve.serve(want),
+                        |served| (size_detail(want), served.is_some()),
+                    );
                     if let Some(offset) = served {
                         // SAFETY: `offset` was carved from this region's
                         // backend, so `base + offset` is in bounds.
@@ -364,9 +339,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         self.account_grant(
             layout,
             granted,
-            self.profiler
-                .as_ref()
-                .and_then(|_| self.region.offset_of(ptr)),
+            self.profiler().and_then(|_| self.region.offset_of(ptr)),
         );
         Ok(NonNull::slice_from_raw_parts(ptr, granted))
     }
@@ -391,16 +364,13 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// `layout` must round to the same granted size as the layout it was
     /// allocated (or last grown/shrunk) with.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
-        self.deallocate_inner(ptr, layout);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(
-                OpKind::Free,
-                t0,
-                size_detail(Self::base_request_size(layout)),
-                OpOutcome::Ok,
-            );
-        }
+        Recorder::time(
+            &self.obs,
+            OpKind::Free,
+            // SAFETY: the caller's contract, passed on unchanged.
+            || unsafe { self.deallocate_inner(ptr, layout) },
+            |_| (size_detail(Self::base_request_size(layout)), true),
+        )
     }
 
     /// [`NbbsAllocator::deallocate`] without the latency recording.
@@ -411,9 +381,10 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     unsafe fn deallocate_inner(&self, ptr: NonNull<u8>, layout: Layout) {
         debug_assert!(self.region.contains(ptr), "pointer outside the region");
         debug_assert!(self.granted_size(layout).is_some());
-        if self.reserve.is_some() || self.profiler.is_some() {
+        let profiler = self.profiler();
+        if self.reserve.is_some() || profiler.is_some() {
             if let Some(offset) = self.region.offset_of(ptr) {
-                if let Some(profiler) = &self.profiler {
+                if let Some(profiler) = profiler {
                     profiler.record_free(offset);
                 }
                 if let Some(reserve) = &self.reserve {
@@ -447,17 +418,18 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         old_layout: Layout,
         new_layout: Layout,
     ) -> Result<NonNull<[u8]>, AllocError> {
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
-        let out = self.grow_inner(ptr, old_layout, new_layout);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(
-                OpKind::Grow,
-                t0,
-                size_detail(Self::base_request_size(new_layout)),
-                OpOutcome::from_ok(out.is_ok()),
-            );
-        }
-        out
+        Recorder::time(
+            &self.obs,
+            OpKind::Grow,
+            // SAFETY: the caller's contract, passed on unchanged.
+            || unsafe { self.grow_inner(ptr, old_layout, new_layout) },
+            |out| {
+                (
+                    size_detail(Self::base_request_size(new_layout)),
+                    out.is_ok(),
+                )
+            },
+        )
     }
 
     unsafe fn grow_inner(
@@ -516,17 +488,18 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         old_layout: Layout,
         new_layout: Layout,
     ) -> Result<NonNull<[u8]>, AllocError> {
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
-        let out = self.shrink_inner(ptr, old_layout, new_layout);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(
-                OpKind::Shrink,
-                t0,
-                size_detail(Self::base_request_size(new_layout)),
-                OpOutcome::from_ok(out.is_ok()),
-            );
-        }
-        out
+        Recorder::time(
+            &self.obs,
+            OpKind::Shrink,
+            // SAFETY: the caller's contract, passed on unchanged.
+            || unsafe { self.shrink_inner(ptr, old_layout, new_layout) },
+            |out| {
+                (
+                    size_detail(Self::base_request_size(new_layout)),
+                    out.is_ok(),
+                )
+            },
+        )
     }
 
     unsafe fn shrink_inner(
@@ -824,10 +797,11 @@ mod tests {
 
     #[test]
     fn attached_profiler_tracks_live_blocks_through_alloc_and_free() {
-        let profiler = Arc::new(HeapProfiler::new(1)); // sample everything
+        let rec = Arc::new(Recorder::profiler_only(1)); // sample everything
+        let profiler = rec.profiler().unwrap();
         let config = BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap();
         let a = NbbsAllocator::new(MagazineCache::new(NbbsFourLevel::new(config)))
-            .with_profiler(Arc::clone(&profiler));
+            .with_recorder(Arc::clone(&rec));
         let layout = Layout::from_size_align(100, 8).unwrap();
         let block = a.allocate(layout).unwrap();
         let live = profiler.report();
@@ -846,6 +820,7 @@ mod tests {
         );
         unsafe { a.deallocate(big.cast(), big_layout) };
         assert_eq!(profiler.report().attributed_live_bytes(), 0);
+        assert!(rec.ring().is_empty(), "profiling alone times nothing");
     }
 
     #[test]

@@ -51,8 +51,9 @@ use std::sync::{Arc, OnceLock};
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache, NodeOfFn};
 use nbbs_numa::{topology, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
-use nbbs_obs::{FacadeShare, MetricsRegistry, NodeShare, Recorder};
-use nbbs_trace::{HeapProfiler, TraceRing, DEFAULT_PROFILE_STRIDE};
+use nbbs_obs::{
+    FacadeShare, MetricsRegistry, NodeShare, ProfileReport, Recorder, DEFAULT_PROFILE_STRIDE,
+};
 
 use crate::facade::NbbsAllocator;
 use crate::FacadeStatsSnapshot;
@@ -105,21 +106,59 @@ impl DrainOnExit for ExitLatch {
     }
 }
 
+/// Where the armed event ring is dumped (as chrome-trace JSON) at exit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum TraceDump {
+    /// `NBBS_TRACE=1` (or set but empty): to stderr.
+    Stderr,
+    /// `NBBS_TRACE=<path>`: to that file.
+    File(String),
+}
+
+/// What the process environment arms — the one place the allocator's
+/// `NBBS_*` variables are read ([`Arming::parse`]), once, when the stack is
+/// built.  A variable that is unset or `0` arms nothing.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct Arming {
+    /// `NBBS_OBS`: latency recording; implied by `NBBS_TRACE`.
+    recording: bool,
+    /// `NBBS_TRACE`: dump the event ring when the process exits.
+    trace: Option<TraceDump>,
+    /// `NBBS_PROFILE=<stride>`: the heap profiler (a stride that does not
+    /// parse means the default one).
+    profile_stride: Option<u32>,
+    /// `NBBS_SCRUB=<ms>`: the background decommit scrubber's period (100 ms
+    /// when it does not parse, at least 1).
+    scrub_ms: Option<u64>,
+}
+
+impl Arming {
+    /// Parses the four variables out of `lookup` (`std::env::var` in
+    /// production, a literal table in tests).
+    fn parse(lookup: impl Fn(&str) -> Option<String>) -> Arming {
+        let armed = |key| lookup(key).filter(|v| v != "0");
+        let trace = armed("NBBS_TRACE").map(|v| match v.as_str() {
+            "" | "1" => TraceDump::Stderr,
+            _ => TraceDump::File(v),
+        });
+        Arming {
+            recording: trace.is_some() || armed("NBBS_OBS").is_some(),
+            trace,
+            profile_stride: armed("NBBS_PROFILE")
+                .map(|v| v.parse().unwrap_or(DEFAULT_PROFILE_STRIDE)),
+            scrub_ms: armed("NBBS_SCRUB").map(|v| v.parse().unwrap_or(100).max(1)),
+        }
+    }
+}
+
 struct State {
     facade: NbbsAllocator<Arc<CachedTree>>,
     cache: Arc<CachedTree>,
     exit_hook: Arc<ExitLatch>,
-    /// The stack's latency recorder, when recording was requested
-    /// ([`NbbsGlobalAlloc::with_recording`] or `NBBS_OBS=1`); shared by the
-    /// facade and the cache's slow paths.
-    recorder: Option<Arc<Recorder>>,
-    /// Sampled allocation-site heap profiler, when profiling was requested
-    /// ([`NbbsGlobalAlloc::with_profiling`] or `NBBS_PROFILE=<stride>`).
-    profiler: Option<Arc<HeapProfiler>>,
-    /// Event trace ring, armed by `NBBS_TRACE=1` (dump to stderr on exit)
-    /// or `NBBS_TRACE=<path>` (dump chrome-trace JSON to `<path>`);
-    /// installed as the recorder's event sink.
-    trace: Option<Arc<TraceRing>>,
+    /// What the environment armed when the stack was built.  The observer
+    /// itself — one `Recorder` shared by the facade and the cache's slow
+    /// paths — is reached through the facade.
+    env: Arming,
 }
 
 /// Global-allocator facade over the cached non-blocking buddy.
@@ -208,12 +247,13 @@ impl NbbsGlobalAlloc {
 
     /// Turns on latency recording for this allocator: the facade's
     /// alloc/free/grow/shrink and the cache's miss/refill/flush paths feed
-    /// `nbbs-obs` histograms and the flight recorder, and
-    /// [`NbbsGlobalAlloc::stats_report`] gains a tail-latency section.
+    /// the stack's `nbbs_obs::Recorder` (histograms and the event ring), and
+    /// [`NbbsGlobalAlloc::stats_report`] gains a tail-latency section and
+    /// the ring's `[flight]` dump.
     ///
-    /// Without this (and without `NBBS_OBS=1` in the environment) no
-    /// timestamp is ever read — the hot path is byte-identical to the
-    /// unobserved build.
+    /// Without this (and without `NBBS_OBS=1` or `NBBS_TRACE` in the
+    /// environment) no timestamp is ever read — the hot path is
+    /// byte-identical to the unobserved build.
     #[must_use]
     pub const fn with_recording(mut self) -> Self {
         self.recording = true;
@@ -225,7 +265,8 @@ impl NbbsGlobalAlloc {
     /// that [`NbbsGlobalAlloc::heap_profile`] and
     /// [`NbbsGlobalAlloc::stats_report`] rank (`stride == 1` samples every
     /// allocation; `0` is treated as 1).  Also switchable per process with
-    /// `NBBS_PROFILE=<stride>` (`NBBS_PROFILE=1` samples everything).
+    /// `NBBS_PROFILE=<stride>` (`NBBS_PROFILE=1` samples everything), which
+    /// wins over the stride given here.  Profiling alone reads no timestamp.
     #[must_use]
     pub const fn with_profiling(mut self, stride: u32) -> Self {
         self.profile_stride = if stride == 0 { 1 } else { stride };
@@ -266,114 +307,97 @@ impl NbbsGlobalAlloc {
         if let Some(state) = self.state.get() {
             return state.as_ref();
         }
+        self.build_once(|| Arming::parse(|key| std::env::var(key).ok()))
+    }
+
+    /// First touch: builds the state with what `arming` says the
+    /// environment asks for.  `arming` runs under the bypass latch, at most
+    /// once, by the thread that wins the build.
+    fn build_once(&self, arming: impl FnOnce() -> Arming) -> Option<&State> {
         if bypass_active() {
             return None;
         }
         let _build = BypassGuard::engage();
-        self.state
-            .get_or_init(|| {
-                let config =
-                    BuddyConfig::new(self.total_memory, self.min_size, self.max_size).ok()?;
-                let topo = match self.nodes {
-                    0 => Topology::detect(),
-                    n => Topology::synthetic(n),
-                };
-                let node_count = topo.node_count();
-                // An unbuildable widened geometry (absurd NBBS_NUMA_NODES /
-                // with_nodes value) must degrade to the System allocator
-                // like every other invalid configuration — a panic here
-                // would abort the process inside its first allocation.
-                nbbs::Geometry::new(&config).widened(node_count).ok()?;
-                // First writer wins: the cache's node-group hook and any
-                // other topology consumer in the process now see the same
-                // layout the NodeSet routes by.  The default single-node
-                // shell installs nothing — its degenerate synthetic(1)
-                // would pin every other consumer's `current_node` to 0 on
-                // a real multi-node machine.
-                if self.nodes == 0 || node_count > 1 {
-                    topology::install_global(topo.clone());
-                }
-                let set = NodeSet::with_topology(
-                    (0..node_count)
-                        .map(|_| NbbsFourLevel::new(config))
-                        .collect(),
-                    topo,
-                    NodePolicy::HomeFirst,
-                );
-                let (cache_config, name) = if node_count > 1 {
-                    (
-                        CacheConfig {
-                            node_groups: Some(node_count),
-                            node_of: Some(NodeOfFn(topology::current_node)),
-                            ..CacheConfig::default()
-                        },
-                        "cached-numa-4lvl-nb",
-                    )
-                } else {
-                    (CacheConfig::default(), "cached-4lvl-nb")
-                };
-                // `NBBS_TRACE` needs a recorder to hook: arming the trace
-                // arms recording too.
-                let trace_armed = std::env::var("NBBS_TRACE").ok().filter(|v| v != "0");
-                let recorder = (self.recording
-                    || trace_armed.is_some()
-                    || std::env::var_os("NBBS_OBS").is_some_and(|v| v != "0"))
-                .then(|| Arc::new(Recorder::new()));
-                let trace = trace_armed.is_some().then(|| {
-                    let ring = Arc::new(TraceRing::new());
-                    ring.start();
-                    if let Some(rec) = &recorder {
-                        rec.set_event_sink(Arc::clone(&ring) as _);
-                    }
-                    ring
-                });
-                let env_profile = std::env::var("NBBS_PROFILE").ok().filter(|v| v != "0");
-                let profiler = (self.profile_stride > 0 || env_profile.is_some()).then(|| {
-                    let stride = env_profile.and_then(|v| v.parse::<u32>().ok()).unwrap_or(
-                        if self.profile_stride > 0 {
-                            self.profile_stride
-                        } else {
-                            DEFAULT_PROFILE_STRIDE
-                        },
-                    );
-                    Arc::new(HeapProfiler::new(stride))
-                });
-                let mut cache = MagazineCache::with_config_and_name(set, cache_config, name);
-                cache.set_recorder(recorder.clone());
-                let cache = Arc::new(cache);
-                let mut facade = NbbsAllocator::new(Arc::clone(&cache));
-                if self.reserve_blocks > 0 {
-                    facade = facade.with_reserve(self.reserve_blocks, self.reserve_block_size);
-                }
-                facade.set_recorder(recorder.clone());
-                facade.set_profiler(profiler.clone());
-                // `NBBS_SCRUB=<ms>` arms the background decommit scrubber:
-                // every `<ms>` milliseconds it claims quiescent free blocks
-                // through the allocation CAS protocol and returns their
-                // pages to the kernel, so a long-idle process's RSS follows
-                // its live set instead of its high-water mark.
-                if let Some(ms) = std::env::var("NBBS_SCRUB")
-                    .ok()
-                    .filter(|v| v != "0")
-                    .map(|v| v.parse::<u64>().unwrap_or(100).max(1))
-                {
-                    facade
-                        .region()
-                        .start_scrubber(std::time::Duration::from_millis(ms));
-                }
-                let exit_hook = Arc::new(ExitLatch {
-                    cache: Arc::clone(&cache),
-                });
-                Some(State {
-                    facade,
-                    cache,
-                    exit_hook,
-                    recorder,
-                    profiler,
-                    trace,
-                })
-            })
-            .as_ref()
+        self.state.get_or_init(|| self.build(arming())).as_ref()
+    }
+
+    fn build(&self, env: Arming) -> Option<State> {
+        let config = BuddyConfig::new(self.total_memory, self.min_size, self.max_size).ok()?;
+        let topo = match self.nodes {
+            0 => Topology::detect(),
+            n => Topology::synthetic(n),
+        };
+        let node_count = topo.node_count();
+        // An unbuildable widened geometry (absurd NBBS_NUMA_NODES /
+        // with_nodes value) must degrade to the System allocator like every
+        // other invalid configuration — a panic here would abort the
+        // process inside its first allocation.
+        nbbs::Geometry::new(&config).widened(node_count).ok()?;
+        // First writer wins: the cache's node-group hook and any other
+        // topology consumer in the process now see the same layout the
+        // NodeSet routes by.  The default single-node shell installs
+        // nothing — its degenerate synthetic(1) would pin every other
+        // consumer's `current_node` to 0 on a real multi-node machine.
+        if self.nodes == 0 || node_count > 1 {
+            topology::install_global(topo.clone());
+        }
+        let set = NodeSet::with_topology(
+            (0..node_count)
+                .map(|_| NbbsFourLevel::new(config))
+                .collect(),
+            topo,
+            NodePolicy::HomeFirst,
+        );
+        let (cache_config, name) = if node_count > 1 {
+            (
+                CacheConfig {
+                    node_groups: Some(node_count),
+                    node_of: Some(NodeOfFn(topology::current_node)),
+                    ..CacheConfig::default()
+                },
+                "cached-numa-4lvl-nb",
+            )
+        } else {
+            (CacheConfig::default(), "cached-4lvl-nb")
+        };
+        // One handle for the whole stack; the environment's stride wins
+        // over the constructor's.
+        let stride = env
+            .profile_stride
+            .or((self.profile_stride > 0).then_some(self.profile_stride));
+        let recorder = match (self.recording || env.recording, stride) {
+            (true, Some(stride)) => Some(Recorder::new().with_profiler(stride)),
+            (true, None) => Some(Recorder::new()),
+            (false, Some(stride)) => Some(Recorder::profiler_only(stride)),
+            (false, None) => None,
+        }
+        .map(Arc::new);
+        let mut cache = MagazineCache::with_config_and_name(set, cache_config, name);
+        cache.set_recorder(recorder.clone());
+        let cache = Arc::new(cache);
+        let mut facade = NbbsAllocator::new(Arc::clone(&cache));
+        if self.reserve_blocks > 0 {
+            facade = facade.with_reserve(self.reserve_blocks, self.reserve_block_size);
+        }
+        facade.set_recorder(recorder);
+        // The background decommit scrubber: every `scrub_ms` milliseconds
+        // it claims quiescent free blocks through the allocation CAS
+        // protocol and returns their pages to the kernel, so a long-idle
+        // process's RSS follows its live set instead of its high-water mark.
+        if let Some(ms) = env.scrub_ms {
+            facade
+                .region()
+                .start_scrubber(std::time::Duration::from_millis(ms));
+        }
+        let exit_hook = Arc::new(ExitLatch {
+            cache: Arc::clone(&cache),
+        });
+        Some(State {
+            facade,
+            cache,
+            exit_hook,
+            env,
+        })
     }
 
     /// The state if it has already been built (never triggers the build —
@@ -426,6 +450,12 @@ impl NbbsGlobalAlloc {
             .region()
             .offset_of(ptr)
             .expect("raw_dealloc is only called for region pointers");
+        // The block may have been sampled on the facade path (a thread's
+        // frees after its exit drain, the old block of a re-entrant
+        // realloc): the profiler must see it go.
+        if let Some(profiler) = state.facade.profiler() {
+            profiler.record_free(offset);
+        }
         state.cache.backend().dealloc(offset);
     }
 
@@ -514,46 +544,34 @@ impl NbbsGlobalAlloc {
         self.built_state().map(|s| s.cache.backend().node_stats())
     }
 
-    /// The stack's latency recorder (present when built with
-    /// [`NbbsGlobalAlloc::with_recording`] or `NBBS_OBS=1`).
+    /// The stack's observer: present when built with
+    /// [`NbbsGlobalAlloc::with_recording`] / [`NbbsGlobalAlloc::with_profiling`]
+    /// or under `NBBS_OBS=1`, `NBBS_TRACE=…`, `NBBS_PROFILE=<stride>`.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.built_state().and_then(|s| s.recorder.as_ref())
-    }
-
-    /// The heap profiler (present when built with
-    /// [`NbbsGlobalAlloc::with_profiling`] or `NBBS_PROFILE=<stride>`).
-    pub fn profiler(&self) -> Option<&Arc<HeapProfiler>> {
-        self.built_state().and_then(|s| s.profiler.as_ref())
+        self.built_state().and_then(|s| s.facade.recorder())
     }
 
     /// A ranked point-in-time heap profile (live bytes by allocation
     /// site), when profiling is on.
-    pub fn heap_profile(&self) -> Option<nbbs_trace::ProfileReport> {
-        self.profiler().map(|p| p.report())
+    pub fn heap_profile(&self) -> Option<ProfileReport> {
+        Some(self.recorder()?.profiler()?.report())
     }
 
-    /// The armed event-trace ring (present when built under
-    /// `NBBS_TRACE=1` or `NBBS_TRACE=<path>`).
-    pub fn trace_ring(&self) -> Option<&Arc<TraceRing>> {
-        self.built_state().and_then(|s| s.trace.as_ref())
-    }
-
-    /// Stops the armed trace ring and dumps it as chrome-trace JSON:
-    /// to the file `NBBS_TRACE` names, or to stderr when `NBBS_TRACE=1`.
-    /// No-op without an armed ring.  Runs automatically from the
+    /// When built under `NBBS_TRACE`: stops the event ring and dumps it as
+    /// chrome-trace JSON, to the file the variable named or to stderr for
+    /// `NBBS_TRACE=1`.  No-op otherwise.  Runs automatically from the
     /// [`NbbsGlobalAlloc::print_stats_on_exit`] hook.
     pub fn dump_trace(&self) {
-        let Some(ring) = self.trace_ring() else {
+        let Some((dump, rec)) = self
+            .built_state()
+            .and_then(|s| s.env.trace.as_ref().zip(s.facade.recorder()))
+        else {
             return;
         };
-        ring.stop();
-        let json = ring.to_chrome_json("nbbs-global");
-        match std::env::var("NBBS_TRACE") {
-            Ok(path) if path != "1" && !path.is_empty() => {
-                if std::fs::write(&path, &json).is_err() {
-                    eprintln!("{json}");
-                }
-            }
+        rec.ring().stop();
+        let json = rec.ring().to_chrome_json("nbbs-global");
+        match dump {
+            TraceDump::File(path) if std::fs::write(path, &json).is_ok() => {}
             _ => eprintln!("{json}"),
         }
     }
@@ -602,7 +620,7 @@ impl NbbsGlobalAlloc {
                     })
                     .collect(),
             );
-            if let Some(rec) = &state.recorder {
+            if let Some(rec) = state.facade.recorder() {
                 reg.set_recorder(Arc::clone(rec));
             }
         }
@@ -612,7 +630,7 @@ impl NbbsGlobalAlloc {
     /// A human-readable telemetry dump: buddy/system byte share, the
     /// facade's grow-in-place rate, cache hit rate, per-node service shares
     /// with remote-fallback counts, and — when recording — tail-latency
-    /// percentiles plus the flight recorder's recent-operation rings.
+    /// percentiles plus the event ring's `[flight]` crash dump.
     ///
     /// Rendered by [`nbbs_obs::MetricsRegistry`] (the one exposition path
     /// every binary in the workspace shares); this is what
@@ -620,9 +638,9 @@ impl NbbsGlobalAlloc {
     /// process ends.
     pub fn stats_report(&self) -> String {
         let mut out = self.metrics().text_table();
-        if let Some(rec) = self.recorder() {
-            if !rec.flight().is_empty() {
-                out.push_str(&rec.flight().render());
+        if let Some(ring) = self.recorder().map(|rec| rec.ring()) {
+            if !ring.is_empty() {
+                out.push_str(&ring.flight_dump());
             }
         }
         if let Some(profile) = self.heap_profile() {
@@ -1012,17 +1030,105 @@ mod tests {
     #[test]
     fn unobserved_build_reads_no_timestamps() {
         let a = NbbsGlobalAlloc::new(1 << 16, 64, 1 << 10);
+        // Whatever NBBS_* the suite runs under, this build sees none.
+        a.build_once(Arming::default);
         let layout = Layout::from_size_align(128, 8).unwrap();
         unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
         }
-        // NBBS_OBS may be set in the environment running this suite; only
-        // assert the default-off contract when it is not.
-        if std::env::var_os("NBBS_OBS").is_none() {
-            assert!(a.recorder().is_none());
-            assert!(!a.stats_report().contains("latency"), "no latency section");
+        assert!(a.recorder().is_none());
+        assert!(!a.stats_report().contains("latency"), "no latency section");
+    }
+
+    /// A literal environment for [`Arming::parse`].
+    fn env<'a>(vars: &'a [(&'a str, &'a str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |key| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
         }
+    }
+
+    #[test]
+    fn arming_parses_the_documented_forms() {
+        use TraceDump::{File, Stderr};
+        // (environment, (recording, trace, profile_stride, scrub_ms))
+        type Row<'a> = (
+            &'a [(&'a str, &'a str)],
+            (bool, Option<TraceDump>, Option<u32>, Option<u64>),
+        );
+        let table: [Row<'_>; 14] = [
+            (&[], (false, None, None, None)),
+            (&[("NBBS_TRACE", "0")], (false, None, None, None)),
+            (&[("NBBS_TRACE", "1")], (true, Some(Stderr), None, None)),
+            (&[("NBBS_TRACE", "")], (true, Some(Stderr), None, None)),
+            (
+                &[("NBBS_TRACE", "/tmp/t.json")],
+                (true, Some(File("/tmp/t.json".into())), None, None),
+            ),
+            (&[("NBBS_PROFILE", "0")], (false, None, None, None)),
+            (&[("NBBS_PROFILE", "64")], (false, None, Some(64), None)),
+            (
+                &[("NBBS_PROFILE", "abc")],
+                (false, None, Some(DEFAULT_PROFILE_STRIDE), None),
+            ),
+            (&[("NBBS_SCRUB", "0")], (false, None, None, None)),
+            (&[("NBBS_SCRUB", "5")], (false, None, None, Some(5))),
+            (&[("NBBS_SCRUB", "abc")], (false, None, None, Some(100))),
+            (&[("NBBS_OBS", "0")], (false, None, None, None)),
+            (&[("NBBS_OBS", "1")], (true, None, None, None)),
+            (
+                &[
+                    ("NBBS_OBS", "0"),
+                    ("NBBS_TRACE", "1"),
+                    ("NBBS_PROFILE", "8"),
+                ],
+                (true, Some(Stderr), Some(8), None),
+            ),
+        ];
+        for (vars, (recording, trace, profile_stride, scrub_ms)) in table {
+            let want = Arming {
+                recording,
+                trace,
+                profile_stride,
+                scrub_ms,
+            };
+            assert_eq!(Arming::parse(env(vars)), want, "{vars:?}");
+        }
+    }
+
+    #[test]
+    fn each_armed_part_builds_the_matching_handle() {
+        let layout = Layout::from_size_align(256, 8).unwrap();
+        let touch = |a: &NbbsGlobalAlloc| unsafe {
+            let p = a.alloc(layout);
+            a.dealloc(p, layout);
+        };
+        // Trace alone: a timing handle, no profiler, and an exit dump.
+        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
+        let path = std::env::temp_dir().join(format!("nbbs-arming-{}.json", std::process::id()));
+        a.build_once(|| Arming::parse(env(&[("NBBS_TRACE", path.to_str().unwrap())])));
+        touch(&a);
+        assert!(a.heap_profile().is_none());
+        a.dump_trace();
+        let doc = std::fs::read_to_string(&path).expect("the dump went to the named file");
+        let _ = std::fs::remove_file(&path);
+        let slices = nbbs_obs::jsoncheck::validate_chrome_trace(&doc).expect("valid trace");
+        assert_eq!(slices, 4, "alloc (a miss and its refill under it), free");
+        assert!(
+            !a.recorder().unwrap().ring().is_recording(),
+            "dump stops it"
+        );
+        // Profile alone: a handle that times nothing; the environment's
+        // stride beats the constructor's.
+        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_profiling(1);
+        a.build_once(|| Arming::parse(env(&[("NBBS_PROFILE", "2")])));
+        touch(&a);
+        assert_eq!(a.heap_profile().unwrap().stride, 2);
+        assert!(a.recorder().unwrap().ring().is_empty());
+        assert!(!a.stats_report().contains("latency"), "no latency section");
+        a.dump_trace(); // not armed: nothing to do
     }
 
     #[test]
@@ -1060,10 +1166,31 @@ mod tests {
             a.dealloc(p, layout);
         }
         assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 0);
+        assert!(
+            a.recorder().unwrap().ring().is_empty(),
+            "profiling alone reads no timestamp"
+        );
         // Requested-vs-granted flows into the unified snapshot.
         let share = a.metrics().facade.expect("facade share present");
         assert_eq!(share.requested_bytes, 256);
         assert_eq!(share.granted_bytes, 256);
+    }
+
+    #[test]
+    fn frees_on_the_bypass_path_reach_the_profiler() {
+        // A block sampled on the facade path and freed with the bypass
+        // latch engaged (a thread past its exit drain, the old block of a
+        // re-entrant realloc) used to stay live in the profile until its
+        // offset was recycled.
+        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_profiling(1);
+        let layout = Layout::from_size_align(256, 8).unwrap();
+        unsafe {
+            let p = a.alloc(layout);
+            assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 256);
+            let _latched = BypassGuard::engage();
+            a.dealloc(p, layout);
+        }
+        assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 0);
     }
 
     #[test]
@@ -1128,14 +1255,16 @@ mod tests {
 
     #[test]
     fn nbbs_scrub_env_arms_the_background_scrubber() {
-        std::env::set_var("NBBS_SCRUB", "5");
         let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
+        // This instance's first touch, under NBBS_SCRUB=5 and nothing else;
+        // the process environment (and every neighbouring test) stays as
+        // it was.
+        a.build_once(|| Arming::parse(env(&[("NBBS_SCRUB", "5")])));
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {
-            let p = a.alloc(layout); // first touch builds with the env set
+            let p = a.alloc(layout);
             a.dealloc(p, layout);
         }
-        std::env::remove_var("NBBS_SCRUB");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while a.memory_stats().map_or(0, |m| m.scrub_passes) == 0 {
             assert!(

@@ -89,9 +89,8 @@
 //!   attempt failed for a reason expected to clear shortly: a lost CAS
 //!   storm, an in-flight coalesce holding the branch, or an injected fault
 //!   from `nbbs-chaos`.  The magazine cache's miss path retries these a
-//!   bounded number of times ([`nbbs_cache::CacheConfig::transient_retries`])
-//!   with jittered backoff before treating the miss as failed; hard OOM is
-//!   never retried.
+//!   up to three times with jittered backoff before treating the miss as
+//!   failed; hard OOM is never retried.
 //! * **Reserve-served** — an OOM-path allocation that fit a reserve block.
 //!   The caller cannot tell (it got ordinary region memory); the event is
 //!   visible only in telemetry ([`ReserveStatsSnapshot::hits`], surfaced by

@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
-use nbbs_obs::{OpKind, OpOutcome, Recorder};
-use nbbs_sync::{cycles_now, Backoff, CachePadded, SpinLock};
+use nbbs_obs::{OpKind, Recorder};
+use nbbs_sync::{Backoff, CachePadded, SpinLock};
 
-use crate::config::{CacheConfig, FlushPolicy};
+use crate::config::CacheConfig;
 use crate::depot::DepotShard;
 use crate::magazine::{ClassMags, Magazine};
 
@@ -16,6 +16,14 @@ use crate::magazine::{ClassMags, Magazine};
 /// trigger a doubling of that class's magazine capacity: a burst that keeps
 /// overrunning the depot is cheaper to absorb in fewer, larger magazines.
 const GROW_SPILL_MAGAZINES: usize = 2;
+
+/// Bounded retries of a cache-miss refill whose backend attempt failed
+/// *transiently* ([`nbbs::error::AllocError::Transient`] — an injected
+/// fault or a contention hiccup), each preceded by a jittered exponential
+/// backoff ([`nbbs_sync::Backoff::spin_jittered`]).  Hard OOM never
+/// retries: genuine exhaustion must propagate immediately so the facade's
+/// emergency-reserve / failover path can act on it.
+const TRANSIENT_RETRIES: u32 = 3;
 
 /// Ceiling on the batched backend refill a miss performs (chunks).
 /// Adaptively grown magazines can reach thousands of entries — useful for
@@ -184,9 +192,9 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// relaxed load and no lock.
     orphaned: AtomicBool,
     counters: Counters,
-    /// Optional latency recorder for the slow paths (miss, refill, flush).
-    /// `None` skips every timestamp read — the zero-cost-when-disabled
-    /// contract of `nbbs-obs`.
+    /// Optional observer of the slow paths (miss, refill, flush, rescue,
+    /// retry).  `None` skips every timestamp read — the
+    /// zero-cost-when-disabled contract of `nbbs-obs`.
     obs: Option<Arc<Recorder>>,
 }
 
@@ -203,11 +211,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Wraps `backend` under a custom report name (e.g. `"cached-4lvl-nb"`).
     pub fn with_config_and_name(backend: A, config: CacheConfig, name: &'static str) -> Self {
-        let geo = *backend.geometry();
-        let cutoff = config
-            .max_cached_size
-            .unwrap_or(geo.max_size())
-            .min(geo.max_size());
+        let cutoff = backend.geometry().max_size();
         // Probe the backend's grant ladder ascending: asking what a request
         // of `probe` bytes would be granted yields the next class, and
         // `granted + 1` lands the probe in the following one.  For a plain
@@ -241,12 +245,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
         let shard_count = config.resolved_shards();
         let group_count = config.resolved_groups();
         let group_shards = shard_count / group_count;
-        let depot_capacity = match config.flush_policy {
-            FlushPolicy::Depot => config.depot_magazines,
-            FlushPolicy::Direct => 0,
-        };
         let shards = (0..shard_count)
-            .map(|_| CachePadded::new(DepotShard::new(classes.len(), depot_capacity)))
+            .map(|_| CachePadded::new(DepotShard::new(classes.len(), config.depot_magazines)))
             .collect();
         let ctl = classes
             .iter()
@@ -426,9 +426,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// spill run is long enough.
     fn note_spill(&self, class: usize) {
         self.counters.depot_spills.fetch_add(1, Ordering::Relaxed);
-        if !self.config.adaptive_resize {
-            return;
-        }
         let ctl = &self.ctl[class];
         if ctl.spills.fetch_add(1, Ordering::Relaxed) + 1 < GROW_SPILL_MAGAZINES {
             return;
@@ -449,9 +446,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// Records byte-budget pressure on `class` and shrinks its capacity.
     fn note_pressure(&self, class: usize) {
         self.counters.depot_spills.fetch_add(1, Ordering::Relaxed);
-        if !self.config.adaptive_resize {
-            return;
-        }
         let ctl = &self.ctl[class];
         let cur = ctl.cap.load(Ordering::Relaxed);
         let target = (cur / 2).max(2);
@@ -491,19 +485,22 @@ impl<A: BuddyBackend> MagazineCache<A> {
             return;
         }
         let rescued = stranded.len() as u64;
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
         let mut guard = OrphanGuard {
             cache: self,
             chunks: stranded,
         };
-        while let Some(&(off, _)) = guard.chunks.last() {
-            self.backend.dealloc(off);
-            guard.chunks.pop();
-            self.counters.orphan_rescues.fetch_add(1, Ordering::Relaxed);
-        }
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(OpKind::OrphanRescue, t0, rescued, OpOutcome::Ok);
-        }
+        Recorder::time(
+            &self.obs,
+            OpKind::OrphanRescue,
+            || {
+                while let Some(&(off, _)) = guard.chunks.last() {
+                    self.backend.dealloc(off);
+                    guard.chunks.pop();
+                    self.counters.orphan_rescues.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+            |_| (rescued, true),
+        );
     }
 
     /// One backend allocation attempt for a refill, with bounded
@@ -517,22 +514,18 @@ impl<A: BuddyBackend> MagazineCache<A> {
         loop {
             match self.backend.try_alloc(class_size) {
                 Ok(off) => return Some(off),
-                Err(e) if e.is_transient() && attempt < self.config.transient_retries => {
+                Err(e) if e.is_transient() && attempt < TRANSIENT_RETRIES => {
                     attempt += 1;
                     self.counters
                         .transient_retries
                         .fetch_add(1, Ordering::Relaxed);
-                    let t0 = self.obs.as_ref().map(|_| cycles_now());
-                    backoff.spin_jittered(salt ^ (u64::from(attempt) << 32));
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        // One retry round: the latency is the backoff spin.
-                        rec.record_since(
-                            OpKind::TransientRetry,
-                            t0,
-                            u64::from(attempt),
-                            OpOutcome::Ok,
-                        );
-                    }
+                    // One retry round: the latency is the backoff spin.
+                    Recorder::time(
+                        &self.obs,
+                        OpKind::TransientRetry,
+                        || backoff.spin_jittered(salt ^ (u64::from(attempt) << 32)),
+                        |_| (u64::from(attempt), true),
+                    );
                 }
                 Err(_) => return None,
             }
@@ -563,22 +556,20 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // Both magazines empty: exchange with the slot group's depot shard
         // (a full magazine in via one lock-free pop, our empty `loaded` out —
         // recirculated as the spare for the next overflow rotation).
-        if self.config.flush_policy == FlushPolicy::Depot {
-            if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
-                // The popped magazine's chunks move from the shard's byte
-                // counter (debited by `pop_full`) to this slot's.
-                slot.bytes
-                    .fetch_add(full.len() * class_size, Ordering::Relaxed);
-                let empty = std::mem::replace(&mut pair.loaded, full);
-                pair.spare.get_or_insert(empty);
-                self.counters
-                    .depot_exchanges
-                    .fetch_add(1, Ordering::Relaxed);
-                let off = pair.loaded.pop().expect("depot magazines are full");
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                slot.bytes.fetch_sub(class_size, Ordering::Relaxed);
-                return Some(off);
-            }
+        if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
+            // The popped magazine's chunks move from the shard's byte
+            // counter (debited by `pop_full`) to this slot's.
+            slot.bytes
+                .fetch_add(full.len() * class_size, Ordering::Relaxed);
+            let empty = std::mem::replace(&mut pair.loaded, full);
+            pair.spare.get_or_insert(empty);
+            self.counters
+                .depot_exchanges
+                .fetch_add(1, Ordering::Relaxed);
+            let off = pair.loaded.pop().expect("depot magazines are full");
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            slot.bytes.fetch_sub(class_size, Ordering::Relaxed);
+            return Some(off);
         }
 
         // Own shard dry too.  Both magazines are empty, which is the one
@@ -587,12 +578,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // the backend refill below runs outside it, so a co-located
         // thread's magazine hit is not stalled behind our tree walks
         // (mirror of the flush in `dealloc_cached`).
-        if self.config.adaptive_resize {
-            let target = self.ctl[class].cap.load(Ordering::Relaxed);
-            if pair.loaded.capacity() != target {
-                pair.loaded.set_capacity(target);
-                pair.previous.set_capacity(target);
-            }
+        let target = self.ctl[class].cap.load(Ordering::Relaxed);
+        if pair.loaded.capacity() != target {
+            pair.loaded.set_capacity(target);
+            pair.previous.set_capacity(target);
         }
         let batch = (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX);
         drop(mags);
@@ -603,18 +592,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // none).
         self.rescue_orphans();
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let t_miss = self.obs.as_ref().map(|_| cycles_now());
-        let first = self.backend_alloc_retrying(class_size, slot_idx as u64);
-        if let (Some(rec), Some(t0)) = (&self.obs, t_miss) {
-            rec.record_since(
-                OpKind::CacheMiss,
-                t0,
-                class as u64,
-                OpOutcome::from_ok(first.is_some()),
-            );
-        }
-        let first = first?;
-        let t_refill = self.obs.as_ref().map(|_| cycles_now());
+        let first = Recorder::time(
+            &self.obs,
+            OpKind::CacheMiss,
+            || self.backend_alloc_retrying(class_size, slot_idx as u64),
+            |first| (class as u64, first.is_some()),
+        )?;
         // Every chunk below is in flight outside any lock until it lands in
         // a magazine or back in the backend; the guard publishes whatever is
         // still in flight if a backend call unwinds (an injected panic), so
@@ -624,53 +607,74 @@ impl<A: BuddyBackend> MagazineCache<A> {
             chunks: Vec::with_capacity(batch + 1),
         };
         guard.chunks.push((first, class_size));
+        // A refill the backend gave nothing to records as failed: the ring
+        // then shows the tree running dry right behind the miss.
+        Recorder::time(
+            &self.obs,
+            OpKind::CacheRefill,
+            || self.refill(slot, class, batch, &mut guard),
+            |&refilled| (refilled.unwrap_or(0), refilled.is_some()),
+        );
+        let (first, _) = guard.chunks.pop().expect("first survives the refill");
+        Some(first)
+    }
+
+    /// The batched half of a miss: allocates up to `batch` more chunks of
+    /// `class` behind `guard.chunks[0]`, loads what fits into `slot`'s
+    /// magazines and hands any surplus back.  Returns how many chunks were
+    /// loaded, `None` when the backend had none to give.
+    fn refill(
+        &self,
+        slot: &Slot,
+        class: usize,
+        batch: usize,
+        guard: &mut OrphanGuard<'_, A>,
+    ) -> Option<u64> {
+        let class_size = self.class_size(class);
         for _ in 0..batch {
             match self.backend.alloc(class_size) {
                 Some(off) => guard.chunks.push((off, class_size)),
                 None => break,
             }
         }
-        if guard.chunks.len() > 1 {
-            // The slot may have changed while the lock was released; load
-            // whatever fits and hand any surplus back to the backend.
-            let mut refilled = 0u64;
-            {
-                let mut mags = slot.mags.lock();
-                let pair = &mut mags[class];
-                while guard.chunks.len() > 1 {
-                    let (off, _) = *guard.chunks.last().expect("len checked above");
-                    let target = if !pair.loaded.is_full() {
-                        &mut pair.loaded
-                    } else if !pair.previous.is_full() {
-                        &mut pair.previous
-                    } else {
-                        break;
-                    };
-                    target.push(off);
-                    guard.chunks.pop();
-                    refilled += 1;
-                }
-            }
-            if refilled > 0 {
-                self.counters
-                    .refilled
-                    .fetch_add(refilled, Ordering::Relaxed);
-                slot.bytes
-                    .fetch_add(refilled as usize * class_size, Ordering::Relaxed);
-            }
-            // Surplus beyond what fit: freed before popped, so a panicked
-            // dealloc strands only the chunks it has not yet returned.
+        if guard.chunks.len() == 1 {
+            return None;
+        }
+        // The slot may have changed while the lock was released; load
+        // whatever fits and hand any surplus back to the backend.
+        let mut refilled = 0u64;
+        {
+            let mut mags = slot.mags.lock();
+            let pair = &mut mags[class];
             while guard.chunks.len() > 1 {
                 let (off, _) = *guard.chunks.last().expect("len checked above");
-                self.backend.dealloc(off);
+                let target = if !pair.loaded.is_full() {
+                    &mut pair.loaded
+                } else if !pair.previous.is_full() {
+                    &mut pair.previous
+                } else {
+                    break;
+                };
+                target.push(off);
                 guard.chunks.pop();
-            }
-            if let (Some(rec), Some(t0)) = (&self.obs, t_refill) {
-                rec.record_since(OpKind::CacheRefill, t0, refilled, OpOutcome::Ok);
+                refilled += 1;
             }
         }
-        let (first, _) = guard.chunks.pop().expect("first survives the refill");
-        Some(first)
+        if refilled > 0 {
+            self.counters
+                .refilled
+                .fetch_add(refilled, Ordering::Relaxed);
+            slot.bytes
+                .fetch_add(refilled as usize * class_size, Ordering::Relaxed);
+        }
+        // Surplus beyond what fit: freed before popped, so a panicked
+        // dealloc strands only the chunks it has not yet returned.
+        while guard.chunks.len() > 1 {
+            let (off, _) = *guard.chunks.last().expect("len checked above");
+            self.backend.dealloc(off);
+            guard.chunks.pop();
+        }
+        Some(refilled)
     }
 
     /// Absorbs one release of class `class`.
@@ -690,11 +694,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
                     // spare empty from an earlier depot exchange when one is
                     // around, retargeted to the current adaptive capacity),
                     // then rotate.
-                    let target_cap = if self.config.adaptive_resize {
-                        self.ctl[class].cap.load(Ordering::Relaxed)
-                    } else {
-                        pair.loaded.capacity()
-                    };
+                    let target_cap = self.ctl[class].cap.load(Ordering::Relaxed);
                     let mut empty = pair
                         .spare
                         .take()
@@ -725,60 +725,61 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Parks a full magazine in the slot group's depot shard, or returns its
-    /// chunks to the backend when the shard is at capacity, the shard's
-    /// share of the byte budget is exhausted, or the depot is bypassed.
+    /// chunks to the backend when the shard is at capacity or the shard's
+    /// share of the byte budget is exhausted.
     ///
     /// `full` must hold at least one chunk: the depot's pop consumer
     /// (`alloc_cached`'s exchange) assumes parked magazines are non-empty.
     fn park_full_magazine(&self, class: usize, mut full: Magazine, slot_idx: usize) {
         debug_assert!(!full.is_empty(), "parking an empty magazine");
         let class_size = self.class_size(class);
-        if self.config.flush_policy == FlushPolicy::Depot {
-            let in_flight = full.len() * class_size;
-            let shard = &self.shards[self.shard_of(slot_idx)];
-            if shard.bytes() + in_flight <= self.shard_budget {
-                match shard.push_full(class, class_size, full) {
-                    Ok(()) => {
-                        self.counters
-                            .depot_exchanges
-                            .fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                    Err(rejected) => {
-                        // Shard at capacity: this class's bursts outrun the
-                        // depot — a grow signal.
-                        full = rejected;
-                        self.note_spill(class);
-                    }
+        let in_flight = full.len() * class_size;
+        let shard = &self.shards[self.shard_of(slot_idx)];
+        if shard.bytes() + in_flight <= self.shard_budget {
+            match shard.push_full(class, class_size, full) {
+                Ok(()) => {
+                    self.counters
+                        .depot_exchanges
+                        .fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
-            } else {
-                // Byte budget exhausted — a shrink signal.
-                self.note_pressure(class);
+                Err(rejected) => {
+                    // Shard at capacity: this class's bursts outrun the
+                    // depot — a grow signal.
+                    full = rejected;
+                    self.note_spill(class);
+                }
             }
+        } else {
+            // Byte budget exhausted — a shrink signal.
+            self.note_pressure(class);
         }
         self.flush_magazine(full, class_size);
     }
 
     /// Returns a magazine's chunks to the backend, counting them as flushed.
     fn flush_magazine(&self, mut mag: Magazine, class_size: usize) {
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
         let n = mag.len() as u64;
-        let mut guard = OrphanGuard {
-            cache: self,
-            chunks: mag
-                .take_all()
-                .into_iter()
-                .map(|off| (off, class_size))
-                .collect(),
-        };
-        while let Some(&(off, _)) = guard.chunks.last() {
-            self.backend.dealloc(off);
-            guard.chunks.pop();
-            self.counters.flushed.fetch_add(1, Ordering::Relaxed);
-        }
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(OpKind::CacheFlush, t0, n, OpOutcome::Ok);
-        }
+        Recorder::time(
+            &self.obs,
+            OpKind::CacheFlush,
+            || {
+                let mut guard = OrphanGuard {
+                    cache: self,
+                    chunks: mag
+                        .take_all()
+                        .into_iter()
+                        .map(|off| (off, class_size))
+                        .collect(),
+                };
+                while let Some(&(off, _)) = guard.chunks.last() {
+                    self.backend.dealloc(off);
+                    guard.chunks.pop();
+                    self.counters.flushed.fetch_add(1, Ordering::Relaxed);
+                }
+            },
+            |_| (n, true),
+        );
     }
 
     /// Returns every chunk cached by the calling thread's slot to the

@@ -32,35 +32,15 @@ impl PartialEq for NodeOfFn {
 
 impl Eq for NodeOfFn {}
 
-/// What a magazine does with surplus chunks when both per-thread magazines of
-/// a size class are full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushPolicy {
-    /// Exchange full magazines with the sharded per-class depot (Bonwick's
-    /// scheme): a flush parks the full *previous* magazine in the owning
-    /// shard's lock-free stack where any co-sharded thread's refill can pick
-    /// it up, falling back to the backend only when the shard is at capacity
-    /// or the cache byte budget is exhausted.  This keeps chunks circulating
-    /// between threads without touching the backend tree, and keeps the
-    /// circulation within a slot group (one shard per group), so chunks do
-    /// not ping-pong across groups/NUMA nodes.
-    #[default]
-    Depot,
-    /// Bypass the depot: overflow goes straight back to the backend and
-    /// refills always come from the backend.  Useful to isolate the benefit
-    /// of the depot in ablations, or to minimize memory held by the cache.
-    Direct,
-}
-
 /// Tuning knobs for [`crate::MagazineCache`].
 ///
-/// The defaults cache every size class up to the backend's `max_size`.
+/// Every size class up to the backend's `max_size` is cached.
 /// [`CacheConfig::magazine_capacity`] and [`CacheConfig::magazine_bytes`]
-/// only seed the *initial* magazine capacity of each class; with
-/// [`CacheConfig::adaptive_resize`] on (the default) the cache then grows a
-/// class's capacity when its bursts keep spilling past the depot, and
-/// shrinks it under byte-budget pressure (Bonwick's dynamic magazine
-/// resizing), staying within [`CacheConfig::cache_bytes_budget`].
+/// only seed the *initial* magazine capacity of each class; the cache then
+/// grows a class's capacity when its bursts keep spilling past the depot,
+/// and shrinks it under byte-budget pressure (Bonwick's dynamic magazine
+/// resizing), staying within [`CacheConfig::max_magazine_capacity`] and
+/// [`CacheConfig::cache_bytes_budget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Initial maximum entries in one magazine (applies to the smallest
@@ -70,12 +50,10 @@ pub struct CacheConfig {
     /// Initial per-magazine byte budget: a class's starting capacity is
     /// `clamp(magazine_bytes / class_size, 2, magazine_capacity)`.
     pub magazine_bytes: usize,
-    /// Largest chunk size served from magazines; requests above it go
-    /// straight to the backend.  `None` caches every class up to the
-    /// backend's `max_size`.
-    pub max_cached_size: Option<usize>,
     /// Maximum full magazines each depot *shard* retains per size class
-    /// before flushes start returning chunks to the backend.
+    /// before flushes start returning chunks to the backend; `0` bypasses
+    /// the depot (overflow goes straight back to the backend and refills
+    /// always come from it).
     ///
     /// The memory one class can strand is bounded by
     /// `depot_shards * depot_magazines` magazines and, globally, by
@@ -110,15 +88,10 @@ pub struct CacheConfig {
     /// many slots as threads every thread effectively owns a private slot).
     /// `None` sizes the table from `std::thread::available_parallelism`.
     pub slots: Option<usize>,
-    /// Overflow/refill policy.
-    pub flush_policy: FlushPolicy,
-    /// Whether the per-class magazine capacity adapts to the observed
-    /// spill/pressure behaviour (Bonwick dynamic resizing).  When `false`
-    /// the initial capacities are final.
-    pub adaptive_resize: bool,
-    /// Ceiling for adaptively grown magazine capacities (entries).  Each
-    /// class is additionally capped so a single magazine never exceeds
-    /// 1/8 of the cache byte budget.
+    /// Ceiling for adaptively grown magazine capacities (entries); at a
+    /// class's initial capacity it keeps that class from growing.  Each
+    /// class is additionally capped so a single magazine never exceeds 1/8
+    /// of the cache byte budget.
     pub max_magazine_capacity: usize,
     /// Byte budget bounding what the cache keeps parked.  The budget is
     /// split evenly across the depot shards: a shard refuses to park
@@ -130,14 +103,6 @@ pub struct CacheConfig {
     /// rather than by the budget directly.  `None` resolves to a quarter
     /// of the backend's managed memory.
     pub cache_bytes_budget: Option<usize>,
-    /// Bounded retries of a cache-miss refill whose backend attempt failed
-    /// *transiently* ([`nbbs::error::AllocError::Transient`] — an injected
-    /// fault or a contention hiccup), each preceded by a jittered
-    /// exponential backoff ([`nbbs_sync::Backoff::spin_jittered`]).  Hard
-    /// OOM never retries: genuine exhaustion must propagate immediately so
-    /// the facade's emergency-reserve / failover path can act on it.
-    /// `0` disables retrying entirely.
-    pub transient_retries: u32,
 }
 
 impl Default for CacheConfig {
@@ -145,17 +110,13 @@ impl Default for CacheConfig {
         CacheConfig {
             magazine_capacity: 64,
             magazine_bytes: 32 << 10,
-            max_cached_size: None,
             depot_magazines: 64,
             depot_shards: None,
             node_groups: None,
             node_of: None,
             slots: None,
-            flush_policy: FlushPolicy::default(),
-            adaptive_resize: true,
             max_magazine_capacity: 8192,
             cache_bytes_budget: None,
-            transient_retries: 3,
         }
     }
 }

@@ -103,7 +103,7 @@ mod tests {
             NbbsOneLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap()),
             CacheConfig {
                 slots: Some(1),
-                flush_policy: crate::FlushPolicy::Direct,
+                depot_magazines: 0,
                 ..CacheConfig::default()
             },
         ))
@@ -140,7 +140,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        // Direct flush policy: no depot, so a clean slot means a clean cache.
+        // No depot (`depot_magazines: 0`), so a clean slot means a clean cache.
         assert_eq!(c.cached_bytes(), 0, "exit hook drained the slot");
         assert_eq!(c.backend().allocated_bytes(), 0);
     }

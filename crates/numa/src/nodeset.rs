@@ -188,11 +188,12 @@ impl<A: BuddyBackend> NodeSet<A> {
     }
 
     /// The calling thread's home node (topology home, modulo the node
-    /// count).  Publishes the answer as the thread's trace node hint, so
-    /// events this thread subsequently records carry the node lane.
+    /// count).  Publishes the answer as the thread's node hint
+    /// (`nbbs_sync::set_thread_node`), so events this thread subsequently
+    /// records carry the node lane.
     pub fn home_node(&self) -> usize {
         let node = self.topology.current_node() % self.node_count();
-        nbbs_trace::set_thread_node(node);
+        nbbs_sync::set_thread_node(node);
         node
     }
 

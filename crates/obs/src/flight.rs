@@ -1,193 +1,68 @@
-//! The flight recorder: fixed-capacity ring buffers of recent operations.
-//!
-//! PR 2's coalescing soak found a one-in-140k anomaly that took a seeded
-//! `REPRO:` line to chase; what was missing was the *trailing op history* of
-//! the threads involved.  The flight recorder keeps exactly that: a small
-//! per-thread-group ring of the most recent operations (kind, size class or
-//! level, latency bucket, outcome), cheap enough to leave on, and dumpable
-//! from `atexit` hooks, panic paths and failing assertions.
-//!
-//! Each event packs into a single `AtomicU64` (stores are torn-free by
-//! construction) with the kind stored as `kind + 1` so an all-zero word is
-//! the unambiguous "empty slot" sentinel.  Rings are selected by
-//! `thread_ordinal() % RINGS`, the head is a relaxed `fetch_add`, and slots
-//! wrap — a dump is best-effort under concurrent writes, which is exactly
-//! what a crash-time artifact can promise.
+//! The crash dump: a run-length text view of each ring's tail, for `atexit`
+//! hooks, panic paths and failing soak assertions — the trailing op history
+//! of the threads involved, which a seeded `REPRO:` line alone cannot
+//! replay.  Consecutive operations a line cannot tell apart compress to
+//! `×N`, so a steady-state ring reads as a few lines.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::fmt::Write as _;
 
-use nbbs_sync::{thread_ordinal, CachePadded};
-
-use crate::hist::{bucket_high, bucket_low};
+use crate::hist::{bucket_high, bucket_index, bucket_low};
 use crate::recorder::{OpKind, OpOutcome};
+use crate::ring::{TraceEvent, TraceRing};
 
-/// Number of rings (power of two; threads map onto rings by ordinal).
-pub const FLIGHT_RINGS: usize = 8;
+/// Events of each ring a dump shows.
+pub const FLIGHT_TAIL: usize = 256;
 
-/// Events retained per ring (power of two).
-pub const FLIGHT_CAPACITY: usize = 256;
-
-fn encode(kind: OpKind, outcome: OpOutcome, bucket: u8, detail: u64) -> u64 {
-    ((kind as u64 + 1) << 56)
-        | ((outcome as u64) << 48)
-        | ((bucket as u64) << 40)
-        | (detail & ((1 << 40) - 1))
+/// What a dump line shows of an event; equal keys run-length compress.
+fn line_key(ev: &TraceEvent) -> (OpKind, OpOutcome, u8, usize) {
+    (
+        ev.kind,
+        ev.outcome,
+        ev.class,
+        bucket_index(ev.duration_cycles),
+    )
 }
 
-/// One decoded flight-recorder event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightEvent {
-    /// What operation ran.
-    pub kind: OpKind,
-    /// Whether it succeeded.
-    pub outcome: OpOutcome,
-    /// Latency bucket index (see [`crate::hist::bucket_low`]).
-    pub latency_bucket: u8,
-    /// Small payload: size-class log2 for alloc/free, tree level for CAS
-    /// events (40 bits).
-    pub detail: u64,
-}
-
-impl FlightEvent {
-    fn decode(word: u64) -> Option<FlightEvent> {
-        let kind = OpKind::from_index(((word >> 56) as u8).checked_sub(1)?)?;
-        let outcome = if (word >> 48) & 0xFF == 0 {
-            OpOutcome::Ok
-        } else {
-            OpOutcome::Failed
-        };
-        Some(FlightEvent {
-            kind,
-            outcome,
-            latency_bucket: ((word >> 40) & 0xFF) as u8,
-            detail: word & ((1 << 40) - 1),
-        })
-    }
-
-    /// The cycle range the latency bucket spans.
-    pub fn latency_bounds(&self) -> (u64, u64) {
-        let idx = (self.latency_bucket as usize).min(crate::hist::BUCKETS - 1);
-        (bucket_low(idx), bucket_high(idx))
-    }
-}
-
-struct Ring {
-    head: AtomicU64,
-    slots: [AtomicU64; FLIGHT_CAPACITY],
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            head: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| AtomicU64::new(0)),
+impl TraceRing {
+    /// Renders a human-readable dump of every ring's tail — the crash-time
+    /// artifact format used by the `atexit` stats dump, panic hooks and the
+    /// soak examples' `REPRO:` paths.
+    pub fn flight_dump(&self) -> String {
+        let events = self.events();
+        if events.is_empty() {
+            return "[flight] no recorded operations\n".to_string();
         }
-    }
-}
-
-/// Fixed-capacity per-thread-group rings of recent operations.
-pub struct FlightRecorder {
-    rings: Box<[CachePadded<Ring>]>,
-}
-
-impl FlightRecorder {
-    /// Creates empty rings.
-    pub fn new() -> Self {
-        FlightRecorder {
-            rings: (0..FLIGHT_RINGS)
-                .map(|_| CachePadded::new(Ring::new()))
-                .collect(),
-        }
-    }
-
-    /// Appends one event to the calling thread's ring.
-    #[inline]
-    pub fn push(&self, kind: OpKind, outcome: OpOutcome, bucket: u8, detail: u64) {
-        let ring = &self.rings[thread_ordinal() % FLIGHT_RINGS];
-        let i = ring.head.fetch_add(1, Ordering::Relaxed) as usize % FLIGHT_CAPACITY;
-        ring.slots[i].store(encode(kind, outcome, bucket, detail), Ordering::Relaxed);
-    }
-
-    /// Decodes every ring, oldest event first, skipping empty slots.
-    /// Returns `(ring_index, events)` pairs for non-empty rings.
-    pub fn events(&self) -> Vec<(usize, Vec<FlightEvent>)> {
-        let mut out = Vec::new();
-        for (ri, ring) in self.rings.iter().enumerate() {
-            let head = ring.head.load(Ordering::Relaxed) as usize;
-            let mut events = Vec::new();
-            for k in 0..FLIGHT_CAPACITY {
-                // Oldest surviving slot is `head` itself once wrapped.
-                let slot = (head + k) % FLIGHT_CAPACITY;
-                let word = ring.slots[slot].load(Ordering::Relaxed);
-                if let Some(ev) = FlightEvent::decode(word) {
-                    events.push(ev);
-                }
-            }
-            if !events.is_empty() {
-                out.push((ri, events));
-            }
-        }
-        out
-    }
-
-    /// Total events currently decodable across all rings.
-    pub fn len(&self) -> usize {
-        self.events().iter().map(|(_, e)| e.len()).sum()
-    }
-
-    /// Whether no events have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Renders a human-readable dump of every ring — the crash-time
-    /// artifact format used by `exit_dump`, panic hooks and the coalescing
-    /// soak's `REPRO:` path.  Consecutive identical events are run-length
-    /// compressed (`×N`) so a steady-state ring reads as a few lines.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let rings = self.events();
-        if rings.is_empty() {
-            out.push_str("[flight] no recorded operations\n");
-            return out;
-        }
-        for (ri, events) in rings {
-            let _ = writeln!(out, "[flight] ring {ri}: last {} ops", events.len());
-            let mut i = 0;
-            while i < events.len() {
-                let ev = events[i];
-                let mut run = 1;
-                while i + run < events.len() && events[i + run] == ev {
-                    run += 1;
-                }
-                let (lo, hi) = ev.latency_bounds();
+        for ring in events.chunk_by(|a, b| a.ring == b.ring) {
+            let tail = &ring[ring.len().saturating_sub(FLIGHT_TAIL)..];
+            let _ = writeln!(
+                out,
+                "[flight] ring {}: last {} ops",
+                tail[0].ring,
+                tail.len()
+            );
+            for run in tail.chunk_by(|a, b| line_key(a) == line_key(b)) {
+                let (kind, outcome, class, bucket) = line_key(&run[0]);
                 let _ = writeln!(
                     out,
-                    "[flight]   {:<12} {:<6} detail={:<4} {lo}..{hi} cyc{}",
-                    ev.kind.name(),
-                    if ev.outcome == OpOutcome::Ok {
+                    "[flight]   {:<12} {:<6} detail={class:<4} {}..{} cyc{}",
+                    kind.name(),
+                    if outcome == OpOutcome::Ok {
                         "ok"
                     } else {
                         "FAILED"
                     },
-                    ev.detail,
-                    if run > 1 {
-                        format!("  \u{d7}{run}")
+                    bucket_low(bucket),
+                    bucket_high(bucket),
+                    if run.len() > 1 {
+                        format!("  \u{d7}{}", run.len())
                     } else {
                         String::new()
                     }
                 );
-                i += run;
             }
         }
         out
-    }
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -197,60 +72,60 @@ mod tests {
 
     #[test]
     fn events_round_trip_through_the_packed_word() {
-        let ev = FlightEvent {
-            kind: OpKind::CacheMiss,
-            outcome: OpOutcome::Failed,
-            latency_bucket: 77,
-            detail: 0xAB_CDEF,
-        };
-        let word = encode(ev.kind, ev.outcome, ev.latency_bucket, ev.detail);
-        assert_eq!(FlightEvent::decode(word), Some(ev));
-        assert_eq!(FlightEvent::decode(0), None, "zero word is the empty slot");
-    }
-
-    #[test]
-    fn rings_keep_the_most_recent_events() {
-        let fr = FlightRecorder::new();
-        assert!(fr.is_empty());
-        // Overfill this thread's ring: only the newest CAPACITY survive.
-        for i in 0..(FLIGHT_CAPACITY + 10) {
-            fr.push(OpKind::Alloc, OpOutcome::Ok, 5, i as u64);
-        }
-        let rings = fr.events();
-        assert_eq!(rings.len(), 1, "single thread writes one ring");
-        let events = &rings[0].1;
-        assert_eq!(events.len(), FLIGHT_CAPACITY);
-        assert_eq!(events.first().unwrap().detail, 10, "oldest surviving op");
+        let ring = TraceRing::with_geometry(1, 4);
+        ring.push(OpKind::CacheMiss, 0xAB_CDEF, 77, 9, OpOutcome::Failed);
+        let ev = ring.events()[0];
         assert_eq!(
-            events.last().unwrap().detail,
-            (FLIGHT_CAPACITY + 9) as u64,
-            "newest op"
+            (ev.kind, ev.outcome, ev.start_cycles, ev.duration_cycles),
+            (OpKind::CacheMiss, OpOutcome::Failed, 0xAB_CDEF, 77)
+        );
+        assert_eq!(ev.class, 9);
+        assert_eq!(
+            TraceRing::with_geometry(1, 4).events(),
+            vec![],
+            "zero word is the empty slot"
         );
     }
 
     #[test]
-    fn render_compresses_runs_and_names_kinds() {
-        let fr = FlightRecorder::new();
-        for _ in 0..50 {
-            fr.push(OpKind::Free, OpOutcome::Ok, 3, 7);
+    fn rings_keep_the_most_recent_events() {
+        let ring = TraceRing::new();
+        // Ten past the dump's tail, on this thread's ring alone.
+        for i in 0..(FLIGHT_TAIL + 10) {
+            ring.push(OpKind::Alloc, i as u64, 5, (i % 200) as u64, OpOutcome::Ok);
         }
-        fr.push(OpKind::Alloc, OpOutcome::Failed, 9, 4);
-        let dump = fr.render();
+        assert_eq!(ring.events().len(), FLIGHT_TAIL + 10);
+        let dump = ring.flight_dump();
+        let lines: Vec<&str> = dump.lines().collect();
+        assert!(
+            lines[0].ends_with(&format!(": last {FLIGHT_TAIL} ops")),
+            "{dump}"
+        );
+        assert_eq!(lines.len(), 1 + FLIGHT_TAIL, "distinct details: no runs");
+        assert!(lines[1].contains("detail=10 "), "oldest shown op: {dump}");
+        assert!(lines[FLIGHT_TAIL].contains("detail=65 "), "newest op");
+    }
+
+    #[test]
+    fn render_compresses_runs_and_names_kinds() {
+        let ring = TraceRing::new();
+        for i in 0..50 {
+            // Distinct starts, same bucket: a run all the same.
+            ring.push(OpKind::Free, 1_000 + i, 9, 7, OpOutcome::Ok);
+        }
+        ring.push(OpKind::Alloc, 2_000, 600, 4, OpOutcome::Failed);
+        let dump = ring.flight_dump();
         assert!(dump.contains("free"), "{dump}");
         assert!(dump.contains("\u{d7}50"), "{dump}");
         assert!(dump.contains("FAILED"), "{dump}");
-        let empty = FlightRecorder::new().render();
+        let empty = TraceRing::new().flight_dump();
         assert!(empty.contains("no recorded operations"));
     }
 
     #[test]
     fn latency_bounds_follow_the_bucket() {
-        let ev = FlightEvent {
-            kind: OpKind::Alloc,
-            outcome: OpOutcome::Ok,
-            latency_bucket: 6,
-            detail: 0,
-        };
-        assert_eq!(ev.latency_bounds(), (8, 11));
+        let ring = TraceRing::with_geometry(1, 4);
+        ring.push(OpKind::Alloc, 0, 9, 0, OpOutcome::Ok);
+        assert!(ring.flight_dump().contains(" 8..11 cyc"), "bucket 6");
     }
 }

@@ -112,15 +112,8 @@ impl LatencyHistogram {
     /// Records one sample on the calling thread's shard.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.record_with_bucket(v, bucket_index(v));
-    }
-
-    /// Records one sample whose bucket the caller has already computed
-    /// (the flight recorder reuses the index).
-    #[inline]
-    pub fn record_with_bucket(&self, v: u64, bucket: usize) {
         let shard = &self.shards[thread_ordinal() % SHARDS];
-        shard.counts[bucket].fetch_add(1, Ordering::Relaxed);
+        shard.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         shard.max.fetch_max(v, Ordering::Relaxed);
     }
 

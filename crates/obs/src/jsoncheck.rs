@@ -3,11 +3,11 @@
 //! Every exposition path in this workspace hand-writes JSON (the build
 //! environment is offline — no serde), so the trace exporter needs an
 //! independent check that what it emits actually *parses*: CI's
-//! `trace-smoke` job and the `nbbs-bench trace --check` path both run the
+//! `obs-smoke` job and the `nbbs-bench trace --check` path both run the
 //! exported document through this parser and assert an event-count floor.
 //! The parser is strict RFC-8259: it rejects trailing commas, unquoted
 //! keys, bare NaN/Infinity (which is exactly the bug class
-//! [`nbbs_obs::json::num`] exists to prevent) and trailing garbage.
+//! [`crate::json::num`] exists to prevent) and trailing garbage.
 
 use std::collections::BTreeMap;
 
@@ -376,12 +376,12 @@ mod tests {
         // The cross-check the ISSUE asks for: nbbs-obs's hand-rolled
         // escaping must produce documents this strict parser accepts.
         let hostile = "a\"b\\c\nd\te\u{1}f";
-        let doc = format!("{{\"s\":\"{}\"}}", nbbs_obs::json::esc(hostile));
+        let doc = format!("{{\"s\":\"{}\"}}", crate::json::esc(hostile));
         assert_eq!(
             parse(&doc).unwrap().get("s").unwrap().as_str().unwrap(),
             hostile
         );
-        let doc = format!("{{\"n\":{}}}", nbbs_obs::json::num(f64::NAN));
+        let doc = format!("{{\"n\":{}}}", crate::json::num(f64::NAN));
         assert_eq!(parse(&doc).unwrap().get("n").unwrap(), &JsonValue::Null);
     }
 

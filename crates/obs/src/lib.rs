@@ -1,49 +1,86 @@
-//! # nbbs-obs — the observability layer of the NBBS reproduction.
+//! # nbbs-obs — the one observation surface of the NBBS reproduction.
 //!
-//! The paper (and the first five PRs of this reproduction) evaluate the
-//! allocators on *throughput*; the production north star is judged on
-//! p99/p99.9.  This crate supplies the missing layer, threaded through
-//! core → cache → numa → alloc → workloads:
+//! The paper evaluates the allocators on *throughput*; the production north
+//! star is judged on p99/p99.9 and on being able to say what a slow or
+//! failed allocation was doing.  Everything the stack offers for that is
+//! here, behind one handle.
 //!
-//! * [`LatencyHistogram`] — lock-free, sharded, log-bucketed (two
-//!   sub-buckets per octave) histograms over `nbbs_sync::cycles`
-//!   timestamps; merge-on-snapshot, p50/p90/p99/p99.9/max, calibrated to
-//!   nanoseconds via [`tsc_hz`].
-//! * [`Recorder`] / [`OpKind`] — the recording handle the facade, cache
-//!   and workload harness hold as `Option<Arc<Recorder>>`: when `None`, no
-//!   timestamp is ever taken (zero-cost-when-disabled); when present, one
-//!   recording is two TSC reads plus relaxed counter updates.
-//! * [`FlightRecorder`] — fixed-capacity per-thread rings of recent
-//!   operations (kind, size class/level, latency bucket, outcome),
-//!   dumpable from `atexit` hooks, panic paths and failing soak
-//!   assertions, so the next one-in-140k anomaly comes with its trailing
-//!   op history.
-//! * [`MetricsRegistry`] / [`StackSnapshot`] — one typed snapshot
-//!   unifying every counter family the stack grew (`OpStatsSnapshot`,
-//!   `CacheStatsSnapshot`, magazine capacities, per-node shares, facade
-//!   byte shares, histograms) with a single text-table and JSON
-//!   exposition.
-//! * [`Recorded`] — a `BuddyBackend` wrapper timing alloc/free, which
-//!   instruments every workload driver without touching their loops.
+//! **What the handle owns.**  A [`Recorder`] is one allocator stack's
+//! observer: one lock-free log-bucketed [`LatencyHistogram`] per [`OpKind`]
+//! (p50…p99.9/max, calibrated to nanoseconds via [`tsc_hz`]); one
+//! [`TraceRing`] of the same events (start TSC, duration, kind, detail,
+//! NUMA node, outcome), recording from the moment the recorder exists, with
+//! two views — [`TraceRing::flight_dump`], the run-length `[flight]` tail
+//! that `atexit` hooks, panic paths and failing soak assertions print, and
+//! [`TraceRing::to_chrome_json`], the chrome://tracing timeline, windowed
+//! by [`TraceRing::stop`] / [`TraceRing::start`] epochs; and, when armed
+//! with one ([`Recorder::with_profiler`]), a sampled allocation-site
+//! [`HeapProfiler`] dumped as a ranked [`ProfileReport`].
 //!
-//! The crate depends only on `nbbs` (core) and `nbbs-sync`, so every
-//! higher layer can use it without cycles; node and facade figures flow
-//! through the neutral [`NodeShare`]/[`FacadeShare`] structs.
+//! **How a layer records.**  The facade, the cache and the slab each hold
+//! one `Option<Arc<Recorder>>` and wrap a slow path in [`Recorder::time`]:
+//!
+//! ```
+//! use std::sync::Arc;
+//! use nbbs_obs::{OpKind, Recorder};
+//!
+//! let refill = |obs: &Option<Arc<Recorder>>| {
+//!     Recorder::time(obs, OpKind::CacheRefill, || Some(8u64), |got| {
+//!         (got.unwrap_or(0), got.is_some())
+//!     })
+//! };
+//! assert_eq!(refill(&None), Some(8)); // one `Option` tested, no timestamp read
+//! let rec = Arc::new(Recorder::new());
+//! refill(&Some(Arc::clone(&rec)));
+//! assert_eq!(rec.snapshot(OpKind::CacheRefill).total(), 1);
+//! assert!(rec.ring().flight_dump().contains("cache_refill"));
+//! ```
+//!
+//! A profiler-only handle ([`Recorder::profiler_only`]) reads no timestamp
+//! either, and a new cause costs one [`OpKind`] variant and one such call.
+//! [`Recorded`] is the same thing as a `BuddyBackend` wrapper (sampled by a
+//! per-thread stride), which instruments every workload driver without
+//! touching its loop.
+//!
+//! **How it is armed.**  In code, pass the handle to each layer's
+//! `with_recorder` (`NbbsAllocator`, `MagazineCache`, `SlabBackend`).  The
+//! shipped `NbbsGlobalAlloc` takes `with_recording()` /
+//! `with_profiling(stride)`, or per process `NBBS_OBS=1`,
+//! `NBBS_TRACE=1|<path>` (chrome trace at exit, to stderr or the file) and
+//! `NBBS_PROFILE=<stride>`, which `nbbs-alloc` parses in one place.
+//!
+//! Around the handle: [`MetricsRegistry`] / [`StackSnapshot`] unify every
+//! counter family of the stack with one text-table and JSON exposition;
+//! [`SeriesRecorder`] / [`MetricsSampler`] fold periodic snapshots into a
+//! delta series (JSON-lines, Prometheus text; dump-to-file only); and
+//! [`jsoncheck`] is the strict parser every emitted format is gated by (the
+//! build environment is offline — no serde).  The crate depends only on
+//! `nbbs` and `nbbs-sync`, so every higher layer can use it without cycles:
+//! node and facade figures arrive through the neutral
+//! [`NodeShare`]/[`FacadeShare`] structs, the recording thread's NUMA node
+//! through `nbbs_sync::thread_node`.
 
 pub mod flight;
 pub mod hist;
+pub mod jsoncheck;
+pub mod profile;
 pub mod recorded;
 pub mod recorder;
 pub mod registry;
+pub mod ring;
+pub mod sampler;
 
-pub use flight::{FlightEvent, FlightRecorder, FLIGHT_CAPACITY, FLIGHT_RINGS};
+pub use flight::FLIGHT_TAIL;
 pub use hist::{
     bucket_high, bucket_index, bucket_low, cycles_to_ns, tsc_hz, HistogramSnapshot,
     LatencyHistogram, LatencyPercentiles, BUCKETS,
 };
+pub use profile::{HeapProfiler, ProfileReport, SiteReport, DEFAULT_PROFILE_STRIDE};
 pub use recorded::{Recorded, DEFAULT_SAMPLE_STRIDE};
-pub use recorder::{size_detail, EventSink, OpKind, OpOutcome, Recorder};
+pub use recorder::{size_detail, OpKind, OpOutcome, Recorder};
 pub use registry::{FacadeShare, MetricsRegistry, NodeShare, StackSnapshot};
+pub use ring::{TraceEvent, TraceRing, TRACE_CAPACITY, TRACE_RINGS};
+pub use sampler::{MetricsSampler, Sample, SeriesRecorder};
 
 /// Hand-rolled JSON helpers shared by every exposition path in the
 /// workspace (the build environment is offline — no serde).

@@ -1,10 +1,9 @@
 //! The sampled allocation-site heap profiler.
 //!
-//! One in every [`stride`](HeapProfiler::stride) allocations (per thread)
-//! captures a [`std::backtrace::Backtrace`], condenses it to an
-//! allocation-site label, and hashes the label into a lock-free
-//! open-addressed *site table* carrying live-bytes / live-objects /
-//! cumulative counters.  A second open-addressed table maps live offsets
+//! One in every `stride` allocations (per thread) captures a
+//! [`std::backtrace::Backtrace`], condenses it to an allocation-site label,
+//! and hashes the label into a lock-free open-addressed *site table*
+//! carrying live-bytes / live-objects / cumulative counters.  A second open-addressed table maps live offsets
 //! back to their site so the matching free decrements the right row —
 //! frees always probe (a sampled allocation must be un-counted by
 //! whichever thread frees it), but the probe is one hashed lookup over an
@@ -26,7 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use nbbs_obs::json;
+use crate::json;
 
 /// Default sampling stride: profile one in every 64 allocations.
 pub const DEFAULT_PROFILE_STRIDE: u32 = 64;
@@ -178,7 +177,7 @@ impl ProfileReport {
 /// The lock-free sampled allocation-site profiler.
 ///
 /// ```
-/// use nbbs_trace::HeapProfiler;
+/// use nbbs_obs::HeapProfiler;
 ///
 /// let prof = HeapProfiler::new(1); // sample everything
 /// prof.record_alloc(0x1000, 256);
@@ -222,11 +221,6 @@ impl HeapProfiler {
         }
     }
 
-    /// The sampling stride this profiler runs with.
-    pub fn stride(&self) -> u32 {
-        self.stride
-    }
-
     /// Observes one allocation granted at `offset` for `size` bytes.
     /// Cheap when the thread's tick says "not this one"; otherwise captures
     /// and condenses a backtrace.
@@ -246,7 +240,7 @@ impl HeapProfiler {
             // attribute to a synthetic site instead of recursing.
             "<profiler re-entrant capture>".to_string()
         } else {
-            condense(&Backtrace::force_capture())
+            condense(&Backtrace::force_capture().to_string())
         };
         let outcome = self.account_alloc(&label, offset, size);
         if !reentered {
@@ -394,11 +388,24 @@ impl HeapProfiler {
     }
 }
 
-/// Condenses a captured backtrace into a site label: the innermost
-/// meaningful frames, `;`-joined, with profiler/backtrace plumbing frames
-/// stripped.
-fn condense(bt: &Backtrace) -> String {
-    let text = format!("{bt}");
+/// Frames between the user's call and the capture: the backtrace machinery,
+/// this crate, the allocator stack above it and the `alloc` crate's entry
+/// points.  Under a real `#[global_allocator]` the six innermost frames are
+/// all of these, so a label that kept them would name no caller.
+const PLUMBING: [&str; 8] = [
+    "std::backtrace",
+    "backtrace::",
+    "nbbs_obs::",
+    "nbbs_alloc::",
+    "__rust_",
+    "__rustc::",
+    "alloc::alloc::",
+    "alloc::raw_vec::",
+];
+
+/// Condenses a rendered backtrace into a site label: the six innermost
+/// frames that are not [`PLUMBING`], `;`-joined.
+fn condense(text: &str) -> String {
     let mut frames = Vec::new();
     for line in text.lines() {
         // Frame lines look like "   3: some::function::path"; location
@@ -410,14 +417,12 @@ fn condense(bt: &Backtrace) -> String {
             continue;
         }
         let func = func.trim();
-        if func.is_empty()
-            || func.starts_with("std::backtrace")
-            || func.starts_with("backtrace::")
-            || func.contains("nbbs_trace::profile::")
-        {
+        // `<T as Trait>::method` frames are matched by their type.
+        let path = func.trim_start_matches('<');
+        if func.is_empty() || PLUMBING.iter().any(|p| path.starts_with(p)) {
             continue;
         }
-        frames.push(func.to_string());
+        frames.push(func);
         if frames.len() == 6 {
             break;
         }
@@ -508,6 +513,35 @@ mod tests {
             doc.get("attributed_live_bytes").unwrap().as_f64(),
             Some(report.attributed_live_bytes() as f64)
         );
+    }
+
+    #[test]
+    fn labels_start_at_the_first_user_frame() {
+        // What `NBBS_PROFILE=8 cargo run --release --example
+        // global_allocator` captures: everything down to frame 10 is the
+        // allocator, and keeping "the first six" named no caller at all.
+        let captured = "\
+   0: std::backtrace_rs::backtrace::libunwind::trace
+             at /rustc/x/library/std/src/../../backtrace/src/backtrace/libunwind.rs:117:9
+   1: std::backtrace::Backtrace::create
+   2: nbbs_obs::profile::HeapProfiler::record_alloc
+   3: nbbs_alloc::facade::NbbsAllocator<A>::account_grant
+   4: nbbs_alloc::facade::NbbsAllocator<A>::allocate_inner
+   5: nbbs_alloc::facade::NbbsAllocator<A>::allocate
+   6: <nbbs_alloc::global::NbbsGlobalAlloc as core::alloc::global::GlobalAlloc>::alloc
+   7: __rustc::__rust_alloc
+   8: alloc::alloc::alloc
+   9: <alloc::alloc::Global as core::alloc::Allocator>::allocate
+  10: alloc::raw_vec::RawVecInner<A>::try_allocate_in
+  11: global_allocator::churn
+             at ./examples/global_allocator.rs:60:17
+  12: global_allocator::main
+";
+        assert_eq!(
+            condense(captured),
+            "global_allocator::churn;global_allocator::main"
+        );
+        assert_eq!(condense("no frames here"), "<unresolved frames>");
     }
 
     #[test]

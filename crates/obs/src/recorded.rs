@@ -213,8 +213,7 @@ mod tests {
         assert!(timed.alloc(1 << 30).is_none(), "over max_size");
         let snap = rec.snapshot(OpKind::Alloc);
         assert_eq!(snap.total(), 1);
-        let events = rec.flight().events();
-        let ev = events[0].1.last().copied().unwrap();
+        let ev = rec.ring().events().pop().unwrap();
         assert_eq!(ev.outcome, OpOutcome::Failed);
     }
 

@@ -1,26 +1,16 @@
-//! The recording handle threaded through the allocator stack.
-//!
-//! Every instrumentable layer (facade, cache, workload wrapper) holds an
-//! `Option<Arc<Recorder>>`.  When the option is `None` the layer takes **no
-//! timestamp at all** — the zero-cost-when-disabled discipline is expressed
-//! in the caller:
-//!
-//! ```ignore
-//! let t0 = self.obs.as_ref().map(|_| nbbs_sync::cycles_now());
-//! let out = self.inner_operation();
-//! if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-//!     rec.record_since(OpKind::Alloc, t0, detail, OpOutcome::from_ok(out.is_some()));
-//! }
-//! ```
-//!
-//! When enabled, one recording is two `rdtsc` reads, one relaxed
-//! `fetch_add`/`fetch_max` pair on a per-thread histogram shard, and one
-//! relaxed ring-buffer store for the flight recorder.
+//! The observation handle threaded through the allocator stack: one
+//! `Option<Arc<Recorder>>` per layer, one [`Recorder::time`] call per slow
+//! path.  `None` reads no timestamp; armed, one recording is two `rdtsc`
+//! reads, one relaxed `fetch_add`/`fetch_max` pair on a per-thread
+//! histogram shard, and one two-word store into the event ring.
+
+use std::sync::Arc;
 
 use nbbs_sync::cycles_now;
 
-use crate::flight::FlightRecorder;
-use crate::hist::{bucket_index, HistogramSnapshot, LatencyHistogram};
+use crate::hist::{HistogramSnapshot, LatencyHistogram};
+use crate::profile::HeapProfiler;
+use crate::ring::TraceRing;
 
 /// The operations the stack records, one histogram each.
 ///
@@ -93,7 +83,7 @@ impl OpKind {
         }
     }
 
-    /// Inverse of the discriminant, for flight-recorder decoding.
+    /// Inverse of the discriminant, for decoding ring slots.
     pub fn from_index(i: u8) -> Option<OpKind> {
         OpKind::ALL.get(i as usize).copied()
     }
@@ -120,103 +110,100 @@ impl OpOutcome {
     }
 }
 
-/// A consumer of raw, per-operation events — the hook the trace plane
-/// (`nbbs-trace`) installs to see every recorded operation with its start
-/// timestamp, not just the aggregate histogram bucket.
-///
-/// Implementations must be lock-free and cheap: the sink runs inline on
-/// every (sampled) recording of every instrumented layer.  Enable/disable
-/// gating is the sink's own business (the trace ring checks one relaxed
-/// atomic and returns), so a Recorder with a stopped sink stays within the
-/// recording-disabled overhead budget.
-pub trait EventSink: Send + Sync {
-    /// One completed operation: its kind, the TSC value at which it
-    /// started, its duration in cycles, the flight-recorder `detail`
-    /// payload (size-class log2, refill count, tree level…), and outcome.
-    fn event(
-        &self,
-        kind: OpKind,
-        start_cycles: u64,
-        duration_cycles: u64,
-        detail: u64,
-        outcome: OpOutcome,
-    );
-}
-
-/// The per-stack recording sink: one latency histogram per [`OpKind`] plus
-/// the flight recorder of recent operations, and an optional [`EventSink`]
-/// fan-out feeding the trace plane.
+/// The per-stack observation handle: one latency histogram per [`OpKind`],
+/// the event ring of recent operations, and — when armed with one — the
+/// sampled allocation-site [`HeapProfiler`].
 ///
 /// Shared as `Arc<Recorder>` by every instrumented layer of one allocator
-/// stack, so a single snapshot sees the facade and the cache together —
-/// and a single `set_event_sink` call threads the trace ring through every
-/// layer at once.
+/// stack, so a single snapshot, crash dump or trace export sees the facade,
+/// the cache and the slab together.  The handle knows which of its parts
+/// are on: a profiler-only recorder ([`Recorder::profiler_only`]) times
+/// nothing.
 pub struct Recorder {
     hists: [LatencyHistogram; OpKind::COUNT],
-    flight: FlightRecorder,
-    sink: std::sync::OnceLock<std::sync::Arc<dyn EventSink>>,
+    ring: TraceRing,
+    profiler: Option<HeapProfiler>,
+    /// Whether [`Recorder::time`] reads timestamps (off for a
+    /// profiler-only handle).
+    timing: bool,
 }
 
 impl Recorder {
-    /// Creates an empty recorder.
+    /// Creates an empty recorder: latency histograms and the event ring on,
+    /// no heap profiler.
     pub fn new() -> Self {
         Recorder {
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
-            flight: FlightRecorder::new(),
-            sink: std::sync::OnceLock::new(),
+            ring: TraceRing::new(),
+            profiler: None,
+            timing: true,
         }
     }
 
-    /// Installs the event sink every subsequent recording fans out to.
-    /// A recorder accepts one sink for its lifetime (the layers sharing it
-    /// hold plain `Arc`s — swapping sinks under them would race); returns
-    /// `false` if one was already installed.
-    pub fn set_event_sink(&self, sink: std::sync::Arc<dyn EventSink>) -> bool {
-        self.sink.set(sink).is_ok()
+    /// Adds a heap profiler sampling one in `stride` allocations.
+    #[must_use]
+    pub fn with_profiler(mut self, stride: u32) -> Self {
+        self.profiler = Some(HeapProfiler::new(stride));
+        self
     }
 
-    /// The installed event sink, if any.
-    pub fn event_sink(&self) -> Option<&std::sync::Arc<dyn EventSink>> {
-        self.sink.get()
+    /// A handle whose only armed part is the heap profiler: layers holding
+    /// it offer grants and frees to the profiler and read no timestamp.
+    pub fn profiler_only(stride: u32) -> Self {
+        Recorder {
+            hists: std::array::from_fn(|_| LatencyHistogram::new()),
+            ring: TraceRing::with_geometry(1, 1),
+            profiler: Some(HeapProfiler::new(stride)),
+            timing: false,
+        }
+    }
+
+    /// Runs `op`, timing it as one `kind` event when `obs` holds a timing
+    /// recorder.  `describe` turns the finished operation into the event's
+    /// `detail` payload and whether it succeeded; it runs only when the
+    /// event is recorded, so an un-armed layer pays one `Option` test.
+    #[inline]
+    pub fn time<T>(
+        obs: &Option<Arc<Recorder>>,
+        kind: OpKind,
+        op: impl FnOnce() -> T,
+        describe: impl FnOnce(&T) -> (u64, bool),
+    ) -> T {
+        match obs {
+            Some(rec) if rec.timing => {
+                let t0 = cycles_now();
+                let out = op();
+                let (detail, ok) = describe(&out);
+                rec.record_since(kind, t0, detail, OpOutcome::from_ok(ok));
+                out
+            }
+            _ => op(),
+        }
     }
 
     /// Records one operation that started at TSC value `start_cycles`.
     ///
-    /// `detail` is a small payload shown in flight-recorder dumps — the
-    /// size-class log2 for alloc/free, the tree level for CAS events, etc.
+    /// `detail` is a small payload shown in crash dumps and trace exports —
+    /// the size-class log2 for alloc/free, a chunk count for cache ops.
     #[inline]
     pub fn record_since(&self, kind: OpKind, start_cycles: u64, detail: u64, outcome: OpOutcome) {
         let dt = cycles_now().wrapping_sub(start_cycles);
-        let bucket = bucket_index(dt);
-        self.hists[kind as usize].record_with_bucket(dt, bucket);
-        self.flight.push(kind, outcome, bucket as u8, detail);
-        if let Some(sink) = self.sink.get() {
-            sink.event(kind, start_cycles, dt, detail, outcome);
-        }
+        self.hists[kind as usize].record(dt);
+        self.ring.push(kind, start_cycles, dt, detail, outcome);
     }
 
-    /// Records one operation of known duration `cycles`.
+    /// Records one operation of known duration `cycles` (its start is
+    /// reconstructed from the current TSC).
     #[inline]
     pub fn record_cycles(&self, kind: OpKind, cycles: u64, detail: u64, outcome: OpOutcome) {
-        let bucket = bucket_index(cycles);
-        self.hists[kind as usize].record_with_bucket(cycles, bucket);
-        self.flight.push(kind, outcome, bucket as u8, detail);
-        if let Some(sink) = self.sink.get() {
-            // The start is reconstructed; one TSC read is paid only when a
-            // sink is actually installed.
-            sink.event(
-                kind,
-                cycles_now().wrapping_sub(cycles),
-                cycles,
-                detail,
-                outcome,
-            );
-        }
-    }
-
-    /// The histogram of one operation kind.
-    pub fn histogram(&self, kind: OpKind) -> &LatencyHistogram {
-        &self.hists[kind as usize]
+        self.hists[kind as usize].record(cycles);
+        self.ring.push(
+            kind,
+            cycles_now().wrapping_sub(cycles),
+            cycles,
+            detail,
+            outcome,
+        );
     }
 
     /// Snapshot of one kind's histogram.
@@ -234,9 +221,16 @@ impl Recorder {
         out
     }
 
-    /// The flight recorder of recent operations.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
+    /// The event ring: recent operations, with the crash-dump
+    /// ([`TraceRing::flight_dump`]) and chrome-trace
+    /// ([`TraceRing::to_chrome_json`]) views.
+    pub fn ring(&self) -> &TraceRing {
+        &self.ring
+    }
+
+    /// The heap profiler, when this handle was armed with one.
+    pub fn profiler(&self) -> Option<&HeapProfiler> {
+        self.profiler.as_ref()
     }
 }
 
@@ -254,8 +248,8 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-/// The size-class detail payload: `⌈log2(size)⌉`, clamped to fit the
-/// flight-recorder detail field and read back as `~2^detail` bytes.
+/// The size-class detail payload: `⌈log2(size)⌉`, read back as
+/// `~2^detail` bytes.
 #[inline]
 pub fn size_detail(size: usize) -> u64 {
     (usize::BITS - size.saturating_sub(1).leading_zeros()) as u64
@@ -288,9 +282,11 @@ mod tests {
             rec.merged_snapshot(&[OpKind::Alloc, OpKind::Free]).total(),
             3
         );
-        let events = rec.flight().events();
-        let total: usize = events.iter().map(|(_, evs)| evs.len()).sum();
-        assert_eq!(total, 3, "every recording leaves a flight event");
+        assert_eq!(
+            rec.ring().events().len(),
+            3,
+            "every recording is in the ring"
+        );
     }
 
     #[test]
@@ -309,36 +305,55 @@ mod tests {
     }
 
     #[test]
-    fn event_sink_sees_every_recording_once_installed() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        #[derive(Default)]
-        struct Counting {
-            events: AtomicU64,
-            cycles: AtomicU64,
-        }
-        impl EventSink for Counting {
-            fn event(&self, _: OpKind, start: u64, dur: u64, _: u64, _: OpOutcome) {
-                assert!(start > 0, "start TSC is reconstructed when absent");
-                self.events.fetch_add(1, Ordering::Relaxed);
-                self.cycles.fetch_add(dur, Ordering::Relaxed);
-            }
-        }
-
+    fn every_recording_reaches_the_ring_until_stopped() {
         let rec = Recorder::new();
-        rec.record_cycles(OpKind::Alloc, 10, 0, OpOutcome::Ok);
-        let sink = Arc::new(Counting::default());
-        assert!(rec.set_event_sink(Arc::clone(&sink) as Arc<dyn EventSink>));
-        assert!(
-            !rec.set_event_sink(Arc::clone(&sink) as Arc<dyn EventSink>),
-            "a recorder accepts one sink for its lifetime"
-        );
-        rec.record_cycles(OpKind::PageGrant, 70, 3, OpOutcome::Ok);
+        rec.record_cycles(OpKind::PageGrant, 300, 4, OpOutcome::Ok);
         rec.record_since(OpKind::ReserveHit, cycles_now(), 1, OpOutcome::Failed);
-        assert_eq!(sink.events.load(Ordering::Relaxed), 2);
-        assert!(sink.cycles.load(Ordering::Relaxed) >= 70);
-        assert_eq!(rec.snapshot(OpKind::PageGrant).total(), 1);
+        rec.ring().stop();
+        rec.record_cycles(OpKind::Alloc, 80, 7, OpOutcome::Ok);
+        let events = rec.ring().events();
+        assert_eq!(events.len(), 2, "a stopped ring gates the third");
+        assert_eq!(events[0].kind, OpKind::PageGrant);
+        assert_eq!(events[0].duration_cycles, 300);
+        assert!(events[0].start_cycles > 0, "start TSC is reconstructed");
+        assert_eq!(events[1].outcome, OpOutcome::Failed);
+        assert_eq!(
+            rec.snapshot(OpKind::Alloc).total(),
+            1,
+            "histograms do not stop"
+        );
+    }
+
+    #[test]
+    fn time_records_only_on_a_timing_handle() {
+        let describe = |out: &Option<u32>| (7, out.is_some());
+        let none = None;
+        assert_eq!(
+            Recorder::time(&none, OpKind::Alloc, || Some(1), describe),
+            Some(1)
+        );
+
+        let armed = Some(Arc::new(Recorder::new()));
+        assert_eq!(
+            Recorder::time(&armed, OpKind::Alloc, || None, describe),
+            None
+        );
+        let rec = armed.as_ref().unwrap();
+        assert_eq!(rec.snapshot(OpKind::Alloc).total(), 1);
+        let ev = rec.ring().events()[0];
+        assert_eq!((ev.class, ev.outcome), (7, OpOutcome::Failed));
+
+        let profiling = Some(Arc::new(Recorder::profiler_only(1)));
+        Recorder::time(
+            &profiling,
+            OpKind::Alloc,
+            || Some(1),
+            |_| unreachable!("a profiler-only handle describes nothing"),
+        );
+        let rec = profiling.as_ref().unwrap();
+        assert!(rec.profiler().is_some());
+        assert_eq!(rec.merged_snapshot(&OpKind::ALL).total(), 0);
+        assert!(rec.ring().is_empty());
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! The event trace ring: per-thread rings of raw operation events.
+//! The event ring: per-thread rings of raw operation events.
 //!
-//! Where the flight recorder (`nbbs-obs`) keeps a small run-length-rendered
-//! tail for crash dumps, the trace ring keeps enough per event — the start
-//! TSC and the duration — to reconstruct a *timeline* and export it in the
-//! chrome://tracing JSON format Perfetto and `chrome://tracing` open
-//! directly.
+//! Every [`Recorder`](crate::Recorder) owns one.  A slot keeps enough per
+//! event — the start TSC and the duration — to reconstruct a *timeline*,
+//! and the ring has two views: the run-length `[flight]` crash dump of each
+//! ring's tail ([`TraceRing::flight_dump`]) and the chrome://tracing JSON
+//! export Perfetto and `chrome://tracing` open directly
+//! ([`TraceRing::to_chrome_json`]).
 //!
 //! Each slot is two `AtomicU64`s:
 //!
@@ -19,15 +20,18 @@
 //! old word 1 — like every snapshot in this stack, a dump is exact at
 //! quiescence and best-effort in flight.
 //!
-//! Recording is gated by one relaxed [`AtomicBool`]: a stopped ring costs a
-//! single load per event, which keeps a tracing-compiled-in-but-disabled
-//! stack inside the ≤5 % overhead budget the CI gate enforces.
+//! A ring records from the moment it exists (epoch 0), so a crash dump
+//! always has a tail.  [`TraceRing::stop`] / [`TraceRing::start`] bracket a
+//! window for export: recording is gated by one relaxed [`AtomicBool`], and
+//! every `start` opens a new epoch the window's events are tagged with.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use nbbs_obs::hist::cycles_to_ns;
-use nbbs_obs::{json, EventSink, OpKind, OpOutcome};
-use nbbs_sync::{thread_ordinal, CachePadded};
+use nbbs_sync::{thread_node, thread_ordinal, CachePadded};
+
+use crate::hist::{cycles_to_ns, tsc_hz};
+use crate::json;
+use crate::recorder::{OpKind, OpOutcome};
 
 /// Number of rings (threads map onto rings by ordinal).
 pub const TRACE_RINGS: usize = 8;
@@ -64,7 +68,7 @@ pub struct TraceEvent {
     /// cache ops), saturated to 255.
     pub class: u8,
     /// NUMA node the recording thread declared via
-    /// [`crate::set_thread_node`], if any.
+    /// [`nbbs_sync::set_thread_node`], if any.
     pub node: Option<usize>,
     /// Low 8 bits of the recording epoch the event belongs to.
     pub epoch: u8,
@@ -94,44 +98,33 @@ impl Ring {
     }
 }
 
-/// Lock-free per-thread-group trace rings with start/stop epochs.
-///
-/// Installed once per stack via
-/// [`Recorder::set_event_sink`](nbbs_obs::Recorder::set_event_sink); every
-/// layer that records into that `Recorder` then feeds the ring without any
-/// further wiring.  Created stopped — call [`TraceRing::start`] to open the
-/// first recording epoch.
+/// Lock-free per-thread-group event rings with start/stop epochs.
 ///
 /// ```
-/// use std::sync::Arc;
 /// use nbbs_obs::{OpKind, OpOutcome, Recorder};
-/// use nbbs_trace::TraceRing;
 ///
 /// let rec = Recorder::new();
-/// let ring = Arc::new(TraceRing::new());
-/// rec.set_event_sink(Arc::clone(&ring) as Arc<dyn nbbs_obs::EventSink>);
-/// ring.start();
 /// rec.record_cycles(OpKind::Alloc, 120, 7, OpOutcome::Ok);
-/// ring.stop();
-/// rec.record_cycles(OpKind::Free, 90, 7, OpOutcome::Ok); // not traced
-/// assert_eq!(ring.events().len(), 1);
+/// rec.ring().stop();
+/// rec.record_cycles(OpKind::Free, 90, 7, OpOutcome::Ok); // not in the ring
+/// assert_eq!(rec.ring().events().len(), 1);
+/// assert!(rec.ring().flight_dump().contains("alloc"));
 /// ```
 pub struct TraceRing {
     rings: Box<[CachePadded<Ring>]>,
     capacity: usize,
     enabled: AtomicBool,
     epoch: AtomicU64,
-    dropped: AtomicU64,
 }
 
 impl TraceRing {
-    /// Creates a stopped ring with the default geometry
+    /// Creates a recording ring with the default geometry
     /// ([`TRACE_RINGS`] × [`TRACE_CAPACITY`]).
     pub fn new() -> Self {
         Self::with_geometry(TRACE_RINGS, TRACE_CAPACITY)
     }
 
-    /// Creates a stopped ring with `rings` rings of `capacity` slots each
+    /// Creates a recording ring with `rings` rings of `capacity` slots each
     /// (both clamped to at least 1).
     pub fn with_geometry(rings: usize, capacity: usize) -> Self {
         let rings = rings.max(1);
@@ -141,9 +134,8 @@ impl TraceRing {
                 .map(|_| CachePadded::new(Ring::new(capacity)))
                 .collect(),
             capacity,
-            enabled: AtomicBool::new(false),
+            enabled: AtomicBool::new(true),
             epoch: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -166,7 +158,7 @@ impl TraceRing {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// The current epoch number (0 before the first [`TraceRing::start`]).
+    /// The current epoch number (0 until the first [`TraceRing::start`]).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)
     }
@@ -174,16 +166,21 @@ impl TraceRing {
     /// Events whose slot was overwritten because a ring wrapped (a lower
     /// bound: computed from head counters, exact at quiescence).
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-            + self
-                .rings
-                .iter()
-                .map(|r| {
-                    r.head
-                        .load(Ordering::Relaxed)
-                        .saturating_sub(self.capacity as u64)
-                })
-                .sum::<u64>()
+        self.rings
+            .iter()
+            .map(|r| {
+                r.head
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(self.capacity as u64)
+            })
+            .sum()
+    }
+
+    /// Whether no event was ever recorded.
+    pub fn is_empty(&self) -> bool {
+        self.rings
+            .iter()
+            .all(|r| r.head.load(Ordering::Relaxed) == 0)
     }
 
     /// Decodes every ring, oldest slot first within each ring.  Exact at
@@ -231,7 +228,7 @@ impl TraceRing {
     ///
     /// Rings map to thread lanes, operation kinds to event names, and the
     /// TSC timeline is rebased to the earliest event and converted to
-    /// microseconds with the calibrated [`tsc_hz`](nbbs_obs::tsc_hz).
+    /// microseconds with the calibrated [`tsc_hz`].
     pub fn to_chrome_json(&self, label: &str) -> String {
         use std::fmt::Write as _;
         let mut events = self.events();
@@ -243,7 +240,7 @@ impl TraceRing {
             "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"label\":\"{}\",\
              \"tsc_hz\":{},\"events\":{},\"dropped\":{}}},\"traceEvents\":[",
             json::esc(label),
-            json::num(nbbs_obs::tsc_hz()),
+            json::num(tsc_hz()),
             events.len(),
             self.dropped()
         );
@@ -285,9 +282,13 @@ impl Default for TraceRing {
     }
 }
 
-impl EventSink for TraceRing {
+impl TraceRing {
+    /// Appends one completed operation to the calling thread's ring: its
+    /// kind, the TSC value at which it started, its duration in cycles, the
+    /// `detail` payload (size-class log2, refill count, tree level…;
+    /// saturated to 255) and outcome.  One relaxed load when stopped.
     #[inline]
-    fn event(
+    pub fn push(
         &self,
         kind: OpKind,
         start_cycles: u64,
@@ -298,7 +299,7 @@ impl EventSink for TraceRing {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        let node = crate::thread_node().map_or(0, |n| (n + 1) as u8);
+        let node = thread_node().map_or(0, |n| (n + 1) as u8);
         let epoch = (self.epoch.load(Ordering::Relaxed) & 0xFF) as u8;
         let ring = &self.rings[thread_ordinal() % self.rings.len()];
         let i = ring.head.fetch_add(1, Ordering::Relaxed) as usize % self.capacity;
@@ -322,21 +323,19 @@ impl EventSink for TraceRing {
 mod tests {
     use super::*;
     use crate::jsoncheck;
-    use nbbs_obs::Recorder;
-    use std::sync::Arc;
 
     #[test]
     fn stopped_ring_records_nothing() {
         let ring = TraceRing::new();
-        ring.event(OpKind::Alloc, 10, 5, 7, OpOutcome::Ok);
-        assert!(ring.events().is_empty(), "created stopped");
-        ring.start();
-        ring.event(OpKind::Alloc, 10, 5, 7, OpOutcome::Ok);
+        assert!(ring.is_recording() && ring.is_empty(), "created recording");
+        ring.push(OpKind::Alloc, 10, 5, 7, OpOutcome::Ok);
         ring.stop();
-        ring.event(OpKind::Free, 20, 5, 7, OpOutcome::Ok);
+        ring.push(OpKind::Free, 20, 5, 7, OpOutcome::Ok);
         let events = ring.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, OpKind::Alloc);
+        assert_eq!(events[0].epoch, 0, "before the first start()");
+        assert!(!ring.is_empty());
     }
 
     #[test]
@@ -344,7 +343,7 @@ mod tests {
         let ring = TraceRing::with_geometry(1, 64);
         ring.start();
         for i in 0..40u64 {
-            ring.event(
+            ring.push(
                 OpKind::ALL[(i % 12) as usize],
                 1_000 + i,
                 i * 3,
@@ -372,7 +371,7 @@ mod tests {
         let ring = TraceRing::with_geometry(1, 16);
         ring.start();
         for i in 0..20u64 {
-            ring.event(OpKind::Alloc, i, 1, 0, OpOutcome::Ok);
+            ring.push(OpKind::Alloc, i, 1, 0, OpOutcome::Ok);
         }
         let events = ring.events();
         assert_eq!(events.len(), 16);
@@ -386,10 +385,10 @@ mod tests {
         let ring = TraceRing::with_geometry(1, 64);
         assert_eq!(ring.epoch(), 0);
         assert_eq!(ring.start(), 1);
-        ring.event(OpKind::Alloc, 5, 1, 0, OpOutcome::Ok);
+        ring.push(OpKind::Alloc, 5, 1, 0, OpOutcome::Ok);
         ring.stop();
         assert_eq!(ring.start(), 2);
-        ring.event(OpKind::Free, 9, 1, 0, OpOutcome::Ok);
+        ring.push(OpKind::Free, 9, 1, 0, OpOutcome::Ok);
         ring.stop();
         let events = ring.events();
         assert_eq!(events.len(), 2);
@@ -400,8 +399,8 @@ mod tests {
     fn node_hint_and_saturation_reach_the_slot() {
         let ring = TraceRing::with_geometry(1, 8);
         ring.start();
-        crate::set_thread_node(2);
-        ring.event(OpKind::Alloc, 1, u64::MAX, 999, OpOutcome::Ok);
+        nbbs_sync::set_thread_node(2);
+        ring.push(OpKind::Alloc, 1, u64::MAX, 999, OpOutcome::Ok);
         let ev = ring.events()[0];
         assert_eq!(ev.node, Some(2));
         assert_eq!(ev.class, 255, "detail saturates");
@@ -409,25 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn installed_as_sink_it_traces_recorder_traffic() {
-        let rec = Recorder::new();
-        let ring = Arc::new(TraceRing::new());
-        assert!(rec.set_event_sink(Arc::clone(&ring) as Arc<dyn EventSink>));
-        ring.start();
-        rec.record_cycles(OpKind::PageGrant, 300, 4, OpOutcome::Ok);
-        rec.record_cycles(OpKind::Alloc, 80, 7, OpOutcome::Failed);
-        ring.stop();
-        let events = ring.events();
-        assert_eq!(events.len(), 2);
-        assert!(events.iter().any(|e| e.kind == OpKind::PageGrant));
-    }
-
-    #[test]
     fn chrome_export_is_valid_json_with_one_slice_per_event() {
         let ring = TraceRing::with_geometry(2, 32);
         ring.start();
         for i in 0..10u64 {
-            ring.event(OpKind::Alloc, 1_000_000 + i * 100, 50, 7, OpOutcome::Ok);
+            ring.push(OpKind::Alloc, 1_000_000 + i * 100, 50, 7, OpOutcome::Ok);
         }
         ring.stop();
         let doc = ring.to_chrome_json("unit \"stack\"\n");

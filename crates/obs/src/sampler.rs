@@ -21,7 +21,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use nbbs_obs::{json, StackSnapshot};
+use crate::json;
+use crate::registry::StackSnapshot;
 
 /// One time-series sample: gauges at the sampling instant plus deltas
 /// against the previous sample.
@@ -353,8 +354,7 @@ fn prom_num(v: f64) -> String {
 /// use std::sync::Arc;
 /// use std::time::Duration;
 /// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
-/// use nbbs_obs::MetricsRegistry;
-/// use nbbs_trace::MetricsSampler;
+/// use nbbs_obs::{MetricsRegistry, MetricsSampler};
 ///
 /// let tree = Arc::new(NbbsFourLevel::new(
 ///     BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap(),
@@ -466,8 +466,8 @@ impl Drop for MetricsSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FacadeShare;
     use nbbs::OpStatsSnapshot;
-    use nbbs_obs::FacadeShare;
 
     fn snap_with(allocs: u64, frees: u64, hits: u64, requested: u64) -> StackSnapshot {
         StackSnapshot {

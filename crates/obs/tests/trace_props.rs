@@ -1,4 +1,4 @@
-//! Property suite for the lock-free trace ring.
+//! Property suite for the lock-free event ring.
 //!
 //! * quiescent exactness: any batch below capacity reads back with no
 //!   torn, lost or reordered events — every field round-trips;
@@ -9,13 +9,12 @@
 
 use proptest::prelude::*;
 
-use nbbs_obs::{EventSink, OpKind, OpOutcome};
-use nbbs_trace::TraceRing;
+use nbbs_obs::{OpKind, OpOutcome, TraceRing};
 
 /// Duration saturation point of the 33-bit slot field.
 const DUR_MAX: u64 = (1 << 33) - 1;
 
-/// One raw event as the sink sees it.
+/// One raw event as the ring is handed it.
 fn event_strategy() -> impl Strategy<Value = (usize, u64, u64, u64, bool)> {
     (
         0usize..OpKind::ALL.len(),
@@ -35,7 +34,7 @@ proptest! {
         let ring = TraceRing::with_geometry(1, 256);
         ring.start();
         for &(kind, start, dur, detail, ok) in &batch {
-            ring.event(OpKind::ALL[kind], start, dur, detail, OpOutcome::from_ok(ok));
+            ring.push(OpKind::ALL[kind], start, dur, detail, OpOutcome::from_ok(ok));
         }
         ring.stop();
         let events = ring.events();
@@ -72,11 +71,11 @@ proptest! {
             if stopped_gap {
                 // An event while stopped must vanish without a trace.
                 ring.stop();
-                ring.event(OpKind::Alloc, 0, 0, 0, OpOutcome::Ok);
+                ring.push(OpKind::Alloc, 0, 0, 0, OpOutcome::Ok);
                 ring.start();
                 epoch += 1;
             }
-            ring.event(OpKind::ALL[kind], start, dur, detail, OpOutcome::from_ok(ok));
+            ring.push(OpKind::ALL[kind], start, dur, detail, OpOutcome::from_ok(ok));
             expected.push((epoch & 0xFF) as u8);
         }
         ring.stop();
@@ -118,7 +117,7 @@ fn concurrent_storm_conserves_every_event_at_quiescence() {
                 for i in 0..PER_THREAD {
                     // Class identifies the thread; start is a per-thread
                     // sequence number so order within a ring is checkable.
-                    ring.event(OpKind::Alloc, i, 1, t as u64, OpOutcome::Ok);
+                    ring.push(OpKind::Alloc, i, 1, t as u64, OpOutcome::Ok);
                 }
             })
         })

@@ -59,8 +59,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use nbbs::error::{AllocError, FreeError};
 use nbbs::stats::{FragClassSnapshot, FragStatsSnapshot};
 use nbbs::{BuddyBackend, BuddyConfig, Geometry};
-use nbbs_obs::{OpKind, OpOutcome, Recorder};
-use nbbs_sync::{cycles_now, BoundedStack, CachePadded, SpinLock};
+use nbbs_obs::{OpKind, Recorder};
+use nbbs_sync::{BoundedStack, CachePadded, SpinLock};
 
 /// Smallest class size and slot granule: every class size is a multiple of
 /// this, so every object offset is too.
@@ -307,7 +307,7 @@ impl<A: BuddyBackend> SlabBackend<A> {
 
     /// Attaches a latency recorder: page grants, page retires and orphan
     /// rescues show up as [`OpKind::PageGrant`] / [`OpKind::PageRetire`] /
-    /// [`OpKind::OrphanRescue`] in its histograms, flight ring and trace.
+    /// [`OpKind::OrphanRescue`] in its histograms and event ring.
     pub fn with_recorder(mut self, recorder: std::sync::Arc<Recorder>) -> Self {
         self.obs = Some(recorder);
         self
@@ -495,16 +495,12 @@ impl<A: BuddyBackend> SlabBackend<A> {
     /// after the grant is plain atomics, so no path can orphan a page.
     fn grant_page(&self, class: usize, requested: usize) -> Result<usize, AllocError> {
         self.rescue_orphaned_pages();
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
-        let granted = self.inner.try_alloc(self.page_size);
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(
-                OpKind::PageGrant,
-                t0,
-                class as u64,
-                OpOutcome::from_ok(granted.is_ok()),
-            );
-        }
+        let granted = Recorder::time(
+            &self.obs,
+            OpKind::PageGrant,
+            || self.inner.try_alloc(self.page_size),
+            |granted| (class as u64, granted.is_ok()),
+        );
         let page_off = match granted {
             Ok(off) => off,
             Err(AllocError::OutOfMemory { .. }) => {
@@ -605,11 +601,12 @@ impl<A: BuddyBackend> SlabBackend<A> {
                 Ok(_) => {
                     self.pages_held.fetch_sub(1, Ordering::Relaxed);
                     self.pages_retired.fetch_add(1, Ordering::Relaxed);
-                    let t0 = self.obs.as_ref().map(|_| cycles_now());
-                    self.return_page(idx * self.page_size);
-                    if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-                        rec.record_since(OpKind::PageRetire, t0, class as u64, OpOutcome::Ok);
-                    }
+                    Recorder::time(
+                        &self.obs,
+                        OpKind::PageRetire,
+                        || self.return_page(idx * self.page_size),
+                        |_| (class as u64, true),
+                    );
                     return true;
                 }
                 Err(cur) => s = cur,
@@ -649,18 +646,21 @@ impl<A: BuddyBackend> SlabBackend<A> {
             return;
         }
         let rescued = stranded.len() as u64;
-        let t0 = self.obs.as_ref().map(|_| cycles_now());
         let mut guard = OrphanGuard {
             slab: self,
             pages: stranded,
         };
-        while let Some(&off) = guard.pages.last() {
-            self.inner.dealloc(off);
-            guard.pages.pop();
-        }
-        if let (Some(rec), Some(t0)) = (&self.obs, t0) {
-            rec.record_since(OpKind::OrphanRescue, t0, rescued, OpOutcome::Ok);
-        }
+        Recorder::time(
+            &self.obs,
+            OpKind::OrphanRescue,
+            || {
+                while let Some(&off) = guard.pages.last() {
+                    self.inner.dealloc(off);
+                    guard.pages.pop();
+                }
+            },
+            |_| (rescued, true),
+        );
     }
 
     /// Retires every fully-free page regardless of the hysteresis — the

@@ -21,7 +21,9 @@
 //!   the clock-cycle metric of Figure 12.
 //! * [`thread_ordinal`] — process-wide monotone thread ids, shared by the
 //!   cache's thread slots and `nbbs-numa`'s synthetic home-node assignment
-//!   so both layers agree on which threads are "the same".
+//!   so both layers agree on which threads are "the same"; next to it
+//!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
+//!   publishes and `nbbs-obs` tags events with.
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
 //!   types whose every access is a yield point reporting to a deterministic
 //!   scheduler; `nbbs::fourlvl` compiles against them under
@@ -46,5 +48,5 @@ pub use cycles::{cycles_now, CycleTimer};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};
-pub use tid::thread_ordinal;
+pub use tid::{set_thread_node, thread_node, thread_ordinal};
 pub use treiber::BoundedStack;

@@ -6,7 +6,9 @@
 //! one crate both depend on, guarantees they see the **same** id for the
 //! same thread: a thread's cache slot and its synthetic home node are
 //! derived from one ordinal, so slot-group banking and node routing agree
-//! by construction.
+//! by construction.  The home node itself is published here too
+//! ([`set_thread_node`]), so the layer that routes (`nbbs-numa`) and the one
+//! that records (`nbbs-obs`) need not name each other.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -35,9 +37,49 @@ pub fn thread_ordinal() -> usize {
         .unwrap_or(0)
 }
 
+/// Stored node-hint value meaning "this thread never declared a node".
+const NODE_UNTAGGED: u8 = 0;
+
+/// Highest node index the 6-bit node field of a recorded event can carry.
+const MAX_THREAD_NODE: usize = 61;
+
+thread_local! {
+    static NODE_HINT: Cell<u8> = const { Cell::new(NODE_UNTAGGED) };
+}
+
+/// Declares the calling thread's home NUMA node.  `nbbs-numa`'s `NodeSet`
+/// calls this when it homes a thread and `nbbs-obs` tags recorded events
+/// with it; nodes above 61 saturate (an event keeps 6 bits for the node).
+pub fn set_thread_node(node: usize) {
+    let stored = (node.min(MAX_THREAD_NODE) + 1) as u8;
+    NODE_HINT.with(|h| h.set(stored));
+}
+
+/// The calling thread's declared home node, if [`set_thread_node`] ran.
+pub fn thread_node() -> Option<usize> {
+    NODE_HINT.with(|h| match h.get() {
+        NODE_UNTAGGED => None,
+        v => Some((v - 1) as usize),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_hint_is_per_thread_and_saturating() {
+        assert_eq!(thread_node(), None);
+        set_thread_node(3);
+        assert_eq!(thread_node(), Some(3));
+        set_thread_node(10_000);
+        assert_eq!(thread_node(), Some(MAX_THREAD_NODE));
+        std::thread::spawn(|| assert_eq!(thread_node(), None))
+            .join()
+            .unwrap();
+        set_thread_node(0);
+        assert_eq!(thread_node(), Some(0));
+    }
 
     #[test]
     fn stable_within_a_thread_and_distinct_across_threads() {

@@ -1,84 +1,14 @@
-//! # nbbs-trace — the tracing plane of the NBBS reproduction.
+//! # nbbs-trace — folded into `nbbs-obs`.
 //!
-//! `nbbs-obs` (PR 6) answers *"how slow?"* with aggregate histograms; this
-//! crate answers *"what happened, when, and who asked for it?"*:
+//! This package declares nothing.  Its ring, heap profiler, metrics sampler
+//! and JSON checker are modules of `nbbs-obs` now (`ring`, `profile`,
+//! `sampler`, `jsoncheck`), owned by the one `Recorder` handle, and the
+//! per-thread NUMA-node hint moved to `nbbs-sync` (`set_thread_node` /
+//! `thread_node`).
 //!
-//! * [`TraceRing`] — lock-free per-thread rings of raw operation events
-//!   (start TSC, kind, size-class, NUMA node, outcome) fed by the
-//!   [`nbbs_obs::EventSink`] hook every instrumented layer already fans
-//!   out to, with start/stop epochs and a chrome://tracing (Perfetto)
-//!   JSON exporter.
-//! * [`HeapProfiler`] — a sampled allocation-site profiler: one in N
-//!   allocations captures a [`std::backtrace::Backtrace`], hashed into a
-//!   lock-free site table carrying live-bytes / live-objects / cumulative
-//!   counters, dumped as a ranked [`ProfileReport`].
-//! * [`SeriesRecorder`] / [`MetricsSampler`] — periodic
-//!   [`nbbs_obs::StackSnapshot`]s folded into a delta time series with
-//!   JSON-lines and Prometheus text-format exposition (dump-to-file only;
-//!   nothing in this workspace opens a socket).
-//! * [`jsoncheck`] — a dependency-free JSON parser used as the validity
-//!   gate for every exposition format this crate emits (the build
-//!   environment is offline — no serde).
-//!
-//! The crate depends on `nbbs` + `nbbs-sync` + `nbbs-obs` only, so the
-//! cache, slab, NUMA and facade layers can all sit above it without
-//! cycles.  The one piece of cross-layer context the sink signature does
-//! not carry — which NUMA node the calling thread is homed on — arrives
-//! through the [`set_thread_node`] thread-local hint that `NodeSet`
-//! publishes when it pins a thread.
-
-pub mod jsoncheck;
-pub mod profile;
-pub mod ring;
-pub mod sampler;
-
-pub use profile::{HeapProfiler, ProfileReport, SiteReport, DEFAULT_PROFILE_STRIDE};
-pub use ring::{TraceEvent, TraceRing, TRACE_CAPACITY, TRACE_RINGS};
-pub use sampler::{MetricsSampler, Sample, SeriesRecorder};
-
-use std::cell::Cell;
-
-/// Stored node-hint value meaning "this thread never declared a node".
-const NODE_UNTAGGED: u8 = 0;
-
-/// Highest node index the 6-bit trace-slot field can carry.
-pub const MAX_TRACE_NODE: usize = 61;
-
-thread_local! {
-    static NODE_HINT: Cell<u8> = const { Cell::new(NODE_UNTAGGED) };
-}
-
-/// Declares the calling thread's home NUMA node for subsequent trace
-/// events.  `NodeSet` calls this when it homes a thread; nodes above
-/// [`MAX_TRACE_NODE`] saturate (the trace slot keeps 6 bits for the node).
-pub fn set_thread_node(node: usize) {
-    let stored = (node.min(MAX_TRACE_NODE) + 1) as u8;
-    NODE_HINT.with(|h| h.set(stored));
-}
-
-/// The calling thread's declared home node, if [`set_thread_node`] ran.
-pub fn thread_node() -> Option<usize> {
-    NODE_HINT.with(|h| match h.get() {
-        NODE_UNTAGGED => None,
-        v => Some((v - 1) as usize),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn node_hint_is_per_thread_and_saturating() {
-        assert_eq!(thread_node(), None);
-        set_thread_node(3);
-        assert_eq!(thread_node(), Some(3));
-        set_thread_node(10_000);
-        assert_eq!(thread_node(), Some(MAX_TRACE_NODE));
-        std::thread::spawn(|| assert_eq!(thread_node(), None))
-            .join()
-            .unwrap();
-        set_thread_node(0);
-        assert_eq!(thread_node(), Some(0));
-    }
-}
+//! The package itself stays only because the frozen `benchmark/Cargo.lock`
+//! names it as a dependency of `nbbs-alloc` and `nbbs-numa`, and
+//! `benchmark/run.sh` builds without `--locked`: removing the package would
+//! make every benchmark build rewrite that file.  The benchmark PR that next
+//! refreshes the lock deletes this directory together with the two
+//! vestigial `nbbs-trace` manifest lines (ROADMAP item 4).

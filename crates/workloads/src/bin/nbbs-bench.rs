@@ -31,13 +31,10 @@
 //!                   stride 1); `--prom <path>` also runs a background
 //!                   `MetricsSampler` over the run and writes Prometheus
 //!                   text + JSON-lines series
-//!   trace           Record a deterministic Larson run into the lock-free
-//!                   trace ring and write chrome://tracing (Perfetto) JSON
+//!   trace           Record a deterministic Larson run into the recorder's
+//!                   event ring and write chrome://tracing (Perfetto) JSON
 //!                   to `--out` (default nbbs-trace.json); `--check`
 //!                   re-parses the file and gates an event-count floor
-//!   trace-overhead  Tracing-compiled-in-but-disabled A/B (Larson, event
-//!                   sink installed with the ring stopped vs recording
-//!                   only) — min-gap `overhead_pct=` line for the CI gate
 //!   scrub-overhead  Background decommit-scrubber A/B (Larson over a
 //!                   demand-zero BuddyRegion, scrubber armed at the
 //!                   production 100 ms cadence vs off) — min-gap
@@ -71,8 +68,8 @@
 //!                     write a Prometheus text series to <path> (plus
 //!                     JSON-lines to <path>.jsonl)
 //!   --check           For `trace`: re-parse the emitted chrome-trace JSON
-//!                     with the strict nbbs-trace validator and fail below
-//!                     the event-count floor
+//!                     with the strict `nbbs_obs::jsoncheck` validator and
+//!                     fail below the event-count floor
 //!   --quiet           Suppress progress output
 //! ```
 //!
@@ -108,8 +105,8 @@ use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
 use nbbs_cache::{verify_cached_empty, CacheConfig, MagazineCache};
 use nbbs_chaos::{FaultInjecting, FaultPlan};
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_obs::MetricsSampler;
 use nbbs_sync::CycleTimer;
-use nbbs_trace::{HeapProfiler, MetricsSampler, TraceRing};
 use nbbs_workloads::factory::{AllocatorKind, SharedBackend};
 use nbbs_workloads::harness::{FigureSpec, Harness, Metric, SweepConfig, Workload};
 use nbbs_workloads::linux_scalability::{self, LinuxScalabilityParams};
@@ -771,13 +768,13 @@ fn obs_overhead(opts: &Options) -> Vec<Measurement> {
 
 /// Sampled allocation-site heap profile: the facade-level web-server
 /// request mix (header + streamed body chunks per request, random
-/// retirement) with a [`nbbs_trace::HeapProfiler`] attached to an
+/// retirement) with a profiler-only [`nbbs_obs::Recorder`] attached to an
 /// `NbbsAllocator` over the cached tree.  Each thread keeps its last 64
 /// blocks live at exit, so the quiescent report has something to rank; the
 /// printed `profile_attributed_pct=` compares the profiler's attributed
 /// live bytes against the facade's own grant accounting (CI gates ≥95% at
 /// stride 1, where sampling is exhaustive).  With `--prom <path>` a
-/// background [`nbbs_trace::MetricsSampler`] snapshots the stack during
+/// background [`MetricsSampler`] snapshots the stack during
 /// the run and the delta series is written as Prometheus text (plus
 /// JSON-lines next to it).
 fn profile(opts: &Options) -> Result<Vec<Measurement>, String> {
@@ -788,10 +785,11 @@ fn profile(opts: &Options) -> Result<Vec<Measurement>, String> {
     let mut measurements = Vec::new();
     for &t in &threads {
         let config = BuddyConfig::new(64 << 20, 64, 64 << 10).expect("profile configuration");
-        let profiler = Arc::new(HeapProfiler::new(stride));
+        let profiling = Arc::new(nbbs_obs::Recorder::profiler_only(stride));
         let cache = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
         let facade = Arc::new(
-            nbbs_alloc::NbbsAllocator::new(Arc::clone(&cache)).with_profiler(Arc::clone(&profiler)),
+            nbbs_alloc::NbbsAllocator::new(Arc::clone(&cache))
+                .with_recorder(Arc::clone(&profiling)),
         );
         let sampler = opts.prom_path.as_ref().map(|_| {
             let cache = Arc::clone(&cache);
@@ -888,7 +886,10 @@ fn profile(opts: &Options) -> Result<Vec<Measurement>, String> {
             .iter()
             .map(|&(_, layout)| facade.granted_size(layout).unwrap_or(layout.size()) as u64)
             .sum();
-        let report = profiler.report();
+        let report = profiling
+            .profiler()
+            .expect("built with one just above")
+            .report();
         let attributed = report.attributed_live_bytes();
         let pct = if actual_live == 0 {
             100.0
@@ -928,22 +929,18 @@ fn profile(opts: &Options) -> Result<Vec<Measurement>, String> {
 }
 
 /// Event-trace capture: a deterministic Larson run over the cached tree
-/// with every operation recorded (`Recorded` stride 1) and fanned out to
-/// the lock-free [`nbbs_trace::TraceRing`], exported as chrome://tracing
-/// (Perfetto) JSON.  `--check` re-parses the emitted file with the strict
-/// `nbbs_trace::jsoncheck` validator and enforces an event-count floor, so
-/// CI catches both malformed output and a silently disconnected sink.
+/// with every operation recorded (`Recorded` stride 1), exported from the
+/// recorder's event ring as chrome://tracing (Perfetto) JSON.  `--check`
+/// re-parses the emitted file with the strict `nbbs_obs::jsoncheck`
+/// validator and enforces an event-count floor, so CI catches both
+/// malformed output and a layer that silently stopped recording.
 fn trace(opts: &Options) -> Result<Vec<Measurement>, String> {
     println!("\n=== Trace: chrome://tracing capture of a Larson run ===");
     let t = opts.threads.clone().unwrap_or_else(|| vec![4])[0];
     let size = opts.sizes.clone().unwrap_or_else(|| vec![128])[0];
     let sweep = SweepConfig::user_space(Workload::Larson, opts.scale);
     let rec = Arc::new(nbbs_obs::Recorder::new());
-    let ring = Arc::new(TraceRing::new());
-    assert!(
-        rec.set_event_sink(Arc::clone(&ring) as _),
-        "fresh recorder has no sink yet"
-    );
+    let ring = rec.ring();
     let alloc: SharedBackend = Arc::new(nbbs_obs::Recorded::new(
         MagazineCache::with_config_and_name(
             NbbsFourLevel::new(sweep.memory),
@@ -973,11 +970,11 @@ fn trace(opts: &Options) -> Result<Vec<Measurement>, String> {
         ring.dropped(),
     );
     if opts.check {
-        let slices = nbbs_trace::jsoncheck::validate_chrome_trace(&json)
+        let slices = nbbs_obs::jsoncheck::validate_chrome_trace(&json)
             .map_err(|e| format!("chrome-trace validation failed: {e}"))?;
         if slices < 16 {
             return Err(format!(
-                "trace too sparse: {slices} slices (floor 16) — is the sink connected?"
+                "trace too sparse: {slices} slices (floor 16) — is anything recording?"
             ));
         }
         println!("[trace] check ok: {slices} valid slices");
@@ -989,34 +986,6 @@ fn trace(opts: &Options) -> Result<Vec<Measurement>, String> {
         size,
         result,
     )])
-}
-
-/// Tracing-compiled-in-but-disabled overhead: full recording on both
-/// sides; the on-side additionally has a [`TraceRing`] installed as the
-/// recorder's event sink but never started, so the measured gap is exactly
-/// the disabled-sink fan-out cost on the record path.
-fn trace_overhead(opts: &Options) -> Vec<Measurement> {
-    println!("\n=== Trace overhead: Larson, sink installed (ring stopped) vs recording only ===");
-    overhead(opts, "trace-overhead", "", |with_sink, t, size| {
-        let rec = Arc::new(nbbs_obs::Recorder::new());
-        if with_sink {
-            // Installed but never started: every record call takes the
-            // sink branch and bails on the disabled flag.
-            rec.set_event_sink(Arc::new(TraceRing::new()) as _);
-        }
-        let cache = larson_cache(larson_tree(opts), "cached-4lvl").with_recorder(Arc::clone(&rec));
-        let alloc = Arc::new(nbbs_obs::Recorded::sampled(
-            cache,
-            rec,
-            nbbs_obs::DEFAULT_SAMPLE_STRIDE,
-        ));
-        let name = if with_sink {
-            "cached-4lvl+rec+sink"
-        } else {
-            "cached-4lvl+rec"
-        };
-        larson_row(opts, alloc, name, t, size)
-    })
 }
 
 /// Decommit-scrubber overhead: the cached 4-level tree also sits behind a
@@ -1055,8 +1024,8 @@ fn scrub_overhead(opts: &Options) -> Vec<Measurement> {
 /// disarmed, the cache fully drained, and the tree audited: the free
 /// bitmap must be spotless and a max-class re-allocation probe proves no
 /// capacity was stranded.  Any violation prints a `REPRO:` line naming the
-/// exact seed to re-run with, dumps the flight-recorder rings, and exits
-/// non-zero.
+/// exact seed to re-run with, prints the event ring's `[flight]` dump, and
+/// exits non-zero.
 fn chaos(opts: &Options) -> Vec<Measurement> {
     println!("\n=== Chaos: Larson + Mixed Layout under seeded fault schedules ===");
     let rounds = opts.rounds.unwrap_or(8);
@@ -1118,7 +1087,7 @@ fn chaos(opts: &Options) -> Vec<Measurement> {
                             "  audit: {audit:?}  allocated_bytes={}",
                             cache.allocated_bytes()
                         );
-                        print!("{}", recorder.flight().render());
+                        print!("{}", recorder.ring().flight_dump());
                         std::process::exit(1);
                     }
                     let m = Measurement::new(
@@ -1337,7 +1306,7 @@ fn main() -> ExitCode {
         Ok(v) => v,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: nbbs-bench <fig8|fig9|fig10|fig11|fig12|fig13|all|frag|profile|trace|trace-overhead|scrub-overhead|obs-overhead|chaos|chaos-overhead|ablation-scan|ablation-rmw|ablation-frag|list> [options]");
+            eprintln!("usage: nbbs-bench <fig8|fig9|fig10|fig11|fig12|fig13|all|frag|profile|trace|scrub-overhead|obs-overhead|chaos|chaos-overhead|ablation-scan|ablation-rmw|ablation-frag|list> [options]");
             return ExitCode::FAILURE;
         }
     };
@@ -1396,7 +1365,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         },
-        "trace-overhead" => (trace_overhead(&opts), Metric::KopsPerSec),
         "scrub-overhead" => (scrub_overhead(&opts), Metric::KopsPerSec),
         "obs-overhead" => (obs_overhead(&opts), Metric::KopsPerSec),
         "chaos" => (chaos(&opts), Metric::Seconds),

@@ -42,9 +42,8 @@ pub struct LarsonParams {
     /// Fixed-work mode: when `Some(n)`, the run completes `n` operations
     /// split evenly across the threads and the measured quantity is the
     /// wall time of that fixed work — instead of counting operations inside
-    /// a fixed time window.  This is the mode the Criterion benches use:
-    /// real work is timed directly, no normalization of a windowed count is
-    /// needed.  Failed allocation attempts count toward a thread's quota so
+    /// a fixed time window: real work is timed directly, no normalization
+    /// of a windowed count is needed.  Failed allocation attempts count toward a thread's quota so
     /// an exhausted arena cannot stall the run.
     pub ops_budget: Option<u64>,
 }

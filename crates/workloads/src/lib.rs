@@ -19,8 +19,7 @@
 //! [`harness`] sweeps allocators × thread counts × request sizes and collects
 //! [`measure::Measurement`]s; [`report`] renders the measurements as the same
 //! series the paper plots; the `nbbs-bench` binary drives everything from the
-//! command line; the Criterion benches in the `nbbs-bench` crate reuse the
-//! same workload implementations with smaller parameters.
+//! command line.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

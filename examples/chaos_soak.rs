@@ -21,7 +21,8 @@
 //!
 //! A failing check prints a `REPRO: seed …` line (re-run with that seed as
 //! the last argument to replay the identical fault schedule and request
-//! sequences) plus the cache's flight-recorder rings, and exits non-zero.
+//! sequences) plus the `[flight]` dump of the recorder's event ring, and
+//! exits non-zero.
 //!
 //! Usage:
 //! ```text
@@ -50,7 +51,7 @@ const CLASSES: usize = 11;
 
 fn fail(seed: u64, recorder: &Recorder, msg: &str) -> ! {
     println!("REPRO: seed {seed:#018x}: {msg}");
-    print!("{}", recorder.flight().render());
+    print!("{}", recorder.ring().flight_dump());
     std::process::exit(1);
 }
 

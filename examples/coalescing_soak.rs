@@ -46,7 +46,7 @@ fn run<A: BuddyBackend + 'static>(
     base_seed: u64,
 ) {
     for round in 0..rounds {
-        // Record every operation into per-thread flight rings: a REPRO
+        // Record every operation into the recorder's event ring: a REPRO
         // print then carries each thread's last operations leading into
         // the dirty state — the interleaving evidence a (seed, round)
         // pair alone cannot replay.  Timing every op costs throughput
@@ -98,7 +98,7 @@ fn run<A: BuddyBackend + 'static>(
                     describe(s)
                 );
             }
-            print!("{}", recorder.flight().render());
+            print!("{}", recorder.ring().flight_dump());
             std::process::exit(1);
         }
         if round % 20000 == 0 {

@@ -75,14 +75,14 @@ where
 }
 
 fn main() {
-    // A real deployment registers the exit dump up front: with NBBS_OBS=1
-    // the stats report lands on stderr at process exit, NBBS_TRACE=<path>
-    // additionally writes the chrome-trace JSON there, and NBBS_PROFILE
-    // appends the ranked heap profile.
-    if ["NBBS_OBS", "NBBS_TRACE", "NBBS_PROFILE"]
-        .iter()
-        .any(|k| std::env::var_os(k).is_some_and(|v| v != "0"))
-    {
+    // A real deployment registers the exit dump up front, if its allocator
+    // was armed: with NBBS_OBS=1 the stats report (latency percentiles and
+    // the event ring's [flight] tail) lands on stderr at process exit,
+    // NBBS_TRACE=<path> additionally writes the ring there as chrome-trace
+    // JSON, and NBBS_PROFILE=<stride> appends the ranked heap profile.  The
+    // allocator reads those variables once, on its first touch.
+    std::hint::black_box(Box::new(0u8));
+    if GLOBAL.recorder().is_some() {
         GLOBAL.print_stats_on_exit();
     }
 

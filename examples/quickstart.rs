@@ -11,12 +11,12 @@
 //! threads without any locking, interposing the magazine cache
 //! (`nbbs-cache`), topping it with the layout-aware facade (`nbbs-alloc`),
 //! carrying the whole stack across NUMA nodes (`nbbs-numa`), watching it
-//! run with the observability layer (`nbbs-obs`), storm-testing it
-//! with deterministic fault injection (`nbbs-chaos`), killing
-//! power-of-two internal fragmentation on the small-object path with the
-//! size-class slab layer (`nbbs-slab`), tracing/profiling the whole
-//! stack with the event-trace, heap-profile, and metrics-exposition layer
-//! (`nbbs-trace`), and riding the elastic region chain — demand-zero
+//! run through the one observation handle (`nbbs-obs`: latency
+//! histograms, the event ring with its crash-dump and chrome-trace views,
+//! the heap profiler, metrics exposition), storm-testing it with
+//! deterministic fault injection (`nbbs-chaos`), killing power-of-two
+//! internal fragmentation on the small-object path with the size-class
+//! slab layer (`nbbs-slab`), and riding the elastic region chain — demand-zero
 //! backing, the background decommit scrubber, and growth/retirement under
 //! a diurnal load shape.
 
@@ -134,9 +134,9 @@ fn main() {
     //    capacities adapt to the workload: bursts that keep spilling past
     //    a depot shard double the class's capacity, byte-budget pressure
     //    halves it.  CacheConfig exposes the knobs: `depot_shards` (None =
-    //    auto, ~one per two CPUs), `adaptive_resize` (on by default),
-    //    `max_magazine_capacity`, and `cache_bytes_budget` (None = a
-    //    quarter of the managed region).
+    //    auto, ~one per two CPUs), `depot_magazines` (0 bypasses the
+    //    depot), `max_magazine_capacity`, and `cache_bytes_budget` (None =
+    //    a quarter of the managed region).
     // ------------------------------------------------------------------
     let cached = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
     println!(
@@ -358,11 +358,14 @@ fn main() {
     registry.observe_backend(observed.as_ref());
     registry.set_recorder(Arc::clone(&recorder));
     print!("{}", registry.snapshot().text_table());
-    // The flight recorder keeps each thread's most recent operations for
-    // post-mortem dumps (panic hooks, soak REPRO paths):
+    // The recorder's event ring keeps each thread's most recent operations
+    // for post-mortem dumps (panic hooks, soak REPRO paths); section 13
+    // exports the same slots as a timeline:
+    let dump = recorder.ring().flight_dump();
     println!(
-        "flight recorder holds {} thread ring(s) of recent operations",
-        recorder.flight().events().len()
+        "crash dump of the event ring: {} line(s), starting\n{}",
+        dump.lines().count(),
+        dump.lines().take(3).collect::<Vec<_>>().join("\n")
     );
 
     // ------------------------------------------------------------------
@@ -516,54 +519,31 @@ fn main() {
     assert_eq!(slab_stack.backend().backend().inner().allocated_bytes(), 0);
 
     // ------------------------------------------------------------------
-    // 13. Tracing and profiling (`nbbs-trace`): three instruments, one
-    //     crate, zero locks on the hot path.
+    // 13. The rest of the one observation crate (`nbbs-obs`): the ring's
+    //     timeline view, the heap profiler, the metrics sampler.
     //
-    //     (a) TraceRing — a per-thread binary event ring that plugs into
-    //     the recorder as an EventSink.  `start()` opens an epoch,
-    //     `stop()` closes it, and `to_chrome_json()` exports a timeline
-    //     you can drop straight into chrome://tracing or Perfetto
-    //     (`nbbs-bench trace --out trace.json --check` does exactly this
-    //     over a Larson run, and `NBBS_TRACE=trace.json` arms the same
-    //     pipeline on NbbsGlobalAlloc with an exit-hook dump).  When the
-    //     sink is attached but tracing is stopped, the recording path is
-    //     one relaxed load — `nbbs-bench trace-overhead` measures the
-    //     disabled-cost on Larson with a min-gap estimator, and CI gates
-    //     it at <= 5%, the same bar PR 6 set for the sampled recorder.
+    //     (a) The `[flight]` dump of section 10 and a chrome://tracing
+    //     timeline are two views of one `TraceRing`, which every Recorder
+    //     owns and which records from the moment the recorder exists.
+    //     `stop()` freezes it for an export and `start()` opens a new
+    //     epoch (each event is tagged with its epoch, so a windowed export
+    //     can tell its events from the tail before it);
+    //     `to_chrome_json()` writes a timeline you can drop straight into
+    //     chrome://tracing or Perfetto.  `nbbs-bench trace --out
+    //     trace.json --check` does exactly this over a Larson run, and
+    //     `NBBS_TRACE=trace.json` arms the same dump on NbbsGlobalAlloc's
+    //     exit hook.
     // ------------------------------------------------------------------
-    use nbbs_trace::{HeapProfiler, MetricsSampler, TraceRing};
+    use nbbs_obs::MetricsSampler;
     use std::time::Duration;
 
-    let trace_rec = Arc::new(Recorder::new());
-    let ring = Arc::new(TraceRing::new());
-    trace_rec.set_event_sink(Arc::clone(&ring) as _);
-    let traced = Arc::new(Recorded::new(
-        MagazineCache::new(NbbsFourLevel::new(config)),
-        Arc::clone(&trace_rec),
-    ));
-    ring.start();
-    let workers: Vec<_> = (0..2)
-        .map(|t| {
-            let alloc = Arc::clone(&traced);
-            std::thread::spawn(move || {
-                let _drain = Recorded::inner(&alloc).thread_guard();
-                for i in 0..5_000usize {
-                    if let Some(off) = alloc.alloc(64 << ((i + t) % 5)) {
-                        alloc.dealloc(off);
-                    }
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().unwrap();
-    }
+    let ring = recorder.ring();
     ring.stop();
     let chrome = ring.to_chrome_json("quickstart");
-    let slices = nbbs_trace::jsoncheck::validate_chrome_trace(&chrome)
+    let slices = nbbs_obs::jsoncheck::validate_chrome_trace(&chrome)
         .expect("the exporter must emit valid chrome-trace JSON");
     println!(
-        "trace ring captured {} events ({} dropped once full) -> {} chrome-trace \
+        "event ring holds {} events ({} dropped once full) -> {} chrome-trace \
          slices, {} B of JSON for Perfetto",
         ring.events().len(),
         ring.dropped(),
@@ -572,22 +552,26 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    //     (b) HeapProfiler — sampled allocation-site profiling.  Attach it
-    //     to the facade (stride 1 here; production uses 1-in-64 and scales
-    //     the estimates back up) and every sampled allocation captures a
-    //     backtrace into a lock-free site table.  The report ranks sites
-    //     by live bytes — at quiescence it must attribute everything the
-    //     facade still holds.  `NBBS_PROFILE=64` arms the same profiler on
-    //     NbbsGlobalAlloc, and `nbbs-bench profile` prints the table after
-    //     a web-mix storm.
+    //     (b) HeapProfiler — sampled allocation-site profiling, the
+    //     recorder's optional third part.  Hand the facade a recorder that
+    //     carries one (`Recorder::new().with_profiler(stride)`, or
+    //     `profiler_only` as here, which times nothing; stride 1 here,
+    //     production uses 1-in-64 and scales the estimates back up) and
+    //     every sampled allocation captures a backtrace into a lock-free
+    //     site table.  The report ranks sites by live bytes — at
+    //     quiescence it must attribute everything the facade still holds.
+    //     `NBBS_PROFILE=64` arms the same profiler on NbbsGlobalAlloc, and
+    //     `nbbs-bench profile` prints the table after a web-mix storm.
     // ------------------------------------------------------------------
+    let profiling = Arc::new(Recorder::profiler_only(1));
+    let profiler = profiling.profiler().expect("armed just above");
     let profiled = NbbsAllocator::new(MagazineCache::new(NbbsFourLevel::new(config)))
-        .with_profiler(Arc::new(HeapProfiler::new(1)));
+        .with_recorder(Arc::clone(&profiling));
     let layout = Layout::from_size_align(256, 8).unwrap();
     let held: Vec<_> = (0..32)
         .filter_map(|_| profiled.allocate(layout).ok())
         .collect();
-    let report = profiled.profiler().expect("profiler attached").report();
+    let report = profiler.report();
     println!(
         "heap profiler attributes {} B live across {} site(s) \
          (facade holds {} B): \n{}",
@@ -604,14 +588,7 @@ fn main() {
     for block in held {
         unsafe { profiled.deallocate(block.cast(), layout) };
     }
-    assert_eq!(
-        profiled
-            .profiler()
-            .unwrap()
-            .report()
-            .attributed_live_bytes(),
-        0
-    );
+    assert_eq!(profiler.report().attributed_live_bytes(), 0);
 
     // ------------------------------------------------------------------
     //     (c) MetricsSampler — a background thread that snapshots the

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
-use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, FlushPolicy, MagazineCache};
+use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
 
 const TOTAL: usize = 1 << 20;
 const MIN: usize = 16;
@@ -236,12 +236,12 @@ fn zero_on_reuse_across_the_decommit_boundary() {
 #[test]
 fn foreign_threads_drain_on_exit() {
     let config = BuddyConfig::new(1 << 18, 8, 1 << 12).unwrap();
-    // Direct flush policy: no depot, so cached bytes live in slots only and
-    // a fully-drained cache reads exactly zero.
+    // No depot: cached bytes live in slots only and a fully-drained cache
+    // reads exactly zero.
     let cache = Arc::new(MagazineCache::with_config(
         NbbsFourLevel::new(config),
         CacheConfig {
-            flush_policy: FlushPolicy::Direct,
+            depot_magazines: 0,
             ..CacheConfig::default()
         },
     ));

@@ -1,0 +1,166 @@
+//! One observer, three layers: a single `Recorder` shared by the facade,
+//! the magazine cache and the slab sees every cause the stack can produce
+//! deterministically, and shows each of them in all four places a user
+//! looks — the kind's histogram, the event ring, the `[flight]` crash dump
+//! and the chrome-trace export.
+
+use std::alloc::Layout;
+use std::sync::Arc;
+
+use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs_alloc::NbbsAllocator;
+use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_obs::{jsoncheck, OpKind, Recorder, FLIGHT_TAIL};
+use nbbs_slab::{SlabBackend, SlabConfig};
+
+type Stack = NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>;
+
+/// Tree → slab → cache → facade with a one-block reserve, every layer
+/// handed the same `rec`.  A 64 KiB arena and two-entry magazines keep each
+/// slow path a few operations away.
+fn stack(rec: &Arc<Recorder>) -> Stack {
+    let config = BuddyConfig::new(1 << 16, 16, 1 << 12).unwrap();
+    let slab = SlabBackend::with_config(
+        NbbsFourLevel::new(config),
+        SlabConfig {
+            keep_empty_pages: 0,
+            ..SlabConfig::default()
+        },
+    )
+    .with_recorder(Arc::clone(rec));
+    let cache = MagazineCache::with_config(
+        slab,
+        CacheConfig {
+            magazine_capacity: 2,
+            max_magazine_capacity: 2,
+            depot_magazines: 1,
+            slots: Some(1),
+            ..CacheConfig::default()
+        },
+    )
+    .with_recorder(Arc::clone(rec));
+    NbbsAllocator::new(cache)
+        .with_reserve(1, 1 << 12)
+        .with_recorder(Arc::clone(rec))
+}
+
+/// Drives `a` through every cause in [`CAUSES`] and back to empty; returns
+/// the most bytes the heap profiler attributed on the way.
+fn drive(a: &Stack, rec: &Recorder) -> u64 {
+    let small = Layout::from_size_align(64, 8).unwrap();
+    let mid = Layout::from_size_align(1024, 8).unwrap();
+    let page = Layout::from_size_align(1 << 12, 8).unwrap();
+    let ptr = |block: std::ptr::NonNull<[u8]>| block.cast::<u8>();
+    // SAFETY: every block is released (or moved) exactly once, with the
+    // layout it was last allocated, grown or shrunk to.
+    unsafe {
+        // A cold class: miss, batched refill, and under them a slab page.
+        let block = a.allocate(small).unwrap();
+        let grown = a.grow(ptr(block), small, mid).unwrap();
+        let shrunk = a.shrink(ptr(grown), mid, small).unwrap();
+        a.deallocate(ptr(shrunk), small);
+        // Sixteen frees overrun two magazines and the one depot slot.
+        let burst: Vec<_> = (0..16).map(|_| a.allocate(small).unwrap()).collect();
+        let attributed = rec.profiler().unwrap().report().attributed_live_bytes();
+        for block in burst {
+            a.deallocate(ptr(block), small);
+        }
+        // Run the arena dry: the last grant is the reserve's, and the
+        // request after it finds the reserve empty too.
+        let held: Vec<_> = std::iter::from_fn(|| a.allocate(page).ok()).collect();
+        assert_eq!(a.reserve_stats().unwrap().hits, 1);
+        for block in held {
+            a.deallocate(ptr(block), page);
+        }
+        // Draining empties the slab's pages, which it hands back.
+        a.backend().drain_cache();
+        assert_eq!(a.allocated_bytes(), 0);
+        attributed
+    }
+}
+
+/// Each kind the drive must produce, and what in it does.
+const CAUSES: [(OpKind, &str); 10] = [
+    (OpKind::Alloc, "facade allocate"),
+    (OpKind::Free, "facade deallocate"),
+    (OpKind::Grow, "a grow that moves to a larger class"),
+    (OpKind::Shrink, "a shrink that moves to a smaller class"),
+    (OpKind::CacheMiss, "the first allocation of a class"),
+    (OpKind::CacheRefill, "the batch behind that miss"),
+    (
+        OpKind::CacheFlush,
+        "frees past both magazines and the depot",
+    ),
+    (OpKind::PageGrant, "the slab binding a page to a class"),
+    (OpKind::PageRetire, "the drain emptying that page"),
+    (OpKind::ReserveHit, "hard OOM with a reserve block left"),
+];
+
+#[test]
+fn every_cause_shows_in_histogram_ring_dump_and_export() {
+    let rec = Arc::new(Recorder::new().with_profiler(1));
+    let attributed = drive(&stack(&rec), &rec);
+
+    let ring = rec.ring();
+    ring.stop();
+    let events = ring.events();
+    assert!(
+        events.len() <= FLIGHT_TAIL && ring.dropped() == 0,
+        "the drive must fit the dump's tail: {} events",
+        events.len()
+    );
+    let dump = ring.flight_dump();
+    let chrome = ring.to_chrome_json("observation");
+    assert_eq!(
+        jsoncheck::validate_chrome_trace(&chrome),
+        Ok(events.len()),
+        "one valid slice per event"
+    );
+    let doc = jsoncheck::parse(&chrome).unwrap();
+    let slices = doc.get("traceEvents").unwrap().as_array().unwrap();
+    let mut counted = 0;
+    for (kind, cause) in CAUSES {
+        let recorded = rec.snapshot(kind).total();
+        assert!(recorded > 0, "{}: no latency for {cause}", kind.name());
+        assert_eq!(
+            events.iter().filter(|e| e.kind == kind).count() as u64,
+            recorded,
+            "{}: ring and histogram disagree",
+            kind.name()
+        );
+        assert!(
+            dump.contains(kind.name()),
+            "{} not in:\n{dump}",
+            kind.name()
+        );
+        assert!(
+            slices
+                .iter()
+                .any(|s| s.get("name").and_then(|n| n.as_str()) == Some(kind.name())),
+            "{} not in the chrome export",
+            kind.name()
+        );
+        counted += recorded;
+    }
+    assert_eq!(
+        counted,
+        rec.merged_snapshot(&OpKind::ALL).total(),
+        "nothing but the tabled causes fired"
+    );
+    // One handle: the profiler saw the same traffic, grants and frees.
+    assert_eq!(attributed, 16 * 64, "every block of the burst had a site");
+    let profile = rec.profiler().unwrap().report();
+    assert_eq!(profile.attributed_live_bytes(), 0);
+    assert_eq!(profile.dropped_samples, 0);
+}
+
+#[test]
+fn a_profiler_only_handle_records_no_latency() {
+    let rec = Arc::new(Recorder::profiler_only(1));
+    let attributed = drive(&stack(&rec), &rec);
+    assert_eq!(attributed, 16 * 64);
+    assert!(rec.profiler().unwrap().report().sampled_allocs > 16);
+    assert_eq!(rec.merged_snapshot(&OpKind::ALL).total(), 0);
+    assert!(rec.ring().is_empty(), "no event without a timestamp");
+    assert!(rec.ring().flight_dump().contains("no recorded operations"));
+}
