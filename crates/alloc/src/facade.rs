@@ -6,59 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nbbs::error::AllocError;
-use nbbs::{BuddyBackend, BuddyRegion};
+use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
 
 use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
-
-/// Point-in-time copy of the facade's realloc counters.
-///
-/// `grow`/`shrink` resolve either *in place* (the granted buddy block
-/// already covers the new layout — no copy, no backend traffic) or by
-/// *moving* (allocate + copy + release).  The split is the facade's own
-/// figure of merit: buddy blocks over-provision by construction, so a
-/// healthy workload should see most grows land in place.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FacadeStatsSnapshot {
-    /// `grow` calls resolved without moving the block.
-    pub grows_in_place: u64,
-    /// `grow` calls that allocated a larger block and copied.
-    pub grows_moved: u64,
-    /// `shrink` calls resolved without moving the block.
-    pub shrinks_in_place: u64,
-    /// `shrink` calls that moved to a smaller size class (releasing the
-    /// difference back to the buddy).
-    pub shrinks_moved: u64,
-    /// Cumulative bytes *asked for* by successful allocations
-    /// (`layout.size()`, zero-sized grilled up to 1).
-    pub requested_bytes: u64,
-    /// Cumulative bytes *handed out* for those allocations (the granted
-    /// block sizes).  `granted - requested` is internal fragmentation as
-    /// the caller experiences it.
-    pub granted_bytes: u64,
-}
-
-impl FacadeStatsSnapshot {
-    /// Fraction of `grow` calls that resolved in place.
-    pub fn grow_in_place_rate(&self) -> f64 {
-        let total = self.grows_in_place + self.grows_moved;
-        if total == 0 {
-            0.0
-        } else {
-            self.grows_in_place as f64 / total as f64
-        }
-    }
-
-    /// Granted-to-requested byte ratio — 1.0 means no internal
-    /// fragmentation (and covers the nothing-allocated-yet case).
-    pub fn granted_over_requested(&self) -> f64 {
-        if self.requested_bytes == 0 {
-            1.0
-        } else {
-            self.granted_bytes as f64 / self.requested_bytes as f64
-        }
-    }
-}
 
 /// A layout-aware allocator over any [`BuddyBackend`].
 ///
@@ -254,8 +205,11 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         self.region.memory_stats()
     }
 
-    /// Point-in-time copy of the grow/shrink counters.
+    /// Point-in-time copy of what the facade counts: the grow/shrink split,
+    /// the requested/granted odometers, the reserve's hits and refills.
+    /// The two `system_*` fields are the global shell's and stay zero.
     pub fn facade_stats(&self) -> FacadeStatsSnapshot {
+        let reserve = self.reserve_stats().unwrap_or_default();
         FacadeStatsSnapshot {
             grows_in_place: self.grows_in_place.load(Ordering::Relaxed),
             grows_moved: self.grows_moved.load(Ordering::Relaxed),
@@ -263,6 +217,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             shrinks_moved: self.shrinks_moved.load(Ordering::Relaxed),
             requested_bytes: self.requested_bytes.load(Ordering::Relaxed),
             granted_bytes: self.granted_bytes.load(Ordering::Relaxed),
+            reserve_hits: reserve.hits,
+            reserve_refills: reserve.refills,
+            ..FacadeStatsSnapshot::default()
         }
     }
 
@@ -574,16 +531,6 @@ unsafe impl<A: BuddyBackend> GlobalAlloc for NbbsAllocator<A> {
             Some(nn) if self.region.contains(nn) => self.deallocate(nn, layout),
             _ => System.dealloc(ptr, layout),
         }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = self.alloc(layout);
-        if !ptr.is_null() {
-            // Both sources hand out dirty memory here (buddy chunks are
-            // recycled unscrubbed; the System path came through `alloc`).
-            ptr.write_bytes(0, layout.size());
-        }
-        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {

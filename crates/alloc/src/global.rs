@@ -48,15 +48,12 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, FacadeStatsSnapshot, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache, NodeOfFn};
 use nbbs_numa::{topology, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
-use nbbs_obs::{
-    FacadeShare, MetricsRegistry, NodeShare, ProfileReport, Recorder, DEFAULT_PROFILE_STRIDE,
-};
+use nbbs_obs::{MetricsRegistry, ProfileReport, Recorder, DEFAULT_PROFILE_STRIDE};
 
 use crate::facade::NbbsAllocator;
-use crate::FacadeStatsSnapshot;
 
 type CachedTree = MagazineCache<NodeSet<NbbsFourLevel>>;
 
@@ -67,8 +64,8 @@ thread_local! {
     /// thread teardown.
     static BYPASS: Cell<bool> = const { Cell::new(false) };
 
-    /// Address of the last `NbbsGlobalAlloc` this thread registered its
-    /// exit drain with — the fast path of the once-per-thread registration.
+    /// Address of the exit hook this thread last registered its exit drain
+    /// with — the fast path of the once-per-thread registration.
     static REGISTERED_WITH: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -152,8 +149,9 @@ impl Arming {
 }
 
 struct State {
+    /// The whole stack: the magazine cache is `facade.backend()`, the node
+    /// set under it `facade.backend().backend()`.
     facade: NbbsAllocator<Arc<CachedTree>>,
-    cache: Arc<CachedTree>,
     exit_hook: Arc<ExitLatch>,
     /// What the environment armed when the stack was built.  The observer
     /// itself — one `Recorder` shared by the facade and the cache's slow
@@ -195,8 +193,6 @@ pub struct NbbsGlobalAlloc {
     /// `NBBS_PROFILE` arms it; 1 = sample every allocation).
     profile_stride: u32,
     state: OnceLock<Option<State>>,
-    /// Bytes served from the buddy region (cumulative, by requested size).
-    buddy_bytes: AtomicU64,
     /// Bytes that fell through to the system allocator (oversized requests,
     /// exhaustion, and the metadata of the initial build).
     system_bytes: AtomicU64,
@@ -223,7 +219,6 @@ impl NbbsGlobalAlloc {
             recording: false,
             profile_stride: 0,
             state: OnceLock::new(),
-            buddy_bytes: AtomicU64::new(0),
             system_bytes: AtomicU64::new(0),
             system_failovers: AtomicU64::new(0),
             reserve_blocks: 0,
@@ -389,12 +384,9 @@ impl NbbsGlobalAlloc {
                 .region()
                 .start_scrubber(std::time::Duration::from_millis(ms));
         }
-        let exit_hook = Arc::new(ExitLatch {
-            cache: Arc::clone(&cache),
-        });
+        let exit_hook = Arc::new(ExitLatch { cache });
         Some(State {
             facade,
-            cache,
             exit_hook,
             env,
         })
@@ -410,12 +402,17 @@ impl NbbsGlobalAlloc {
     /// Registers this thread's exit drain, once per thread (fast-path: one
     /// TLS compare).  Runs under the bypass latch, so the registry's own
     /// allocation cannot recurse into the cache.
-    fn register_current_thread(&self, state: &State) {
-        let me = self as *const Self as usize;
+    ///
+    /// Keyed on the exit hook's address, not the shell's: the thread's
+    /// registry keeps a clone of every hook it was given, so a hook's
+    /// address cannot be reused while a thread still compares against it.
+    /// A shell's can — a new one built where a dropped one stood.
+    fn register_current_thread(state: &State) {
+        let hook = Arc::as_ptr(&state.exit_hook) as usize;
         let _ = REGISTERED_WITH.try_with(|r| {
-            if r.get() != me {
+            if r.get() != hook {
                 drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
-                r.set(me);
+                r.set(hook);
             }
         });
     }
@@ -428,14 +425,13 @@ impl NbbsGlobalAlloc {
         // grants are naturally aligned — no slab in the way, so the base
         // request needs no alignment bump.
         let want = NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout);
-        if want <= state.cache.backend().max_size() {
-            if let Some(offset) = state.cache.backend().alloc(want) {
+        let tree = state.facade.backend().backend();
+        if want <= tree.max_size() {
+            if let Some(offset) = tree.alloc(want) {
                 // This path bypasses the region's granting wrapper, so the
                 // decommit bookkeeping must be told by hand that these pages
                 // are in use again.
                 state.facade.region().commit_range(offset, want);
-                self.buddy_bytes
-                    .fetch_add(layout.size() as u64, Ordering::Relaxed);
                 return state.facade.region().base().as_ptr().add(offset);
             }
         }
@@ -456,7 +452,7 @@ impl NbbsGlobalAlloc {
         if let Some(profiler) = state.facade.profiler() {
             profiler.record_free(offset);
         }
-        state.cache.backend().dealloc(offset);
+        state.facade.backend().backend().dealloc(offset);
     }
 
     /// Bytes currently served by the buddy region (excludes system
@@ -471,23 +467,21 @@ impl NbbsGlobalAlloc {
     }
 
     /// Cumulative `(buddy, system)` bytes served, by requested size.
+    ///
+    /// The buddy figure is the facade's `requested_bytes` odometer: every
+    /// allocation the facade granted, a moved `realloc` at its new size, an
+    /// in-place one not at all (it serves nothing new).  What the nested
+    /// raw route hands out — the stack's own bookkeeping, and threads past
+    /// their exit drain — bypasses the facade and is not part of it.
     pub fn bytes_served(&self) -> (u64, u64) {
-        (
-            self.buddy_bytes.load(Ordering::Relaxed),
-            self.system_bytes.load(Ordering::Relaxed),
-        )
+        let stats = self.facade_stats();
+        (stats.requested_bytes, stats.system_bytes)
     }
 
     /// Fraction of served bytes that came from the buddy (1.0 until the
     /// first fallback).
     pub fn buddy_share(&self) -> f64 {
-        let (buddy, system) = self.bytes_served();
-        let total = buddy + system;
-        if total == 0 {
-            1.0
-        } else {
-            buddy as f64 / total as f64
-        }
+        self.facade_stats().buddy_share()
     }
 
     /// Requests the built buddy stack failed (exhaustion, injected faults)
@@ -506,12 +500,23 @@ impl NbbsGlobalAlloc {
 
     /// Counters of the magazine-cache layer, if the state has been built.
     pub fn cache_stats(&self) -> Option<nbbs::CacheStatsSnapshot> {
-        self.built_state().and_then(|s| s.cache.cache_stats())
+        self.built_state()
+            .and_then(|s| s.facade.backend().cache_stats())
     }
 
-    /// The facade's grow/shrink counters, if the state has been built.
-    pub fn facade_stats(&self) -> Option<FacadeStatsSnapshot> {
-        self.built_state().map(|s| s.facade.facade_stats())
+    /// The facade's counters (grow/shrink split, requested/granted
+    /// odometers, reserve hits and refills — all zero until the state is
+    /// built) with the shell's own two added: `system_bytes` and
+    /// `system_failovers`.
+    pub fn facade_stats(&self) -> FacadeStatsSnapshot {
+        FacadeStatsSnapshot {
+            system_bytes: self.system_bytes.load(Ordering::Relaxed),
+            system_failovers: self.system_failovers(),
+            ..self
+                .built_state()
+                .map(|s| s.facade.facade_stats())
+                .unwrap_or_default()
+        }
     }
 
     /// Committed-versus-managed accounting of the backing region and the
@@ -533,7 +538,7 @@ impl NbbsGlobalAlloc {
     pub fn drain_cache(&self) {
         if let Some(state) = self.built_state() {
             let _op = BypassGuard::engage();
-            state.cache.drain_all();
+            state.facade.backend().drain_all();
         }
     }
 
@@ -541,7 +546,8 @@ impl NbbsGlobalAlloc {
     /// local/remote service counts per node), once the state is built.  A
     /// single-node deployment reports one entry.
     pub fn node_stats(&self) -> Option<Vec<NodeStatsSnapshot>> {
-        self.built_state().map(|s| s.cache.backend().node_stats())
+        self.built_state()
+            .map(|s| s.facade.backend().backend().node_stats())
     }
 
     /// The stack's observer: present when built with
@@ -581,45 +587,13 @@ impl NbbsGlobalAlloc {
     /// magazine capacities, per-node shares, facade byte shares, and (when
     /// recording) tail-latency percentiles per operation kind.
     pub fn metrics(&self) -> nbbs_obs::StackSnapshot {
-        let (buddy, system) = self.bytes_served();
-        let mut facade = FacadeShare {
-            buddy_bytes: buddy,
-            system_bytes: system,
-            ..Default::default()
-        };
-        if let Some(f) = self.facade_stats() {
-            facade.grows_in_place = f.grows_in_place;
-            facade.grows_moved = f.grows_moved;
-            facade.shrinks_in_place = f.shrinks_in_place;
-            facade.shrinks_moved = f.shrinks_moved;
-            facade.requested_bytes = f.requested_bytes;
-            facade.granted_bytes = f.granted_bytes;
-        }
-        facade.system_failovers = self.system_failovers();
-        if let Some(r) = self.reserve_stats() {
-            facade.reserve_hits = r.hits;
-            facade.reserve_refills = r.refills;
-        }
         let mut reg = MetricsRegistry::new("nbbs-alloc");
-        reg.set_facade(facade);
+        reg.set_facade(self.facade_stats());
         if let Some(state) = self.built_state() {
-            reg.observe_backend(&state.cache);
+            let cache = state.facade.backend();
+            reg.observe_backend(cache);
             reg.set_memory(Some(state.facade.memory_stats()));
-            reg.set_nodes(
-                state
-                    .cache
-                    .backend()
-                    .node_stats()
-                    .iter()
-                    .map(|n| NodeShare {
-                        node: n.node,
-                        allocated_bytes: n.allocated_bytes as u64,
-                        local_allocs: n.local_allocs,
-                        remote_allocs: n.remote_allocs,
-                        failed_allocs: n.failed_allocs,
-                    })
-                    .collect(),
-            );
+            reg.set_nodes(cache.backend().node_stats());
             if let Some(rec) = state.facade.recorder() {
                 reg.set_recorder(Arc::clone(rec));
             }
@@ -753,13 +727,9 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
             return self.raw_alloc(state, layout);
         }
         let _op = BypassGuard::engage();
-        self.register_current_thread(state);
+        Self::register_current_thread(state);
         match state.facade.allocate(layout) {
-            Ok(block) => {
-                self.buddy_bytes
-                    .fetch_add(layout.size() as u64, Ordering::Relaxed);
-                block.cast::<u8>().as_ptr()
-            }
+            Ok(block) => block.cast::<u8>().as_ptr(),
             Err(err) => {
                 // An oversized request is routine System traffic; anything
                 // else means the built stack *failed* a servable request —
@@ -781,23 +751,13 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
                     self.raw_dealloc(state, nn);
                 } else {
                     let _op = BypassGuard::engage();
-                    self.register_current_thread(state);
+                    Self::register_current_thread(state);
                     state.facade.deallocate(nn, layout);
                 }
                 return;
             }
         }
         System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = self.alloc(layout);
-        if !ptr.is_null() {
-            // Buddy chunks are recycled unscrubbed and the System path came
-            // through `alloc`: zero either way.
-            ptr.write_bytes(0, layout.size());
-        }
-        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -825,18 +785,15 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
         }
         // The facade's own `GlobalAlloc::realloc` carries the whole dance
         // (ownership discrimination, in-place grow/shrink, migrate-to-System
-        // on exhaustion); the wrapper only adds the bypass bracket, thread
-        // registration, and the byte-share accounting.
+        // on exhaustion) and counts what the buddy served; the wrapper only
+        // adds the bypass bracket, thread registration, and the system
+        // side of the byte-share accounting.
         let _op = BypassGuard::engage();
-        self.register_current_thread(state);
+        Self::register_current_thread(state);
         let out = state.facade.realloc(ptr, layout, new_size);
-        if !out.is_null() {
-            let served = if state.facade.owns(out) {
-                &self.buddy_bytes
-            } else {
-                &self.system_bytes
-            };
-            served.fetch_add(new_size as u64, Ordering::Relaxed);
+        if !out.is_null() && !state.facade.owns(out) {
+            self.system_bytes
+                .fetch_add(new_size as u64, Ordering::Relaxed);
         }
         out
     }
@@ -931,7 +888,45 @@ mod tests {
             assert_eq!(*q.add(99), 0x11);
             a.dealloc(q, Layout::from_size_align(128, 8).unwrap());
         }
-        assert_eq!(a.facade_stats().unwrap().grows_in_place, 1);
+        assert_eq!(a.facade_stats().grows_in_place, 1);
+        // An in-place grow serves nothing new: the buddy figure stays the
+        // one 100-byte allocation.
+        assert_eq!(a.bytes_served().0, 100);
+    }
+
+    #[test]
+    fn a_shell_built_where_one_was_dropped_still_registers_its_threads() {
+        // Two shells in turn at one address, both used by one thread: the
+        // registration must tell them apart, or the thread's magazines in
+        // the second are never drained when it exits.
+        let mut place = Box::new(std::mem::MaybeUninit::<NbbsGlobalAlloc>::uninit());
+        let layout = Layout::from_size_align(256, 8).unwrap();
+        std::thread::scope(|s| {
+            // SAFETY: each shell is written before it is used and dropped
+            // exactly once; every block goes back to the shell it came from.
+            s.spawn(|| unsafe {
+                let first = place.write(NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12));
+                let p = first.alloc(layout);
+                first.dealloc(p, layout);
+                place.assume_init_drop();
+                let second = place.write(NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12));
+                let p = second.alloc(layout);
+                second.dealloc(p, layout);
+            })
+            // An explicit join waits for the thread's TLS destructors, the
+            // exit drain among them; the end of the scope alone does not.
+            .join()
+            .unwrap();
+        });
+        // SAFETY: the thread left the second shell initialised.
+        let second = unsafe { place.assume_init_ref() };
+        assert!(
+            second.cache_stats().unwrap().drained > 0,
+            "the exiting thread drained its magazines in the second shell"
+        );
+        assert_eq!(second.buddy_allocated_bytes(), 0);
+        // SAFETY: initialised, and not used again.
+        unsafe { place.assume_init_drop() };
     }
 
     #[test]

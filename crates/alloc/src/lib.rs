@@ -105,6 +105,7 @@ mod facade;
 mod global;
 mod reserve;
 
-pub use facade::{FacadeStatsSnapshot, NbbsAllocator};
+pub use facade::NbbsAllocator;
 pub use global::NbbsGlobalAlloc;
+pub use nbbs::FacadeStatsSnapshot;
 pub use reserve::{EmergencyReserve, ReserveStatsSnapshot};

@@ -49,11 +49,12 @@ fn thread_slot(slots: usize) -> usize {
     nbbs_sync::thread_ordinal() & (slots - 1)
 }
 
+/// The slow-path counters: every one is bumped next to a backend call, a
+/// depot CAS or a capacity change.  The two hit-path tallies live in the
+/// [`Slot`], under the lock a hit already holds.
 #[derive(Debug, Default)]
 struct Counters {
-    hits: AtomicU64,
     misses: AtomicU64,
-    cached_frees: AtomicU64,
     flushed: AtomicU64,
     refilled: AtomicU64,
     depot_exchanges: AtomicU64,
@@ -65,11 +66,17 @@ struct Counters {
     orphan_rescues: AtomicU64,
 }
 
-/// One thread slot: the per-class magazine pairs behind a spin lock, plus
-/// the slot's parked-byte counter (chunks held in `loaded`/`previous`).
+/// One thread slot — everything its spin lock protects: the per-class
+/// magazine pairs and the slot's share of the two hit-path tallies, plain
+/// integers bumped inside the critical section a hit runs anyway.  The
+/// bytes a slot parks are not stored: [`MagazineCache::cached_bytes`] sums
+/// them from the magazine lengths.
 struct Slot {
-    mags: SpinLock<Vec<ClassMags>>,
-    bytes: AtomicUsize,
+    mags: Vec<ClassMags>,
+    /// Allocations this slot served from a magazine.
+    hits: u64,
+    /// Releases this slot absorbed into a magazine.
+    cached_frees: u64,
 }
 
 /// Per-class adaptive-resize state.
@@ -122,6 +129,19 @@ struct ClassCtl {
 /// [`crate::verify_cached`] helper audits the backend's safety properties
 /// treating cached chunks as live.
 ///
+/// A slot's spin lock protects its magazine pairs *and* its share of the
+/// `hits` / `cached_frees` tallies, so a hit counts itself with a plain
+/// increment inside the critical section it runs anyway and executes no
+/// atomic beyond the lock.  Nothing stores how many bytes a slot parks:
+/// the read-outs — [`MagazineCache::snapshot`],
+/// [`MagazineCache::cached_bytes`] and, through it,
+/// [`MagazineCache::allocated_bytes`] — take each slot's lock in turn for
+/// a handful of loads and sum what they find.  They allocate nothing while
+/// holding a lock (under a registered `#[global_allocator]` an allocation
+/// there would re-enter the same slot), are exact at quiescence and
+/// best-effort while operations are in flight, and are not meant to be
+/// called per operation.
+///
 /// # Double frees
 ///
 /// Like the underlying allocators, the cache cannot detect a double free of
@@ -140,7 +160,7 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// slab classes when a slab front-end sits underneath.  Class `k`
     /// caches chunks of exactly `classes[k]` bytes.
     classes: Box<[usize]>,
-    slots: Box<[CachePadded<Slot>]>,
+    slots: Box<[CachePadded<SpinLock<Slot>>]>,
     /// Depot shards, partitioned into `group_count` contiguous banks of
     /// `group_shards` shards each (one bank per NUMA-node group; a single
     /// machine-wide bank by default).  A thread on group `g` in slot `s`
@@ -231,15 +251,14 @@ impl<A: BuddyBackend> MagazineCache<A> {
         let slot_count = config.resolved_slots();
         let slots = (0..slot_count)
             .map(|_| {
-                CachePadded::new(Slot {
-                    mags: SpinLock::new(
-                        classes
-                            .iter()
-                            .map(|&size| ClassMags::new(config.capacity_for(size)))
-                            .collect(),
-                    ),
-                    bytes: AtomicUsize::new(0),
-                })
+                CachePadded::new(SpinLock::new(Slot {
+                    mags: classes
+                        .iter()
+                        .map(|&size| ClassMags::new(config.capacity_for(size)))
+                        .collect(),
+                    hits: 0,
+                    cached_frees: 0,
+                }))
             })
             .collect();
         let shard_count = config.resolved_shards();
@@ -380,10 +399,11 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Bytes currently parked in magazines and depots (allocated in the
-    /// backend, available for cache hits) — the sum of the per-slot and
-    /// per-shard counters, each maintained next to the structure it counts,
-    /// so the total stays exact at quiescence under any interleaving of
-    /// shard exchanges.
+    /// backend, available for cache hits): each slot's magazine lengths
+    /// times their class size, read under that slot's lock, plus the
+    /// per-shard counters and any panic-stranded chunks — the same
+    /// magazines [`MagazineCache::cached_chunks`] lists, so the two agree by
+    /// construction.  A locking read-out (see *Consistency* on the type).
     pub fn cached_bytes(&self) -> usize {
         // Panic-stranded chunks count as cached until rescued: they are
         // live in the backend and held by nobody, exactly like a parked
@@ -393,12 +413,19 @@ impl<A: BuddyBackend> MagazineCache<A> {
         } else {
             0
         };
-        self.slots
+        let in_slots: usize = self
+            .slots
             .iter()
-            .map(|s| s.bytes.load(Ordering::Relaxed))
-            .sum::<usize>()
-            + self.shards.iter().map(|s| s.bytes()).sum::<usize>()
-            + stranded
+            .map(|slot| {
+                let slot = slot.lock();
+                slot.mags
+                    .iter()
+                    .zip(self.classes.iter())
+                    .map(|(pair, &size)| pair.len() * size)
+                    .sum::<usize>()
+            })
+            .sum();
+        in_slots + self.shards.iter().map(|s| s.bytes()).sum::<usize>() + stranded
     }
 
     /// Size in bytes of class `class`.
@@ -536,20 +563,18 @@ impl<A: BuddyBackend> MagazineCache<A> {
     fn alloc_cached(&self, class: usize) -> Option<usize> {
         let class_size = self.class_size(class);
         let slot_idx = thread_slot(self.slots.len());
-        let slot = &self.slots[slot_idx];
-        let mut mags = slot.mags.lock();
-        let pair = &mut mags[class];
+        let mut guard = self.slots[slot_idx].lock();
+        let slot = &mut *guard;
+        let pair = &mut slot.mags[class];
 
         if let Some(off) = pair.loaded.pop() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            slot.bytes.fetch_sub(class_size, Ordering::Relaxed);
+            slot.hits += 1;
             return Some(off);
         }
         if !pair.previous.is_empty() {
             std::mem::swap(&mut pair.loaded, &mut pair.previous);
             let off = pair.loaded.pop().expect("swapped magazine is non-empty");
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            slot.bytes.fetch_sub(class_size, Ordering::Relaxed);
+            slot.hits += 1;
             return Some(off);
         }
 
@@ -557,18 +582,13 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // (a full magazine in via one lock-free pop, our empty `loaded` out —
         // recirculated as the spare for the next overflow rotation).
         if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
-            // The popped magazine's chunks move from the shard's byte
-            // counter (debited by `pop_full`) to this slot's.
-            slot.bytes
-                .fetch_add(full.len() * class_size, Ordering::Relaxed);
             let empty = std::mem::replace(&mut pair.loaded, full);
             pair.spare.get_or_insert(empty);
             self.counters
                 .depot_exchanges
                 .fetch_add(1, Ordering::Relaxed);
             let off = pair.loaded.pop().expect("depot magazines are full");
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            slot.bytes.fetch_sub(class_size, Ordering::Relaxed);
+            slot.hits += 1;
             return Some(off);
         }
 
@@ -584,7 +604,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             pair.previous.set_capacity(target);
         }
         let batch = (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX);
-        drop(mags);
+        drop(guard);
 
         // Miss: batched refill from the backend.  A miss already pays for a
         // tree walk, so it is also the natural point to return any chunks a
@@ -612,7 +632,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
         Recorder::time(
             &self.obs,
             OpKind::CacheRefill,
-            || self.refill(slot, class, batch, &mut guard),
+            || self.refill(&self.slots[slot_idx], class, batch, &mut guard),
             |&refilled| (refilled.unwrap_or(0), refilled.is_some()),
         );
         let (first, _) = guard.chunks.pop().expect("first survives the refill");
@@ -625,7 +645,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// loaded, `None` when the backend had none to give.
     fn refill(
         &self,
-        slot: &Slot,
+        slot: &SpinLock<Slot>,
         class: usize,
         batch: usize,
         guard: &mut OrphanGuard<'_, A>,
@@ -644,8 +664,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // whatever fits and hand any surplus back to the backend.
         let mut refilled = 0u64;
         {
-            let mut mags = slot.mags.lock();
-            let pair = &mut mags[class];
+            let mut slot = slot.lock();
+            let pair = &mut slot.mags[class];
             while guard.chunks.len() > 1 {
                 let (off, _) = *guard.chunks.last().expect("len checked above");
                 let target = if !pair.loaded.is_full() {
@@ -664,8 +684,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             self.counters
                 .refilled
                 .fetch_add(refilled, Ordering::Relaxed);
-            slot.bytes
-                .fetch_add(refilled as usize * class_size, Ordering::Relaxed);
         }
         // Surplus beyond what fit: freed before popped, so a panicked
         // dealloc strands only the chunks it has not yet returned.
@@ -679,13 +697,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Absorbs one release of class `class`.
     fn dealloc_cached(&self, class: usize, offset: usize) {
-        let class_size = self.class_size(class);
         let slot_idx = thread_slot(self.slots.len());
-        let slot = &self.slots[slot_idx];
         let mut overflow = None;
         {
-            let mut mags = slot.mags.lock();
-            let pair = &mut mags[class];
+            let mut guard = self.slots[slot_idx].lock();
+            let slot = &mut *guard;
+            let pair = &mut slot.mags[class];
             if pair.loaded.is_full() {
                 if pair.previous.is_empty() {
                     std::mem::swap(&mut pair.loaded, &mut pair.previous);
@@ -705,17 +722,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
                     }
                     let full = std::mem::replace(&mut pair.previous, empty);
                     std::mem::swap(&mut pair.loaded, &mut pair.previous);
-                    // The full magazine leaves this slot; its chunks are
-                    // re-credited by the depot shard if parked.
-                    slot.bytes
-                        .fetch_sub(full.len() * class_size, Ordering::Relaxed);
                     overflow = Some(full);
                 }
             }
             pair.loaded.push(offset);
-            slot.bytes.fetch_add(class_size, Ordering::Relaxed);
+            slot.cached_frees += 1;
         }
-        self.counters.cached_frees.fetch_add(1, Ordering::Relaxed);
         if let Some(full) = overflow {
             // Parking (and a possible backend flush of a whole magazine)
             // happens outside the slot lock so co-located threads are not
@@ -796,11 +808,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     fn drain_slot(&self, slot_idx: usize) {
-        let slot = &self.slots[slot_idx];
         let mut drained = Vec::new();
         {
-            let mut mags = slot.mags.lock();
-            for (class, pair) in mags.iter_mut().enumerate() {
+            let mut slot = self.slots[slot_idx].lock();
+            for (class, pair) in slot.mags.iter_mut().enumerate() {
                 let class_size = self.class_size(class);
                 for off in pair
                     .loaded
@@ -810,10 +821,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 {
                     drained.push((off, class_size));
                 }
-            }
-            let bytes: usize = drained.iter().map(|&(_, s)| s).sum();
-            if bytes > 0 {
-                slot.bytes.fetch_sub(bytes, Ordering::Relaxed);
             }
         }
         self.release_drained(drained);
@@ -920,8 +927,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
     pub fn cached_chunks(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for slot in self.slots.iter() {
-            let mags = slot.mags.lock();
-            for (class, pair) in mags.iter().enumerate() {
+            let slot = slot.lock();
+            for (class, pair) in slot.mags.iter().enumerate() {
                 let class_size = self.class_size(class);
                 for &off in pair.loaded.entries().iter().chain(pair.previous.entries()) {
                     out.push((off, class_size));
@@ -948,8 +955,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// not concurrently moving through the cache.
     pub fn contains_cached(&self, offset: usize) -> bool {
         for slot in self.slots.iter() {
-            let mags = slot.mags.lock();
-            for pair in mags.iter() {
+            let slot = slot.lock();
+            for pair in slot.mags.iter() {
                 if pair.loaded.entries().contains(&offset)
                     || pair.previous.entries().contains(&offset)
                 {
@@ -965,12 +972,18 @@ impl<A: BuddyBackend> MagazineCache<A> {
         found || self.orphans.lock().iter().any(|&(off, _)| off == offset)
     }
 
-    /// Point-in-time copy of the cache counters.
+    /// Point-in-time copy of the cache counters: the slow-path atomics,
+    /// plus `hits` and `cached_frees` folded from the per-slot tallies under
+    /// each slot's lock.  A locking read-out (see *Consistency* on the type).
     pub fn snapshot(&self) -> CacheStatsSnapshot {
+        let (hits, cached_frees) = self.slots.iter().fold((0, 0), |(hits, frees), slot| {
+            let slot = slot.lock();
+            (hits + slot.hits, frees + slot.cached_frees)
+        });
         CacheStatsSnapshot {
-            hits: self.counters.hits.load(Ordering::Relaxed),
+            hits,
             misses: self.counters.misses.load(Ordering::Relaxed),
-            cached_frees: self.counters.cached_frees.load(Ordering::Relaxed),
+            cached_frees,
             flushed: self.counters.flushed.load(Ordering::Relaxed),
             refilled: self.counters.refilled.load(Ordering::Relaxed),
             depot_exchanges: self.counters.depot_exchanges.load(Ordering::Relaxed),

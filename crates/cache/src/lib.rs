@@ -12,7 +12,16 @@
 //! each a lock-free Treiber stack ([`nbbs_sync::BoundedStack`]).
 //!
 //! * **Hits** (magazine pop / push) cost one uncontended spin-lock
-//!   acquisition on a cache-padded slot — no CAS walk over the shared tree.
+//!   acquisition on a cache-padded slot — no CAS walk over the shared tree,
+//!   and no counter outside the slot: the lock protects the slot's magazine
+//!   pairs together with its `hits` / `cached_frees` tallies, which a hit
+//!   bumps as plain integers while it holds the lock anyway.
+//! * **Read-outs lock.**  [`MagazineCache::snapshot`] folds those per-slot
+//!   tallies and [`MagazineCache::cached_bytes`] (and through it
+//!   `allocated_bytes`) sums magazine lengths × class size, each under the
+//!   slot's lock, so parked bytes and [`MagazineCache::cached_chunks`] agree
+//!   by construction.  They allocate nothing while a lock is held, are exact
+//!   at quiescence, and are not for per-operation use.
 //! * **Misses** refill a whole magazine at a time (a single-CAS depot-shard
 //!   exchange first, batched backend allocations second), so backend
 //!   traffic drops by roughly the magazine capacity.

@@ -97,7 +97,6 @@ impl ClassMags {
     }
 
     /// Total offsets cached by this pair.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.loaded.len() + self.previous.len()
     }

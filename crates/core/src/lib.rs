@@ -125,7 +125,7 @@ pub use onelvl::NbbsOneLevel;
 pub use region::BuddyRegion;
 pub use slotset::{nearest_first_order, SlotSet};
 pub use stats::{
-    CacheStatsSnapshot, FragClassSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OpStats,
-    OpStatsSnapshot, CAS_LEVELS,
+    CacheStatsSnapshot, FacadeStatsSnapshot, FragClassSnapshot, FragStatsSnapshot,
+    MemoryStatsSnapshot, NodeStatsSnapshot, OpStats, OpStatsSnapshot, CAS_LEVELS,
 };
 pub use traits::{BuddyBackend, TreeInspect};

@@ -1,4 +1,16 @@
-//! Operation statistics.
+//! Operation statistics, and every layer's snapshot type.
+//!
+//! Each layer keeps its own counters, but the plain-data *snapshot* it
+//! reports is declared here, once: [`OpStatsSnapshot`] (tree),
+//! [`CacheStatsSnapshot`] (`nbbs-cache`), [`FragStatsSnapshot`]
+//! (`nbbs-slab`), [`NodeStatsSnapshot`] (`nbbs-numa`),
+//! [`MemoryStatsSnapshot`] ([`crate::BuddyRegion`]) and
+//! [`FacadeStatsSnapshot`] (`nbbs-alloc`).  Every layer and `nbbs-obs`
+//! already depend on this crate, so a registry, a report or a
+//! `dyn BuddyBackend` hook takes the value the layer filled in instead of
+//! a field-by-field copy; `nbbs-numa` and `nbbs-alloc` re-export theirs.
+//!
+//! ## Tree operation counters
 //!
 //! The 4-level optimization exists to *reduce the number of RMW instructions
 //! on the critical path* (§III-D).  To be able to demonstrate that reduction
@@ -313,6 +325,109 @@ impl fmt::Display for MemoryStatsSnapshot {
             self.recommitted_bytes,
             self.trimmed_pages
         )
+    }
+}
+
+/// Point-in-time per-node telemetry of a multi-node deployment
+/// (`nbbs-numa`'s `NodeSet`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct NodeStatsSnapshot {
+    /// Node index.
+    pub node: usize,
+    /// Bytes currently handed out by this node's instance.
+    pub allocated_bytes: usize,
+    /// Allocations this node served for requests that started on it.
+    pub local_allocs: u64,
+    /// Allocations this node served as a remote fallback.
+    pub remote_allocs: u64,
+    /// Requests that started on this node and failed everywhere.
+    pub failed_allocs: u64,
+}
+
+impl NodeStatsSnapshot {
+    /// Allocations this node served in total (local + remote-fallback).
+    pub fn served(&self) -> u64 {
+        self.local_allocs + self.remote_allocs
+    }
+}
+
+/// Point-in-time copy of the counters of the `Layout` facade (`nbbs-alloc`).
+///
+/// `grow`/`shrink` resolve either *in place* (the granted buddy block
+/// already covers the new layout — no copy, no backend traffic) or by
+/// *moving* (allocate + copy + release).  The split is the facade's own
+/// figure of merit: buddy blocks over-provision by construction, so a
+/// healthy workload should see most grows land in place.
+///
+/// `NbbsAllocator` fills what it owns; `system_bytes` and
+/// `system_failovers` belong to the `NbbsGlobalAlloc` shell, which adds
+/// them, and stay zero for a bare facade.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct FacadeStatsSnapshot {
+    /// `grow` calls resolved without moving the block.
+    pub grows_in_place: u64,
+    /// `grow` calls that allocated a larger block and copied.
+    pub grows_moved: u64,
+    /// `shrink` calls resolved without moving the block.
+    pub shrinks_in_place: u64,
+    /// `shrink` calls that moved to a smaller size class (releasing the
+    /// difference back to the buddy).
+    pub shrinks_moved: u64,
+    /// Cumulative bytes *asked for* by successful allocations
+    /// (`layout.size()`, zero-sized grilled up to 1) — the one odometer of
+    /// bytes the buddy granted for.  An in-place `grow` allocates nothing
+    /// and adds nothing.
+    pub requested_bytes: u64,
+    /// Cumulative bytes *handed out* for those allocations (the granted
+    /// block sizes).  `granted - requested` is internal fragmentation as
+    /// the caller experiences it.
+    pub granted_bytes: u64,
+    /// Buddy-path OOMs served from the emergency reserve.
+    pub reserve_hits: u64,
+    /// Reserve blocks returned by frees of reserve-owned memory.
+    pub reserve_refills: u64,
+    /// Cumulative bytes that fell through to the system allocator
+    /// (oversized requests, exhaustion, pre-build metadata).
+    pub system_bytes: u64,
+    /// Requests the built buddy stack failed that the system allocator
+    /// rescued (degraded-mode events, not ordinary oversized traffic).
+    pub system_failovers: u64,
+}
+
+impl FacadeStatsSnapshot {
+    /// Fraction of `grow` calls that resolved in place (0.0 when no grow
+    /// ran).
+    pub fn grow_in_place_rate(&self) -> f64 {
+        let total = self.grows_in_place + self.grows_moved;
+        if total == 0 {
+            0.0
+        } else {
+            self.grows_in_place as f64 / total as f64
+        }
+    }
+
+    /// Granted-to-requested byte ratio at the facade boundary — internal
+    /// fragmentation as the *end user* experiences it (1.0 means no waste,
+    /// and covers the nothing-allocated-yet case).  Unlike
+    /// [`FragStatsSnapshot::ratio`], which sees magazine refill batches,
+    /// this measures the caller's `Layout` sizes.
+    pub fn granted_over_requested(&self) -> f64 {
+        if self.requested_bytes == 0 {
+            1.0
+        } else {
+            self.granted_bytes as f64 / self.requested_bytes as f64
+        }
+    }
+
+    /// Fraction of served bytes that came from the buddy rather than the
+    /// system allocator, by requested size (1.0 until the first fallback).
+    pub fn buddy_share(&self) -> f64 {
+        let total = self.requested_bytes + self.system_bytes;
+        if total == 0 {
+            1.0
+        } else {
+            self.requested_bytes as f64 / total as f64
+        }
     }
 }
 

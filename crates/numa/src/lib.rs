@@ -39,5 +39,6 @@
 mod nodeset;
 pub mod topology;
 
-pub use nodeset::{NodePolicy, NodeSet, NodeStatsSnapshot};
+pub use nbbs::NodeStatsSnapshot;
+pub use nodeset::{NodePolicy, NodeSet};
 pub use topology::{current_node, Topology, TopologySource};

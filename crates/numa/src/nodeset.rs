@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use nbbs::error::FreeError;
-use nbbs::{nearest_first_order, BuddyBackend, Geometry, SlotSet};
+use nbbs::{nearest_first_order, BuddyBackend, Geometry, NodeStatsSnapshot, SlotSet};
 use nbbs_sync::CachePadded;
 
 use crate::topology::Topology;
@@ -58,28 +58,6 @@ struct NodeCounters {
     remote_allocs: AtomicU64,
     /// Requests that started here and failed on every node.
     failed_allocs: AtomicU64,
-}
-
-/// Point-in-time per-node telemetry of a [`NodeSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStatsSnapshot {
-    /// Node index.
-    pub node: usize,
-    /// Bytes currently handed out by this node's instance.
-    pub allocated_bytes: usize,
-    /// Allocations this node served for requests that started on it.
-    pub local_allocs: u64,
-    /// Allocations this node served as a remote fallback.
-    pub remote_allocs: u64,
-    /// Requests that started on this node and failed everywhere.
-    pub failed_allocs: u64,
-}
-
-impl NodeStatsSnapshot {
-    /// Allocations this node served in total (local + remote-fallback).
-    pub fn served(&self) -> u64 {
-        self.local_allocs + self.remote_allocs
-    }
 }
 
 /// A set of per-node buddy instances behind one widened [`BuddyBackend`].

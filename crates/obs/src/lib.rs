@@ -56,9 +56,8 @@
 //! [`jsoncheck`] is the strict parser every emitted format is gated by (the
 //! build environment is offline — no serde).  The crate depends only on
 //! `nbbs` and `nbbs-sync`, so every higher layer can use it without cycles:
-//! node and facade figures arrive through the neutral
-//! [`NodeShare`]/[`FacadeShare`] structs, the recording thread's NUMA node
-//! through `nbbs_sync::thread_node`.
+//! each layer's snapshot type lives in [`nbbs::stats`], the recording
+//! thread's NUMA node arrives through `nbbs_sync::thread_node`.
 
 pub mod flight;
 pub mod hist;
@@ -78,7 +77,7 @@ pub use hist::{
 pub use profile::{HeapProfiler, ProfileReport, SiteReport, DEFAULT_PROFILE_STRIDE};
 pub use recorded::{Recorded, DEFAULT_SAMPLE_STRIDE};
 pub use recorder::{size_detail, OpKind, OpOutcome, Recorder};
-pub use registry::{FacadeShare, MetricsRegistry, NodeShare, StackSnapshot};
+pub use registry::{MetricsRegistry, StackSnapshot};
 pub use ring::{TraceEvent, TraceRing, TRACE_CAPACITY, TRACE_RINGS};
 pub use sampler::{MetricsSampler, Sample, SeriesRecorder};
 

@@ -10,110 +10,19 @@
 //! the workspace reports identically.
 //!
 //! The crate sits *below* `nbbs-cache`/`nbbs-numa`/`nbbs-alloc` in the
-//! dependency graph, so the node and facade figures arrive through the
-//! neutral [`NodeShare`]/[`FacadeShare`] structs that the higher layers
-//! convert into.
+//! dependency graph; every layer's snapshot type is declared in
+//! [`nbbs::stats`], which all of them depend on, so the registry takes the
+//! very values the layers filled in.
 
 use std::sync::Arc;
 
 use nbbs::{
-    BuddyBackend, CacheStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OccupancySnapshot,
-    OpStatsSnapshot, CAS_LEVELS,
+    BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot,
+    NodeStatsSnapshot, OccupancySnapshot, OpStatsSnapshot, CAS_LEVELS,
 };
 
 use crate::hist::LatencyPercentiles;
 use crate::recorder::{OpKind, Recorder};
-
-/// One NUMA node's service share — the dependency-neutral mirror of
-/// `nbbs_numa::NodeStatsSnapshot`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NodeShare {
-    /// Node index.
-    pub node: usize,
-    /// Bytes currently live on this node.
-    pub allocated_bytes: u64,
-    /// Allocations served to threads homed on this node.
-    pub local_allocs: u64,
-    /// Allocations served to remote threads (fallback traffic).
-    pub remote_allocs: u64,
-    /// Allocations this node could not serve.
-    pub failed_allocs: u64,
-}
-
-impl NodeShare {
-    /// Total allocations this node served.
-    pub fn served(&self) -> u64 {
-        self.local_allocs + self.remote_allocs
-    }
-}
-
-/// The facade layer's service figures — the dependency-neutral mirror of
-/// `nbbs-alloc`'s byte-share counters and `FacadeStatsSnapshot`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FacadeShare {
-    /// Cumulative bytes served from the buddy region (by requested size).
-    pub buddy_bytes: u64,
-    /// Cumulative bytes that fell through to the system allocator.
-    pub system_bytes: u64,
-    /// `grow` requests resolved inside the already-granted block.
-    pub grows_in_place: u64,
-    /// `grow` requests that had to move the allocation.
-    pub grows_moved: u64,
-    /// `shrink` requests resolved in place.
-    pub shrinks_in_place: u64,
-    /// `shrink` requests that moved.
-    pub shrinks_moved: u64,
-    /// Requests the buddy path failed that fell through to the system
-    /// allocator (degraded-mode events, not ordinary oversized traffic).
-    pub system_failovers: u64,
-    /// Buddy-path OOMs served from the emergency reserve.
-    pub reserve_hits: u64,
-    /// Reserve blocks returned by frees of reserve-owned memory.
-    pub reserve_refills: u64,
-    /// Cumulative bytes end users *requested* through the facade
-    /// (`Layout::size`), before any rounding.
-    pub requested_bytes: u64,
-    /// Cumulative bytes the backend actually *granted* for those requests
-    /// (size class or power-of-two chunk) — the facade-level
-    /// fragmentation numerator.
-    pub granted_bytes: u64,
-}
-
-impl FacadeShare {
-    /// Fraction of served bytes that came from the buddy (1.0 when nothing
-    /// was served).
-    pub fn buddy_share(&self) -> f64 {
-        let total = self.buddy_bytes + self.system_bytes;
-        if total == 0 {
-            1.0
-        } else {
-            self.buddy_bytes as f64 / total as f64
-        }
-    }
-
-    /// Fraction of grows resolved in place (0.0 when no grow ran).
-    pub fn grow_in_place_rate(&self) -> f64 {
-        let total = self.grows_in_place + self.grows_moved;
-        if total == 0 {
-            0.0
-        } else {
-            self.grows_in_place as f64 / total as f64
-        }
-    }
-
-    /// Granted-over-requested ratio at the facade boundary — internal
-    /// fragmentation as the *end user* experiences it (`1.0` = no waste,
-    /// and when nothing was requested).  Unlike the slab layer's
-    /// `FragStatsSnapshot::ratio`, which sees magazine refill batches,
-    /// this measures the caller's `Layout` sizes.
-    pub fn granted_over_requested(&self) -> f64 {
-        if self.requested_bytes == 0 {
-            1.0
-        } else {
-            self.granted_bytes as f64 / self.requested_bytes as f64
-        }
-    }
-}
 
 /// Everything one allocator stack reports, in one typed value.
 #[derive(Debug, Default, Clone)]
@@ -127,12 +36,12 @@ pub struct StackSnapshot {
     /// Converged per-class magazine capacities, if the stack has a cache.
     pub capacities: Option<Vec<(usize, usize)>>,
     /// Per-node service shares (empty for single-arena stacks).
-    pub nodes: Vec<NodeShare>,
+    pub nodes: Vec<NodeStatsSnapshot>,
     /// Per-class fragmentation counters, if the stack has a slab layer
     /// (committed-over-requested ratio, live pages, passthrough traffic).
     pub frag: Option<FragStatsSnapshot>,
     /// Facade byte shares and realloc counters, if the stack has a facade.
-    pub facade: Option<FacadeShare>,
+    pub facade: Option<FacadeStatsSnapshot>,
     /// Tree occupancy (per-level fill, free-block runs, external
     /// fragmentation), if the backend exposes a status tree.
     pub occupancy: Option<OccupancySnapshot>,
@@ -160,13 +69,12 @@ impl StackSnapshot {
         let mut out = String::new();
         let _ = writeln!(out, "== nbbs stack: {} ==", self.label);
         if let Some(f) = &self.facade {
-            // Byte counters live on the global allocator; facades observed
-            // without them would render a meaningless "0 B / 0 B" line.
-            if f.buddy_bytes + f.system_bytes > 0 {
+            // The buddy figure is the facade's requested-bytes odometer.
+            if f.requested_bytes + f.system_bytes > 0 {
                 let _ = writeln!(
                     out,
                     "  facade   {} B buddy / {} B system ({:.1}% buddy share)",
-                    f.buddy_bytes,
+                    f.requested_bytes,
                     f.system_bytes,
                     f.buddy_share() * 100.0
                 );
@@ -307,7 +215,7 @@ impl StackSnapshot {
             }
         }
         if !self.nodes.is_empty() {
-            let total_served: u64 = self.nodes.iter().map(NodeShare::served).sum();
+            let total_served: u64 = self.nodes.iter().map(NodeStatsSnapshot::served).sum();
             for n in &self.nodes {
                 let share = if total_served == 0 {
                     0.0
@@ -442,7 +350,7 @@ impl StackSnapshot {
                  \"grows_moved\":{},\"shrinks_in_place\":{},\"shrinks_moved\":{},\
                  \"system_failovers\":{},\"reserve_hits\":{},\"reserve_refills\":{},\
                  \"requested_bytes\":{},\"granted_bytes\":{},\"granted_over_requested\":{}}}",
-                f.buddy_bytes,
+                f.requested_bytes,
                 f.system_bytes,
                 f.grows_in_place,
                 f.grows_moved,
@@ -564,9 +472,9 @@ pub struct MetricsRegistry {
     backend_ops: OpStatsSnapshot,
     cache: Option<CacheStatsSnapshot>,
     capacities: Option<Vec<(usize, usize)>>,
-    nodes: Vec<NodeShare>,
+    nodes: Vec<NodeStatsSnapshot>,
     frag: Option<FragStatsSnapshot>,
-    facade: Option<FacadeShare>,
+    facade: Option<FacadeStatsSnapshot>,
     occupancy: Option<OccupancySnapshot>,
     memory: Option<MemoryStatsSnapshot>,
     recorder: Option<Arc<Recorder>>,
@@ -611,7 +519,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the per-node service shares.
-    pub fn set_nodes(&mut self, nodes: Vec<NodeShare>) -> &mut Self {
+    pub fn set_nodes(&mut self, nodes: Vec<NodeStatsSnapshot>) -> &mut Self {
         self.nodes = nodes;
         self
     }
@@ -623,7 +531,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the facade byte shares and realloc counters.
-    pub fn set_facade(&mut self, facade: FacadeShare) -> &mut Self {
+    pub fn set_facade(&mut self, facade: FacadeStatsSnapshot) -> &mut Self {
         self.facade = Some(facade);
         self
     }
@@ -701,21 +609,20 @@ mod tests {
         }))
         .set_capacities(Some(vec![(64, 8), (128, 16)]))
         .set_nodes(vec![
-            NodeShare {
+            NodeStatsSnapshot {
                 node: 0,
                 local_allocs: 80,
                 remote_allocs: 5,
                 ..Default::default()
             },
-            NodeShare {
+            NodeStatsSnapshot {
                 node: 1,
                 local_allocs: 15,
                 ..Default::default()
             },
         ])
-        .set_facade(FacadeShare {
-            buddy_bytes: 1000,
-            system_bytes: 0,
+        .set_facade(FacadeStatsSnapshot {
+            requested_bytes: 1000,
             grows_in_place: 3,
             grows_moved: 1,
             system_failovers: 2,
@@ -815,7 +722,7 @@ mod tests {
         let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap());
         let hold = tree.alloc(4096).unwrap();
         let mut reg = MetricsRegistry::new("occ");
-        reg.observe_backend(&tree).set_facade(FacadeShare {
+        reg.observe_backend(&tree).set_facade(FacadeStatsSnapshot {
             requested_bytes: 4000,
             granted_bytes: 4096,
             ..Default::default()

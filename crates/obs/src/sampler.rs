@@ -466,8 +466,7 @@ impl Drop for MetricsSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FacadeShare;
-    use nbbs::OpStatsSnapshot;
+    use nbbs::{FacadeStatsSnapshot, OpStatsSnapshot};
 
     fn snap_with(allocs: u64, frees: u64, hits: u64, requested: u64) -> StackSnapshot {
         StackSnapshot {
@@ -481,7 +480,7 @@ mod tests {
                 hits,
                 ..Default::default()
             }),
-            facade: Some(FacadeShare {
+            facade: Some(FacadeStatsSnapshot {
                 requested_bytes: requested,
                 granted_bytes: requested * 2,
                 ..Default::default()

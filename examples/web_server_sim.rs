@@ -42,7 +42,7 @@ use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_baselines::CloudwuBuddy;
 use nbbs_cache::MagazineCache;
-use nbbs_obs::{FacadeShare, MetricsRegistry, Recorder};
+use nbbs_obs::{MetricsRegistry, Recorder};
 use nbbs_slab::{SlabBackend, SlabConfig};
 use nbbs_workloads::rng::SplitMix64;
 
@@ -180,22 +180,9 @@ fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: 
     // One registry snapshot replaces the ad-hoc stat printlns: it picks up
     // the backend's cache stats (if any), the facade's grow/shrink path
     // split, and the facade-level latency histogram in a single table.
-    let stats = facade.facade_stats();
     let mut registry = MetricsRegistry::new(label);
     registry.observe_backend(alloc.as_ref());
-    registry.set_facade(FacadeShare {
-        buddy_bytes: 0,
-        system_bytes: 0,
-        grows_in_place: stats.grows_in_place,
-        grows_moved: stats.grows_moved,
-        shrinks_in_place: stats.shrinks_in_place,
-        shrinks_moved: stats.shrinks_moved,
-        system_failovers: 0,
-        reserve_hits: 0,
-        reserve_refills: 0,
-        requested_bytes: stats.requested_bytes,
-        granted_bytes: stats.granted_bytes,
-    });
+    registry.set_facade(facade.facade_stats());
     registry.set_recorder(Arc::clone(&recorder));
     println!("{}", registry.snapshot().text_table());
     // Return any magazine-cached buffers to the tree (no-op for uncached

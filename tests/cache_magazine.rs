@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use nbbs::verify::audit_empty;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
 use nbbs_baselines::ReferenceBuddy;
-use nbbs_cache::{verify_cached, CacheConfig, MagazineCache};
+use nbbs_cache::{verify_cached, verify_cached_empty, CacheConfig, MagazineCache};
 use nbbs_workloads::rng::SplitMix64;
 
 // Generous headroom: the worst-case generated live set (~300 KiB granted)
@@ -595,9 +595,10 @@ fn drains_cover_every_depot_shard() {
     audit_empty(cache.backend()).assert_clean();
 }
 
-/// The per-slot/per-shard byte counters stay exact under concurrent shard
-/// exchanges: at quiescence, `cached_bytes` equals exactly what the backend
-/// still considers allocated (nothing is caller-live here).
+/// The parked-byte figure (per-slot magazine sums plus per-shard counters)
+/// stays exact under concurrent shard exchanges: at quiescence,
+/// `cached_bytes` equals exactly what the backend still considers allocated
+/// (nothing is caller-live here).
 #[test]
 fn cached_bytes_is_exact_after_concurrent_exchanges() {
     let cache = Arc::new(MagazineCache::with_config(
@@ -637,11 +638,107 @@ fn cached_bytes_is_exact_after_concurrent_exchanges() {
         h.join().unwrap();
     }
     // Quiescent: every chunk the backend holds is parked in the cache, and
-    // the summed per-slot/per-shard counters must agree byte for byte.
+    // the per-slot sums and per-shard counters must agree byte for byte.
     assert_eq!(cache.cached_bytes(), cache.backend().allocated_bytes());
     let counted: usize = cache.cached_chunks().iter().map(|&(_, s)| s).sum();
     assert_eq!(cache.cached_bytes(), counted);
     assert_eq!(cache.allocated_bytes(), 0);
+}
+
+/// `hits`, `cached_frees` and the parked bytes are derived at read time,
+/// under the slot locks, from what the hit path keeps there.  Reading them
+/// while every slot is contended must neither wedge nor run backwards, and
+/// at quiescence they must equal what the workers themselves counted.
+#[test]
+fn derived_readouts_hold_under_load_and_are_exact_at_quiescence() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const WORKERS: usize = 6;
+    let cache = Arc::new(MagazineCache::with_config(
+        NbbsFourLevel::new(backend_config()),
+        CacheConfig {
+            magazine_capacity: 8,
+            magazine_bytes: 256,
+            depot_magazines: 4,
+            // Fewer slots than workers: every slot lock is shared.
+            slots: Some(2),
+            ..CacheConfig::default()
+        },
+    ));
+    let start = Arc::new(Barrier::new(WORKERS + 1));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let reader = {
+        let (cache, start, done) = (Arc::clone(&cache), Arc::clone(&start), Arc::clone(&done));
+        std::thread::spawn(move || {
+            start.wait();
+            let (mut reads, mut seen) = (0u64, 0u64);
+            while !done.load(Ordering::Acquire) {
+                let requests = cache.cache_stats().unwrap().alloc_requests();
+                assert!(requests >= seen, "hits + misses ran backwards");
+                seen = requests;
+                std::hint::black_box((cache.cached_bytes(), cache.allocated_bytes()));
+                reads += 1;
+            }
+            reads
+        })
+    };
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|t| {
+            let (cache, start) = (Arc::clone(&cache), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut rng = SplitMix64::new(0x0D0_5EED ^ t as u64);
+                let (mut allocs, mut frees) = (0u64, 0u64);
+                let mut held: Vec<(usize, usize)> = Vec::new();
+                start.wait();
+                for _ in 0..5_000 {
+                    if held.is_empty() || rng.next_u64() & 1 == 0 {
+                        // Four cached classes; powers of two, so the grant
+                        // is the request.  The arena never runs dry.
+                        let size = 8usize << rng.next_below(4);
+                        let off = cache.alloc(size).expect("ample headroom");
+                        held.push((off, size));
+                        allocs += 1;
+                    } else {
+                        let (off, _) = held.swap_remove(rng.next_below(held.len()));
+                        cache.dealloc(off);
+                        frees += 1;
+                    }
+                }
+                (allocs, frees, held)
+            })
+        })
+        .collect();
+    let (mut allocs, mut frees, mut held) = (0u64, 0u64, Vec::new());
+    for w in workers {
+        let (a, f, h) = w.join().unwrap();
+        allocs += a;
+        frees += f;
+        held.extend(h);
+    }
+    done.store(true, Ordering::Release);
+    assert!(reader.join().unwrap() > 0, "the reader ran alongside");
+
+    let stats = cache.cache_stats().unwrap();
+    assert_eq!(
+        stats.alloc_requests(),
+        allocs,
+        "every allocation hit or missed"
+    );
+    assert_eq!(stats.cached_frees, frees, "every free was absorbed");
+    let parked: usize = cache.cached_chunks().iter().map(|&(_, size)| size).sum();
+    assert_eq!(cache.cached_bytes(), parked);
+    let live: usize = held.iter().map(|&(_, size)| size).sum();
+    assert_eq!(cache.allocated_bytes(), live);
+
+    for (off, _) in held {
+        cache.dealloc(off);
+    }
+    cache.drain_all();
+    assert_eq!(cache.cached_bytes(), 0);
+    verify_cached_empty(&cache).assert_clean();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
 }
 
 /// Hit-rate sanity on a recycling workload: most operations must bypass the
