@@ -8,6 +8,7 @@ use std::sync::Arc;
 use nbbs::error::AllocError;
 use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
+use nbbs_sync::{default_stripes, thread_stripe, CachePadded};
 
 use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 
@@ -35,13 +36,25 @@ use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 ///   through [`BuddyBackend::grant_alignment_for`], and the facade bumps
 ///   the request to the next power of two — present in every grant ladder
 ///   — restoring the guarantee.
-/// * **`grow`/`shrink` resolve in place whenever the granted block already
-///   covers the new layout.**  The granted size is a pure function of the
-///   request size ([`BuddyBackend::granted_size_for`]), so the decision is
-///   level math on the geometry — no tree walk, no metadata lookup.
+/// * **`grow`/`shrink` resolve in place whenever the new layout names the
+///   class the block already has.**  The granted size is a pure function of
+///   the request size ([`BuddyBackend::granted_size_for`]), so the decision
+///   is level math on the geometry — no tree walk, no metadata lookup.
+/// * **The layout names the block's class.**  At every
+///   [`NbbsAllocator::deallocate`] the block's true granted size is
+///   [`NbbsAllocator::granted_size`] of the layout it is released under:
+///   `allocate` grants exactly that, and `grow`/`shrink` keep a block in
+///   place only under a layout of the same class.  That is what lets a
+///   release hand the size down the stack
+///   ([`BuddyBackend::dealloc_sized`]) instead of having a cache look it up
+///   in the tree.
 /// * Everything routes through whatever backend it wraps, so putting a
 ///   `MagazineCache` underneath turns every allocation and release into a
-///   magazine operation; the facade adds no locks of its own.
+///   magazine operation; the facade adds no locks of its own, and its one
+///   always-on count — the requested/granted odometer — lives on a stripe
+///   per thread ([`nbbs_sync::thread_stripe`], the rule the cache's slots
+///   follow), so a thread that owns its cache slot writes no line another
+///   thread writes.
 ///
 /// Zero-sized layouts are grilled up to one allocation unit rather than
 /// handed a dangling pointer: the facade's pointers are always real,
@@ -57,8 +70,13 @@ pub struct NbbsAllocator<A: BuddyBackend> {
     grows_moved: AtomicU64,
     shrinks_in_place: AtomicU64,
     shrinks_moved: AtomicU64,
-    requested_bytes: AtomicU64,
-    granted_bytes: AtomicU64,
+    /// The cumulative `(requested, granted)` byte odometer, one stripe per
+    /// [`thread_stripe`] of [`default_stripes`] — sized and indexed exactly
+    /// like the cache's default slot table, so the two relaxed adds of a
+    /// grant land on a line only this thread writes whenever its cache slot
+    /// is its own.  Each stripe only ever grows; [`Self::facade_stats`]
+    /// sums them.
+    odometer: Box<[CachePadded<(AtomicU64, AtomicU64)>]>,
     /// Optional observer.  Every *public* facade operation records exactly
     /// one event (a moved grow is one `Grow`, not a `Grow` + `Alloc` +
     /// `Free`), and when the handle carries a heap profiler every granted
@@ -78,8 +96,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             grows_moved: AtomicU64::new(0),
             shrinks_in_place: AtomicU64::new(0),
             shrinks_moved: AtomicU64::new(0),
-            requested_bytes: AtomicU64::new(0),
-            granted_bytes: AtomicU64::new(0),
+            odometer: (0..default_stripes())
+                .map(|_| CachePadded::default())
+                .collect(),
             obs: None,
         }
     }
@@ -210,26 +229,37 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// The two `system_*` fields are the global shell's and stay zero.
     pub fn facade_stats(&self) -> FacadeStatsSnapshot {
         let reserve = self.reserve_stats().unwrap_or_default();
+        let (requested_bytes, granted_bytes) =
+            self.odometer
+                .iter()
+                .fold((0, 0), |(requested, granted), s| {
+                    (
+                        requested + s.0.load(Ordering::Relaxed),
+                        granted + s.1.load(Ordering::Relaxed),
+                    )
+                });
         FacadeStatsSnapshot {
             grows_in_place: self.grows_in_place.load(Ordering::Relaxed),
             grows_moved: self.grows_moved.load(Ordering::Relaxed),
             shrinks_in_place: self.shrinks_in_place.load(Ordering::Relaxed),
             shrinks_moved: self.shrinks_moved.load(Ordering::Relaxed),
-            requested_bytes: self.requested_bytes.load(Ordering::Relaxed),
-            granted_bytes: self.granted_bytes.load(Ordering::Relaxed),
+            requested_bytes,
+            granted_bytes,
             reserve_hits: reserve.hits,
             reserve_refills: reserve.refills,
             ..FacadeStatsSnapshot::default()
         }
     }
 
-    /// Books a successful grant: requested-vs-granted byte accounting plus
-    /// the (sampled) heap-profiler capture.
+    /// Books a successful grant: requested-vs-granted byte accounting on
+    /// the calling thread's odometer stripe plus the (sampled)
+    /// heap-profiler capture.
     fn account_grant(&self, layout: Layout, granted: usize, offset: Option<usize>) {
-        self.requested_bytes
+        let stripe = &self.odometer[thread_stripe(self.odometer.len())];
+        stripe
+            .0
             .fetch_add(layout.size().max(1) as u64, Ordering::Relaxed);
-        self.granted_bytes
-            .fetch_add(granted as u64, Ordering::Relaxed);
+        stripe.1.fetch_add(granted as u64, Ordering::Relaxed);
         if let (Some(profiler), Some(offset)) = (self.profiler(), offset) {
             profiler.record_alloc(offset, granted);
         }
@@ -315,11 +345,19 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
 
     /// Releases a block obtained from this facade.
     ///
+    /// The release is *sized*: [`NbbsAllocator::granted_size`] of `layout`
+    /// goes down the stack with the offset
+    /// ([`BuddyBackend::dealloc_sized`]), so a cache underneath parks the
+    /// chunk without asking the tree what it is.  That is sound because the
+    /// layout names the block's class by construction (see the type docs).
+    ///
     /// # Safety
     ///
     /// `ptr` must denote a block currently allocated by this facade, and
     /// `layout` must round to the same granted size as the layout it was
-    /// allocated (or last grown/shrunk) with.
+    /// allocated (or last grown/shrunk) with.  A layout of another class is
+    /// a logic error of the same rank as a wrong pointer: the block would
+    /// be filed under the class the layout names.
     pub unsafe fn deallocate(&self, ptr: NonNull<u8>, layout: Layout) {
         Recorder::time(
             &self.obs,
@@ -337,32 +375,64 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// Same contract as [`NbbsAllocator::deallocate`].
     unsafe fn deallocate_inner(&self, ptr: NonNull<u8>, layout: Layout) {
         debug_assert!(self.region.contains(ptr), "pointer outside the region");
-        debug_assert!(self.granted_size(layout).is_some());
-        let profiler = self.profiler();
-        if self.reserve.is_some() || profiler.is_some() {
+        if self.reserve.is_some() || self.profiler().is_some() {
             if let Some(offset) = self.region.offset_of(ptr) {
-                if let Some(profiler) = profiler {
-                    profiler.record_free(offset);
-                }
-                if let Some(reserve) = &self.reserve {
-                    if reserve.owns(offset) {
-                        // A reserve block refills the pool — the only
-                        // replenishment path — instead of rejoining the buddy.
-                        reserve.replenish(offset);
-                        return;
-                    }
+                if self.note_release(offset) {
+                    return;
                 }
             }
         }
-        self.region.dealloc_bytes(ptr);
+        match self.granted_size(layout) {
+            Some(granted) => self.region.dealloc_bytes_sized(ptr, granted),
+            // Unreachable for a correctly-used facade (the layout was
+            // allocatable); let the backend look the size up rather than
+            // guess.
+            None => self.region.dealloc_bytes(ptr),
+        }
+    }
+
+    /// What every release route does before the block at `offset` goes back
+    /// to a backend — this facade's `deallocate` and the global shell's
+    /// nested raw route alike: the profiler sees it go, and a block the
+    /// emergency reserve owns refills the pool — the only replenishment
+    /// path — instead of rejoining the buddy.  Returns whether the reserve
+    /// took the block, in which case it must not reach a backend.
+    pub(crate) fn note_release(&self, offset: usize) -> bool {
+        if let Some(profiler) = self.profiler() {
+            profiler.record_free(offset);
+        }
+        match &self.reserve {
+            Some(reserve) if reserve.owns(offset) => {
+                reserve.replenish(offset);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The in-place rule of `grow` and `shrink`: a block of `granted` bytes
+    /// at `ptr` stays put only when `new_layout` names the same class, so
+    /// the layout it is eventually released under still names the block.
+    /// The alignment is checked on the pointer itself — a spaced slab class
+    /// is only granule-aligned, so "same class" does not imply "aligned
+    /// enough" when the new layout raises the alignment.
+    #[inline]
+    fn stays_in_place(&self, ptr: NonNull<u8>, granted: usize, new_layout: Layout) -> bool {
+        self.granted_size(new_layout) == Some(granted)
+            && (ptr.as_ptr() as usize).is_multiple_of(new_layout.align())
     }
 
     /// Grows a block to `new_layout`, preserving its first
     /// `old_layout.size()` bytes.
     ///
-    /// Resolves in place — same pointer back, no copy — whenever the granted
-    /// buddy block already covers `new_layout`; otherwise allocates a larger
-    /// block, copies, and releases the old one.
+    /// Resolves in place — same pointer back, no copy — whenever
+    /// `new_layout` names the class the block already has (and the pointer
+    /// meets its alignment); otherwise allocates a block of the new class,
+    /// copies, and releases the old one.  "The block is big enough" is not
+    /// the rule: a new layout that *lowers* the alignment into a smaller
+    /// class (`(8, align 4096)` → `(16, align 1)`) moves, so that the
+    /// layout keeps naming the block's class for the eventual
+    /// [`NbbsAllocator::deallocate`].
     ///
     /// # Safety
     ///
@@ -396,17 +466,8 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         new_layout: Layout,
     ) -> Result<NonNull<[u8]>, AllocError> {
         debug_assert!(new_layout.size() >= old_layout.size());
-        let new_want = self.request_size(new_layout);
-        if let Some(granted) = self
-            .backend()
-            .granted_size_for(self.request_size(old_layout))
-        {
-            // In place: the block is `granted` bytes, so `new_want <=
-            // granted` covers the size.  The alignment is checked on the
-            // pointer itself — a spaced slab class is only granule-aligned,
-            // so "the block is big enough" no longer implies "the block is
-            // aligned enough" when the new layout raises the alignment.
-            if new_want <= granted && (ptr.as_ptr() as usize).is_multiple_of(new_layout.align()) {
+        if let Some(granted) = self.granted_size(old_layout) {
+            if self.stays_in_place(ptr, granted, new_layout) {
                 self.grows_in_place.fetch_add(1, Ordering::Relaxed);
                 return Ok(NonNull::slice_from_raw_parts(ptr, granted));
             }
@@ -428,12 +489,15 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// `new_layout.size()` bytes.
     ///
     /// When the new layout still rounds to the same granted size the block
-    /// stays put (a buddy cannot return half a block anyway); when a
-    /// smaller size class suffices the block moves there, releasing the
-    /// difference — unless the move itself fails, in which case the
-    /// original block is kept, so `shrink` only ever fails if `new_layout`
-    /// cannot be served in place either (an alignment raised beyond the
-    /// current block).
+    /// stays put (a buddy cannot return half a block anyway); when it names
+    /// another class the block moves there, releasing the difference.  If
+    /// that move cannot be served — the smaller class is momentarily
+    /// exhausted — `shrink` fails and the block stays valid under
+    /// `old_layout`, as `Allocator::shrink` permits: keeping the larger
+    /// block under the smaller layout would break the class invariant
+    /// [`NbbsAllocator::deallocate`] relies on.  (The `GlobalAlloc::realloc`
+    /// impl then migrates the block to `System`, as it does for a grow the
+    /// buddy cannot serve.)
     ///
     /// # Safety
     ///
@@ -466,46 +530,31 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         new_layout: Layout,
     ) -> Result<NonNull<[u8]>, AllocError> {
         debug_assert!(new_layout.size() <= old_layout.size());
-        let new_want = self.request_size(new_layout);
-        let Some(granted) = self
-            .backend()
-            .granted_size_for(self.request_size(old_layout))
-        else {
+        let Some(granted) = self.granted_size(old_layout) else {
             // Unreachable for a correctly-used facade (the old layout was
             // allocatable); keep the block rather than guess.
             self.shrinks_in_place.fetch_add(1, Ordering::Relaxed);
             return Ok(NonNull::slice_from_raw_parts(ptr, new_layout.size()));
         };
-        // A move is *required* when the new layout outgrows the current
-        // block (size, or an alignment the block's address does not meet),
-        // and merely *profitable* when a smaller size class would release
-        // memory; same class means nothing to do.
-        let aligned_in_place = (ptr.as_ptr() as usize).is_multiple_of(new_layout.align());
-        let must_move = new_want > granted || !aligned_in_place;
-        if !must_move && self.backend().granted_size_for(new_want) == Some(granted) {
+        // Any other class moves, whether the new layout outgrows the block
+        // (a raised alignment) or a smaller class would release memory; a
+        // move that fails is the caller's error to see — the block is still
+        // theirs under `old_layout`.
+        if self.stays_in_place(ptr, granted, new_layout) {
             self.shrinks_in_place.fetch_add(1, Ordering::Relaxed);
             return Ok(NonNull::slice_from_raw_parts(ptr, granted));
         }
-        match self.allocate_inner(new_layout) {
-            Ok(new_block) => {
-                std::ptr::copy_nonoverlapping(
-                    ptr.as_ptr(),
-                    new_block.cast::<u8>().as_ptr(),
-                    new_layout.size(),
-                );
-                self.deallocate_inner(ptr, old_layout);
-                self.shrinks_moved.fetch_add(1, Ordering::Relaxed);
-                Ok(new_block)
-            }
-            Err(err) if must_move => Err(err),
-            Err(_) => {
-                // Profitable move foiled by momentary fragmentation: keep
-                // the (larger, still correctly aligned) block in place
-                // rather than fail a shrink.
-                self.shrinks_in_place.fetch_add(1, Ordering::Relaxed);
-                Ok(NonNull::slice_from_raw_parts(ptr, granted))
-            }
-        }
+        let new_block = self.allocate_inner(new_layout)?;
+        // SAFETY: distinct blocks; the new one holds `new_layout.size()`
+        // bytes, at most what the old one held.
+        std::ptr::copy_nonoverlapping(
+            ptr.as_ptr(),
+            new_block.cast::<u8>().as_ptr(),
+            new_layout.size(),
+        );
+        self.deallocate_inner(ptr, old_layout);
+        self.shrinks_moved.fetch_add(1, Ordering::Relaxed);
+        Ok(new_block)
     }
 }
 

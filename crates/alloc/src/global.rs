@@ -423,7 +423,11 @@ impl NbbsGlobalAlloc {
     unsafe fn raw_alloc(&self, state: &State, layout: Layout) -> *mut u8 {
         // The raw path serves straight from the power-of-two tree, whose
         // grants are naturally aligned — no slab in the way, so the base
-        // request needs no alignment bump.
+        // request needs no alignment bump.  For the same reason the facade's
+        // `request_size` bumps nothing either, so the tree grants here
+        // exactly the class `granted_size(layout)` names: a block allocated
+        // on this route and freed on the normal one goes down the stack
+        // under its true size.
         let want = NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout);
         let tree = state.facade.backend().backend();
         if want <= tree.max_size() {
@@ -446,11 +450,12 @@ impl NbbsGlobalAlloc {
             .region()
             .offset_of(ptr)
             .expect("raw_dealloc is only called for region pointers");
-        // The block may have been sampled on the facade path (a thread's
-        // frees after its exit drain, the old block of a re-entrant
-        // realloc): the profiler must see it go.
-        if let Some(profiler) = state.facade.profiler() {
-            profiler.record_free(offset);
+        // The block may have come from the facade path (a thread's frees
+        // after its exit drain, the old block of a re-entrant realloc): the
+        // profiler must see a sampled one go, and one the emergency reserve
+        // served goes back to the reserve — the tree never counted it free.
+        if state.facade.note_release(offset) {
+            return;
         }
         state.facade.backend().backend().dealloc(offset);
     }
@@ -1186,6 +1191,36 @@ mod tests {
             a.dealloc(p, layout);
         }
         assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 0);
+    }
+
+    #[test]
+    fn a_reserve_block_freed_on_the_bypass_path_refills_the_reserve() {
+        // Freed with the latch engaged (a thread past its exit drain, a
+        // nested free), a reserve-served block used to go to the tree: the
+        // pool stayed empty for good and the tree carved the next request
+        // out of memory the reserve still listed as its own.
+        let a = NbbsGlobalAlloc::new(2048, 64, 1024).with_reserve(1, 1024);
+        let layout = Layout::from_size_align(1024, 8).unwrap();
+        unsafe {
+            let p1 = a.alloc(layout); // the general block
+            assert_eq!(a.buddy_allocated_bytes(), 1024);
+            let p2 = a.alloc(layout); // buddy OOM -> reserve serves
+            assert!(a.owns(p1) && a.owns(p2));
+            assert_eq!(a.reserve_stats().unwrap().hits, 1);
+            {
+                let _latched = BypassGuard::engage();
+                a.dealloc(p2, layout);
+            }
+            let reserve = a.reserve_stats().unwrap();
+            assert_eq!((reserve.available, reserve.refills), (1, 1));
+            assert_eq!(
+                a.buddy_allocated_bytes(),
+                1024,
+                "the tree still counts the reserve's block as handed out"
+            );
+            a.dealloc(p1, layout);
+        }
+        assert_eq!(a.buddy_allocated_bytes(), 0);
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! * **Realloc is usually free.**  The granted size is a pure function of
 //!   the request ([`nbbs::BuddyBackend::granted_size_for`]), so
 //!   [`NbbsAllocator::grow`] / [`NbbsAllocator::shrink`] can prove "the new
-//!   layout still fits this block" with level math alone and return the
-//!   same pointer.
+//!   layout still names this block's class" with level math alone and
+//!   return the same pointer — and, for the same reason,
+//!   [`NbbsAllocator::deallocate`] can tell the stack the block's size
+//!   instead of having it looked up.
 //!
 //! [`NbbsGlobalAlloc`] packages the cached facade for
 //! `#[global_allocator]` use: `const`-constructible, lazily built under

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
 use nbbs_obs::{OpKind, Recorder};
-use nbbs_sync::{Backoff, CachePadded, SpinLock};
+use nbbs_sync::{thread_stripe, Backoff, CachePadded, SpinLock};
 
 use crate::config::CacheConfig;
 use crate::depot::DepotShard;
@@ -30,24 +30,6 @@ const TRANSIENT_RETRIES: u32 = 3;
 /// absorbing free bursts — but a cold miss must not turn into a
 /// multi-thousand-chunk tree walk.
 const REFILL_BATCH_MAX: usize = 64;
-
-/// Process-wide thread slot assignment shared by every cache instance:
-/// threads map to a slot by masking their [`nbbs_sync::thread_ordinal`]
-/// (monotone, assigned on first use anywhere in the stack), so with
-/// `slots >= thread count` every thread owns a private slot.
-///
-/// *Foreign* threads — any thread the cache owner never heard of, e.g. every
-/// thread of a program whose `#[global_allocator]` routes through the cache
-/// — get their slot the same way; the ordinal lookup never allocates, stays
-/// accessible through thread teardown, and conservatively parks late-TLS
-/// calls on slot 0 (slots may be shared, so this is always correct — and a
-/// global allocator must not panic).  Because `nbbs-numa`'s synthetic
-/// home-node assignment derives from the *same* ordinal, a thread's slot
-/// group and its home node agree by construction.
-fn thread_slot(slots: usize) -> usize {
-    // `slots` is a power of two.
-    nbbs_sync::thread_ordinal() & (slots - 1)
-}
 
 /// The slow-path counters: every one is bumped next to a backend call, a
 /// depot CAS or a capacity change.  The two hit-path tallies live in the
@@ -92,10 +74,15 @@ struct ClassCtl {
 ///
 /// Threads are mapped to *slots*; each slot keeps, per cached buddy order, a
 /// pair of bounded LIFO magazines (Bonwick's loaded/previous scheme).  The
-/// hot path — allocation hit, release into a non-full magazine — touches only
+/// hot path — allocation hit, *sized* release
+/// ([`BuddyBackend::dealloc_sized`]) into a non-full magazine — touches only
 /// the slot's spin lock (uncontended when `slots >= threads`) and never the
 /// backend tree, so backend CAS traffic drops by roughly the magazine
-/// capacity.  Misses refill in batches, first from the slot group's *depot
+/// capacity.  The unsized release ([`BuddyBackend::dealloc`]) parks the
+/// chunk the same way but first asks the backend for its class
+/// ([`BuddyBackend::granted_size_of_live`]: a read of tree metadata other
+/// threads write), because an offset alone does not name one.  Misses
+/// refill in batches, first from the slot group's *depot
 /// shard* — a lock-free [`nbbs_sync::BoundedStack`] of full magazines, so the
 /// exchange is a single tagged CAS with no mutex anywhere on the path — and
 /// second from batched backend allocations; overflowing frees flush whole
@@ -160,6 +147,8 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// slab classes when a slab front-end sits underneath.  Class `k`
     /// caches chunks of exactly `classes[k]` bytes.
     classes: Box<[usize]>,
+    /// A thread's slot is its [`nbbs_sync::thread_stripe`] in this table,
+    /// the thread→stripe rule every per-thread table in the stack shares.
     slots: Box<[CachePadded<SpinLock<Slot>>]>,
     /// Depot shards, partitioned into `group_count` contiguous banks of
     /// `group_shards` shards each (one bank per NUMA-node group; a single
@@ -370,7 +359,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// The depot shard the calling thread exchanges magazines with.
     pub fn current_shard(&self) -> usize {
-        self.shard_of(thread_slot(self.slots.len()))
+        self.shard_of(thread_stripe(self.slots.len()))
     }
 
     /// Full magazines currently parked in depot shard `shard` (approximate
@@ -562,7 +551,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// Serves one allocation of class `class`, preferring the magazines.
     fn alloc_cached(&self, class: usize) -> Option<usize> {
         let class_size = self.class_size(class);
-        let slot_idx = thread_slot(self.slots.len());
+        let slot_idx = thread_stripe(self.slots.len());
         let mut guard = self.slots[slot_idx].lock();
         let slot = &mut *guard;
         let pair = &mut slot.mags[class];
@@ -697,7 +686,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Absorbs one release of class `class`.
     fn dealloc_cached(&self, class: usize, offset: usize) {
-        let slot_idx = thread_slot(self.slots.len());
+        let slot_idx = thread_stripe(self.slots.len());
         let mut overflow = None;
         {
             let mut guard = self.slots[slot_idx].lock();
@@ -804,7 +793,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// case this also drains the co-located threads' magazines — still
     /// correct, merely conservative.
     pub fn drain_current_thread(&self) {
-        self.drain_slot(thread_slot(self.slots.len()));
+        self.drain_slot(thread_stripe(self.slots.len()));
     }
 
     fn drain_slot(&self, slot_idx: usize) {
@@ -1032,6 +1021,26 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
             // Unknown size class (backend without the lookup hook, or a
             // class above the cutoff): pass straight through.
             None => self.backend.dealloc(offset),
+        }
+    }
+
+    /// The release for a caller that knows the chunk's granted size: the
+    /// class comes from `granted`, so a chunk that parks in a magazine
+    /// touches nothing but this thread's slot.  Shares `dealloc_cached`
+    /// with [`BuddyBackend::dealloc`]; the two differ only in where the
+    /// class comes from.  A size that is not one of the cache's classes
+    /// goes on to the backend, size attached.
+    fn dealloc_sized(&self, offset: usize, granted: usize) {
+        // The audit of the caller's claim, on every sized free of every
+        // suite run in debug; release builds never ask.
+        debug_assert_eq!(
+            self.backend.granted_size_of_live(offset),
+            Some(granted),
+            "sized free of offset {offset} names the wrong class"
+        );
+        match self.class_of_granted(granted) {
+            Some(class) => self.dealloc_cached(class, offset),
+            None => self.backend.dealloc_sized(offset, granted),
         }
     }
 

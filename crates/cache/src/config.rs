@@ -86,7 +86,10 @@ pub struct CacheConfig {
     /// Number of thread slots (each slot holds one pair of magazines per
     /// class; threads map to slots by a per-thread id, so with at least as
     /// many slots as threads every thread effectively owns a private slot).
-    /// `None` sizes the table from `std::thread::available_parallelism`.
+    /// `None` sizes the table with [`nbbs_sync::default_stripes`] and a
+    /// thread finds its slot with [`nbbs_sync::thread_stripe`] — the rule
+    /// every per-thread table in the stack shares, so a thread that owns
+    /// its slot here owns its stripe of the facade's odometer too.
     pub slots: Option<usize>,
     /// Ceiling for adaptively grown magazine capacities (entries); at a
     /// class's initial capacity it keeps that class from growing.  Each
@@ -131,9 +134,7 @@ impl CacheConfig {
     pub(crate) fn resolved_slots(&self) -> usize {
         match self.slots {
             Some(n) => n.max(1).next_power_of_two(),
-            None => std::thread::available_parallelism()
-                .map(|n| (n.get() * 2).next_power_of_two())
-                .unwrap_or(16),
+            None => nbbs_sync::default_stripes(),
         }
     }
 

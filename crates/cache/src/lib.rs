@@ -16,6 +16,16 @@
 //!   and no counter outside the slot: the lock protects the slot's magazine
 //!   pairs together with its `hits` / `cached_frees` tallies, which a hit
 //!   bumps as plain integers while it holds the lock anyway.
+//! * **Two release entries, one magazine push.**
+//!   [`nbbs::BuddyBackend::dealloc_sized`] takes the chunk's granted size
+//!   from the caller (the `nbbs-alloc` facade computes it from the `Layout`
+//!   it is handed), picks the class from it and parks the chunk without
+//!   reading a line another thread writes; debug builds cross-check the
+//!   claim against the backend on every such free.
+//!   [`nbbs::BuddyBackend::dealloc`] serves callers that hold only an
+//!   offset ([`nbbs::BuddyRegion::dealloc_bytes`], the drain paths): it asks
+//!   the backend's [`nbbs::BuddyBackend::granted_size_of_live`] for the
+//!   class first, which reads tree metadata, and then takes the same path.
 //! * **Read-outs lock.**  [`MagazineCache::snapshot`] folds those per-slot
 //!   tallies and [`MagazineCache::cached_bytes`] (and through it
 //!   `allocated_bytes`) sums magazine lengths × class size, each under the

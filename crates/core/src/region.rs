@@ -172,10 +172,24 @@ impl<A: BuddyBackend> BuddyRegion<A> {
         Ok(unsafe { NonNull::new_unchecked(self.base().as_ptr().add(offset)) })
     }
 
+    /// The offset of a pointer handed to a release; panics on a pointer the
+    /// region never granted.
+    fn released_offset(&self, ptr: NonNull<u8>) -> usize {
+        self.offset_of(ptr).expect("pointer outside the region")
+    }
+
     /// Releases a pointer previously returned by [`BuddyRegion::alloc_bytes`].
     pub fn dealloc_bytes(&self, ptr: NonNull<u8>) {
-        let offset = self.offset_of(ptr).expect("pointer outside the region");
-        self.inner.backend.dealloc(offset);
+        self.inner.backend.dealloc(self.released_offset(ptr));
+    }
+
+    /// [`BuddyRegion::dealloc_bytes`] for a caller that knows the block's
+    /// granted size (the contract of [`BuddyBackend::dealloc_sized`]): a
+    /// cache underneath parks the chunk without looking its class up.
+    pub fn dealloc_bytes_sized(&self, ptr: NonNull<u8>, granted: usize) {
+        self.inner
+            .backend
+            .dealloc_sized(self.released_offset(ptr), granted);
     }
 
     /// Fallible release with validation of the pointer.

@@ -39,6 +39,14 @@ use crate::stats::{CacheStatsSnapshot, FragStatsSnapshot, OpStatsSnapshot};
 /// [`BuddyBackend::granted_size_for`] and
 /// [`BuddyBackend::grant_alignment_for`], which caches and the facade call
 /// on every request and which should stay statically dispatched.
+///
+/// [`BuddyBackend::dealloc_sized`] follows the `try_alloc` pattern: its
+/// default is `self.dealloc(offset)`, so a wrapper's gate, lock or route is
+/// never skipped and the default costs only the size.  Forward it (`gate,
+/// then inner.dealloc_sized(offset, granted)`) when a cache can sit beneath
+/// you: a cache that is handed the size parks the chunk without asking the
+/// tree for it, and a wrapper between the facade and the cache that keeps
+/// the default silently puts that lookup back on every release.
 pub trait BuddyBackend: Send + Sync {
     /// Short, stable identifier used in benchmark reports
     /// (e.g. `"1lvl-nb"`, `"4lvl-nb"`, `"buddy-sl"`, `"linux-buddy"`).
@@ -63,6 +71,23 @@ pub trait BuddyBackend: Send + Sync {
     /// logic error (checked variants are available via
     /// [`BuddyBackend::try_dealloc`]).
     fn dealloc(&self, offset: usize);
+
+    /// Releases the chunk starting at `offset`, whose granted size the
+    /// caller already knows.
+    ///
+    /// `granted` must be what [`BuddyBackend::granted_size_for`] answers for
+    /// the request the chunk was last granted under — the value
+    /// [`BuddyBackend::granted_size_of_live`] would look up for `offset`.
+    /// A wrong size is a logic error of the same rank as a wrong offset: a
+    /// cache files the chunk under the class it is told.  The size is a
+    /// hint that saves the lookup, never a different release: the default
+    /// drops it and calls [`BuddyBackend::dealloc`], which is correct for
+    /// every backend; caches override it to pick the magazine class from
+    /// `granted` (see *Writing a wrapper* above for who should forward it).
+    fn dealloc_sized(&self, offset: usize, granted: usize) {
+        let _ = granted;
+        self.dealloc(offset);
+    }
 
     /// Fallible allocation reporting *why* the request could not be served.
     fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
@@ -135,9 +160,11 @@ pub trait BuddyBackend: Send + Sync {
     /// `offset`, or `None` if the backend cannot cheaply tell or no live
     /// allocation starts there.
     ///
-    /// Caching front-ends use this on their release path to find the size
-    /// class of an offset they are handed: [`BuddyBackend::dealloc`] carries
-    /// no size, but a magazine can only absorb a chunk whose class it knows.
+    /// Caching front-ends use this on their unsized release path to find
+    /// the size class of an offset they are handed: [`BuddyBackend::dealloc`]
+    /// carries no size, but a magazine can only absorb a chunk whose class
+    /// it knows ([`BuddyBackend::dealloc_sized`] is the release for callers
+    /// that can say it themselves).
     /// The tree-based allocators answer from `index[]` + the node status (the
     /// same lookup their own `dealloc` performs); backends without such
     /// metadata keep the default `None`, which makes caches pass their frees
@@ -356,6 +383,7 @@ macro_rules! forward_through_deref {
             fn geometry(&self) -> &Geometry;
             fn alloc(&self, size: usize) -> Option<usize>;
             fn dealloc(&self, offset: usize);
+            fn dealloc_sized(&self, offset: usize, granted: usize);
             fn try_alloc(&self, size: usize) -> Result<usize, AllocError>;
             fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
             fn inner(&self) -> Option<&dyn BuddyBackend>;

@@ -131,6 +131,19 @@ impl<A: BuddyBackend> BuddyBackend for Recorded<A> {
             .record_since(OpKind::Free, t0, 0, OpOutcome::Ok);
     }
 
+    /// Forwarded, size attached, so a cache beneath keeps its lookup-free
+    /// release; the `Free` event carries the class [`Recorded::dealloc`]
+    /// cannot know.
+    fn dealloc_sized(&self, offset: usize, granted: usize) {
+        if !tick(self.stride) {
+            return self.inner.dealloc_sized(offset, granted);
+        }
+        let t0 = cycles_now();
+        self.inner.dealloc_sized(offset, granted);
+        self.recorder
+            .record_since(OpKind::Free, t0, size_detail(granted), OpOutcome::Ok);
+    }
+
     fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
         if !tick(self.stride) {
             return self.inner.try_alloc(size);
@@ -204,6 +217,22 @@ mod tests {
         assert_eq!(timed.allocated_bytes(), 0);
         assert_eq!(rec.snapshot(OpKind::Alloc).total(), 2);
         assert_eq!(rec.snapshot(OpKind::Free).total(), 2);
+
+        // A `Free` event carries the class when the caller gave one.
+        let last_free_class = || {
+            let events = rec.ring().events();
+            let free = events.iter().rev().find(|ev| ev.kind == OpKind::Free);
+            free.expect("a free was recorded").class
+        };
+        let a = timed.alloc(100).unwrap();
+        timed.dealloc_sized(a, 128);
+        assert_eq!(last_free_class(), 7, "log2 of the 128 bytes named");
+        assert_eq!(timed.allocated_bytes(), 0, "the sized free released");
+        let a = timed.alloc(100).unwrap();
+        timed.dealloc(a);
+        assert_eq!(last_free_class(), 0, "an unsized free has no class to give");
+        assert_eq!(timed.allocated_bytes(), 0);
+        assert_eq!(rec.snapshot(OpKind::Free).total(), 4);
     }
 
     #[test]

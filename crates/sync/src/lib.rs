@@ -21,7 +21,10 @@
 //!   the clock-cycle metric of Figure 12.
 //! * [`thread_ordinal`] — process-wide monotone thread ids, shared by the
 //!   cache's thread slots and `nbbs-numa`'s synthetic home-node assignment
-//!   so both layers agree on which threads are "the same"; next to it
+//!   so both layers agree on which threads are "the same"; on top of it
+//!   [`thread_stripe`] / [`default_stripes`], the one rule by which every
+//!   per-thread table (cache slots, the facade's odometer) is indexed and
+//!   sized; next to it
 //!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
 //!   publishes and `nbbs-obs` tags events with.
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
@@ -48,5 +51,5 @@ pub use cycles::{cycles_now, CycleTimer};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};
-pub use tid::{set_thread_node, thread_node, thread_ordinal};
+pub use tid::{default_stripes, set_thread_node, thread_node, thread_ordinal, thread_stripe};
 pub use treiber::BoundedStack;

@@ -1,12 +1,14 @@
 //! Process-wide monotone thread ordinals.
 //!
 //! Several layers of the stack key per-thread state by a small dense id —
-//! the magazine cache's thread slots (`nbbs-cache`), the synthetic
-//! home-node assignment (`nbbs-numa`).  Keeping the counter *here*, in the
-//! one crate both depend on, guarantees they see the **same** id for the
-//! same thread: a thread's cache slot and its synthetic home node are
-//! derived from one ordinal, so slot-group banking and node routing agree
-//! by construction.  The home node itself is published here too
+//! the magazine cache's thread slots (`nbbs-cache`), the facade's odometer
+//! stripes (`nbbs-alloc`), the synthetic home-node assignment
+//! (`nbbs-numa`).  Keeping the counter *here*, in the one crate they all
+//! depend on, guarantees they see the **same** id for the same thread: a
+//! thread's cache slot, its odometer stripe and its synthetic home node are
+//! derived from one ordinal ([`thread_stripe`] is the one thread→stripe
+//! rule), so slot-group banking and node routing agree by construction.
+//! The home node itself is published here too
 //! ([`set_thread_node`]), so the layer that routes (`nbbs-numa`) and the one
 //! that records (`nbbs-obs`) need not name each other.
 
@@ -35,6 +37,39 @@ pub fn thread_ordinal() -> usize {
             id
         })
         .unwrap_or(0)
+}
+
+/// The calling thread's entry in a table of `len` per-thread stripes (`len`
+/// a power of two): its [`thread_ordinal`] masked to the table.
+///
+/// This is the process-wide thread→stripe rule.  Every striped structure in
+/// the stack indexes itself with it — the magazine cache's slots, the
+/// facade's odometer — so with `len >= thread count` every thread owns a
+/// private entry, and a thread that owns its entry in one table of a given
+/// length owns it in every other.
+///
+/// *Foreign* threads — any thread the owner of the table never heard of,
+/// e.g. every thread of a program whose `#[global_allocator]` routes through
+/// the cache — get their stripe the same way; the ordinal lookup never
+/// allocates, stays accessible through thread teardown, and conservatively
+/// parks late-TLS calls on stripe 0 (stripes may be shared, so this is
+/// always correct — and a global allocator must not panic).  Because
+/// `nbbs-numa`'s synthetic home-node assignment derives from the *same*
+/// ordinal, a thread's stripe and its home node agree by construction.
+#[inline]
+pub fn thread_stripe(len: usize) -> usize {
+    debug_assert!(len.is_power_of_two());
+    thread_ordinal() & (len - 1)
+}
+
+/// How many stripes a per-thread table gets when nobody says otherwise:
+/// twice `std::thread::available_parallelism` rounded up to a power of two
+/// (16 when the parallelism cannot be read), so the threads of a program
+/// that runs one per CPU each land on a stripe of their own.
+pub fn default_stripes() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| (n.get() * 2).next_power_of_two())
+        .unwrap_or(16)
 }
 
 /// Stored node-hint value meaning "this thread never declared a node".

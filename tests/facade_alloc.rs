@@ -6,15 +6,19 @@
 //! every live block's contents must match its mirror after every step
 //! (which catches overlap and realloc corruption in one stroke), every
 //! pointer must honour its layout's alignment, and `allocate_zeroed` must
-//! actually scrub recycled buddy chunks.
+//! actually scrub recycled buddy chunks.  After every step each live
+//! block's layout must also name the block's true granted size — the
+//! invariant the facade's sized release rests on.
 
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout};
 use std::ptr::NonNull;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::error::FreeError;
+use nbbs::{BuddyBackend, BuddyConfig, Geometry, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
 
@@ -39,8 +43,13 @@ enum Op {
     },
     /// Release the k-th live block (modulo the live count).
     Free(usize),
-    /// Grow or shrink the k-th live block to `size` bytes (same alignment).
-    Realloc { idx: usize, size: usize },
+    /// Grow or shrink the k-th live block to `size` bytes at
+    /// `1 << align_log` alignment (raised, kept or lowered).
+    Realloc {
+        idx: usize,
+        size: usize,
+        align_log: u32,
+    },
     /// One synchronous decommit-scrubber pass over the backing region: free
     /// pages are claimed and released to the kernel mid-workload, so every
     /// later step runs against memory that may have crossed the decommit
@@ -59,6 +68,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0u64..u64::MAX).prop_map(|bits| Op::Realloc {
             idx: (bits % 64) as usize,
             size: 1 + ((bits >> 16) % 5000) as usize,
+            align_log: ((bits >> 40) % 13) as u32,
         }),
         1 => Just(Op::Scrub),
     ]
@@ -138,12 +148,11 @@ proptest! {
                     prop_assert!(block.contents_match(), "contents intact at release");
                     unsafe { alloc.deallocate(block.ptr, block.layout) };
                 }
-                Op::Realloc { idx, size } => {
+                Op::Realloc { idx, size, align_log } => {
                     if live.is_empty() { continue; }
                     let idx = idx % live.len();
                     let block = &mut live[idx];
-                    let new_layout =
-                        Layout::from_size_align(size, block.layout.align()).unwrap();
+                    let new_layout = Layout::from_size_align(size, 1 << align_log).unwrap();
                     let result = unsafe {
                         if size >= block.layout.size() {
                             alloc.grow(block.ptr, block.layout, new_layout)
@@ -182,6 +191,14 @@ proptest! {
             // write by the facade) corrupts somebody's pattern.
             for block in &live {
                 prop_assert!(block.contents_match(), "no live block was clobbered");
+                // The sized release's premise: the layout a block would be
+                // freed under names the size the tree holds it at.
+                let offset = alloc.region().offset_of(block.ptr).unwrap();
+                prop_assert_eq!(
+                    alloc.granted_size(block.layout),
+                    alloc.backend().granted_size_of_live(offset),
+                    "{:?} names the block's class", block.layout
+                );
             }
         }
         for block in live.drain(..) {
@@ -407,7 +424,7 @@ proptest! {
         match (unsafe { facade.grow(block, old_layout, grow_layout) }, oracle_granted(grow_req, MIN, MAX)) {
             (Ok(new_block), Some(_)) => {
                 let after = facade.facade_stats();
-                let expect_in_place = grow_req <= old_granted;
+                let expect_in_place = oracle_granted(grow_req, MIN, MAX) == Some(old_granted);
                 prop_assert_eq!(
                     after.grows_in_place - before.grows_in_place,
                     expect_in_place as u64,
@@ -459,4 +476,155 @@ proptest! {
         unsafe { facade.deallocate(new_block.cast::<u8>(), shrink_layout) };
         prop_assert_eq!(facade.allocated_bytes(), 0);
     }
+}
+
+/// A transparent wrapper that counts the size lookups reaching the tree.
+struct Counting<A> {
+    inner: A,
+    lookups: AtomicUsize,
+}
+
+impl<A: BuddyBackend> BuddyBackend for Counting<A> {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn geometry(&self) -> &Geometry {
+        self.inner.geometry()
+    }
+    fn alloc(&self, size: usize) -> Option<usize> {
+        self.inner.alloc(size)
+    }
+    fn dealloc(&self, offset: usize) {
+        self.inner.dealloc(offset)
+    }
+    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
+        self.inner.try_dealloc(offset)
+    }
+    fn allocated_bytes(&self) -> usize {
+        self.inner.allocated_bytes()
+    }
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner)
+    }
+    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.inner.granted_size_of_live(offset)
+    }
+}
+
+/// A release through the facade carries the size the layout names, so the
+/// cache asks the tree nothing: zero lookups the way it ships, and exactly
+/// one per free in debug builds, where the cache cross-checks every claim.
+#[test]
+fn a_sized_free_never_asks_the_tree_for_the_size() {
+    let config = BuddyConfig::new(TOTAL, MIN, MAX).unwrap();
+    let alloc = NbbsAllocator::new(MagazineCache::new(Counting {
+        inner: NbbsFourLevel::new(config),
+        lookups: AtomicUsize::new(0),
+    }));
+    let layouts: Vec<Layout> = (0..240usize)
+        .map(|i| {
+            // Sizes across every class, every third request over-aligned.
+            let size = 1 + (i * 37) % 5000;
+            let align = if i % 3 == 0 { 64 << (i % 7) } else { 8 };
+            Layout::from_size_align(size, align).unwrap()
+        })
+        .collect();
+    let blocks: Vec<_> = layouts
+        .iter()
+        .map(|&layout| alloc.allocate(layout).unwrap().cast::<u8>())
+        .collect();
+    assert_eq!(alloc.backend().backend().lookups.load(Ordering::Relaxed), 0);
+    for (&layout, &ptr) in layouts.iter().zip(&blocks) {
+        unsafe { alloc.deallocate(ptr, layout) };
+    }
+    let expected = if cfg!(debug_assertions) {
+        layouts.len()
+    } else {
+        0
+    };
+    assert_eq!(
+        alloc.backend().backend().lookups.load(Ordering::Relaxed),
+        expected
+    );
+    assert_eq!(alloc.allocated_bytes(), 0);
+}
+
+/// A shrink into a smaller class whose move cannot be served fails and
+/// leaves the block as it was: keeping the larger block under the smaller
+/// layout would make the eventual release name the wrong class.  Through
+/// `GlobalAlloc::realloc` the block migrates to `System` instead.
+#[test]
+fn a_foiled_shrink_fails_and_realloc_migrates_to_system() {
+    // The one 4 KiB block is the whole arena: no 64-byte class to move to.
+    let arena = || {
+        NbbsAllocator::new(NbbsFourLevel::new(
+            BuddyConfig::new(4096, 64, 4096).unwrap(),
+        ))
+    };
+    let old = Layout::from_size_align(4096, 8).unwrap();
+    let new = Layout::from_size_align(64, 8).unwrap();
+
+    let alloc = arena();
+    let block = alloc.allocate(old).unwrap().cast::<u8>();
+    unsafe {
+        block.as_ptr().write_bytes(0x6B, 4096);
+        assert!(alloc.shrink(block, old, new).is_err());
+        let bytes = std::slice::from_raw_parts(block.as_ptr(), 4096);
+        assert!(bytes.iter().all(|&b| b == 0x6B), "the block is intact");
+        assert_eq!(alloc.allocated_bytes(), 4096);
+        alloc.deallocate(block, old);
+    }
+    assert_eq!(alloc.allocated_bytes(), 0);
+
+    let alloc = arena();
+    unsafe {
+        let p = alloc.alloc(old);
+        assert!(alloc.owns(p));
+        p.write_bytes(0x6B, 4096);
+        let q = alloc.realloc(p, old, 64);
+        assert!(!q.is_null() && !alloc.owns(q), "migrated to System");
+        let bytes = std::slice::from_raw_parts(q, 64);
+        assert!(bytes.iter().all(|&b| b == 0x6B), "contents preserved");
+        assert_eq!(alloc.allocated_bytes(), 0, "the buddy block was released");
+        alloc.dealloc(q, new);
+    }
+}
+
+/// The odometer is striped per thread and stays exact: with more threads
+/// than four times the stripes, every stripe is shared, and the sums still
+/// come out to the byte.
+#[test]
+fn the_striped_odometer_is_exact_when_every_stripe_is_shared() {
+    let sizes: Vec<usize> = (0..300usize).map(|i| (i * 53) % 4000).collect();
+    let threads = 4 * nbbs_sync::default_stripes() + 1;
+    let alloc = Arc::new(facade());
+    let start = Arc::new(Barrier::new(threads));
+    let handles: Vec<_> = (0..threads)
+        .map(|_| {
+            let alloc = Arc::clone(&alloc);
+            let start = Arc::clone(&start);
+            let sizes = sizes.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                for size in sizes {
+                    let layout = Layout::from_size_align(size, 8).unwrap();
+                    let block = alloc.allocate(layout).unwrap();
+                    unsafe { alloc.deallocate(block.cast(), layout) };
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let requested: usize = sizes.iter().map(|&size| size.max(1)).sum();
+    let granted: usize = sizes
+        .iter()
+        .map(|&size| oracle_granted(size.max(8), MIN, MAX).unwrap())
+        .sum();
+    let stats = alloc.facade_stats();
+    assert_eq!(stats.requested_bytes, (threads * requested) as u64);
+    assert_eq!(stats.granted_bytes, (threads * granted) as u64);
+    assert_eq!(alloc.allocated_bytes(), 0);
 }

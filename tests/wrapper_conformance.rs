@@ -7,6 +7,12 @@
 //! below is a leaf that returns a distinct sentinel from each of the
 //! fourteen optional methods (none of them equal to the leaf default); the
 //! table wraps it in each layer of the workspace and compares answers.
+//!
+//! The sized release is checked the same way: `dealloc_sized` defaults to
+//! `dealloc`, so a wrapper that lacks the forward still releases the block,
+//! but a cache beneath it is back to looking the size up.  The wrappers a
+//! cache can sit beneath must deliver offset *and* size; every wrapper must
+//! deliver the release.
 
 use std::sync::{Arc, Mutex};
 
@@ -48,6 +54,10 @@ impl Probe {
 /// The probe's grant ladder: multiples of 3 KiB, which no geometry grants.
 const GRANT_STEP: usize = 3 << 10;
 
+/// What the probe says every live block was granted.  Not on its own grant
+/// ladder, so a cache around the probe has no class for it.
+const LIVE_SIZE: usize = 48;
+
 impl BuddyBackend for Probe {
     fn name(&self) -> &'static str {
         "probe"
@@ -60,6 +70,9 @@ impl BuddyBackend for Probe {
     }
     fn dealloc(&self, offset: usize) {
         self.note(format!("dealloc({offset})"));
+    }
+    fn dealloc_sized(&self, offset: usize, granted: usize) {
+        self.note(format!("dealloc_sized({offset}, {granted})"));
     }
     fn try_dealloc(&self, _offset: usize) -> Result<(), FreeError> {
         Ok(())
@@ -78,7 +91,7 @@ impl BuddyBackend for Probe {
         }
     }
     fn granted_size_of_live(&self, _offset: usize) -> Option<usize> {
-        Some(48)
+        Some(LIVE_SIZE)
     }
     fn granted_size_for(&self, size: usize) -> Option<usize> {
         Some(size.next_multiple_of(GRANT_STEP))
@@ -144,6 +157,8 @@ struct Answers {
     /// What `drain_cache`, `scrub_claim` and `scrub_dealloc` reached the
     /// probe as.
     maintenance: Vec<String>,
+    /// What `dealloc_sized(128, LIVE_SIZE)` reached the probe as.
+    release: Vec<String>,
 }
 
 /// A request size above the slab cutoff, so a slab layer passes it on.
@@ -153,6 +168,10 @@ fn ask(backend: &dyn BuddyBackend, calls: &Calls) -> Answers {
     backend.drain_cache();
     let scrub_claim = backend.scrub_claim(128, 64);
     backend.scrub_dealloc(128);
+    let maintenance = std::mem::take(&mut *calls.lock().unwrap());
+    // The size named is the one the probe's own lookup answers, as the
+    // contract demands (a cache cross-checks it in debug builds).
+    backend.dealloc_sized(128, LIVE_SIZE);
     Answers {
         total_memory: backend.total_memory(),
         stats: backend.stats(),
@@ -166,7 +185,8 @@ fn ask(backend: &dyn BuddyBackend, calls: &Calls) -> Answers {
         free_chunks: backend.free_chunks(256),
         scrub_claim,
         trim_empty_pages: backend.trim_empty_pages(),
-        maintenance: std::mem::take(&mut *calls.lock().unwrap()),
+        maintenance,
+        release: std::mem::take(&mut *calls.lock().unwrap()),
     }
 }
 
@@ -177,6 +197,10 @@ struct Case {
     wrapper: &'static str,
     wrap: fn(Probe) -> Box<dyn BuddyBackend>,
     own: fn(got: &Answers, want: &mut Answers),
+    /// Whether a cache can sit beneath the wrapper under a sized caller, so
+    /// that `dealloc_sized` must arrive with its size.  The others may keep
+    /// the default and deliver `dealloc(offset)`.
+    hands_the_size_on: bool,
 }
 
 fn nothing(_: &Answers, _: &mut Answers) {}
@@ -187,26 +211,31 @@ const CASES: &[Case] = &[
         // A `&'static Probe` is the only reference a boxed case can hold.
         wrap: |p| Box::new(&*Box::leak(Box::new(p))),
         own: nothing,
+        hands_the_size_on: true,
     },
     Case {
         wrapper: "Arc",
         wrap: |p| Box::new(Arc::new(p)),
         own: nothing,
+        hands_the_size_on: true,
     },
     Case {
         wrapper: "Recorded",
         wrap: |p| Box::new(Recorded::new(p, Arc::new(Recorder::new()))),
         own: nothing,
+        hands_the_size_on: true,
     },
     Case {
         wrapper: "FaultInjecting",
         wrap: |p| Box::new(FaultInjecting::inert(p)),
         own: nothing,
+        hands_the_size_on: false,
     },
     Case {
         wrapper: "LockedBuddy",
         wrap: |p| Box::new(LockedBuddy::with_name(p, "probe-sl")),
         own: nothing,
+        hands_the_size_on: false,
     },
     Case {
         wrapper: "MagazineCache",
@@ -218,6 +247,7 @@ const CASES: &[Case] = &[
             want.cache_stats = got.cache_stats;
             want.cache_class_capacities = got.cache_class_capacities.clone();
         },
+        hands_the_size_on: true,
     },
     Case {
         wrapper: "SlabBackend",
@@ -230,12 +260,14 @@ const CASES: &[Case] = &[
                 .is_some_and(|f| f.pages_retired == 0));
             want.frag_stats = got.frag_stats.clone();
         },
+        hands_the_size_on: false,
     },
     Case {
         wrapper: "NodeSet",
         wrap: |p| Box::new(NodeSet::new(vec![p])),
         // A slotted set reports its logical span, `slots × per-slot span`.
         own: |_, want| want.total_memory = 1 << 20,
+        hands_the_size_on: false,
     },
     Case {
         wrapper: "ElasticSet",
@@ -246,6 +278,7 @@ const CASES: &[Case] = &[
             }))
         },
         own: |_, want| want.total_memory = 2 << 20,
+        hands_the_size_on: false,
     },
 ];
 
@@ -261,6 +294,7 @@ fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
             "scrub_dealloc(128)"
         ]
     );
+    assert_eq!(bare.release, [format!("dealloc_sized(128, {LIVE_SIZE})")]);
 
     let mut failures = Vec::new();
     for case in CASES {
@@ -269,6 +303,9 @@ fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
         let got = ask(wrapped.as_ref(), &calls);
         let mut want = bare.clone();
         (case.own)(&got, &mut want);
+        if !case.hands_the_size_on && got.release == ["dealloc(128)"] {
+            want.release = got.release.clone();
+        }
         if got != want {
             failures.push(format!(
                 "{}:\n   got {got:?}\n  want {want:?}",
