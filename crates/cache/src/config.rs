@@ -63,7 +63,7 @@ pub struct CacheConfig {
     /// magazine exchange stays within the calling thread's shard, so chunk
     /// circulation stops at the slot-group boundary — the analogue of
     /// per-NUMA-node depots.  `None` sizes the shard set from
-    /// `std::thread::available_parallelism` (about one shard per two CPUs);
+    /// [`nbbs_sync::available_cpus`] (about one shard per two CPUs);
     /// the resolved count is a power of two and never exceeds the slot
     /// count (but is always at least [`CacheConfig::node_groups`], so every
     /// group owns at least one shard).
@@ -152,9 +152,7 @@ impl CacheConfig {
         let slots = self.resolved_slots();
         let requested = match self.depot_shards {
             Some(n) => n.max(1),
-            None => std::thread::available_parallelism()
-                .map(|n| (n.get() / 2).max(1))
-                .unwrap_or(4),
+            None => nbbs_sync::available_cpus().map_or(4, |n| (n / 2).max(1)),
         };
         requested
             .next_power_of_two()

@@ -214,6 +214,10 @@ impl<A: BuddyBackend> ElasticSet<A> {
         let mut retired = 0;
         for (i, backend) in self.regions.built().skip(1) {
             let state = &self.states[i];
+            // The gauge is only a hint here: a tree sums per-thread
+            // stripes and may read a transient 0 while blocks are live.
+            // The whole-span claim below decides, so a wrong 0 costs one
+            // failed claim and nothing else.
             if state.load(Ordering::Acquire) != ACTIVE || backend.allocated_bytes() != 0 {
                 continue;
             }

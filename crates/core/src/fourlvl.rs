@@ -101,18 +101,31 @@
 //! chunk's ancestors readable as free (overlap hazard; quiescent echo: a
 //! stray `OCC|COAL` boundary bit — the ROADMAP's residual-race symptom).
 //!
+//! The allocated-bytes gauge is `Relaxed` and outside the protocol: no
+//! decision reads it, it publishes nothing, and each thread adds to and
+//! subtracts from its own padded stripe (`gauge.rs`), so the last
+//! step of an operation touches no line another thread writes.
+//! `allocated_bytes()` sums the stripes and is exact at quiescence;
+//! mid-flight it may meet a remote free before the allocation it cancels,
+//! which is why the sum is read as signed and clamped at 0.
+//!
 //! Under `--cfg nbbs_model` the atomics below become shadow atomics and
 //! the `nbbs-model` crate enumerates every SC interleaving of these
 //! accesses for 2–3 threads over the minimal non-degenerate geometry (two
 //! leaves sharing a bunch word, one boundary into the root word):
-//! release/release and release/allocate are exhaustively clean (176 / 58
+//! release/release and release/allocate are exhaustively clean (88 / 29
 //! sleep-set-distinct schedules; pruning cross-validated by a 36,300-run
 //! unpruned sweep), and release/release/allocate is clean exhaustively
-//! (195,600 sleep-set-distinct schedules, one-time run) and under a sound
+//! (32,600 sleep-set-distinct schedules, one-time run) and under a sound
 //! preemption-bound-3 search (19,864 schedules, no pruning) on every push
 //! — while the same bounded search run against either historical bug (the
 //! PR-1 early-break or the `unmark` exclusion) produces a replayable
-//! witness within the first ~1,300 schedules.
+//! witness within the first ~1,300 schedules.  (While the gauge was one
+//! word the three pruned counts read 176, 58 and 195,600: every thread's
+//! closing RMW then conflicted with every other's, and the sleep sets had
+//! to explore all 2! or 3! orders of them.  On stripes of their own they
+//! are independent and one order stands for all; the unpruned and the
+//! bounded counts, which do not look at addresses, did not move.)
 
 // Under `--cfg nbbs_model` every atomic the algorithm touches becomes a
 // *shadow* atomic (same API, every access a scheduler yield point) so the
@@ -120,13 +133,14 @@
 // The default build aliases the very same names to `std::sync::atomic`:
 // type aliases only, zero cost in production.
 #[cfg(nbbs_model)]
-use nbbs_sync::shadow::{AtomicU32, AtomicU64, AtomicUsize};
+use nbbs_sync::shadow::{AtomicU32, AtomicU64};
 use std::sync::atomic::Ordering;
 #[cfg(not(nbbs_model))]
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};
+use std::sync::atomic::{AtomicU32, AtomicU64};
 
 use crate::config::{BuddyConfig, ScanPolicy};
 use crate::error::FreeError;
+use crate::gauge::ByteGauge;
 use crate::geometry::Geometry;
 use crate::stats::{OpStats, OpStatsSnapshot};
 use crate::status::{
@@ -330,7 +344,9 @@ pub struct NbbsFourLevel {
     words: Box<[AtomicU64]>,
     /// Same role as the 1-level `index[]`.
     index: Box<[AtomicU32]>,
-    allocated: AtomicUsize,
+    /// Bytes currently handed out (granted sizes), counted per thread so
+    /// the last step of an operation stays on the caller's own line.
+    allocated: ByteGauge,
     stats: OpStats,
 }
 
@@ -346,7 +362,7 @@ impl NbbsFourLevel {
             scan_policy: config.scan_policy(),
             words,
             index,
-            allocated: AtomicUsize::new(0),
+            allocated: ByteGauge::new(),
             stats: OpStats::new(),
         }
     }
@@ -414,7 +430,7 @@ impl NbbsFourLevel {
             return false;
         }
         self.index[geo.unit_of_offset(offset)].store(n as u32, Ordering::Release);
-        self.allocated.fetch_add(size, Ordering::Relaxed);
+        self.allocated.add(size);
         self.stats.record_alloc(1);
         true
     }
@@ -429,7 +445,7 @@ impl NbbsFourLevel {
                         let offset = geo.offset_of(i);
                         self.index[geo.unit_of_offset(offset)].store(i as u32, Ordering::Release);
                         let granted = geo.size_of_level(level);
-                        self.allocated.fetch_add(granted, Ordering::Relaxed);
+                        self.allocated.add(granted);
                         self.stats.record_alloc(1);
                         if self.scan_policy == ScanPolicy::Scattered {
                             scan_cursor::advance_past(i);
@@ -552,7 +568,7 @@ impl NbbsFourLevel {
         debug_assert!(n >= 1, "dealloc of never-allocated offset {offset}");
         let granted = geo.size_of(n);
         self.free_node(n, geo.max_level());
-        self.allocated.fetch_sub(granted, Ordering::Relaxed);
+        self.allocated.sub(granted);
         self.stats.record_free(1);
     }
 
@@ -685,7 +701,7 @@ impl NbbsFourLevel {
 
     /// Bytes currently handed out.
     pub fn allocated_bytes(&self) -> usize {
-        self.allocated.load(Ordering::Relaxed)
+        self.allocated.read()
     }
 
     /// Derived 5-bit status of node `n` (Figure 6), for tests/verification.
@@ -747,13 +763,14 @@ impl NbbsFourLevel {
     /// Labels for every shadow-atomic cell of this instance, as
     /// `(address, label)` pairs — used by the `nbbs-model` crate to print
     /// schedule witnesses in terms of bunch words (`word[w]@Lk`), `index[]`
-    /// entries and the allocated-bytes counter instead of raw addresses.
+    /// entries and the allocated-bytes stripes (`allocated[i]`) instead of
+    /// raw addresses.
     ///
     /// Only exists under `--cfg nbbs_model`; the addresses are those the
     /// shadow scheduler observes at yield points.
     #[cfg(nbbs_model)]
     pub fn model_addr_labels(&self) -> Vec<(usize, String)> {
-        let mut labels = vec![(self.allocated.model_addr(), "allocated".to_string())];
+        let mut labels: Vec<_> = self.allocated.model_addr_labels().collect();
         for (w, word) in self.words.iter().enumerate() {
             // Recover the root level of the bunch this word belongs to so
             // the label shows which tree levels a CAS on it covers.
@@ -1389,6 +1406,11 @@ mod tests {
         }
         assert_eq!(b.allocated_bytes(), 0);
         assert_clean(&b);
+    }
+
+    #[test]
+    fn blocks_freed_on_other_threads_leave_the_gauge_at_zero() {
+        crate::gauge::tests::remote_frees_sum_to_zero(&buddy(1 << 20, 64, 1 << 12));
     }
 
     #[test]

@@ -101,6 +101,7 @@ pub mod config;
 pub mod elastic;
 pub mod error;
 pub mod fourlvl;
+mod gauge;
 pub mod geometry;
 pub mod locked;
 pub mod mapping;

@@ -18,7 +18,9 @@
 //! truth as soon as the scrubber has made one pass over the idle span.
 //!
 //! All bitmap operations are lock-free (`fetch_or` / `fetch_and` over
-//! `AtomicU64` words).  Callers must guarantee that a range passed to
+//! `AtomicU64` words, each preceded by a load that skips the RMW when it
+//! would change nothing, so a grant over committed pages writes no shared
+//! word).  Callers must guarantee that a range passed to
 //! [`Mapping::decommit`] holds no live data (the buddy scrubber claims the
 //! block through the allocation path first); ranges passed to
 //! [`Mapping::commit_range`] and [`Mapping::pin_range`] only ever touch
@@ -99,6 +101,8 @@ pub struct Mapping {
     decommitted_pages: AtomicUsize,
     /// Cumulative bytes ever decommitted.
     decommit_bytes_total: AtomicU64,
+    /// Cumulative kernel calls [`Mapping::decommit`] issued.
+    decommit_calls: AtomicU64,
     /// Cumulative bytes whose decommit mark was cleared by a grant (an
     /// upper bound on lazily recommitted memory).
     recommit_bytes_total: AtomicU64,
@@ -132,6 +136,7 @@ impl Mapping {
             decommitted: (0..words).map(|_| AtomicU64::new(0)).collect(),
             decommitted_pages: AtomicUsize::new(0),
             decommit_bytes_total: AtomicU64::new(0),
+            decommit_calls: AtomicU64::new(0),
             recommit_bytes_total: AtomicU64::new(0),
         }
     }
@@ -223,6 +228,12 @@ impl Mapping {
         self.decommit_bytes_total.load(Ordering::Relaxed)
     }
 
+    /// Cumulative kernel calls [`Mapping::decommit`] issued (one per call
+    /// that found a page to release; the fallback's zeroing counts as one).
+    pub fn decommit_calls(&self) -> u64 {
+        self.decommit_calls.load(Ordering::Relaxed)
+    }
+
     /// Cumulative bytes whose decommit mark was cleared by a grant.
     pub fn recommit_bytes_total(&self) -> u64 {
         self.recommit_bytes_total.load(Ordering::Relaxed)
@@ -267,6 +278,7 @@ impl Mapping {
             unsafe { self.base.as_ptr().add(start_byte).write_bytes(0, span) };
         }
         let bytes = newly * self.page_size;
+        self.decommit_calls.fetch_add(1, Ordering::Relaxed);
         self.decommitted_pages.fetch_add(newly, Ordering::Relaxed);
         self.decommit_bytes_total
             .fetch_add(bytes as u64, Ordering::Relaxed);
@@ -361,7 +373,10 @@ impl Mapping {
     }
 
     /// Sets (`true`) or clears (`false`) the bitmap over `[first, end)`
-    /// pages, word at a time; returns how many bits actually changed.
+    /// pages, word at a time; returns how many bits actually changed.  A
+    /// word that already reads as asked is left alone, so a grant over
+    /// committed pages (every magazine hit once a scrub pass has run)
+    /// executes no RMW on a word its neighbours' grants share.
     fn mark_range(&self, first: usize, end: usize, set: bool) -> usize {
         let mut changed = 0usize;
         let mut page = first;
@@ -374,16 +389,25 @@ impl Mapping {
             } else {
                 ((1u64 << (hi_bit - lo_bit)) - 1) << lo_bit
             };
-            let prev = if set {
-                self.decommitted[word].fetch_or(mask, Ordering::AcqRel)
-            } else {
-                self.decommitted[word].fetch_and(!mask, Ordering::AcqRel)
-            };
-            changed += if set {
-                (mask & !prev).count_ones() as usize
-            } else {
-                (mask & prev).count_ones() as usize
-            };
+            // Look before writing.  A grant clears the bits of pages
+            // overlapping a block it owns; the scrubber sets bits only for
+            // whole pages inside a block it claimed.  The two never hold
+            // the same page, so between this load and the skipped RMW the
+            // bits looked at can only have been cleared by a neighbour in
+            // the same page (a grant's view) or not touched at all (the
+            // scrubber's), never moved away from what the caller wants.
+            // `decommit`'s `newly == 0` return and `is_fully_decommitted`
+            // rest on the same ownership.
+            let seen = self.decommitted[word].load(Ordering::Acquire);
+            let pending = if set { mask & !seen } else { mask & seen };
+            if pending != 0 {
+                let flipped = if set {
+                    mask & !self.decommitted[word].fetch_or(mask, Ordering::AcqRel)
+                } else {
+                    mask & self.decommitted[word].fetch_and(!mask, Ordering::AcqRel)
+                };
+                changed += flipped.count_ones() as usize;
+            }
             page = (word + 1) * 64;
         }
         changed
@@ -503,6 +527,34 @@ mod tests {
         assert_eq!(m.decommitted_pages(), 0);
         m.commit_range(0, page * 8); // decommitted_pages == 0 fast path
         assert_eq!(m.recommit_bytes_total(), (page * 8) as u64);
+    }
+
+    #[test]
+    fn a_repeated_grant_changes_nothing() {
+        let page = page_size();
+        let m = Mapping::new(page * 128, page);
+        assert_eq!(m.decommit(0, page * 64), page * 64);
+        assert_eq!(m.decommit_calls(), 1);
+        m.commit_range(page * 3, page);
+        assert_eq!(m.decommitted_pages(), 63);
+        assert_eq!(m.recommit_bytes_total(), page as u64);
+        let word = m.decommitted[0].load(Ordering::Relaxed);
+        assert_eq!(word, !(1u64 << 3));
+
+        // The second grant of the same page finds its bit clear and leaves
+        // the word, the gauge and the total alone.
+        m.commit_range(page * 3, page);
+        assert_eq!(m.decommitted[0].load(Ordering::Relaxed), word);
+        assert_eq!(m.decommitted_pages(), 63);
+        assert_eq!(m.recommit_bytes_total(), page as u64);
+
+        // So does a grant in a word nothing was ever decommitted in, and a
+        // decommit of what is already gone issues no kernel call.
+        m.commit_range(page * 70, page * 4);
+        assert_eq!(m.decommitted[1].load(Ordering::Relaxed), 0);
+        assert_eq!(m.decommit(page * 8, page * 8), 0);
+        assert_eq!(m.decommit_calls(), 1);
+        assert_eq!(m.decommit_bytes_total(), (page * 64) as u64);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! made progress on the same word (see the paper's appendix; the progress
 //! argument is exercised by the stress tests in `tests/`).
 
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 use crate::config::{BuddyConfig, ScanPolicy};
 use crate::error::FreeError;
+use crate::gauge::ByteGauge;
 use crate::geometry::Geometry;
 use crate::stats::{OpStats, OpStatsSnapshot};
 use crate::status::{
@@ -82,8 +83,10 @@ pub struct NbbsOneLevel {
     /// starting there.  Written on allocation, read on release; never cleared
     /// (the paper keeps stale entries, later allocations overwrite them).
     index: Box<[AtomicU32]>,
-    /// Bytes currently handed out (granted sizes), for occupancy accounting.
-    allocated: AtomicUsize,
+    /// Bytes currently handed out (granted sizes), for occupancy
+    /// accounting: per-thread partial sums, added up by
+    /// [`NbbsOneLevel::allocated_bytes`].
+    allocated: ByteGauge,
     stats: OpStats,
 }
 
@@ -101,7 +104,7 @@ impl NbbsOneLevel {
             scan_policy: config.scan_policy(),
             tree,
             index,
-            allocated: AtomicUsize::new(0),
+            allocated: ByteGauge::new(),
             stats: OpStats::new(),
         }
     }
@@ -174,7 +177,7 @@ impl NbbsOneLevel {
             return false;
         }
         self.index[self.geo.unit_of_offset(offset)].store(n as u32, Ordering::Release);
-        self.allocated.fetch_add(size, Ordering::Relaxed);
+        self.allocated.add(size);
         self.stats.record_alloc(1);
         true
     }
@@ -193,7 +196,7 @@ impl NbbsOneLevel {
                         self.index[self.geo.unit_of_offset(offset)]
                             .store(i as u32, Ordering::Release);
                         let granted = self.geo.size_of_level(level);
-                        self.allocated.fetch_add(granted, Ordering::Relaxed);
+                        self.allocated.add(granted);
                         self.stats.record_alloc(1);
                         if self.scan_policy == ScanPolicy::Scattered {
                             scan_cursor::advance_past(i);
@@ -277,7 +280,7 @@ impl NbbsOneLevel {
         debug_assert!(n >= 1, "dealloc of never-allocated offset {offset}");
         let granted = self.geo.size_of(n);
         self.free_node(n, self.geo.max_level());
-        self.allocated.fetch_sub(granted, Ordering::Relaxed);
+        self.allocated.sub(granted);
         self.stats.record_free(1);
     }
 
@@ -365,7 +368,7 @@ impl NbbsOneLevel {
 
     /// Bytes currently handed out.
     pub fn allocated_bytes(&self) -> usize {
-        self.allocated.load(Ordering::Relaxed)
+        self.allocated.read()
     }
 
     /// Raw status byte of node `n` (primarily for tests and verification).
@@ -861,6 +864,11 @@ mod tests {
         for n in 1..b.geometry().tree_len() {
             assert_eq!(b.node_status(n), 0, "node {n} left dirty");
         }
+    }
+
+    #[test]
+    fn blocks_freed_on_other_threads_leave_the_gauge_at_zero() {
+        crate::gauge::tests::remote_frees_sum_to_zero(&buddy(1 << 20, 64, 1 << 12));
     }
 
     #[test]

@@ -278,6 +278,10 @@ pub struct MemoryStatsSnapshot {
     pub scrub_blocks: u64,
     /// Bytes the scrubber decommitted (cumulative).
     pub scrub_bytes: u64,
+    /// Kernel calls the decommits took (cumulative): one per run of
+    /// adjacent free blocks, so `scrub_blocks / decommit_calls` is the
+    /// mean run length.
+    pub decommit_calls: u64,
     /// Bytes whose decommit mark was cleared by a grant — an upper bound on
     /// memory the kernel lazily recommitted (cumulative).
     pub recommitted_bytes: u64,
@@ -304,6 +308,7 @@ impl MemoryStatsSnapshot {
         self.scrub_passes += other.scrub_passes;
         self.scrub_blocks += other.scrub_blocks;
         self.scrub_bytes += other.scrub_bytes;
+        self.decommit_calls += other.decommit_calls;
         self.recommitted_bytes += other.recommitted_bytes;
         self.trimmed_pages += other.trimmed_pages;
     }
@@ -314,7 +319,7 @@ impl fmt::Display for MemoryStatsSnapshot {
         write!(
             f,
             "committed={}/{} ({:.1}%) decommitted={} scrub: passes={} blocks={} bytes={} \
-             recommitted={} trimmed-pages={}",
+             calls={} recommitted={} trimmed-pages={}",
             self.committed_bytes,
             self.managed_bytes,
             self.committed_ratio() * 100.0,
@@ -322,6 +327,7 @@ impl fmt::Display for MemoryStatsSnapshot {
             self.scrub_passes,
             self.scrub_blocks,
             self.scrub_bytes,
+            self.decommit_calls,
             self.recommitted_bytes,
             self.trimmed_pages
         )

@@ -1,8 +1,8 @@
 //! Model-checking configurations over the real 4-level tree.
 //!
 //! Only compiled under `--cfg nbbs_model`, which switches `nbbs::fourlvl`
-//! onto the shadow atomics so every bunch-word / `index[]` / counter access
-//! becomes a scheduler yield point.
+//! onto the shadow atomics so every bunch-word / `index[]` / gauge-stripe
+//! access becomes a scheduler yield point.
 //!
 //! ## Geometry
 //!
@@ -29,7 +29,10 @@
 //! 2. an exact **free-bitmap oracle**: for every allocation unit, the
 //!    tree's derived statuses must agree with the oracle bitmap recomputed
 //!    from the live set;
-//! 3. `allocated_bytes` equals the live sum;
+//! 3. `allocated_bytes` equals the live sum (the gauge is a table of
+//!    per-thread stripes, every one a shadow atomic labelled
+//!    `allocated[i]`, so each thread's closing add or subtract is a step
+//!    of the schedule and the sum is checked across stripes);
 //! 4. a **stranded-capacity probe**: after draining the live set, a
 //!    whole-region allocation must succeed — the residual race's symptom
 //!    is precisely a stray boundary bit making this impossible.
@@ -201,8 +204,9 @@ pub fn free_alloc() -> Program<TreeState> {
 /// its own freed slot consuming a sibling release's branch-granular
 /// coalescing bit; see the fourlvl module docs).  Per-push CI runs it
 /// under a preemption bound ([`recommended_explorer`]); the exhaustive
-/// space is 195,600 sleep-set-distinct schedules (~3 min in release,
-/// verified clean once after the fix), the bound-3 space 19,864.
+/// space is 32,600 sleep-set-distinct schedules (~6 min in release on two
+/// vCPUs, verified clean once after the fix and again on the striped
+/// gauge), the bound-3 space 19,864.
 pub fn free_unmark_alloc() -> Program<TreeState> {
     Program::new(
         || base_state(2, 3),
@@ -235,9 +239,11 @@ pub fn free_unmark_alloc() -> Program<TreeState> {
 /// (the exclusion bug falls within the first ~1,300 schedules), and it
 /// keeps the per-push search at a few seconds.
 ///
-/// The 3-thread space has also been explored **exhaustively** once after
-/// the exclusion fix (195,600 sleep-set-distinct schedules, ~3 min in
-/// release, all clean — 2026-07); the per-push bound-3 run (19,864
+/// The 3-thread space has also been explored **exhaustively**: once after
+/// the exclusion fix (195,600 sleep-set-distinct schedules, all clean —
+/// 2026-07) and once on the striped gauge (32,600, a sixth: the three
+/// closing gauge RMWs no longer conflict, so one of their 3! orders
+/// stands for all — 2026-10, all clean); the per-push bound-3 run (19,864
 /// schedules) is the regression guard, not the proof.
 pub fn recommended_explorer(threads: usize) -> Explorer {
     if threads <= 2 {
@@ -265,12 +271,18 @@ mod tests {
     use super::*;
 
     /// Floors asserted by CI so a pruning regression cannot silently empty
-    /// the search (measured: free/free explores 176 sleep-set-distinct
-    /// schedules, free/alloc 58, free/unmark/alloc 19,864 at sound
+    /// the search (measured: free/free explores 88 sleep-set-distinct
+    /// schedules, free/alloc 29, free/unmark/alloc 19,864 at sound
     /// preemption bound 3; anything far below says the explorer stopped
-    /// exploring).
-    const FREE_FREE_MIN_SCHEDULES: u64 = 100;
-    const FREE_ALLOC_MIN_SCHEDULES: u64 = 30;
+    /// exploring).  The two exhaustive counts are half of what they were
+    /// while `allocated_bytes` was one word (176 / 58): each thread now
+    /// ends on its own stripe of the gauge, the two closing RMWs are
+    /// independent, and the sleep sets explore one of their two orders.
+    /// Were two workers' ordinals to collide modulo the stripe count the
+    /// run would explore both again, so the counts can only read higher.
+    /// The bounded search does not prune and counts what it did before.
+    const FREE_FREE_MIN_SCHEDULES: u64 = 50;
+    const FREE_ALLOC_MIN_SCHEDULES: u64 = 15;
     const FREE_UNMARK_ALLOC_MIN_SCHEDULES: u64 = 10_000;
 
     fn run(name: &str, prog: &Program<TreeState>, explorer: &Explorer, floor: u64) {

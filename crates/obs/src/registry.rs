@@ -204,11 +204,12 @@ impl StackSnapshot {
             if m.scrub_passes + m.trimmed_pages > 0 {
                 let _ = writeln!(
                     out,
-                    "  scrub    {} passes: {} blocks / {} B decommitted, \
+                    "  scrub    {} passes: {} blocks / {} B decommitted in {} calls, \
                      {} B recommitted, {} pages trimmed",
                     m.scrub_passes,
                     m.scrub_blocks,
                     m.scrub_bytes,
+                    m.decommit_calls,
                     m.recommitted_bytes,
                     m.trimmed_pages
                 );
@@ -399,8 +400,8 @@ impl StackSnapshot {
                 out,
                 ",\"memory\":{{\"managed_bytes\":{},\"committed_bytes\":{},\
                  \"decommitted_bytes\":{},\"committed_ratio\":{},\"scrub_passes\":{},\
-                 \"scrub_blocks\":{},\"scrub_bytes\":{},\"recommitted_bytes\":{},\
-                 \"trimmed_pages\":{}}}",
+                 \"scrub_blocks\":{},\"scrub_bytes\":{},\"decommit_calls\":{},\
+                 \"recommitted_bytes\":{},\"trimmed_pages\":{}}}",
                 m.managed_bytes,
                 m.committed_bytes,
                 m.decommitted_bytes,
@@ -408,6 +409,7 @@ impl StackSnapshot {
                 m.scrub_passes,
                 m.scrub_blocks,
                 m.scrub_bytes,
+                m.decommit_calls,
                 m.recommitted_bytes,
                 m.trimmed_pages
             );
@@ -757,6 +759,7 @@ mod tests {
             scrub_passes: 3,
             scrub_blocks: 12,
             scrub_bytes: 786_432,
+            decommit_calls: 4,
             recommitted_bytes: 4096,
             trimmed_pages: 2,
         }));
@@ -767,6 +770,7 @@ mod tests {
             "{table}"
         );
         assert!(table.contains("scrub    3 passes"), "{table}");
+        assert!(table.contains("decommitted in 4 calls"), "{table}");
         assert!(table.contains("2 pages trimmed"), "{table}");
         let json = snap.to_json();
         assert!(

@@ -568,6 +568,7 @@ mod tests {
             committed_bytes: 1 << 19,
             scrub_passes: 2,
             scrub_bytes: 8192,
+            decommit_calls: 1,
             ..Default::default()
         });
         let mut series = SeriesRecorder::new("mem", 4);

@@ -24,7 +24,8 @@
 //!   so both layers agree on which threads are "the same"; on top of it
 //!   [`thread_stripe`] / [`default_stripes`], the one rule by which every
 //!   per-thread table (cache slots, the facade's odometer) is indexed and
-//!   sized; next to it
+//!   sized (over [`available_cpus`], the CPU count read once per process);
+//!   next to it
 //!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
 //!   publishes and `nbbs-obs` tags events with.
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
@@ -51,5 +52,7 @@ pub use cycles::{cycles_now, CycleTimer};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};
-pub use tid::{default_stripes, set_thread_node, thread_node, thread_ordinal, thread_stripe};
+pub use tid::{
+    available_cpus, default_stripes, set_thread_node, thread_node, thread_ordinal, thread_stripe,
+};
 pub use treiber::BoundedStack;

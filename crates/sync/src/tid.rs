@@ -62,14 +62,33 @@ pub fn thread_stripe(len: usize) -> usize {
     thread_ordinal() & (len - 1)
 }
 
+/// The memo behind [`available_cpus`]: 0 until the first call has read it.
+static CPUS: AtomicUsize = AtomicUsize::new(0);
+/// What [`CPUS`] holds when the platform would not say.
+const CPUS_UNREADABLE: usize = usize::MAX;
+
+/// `std::thread::available_parallelism`, read once per process.
+///
+/// On a cgroup-limited host the call opens and parses several files
+/// (~100 µs), and the shipped stack asks for it four times while it is
+/// built (the cache's slot table twice, its depot shards, the facade's
+/// odometer), so the first answer is kept.  Two threads racing the first
+/// call both ask and store the same answer.
+pub fn available_cpus() -> Option<usize> {
+    let mut cpus = CPUS.load(Ordering::Relaxed);
+    if cpus == 0 {
+        cpus = std::thread::available_parallelism().map_or(CPUS_UNREADABLE, |n| n.get());
+        CPUS.store(cpus, Ordering::Relaxed);
+    }
+    (cpus != CPUS_UNREADABLE).then_some(cpus)
+}
+
 /// How many stripes a per-thread table gets when nobody says otherwise:
-/// twice `std::thread::available_parallelism` rounded up to a power of two
-/// (16 when the parallelism cannot be read), so the threads of a program
-/// that runs one per CPU each land on a stripe of their own.
+/// twice [`available_cpus`] rounded up to a power of two (16 when the
+/// parallelism cannot be read), so the threads of a program that runs one
+/// per CPU each land on a stripe of their own.
 pub fn default_stripes() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| (n.get() * 2).next_power_of_two())
-        .unwrap_or(16)
+    available_cpus().map_or(16, |n| (n * 2).next_power_of_two())
 }
 
 /// Stored node-hint value meaning "this thread never declared a node".
@@ -114,6 +133,19 @@ mod tests {
             .unwrap();
         set_thread_node(0);
         assert_eq!(thread_node(), Some(0));
+    }
+
+    #[test]
+    fn the_cpu_count_is_read_once() {
+        let first = default_stripes();
+        // The memo, not the clock: once any call has returned, the answer
+        // sits in `CPUS` and later calls are one relaxed load.
+        let memo = CPUS.load(Ordering::Relaxed);
+        assert_ne!(memo, 0, "the first call stored what it read");
+        assert_eq!(default_stripes(), first);
+        assert_eq!(CPUS.load(Ordering::Relaxed), memo, "nothing re-read");
+        assert_eq!(available_cpus(), (memo != CPUS_UNREADABLE).then_some(memo));
+        assert!(first.is_power_of_two());
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! recoverable by a whole-cache drain, proven by the conservation audit.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, FreeError, Geometry, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, verify_cached_empty, DrainOnExit, MagazineCache};
 use nbbs_chaos::{FaultInjecting, FaultPlan};
 use nbbs_workloads::rng::SplitMix64;
@@ -107,5 +108,80 @@ fn injected_panics_during_magazine_traffic_are_rescued() {
         .collect();
     for off in whole {
         cache.dealloc(off);
+    }
+}
+
+/// A tree whose third `scrub_dealloc` panics before it reaches the tree:
+/// the scrubber killed between a claim and its release.  Everything else
+/// takes the provided forwards through `inner()`.
+struct ThirdScrubFreePanics {
+    tree: NbbsFourLevel,
+    scrub_frees: AtomicUsize,
+}
+
+impl BuddyBackend for ThirdScrubFreePanics {
+    fn name(&self) -> &'static str {
+        "third-scrub-free-panics"
+    }
+    fn geometry(&self) -> &Geometry {
+        self.tree.geometry()
+    }
+    fn alloc(&self, size: usize) -> Option<usize> {
+        self.tree.alloc(size)
+    }
+    fn dealloc(&self, offset: usize) {
+        self.tree.dealloc(offset)
+    }
+    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
+        self.tree.try_dealloc(offset)
+    }
+    fn allocated_bytes(&self) -> usize {
+        self.tree.allocated_bytes()
+    }
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.tree)
+    }
+    fn scrub_dealloc(&self, offset: usize) {
+        if self.scrub_frees.fetch_add(1, Ordering::Relaxed) == 2 {
+            panic!("injected: scrubber dies holding claimed blocks");
+        }
+        self.tree.scrub_dealloc(offset)
+    }
+}
+
+/// A scrub pass that panics while it holds a run of claimed blocks gives
+/// every one of them back on the way out — the one whose release panicked
+/// included — so nothing stays allocated in a tree nobody will free it from.
+#[test]
+fn a_scrub_pass_that_panics_mid_run_strands_no_block() {
+    const BLOCK: usize = 64 << 10;
+    let region = BuddyRegion::new(ThirdScrubFreePanics {
+        tree: NbbsFourLevel::new(BuddyConfig::new(64 * BLOCK, 4096, BLOCK).unwrap()),
+        scrub_frees: AtomicUsize::new(0),
+    });
+    let ptr = region.alloc_bytes(BLOCK).unwrap();
+    unsafe { ptr.as_ptr().write_bytes(0x5A, BLOCK) };
+    region.dealloc_bytes(ptr);
+
+    let pass = catch_unwind(AssertUnwindSafe(|| region.scrub_pass()));
+    assert!(pass.is_err(), "the injected panic reached the caller");
+    let wrapper = region.backend();
+    assert_eq!(wrapper.allocated_bytes(), 0, "no claimed block left behind");
+    nbbs::verify::audit_empty(&wrapper.tree).assert_clean();
+    // Four blocks to a run here (1/16 of the span): two frees, the one that
+    // panicked, then its retry and the last block from the guard's `Drop`.
+    assert_eq!(wrapper.scrub_frees.load(Ordering::Relaxed), 5);
+
+    // The region is whole and the scrubber still works: the next pass
+    // finishes the span the first one dropped.
+    let second = region.scrub_pass();
+    assert!(second > 0);
+    assert_eq!(region.committed_bytes(), 0);
+    assert_eq!(wrapper.allocated_bytes(), 0);
+    let whole: Vec<_> = (0..64)
+        .map(|_| region.alloc_bytes(BLOCK).expect("full capacity"))
+        .collect();
+    for ptr in whole {
+        region.dealloc_bytes(ptr);
     }
 }

@@ -9,9 +9,12 @@
 //! scrub, and memory that crossed the decommit boundary must still be
 //! readable/writable when its region reactivates.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, ElasticSet, NbbsFourLevel};
+use nbbs::mapping::page_size;
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, ElasticSet, Mapping, NbbsFourLevel};
+use proptest::prelude::*;
 
 /// Per-region span: 64 KiB of 4 KiB blocks (16 per region).
 const REGION_TOTAL: usize = 1 << 16;
@@ -186,4 +189,135 @@ fn scrub_claims_never_touch_live_blocks_across_regions() {
     }
     region.scrub_pass();
     assert_eq!(region.backend().allocated_bytes(), 0);
+}
+
+/// The bound a run puts on the scrubber, tested: with a pass running in a
+/// loop, three threads that together never hold more than
+/// `total - cap - spare` bytes never see an allocation fail, because the
+/// scrubber never holds more than one run (`cap` = 1/16 of the span here,
+/// two blocks).  Every block is checked for its owner's pattern before it
+/// is freed, so a frame released under a live block shows up as corruption.
+#[test]
+fn a_scrubbing_loop_never_starves_allocations_beyond_its_run_cap() {
+    const BLOCKS: usize = 32;
+    const WORKERS: usize = 3;
+    const PER_WORKER: usize = 8; // 24 live + 2 held by the scrubber < 32
+    let block = page_size() * 4;
+    let region = BuddyRegion::new(NbbsFourLevel::new(
+        BuddyConfig::new(BLOCKS * block, page_size(), block).unwrap(),
+    ));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scrubber = s.spawn(|| {
+            let mut passes = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                region.scrub_pass();
+                passes += 1;
+            }
+            passes
+        });
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let region = &region;
+                s.spawn(move || {
+                    let tag = 0xA0 + w as u8;
+                    let mut rng = 0x9E37_79B9u64.wrapping_mul(w as u64 + 1);
+                    let mut held = Vec::with_capacity(PER_WORKER);
+                    for _ in 0..4_000 {
+                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        if held.len() < PER_WORKER && (held.is_empty() || rng >> 63 == 0) {
+                            let ptr = region
+                                .alloc_bytes(block)
+                                .expect("free bytes beyond the scrubber's cap");
+                            unsafe { ptr.as_ptr().write_bytes(tag, block) };
+                            held.push(ptr);
+                        } else {
+                            let ptr = held.swap_remove((rng >> 32) as usize % held.len());
+                            let bytes = unsafe { std::slice::from_raw_parts(ptr.as_ptr(), block) };
+                            assert!(bytes.iter().all(|&b| b == tag), "worker {w}'s block");
+                            region.dealloc_bytes(ptr);
+                        }
+                    }
+                    for ptr in held {
+                        region.dealloc_bytes(ptr);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        assert!(scrubber.join().unwrap() > 0);
+    });
+    assert_eq!(region.allocated_bytes(), 0);
+    nbbs::verify::audit_empty(region.backend()).assert_clean();
+    let stats = region.memory_stats();
+    assert!(stats.scrub_blocks > 0, "the loop found work: {stats}");
+    assert!(stats.decommit_calls <= stats.scrub_blocks);
+}
+
+/// One step of the bitmap differential: byte ranges, not page ranges, so
+/// the inward (decommit) and outward (commit) roundings are both in play.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Decommit(usize, usize),
+    Commit(usize, usize),
+}
+
+const MAP_PAGES: usize = 200; // four bitmap words, the last one partial
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    let span = MAP_PAGES * page_size();
+    let range = move || (0..span, 1..span / 3);
+    proptest::collection::vec(
+        prop_oneof![
+            1 => range().prop_map(|(off, len)| MapOp::Decommit(off, len)),
+            2 => range().prop_map(|(off, len)| MapOp::Commit(off, len)),
+        ],
+        1..120,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Mapping`'s bitmap, gauge and totals against one `bool` per page: a word
+    /// the look-before-write skips must be a word the oracle leaves alone.
+    #[test]
+    fn the_decommit_bitmap_matches_a_bool_per_page(ops in map_ops()) {
+        let page = page_size();
+        let span = MAP_PAGES * page;
+        let m = Mapping::new(span, page);
+        let mut gone = [false; MAP_PAGES];
+        let (mut decommitted, mut recommitted, mut calls) = (0u64, 0u64, 0u64);
+        for op in ops {
+            match op {
+                MapOp::Decommit(off, len) => {
+                    let end = (off + len).min(span);
+                    let pages = off.div_ceil(page)..end / page;
+                    let newly = pages.clone().filter(|&p| !gone[p]).count();
+                    pages.for_each(|p| gone[p] = true);
+                    prop_assert_eq!(m.decommit(off, len), newly * page);
+                    decommitted += (newly * page) as u64;
+                    calls += (newly > 0) as u64;
+                }
+                MapOp::Commit(off, len) => {
+                    let end = (off + len).min(span);
+                    let pages = off / page..end.div_ceil(page);
+                    let cleared = pages.clone().filter(|&p| gone[p]).count();
+                    pages.for_each(|p| gone[p] = false);
+                    m.commit_range(off, len);
+                    recommitted += (cleared * page) as u64;
+                }
+            }
+            prop_assert_eq!(m.decommitted_pages(), gone.iter().filter(|&&g| g).count());
+            prop_assert_eq!(m.decommit_bytes_total(), decommitted);
+            prop_assert_eq!(m.recommit_bytes_total(), recommitted);
+            prop_assert_eq!(m.decommit_calls(), calls);
+            for (p, &g) in gone.iter().enumerate() {
+                prop_assert_eq!(m.is_fully_decommitted(p * page, page), g, "page {}", p);
+            }
+        }
+    }
 }
