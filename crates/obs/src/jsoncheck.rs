@@ -2,9 +2,9 @@
 //!
 //! Every exposition path in this workspace hand-writes JSON (the build
 //! environment is offline — no serde), so the trace exporter needs an
-//! independent check that what it emits actually *parses*: CI's
-//! `obs-smoke` job and the `nbbs-bench trace --check` path both run the
-//! exported document through this parser and assert an event-count floor.
+//! independent check that what it emits actually *parses*: the ring's,
+//! the global shell's and `tests/observation.rs`'s tests and the quickstart
+//! run the exported document through [`validate_chrome_trace`].
 //! The parser is strict RFC-8259: it rejects trailing commas, unquoted
 //! keys, bare NaN/Infinity (which is exactly the bug class
 //! [`crate::json::num`] exists to prevent) and trailing garbage.

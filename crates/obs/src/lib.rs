@@ -50,9 +50,7 @@
 //! `NBBS_PROFILE=<stride>`, which `nbbs-alloc` parses in one place.
 //!
 //! Around the handle: [`MetricsRegistry`] / [`StackSnapshot`] unify every
-//! counter family of the stack with one text-table and JSON exposition;
-//! [`SeriesRecorder`] / [`MetricsSampler`] fold periodic snapshots into a
-//! delta series (JSON-lines, Prometheus text; dump-to-file only); and
+//! counter family of the stack with one text-table and JSON exposition, and
 //! [`jsoncheck`] is the strict parser every emitted format is gated by (the
 //! build environment is offline — no serde).  The crate depends only on
 //! `nbbs` and `nbbs-sync`, so every higher layer can use it without cycles:
@@ -67,7 +65,6 @@ pub mod recorded;
 pub mod recorder;
 pub mod registry;
 pub mod ring;
-pub mod sampler;
 
 pub use flight::FLIGHT_TAIL;
 pub use hist::{
@@ -79,7 +76,6 @@ pub use recorded::{Recorded, DEFAULT_SAMPLE_STRIDE};
 pub use recorder::{size_detail, OpKind, OpOutcome, Recorder};
 pub use registry::{MetricsRegistry, StackSnapshot};
 pub use ring::{TraceEvent, TraceRing, TRACE_CAPACITY, TRACE_RINGS};
-pub use sampler::{MetricsSampler, Sample, SeriesRecorder};
 
 /// Hand-rolled JSON helpers shared by every exposition path in the
 /// workspace (the build environment is offline — no serde).

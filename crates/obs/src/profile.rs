@@ -43,6 +43,9 @@ const MAX_PROBE: usize = 128;
 
 const LIVE_EMPTY: u64 = 0;
 const LIVE_TOMBSTONE: u64 = u64::MAX;
+/// Claimed by an insert that has not published its key yet; every other
+/// thread probes past it.
+const LIVE_BUSY: u64 = u64::MAX - 1;
 
 thread_local! {
     static PROFILE_TICK: Cell<u32> = const { Cell::new(0) };
@@ -69,7 +72,8 @@ struct SiteSlot {
 }
 
 struct LiveSlot {
-    /// `offset + 1`; [`LIVE_EMPTY`] / [`LIVE_TOMBSTONE`] sentinels.
+    /// `offset + 1`; [`LIVE_EMPTY`] / [`LIVE_TOMBSTONE`] / [`LIVE_BUSY`]
+    /// sentinels.
     key: AtomicU64,
     /// `site_index << 48 | size` (sizes cap far below 2⁴⁸ in this stack).
     val: AtomicU64,
@@ -287,14 +291,16 @@ impl HeapProfiler {
             match slot.key.load(Ordering::Acquire) {
                 LIVE_EMPTY => return,
                 k if k == key => {
-                    // Claim the slot; a racing double-free loses the CAS
-                    // and decrements nothing.
+                    // Read the value while the key still guards it: once
+                    // the slot is a tombstone the next insert may claim it
+                    // and write its own.  Then claim the slot; a racing
+                    // double-free loses the CAS and decrements nothing.
+                    let val = slot.val.load(Ordering::Relaxed);
                     if slot
                         .key
                         .compare_exchange(key, LIVE_TOMBSTONE, Ordering::AcqRel, Ordering::Relaxed)
                         .is_ok()
                     {
-                        let val = slot.val.load(Ordering::Relaxed);
                         let site = &self.sites[(val >> 48) as usize % SITE_SLOTS];
                         let size = val & ((1 << 48) - 1);
                         site.live_bytes.fetch_sub(size, Ordering::Relaxed);
@@ -342,17 +348,19 @@ impl HeapProfiler {
             let slot = &self.live[i % LIVE_SLOTS];
             let k = slot.key.load(Ordering::Relaxed);
             if k == LIVE_EMPTY || k == LIVE_TOMBSTONE {
-                // Value first, key-publish second: a freeing thread that
+                // Claim, value, key-publish: only the one thread that won
+                // the slot writes its value, and a freeing thread that
                 // acquires the key sees the matching value.
-                slot.val.store(val, Ordering::Relaxed);
                 if slot
                     .key
-                    .compare_exchange(k, key, Ordering::AcqRel, Ordering::Relaxed)
+                    .compare_exchange(k, LIVE_BUSY, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
+                    slot.val.store(val, Ordering::Relaxed);
+                    slot.key.store(key, Ordering::Release);
                     return Some(None);
                 }
-                // Lost the slot; the winning writer owns `val` now.
+                // Lost the slot; look at what it holds now.
             } else if k == key {
                 let old = slot.val.swap(val, Ordering::Relaxed);
                 return Some(Some(old));
@@ -459,6 +467,38 @@ mod tests {
         assert_eq!(report.dropped_samples, 0);
         let objects: u64 = report.sites.iter().map(|s| s.live_objects).sum();
         assert_eq!(objects, 50);
+    }
+
+    /// Two inserts that find the same free slot must not leave one key
+    /// holding the other's site and size, and a free must not read the
+    /// value of the insert that reuses its tombstone: every offset is freed
+    /// for exactly what it was recorded with, so the books close at zero.
+    #[test]
+    fn threads_racing_for_one_slot_keep_their_own_values() {
+        const THREADS: usize = 4;
+        let prof = HeapProfiler::new(1);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (prof, start) = (&prof, &start);
+                scope.spawn(move || {
+                    let label = format!("site-{t}");
+                    start.wait();
+                    for round in 0..20_000usize {
+                        // Offsets a table length apart share a home
+                        // slot; each thread's sizes are its own.
+                        let offset = t * LIVE_SLOTS + round % 8;
+                        assert!(prof.account_alloc(&label, offset, 64 << t));
+                        prof.record_free(offset);
+                    }
+                });
+            }
+        });
+        let report = prof.report();
+        assert_eq!(report.sites.len(), THREADS);
+        for site in &report.sites {
+            assert_eq!((site.live_bytes, site.live_objects), (0, 0), "{site:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! # nbbs-trace — folded into `nbbs-obs`.
 //!
-//! This package declares nothing.  Its ring, heap profiler, metrics sampler
-//! and JSON checker are modules of `nbbs-obs` now (`ring`, `profile`,
-//! `sampler`, `jsoncheck`), owned by the one `Recorder` handle, and the
-//! per-thread NUMA-node hint moved to `nbbs-sync` (`set_thread_node` /
-//! `thread_node`).
+//! This package declares nothing.  Its ring, heap profiler and JSON checker
+//! are modules of `nbbs-obs` now (`ring`, `profile`, `jsoncheck`), owned by
+//! the one `Recorder` handle, and the per-thread NUMA-node hint moved to
+//! `nbbs-sync` (`set_thread_node` / `thread_node`).
 //!
 //! The package itself stays only because the frozen `benchmark/Cargo.lock`
 //! names it as a dependency of `nbbs-alloc` and `nbbs-numa`, and

@@ -206,11 +206,6 @@ pub fn run(alloc: &SharedBackend, params: ConstantOccupancyParams) -> WorkloadRe
         seconds,
         cycles,
         failed_allocs: failed.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-        // The pool mixes sizes per entry; byte accounting is untracked here
-        // to keep the measured loop free of bookkeeping (the mixed-layout
-        // workload is the fragmentation probe).
-        bytes_requested: 0,
-        bytes_committed: 0,
     }
 }
 

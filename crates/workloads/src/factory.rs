@@ -96,17 +96,6 @@ impl AllocatorKind {
         ]
     }
 
-    /// The magazine-cached variants together with their uncached backends,
-    /// in ablation order (the `fig13_cache_ablation` comparison set).
-    pub fn cache_ablation() -> &'static [AllocatorKind] {
-        &[
-            AllocatorKind::Cached4LvlNb,
-            AllocatorKind::FourLevelNb,
-            AllocatorKind::Cached1LvlNb,
-            AllocatorKind::OneLevelNb,
-        ]
-    }
-
     /// The short name used in the paper's plots and in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -183,12 +172,7 @@ impl FromStr for AllocatorKind {
 
 /// Builds a fresh allocator instance of the given kind.
 pub fn build(kind: AllocatorKind, config: BuddyConfig) -> SharedBackend {
-    build_cached(kind, config, CacheConfig::default())
-}
-
-/// Builds a fresh allocator instance, with an explicit cache configuration
-/// for the `cached-*` kinds (ignored by the uncached kinds).
-pub fn build_cached(kind: AllocatorKind, config: BuddyConfig, cache: CacheConfig) -> SharedBackend {
+    let cache = CacheConfig::default();
     match kind {
         AllocatorKind::FourLevelNb => Arc::new(NbbsFourLevel::new(config)),
         AllocatorKind::OneLevelNb => Arc::new(NbbsOneLevel::new(config)),
@@ -436,7 +420,6 @@ mod tests {
             assert!(alloc.cache_stats().unwrap().drained > 0);
         }
         assert!(!AllocatorKind::FourLevelNb.is_cached());
-        assert!(AllocatorKind::cache_ablation().len() == 4);
     }
 
     #[test]

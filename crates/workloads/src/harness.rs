@@ -11,8 +11,6 @@ use crate::factory::{build, build_recorded, AllocatorKind, SharedBackend};
 use crate::larson::{self, LarsonParams};
 use crate::linux_scalability::{self, LinuxScalabilityParams};
 use crate::measure::{Measurement, WorkloadResult};
-use crate::mixed_layout::{self, MixedLayoutParams};
-use crate::numa_skew::{self, NumaSkewParams};
 use crate::thread_test::{self, ThreadTestParams};
 
 /// The four benchmarks of the paper's evaluation.
@@ -26,26 +24,16 @@ pub enum Workload {
     Larson,
     /// Constant Occupancy (Figure 11).
     ConstantOccupancy,
-    /// Mixed Layout/realloc churn through the `nbbs-alloc` facade
-    /// (this reproduction's own; part of the Figure 13 ablation).
-    MixedLayout,
-    /// Cross-node traffic with a configurable home-node hit ratio (this
-    /// reproduction's own; part of the Figure 12 multi-node sweep).  Over a
-    /// plain backend the remote share is Larson-style cross-thread freeing;
-    /// over an `nbbs-numa` `NodeSet` the hand-offs cross node boundaries.
-    NumaSkew,
 }
 
 impl Workload {
-    /// Short name used in reports and CSV output.
+    /// Short name used in reports.
     pub fn name(self) -> &'static str {
         match self {
             Workload::LinuxScalability => "linux-scalability",
             Workload::ThreadTest => "thread-test",
             Workload::Larson => "larson",
             Workload::ConstantOccupancy => "constant-occupancy",
-            Workload::MixedLayout => "mixed-layout",
-            Workload::NumaSkew => "numa-skew",
         }
     }
 
@@ -85,12 +73,6 @@ impl Workload {
                     params.min_block = (alloc.max_size() / params.size_ratio).max(alloc.min_size());
                 }
                 constant_occupancy::run(alloc, params)
-            }
-            Workload::MixedLayout => {
-                mixed_layout::run(alloc, MixedLayoutParams::paper(threads, size).scaled(scale))
-            }
-            Workload::NumaSkew => {
-                numa_skew::run(alloc, NumaSkewParams::paper(threads, size).scaled(scale))
             }
         }
     }
@@ -347,8 +329,6 @@ impl Harness {
                     });
                     let m = Measurement::new(sweep.workload.name(), kind.name(), size, result)
                         .with_cache(alloc.cache_stats())
-                        .with_backend_ops(alloc.stats())
-                        .with_capacities(alloc.cache_class_capacities())
                         .with_latency(latency);
                     if self.verbose {
                         eprintln!("[nbbs-bench]   -> {m}");
@@ -367,15 +347,6 @@ impl Harness {
             }
         }
         out
-    }
-
-    /// Runs all sweeps of a figure.
-    pub fn run_figure(&self, figure: FigureSpec, scale: f64) -> Vec<Measurement> {
-        figure
-            .sweeps(scale)
-            .iter()
-            .flat_map(|sweep| self.run_sweep(sweep))
-            .collect()
     }
 }
 

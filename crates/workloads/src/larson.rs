@@ -37,15 +37,7 @@ pub struct LarsonParams {
     /// exchange queue instead of being freed locally.
     pub remote_free_percent: u32,
     /// Length of the measured window in seconds (the paper uses 10 s).
-    /// Ignored when [`LarsonParams::ops_budget`] is set.
     pub window_secs: f64,
-    /// Fixed-work mode: when `Some(n)`, the run completes `n` operations
-    /// split evenly across the threads and the measured quantity is the
-    /// wall time of that fixed work — instead of counting operations inside
-    /// a fixed time window: real work is timed directly, no normalization
-    /// of a windowed count is needed.  Failed allocation attempts count toward a thread's quota so
-    /// an exhausted arena cannot stall the run.
-    pub ops_budget: Option<u64>,
 }
 
 impl LarsonParams {
@@ -60,28 +52,13 @@ impl LarsonParams {
             slots_per_thread: 512,
             remote_free_percent: 30,
             window_secs: 10.0,
-            ops_budget: None,
         }
     }
 
-    /// Scales the measurement window by `scale` (minimum 50 ms); in
-    /// fixed-work mode, scales the operation budget instead (minimum
-    /// 1 000 operations).
+    /// Scales the measurement window by `scale` (minimum 50 ms).
     #[must_use]
     pub fn scaled(mut self, scale: f64) -> Self {
         self.window_secs = (self.window_secs * scale).max(0.05);
-        if let Some(budget) = self.ops_budget {
-            self.ops_budget = Some(((budget as f64 * scale) as u64).max(1_000));
-        }
-        self
-    }
-
-    /// Switches to fixed-work mode: time `ops` operations instead of
-    /// counting operations in a time window (see
-    /// [`LarsonParams::ops_budget`]).
-    #[must_use]
-    pub fn with_ops_budget(mut self, ops: u64) -> Self {
-        self.ops_budget = Some(ops);
         self
     }
 }
@@ -118,18 +95,9 @@ pub fn run(alloc: &SharedBackend, params: LarsonParams) -> WorkloadResult {
             let mut slots: Vec<Option<usize>> = vec![None; params.slots_per_thread];
             let mut local_ops = 0u64;
             let mut local_failed = 0u64;
-            // Fixed-work mode: each thread runs its even share of the
-            // budget; failed attempts count so exhaustion cannot stall the
-            // run.  Window mode: run until the main thread raises `stop`.
-            let quota = params
-                .ops_budget
-                .map(|budget| budget.div_ceil(params.threads as u64));
             barrier.wait();
 
-            while match quota {
-                Some(q) => local_ops + local_failed < q,
-                None => !stop.load(Ordering::Relaxed),
-            } {
+            while !stop.load(Ordering::Relaxed) {
                 let slot = rng.next_below(slots.len());
                 // Release the previous occupant of the slot (locally or by
                 // handing it to the exchange queue for another thread).
@@ -172,10 +140,8 @@ pub fn run(alloc: &SharedBackend, params: LarsonParams) -> WorkloadResult {
 
     barrier.wait();
     let timer = CycleTimer::start();
-    if params.ops_budget.is_none() {
-        std::thread::sleep(std::time::Duration::from_secs_f64(params.window_secs));
-        stop.store(true, Ordering::Relaxed);
-    }
+    std::thread::sleep(std::time::Duration::from_secs_f64(params.window_secs));
+    stop.store(true, Ordering::Relaxed);
     for h in handles {
         h.join().expect("worker panicked");
     }
@@ -192,11 +158,6 @@ pub fn run(alloc: &SharedBackend, params: LarsonParams) -> WorkloadResult {
         seconds,
         cycles,
         failed_allocs: failed.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-        // Sizes are drawn per-allocation; byte accounting is untracked here
-        // to keep the measured loop free of bookkeeping (the mixed-layout
-        // workload is the fragmentation probe).
-        bytes_requested: 0,
-        bytes_committed: 0,
     }
 }
 
@@ -218,7 +179,6 @@ mod tests {
             slots_per_thread: 64,
             remote_free_percent: 30,
             window_secs: 0.05,
-            ops_budget: None,
         }
     }
 
@@ -258,34 +218,5 @@ mod tests {
         let alloc = build(AllocatorKind::FourLevelNb, cfg());
         let result = run(&alloc, quick(1, 8));
         assert!(result.kops_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn fixed_work_mode_times_the_requested_operations() {
-        for threads in [1usize, 3] {
-            let alloc = build(AllocatorKind::FourLevelNb, cfg());
-            let budget = 9_000u64;
-            let result = run(&alloc, quick(threads, 64).with_ops_budget(budget));
-            // Every thread runs its share to completion: the run performs at
-            // least the budget (counting the rare failed attempts), and at
-            // most a few extra operations per thread (up to three ops land
-            // per loop iteration, plus the per-thread rounding).
-            let done = result.operations + result.failed_allocs;
-            assert!(done >= budget, "only {done} of {budget} budgeted ops ran");
-            assert!(
-                done <= budget + 4 * threads as u64,
-                "{done} ops overshoot the {budget} budget"
-            );
-            assert!(result.seconds > 0.0);
-            assert_eq!(alloc.allocated_bytes(), 0, "fixed-work run leaked");
-        }
-    }
-
-    #[test]
-    fn scaling_fixed_work_scales_the_budget() {
-        let p = LarsonParams::paper(2, 128).with_ops_budget(1_000_000);
-        assert_eq!(p.ops_budget, Some(1_000_000));
-        assert_eq!(p.scaled(0.01).ops_budget, Some(10_000));
-        assert_eq!(p.scaled(1e-9).ops_budget, Some(1_000), "budget floor");
     }
 }

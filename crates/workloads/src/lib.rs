@@ -12,14 +12,16 @@
 //! | [`thread_test`] | Thread Test (Hoard) | Fig. 9 |
 //! | [`larson`] | Larson server workload | Fig. 10 |
 //! | [`constant_occupancy`] | Constant Occupancy (the paper's own) | Fig. 11 |
-//! | all of the above at page granularity | kernel-level comparison | Fig. 12 |
-//! | [`numa_skew`] | Cross-node traffic with a configurable home-node hit ratio over `nbbs-numa` node sets | Fig. 12 (ours) |
-//! | [`mixed_layout`] | Mixed Layout/realloc churn through the `nbbs-alloc` facade | Fig. 13 (ours) |
+//! | Figs. 8, 9 and 11 at page granularity | kernel-level comparison | Fig. 12 |
 //!
 //! [`harness`] sweeps allocators × thread counts × request sizes and collects
-//! [`measure::Measurement`]s; [`report`] renders the measurements as the same
-//! series the paper plots; the `nbbs-bench` binary drives everything from the
-//! command line.
+//! [`measure::Measurement`]s; [`report`] renders the measurements as the
+//! tables the paper plots; the `nbbs-bench` binary drives the figures, the
+//! paper ablations and the three `*-overhead` gates from the command line.
+//! The product stack (cache, slab, facade, NUMA routing, observer) is
+//! measured by `benchmark/`, not here; [`factory`] still builds those
+//! compositions because the stress and failure-injection suites sweep them,
+//! and [`rng`] is the seeded generator the tests and examples share.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,8 +32,6 @@ pub mod harness;
 pub mod larson;
 pub mod linux_scalability;
 pub mod measure;
-pub mod mixed_layout;
-pub mod numa_skew;
 pub mod report;
 pub mod rng;
 pub mod thread_test;

@@ -70,15 +70,12 @@ pub fn run(alloc: &SharedBackend, params: LinuxScalabilityParams) -> WorkloadRes
         let failed = Arc::clone(&failed);
         handles.push(std::thread::spawn(move || {
             barrier.wait();
-            let worker_timer = CycleTimer::start();
             let mut local_failed = 0u64;
-            let mut completed = 0u64;
             for _ in 0..pairs_per_thread {
                 loop {
                     match alloc.alloc(params.size) {
                         Some(offset) => {
                             alloc.dealloc(offset);
-                            completed += 1;
                             break;
                         }
                         None => {
@@ -87,12 +84,6 @@ pub fn run(alloc: &SharedBackend, params: LinuxScalabilityParams) -> WorkloadRes
                         }
                     }
                 }
-            }
-            if std::env::var_os("NBBS_DEBUG_WORKLOAD").is_some() {
-                eprintln!(
-                    "[debug worker {t}] completed={completed} failed={local_failed} secs={:.6}",
-                    worker_timer.elapsed_secs()
-                );
             }
             failed[t].store(local_failed, Ordering::Relaxed);
         }));
@@ -108,25 +99,12 @@ pub fn run(alloc: &SharedBackend, params: LinuxScalabilityParams) -> WorkloadRes
         h.join().expect("worker panicked");
     }
     let (seconds, cycles) = timer.stop();
-    if std::env::var_os("NBBS_DEBUG_WORKLOAD").is_some() {
-        eprintln!(
-            "[debug linux-scalability] pairs_per_thread={pairs_per_thread} threads={} secs={seconds:.6}",
-            params.threads
-        );
-    }
-
-    // Fixed-size traffic: the byte accounting is pure arithmetic — every
-    // completed pair requested `size` and was committed the granted size.
-    let pairs = pairs_per_thread * params.threads as u64;
-    let granted = alloc.granted_size_for(params.size).unwrap_or(params.size) as u64;
     WorkloadResult {
         threads: params.threads,
-        operations: pairs * 2,
+        operations: pairs_per_thread * params.threads as u64 * 2,
         seconds,
         cycles,
         failed_allocs: failed.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-        bytes_requested: params.size as u64 * pairs,
-        bytes_committed: granted * pairs,
     }
 }
 

@@ -101,18 +101,13 @@ pub fn run(alloc: &SharedBackend, params: ThreadTestParams) -> WorkloadResult {
     }
     let (seconds, cycles) = timer.stop();
 
-    // Fixed-size traffic: byte accounting is pure arithmetic over the
-    // completed allocations (one per pair of counted operations).
     let allocs = (objects_per_thread * params.rounds * params.threads) as u64;
-    let granted = alloc.granted_size_for(params.size).unwrap_or(params.size) as u64;
     WorkloadResult {
         threads: params.threads,
         operations: allocs * 2,
         seconds,
         cycles,
         failed_allocs: failed.iter().map(|f| f.load(Ordering::Relaxed)).sum(),
-        bytes_requested: params.size as u64 * allocs,
-        bytes_committed: granted * allocs,
     }
 }
 

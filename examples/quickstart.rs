@@ -319,11 +319,9 @@ fn main() {
     //     stack — backend counters, cache hit rates, magazine capacities,
     //     facade shares, and the recorded percentiles — into one
     //     `StackSnapshot` with `text_table()` / `to_json()` exposition
-    //     (the same table `NbbsGlobalAlloc::stats_report()` prints, and
-    //     the format behind `nbbs-bench all --json BENCH_<date>.json`).
+    //     (the same table `NbbsGlobalAlloc::stats_report()` prints).
     //     With the `op-stats` feature the backend additionally counts CAS
-    //     retries per tree level, which the fig13 report renders as a
-    //     contention heatmap.
+    //     retries per tree level.
     // ------------------------------------------------------------------
     use nbbs_obs::{MetricsRegistry, OpKind, Recorded, Recorder};
 
@@ -374,14 +372,13 @@ fn main() {
     //     operations into transient failures, hard OOMs, delays — or, in a
     //     `panic_storm`, panics that unwind mid-refill.  The schedule is a
     //     pure function of the seed, so a failure observed once is a
-    //     failure you can replay forever: the soak harnesses print
+    //     failure you can replay forever: the soak harness prints
     //     `REPRO: seed 0x…` lines, and re-running with that seed (e.g.
-    //     `cargo run --release --example chaos_soak 1 4 4000 0x<seed>`, or
-    //     `nbbs-bench chaos --seed 0x<seed>`) regenerates the identical
-    //     storm.  The layers above degrade instead of breaking: the cache
-    //     retries transient misses with jittered backoff and rescues
-    //     chunks orphaned by panics, and the facade serves injected hard
-    //     OOM from its emergency reserve.
+    //     `cargo run --release --example chaos_soak 1 4 4000 0x<seed>`)
+    //     regenerates the identical storm.  The layers above degrade
+    //     instead of breaking: the cache retries transient misses with
+    //     jittered backoff and rescues chunks orphaned by panics, and the
+    //     facade serves injected hard OOM from its emergency reserve.
     // ------------------------------------------------------------------
     use nbbs_chaos::{FaultInjecting, FaultPlan};
 
@@ -456,8 +453,8 @@ fn main() {
     //     pages; bigger requests pass through unchanged.  It is itself a
     //     BuddyBackend with a geometry-honest `granted_size_for`, so the
     //     cache, the facade, NodeSet, Recorded and FaultInjecting all
-    //     stack on it unchanged — `nbbs-bench frag` measures the ratio
-    //     A/B against the bare buddy across the whole workload suite.
+    //     stack on it unchanged — the benchmark's
+    //     `slab.committed_over_requested` is the measured ratio.
     // ------------------------------------------------------------------
     use nbbs_slab::{SlabBackend, SlabConfig};
 
@@ -520,7 +517,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     // 13. The rest of the one observation crate (`nbbs-obs`): the ring's
-    //     timeline view, the heap profiler, the metrics sampler.
+    //     timeline view and the heap profiler.
     //
     //     (a) The `[flight]` dump of section 10 and a chrome://tracing
     //     timeline are two views of one `TraceRing`, which every Recorder
@@ -529,14 +526,9 @@ fn main() {
     //     epoch (each event is tagged with its epoch, so a windowed export
     //     can tell its events from the tail before it);
     //     `to_chrome_json()` writes a timeline you can drop straight into
-    //     chrome://tracing or Perfetto.  `nbbs-bench trace --out
-    //     trace.json --check` does exactly this over a Larson run, and
-    //     `NBBS_TRACE=trace.json` arms the same dump on NbbsGlobalAlloc's
-    //     exit hook.
+    //     chrome://tracing or Perfetto.  `NBBS_TRACE=trace.json` arms the
+    //     same dump on NbbsGlobalAlloc's exit hook.
     // ------------------------------------------------------------------
-    use nbbs_obs::MetricsSampler;
-    use std::time::Duration;
-
     let ring = recorder.ring();
     ring.stop();
     let chrome = ring.to_chrome_json("quickstart");
@@ -560,8 +552,7 @@ fn main() {
     //     every sampled allocation captures a backtrace into a lock-free
     //     site table.  The report ranks sites by live bytes — at
     //     quiescence it must attribute everything the facade still holds.
-    //     `NBBS_PROFILE=64` arms the same profiler on NbbsGlobalAlloc, and
-    //     `nbbs-bench profile` prints the table after a web-mix storm.
+    //     `NBBS_PROFILE=64` arms the same profiler on NbbsGlobalAlloc.
     // ------------------------------------------------------------------
     let profiling = Arc::new(Recorder::profiler_only(1));
     let profiler = profiling.profiler().expect("armed just above");
@@ -589,50 +580,6 @@ fn main() {
         unsafe { profiled.deallocate(block.cast(), layout) };
     }
     assert_eq!(profiler.report().attributed_live_bytes(), 0);
-
-    // ------------------------------------------------------------------
-    //     (c) MetricsSampler — a background thread that snapshots the
-    //     MetricsRegistry on an interval into a delta time-series ring,
-    //     then serialises it as JSON-lines or Prometheus text v0 (file or
-    //     stdout only; nothing listens on a network).  The registry rows
-    //     include the tree-occupancy inspector: per-level occupancy and
-    //     the external-fragmentation metric (largest-free-block deficit),
-    //     so a series shows fragmentation evolving under load.
-    // ------------------------------------------------------------------
-    let sampled = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
-    let source = Arc::clone(&sampled);
-    let sampler = MetricsSampler::spawn("quickstart", Duration::from_millis(5), 128, move || {
-        let mut reg = MetricsRegistry::new("quickstart");
-        reg.observe_backend(&*source);
-        reg.snapshot()
-    });
-    let mut held = Vec::new();
-    for i in 0..20_000usize {
-        if let Some(off) = sampled.alloc(64 << (i % 5)) {
-            held.push(off);
-        }
-        if held.len() > 256 {
-            sampled.dealloc(held.swap_remove(0));
-        }
-        if i % 4_000 == 0 {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-    for off in held {
-        sampled.dealloc(off);
-    }
-    let series = sampler.stop();
-    let prom = series.to_prometheus();
-    println!(
-        "metrics sampler took {} snapshots -> {} JSON lines, {} B of \
-         Prometheus text (e.g. {:?})",
-        series.len(),
-        series.to_json_lines().lines().count(),
-        prom.len(),
-        prom.lines().find(|l| l.starts_with("nbbs_")).unwrap_or("")
-    );
-    sampled.drain_all();
-    assert_eq!(sampled.backend().allocated_bytes(), 0);
 
     // ------------------------------------------------------------------
     // 14. Elastic regions: a BuddyRegion's mapping is demand-zero, so the
