@@ -635,7 +635,7 @@ impl NbbsGlobalAlloc {
     /// first thing in `main`).
     ///
     /// Registration is idempotent per instance; up to
-    /// [`EXIT_DUMP_CAPACITY`] distinct allocators can register.
+    /// `EXIT_DUMP_CAPACITY` (8) distinct allocators can register.
     pub fn print_stats_on_exit(&'static self) {
         exit_dump::register(self);
     }

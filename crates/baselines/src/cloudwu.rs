@@ -178,18 +178,8 @@ impl BuddyBackend for CloudwuBuddy {
     }
 
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        if offset >= self.geo.total_memory() {
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: self.geo.total_memory(),
-            });
-        }
-        if !offset.is_multiple_of(self.geo.min_size()) {
-            return Err(FreeError::Misaligned {
-                offset,
-                min_size: self.geo.min_size(),
-            });
-        }
+        self.geo
+            .check_release_offset(offset, self.geo.total_memory())?;
         self.release(offset)
             .map(|_| ())
             .ok_or(FreeError::NotAllocated { offset })

@@ -295,18 +295,9 @@ impl BuddyBackend for LinuxBuddy {
     }
 
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        if offset >= self.geo.total_memory() {
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: self.geo.total_memory(),
-            });
-        }
-        if !offset.is_multiple_of(self.page_size) {
-            return Err(FreeError::Misaligned {
-                offset,
-                min_size: self.page_size,
-            });
-        }
+        // `page_size` is the geometry's allocation unit.
+        self.geo
+            .check_release_offset(offset, self.geo.total_memory())?;
         self.free_offset(offset)
             .map(|_| ())
             .ok_or(FreeError::NotAllocated { offset })

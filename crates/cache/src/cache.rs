@@ -374,8 +374,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Every class's current adaptive capacity target, as
-    /// `(class_size, capacity)` pairs in ascending class order — the data
-    /// behind the per-class convergence table in `nbbs-bench fig13`.
+    /// `(class_size, capacity)` pairs in ascending class order: what
+    /// [`BuddyBackend::cache_class_capacities`] reports.
     pub fn class_capacities(&self) -> Vec<(usize, usize)> {
         (0..self.classes.len())
             .map(|c| (self.class_size(c), self.magazine_capacity(c)))
@@ -1045,19 +1045,11 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
     }
 
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        let geo = self.backend.geometry();
-        if offset >= geo.total_memory() {
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: geo.total_memory(),
-            });
-        }
-        if !offset.is_multiple_of(geo.min_size()) {
-            return Err(FreeError::Misaligned {
-                offset,
-                min_size: geo.min_size(),
-            });
-        }
+        // Against the backend's logical span: over a slotted set the
+        // widened geometry runs past the last slot.
+        self.backend
+            .geometry()
+            .check_release_offset(offset, self.backend.total_memory())?;
         match self
             .backend
             .granted_size_of_live(offset)

@@ -1,6 +1,6 @@
 //! Drain-on-exit for *foreign* threads.
 //!
-//! The drain APIs on [`MagazineCache`](crate::MagazineCache) assume a
+//! The drain APIs on [`MagazineCache`] assume a
 //! cooperating caller: a benchmark worker takes a
 //! [`thread_guard`](crate::MagazineCache::thread_guard) and its slot is
 //! drained when the scope ends.  A cache sitting behind a

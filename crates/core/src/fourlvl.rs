@@ -32,9 +32,13 @@
 //!   levels;
 //! * nothing is ever written for in-bunch internal nodes.
 //!
-//! The allocation/release logic is otherwise identical to
-//! [`crate::onelvl::NbbsOneLevel`] (Algorithms 1–4), with the per-node CAS
-//! replaced by a CAS over the containing 64-bit bunch word.
+//! [`NbbsFourLevel`] is the shared shell ([`BuddyTree`]: Algorithm 1 /
+//! `NBALLOC`, `NBFREE`, `index[]`) over [`BunchStore`].  This file holds
+//! what §III-D re-encodes: [`BunchGeometry`] and the slot arithmetic, and
+//! the bunch editions of `TRYALLOC`, `FREENODE` and `UNMARK` (Algorithms
+//! 2–4; `try_alloc_node`, `free_node`, `unmark`), whose logic is that of
+//! [`crate::onelvl::ByteStore`] with the per-node CAS replaced by a CAS
+//! over the containing 64-bit bunch word.
 //!
 //! ## Memory ordering
 //!
@@ -75,7 +79,7 @@
 //!    Release/acquire admits store-buffering-like outcomes that SC
 //!    forbids, but only for *plain* loads racing writes on different
 //!    words.  The algorithm has two such decision loads: the level scan's
-//!    is-free check (`node_is_free`) and the release climb's
+//!    is-free check (`is_free`) and the release climb's
 //!    `subtree_slots_busy`.  Both are advisory: the scan's verdict is
 //!    re-validated atomically by the `try_alloc_node` CAS (which requires
 //!    the *entire* slot range clear at commit time), and
@@ -109,8 +113,8 @@
 //! mid-flight it may meet a remote free before the allocation it cancels,
 //! which is why the sum is read as signed and clamped at 0.
 //!
-//! Under `--cfg nbbs_model` the atomics below become shadow atomics and
-//! the `nbbs-model` crate enumerates every SC interleaving of these
+//! Under `--cfg nbbs_model` the bunch words below (and the shell's
+//! `index[]`) become shadow atomics and the `nbbs-model` crate enumerates every SC interleaving of these
 //! accesses for 2–3 threads over the minimal non-degenerate geometry (two
 //! leaves sharing a bunch word, one boundary into the root word):
 //! release/release and release/allocate are exhaustively clean (88 / 29
@@ -127,27 +131,24 @@
 //! are independent and one order stands for all; the unpruned and the
 //! bounded counts, which do not look at addresses, did not move.)
 
-// Under `--cfg nbbs_model` every atomic the algorithm touches becomes a
-// *shadow* atomic (same API, every access a scheduler yield point) so the
-// `nbbs-model` crate can enumerate interleavings of the CAS climbs below.
-// The default build aliases the very same names to `std::sync::atomic`:
-// type aliases only, zero cost in production.
+// Under `--cfg nbbs_model` the bunch words become *shadow* atomics (same API,
+// every access a scheduler yield point) so the `nbbs-model` crate can
+// enumerate interleavings of the CAS climbs below.  The default build
+// aliases the very same name to `std::sync::atomic`: a type alias only,
+// zero cost in production.
 #[cfg(nbbs_model)]
-use nbbs_sync::shadow::{AtomicU32, AtomicU64};
-use std::sync::atomic::Ordering;
+use nbbs_sync::shadow::AtomicU64;
 #[cfg(not(nbbs_model))]
-use std::sync::atomic::{AtomicU32, AtomicU64};
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering;
 
-use crate::config::{BuddyConfig, ScanPolicy};
-use crate::error::FreeError;
-use crate::gauge::ByteGauge;
 use crate::geometry::Geometry;
-use crate::stats::{OpStats, OpStatsSnapshot};
+use crate::stats::OpStats;
 use crate::status::{
     clean_coal, is_coal, is_coal_buddy, is_occ_buddy, mark, unmark, BUSY, COAL_LEFT, COAL_RIGHT,
     OCC, OCC_LEFT, OCC_RIGHT, STATUS_BITS, STATUS_MASK,
 };
-use crate::traits::{BuddyBackend, TreeInspect};
+use crate::tree::{sealed::Sealed, BuddyTree, NodeStore};
 
 /// Number of tree levels folded into one bunch word.
 pub const BUNCH_LEVELS: u32 = 4;
@@ -333,145 +334,55 @@ fn spread(pattern: u8, slot: u32, width: u32) -> u64 {
     (pattern as u64 * REP[width as usize]) << (slot * STATUS_BITS)
 }
 
-use crate::onelvl::scan_cursor;
-
-/// The 4-level optimized non-blocking buddy allocator.
-pub struct NbbsFourLevel {
-    bgeo: BunchGeometry,
-    scan_policy: ScanPolicy,
-    /// One 64-bit word per bunch; bits `[5j, 5j+5)` hold the status of the
-    /// bunch's `j`-th stored node.
-    words: Box<[AtomicU64]>,
-    /// Same role as the 1-level `index[]`.
-    index: Box<[AtomicU32]>,
-    /// Bytes currently handed out (granted sizes), counted per thread so
-    /// the last step of an operation stays on the caller's own line.
-    allocated: ByteGauge,
-    stats: OpStats,
-}
+/// The 4-level optimized non-blocking buddy allocator: the shared shell
+/// over bunch words.
+pub type NbbsFourLevel = BuddyTree<BunchStore>;
 
 impl NbbsFourLevel {
-    /// Creates an allocator for the given configuration.
-    pub fn new(config: BuddyConfig) -> Self {
-        let geo = Geometry::new(&config);
-        let bgeo = BunchGeometry::new(geo);
-        let words = (0..bgeo.word_count()).map(|_| AtomicU64::new(0)).collect();
-        let index = (0..geo.unit_count()).map(|_| AtomicU32::new(0)).collect();
-        NbbsFourLevel {
-            bgeo,
-            scan_policy: config.scan_policy(),
-            words,
-            index,
-            allocated: ByteGauge::new(),
-            stats: OpStats::new(),
-        }
-    }
-
-    /// The allocator's geometry.
-    #[inline]
-    pub fn geometry(&self) -> &Geometry {
-        self.bgeo.geometry()
-    }
-
     /// The bunch layout (exposed for diagnostics and white-box tests).
     #[inline]
     pub fn bunch_geometry(&self) -> &BunchGeometry {
-        &self.bgeo
+        &self.store().bgeo
     }
+}
 
-    /// Allocates at least `size` bytes, returning the chunk's byte offset.
-    pub fn alloc(&self, size: usize) -> Option<usize> {
-        let level = self.geometry().target_level(size)?;
-        self.alloc_at_level(level)
-    }
+/// `tree[]` packed four levels to a word (Figure 7).
+pub struct BunchStore {
+    bgeo: BunchGeometry,
+    /// One 64-bit word per bunch; bits `[5j, 5j+5)` hold the status of the
+    /// bunch's `j`-th stored node.
+    words: Box<[AtomicU64]>,
+}
 
-    /// Allocates one chunk of the order associated with `level`
-    /// (`max_level <= level <= depth`).
-    pub fn alloc_at_level(&self, level: u32) -> Option<usize> {
-        let geo = *self.geometry();
-        debug_assert!(level >= geo.max_level() && level <= geo.depth());
-        let first = geo.first_node_of_level(level);
-        let count = geo.nodes_at_level(level);
-        let start = match self.scan_policy {
-            ScanPolicy::FirstFit => first,
-            ScanPolicy::Scattered => first + (scan_cursor::get() % count),
-        };
-        if let Some(offset) = self.scan_range(level, start, first + count) {
-            return Some(offset);
-        }
-        if start > first {
-            if let Some(offset) = self.scan_range(level, first, start) {
-                return Some(offset);
+impl BunchStore {
+    /// One CAS loop over bunch word `w`: load it, let `edit` name the
+    /// successor (or give up with `None`), CAS, and on a failed CAS start
+    /// over from the load.  Returns the word the landed CAS replaced.
+    ///
+    /// The CAS may have failed because an unrelated slot of the same word
+    /// changed, which is why every caller re-evaluates from the top.
+    /// `node` is the tree node being edited, for the per-level counters.
+    #[inline]
+    fn update(
+        &self,
+        w: usize,
+        node: usize,
+        stats: &OpStats,
+        edit: impl Fn(u64) -> Option<u64>,
+    ) -> Option<u64> {
+        loop {
+            let cur = self.words[w].load(Ordering::Acquire);
+            let new = edit(cur)?;
+            stats.record_cas(1);
+            if self.words[w]
+                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(cur);
             }
+            stats.record_cas_failure(1);
+            stats.record_cas_failure_at(self.bgeo.geo.level_of(node) as usize, 1);
         }
-        self.stats.record_failed_alloc(1);
-        None
-    }
-
-    /// Claims the *specific* block `[offset, offset + size)` — the targeted
-    /// form of [`NbbsFourLevel::alloc_at_level`] the decommit scrubber uses
-    /// to take ownership of a block the occupancy walk reported free.  See
-    /// the 1-level twin for the contract; the claim rides the same
-    /// bunch-word CAS protocol as allocation, so a stale target fails
-    /// rather than racing a live chunk.
-    pub fn claim_block(&self, offset: usize, size: usize) -> bool {
-        let geo = *self.geometry();
-        let Some(level) = geo.target_level(size) else {
-            return false;
-        };
-        if geo.size_of_level(level) != size
-            || !offset.is_multiple_of(size)
-            || offset + size > geo.total_memory()
-        {
-            return false;
-        }
-        let n = geo.node_at(level, offset / size);
-        if self.try_alloc_node(n).is_err() {
-            return false;
-        }
-        self.index[geo.unit_of_offset(offset)].store(n as u32, Ordering::Release);
-        self.allocated.add(size);
-        self.stats.record_alloc(1);
-        true
-    }
-
-    fn scan_range(&self, level: u32, from: usize, to: usize) -> Option<usize> {
-        let geo = *self.geometry();
-        let mut i = from;
-        while i < to {
-            if self.node_is_free(i) {
-                match self.try_alloc_node(i) {
-                    Ok(()) => {
-                        let offset = geo.offset_of(i);
-                        self.index[geo.unit_of_offset(offset)].store(i as u32, Ordering::Release);
-                        let granted = geo.size_of_level(level);
-                        self.allocated.add(granted);
-                        self.stats.record_alloc(1);
-                        if self.scan_policy == ScanPolicy::Scattered {
-                            scan_cursor::advance_past(i);
-                        }
-                        return Some(offset);
-                    }
-                    Err(failed_at) => {
-                        self.stats.record_skip(1);
-                        let d = 1usize << (level - geo.level_of(failed_at));
-                        i = (failed_at + 1) * d;
-                        continue;
-                    }
-                }
-            } else {
-                self.stats.record_skip(1);
-            }
-            i += 1;
-        }
-        None
-    }
-
-    /// Is node `n` free according to the derived bunch state?
-    fn node_is_free(&self, n: usize) -> bool {
-        let (w, slot, width) = self.bgeo.locate(n);
-        let word = self.words[w].load(Ordering::Acquire);
-        !slots_any_busy(word, slot, width)
     }
 
     /// Do the stored slots under `subtree_root` contain any busy bit?
@@ -493,38 +404,80 @@ impl NbbsFourLevel {
     /// live — leaving a live chunk under ancestors that read free (found
     /// by the `nbbs-model` checker's free/free/alloc config; see the
     /// memory-ordering argument in the module docs).
+    #[inline]
     fn subtree_slots_busy(&self, subtree_root: usize) -> bool {
-        !self.node_is_free(subtree_root)
+        !self.is_free(subtree_root)
+    }
+
+    /// `UNMARK`, bunch edition.
+    ///
+    /// The release may clear a stored ancestor's branch-occupancy bit only if
+    /// nothing remains allocated inside the bunch it is climbing out of
+    /// ([`Self::subtree_slots_busy`] aggregates the per-level buddy checks
+    /// of the 1-level algorithm; the releasing thread's own slots were
+    /// cleared by phase 2, so a busy bit anywhere — including where the
+    /// freed chunk used to live — denotes a live allocation and stops the
+    /// climb) and the coalescing bit set by `free_node` is still in place
+    /// (otherwise a concurrent allocation has already reused the branch).
+    fn unmark(&self, n: usize, upper_level: u32, stats: &OpStats) {
+        let geo = &self.bgeo.geo;
+        let mut child_root = self.bgeo.bunch_root(n);
+        while child_root > 1 && geo.level_of(child_root) > upper_level {
+            if self.subtree_slots_busy(child_root) {
+                return;
+            }
+            let parent_node = child_root >> 1;
+            let (pw, pslot, _) = self.bgeo.locate(parent_node);
+            // `None`: someone reused (or already cleaned) this branch.
+            let Some(old) = self.update(pw, parent_node, stats, |cur| {
+                let status = get_slot(cur, pslot);
+                is_coal(status, child_root)
+                    .then(|| set_slot(cur, pslot, unmark(status, child_root)))
+            }) else {
+                return;
+            };
+            if is_occ_buddy(unmark(get_slot(old, pslot), child_root), child_root) {
+                return;
+            }
+            child_root = self.bgeo.bunch_root(parent_node);
+        }
+    }
+}
+
+impl Sealed for BunchStore {}
+
+impl NodeStore for BunchStore {
+    const NAME: &'static str = "4lvl-nb";
+    const TYPE_NAME: &'static str = "NbbsFourLevel";
+
+    fn new(geo: Geometry) -> Self {
+        let bgeo = BunchGeometry::new(geo);
+        let words = (0..bgeo.word_count()).map(|_| AtomicU64::new(0)).collect();
+        BunchStore { bgeo, words }
+    }
+
+    /// Is node `n` free according to the derived bunch state?
+    #[inline]
+    fn is_free(&self, n: usize) -> bool {
+        let (w, slot, width) = self.bgeo.locate(n);
+        let word = self.words[w].load(Ordering::Acquire);
+        !slots_any_busy(word, slot, width)
     }
 
     /// `TRYALLOC`, bunch edition: occupy node `n` (writing BUSY into every
     /// stored node below it, one CAS) and propagate partial occupancy across
     /// the ancestor bunches up to `max_level`.
-    fn try_alloc_node(&self, n: usize) -> Result<(), usize> {
-        let geo = *self.geometry();
+    #[inline]
+    fn try_alloc_node(&self, n: usize, stats: &OpStats) -> Result<(), usize> {
+        let geo = &self.bgeo.geo;
         let (w, slot, width) = self.bgeo.locate(n);
         let occupied_pattern = spread(BUSY, slot, width);
-        loop {
-            let cur = self.words[w].load(Ordering::Acquire);
-            if !slots_all_clear(cur, slot, width) {
-                // The node (or one of the stored nodes it covers) is busy or
-                // in a transient coalescing state: conflict on `n` itself.
-                return Err(n);
-            }
-            let new = cur | occupied_pattern;
-            self.stats.record_cas(1);
-            if self.words[w]
-                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-            self.stats.record_cas_failure(1);
-            self.stats
-                .record_cas_failure_at(geo.level_of(n) as usize, 1);
-            // The CAS may have failed because an unrelated slot of the same
-            // word changed; re-evaluate from the top.
-        }
+        // `None`: the node (or one of the stored nodes it covers) is busy or
+        // in a transient coalescing state: conflict on `n` itself.
+        self.update(w, n, stats, |cur| {
+            slots_all_clear(cur, slot, width).then_some(cur | occupied_pattern)
+        })
+        .ok_or(n)?;
 
         // Climb across bunch boundaries: one stored node (one CAS) per
         // ancestor bunch, exactly the factor-4 reduction of §III-D.
@@ -534,47 +487,25 @@ impl NbbsFourLevel {
             let parent_node = child_root >> 1;
             let (pw, pslot, pwidth) = self.bgeo.locate(parent_node);
             debug_assert_eq!(pwidth, 1, "parent of a bunch root is a stored node");
-            loop {
-                let cur = self.words[pw].load(Ordering::Acquire);
+            let marked = self.update(pw, parent_node, stats, |cur| {
                 let status = get_slot(cur, pslot);
-                if status & OCC != 0 {
-                    // A concurrent allocation owns this whole chunk.
-                    self.free_node(n, geo.level_of(child_root));
-                    return Err(parent_node);
-                }
                 let new_status = mark(clean_coal(status, child_root), child_root);
-                let new = set_slot(cur, pslot, new_status);
-                self.stats.record_cas(1);
-                if self.words[pw]
-                    .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-                self.stats.record_cas_failure(1);
-                self.stats
-                    .record_cas_failure_at(geo.level_of(parent_node) as usize, 1);
+                (status & OCC == 0).then(|| set_slot(cur, pslot, new_status))
+            });
+            if marked.is_none() {
+                // A concurrent allocation owns this whole chunk.
+                self.free_node(n, geo.level_of(child_root), stats);
+                return Err(parent_node);
             }
             child_root = self.bgeo.bunch_root(parent_node);
         }
         Ok(())
     }
 
-    /// Releases the chunk starting at byte `offset` (the paper's `NBFREE`).
-    pub fn dealloc(&self, offset: usize) {
-        let geo = *self.geometry();
-        let unit = geo.unit_of_offset(offset);
-        let n = self.index[unit].load(Ordering::Acquire) as usize;
-        debug_assert!(n >= 1, "dealloc of never-allocated offset {offset}");
-        let granted = geo.size_of(n);
-        self.free_node(n, geo.max_level());
-        self.allocated.sub(granted);
-        self.stats.record_free(1);
-    }
-
     /// `FREENODE`, bunch edition.
-    fn free_node(&self, n: usize, upper_level: u32) {
-        let geo = *self.geometry();
+    #[inline]
+    fn free_node(&self, n: usize, upper_level: u32, stats: &OpStats) {
+        let geo = &self.bgeo.geo;
 
         // Phase 1: mark the coalescing bit of the traversed branch on the
         // stored path node of every ancestor bunch, stopping early only when
@@ -599,23 +530,12 @@ impl NbbsFourLevel {
             let parent_node = child_root >> 1;
             let (pw, pslot, _) = self.bgeo.locate(parent_node);
             let coal_bit = COAL_LEFT >> ((child_root & 1) as u8);
-            let old_status;
-            loop {
-                let cur = self.words[pw].load(Ordering::Acquire);
-                let status = get_slot(cur, pslot);
-                let new = set_slot(cur, pslot, status | coal_bit);
-                self.stats.record_cas(1);
-                if self.words[pw]
-                    .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    old_status = status;
-                    break;
-                }
-                self.stats.record_cas_failure(1);
-                self.stats
-                    .record_cas_failure_at(geo.level_of(parent_node) as usize, 1);
-            }
+            let old = self
+                .update(pw, parent_node, stats, |cur| {
+                    Some(set_slot(cur, pslot, get_slot(cur, pslot) | coal_bit))
+                })
+                .expect("the coalescing mark never gives up");
+            let old_status = get_slot(old, pslot);
             if is_occ_buddy(old_status, child_root) && !is_coal_buddy(old_status, child_root) {
                 break;
             }
@@ -623,329 +543,94 @@ impl NbbsFourLevel {
         }
 
         // Phase 2: clear every stored node covered by `n` (single CAS loop on
-        // the bunch word; other slots of the word must be preserved).
+        // the bunch word; other slots of the word must be preserved, and a
+        // range that already reads clear is left alone).
         let (w, slot, width) = self.bgeo.locate(n);
         let mask = range_mask(slot, width);
-        loop {
-            let cur = self.words[w].load(Ordering::Acquire);
-            let new = cur & !mask;
-            if cur == new {
-                break;
-            }
-            self.stats.record_cas(1);
-            if self.words[w]
-                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
-            self.stats.record_cas_failure(1);
-            self.stats
-                .record_cas_failure_at(geo.level_of(n) as usize, 1);
-        }
+        self.update(w, n, stats, |cur| (cur & mask != 0).then_some(cur & !mask));
 
         // Phase 3: propagate the release across the ancestor bunches.
-        if self.bgeo.bunch_root(n) > 1 && geo.level_of(self.bgeo.bunch_root(n)) > upper_level {
-            self.unmark(n, upper_level);
+        let root = self.bgeo.bunch_root(n);
+        if root > 1 && geo.level_of(root) > upper_level {
+            self.unmark(n, upper_level, stats);
         }
     }
 
-    /// `UNMARK`, bunch edition.
-    ///
-    /// The release may clear a stored ancestor's branch-occupancy bit only if
-    /// nothing remains allocated inside the bunch it is climbing out of
-    /// ([`Self::subtree_slots_busy`] aggregates the per-level buddy checks
-    /// of the 1-level algorithm; the releasing thread's own slots were
-    /// cleared by phase 2, so a busy bit anywhere — including where the
-    /// freed chunk used to live — denotes a live allocation and stops the
-    /// climb) and the coalescing bit set by [`Self::free_node`] is still in
-    /// place (otherwise a concurrent allocation has already reused the
-    /// branch).
-    fn unmark(&self, n: usize, upper_level: u32) {
-        let geo = *self.geometry();
-        let mut child_root = self.bgeo.bunch_root(n);
-        while child_root > 1 && geo.level_of(child_root) > upper_level {
-            if self.subtree_slots_busy(child_root) {
-                return;
-            }
-            let parent_node = child_root >> 1;
-            let (pw, pslot, _) = self.bgeo.locate(parent_node);
-            let new_status;
-            loop {
-                let cur = self.words[pw].load(Ordering::Acquire);
-                let status = get_slot(cur, pslot);
-                if !is_coal(status, child_root) {
-                    // Someone reused (or already cleaned) this branch.
-                    return;
-                }
-                let candidate = unmark(status, child_root);
-                let new = set_slot(cur, pslot, candidate);
-                self.stats.record_cas(1);
-                if self.words[pw]
-                    .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    new_status = candidate;
-                    break;
-                }
-                self.stats.record_cas_failure(1);
-                self.stats
-                    .record_cas_failure_at(geo.level_of(parent_node) as usize, 1);
-            }
-            if is_occ_buddy(new_status, child_root) {
-                return;
-            }
-            child_root = self.bgeo.bunch_root(parent_node);
-        }
-    }
-
-    /// Bytes currently handed out.
-    pub fn allocated_bytes(&self) -> usize {
-        self.allocated.read()
-    }
-
-    /// Derived 5-bit status of node `n` (Figure 6), for tests/verification.
-    pub fn node_status(&self, n: usize) -> u8 {
-        let geo = *self.geometry();
+    /// Derived 5-bit status of node `n` (Figure 6).
+    #[inline]
+    fn node_status(&self, n: usize) -> u8 {
         let (w, slot, width) = self.bgeo.locate(n);
         let word = self.words[w].load(Ordering::Acquire);
         if width == 1 {
             return get_slot(word, slot);
         }
-        // Derive from the stored nodes under each branch.
+        // Derive from the stored nodes under each branch: partial occupancy
+        // and coalescing are the OR over a branch; the node is fully
+        // occupied only when it was allocated directly, in which case every
+        // stored node below it carries OCC.
         let half = width / 2;
-        let mut left_busy = false;
-        let mut left_coal = false;
-        let mut right_busy = false;
-        let mut right_coal = false;
-        let mut all_occ = true;
+        let mut status = OCC;
         for i in 0..width {
             let s = get_slot(word, slot + i);
-            let busy = s & BUSY != 0;
-            let coal = s & (COAL_LEFT | COAL_RIGHT) != 0;
-            if i < half {
-                left_busy |= busy;
-                left_coal |= coal;
+            let (occ_bit, coal_bit) = if i < half {
+                (OCC_LEFT, COAL_LEFT)
             } else {
-                right_busy |= busy;
-                right_coal |= coal;
+                (OCC_RIGHT, COAL_RIGHT)
+            };
+            if s & BUSY != 0 {
+                status |= occ_bit;
             }
-            all_occ &= s & OCC != 0;
+            if s & (COAL_LEFT | COAL_RIGHT) != 0 {
+                status |= coal_bit;
+            }
+            if s & OCC == 0 {
+                status &= !OCC;
+            }
         }
-        // A node below the leaf level of the *tree* can only be fully
-        // occupied when it was allocated directly, in which case every stored
-        // node carries OCC; partial occupancy comes from either branch.
-        let mut status = 0u8;
-        if left_busy {
-            status |= OCC_LEFT;
-        }
-        if right_busy {
-            status |= OCC_RIGHT;
-        }
-        if left_coal {
-            status |= COAL_LEFT;
-        }
-        if right_coal {
-            status |= COAL_RIGHT;
-        }
-        if all_occ {
-            status |= OCC;
-        }
-        let _ = geo;
         status
     }
 
-    /// Operation statistics (zeros unless the `op-stats` feature is on).
-    pub fn op_stats(&self) -> OpStatsSnapshot {
-        self.stats.snapshot()
+    fn debug_fields(&self, out: &mut std::fmt::DebugStruct<'_, '_>) {
+        out.field("bunch_words", &self.bgeo.word_count());
     }
 
-    /// Labels for every shadow-atomic cell of this instance, as
-    /// `(address, label)` pairs — used by the `nbbs-model` crate to print
-    /// schedule witnesses in terms of bunch words (`word[w]@Lk`), `index[]`
-    /// entries and the allocated-bytes stripes (`allocated[i]`) instead of
-    /// raw addresses.
-    ///
-    /// Only exists under `--cfg nbbs_model`; the addresses are those the
-    /// shadow scheduler observes at yield points.
+    /// Bunch words are labelled `word[w]@Lk..j` with the tree levels a CAS
+    /// on them covers.
     #[cfg(nbbs_model)]
-    pub fn model_addr_labels(&self) -> Vec<(usize, String)> {
-        let mut labels: Vec<_> = self.allocated.model_addr_labels().collect();
-        for (w, word) in self.words.iter().enumerate() {
-            // Recover the root level of the bunch this word belongs to so
-            // the label shows which tree levels a CAS on it covers.
-            let bucket = self
-                .bgeo
-                .word_offset
-                .iter()
-                .rposition(|&off| off <= w)
-                .unwrap_or(0);
-            let root_level = bucket as u32 * BUNCH_LEVELS;
-            labels.push((
+    fn model_addr_labels(&self) -> Vec<(usize, String)> {
+        let label = |(w, word): (usize, &AtomicU64)| {
+            // Recover the root level of the bunch this word belongs to.
+            let bucket = self.bgeo.word_offset.iter().rposition(|&off| off <= w);
+            let root_level = bucket.unwrap_or(0) as u32 * BUNCH_LEVELS;
+            let floor = self.bgeo.floor_level(root_level);
+            (
                 word.model_addr(),
-                format!(
-                    "word[{w}]@L{root_level}..{}",
-                    self.bgeo.floor_level(root_level)
-                ),
-            ));
-        }
-        for (u, cell) in self.index.iter().enumerate() {
-            labels.push((cell.model_addr(), format!("index[{u}]")));
-        }
-        labels
-    }
-}
-
-impl BuddyBackend for NbbsFourLevel {
-    fn name(&self) -> &'static str {
-        "4lvl-nb"
-    }
-
-    fn geometry(&self) -> &Geometry {
-        self.bgeo.geometry()
-    }
-
-    fn alloc(&self, size: usize) -> Option<usize> {
-        NbbsFourLevel::alloc(self, size)
-    }
-
-    fn dealloc(&self, offset: usize) {
-        NbbsFourLevel::dealloc(self, offset)
-    }
-
-    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        let geo = *self.geometry();
-        if offset >= geo.total_memory() {
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: geo.total_memory(),
-            });
-        }
-        if !offset.is_multiple_of(geo.min_size()) {
-            return Err(FreeError::Misaligned {
-                offset,
-                min_size: geo.min_size(),
-            });
-        }
-        let unit = geo.unit_of_offset(offset);
-        let n = self.index[unit].load(Ordering::Acquire) as usize;
-        if n == 0 || self.node_status(n) & OCC == 0 {
-            return Err(FreeError::NotAllocated { offset });
-        }
-        NbbsFourLevel::dealloc(self, offset);
-        Ok(())
-    }
-
-    fn allocated_bytes(&self) -> usize {
-        NbbsFourLevel::allocated_bytes(self)
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        let geo = *self.geometry();
-        if offset >= geo.total_memory() || !offset.is_multiple_of(geo.min_size()) {
-            return None;
-        }
-        let unit = geo.unit_of_offset(offset);
-        let n = self.index[unit].load(Ordering::Acquire) as usize;
-        if n == 0 || geo.offset_of(n) != offset || self.node_status(n) & OCC == 0 {
-            return None;
-        }
-        Some(geo.size_of(n))
-    }
-
-    fn occupancy(&self) -> Option<crate::occupancy::OccupancySnapshot> {
-        Some(crate::occupancy::occupancy_of(self))
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        Some(crate::occupancy::free_chunks_of(self, min_size))
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        self.claim_block(offset, size)
-    }
-}
-
-impl TreeInspect for NbbsFourLevel {
-    fn inspect_geometry(&self) -> &Geometry {
-        self.bgeo.geometry()
-    }
-
-    fn node_status(&self, n: usize) -> u8 {
-        NbbsFourLevel::node_status(self, n)
-    }
-
-    fn recorded_node_of_unit(&self, unit: usize) -> Option<usize> {
-        let v = self.index[unit].load(Ordering::Acquire) as usize;
-        if v == 0 {
-            None
-        } else {
-            Some(v)
-        }
-    }
-}
-
-impl std::fmt::Debug for NbbsFourLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NbbsFourLevel")
-            .field("total_memory", &self.geometry().total_memory())
-            .field("min_size", &self.geometry().min_size())
-            .field("max_size", &self.geometry().max_size())
-            .field("bunch_words", &self.bgeo.word_count())
-            .field("allocated_bytes", &self.allocated_bytes())
-            .finish()
+                format!("word[{w}]@L{root_level}..{floor}"),
+            )
+        };
+        self.words.iter().enumerate().map(label).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Arc;
+    use crate::config::{BuddyConfig, ScanPolicy};
 
-    fn buddy(total: usize, min: usize, max: usize) -> NbbsFourLevel {
-        NbbsFourLevel::new(BuddyConfig::new(total, min, max).unwrap())
-    }
-
-    #[test]
-    fn claim_block_targets_specific_free_blocks() {
-        let b = buddy(1 << 16, 64, 1 << 12);
-        assert!(b.claim_block(2 << 12, 1 << 12));
-        assert!(!b.claim_block(2 << 12, 1 << 12), "double claim refused");
-        assert!(!b.claim_block(2 << 12, 64), "overlap refused");
-        assert!(b.claim_block(0, 64), "leaf-sized claim works");
-        b.dealloc(0);
-        b.dealloc(2 << 12);
-        let held = b.alloc(4096).unwrap();
-        let snap = BuddyBackend::occupancy(&b).unwrap();
-        for &(off, size) in &snap.free_chunks {
-            assert!(b.scrub_claim(off, size), "chunk ({off}, {size})");
-        }
-        assert_eq!(b.allocated_bytes(), 1 << 16);
-        for &(off, _) in &snap.free_chunks {
-            b.dealloc(off);
-        }
-        b.dealloc(held);
-        assert_eq!(b.allocated_bytes(), 0);
-    }
+    crate::tree::suite::instantiate!(BunchStore);
 
     fn buddy_first_fit(total: usize, min: usize, max: usize) -> NbbsFourLevel {
-        NbbsFourLevel::new(
-            BuddyConfig::new(total, min, max)
-                .unwrap()
-                .with_scan_policy(ScanPolicy::FirstFit),
-        )
+        crate::tree::suite::buddy_first_fit(total, min, max)
     }
 
-    /// Asserts that every bunch word of the allocator is zero.
+    /// Bunch word `w` of the allocator.
+    fn word_of(b: &NbbsFourLevel, w: usize) -> u64 {
+        b.store().words[w].load(Ordering::Acquire)
+    }
+
+    /// Asserts that no status bit is left anywhere in the tree.
     fn assert_clean(b: &NbbsFourLevel) {
-        for (i, w) in b.words.iter().enumerate() {
-            assert_eq!(w.load(Ordering::Acquire), 0, "bunch word {i} not clean");
-        }
+        crate::verify::audit_empty(b).assert_clean();
     }
 
     mod slot_ops {
@@ -1088,91 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn single_allocation_and_release() {
-        let b = buddy(1024, 64, 1024);
-        let off = b.alloc(64).unwrap();
-        assert!(off < 1024);
-        assert_eq!(off % 64, 0);
-        assert_eq!(b.allocated_bytes(), 64);
-        b.dealloc(off);
-        assert_eq!(b.allocated_bytes(), 0);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn allocation_grants_power_of_two_at_least_requested() {
-        let b = buddy(1 << 16, 8, 1 << 14);
-        for req in [1usize, 8, 9, 100, 128, 1000, 1024, 5000] {
-            let off = b.alloc(req).unwrap();
-            let granted = b.geometry().granted_size(req).unwrap();
-            assert!(granted >= req);
-            assert_eq!(off % granted, 0);
-            b.dealloc(off);
-        }
-        assert_eq!(b.allocated_bytes(), 0);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn rejects_oversized_requests() {
-        let b = buddy(1 << 16, 8, 1 << 12);
-        assert_eq!(b.alloc((1 << 12) + 1), None);
-        assert!(b.alloc(1 << 12).is_some());
-    }
-
-    #[test]
-    fn exhausts_and_recovers() {
-        let b = buddy_first_fit(1024, 64, 1024);
-        let offs: Vec<usize> = (0..16).map(|_| b.alloc(64).unwrap()).collect();
-        assert_eq!(b.alloc(64), None);
-        assert_eq!(b.alloc(1024), None);
-        for off in offs {
-            b.dealloc(off);
-        }
-        let whole = b.alloc(1024).unwrap();
-        assert_eq!(whole, 0);
-        b.dealloc(whole);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn allocating_parent_blocks_children_and_vice_versa() {
-        let b = buddy_first_fit(1024, 64, 1024);
-        let whole = b.alloc(1024).unwrap();
-        assert_eq!(b.alloc(64), None);
-        assert_eq!(b.alloc(512), None);
-        b.dealloc(whole);
-
-        let leaf = b.alloc(64).unwrap();
-        assert_eq!(b.alloc(1024), None);
-        let half = b.alloc(512).unwrap();
-        assert!(leaf < half || leaf >= half + 512);
-        b.dealloc(leaf);
-        b.dealloc(half);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn offsets_never_overlap_while_live() {
-        let b = buddy(1 << 14, 8, 1 << 10);
-        let sizes = [8usize, 16, 128, 1024, 8, 256, 64, 32, 512, 8];
-        let mut live: Vec<(usize, usize)> = Vec::new();
-        for &s in &sizes {
-            let off = b.alloc(s).unwrap();
-            let granted = b.geometry().granted_size(s).unwrap();
-            for &(o, g) in &live {
-                let disjoint = off + granted <= o || o + g <= off;
-                assert!(disjoint, "overlap at {off}");
-            }
-            live.push((off, granted));
-        }
-        for (o, _) in live {
-            b.dealloc(o);
-        }
-        assert_clean(&b);
-    }
-
-    #[test]
     fn derived_status_reflects_occupancy() {
         let b = buddy_first_fit(1 << 10, 8, 1 << 10); // depth 7, two bunch layers
         let geo = *b.geometry();
@@ -1204,7 +804,7 @@ mod tests {
                                                       // covering stored slots 0..4 of word 0.
         let off = b.alloc(1 << 9).unwrap();
         assert_eq!(off, 0);
-        let word = b.words[0].load(Ordering::Acquire);
+        let word = word_of(&b, 0);
         for slot in 0..4 {
             assert_eq!(get_slot(word, slot), BUSY, "slot {slot}");
         }
@@ -1233,12 +833,12 @@ mod tests {
         let leaf = geo.leaf_of_offset(0);
         assert_eq!(leaf, 128);
         // Leaf bunch (rooted at node 16): slot 0 BUSY, nothing else.
-        let (w_leaf, s_leaf, _) = b.bgeo.locate(leaf);
-        let word = b.words[w_leaf].load(Ordering::Acquire);
+        let (w_leaf, s_leaf, _) = b.bunch_geometry().locate(leaf);
+        let word = word_of(&b, w_leaf);
         assert_eq!(get_slot(word, s_leaf), BUSY);
         // Parent bunch (root bunch): exactly the stored node 8 carries the
         // partial-occupancy mark for its left child (node 16).
-        let root_word = b.words[0].load(Ordering::Acquire);
+        let root_word = word_of(&b, 0);
         assert_eq!(get_slot(root_word, 0), OCC_LEFT);
         for slot in 1..8 {
             assert_eq!(get_slot(root_word, slot), 0, "slot {slot}");
@@ -1254,7 +854,7 @@ mod tests {
         let off = b.alloc(8).unwrap();
         // The root bunch stores levels 0..=3; allocations must mark the
         // level-3 stored ancestor (node 8) because level 3 == max_level.
-        let root_word = b.words[0].load(Ordering::Acquire);
+        let root_word = word_of(&b, 0);
         assert_eq!(get_slot(root_word, 0), OCC_LEFT);
         b.dealloc(off);
         assert_clean(&b);
@@ -1266,48 +866,8 @@ mod tests {
         // bunch layer; the root bunch (levels 0..3) must never be touched.
         let b = buddy_first_fit(1 << 10, 8, 1 << 5);
         let off = b.alloc(8).unwrap();
-        assert_eq!(b.words[0].load(Ordering::Acquire), 0);
+        assert_eq!(word_of(&b, 0), 0);
         b.dealloc(off);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn distinct_addresses_for_all_units() {
-        let b = buddy(1 << 12, 64, 1 << 12);
-        let units = (1 << 12) / 64;
-        let mut seen = HashSet::new();
-        let mut offs = Vec::new();
-        for _ in 0..units {
-            let off = b.alloc(64).unwrap();
-            assert!(seen.insert(off), "duplicate offset {off}");
-            offs.push(off);
-        }
-        assert_eq!(b.alloc(64), None);
-        for off in offs {
-            b.dealloc(off);
-        }
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn mixed_size_workload_settles_clean() {
-        let b = buddy(1 << 16, 8, 1 << 14);
-        let mut live = Vec::new();
-        for round in 0..200usize {
-            let size = 8usize << (round % 9);
-            if let Some(off) = b.alloc(size) {
-                live.push(off);
-            }
-            if round % 3 == 0 {
-                if let Some(off) = live.pop() {
-                    b.dealloc(off);
-                }
-            }
-        }
-        for off in live {
-            b.dealloc(off);
-        }
-        assert_eq!(b.allocated_bytes(), 0);
         assert_clean(&b);
     }
 
@@ -1350,107 +910,10 @@ mod tests {
     }
 
     #[test]
-    fn try_dealloc_validates_offsets() {
-        let b = buddy(1024, 64, 1024);
-        assert!(matches!(
-            b.try_dealloc(4096),
-            Err(FreeError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            b.try_dealloc(3),
-            Err(FreeError::Misaligned { .. })
-        ));
-        assert!(matches!(
-            b.try_dealloc(128),
-            Err(FreeError::NotAllocated { .. })
-        ));
-        let off = b.alloc(64).unwrap();
-        assert!(b.try_dealloc(off).is_ok());
-        assert!(matches!(
-            b.try_dealloc(off),
-            Err(FreeError::NotAllocated { .. })
-        ));
-    }
-
-    #[test]
-    fn concurrent_allocations_never_overlap() {
-        const THREADS: usize = 8;
-        const ITERS: usize = 2_000;
-        let b = Arc::new(buddy(1 << 16, 8, 1 << 10));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    let mut rng: u64 = 0xDEAD_BEEF ^ (t as u64).wrapping_mul(0x9E37);
-                    let mut live: Vec<usize> = Vec::new();
-                    for _ in 0..ITERS {
-                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let size = 8usize << ((rng >> 60) as usize % 8);
-                        if rng & 1 == 0 || live.is_empty() {
-                            if let Some(off) = b.alloc(size) {
-                                live.push(off);
-                            }
-                        } else {
-                            let off = live.swap_remove((rng >> 32) as usize % live.len());
-                            b.dealloc(off);
-                        }
-                    }
-                    for off in live {
-                        b.dealloc(off);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(b.allocated_bytes(), 0);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn blocks_freed_on_other_threads_leave_the_gauge_at_zero() {
-        crate::gauge::tests::remote_frees_sum_to_zero(&buddy(1 << 20, 64, 1 << 12));
-    }
-
-    #[test]
-    fn concurrent_same_size_contention_settles_clean() {
-        const THREADS: usize = 8;
-        let b = Arc::new(buddy(1 << 12, 64, 1 << 12));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for _ in 0..3_000 {
-                        if let Some(off) = b.alloc(64) {
-                            b.dealloc(off);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(b.allocated_bytes(), 0);
-        assert_clean(&b);
-    }
-
-    #[test]
-    fn trait_object_usage() {
-        let b: Box<dyn BuddyBackend> = Box::new(buddy(1024, 64, 1024));
-        assert_eq!(b.name(), "4lvl-nb");
-        let off = b.alloc(100).unwrap();
-        assert_eq!(b.allocated_bytes(), 128);
-        b.dealloc(off);
-        assert_eq!(b.allocated_bytes(), 0);
-    }
-
-    #[test]
     fn small_trees_fit_in_single_bunch() {
         // depth 2 (< 4 levels): everything lives in one partial bunch.
         let b = buddy_first_fit(256, 64, 256);
-        assert_eq!(b.bgeo.word_count(), 1);
+        assert_eq!(b.bunch_geometry().word_count(), 1);
         let a = b.alloc(64).unwrap();
         let c = b.alloc(128).unwrap();
         assert_eq!(a, 0);

@@ -16,6 +16,7 @@
 //! index → node) and by the allocation path (request size → target level).
 
 use crate::config::BuddyConfig;
+use crate::error::FreeError;
 
 /// Immutable description of the buddy tree induced by a [`BuddyConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,6 +166,31 @@ impl Geometry {
         debug_assert!(offset < self.total_memory);
         debug_assert_eq!(offset % self.min_size, 0);
         offset / self.min_size
+    }
+
+    /// The prologue of every checked release: `offset` must lie inside
+    /// `span` and on an allocation-unit boundary.
+    ///
+    /// `span` is the memory the caller actually manages, which it reports
+    /// in the error.  A leaf passes its own [`Geometry::total_memory`]; a
+    /// layer over a slotted set passes the set's *logical* span
+    /// ([`crate::BuddyBackend::total_memory`]), which a widened geometry
+    /// rounds up past (see [`Geometry::widened`]).
+    #[inline]
+    pub fn check_release_offset(&self, offset: usize, span: usize) -> Result<(), FreeError> {
+        if offset >= span {
+            return Err(FreeError::OutOfRange {
+                offset,
+                total_memory: span,
+            });
+        }
+        if !offset.is_multiple_of(self.min_size) {
+            return Err(FreeError::Misaligned {
+                offset,
+                min_size: self.min_size,
+            });
+        }
+        Ok(())
     }
 
     /// Leaf node index tracking the allocation unit that starts at `offset`.

@@ -14,8 +14,10 @@
 //!
 //! ## What is in this crate
 //!
+//! * [`tree::BuddyTree`] — Algorithm 1 and `NBFREE`, written once over a
+//!   [`tree::NodeStore`]; the two variants are aliases of it.
 //! * [`NbbsOneLevel`] — the baseline non-blocking buddy (`1lvl-nb` in the
-//!   paper): one status byte per tree node, Algorithms 1–4 of the paper.
+//!   paper): one status byte per tree node, Algorithms 2–4 as printed.
 //! * [`NbbsFourLevel`] — the 4-level optimized variant (`4lvl-nb`, §III-D):
 //!   four tree levels packed per 64-bit word so that one CAS updates four
 //!   levels at a time.
@@ -86,11 +88,10 @@
 //!
 //! | Paper | This crate |
 //! |---|---|
-//! | `NBALLOC` | [`BuddyBackend::alloc`] / [`NbbsOneLevel::try_alloc_size`] |
-//! | `TRYALLOC` | `onelvl::NbbsOneLevel::try_alloc_node` (private) |
-//! | `NBFREE` | [`BuddyBackend::dealloc`] |
-//! | `FREENODE` / `UNMARK` | private helpers of each variant |
-//! | `tree[]`, `index[]` | `tree`/`index` fields (one `AtomicU8`/`AtomicU32` per entry) |
+//! | `NBALLOC`, `NBFREE` | [`BuddyBackend::alloc`], [`BuddyBackend::dealloc`]: the one shell, [`tree::BuddyTree`] |
+//! | `TRYALLOC`, `FREENODE`, `UNMARK` | [`tree::NodeStore::try_alloc_node`] and [`tree::NodeStore::free_node`] of the two stores, [`onelvl::ByteStore`] and [`fourlvl::BunchStore`] |
+//! | `index[]` | the shell's `index` field (one `AtomicU32` per allocation unit) |
+//! | `tree[]` | the store: one `AtomicU8` per node, or one `AtomicU64` per bunch |
 //! | status bits (Fig. 1) | [`status`] module |
 //! | bunch (§III-D) | [`fourlvl::BunchGeometry`] |
 
@@ -112,6 +113,7 @@ pub mod slotset;
 pub mod stats;
 pub mod status;
 pub mod traits;
+pub mod tree;
 pub mod verify;
 
 pub use config::{BuddyConfig, ScanPolicy};

@@ -70,8 +70,8 @@ pub struct OpStatsSnapshot {
     /// Candidate nodes skipped during level scans because they were busy.
     pub nodes_skipped: u64,
     /// CAS failures broken down by the tree level of the contended node
-    /// (level 0 = root; levels ≥ [`CAS_LEVELS`]−1 share the last bin) —
-    /// the contention heatmap of the fig13 cache table.  All zeros unless
+    /// (level 0 = root; levels ≥ [`CAS_LEVELS`]−1 share the last bin): a
+    /// contention heatmap of the tree.  All zeros unless
     /// the `op-stats` feature is enabled *and* the backend reports levels
     /// (the tree allocators do; baselines leave it empty).
     pub cas_failures_by_level: [u64; CAS_LEVELS],

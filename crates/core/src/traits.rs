@@ -107,6 +107,21 @@ pub trait BuddyBackend: Send + Sync {
     /// do not correspond to a live allocation *when that can be detected
     /// cheaply*; a full double-free detector is not required (nor provided by
     /// the paper's design).
+    ///
+    /// Both non-blocking trees ([`crate::tree::BuddyTree`]) check the range
+    /// and the unit alignment ([`Geometry::check_release_offset`]), then
+    /// that `index[]` names a node for the offset and that the node reads
+    /// occupied.  That rejects every free offset, a double free included,
+    /// on both variants.  An offset *inside* a live block is a caller error
+    /// of the same rank, and only the 1-level tree always rejects it: a
+    /// stale `index[]` entry there names a node under the live one, which
+    /// reads free.  On the 4-level tree the stale entry can name a stored
+    /// leaf whose slot an in-bunch ancestor's allocation set to `OCC` (over
+    /// 4 KiB of 64-byte units, `alloc 64, alloc 64, free both, alloc 128`:
+    /// offset 64 reads as a live 64-byte block), so the checked release of
+    /// an interior offset can succeed and free half of a live block.  The blind spot is
+    /// documented, not patched: `index[]` is never cleared (the paper's
+    /// design), and ROADMAP item 4 weighs the three ways to close it.
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
 
     /// The backend this one wraps, or `None` for a leaf allocator.
@@ -166,9 +181,14 @@ pub trait BuddyBackend: Send + Sync {
     /// it knows ([`BuddyBackend::dealloc_sized`] is the release for callers
     /// that can say it themselves).
     /// The tree-based allocators answer from `index[]` + the node status (the
-    /// same lookup their own `dealloc` performs); backends without such
-    /// metadata keep the default `None`, which makes caches pass their frees
-    /// straight through.
+    /// same lookup their own `dealloc` performs): `Some` when the recorded
+    /// node starts at `offset` and reads occupied.  Both variants answer
+    /// `Some(granted)` for the start of every live block and `None` for
+    /// every free offset; for an offset inside a live block the 1-level
+    /// tree answers `None` and the 4-level tree may answer `Some` (the
+    /// blind spot [`BuddyBackend::try_dealloc`] describes).  Backends
+    /// without such metadata keep the default `None`, which makes caches
+    /// pass their frees straight through.
     ///
     /// Like `dealloc`, this is only meaningful for offsets owned by the
     /// caller (returned by `alloc` and not yet released); concurrent

@@ -267,22 +267,15 @@ pub fn audit_empty<T: TreeInspect>(alloc: &T) -> AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
+    use crate::tree::suite::buddy_first_fit;
+    use crate::{NbbsFourLevel, NbbsOneLevel};
 
     fn one(total: usize, min: usize, max: usize) -> NbbsOneLevel {
-        NbbsOneLevel::new(
-            BuddyConfig::new(total, min, max)
-                .unwrap()
-                .with_scan_policy(ScanPolicy::FirstFit),
-        )
+        buddy_first_fit(total, min, max)
     }
 
     fn four(total: usize, min: usize, max: usize) -> NbbsFourLevel {
-        NbbsFourLevel::new(
-            BuddyConfig::new(total, min, max)
-                .unwrap()
-                .with_scan_policy(ScanPolicy::FirstFit),
-        )
+        buddy_first_fit(total, min, max)
     }
 
     #[test]

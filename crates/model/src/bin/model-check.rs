@@ -25,13 +25,15 @@ fn main() {
 #[cfg(nbbs_model)]
 fn main() {
     let mut failed = false;
-    for (name, prog, explorer) in nbbs_model::tree::all_configs() {
-        let bound = explorer
+    for config in nbbs_model::tree::all_configs() {
+        let name = config.name;
+        let bound = config
+            .explorer
             .max_preemptions
             .map(|p| format!("preemption bound {p}"))
             .unwrap_or_else(|| "exhaustive".to_string());
         let start = std::time::Instant::now();
-        let report = explorer.explore(&prog);
+        let report = config.explore();
         println!(
             "[{name}] {} schedules explored ({bound}; {} pruned, {} overflows, \
              max depth {}) in {:.2?}",

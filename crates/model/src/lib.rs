@@ -7,18 +7,19 @@
 //! absence.  This crate replaces hope with enumeration, loom-style: the
 //! real `try_alloc_node` / `free_node` / `unmark` code is compiled against
 //! the shadow atomics of [`nbbs_sync::shadow`] (`--cfg nbbs_model` switches
-//! the type aliases in `nbbs::fourlvl`), every load/store/CAS becomes a
-//! yield point, and [`Explorer`] drives a bounded depth-first search over
-//! **every** interleaving of 2–3 logical threads — with sleep-set pruning
-//! so that reorderings of provably-independent accesses are not explored
-//! twice, and an optional preemption bound for the 3-thread configs.
+//! the type aliases in `nbbs::tree` and the two node stores), every
+//! load/store/CAS becomes a yield point, and [`Explorer`] drives a bounded
+//! depth-first search over **every** interleaving of 2–3 logical threads —
+//! with sleep-set pruning so that reorderings of provably-independent
+//! accesses are not explored twice, and an optional preemption bound for
+//! the 3-thread configs.
 //!
 //! After each complete schedule the final state is checked (the
 //! `nbbs::verify` audit, an exact free-bitmap oracle, and a
-//! stranded-capacity probe — see [`tree`]); a violation is reported as a
-//! **replayable witness**: the exact sequence of thread choices plus a
-//! rendered step trace, and [`Explorer::replay`] re-executes precisely that
-//! schedule.
+//! stranded-capacity probe — see the `tree` module); a violation is
+//! reported as a **replayable witness**: the exact sequence of thread
+//! choices plus a rendered step trace, and [`Explorer::replay`] re-executes
+//! precisely that schedule.
 //!
 //! The search is sound for safety properties *under sequential
 //! consistency*: the scheduler serializes shadow accesses in grant order,
@@ -28,8 +29,9 @@
 //!
 //! The explorer itself does not need `--cfg nbbs_model`: it checks any
 //! program written against the shadow atomics (the unit tests enumerate
-//! schedules of small synthetic racers).  Only the [`tree`] configs, which
-//! need `nbbs::fourlvl` to be compiled onto the shadow layer, are gated.
+//! schedules of small synthetic racers).  Only the `tree` module's configs,
+//! which need the `nbbs` trees to be compiled onto the shadow layer, are
+//! gated.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

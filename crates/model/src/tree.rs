@@ -1,8 +1,12 @@
-//! Model-checking configurations over the real 4-level tree.
+//! Model-checking configurations over the real trees.
 //!
-//! Only compiled under `--cfg nbbs_model`, which switches `nbbs::fourlvl`
-//! onto the shadow atomics so every bunch-word / `index[]` / gauge-stripe
-//! access becomes a scheduler yield point.
+//! Only compiled under `--cfg nbbs_model`, which switches the shell's
+//! `index[]` (`nbbs::tree`), both node stores (`nbbs::fourlvl`'s bunch
+//! words, `nbbs::onelvl`'s status bytes) and the gauge's stripes onto the
+//! shadow atomics, so every access to them becomes a scheduler yield point.
+//! The configs are generic over the store; the three historical ones run
+//! on the 4-level tree, and release/release and release/allocate run on the
+//! 1-level tree as well.
 //!
 //! ## Geometry
 //!
@@ -11,16 +15,26 @@
 //! tree whose leaves (level 5) are stored two-per-bunch-word (bunch roots
 //! at level 4), with levels 0–3 folded into the root bunch word.  Buddy
 //! leaves 32 and 33 share bunch word 1, so a release of either exercises
-//! the *intra-bunch* `other_slots_busy` aggregate against its sibling's
+//! the *intra-bunch* `subtree_slots_busy` aggregate against its sibling's
 //! slot **and** crosses exactly one bunch boundary: the
 //! coalescing/occupancy bits of node 8 (slot 0 of the root word) —
 //! precisely the interplay the PR-1 release/release bug lived in and the
 //! word the residual `OCC|COAL` stray bit was once observed on (ROADMAP).
 //! A depth-4 tree would be smaller but *degenerate*: its leaves live in
-//! single-slot words, `other_slots_busy` at the departure bunch is
+//! single-slot words, `subtree_slots_busy` at the departure bunch is
 //! vacuously false, and the historical bug is unreachable — verified by
 //! re-injecting the PR-1 bug, which depth 4 misses and this geometry
 //! catches.  First-fit scanning keeps every run deterministic.
+//!
+//! Over the 1-level store the same geometry is a depth-5 tree of status
+//! bytes: leaves 32 and 33 are the children of node 16, and a release that
+//! finds its buddy free climbs the five ancestors 16, 8, 4, 2, 1 twice
+//! (coalescing marks, then `UNMARK`), one load and one CAS per node.  Both
+//! 2-thread spaces are explored exhaustively: release/release is 78
+//! sleep-set-distinct schedules (the first releaser finds its buddy
+//! occupied and stops at node 16, so the two climbs only meet there),
+//! release/allocate 933 (the allocation's own five-node climb interleaves
+//! with the release's two).
 //!
 //! ## What is checked after every complete schedule
 //!
@@ -40,11 +54,14 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use nbbs::fourlvl::BunchStore;
+use nbbs::onelvl::ByteStore;
 use nbbs::status::OCC;
+use nbbs::tree::{BuddyTree, NodeStore};
 use nbbs::verify::audit;
-use nbbs::{BuddyConfig, NbbsFourLevel, ScanPolicy};
+use nbbs::{BuddyConfig, ScanPolicy};
 
-use crate::{Explorer, Program};
+use crate::{Explorer, Program, Report};
 
 /// Total bytes of the model geometry (depth-5 tree at 8-byte units:
 /// leaves are stored two per bunch word, so buddy releases interact both
@@ -56,17 +73,17 @@ pub const UNIT: usize = 8;
 /// Per-run state: the tree plus one result cell per logical thread (each
 /// thread only touches its own cell, so the mutexes are never contended
 /// across a scheduler grant).
-pub struct TreeState {
+pub struct TreeState<S> {
     /// The real allocator, compiled onto shadow atomics.
-    pub tree: NbbsFourLevel,
+    pub tree: BuddyTree<S>,
     /// `allocs[tid]` records the offset returned by thread `tid`'s
     /// allocation (if that thread allocates).
     pub allocs: Vec<Mutex<Option<Option<usize>>>>,
 }
 
 /// The minimal one-boundary tree, first-fit for determinism.
-fn tiny_tree() -> NbbsFourLevel {
-    NbbsFourLevel::new(
+fn tiny_tree<S: NodeStore>() -> BuddyTree<S> {
+    BuddyTree::new(
         BuddyConfig::new(TOTAL, UNIT, TOTAL)
             .expect("model geometry")
             .with_scan_policy(ScanPolicy::FirstFit),
@@ -75,7 +92,7 @@ fn tiny_tree() -> NbbsFourLevel {
 
 /// Builds the per-run state: `setup_allocs` unit chunks pre-allocated at
 /// offsets 0, 8, … (first-fit guarantees the placement), unscheduled.
-fn base_state(setup_allocs: usize, threads: usize) -> TreeState {
+fn base_state<S: NodeStore>(setup_allocs: usize, threads: usize) -> TreeState<S> {
     let tree = tiny_tree();
     for i in 0..setup_allocs {
         let off = tree.alloc(UNIT).expect("setup alloc");
@@ -89,7 +106,10 @@ fn base_state(setup_allocs: usize, threads: usize) -> TreeState {
 
 /// Checks the quiescent final state against the expected live set
 /// (`offset -> requested size`).
-pub fn check_final(state: &TreeState, live: &BTreeMap<usize, usize>) -> Result<(), String> {
+pub fn check_final<S: NodeStore>(
+    state: &TreeState<S>,
+    live: &BTreeMap<usize, usize>,
+) -> Result<(), String> {
     let tree = &state.tree;
     let geo = *tree.geometry();
 
@@ -158,28 +178,28 @@ pub fn check_final(state: &TreeState, live: &BTreeMap<usize, usize>) -> Result<(
 /// Two releases racing in one shared bunch word *and* over the shared
 /// bunch boundary: thread 0 frees the chunk at offset 0 (leaf 32), thread
 /// 1 frees offset 8 (leaf 33).  The two leaves are the stored slots of
-/// bunch word 1 (root 16), so each release's `other_slots_busy` check
+/// bunch word 1 (root 16), so each release's `subtree_slots_busy` check
 /// aggregates over its sibling's in-flight state, and both climbs target
 /// node 8's slot in the root bunch word.  This is the release/release
 /// shape of the residual race (and of the fixed PR-1 bug).
-pub fn free_free() -> Program<TreeState> {
+pub fn free_free<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
         || base_state(2, 2),
-        |s: &TreeState| check_final(s, &BTreeMap::new()),
+        |s: &TreeState<S>| check_final(s, &BTreeMap::new()),
     )
-    .thread(|s: &TreeState| s.tree.dealloc(0))
-    .thread(|s: &TreeState| s.tree.dealloc(UNIT))
-    .labels(|s: &TreeState| s.tree.model_addr_labels())
+    .thread(|s: &TreeState<S>| s.tree.dealloc(0))
+    .thread(|s: &TreeState<S>| s.tree.dealloc(UNIT))
+    .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
 }
 
 /// A release racing an allocation: thread 0 frees offset 0 while thread 1
 /// allocates a unit chunk (taking leaf 32 or 33 depending on the
 /// schedule).  Exercises `clean_coal` stealing the coalescing bit from the
 /// in-flight release and the release's `is_coal` refusal in `unmark`.
-pub fn free_alloc() -> Program<TreeState> {
+pub fn free_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
         || base_state(1, 2),
-        |s: &TreeState| {
+        |s: &TreeState<S>| {
             let r = s.allocs[1]
                 .lock()
                 .unwrap()
@@ -188,12 +208,12 @@ pub fn free_alloc() -> Program<TreeState> {
             check_final(s, &BTreeMap::from([(off, UNIT)]))
         },
     )
-    .thread(|s: &TreeState| s.tree.dealloc(0))
-    .thread(|s: &TreeState| {
+    .thread(|s: &TreeState<S>| s.tree.dealloc(0))
+    .thread(|s: &TreeState<S>| {
         let r = s.tree.alloc(UNIT);
         *s.allocs[1].lock().unwrap() = Some(r);
     })
-    .labels(|s: &TreeState| s.tree.model_addr_labels())
+    .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
 }
 
 /// Both buddy releases (the second one's climb is dominated by its
@@ -207,10 +227,10 @@ pub fn free_alloc() -> Program<TreeState> {
 /// space is 32,600 sleep-set-distinct schedules (~6 min in release on two
 /// vCPUs, verified clean once after the fix and again on the striped
 /// gauge), the bound-3 space 19,864.
-pub fn free_unmark_alloc() -> Program<TreeState> {
+pub fn free_unmark_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
         || base_state(2, 3),
-        |s: &TreeState| {
+        |s: &TreeState<S>| {
             let r = s.allocs[2]
                 .lock()
                 .unwrap()
@@ -219,13 +239,13 @@ pub fn free_unmark_alloc() -> Program<TreeState> {
             check_final(s, &BTreeMap::from([(off, UNIT)]))
         },
     )
-    .thread(|s: &TreeState| s.tree.dealloc(0))
-    .thread(|s: &TreeState| s.tree.dealloc(UNIT))
-    .thread(|s: &TreeState| {
+    .thread(|s: &TreeState<S>| s.tree.dealloc(0))
+    .thread(|s: &TreeState<S>| s.tree.dealloc(UNIT))
+    .thread(|s: &TreeState<S>| {
         let r = s.tree.alloc(UNIT);
         *s.allocs[2].lock().unwrap() = Some(r);
     })
-    .labels(|s: &TreeState| s.tree.model_addr_labels())
+    .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
 }
 
 /// The search settings each config is meant to run under: exhaustive for
@@ -253,16 +273,40 @@ pub fn recommended_explorer(threads: usize) -> Explorer {
     }
 }
 
-/// Every shipped configuration: `(name, program, explorer)`.
-pub fn all_configs() -> Vec<(&'static str, Program<TreeState>, Explorer)> {
+/// One shipped configuration: a program over one of the two trees and the
+/// search it is meant to run under.
+pub struct Config {
+    /// Name `model-check` prints.
+    pub name: &'static str,
+    /// The search settings ([`recommended_explorer`] of the thread count).
+    pub explorer: Explorer,
+    explore: Box<dyn Fn(&Explorer) -> Report>,
+}
+
+impl Config {
+    fn new<S: NodeStore + 'static>(name: &'static str, prog: Program<TreeState<S>>) -> Self {
+        Config {
+            name,
+            explorer: recommended_explorer(prog.thread_count()),
+            explore: Box::new(move |explorer| explorer.explore(&prog)),
+        }
+    }
+
+    /// Runs the search.
+    pub fn explore(&self) -> Report {
+        (self.explore)(&self.explorer)
+    }
+}
+
+/// Every shipped configuration: the three 4-level ones, then the two
+/// 2-thread ones over the 1-level tree.
+pub fn all_configs() -> Vec<Config> {
     vec![
-        ("free-free", free_free(), recommended_explorer(2)),
-        ("free-alloc", free_alloc(), recommended_explorer(2)),
-        (
-            "free-unmark-alloc",
-            free_unmark_alloc(),
-            recommended_explorer(3),
-        ),
+        Config::new("free-free", free_free::<BunchStore>()),
+        Config::new("free-alloc", free_alloc::<BunchStore>()),
+        Config::new("free-unmark-alloc", free_unmark_alloc::<BunchStore>()),
+        Config::new("1lvl-free-free", free_free::<ByteStore>()),
+        Config::new("1lvl-free-alloc", free_alloc::<ByteStore>()),
     ]
 }
 
@@ -284,9 +328,12 @@ mod tests {
     const FREE_FREE_MIN_SCHEDULES: u64 = 50;
     const FREE_ALLOC_MIN_SCHEDULES: u64 = 15;
     const FREE_UNMARK_ALLOC_MIN_SCHEDULES: u64 = 10_000;
+    // The 1-level tree over the same geometry: 78 and 933 measured.
+    const ONE_LEVEL_FREE_FREE_MIN_SCHEDULES: u64 = 40;
+    const ONE_LEVEL_FREE_ALLOC_MIN_SCHEDULES: u64 = 500;
 
-    fn run(name: &str, prog: &Program<TreeState>, explorer: &Explorer, floor: u64) {
-        let report = explorer.explore(prog);
+    fn run<S: NodeStore + 'static>(name: &str, prog: &Program<TreeState<S>>, floor: u64) {
+        let report = recommended_explorer(prog.thread_count()).explore(prog);
         eprintln!(
             "model [{name}]: {} schedules explored ({} pruned, {} overflows, max depth {})",
             report.schedules, report.pruned_runs, report.overflows, report.max_depth
@@ -307,8 +354,7 @@ mod tests {
     fn free_free_over_one_boundary_is_exhaustively_clean() {
         run(
             "free-free",
-            &free_free(),
-            &recommended_explorer(2),
+            &free_free::<BunchStore>(),
             FREE_FREE_MIN_SCHEDULES,
         );
     }
@@ -317,8 +363,7 @@ mod tests {
     fn free_alloc_over_one_boundary_is_exhaustively_clean() {
         run(
             "free-alloc",
-            &free_alloc(),
-            &recommended_explorer(2),
+            &free_alloc::<BunchStore>(),
             FREE_ALLOC_MIN_SCHEDULES,
         );
     }
@@ -327,9 +372,26 @@ mod tests {
     fn free_unmark_alloc_is_clean_within_preemption_bound() {
         run(
             "free-unmark-alloc",
-            &free_unmark_alloc(),
-            &recommended_explorer(3),
+            &free_unmark_alloc::<BunchStore>(),
             FREE_UNMARK_ALLOC_MIN_SCHEDULES,
+        );
+    }
+
+    #[test]
+    fn one_level_free_free_is_exhaustively_clean() {
+        run(
+            "1lvl-free-free",
+            &free_free::<ByteStore>(),
+            ONE_LEVEL_FREE_FREE_MIN_SCHEDULES,
+        );
+    }
+
+    #[test]
+    fn one_level_free_alloc_is_exhaustively_clean() {
+        run(
+            "1lvl-free-alloc",
+            &free_alloc::<ByteStore>(),
+            ONE_LEVEL_FREE_ALLOC_MIN_SCHEDULES,
         );
     }
 
@@ -344,7 +406,7 @@ mod tests {
             sleep_sets: false,
             ..Explorer::exhaustive()
         };
-        let report = unpruned.explore(&free_free());
+        let report = unpruned.explore(&free_free::<BunchStore>());
         eprintln!(
             "model [free-free, no pruning]: {} schedules explored",
             report.schedules
@@ -367,15 +429,15 @@ mod tests {
         // claims nothing was freed — every schedule must then fail the
         // audit, and the first witness must replay to the same failure.
         let prog = Program::new(
-            || base_state(2, 2),
-            |s: &TreeState| {
+            || base_state::<BunchStore>(2, 2),
+            |s: &TreeState<BunchStore>| {
                 // Deliberately wrong oracle: claims offset 0 is still live.
                 check_final(s, &BTreeMap::from([(0, UNIT)]))
             },
         )
-        .thread(|s: &TreeState| s.tree.dealloc(0))
-        .thread(|s: &TreeState| s.tree.dealloc(UNIT))
-        .labels(|s: &TreeState| s.tree.model_addr_labels());
+        .thread(|s: &TreeState<BunchStore>| s.tree.dealloc(0))
+        .thread(|s: &TreeState<BunchStore>| s.tree.dealloc(UNIT))
+        .labels(|s: &TreeState<BunchStore>| s.tree.model_addr_labels());
         let explorer = Explorer::exhaustive();
         let report = explorer.explore(&prog);
         assert!(!report.is_clean(), "mutated oracle must be caught");

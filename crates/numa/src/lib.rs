@@ -30,8 +30,8 @@
 //!   and drives [`NodePolicy`] routing: `HomeFirst`, `Interleave`, or
 //!   `Pinned(n)`, always with nearest-first remote fallback.
 //! * [`NodeStatsSnapshot`] surfaces per-node allocated bytes and
-//!   local/remote/failed service counts — the data behind `nbbs-bench
-//!   fig12`'s per-node share table.
+//!   local/remote/failed service counts (the benchmark's
+//!   `numa.remote_share`).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -17,7 +17,7 @@
 //! neighbours first, like the kernel walking its NUMA zone list.  Releases
 //! always go to the owning node, whoever frees.  Per-node counters record
 //! how many allocations each node served for its own threads vs as a remote
-//! fallback, the telemetry behind `nbbs-bench fig12`'s share table.
+//! fallback (the benchmark's `numa.remote_share`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -62,8 +62,9 @@ struct NodeCounters {
 
 /// A set of per-node buddy instances behind one widened [`BuddyBackend`].
 ///
-/// See the [module docs](self) for the routing and [`nbbs::SlotSet`] for
-/// the offset-widening scheme.
+/// An allocation starts from the node its [`NodePolicy`] picks and falls
+/// back nearest-first; a release goes to the owning node.  See
+/// [`nbbs::SlotSet`] for the offset-widening scheme.
 ///
 /// ```
 /// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};

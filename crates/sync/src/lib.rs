@@ -30,9 +30,9 @@
 //!   publishes and `nbbs-obs` tags events with.
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
 //!   types whose every access is a yield point reporting to a deterministic
-//!   scheduler; `nbbs::fourlvl` compiles against them under
-//!   `--cfg nbbs_model` so the `nbbs-model` crate can enumerate every
-//!   interleaving of the lock-free tree's CAS climbs.
+//!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores)
+//!   compile against them under `--cfg nbbs_model` so the `nbbs-model`
+//!   crate can enumerate every interleaving of their CAS climbs.
 //!
 //! Everything here is dependency-free; `unsafe` is confined to the interior
 //! of the synchronization primitives (the lock and stack value cells) and

@@ -7,7 +7,8 @@
 //! Random soaking explores whatever schedules the OS happens to produce;
 //! the `nbbs-model` crate instead *enumerates* schedules, loom-style, by
 //! compiling the real allocator against these shadow types
-//! (`--cfg nbbs_model` switches the type aliases in `nbbs::fourlvl`) and
+//! (`--cfg nbbs_model` switches the type aliases in `nbbs::tree`,
+//! `nbbs::fourlvl` and `nbbs::onelvl`) and
 //! driving each thread from one atomic access to the next.
 //!
 //! ## How a shadow access works
@@ -480,6 +481,12 @@ shadow_atomic!(
     AtomicU32,
     std::sync::atomic::AtomicU32,
     u32
+);
+shadow_atomic!(
+    /// Shadow counterpart of [`std::sync::atomic::AtomicU8`].
+    AtomicU8,
+    std::sync::atomic::AtomicU8,
+    u8
 );
 shadow_atomic!(
     /// Shadow counterpart of [`std::sync::atomic::AtomicUsize`].

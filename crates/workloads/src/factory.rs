@@ -170,42 +170,90 @@ impl FromStr for AllocatorKind {
     }
 }
 
-/// Builds a fresh allocator instance of the given kind.
-pub fn build(kind: AllocatorKind, config: BuddyConfig) -> SharedBackend {
+/// The last step of [`build_with`]: what happens to the concrete allocator
+/// before its one type erasure into a [`SharedBackend`].
+///
+/// A trait and not a closure because the step is generic over the
+/// allocator type: a wrapper goes around the *concrete* allocator, inside
+/// the one `Arc<dyn BuddyBackend>`.  Wrapping the finished `SharedBackend`
+/// instead would add a second dynamic dispatch to every operation, which
+/// costs as much as the sampled recording itself on a ~60 ns tree op.
+trait Finish {
+    fn finish<A: BuddyBackend + 'static>(self, allocator: A) -> SharedBackend;
+}
+
+/// The allocator as it is.
+struct Plain;
+
+impl Finish for Plain {
+    fn finish<A: BuddyBackend + 'static>(self, allocator: A) -> SharedBackend {
+        Arc::new(allocator)
+    }
+}
+
+/// The allocator inside a sampled [`nbbs_obs::Recorded`].
+struct Sampled {
+    recorder: Arc<nbbs_obs::Recorder>,
+    stride: u32,
+}
+
+impl Finish for Sampled {
+    fn finish<A: BuddyBackend + 'static>(self, allocator: A) -> SharedBackend {
+        Arc::new(nbbs_obs::Recorded::sampled(
+            allocator,
+            self.recorder,
+            self.stride,
+        ))
+    }
+}
+
+/// The composition of every kind, in one place.
+fn build_with(kind: AllocatorKind, config: BuddyConfig, f: impl Finish) -> SharedBackend {
     let cache = CacheConfig::default();
+    let slab = |name| {
+        SlabBackend::with_config_and_name(NbbsFourLevel::new(config), slab_config(config), name)
+    };
     match kind {
-        AllocatorKind::FourLevelNb => Arc::new(NbbsFourLevel::new(config)),
-        AllocatorKind::OneLevelNb => Arc::new(NbbsOneLevel::new(config)),
-        AllocatorKind::FourLevelSl => Arc::new(LockedFourLevel::new(NbbsFourLevel::new(config))),
-        AllocatorKind::OneLevelSl => Arc::new(LockedOneLevel::new(NbbsOneLevel::new(config))),
-        AllocatorKind::BuddySl => Arc::new(CloudwuBuddy::new(config)),
-        AllocatorKind::LinuxBuddy => Arc::new(LinuxBuddy::new(config)),
-        AllocatorKind::Cached4LvlNb => Arc::new(MagazineCache::with_config_and_name(
+        AllocatorKind::FourLevelNb => f.finish(NbbsFourLevel::new(config)),
+        AllocatorKind::OneLevelNb => f.finish(NbbsOneLevel::new(config)),
+        AllocatorKind::FourLevelSl => f.finish(LockedFourLevel::new(NbbsFourLevel::new(config))),
+        AllocatorKind::OneLevelSl => f.finish(LockedOneLevel::new(NbbsOneLevel::new(config))),
+        AllocatorKind::BuddySl => f.finish(CloudwuBuddy::new(config)),
+        AllocatorKind::LinuxBuddy => f.finish(LinuxBuddy::new(config)),
+        AllocatorKind::Cached4LvlNb => f.finish(MagazineCache::with_config_and_name(
             NbbsFourLevel::new(config),
             cache,
             "cached-4lvl-nb",
         )),
-        AllocatorKind::Cached1LvlNb => Arc::new(MagazineCache::with_config_and_name(
+        AllocatorKind::Cached1LvlNb => f.finish(MagazineCache::with_config_and_name(
             NbbsOneLevel::new(config),
             cache,
             "cached-1lvl-nb",
         )),
-        AllocatorKind::Numa4LvlNb => Arc::new(build_node_set(config)),
-        AllocatorKind::Slab4LvlNb => Arc::new(SlabBackend::with_config_and_name(
-            NbbsFourLevel::new(config),
-            slab_config(config),
-            "slab-4lvl-nb",
-        )),
-        AllocatorKind::CachedSlab4LvlNb => Arc::new(MagazineCache::with_config_and_name(
-            SlabBackend::with_config_and_name(
-                NbbsFourLevel::new(config),
-                slab_config(config),
-                "slab-4lvl-nb",
-            ),
+        AllocatorKind::Numa4LvlNb => f.finish(build_node_set(config)),
+        AllocatorKind::Slab4LvlNb => f.finish(slab("slab-4lvl-nb")),
+        AllocatorKind::CachedSlab4LvlNb => f.finish(MagazineCache::with_config_and_name(
+            slab("slab-4lvl-nb"),
             cache,
             "cached-slab-4lvl-nb",
         )),
     }
+}
+
+/// Builds a fresh allocator instance of the given kind.
+pub fn build(kind: AllocatorKind, config: BuddyConfig) -> SharedBackend {
+    build_with(kind, config, Plain)
+}
+
+/// Builds a fresh allocator instance wrapped in a sampled
+/// [`nbbs_obs::Recorded`] recording alloc/free latency into `recorder`.
+pub fn build_recorded(
+    kind: AllocatorKind,
+    config: BuddyConfig,
+    recorder: Arc<nbbs_obs::Recorder>,
+    stride: u32,
+) -> SharedBackend {
+    build_with(kind, config, Sampled { recorder, stride })
 }
 
 /// The slab configuration for the `slab-*` kinds: the defaults (2 KiB
@@ -219,83 +267,6 @@ fn slab_config(config: BuddyConfig) -> SlabConfig {
         cutoff: defaults.cutoff.min(page_size / 2),
         page_size,
         ..defaults
-    }
-}
-
-/// Builds a fresh allocator instance wrapped in a sampled
-/// [`nbbs_obs::Recorded`] recording alloc/free latency into `recorder`.
-///
-/// The wrapper goes around the *concrete* allocator type, inside the one
-/// `Arc<dyn BuddyBackend>` type erasure — wrapping the finished
-/// `SharedBackend` instead would add a second dynamic dispatch to every
-/// operation, which costs as much as the sampled recording itself on a
-/// ~60 ns tree op.
-pub fn build_recorded(
-    kind: AllocatorKind,
-    config: BuddyConfig,
-    recorder: Arc<nbbs_obs::Recorder>,
-    stride: u32,
-) -> SharedBackend {
-    fn wrap<A: BuddyBackend + 'static>(
-        a: A,
-        rec: Arc<nbbs_obs::Recorder>,
-        stride: u32,
-    ) -> SharedBackend {
-        Arc::new(nbbs_obs::Recorded::sampled(a, rec, stride))
-    }
-    let cache = CacheConfig::default();
-    match kind {
-        AllocatorKind::FourLevelNb => wrap(NbbsFourLevel::new(config), recorder, stride),
-        AllocatorKind::OneLevelNb => wrap(NbbsOneLevel::new(config), recorder, stride),
-        AllocatorKind::FourLevelSl => wrap(
-            LockedFourLevel::new(NbbsFourLevel::new(config)),
-            recorder,
-            stride,
-        ),
-        AllocatorKind::OneLevelSl => wrap(
-            LockedOneLevel::new(NbbsOneLevel::new(config)),
-            recorder,
-            stride,
-        ),
-        AllocatorKind::BuddySl => wrap(CloudwuBuddy::new(config), recorder, stride),
-        AllocatorKind::LinuxBuddy => wrap(LinuxBuddy::new(config), recorder, stride),
-        AllocatorKind::Cached4LvlNb => wrap(
-            MagazineCache::with_config_and_name(
-                NbbsFourLevel::new(config),
-                cache,
-                "cached-4lvl-nb",
-            ),
-            recorder,
-            stride,
-        ),
-        AllocatorKind::Cached1LvlNb => wrap(
-            MagazineCache::with_config_and_name(NbbsOneLevel::new(config), cache, "cached-1lvl-nb"),
-            recorder,
-            stride,
-        ),
-        AllocatorKind::Numa4LvlNb => wrap(build_node_set(config), recorder, stride),
-        AllocatorKind::Slab4LvlNb => wrap(
-            SlabBackend::with_config_and_name(
-                NbbsFourLevel::new(config),
-                slab_config(config),
-                "slab-4lvl-nb",
-            ),
-            recorder,
-            stride,
-        ),
-        AllocatorKind::CachedSlab4LvlNb => wrap(
-            MagazineCache::with_config_and_name(
-                SlabBackend::with_config_and_name(
-                    NbbsFourLevel::new(config),
-                    slab_config(config),
-                    "slab-4lvl-nb",
-                ),
-                cache,
-                "cached-slab-4lvl-nb",
-            ),
-            recorder,
-            stride,
-        ),
     }
 }
 

@@ -12,7 +12,10 @@
 
 use proptest::prelude::*;
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
+use nbbs::fourlvl::BunchStore;
+use nbbs::onelvl::ByteStore;
+use nbbs::tree::{BuddyTree, NodeStore};
+use nbbs::{BuddyBackend, BuddyConfig, FreeError, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
 use nbbs_baselines::{CloudwuBuddy, LinuxBuddy, ReferenceBuddy};
 
 /// One step of a generated workload.
@@ -45,62 +48,92 @@ fn first_fit_config() -> BuddyConfig {
         .with_scan_policy(ScanPolicy::FirstFit)
 }
 
+/// What the checked lookups must answer for every allocation unit, given
+/// the oracle's live set: a block's start names its granted size, and a
+/// free offset is no allocation (the lookup says `None`, the checked
+/// release refuses it and moves no byte count).
+///
+/// An offset *inside* a live block is a caller error of the rank of a
+/// double free.  The 1-level tree rejects it (`rejects_interior`): the node
+/// a stale `index[]` entry names there lies under the live block's node and
+/// reads free.  The 4-level tree cannot always tell (the trait docs of
+/// `try_dealloc` name the blind spot), so nothing is asserted for it there
+/// beyond what the starts and the free offsets already pin: it never says
+/// `None` where the 1-level says `Some`.
+fn probe_checked_lookups<S: NodeStore>(
+    nb: &BuddyTree<S>,
+    oracle: &ReferenceBuddy,
+    rejects_interior: bool,
+) {
+    let mut chunks = oracle.live_chunks().into_iter().peekable();
+    let before = nb.allocated_bytes();
+    for offset in (0..TOTAL).step_by(MIN) {
+        while chunks.next_if(|&(o, g)| o + g <= offset).is_some() {}
+        match chunks.peek() {
+            Some(&(start, granted)) if start == offset => {
+                assert_eq!(nb.granted_size_of_live(offset), Some(granted));
+            }
+            Some(&(start, _)) if start < offset => {
+                if rejects_interior {
+                    assert_eq!(nb.granted_size_of_live(offset), None, "inside {start}");
+                }
+            }
+            _ => {
+                assert_eq!(nb.granted_size_of_live(offset), None, "free {offset}");
+                assert_eq!(
+                    nb.try_dealloc(offset),
+                    Err(FreeError::NotAllocated { offset })
+                );
+            }
+        }
+    }
+    assert_eq!(
+        nb.allocated_bytes(),
+        before,
+        "a refused release moved bytes"
+    );
+}
+
+/// With first-fit scanning the non-blocking tree over store `S` is offset-
+/// for-offset identical to the sequential oracle, and its checked lookups
+/// agree with the oracle's live set at every step.
+fn matches_oracle<S: NodeStore>(ops: Vec<Op>, rejects_interior: bool) {
+    let mut oracle = ReferenceBuddy::new(first_fit_config());
+    let nb = BuddyTree::<S>::new(first_fit_config());
+    let mut live: Vec<usize> = Vec::new();
+    for op in ops {
+        match op {
+            Op::Alloc(size) => {
+                let expected = oracle.alloc(size);
+                let got = nb.alloc(size);
+                assert_eq!(expected, got, "alloc({size}) diverged");
+                live.extend(got);
+            }
+            Op::Free(k) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let off = live.remove(k % live.len());
+                oracle.dealloc(off);
+                nb.dealloc(off);
+            }
+        }
+        assert_eq!(oracle.allocated_bytes(), nb.allocated_bytes());
+        probe_checked_lookups(&nb, &oracle, rejects_interior);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The 1-level non-blocking buddy with first-fit scanning is offset-for-
-    /// offset identical to the sequential oracle.
     #[test]
     fn one_level_matches_oracle(ops in ops_strategy(MAX)) {
-        let mut oracle = ReferenceBuddy::new(first_fit_config());
-        let nb = NbbsOneLevel::new(first_fit_config());
-        let mut live: Vec<usize> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Alloc(size) => {
-                    let expected = oracle.alloc(size);
-                    let got = nb.alloc(size);
-                    prop_assert_eq!(expected, got, "alloc({}) diverged", size);
-                    if let Some(off) = got {
-                        live.push(off);
-                    }
-                }
-                Op::Free(k) => {
-                    if live.is_empty() { continue; }
-                    let off = live.remove(k % live.len());
-                    oracle.dealloc(off);
-                    nb.dealloc(off);
-                }
-            }
-            prop_assert_eq!(oracle.allocated_bytes(), nb.allocated_bytes());
-        }
+        matches_oracle::<ByteStore>(ops, true);
     }
 
-    /// The 4-level variant is offset-for-offset identical to the oracle too.
     #[test]
     fn four_level_matches_oracle(ops in ops_strategy(MAX)) {
-        let mut oracle = ReferenceBuddy::new(first_fit_config());
-        let nb = NbbsFourLevel::new(first_fit_config());
-        let mut live: Vec<usize> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Alloc(size) => {
-                    let expected = oracle.alloc(size);
-                    let got = nb.alloc(size);
-                    prop_assert_eq!(expected, got, "alloc({}) diverged", size);
-                    if let Some(off) = got {
-                        live.push(off);
-                    }
-                }
-                Op::Free(k) => {
-                    if live.is_empty() { continue; }
-                    let off = live.remove(k % live.len());
-                    oracle.dealloc(off);
-                    nb.dealloc(off);
-                }
-            }
-            prop_assert_eq!(oracle.allocated_bytes(), nb.allocated_bytes());
-        }
+        matches_oracle::<BunchStore>(ops, false);
     }
 
     /// Behavioural equivalence for the blocking baselines: allocations

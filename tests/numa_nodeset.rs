@@ -428,3 +428,28 @@ fn oversize_requests_fail_over_per_node() {
     unsafe { alloc.deallocate(block.cast(), ceiling) };
     assert_eq!(alloc.allocated_bytes(), 0);
 }
+
+/// A cache's checked release measures an offset against the span its
+/// backend manages, not the widened geometry: over three nodes the fourth,
+/// phantom slot is out of range, and the cache says so with the same span
+/// the set itself reports.
+#[test]
+fn cached_checked_release_reports_the_logical_span() {
+    use nbbs::FreeError;
+    let set = node_set(NODES);
+    let logical = NODES * PER_NODE;
+    assert_eq!(set.total_memory(), logical);
+    assert_eq!(set.geometry().total_memory(), 4 * PER_NODE, "widened");
+    let expected = Err(FreeError::OutOfRange {
+        offset: logical,
+        total_memory: logical,
+    });
+    assert_eq!(set.try_dealloc(logical), expected);
+    let cache = MagazineCache::new(set);
+    assert_eq!(cache.try_dealloc(logical), expected);
+    // An offset no slot owns is out of range before it is misaligned.
+    assert!(matches!(
+        cache.try_dealloc(logical + 3),
+        Err(FreeError::OutOfRange { .. })
+    ));
+}

@@ -11,6 +11,9 @@
 
 use std::collections::BTreeMap;
 
+use nbbs::fourlvl::BunchStore;
+use nbbs::onelvl::ByteStore;
+use nbbs::tree::{BuddyTree, NodeStore};
 use nbbs::verify::{audit, audit_empty};
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy, TreeInspect};
 use nbbs_workloads::rng::SplitMix64;
@@ -122,67 +125,33 @@ fn safety_holds_on_tiny_trees() {
 
 #[test]
 fn quiescent_concurrent_state_audits_clean() {
-    use std::sync::Arc;
     // After a concurrent storm completes, the tree must audit clean against
     // the surviving live set (here: empty).
-    for variant in 0..2 {
-        let alloc: Arc<dyn AuditableBackend> = if variant == 0 {
-            Arc::new(NbbsOneLevel::new(config(1 << 14, 8, 1 << 10)))
-        } else {
-            Arc::new(NbbsFourLevel::new(config(1 << 14, 8, 1 << 10)))
-        };
-        let handles: Vec<_> = (0..6)
-            .map(|t| {
-                let alloc = Arc::clone(&alloc);
-                std::thread::spawn(move || {
+    fn storm<S: NodeStore>() {
+        let alloc = BuddyTree::<S>::new(config(1 << 14, 8, 1 << 10));
+        std::thread::scope(|s| {
+            for t in 0..6 {
+                let alloc = &alloc;
+                s.spawn(move || {
                     let mut rng = SplitMix64::new(0xAB ^ t as u64);
                     let mut live = Vec::new();
                     for _ in 0..4_000 {
                         if live.is_empty() || rng.next_u64() & 1 == 0 {
                             let size = 8usize << rng.next_below(7);
-                            if let Some(off) = alloc.backend().alloc(size) {
-                                live.push(off);
-                            }
+                            live.extend(alloc.alloc(size));
                         } else {
-                            let off = live.swap_remove(rng.next_below(live.len()));
-                            alloc.backend().dealloc(off);
+                            alloc.dealloc(live.swap_remove(rng.next_below(live.len())));
                         }
                     }
                     for off in live {
-                        alloc.backend().dealloc(off);
+                        alloc.dealloc(off);
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        alloc.audit_empty_clean();
-        assert_eq!(alloc.backend().allocated_bytes(), 0);
+                });
+            }
+        });
+        audit_empty(&alloc).assert_clean();
+        assert_eq!(alloc.allocated_bytes(), 0);
     }
-}
-
-/// Object-safe helper so the concurrent test can treat both variants
-/// uniformly while still reaching `TreeInspect`.
-trait AuditableBackend: Send + Sync {
-    fn backend(&self) -> &dyn BuddyBackend;
-    fn audit_empty_clean(&self);
-}
-
-impl AuditableBackend for NbbsOneLevel {
-    fn backend(&self) -> &dyn BuddyBackend {
-        self
-    }
-    fn audit_empty_clean(&self) {
-        audit_empty(self).assert_clean();
-    }
-}
-
-impl AuditableBackend for NbbsFourLevel {
-    fn backend(&self) -> &dyn BuddyBackend {
-        self
-    }
-    fn audit_empty_clean(&self) {
-        audit_empty(self).assert_clean();
-    }
+    storm::<ByteStore>();
+    storm::<BunchStore>();
 }
