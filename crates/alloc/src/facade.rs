@@ -8,7 +8,7 @@ use std::sync::Arc;
 use nbbs::error::AllocError;
 use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
-use nbbs_sync::{default_stripes, thread_stripe, CachePadded};
+use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim};
 
 use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 
@@ -52,9 +52,10 @@ use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 ///   `MagazineCache` underneath turns every allocation and release into a
 ///   magazine operation; the facade adds no locks of its own, and its one
 ///   always-on count — the requested/granted odometer — lives on a stripe
-///   per thread ([`nbbs_sync::thread_stripe`], the rule the cache's slots
-///   follow), so a thread that owns its cache slot writes no line another
-///   thread writes.
+///   per thread that the thread claims like its cache slot
+///   ([`nbbs_sync::owned`]'s claim rule), so a thread that owns its stripe
+///   books a grant with plain loads and stores on a line no other thread
+///   writes.
 ///
 /// Zero-sized layouts are grilled up to one allocation unit rather than
 /// handed a dangling pointer: the facade's pointers are always real,
@@ -70,13 +71,9 @@ pub struct NbbsAllocator<A: BuddyBackend> {
     grows_moved: AtomicU64,
     shrinks_in_place: AtomicU64,
     shrinks_moved: AtomicU64,
-    /// The cumulative `(requested, granted)` byte odometer, one stripe per
-    /// [`thread_stripe`] of [`default_stripes`] — sized and indexed exactly
-    /// like the cache's default slot table, so the two relaxed adds of a
-    /// grant land on a line only this thread writes whenever its cache slot
-    /// is its own.  Each stripe only ever grows; [`Self::facade_stats`]
-    /// sums them.
-    odometer: Box<[CachePadded<(AtomicU64, AtomicU64)>]>,
+    /// The cumulative `(requested, granted)` byte odometer; shared with the
+    /// global shell's exit hook, which gives the exiting thread's stripe up.
+    odometer: Arc<Odometer>,
     /// Optional observer.  Every *public* facade operation records exactly
     /// one event (a moved grow is one `Grow`, not a `Grow` + `Alloc` +
     /// `Free`), and when the handle carries a heap profiler every granted
@@ -96,9 +93,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             grows_moved: AtomicU64::new(0),
             shrinks_in_place: AtomicU64::new(0),
             shrinks_moved: AtomicU64::new(0),
-            odometer: (0..default_stripes())
-                .map(|_| CachePadded::default())
-                .collect(),
+            odometer: Arc::new(Odometer::new(default_stripes())),
             obs: None,
         }
     }
@@ -229,15 +224,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// The two `system_*` fields are the global shell's and stay zero.
     pub fn facade_stats(&self) -> FacadeStatsSnapshot {
         let reserve = self.reserve_stats().unwrap_or_default();
-        let (requested_bytes, granted_bytes) =
-            self.odometer
-                .iter()
-                .fold((0, 0), |(requested, granted), s| {
-                    (
-                        requested + s.0.load(Ordering::Relaxed),
-                        granted + s.1.load(Ordering::Relaxed),
-                    )
-                });
+        let (requested_bytes, granted_bytes) = self.odometer.totals();
         FacadeStatsSnapshot {
             grows_in_place: self.grows_in_place.load(Ordering::Relaxed),
             grows_moved: self.grows_moved.load(Ordering::Relaxed),
@@ -251,15 +238,18 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         }
     }
 
+    /// The odometer, for a hook that must give the exiting thread's stripe
+    /// up ([`Odometer::release_mine`]).
+    pub(crate) fn odometer(&self) -> &Arc<Odometer> {
+        &self.odometer
+    }
+
     /// Books a successful grant: requested-vs-granted byte accounting on
     /// the calling thread's odometer stripe plus the (sampled)
     /// heap-profiler capture.
     fn account_grant(&self, layout: Layout, granted: usize, offset: Option<usize>) {
-        let stripe = &self.odometer[thread_stripe(self.odometer.len())];
-        stripe
-            .0
-            .fetch_add(layout.size().max(1) as u64, Ordering::Relaxed);
-        stripe.1.fetch_add(granted as u64, Ordering::Relaxed);
+        self.odometer
+            .add(layout.size().max(1) as u64, granted as u64);
         if let (Some(profiler), Some(offset)) = (self.profiler(), offset) {
             profiler.record_alloc(offset, granted);
         }
@@ -558,6 +548,92 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     }
 }
 
+/// The facade's cumulative `(requested, granted)` byte odometer: one stripe
+/// per [`thread_stripe`] of [`default_stripes`] — the size and index of the
+/// cache's default slot table — each with a shared line beside it.
+///
+/// A thread claims its stripe on first use ([`Claim::hold`]) and from then
+/// on is its only writer, so it books a grant with plain loads and stores:
+/// no read-modify-write, on a line no other thread writes.  A thread whose
+/// stripe another live thread holds adds to that stripe's shared line with
+/// `fetch_add`, so crowded threads spread over as many lines as there are
+/// stripes.  The global shell's exit hook gives a thread's stripe up
+/// ([`Odometer::release_mine`]); the stripe of a thread that exits without
+/// it stays claimed, and later threads mapping there use its shared line —
+/// exact, and as spread as a table of plain atomic stripes.  Every line
+/// only grows, and [`Odometer::totals`] sums them, exactly at quiescence.
+pub(crate) struct Odometer {
+    stripes: Box<[Stripe]>,
+    shared: Box<[CachePadded<Counts>]>,
+}
+
+/// One claimable stripe: its owner word and what it counts, on two lines,
+/// so the threads crowded onto the stripe, which read the owner word on
+/// every grant, do not pull the line its owner writes.
+#[derive(Default)]
+struct Stripe {
+    claim: CachePadded<Claim>,
+    counts: CachePadded<Counts>,
+}
+
+#[derive(Default)]
+struct Counts {
+    requested: AtomicU64,
+    granted: AtomicU64,
+}
+
+impl Odometer {
+    fn new(stripes: usize) -> Self {
+        Odometer {
+            stripes: (0..stripes).map(|_| Stripe::default()).collect(),
+            shared: (0..stripes).map(|_| CachePadded::default()).collect(),
+        }
+    }
+
+    /// Adds one grant on the calling thread's stripe.
+    #[inline]
+    fn add(&self, requested: u64, granted: u64) {
+        let index = thread_stripe(self.stripes.len());
+        let stripe = &self.stripes[index];
+        if stripe.claim.hold() {
+            // The holder is the stripe's only writer: a plain load and
+            // store cannot lose an update, and the claim's Acquire/Release
+            // hands the running sums from one holder to the next.
+            let counts = &stripe.counts;
+            let requested = counts.requested.load(Ordering::Relaxed) + requested;
+            let granted = counts.granted.load(Ordering::Relaxed) + granted;
+            counts.requested.store(requested, Ordering::Relaxed);
+            counts.granted.store(granted, Ordering::Relaxed);
+        } else {
+            let shared = &self.shared[index];
+            shared.requested.fetch_add(requested, Ordering::Relaxed);
+            shared.granted.fetch_add(granted, Ordering::Relaxed);
+        }
+    }
+
+    /// `(requested, granted)` summed over every stripe.
+    fn totals(&self) -> (u64, u64) {
+        self.stripes
+            .iter()
+            .map(|s| &*s.counts)
+            .chain(self.shared.iter().map(|c| &**c))
+            .fold((0, 0), |(requested, granted), c| {
+                (
+                    requested + c.requested.load(Ordering::Relaxed),
+                    granted + c.granted.load(Ordering::Relaxed),
+                )
+            })
+    }
+
+    /// Gives the calling thread's stripe up, so the next thread mapping to
+    /// it can own it; what it counted stays.
+    pub(crate) fn release_mine(&self) {
+        self.stripes[thread_stripe(self.stripes.len())]
+            .claim
+            .release();
+    }
+}
+
 // SAFETY: blocks come either from the region (released back to it, matched
 // by address range) or from `System` (released to `System`).  Region blocks
 // are granted at least `max(size, align)` bytes from a class whose natural
@@ -789,6 +865,32 @@ mod tests {
         let z = a.allocate(zst).unwrap();
         assert_eq!(a.facade_stats().requested_bytes, 101);
         unsafe { a.deallocate(z.cast(), zst) };
+    }
+
+    #[test]
+    fn a_released_odometer_stripe_is_claimed_by_the_next_thread() {
+        let odometer = Arc::new(Odometer::new(1));
+        odometer.add(1, 2);
+        let booked_by_another = |requested, granted| {
+            let odometer = Arc::clone(&odometer);
+            std::thread::spawn(move || {
+                odometer.add(requested, granted);
+                odometer.stripes[0].claim.hold()
+            })
+            .join()
+            .unwrap()
+        };
+        // Held by this thread: the other one books on the shared line.
+        assert!(!booked_by_another(10, 20));
+        assert_eq!(odometer.shared[0].requested.load(Ordering::Relaxed), 10);
+        // Given up: the next thread claims it and adds to what it holds.
+        odometer.release_mine();
+        assert!(booked_by_another(100, 200));
+        assert_eq!(
+            odometer.stripes[0].counts.requested.load(Ordering::Relaxed),
+            101
+        );
+        assert_eq!(odometer.totals(), (111, 222));
     }
 
     #[test]

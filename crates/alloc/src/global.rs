@@ -53,7 +53,7 @@ use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache, 
 use nbbs_numa::{topology, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
 use nbbs_obs::{MetricsRegistry, ProfileReport, Recorder, DEFAULT_PROFILE_STRIDE};
 
-use crate::facade::NbbsAllocator;
+use crate::facade::{NbbsAllocator, Odometer};
 
 type CachedTree = MagazineCache<NodeSet<NbbsFourLevel>>;
 
@@ -91,15 +91,19 @@ impl Drop for BypassGuard {
 
 /// The exit-drain hook handed to `nbbs-cache`: latches the bypass for good
 /// (the thread is dying; everything it frees from here on must go straight
-/// to the tree) and empties the thread's slot.
+/// to the tree), empties the thread's slot and gives it up, and gives the
+/// thread's odometer stripe up too, so the next thread mapping to either
+/// owns it.
 struct ExitLatch {
     cache: Arc<CachedTree>,
+    odometer: Arc<Odometer>,
 }
 
 impl DrainOnExit for ExitLatch {
     fn drain(&self) {
         let _ = BYPASS.try_with(|b| b.set(true));
         self.cache.drain_current_thread();
+        self.odometer.release_mine();
     }
 }
 
@@ -384,7 +388,10 @@ impl NbbsGlobalAlloc {
                 .region()
                 .start_scrubber(std::time::Duration::from_millis(ms));
         }
-        let exit_hook = Arc::new(ExitLatch { cache });
+        let exit_hook = Arc::new(ExitLatch {
+            cache,
+            odometer: Arc::clone(facade.odometer()),
+        });
         Some(State {
             facade,
             exit_hook,
@@ -799,6 +806,15 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
         if !out.is_null() && !state.facade.owns(out) {
             self.system_bytes
                 .fetch_add(new_size as u64, Ordering::Relaxed);
+            // A buddy block moved out of the region although the buddy
+            // could have held the new size: the built stack failed a
+            // servable request, as `alloc` counts it.
+            let was_buddy = NonNull::new(ptr).is_some_and(|nn| state.facade.region().contains(nn));
+            let servable = Layout::from_size_align(new_size, layout.align())
+                .is_ok_and(|new_layout| state.facade.granted_size(new_layout).is_some());
+            if was_buddy && servable {
+                self.system_failovers.fetch_add(1, Ordering::Relaxed);
+            }
         }
         out
     }
@@ -1318,5 +1334,55 @@ mod tests {
             a.dealloc(p1, layout);
             a.dealloc(p2, layout);
         }
+    }
+
+    /// Allocates `layout` until a block lands in `System`; returns them all.
+    unsafe fn fill_until_system(a: &NbbsGlobalAlloc, layout: Layout) -> Vec<*mut u8> {
+        let mut blocks = Vec::new();
+        loop {
+            let p = a.alloc(layout);
+            assert!(!p.is_null());
+            blocks.push(p);
+            if !a.owns(p) {
+                return blocks;
+            }
+        }
+    }
+
+    #[test]
+    fn a_realloc_the_stack_fails_and_system_rescues_is_a_failover() {
+        let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
+        let big = Layout::from_size_align(1 << 16, 8).unwrap();
+        let page = Layout::from_size_align(1 << 12, 8).unwrap();
+        let small = Layout::from_size_align(64, 8).unwrap();
+        unsafe {
+            let mut bigs = fill_until_system(&a, big);
+            assert_eq!(a.system_failovers(), 1);
+            // Leave one 64 KiB block free in the tree, and carve it up: a
+            // 64 B block, then 4 KiB pages until one fails over.
+            a.dealloc(bigs.remove(0), big);
+            a.drain_cache();
+            let p = a.alloc(small);
+            assert!(a.owns(p));
+            let pages = fill_until_system(&a, page);
+            assert_eq!(a.system_failovers(), 2);
+            a.drain_cache();
+            // No 8 KiB block is left: the 64 B block moves to `System`.
+            let q = a.realloc(p, small, 8192);
+            assert!(!q.is_null() && !a.owns(q), "moved out of the region");
+            assert_eq!(
+                a.system_failovers(),
+                3,
+                "the stack failed a request it could have held"
+            );
+            a.dealloc(q, Layout::from_size_align(8192, 8).unwrap());
+            for x in pages {
+                a.dealloc(x, page);
+            }
+            for x in bigs {
+                a.dealloc(x, big);
+            }
+        }
+        assert_eq!(a.buddy_allocated_bytes(), 0);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
 use nbbs_obs::{OpKind, Recorder};
-use nbbs_sync::{thread_stripe, Backoff, CachePadded, SpinLock};
+use nbbs_sync::{thread_stripe, Backoff, CachePadded, OwnedSlots, SpinLock};
 
 use crate::config::CacheConfig;
 use crate::depot::DepotShard;
@@ -33,7 +33,7 @@ const REFILL_BATCH_MAX: usize = 64;
 
 /// The slow-path counters: every one is bumped next to a backend call, a
 /// depot CAS or a capacity change.  The two hit-path tallies live in the
-/// [`Slot`], under the lock a hit already holds.
+/// [`Slot`], written inside the entry a hit makes anyway.
 #[derive(Debug, Default)]
 struct Counters {
     misses: AtomicU64,
@@ -48,11 +48,11 @@ struct Counters {
     orphan_rescues: AtomicU64,
 }
 
-/// One thread slot — everything its spin lock protects: the per-class
+/// One thread slot — everything an entry of it may touch: the per-class
 /// magazine pairs and the slot's share of the two hit-path tallies, plain
-/// integers bumped inside the critical section a hit runs anyway.  The
-/// bytes a slot parks are not stored: [`MagazineCache::cached_bytes`] sums
-/// them from the magazine lengths.
+/// integers bumped inside the entry a hit makes anyway.  The bytes a slot
+/// parks are not stored: [`MagazineCache::cached_bytes`] sums them from the
+/// magazine lengths.
 struct Slot {
     mags: Vec<ClassMags>,
     /// Allocations this slot served from a magazine.
@@ -73,12 +73,15 @@ struct ClassCtl {
 /// A per-thread, size-class-indexed magazine cache over any [`BuddyBackend`].
 ///
 /// Threads are mapped to *slots*; each slot keeps, per cached buddy order, a
-/// pair of bounded LIFO magazines (Bonwick's loaded/previous scheme).  The
-/// hot path — allocation hit, *sized* release
-/// ([`BuddyBackend::dealloc_sized`]) into a non-full magazine — touches only
-/// the slot's spin lock (uncontended when `slots >= threads`) and never the
-/// backend tree, so backend CAS traffic drops by roughly the magazine
-/// capacity.  The unsized release ([`BuddyBackend::dealloc`]) parks the
+/// pair of bounded LIFO magazines (Bonwick's loaded/previous scheme).  A
+/// thread claims the slot of its stripe on first use and from then on owns
+/// it ([`nbbs_sync::OwnedSlots`]): the hot path — allocation hit, *sized*
+/// release ([`BuddyBackend::dealloc_sized`]) into a non-full magazine — runs
+/// no locked instruction for an owner, only plain loads and stores of its
+/// own slot around a compiler fence, and never touches the backend tree, so
+/// backend CAS traffic drops by roughly the magazine capacity.  A thread
+/// whose stripe another live thread holds uses that stripe's shared slot,
+/// under its lock.  The unsized release ([`BuddyBackend::dealloc`]) parks the
 /// chunk the same way but first asks the backend for its class
 /// ([`BuddyBackend::granted_size_of_live`]: a read of tree metadata other
 /// threads write), because an offset alone does not name one.  Misses
@@ -116,18 +119,21 @@ struct ClassCtl {
 /// [`crate::verify_cached`] helper audits the backend's safety properties
 /// treating cached chunks as live.
 ///
-/// A slot's spin lock protects its magazine pairs *and* its share of the
+/// An entry of a slot covers its magazine pairs *and* its share of the
 /// `hits` / `cached_frees` tallies, so a hit counts itself with a plain
-/// increment inside the critical section it runs anyway and executes no
-/// atomic beyond the lock.  Nothing stores how many bytes a slot parks:
-/// the read-outs — [`MagazineCache::snapshot`],
-/// [`MagazineCache::cached_bytes`] and, through it,
-/// [`MagazineCache::allocated_bytes`] — take each slot's lock in turn for
-/// a handful of loads and sum what they find.  They allocate nothing while
-/// holding a lock (under a registered `#[global_allocator]` an allocation
-/// there would re-enter the same slot), are exact at quiescence and
-/// best-effort while operations are in flight, and are not meant to be
-/// called per operation.
+/// increment inside the entry it makes anyway.  Nothing stores how many
+/// bytes a slot parks.  The read-outs and drains —
+/// [`MagazineCache::snapshot`], [`MagazineCache::cached_bytes`] (and through
+/// it [`MagazineCache::allocated_bytes`]), [`MagazineCache::cached_chunks`],
+/// [`MagazineCache::contains_cached`], [`MagazineCache::drain_all`] and
+/// `Debug` — enter every slot as a remote, once per call: they take every
+/// slot's lock, revoke every owner, pay one heavy barrier
+/// (`membarrier(2)` where the kernel has it) and wait each owner out,
+/// spinning while one is preempted mid-hit.  So a read-out sees every slot
+/// between two operations, is exact at quiescence, costs a system call, and
+/// is not meant to be called per operation.  The ones that only sum
+/// allocate nothing inside (under a registered `#[global_allocator]` an
+/// allocation there would re-enter a slot).
 ///
 /// # Double frees
 ///
@@ -148,8 +154,10 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// caches chunks of exactly `classes[k]` bytes.
     classes: Box<[usize]>,
     /// A thread's slot is its [`nbbs_sync::thread_stripe`] in this table,
-    /// the thread→stripe rule every per-thread table in the stack shares.
-    slots: Box<[CachePadded<SpinLock<Slot>>]>,
+    /// the thread→stripe rule every per-thread table in the stack shares,
+    /// claimed on first use; beside each, the shared slot of threads whose
+    /// stripe another live thread holds.
+    slots: OwnedSlots<Slot>,
     /// Depot shards, partitioned into `group_count` contiguous banks of
     /// `group_shards` shards each (one bank per NUMA-node group; a single
     /// machine-wide bank by default).  A thread on group `g` in slot `s`
@@ -190,11 +198,11 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// and verification point of view: backend-live, caller-free.
     ///
     /// The slot magazines themselves need no such recovery: every mutation
-    /// of a slot happens under its [`SpinLock`], whose guard releases on
-    /// unwind, and consists of pure `Vec` moves that cannot panic halfway —
-    /// so a slot is never left wedged or half-rotated.  Only chunks in
-    /// flight *outside* the lock (backend calls in loops) can be stranded,
-    /// and those are exactly what this list catches.
+    /// of a slot happens inside an entry, whose guards end it on unwind, and
+    /// consists of pure `Vec` moves that cannot panic halfway — so a slot
+    /// is never left wedged or half-rotated.  Only chunks in flight
+    /// *outside* an entry (backend calls in loops) can be stranded, and
+    /// those are exactly what this list catches.
     orphans: SpinLock<Vec<(usize, usize)>>,
     /// Fast-path gate for the orphan list: set (release) after publishing,
     /// cleared (acquire) by the rescuer — so the common case costs one
@@ -237,19 +245,14 @@ impl<A: BuddyBackend> MagazineCache<A> {
             probe = granted + 1;
         }
         let classes: Box<[usize]> = classes.into();
-        let slot_count = config.resolved_slots();
-        let slots = (0..slot_count)
-            .map(|_| {
-                CachePadded::new(SpinLock::new(Slot {
-                    mags: classes
-                        .iter()
-                        .map(|&size| ClassMags::new(config.capacity_for(size)))
-                        .collect(),
-                    hits: 0,
-                    cached_frees: 0,
-                }))
-            })
-            .collect();
+        let slots = OwnedSlots::new(config.resolved_slots(), || Slot {
+            mags: classes
+                .iter()
+                .map(|&size| ClassMags::new(config.capacity_for(size)))
+                .collect(),
+            hits: 0,
+            cached_frees: 0,
+        });
         let shard_count = config.resolved_shards();
         let group_count = config.resolved_groups();
         let group_shards = shard_count / group_count;
@@ -323,9 +326,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
         self.classes.len()
     }
 
-    /// Number of thread slots.
+    /// Number of thread slots (the shared slots not counted).
     pub fn slot_count(&self) -> usize {
-        self.slots.len()
+        self.slots.slot_count()
     }
 
     /// Number of depot shards magazine exchange is distributed over.
@@ -359,7 +362,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// The depot shard the calling thread exchanges magazines with.
     pub fn current_shard(&self) -> usize {
-        self.shard_of(thread_stripe(self.slots.len()))
+        self.shard_of(thread_stripe(self.slots.slot_count()))
     }
 
     /// Full magazines currently parked in depot shard `shard` (approximate
@@ -389,10 +392,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Bytes currently parked in magazines and depots (allocated in the
     /// backend, available for cache hits): each slot's magazine lengths
-    /// times their class size, read under that slot's lock, plus the
-    /// per-shard counters and any panic-stranded chunks — the same
-    /// magazines [`MagazineCache::cached_chunks`] lists, so the two agree by
-    /// construction.  A locking read-out (see *Consistency* on the type).
+    /// times their class size, plus the per-shard counters and any
+    /// panic-stranded chunks — the same magazines
+    /// [`MagazineCache::cached_chunks`] lists, so the two agree by
+    /// construction.  A remote read-out (see *Consistency* on the type).
     pub fn cached_bytes(&self) -> usize {
         // Panic-stranded chunks count as cached until rescued: they are
         // live in the backend and held by nobody, exactly like a parked
@@ -402,18 +405,15 @@ impl<A: BuddyBackend> MagazineCache<A> {
         } else {
             0
         };
-        let in_slots: usize = self
-            .slots
-            .iter()
-            .map(|slot| {
-                let slot = slot.lock();
-                slot.mags
-                    .iter()
-                    .zip(self.classes.iter())
-                    .map(|(pair, &size)| pair.len() * size)
-                    .sum::<usize>()
-            })
-            .sum();
+        let mut in_slots = 0;
+        self.slots.for_each_slot(|slot| {
+            in_slots += slot
+                .mags
+                .iter()
+                .zip(self.classes.iter())
+                .map(|(pair, &size)| pair.len() * size)
+                .sum::<usize>();
+        });
         in_slots + self.shards.iter().map(|s| s.bytes()).sum::<usize>() + stranded
     }
 
@@ -551,49 +551,57 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// Serves one allocation of class `class`, preferring the magazines.
     fn alloc_cached(&self, class: usize) -> Option<usize> {
         let class_size = self.class_size(class);
-        let slot_idx = thread_stripe(self.slots.len());
-        let mut guard = self.slots[slot_idx].lock();
-        let slot = &mut *guard;
-        let pair = &mut slot.mags[class];
+        // A hit leaves the slot with its chunk; a miss with the stripe and
+        // the refill batch its pair is sized for.
+        let entered = self.slots.with_mine(|slot_idx, slot| {
+            let pair = &mut slot.mags[class];
+            if let Some(off) = pair.loaded.pop() {
+                slot.hits += 1;
+                return Ok(off);
+            }
+            if !pair.previous.is_empty() {
+                std::mem::swap(&mut pair.loaded, &mut pair.previous);
+                let off = pair.loaded.pop().expect("swapped magazine is non-empty");
+                slot.hits += 1;
+                return Ok(off);
+            }
 
-        if let Some(off) = pair.loaded.pop() {
-            slot.hits += 1;
-            return Some(off);
-        }
-        if !pair.previous.is_empty() {
-            std::mem::swap(&mut pair.loaded, &mut pair.previous);
-            let off = pair.loaded.pop().expect("swapped magazine is non-empty");
-            slot.hits += 1;
-            return Some(off);
-        }
+            // Both magazines empty: exchange with the slot group's depot
+            // shard (a full magazine in via one lock-free pop, our empty
+            // `loaded` out — recirculated as the spare for the next overflow
+            // rotation).
+            if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
+                let empty = std::mem::replace(&mut pair.loaded, full);
+                pair.spare.get_or_insert(empty);
+                self.counters
+                    .depot_exchanges
+                    .fetch_add(1, Ordering::Relaxed);
+                let off = pair.loaded.pop().expect("depot magazines are full");
+                slot.hits += 1;
+                return Ok(off);
+            }
 
-        // Both magazines empty: exchange with the slot group's depot shard
-        // (a full magazine in via one lock-free pop, our empty `loaded` out —
-        // recirculated as the spare for the next overflow rotation).
-        if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
-            let empty = std::mem::replace(&mut pair.loaded, full);
-            pair.spare.get_or_insert(empty);
-            self.counters
-                .depot_exchanges
-                .fetch_add(1, Ordering::Relaxed);
-            let off = pair.loaded.pop().expect("depot magazines are full");
-            slot.hits += 1;
-            return Some(off);
-        }
-
-        // Own shard dry too.  Both magazines are empty, which is the one
-        // safe point to adopt a changed adaptive capacity for this slot's
-        // pair; size the refill batch now as well, then release the lock —
-        // the backend refill below runs outside it, so a co-located
-        // thread's magazine hit is not stalled behind our tree walks
-        // (mirror of the flush in `dealloc_cached`).
-        let target = self.ctl[class].cap.load(Ordering::Relaxed);
-        if pair.loaded.capacity() != target {
-            pair.loaded.set_capacity(target);
-            pair.previous.set_capacity(target);
-        }
-        let batch = (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX);
-        drop(guard);
+            // Own shard dry too.  Both magazines are empty, which is the one
+            // safe point to adopt a changed adaptive capacity for this
+            // slot's pair; size the refill batch now as well, then leave the
+            // slot — the backend refill below runs outside it, so a remote
+            // read-out (or, on the shared slot, another thread's hit) is not
+            // stalled behind our tree walks (mirror of the flush in
+            // `dealloc_cached`).
+            let target = self.ctl[class].cap.load(Ordering::Relaxed);
+            if pair.loaded.capacity() != target {
+                pair.loaded.set_capacity(target);
+                pair.previous.set_capacity(target);
+            }
+            Err((
+                slot_idx,
+                (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX),
+            ))
+        });
+        let (slot_idx, batch) = match entered {
+            Ok(off) => return Some(off),
+            Err(miss) => miss,
+        };
 
         // Miss: batched refill from the backend.  A miss already pays for a
         // tree walk, so it is also the natural point to return any chunks a
@@ -621,7 +629,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
         Recorder::time(
             &self.obs,
             OpKind::CacheRefill,
-            || self.refill(&self.slots[slot_idx], class, batch, &mut guard),
+            || self.refill(class, batch, &mut guard),
             |&refilled| (refilled.unwrap_or(0), refilled.is_some()),
         );
         let (first, _) = guard.chunks.pop().expect("first survives the refill");
@@ -629,16 +637,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// The batched half of a miss: allocates up to `batch` more chunks of
-    /// `class` behind `guard.chunks[0]`, loads what fits into `slot`'s
-    /// magazines and hands any surplus back.  Returns how many chunks were
-    /// loaded, `None` when the backend had none to give.
-    fn refill(
-        &self,
-        slot: &SpinLock<Slot>,
-        class: usize,
-        batch: usize,
-        guard: &mut OrphanGuard<'_, A>,
-    ) -> Option<u64> {
+    /// `class` behind `guard.chunks[0]`, loads what fits into the calling
+    /// thread's magazines and hands any surplus back.  Returns how many
+    /// chunks were loaded, `None` when the backend had none to give.
+    fn refill(&self, class: usize, batch: usize, guard: &mut OrphanGuard<'_, A>) -> Option<u64> {
         let class_size = self.class_size(class);
         for _ in 0..batch {
             match self.backend.alloc(class_size) {
@@ -649,12 +651,11 @@ impl<A: BuddyBackend> MagazineCache<A> {
         if guard.chunks.len() == 1 {
             return None;
         }
-        // The slot may have changed while the lock was released; load
-        // whatever fits and hand any surplus back to the backend.
-        let mut refilled = 0u64;
-        {
-            let mut slot = slot.lock();
+        // The slot may have changed since the miss left it; load whatever
+        // fits and hand any surplus back to the backend.
+        let refilled = self.slots.with_mine(|_, slot| {
             let pair = &mut slot.mags[class];
+            let mut refilled = 0u64;
             while guard.chunks.len() > 1 {
                 let (off, _) = *guard.chunks.last().expect("len checked above");
                 let target = if !pair.loaded.is_full() {
@@ -668,7 +669,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 guard.chunks.pop();
                 refilled += 1;
             }
-        }
+            refilled
+        });
         if refilled > 0 {
             self.counters
                 .refilled
@@ -686,12 +688,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Absorbs one release of class `class`.
     fn dealloc_cached(&self, class: usize, offset: usize) {
-        let slot_idx = thread_stripe(self.slots.len());
-        let mut overflow = None;
-        {
-            let mut guard = self.slots[slot_idx].lock();
-            let slot = &mut *guard;
+        let overflow = self.slots.with_mine(|slot_idx, slot| {
             let pair = &mut slot.mags[class];
+            let mut overflow = None;
             if pair.loaded.is_full() {
                 if pair.previous.is_empty() {
                     std::mem::swap(&mut pair.loaded, &mut pair.previous);
@@ -711,16 +710,17 @@ impl<A: BuddyBackend> MagazineCache<A> {
                     }
                     let full = std::mem::replace(&mut pair.previous, empty);
                     std::mem::swap(&mut pair.loaded, &mut pair.previous);
-                    overflow = Some(full);
+                    overflow = Some((full, slot_idx));
                 }
             }
             pair.loaded.push(offset);
             slot.cached_frees += 1;
-        }
-        if let Some(full) = overflow {
+            overflow
+        });
+        if let Some((full, slot_idx)) = overflow {
             // Parking (and a possible backend flush of a whole magazine)
-            // happens outside the slot lock so co-located threads are not
-            // stalled behind it.
+            // happens outside the slot, so a remote read-out (or another
+            // user of the shared slot) is not stalled behind it.
             self.park_full_magazine(class, full, slot_idx);
         }
     }
@@ -784,50 +784,58 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Returns every chunk cached by the calling thread's slot to the
-    /// backend.
+    /// backend, and gives the slot up so the next thread mapping to it can
+    /// own it.
     ///
     /// Call this before a thread exits (or use [`MagazineCache::thread_guard`]
-    /// for an RAII version) so chunks do not linger in a slot no live thread
-    /// maps to.  Draining is safe at any time; it only costs future hits.
-    /// Note that slots may be shared when threads outnumber slots, in which
-    /// case this also drains the co-located threads' magazines — still
-    /// correct, merely conservative.
+    /// for an RAII version; a `#[global_allocator]` shell runs it from the
+    /// thread's exit hook) so chunks do not linger in a slot no live thread
+    /// maps to, and the slot does not stay claimed by a dead thread.
+    /// Draining is safe at any time; it only costs future hits, and a thread
+    /// that goes on allocating claims its slot again.  It drains its
+    /// stripe's shared slot too: a thread uses it while another live thread
+    /// holds its stripe, and may since have come to own its own slot, so
+    /// what it parked there would otherwise outlive it.  That takes the
+    /// magazines of the co-located threads — those now on the same shared
+    /// slot — as well: still correct, merely conservative.
     pub fn drain_current_thread(&self) {
-        self.drain_slot(thread_stripe(self.slots.len()));
+        let mut drained = Vec::new();
+        self.slots
+            .with_mine(|_, slot| self.take_slot(slot, &mut drained));
+        self.slots
+            .with_shared(|slot| self.take_slot(slot, &mut drained));
+        self.slots.release_mine();
+        self.release_drained(drained);
     }
 
-    fn drain_slot(&self, slot_idx: usize) {
-        let mut drained = Vec::new();
-        {
-            let mut slot = self.slots[slot_idx].lock();
-            for (class, pair) in slot.mags.iter_mut().enumerate() {
-                let class_size = self.class_size(class);
-                for off in pair
-                    .loaded
-                    .take_all()
-                    .into_iter()
-                    .chain(pair.previous.take_all())
-                {
-                    drained.push((off, class_size));
-                }
+    /// Moves every chunk out of `slot`'s magazines into `drained`.
+    fn take_slot(&self, slot: &mut Slot, drained: &mut Vec<(usize, usize)>) {
+        for (class, pair) in slot.mags.iter_mut().enumerate() {
+            let class_size = self.class_size(class);
+            for off in pair
+                .loaded
+                .take_all()
+                .into_iter()
+                .chain(pair.previous.take_all())
+            {
+                drained.push((off, class_size));
             }
         }
-        self.release_drained(drained);
     }
 
     /// Returns every cached chunk — all slots and all depot shards — to the
     /// backend.
     ///
     /// Intended for quiescent points (benchmark epochs, verification, final
-    /// teardown); also invoked by `Drop`.
+    /// teardown); also invoked by `Drop`.  Enters every slot as a remote
+    /// (see *Consistency* on the type).
     pub fn drain_all(&self) {
-        for slot in 0..self.slots.len() {
-            self.drain_slot(slot);
-        }
+        let mut drained = Vec::new();
+        self.slots
+            .for_each_slot(|slot| self.take_slot(slot, &mut drained));
         // Exclude concurrent inspections: their temporarily popped magazines
         // would otherwise dodge the drain and be restored afterwards.
         let _inspecting = self.inspect_lock.lock();
-        let mut drained = Vec::new();
         for shard in self.shards.iter() {
             for class in 0..self.classes.len() {
                 let class_size = self.class_size(class);
@@ -863,7 +871,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
         }
     }
 
-    /// RAII guard draining the calling thread's slot when dropped.
+    /// RAII guard draining the calling thread's slot, and giving it up,
+    /// when dropped ([`MagazineCache::drain_current_thread`]).
     pub fn thread_guard(&self) -> ThreadDrainGuard<'_, A> {
         ThreadDrainGuard { cache: self }
     }
@@ -915,15 +924,14 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// chunks as live.
     pub fn cached_chunks(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let slot = slot.lock();
+        self.slots.for_each_slot(|slot| {
             for (class, pair) in slot.mags.iter().enumerate() {
                 let class_size = self.class_size(class);
                 for &off in pair.loaded.entries().iter().chain(pair.previous.entries()) {
                     out.push((off, class_size));
                 }
             }
-        }
+        });
         self.inspect_depot(|class_size, m| {
             for &off in m.entries() {
                 out.push((off, class_size));
@@ -941,19 +949,23 @@ impl<A: BuddyBackend> MagazineCache<A> {
     ///
     /// Linear in the cache's contents — intended for the checked release
     /// path and tests, not the hot path.  Only reliable for offsets that are
-    /// not concurrently moving through the cache.
+    /// not concurrently moving through the cache.  A remote entry of every
+    /// slot (see *Consistency* on the type): its heavy barrier interrupts
+    /// every running thread of the process, so a thread that calls it in a
+    /// loop (checked frees one after another) slows the others' hits, not
+    /// only its own calls.
     pub fn contains_cached(&self, offset: usize) -> bool {
-        for slot in self.slots.iter() {
-            let slot = slot.lock();
-            for pair in slot.mags.iter() {
-                if pair.loaded.entries().contains(&offset)
-                    || pair.previous.entries().contains(&offset)
-                {
-                    return true;
-                }
-            }
-        }
         let mut found = false;
+        self.slots.for_each_slot(|slot| {
+            found = found
+                || slot.mags.iter().any(|pair| {
+                    pair.loaded.entries().contains(&offset)
+                        || pair.previous.entries().contains(&offset)
+                });
+        });
+        if found {
+            return true;
+        }
         self.inspect_depot(|_, m| {
             found = m.entries().contains(&offset);
             found
@@ -962,12 +974,13 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Point-in-time copy of the cache counters: the slow-path atomics,
-    /// plus `hits` and `cached_frees` folded from the per-slot tallies under
-    /// each slot's lock.  A locking read-out (see *Consistency* on the type).
+    /// plus `hits` and `cached_frees` folded from the per-slot tallies.  A
+    /// remote read-out (see *Consistency* on the type).
     pub fn snapshot(&self) -> CacheStatsSnapshot {
-        let (hits, cached_frees) = self.slots.iter().fold((0, 0), |(hits, frees), slot| {
-            let slot = slot.lock();
-            (hits + slot.hits, frees + slot.cached_frees)
+        let (mut hits, mut cached_frees) = (0, 0);
+        self.slots.for_each_slot(|slot| {
+            hits += slot.hits;
+            cached_frees += slot.cached_frees;
         });
         CacheStatsSnapshot {
             hits,
@@ -1148,7 +1161,7 @@ impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for MagazineCache<A> {
         f.debug_struct("MagazineCache")
             .field("name", &self.name)
             .field("classes", &self.classes)
-            .field("slots", &self.slots.len())
+            .field("slots", &self.slots.slot_count())
             .field("shards", &self.shards.len())
             .field("budget", &self.budget)
             .field("cached_bytes", &self.cached_bytes())
@@ -1157,7 +1170,7 @@ impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for MagazineCache<A> {
     }
 }
 
-/// Drains the owning thread's slot on drop; see
+/// Drains the owning thread's slot and gives it up on drop; see
 /// [`MagazineCache::thread_guard`].
 pub struct ThreadDrainGuard<'a, A: BuddyBackend> {
     cache: &'a MagazineCache<A>,

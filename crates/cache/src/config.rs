@@ -84,12 +84,15 @@ pub struct CacheConfig {
     /// [`CacheConfig::node_groups`] is set.
     pub node_of: Option<NodeOfFn>,
     /// Number of thread slots (each slot holds one pair of magazines per
-    /// class; threads map to slots by a per-thread id, so with at least as
-    /// many slots as threads every thread effectively owns a private slot).
-    /// `None` sizes the table with [`nbbs_sync::default_stripes`] and a
-    /// thread finds its slot with [`nbbs_sync::thread_stripe`] — the rule
-    /// every per-thread table in the stack shares, so a thread that owns
-    /// its slot here owns its stripe of the facade's odometer too.
+    /// class).  A thread looks for its slot at its
+    /// [`nbbs_sync::thread_stripe`] and owns it if it claims it first
+    /// ([`nbbs_sync::owned`]'s claim rule): an owner enters with plain
+    /// stores, and keeps the slot until its exit drain gives it up.  A
+    /// thread whose stripe another live thread holds uses that stripe's
+    /// shared slot, under its lock; the shared slots are extra and not
+    /// counted here.  `None` sizes the table with [`nbbs_sync::default_stripes`] —
+    /// the size of the facade's odometer, so a thread that owns its slot
+    /// here looks at the same stripe of the odometer.
     pub slots: Option<usize>,
     /// Ceiling for adaptively grown magazine capacities (entries); at a
     /// class's initial capacity it keeps that class from growing.  Each

@@ -8,16 +8,19 @@
 //! program touches it, including threads spawned by libraries that have
 //! never heard of this crate, and each of them may leave chunks parked in
 //! its slot's magazines when it exits.  Those chunks are not leaked (the
-//! backend still tracks them, and any co-slotted thread can hit on them),
-//! but on a program that churns through short-lived threads they accumulate
-//! as dead capacity.
+//! backend still tracks them, and `drain_all` returns them), but the slot
+//! stays claimed by a thread that no longer exists: its chunks are dead
+//! capacity, and every later thread mapping to that slot falls back to
+//! the stripe's shared, locked one.  On a program that churns through short-lived
+//! threads both accumulate.
 //!
 //! This module provides the hook the facade needs: a thread-local registry
 //! of [`DrainOnExit`] handles.  The first time a thread touches the global
 //! allocator, the facade registers a handle; when the thread exits, the
 //! registry's TLS destructor runs each handle, which drains the thread's
-//! slot back to the backend.  The registry deduplicates by handle identity,
-//! so repeated registration is one TLS access plus a short pointer scan.
+//! slot back to the backend and gives the slot up.  The registry
+//! deduplicates by handle identity, so repeated registration is one TLS
+//! access plus a short pointer scan.
 //!
 //! The handles are trait objects rather than `Arc<MagazineCache<A>>` so
 //! that the facade can interpose its own re-entrancy latch around the drain

@@ -11,11 +11,15 @@
 //! *sharded* depot of full magazines — one shard per group of thread slots,
 //! each a lock-free Treiber stack ([`nbbs_sync::BoundedStack`]).
 //!
-//! * **Hits** (magazine pop / push) cost one uncontended spin-lock
-//!   acquisition on a cache-padded slot — no CAS walk over the shared tree,
-//!   and no counter outside the slot: the lock protects the slot's magazine
-//!   pairs together with its `hits` / `cached_frees` tallies, which a hit
-//!   bumps as plain integers while it holds the lock anyway.
+//! * **Hits** (magazine pop / push) run no locked instruction for a thread
+//!   that owns its slot: a thread claims the cache-padded slot of its stripe
+//!   on first use and then enters it with plain stores around a compiler
+//!   fence ([`nbbs_sync::OwnedSlots`]) — no CAS walk over the shared tree,
+//!   no lock, and no counter outside the slot: an entry covers the slot's
+//!   magazine pairs together with its `hits` / `cached_frees` tallies, which
+//!   a hit bumps as plain integers.  A thread whose stripe another live
+//!   thread holds shares that stripe's locked slot with the others in its
+//!   position.
 //! * **Two release entries, one magazine push.**
 //!   [`nbbs::BuddyBackend::dealloc_sized`] takes the chunk's granted size
 //!   from the caller (the `nbbs-alloc` facade computes it from the `Layout`
@@ -26,12 +30,14 @@
 //!   offset ([`nbbs::BuddyRegion::dealloc_bytes`], the drain paths): it asks
 //!   the backend's [`nbbs::BuddyBackend::granted_size_of_live`] for the
 //!   class first, which reads tree metadata, and then takes the same path.
-//! * **Read-outs lock.**  [`MagazineCache::snapshot`] folds those per-slot
-//!   tallies and [`MagazineCache::cached_bytes`] (and through it
-//!   `allocated_bytes`) sums magazine lengths × class size, each under the
-//!   slot's lock, so parked bytes and [`MagazineCache::cached_chunks`] agree
-//!   by construction.  They allocate nothing while a lock is held, are exact
-//!   at quiescence, and are not for per-operation use.
+//! * **Read-outs pay the barrier.**  [`MagazineCache::snapshot`] folds those
+//!   per-slot tallies and [`MagazineCache::cached_bytes`] (and through it
+//!   `allocated_bytes`) sums magazine lengths × class size, so parked bytes
+//!   and [`MagazineCache::cached_chunks`] agree by construction.  Each call
+//!   enters every slot as a remote — every lock, every owner revoked, one
+//!   `membarrier(2)` — and waits out an owner preempted mid-hit.  They
+//!   allocate nothing inside, are exact at quiescence, and are not for
+//!   per-operation use.
 //! * **Misses** refill a whole magazine at a time (a single-CAS depot-shard
 //!   exchange first, batched backend allocations second), so backend
 //!   traffic drops by roughly the magazine capacity.
@@ -45,7 +51,8 @@
 //!   reach the cache only through a `#[global_allocator]` facade
 //!   (`nbbs-alloc`) — gets its slot assigned panic-free on first touch, and
 //!   [`drain_on_thread_exit`] registers a thread-local guard that returns
-//!   the slot's chunks to the backend when the thread dies.
+//!   the slot's chunks to the backend and gives the slot up when the thread
+//!   dies, so the next thread mapping there owns it.
 //!
 //! Because [`MagazineCache`] implements [`nbbs::BuddyBackend`] itself, it
 //! composes with everything already written against the trait:

@@ -25,7 +25,7 @@ fn main() {
 #[cfg(nbbs_model)]
 fn main() {
     let mut failed = false;
-    for config in nbbs_model::tree::all_configs() {
+    for config in nbbs_model::all_configs() {
         let name = config.name;
         let bound = config
             .explorer

@@ -27,17 +27,30 @@
 //! the memory-ordering argument in `nbbs::fourlvl` for why the algorithm's
 //! `AcqRel` RMW edges justify reasoning at the SC level.
 //!
+//! The same explorer checks the cache's thread-owned slots
+//! (`nbbs_sync::OwnedSlots`, the `cell` module): owner entry against a
+//! remote drain, a claimant against a remote read-out, a release against a
+//! claim.  Their spin-waits park in [`nbbs_sync::shadow::spin_wait`], so a
+//! waiter costs one step per change of what it waits on, and a wait no
+//! thread can end is reported as a deadlock.  Under SC the asymmetric
+//! barrier pair those slots rest on is invisible: the configs check the
+//! protocol (claim, revoke, back off, wait, hand over), and a store-buffer
+//! mode is what would check the pair.
+//!
 //! The explorer itself does not need `--cfg nbbs_model`: it checks any
 //! program written against the shadow atomics (the unit tests enumerate
-//! schedules of small synthetic racers).  Only the `tree` module's configs,
-//! which need the `nbbs` trees to be compiled onto the shadow layer, are
-//! gated.
+//! schedules of small synthetic racers).  Only the `tree` and `cell`
+//! modules' configs, which need the `nbbs` trees and the owned slots to be
+//! compiled onto the shadow layer, are gated, and with them
+//! `all_configs`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nbbs_sync::shadow::{Access, Decision, Scheduler, StepRecord};
 
+#[cfg(nbbs_model)]
+pub mod cell;
 #[cfg(nbbs_model)]
 pub mod tree;
 
@@ -346,6 +359,10 @@ impl Explorer {
         let outcome = loop {
             match sched.wait_decision() {
                 Decision::AllDone => break Ok(()),
+                Decision::Deadlock(blocked) => {
+                    sched.abort();
+                    break Err(deadlock_message(&blocked));
+                }
                 Decision::Overflow => break Err("step cap tripped during replay".to_string()),
                 Decision::Choose(runnable) => {
                     let Some(&c) = choices.get(step) else {
@@ -399,9 +416,17 @@ impl Explorer {
         let mut prev_runnable: Vec<(usize, Access)> = Vec::new();
         let mut prev_chosen_access: Option<Access> = None;
 
+        let mut deadlock = None;
         let end = loop {
             match sched.wait_decision() {
                 Decision::AllDone => break RunEnd::Completed,
+                Decision::Deadlock(blocked) => {
+                    // A complete schedule whose outcome is the violation:
+                    // release the spinners so they unwind and can be joined.
+                    sched.abort();
+                    deadlock = Some(deadlock_message(&blocked));
+                    break RunEnd::Completed;
+                }
                 Decision::Overflow => break RunEnd::Overflowed,
                 Decision::Choose(runnable) => {
                     let tids: Vec<usize> = runnable.iter().map(|&(t, _)| t).collect();
@@ -494,11 +519,15 @@ impl Explorer {
         if matches!(end, RunEnd::Completed) {
             report.schedules += 1;
             debug_assert_eq!(depth, stack.len(), "completed run must match the stack");
-            let panic_failure = sched
-                .panics()
-                .into_iter()
-                .next()
-                .map(|(tid, msg)| format!("thread {tid} panicked: {msg}"));
+            // A deadlock is the run's outcome; the spinners' panics on the
+            // way out are its echo, not a second finding.
+            let panic_failure = deadlock.or_else(|| {
+                sched
+                    .panics()
+                    .into_iter()
+                    .next()
+                    .map(|(tid, msg)| format!("thread {tid} panicked: {msg}"))
+            });
             let check_failure = if panic_failure.is_none() {
                 (prog.check)(&state).err()
             } else {
@@ -517,10 +546,84 @@ impl Explorer {
     }
 }
 
+/// The search settings each config is meant to run under: exhaustive for
+/// the 2-thread spaces, preemption-bounded (CHESS-style, bound 3) for the
+/// 3-thread space.  Sleep-set inheritance is automatically off under a
+/// bound (the combination would under-approximate the advertised bound;
+/// see [`Explorer::sleep_sets`]), so the bounded search is a *sound*
+/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: both
+/// historical bugs of this protocol — the PR-1 phase-1 early break and
+/// the `unmark` exclusion blindness — produce witnesses well inside it
+/// (the exclusion bug falls within the first ~1,300 schedules), and it
+/// keeps the per-push search at a few seconds.
+///
+/// The 3-thread space has also been explored **exhaustively**: once after
+/// the exclusion fix (195,600 sleep-set-distinct schedules, all clean —
+/// 2026-07) and once on the striped gauge (32,600, a sixth: the three
+/// closing gauge RMWs no longer conflict, so one of their 3! orders
+/// stands for all — 2026-10, all clean); the per-push bound-3 run (19,864
+/// schedules) is the regression guard, not the proof.
+pub fn recommended_explorer(threads: usize) -> Explorer {
+    if threads <= 2 {
+        Explorer::exhaustive()
+    } else {
+        Explorer::with_preemption_bound(3)
+    }
+}
+
+/// One shipped configuration: a program (over one of the two trees, or
+/// over the owned slots) and the search it is meant to run under.
+pub struct Config {
+    /// Name `model-check` prints.
+    pub name: &'static str,
+    /// The search settings ([`recommended_explorer`] of the thread count).
+    pub explorer: Explorer,
+    explore: Box<dyn Fn(&Explorer) -> Report>,
+}
+
+impl Config {
+    /// `prog` under [`recommended_explorer`] of its thread count.
+    pub fn new<S: Send + Sync + 'static>(name: &'static str, prog: Program<S>) -> Self {
+        Config {
+            name,
+            explorer: recommended_explorer(prog.thread_count()),
+            explore: Box::new(move |explorer| explorer.explore(&prog)),
+        }
+    }
+
+    /// Runs the search.
+    pub fn explore(&self) -> Report {
+        (self.explore)(&self.explorer)
+    }
+}
+
+/// Every shipped configuration: the three 4-level ones, the two 2-thread
+/// ones over the 1-level tree, then the three hand-over configs over the
+/// owned slots.
+#[cfg(nbbs_model)]
+pub fn all_configs() -> Vec<Config> {
+    use nbbs::fourlvl::BunchStore;
+    use nbbs::onelvl::ByteStore;
+    vec![
+        Config::new("free-free", tree::free_free::<BunchStore>()),
+        Config::new("free-alloc", tree::free_alloc::<BunchStore>()),
+        Config::new("free-unmark-alloc", tree::free_unmark_alloc::<BunchStore>()),
+        Config::new("1lvl-free-free", tree::free_free::<ByteStore>()),
+        Config::new("1lvl-free-alloc", tree::free_alloc::<ByteStore>()),
+        Config::new("cell-owner-drain", cell::owner_drain()),
+        Config::new("cell-claim-readout", cell::claim_readout()),
+        Config::new("cell-release-claim", cell::release_claim()),
+    ]
+}
+
 enum RunEnd {
     Completed,
     Abandoned,
     Overflowed,
+}
+
+fn deadlock_message(blocked: &[usize]) -> String {
+    format!("deadlock: threads {blocked:?} each wait for a write no other thread makes")
 }
 
 fn spawn_all<S: Send + Sync + 'static>(
@@ -762,6 +865,73 @@ mod tests {
         let report = Explorer::exhaustive().explore(&prog);
         report.assert_clean();
         assert_eq!(report.schedules, 6);
+    }
+
+    /// A spin-wait parks until the write it waits for: the space of a
+    /// waiter and a setter is finite and clean under either search, and
+    /// the unpruned one walks at least as many schedules.
+    #[test]
+    fn spin_waits_park_until_the_write_they_need() {
+        use nbbs_sync::shadow::{spin_wait, AtomicBool};
+        struct S {
+            flag: AtomicBool,
+            data: AtomicU64,
+        }
+        let prog = || {
+            Program::new(
+                || S {
+                    flag: AtomicBool::new(false),
+                    data: AtomicU64::new(0),
+                },
+                |_| Ok(()),
+            )
+            .thread(|s: &S| {
+                while !s.flag.load(Ordering::SeqCst) {
+                    spin_wait();
+                }
+                assert_eq!(s.data.load(Ordering::SeqCst), 7, "flag before data");
+            })
+            .thread(|s: &S| {
+                s.data.store(7, Ordering::SeqCst);
+                s.flag.store(true, Ordering::SeqCst);
+            })
+        };
+        let pruned = Explorer::exhaustive().explore(&prog());
+        pruned.assert_clean();
+        assert_eq!(pruned.overflows, 0);
+        let unpruned = Explorer {
+            sleep_sets: false,
+            ..Explorer::exhaustive()
+        }
+        .explore(&prog());
+        unpruned.assert_clean();
+        assert!(unpruned.schedules >= pruned.schedules && pruned.schedules >= 2);
+    }
+
+    /// Two threads that each wait for the other's flag before setting their
+    /// own can never finish: the search reports the deadlock as a violation
+    /// whose witness replays, instead of hanging.
+    #[test]
+    fn a_wait_nobody_ends_is_a_deadlock_that_replays() {
+        use nbbs_sync::shadow::{spin_wait, AtomicBool};
+        fn wait_then_set(wait: &AtomicBool, set: &AtomicBool) {
+            while !wait.load(Ordering::SeqCst) {
+                spin_wait();
+            }
+            set.store(true, Ordering::SeqCst);
+        }
+        let prog = Program::new(
+            || [AtomicBool::new(false), AtomicBool::new(false)],
+            |_| Ok(()),
+        )
+        .thread(|s: &[AtomicBool; 2]| wait_then_set(&s[0], &s[1]))
+        .thread(|s: &[AtomicBool; 2]| wait_then_set(&s[1], &s[0]));
+        let explorer = Explorer::exhaustive();
+        let report = explorer.explore(&prog);
+        let witness = report.violations.first().expect("the deadlock is found");
+        assert!(witness.message.contains("deadlock"), "{}", witness.message);
+        let (_, replayed) = explorer.replay(&prog, &witness.choices);
+        assert_eq!(replayed.expect_err("replays"), witness.message);
     }
 
     /// In-thread panics become violations, not deadlocks.

@@ -54,14 +54,12 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use nbbs::fourlvl::BunchStore;
-use nbbs::onelvl::ByteStore;
 use nbbs::status::OCC;
 use nbbs::tree::{BuddyTree, NodeStore};
 use nbbs::verify::audit;
 use nbbs::{BuddyConfig, ScanPolicy};
 
-use crate::{Explorer, Program, Report};
+use crate::Program;
 
 /// Total bytes of the model geometry (depth-5 tree at 8-byte units:
 /// leaves are stored two per bunch word, so buddy releases interact both
@@ -223,7 +221,7 @@ pub fn free_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
 /// the `unmark` exclusion bug (a releaser blind to the re-allocation of
 /// its own freed slot consuming a sibling release's branch-granular
 /// coalescing bit; see the fourlvl module docs).  Per-push CI runs it
-/// under a preemption bound ([`recommended_explorer`]); the exhaustive
+/// under a preemption bound ([`crate::recommended_explorer`]); the exhaustive
 /// space is 32,600 sleep-set-distinct schedules (~6 min in release on two
 /// vCPUs, verified clean once after the fix and again on the striped
 /// gauge), the bound-3 space 19,864.
@@ -248,71 +246,12 @@ pub fn free_unmark_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
 }
 
-/// The search settings each config is meant to run under: exhaustive for
-/// the 2-thread spaces, preemption-bounded (CHESS-style, bound 3) for the
-/// 3-thread space.  Sleep-set inheritance is automatically off under a
-/// bound (the combination would under-approximate the advertised bound;
-/// see [`Explorer::sleep_sets`]), so the bounded search is a *sound*
-/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: both
-/// historical bugs of this protocol — the PR-1 phase-1 early break and
-/// the `unmark` exclusion blindness — produce witnesses well inside it
-/// (the exclusion bug falls within the first ~1,300 schedules), and it
-/// keeps the per-push search at a few seconds.
-///
-/// The 3-thread space has also been explored **exhaustively**: once after
-/// the exclusion fix (195,600 sleep-set-distinct schedules, all clean —
-/// 2026-07) and once on the striped gauge (32,600, a sixth: the three
-/// closing gauge RMWs no longer conflict, so one of their 3! orders
-/// stands for all — 2026-10, all clean); the per-push bound-3 run (19,864
-/// schedules) is the regression guard, not the proof.
-pub fn recommended_explorer(threads: usize) -> Explorer {
-    if threads <= 2 {
-        Explorer::exhaustive()
-    } else {
-        Explorer::with_preemption_bound(3)
-    }
-}
-
-/// One shipped configuration: a program over one of the two trees and the
-/// search it is meant to run under.
-pub struct Config {
-    /// Name `model-check` prints.
-    pub name: &'static str,
-    /// The search settings ([`recommended_explorer`] of the thread count).
-    pub explorer: Explorer,
-    explore: Box<dyn Fn(&Explorer) -> Report>,
-}
-
-impl Config {
-    fn new<S: NodeStore + 'static>(name: &'static str, prog: Program<TreeState<S>>) -> Self {
-        Config {
-            name,
-            explorer: recommended_explorer(prog.thread_count()),
-            explore: Box::new(move |explorer| explorer.explore(&prog)),
-        }
-    }
-
-    /// Runs the search.
-    pub fn explore(&self) -> Report {
-        (self.explore)(&self.explorer)
-    }
-}
-
-/// Every shipped configuration: the three 4-level ones, then the two
-/// 2-thread ones over the 1-level tree.
-pub fn all_configs() -> Vec<Config> {
-    vec![
-        Config::new("free-free", free_free::<BunchStore>()),
-        Config::new("free-alloc", free_alloc::<BunchStore>()),
-        Config::new("free-unmark-alloc", free_unmark_alloc::<BunchStore>()),
-        Config::new("1lvl-free-free", free_free::<ByteStore>()),
-        Config::new("1lvl-free-alloc", free_alloc::<ByteStore>()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{recommended_explorer, Explorer};
+    use nbbs::fourlvl::BunchStore;
+    use nbbs::onelvl::ByteStore;
 
     /// Floors asserted by CI so a pruning regression cannot silently empty
     /// the search (measured: free/free explores 88 sleep-set-distinct

@@ -28,18 +28,25 @@
 //!   next to it
 //!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
 //!   publishes and `nbbs-obs` tags events with.
+//! * [`owned`] — the claim rule ([`Claim`]) and
+//!   [`OwnedSlots`], a per-thread table whose owner enters its slot with
+//!   plain stores while a remote reader pays an asymmetric
+//!   (`membarrier(2)`) barrier: the cache's slot table, and the claim
+//!   behind the facade's odometer stripes.
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
 //!   types whose every access is a yield point reporting to a deterministic
-//!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores)
-//!   compile against them under `--cfg nbbs_model` so the `nbbs-model`
-//!   crate can enumerate every interleaving of their CAS climbs.
+//!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores) and
+//!   [`OwnedSlots`] compile against them under `--cfg nbbs_model` so the
+//!   `nbbs-model` crate can enumerate their interleavings.
 //!
 //! Everything here is dependency-free; `unsafe` is confined to the interior
-//! of the synchronization primitives (the lock and stack value cells) and
-//! the `rdtsc` intrinsic (behind `cfg(target_arch = "x86_64")`).
+//! of the synchronization primitives (the lock, stack and slot value
+//! cells), the `membarrier` system call and the `rdtsc` intrinsic (behind
+//! `cfg(target_arch = "x86_64")`).
 
 pub mod backoff;
 pub mod cycles;
+pub mod owned;
 pub mod pad;
 pub mod shadow;
 pub mod spinlock;
@@ -49,6 +56,7 @@ pub mod treiber;
 
 pub use backoff::Backoff;
 pub use cycles::{cycles_now, CycleTimer};
+pub use owned::{Claim, OwnedSlots};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};

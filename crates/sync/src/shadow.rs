@@ -8,8 +8,11 @@
 //! the `nbbs-model` crate instead *enumerates* schedules, loom-style, by
 //! compiling the real allocator against these shadow types
 //! (`--cfg nbbs_model` switches the type aliases in `nbbs::tree`,
-//! `nbbs::fourlvl` and `nbbs::onelvl`) and
-//! driving each thread from one atomic access to the next.
+//! `nbbs::fourlvl`, `nbbs::onelvl` and [`crate::owned`]) and
+//! driving each thread from one atomic access to the next.  A spin-wait
+//! announces itself with [`spin_wait`], which parks the spinner until some
+//! other thread writes what it read, so waits cost one step per change and
+//! a wait nobody ends is reported as a deadlock.
 //!
 //! ## How a shadow access works
 //!
@@ -95,6 +98,11 @@ pub struct StepRecord {
 struct ThreadCell {
     /// The access this thread is parked at, if any.
     pending: Option<Access>,
+    /// The cell of the access this thread performed last.
+    last_addr: Option<usize>,
+    /// Set by [`spin_wait`]: the thread waits for another thread to write
+    /// this cell and is not offered to the search loop until one does.
+    blocked_on: Option<usize>,
     finished: bool,
     panic_msg: Option<String>,
 }
@@ -110,6 +118,9 @@ struct State {
     /// (still data-race free — the cells are real atomics).  The driver
     /// discards the run.
     overflow: bool,
+    /// Every unfinished worker is blocked in [`spin_wait`]: none can ever
+    /// run again, so a free-running spinner panics instead of spinning.
+    deadlocked: bool,
 }
 
 /// What the driver should do next.
@@ -120,6 +131,10 @@ pub enum Decision {
     Choose(Vec<(usize, Access)>),
     /// Every worker finished; the schedule is complete.
     AllDone,
+    /// Every unfinished worker (these tids) waits in [`spin_wait`] for a
+    /// write no other worker will make.  The search loop must [`Scheduler::abort`]
+    /// the run; the spinners then unwind.
+    Deadlock(Vec<usize>),
     /// The step cap tripped (or the driver aborted); workers were released
     /// to run free and the run must be discarded.
     Overflow,
@@ -137,6 +152,7 @@ pub enum Decision {
 ///     match sched.wait_decision() {
 ///         Decision::Choose(runnable) => sched.grant(pick(&runnable)),
 ///         Decision::AllDone => break,
+///         Decision::Deadlock(_) => { sched.abort(); break } // a violation
 ///         Decision::Overflow => break, // discard the run
 ///     }
 /// }
@@ -165,6 +181,8 @@ impl Scheduler {
                 threads: (0..threads)
                     .map(|_| ThreadCell {
                         pending: None,
+                        last_addr: None,
+                        blocked_on: None,
                         finished: false,
                         panic_msg: None,
                     })
@@ -174,6 +192,7 @@ impl Scheduler {
                 steps: 0,
                 max_steps,
                 overflow: false,
+                deadlocked: false,
             }),
             worker_cv: Condvar::new(),
             driver_cv: Condvar::new(),
@@ -221,14 +240,20 @@ impl Scheduler {
                     .threads
                     .iter()
                     .enumerate()
-                    .filter(|(_, t)| !t.finished)
+                    .filter(|(_, t)| !t.finished && t.blocked_on.is_none())
                     .map(|(i, t)| (i, t.pending.expect("parked worker has an access")))
                     .collect();
-                return if runnable.is_empty() {
-                    Decision::AllDone
-                } else {
-                    Decision::Choose(runnable)
-                };
+                if !runnable.is_empty() {
+                    return Decision::Choose(runnable);
+                }
+                let blocked: Vec<usize> = (0..st.threads.len())
+                    .filter(|&i| !st.threads[i].finished)
+                    .collect();
+                if blocked.is_empty() {
+                    return Decision::AllDone;
+                }
+                st.deadlocked = true;
+                return Decision::Deadlock(blocked);
             }
             st = self.driver_cv.wait(st).unwrap();
         }
@@ -299,6 +324,16 @@ impl Scheduler {
         }
         st.granted = None;
         st.threads[tid].pending = None;
+        st.threads[tid].last_addr = Some(access.addr);
+        if access.kind != AccessKind::Load {
+            // A write to the cell a spinner waits on: it may see something
+            // new on its next read.
+            for (u, cell) in st.threads.iter_mut().enumerate() {
+                if u != tid && cell.blocked_on == Some(access.addr) {
+                    cell.blocked_on = None;
+                }
+            }
+        }
         st.steps += 1;
         st.trace.push(StepRecord {
             tid,
@@ -310,6 +345,22 @@ impl Scheduler {
             self.worker_cv.notify_all();
             self.driver_cv.notify_all();
         }
+    }
+
+    /// Worker side of [`spin_wait`]: blocks `tid` on the cell it read last.
+    fn block_on_last(&self, tid: usize) {
+        let mut st = self.state.lock().unwrap();
+        if st.deadlocked {
+            drop(st);
+            panic!("deadlock: every unfinished thread waits for a write nobody makes");
+        }
+        if st.overflow {
+            drop(st);
+            std::thread::yield_now();
+            return;
+        }
+        let cell = &mut st.threads[tid];
+        cell.blocked_on = cell.last_addr;
     }
 
     /// Worker side: attach a human-readable outcome to the step just taken.
@@ -343,6 +394,22 @@ fn yield_for(access: Access) {
     let ctx = CTX.with(|c| c.borrow().as_ref().map(|(s, t)| (Arc::clone(s), *t)));
     if let Some((sched, tid)) = ctx {
         sched.park_at(tid, access);
+    }
+}
+
+/// One round of a spin-wait whose exit condition the caller just read.
+///
+/// A worker that re-reads an unchanged cell makes no progress, so under a
+/// scheduler the call blocks the worker on the cell of its last access: it
+/// is not offered to the search loop again until another worker writes that
+/// cell.  Spin loops thus cost one step per change instead of making every
+/// schedule infinite, and a wait nobody can end shows up as
+/// [`Decision::Deadlock`].  On an unregistered thread it yields the CPU.
+pub fn spin_wait() {
+    let ctx = CTX.with(|c| c.borrow().as_ref().map(|(s, t)| (Arc::clone(s), *t)));
+    match ctx {
+        Some((sched, tid)) => sched.block_on_last(tid),
+        None => std::thread::yield_now(),
     }
 }
 
@@ -495,6 +562,101 @@ shadow_atomic!(
     usize
 );
 
+/// Shadow counterpart of [`std::sync::atomic::AtomicBool`]: loads, stores,
+/// compare-exchange and swap, each a yield point.
+#[repr(transparent)]
+#[derive(Debug, Default)]
+pub struct AtomicBool {
+    inner: std::sync::atomic::AtomicBool,
+}
+
+impl AtomicBool {
+    /// Creates a new shadow atomic (no yield: construction is not a shared
+    /// access).
+    pub const fn new(v: bool) -> Self {
+        Self {
+            inner: std::sync::atomic::AtomicBool::new(v),
+        }
+    }
+
+    /// Address identifying this cell within one run.
+    #[inline]
+    pub fn model_addr(&self) -> usize {
+        self as *const Self as usize
+    }
+
+    /// Shadow of [`load`](std::sync::atomic::AtomicBool::load).
+    #[inline]
+    pub fn load(&self, order: Ordering) -> bool {
+        yield_for(Access {
+            addr: self.model_addr(),
+            kind: AccessKind::Load,
+        });
+        let v = self.inner.load(order);
+        note(|| format!("-> {v}"));
+        v
+    }
+
+    /// Shadow of [`store`](std::sync::atomic::AtomicBool::store).
+    #[inline]
+    pub fn store(&self, v: bool, order: Ordering) {
+        yield_for(Access {
+            addr: self.model_addr(),
+            kind: AccessKind::Store,
+        });
+        self.inner.store(v, order);
+        note(|| format!("<- {v}"));
+    }
+
+    /// Shadow of
+    /// [`compare_exchange`](std::sync::atomic::AtomicBool::compare_exchange).
+    #[inline]
+    pub fn compare_exchange(
+        &self,
+        current: bool,
+        new: bool,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<bool, bool> {
+        yield_for(Access {
+            addr: self.model_addr(),
+            kind: AccessKind::Rmw,
+        });
+        let r = self.inner.compare_exchange(current, new, success, failure);
+        note(|| match &r {
+            Ok(old) => format!("CAS ok {old} -> {new}"),
+            Err(seen) => format!("CAS fail (saw {seen}, expected {current})"),
+        });
+        r
+    }
+
+    /// Shadow of
+    /// [`compare_exchange_weak`](std::sync::atomic::AtomicBool::compare_exchange_weak),
+    /// forwarded to the strong variant so outcomes replay.
+    #[inline]
+    pub fn compare_exchange_weak(
+        &self,
+        current: bool,
+        new: bool,
+        success: Ordering,
+        failure: Ordering,
+    ) -> Result<bool, bool> {
+        self.compare_exchange(current, new, success, failure)
+    }
+
+    /// Shadow of [`swap`](std::sync::atomic::AtomicBool::swap).
+    #[inline]
+    pub fn swap(&self, v: bool, order: Ordering) -> bool {
+        yield_for(Access {
+            addr: self.model_addr(),
+            kind: AccessKind::Rmw,
+        });
+        let old = self.inner.swap(v, order);
+        note(|| format!("swap({v}) -> {old}"));
+        old
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,6 +681,84 @@ mod tests {
         let c = AtomicU32::new(0);
         assert_eq!(c.swap(2, Ordering::SeqCst), 0);
         assert_eq!(c.fetch_or(1, Ordering::SeqCst), 2);
+        let d = AtomicBool::new(false);
+        assert!(d
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok());
+        assert!(d.swap(false, Ordering::SeqCst));
+        d.store(true, Ordering::SeqCst);
+        assert!(d.load(Ordering::SeqCst));
+        spin_wait(); // a yield off the scheduler
+    }
+
+    /// Drives `sched` granting the lowest runnable tid, and returns how the
+    /// run ended plus the number of grants.
+    fn drive_lowest_first(sched: &Scheduler) -> (Decision, usize) {
+        let mut grants = 0;
+        loop {
+            match sched.wait_decision() {
+                Decision::Choose(r) => {
+                    sched.grant(r[0].0);
+                    grants += 1;
+                }
+                end => return (end, grants),
+            }
+        }
+    }
+
+    #[test]
+    fn a_spinner_waits_for_the_write_it_needs() {
+        // Worker 0 spins on a flag worker 1 sets after three other steps.
+        // Granting lowest-first would re-run the spinner forever; blocked,
+        // it is passed over until the store lands.
+        let flag = Arc::new(AtomicBool::new(false));
+        let other = Arc::new(AtomicU64::new(0));
+        let sched = Scheduler::new(2, 100);
+        let spinner = {
+            let flag = Arc::clone(&flag);
+            sched.spawn_worker(0, move || {
+                while !flag.load(Ordering::Acquire) {
+                    spin_wait();
+                }
+            })
+        };
+        let setter = {
+            let (flag, other) = (Arc::clone(&flag), Arc::clone(&other));
+            sched.spawn_worker(1, move || {
+                for _ in 0..3 {
+                    other.fetch_add(1, Ordering::Relaxed);
+                }
+                flag.store(true, Ordering::Release);
+            })
+        };
+        let (end, grants) = drive_lowest_first(&sched);
+        assert!(matches!(end, Decision::AllDone), "{end:?}");
+        assert_eq!(grants, 6, "one failed read, four writes, one good read");
+        spinner.join().unwrap();
+        setter.join().unwrap();
+        assert!(sched.panics().is_empty());
+    }
+
+    #[test]
+    fn a_wait_nobody_ends_is_a_deadlock() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let sched = Scheduler::new(1, 100);
+        let h = {
+            let flag = Arc::clone(&flag);
+            sched.spawn_worker(0, move || {
+                while !flag.load(Ordering::Acquire) {
+                    spin_wait();
+                }
+            })
+        };
+        let (end, _) = drive_lowest_first(&sched);
+        assert!(
+            matches!(end, Decision::Deadlock(ref t) if t == &[0]),
+            "{end:?}"
+        );
+        sched.abort();
+        h.join().unwrap();
+        assert!(sched.panics()[0].1.contains("deadlock"));
     }
 
     #[test]
@@ -569,7 +809,7 @@ mod tests {
                     sched.grant(pick);
                 }
                 Decision::AllDone => break,
-                Decision::Overflow => panic!("unexpected overflow"),
+                Decision::Deadlock(_) | Decision::Overflow => panic!("unexpected end"),
             }
         }
         for h in handles {
@@ -601,7 +841,7 @@ mod tests {
             match sched.wait_decision() {
                 Decision::Choose(r) => sched.grant(r[0].0),
                 Decision::AllDone => break,
-                Decision::Overflow => panic!("unexpected overflow"),
+                Decision::Deadlock(_) | Decision::Overflow => panic!("unexpected end"),
             }
         }
         h.join().unwrap();
@@ -625,8 +865,8 @@ mod tests {
         loop {
             match sched.wait_decision() {
                 Decision::Choose(r) => sched.grant(r[0].0),
-                Decision::AllDone => break,
-                Decision::Overflow => break,
+                Decision::AllDone | Decision::Overflow => break,
+                Decision::Deadlock(_) => panic!("unexpected deadlock"),
             }
         }
         h.join().unwrap();

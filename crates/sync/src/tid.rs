@@ -16,27 +16,29 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The calling thread's process-wide ordinal: a monotone id handed out on
-/// first use (0, 1, 2, …), stable for the thread's lifetime.
+/// first use (0, 1, 2, …), stable for the thread's lifetime and never
+/// handed to another thread.
 ///
-/// Panic-free through every phase of thread teardown: the thread-local is
-/// const-initialized (no destructor), and if TLS is already unmapped the
-/// call conservatively returns 0 — callers use the ordinal to pick a slot
-/// or node, where sharing entry 0 is always correct, merely conservative.
+/// Answers the thread's own id through every phase of thread teardown,
+/// other thread-locals' destructors included (where the cache's exit drain
+/// runs): the thread-local is const-initialized and needs no destructor,
+/// so its storage is never torn down and the access cannot fail.  No path
+/// falls back to a shared id — an ordinal is an identity ([`crate::owned`]'s
+/// claim tokens are ordinals), and two threads answering the same one would
+/// both own one slot.
 pub fn thread_ordinal() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
     }
-    ORDINAL
-        .try_with(|c| {
-            let mut id = c.get();
-            if id == usize::MAX {
-                id = NEXT.fetch_add(1, Ordering::Relaxed);
-                c.set(id);
-            }
-            id
-        })
-        .unwrap_or(0)
+    ORDINAL.with(|c| {
+        let mut id = c.get();
+        if id == usize::MAX {
+            id = NEXT.fetch_add(1, Ordering::Relaxed);
+            c.set(id);
+        }
+        id
+    })
 }
 
 /// The calling thread's entry in a table of `len` per-thread stripes (`len`
@@ -44,18 +46,22 @@ pub fn thread_ordinal() -> usize {
 ///
 /// This is the process-wide thread→stripe rule.  Every striped structure in
 /// the stack indexes itself with it — the magazine cache's slots, the
-/// facade's odometer — so with `len >= thread count` every thread owns a
-/// private entry, and a thread that owns its entry in one table of a given
-/// length owns it in every other.
+/// facade's odometer, the trees' byte gauge.  The stripe is where a thread
+/// *looks*; whether it owns what it finds there is the claim rule's
+/// business ([`crate::owned`]): the first live thread to reach a stripe
+/// claims it, and a thread that finds its stripe held by another live
+/// thread uses the stripe's shared entry.  With `len >= thread count` and
+/// threads that release on exit, every thread owns its entry, and a thread
+/// that owns its entry in one table of a given length maps to the same
+/// index in every other.
 ///
 /// *Foreign* threads — any thread the owner of the table never heard of,
 /// e.g. every thread of a program whose `#[global_allocator]` routes through
 /// the cache — get their stripe the same way; the ordinal lookup never
-/// allocates, stays accessible through thread teardown, and conservatively
-/// parks late-TLS calls on stripe 0 (stripes may be shared, so this is
-/// always correct — and a global allocator must not panic).  Because
-/// `nbbs-numa`'s synthetic home-node assignment derives from the *same*
-/// ordinal, a thread's stripe and its home node agree by construction.
+/// allocates and answers the thread's own id through thread teardown (a
+/// global allocator must not panic).  Because `nbbs-numa`'s synthetic
+/// home-node assignment derives from the *same* ordinal, a thread's stripe
+/// and its home node agree by construction.
 #[inline]
 pub fn thread_stripe(len: usize) -> usize {
     debug_assert!(len.is_power_of_two());
@@ -161,5 +167,42 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 5, "every thread gets its own ordinal: {all:?}");
+    }
+
+    /// Where the cache's exit drain runs — inside another thread-local's
+    /// destructor, after the thread's body returned — the ordinal is still
+    /// the thread's own, not a shared stand-in.
+    #[test]
+    fn a_thread_local_destructor_reads_the_threads_own_ordinal() {
+        use std::sync::mpsc;
+
+        struct ReadsOnDrop(mpsc::Sender<usize>);
+        impl Drop for ReadsOnDrop {
+            fn drop(&mut self) {
+                let _ = self.0.send(thread_ordinal());
+            }
+        }
+        thread_local! {
+            static PROBE: std::cell::RefCell<Option<ReadsOnDrop>> =
+                const { std::cell::RefCell::new(None) };
+        }
+
+        // A thread that never asked before its teardown gets a fresh id
+        // there; one that asked keeps its id.
+        let mine = thread_ordinal();
+        for ask_first in [true, false] {
+            let (tx, rx) = mpsc::channel();
+            let during = std::thread::spawn(move || {
+                PROBE.with(|p| *p.borrow_mut() = Some(ReadsOnDrop(tx)));
+                ask_first.then(thread_ordinal)
+            })
+            .join()
+            .unwrap();
+            let at_exit = rx.recv().expect("the destructor ran");
+            if let Some(id) = during {
+                assert_eq!(at_exit, id);
+            }
+            assert_ne!(at_exit, mine, "the exiting thread's id, not another's");
+        }
     }
 }

@@ -769,3 +769,110 @@ fn recycling_workload_mostly_hits() {
         );
     }
 }
+
+/// The owner/remote hand-over under fire: owners churn hits on slots they
+/// claimed, more threads than slots crowd the stripes' shared slots, threads exit
+/// (giving their slot up through the drain guard, or — one of them — not)
+/// and the next wave claims what was released, while a reader keeps
+/// entering every slot as a remote with `drain_all`, `cached_bytes`,
+/// `snapshot` and `cached_chunks`.  Every chunk handed out is tagged unit
+/// by unit, so one given to two live holders at once is caught at the
+/// second grant; at the end the tallies count every allocation call and
+/// the drained cache audits empty.
+#[test]
+fn owned_slots_survive_a_storm_of_owners_sharers_exits_and_remote_readers() {
+    const SLOTS: usize = 4;
+    const WAVES: usize = 4;
+    const PER_WAVE: usize = 6;
+    const OPS: usize = 3_000;
+    let cache = Arc::new(MagazineCache::with_config(
+        NbbsFourLevel::new(backend_config()),
+        CacheConfig {
+            magazine_capacity: 8,
+            magazine_bytes: 256,
+            depot_magazines: 4,
+            slots: Some(SLOTS),
+            ..CacheConfig::default()
+        },
+    ));
+    // One tag per allocation unit: 0 while no live holder covers it.
+    let tags: Arc<Vec<AtomicUsize>> =
+        Arc::new((0..TOTAL / MIN).map(|_| AtomicUsize::new(0)).collect());
+    let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let reader = {
+        let (cache, done) = (Arc::clone(&cache), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let (mut rounds, mut seen) = (0u64, 0u64);
+            while !done.load(Ordering::Acquire) {
+                match rounds % 4 {
+                    0 => cache.drain_all(),
+                    1 => {
+                        std::hint::black_box(cache.cached_bytes());
+                    }
+                    2 => {
+                        let requests = cache.snapshot().alloc_requests();
+                        assert!(requests >= seen, "hits + misses ran backwards");
+                        seen = requests;
+                    }
+                    _ => {
+                        std::hint::black_box(cache.cached_chunks());
+                    }
+                }
+                rounds += 1;
+            }
+            rounds
+        })
+    };
+    let mut allocs = 0u64;
+    for wave in 0..WAVES {
+        let workers: Vec<_> = (0..PER_WAVE)
+            .map(|t| {
+                let (cache, tags) = (Arc::clone(&cache), Arc::clone(&tags));
+                std::thread::spawn(move || {
+                    let tag = wave * PER_WAVE + t + 1;
+                    // The first thread of the first wave dies holding its
+                    // slot: later threads mapping there share.
+                    let _guard = ((wave, t) != (0, 0)).then(|| cache.thread_guard());
+                    let mut rng = SplitMix64::new(0x5707_0000 ^ tag as u64);
+                    let mut held: Vec<(usize, usize)> = Vec::new();
+                    let mut allocs = 0u64;
+                    let release = |off: usize, size: usize| {
+                        for unit in off / MIN..(off + size) / MIN {
+                            tags[unit].store(0, Ordering::Release);
+                        }
+                        cache.dealloc(off);
+                    };
+                    for _ in 0..OPS {
+                        if held.is_empty() || rng.next_u64() & 1 == 0 {
+                            let size = MIN << rng.next_below(4);
+                            let off = cache.alloc(size).expect("ample headroom");
+                            allocs += 1;
+                            for unit in off / MIN..(off + size) / MIN {
+                                let prior = tags[unit].swap(tag, Ordering::AcqRel);
+                                assert_eq!(prior, 0, "unit {unit} of {off} held by {prior} too");
+                            }
+                            held.push((off, size));
+                        } else {
+                            let (off, size) = held.swap_remove(rng.next_below(held.len()));
+                            release(off, size);
+                        }
+                    }
+                    for (off, size) in held {
+                        release(off, size);
+                    }
+                    allocs
+                })
+            })
+            .collect();
+        for w in workers {
+            allocs += w.join().unwrap();
+        }
+    }
+    done.store(true, Ordering::Release);
+    assert!(reader.join().unwrap() > 0, "the reader ran alongside");
+    assert_eq!(cache.snapshot().alloc_requests(), allocs);
+    assert_eq!(cache.allocated_bytes(), 0);
+    cache.drain_all();
+    verify_cached_empty(&cache).assert_clean();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
+}
