@@ -651,6 +651,20 @@ unsafe impl<A: BuddyBackend> GlobalAlloc for NbbsAllocator<A> {
         }
     }
 
+    /// A buddy block is zeroed here (chunks are recycled dirty); a request
+    /// the buddy cannot serve goes to `System.alloc_zeroed`, which for a
+    /// large size maps fresh demand-zero pages instead of writing them.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        match self.allocate(layout) {
+            Ok(block) => {
+                let ptr = block.cast::<u8>().as_ptr();
+                ptr.write_bytes(0, layout.size());
+                ptr
+            }
+            Err(_) => System.alloc_zeroed(layout),
+        }
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         match NonNull::new(ptr) {
             Some(nn) if self.region.contains(nn) => self.deallocate(nn, layout),
@@ -754,6 +768,27 @@ mod tests {
         let bytes = unsafe { std::slice::from_raw_parts(clean.cast::<u8>().as_ptr(), clean.len()) };
         assert!(bytes.iter().all(|&b| b == 0));
         unsafe { a.deallocate(clean.cast(), layout) };
+
+        // The `GlobalAlloc` entry zeroes a recycled block too, and sends what
+        // the buddy cannot serve to `System.alloc_zeroed`.
+        let reads_zero = |p: *mut u8, len: usize| {
+            !p.is_null()
+                && unsafe { std::slice::from_raw_parts(p, len) }
+                    .iter()
+                    .all(|&b| b == 0)
+        };
+        unsafe {
+            let p = GlobalAlloc::alloc(&a, layout);
+            p.write_bytes(0xFF, layout.size());
+            GlobalAlloc::dealloc(&a, p, layout);
+            let q = GlobalAlloc::alloc_zeroed(&a, layout);
+            assert!(a.owns(q) && reads_zero(q, layout.size()));
+            GlobalAlloc::dealloc(&a, q, layout);
+            let oversized = Layout::from_size_align(1 << 20, 8).unwrap();
+            let r = GlobalAlloc::alloc_zeroed(&a, oversized);
+            assert!(!a.owns(r) && reads_zero(r, oversized.size()));
+            GlobalAlloc::dealloc(&a, r, oversized);
+        }
     }
 
     #[test]
@@ -987,17 +1022,27 @@ mod tests {
         let config = BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap();
         let a = NbbsAllocator::new(NbbsFourLevel::new(config)).with_reserve(1, 1 << 12);
         assert_eq!(a.reserve_stats().unwrap().capacity, 1);
-        // Idle arena: the scrubber may decommit every free page, but the
-        // pinned reserve block must survive the pass untouched.
+        let layout = Layout::from_size_align(1 << 12, 8).unwrap();
+        // Grant, dirty and free every other block: an idle arena whose
+        // free pages the scrubber may all decommit, but the pinned reserve
+        // block must survive the pass untouched.
+        let used: Vec<_> = (0..15).map(|_| a.allocate(layout).unwrap()).collect();
+        for block in used {
+            unsafe {
+                block.cast::<u8>().as_ptr().write_bytes(0x3C, block.len());
+                a.deallocate(block.cast(), layout);
+            }
+        }
         let scrubbed = a.region().scrub_pass();
-        assert!(scrubbed > 0, "idle pages were decommitted");
+        assert_eq!(scrubbed, 15 << 12, "idle pages were decommitted");
         let mem = a.memory_stats();
         assert_eq!(mem.scrub_passes, 1);
-        assert!(
-            mem.committed_bytes >= 1 << 12,
+        assert_eq!(
+            mem.committed_bytes,
+            1 << 12,
             "pinned reserve block stays committed: {mem}"
         );
-        assert!(mem.decommitted_bytes > 0, "{mem}");
+        assert_eq!(mem.decommitted_bytes, 15 << 12, "{mem}");
         assert_eq!(
             a.reserve_stats().unwrap().available,
             1,
@@ -1005,7 +1050,6 @@ mod tests {
         );
         // Exhaust the buddy, then hit the reserve: the pinned block serves
         // promptly and every byte is writable.
-        let layout = Layout::from_size_align(1 << 12, 8).unwrap();
         let held: Vec<_> = (0..15).map(|_| a.allocate(layout).unwrap()).collect();
         let rescued = a.allocate(layout).unwrap();
         assert_eq!(a.reserve_stats().unwrap().hits, 1);

@@ -73,6 +73,15 @@ fn bypass_active() -> bool {
     BYPASS.try_with(Cell::get).unwrap_or(true)
 }
 
+/// `System.alloc`, or `System.alloc_zeroed` for a zeroed request.
+unsafe fn system_alloc(layout: Layout, zeroed: bool) -> *mut u8 {
+    if zeroed {
+        System.alloc_zeroed(layout)
+    } else {
+        System.alloc(layout)
+    }
+}
+
 /// RAII engagement of the bypass latch around one facade operation.
 struct BypassGuard;
 
@@ -424,10 +433,51 @@ impl NbbsGlobalAlloc {
         });
     }
 
+    /// `alloc` (`zeroed == false`) and `alloc_zeroed` in one body: the
+    /// route is the same, only the two ends differ.  A buddy block is
+    /// zeroed here, since chunks are recycled dirty; a request that goes to
+    /// `System` (before or during the build, oversized, failed over) asks
+    /// it for zeroed memory, which for a large size is fresh demand-zero
+    /// pages rather than a memset.  The stack's own span-sized metadata is
+    /// such a request while the stack is being built.
+    #[inline(always)]
+    unsafe fn serve(&self, layout: Layout, zeroed: bool) -> *mut u8 {
+        let Some(state) = self.state() else {
+            self.system_bytes
+                .fetch_add(layout.size() as u64, Ordering::Relaxed);
+            return system_alloc(layout, zeroed);
+        };
+        if bypass_active() {
+            return self.raw_alloc(state, layout, zeroed);
+        }
+        let _op = BypassGuard::engage();
+        Self::register_current_thread(state);
+        match state.facade.allocate(layout) {
+            Ok(block) => {
+                let ptr = block.cast::<u8>().as_ptr();
+                if zeroed {
+                    ptr.write_bytes(0, layout.size());
+                }
+                ptr
+            }
+            Err(err) => {
+                // An oversized request is routine System traffic; anything
+                // else means the built stack *failed* a servable request —
+                // the degraded-mode event the failover odometer counts.
+                if !matches!(err, nbbs::error::AllocError::TooLarge { .. }) {
+                    self.system_failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                self.system_bytes
+                    .fetch_add(layout.size() as u64, Ordering::Relaxed);
+                system_alloc(layout, zeroed)
+            }
+        }
+    }
+
     /// Raw-tree service for re-entrant allocations: the cache is somewhere
     /// above us on this thread's stack (possibly holding a slot lock), so
     /// go straight to the lock-free tree and fail over to `System`.
-    unsafe fn raw_alloc(&self, state: &State, layout: Layout) -> *mut u8 {
+    unsafe fn raw_alloc(&self, state: &State, layout: Layout, zeroed: bool) -> *mut u8 {
         // The raw path serves straight from the power-of-two tree, whose
         // grants are naturally aligned — no slab in the way, so the base
         // request needs no alignment bump.  For the same reason the facade's
@@ -443,12 +493,16 @@ impl NbbsGlobalAlloc {
                 // decommit bookkeeping must be told by hand that these pages
                 // are in use again.
                 state.facade.region().commit_range(offset, want);
-                return state.facade.region().base().as_ptr().add(offset);
+                let ptr = state.facade.region().base().as_ptr().add(offset);
+                if zeroed {
+                    ptr.write_bytes(0, layout.size());
+                }
+                return ptr;
             }
         }
         self.system_bytes
             .fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
+        system_alloc(layout, zeroed)
     }
 
     unsafe fn raw_dealloc(&self, state: &State, ptr: NonNull<u8>) {
@@ -730,30 +784,11 @@ mod exit_dump {
 // alignment guarantee.
 unsafe impl GlobalAlloc for NbbsGlobalAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let Some(state) = self.state() else {
-            self.system_bytes
-                .fetch_add(layout.size() as u64, Ordering::Relaxed);
-            return System.alloc(layout);
-        };
-        if bypass_active() {
-            return self.raw_alloc(state, layout);
-        }
-        let _op = BypassGuard::engage();
-        Self::register_current_thread(state);
-        match state.facade.allocate(layout) {
-            Ok(block) => block.cast::<u8>().as_ptr(),
-            Err(err) => {
-                // An oversized request is routine System traffic; anything
-                // else means the built stack *failed* a servable request —
-                // the degraded-mode event the failover odometer counts.
-                if !matches!(err, nbbs::error::AllocError::TooLarge { .. }) {
-                    self.system_failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                self.system_bytes
-                    .fetch_add(layout.size() as u64, Ordering::Relaxed);
-                System.alloc(layout)
-            }
-        }
+        self.serve(layout, false)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        self.serve(layout, true)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -788,7 +823,7 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
             let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
                 return std::ptr::null_mut();
             };
-            let fresh = self.raw_alloc(state, new_layout);
+            let fresh = self.raw_alloc(state, new_layout, false);
             if !fresh.is_null() {
                 std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
                 self.raw_dealloc(state, nn);
@@ -1280,15 +1315,16 @@ mod tests {
         }
         let mem = a.memory_stats().expect("state built");
         assert_eq!(mem.managed_bytes, 1 << 20);
-        assert!(mem.committed_bytes <= mem.managed_bytes);
+        let page = nbbs::mapping::page_size() as u64;
+        assert_eq!(mem.committed_bytes, page, "one grant, one page committed");
         // Magazine-parked chunks are backend-live and refuse scrub claims;
         // drain first so the pass sees a fully idle tree.
         a.drain_cache();
         let freed = a.scrub_pass();
-        assert!(freed > 0, "idle arena pages were decommitted");
+        assert_eq!(freed as u64, page, "the granted page was decommitted");
         let mem = a.memory_stats().unwrap();
         assert!(mem.scrub_passes >= 1);
-        assert!(mem.committed_bytes < mem.managed_bytes);
+        assert_eq!(mem.committed_bytes, 0);
         let report = a.stats_report();
         assert!(report.contains("  memory   "), "{report}");
         assert!(report.contains("  scrub    "), "{report}");
@@ -1318,6 +1354,83 @@ mod tests {
                 "background scrubber never completed a pass"
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+    }
+
+    /// Pages of `[ptr, ptr + len)` the kernel has backed, by `mincore(2)`.
+    #[cfg(target_os = "linux")]
+    fn resident_pages(ptr: *mut u8, len: usize) -> usize {
+        extern "C" {
+            fn mincore(addr: *mut std::ffi::c_void, length: usize, vec: *mut u8)
+                -> std::ffi::c_int;
+        }
+        let page = nbbs::mapping::page_size();
+        let start = ptr as usize & !(page - 1);
+        let len = ptr as usize + len - start;
+        let mut vec = vec![0u8; len.div_ceil(page)];
+        // SAFETY: the range is mapped (it holds a live allocation) and `vec`
+        // has one byte per page of it.
+        let rc = unsafe { mincore(start as *mut _, len, vec.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore failed");
+        vec.iter().filter(|&&b| b & 1 != 0).count()
+    }
+
+    #[test]
+    fn alloc_zeroed_is_zeroed_on_every_route() {
+        let a = NbbsGlobalAlloc::new(1 << 16, 64, 1 << 12);
+        let block = Layout::from_size_align(1 << 12, 8).unwrap();
+        let reads_zero = |p: *mut u8| {
+            assert!(!p.is_null());
+            unsafe { std::slice::from_raw_parts(p, block.size()) }
+                .iter()
+                .all(|&b| b == 0)
+        };
+        unsafe {
+            // Buddy, after a dirty free: every block of the arena has been
+            // written, so whichever one comes back was dirty.
+            let dirty = |a: &NbbsGlobalAlloc| {
+                for p in fill_until_system(a, block) {
+                    p.write_bytes(0xA5, block.size());
+                    a.dealloc(p, block);
+                }
+            };
+            dirty(&a);
+            let p = a.alloc_zeroed(block);
+            assert!(a.owns(p));
+            assert!(reads_zero(p), "a recycled buddy block comes back zeroed");
+            a.dealloc(p, block);
+
+            // The bypass route (a nested allocation): the raw tree, past
+            // the cache, so drain what the cache parked first.
+            a.drain_cache();
+            {
+                let _latched = BypassGuard::engage();
+                dirty(&a);
+                let p = a.alloc_zeroed(block);
+                assert!(a.owns(p));
+                assert!(reads_zero(p), "a raw-route block comes back zeroed");
+                a.dealloc(p, block);
+            }
+
+            // `System`, for a request above the largest block: calloc, whose
+            // fresh pages stay unbacked until written (64 MiB is past glibc's
+            // largest mmap threshold, so this is a fresh mapping).
+            let huge = Layout::from_size_align(64 << 20, 8).unwrap();
+            let p = a.alloc_zeroed(huge);
+            assert!(!p.is_null() && !a.owns(p));
+            for at in [0, huge.size() / 2, huge.size() - 1] {
+                assert_eq!(*p.add(at), 0, "byte {at} of a System block");
+            }
+            #[cfg(target_os = "linux")]
+            {
+                let pages = huge.size() / nbbs::mapping::page_size();
+                let resident = resident_pages(p, huge.size());
+                assert!(
+                    resident < pages / 4,
+                    "{resident} of {pages} pages written: alloc plus memset, not calloc"
+                );
+            }
+            a.dealloc(p, huge);
         }
     }
 

@@ -452,7 +452,7 @@ impl NodeStore for BunchStore {
 
     fn new(geo: Geometry) -> Self {
         let bgeo = BunchGeometry::new(geo);
-        let words = (0..bgeo.word_count()).map(|_| AtomicU64::new(0)).collect();
+        let words = nbbs_sync::zeroed_slice::<AtomicU64>(bgeo.word_count());
         BunchStore { bgeo, words }
     }
 

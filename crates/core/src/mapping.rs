@@ -11,11 +11,14 @@
 //! marks again — the kernel recommits lazily on first touch, the bitmap
 //! only tracks the accounting.
 //!
-//! `committed_bytes` derived from the bitmap is an **upper bound** on
-//! resident memory: a page that was never touched *and* never scrubbed
-//! counts as committed even though the kernel has not backed it yet.  The
-//! bound is what the elastic-region telemetry needs — it converges on the
-//! truth as soon as the scrubber has made one pass over the idle span.
+//! A fresh span is demand-zero end to end, which is exactly what a
+//! decommitted page is, so every page starts marked decommitted and only a
+//! grant clears a mark.  `committed_bytes` derived from the bitmap is
+//! therefore **exact from construction**: it counts the pages grants have
+//! covered since each was last decommitted, never a page nobody was given.
+//! (A granted page its owner has not written yet is counted although the
+//! kernel has not backed it.)  The scrubber skips a block whose pages are
+//! all marked, so it never claims one that was never granted.
 //!
 //! All bitmap operations are lock-free (`fetch_or` / `fetch_and` over
 //! `AtomicU64` words, each preceded by a load that skips the RMW when it
@@ -93,18 +96,21 @@ pub struct Mapping {
     base: NonNull<u8>,
     len: usize,
     page_size: usize,
+    /// `log2(page_size)`: every grant turns its byte range into pages, so
+    /// that takes shifts, not divisions.
+    page_shift: u32,
     backing: Backing,
     /// One bit per page of the span: set = decommitted (reads zero, costs
-    /// no physical frame on Linux).
+    /// no physical frame on Linux).  Every page starts set.
     decommitted: Box<[AtomicU64]>,
-    /// Gauge: pages currently marked decommitted.
+    /// Gauge: pages currently marked decommitted (all of them at first).
     decommitted_pages: AtomicUsize,
     /// Cumulative bytes ever decommitted.
     decommit_bytes_total: AtomicU64,
     /// Cumulative kernel calls [`Mapping::decommit`] issued.
     decommit_calls: AtomicU64,
-    /// Cumulative bytes whose decommit mark was cleared by a grant (an
-    /// upper bound on lazily recommitted memory).
+    /// Cumulative bytes whose decommit mark was cleared by a grant, a
+    /// page's first grant included.
     recommit_bytes_total: AtomicU64,
 }
 
@@ -115,7 +121,8 @@ unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Reserves a demand-zero span of `len` bytes aligned to `align`
-    /// (`align` must be a power of two).
+    /// (`align` must be a power of two), every page of it marked
+    /// decommitted: `committed_bytes()` reads 0 until the first grant.
     ///
     /// # Panics
     ///
@@ -125,16 +132,24 @@ impl Mapping {
         assert!(len > 0, "empty mapping");
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let page = page_size();
+        assert!(page.is_power_of_two(), "page size must be a power of two");
         let (base, backing) = Self::reserve(len, align, page);
         let pages = len.div_ceil(page);
-        let words = pages.div_ceil(64);
+        // Bits past the last page stay clear: no page range reaches them.
+        let word_of = |w: usize| match pages - w * 64 {
+            n if n >= 64 => u64::MAX,
+            n => (1u64 << n) - 1,
+        };
         Mapping {
             base,
             len,
             page_size: page,
+            page_shift: page.trailing_zeros(),
             backing,
-            decommitted: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            decommitted_pages: AtomicUsize::new(0),
+            decommitted: (0..pages.div_ceil(64))
+                .map(|w| AtomicU64::new(word_of(w)))
+                .collect(),
+            decommitted_pages: AtomicUsize::new(pages),
             decommit_bytes_total: AtomicU64::new(0),
             decommit_calls: AtomicU64::new(0),
             recommit_bytes_total: AtomicU64::new(0),
@@ -207,7 +222,7 @@ impl Mapping {
         self.page_size
     }
 
-    /// Pages currently marked decommitted.
+    /// Pages currently marked decommitted (every page of a fresh span).
     pub fn decommitted_pages(&self) -> usize {
         self.decommitted_pages.load(Ordering::Relaxed)
     }
@@ -217,8 +232,9 @@ impl Mapping {
         self.decommitted_pages() * self.page_size
     }
 
-    /// Committed bytes: span length minus decommitted bytes.  An upper
-    /// bound on resident memory (see the module docs).
+    /// Committed bytes: span length minus decommitted bytes.  Exact from
+    /// construction: 0 for a fresh span, then the pages grants have covered
+    /// since each was last decommitted (see the module docs).
     pub fn committed_bytes(&self) -> usize {
         self.len.saturating_sub(self.decommitted_bytes())
     }
@@ -234,7 +250,8 @@ impl Mapping {
         self.decommit_calls.load(Ordering::Relaxed)
     }
 
-    /// Cumulative bytes whose decommit mark was cleared by a grant.
+    /// Cumulative bytes whose decommit mark was cleared by a grant (a
+    /// page's first grant clears the mark it was built with, so it counts).
     pub fn recommit_bytes_total(&self) -> u64 {
         self.recommit_bytes_total.load(Ordering::Relaxed)
     }
@@ -302,12 +319,13 @@ impl Mapping {
 
     /// Clears the decommit marks of every page overlapping
     /// `[offset, offset + len)` — called on the grant path so the
-    /// committed-bytes gauge follows memory back into service.  The kernel
-    /// recommits lazily on first touch; this only maintains the accounting.
+    /// committed-bytes gauge follows memory into service.  The kernel
+    /// commits lazily on first touch; this only maintains the accounting.
+    ///
+    /// Every grant runs it, magazine hits included, so it stays flat: the
+    /// page span takes two shifts, and a grant whose pages are already
+    /// committed costs one load per bitmap word and writes nothing.
     pub fn commit_range(&self, offset: usize, len: usize) {
-        if self.decommitted_pages.load(Ordering::Relaxed) == 0 {
-            return; // fast path: nothing is decommitted
-        }
         let (first, end) = self.page_span_outward(offset, len);
         let cleared = self.mark_range(first, end, false);
         if cleared > 0 {
@@ -357,25 +375,27 @@ impl Mapping {
     fn page_span_inward(&self, offset: usize, len: usize) -> Option<(usize, usize)> {
         let lo = offset.min(self.len);
         let hi = offset.checked_add(len)?.min(self.len);
-        let first = lo.div_ceil(self.page_size);
-        let end = hi / self.page_size;
+        // `lo <= len`, and `len + page_size` fits: the mapping reserved it.
+        let first = (lo + self.page_size - 1) >> self.page_shift;
+        let end = hi >> self.page_shift;
         (first < end).then_some((first, end))
     }
 
     /// Every page overlapping `[offset, offset + len)`, as a `[first, end)`
     /// page-index range (clamped to the span).
+    #[inline]
     fn page_span_outward(&self, offset: usize, len: usize) -> (usize, usize) {
         let lo = offset.min(self.len);
         let hi = offset.saturating_add(len).min(self.len);
-        let first = lo / self.page_size;
-        let end = hi.div_ceil(self.page_size);
+        let first = lo >> self.page_shift;
+        let end = (hi + self.page_size - 1) >> self.page_shift;
         (first, end)
     }
 
     /// Sets (`true`) or clears (`false`) the bitmap over `[first, end)`
     /// pages, word at a time; returns how many bits actually changed.  A
     /// word that already reads as asked is left alone, so a grant over
-    /// committed pages (every magazine hit once a scrub pass has run)
+    /// committed pages (every magazine hit on a chunk granted before)
     /// executes no RMW on a word its neighbours' grants share.
     fn mark_range(&self, first: usize, end: usize, set: bool) -> usize {
         let mut changed = 0usize;
@@ -472,6 +492,9 @@ mod tests {
     fn decommit_zeroes_and_accounts() {
         let page = page_size();
         let m = Mapping::new(page * 8, page);
+        assert_eq!(m.committed_bytes(), 0, "a fresh span starts decommitted");
+        assert_eq!(m.decommitted_pages(), 8);
+        m.commit_range(0, page * 8);
         unsafe { m.base().as_ptr().write_bytes(0xFF, page * 8) };
         assert_eq!(m.committed_bytes(), page * 8);
 
@@ -502,8 +525,10 @@ mod tests {
     fn sub_page_ranges_round_inward_to_nothing() {
         let page = page_size();
         let m = Mapping::new(page * 4, page);
+        m.commit_range(0, page * 4);
         assert_eq!(m.decommit(10, page - 20), 0, "no whole page inside");
         assert_eq!(m.decommitted_pages(), 0);
+        assert_eq!(m.decommit_calls(), 0);
         assert!(!m.is_fully_decommitted(10, page - 20));
     }
 
@@ -511,8 +536,10 @@ mod tests {
     fn commit_clears_marks_and_counts_recommits() {
         let page = page_size();
         let m = Mapping::new(page * 8, page);
-        m.decommit(0, page * 8);
-        assert_eq!(m.decommitted_pages(), 8);
+        assert_eq!(m.decommitted_pages(), 8, "a fresh span starts decommitted");
+        assert!(m.is_fully_decommitted(0, page * 8));
+        assert_eq!(m.decommit(0, page * 8), 0, "nothing to release yet");
+        assert_eq!(m.decommit_calls(), 0);
 
         // A grant overlapping pages 1..3 (partially) recommits pages 1..=3.
         m.commit_range(page + 7, page * 2);
@@ -520,12 +547,13 @@ mod tests {
         assert_eq!(m.recommit_bytes_total(), (page * 3) as u64);
         assert_eq!(m.committed_bytes(), page * 3);
 
-        // Fast path: committing an already-committed range changes nothing.
+        // Committing an already-committed range changes nothing.
         m.commit_range(page, page * 2);
         assert_eq!(m.decommitted_pages(), 5);
         m.commit_range(0, page * 8);
         assert_eq!(m.decommitted_pages(), 0);
-        m.commit_range(0, page * 8); // decommitted_pages == 0 fast path
+        assert_eq!(m.committed_bytes(), page * 8);
+        m.commit_range(0, page * 8);
         assert_eq!(m.recommit_bytes_total(), (page * 8) as u64);
     }
 
@@ -533,11 +561,14 @@ mod tests {
     fn a_repeated_grant_changes_nothing() {
         let page = page_size();
         let m = Mapping::new(page * 128, page);
+        m.commit_range(0, page * 128);
+        let first_grants = (page * 128) as u64;
+        assert_eq!(m.recommit_bytes_total(), first_grants);
         assert_eq!(m.decommit(0, page * 64), page * 64);
         assert_eq!(m.decommit_calls(), 1);
         m.commit_range(page * 3, page);
         assert_eq!(m.decommitted_pages(), 63);
-        assert_eq!(m.recommit_bytes_total(), page as u64);
+        assert_eq!(m.recommit_bytes_total(), first_grants + page as u64);
         let word = m.decommitted[0].load(Ordering::Relaxed);
         assert_eq!(word, !(1u64 << 3));
 
@@ -546,12 +577,14 @@ mod tests {
         m.commit_range(page * 3, page);
         assert_eq!(m.decommitted[0].load(Ordering::Relaxed), word);
         assert_eq!(m.decommitted_pages(), 63);
-        assert_eq!(m.recommit_bytes_total(), page as u64);
+        assert_eq!(m.recommit_bytes_total(), first_grants + page as u64);
 
-        // So does a grant in a word nothing was ever decommitted in, and a
-        // decommit of what is already gone issues no kernel call.
+        // So does a grant in a word nothing was decommitted in since its
+        // first grant, and a decommit of what is already gone issues no
+        // kernel call.
         m.commit_range(page * 70, page * 4);
         assert_eq!(m.decommitted[1].load(Ordering::Relaxed), 0);
+        assert_eq!(m.recommit_bytes_total(), first_grants + page as u64);
         assert_eq!(m.decommit(page * 8, page * 8), 0);
         assert_eq!(m.decommit_calls(), 1);
         assert_eq!(m.decommit_bytes_total(), (page * 64) as u64);
@@ -561,26 +594,36 @@ mod tests {
     fn pin_touches_without_clobbering() {
         let page = page_size();
         let m = Mapping::new(page * 4, page);
+        m.commit_range(page, page);
         unsafe { m.base().as_ptr().add(page).write_bytes(0x5C, page) };
         m.pin_range(page, page * 2);
         unsafe {
             assert_eq!(*m.base().as_ptr().add(page), 0x5C);
             assert_eq!(*m.base().as_ptr().add(page * 2 - 1), 0x5C);
         }
-        // Pinning a decommitted range recommits it (reads zero afterwards).
-        m.decommit(0, page);
+        // Pages 0 and 3 were never granted or pinned.
+        assert_eq!(m.decommitted_pages(), 2);
+        assert_eq!(m.committed_bytes(), page * 2);
+        // Pinning a decommitted range recommits it (reads zero afterwards),
+        // whether it was never granted or released since.
         m.pin_range(0, page);
-        assert_eq!(m.decommitted_pages(), 0);
+        assert_eq!(m.decommitted_pages(), 1);
+        assert_eq!(m.decommit(0, page), page);
+        m.pin_range(0, page);
+        assert_eq!(m.decommitted_pages(), 1);
         unsafe { assert_eq!(*m.base().as_ptr(), 0) };
     }
 
     #[test]
     fn spans_smaller_than_a_page_work() {
         let m = Mapping::new(1024, 1024);
+        assert_eq!(m.committed_bytes(), 0);
+        m.commit_range(0, 1024);
         unsafe {
             m.base().as_ptr().write_bytes(0x11, 1024);
             assert_eq!(*m.base().as_ptr().add(1023), 0x11);
         }
+        assert_eq!(m.committed_bytes(), 1024);
         assert_eq!(m.decommit(0, 1024), 0, "smaller than one page");
         assert_eq!(m.committed_bytes(), 1024);
     }
@@ -588,13 +631,18 @@ mod tests {
     #[test]
     fn bitmap_word_boundaries_are_exact() {
         let page = page_size();
-        // 130 pages spans three bitmap words.
+        // 130 pages spans three bitmap words; the bits past the last page
+        // are never set.
         let m = Mapping::new(page * 130, page);
-        assert_eq!(m.decommit(0, page * 130), page * 130);
         assert_eq!(m.decommitted_pages(), 130);
+        assert_eq!(m.decommitted[2].load(Ordering::Relaxed), 0b11);
         m.commit_range(page * 63, page * 2); // straddles the word boundary
         assert_eq!(m.decommitted_pages(), 128);
         assert!(m.is_fully_decommitted(page * 65, page * 65));
         assert!(!m.is_fully_decommitted(page * 63, page * 2));
+        m.commit_range(0, page * 130);
+        assert_eq!(m.decommit(0, page * 130), page * 130);
+        assert_eq!(m.decommitted_pages(), 130);
+        assert_eq!(m.decommitted[2].load(Ordering::Relaxed), 0b11);
     }
 }

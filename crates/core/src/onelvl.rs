@@ -105,7 +105,7 @@ impl NodeStore for ByteStore {
     const TYPE_NAME: &'static str = "NbbsOneLevel";
 
     fn new(geo: Geometry) -> Self {
-        let tree = (0..geo.tree_len()).map(|_| AtomicU8::new(0)).collect();
+        let tree = nbbs_sync::zeroed_slice::<AtomicU8>(geo.tree_len());
         ByteStore { geo, tree }
     }
 

@@ -23,7 +23,9 @@
 //! background thread, which makes the region *elastic*: committed memory
 //! follows the live set down at trough instead of staying pinned at peak.
 //! Recommit is automatic — the kernel faults fresh zero pages in on first
-//! touch, and the grant path clears the accounting marks.
+//! touch, and the grant path clears the accounting marks.  A fresh span
+//! starts with every page marked, so the scrubber only ever claims blocks
+//! some grant has covered.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -208,7 +210,9 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     /// `2^k` returned by [`BuddyRegion::alloc_bytes`] is always `2^k`-aligned.
     /// On Linux the backing is an anonymous private mapping — pages cost no
     /// physical memory until first touch; elsewhere it falls back to a
-    /// zeroed heap allocation with the same observable behaviour.
+    /// zeroed heap allocation with the same observable behaviour.  Either
+    /// way the span starts decommitted in the accounting
+    /// ([`BuddyRegion::committed_bytes`] is 0).
     pub fn new(backend: A) -> Self {
         let total = backend.total_memory();
         let align = backend.max_size().max(std::mem::align_of::<usize>());
@@ -320,9 +324,8 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     }
 
     /// Bytes of the span currently committed — managed minus decommitted.
-    /// An upper bound on the region's resident memory: pages never touched
-    /// *and* never scrubbed count as committed (the bound converges once
-    /// the scrubber has passed over the idle span).
+    /// Exact from construction: a fresh region reads 0, and a page counts
+    /// from the grant that covers it until the scrubber decommits it.
     pub fn committed_bytes(&self) -> usize {
         self.inner.mapping.committed_bytes()
     }
@@ -547,20 +550,27 @@ mod tests {
         // 64 top-level blocks of 4 pages each, all page-multiple.
         let total = page * 256;
         let r = region(total, page, page * 4);
-        assert_eq!(r.committed_bytes(), total, "everything starts committed");
+        assert_eq!(r.committed_bytes(), 0, "a fresh region starts decommitted");
 
-        // Dirty a block, free it, scrub: committed bytes fall to zero.
+        // Dirty a block, free it, scrub: the one block granted goes back,
+        // and committed bytes fall to zero again.
         let p = r.alloc_bytes(page * 4).unwrap();
+        assert_eq!(r.committed_bytes(), page * 4);
         unsafe { p.as_ptr().write_bytes(0xEE, page * 4) };
         r.dealloc_bytes(p);
         let freed = r.scrub_pass();
-        assert_eq!(freed, total, "idle region decommits end to end");
+        assert_eq!(
+            freed,
+            page * 4,
+            "only the granted block had pages to release"
+        );
         assert_eq!(r.committed_bytes(), 0);
         let stats = r.memory_stats();
         assert_eq!(stats.scrub_passes, 1);
-        assert_eq!(stats.scrub_bytes, total as u64);
+        assert_eq!(stats.scrub_bytes, (page * 4) as u64);
         assert_eq!(stats.managed_bytes, total as u64);
-        assert!(stats.scrub_blocks >= 1);
+        assert_eq!(stats.decommitted_bytes, total as u64);
+        assert_eq!(stats.scrub_blocks, 1);
 
         // A second pass finds everything already decommitted.
         assert_eq!(r.scrub_pass(), 0);
@@ -575,7 +585,11 @@ mod tests {
             q.as_ptr().write_bytes(0x77, page * 4);
         }
         assert_eq!(r.committed_bytes(), page * 4);
-        assert!(r.memory_stats().recommitted_bytes >= (page * 4) as u64);
+        assert_eq!(
+            r.memory_stats().recommitted_bytes,
+            (page * 8) as u64,
+            "a first grant counts, as does the one after the scrub"
+        );
         r.dealloc_bytes(q);
     }
 
@@ -604,11 +618,10 @@ mod tests {
             assert_eq!(*live.as_ptr().add(page * 4 - 1), 0xAB);
             assert_eq!(*r.base().as_ptr().add(pinned_off), 0xCD);
         }
-        assert!(
-            r.committed_bytes() >= page * 8,
-            "live + pinned stay committed: {} < {}",
+        assert_eq!(
             r.committed_bytes(),
-            page * 8
+            page * 8,
+            "live + pinned stay committed, nothing else was granted"
         );
         assert_eq!(
             r.allocated_bytes(),
@@ -621,12 +634,13 @@ mod tests {
     #[test]
     fn a_touched_free_span_decommits_in_runs_not_blocks() {
         // The shipped arena's shape: 64 MiB of 4 KiB units under 64 KiB
-        // blocks, every page touched, everything free.
+        // blocks, every page granted and touched, everything free.
         const TOTAL: usize = 64 << 20;
         const BLOCK: usize = 64 << 10;
         let r = BuddyRegion::new(NbbsFourLevel::new(
             BuddyConfig::new(TOTAL, 4096, BLOCK).unwrap(),
         ));
+        r.commit_range(0, TOTAL);
         for at in (0..TOTAL).step_by(page_size()) {
             unsafe { r.base().as_ptr().add(at).write(0xEE) };
         }
@@ -653,6 +667,7 @@ mod tests {
         const PINNED: usize = 100;
         const GONE: usize = 170;
         let r = region(block * BLOCKS, page, block);
+        r.commit_range(0, block * BLOCKS);
         unsafe { r.base().as_ptr().write_bytes(0xEE, block * BLOCKS) };
         let fill = |b: usize, byte: u8| unsafe {
             r.base().as_ptr().add(b * block).write_bytes(byte, block)
@@ -708,6 +723,36 @@ mod tests {
         }
         r.backend().dealloc(LIVE * block);
         assert_eq!(r.allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn a_fresh_region_commits_only_what_is_granted_and_scrubs_only_that() {
+        // The shipped arena's shape: 32 B units, 1 024 blocks of 16 pages.
+        let page = page_size();
+        let block = page * 16;
+        let total = block * 1024;
+        let r = BuddyRegion::new(NbbsFourLevel::new(
+            BuddyConfig::new(total, 32, block).unwrap(),
+        ));
+        assert_eq!(r.committed_bytes(), 0, "nothing granted, nothing committed");
+        assert_eq!(r.memory_stats().decommitted_bytes, total as u64);
+
+        let p = r.alloc_bytes(page).unwrap();
+        assert_eq!(r.committed_bytes(), page, "one page granted, one committed");
+        assert_eq!(r.memory_stats().recommitted_bytes, page as u64);
+        unsafe { p.as_ptr().write_bytes(0xEE, page) };
+        r.dealloc_bytes(p);
+
+        // Every block is free, but only the one that held the grant has a
+        // page to release: one claim, one kernel call.
+        assert_eq!(r.scrub_pass(), page);
+        let stats = r.memory_stats();
+        assert_eq!(stats.scrub_blocks, 1);
+        assert_eq!(stats.decommit_calls, 1);
+        assert_eq!(r.committed_bytes(), 0);
+        assert_eq!(r.allocated_bytes(), 0);
+        assert_eq!(r.scrub_pass(), 0);
+        assert_eq!(r.memory_stats().decommit_calls, 1);
     }
 
     #[test]

@@ -261,16 +261,18 @@ impl fmt::Display for CacheStatsSnapshot {
 /// committed, and what the decommit scrubber has done about the rest.
 ///
 /// `committed_bytes` is derived from the region's page-granular decommit
-/// bitmap and is an **upper bound** on resident memory: a page that was
-/// never touched and never scrubbed still counts as committed.  The bound
-/// converges on the truth once the scrubber has passed over the idle span.
+/// bitmap and is exact from construction: a fresh region is decommitted end
+/// to end, and a page counts from the grant that covers it until the
+/// scrubber decommits it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryStatsSnapshot {
     /// Total span the region manages, in bytes.
     pub managed_bytes: u64,
-    /// Bytes currently committed (managed minus decommitted) — a gauge.
+    /// Bytes currently committed (managed minus decommitted) — a gauge, 0
+    /// for a region nothing was granted from yet.
     pub committed_bytes: u64,
-    /// Bytes currently decommitted (released to the kernel) — a gauge.
+    /// Bytes currently decommitted (released to the kernel, or never
+    /// granted: a fresh region is decommitted end to end) — a gauge.
     pub decommitted_bytes: u64,
     /// Scrub passes completed (cumulative).
     pub scrub_passes: u64,
@@ -282,8 +284,10 @@ pub struct MemoryStatsSnapshot {
     /// adjacent free blocks, so `scrub_blocks / decommit_calls` is the
     /// mean run length.
     pub decommit_calls: u64,
-    /// Bytes whose decommit mark was cleared by a grant — an upper bound on
-    /// memory the kernel lazily recommitted (cumulative).
+    /// Bytes whose decommit mark was cleared by a grant (cumulative).  A
+    /// page's first grant counts, since a fresh region starts decommitted,
+    /// so this is every page grants brought into service, not only those
+    /// the scrubber had released; an upper bound on what the kernel backed.
     pub recommitted_bytes: u64,
     /// Empty slab pages trim passes returned to the buddy (cumulative).
     pub trimmed_pages: u64,

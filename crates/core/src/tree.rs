@@ -157,11 +157,13 @@ impl<S: NodeStore> BuddyTree<S> {
     ///
     /// Metadata footprint: the store's node words (one byte per node for
     /// the 1-level, one 64-bit word per bunch for the 4-level) plus a `u32`
-    /// per allocation unit.
+    /// per allocation unit.  That much is reserved; it comes from zeroed
+    /// memory ([`nbbs_sync::zeroed_slice`]), so on a demand-zero backing it
+    /// is resident only on the pages an operation has written.
     pub fn new(config: BuddyConfig) -> Self {
         let geo = Geometry::new(&config);
         let store = S::new(geo);
-        let index = (0..geo.unit_count()).map(|_| AtomicU32::new(0)).collect();
+        let index = nbbs_sync::zeroed_slice::<AtomicU32>(geo.unit_count());
         BuddyTree {
             geo,
             scan_policy: config.scan_policy(),

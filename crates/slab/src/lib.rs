@@ -60,7 +60,7 @@ use nbbs::error::{AllocError, FreeError};
 use nbbs::stats::{FragClassSnapshot, FragStatsSnapshot};
 use nbbs::{BuddyBackend, BuddyConfig, Geometry};
 use nbbs_obs::{OpKind, Recorder};
-use nbbs_sync::{BoundedStack, CachePadded, SpinLock};
+use nbbs_sync::{zeroed_slice, BoundedStack, CachePadded, SpinLock};
 
 /// Smallest class size and slot granule: every class size is a multiple of
 /// this, so every object offset is too.
@@ -221,9 +221,9 @@ pub struct SlabBackend<A> {
     classes: Vec<usize>,
     class_ctl: Vec<ClassCtl>,
     /// One state word per page slot of the managed span.
-    pages: Vec<AtomicU64>,
+    pages: Box<[AtomicU64]>,
     /// `words_per_page` bitmap words per page slot.
-    bitmap: Vec<AtomicU64>,
+    bitmap: Box<[AtomicU64]>,
     words_per_page: usize,
     pages_held: AtomicU64,
     pages_retired: AtomicU64,
@@ -291,10 +291,10 @@ impl<A: BuddyBackend> SlabBackend<A> {
             keep_empty_pages: config.keep_empty_pages,
             classes,
             class_ctl,
-            pages: (0..n_pages).map(|_| AtomicU64::new(0)).collect(),
-            bitmap: (0..n_pages * words_per_page)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            // Zeroed memory: a page slot's words cost a frame only once a
+            // page of its stretch of the span has been granted.
+            pages: zeroed_slice(n_pages),
+            bitmap: zeroed_slice(n_pages * words_per_page),
             words_per_page,
             pages_held: AtomicU64::new(0),
             pages_retired: AtomicU64::new(0),

@@ -38,6 +38,9 @@
 //!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores) and
 //!   [`OwnedSlots`] compile against them under `--cfg nbbs_model` so the
 //!   `nbbs-model` crate can enumerate their interleavings.
+//! * [`zeroed_slice`] — span-sized arrays of atomics taken from zeroed
+//!   memory (`alloc_zeroed`), so the trees' and the slab's metadata costs
+//!   a physical page only where something writes it.
 //!
 //! Everything here is dependency-free; `unsafe` is confined to the interior
 //! of the synchronization primitives (the lock, stack and slot value
@@ -53,6 +56,7 @@ pub mod spinlock;
 pub mod ticket;
 pub mod tid;
 pub mod treiber;
+pub mod zeroed;
 
 pub use backoff::Backoff;
 pub use cycles::{cycles_now, CycleTimer};
@@ -64,3 +68,4 @@ pub use tid::{
     available_cpus, default_stripes, set_thread_node, thread_node, thread_ordinal, thread_stripe,
 };
 pub use treiber::BoundedStack;
+pub use zeroed::{zeroed_slice, Zeroable};

@@ -534,6 +534,16 @@ macro_rules! shadow_atomic {
                 old
             }
         }
+
+        // SAFETY: a transparent wrapper of the std atomic, whose all-zero
+        // bytes are `new(0)`.
+        unsafe impl crate::zeroed::Zeroable for $name {
+            /// Built element by element, as the shadow cells always were, so
+            /// the model build allocates and constructs nothing new.
+            fn zeroed_slice(n: usize) -> Box<[Self]> {
+                (0..n).map(|_| Self::new(0)).collect()
+            }
+        }
     };
 }
 

@@ -601,15 +601,16 @@ fn main() {
     let elastic = BuddyRegion::new(
         ElasticSet::new(4, move |_slot| NbbsFourLevel::new(config)).with_grow_threshold(1),
     );
-    // `committed_bytes` is an upper bound on residency: a fresh demand-zero
-    // mapping reads fully committed, but pages become resident only when
-    // touched and leave the count when the scrubber decommits them.
+    // `committed_bytes` is exact from construction: a fresh demand-zero
+    // mapping reads 0, pages enter the count when a grant covers them and
+    // leave it when the scrubber decommits them.
     println!(
-        "\nelastic region: {} B reserved across up to {} regions, {} B committed (upper bound)",
+        "\nelastic region: {} B reserved across up to {} regions, {} B committed",
         elastic.managed_bytes(),
         elastic.backend().max_regions(),
         elastic.committed_bytes()
     );
+    assert_eq!(elastic.committed_bytes(), 0, "nothing granted yet");
 
     // Day: demand beyond one region's 1 MiB makes the chain grow.
     let mut day = Vec::new();

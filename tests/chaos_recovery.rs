@@ -159,9 +159,15 @@ fn a_scrub_pass_that_panics_mid_run_strands_no_block() {
         tree: NbbsFourLevel::new(BuddyConfig::new(64 * BLOCK, 4096, BLOCK).unwrap()),
         scrub_frees: AtomicUsize::new(0),
     });
-    let ptr = region.alloc_bytes(BLOCK).unwrap();
-    unsafe { ptr.as_ptr().write_bytes(0x5A, BLOCK) };
-    region.dealloc_bytes(ptr);
+    // Grant, dirty and free the whole span, so every block has pages to
+    // release (a fresh region's never-granted blocks are skipped).
+    let whole: Vec<_> = (0..64)
+        .map(|_| region.alloc_bytes(BLOCK).expect("full capacity"))
+        .collect();
+    for ptr in whole {
+        unsafe { ptr.as_ptr().write_bytes(0x5A, BLOCK) };
+        region.dealloc_bytes(ptr);
+    }
 
     let pass = catch_unwind(AssertUnwindSafe(|| region.scrub_pass()));
     assert!(pass.is_err(), "the injected panic reached the caller");

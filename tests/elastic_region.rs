@@ -289,7 +289,8 @@ proptest! {
         let page = page_size();
         let span = MAP_PAGES * page;
         let m = Mapping::new(span, page);
-        let mut gone = [false; MAP_PAGES];
+        // A fresh span is decommitted end to end.
+        let mut gone = [true; MAP_PAGES];
         let (mut decommitted, mut recommitted, mut calls) = (0u64, 0u64, 0u64);
         for op in ops {
             match op {
@@ -311,7 +312,9 @@ proptest! {
                     recommitted += (cleared * page) as u64;
                 }
             }
-            prop_assert_eq!(m.decommitted_pages(), gone.iter().filter(|&&g| g).count());
+            let gone_pages = gone.iter().filter(|&&g| g).count();
+            prop_assert_eq!(m.decommitted_pages(), gone_pages);
+            prop_assert_eq!(m.committed_bytes(), (MAP_PAGES - gone_pages) * page);
             prop_assert_eq!(m.decommit_bytes_total(), decommitted);
             prop_assert_eq!(m.recommit_bytes_total(), recommitted);
             prop_assert_eq!(m.decommit_calls(), calls);
