@@ -50,12 +50,12 @@ use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 ///   in the tree.
 /// * Everything routes through whatever backend it wraps, so putting a
 ///   `MagazineCache` underneath turns every allocation and release into a
-///   magazine operation; the facade adds no locks of its own, and its one
-///   always-on count — the requested/granted odometer — lives on a stripe
-///   per thread that the thread claims like its cache slot
-///   ([`nbbs_sync::owned`]'s claim rule), so a thread that owns its stripe
-///   books a grant with plain loads and stores on a line no other thread
-///   writes.
+///   magazine operation; the facade adds no locks of its own, and its
+///   always-on counts — the requested/granted odometer and the grow/shrink
+///   split — live on a stripe per thread that the thread claims like its
+///   cache slot ([`nbbs_sync::owned`]'s claim rule), so a thread that owns
+///   its stripe books a grant or a resize with plain loads and stores on a
+///   line no other thread writes.
 ///
 /// Zero-sized layouts are grilled up to one allocation unit rather than
 /// handed a dangling pointer: the facade's pointers are always real,
@@ -67,12 +67,9 @@ pub struct NbbsAllocator<A: BuddyBackend> {
     /// reported hard out-of-memory, replenished only by frees of its own
     /// blocks.
     reserve: Option<EmergencyReserve>,
-    grows_in_place: AtomicU64,
-    grows_moved: AtomicU64,
-    shrinks_in_place: AtomicU64,
-    shrinks_moved: AtomicU64,
-    /// The cumulative `(requested, granted)` byte odometer; shared with the
-    /// global shell's exit hook, which gives the exiting thread's stripe up.
+    /// The cumulative counts: the `(requested, granted)` byte odometer and
+    /// the grow/shrink split; shared with the global shell's exit hook,
+    /// which gives the exiting thread's stripe up.
     odometer: Arc<Odometer>,
     /// Optional observer.  Every *public* facade operation records exactly
     /// one event (a moved grow is one `Grow`, not a `Grow` + `Alloc` +
@@ -89,10 +86,6 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         NbbsAllocator {
             region: BuddyRegion::new(backend),
             reserve: None,
-            grows_in_place: AtomicU64::new(0),
-            grows_moved: AtomicU64::new(0),
-            shrinks_in_place: AtomicU64::new(0),
-            shrinks_moved: AtomicU64::new(0),
             odometer: Arc::new(Odometer::new(default_stripes())),
             obs: None,
         }
@@ -224,17 +217,10 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// The two `system_*` fields are the global shell's and stay zero.
     pub fn facade_stats(&self) -> FacadeStatsSnapshot {
         let reserve = self.reserve_stats().unwrap_or_default();
-        let (requested_bytes, granted_bytes) = self.odometer.totals();
         FacadeStatsSnapshot {
-            grows_in_place: self.grows_in_place.load(Ordering::Relaxed),
-            grows_moved: self.grows_moved.load(Ordering::Relaxed),
-            shrinks_in_place: self.shrinks_in_place.load(Ordering::Relaxed),
-            shrinks_moved: self.shrinks_moved.load(Ordering::Relaxed),
-            requested_bytes,
-            granted_bytes,
             reserve_hits: reserve.hits,
             reserve_refills: reserve.refills,
-            ..FacadeStatsSnapshot::default()
+            ..self.odometer.totals()
         }
     }
 
@@ -458,7 +444,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         debug_assert!(new_layout.size() >= old_layout.size());
         if let Some(granted) = self.granted_size(old_layout) {
             if self.stays_in_place(ptr, granted, new_layout) {
-                self.grows_in_place.fetch_add(1, Ordering::Relaxed);
+                self.odometer.count(|c| &c.grows_in_place);
                 return Ok(NonNull::slice_from_raw_parts(ptr, granted));
             }
         }
@@ -471,7 +457,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             old_layout.size(),
         );
         self.deallocate_inner(ptr, old_layout);
-        self.grows_moved.fetch_add(1, Ordering::Relaxed);
+        self.odometer.count(|c| &c.grows_moved);
         Ok(new_block)
     }
 
@@ -523,7 +509,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         let Some(granted) = self.granted_size(old_layout) else {
             // Unreachable for a correctly-used facade (the old layout was
             // allocatable); keep the block rather than guess.
-            self.shrinks_in_place.fetch_add(1, Ordering::Relaxed);
+            self.odometer.count(|c| &c.shrinks_in_place);
             return Ok(NonNull::slice_from_raw_parts(ptr, new_layout.size()));
         };
         // Any other class moves, whether the new layout outgrows the block
@@ -531,7 +517,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         // move that fails is the caller's error to see — the block is still
         // theirs under `old_layout`.
         if self.stays_in_place(ptr, granted, new_layout) {
-            self.shrinks_in_place.fetch_add(1, Ordering::Relaxed);
+            self.odometer.count(|c| &c.shrinks_in_place);
             return Ok(NonNull::slice_from_raw_parts(ptr, granted));
         }
         let new_block = self.allocate_inner(new_layout)?;
@@ -543,21 +529,22 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             new_layout.size(),
         );
         self.deallocate_inner(ptr, old_layout);
-        self.shrinks_moved.fetch_add(1, Ordering::Relaxed);
+        self.odometer.count(|c| &c.shrinks_moved);
         Ok(new_block)
     }
 }
 
-/// The facade's cumulative `(requested, granted)` byte odometer: one stripe
-/// per [`thread_stripe`] of [`default_stripes`] — the size and index of the
-/// cache's default slot table — each with a shared line beside it.
+/// The facade's cumulative counts, the `(requested, granted)` byte odometer
+/// and the grow/shrink split: one stripe per [`thread_stripe`] of
+/// [`default_stripes`] — the size and index of the cache's default slot
+/// table — each with a shared line beside it.
 ///
 /// A thread claims its stripe on first use ([`Claim::hold`]) and from then
-/// on is its only writer, so it books a grant with plain loads and stores:
-/// no read-modify-write, on a line no other thread writes.  A thread whose
-/// stripe another live thread holds adds to that stripe's shared line with
-/// `fetch_add`, so crowded threads spread over as many lines as there are
-/// stripes.  The global shell's exit hook gives a thread's stripe up
+/// on is its only writer, so it books a grant or a resize with plain loads
+/// and stores: no read-modify-write, on a line no other thread writes.  A
+/// thread whose stripe another live thread holds adds to that stripe's
+/// shared line with `fetch_add`, so crowded threads spread over as many
+/// lines as there are stripes.  The global shell's exit hook gives a thread's stripe up
 /// ([`Odometer::release_mine`]); the stripe of a thread that exits without
 /// it stays claimed, and later threads mapping there use its shared line —
 /// exact, and as spread as a table of plain atomic stripes.  Every line
@@ -576,10 +563,28 @@ struct Stripe {
     counts: CachePadded<Counts>,
 }
 
+/// What a stripe or a shared line counts (one line's worth).
 #[derive(Default)]
 struct Counts {
     requested: AtomicU64,
     granted: AtomicU64,
+    grows_in_place: AtomicU64,
+    grows_moved: AtomicU64,
+    shrinks_in_place: AtomicU64,
+    shrinks_moved: AtomicU64,
+}
+
+/// Adds `by` to `cell`.  The holder of a stripe is its only writer, so a
+/// plain load and store (`owned`) cannot lose an update, and the claim's
+/// Acquire/Release hands the running sums from one holder to the next; a
+/// shared line takes a `fetch_add`.
+#[inline]
+fn bump(cell: &AtomicU64, by: u64, owned: bool) {
+    if owned {
+        cell.store(cell.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+    } else {
+        cell.fetch_add(by, Ordering::Relaxed);
+    }
 }
 
 impl Odometer {
@@ -590,39 +595,58 @@ impl Odometer {
         }
     }
 
-    /// Adds one grant on the calling thread's stripe.
+    /// Runs `book` on the calling thread's counts: its own stripe when it
+    /// holds it (`owned`), else that stripe's shared line.
     #[inline]
-    fn add(&self, requested: u64, granted: u64) {
+    fn book(&self, book: impl FnOnce(&Counts, bool)) {
         let index = thread_stripe(self.stripes.len());
         let stripe = &self.stripes[index];
         if stripe.claim.hold() {
-            // The holder is the stripe's only writer: a plain load and
-            // store cannot lose an update, and the claim's Acquire/Release
-            // hands the running sums from one holder to the next.
-            let counts = &stripe.counts;
-            let requested = counts.requested.load(Ordering::Relaxed) + requested;
-            let granted = counts.granted.load(Ordering::Relaxed) + granted;
-            counts.requested.store(requested, Ordering::Relaxed);
-            counts.granted.store(granted, Ordering::Relaxed);
+            book(&stripe.counts, true);
         } else {
-            let shared = &self.shared[index];
-            shared.requested.fetch_add(requested, Ordering::Relaxed);
-            shared.granted.fetch_add(granted, Ordering::Relaxed);
+            book(&self.shared[index], false);
         }
     }
 
-    /// `(requested, granted)` summed over every stripe.
-    fn totals(&self) -> (u64, u64) {
-        self.stripes
+    /// Adds one grant on the calling thread's stripe.
+    #[inline]
+    fn add(&self, requested: u64, granted: u64) {
+        self.book(|c, owned| {
+            bump(&c.requested, requested, owned);
+            bump(&c.granted, granted, owned);
+        });
+    }
+
+    /// Counts one event (a grow or shrink outcome) on the calling thread's
+    /// stripe.
+    #[inline]
+    fn count(&self, tally: fn(&Counts) -> &AtomicU64) {
+        self.book(|c, owned| bump(tally(c), 1, owned));
+    }
+
+    /// Every count summed over every line, in the snapshot's fields (the
+    /// reserve's and the global shell's stay zero).
+    fn totals(&self) -> FacadeStatsSnapshot {
+        let lines = self
+            .stripes
             .iter()
             .map(|s| &*s.counts)
-            .chain(self.shared.iter().map(|c| &**c))
-            .fold((0, 0), |(requested, granted), c| {
-                (
-                    requested + c.requested.load(Ordering::Relaxed),
-                    granted + c.granted.load(Ordering::Relaxed),
-                )
-            })
+            .chain(self.shared.iter().map(|c| &**c));
+        let sum = |tally: fn(&Counts) -> &AtomicU64| {
+            lines
+                .clone()
+                .map(|c| tally(c).load(Ordering::Relaxed))
+                .sum()
+        };
+        FacadeStatsSnapshot {
+            grows_in_place: sum(|c| &c.grows_in_place),
+            grows_moved: sum(|c| &c.grows_moved),
+            shrinks_in_place: sum(|c| &c.shrinks_in_place),
+            shrinks_moved: sum(|c| &c.shrinks_moved),
+            requested_bytes: sum(|c| &c.requested),
+            granted_bytes: sum(|c| &c.granted),
+            ..FacadeStatsSnapshot::default()
+        }
     }
 
     /// Gives the calling thread's stripe up, so the next thread mapping to
@@ -925,7 +949,39 @@ mod tests {
             odometer.stripes[0].counts.requested.load(Ordering::Relaxed),
             101
         );
-        assert_eq!(odometer.totals(), (111, 222));
+        let totals = odometer.totals();
+        assert_eq!((totals.requested_bytes, totals.granted_bytes), (111, 222));
+    }
+
+    #[test]
+    fn resize_counts_sum_over_owned_stripes_and_shared_lines() {
+        let odometer = Arc::new(Odometer::new(1));
+        odometer.count(|c| &c.grows_in_place);
+        let crowded = Arc::clone(&odometer);
+        std::thread::spawn(move || {
+            crowded.count(|c| &c.grows_in_place);
+            crowded.count(|c| &c.shrinks_moved);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            odometer.stripes[0]
+                .counts
+                .grows_in_place
+                .load(Ordering::Relaxed),
+            1
+        );
+        assert_eq!(odometer.shared[0].grows_in_place.load(Ordering::Relaxed), 1);
+        let totals = odometer.totals();
+        assert_eq!(
+            (
+                totals.grows_in_place,
+                totals.grows_moved,
+                totals.shrinks_in_place,
+                totals.shrinks_moved
+            ),
+            (2, 0, 0, 1)
+        );
     }
 
     #[test]

@@ -438,8 +438,9 @@ impl NbbsGlobalAlloc {
     /// zeroed here, since chunks are recycled dirty; a request that goes to
     /// `System` (before or during the build, oversized, failed over) asks
     /// it for zeroed memory, which for a large size is fresh demand-zero
-    /// pages rather than a memset.  The stack's own span-sized metadata is
-    /// such a request while the stack is being built.
+    /// pages rather than a memset.  The stack's own metadata arrays below
+    /// 64 KiB are such requests while the stack is being built (larger ones
+    /// are mapped directly, see [`nbbs_sync::zeroed_slice`]).
     #[inline(always)]
     unsafe fn serve(&self, layout: Layout, zeroed: bool) -> *mut u8 {
         let Some(state) = self.state() else {

@@ -12,10 +12,11 @@ use crate::error::ConfigError;
 
 /// Maximum supported tree depth.
 ///
-/// Node indices must fit in a `u32` (the `index[]` array stores them as
-/// `u32`), which caps the depth at 30; this is far beyond anything practical
-/// (a depth-30 tree over 8-byte units would describe an 8 GiB region with
-/// two billion tracked leaves).
+/// The node arrays bound it: a tree of depth `d` keeps `2^(d+1)` nodes, so
+/// at depth 30 the 1-level store alone reserves 2 GiB of node bytes to
+/// describe an 8 GiB region in 8-byte units, far beyond anything practical.
+/// (`index[]` records a level plus one in a byte, which this cap keeps
+/// well within range.)
 pub const MAX_DEPTH: u32 = 30;
 
 /// Policy used by the level scan of `NBALLOC` to pick its starting node.

@@ -138,6 +138,7 @@
 // zero cost in production.
 #[cfg(nbbs_model)]
 use nbbs_sync::shadow::AtomicU64;
+use nbbs_sync::ZeroedSlice;
 #[cfg(not(nbbs_model))]
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -351,7 +352,7 @@ pub struct BunchStore {
     bgeo: BunchGeometry,
     /// One 64-bit word per bunch; bits `[5j, 5j+5)` hold the status of the
     /// bunch's `j`-th stored node.
-    words: Box<[AtomicU64]>,
+    words: ZeroedSlice<AtomicU64>,
 }
 
 impl BunchStore {

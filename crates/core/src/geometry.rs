@@ -135,6 +135,17 @@ impl Geometry {
         (1usize << level) + position
     }
 
+    /// The node of `level` whose chunk starts at `offset` (`offset` must be
+    /// a multiple of that level's size): `2^level + offset / size(level)`,
+    /// in shifts only.  The inverse of Rule (3) for a known level, which is
+    /// how `NBFREE` rebuilds a node from the level `index[]` records.
+    #[inline]
+    pub fn node_at_offset(&self, level: u32, offset: usize) -> usize {
+        debug_assert!(level <= self.depth);
+        debug_assert!(offset.is_multiple_of(self.size_of_level(level)));
+        (1usize << level) + (offset >> (self.total_memory.trailing_zeros() - level))
+    }
+
     /// The deepest level whose chunks are large enough to satisfy `size`
     /// bytes, i.e. the paper's
     /// `level = min(depth, ⌊log2(total_memory / size)⌋)`.

@@ -90,7 +90,7 @@
 //! |---|---|
 //! | `NBALLOC`, `NBFREE` | [`BuddyBackend::alloc`], [`BuddyBackend::dealloc`]: the one shell, [`tree::BuddyTree`] |
 //! | `TRYALLOC`, `FREENODE`, `UNMARK` | [`tree::NodeStore::try_alloc_node`] and [`tree::NodeStore::free_node`] of the two stores, [`onelvl::ByteStore`] and [`fourlvl::BunchStore`] |
-//! | `index[]` | the shell's `index` field (one `AtomicU32` per allocation unit) |
+//! | `index[]` | the shell's `index` field (one `AtomicU8` per allocation unit: the serving node's level plus one) |
 //! | `tree[]` | the store: one `AtomicU8` per node, or one `AtomicU64` per bunch |
 //! | status bits (Fig. 1) | [`status`] module |
 //! | bunch (§III-D) | [`fourlvl::BunchGeometry`] |

@@ -28,6 +28,7 @@
 
 #[cfg(nbbs_model)]
 use nbbs_sync::shadow::AtomicU8;
+use nbbs_sync::ZeroedSlice;
 #[cfg(not(nbbs_model))]
 use std::sync::atomic::AtomicU8;
 use std::sync::atomic::Ordering;
@@ -47,7 +48,7 @@ pub type NbbsOneLevel = BuddyTree<ByteStore>;
 /// each; index 0 unused, root at 1.
 pub struct ByteStore {
     geo: Geometry,
-    tree: Box<[AtomicU8]>,
+    tree: ZeroedSlice<AtomicU8>,
 }
 
 impl ByteStore {

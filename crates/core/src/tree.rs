@@ -22,10 +22,11 @@
 //! the interleavings of exactly the accesses this file and the stores make.
 
 #[cfg(nbbs_model)]
-use nbbs_sync::shadow::AtomicU32;
+use nbbs_sync::shadow::AtomicU8;
+use nbbs_sync::ZeroedSlice;
 use std::fmt;
 #[cfg(not(nbbs_model))]
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::AtomicU8;
 use std::sync::atomic::Ordering;
 
 use crate::config::{BuddyConfig, ScanPolicy};
@@ -142,10 +143,14 @@ pub struct BuddyTree<S> {
     scan_policy: ScanPolicy,
     /// `tree[]`, in the variant's encoding.
     store: S,
-    /// `index[]`: for each allocation unit, the node that served the chunk
-    /// starting there.  Written on allocation, read on release; never cleared
-    /// (the paper keeps stale entries, later allocations overwrite them).
-    index: Box<[AtomicU32]>,
+    /// `index[]`: for each allocation unit, the level of the node that
+    /// served the chunk starting there, plus one (0: never written).  The
+    /// level and the unit's own offset name the node
+    /// ([`Geometry::node_at_offset`]), so one byte per unit says what the
+    /// paper's node index says.  Written on allocation, read on release;
+    /// never cleared (the paper keeps stale entries, later allocations
+    /// overwrite them).
+    index: ZeroedSlice<AtomicU8>,
     /// Bytes currently handed out (granted sizes), counted per thread so
     /// the last step of an operation stays on the caller's own line.
     allocated: ByteGauge,
@@ -156,14 +161,14 @@ impl<S: NodeStore> BuddyTree<S> {
     /// Creates an allocator for the given configuration.
     ///
     /// Metadata footprint: the store's node words (one byte per node for
-    /// the 1-level, one 64-bit word per bunch for the 4-level) plus a `u32`
+    /// the 1-level, one 64-bit word per bunch for the 4-level) plus one byte
     /// per allocation unit.  That much is reserved; it comes from zeroed
     /// memory ([`nbbs_sync::zeroed_slice`]), so on a demand-zero backing it
     /// is resident only on the pages an operation has written.
     pub fn new(config: BuddyConfig) -> Self {
         let geo = Geometry::new(&config);
         let store = S::new(geo);
-        let index = nbbs_sync::zeroed_slice::<AtomicU32>(geo.unit_count());
+        let index = nbbs_sync::zeroed_slice::<AtomicU8>(geo.unit_count());
         BuddyTree {
             geo,
             scan_policy: config.scan_policy(),
@@ -286,19 +291,31 @@ impl<S: NodeStore> BuddyTree<S> {
     }
 
     /// What follows a successful `TRYALLOC` of node `n`: record which node
-    /// serves this address (line A15), then count the grant.
+    /// serves this address (line A15) by its level, then count the grant.
     #[inline]
     fn record_grant(&self, n: usize, offset: usize, granted: usize) {
-        self.index[self.geo.unit_of_offset(offset)].store(n as u32, Ordering::Release);
+        // MAX_DEPTH (30) keeps `level + 1` within a byte.
+        let entry = self.geo.level_of(n) as u8 + 1;
+        self.index[self.geo.unit_of_offset(offset)].store(entry, Ordering::Release);
         self.allocated.add(granted);
         self.stats.record_alloc(1);
     }
 
-    /// The `index[]` entry of the unit starting at `offset` (0: never
-    /// written).
+    /// The node the `index[]` entry of the unit starting at `offset` names
+    /// (0: never written).
     #[inline]
     fn recorded_node(&self, offset: usize) -> usize {
-        self.index[self.geo.unit_of_offset(offset)].load(Ordering::Acquire) as usize
+        let entry = self.index[self.geo.unit_of_offset(offset)].load(Ordering::Acquire);
+        self.node_of_entry(entry, offset)
+    }
+
+    /// Decodes an `index[]` entry of the unit starting at `offset`.
+    #[inline]
+    fn node_of_entry(&self, entry: u8, offset: usize) -> usize {
+        match entry {
+            0 => 0,
+            stored => self.geo.node_at_offset(u32::from(stored) - 1, offset),
+        }
     }
 
     /// Releases the chunk starting at byte `offset` (the paper's `NBFREE`).
@@ -417,7 +434,8 @@ impl<S: NodeStore> TreeInspect for BuddyTree<S> {
     }
 
     fn recorded_node_of_unit(&self, unit: usize) -> Option<usize> {
-        match self.index[unit].load(Ordering::Acquire) as usize {
+        let entry = self.index[unit].load(Ordering::Acquire);
+        match self.node_of_entry(entry, unit * self.geo.min_size()) {
             0 => None,
             n => Some(n),
         }
@@ -830,6 +848,29 @@ pub(crate) mod suite {
         assert_eq!(b.granted_size_of_live(off), None);
     }
 
+    /// `index[]` holds a level, and the unit's offset supplies the rest:
+    /// every node of every level, the root's 0-level entry (stored as 1)
+    /// included, must come back as itself.
+    pub(crate) fn index_names_every_node_of_every_level<S: NodeStore>() {
+        let b = buddy::<S>(1024, 64, 1024);
+        let g = *b.geometry();
+        for level in g.max_level()..=g.depth() {
+            let size = g.size_of_level(level);
+            for position in 0..g.nodes_at_level(level) {
+                let node = g.node_at(level, position);
+                let offset = position * size;
+                assert!(b.claim_block(offset, size), "node {node}");
+                assert_eq!(b.granted_size_of_live(offset), Some(size), "node {node}");
+                assert_eq!(
+                    b.recorded_node_of_unit(g.unit_of_offset(offset)),
+                    Some(node)
+                );
+                b.dealloc(offset);
+                assert_clean(&b);
+            }
+        }
+    }
+
     pub(crate) fn debug_output_mentions_sizes<S: NodeStore>() {
         let s = format!("{:?}", buddy::<S>(2048, 64, 1024));
         assert!(s.starts_with(S::TYPE_NAME), "{s}");
@@ -862,6 +903,7 @@ pub(crate) mod suite {
                 concurrent_producer_consumer_frees,
                 trait_object_usage,
                 granted_size_of_live_tracks_allocations,
+                index_names_every_node_of_every_level,
                 debug_output_mentions_sizes
             );
         };

@@ -60,7 +60,7 @@ use nbbs::error::{AllocError, FreeError};
 use nbbs::stats::{FragClassSnapshot, FragStatsSnapshot};
 use nbbs::{BuddyBackend, BuddyConfig, Geometry};
 use nbbs_obs::{OpKind, Recorder};
-use nbbs_sync::{zeroed_slice, BoundedStack, CachePadded, SpinLock};
+use nbbs_sync::{zeroed_slice, BoundedStack, CachePadded, SpinLock, ZeroedSlice};
 
 /// Smallest class size and slot granule: every class size is a multiple of
 /// this, so every object offset is too.
@@ -221,9 +221,9 @@ pub struct SlabBackend<A> {
     classes: Vec<usize>,
     class_ctl: Vec<ClassCtl>,
     /// One state word per page slot of the managed span.
-    pages: Box<[AtomicU64]>,
+    pages: ZeroedSlice<AtomicU64>,
     /// `words_per_page` bitmap words per page slot.
-    bitmap: Box<[AtomicU64]>,
+    bitmap: ZeroedSlice<AtomicU64>,
     words_per_page: usize,
     pages_held: AtomicU64,
     pages_retired: AtomicU64,

@@ -38,9 +38,10 @@
 //!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores) and
 //!   [`OwnedSlots`] compile against them under `--cfg nbbs_model` so the
 //!   `nbbs-model` crate can enumerate their interleavings.
-//! * [`zeroed_slice`] — span-sized arrays of atomics taken from zeroed
-//!   memory (`alloc_zeroed`), so the trees' and the slab's metadata costs
-//!   a physical page only where something writes it.
+//! * [`zeroed_slice`] — span-sized arrays of atomics taken from memory the
+//!   kernel zeroes on demand (an anonymous mapping from 64 KiB up,
+//!   `alloc_zeroed` below), so the trees' and the slab's metadata costs a
+//!   physical page only where something writes it.
 //!
 //! Everything here is dependency-free; `unsafe` is confined to the interior
 //! of the synchronization primitives (the lock, stack and slot value
@@ -68,4 +69,4 @@ pub use tid::{
     available_cpus, default_stripes, set_thread_node, thread_node, thread_ordinal, thread_stripe,
 };
 pub use treiber::BoundedStack;
-pub use zeroed::{zeroed_slice, Zeroable};
+pub use zeroed::{zeroed_slice, Zeroable, ZeroedSlice};

@@ -540,8 +540,8 @@ macro_rules! shadow_atomic {
         unsafe impl crate::zeroed::Zeroable for $name {
             /// Built element by element, as the shadow cells always were, so
             /// the model build allocates and constructs nothing new.
-            fn zeroed_slice(n: usize) -> Box<[Self]> {
-                (0..n).map(|_| Self::new(0)).collect()
+            fn zeroed_slice(n: usize) -> crate::zeroed::ZeroedSlice<Self> {
+                (0..n).map(|_| Self::new(0)).collect::<Box<[_]>>().into()
             }
         }
     };

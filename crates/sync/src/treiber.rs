@@ -22,15 +22,23 @@
 //! whole made progress.  `push` is total — when the slab is exhausted it
 //! returns the value to the caller instead of blocking or allocating.
 //!
+//! A new stack writes none of its slots.  A slot's link is stored XOR its
+//! *initial* successor (`i + 1`, or `NIL` for the last slot), so the
+//! all-zero slot is already chained onto the initial free list, and the
+//! slab comes from zeroed memory ([`crate::zeroed_slice`]): a stack sized
+//! for the worst case costs resident memory only for the slots it uses.
+//!
 //! This is the depot substrate of the `nbbs-cache` magazine layer: full
 //! magazine exchange between threads becomes two CASes (free-list pop +
 //! full-list push, or vice versa) with no mutex anywhere on the path.
 
 use std::cell::UnsafeCell;
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use crate::backoff::Backoff;
+use crate::zeroed::{zeroed_slice, Zeroable, ZeroedSlice};
 
 /// Sentinel index terminating a list.
 const NIL: u32 = u32::MAX;
@@ -46,13 +54,18 @@ fn unpack(head: u64) -> (u32, u32) {
 }
 
 struct Slot<T> {
-    /// Index of the next slot on whichever list this slot is linked on.
-    next: AtomicU32,
-    /// The payload; `Some` exactly while the slot is on the full list (or
-    /// privately owned by a pusher that has written it / a popper that has
-    /// not yet taken it).
-    value: UnsafeCell<Option<T>>,
+    /// Index of the next slot on whichever list this slot is linked on,
+    /// XOR the slot's initial successor ([`BoundedStack::initial_next`]).
+    link: AtomicU32,
+    /// The payload; initialised exactly while the slot is on the full list
+    /// (or privately owned by a pusher that has written it / a popper that
+    /// has not yet taken it).
+    value: UnsafeCell<MaybeUninit<T>>,
 }
+
+// SAFETY: an all-zero `AtomicU32` is `new(0)`, and any bytes are a valid
+// `MaybeUninit`.
+unsafe impl<T> Zeroable for Slot<T> {}
 
 /// A fixed-capacity, lock-free Treiber stack of `T`.
 ///
@@ -71,7 +84,7 @@ struct Slot<T> {
 /// assert_eq!(stack.pop(), None);
 /// ```
 pub struct BoundedStack<T> {
-    slots: Box<[Slot<T>]>,
+    slots: ZeroedSlice<Slot<T>>,
     /// Packed `(tag, index)` head of the free list.
     free: AtomicU64,
     /// Packed `(tag, index)` head of the full list.
@@ -117,15 +130,9 @@ impl<T> BoundedStack<T> {
             capacity < NIL as usize,
             "BoundedStack capacity {capacity} exceeds the u32 index space"
         );
-        let slots: Box<[Slot<T>]> = (0..capacity)
-            .map(|i| Slot {
-                // Chain every slot onto the initial free list: i -> i + 1.
-                next: AtomicU32::new(if i + 1 < capacity { i as u32 + 1 } else { NIL }),
-                value: UnsafeCell::new(None),
-            })
-            .collect();
         BoundedStack {
-            slots,
+            // Zeroed slots are chained i -> i + 1: the initial free list.
+            slots: zeroed_slice(capacity),
             free: AtomicU64::new(pack(tag, if capacity == 0 { NIL } else { 0 })),
             full: AtomicU64::new(pack(tag, NIL)),
             len: AtomicUsize::new(0),
@@ -157,6 +164,29 @@ impl<T> BoundedStack<T> {
         self.len() == 0
     }
 
+    /// The successor slot `idx` is linked to before anything is stored in
+    /// it: the next slot, or `NIL` after the last.
+    #[inline]
+    fn initial_next(&self, idx: u32) -> u32 {
+        if idx as usize + 1 < self.slots.len() {
+            idx + 1
+        } else {
+            NIL
+        }
+    }
+
+    #[inline]
+    fn next(&self, idx: u32) -> u32 {
+        self.slots[idx as usize].link.load(Ordering::Relaxed) ^ self.initial_next(idx)
+    }
+
+    #[inline]
+    fn set_next(&self, idx: u32, next: u32) {
+        self.slots[idx as usize]
+            .link
+            .store(next ^ self.initial_next(idx), Ordering::Relaxed);
+    }
+
     /// Pops the head slot of `list`, transferring its ownership to the
     /// caller.
     fn pop_idx(&self, list: &AtomicU64) -> Option<u32> {
@@ -170,7 +200,7 @@ impl<T> BoundedStack<T> {
             // Reading a racing `next` is fine: if the slot was concurrently
             // popped (and possibly re-pushed), the tag moved and our CAS
             // below fails.
-            let next = self.slots[idx as usize].next.load(Ordering::Relaxed);
+            let next = self.next(idx);
             match list.compare_exchange_weak(
                 cur,
                 pack(tag.wrapping_add(1), next),
@@ -194,9 +224,7 @@ impl<T> BoundedStack<T> {
         let mut cur = list.load(Ordering::Relaxed);
         loop {
             let (tag, head_idx) = unpack(cur);
-            self.slots[idx as usize]
-                .next
-                .store(head_idx, Ordering::Relaxed);
+            self.set_next(idx, head_idx);
             match list.compare_exchange_weak(
                 cur,
                 pack(tag.wrapping_add(1), idx),
@@ -224,7 +252,7 @@ impl<T> BoundedStack<T> {
         // SAFETY: popping from the free list made this thread the slot's
         // sole owner until the full-list push below publishes it.
         unsafe {
-            *self.slots[idx as usize].value.get() = Some(value);
+            (*self.slots[idx as usize].value.get()).write(value);
         }
         self.len.fetch_add(1, Ordering::Relaxed);
         self.push_idx(&self.full, idx);
@@ -237,13 +265,13 @@ impl<T> BoundedStack<T> {
     pub fn pop(&self) -> Option<T> {
         let idx = self.pop_idx(&self.full)?;
         // SAFETY: popping from the full list made this thread the slot's
-        // sole owner; the pusher's release CAS ordered its payload write
-        // before our acquire.
-        let value = unsafe { (*self.slots[idx as usize].value.get()).take() };
-        debug_assert!(value.is_some(), "full-list slot carried no value");
+        // sole owner of an initialised value; the pusher's release CAS
+        // ordered its payload write before our acquire, and the slot goes
+        // to the free list, whose slots are never read, right after.
+        let value = unsafe { (*self.slots[idx as usize].value.get()).assume_init_read() };
         self.len.fetch_sub(1, Ordering::Relaxed);
         self.push_idx(&self.free, idx);
-        value
+        Some(value)
     }
 
     /// Pops every value currently reachable, in LIFO order.
@@ -256,6 +284,20 @@ impl<T> BoundedStack<T> {
             out.push(v);
         }
         out
+    }
+}
+
+impl<T> Drop for BoundedStack<T> {
+    /// Drops the values still on the full list.
+    fn drop(&mut self) {
+        let (_, mut idx) = unpack(*self.full.get_mut());
+        while idx != NIL {
+            // SAFETY: `&mut self` rules out an operation in flight, so every
+            // slot on the full list holds an initialised value nobody else
+            // will read.
+            unsafe { (*self.slots[idx as usize].value.get()).assume_init_drop() };
+            idx = self.next(idx);
+        }
     }
 }
 

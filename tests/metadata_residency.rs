@@ -1,18 +1,29 @@
 //! What the shipped tree's metadata costs in resident memory.
 //!
 //! `NbbsFourLevel` over the arena `NbbsGlobalAlloc`'s documentation shows
-//! (64 MiB in 32 B units, 64 KiB blocks) reserves 16.5 MiB of metadata: an
-//! 8 MiB `index[]` and 8.5 MiB of bunch words.  Both come from zeroed
-//! memory, so building the tree must not write them, and serving one block
-//! must cost a few pages, not the arrays.
+//! (64 MiB in 32 B units, 64 KiB blocks) reserves 10.5 MiB of metadata: a
+//! 2 MiB `index[]` (one byte per unit) and 8.5 MiB of bunch words.  Both
+//! come from zeroed memory, so building the tree must not write them,
+//! serving one block must cost a few pages, not the arrays, and blocks
+//! spread over the whole span must cost what their `index[]` bytes and
+//! node words fill, not four times that.  A slab over the tree keeps its
+//! page words, bitmap and per-class partial lists in zeroed memory too, so
+//! building it must not write them either.
 //!
 //! The figure read is the `Anonymous:` line of `/proc/self/smaps_rollup`.
 //! With transparent huge pages set to `[always]` the kernel may back a first
 //! write with a 2 MiB page, so residency no longer follows the pages
-//! written; the test then says so and checks nothing.  It prints the mode it
-//! ran under either way.
+//! written; the tests then say so and check nothing.  They print the mode
+//! they ran under either way, and run one at a time: each reads what the
+//! whole process holds.
+
+use std::sync::Mutex;
 
 use nbbs::{BuddyConfig, BuddyRegion, NbbsFourLevel};
+use nbbs_slab::SlabBackend;
+
+/// Held by each test while it reads the process's resident memory.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Anonymous resident memory of this process, in KiB.
 fn anonymous_kib() -> Option<usize> {
@@ -29,8 +40,9 @@ fn thp_mode() -> Option<String> {
     Some(modes.get(open..close)?.to_string())
 }
 
-#[test]
-fn the_shipped_tree_is_resident_only_where_written() {
+/// Anonymous resident memory now, or `None` (with the reason on stderr)
+/// where the figure would not mean what the tests assert.
+fn resident_kib_if_meaningful() -> Option<usize> {
     let thp = thp_mode();
     eprintln!(
         "transparent huge pages: [{}]",
@@ -41,18 +53,31 @@ fn the_shipped_tree_is_resident_only_where_written() {
             "skipped: with THP [always] a first write may fault in a 2 MiB page, \
              so resident memory does not follow the pages written"
         );
-        return;
+        return None;
     }
-    let Some(before) = anonymous_kib() else {
+    let kib = anonymous_kib();
+    if kib.is_none() {
         eprintln!("skipped: /proc/self/smaps_rollup is not readable here");
+    }
+    kib
+}
+
+fn shipped_tree() -> NbbsFourLevel {
+    NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap())
+}
+
+#[test]
+fn the_shipped_tree_is_resident_only_where_written() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(before) = resident_kib_if_meaningful() else {
         return;
     };
 
-    let tree = NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap());
+    let tree = shipped_tree();
     let built = anonymous_kib().unwrap();
     assert!(
         built.saturating_sub(before) < 512,
-        "building the tree made {} KiB resident (16.5 MiB reserved)",
+        "building the tree made {} KiB resident (10.5 MiB reserved)",
         built.saturating_sub(before)
     );
 
@@ -72,4 +97,54 @@ fn the_shipped_tree_is_resident_only_where_written() {
         served.saturating_sub(built)
     );
     assert_eq!(region.allocated_bytes(), 0);
+}
+
+/// One 4 KiB block every 32 KiB writes one `index[]` entry per 1 024 units
+/// and so touches every page of `index[]`: 2 MiB at a byte per unit (8 MiB
+/// at the four bytes a node index took), plus the node words on the blocks'
+/// paths.
+#[test]
+fn blocks_across_the_whole_span_cost_a_byte_of_index_per_unit() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let Some(before) = resident_kib_if_meaningful() else {
+        return;
+    };
+
+    let tree = shipped_tree();
+    let blocks = (0..64 << 20).step_by(32 << 10);
+    for offset in blocks.clone() {
+        assert!(tree.claim_block(offset, 4 << 10), "block at {offset}");
+    }
+    let spread = anonymous_kib().unwrap().saturating_sub(before);
+    eprintln!(
+        "resident: +{spread} KiB for a tree holding {} blocks of 4 KiB, one per 32 KiB",
+        blocks.len()
+    );
+    assert!(
+        spread < 2560,
+        "{} blocks spread over the span made {spread} KiB resident",
+        blocks.len()
+    );
+    for offset in blocks {
+        tree.dealloc(offset);
+    }
+    assert_eq!(tree.allocated_bytes(), 0);
+}
+
+#[test]
+fn a_slab_over_the_shipped_tree_builds_without_writing_its_lists() {
+    let _one = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = shipped_tree();
+    let Some(before) = resident_kib_if_meaningful() else {
+        return;
+    };
+
+    let slab = SlabBackend::new(tree);
+    let built = anonymous_kib().unwrap().saturating_sub(before);
+    eprintln!("resident: +{built} KiB for a slab over the shipped tree");
+    assert!(
+        built < 256,
+        "building the slab made {built} KiB resident ({} classes)",
+        slab.class_sizes().len()
+    );
 }
