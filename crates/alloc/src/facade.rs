@@ -100,11 +100,6 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         self
     }
 
-    /// Sets or clears the observer in place.
-    pub fn set_recorder(&mut self, recorder: Option<Arc<Recorder>>) {
-        self.obs = recorder;
-    }
-
     /// The attached observer, if any.
     pub fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.obs.as_ref()
@@ -204,12 +199,6 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             .as_ref()
             .map_or(0, EmergencyReserve::idle_bytes);
         self.region.allocated_bytes().saturating_sub(idle)
-    }
-
-    /// Committed-versus-managed accounting of the backing region, including
-    /// the decommit scrubber's counters.
-    pub fn memory_stats(&self) -> nbbs::MemoryStatsSnapshot {
-        self.region.memory_stats()
     }
 
     /// Point-in-time copy of what the facade counts: the grow/shrink split,
@@ -1091,7 +1080,7 @@ mod tests {
         }
         let scrubbed = a.region().scrub_pass();
         assert_eq!(scrubbed, 15 << 12, "idle pages were decommitted");
-        let mem = a.memory_stats();
+        let mem = a.region().memory_stats();
         assert_eq!(mem.scrub_passes, 1);
         assert_eq!(
             mem.committed_bytes,

@@ -1,18 +1,15 @@
 //! The `#[global_allocator]` entry point: a lazily-built, magazine-cached
 //! [`NbbsAllocator`] behind a `const`-constructible shell.
 //!
-//! Replaces the PR-0 thin adapter that used to live in the core crate as
-//! `nbbs::NbbsGlobalAlloc` (deprecated there, deleted since).  What
-//! changed:
+//! The stack is three layers — the lock-free [`NbbsFourLevel`] tree, a
+//! [`MagazineCache`] over it, the [`NbbsAllocator`] facade over that — and
+//! the shell's three sizes are all there is to configure.  Observation and
+//! the background scrubber are armed by the environment alone (`NBBS_OBS`,
+//! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
+//! built.  What the shell adds around the stack:
 //!
-//! * **Cached.**  Requests route through
-//!   `MagazineCache<NodeSet<NbbsFourLevel>>`, so the hot path is a
-//!   per-thread magazine pop/push instead of a tree walk.  The `NodeSet`
-//!   deploys one tree per NUMA node when asked
-//!   ([`NbbsGlobalAlloc::with_nodes`]) — home-node routing, nearest-first
-//!   remote fallback, per-node depot shard banks — and collapses to a
-//!   single node (no measurable routing cost: one shift and mask) by
-//!   default.
+//! * **Cached.**  Requests route through `MagazineCache<NbbsFourLevel>`, so
+//!   the hot path is a per-thread magazine pop/push instead of a tree walk.
 //! * **`OnceLock::get_or_init` first touch.**  The old adapter guarded
 //!   initialization with an `initializing` spin-flag: while one thread
 //!   built the region, every other first-touch thread was waved off to the
@@ -49,13 +46,12 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use nbbs::{BuddyBackend, BuddyConfig, FacadeStatsSnapshot, NbbsFourLevel};
-use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache, NodeOfFn};
-use nbbs_numa::{topology, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
-use nbbs_obs::{MetricsRegistry, ProfileReport, Recorder, DEFAULT_PROFILE_STRIDE};
+use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
+use nbbs_obs::{MetricsRegistry, Recorder, DEFAULT_PROFILE_STRIDE};
 
 use crate::facade::{NbbsAllocator, Odometer};
 
-type CachedTree = MagazineCache<NodeSet<NbbsFourLevel>>;
+type CachedTree = MagazineCache<NbbsFourLevel>;
 
 thread_local! {
     /// True while this thread is inside a facade operation (or exiting):
@@ -162,8 +158,8 @@ impl Arming {
 }
 
 struct State {
-    /// The whole stack: the magazine cache is `facade.backend()`, the node
-    /// set under it `facade.backend().backend()`.
+    /// The whole stack: the magazine cache is `facade.backend()`, the tree
+    /// under it `facade.backend().backend()`.
     facade: NbbsAllocator<Arc<CachedTree>>,
     exit_hook: Arc<ExitLatch>,
     /// What the environment armed when the stack was built.  The observer
@@ -175,9 +171,10 @@ struct State {
 /// Global-allocator facade over the cached non-blocking buddy.
 ///
 /// Construction is `const` so it can sit in a `#[global_allocator]` static;
-/// the full stack (tree → magazine cache → region) is built on first use
-/// under [`OnceLock::get_or_init`].  Invalid size combinations degrade to
-/// the system allocator instead of panicking.
+/// the full stack (tree → magazine cache → facade, over one region) is
+/// built on first use under [`OnceLock::get_or_init`], with whatever the
+/// `NBBS_*` environment arms.  Invalid size combinations degrade to the
+/// system allocator instead of panicking.
 ///
 /// ```no_run
 /// use nbbs_alloc::NbbsGlobalAlloc;
@@ -188,23 +185,14 @@ struct State {
 ///
 /// fn main() {
 ///     let v: Vec<u64> = (0..1024).collect(); // magazine-cached buddy memory
-///     println!("{} ({:.1}% buddy)", v.len(), ALLOC.buddy_share() * 100.0);
+///     let (buddy, system) = ALLOC.bytes_served();
+///     println!("{}: {buddy} B served by the buddy, {system} B by System", v.len());
 /// }
 /// ```
 pub struct NbbsGlobalAlloc {
-    /// Per-node managed bytes (the whole arena when `nodes == 1`).
     total_memory: usize,
     min_size: usize,
     max_size: usize,
-    /// Buddy instances to deploy: 1 = single node (the default), `n` =
-    /// `n` synthetic nodes, 0 = one per detected NUMA node.
-    nodes: usize,
-    /// Force latency recording on (also switchable per process with
-    /// `NBBS_OBS=1`).
-    recording: bool,
-    /// Heap-profiling stride baked in at construction (0 = off unless
-    /// `NBBS_PROFILE` arms it; 1 = sample every allocation).
-    profile_stride: u32,
     state: OnceLock<Option<State>>,
     /// Bytes that fell through to the system allocator (oversized requests,
     /// exhaustion, and the metadata of the initial build).
@@ -213,10 +201,6 @@ pub struct NbbsGlobalAlloc {
     /// `System` — degraded-mode events, distinct from `system_bytes`' routine
     /// oversized/bootstrap traffic.
     system_failovers: AtomicU64,
-    /// Emergency-reserve blocks to carve at build time (0 = no reserve).
-    reserve_blocks: usize,
-    /// Size of each reserve block in bytes.
-    reserve_block_size: usize,
 }
 
 impl NbbsGlobalAlloc {
@@ -228,81 +212,10 @@ impl NbbsGlobalAlloc {
             total_memory,
             min_size,
             max_size,
-            nodes: 1,
-            recording: false,
-            profile_stride: 0,
             state: OnceLock::new(),
             system_bytes: AtomicU64::new(0),
             system_failovers: AtomicU64::new(0),
-            reserve_blocks: 0,
-            reserve_block_size: 0,
         }
-    }
-
-    /// Carves an OOM-path emergency reserve of `blocks` blocks of
-    /// `block_size` bytes when the stack is built (see
-    /// [`NbbsAllocator::with_reserve`]): requests the buddy fails with hard
-    /// out-of-memory are served from the reserve before falling over to the
-    /// system allocator, and reserve blocks refill only through frees of
-    /// reserve-owned memory.  Reserve hits and refills appear in
-    /// [`NbbsGlobalAlloc::stats_report`].
-    #[must_use]
-    pub const fn with_reserve(mut self, blocks: usize, block_size: usize) -> Self {
-        self.reserve_blocks = blocks;
-        self.reserve_block_size = block_size;
-        self
-    }
-
-    /// Turns on latency recording for this allocator: the facade's
-    /// alloc/free/grow/shrink and the cache's miss/refill/flush paths feed
-    /// the stack's `nbbs_obs::Recorder` (histograms and the event ring), and
-    /// [`NbbsGlobalAlloc::stats_report`] gains a tail-latency section and
-    /// the ring's `[flight]` dump.
-    ///
-    /// Without this (and without `NBBS_OBS=1` or `NBBS_TRACE` in the
-    /// environment) no timestamp is ever read — the hot path is
-    /// byte-identical to the unobserved build.
-    #[must_use]
-    pub const fn with_recording(mut self) -> Self {
-        self.recording = true;
-        self
-    }
-
-    /// Turns on the sampled allocation-site heap profiler: 1-in-`stride`
-    /// allocations capture a backtrace and feed the live-bytes site table
-    /// that [`NbbsGlobalAlloc::heap_profile`] and
-    /// [`NbbsGlobalAlloc::stats_report`] rank (`stride == 1` samples every
-    /// allocation; `0` is treated as 1).  Also switchable per process with
-    /// `NBBS_PROFILE=<stride>` (`NBBS_PROFILE=1` samples everything), which
-    /// wins over the stride given here.  Profiling alone reads no timestamp.
-    #[must_use]
-    pub const fn with_profiling(mut self, stride: u32) -> Self {
-        self.profile_stride = if stride == 0 { 1 } else { stride };
-        self
-    }
-
-    /// Deploys one buddy instance (of `total_memory` bytes each) per NUMA
-    /// node instead of a single arena: `nodes == 0` detects the machine
-    /// topology on first use (honouring the `NBBS_NUMA_NODES` override), any
-    /// other value forces that many synthetic nodes.
-    ///
-    /// Requests route to the calling thread's home node with nearest-first
-    /// remote fallback (`nbbs-numa`'s `NodeSet`), and the magazine cache's
-    /// depot shards are partitioned per node so cached chunks never migrate
-    /// across the node boundary.
-    ///
-    /// ```no_run
-    /// use nbbs_alloc::NbbsGlobalAlloc;
-    ///
-    /// // 32 MiB per node, one instance per detected NUMA node.
-    /// #[global_allocator]
-    /// static ALLOC: NbbsGlobalAlloc =
-    ///     NbbsGlobalAlloc::new(32 << 20, 32, 64 << 10).with_nodes(0);
-    /// ```
-    #[must_use]
-    pub const fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
     }
 
     /// The backing state, built on first call.
@@ -331,63 +244,25 @@ impl NbbsGlobalAlloc {
 
     fn build(&self, env: Arming) -> Option<State> {
         let config = BuddyConfig::new(self.total_memory, self.min_size, self.max_size).ok()?;
-        let topo = match self.nodes {
-            0 => Topology::detect(),
-            n => Topology::synthetic(n),
-        };
-        let node_count = topo.node_count();
-        // An unbuildable widened geometry (absurd NBBS_NUMA_NODES /
-        // with_nodes value) must degrade to the System allocator like every
-        // other invalid configuration — a panic here would abort the
-        // process inside its first allocation.
-        nbbs::Geometry::new(&config).widened(node_count).ok()?;
-        // First writer wins: the cache's node-group hook and any other
-        // topology consumer in the process now see the same layout the
-        // NodeSet routes by.  The default single-node shell installs
-        // nothing — its degenerate synthetic(1) would pin every other
-        // consumer's `current_node` to 0 on a real multi-node machine.
-        if self.nodes == 0 || node_count > 1 {
-            topology::install_global(topo.clone());
-        }
-        let set = NodeSet::with_topology(
-            (0..node_count)
-                .map(|_| NbbsFourLevel::new(config))
-                .collect(),
-            topo,
-            NodePolicy::HomeFirst,
-        );
-        let (cache_config, name) = if node_count > 1 {
-            (
-                CacheConfig {
-                    node_groups: Some(node_count),
-                    node_of: Some(NodeOfFn(topology::current_node)),
-                    ..CacheConfig::default()
-                },
-                "cached-numa-4lvl-nb",
-            )
-        } else {
-            (CacheConfig::default(), "cached-4lvl-nb")
-        };
-        // One handle for the whole stack; the environment's stride wins
-        // over the constructor's.
-        let stride = env
-            .profile_stride
-            .or((self.profile_stride > 0).then_some(self.profile_stride));
-        let recorder = match (self.recording || env.recording, stride) {
+        // One handle for the whole stack.
+        let recorder = match (env.recording, env.profile_stride) {
             (true, Some(stride)) => Some(Recorder::new().with_profiler(stride)),
             (true, None) => Some(Recorder::new()),
             (false, Some(stride)) => Some(Recorder::profiler_only(stride)),
             (false, None) => None,
         }
         .map(Arc::new);
-        let mut cache = MagazineCache::with_config_and_name(set, cache_config, name);
+        let mut cache = MagazineCache::with_config_and_name(
+            NbbsFourLevel::new(config),
+            CacheConfig::default(),
+            "cached-4lvl-nb",
+        );
         cache.set_recorder(recorder.clone());
         let cache = Arc::new(cache);
         let mut facade = NbbsAllocator::new(Arc::clone(&cache));
-        if self.reserve_blocks > 0 {
-            facade = facade.with_reserve(self.reserve_blocks, self.reserve_block_size);
+        if let Some(recorder) = recorder {
+            facade = facade.with_recorder(recorder);
         }
-        facade.set_recorder(recorder);
         // The background decommit scrubber: every `scrub_ms` milliseconds
         // it claims quiescent free blocks through the allocation CAS
         // protocol and returns their pages to the kernel, so a long-idle
@@ -514,8 +389,8 @@ impl NbbsGlobalAlloc {
             .expect("raw_dealloc is only called for region pointers");
         // The block may have come from the facade path (a thread's frees
         // after its exit drain, the old block of a re-entrant realloc): the
-        // profiler must see a sampled one go, and one the emergency reserve
-        // served goes back to the reserve — the tree never counted it free.
+        // profiler must see a sampled one go.  The shell's facade carries no
+        // emergency reserve, so `note_release` never keeps the block.
         if state.facade.note_release(offset) {
             return;
         }
@@ -545,24 +420,12 @@ impl NbbsGlobalAlloc {
         (stats.requested_bytes, stats.system_bytes)
     }
 
-    /// Fraction of served bytes that came from the buddy (1.0 until the
-    /// first fallback).
-    pub fn buddy_share(&self) -> f64 {
-        self.facade_stats().buddy_share()
-    }
-
     /// Requests the built buddy stack failed (exhaustion, injected faults)
     /// that were rescued by the system allocator.  Routine `System` traffic
     /// — oversized requests, pre-build metadata — does not count; this is
     /// the degraded-mode odometer.
     pub fn system_failovers(&self) -> u64 {
         self.system_failovers.load(Ordering::Relaxed)
-    }
-
-    /// The emergency reserve's counters, when one was configured
-    /// ([`NbbsGlobalAlloc::with_reserve`]) and the state has been built.
-    pub fn reserve_stats(&self) -> Option<crate::ReserveStatsSnapshot> {
-        self.built_state().and_then(|s| s.facade.reserve_stats())
     }
 
     /// Counters of the magazine-cache layer, if the state has been built.
@@ -572,10 +435,10 @@ impl NbbsGlobalAlloc {
     }
 
     /// The facade's counters (grow/shrink split, requested/granted
-    /// odometers, reserve hits and refills — all zero until the state is
-    /// built) with the shell's own two added: `system_bytes` and
-    /// `system_failovers`.
-    pub fn facade_stats(&self) -> FacadeStatsSnapshot {
+    /// odometers — all zero until the state is built) with the shell's own
+    /// two added: `system_bytes` and `system_failovers`.  Read through
+    /// [`NbbsGlobalAlloc::metrics`]`.facade`.
+    fn facade_stats(&self) -> FacadeStatsSnapshot {
         FacadeStatsSnapshot {
             system_bytes: self.system_bytes.load(Ordering::Relaxed),
             system_failovers: self.system_failovers(),
@@ -584,12 +447,6 @@ impl NbbsGlobalAlloc {
                 .map(|s| s.facade.facade_stats())
                 .unwrap_or_default()
         }
-    }
-
-    /// Committed-versus-managed accounting of the backing region and the
-    /// decommit scrubber's counters, if the state has been built.
-    pub fn memory_stats(&self) -> Option<nbbs::MemoryStatsSnapshot> {
-        self.built_state().map(|s| s.facade.memory_stats())
     }
 
     /// One synchronous decommit-scrubber pass over the backing region (see
@@ -609,32 +466,17 @@ impl NbbsGlobalAlloc {
         }
     }
 
-    /// Per-node telemetry of the underlying `NodeSet` (allocated bytes and
-    /// local/remote service counts per node), once the state is built.  A
-    /// single-node deployment reports one entry.
-    pub fn node_stats(&self) -> Option<Vec<NodeStatsSnapshot>> {
-        self.built_state()
-            .map(|s| s.facade.backend().backend().node_stats())
-    }
-
-    /// The stack's observer: present when built with
-    /// [`NbbsGlobalAlloc::with_recording`] / [`NbbsGlobalAlloc::with_profiling`]
-    /// or under `NBBS_OBS=1`, `NBBS_TRACE=…`, `NBBS_PROFILE=<stride>`.
-    pub fn recorder(&self) -> Option<&Arc<Recorder>> {
+    /// The stack's observer: present when built under `NBBS_OBS=1`,
+    /// `NBBS_TRACE=…` or `NBBS_PROFILE=<stride>`.
+    fn recorder(&self) -> Option<&Arc<Recorder>> {
         self.built_state().and_then(|s| s.facade.recorder())
-    }
-
-    /// A ranked point-in-time heap profile (live bytes by allocation
-    /// site), when profiling is on.
-    pub fn heap_profile(&self) -> Option<ProfileReport> {
-        Some(self.recorder()?.profiler()?.report())
     }
 
     /// When built under `NBBS_TRACE`: stops the event ring and dumps it as
     /// chrome-trace JSON, to the file the variable named or to stderr for
-    /// `NBBS_TRACE=1`.  No-op otherwise.  Runs automatically from the
+    /// `NBBS_TRACE=1`.  No-op otherwise.  Runs from the
     /// [`NbbsGlobalAlloc::print_stats_on_exit`] hook.
-    pub fn dump_trace(&self) {
+    fn dump_trace(&self) {
         let Some((dump, rec)) = self
             .built_state()
             .and_then(|s| s.env.trace.as_ref().zip(s.facade.recorder()))
@@ -650,17 +492,17 @@ impl NbbsGlobalAlloc {
     }
 
     /// The full telemetry of the stack as one unified
-    /// [`nbbs_obs::StackSnapshot`] — backend counters, cache counters,
-    /// magazine capacities, per-node shares, facade byte shares, and (when
-    /// recording) tail-latency percentiles per operation kind.
+    /// [`nbbs_obs::StackSnapshot`] — backend and cache counters, magazine
+    /// capacities, the facade's byte shares and realloc split (`.facade`),
+    /// the region's committed bytes and scrubber counters (`.memory`, once
+    /// the stack is built), and (when recording) tail-latency percentiles
+    /// per operation kind.
     pub fn metrics(&self) -> nbbs_obs::StackSnapshot {
         let mut reg = MetricsRegistry::new("nbbs-alloc");
         reg.set_facade(self.facade_stats());
         if let Some(state) = self.built_state() {
-            let cache = state.facade.backend();
-            reg.observe_backend(cache);
-            reg.set_memory(Some(state.facade.memory_stats()));
-            reg.set_nodes(cache.backend().node_stats());
+            reg.observe_backend(state.facade.backend());
+            reg.set_memory(Some(state.facade.region().memory_stats()));
             if let Some(rec) = state.facade.recorder() {
                 reg.set_recorder(Arc::clone(rec));
             }
@@ -669,9 +511,9 @@ impl NbbsGlobalAlloc {
     }
 
     /// A human-readable telemetry dump: buddy/system byte share, the
-    /// facade's grow-in-place rate, cache hit rate, per-node service shares
-    /// with remote-fallback counts, and — when recording — tail-latency
-    /// percentiles plus the event ring's `[flight]` crash dump.
+    /// facade's grow-in-place rate, cache hit rate, committed memory, and —
+    /// when armed — tail-latency percentiles, the event ring's `[flight]`
+    /// crash dump and the ranked heap profile.
     ///
     /// Rendered by [`nbbs_obs::MetricsRegistry`] (the one exposition path
     /// every binary in the workspace shares); this is what
@@ -679,13 +521,13 @@ impl NbbsGlobalAlloc {
     /// process ends.
     pub fn stats_report(&self) -> String {
         let mut out = self.metrics().text_table();
-        if let Some(ring) = self.recorder().map(|rec| rec.ring()) {
-            if !ring.is_empty() {
-                out.push_str(&ring.flight_dump());
+        if let Some(rec) = self.recorder() {
+            if !rec.ring().is_empty() {
+                out.push_str(&rec.ring().flight_dump());
             }
-        }
-        if let Some(profile) = self.heap_profile() {
-            out.push_str(&profile.text(10));
+            if let Some(profiler) = rec.profiler() {
+                out.push_str(&profiler.report().text(10));
+            }
         }
         out
     }
@@ -861,6 +703,18 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
+    /// The ranked heap profile of `a`'s armed profiler, if it has one.
+    fn heap_profile(a: &NbbsGlobalAlloc) -> Option<nbbs_obs::ProfileReport> {
+        Some(a.recorder()?.profiler()?.report())
+    }
+
+    /// A small shell built as if the environment armed `arming`.
+    fn armed(arming: Arming) -> NbbsGlobalAlloc {
+        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
+        a.build_once(|| arming);
+        a
+    }
+
     #[test]
     fn serves_small_requests_from_the_cached_buddy() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
@@ -876,7 +730,7 @@ mod tests {
         // The chunk parks in a magazine: user-visible accounting is zero.
         assert_eq!(a.buddy_allocated_bytes(), 0);
         assert!(a.cache_stats().unwrap().cached_frees > 0);
-        assert_eq!(a.buddy_share(), 1.0);
+        assert_eq!(a.facade_stats().buddy_share(), 1.0);
     }
 
     #[test]
@@ -890,7 +744,7 @@ mod tests {
             assert_eq!(p as usize % 4096, 0);
             a.dealloc(p, layout);
         }
-        assert_eq!(a.buddy_share(), 1.0);
+        assert_eq!(a.facade_stats().buddy_share(), 1.0);
     }
 
     #[test]
@@ -903,7 +757,7 @@ mod tests {
             assert!(!a.owns(p));
             a.dealloc(p, layout);
         }
-        assert!(a.buddy_share() < 1.0);
+        assert!(a.facade_stats().buddy_share() < 1.0);
     }
 
     #[test]
@@ -916,21 +770,6 @@ mod tests {
             assert!(!a.owns(p));
             a.dealloc(p, layout);
         }
-    }
-
-    #[test]
-    fn unbuildable_node_count_degrades_to_system() {
-        // The widened geometry overflows: the build must fail over to the
-        // System allocator instead of panicking inside the first alloc.
-        let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 12).with_nodes(usize::MAX / 2);
-        let layout = Layout::from_size_align(128, 8).unwrap();
-        unsafe {
-            let p = a.alloc(layout);
-            assert!(!p.is_null());
-            assert!(!a.owns(p));
-            a.dealloc(p, layout);
-        }
-        assert!(a.node_stats().is_none(), "no state was built");
     }
 
     #[test]
@@ -1019,49 +858,33 @@ mod tests {
                 "a first-touch thread fell back to System"
             );
         }
-        assert_eq!(a.buddy_share(), 1.0);
+        assert_eq!(a.facade_stats().buddy_share(), 1.0);
     }
 
     #[test]
-    fn multi_node_deployment_routes_and_reports_per_node_shares() {
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_nodes(2);
-        let layout = Layout::from_size_align(256, 8).unwrap();
-        unsafe {
-            let p = a.alloc(layout);
-            assert!(!p.is_null());
-            assert!(a.owns(p), "multi-node request stayed in the buddy");
-            p.write_bytes(0x5C, 256);
-            a.dealloc(p, layout);
-        }
-        let nodes = a.node_stats().expect("state built");
-        assert_eq!(nodes.len(), 2);
-        let served: u64 = nodes.iter().map(|n| n.served()).sum();
-        assert!(served > 0, "some node served the allocation");
-        // The per-node cache shards are partitioned: one bank per node.
-        assert_eq!(a.cache_stats().unwrap().depot_shards % 2, 0);
-        assert_eq!(a.buddy_share(), 1.0);
-    }
-
-    #[test]
-    fn stats_report_carries_shares_and_per_node_lines() {
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_nodes(2);
+    fn stats_report_carries_shares_and_no_node_rows() {
+        // The shipped stack has no routing layer under the cache, so the
+        // report has no per-node service shares to print.
+        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
         let layout = Layout::from_size_align(100, 8).unwrap();
         unsafe {
             let p = a.alloc(layout);
             let q = a.realloc(p, layout, 128); // in-place grow
             a.dealloc(q, Layout::from_size_align(128, 8).unwrap());
         }
+        assert!(a.metrics().nodes.is_empty());
         let report = a.stats_report();
         assert!(report.contains("buddy share"), "{report}");
         assert!(report.contains("grows in place"), "{report}");
-        assert!(report.contains("node 0:"), "{report}");
-        assert!(report.contains("node 1:"), "{report}");
-        assert!(report.contains("remote-fallback"), "{report}");
+        assert!(!report.contains("node 0:"), "{report}");
     }
 
     #[test]
     fn recording_build_reports_latency_and_flight() {
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_recording();
+        let a = armed(Arming {
+            recording: true,
+            ..Arming::default()
+        });
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {
             let p = a.alloc(layout);
@@ -1162,7 +985,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("nbbs-arming-{}.json", std::process::id()));
         a.build_once(|| Arming::parse(env(&[("NBBS_TRACE", path.to_str().unwrap())])));
         touch(&a);
-        assert!(a.heap_profile().is_none());
+        assert!(heap_profile(&a).is_none());
         a.dump_trace();
         let doc = std::fs::read_to_string(&path).expect("the dump went to the named file");
         let _ = std::fs::remove_file(&path);
@@ -1172,12 +995,10 @@ mod tests {
             !a.recorder().unwrap().ring().is_recording(),
             "dump stops it"
         );
-        // Profile alone: a handle that times nothing; the environment's
-        // stride beats the constructor's.
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_profiling(1);
-        a.build_once(|| Arming::parse(env(&[("NBBS_PROFILE", "2")])));
+        // Profile alone: a handle that times nothing.
+        let a = armed(Arming::parse(env(&[("NBBS_PROFILE", "2")])));
         touch(&a);
-        assert_eq!(a.heap_profile().unwrap().stride, 2);
+        assert_eq!(heap_profile(&a).unwrap().stride, 2);
         assert!(a.recorder().unwrap().ring().is_empty());
         assert!(!a.stats_report().contains("latency"), "no latency section");
         a.dump_trace(); // not armed: nothing to do
@@ -1203,12 +1024,15 @@ mod tests {
 
     #[test]
     fn profiling_build_attributes_live_bytes_to_sites() {
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_profiling(1);
+        let a = armed(Arming {
+            profile_stride: Some(1),
+            ..Arming::default()
+        });
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {
             let p = a.alloc(layout);
             assert!(a.owns(p));
-            let profile = a.heap_profile().expect("profiler armed");
+            let profile = heap_profile(&a).expect("profiler armed");
             assert_eq!(profile.stride, 1);
             assert_eq!(profile.attributed_live_bytes(), 256);
             assert!(
@@ -1217,7 +1041,7 @@ mod tests {
             );
             a.dealloc(p, layout);
         }
-        assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 0);
+        assert_eq!(heap_profile(&a).unwrap().attributed_live_bytes(), 0);
         assert!(
             a.recorder().unwrap().ring().is_empty(),
             "profiling alone reads no timestamp"
@@ -1234,76 +1058,44 @@ mod tests {
         // latch engaged (a thread past its exit drain, the old block of a
         // re-entrant realloc) used to stay live in the profile until its
         // offset was recycled.
-        let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12).with_profiling(1);
+        let a = armed(Arming {
+            profile_stride: Some(1),
+            ..Arming::default()
+        });
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {
             let p = a.alloc(layout);
-            assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 256);
+            assert_eq!(heap_profile(&a).unwrap().attributed_live_bytes(), 256);
             let _latched = BypassGuard::engage();
             a.dealloc(p, layout);
         }
-        assert_eq!(a.heap_profile().unwrap().attributed_live_bytes(), 0);
-    }
-
-    #[test]
-    fn a_reserve_block_freed_on_the_bypass_path_refills_the_reserve() {
-        // Freed with the latch engaged (a thread past its exit drain, a
-        // nested free), a reserve-served block used to go to the tree: the
-        // pool stayed empty for good and the tree carved the next request
-        // out of memory the reserve still listed as its own.
-        let a = NbbsGlobalAlloc::new(2048, 64, 1024).with_reserve(1, 1024);
-        let layout = Layout::from_size_align(1024, 8).unwrap();
-        unsafe {
-            let p1 = a.alloc(layout); // the general block
-            assert_eq!(a.buddy_allocated_bytes(), 1024);
-            let p2 = a.alloc(layout); // buddy OOM -> reserve serves
-            assert!(a.owns(p1) && a.owns(p2));
-            assert_eq!(a.reserve_stats().unwrap().hits, 1);
-            {
-                let _latched = BypassGuard::engage();
-                a.dealloc(p2, layout);
-            }
-            let reserve = a.reserve_stats().unwrap();
-            assert_eq!((reserve.available, reserve.refills), (1, 1));
-            assert_eq!(
-                a.buddy_allocated_bytes(),
-                1024,
-                "the tree still counts the reserve's block as handed out"
-            );
-            a.dealloc(p1, layout);
-        }
-        assert_eq!(a.buddy_allocated_bytes(), 0);
+        assert_eq!(heap_profile(&a).unwrap().attributed_live_bytes(), 0);
     }
 
     #[test]
     fn degraded_mode_telemetry_reports_reserve_and_failovers() {
-        // 2 KiB arena: the reserve pins one 1 KiB block, one stays general.
-        let a = NbbsGlobalAlloc::new(2048, 64, 1024).with_reserve(1, 1024);
+        // 2 KiB arena: two 1 KiB blocks, then the buddy is out of memory.
+        let a = NbbsGlobalAlloc::new(2048, 64, 1024);
         let layout = Layout::from_size_align(1024, 8).unwrap();
         unsafe {
-            let p1 = a.alloc(layout); // the general block
-            let p2 = a.alloc(layout); // buddy OOM -> reserve serves
-            let p3 = a.alloc(layout); // reserve empty -> System failover
-            assert!(a.owns(p1) && a.owns(p2), "reserve kept p2 in the region");
+            let p1 = a.alloc(layout);
+            let p2 = a.alloc(layout);
+            let p3 = a.alloc(layout); // buddy OOM -> System failover
+            assert!(a.owns(p1) && a.owns(p2));
             assert!(!a.owns(p3), "third request fell over to System");
-            assert_eq!(a.reserve_stats().unwrap().hits, 1);
             assert_eq!(a.system_failovers(), 1);
-
-            // Freeing the reserve-served block refills the pool.
-            a.dealloc(p2, layout);
-            assert_eq!(a.reserve_stats().unwrap().refills, 1);
-            assert_eq!(a.reserve_stats().unwrap().available, 1);
             a.dealloc(p1, layout);
+            a.dealloc(p2, layout);
             a.dealloc(p3, layout);
         }
         let report = a.stats_report();
+        // The shell carves no emergency reserve: its counts stay zero.
         assert!(
-            report.contains("degraded: 1 system failovers, 1 reserve hits, 1 reserve refills"),
+            report.contains("degraded: 1 system failovers, 0 reserve hits, 0 reserve refills"),
             "{report}"
         );
         let json = a.metrics().to_json();
         assert!(json.contains("\"system_failovers\":1"), "{json}");
-        assert!(json.contains("\"reserve_hits\":1"), "{json}");
     }
 
     #[test]
@@ -1314,7 +1106,7 @@ mod tests {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
         }
-        let mem = a.memory_stats().expect("state built");
+        let mem = a.metrics().memory.expect("state built");
         assert_eq!(mem.managed_bytes, 1 << 20);
         let page = nbbs::mapping::page_size() as u64;
         assert_eq!(mem.committed_bytes, page, "one grant, one page committed");
@@ -1323,7 +1115,7 @@ mod tests {
         a.drain_cache();
         let freed = a.scrub_pass();
         assert_eq!(freed as u64, page, "the granted page was decommitted");
-        let mem = a.memory_stats().unwrap();
+        let mem = a.metrics().memory.unwrap();
         assert!(mem.scrub_passes >= 1);
         assert_eq!(mem.committed_bytes, 0);
         let report = a.stats_report();
@@ -1349,7 +1141,7 @@ mod tests {
             a.dealloc(p, layout);
         }
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while a.memory_stats().map_or(0, |m| m.scrub_passes) == 0 {
+        while a.metrics().memory.map_or(0, |m| m.scrub_passes) == 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "background scrubber never completed a pass"

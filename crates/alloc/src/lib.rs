@@ -48,11 +48,11 @@
 //! of leaking to `System`, fixing the deprecated core adapter's race), with
 //! a thread-local bypass latch so the cache's own bookkeeping allocations
 //! cannot recurse, and per-thread exit drains so short-lived threads return
-//! their magazines to the tree.  Underneath the cache sits an `nbbs-numa`
-//! `NodeSet` — one buddy tree per NUMA node when configured with
-//! [`NbbsGlobalAlloc::with_nodes`], a zero-cost single node otherwise — and
-//! [`NbbsGlobalAlloc::print_stats_on_exit`] dumps buddy/system shares,
-//! grow-in-place rates and per-node service shares when the process ends.
+//! their magazines to the tree.  Its stack is exactly the one drawn above —
+//! tree, cache, facade, set by three sizes, observed when the `NBBS_*`
+//! environment arms it — and [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
+//! buddy/system shares, grow-in-place rates and the cache hit rate when the
+//! process ends.
 //!
 //! ```
 //! use std::alloc::Layout;
@@ -82,23 +82,24 @@
 //!
 //! * **Hard OOM** ([`nbbs::error::AllocError::OutOfMemory`]) — the buddy
 //!   region genuinely cannot serve the request.  It propagates immediately:
-//!   no layer retries it, because waiting will not conjure memory.  The
-//!   facade gives it one last chance at the [`EmergencyReserve`] (if one
-//!   was carved with [`NbbsAllocator::with_reserve`]); past that,
-//!   [`NbbsGlobalAlloc`] fails over to the system allocator and counts the
-//!   event ([`NbbsGlobalAlloc::system_failovers`]).
+//!   no layer retries it, because waiting will not conjure memory.  An
+//!   [`NbbsAllocator`] gives it one last chance at its [`EmergencyReserve`]
+//!   (if one was carved with [`NbbsAllocator::with_reserve`]; the global
+//!   shell carves none).  [`NbbsGlobalAlloc`] fails over to the system
+//!   allocator and counts the event
+//!   ([`NbbsGlobalAlloc::system_failovers`]).
 //! * **Transient failures** ([`nbbs::error::AllocError::Transient`]) — the
-//!   attempt failed for a reason expected to clear shortly: a lost CAS
-//!   storm, an in-flight coalesce holding the branch, or an injected fault
-//!   from `nbbs-chaos`.  The magazine cache's miss path retries these a
+//!   attempt failed for a reason expected to clear shortly.  No tree or
+//!   wrapper in the product returns one; today only `nbbs-chaos`'s
+//!   `FaultInjecting` does.  The magazine cache's miss path retries these
 //!   up to three times with jittered backoff before treating the miss as
 //!   failed; hard OOM is never retried.
-//! * **Reserve-served** — an OOM-path allocation that fit a reserve block.
-//!   The caller cannot tell (it got ordinary region memory); the event is
-//!   visible only in telemetry ([`ReserveStatsSnapshot::hits`], surfaced by
-//!   [`NbbsGlobalAlloc::stats_report`]).  Reserve blocks replenish *only*
-//!   through frees of reserve-owned memory, so the pool's footprint is
-//!   fixed at carve time.
+//! * **Reserve-served** — an OOM-path allocation an [`NbbsAllocator`]'s
+//!   reserve held a block for.  The caller cannot tell (it got ordinary
+//!   region memory); the event is visible only in telemetry
+//!   ([`ReserveStatsSnapshot::hits`], [`NbbsAllocator::reserve_stats`]).
+//!   Reserve blocks replenish *only* through frees of reserve-owned
+//!   memory, so the pool's footprint is fixed at carve time.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -18,11 +18,11 @@ use crate::magazine::{ClassMags, Magazine};
 const GROW_SPILL_MAGAZINES: usize = 2;
 
 /// Bounded retries of a cache-miss refill whose backend attempt failed
-/// *transiently* ([`nbbs::error::AllocError::Transient`] — an injected
-/// fault or a contention hiccup), each preceded by a jittered exponential
-/// backoff ([`nbbs_sync::Backoff::spin_jittered`]).  Hard OOM never
-/// retries: genuine exhaustion must propagate immediately so the facade's
-/// emergency-reserve / failover path can act on it.
+/// *transiently* ([`nbbs::error::AllocError::Transient`], which today only
+/// `nbbs-chaos`'s injected faults return), each preceded by a jittered
+/// exponential backoff ([`nbbs_sync::Backoff::spin_jittered`]).  Hard OOM
+/// never retries: genuine exhaustion must propagate immediately so the
+/// facade's emergency-reserve / failover path can act on it.
 const TRANSIENT_RETRIES: u32 = 3;
 
 /// Ceiling on the batched backend refill a miss performs (chunks).

@@ -98,9 +98,9 @@ pub enum AllocError {
     ///
     /// Unlike [`AllocError::OutOfMemory`] — which means the required order is
     /// genuinely unavailable and must propagate immediately — a transient
-    /// failure (a lost CAS storm, an in-flight coalesce holding the branch,
-    /// or an injected fault from `nbbs-chaos`) is worth a bounded retry with
-    /// backoff before the caller escalates.
+    /// failure is worth a bounded retry with backoff before the caller
+    /// escalates.  No tree or wrapper in the product returns it; today it
+    /// comes only from `nbbs-chaos`'s injected faults.
     Transient {
         /// Requested size in bytes.
         requested: usize,

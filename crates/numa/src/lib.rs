@@ -8,7 +8,7 @@
 //!
 //! ```text
 //!  ┌──────────────────────────────────────────────────────────────────┐
-//!  │  NbbsAllocator / NbbsGlobalAlloc                  (nbbs-alloc)   │
+//!  │  NbbsAllocator                                    (nbbs-alloc)   │
 //!  ├──────────────────────────────────────────────────────────────────┤
 //!  │  MagazineCache<NodeSet<_>>                        (nbbs-cache)   │
 //!  │     node-grouped depot shards (CacheConfig::node_groups)         │
@@ -32,6 +32,10 @@
 //! * [`NodeStatsSnapshot`] surfaces per-node allocated bytes and
 //!   local/remote/failed service counts (the benchmark's
 //!   `numa.remote_share`).
+//!
+//! The stack is a composition a program builds itself
+//! (`examples/numa_multi_instance.rs`); the shipped `NbbsGlobalAlloc` is a
+//! single tree under its cache and has no routing layer.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

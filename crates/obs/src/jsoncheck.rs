@@ -77,16 +77,6 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
-/// Parses a JSON-lines document: one JSON value per non-empty line.
-pub fn parse_lines(input: &str) -> Result<Vec<JsonValue>, String> {
-    input
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .enumerate()
-        .map(|(i, l)| parse(l).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
 /// The chrome-trace validity gate: parses `doc`, requires a `traceEvents`
 /// array, requires every element to carry string `name`/`ph` and (for
 /// `ph:"X"` slices) numeric `ts`/`dur`, and returns the number of slice
@@ -401,12 +391,5 @@ mod tests {
                 .is_err(),
             "slice without dur"
         );
-    }
-
-    #[test]
-    fn json_lines_parse_per_line() {
-        let ok = parse_lines("{\"a\":1}\n\n{\"a\":2}\n").unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(parse_lines("{\"a\":1}\n{oops}").is_err());
     }
 }

@@ -44,10 +44,10 @@
 //!
 //! **How it is armed.**  In code, pass the handle to each layer's
 //! `with_recorder` (`NbbsAllocator`, `MagazineCache`, `SlabBackend`).  The
-//! shipped `NbbsGlobalAlloc` takes `with_recording()` /
-//! `with_profiling(stride)`, or per process `NBBS_OBS=1`,
-//! `NBBS_TRACE=1|<path>` (chrome trace at exit, to stderr or the file) and
-//! `NBBS_PROFILE=<stride>`, which `nbbs-alloc` parses in one place.
+//! shipped `NbbsGlobalAlloc` is armed by its process's environment alone:
+//! `NBBS_OBS=1`, `NBBS_TRACE=1|<path>` (chrome trace at exit, to stderr or
+//! the file) and `NBBS_PROFILE=<stride>`, which `nbbs-alloc` parses in one
+//! place.
 //!
 //! Around the handle: [`MetricsRegistry`] / [`StackSnapshot`] unify every
 //! counter family of the stack with one text-table and JSON exposition, and

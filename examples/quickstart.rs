@@ -231,9 +231,9 @@ fn main() {
     //    to the calling thread's home node (sysfs topology, or an
     //    NBBS_NUMA_NODES override, or a deterministic synthetic
     //    assignment) with nearest-first remote fallback, and frees return
-    //    to the owning node from any thread.  For #[global_allocator]
-    //    use, `NbbsGlobalAlloc::new(..).with_nodes(0)` deploys this whole
-    //    stack per detected node — see examples/numa_multi_instance.rs.
+    //    to the owning node from any thread.  It is a composition, not
+    //    part of the shipped `NbbsGlobalAlloc` (tree -> cache -> facade);
+    //    examples/numa_multi_instance.rs builds the whole multi-node stack.
     // ------------------------------------------------------------------
     use nbbs_numa::{NodePolicy, NodeSet, Topology};
 

@@ -73,9 +73,8 @@ fn release(facade: &NbbsAllocator<Arc<dyn BuddyBackend>>, req: Request) {
 
 fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: f64) -> u64 {
     let recorder = Arc::new(Recorder::new());
-    let mut facade = NbbsAllocator::new(Arc::clone(&alloc));
-    facade.set_recorder(Some(Arc::clone(&recorder)));
-    let facade = Arc::new(facade);
+    let facade =
+        Arc::new(NbbsAllocator::new(Arc::clone(&alloc)).with_recorder(Arc::clone(&recorder)));
     let stop = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
     let exchange: Arc<crossbeam::queue::SegQueue<Request>> =
@@ -259,7 +258,7 @@ fn diurnal(threads: usize, seconds: f64) {
 
     // Sample the peak while the handlers are hot.
     std::thread::sleep(std::time::Duration::from_secs_f64(seconds * 0.8));
-    let peak = alloc.memory_stats();
+    let peak = alloc.region().memory_stats();
     #[cfg(target_os = "linux")]
     let peak_rss = resident_bytes();
     println!(
@@ -278,7 +277,7 @@ fn diurnal(threads: usize, seconds: f64) {
     // Trough: the background scrubber does the rest on its own timer.
     let budget = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let trough = loop {
-        let mem = alloc.memory_stats();
+        let mem = alloc.region().memory_stats();
         if mem.committed_bytes * 100 <= peak.committed_bytes * 35 {
             break mem;
         }

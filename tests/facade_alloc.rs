@@ -227,7 +227,7 @@ fn zero_on_reuse_across_the_decommit_boundary() {
     alloc.backend().drain_cache();
     let freed = alloc.region().scrub_pass();
     assert!(freed > 0, "the dirty block's pages were decommitted");
-    let mem = alloc.memory_stats();
+    let mem = alloc.region().memory_stats();
     assert!(mem.committed_bytes < mem.managed_bytes, "{mem}");
 
     let clean = alloc.allocate_zeroed(layout).unwrap();
