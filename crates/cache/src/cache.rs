@@ -1132,6 +1132,13 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         self.drain_all();
         self.backend.drain_cache();
     }
+
+    /// Forwarded like the scrubber's other two calls, which reach the
+    /// backend through [`BuddyBackend::inner`]: the run is the backend's
+    /// blocks, never a parked chunk.
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        self.backend.scrub_dealloc_run(run)
+    }
 }
 
 impl<A: BuddyBackend> Drop for MagazineCache<A> {

@@ -15,10 +15,14 @@
 //! chunk).  It holds the claimed blocks while the next free chunk is
 //! adjacent, releases the physical frames of the whole *run* with one kernel
 //! call (one `madvise`, one TLB shoot-down, instead of one per block), and
-//! only then frees the blocks back.  A run is capped at 2 MiB and 1/16 of
-//! the span (never less than one block), which bounds what the scrubber can
-//! keep from a concurrent allocation; the held blocks live in a guard whose
-//! `Drop` frees them, so a pass that panics mid-run strands nothing.
+//! only then frees the blocks back.  It offers the run to the backend whole
+//! first ([`BuddyBackend::scrub_dealloc_run`]): a tree frees it there and,
+//! still under the claims, gives back the pages of its `index[]` that only
+//! the run's units use; a backend that declines gets the blocks one by one.
+//! A run is capped at 2 MiB and 1/16 of the span (never less than one
+//! block), which bounds what the scrubber can keep from a concurrent
+//! allocation; the held blocks live in a guard whose `Drop` frees them, so
+//! a pass that panics mid-run strands nothing.
 //! [`BuddyRegion::start_scrubber`] runs that pass periodically on a
 //! background thread, which makes the region *elastic*: committed memory
 //! follows the live set down at trough instead of staying pinned at peak.
@@ -47,6 +51,7 @@ struct RegionInner<A: BuddyBackend> {
     scrub_passes: AtomicU64,
     scrub_blocks: AtomicU64,
     scrub_bytes: AtomicU64,
+    metadata_decommitted_bytes: AtomicU64,
     trimmed_pages: AtomicU64,
 }
 
@@ -75,7 +80,10 @@ impl<A: BuddyBackend> RegionInner<A> {
     ///
     /// **Decommit per run.**  Claimed blocks are held while the next free
     /// chunk is adjacent; the whole run then goes back to the kernel in one
-    /// [`Mapping::decommit`] call and only after that are its blocks freed.
+    /// [`Mapping::decommit`] call and only after that are its blocks freed,
+    /// in one [`BuddyBackend::scrub_dealloc_run`] call that also drops the
+    /// backend's metadata pages under the run, or block by block if the
+    /// backend declines.
     /// A run ends when the next chunk is not adjacent, is already
     /// decommitted, overlaps a pinned range, fails its claim (each of these
     /// leaves a gap) or would take the run past [`RegionInner::run_cap`].
@@ -123,7 +131,7 @@ impl<A: BuddyBackend> RegionInner<A> {
                     continue; // the gap ends the run at the next chunk
                 }
                 debug_assert!(run.held.len() < run.held.capacity());
-                run.held.push(off);
+                run.held.push((off, size));
                 run.len += size;
             }
             freed += run.release();
@@ -133,8 +141,9 @@ impl<A: BuddyBackend> RegionInner<A> {
     }
 }
 
-/// The blocks a scrub pass has claimed and not yet given back: one run of
-/// adjacent free chunks covering `[start, start + len)`.
+/// The blocks a scrub pass has claimed and not yet given back, as
+/// `(offset, size)`: one run of adjacent free chunks covering
+/// `[start, start + len)`.
 ///
 /// A guard, so held blocks go back on every exit: a panic between the first
 /// claim and the last release (an injected fault in `scrub_dealloc`, a
@@ -144,14 +153,15 @@ impl<A: BuddyBackend> RegionInner<A> {
 /// capacity it was given before the first claim.
 struct Run<'a, A: BuddyBackend> {
     region: &'a RegionInner<A>,
-    held: Vec<usize>,
+    held: Vec<(usize, usize)>,
     start: usize,
     len: usize,
 }
 
 impl<A: BuddyBackend> Run<'_, A> {
     /// Releases the run's frames with one kernel call, then frees its
-    /// blocks; returns the bytes newly decommitted and leaves the run empty.
+    /// blocks, the whole run in one backend call where the backend takes
+    /// it; returns the bytes newly decommitted and leaves the run empty.
     fn release(&mut self) -> usize {
         if self.held.is_empty() {
             return 0;
@@ -168,14 +178,23 @@ impl<A: BuddyBackend> Run<'_, A> {
                 .scrub_bytes
                 .fetch_add(freed as u64, Ordering::Relaxed);
         }
-        self.give_back();
+        match region.backend.scrub_dealloc_run(&self.held) {
+            Some(metadata) => {
+                self.held.clear();
+                self.len = 0;
+                region
+                    .metadata_decommitted_bytes
+                    .fetch_add(metadata as u64, Ordering::Relaxed);
+            }
+            None => self.give_back(),
+        }
         freed
     }
 
     /// Frees the held blocks.  A block leaves `held` only once its release
     /// has returned, so one that panicked on the way is retried by `Drop`.
     fn give_back(&mut self) {
-        while let Some(&off) = self.held.last() {
+        while let Some(&(off, _)) = self.held.last() {
             self.region.backend.scrub_dealloc(off);
             self.held.pop();
         }
@@ -225,6 +244,7 @@ impl<A: BuddyBackend> BuddyRegion<A> {
                 scrub_passes: AtomicU64::new(0),
                 scrub_blocks: AtomicU64::new(0),
                 scrub_bytes: AtomicU64::new(0),
+                metadata_decommitted_bytes: AtomicU64::new(0),
                 trimmed_pages: AtomicU64::new(0),
             }),
             scrubber: Mutex::new(None),
@@ -348,6 +368,7 @@ impl<A: BuddyBackend> BuddyRegion<A> {
             scrub_bytes: inner.scrub_bytes.load(Ordering::Relaxed),
             decommit_calls: inner.mapping.decommit_calls(),
             recommitted_bytes: inner.mapping.recommit_bytes_total(),
+            metadata_decommitted_bytes: inner.metadata_decommitted_bytes.load(Ordering::Relaxed),
             trimmed_pages: inner.trimmed_pages.load(Ordering::Relaxed),
         }
     }
@@ -377,9 +398,12 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     /// backend's free blocks, claiming each quiescent one, releasing the
     /// physical frames of each run of adjacent claimed blocks with one
     /// kernel call and freeing the run's blocks back.  Returns bytes newly
-    /// decommitted.  Safe to call concurrently with allocation traffic —
-    /// the claim is the ordinary allocation protocol, so the scrubber and
-    /// the mutators resolve conflicts exactly like racing allocators.
+    /// decommitted of the span (the metadata pages a tree gives back with a
+    /// run are counted apart, in
+    /// [`MemoryStatsSnapshot::metadata_decommitted_bytes`]).  Safe to call
+    /// concurrently with allocation traffic — the claim is the ordinary
+    /// allocation protocol, so the scrubber and the mutators resolve
+    /// conflicts exactly like racing allocators.
     ///
     /// A run ends at a gap (a live, pinned or already-decommitted block, a
     /// failed claim) or at its cap: 2 MiB, at most 1/16 of the span, never
@@ -387,7 +411,14 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     /// as far as a concurrent `alloc` can tell, so the cap is what a pass
     /// can cost an allocation that arrives during it.  The held blocks are
     /// freed on every exit, a panic unwinding through the pass included.
-    /// [`MemoryStatsSnapshot::decommit_calls`] counts the kernel calls.
+    /// [`MemoryStatsSnapshot::decommit_calls`] counts the kernel calls for
+    /// the span.
+    ///
+    /// A tree frees a run in one call and drops the whole pages of its
+    /// `index[]` that only the run's units use (one page per 128 KiB of
+    /// 32 B units); a wrapper that routes or intercepts the scrubber's
+    /// release (a slotted set, a lock, a fault injector) frees it block by
+    /// block and gives back no metadata.
     pub fn scrub_pass(&self) -> usize {
         self.inner.scrub_pass()
     }
@@ -656,6 +687,43 @@ mod tests {
         assert_eq!(r.allocated_bytes(), 0, "every held block went back");
         assert_eq!(r.committed_bytes(), 0);
         assert_eq!(unsafe { *r.base().as_ptr().add(TOTAL / 2) }, 0);
+    }
+
+    #[test]
+    fn each_run_gives_back_the_index_pages_under_it() {
+        // The shipped tree: 64 MiB of 32 B units, a 2 MiB `index[]`, one
+        // page of it per 128 KiB of span.
+        const TOTAL: usize = 64 << 20;
+        const BLOCK: usize = 64 << 10;
+        let r = BuddyRegion::new(NbbsFourLevel::new(
+            BuddyConfig::new(TOTAL, 32, BLOCK).unwrap(),
+        ));
+        let whole: Vec<_> = (0..TOTAL / BLOCK)
+            .map(|_| r.alloc_bytes(BLOCK).expect("full capacity"))
+            .collect();
+        for p in whole {
+            r.dealloc_bytes(p);
+        }
+        assert_eq!(r.scrub_pass(), TOTAL);
+        let stats = r.memory_stats();
+        assert_eq!(stats.decommit_calls, (TOTAL / RUN_CAP_BYTES) as u64);
+        if page_size() == 4096 {
+            assert_eq!(
+                stats.metadata_decommitted_bytes,
+                (TOTAL / 32) as u64,
+                "every run covers whole index pages, so all of it went: {stats}"
+            );
+        }
+        assert_eq!(r.allocated_bytes(), 0, "the tree freed every run");
+        crate::verify::audit_empty(r.backend()).assert_clean();
+        // The second day's grants write their entries on fresh pages.
+        let whole: Vec<_> = (0..TOTAL / BLOCK)
+            .map(|_| r.alloc_bytes(BLOCK).expect("full capacity"))
+            .collect();
+        for p in whole {
+            r.dealloc_bytes(p);
+        }
+        crate::verify::audit_empty(r.backend()).assert_clean();
     }
 
     #[test]

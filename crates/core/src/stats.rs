@@ -289,6 +289,10 @@ pub struct MemoryStatsSnapshot {
     /// so this is every page grants brought into service, not only those
     /// the scrubber had released; an upper bound on what the kernel backed.
     pub recommitted_bytes: u64,
+    /// Bytes of backend metadata (the tree's `index[]` pages under each
+    /// decommitted run) the scrubber gave back to the kernel (cumulative).
+    /// Not part of the managed span, so not in the gauges above.
+    pub metadata_decommitted_bytes: u64,
     /// Empty slab pages trim passes returned to the buddy (cumulative).
     pub trimmed_pages: u64,
 }
@@ -314,6 +318,7 @@ impl MemoryStatsSnapshot {
         self.scrub_bytes += other.scrub_bytes;
         self.decommit_calls += other.decommit_calls;
         self.recommitted_bytes += other.recommitted_bytes;
+        self.metadata_decommitted_bytes += other.metadata_decommitted_bytes;
         self.trimmed_pages += other.trimmed_pages;
     }
 }
@@ -323,7 +328,7 @@ impl fmt::Display for MemoryStatsSnapshot {
         write!(
             f,
             "committed={}/{} ({:.1}%) decommitted={} scrub: passes={} blocks={} bytes={} \
-             calls={} recommitted={} trimmed-pages={}",
+             calls={} recommitted={} metadata={} trimmed-pages={}",
             self.committed_bytes,
             self.managed_bytes,
             self.committed_ratio() * 100.0,
@@ -333,6 +338,7 @@ impl fmt::Display for MemoryStatsSnapshot {
             self.scrub_bytes,
             self.decommit_calls,
             self.recommitted_bytes,
+            self.metadata_decommitted_bytes,
             self.trimmed_pages
         )
     }

@@ -47,6 +47,11 @@ use crate::stats::{CacheStatsSnapshot, FragStatsSnapshot, OpStatsSnapshot};
 /// you: a cache that is handed the size parks the chunk without asking the
 /// tree for it, and a wrapper between the facade and the cache that keeps
 /// the default silently puts that lookup back on every release.
+///
+/// [`BuddyBackend::scrub_dealloc_run`] is the one maintenance hook whose
+/// default does not go through `inner()`: it frees nothing, so the scrubber
+/// falls back to [`BuddyBackend::scrub_dealloc`] block by block.  Forward it
+/// only if your `scrub_dealloc` is the default's plain hand-down.
 pub trait BuddyBackend: Send + Sync {
     /// Short, stable identifier used in benchmark reports
     /// (e.g. `"1lvl-nb"`, `"4lvl-nb"`, `"buddy-sl"`, `"linux-buddy"`).
@@ -120,8 +125,9 @@ pub trait BuddyBackend: Send + Sync {
     /// 4 KiB of 64-byte units, `alloc 64, alloc 64, free both, alloc 128`:
     /// offset 64 reads as a live 64-byte block), so the checked release of
     /// an interior offset can succeed and free half of a live block.  The blind spot is
-    /// documented, not patched: `index[]` is never cleared (the paper's
-    /// design), and ROADMAP item 4 weighs the three ways to close it.
+    /// documented, not patched: a release never clears its `index[]` entry
+    /// (the paper's design), and ROADMAP item 4 weighs the three ways to
+    /// close it.
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
 
     /// The backend this one wraps, or `None` for a leaf allocator.
@@ -354,6 +360,32 @@ pub trait BuddyBackend: Send + Sync {
         }
     }
 
+    /// Releases a whole run of blocks claimed by
+    /// [`BuddyBackend::scrub_claim`] in one call, or nothing.
+    ///
+    /// `run` lists `(offset, size)` of the blocks one scrub pass holds, in
+    /// ascending order and adjacent, whose pages it has just decommitted.
+    /// `Some(bytes)` says every block is free again and `bytes` of the
+    /// backend's metadata went back to the kernel on the way; `None` says
+    /// nothing was freed, and the caller releases each block with
+    /// [`BuddyBackend::scrub_dealloc`].  The trees answer `Some`: while the
+    /// run is held no other thread writes or needs the `index[]` entries
+    /// under it, so they drop those pages too
+    /// ([`crate::tree::BuddyTree::free_scrub_run`]).
+    ///
+    /// Unlike the other maintenance hooks the default does not ask
+    /// [`BuddyBackend::inner`]: it answers `None`, so a wrapper that
+    /// translates or intercepts `scrub_dealloc` (a slotted set, a lock, a
+    /// fault injector) keeps its per-block route without writing anything.
+    /// A wrapper whose scrub release goes straight to its backend forwards
+    /// this too (`Arc`, `&`, the magazine cache, the slab, the recorder).
+    /// An implementation must not panic once it has freed a block: the
+    /// caller's guard frees the whole run again if the call unwinds.
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        let _ = run;
+        None
+    }
+
     /// Asks slab-style layers to return empty pages they were keeping
     /// warm to the backing buddy, so the scrubber can decommit them.
     /// Returns how many pages were released; plain backends answer `0`.
@@ -375,9 +407,9 @@ pub trait TreeInspect {
     fn node_status(&self, n: usize) -> u8;
 
     /// The node recorded in `index[]` for the allocation unit `unit`, if any
-    /// entry was ever written there.  Entries are not cleared on release, so
-    /// a `Some` value may be stale; callers must cross-check with
-    /// [`TreeInspect::node_status`].
+    /// entry was written there since the scrubber last dropped its page.
+    /// Entries are not cleared on release, so a `Some` value may be stale;
+    /// callers must cross-check with [`TreeInspect::node_status`].
     fn recorded_node_of_unit(&self, unit: usize) -> Option<usize>;
 }
 
@@ -423,6 +455,7 @@ macro_rules! forward_through_deref {
             fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>>;
             fn scrub_claim(&self, offset: usize, size: usize) -> bool;
             fn scrub_dealloc(&self, offset: usize);
+            fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize>;
             fn trim_empty_pages(&self) -> usize;
         })*
     };

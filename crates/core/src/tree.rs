@@ -147,9 +147,12 @@ pub struct BuddyTree<S> {
     /// served the chunk starting there, plus one (0: never written).  The
     /// level and the unit's own offset name the node
     /// ([`Geometry::node_at_offset`]), so one byte per unit says what the
-    /// paper's node index says.  Written on allocation, read on release;
-    /// never cleared (the paper keeps stale entries, later allocations
-    /// overwrite them).
+    /// paper's node index says.  Written on allocation, read on release.
+    /// A release leaves its entry behind, as the paper does (a later
+    /// allocation overwrites it).  Stale entries go only when the decommit
+    /// scrubber hands back a run of blocks it holds
+    /// ([`BuddyTree::free_scrub_run`]): the whole pages of `index[]` under
+    /// the run return to the kernel and read 0 until a grant writes them.
     index: ZeroedSlice<AtomicU8>,
     /// Bytes currently handed out (granted sizes), counted per thread so
     /// the last step of an operation stays on the caller's own line.
@@ -239,21 +242,72 @@ impl<S: NodeStore> BuddyTree<S> {
     /// if `alloc(size)` had returned it.  The scan cursor is deliberately
     /// not advanced: maintenance claims must not perturb placement.
     pub fn claim_block(&self, offset: usize, size: usize) -> bool {
-        let Some(level) = self.geo.target_level(size) else {
+        let Some(n) = self.node_of_block(offset, size) else {
             return false;
         };
-        if self.geo.size_of_level(level) != size
-            || !offset.is_multiple_of(size)
-            || offset + size > self.geo.total_memory()
-        {
-            return false;
-        }
-        let n = self.geo.node_at(level, offset / size);
         if self.store.try_alloc_node(n, &self.stats).is_err() {
             return false;
         }
         self.record_grant(n, offset, size);
         true
+    }
+
+    /// The node whose chunk is exactly `[offset, offset + size)`, or `None`
+    /// when no allocatable level has such a chunk.
+    fn node_of_block(&self, offset: usize, size: usize) -> Option<usize> {
+        let level = self.geo.target_level(size)?;
+        (self.geo.size_of_level(level) == size
+            && offset.is_multiple_of(size)
+            && offset + size <= self.geo.total_memory())
+        .then(|| self.geo.node_at(level, offset / size))
+    }
+
+    /// Frees a run of blocks the decommit scrubber holds and gives the
+    /// `index[]` pages under the run back to the kernel; returns how many
+    /// bytes of `index[]` went back.
+    ///
+    /// `run` lists `(offset, size)` of adjacent blocks in ascending order,
+    /// each claimed with [`BuddyTree::claim_block`] and held by the caller,
+    /// who gives up all of them by this call.  Holding them is what makes
+    /// the drop sound: every unit of the run lies in a held block, and only
+    /// a successful grant writes an entry (none can succeed inside a held
+    /// block) while only the free of a live block needs one.  Each node is
+    /// rebuilt from its `(offset, size)`, never from the dropped entries.
+    /// Pages the run covers only in part stay, so a run shorter than
+    /// `page_size * min_size` bytes (128 KiB of 32 B units) gives back
+    /// nothing, and a heap-backed `index[]` (under 64 KiB) never does.
+    /// Allocates nothing.  Panics, before it frees anything, if `run` is
+    /// not adjacent blocks of this tree.  A block the caller does not hold
+    /// is a logic error of the rank of a double free: besides freeing it,
+    /// the call may drop the entry of a live block inside it, whose own
+    /// release then finds no node.
+    pub fn free_scrub_run(&self, run: &[(usize, usize)]) -> usize {
+        let Some(&(start, _)) = run.first() else {
+            return 0;
+        };
+        let mut end = start;
+        for &(offset, size) in run {
+            assert!(
+                offset == end && self.node_of_block(offset, size).is_some(),
+                "scrub run {run:?} is not adjacent blocks of this tree"
+            );
+            end += size;
+        }
+        let units = start / self.geo.min_size()..end / self.geo.min_size();
+        // SAFETY: `index[]` holds atomics.  Every unit in `units` lies in a
+        // block of `run` (adjacent, checked above), and the caller holds
+        // every one of those blocks: no grant there can succeed, and only a
+        // grant writes an entry, so nothing stores into the range while the
+        // pages go.  A racing checked release of a stray offset reads the
+        // stale entry or 0, and either way finds no live block there.
+        let dropped = unsafe { self.index.discard(units) };
+        for &(offset, size) in run {
+            let n = self
+                .node_of_block(offset, size)
+                .expect("checked before the drop");
+            self.free_granted(n);
+        }
+        dropped
     }
 
     /// Scans nodes of `level` with indices in `[from, to)`, attempting to
@@ -322,6 +376,12 @@ impl<S: NodeStore> BuddyTree<S> {
     pub fn dealloc(&self, offset: usize) {
         let n = self.recorded_node(offset);
         debug_assert!(n >= 1, "dealloc of never-allocated offset {offset}");
+        self.free_granted(n);
+    }
+
+    /// `FREENODE` + `UNMARK` of the granted node `n`, then the count.
+    #[inline]
+    fn free_granted(&self, n: usize) {
         let granted = self.geo.size_of(n);
         self.store.free_node(n, self.geo.max_level(), &self.stats);
         self.allocated.sub(granted);
@@ -421,6 +481,10 @@ impl<S: NodeStore> BuddyBackend for BuddyTree<S> {
 
     fn scrub_claim(&self, offset: usize, size: usize) -> bool {
         self.claim_block(offset, size)
+    }
+
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        Some(self.free_scrub_run(run))
     }
 }
 
@@ -871,6 +935,53 @@ pub(crate) mod suite {
         }
     }
 
+    /// A scrub run frees every block it holds and drops the whole pages of
+    /// a mapped `index[]` under it, nothing around it; a later day's
+    /// grants write the dropped entries afresh, and a run that is not
+    /// adjacent blocks is refused before anything is freed.
+    pub(crate) fn a_scrub_run_frees_its_blocks_and_drops_its_index_pages<S: NodeStore>() {
+        // 64 Ki units of 64 B: a mapped `index[]` of 64 KiB, one page of it
+        // per four 64 KiB blocks.
+        const BLOCK: usize = 64 << 10;
+        let b = buddy::<S>(1 << 22, 64, BLOCK);
+        let blocks = (1 << 22) / BLOCK;
+        for i in 0..blocks {
+            assert!(b.claim_block(i * BLOCK, BLOCK));
+        }
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            b.free_scrub_run(&[(0, BLOCK), (2 * BLOCK, BLOCK)])
+        }));
+        assert!(refused.is_err(), "a gap in the run is refused");
+        assert_eq!(b.allocated_bytes(), 1 << 22, "and nothing was freed");
+
+        // Blocks 1..=9: the index pages of blocks 4..=7 only.
+        let run: Vec<_> = (1..10).map(|i| (i * BLOCK, BLOCK)).collect();
+        let dropped = b.free_scrub_run(&run);
+        let page = crate::mapping::page_size();
+        if cfg!(all(target_os = "linux", not(nbbs_model))) && page == 4096 {
+            assert_eq!(dropped, page);
+        }
+        let units_per_block = BLOCK / 64;
+        let entry = |i: usize| b.recorded_node_of_unit(i * units_per_block);
+        assert!(entry(3).is_some(), "a partly covered page stays");
+        assert_eq!(entry(5).is_none(), dropped > 0);
+        assert!(entry(8).is_some());
+        assert_eq!(b.allocated_bytes(), (blocks - 9) * BLOCK);
+        assert_eq!(b.free_scrub_run(&[]), 0);
+        for i in (0..blocks).filter(|i| !(1..10).contains(i)) {
+            b.dealloc(i * BLOCK);
+        }
+        assert_clean(&b);
+
+        // The next day writes the dropped entries again and frees through them.
+        let offs: Vec<_> = (0..blocks).map(|_| b.alloc(BLOCK).unwrap()).collect();
+        assert_eq!(entry(5), Some(b.geometry().node_at_offset(6, 5 * BLOCK)));
+        for off in offs {
+            b.dealloc(off);
+        }
+        assert_clean(&b);
+    }
+
     pub(crate) fn debug_output_mentions_sizes<S: NodeStore>() {
         let s = format!("{:?}", buddy::<S>(2048, 64, 1024));
         assert!(s.starts_with(S::TYPE_NAME), "{s}");
@@ -904,6 +1015,7 @@ pub(crate) mod suite {
                 trait_object_usage,
                 granted_size_of_live_tracks_allocations,
                 index_names_every_node_of_every_level,
+                a_scrub_run_frees_its_blocks_and_drops_its_index_pages,
                 debug_output_mentions_sizes
             );
         };

@@ -192,6 +192,12 @@ impl<A: BuddyBackend> BuddyBackend for Recorded<A> {
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
         self.inner.grant_alignment_for(size)
     }
+
+    /// Untimed, like the scrubber's other calls through
+    /// [`BuddyBackend::inner`].
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        self.inner.scrub_dealloc_run(run)
+    }
 }
 
 #[cfg(test)]

@@ -205,11 +205,12 @@ impl StackSnapshot {
                 let _ = writeln!(
                     out,
                     "  scrub    {} passes: {} blocks / {} B decommitted in {} calls, \
-                     {} B recommitted, {} pages trimmed",
+                     {} B of metadata, {} B recommitted, {} pages trimmed",
                     m.scrub_passes,
                     m.scrub_blocks,
                     m.scrub_bytes,
                     m.decommit_calls,
+                    m.metadata_decommitted_bytes,
                     m.recommitted_bytes,
                     m.trimmed_pages
                 );
@@ -401,7 +402,8 @@ impl StackSnapshot {
                 ",\"memory\":{{\"managed_bytes\":{},\"committed_bytes\":{},\
                  \"decommitted_bytes\":{},\"committed_ratio\":{},\"scrub_passes\":{},\
                  \"scrub_blocks\":{},\"scrub_bytes\":{},\"decommit_calls\":{},\
-                 \"recommitted_bytes\":{},\"trimmed_pages\":{}}}",
+                 \"metadata_decommitted_bytes\":{},\"recommitted_bytes\":{},\
+                 \"trimmed_pages\":{}}}",
                 m.managed_bytes,
                 m.committed_bytes,
                 m.decommitted_bytes,
@@ -410,6 +412,7 @@ impl StackSnapshot {
                 m.scrub_blocks,
                 m.scrub_bytes,
                 m.decommit_calls,
+                m.metadata_decommitted_bytes,
                 m.recommitted_bytes,
                 m.trimmed_pages
             );
@@ -761,6 +764,7 @@ mod tests {
             scrub_bytes: 786_432,
             decommit_calls: 4,
             recommitted_bytes: 4096,
+            metadata_decommitted_bytes: 8192,
             trimmed_pages: 2,
         }));
         let snap = reg.snapshot();
@@ -771,6 +775,7 @@ mod tests {
         );
         assert!(table.contains("scrub    3 passes"), "{table}");
         assert!(table.contains("decommitted in 4 calls"), "{table}");
+        assert!(table.contains("8192 B of metadata"), "{table}");
         assert!(table.contains("2 pages trimmed"), "{table}");
         let json = snap.to_json();
         assert!(
@@ -778,6 +783,10 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"scrub_passes\":3"), "{json}");
+        assert!(
+            json.contains("\"metadata_decommitted_bytes\":8192"),
+            "{json}"
+        );
         // Regions that never scrubbed hide the scrub row but keep the gauge.
         let mut quiet = MetricsRegistry::new("quiet");
         quiet.set_memory(Some(MemoryStatsSnapshot {

@@ -869,6 +869,12 @@ impl<A: BuddyBackend> BuddyBackend for SlabBackend<A> {
         self.rescue_orphaned_pages();
         self.reclaim_empty_pages() + self.inner.trim_empty_pages()
     }
+
+    /// Forwarded like the scrubber's claim: a scrub run is whole free buddy
+    /// blocks, none of them a page bound to a class.
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        self.inner.scrub_dealloc_run(run)
+    }
 }
 
 impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for SlabBackend<A> {

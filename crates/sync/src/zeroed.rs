@@ -16,12 +16,17 @@
 //! Smaller arrays, and every array where `mmap` is not available or fails,
 //! come from [`alloc_zeroed`](std::alloc::alloc_zeroed).
 //!
+//! A mapped array can also give pages back: [`ZeroedSlice::discard`]
+//! returns the whole pages under a range of elements to the kernel, which
+//! backs them with fresh zero pages on the next write.  A heap-backed array
+//! keeps its memory.
+//!
 //! Under `--cfg nbbs_model` the shadow atomics ([`crate::shadow`])
 //! implement [`Zeroable`] by building element by element, so the model
 //! build constructs exactly what it always did and call sites carry no cfg.
 
 use std::alloc::Layout;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::ptr::NonNull;
 
 /// Arrays of at least this many bytes are mapped on their own.
@@ -97,6 +102,51 @@ impl<T> From<Box<[T]>> for ZeroedSlice<T> {
     }
 }
 
+impl<T: Zeroable> ZeroedSlice<T> {
+    /// Gives the whole pages under `elements` back to the kernel
+    /// (`madvise(MADV_DONTNEED)`) and returns how many bytes that was.
+    ///
+    /// Every element on those pages reads zero afterwards, and a page costs
+    /// resident memory again only once an element on it is written.  Pages
+    /// the range covers only in part are kept.  A heap-backed array (under
+    /// 64 KiB, where `mmap` is not available, or of shadow atomics, which
+    /// are built element by element) gives nothing back and returns 0.
+    ///
+    /// # Safety
+    ///
+    /// `T` must be an atomic type, and no other thread may write an element
+    /// in `elements` while the call runs: the kernel sets those elements to
+    /// zero behind the type's back, and a store racing it could be lost.  A
+    /// racing atomic load reads the old value or zero.
+    pub unsafe fn discard(&self, elements: Range<usize>) -> usize {
+        assert!(
+            elements.start <= elements.end && elements.end <= self.len,
+            "discard of {elements:?} from {} elements",
+            self.len
+        );
+        if self.mapped == 0 {
+            return 0;
+        }
+        let size = std::mem::size_of::<T>();
+        let page = sys::page_size();
+        let first = (elements.start * size).next_multiple_of(page);
+        let end = elements.end * size / page * page;
+        if end <= first {
+            return 0;
+        }
+        // SAFETY: the mapping starts page-aligned (it came from `mmap`), so
+        // `[first, end)` is whole pages inside the `len * size` bytes of the
+        // array, which lie inside the mapping.  The caller guarantees no
+        // element there is written meanwhile, and zero is a valid `T`.
+        let released = unsafe { sys::release(self.ptr.cast::<u8>().add(first), end - first) };
+        if released {
+            end - first
+        } else {
+            0
+        }
+    }
+}
+
 impl<T> Deref for ZeroedSlice<T> {
     type Target = [T];
 
@@ -135,6 +185,7 @@ mod sys {
     const MAP_PRIVATE: c_int = 2;
     const MAP_ANONYMOUS: c_int = 0x20;
     const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
+    const MADV_DONTNEED: c_int = 4;
 
     // std links libc already.
     extern "C" {
@@ -147,6 +198,27 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        fn getpagesize() -> c_int;
+    }
+
+    /// The kernel's page size, 4 KiB if it cannot be read.
+    pub(super) fn page_size() -> usize {
+        // SAFETY: `getpagesize` has no preconditions.
+        match unsafe { getpagesize() } {
+            p if p > 0 => p as usize,
+            _ => 4096,
+        }
+    }
+
+    /// Drops the frames behind `[raw, raw + len)`; whether the kernel did.
+    ///
+    /// # Safety
+    ///
+    /// The range must be whole pages of a private anonymous mapping from
+    /// [`map`] whose contents nobody needs: they read zero afterwards.
+    pub(super) unsafe fn release(raw: NonNull<u8>, len: usize) -> bool {
+        madvise(raw.as_ptr().cast(), len, MADV_DONTNEED) == 0
     }
 
     /// A fresh private anonymous mapping of `len` bytes (page-aligned,
@@ -192,6 +264,14 @@ mod sys {
     pub(super) unsafe fn unmap(_raw: NonNull<u8>, _len: usize) {
         unreachable!("nothing is mapped where `map` always declines")
     }
+
+    pub(super) fn page_size() -> usize {
+        4096
+    }
+
+    pub(super) unsafe fn release(_raw: NonNull<u8>, _len: usize) -> bool {
+        unreachable!("nothing is mapped where `map` always declines")
+    }
 }
 
 // SAFETY: each std atomic has the in-memory representation of its integer,
@@ -228,6 +308,39 @@ mod tests {
                 9
             );
         }
+    }
+
+    #[test]
+    fn discard_zeroes_whole_pages_and_keeps_the_edges() {
+        let n = 64 << 10;
+        let bytes: ZeroedSlice<AtomicU8> = zeroed_slice(n);
+        bytes.iter().for_each(|b| b.store(7, Ordering::Relaxed));
+        let page = sys::page_size();
+        let (from, to) = (page / 2, 5 * page + 1);
+        // SAFETY: atomics, and no other thread holds the array.
+        let released = unsafe { bytes.discard(from..to) };
+        if cfg!(target_os = "linux") {
+            assert_eq!(released, 4 * page, "pages 1 to 4, not the two edges");
+        }
+        let zeroed = bytes
+            .iter()
+            .filter(|b| b.load(Ordering::Relaxed) == 0)
+            .count();
+        assert_eq!(zeroed, released);
+        if released > 0 {
+            assert_eq!(bytes[page - 1].load(Ordering::Relaxed), 7);
+            assert_eq!(bytes[page].load(Ordering::Relaxed), 0);
+            assert_eq!(bytes[5 * page].load(Ordering::Relaxed), 7);
+        }
+        // A dropped page takes writes again.
+        bytes[2 * page].store(9, Ordering::Relaxed);
+        assert_eq!(bytes[2 * page].load(Ordering::Relaxed), 9);
+
+        let small: ZeroedSlice<AtomicU8> = zeroed_slice(4096);
+        small[0].store(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        assert_eq!(unsafe { small.discard(0..4096) }, 0, "heap-backed");
+        assert_eq!(small[0].load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1,0 +1,184 @@
+//! The scrubber gives `index[]` pages back while allocations race it.
+//!
+//! A scrub run frees its blocks in one call and, under the claims it still
+//! holds, drops the pages of `index[]` that only the run's units use.  An
+//! entry lost under a live block would send that block's free to the wrong
+//! node (or to none), and an entry written into a page as it goes would be
+//! lost the same way.  These tests churn blocks of every size from several
+//! threads while another thread loops `scrub_pass` over a tree whose
+//! `index[]` is mapped, so its pages really go, and check what such a loss
+//! would break: every block's header survives until its owner frees it, the
+//! byte gauge returns to 0 and the tree audits clean.
+
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use nbbs::verify::audit_empty;
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, NbbsOneLevel};
+use nbbs_cache::MagazineCache;
+
+/// 8 MiB of 32 B units: a 256 KiB `index[]`, mapped, one page of it per
+/// 128 KiB of span.  A run is capped at 1/16 of the span, 512 KiB.
+fn config() -> BuddyConfig {
+    BuddyConfig::new(8 << 20, 32, 64 << 10).expect("a valid geometry")
+}
+
+const WORKERS: usize = 3;
+const OPS: usize = 20_000;
+/// Blocks a worker holds at most: 3 × 16 × 64 KiB live plus one held run
+/// leave most of the span free, so no allocation may fail.
+const HELD: usize = 16;
+
+/// A live block, by its offset in the region, and the tag its two ends
+/// carry.
+struct Held {
+    offset: usize,
+    size: usize,
+    tag: u64,
+}
+
+impl Held {
+    fn write<A: BuddyBackend>(
+        region: &BuddyRegion<A>,
+        ptr: NonNull<u8>,
+        size: usize,
+        tag: u64,
+    ) -> Held {
+        unsafe {
+            ptr.as_ptr().cast::<u64>().write(tag);
+            ptr.as_ptr().add(size - 8).cast::<u64>().write(!tag);
+        }
+        let offset = region.offset_of(ptr).expect("a block of the region");
+        Held { offset, size, tag }
+    }
+
+    /// Checks both ends and frees the block.
+    fn verify_and_free<A: BuddyBackend>(self, region: &BuddyRegion<A>) {
+        let ptr = unsafe { NonNull::new_unchecked(region.base().as_ptr().add(self.offset)) };
+        let (head, tail) = unsafe {
+            (
+                ptr.as_ptr().cast::<u64>().read(),
+                ptr.as_ptr().add(self.size - 8).cast::<u64>().read(),
+            )
+        };
+        assert_eq!(
+            (head, tail),
+            (self.tag, !self.tag),
+            "the header of a live {}-byte block at {} changed under it",
+            self.size,
+            self.offset
+        );
+        region.dealloc_bytes(ptr);
+    }
+}
+
+/// Stops the scrubbing loop when dropped, so a worker's panic ends the
+/// test instead of leaving the scrubber spinning in the scope.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// `WORKERS` threads allocate, tag, check and free blocks of 32 B to
+/// 64 KiB while a scrubber loops; each worker's last blocks are checked
+/// and freed only once the scrubber has stopped.  Then the caches are
+/// drained and a last pass must find every granted page free.  Returns
+/// the metadata bytes the passes gave back while the workers ran.
+fn churn_under_a_scrubbing_loop<A: BuddyBackend>(region: &BuddyRegion<A>) -> u64 {
+    let stop = AtomicBool::new(false);
+    let survivors: Vec<Held> = std::thread::scope(|s| {
+        let scrubber = s.spawn(|| {
+            let mut passes = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                region.scrub_pass();
+                passes += 1;
+            }
+            passes
+        });
+        let stop_scrubber = StopOnDrop(&stop);
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                s.spawn(move || {
+                    let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1);
+                    let mut held: Vec<Held> = Vec::with_capacity(HELD);
+                    for i in 0..OPS {
+                        rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        if held.len() < HELD && (held.is_empty() || rng >> 63 == 0) {
+                            let size = 32usize << ((rng >> 40) % 12);
+                            let ptr = region
+                                .alloc_bytes(size)
+                                .expect("the span has room beyond the held blocks");
+                            let tag = ((w as u64) << 56) | i as u64;
+                            held.push(Held::write(region, ptr, size, tag));
+                        } else {
+                            held.swap_remove((rng >> 32) as usize % held.len())
+                                .verify_and_free(region);
+                        }
+                    }
+                    held
+                })
+            })
+            .collect();
+        let survivors = workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a worker panicked"))
+            .collect();
+        drop(stop_scrubber);
+        assert!(scrubber.join().expect("the scrubber panicked") > 0);
+        survivors
+    });
+    let dropped = region.memory_stats().metadata_decommitted_bytes;
+    for block in survivors {
+        block.verify_and_free(region);
+    }
+    region.backend().drain_cache();
+    region.scrub_pass();
+    assert_eq!(region.allocated_bytes(), 0);
+    assert_eq!(region.committed_bytes(), 0, "the last pass took everything");
+    dropped
+}
+
+/// Whether this build's `index[]` of [`config`] is a mapping, and so can
+/// give pages back.
+const MAPPED: bool = cfg!(target_os = "linux");
+
+#[test]
+fn index_pages_go_under_racing_allocations_on_the_four_level_tree() {
+    let region = BuddyRegion::new(NbbsFourLevel::new(config()));
+    let dropped = churn_under_a_scrubbing_loop(&region);
+    assert!(
+        dropped > 0 || !MAPPED,
+        "no racing pass dropped an index page"
+    );
+    audit_empty(region.backend()).assert_clean();
+}
+
+#[test]
+fn index_pages_go_under_racing_allocations_on_the_one_level_tree() {
+    let region = BuddyRegion::new(NbbsOneLevel::new(config()));
+    let dropped = churn_under_a_scrubbing_loop(&region);
+    assert!(
+        dropped > 0 || !MAPPED,
+        "no racing pass dropped an index page"
+    );
+    audit_empty(region.backend()).assert_clean();
+}
+
+/// The shipped composition: the magazine cache forwards the run to the
+/// tree, and its parked chunks are allocated there, so no run covers them.
+/// The parked chunks of every class spread over the span, so while the
+/// workers run a pass may find no run long enough to drop a page; the
+/// pass after the drain does.
+#[test]
+fn index_pages_go_under_racing_allocations_through_the_cache() {
+    let region = BuddyRegion::new(Arc::new(MagazineCache::new(NbbsFourLevel::new(config()))));
+    churn_under_a_scrubbing_loop(&region);
+    let dropped = region.memory_stats().metadata_decommitted_bytes;
+    assert!(dropped > 0 || !MAPPED, "the cache lost the forward");
+    let cache: &MagazineCache<NbbsFourLevel> = region.backend();
+    audit_empty(cache).assert_clean();
+}

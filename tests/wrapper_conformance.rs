@@ -5,8 +5,15 @@
 //! The hazard is silent: the methods have defaults, so a wrapper that lacks
 //! a forward still compiles and still serves every request.  The probe
 //! below is a leaf that returns a distinct sentinel from each of the
-//! fourteen optional methods (none of them equal to the leaf default); the
+//! fifteen optional methods (none of them equal to the leaf default); the
 //! table wraps it in each layer of the workspace and compares answers.
+//!
+//! One of them must *not* always arrive: `scrub_dealloc_run` frees a whole
+//! scrub run in the backend, so a wrapper that translates or intercepts
+//! `scrub_dealloc` (a lock, a fault injector, a slotted set) keeps the
+//! default, which frees nothing and sends the scrubber back to its
+//! per-block route.  The wrappers that pass the scrubber straight through
+//! must forward it, or the tree beneath never gives its `index[]` back.
 //!
 //! The sized release is checked the same way: `dealloc_sized` defaults to
 //! `dealloc`, so a wrapper that lacks the forward still releases the block,
@@ -17,9 +24,10 @@
 use std::sync::{Arc, Mutex};
 
 use nbbs::error::FreeError;
+use nbbs::mapping::page_size;
 use nbbs::{
     BuddyBackend, BuddyConfig, CacheStatsSnapshot, ElasticSet, FragStatsSnapshot, Geometry,
-    LockedBuddy, OccupancySnapshot, OpStatsSnapshot,
+    LockedBuddy, NbbsFourLevel, OccupancySnapshot, OpStatsSnapshot,
 };
 use nbbs_cache::MagazineCache;
 use nbbs_chaos::FaultInjecting;
@@ -134,6 +142,10 @@ impl BuddyBackend for Probe {
     fn scrub_dealloc(&self, offset: usize) {
         self.note(format!("scrub_dealloc({offset})"));
     }
+    fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize> {
+        self.note(format!("scrub_dealloc_run({run:?})"));
+        Some(RUN_METADATA)
+    }
     fn trim_empty_pages(&self) -> usize {
         3
     }
@@ -153,13 +165,20 @@ struct Answers {
     occupancy: Option<OccupancySnapshot>,
     free_chunks: Option<Vec<(usize, usize)>>,
     scrub_claim: bool,
+    scrub_dealloc_run: Option<usize>,
     trim_empty_pages: usize,
-    /// What `drain_cache`, `scrub_claim` and `scrub_dealloc` reached the
-    /// probe as.
+    /// What `drain_cache`, `scrub_claim`, `scrub_dealloc` and
+    /// `scrub_dealloc_run` reached the probe as.
     maintenance: Vec<String>,
     /// What `dealloc_sized(128, LIVE_SIZE)` reached the probe as.
     release: Vec<String>,
 }
+
+/// What the probe says a scrub run gave back.
+const RUN_METADATA: usize = 12_288;
+
+/// The run `ask` hands over, as the probe notes it.
+const RUN_CALL: &str = "scrub_dealloc_run([(128, 64), (192, 64)])";
 
 /// A request size above the slab cutoff, so a slab layer passes it on.
 const ASK_SIZE: usize = 4096;
@@ -168,6 +187,7 @@ fn ask(backend: &dyn BuddyBackend, calls: &Calls) -> Answers {
     backend.drain_cache();
     let scrub_claim = backend.scrub_claim(128, 64);
     backend.scrub_dealloc(128);
+    let scrub_dealloc_run = backend.scrub_dealloc_run(&[(128, 64), (192, 64)]);
     let maintenance = std::mem::take(&mut *calls.lock().unwrap());
     // The size named is the one the probe's own lookup answers, as the
     // contract demands (a cache cross-checks it in debug builds).
@@ -184,6 +204,7 @@ fn ask(backend: &dyn BuddyBackend, calls: &Calls) -> Answers {
         occupancy: backend.occupancy(),
         free_chunks: backend.free_chunks(256),
         scrub_claim,
+        scrub_dealloc_run,
         trim_empty_pages: backend.trim_empty_pages(),
         maintenance,
         release: std::mem::take(&mut *calls.lock().unwrap()),
@@ -201,6 +222,10 @@ struct Case {
     /// that `dealloc_sized` must arrive with its size.  The others may keep
     /// the default and deliver `dealloc(offset)`.
     hands_the_size_on: bool,
+    /// Whether the wrapper's scrub release is a plain hand-down, so that a
+    /// whole run must reach the backend.  The others must keep the
+    /// default: nothing reaches the backend and the answer is `None`.
+    forwards_the_run: bool,
 }
 
 fn nothing(_: &Answers, _: &mut Answers) {}
@@ -212,30 +237,35 @@ const CASES: &[Case] = &[
         wrap: |p| Box::new(&*Box::leak(Box::new(p))),
         own: nothing,
         hands_the_size_on: true,
+        forwards_the_run: true,
     },
     Case {
         wrapper: "Arc",
         wrap: |p| Box::new(Arc::new(p)),
         own: nothing,
         hands_the_size_on: true,
+        forwards_the_run: true,
     },
     Case {
         wrapper: "Recorded",
         wrap: |p| Box::new(Recorded::new(p, Arc::new(Recorder::new()))),
         own: nothing,
         hands_the_size_on: true,
+        forwards_the_run: true,
     },
     Case {
         wrapper: "FaultInjecting",
         wrap: |p| Box::new(FaultInjecting::inert(p)),
         own: nothing,
         hands_the_size_on: false,
+        forwards_the_run: false,
     },
     Case {
         wrapper: "LockedBuddy",
         wrap: |p| Box::new(LockedBuddy::with_name(p, "probe-sl")),
         own: nothing,
         hands_the_size_on: false,
+        forwards_the_run: false,
     },
     Case {
         wrapper: "MagazineCache",
@@ -248,6 +278,7 @@ const CASES: &[Case] = &[
             want.cache_class_capacities = got.cache_class_capacities.clone();
         },
         hands_the_size_on: true,
+        forwards_the_run: true,
     },
     Case {
         wrapper: "SlabBackend",
@@ -261,6 +292,7 @@ const CASES: &[Case] = &[
             want.frag_stats = got.frag_stats.clone();
         },
         hands_the_size_on: false,
+        forwards_the_run: true,
     },
     Case {
         wrapper: "NodeSet",
@@ -268,6 +300,7 @@ const CASES: &[Case] = &[
         // A slotted set reports its logical span, `slots × per-slot span`.
         own: |_, want| want.total_memory = 1 << 20,
         hands_the_size_on: false,
+        forwards_the_run: false,
     },
     Case {
         wrapper: "ElasticSet",
@@ -279,6 +312,7 @@ const CASES: &[Case] = &[
         },
         own: |_, want| want.total_memory = 2 << 20,
         hands_the_size_on: false,
+        forwards_the_run: false,
     },
 ];
 
@@ -291,7 +325,8 @@ fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
         [
             "drain_cache()",
             "scrub_claim(128, 64)",
-            "scrub_dealloc(128)"
+            "scrub_dealloc(128)",
+            RUN_CALL
         ]
     );
     assert_eq!(bare.release, [format!("dealloc_sized(128, {LIVE_SIZE})")]);
@@ -306,6 +341,10 @@ fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
         if !case.hands_the_size_on && got.release == ["dealloc(128)"] {
             want.release = got.release.clone();
         }
+        if !case.forwards_the_run {
+            want.scrub_dealloc_run = None;
+            want.maintenance.retain(|call| call != RUN_CALL);
+        }
         if got != want {
             failures.push(format!(
                 "{}:\n   got {got:?}\n  want {want:?}",
@@ -318,4 +357,28 @@ fn a_wrapper_answers_what_its_backend_answers_unless_it_documents_otherwise() {
         "wrappers that lost a forward:\n{}",
         failures.join("\n")
     );
+}
+
+/// The run reaches a real tree through `Arc`, the magazine cache and the
+/// slab, as the scrubber of a region over that stack hands it down: the
+/// tree frees the blocks and answers with the `index[]` bytes it dropped.
+#[test]
+fn a_scrub_run_reaches_the_tree_through_arc_cache_and_slab() {
+    const BLOCK: usize = 64 << 10;
+    // 8 MiB of 32 B units: a mapped 256 KiB `index[]`.
+    let tree = NbbsFourLevel::new(BuddyConfig::new(8 << 20, 32, BLOCK).unwrap());
+    let stack = Arc::new(MagazineCache::new(SlabBackend::new(tree)));
+    let run: Vec<_> = (0..4).map(|i| (i * BLOCK, BLOCK)).collect();
+    for &(offset, size) in &run {
+        assert!(stack.scrub_claim(offset, size), "block at {offset}");
+    }
+    assert_eq!(stack.allocated_bytes(), 4 * BLOCK);
+    let dropped = stack
+        .scrub_dealloc_run(&run)
+        .expect("every layer forwards the run to the tree");
+    if cfg!(target_os = "linux") && page_size() == 4096 {
+        assert_eq!(dropped, 4 * BLOCK / 32, "the two index pages under 256 KiB");
+    }
+    assert_eq!(stack.allocated_bytes(), 0, "the tree freed the run");
+    nbbs::verify::audit_empty(SlabBackend::inner(stack.backend())).assert_clean();
 }
