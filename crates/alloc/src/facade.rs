@@ -10,8 +10,6 @@ use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
 use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim};
 
-use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
-
 /// A layout-aware allocator over any [`BuddyBackend`].
 ///
 /// This is the top layer of the stack the NBBS paper sketches —
@@ -62,11 +60,6 @@ use crate::reserve::{EmergencyReserve, ReserveStatsSnapshot};
 /// region-owned memory, which keeps `deallocate` uniform.
 pub struct NbbsAllocator<A: BuddyBackend> {
     region: BuddyRegion<A>,
-    /// Optional OOM-path emergency pool, carved by
-    /// [`NbbsAllocator::with_reserve`]; consulted only after the backend
-    /// reported hard out-of-memory, replenished only by frees of its own
-    /// blocks.
-    reserve: Option<EmergencyReserve>,
     /// The cumulative counts: the `(requested, granted)` byte odometer and
     /// the grow/shrink split; shared with the global shell's exit hook,
     /// which gives the exiting thread's stripe up.
@@ -85,7 +78,6 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     pub fn new(backend: A) -> Self {
         NbbsAllocator {
             region: BuddyRegion::new(backend),
-            reserve: None,
             odometer: Arc::new(Odometer::new(default_stripes())),
             obs: None,
         }
@@ -93,7 +85,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
 
     /// Attaches an observer: `allocate`/`deallocate`/`grow`/`shrink` record
     /// one [`nbbs_obs::OpKind`] event each, and its heap profiler (if it has
-    /// one) sees every block the facade hands out, buddy or reserve.
+    /// one) sees every block the facade hands out.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.obs = Some(recorder);
@@ -109,37 +101,6 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     #[inline]
     pub(crate) fn profiler(&self) -> Option<&HeapProfiler> {
         self.obs.as_ref().and_then(|rec| rec.profiler())
-    }
-
-    /// Carves an OOM-path [`EmergencyReserve`] of up to `blocks` blocks of
-    /// (the granted size of) `block_size` bytes out of the freshly built
-    /// region.
-    ///
-    /// Reserve blocks are invisible to the normal path: they are served
-    /// only when the backend reports hard out-of-memory for a request that
-    /// fits a block, and return to the pool (never to the buddy) when
-    /// freed.  Idle reserve bytes are excluded from
-    /// [`NbbsAllocator::allocated_bytes`].  If not even one block can be
-    /// carved (arena too tight, `block_size` oversized) the facade simply
-    /// has no reserve.
-    #[must_use]
-    pub fn with_reserve(mut self, blocks: usize, block_size: usize) -> Self {
-        self.reserve = EmergencyReserve::carve(self.region.backend(), blocks, block_size);
-        if let Some(reserve) = &self.reserve {
-            // Pin every carved block: reserve memory must stay resident so
-            // an OOM-path hit is served from committed pages, not a string
-            // of fresh page faults (and the scrubber must never claim what
-            // the reserve already owns).
-            for &offset in reserve.owned() {
-                self.region.pin_range(offset, reserve.block_size());
-            }
-        }
-        self
-    }
-
-    /// The reserve's counters and occupancy, when one was carved.
-    pub fn reserve_stats(&self) -> Option<ReserveStatsSnapshot> {
-        self.reserve.as_ref().map(EmergencyReserve::stats)
     }
 
     /// The wrapped backend (e.g. the `MagazineCache` layer).
@@ -191,26 +152,16 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     }
 
     /// Bytes currently handed out (as the backend counts them — a caching
-    /// backend subtracts parked chunks, and idle emergency-reserve blocks
-    /// are excluded: allocated in the backend, serving nobody).
+    /// backend subtracts parked chunks).
     pub fn allocated_bytes(&self) -> usize {
-        let idle = self
-            .reserve
-            .as_ref()
-            .map_or(0, EmergencyReserve::idle_bytes);
-        self.region.allocated_bytes().saturating_sub(idle)
+        self.region.allocated_bytes()
     }
 
-    /// Point-in-time copy of what the facade counts: the grow/shrink split,
-    /// the requested/granted odometers, the reserve's hits and refills.
-    /// The two `system_*` fields are the global shell's and stay zero.
+    /// Point-in-time copy of what the facade counts: the grow/shrink split
+    /// and the requested/granted odometers.  The two `system_*` fields are
+    /// the global shell's and stay zero.
     pub fn facade_stats(&self) -> FacadeStatsSnapshot {
-        let reserve = self.reserve_stats().unwrap_or_default();
-        FacadeStatsSnapshot {
-            reserve_hits: reserve.hits,
-            reserve_refills: reserve.refills,
-            ..self.odometer.totals()
-        }
+        self.odometer.totals()
     }
 
     /// The odometer, for a hook that must give the exiting thread's stripe
@@ -257,36 +208,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
                 requested: want,
                 max_size: self.backend().max_size(),
             })?;
-        let ptr = match self.region.try_alloc_bytes(want) {
-            Ok(ptr) => ptr,
-            Err(AllocError::OutOfMemory { .. }) => {
-                // Hard OOM: the reserve's moment.  A served block is
-                // `block_size` bytes, naturally aligned like every buddy
-                // block, so the whole block is the grant.
-                if let Some(reserve) = &self.reserve {
-                    // A miss records too (outcome Failed): the ring then
-                    // shows the reserve running dry.
-                    let served = Recorder::time(
-                        &self.obs,
-                        OpKind::ReserveHit,
-                        || reserve.serve(want),
-                        |served| (size_detail(want), served.is_some()),
-                    );
-                    if let Some(offset) = served {
-                        // SAFETY: `offset` was carved from this region's
-                        // backend, so `base + offset` is in bounds.
-                        let ptr = unsafe {
-                            NonNull::new_unchecked(self.region.base().as_ptr().add(offset))
-                        };
-                        debug_assert_eq!(ptr.as_ptr() as usize % layout.align(), 0);
-                        self.account_grant(layout, reserve.block_size(), Some(offset));
-                        return Ok(NonNull::slice_from_raw_parts(ptr, reserve.block_size()));
-                    }
-                }
-                return Err(AllocError::OutOfMemory { requested: want });
-            }
-            Err(err) => return Err(err),
-        };
+        let ptr = self.region.try_alloc_bytes(want)?;
         debug_assert_eq!(ptr.as_ptr() as usize % layout.align(), 0);
         self.account_grant(
             layout,
@@ -340,11 +262,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// Same contract as [`NbbsAllocator::deallocate`].
     unsafe fn deallocate_inner(&self, ptr: NonNull<u8>, layout: Layout) {
         debug_assert!(self.region.contains(ptr), "pointer outside the region");
-        if self.reserve.is_some() || self.profiler().is_some() {
+        if self.profiler().is_some() {
             if let Some(offset) = self.region.offset_of(ptr) {
-                if self.note_release(offset) {
-                    return;
-                }
+                self.note_release(offset);
             }
         }
         match self.granted_size(layout) {
@@ -358,20 +278,10 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
 
     /// What every release route does before the block at `offset` goes back
     /// to a backend — this facade's `deallocate` and the global shell's
-    /// nested raw route alike: the profiler sees it go, and a block the
-    /// emergency reserve owns refills the pool — the only replenishment
-    /// path — instead of rejoining the buddy.  Returns whether the reserve
-    /// took the block, in which case it must not reach a backend.
-    pub(crate) fn note_release(&self, offset: usize) -> bool {
+    /// nested raw route alike: the profiler sees it go.
+    pub(crate) fn note_release(&self, offset: usize) {
         if let Some(profiler) = self.profiler() {
             profiler.record_free(offset);
-        }
-        match &self.reserve {
-            Some(reserve) if reserve.owns(offset) => {
-                reserve.replenish(offset);
-                true
-            }
-            _ => false,
         }
     }
 
@@ -614,7 +524,7 @@ impl Odometer {
     }
 
     /// Every count summed over every line, in the snapshot's fields (the
-    /// reserve's and the global shell's stay zero).
+    /// global shell's stay zero).
     fn totals(&self) -> FacadeStatsSnapshot {
         let lines = self
             .stripes
@@ -999,132 +909,6 @@ mod tests {
         unsafe { a.deallocate(big.cast(), big_layout) };
         assert_eq!(profiler.report().attributed_live_bytes(), 0);
         assert!(rec.ring().is_empty(), "profiling alone times nothing");
-    }
-
-    #[test]
-    fn reserve_service_records_reserve_hit_events() {
-        let rec = Arc::new(Recorder::new());
-        let config = BuddyConfig::new(1 << 12, 64, 1 << 10).unwrap();
-        let a = NbbsAllocator::new(NbbsFourLevel::new(config))
-            .with_reserve(1, 1 << 10)
-            .with_recorder(Arc::clone(&rec));
-        let layout = Layout::from_size_align(1 << 10, 8).unwrap();
-        let held: Vec<_> = (0..3).map(|_| a.allocate(layout).unwrap()).collect();
-        let rescued = a.allocate(layout).unwrap(); // OOM -> reserve hit
-        assert!(a.allocate(layout).is_err()); // pool empty -> recorded miss
-        assert_eq!(
-            rec.snapshot(OpKind::ReserveHit).total(),
-            2,
-            "one hit, one miss"
-        );
-        unsafe {
-            a.deallocate(rescued.cast(), layout);
-            for block in held {
-                a.deallocate(block.cast(), layout);
-            }
-        }
-    }
-
-    #[test]
-    fn reserve_serves_on_oom_and_refills_from_its_own_frees() {
-        // Tiny arena, no cache in the way: 4 blocks of 1 KiB total.
-        let config = BuddyConfig::new(1 << 12, 64, 1 << 10).unwrap();
-        let a = NbbsAllocator::new(NbbsFourLevel::new(config)).with_reserve(1, 1 << 10);
-        assert_eq!(a.reserve_stats().unwrap().capacity, 1);
-        assert_eq!(a.allocated_bytes(), 0, "idle reserve bytes are excluded");
-
-        // Exhaust the remaining 3 KiB.
-        let layout = Layout::from_size_align(1 << 10, 8).unwrap();
-        let held: Vec<_> = (0..3).map(|_| a.allocate(layout).unwrap()).collect();
-
-        // Hard OOM: the reserve serves.
-        let rescued = a.allocate(layout).unwrap();
-        assert_eq!(rescued.len(), 1 << 10);
-        assert_eq!(a.reserve_stats().unwrap().hits, 1);
-        assert_eq!(a.reserve_stats().unwrap().available, 0);
-
-        // Pool empty now: the next OOM is a real failure.
-        assert!(matches!(
-            a.allocate(layout),
-            Err(AllocError::OutOfMemory { .. })
-        ));
-        assert_eq!(a.reserve_stats().unwrap().exhausted, 1);
-
-        // Freeing the reserve-served block refills the pool (not the buddy).
-        unsafe { a.deallocate(rescued.cast(), layout) };
-        let stats = a.reserve_stats().unwrap();
-        assert_eq!(stats.refills, 1);
-        assert_eq!(stats.available, 1);
-
-        for block in held {
-            unsafe { a.deallocate(block.cast(), layout) };
-        }
-        assert_eq!(a.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn scrub_pass_leaves_pinned_reserve_blocks_committed_and_servable() {
-        let config = BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap();
-        let a = NbbsAllocator::new(NbbsFourLevel::new(config)).with_reserve(1, 1 << 12);
-        assert_eq!(a.reserve_stats().unwrap().capacity, 1);
-        let layout = Layout::from_size_align(1 << 12, 8).unwrap();
-        // Grant, dirty and free every other block: an idle arena whose
-        // free pages the scrubber may all decommit, but the pinned reserve
-        // block must survive the pass untouched.
-        let used: Vec<_> = (0..15).map(|_| a.allocate(layout).unwrap()).collect();
-        for block in used {
-            unsafe {
-                block.cast::<u8>().as_ptr().write_bytes(0x3C, block.len());
-                a.deallocate(block.cast(), layout);
-            }
-        }
-        let scrubbed = a.region().scrub_pass();
-        assert_eq!(scrubbed, 15 << 12, "idle pages were decommitted");
-        let mem = a.region().memory_stats();
-        assert_eq!(mem.scrub_passes, 1);
-        assert_eq!(
-            mem.committed_bytes,
-            1 << 12,
-            "pinned reserve block stays committed: {mem}"
-        );
-        assert_eq!(mem.decommitted_bytes, 15 << 12, "{mem}");
-        assert_eq!(
-            a.reserve_stats().unwrap().available,
-            1,
-            "the scrubber never claims reserve blocks"
-        );
-        // Exhaust the buddy, then hit the reserve: the pinned block serves
-        // promptly and every byte is writable.
-        let held: Vec<_> = (0..15).map(|_| a.allocate(layout).unwrap()).collect();
-        let rescued = a.allocate(layout).unwrap();
-        assert_eq!(a.reserve_stats().unwrap().hits, 1);
-        unsafe {
-            rescued
-                .cast::<u8>()
-                .as_ptr()
-                .write_bytes(0xAB, rescued.len());
-            assert_eq!(*rescued.cast::<u8>().as_ptr().add(rescued.len() - 1), 0xAB);
-            a.deallocate(rescued.cast(), layout);
-            for block in held {
-                a.deallocate(block.cast(), layout);
-            }
-        }
-        assert_eq!(a.allocated_bytes(), 0);
-    }
-
-    #[test]
-    fn reserve_refuses_requests_larger_than_its_blocks() {
-        let config = BuddyConfig::new(1 << 12, 64, 1 << 12).unwrap();
-        let a = NbbsAllocator::new(NbbsFourLevel::new(config)).with_reserve(4, 256);
-        // 3 KiB remain outside the reserve; a 2 KiB request OOMs (the free
-        // space is fragmented around the reserve) or succeeds — either way
-        // a 2 KiB grant can never come from a 256-byte reserve block.
-        let big = Layout::from_size_align(2048, 8).unwrap();
-        if let Ok(block) = a.allocate(big) {
-            assert!(block.len() >= 2048);
-            unsafe { a.deallocate(block.cast(), big) };
-        }
-        assert_eq!(a.reserve_stats().unwrap().hits, 0);
     }
 
     #[test]

@@ -75,40 +75,25 @@
 //! assert_eq!(alloc.allocated_bytes(), 0);
 //! ```
 
-//! # Error handling: hard OOM, transient failures, and the reserve
+//! # Error handling: a failed grant propagates
 //!
-//! Three distinct failure shapes flow through this stack, and they are
-//! deliberately kept apart:
-//!
-//! * **Hard OOM** ([`nbbs::error::AllocError::OutOfMemory`]) — the buddy
-//!   region genuinely cannot serve the request.  It propagates immediately:
-//!   no layer retries it, because waiting will not conjure memory.  An
-//!   [`NbbsAllocator`] gives it one last chance at its [`EmergencyReserve`]
-//!   (if one was carved with [`NbbsAllocator::with_reserve`]; the global
-//!   shell carves none).  [`NbbsGlobalAlloc`] fails over to the system
-//!   allocator and counts the event
-//!   ([`NbbsGlobalAlloc::system_failovers`]).
-//! * **Transient failures** ([`nbbs::error::AllocError::Transient`]) — the
-//!   attempt failed for a reason expected to clear shortly.  No tree or
-//!   wrapper in the product returns one; today only `nbbs-chaos`'s
-//!   `FaultInjecting` does.  The magazine cache's miss path retries these
-//!   up to three times with jittered backoff before treating the miss as
-//!   failed; hard OOM is never retried.
-//! * **Reserve-served** — an OOM-path allocation an [`NbbsAllocator`]'s
-//!   reserve held a block for.  The caller cannot tell (it got ordinary
-//!   region memory); the event is visible only in telemetry
-//!   ([`ReserveStatsSnapshot::hits`], [`NbbsAllocator::reserve_stats`]).
-//!   Reserve blocks replenish *only* through frees of reserve-owned
-//!   memory, so the pool's footprint is fixed at carve time.
+//! As in the paper, where NBALLOC simply fails when no chunk is free, a
+//! failed grant goes up the stack unchanged: tree → cache → facade.  A
+//! cache miss makes one backend call, and if that call grants nothing the
+//! allocation fails; [`NbbsAllocator::allocate`] returns the error
+//! ([`nbbs::error::AllocError::OutOfMemory`] through a cache, the
+//! backend's own error over a bare tree or a `nbbs-chaos` fault injector,
+//! whose [`nbbs::error::AllocError::Transient`] is no different).  No
+//! layer retries a failed grant or serves it from a pool.  Only
+//! [`NbbsGlobalAlloc`] acts on it: it fails over to the system allocator
+//! and counts the event ([`NbbsGlobalAlloc::system_failovers`]).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod facade;
 mod global;
-mod reserve;
 
 pub use facade::NbbsAllocator;
 pub use global::NbbsGlobalAlloc;
 pub use nbbs::FacadeStatsSnapshot;
-pub use reserve::{EmergencyReserve, ReserveStatsSnapshot};

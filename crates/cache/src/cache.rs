@@ -6,7 +6,7 @@ use std::sync::Arc;
 use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
 use nbbs_obs::{OpKind, Recorder};
-use nbbs_sync::{thread_stripe, Backoff, CachePadded, OwnedSlots, SpinLock};
+use nbbs_sync::{thread_stripe, CachePadded, OwnedSlots, SpinLock};
 
 use crate::config::CacheConfig;
 use crate::depot::DepotShard;
@@ -16,14 +16,6 @@ use crate::magazine::{ClassMags, Magazine};
 /// trigger a doubling of that class's magazine capacity: a burst that keeps
 /// overrunning the depot is cheaper to absorb in fewer, larger magazines.
 const GROW_SPILL_MAGAZINES: usize = 2;
-
-/// Bounded retries of a cache-miss refill whose backend attempt failed
-/// *transiently* ([`nbbs::error::AllocError::Transient`], which today only
-/// `nbbs-chaos`'s injected faults return), each preceded by a jittered
-/// exponential backoff ([`nbbs_sync::Backoff::spin_jittered`]).  Hard OOM
-/// never retries: genuine exhaustion must propagate immediately so the
-/// facade's emergency-reserve / failover path can act on it.
-const TRANSIENT_RETRIES: u32 = 3;
 
 /// Ceiling on the batched backend refill a miss performs (chunks).
 /// Adaptively grown magazines can reach thousands of entries — useful for
@@ -44,7 +36,6 @@ struct Counters {
     depot_spills: AtomicU64,
     resize_grows: AtomicU64,
     resize_shrinks: AtomicU64,
-    transient_retries: AtomicU64,
     orphan_rescues: AtomicU64,
 }
 
@@ -209,9 +200,9 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// relaxed load and no lock.
     orphaned: AtomicBool,
     counters: Counters,
-    /// Optional observer of the slow paths (miss, refill, flush, rescue,
-    /// retry).  `None` skips every timestamp read — the
-    /// zero-cost-when-disabled contract of `nbbs-obs`.
+    /// Optional observer of the slow paths (miss, refill, flush, rescue).
+    /// `None` skips every timestamp read — the zero-cost-when-disabled
+    /// contract of `nbbs-obs`.
     obs: Option<Arc<Recorder>>,
 }
 
@@ -519,35 +510,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
         );
     }
 
-    /// One backend allocation attempt for a refill, with bounded
-    /// retry-with-jittered-backoff on *transient* failures.  Hard failures
-    /// (`AllocError::OutOfMemory` / `AllocError::TooLarge`) return
-    /// `None` immediately — genuine exhaustion must reach the caller (and
-    /// the facade's reserve/failover machinery) without added latency.
-    fn backend_alloc_retrying(&self, class_size: usize, salt: u64) -> Option<usize> {
-        let mut attempt = 0u32;
-        let backoff = Backoff::new();
-        loop {
-            match self.backend.try_alloc(class_size) {
-                Ok(off) => return Some(off),
-                Err(e) if e.is_transient() && attempt < TRANSIENT_RETRIES => {
-                    attempt += 1;
-                    self.counters
-                        .transient_retries
-                        .fetch_add(1, Ordering::Relaxed);
-                    // One retry round: the latency is the backoff spin.
-                    Recorder::time(
-                        &self.obs,
-                        OpKind::TransientRetry,
-                        || backoff.spin_jittered(salt ^ (u64::from(attempt) << 32)),
-                        |_| (u64::from(attempt), true),
-                    );
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
     /// Serves one allocation of class `class`, preferring the magazines.
     fn alloc_cached(&self, class: usize) -> Option<usize> {
         let class_size = self.class_size(class);
@@ -593,12 +555,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 pair.loaded.set_capacity(target);
                 pair.previous.set_capacity(target);
             }
-            Err((
-                slot_idx,
-                (pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX),
-            ))
+            Err((pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX))
         });
-        let (slot_idx, batch) = match entered {
+        let batch = match entered {
             Ok(off) => return Some(off),
             Err(miss) => miss,
         };
@@ -612,7 +571,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
         let first = Recorder::time(
             &self.obs,
             OpKind::CacheMiss,
-            || self.backend_alloc_retrying(class_size, slot_idx as u64),
+            || self.backend.alloc(class_size),
             |first| (class as u64, first.is_some()),
         )?;
         // Every chunk below is in flight outside any lock until it lands in
@@ -993,7 +952,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             depot_spills: self.counters.depot_spills.load(Ordering::Relaxed),
             resize_grows: self.counters.resize_grows.load(Ordering::Relaxed),
             resize_shrinks: self.counters.resize_shrinks.load(Ordering::Relaxed),
-            transient_retries: self.counters.transient_retries.load(Ordering::Relaxed),
             orphan_rescues: self.counters.orphan_rescues.load(Ordering::Relaxed),
             depot_shards: self.shards.len() as u64,
         }

@@ -12,7 +12,8 @@
 //! * **allocation failures** — probabilistic or every-nth-operation, surfaced
 //!   as `None` from `alloc` and as [`AllocError::Transient`] (or, separately
 //!   rated, hard [`AllocError::OutOfMemory`]) from `try_alloc`, so the layers
-//!   above must exercise their retry/reserve/failover paths;
+//!   above must carry a failed grant up to the caller without losing or
+//!   stranding a chunk;
 //! * **delays** — short spin bursts at operation boundaries that widen race
 //!   windows the way a preempted thread would;
 //! * **scoped panics** — injected *before* the wrapped operation runs, so an
@@ -94,8 +95,9 @@ pub struct FaultPlan {
     /// `try_alloc` → [`AllocError::Transient`]).
     pub fail_per_64k: u16,
     /// Per-64Ki rate of *hard* OOM injections (`try_alloc` →
-    /// [`AllocError::OutOfMemory`]), the schedule that drives traffic into
-    /// `nbbs-alloc`'s emergency reserve.
+    /// [`AllocError::OutOfMemory`]; `alloc` → `None`, like a transient
+    /// failure), the schedule that makes a bare facade over the injector
+    /// report exhaustion the way the tree does.
     pub oom_per_64k: u16,
     /// Additionally fail every `n`-th allocation transiently (0 = off) — the
     /// deterministic complement to the probabilistic rate, useful for unit

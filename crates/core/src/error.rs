@@ -96,25 +96,13 @@ pub enum AllocError {
     },
     /// The attempt failed for a reason expected to clear shortly.
     ///
-    /// Unlike [`AllocError::OutOfMemory`] — which means the required order is
-    /// genuinely unavailable and must propagate immediately — a transient
-    /// failure is worth a bounded retry with backoff before the caller
-    /// escalates.  No tree or wrapper in the product returns it; today it
-    /// comes only from `nbbs-chaos`'s injected faults.
+    /// No tree or wrapper in the product returns it; it comes only from
+    /// `nbbs-chaos`'s injected faults.  No layer retries it: like every
+    /// failed grant it propagates unchanged to the caller.
     Transient {
         /// Requested size in bytes.
         requested: usize,
     },
-}
-
-impl AllocError {
-    /// `true` for failures worth a bounded retry; `false` for hard failures
-    /// ([`AllocError::TooLarge`], [`AllocError::OutOfMemory`]) that must
-    /// propagate immediately.
-    #[inline]
-    pub fn is_transient(&self) -> bool {
-        matches!(self, AllocError::Transient { .. })
-    }
 }
 
 impl fmt::Display for AllocError {
@@ -128,10 +116,7 @@ impl fmt::Display for AllocError {
                 write!(f, "no free chunk available for a {requested}-byte request")
             }
             AllocError::Transient { requested } => {
-                write!(
-                    f,
-                    "a {requested}-byte request failed transiently; a bounded retry may succeed"
-                )
+                write!(f, "a {requested}-byte request failed transiently")
             }
         }
     }
@@ -216,17 +201,6 @@ mod tests {
         assert!(e.to_string().contains("128"));
         let e = AllocError::Transient { requested: 256 };
         assert!(e.to_string().contains("256"));
-    }
-
-    #[test]
-    fn only_transient_is_transient() {
-        assert!(AllocError::Transient { requested: 8 }.is_transient());
-        assert!(!AllocError::OutOfMemory { requested: 8 }.is_transient());
-        assert!(!AllocError::TooLarge {
-            requested: 8,
-            max_size: 4
-        }
-        .is_transient());
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //! would change nothing, so a grant over committed pages writes no shared
 //! word).  Callers must guarantee that a range passed to
 //! [`Mapping::decommit`] holds no live data (the buddy scrubber claims the
-//! block through the allocation path first); ranges passed to
-//! [`Mapping::commit_range`] and [`Mapping::pin_range`] only ever touch
-//! pages of blocks the caller owns, so the two directions never race on the
-//! same page.
+//! block through the allocation path first); a range passed to
+//! [`Mapping::commit_range`] only ever touches pages of blocks the caller
+//! owns, so the two directions never race on the same page.
 
 #[cfg(not(target_os = "linux"))]
 use std::alloc::Layout;
@@ -335,41 +334,6 @@ impl Mapping {
         }
     }
 
-    /// Commits *and write-touches* every page overlapping
-    /// `[offset, offset + len)`, faulting the frames in right now.  Used to
-    /// pin latency-critical ranges (the OOM emergency reserve) so they
-    /// never take a page fault on the path that needs them.
-    ///
-    /// The caller must own the range (the touch is a volatile read/write
-    /// round-trip, so the data is preserved).
-    pub fn pin_range(&self, offset: usize, len: usize) {
-        self.commit_range(offset, len);
-        let end = (offset + len).min(self.len);
-        let mut at = offset;
-        while at < end {
-            // SAFETY: `at < len`; the caller owns the range, and rewriting
-            // the byte just read leaves the contents intact.
-            unsafe {
-                let p = self.base.as_ptr().add(at);
-                let v = p.read_volatile();
-                p.write_volatile(v);
-            }
-            at = match at.checked_add(self.page_size) {
-                Some(next) => next,
-                None => break,
-            };
-        }
-        // Touch the final page when len is not page-multiple.
-        if end > offset {
-            // SAFETY: end - 1 < len and the caller owns the range.
-            unsafe {
-                let p = self.base.as_ptr().add(end - 1);
-                let v = p.read_volatile();
-                p.write_volatile(v);
-            }
-        }
-    }
-
     /// Whole pages strictly inside `[offset, offset + len)`, as a
     /// `[first, end)` page-index range.
     fn page_span_inward(&self, offset: usize, len: usize) -> Option<(usize, usize)> {
@@ -588,30 +552,6 @@ mod tests {
         assert_eq!(m.decommit(page * 8, page * 8), 0);
         assert_eq!(m.decommit_calls(), 1);
         assert_eq!(m.decommit_bytes_total(), (page * 64) as u64);
-    }
-
-    #[test]
-    fn pin_touches_without_clobbering() {
-        let page = page_size();
-        let m = Mapping::new(page * 4, page);
-        m.commit_range(page, page);
-        unsafe { m.base().as_ptr().add(page).write_bytes(0x5C, page) };
-        m.pin_range(page, page * 2);
-        unsafe {
-            assert_eq!(*m.base().as_ptr().add(page), 0x5C);
-            assert_eq!(*m.base().as_ptr().add(page * 2 - 1), 0x5C);
-        }
-        // Pages 0 and 3 were never granted or pinned.
-        assert_eq!(m.decommitted_pages(), 2);
-        assert_eq!(m.committed_bytes(), page * 2);
-        // Pinning a decommitted range recommits it (reads zero afterwards),
-        // whether it was never granted or released since.
-        m.pin_range(0, page);
-        assert_eq!(m.decommitted_pages(), 1);
-        assert_eq!(m.decommit(0, page), page);
-        m.pin_range(0, page);
-        assert_eq!(m.decommitted_pages(), 1);
-        unsafe { assert_eq!(*m.base().as_ptr(), 0) };
     }
 
     #[test]

@@ -45,9 +45,6 @@ use crate::traits::BuddyBackend;
 struct RegionInner<A: BuddyBackend> {
     backend: A,
     mapping: Mapping,
-    /// Ranges excluded from scrubbing (the OOM emergency reserve pins its
-    /// blocks here so the path that needs them never takes a page fault).
-    pinned: Mutex<Vec<(usize, usize)>>,
     scrub_passes: AtomicU64,
     scrub_blocks: AtomicU64,
     scrub_bytes: AtomicU64,
@@ -85,8 +82,8 @@ impl<A: BuddyBackend> RegionInner<A> {
     /// backend's metadata pages under the run, or block by block if the
     /// backend declines.
     /// A run ends when the next chunk is not adjacent, is already
-    /// decommitted, overlaps a pinned range, fails its claim (each of these
-    /// leaves a gap) or would take the run past [`RegionInner::run_cap`].
+    /// decommitted, fails its claim (each of these leaves a gap) or would
+    /// take the run past [`RegionInner::run_cap`].
     /// That cap is also the bound on what the scrubber keeps from a
     /// concurrent allocation at any moment: one run, where a
     /// block-at-a-time pass kept one block.
@@ -106,11 +103,6 @@ impl<A: BuddyBackend> RegionInner<A> {
             // Everything the loop needs from the heap is taken here, before
             // the first claim: under a registered `#[global_allocator]` an
             // allocation made while blocks are held re-enters the allocator.
-            let pinned = self
-                .pinned
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone();
             let mut run = Run {
                 region: self,
                 held: Vec::with_capacity((cap / min_block).min(chunks.len())),
@@ -123,9 +115,6 @@ impl<A: BuddyBackend> RegionInner<A> {
                     run.start = off;
                 }
                 if self.mapping.is_fully_decommitted(off, size)
-                    || pinned
-                        .iter()
-                        .any(|&(p_off, p_len)| off < p_off + p_len && p_off < off + size)
                     || !self.backend.scrub_claim(off, size)
                 {
                     continue; // the gap ends the run at the next chunk
@@ -240,7 +229,6 @@ impl<A: BuddyBackend> BuddyRegion<A> {
             inner: Arc::new(RegionInner {
                 backend,
                 mapping,
-                pinned: Mutex::new(Vec::new()),
                 scrub_passes: AtomicU64::new(0),
                 scrub_blocks: AtomicU64::new(0),
                 scrub_bytes: AtomicU64::new(0),
@@ -373,19 +361,6 @@ impl<A: BuddyBackend> BuddyRegion<A> {
         }
     }
 
-    /// Excludes `[offset, offset + len)` from scrubbing and faults its
-    /// pages in right now.  The OOM emergency reserve pins its carved
-    /// blocks so a reserve hit never takes a page fault exactly when
-    /// memory is tightest.  The caller must own the range.
-    pub fn pin_range(&self, offset: usize, len: usize) {
-        self.inner
-            .pinned
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((offset, len));
-        self.inner.mapping.pin_range(offset, len);
-    }
-
     /// Clears the decommit accounting for `[offset, offset + len)`.  Used
     /// by front-ends that hand out region memory without going through
     /// [`BuddyRegion::alloc_bytes`] (e.g. a global-allocator facade working
@@ -405,8 +380,8 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     /// allocation protocol, so the scrubber and the mutators resolve
     /// conflicts exactly like racing allocators.
     ///
-    /// A run ends at a gap (a live, pinned or already-decommitted block, a
-    /// failed claim) or at its cap: 2 MiB, at most 1/16 of the span, never
+    /// A run ends at a gap (a live or already-decommitted block, a failed
+    /// claim) or at its cap: 2 MiB, at most 1/16 of the span, never
     /// less than one block.  While a run is held those bytes are allocated
     /// as far as a concurrent `alloc` can tell, so the cap is what a pass
     /// can cost an allocation that arrives during it.  The held blocks are
@@ -625,34 +600,29 @@ mod tests {
     }
 
     #[test]
-    fn scrubber_skips_live_and_pinned_blocks() {
+    fn scrubber_skips_live_blocks() {
         let page = page_size();
         let total = page * 64;
         let r = region(total, page, page * 4);
 
         let live = r.alloc_bytes(page * 4).unwrap();
         unsafe { live.as_ptr().write_bytes(0xAB, page * 4) };
-        let _live_off = r.offset_of(live).unwrap();
 
-        // Pin another block (still free — pinning is about exclusion).
-        let pinned = r.alloc_bytes(page * 4).unwrap();
-        let pinned_off = r.offset_of(pinned).unwrap();
-        unsafe { pinned.as_ptr().write_bytes(0xCD, page * 4) };
-        r.pin_range(pinned_off, page * 4);
-        r.dealloc_bytes(pinned);
+        // A granted, dirtied and freed block is the scrubber's to take.
+        let freed = r.alloc_bytes(page * 4).unwrap();
+        unsafe { freed.as_ptr().write_bytes(0xCD, page * 4) };
+        r.dealloc_bytes(freed);
 
-        r.scrub_pass();
-        // The live block kept its contents; the pinned range stayed
-        // committed even though it is free.
+        assert_eq!(r.scrub_pass(), page * 4);
+        // The live block kept its contents and its pages.
         unsafe {
             assert_eq!(*live.as_ptr(), 0xAB);
             assert_eq!(*live.as_ptr().add(page * 4 - 1), 0xAB);
-            assert_eq!(*r.base().as_ptr().add(pinned_off), 0xCD);
         }
         assert_eq!(
             r.committed_bytes(),
-            page * 8,
-            "live + pinned stay committed, nothing else was granted"
+            page * 4,
+            "only the live block stays committed"
         );
         assert_eq!(
             r.allocated_bytes(),
@@ -727,12 +697,11 @@ mod tests {
     }
 
     #[test]
-    fn live_pinned_and_decommitted_blocks_each_split_the_run() {
+    fn live_and_decommitted_blocks_each_split_the_run() {
         let page = page_size();
         let block = page * 4;
         const BLOCKS: usize = 256;
         const LIVE: usize = 40;
-        const PINNED: usize = 100;
         const GONE: usize = 170;
         let r = region(block * BLOCKS, page, block);
         r.commit_range(0, block * BLOCKS);
@@ -748,41 +717,25 @@ mod tests {
 
         assert!(r.backend().claim_block(LIVE * block, block));
         fill(LIVE, 0xAB);
-        fill(PINNED, 0xCD);
-        r.pin_range(PINNED * block, block);
         assert_eq!(r.inner.mapping.decommit(GONE * block, block), block);
 
         let cap_blocks = r.inner.run_cap() / block;
         assert_eq!(cap_blocks, BLOCKS / 16);
         let freed = r.scrub_pass();
-        let scrubbed = BLOCKS - 3;
+        let scrubbed = BLOCKS - 2;
         assert_eq!(freed, scrubbed * block);
         let stats = r.memory_stats();
         assert_eq!(stats.scrub_blocks, scrubbed as u64);
         assert_eq!(stats.scrub_bytes, (scrubbed * block) as u64);
-        // Four free spans, each cut into runs of at most the cap, plus the
+        // Three free spans, each cut into runs of at most the cap, plus the
         // call that decommitted `GONE` by hand: no run crossed a gap.
-        let spans = [
-            LIVE,
-            PINNED - LIVE - 1,
-            GONE - PINNED - 1,
-            BLOCKS - GONE - 1,
-        ];
+        let spans = [LIVE, GONE - LIVE - 1, BLOCKS - GONE - 1];
         let runs: usize = spans.iter().map(|s| s.div_ceil(cap_blocks)).sum();
         assert_eq!(stats.decommit_calls, 1 + runs as u64);
 
         assert_eq!(r.allocated_bytes(), block, "only the live block is out");
         assert!(reads_all(LIVE, 0xAB), "the live block survived the pass");
-        assert!(!r.inner.mapping.is_fully_decommitted(PINNED * block, block));
-        assert!(reads_all(PINNED, 0xCD), "pinned pages stayed resident");
-        for neighbour in [
-            LIVE - 1,
-            LIVE + 1,
-            PINNED - 1,
-            PINNED + 1,
-            GONE - 1,
-            GONE + 1,
-        ] {
+        for neighbour in [LIVE - 1, LIVE + 1, GONE - 1, GONE + 1] {
             assert!(r.backend().claim_block(neighbour * block, block));
             r.commit_range(neighbour * block, block);
             assert!(reads_all(neighbour, 0), "block {neighbour} reads zero");

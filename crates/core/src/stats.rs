@@ -178,11 +178,6 @@ pub struct CacheStatsSnapshot {
     /// Adaptive-resize events that shrank a size class's magazine capacity
     /// (triggered by cache byte-budget pressure).
     pub resize_shrinks: u64,
-    /// Bounded retries of backend refills that failed *transiently*
-    /// ([`crate::error::AllocError::Transient`] — injected faults or
-    /// contention), each preceded by a jittered backoff.  Hard OOM never
-    /// retries and is not counted here.
-    pub transient_retries: u64,
     /// Chunks rescued from the orphan list: chunks a panic stranded
     /// mid-flush/refill/drain, re-published by the unwinding thread and
     /// returned to the backend by the next toucher.
@@ -225,7 +220,6 @@ impl CacheStatsSnapshot {
         self.depot_spills += other.depot_spills;
         self.resize_grows += other.resize_grows;
         self.resize_shrinks += other.resize_shrinks;
-        self.transient_retries += other.transient_retries;
         self.orphan_rescues += other.orphan_rescues;
         self.depot_shards += other.depot_shards;
     }
@@ -237,7 +231,7 @@ impl fmt::Display for CacheStatsSnapshot {
             f,
             "hits={} misses={} hit-rate={:.3} cached-frees={} flushed={} refilled={} \
              depot={} drained={} shards={} spills={} grows={} shrinks={} \
-             retries={} rescued={}",
+             rescued={}",
             self.hits,
             self.misses,
             self.hit_rate(),
@@ -250,7 +244,6 @@ impl fmt::Display for CacheStatsSnapshot {
             self.depot_spills,
             self.resize_grows,
             self.resize_shrinks,
-            self.transient_retries,
             self.orphan_rescues
         )
     }
@@ -398,10 +391,6 @@ pub struct FacadeStatsSnapshot {
     /// block sizes).  `granted - requested` is internal fragmentation as
     /// the caller experiences it.
     pub granted_bytes: u64,
-    /// Buddy-path OOMs served from the emergency reserve.
-    pub reserve_hits: u64,
-    /// Reserve blocks returned by frees of reserve-owned memory.
-    pub reserve_refills: u64,
     /// Cumulative bytes that fell through to the system allocator
     /// (oversized requests, exhaustion, pre-build metadata).
     pub system_bytes: u64,

@@ -39,15 +39,11 @@ pub enum OpKind {
     PageRetire = 8,
     /// A rescue pass returning chunks or pages a panic stranded mid-flight.
     OrphanRescue = 9,
-    /// A hard backend OOM served from the facade's emergency reserve.
-    ReserveHit = 10,
-    /// One retry-with-backoff round after a transient backend failure.
-    TransientRetry = 11,
 }
 
 impl OpKind {
     /// Number of kinds (the recorder keeps one histogram per kind).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 10;
 
     /// Every kind, in discriminant order.
     pub const ALL: [OpKind; OpKind::COUNT] = [
@@ -61,8 +57,6 @@ impl OpKind {
         OpKind::PageGrant,
         OpKind::PageRetire,
         OpKind::OrphanRescue,
-        OpKind::ReserveHit,
-        OpKind::TransientRetry,
     ];
 
     /// Short stable name used in reports and JSON keys.
@@ -78,8 +72,6 @@ impl OpKind {
             OpKind::PageGrant => "page_grant",
             OpKind::PageRetire => "page_retire",
             OpKind::OrphanRescue => "orphan_rescue",
-            OpKind::ReserveHit => "reserve_hit",
-            OpKind::TransientRetry => "transient_retry",
         }
     }
 
@@ -308,7 +300,7 @@ mod tests {
     fn every_recording_reaches_the_ring_until_stopped() {
         let rec = Recorder::new();
         rec.record_cycles(OpKind::PageGrant, 300, 4, OpOutcome::Ok);
-        rec.record_since(OpKind::ReserveHit, cycles_now(), 1, OpOutcome::Failed);
+        rec.record_since(OpKind::CacheMiss, cycles_now(), 1, OpOutcome::Failed);
         rec.ring().stop();
         rec.record_cycles(OpKind::Alloc, 80, 7, OpOutcome::Ok);
         let events = rec.ring().events();

@@ -98,12 +98,11 @@ impl StackSnapshot {
                     f.requested_bytes
                 );
             }
-            if f.system_failovers + f.reserve_hits + f.reserve_refills > 0 {
+            if f.system_failovers > 0 {
                 let _ = writeln!(
                     out,
-                    "  facade   degraded: {} system failovers, \
-                     {} reserve hits, {} reserve refills",
-                    f.system_failovers, f.reserve_hits, f.reserve_refills
+                    "  facade   degraded: {} system failovers",
+                    f.system_failovers
                 );
             }
         }
@@ -282,7 +281,7 @@ impl StackSnapshot {
                 ",\"cache\":{{\"hits\":{},\"misses\":{},\"cached_frees\":{},\"flushed\":{},\
                  \"refilled\":{},\"depot_exchanges\":{},\"drained\":{},\"depot_spills\":{},\
                  \"resize_grows\":{},\"resize_shrinks\":{},\
-                 \"transient_retries\":{},\"orphan_rescues\":{},\"depot_shards\":{}}}",
+                 \"orphan_rescues\":{},\"depot_shards\":{}}}",
                 c.hits,
                 c.misses,
                 c.cached_frees,
@@ -293,7 +292,6 @@ impl StackSnapshot {
                 c.depot_spills,
                 c.resize_grows,
                 c.resize_shrinks,
-                c.transient_retries,
                 c.orphan_rescues,
                 c.depot_shards
             );
@@ -350,7 +348,7 @@ impl StackSnapshot {
                 out,
                 ",\"facade\":{{\"buddy_bytes\":{},\"system_bytes\":{},\"grows_in_place\":{},\
                  \"grows_moved\":{},\"shrinks_in_place\":{},\"shrinks_moved\":{},\
-                 \"system_failovers\":{},\"reserve_hits\":{},\"reserve_refills\":{},\
+                 \"system_failovers\":{},\
                  \"requested_bytes\":{},\"granted_bytes\":{},\"granted_over_requested\":{}}}",
                 f.requested_bytes,
                 f.system_bytes,
@@ -359,8 +357,6 @@ impl StackSnapshot {
                 f.shrinks_in_place,
                 f.shrinks_moved,
                 f.system_failovers,
-                f.reserve_hits,
-                f.reserve_refills,
                 f.requested_bytes,
                 f.granted_bytes,
                 crate::json::num(f.granted_over_requested())
@@ -631,8 +627,6 @@ mod tests {
             grows_in_place: 3,
             grows_moved: 1,
             system_failovers: 2,
-            reserve_hits: 4,
-            reserve_refills: 3,
             ..Default::default()
         })
         .set_recorder(Arc::clone(&rec));
@@ -648,10 +642,7 @@ mod tests {
         assert!(table.contains("node 0"), "{table}");
         assert!(table.contains("latency  alloc"), "{table}");
         assert!(table.contains("10 allocs"), "{table}");
-        assert!(
-            table.contains("degraded: 2 system failovers, 4 reserve hits, 3 reserve refills"),
-            "{table}"
-        );
+        assert!(table.contains("degraded: 2 system failovers\n"), "{table}");
 
         let json = snap.to_json();
         assert!(json.starts_with("{\"label\":\"unit\""), "{json}");
@@ -659,8 +650,7 @@ mod tests {
         assert!(json.contains("\"nodes\":[{\"node\":0"), "{json}");
         assert!(json.contains("\"facade\":{\"buddy_bytes\":1000"), "{json}");
         assert!(json.contains("\"system_failovers\":2"), "{json}");
-        assert!(json.contains("\"reserve_hits\":4"), "{json}");
-        assert!(json.contains("\"transient_retries\":0"), "{json}");
+        assert!(json.contains("\"orphan_rescues\":0"), "{json}");
         assert!(
             json.contains("\"latency\":{\"alloc\":{\"count\":1"),
             "{json}"

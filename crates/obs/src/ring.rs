@@ -344,7 +344,7 @@ mod tests {
         ring.start();
         for i in 0..40u64 {
             ring.push(
-                OpKind::ALL[(i % 12) as usize],
+                OpKind::ALL[i as usize % OpKind::COUNT],
                 1_000 + i,
                 i * 3,
                 i,
@@ -357,7 +357,7 @@ mod tests {
         assert_eq!(ring.dropped(), 0);
         for (i, ev) in events.iter().enumerate() {
             let i = i as u64;
-            assert_eq!(ev.kind, OpKind::ALL[(i % 12) as usize]);
+            assert_eq!(ev.kind, OpKind::ALL[i as usize % OpKind::COUNT]);
             assert_eq!(ev.start_cycles, 1_000 + i);
             assert_eq!(ev.duration_cycles, i * 3);
             assert_eq!(ev.class, i.min(255) as u8);

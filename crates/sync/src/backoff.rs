@@ -93,34 +93,6 @@ impl Backoff {
         }
     }
 
-    /// Backs off for a short spinning delay with seeded jitter.
-    ///
-    /// Identical escalation to [`Backoff::spin`], but each round adds a
-    /// pseudo-random extra spin derived from `salt` (SplitMix64 finalizer),
-    /// desynchronising retriers that failed at the same instant — the
-    /// classic fix for retry convoys on a contended word.  The cache's
-    /// transient-failure retry loop salts with its thread slot so
-    /// simultaneous victims of one injected fault spread out.
-    #[inline]
-    pub fn spin_jittered(&self, salt: u64) {
-        let step = self.step.get().min(SPIN_LIMIT);
-        let base = 1u32 << step;
-        // SplitMix64 finalizer over (salt, step): cheap, stateless, and
-        // deterministic for a given salt so chaos replays stay faithful.
-        let mut z = salt
-            .wrapping_add(u64::from(step))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter = (z ^ (z >> 31)) as u32 % base;
-        for _ in 0..(base + jitter) {
-            hint::spin_loop();
-        }
-        if self.step.get() <= SPIN_LIMIT {
-            self.step.set(self.step.get() + 1);
-        }
-    }
-
     /// Returns `true` once the backoff has escalated past pure spinning.
     ///
     /// Callers that have their own blocking strategy (e.g. parking) can use
@@ -178,16 +150,6 @@ mod tests {
         b.reset();
         assert_eq!(b.rounds(), 0);
         assert!(!b.is_completed());
-    }
-
-    #[test]
-    fn jittered_spin_escalates_like_spin() {
-        let b = Backoff::new();
-        for _ in 0..32 {
-            b.spin_jittered(0xDEAD_BEEF);
-        }
-        assert!(b.rounds() >= SPIN_LIMIT);
-        assert!(b.rounds() <= SPIN_LIMIT + 1);
     }
 
     #[test]

@@ -3,21 +3,16 @@
 //! panics operations at the backend boundary — then prove, seed after
 //! seed, that the stack degraded instead of breaking.
 //!
-//! Per seed, two phases:
-//!
-//! 1. **Cache storm.**  `MagazineCache<FaultInjecting<NbbsFourLevel>>`
-//!    under a panic storm: transient failures exercise the miss path's
-//!    bounded retry, injected panics unwind through refill/flush/drain
-//!    loops (stranding chunks on the orphan list for the next toucher to
-//!    rescue).  Post-storm, with the injector disarmed: conservation audit
-//!    over the survivors ([`nbbs_cache::verify_cached`] — the free-bitmap
-//!    audit underneath), a full drain, an empty-state audit, and a
-//!    stranded-capacity probe (every max-class block of the arena must be
-//!    allocatable again — panics stranded nothing, no slot wedged).
-//! 2. **Reserve storm.**  `NbbsAllocator<FaultInjecting<…>>` with an
-//!    emergency reserve under an OOM-injecting storm: injected hard OOMs
-//!    must be served from the reserve, and frees of reserve-owned blocks
-//!    must refill it.
+//! Per seed, one phase, a **cache storm**:
+//! `MagazineCache<FaultInjecting<NbbsFourLevel>>` under a panic storm.
+//! Injected failures fail the miss they hit (the caller sees `None`),
+//! injected panics unwind through refill/flush/drain loops (stranding
+//! chunks on the orphan list for the next toucher to rescue).  Post-storm,
+//! with the injector disarmed: conservation audit over the survivors
+//! ([`nbbs_cache::verify_cached`] — the free-bitmap audit underneath), a
+//! full drain, an empty-state audit, and a stranded-capacity probe (every
+//! max-class block of the arena must be allocatable again — panics
+//! stranded nothing, no slot wedged).
 //!
 //! A failing check prints a `REPRO: seed …` line (re-run with that seed as
 //! the last argument to replay the identical fault schedule and request
@@ -37,7 +32,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
-use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{verify_cached, verify_cached_empty, MagazineCache};
 use nbbs_chaos::{FaultInjecting, FaultPlan};
 use nbbs_obs::Recorder;
@@ -55,7 +49,7 @@ fn fail(seed: u64, recorder: &Recorder, msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Phase 1: the cache stack under a panic storm.  Returns the number of
+/// The cache stack under a panic storm.  Returns the number of
 /// panics injected, so main() can assert the panic path ran somewhere in
 /// the batch.
 fn cache_storm(seed: u64, threads: usize, iters: usize) -> u64 {
@@ -157,69 +151,12 @@ fn cache_storm(seed: u64, threads: usize, iters: usize) -> u64 {
     // the audits above are the real assertion.
     let stats = cache.snapshot();
     eprintln!(
-        "seed {seed:#018x} clean: {} faults ({} panics), {} retries, {} rescues",
+        "seed {seed:#018x} clean: {} faults ({} panics), {} rescues",
         faults.injected_failures + faults.injected_oom,
         faults.injected_panics,
-        stats.transient_retries,
         stats.orphan_rescues,
     );
     faults.injected_panics
-}
-
-/// Phase 2: the facade's emergency reserve under injected OOM.
-fn reserve_storm(seed: u64, iters: usize) {
-    let cfg = BuddyConfig::new(TOTAL, MIN, MAX).unwrap();
-    let recorder = Recorder::new();
-    let plan = FaultPlan::storm(seed ^ 0x0DDB_A115);
-    let injected = FaultInjecting::new(NbbsFourLevel::new(cfg), plan);
-    // Carve the reserve on a calm backend — the storm starts afterwards,
-    // so injected faults hit the serving path, not the setup.
-    injected.disarm();
-    let alloc = NbbsAllocator::new(injected).with_reserve(4, 4096);
-    if alloc.reserve_stats().is_none() {
-        fail(seed, &recorder, "reserve carve failed on a fresh arena");
-    }
-    alloc.backend().arm();
-
-    let mut rng = SplitMix64::new(seed ^ 0xFACADE);
-    let mut live: Vec<(std::ptr::NonNull<u8>, std::alloc::Layout)> = Vec::new();
-    for _ in 0..iters {
-        if live.is_empty() || rng.next_u64() & 1 == 0 {
-            let size = MIN << rng.next_below(7); // <= 4096: reserve-servable
-            let layout = std::alloc::Layout::from_size_align(size, MIN).unwrap();
-            if let Ok(block) = alloc.allocate(layout) {
-                live.push((block.cast(), layout));
-            }
-        } else {
-            let (ptr, layout) = live.swap_remove(rng.next_below(live.len()));
-            unsafe { alloc.deallocate(ptr, layout) };
-        }
-    }
-    for (ptr, layout) in live {
-        unsafe { alloc.deallocate(ptr, layout) };
-    }
-
-    let stats = alloc.reserve_stats().unwrap();
-    // The storm injects hard OOM at ~1% of ops: with thousands of
-    // operations the reserve must have been hit and — since every chunk
-    // was freed — refilled back to capacity.
-    if stats.hits == 0 {
-        fail(seed, &recorder, "injected OOM never reached the reserve");
-    }
-    if stats.refills != stats.hits {
-        fail(seed, &recorder, "reserve-owned frees did not all refill");
-    }
-    if stats.available != stats.capacity {
-        fail(seed, &recorder, "reserve not full after all frees returned");
-    }
-    alloc.backend().disarm();
-    if alloc.allocated_bytes() != 0 {
-        fail(seed, &recorder, "facade bytes nonzero after full free");
-    }
-    eprintln!(
-        "seed {seed:#018x} reserve: {} hits, {} refills, {} exhausted",
-        stats.hits, stats.refills, stats.exhausted
-    );
 }
 
 fn main() {
@@ -266,10 +203,9 @@ fn main() {
     let mut total_panics = 0u64;
     for i in 0..seeds {
         // Distinct, reproducible per-round seeds: REPRO lines print the
-        // derived seed, which pins both phases of that round exactly.
+        // derived seed, which pins that round exactly.
         let seed = base_seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         total_panics += cache_storm(seed, threads, iters);
-        reserve_storm(seed, iters * 2);
     }
     // Any individual seed may see no injected panic (gated backend ops are
     // rare behind a hot cache), but a whole batch without one means the

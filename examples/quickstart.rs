@@ -376,43 +376,39 @@ fn main() {
     //     `REPRO: seed 0x…` lines, and re-running with that seed (e.g.
     //     `cargo run --release --example chaos_soak 1 4 4000 0x<seed>`)
     //     regenerates the identical storm.  The layers above degrade
-    //     instead of breaking: the cache retries transient misses with
-    //     jittered backoff and rescues chunks orphaned by panics, and the
-    //     facade serves injected hard OOM from its emergency reserve.
+    //     instead of breaking: an injected failure fails the one request
+    //     it hits and nothing else, and the cache rescues chunks orphaned
+    //     by panics.
     // ------------------------------------------------------------------
     use nbbs_chaos::{FaultInjecting, FaultPlan};
 
     let seed = 0x5EED_CAFE;
-    // Carve the emergency reserve before arming the storm, then let the
-    // injected hard OOMs land on the serving path.
-    let injected = FaultInjecting::new(NbbsFourLevel::new(config), FaultPlan::storm(seed));
-    injected.disarm();
-    let hardened = NbbsAllocator::new(injected).with_reserve(4, 4096);
-    hardened.backend().arm();
+    let stormy = NbbsAllocator::new(FaultInjecting::new(
+        NbbsFourLevel::new(config),
+        FaultPlan::storm(seed),
+    ));
     let layout = Layout::from_size_align(256, 64).unwrap();
     let mut served = 0u32;
     let mut held = Vec::new();
     for _ in 0..10_000 {
-        if let Ok(block) = hardened.allocate(layout) {
+        if let Ok(block) = stormy.allocate(layout) {
             served += 1;
             held.push(block);
         }
         if held.len() > 16 {
-            unsafe { hardened.deallocate(held.swap_remove(0).cast(), layout) };
+            unsafe { stormy.deallocate(held.swap_remove(0).cast(), layout) };
         }
     }
     for block in held.drain(..) {
-        unsafe { hardened.deallocate(block.cast(), layout) };
+        unsafe { stormy.deallocate(block.cast(), layout) };
     }
-    let faults = hardened.backend().fault_stats();
-    let reserve = hardened.reserve_stats().expect("reserve was carved");
+    let faults = stormy.backend().fault_stats();
     println!(
         "chaos: seed {seed:#x} injected {} transient failures + {} hard OOMs \
-         over {} gated ops; {served} requests still served \
-         ({} from the emergency reserve, {} refills)",
-        faults.injected_failures, faults.injected_oom, faults.ops, reserve.hits, reserve.refills
+         over {} gated ops; {served} requests still served",
+        faults.injected_failures, faults.injected_oom, faults.ops
     );
-    assert_eq!(hardened.allocated_bytes(), 0);
+    assert_eq!(stormy.allocated_bytes(), 0);
 
     // Determinism is the whole point: the same seed over the same request
     // sequence injects the exact same faults, down to the last counter.

@@ -1,6 +1,6 @@
 //! Failure-path and edge-case integration tests: exhaustion, oversized and
-//! invalid requests, invalid frees, recovery after out-of-memory, and
-//! multi-node fallback behaviour.
+//! invalid requests, invalid frees, recovery after out-of-memory, a failed
+//! grant under the magazine cache, and multi-node fallback behaviour.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use nbbs::error::{AllocError, FreeError};
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
-use nbbs_cache::MagazineCache;
+use nbbs_cache::{verify_cached_empty, MagazineCache};
+use nbbs_chaos::{FaultInjecting, FaultPlan};
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
 use nbbs_workloads::factory::{build, AllocatorKind};
 use nbbs_workloads::rng::SplitMix64;
@@ -116,7 +117,36 @@ fn invalid_frees_are_rejected_without_corruption() {
 }
 
 #[test]
-fn fragmentation_induced_oom_is_transient_not_permanent() {
+fn a_failed_grant_under_the_cache_fails_the_miss_once() {
+    // Every gated allocation fails: the cold miss asks the backend once,
+    // gets nothing, and hands the failure up without asking again.
+    let plan = FaultPlan {
+        fail_every_nth: 1,
+        ..FaultPlan::inert(0x5EED)
+    };
+    let cache = MagazineCache::new(FaultInjecting::new(
+        NbbsFourLevel::new(BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap()),
+        plan,
+    ));
+    assert_eq!(cache.alloc(64), None);
+    assert_eq!(
+        cache.backend().fault_stats().injected_failures,
+        1,
+        "one backend call per miss"
+    );
+    assert_eq!(cache.allocated_bytes(), 0);
+
+    // The failure left nothing behind: once the faults stop, the same
+    // request is served and the stack drains back to an empty tree.
+    cache.backend().disarm();
+    let off = cache.alloc(64).expect("a calm backend serves the miss");
+    cache.dealloc(off);
+    cache.drain_all();
+    verify_cached_empty(&cache).assert_clean();
+}
+
+#[test]
+fn fragmentation_induced_oom_is_temporary_not_permanent() {
     // Allocate every leaf, free every other leaf: half the memory is free but
     // a max-size request cannot be served (external fragmentation).  Freeing
     // the other half must restore full capacity (coalescing).

@@ -18,9 +18,9 @@ use nbbs_workloads::rng::SplitMix64;
 
 type Stack = NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>;
 
-/// Tree → slab → cache → facade with a one-block reserve, every layer
-/// handed the same `rec`.  A 64 KiB arena and two-entry magazines keep each
-/// slow path a few operations away.
+/// Tree → slab → cache → facade, every layer handed the same `rec`.  A
+/// 64 KiB arena and two-entry magazines keep each slow path a few
+/// operations away.
 fn stack(rec: &Arc<Recorder>) -> Stack {
     let config = BuddyConfig::new(1 << 16, 16, 1 << 12).unwrap();
     let slab = SlabBackend::with_config(
@@ -42,9 +42,7 @@ fn stack(rec: &Arc<Recorder>) -> Stack {
         },
     )
     .with_recorder(Arc::clone(rec));
-    NbbsAllocator::new(cache)
-        .with_reserve(1, 1 << 12)
-        .with_recorder(Arc::clone(rec))
+    NbbsAllocator::new(cache).with_recorder(Arc::clone(rec))
 }
 
 /// Drives `a` through every cause in [`CAUSES`] and back to empty; returns
@@ -52,7 +50,6 @@ fn stack(rec: &Arc<Recorder>) -> Stack {
 fn drive(a: &Stack, rec: &Recorder) -> u64 {
     let small = Layout::from_size_align(64, 8).unwrap();
     let mid = Layout::from_size_align(1024, 8).unwrap();
-    let page = Layout::from_size_align(1 << 12, 8).unwrap();
     let ptr = |block: std::ptr::NonNull<[u8]>| block.cast::<u8>();
     // SAFETY: every block is released (or moved) exactly once, with the
     // layout it was last allocated, grown or shrunk to.
@@ -68,13 +65,6 @@ fn drive(a: &Stack, rec: &Recorder) -> u64 {
         for block in burst {
             a.deallocate(ptr(block), small);
         }
-        // Run the arena dry: the last grant is the reserve's, and the
-        // request after it finds the reserve empty too.
-        let held: Vec<_> = std::iter::from_fn(|| a.allocate(page).ok()).collect();
-        assert_eq!(a.reserve_stats().unwrap().hits, 1);
-        for block in held {
-            a.deallocate(ptr(block), page);
-        }
         // Draining empties the slab's pages, which it hands back.
         a.backend().drain_cache();
         assert_eq!(a.allocated_bytes(), 0);
@@ -83,7 +73,7 @@ fn drive(a: &Stack, rec: &Recorder) -> u64 {
 }
 
 /// Each kind the drive must produce, and what in it does.
-const CAUSES: [(OpKind, &str); 10] = [
+const CAUSES: [(OpKind, &str); 9] = [
     (OpKind::Alloc, "facade allocate"),
     (OpKind::Free, "facade deallocate"),
     (OpKind::Grow, "a grow that moves to a larger class"),
@@ -96,7 +86,6 @@ const CAUSES: [(OpKind, &str); 10] = [
     ),
     (OpKind::PageGrant, "the slab binding a page to a class"),
     (OpKind::PageRetire, "the drain emptying that page"),
-    (OpKind::ReserveHit, "hard OOM with a reserve block left"),
 ];
 
 #[test]
