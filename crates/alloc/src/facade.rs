@@ -8,7 +8,7 @@ use std::sync::Arc;
 use nbbs::error::AllocError;
 use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
-use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim};
+use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim, ThreadToken};
 
 /// A layout-aware allocator over any [`BuddyBackend`].
 ///
@@ -170,12 +170,21 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         &self.odometer
     }
 
+    /// Books a grant of `granted` bytes for `layout` on the calling
+    /// thread's odometer stripe: what every route that hands out a block
+    /// counts, this facade's `allocate` and the global shell's magazine hit
+    /// alike.
+    #[inline]
+    pub(crate) fn book_grant(&self, layout: Layout, granted: usize) {
+        self.odometer
+            .add(layout.size().max(1) as u64, granted as u64);
+    }
+
     /// Books a successful grant: requested-vs-granted byte accounting on
     /// the calling thread's odometer stripe plus the (sampled)
     /// heap-profiler capture.
     fn account_grant(&self, layout: Layout, granted: usize, offset: Option<usize>) {
-        self.odometer
-            .add(layout.size().max(1) as u64, granted as u64);
+        self.book_grant(layout, granted);
         if let (Some(profiler), Some(offset)) = (self.profiler(), offset) {
             profiler.record_alloc(offset, granted);
         }
@@ -498,9 +507,10 @@ impl Odometer {
     /// holds it (`owned`), else that stripe's shared line.
     #[inline]
     fn book(&self, book: impl FnOnce(&Counts, bool)) {
-        let index = thread_stripe(self.stripes.len());
+        let me = ThreadToken::current();
+        let index = me.stripe(self.stripes.len());
         let stripe = &self.stripes[index];
-        if stripe.claim.hold() {
+        if stripe.claim.hold(me) {
             book(&stripe.counts, true);
         } else {
             book(&self.shared[index], false);
@@ -833,7 +843,7 @@ mod tests {
             let odometer = Arc::clone(&odometer);
             std::thread::spawn(move || {
                 odometer.add(requested, granted);
-                odometer.stripes[0].claim.hold()
+                odometer.stripes[0].claim.hold(ThreadToken::current())
             })
             .join()
             .unwrap()

@@ -8,8 +8,24 @@
 //! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
 //! built.  What the shell adds around the stack:
 //!
-//! * **Cached.**  Requests route through `MagazineCache<NbbsFourLevel>`, so
-//!   the hot path is a per-thread magazine pop/push instead of a tree walk.
+//! * **Cached, and a hit skips the facade.**  Requests route through
+//!   `MagazineCache<NbbsFourLevel>`, so the hot path is a per-thread
+//!   magazine pop/push instead of a tree walk.  On a build with no recorder
+//!   the shell takes that pop/push itself: `alloc` resolves
+//!   `max(size, align)` to a class with one read of the cache's flat table
+//!   ([`MagazineCache::class_of_request`]) and, when the class's chunks are
+//!   aligned enough for the layout, pops the calling thread's slot
+//!   ([`MagazineCache::pop_hit`]).  A hit books exactly what the facade
+//!   books for a grant — the block's pages committed in the region, the
+//!   odometer's requested and granted bytes — and returns `base + offset`.
+//!   `dealloc` resolves the layout the same way and parks the block with
+//!   [`MagazineCache::push_hit`], after the same debug audit of its class
+//!   that the facade's sized free runs.  Everything else goes through the
+//!   facade as before: a miss (both magazines empty), a park into two full
+//!   magazines, a request above the cache's largest class or one whose
+//!   class is not aligned enough, every `realloc`, the bypass route below, and every call of a
+//!   build that `NBBS_OBS`, `NBBS_TRACE` or `NBBS_PROFILE` armed — so each
+//!   call is still recorded and every profiler sample taken.
 //! * **`OnceLock::get_or_init` first touch.**  The old adapter guarded
 //!   initialization with an `initializing` spin-flag: while one thread
 //!   built the region, every other first-touch thread was waved off to the
@@ -166,6 +182,67 @@ struct State {
     /// itself — one `Recorder` shared by the facade and the cache's slow
     /// paths — is reached through the facade.
     env: Arming,
+}
+
+impl State {
+    /// The magazine cache.
+    #[inline]
+    fn cache(&self) -> &CachedTree {
+        self.facade.backend()
+    }
+
+    /// The class `layout` is served from on the hit route: the cache's
+    /// table entry for `max(size, align)`, when its chunks are aligned
+    /// enough that the facade would not bump the request.  `None` — the
+    /// facade's route — for a build with a recorder (whose every call must
+    /// be recorded), above the largest class, or for an alignment the
+    /// class does not guarantee.
+    #[inline]
+    fn hit_class(&self, layout: Layout) -> Option<usize> {
+        if self.facade.recorder().is_some() {
+            return None;
+        }
+        let cache = self.cache();
+        let class =
+            cache.class_of_request(NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout))?;
+        (cache.class_alignment(class) >= layout.align()).then_some(class)
+    }
+
+    /// A magazine hit served straight to the caller: the chunk comes off
+    /// the thread's slot and is booked as the facade books a grant — its
+    /// pages committed, the odometer's requested and granted bytes.
+    /// `None` when the hit route does not apply or the magazines are empty.
+    #[inline]
+    fn alloc_hit(&self, layout: Layout) -> Option<*mut u8> {
+        let class = self.hit_class(layout)?;
+        let cache = self.cache();
+        let offset = cache.pop_hit(class)?;
+        let granted = cache.class_size(class);
+        let region = self.facade.region();
+        region.commit_range(offset, granted);
+        self.facade.book_grant(layout, granted);
+        // SAFETY: the cache hands out offsets of its own region's blocks.
+        Some(unsafe { region.base().as_ptr().add(offset) })
+    }
+
+    /// A release parked straight in the thread's slot, under the class
+    /// `layout` names (the facade's sized-free contract).  `false` when the
+    /// hit route does not apply or the magazines are full.
+    #[inline]
+    fn dealloc_hit(&self, offset: usize, layout: Layout) -> bool {
+        let Some(class) = self.hit_class(layout) else {
+            return false;
+        };
+        let cache = self.cache();
+        // The sized free's audit, as `MagazineCache::dealloc_sized` runs
+        // it on the facade's route.
+        debug_assert_eq!(
+            cache.backend().granted_size_of_live(offset),
+            Some(cache.class_size(class)),
+            "sized free of offset {offset} names the wrong class"
+        );
+        cache.push_hit(class, offset)
+    }
 }
 
 /// Global-allocator facade over the cached non-blocking buddy.
@@ -328,9 +405,15 @@ impl NbbsGlobalAlloc {
         }
         let _op = BypassGuard::engage();
         Self::register_current_thread(state);
-        match state.facade.allocate(layout) {
-            Ok(block) => {
-                let ptr = block.cast::<u8>().as_ptr();
+        let served = match state.alloc_hit(layout) {
+            Some(ptr) => Ok(ptr),
+            None => state
+                .facade
+                .allocate(layout)
+                .map(|block| block.cast::<u8>().as_ptr()),
+        };
+        match served {
+            Ok(ptr) => {
                 if zeroed {
                     ptr.write_bytes(0, layout.size());
                 }
@@ -381,12 +464,7 @@ impl NbbsGlobalAlloc {
         system_alloc(layout, zeroed)
     }
 
-    unsafe fn raw_dealloc(&self, state: &State, ptr: NonNull<u8>) {
-        let offset = state
-            .facade
-            .region()
-            .offset_of(ptr)
-            .expect("raw_dealloc is only called for region pointers");
+    unsafe fn raw_dealloc(&self, state: &State, offset: usize) {
         // The block may have come from the facade path (a thread's frees
         // after its exit drain, the old block of a re-entrant realloc): the
         // profiler must see a sampled one go.
@@ -633,13 +711,15 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         if let (Some(state), Some(nn)) = (self.built_state(), NonNull::new(ptr)) {
-            if state.facade.region().contains(nn) {
+            if let Some(offset) = state.facade.region().offset_of(nn) {
                 if bypass_active() {
-                    self.raw_dealloc(state, nn);
+                    self.raw_dealloc(state, offset);
                 } else {
                     let _op = BypassGuard::engage();
                     Self::register_current_thread(state);
-                    state.facade.deallocate(nn, layout);
+                    if !state.dealloc_hit(offset, layout) {
+                        state.facade.deallocate(nn, layout);
+                    }
                 }
                 return;
             }
@@ -654,19 +734,17 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
         if bypass_active() {
             // Re-entrant realloc (rare: a Vec growing inside the cache's own
             // bookkeeping): raw alloc + copy + raw free keeps the cache out.
-            let Some(nn) = NonNull::new(ptr) else {
+            let Some(offset) = NonNull::new(ptr).and_then(|nn| state.facade.region().offset_of(nn))
+            else {
                 return System.realloc(ptr, layout, new_size);
             };
-            if !state.facade.region().contains(nn) {
-                return System.realloc(ptr, layout, new_size);
-            }
             let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
                 return std::ptr::null_mut();
             };
             let fresh = self.raw_alloc(state, new_layout, false);
             if !fresh.is_null() {
                 std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
-                self.raw_dealloc(state, nn);
+                self.raw_dealloc(state, offset);
             }
             return fresh;
         }

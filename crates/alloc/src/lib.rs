@@ -10,14 +10,18 @@
 //!  ┌────────────────────────────────────────────────────────────────┐
 //!  │  #[global_allocator]  NbbsGlobalAlloc          (nbbs-alloc)    │
 //!  │     lazy OnceLock build · System fail-over · exit drains       │
-//!  ├────────────────────────────────────────────────────────────────┤
-//!  │  NbbsAllocator<A>: Layout-aware facade         (nbbs-alloc)    │
-//!  │     allocate / allocate_zeroed / deallocate / grow / shrink    │
-//!  │     over-aligned ⇒ round to max(size, align); in-place realloc │
-//!  ├────────────────────────────────────────────────────────────────┤
+//!  │     unarmed hit: one class-table read, then the thread's       │
+//!  │     slot: MagazineCache::pop_hit / push_hit ─────────────┐     │
+//!  ├──────────────────────────────────────────────────────────┼─────┤
+//!  │  NbbsAllocator<A>: Layout-aware facade     (nbbs-alloc)  │     │
+//!  │     allocate / allocate_zeroed / deallocate / grow /     │     │
+//!  │     shrink; over-aligned ⇒ max(size, align); in-place    │     │
+//!  │     realloc; misses, full magazines, armed builds        │     │
+//!  ├──────────────────────────────────────────────────────────▼─────┤
 //!  │  MagazineCache<B>: per-thread magazines        (nbbs-cache)    │
-//!  │     loaded/previous pairs · sharded lock-free depots ·         │
-//!  │     adaptive capacities · foreign-thread exit drains           │
+//!  │     flat request → class table · loaded/previous pairs ·       │
+//!  │     sharded lock-free depots · adaptive capacities ·           │
+//!  │     foreign-thread exit drains                                 │
 //!  ├────────────────────────────────────────────────────────────────┤
 //!  │  NbbsFourLevel / NbbsOneLevel: lock-free tree  (nbbs)          │
 //!  │     CAS-only alloc/free/coalesce over a contiguous region      │
@@ -50,7 +54,10 @@
 //! cannot recurse, and per-thread exit drains so short-lived threads return
 //! their magazines to the tree.  Its stack is exactly the one drawn above —
 //! tree, cache, facade, set by three sizes, observed when the `NBBS_*`
-//! environment arms it — and [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
+//! environment arms it.  A build with no recorder sends a magazine hit
+//! from the shell straight to the calling thread's cache slot (the arrow
+//! above), booking what the facade would book; everything else goes
+//! through the facade.  [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
 //! buddy/system shares, grow-in-place rates and the cache hit rate when the
 //! process ends.
 //!

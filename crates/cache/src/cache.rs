@@ -23,6 +23,27 @@ const GROW_SPILL_MAGAZINES: usize = 2;
 /// multi-thousand-chunk tree walk.
 const REFILL_BATCH_MAX: usize = 64;
 
+/// Builds the flat request → class table over an ascending class ladder:
+/// one entry per granule — the largest power of two dividing every class —
+/// up to the largest class, each naming the smallest class that holds the
+/// granule's top size.  Returns the table and `log2` of the granule.
+fn class_table(classes: &[usize]) -> (Box<[u8]>, u32) {
+    let shift = classes
+        .iter()
+        .map(|size| size.trailing_zeros())
+        .min()
+        .unwrap_or(0);
+    let mut table = Vec::with_capacity(classes.last().map_or(0, |&largest| largest >> shift));
+    for (class, &size) in classes.iter().enumerate() {
+        // The granules above the previous class, up to and with this one.
+        table.resize(
+            size >> shift,
+            u8::try_from(class).expect("at most 256 cached classes"),
+        );
+    }
+    (table.into(), shift)
+}
+
 /// The slow-path counters: every one is bumped next to a backend call, a
 /// depot CAS or a capacity change.  The two hit-path tallies live in the
 /// [`Slot`], written inside the entry a hit makes anyway.
@@ -81,6 +102,18 @@ struct ClassCtl {
 /// exchange is a single tagged CAS with no mutex anywhere on the path — and
 /// second from batched backend allocations; overflowing frees flush whole
 /// magazines to the same shard, falling back to batched backend releases.
+///
+/// A request is resolved to its class once, by one read of a flat table
+/// built from the probed ladder ([`MagazineCache::class_of_request`]: one
+/// byte per granule up to the largest class).  The same table answers
+/// [`BuddyBackend::granted_size_for`], [`BuddyBackend::grant_alignment_for`]
+/// and a sized free's class for every cached size, so a cached request
+/// never asks the backend what it would grant.  The hot path is two
+/// halves, [`MagazineCache::pop_hit`] and [`MagazineCache::push_hit`]:
+/// the trait's allocation and releases run them first and go on to the
+/// depot and the backend only when they fail, and a front end that has
+/// resolved the class itself (the `nbbs-alloc` global shell) calls them
+/// directly.
 ///
 /// Slots are grouped into shards (one depot shard per group, the analogue of
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
@@ -144,6 +177,21 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// slab classes when a slab front-end sits underneath.  Class `k`
     /// caches chunks of exactly `classes[k]` bytes.
     classes: Box<[usize]>,
+    /// The flat request → class table: entry `i` is the class of every
+    /// request in `(i << shift, (i + 1) << shift]`, one byte per *granule*
+    /// (`1 << shift`, the largest power of two dividing every class: 32 B
+    /// over the shipped tree, 8 B over the slab) up to the largest class.
+    /// Classes are granule multiples, so no entry straddles two classes,
+    /// and [`MagazineCache::class_of_request`] is one shift and one load —
+    /// it answers the grant ladder for every cached size, in place of
+    /// asking the backend and searching `classes`.
+    table: Box<[u8]>,
+    /// `log2` of the table's granule.
+    shift: u32,
+    /// Per class, the alignment the backend guarantees its chunks
+    /// ([`BuddyBackend::grant_alignment_for`], probed once): the class size
+    /// for a plain tree, the class granule for a slab's spaced class.
+    class_align: Box<[usize]>,
     /// A thread's slot is its [`nbbs_sync::thread_stripe`] in this table,
     /// the thread→stripe rule every per-thread table in the stack shares,
     /// claimed on first use; beside each, the shared slot of threads whose
@@ -236,6 +284,15 @@ impl<A: BuddyBackend> MagazineCache<A> {
             probe = granted + 1;
         }
         let classes: Box<[usize]> = classes.into();
+        let (table, shift) = class_table(&classes);
+        let class_align = classes
+            .iter()
+            .map(|&size| {
+                backend
+                    .grant_alignment_for(size)
+                    .expect("a class the ladder granted has an alignment")
+            })
+            .collect();
         let slots = OwnedSlots::new(config.resolved_slots(), || Slot {
             mags: classes
                 .iter()
@@ -265,6 +322,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
             name,
             config,
             classes,
+            table,
+            shift,
+            class_align,
             slots,
             shards,
             group_count,
@@ -410,16 +470,34 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Size in bytes of class `class`.
     #[inline]
-    fn class_size(&self, class: usize) -> usize {
+    pub fn class_size(&self, class: usize) -> usize {
         self.classes[class]
     }
 
-    /// Size class caching chunks of exactly `granted` bytes, if cached.
-    /// Granted sizes above the cutoff (or from a backend whose ladder the
-    /// probe did not see) simply are not in the table and pass through.
+    /// The alignment the backend guarantees every chunk of class `class`.
+    #[inline]
+    pub fn class_alignment(&self, class: usize) -> usize {
+        self.class_align[class]
+    }
+
+    /// The class a request of `size` bytes is granted, or `None` above the
+    /// largest class (where the backend answers): one table read.  A
+    /// request of 0 bytes is granted the smallest class, as on the ladder.
+    #[inline]
+    pub fn class_of_request(&self, size: usize) -> Option<usize> {
+        self.table
+            .get(size.saturating_sub(1) >> self.shift)
+            .map(|&class| usize::from(class))
+    }
+
+    /// Size class caching chunks of exactly `granted` bytes, if cached: the
+    /// table's class for `granted`, if its size is `granted`.  Granted sizes
+    /// above the cutoff (or from a backend whose ladder the probe did not
+    /// see) simply are not in the table and pass through.
     #[inline]
     fn class_of_granted(&self, granted: usize) -> Option<usize> {
-        self.classes.binary_search(&granted).ok()
+        self.class_of_request(granted)
+            .filter(|&class| self.classes[class] == granted)
     }
 
     /// The adaptive capacity ceiling of `class`: the configured maximum,
@@ -510,20 +588,46 @@ impl<A: BuddyBackend> MagazineCache<A> {
         );
     }
 
+    /// The hit half of an allocation of class `class`: pops the calling
+    /// thread's magazine pair (`loaded`, then a swapped-in `previous`) and
+    /// counts the hit.  `None` when both are empty — the caller goes on to
+    /// the depot and the backend, as [`BuddyBackend::alloc`] does.
+    #[inline]
+    pub fn pop_hit(&self, class: usize) -> Option<usize> {
+        self.slots.with_mine(|_, slot| {
+            let off = slot.mags[class].pop()?;
+            slot.hits += 1;
+            Some(off)
+        })
+    }
+
+    /// The park half of a release of a chunk of class `class` at `offset`:
+    /// pushes it onto the calling thread's magazine pair (`loaded`, or an
+    /// empty `previous` swapped in) and counts the cached free.  `false`
+    /// when both are full — the caller goes on to the rotation and the
+    /// depot, as [`BuddyBackend::dealloc_sized`] does.  The caller vouches
+    /// that the chunk is live and of class `class`.
+    #[inline]
+    pub fn push_hit(&self, class: usize, offset: usize) -> bool {
+        self.slots.with_mine(|_, slot| {
+            let parked = slot.mags[class].push(offset);
+            slot.cached_frees += u64::from(parked);
+            parked
+        })
+    }
+
     /// Serves one allocation of class `class`, preferring the magazines.
     fn alloc_cached(&self, class: usize) -> Option<usize> {
+        if let Some(off) = self.pop_hit(class) {
+            return Some(off);
+        }
         let class_size = self.class_size(class);
-        // A hit leaves the slot with its chunk; a miss with the stripe and
-        // the refill batch its pair is sized for.
+        // A hit (the shared slot's co-users may have loaded the pair since)
+        // or a depot exchange leaves the slot with its chunk; a miss with
+        // the stripe and the refill batch its pair is sized for.
         let entered = self.slots.with_mine(|slot_idx, slot| {
             let pair = &mut slot.mags[class];
-            if let Some(off) = pair.loaded.pop() {
-                slot.hits += 1;
-                return Ok(off);
-            }
-            if !pair.previous.is_empty() {
-                std::mem::swap(&mut pair.loaded, &mut pair.previous);
-                let off = pair.loaded.pop().expect("swapped magazine is non-empty");
+            if let Some(off) = pair.pop() {
                 slot.hits += 1;
                 return Ok(off);
             }
@@ -647,34 +751,32 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Absorbs one release of class `class`.
     fn dealloc_cached(&self, class: usize, offset: usize) {
+        if self.push_hit(class, offset) {
+            return;
+        }
         let overflow = self.slots.with_mine(|slot_idx, slot| {
             let pair = &mut slot.mags[class];
-            let mut overflow = None;
-            if pair.loaded.is_full() {
-                if pair.previous.is_empty() {
-                    std::mem::swap(&mut pair.loaded, &mut pair.previous);
-                } else {
-                    // Both full: move `previous` out of the way (reusing the
-                    // spare empty from an earlier depot exchange when one is
-                    // around, retargeted to the current adaptive capacity),
-                    // then rotate.
-                    let target_cap = self.ctl[class].cap.load(Ordering::Relaxed);
-                    let mut empty = pair
-                        .spare
-                        .take()
-                        .unwrap_or_else(|| Magazine::new(target_cap));
-                    debug_assert!(empty.is_empty());
-                    if empty.capacity() != target_cap {
-                        empty.set_capacity(target_cap);
-                    }
-                    let full = std::mem::replace(&mut pair.previous, empty);
-                    std::mem::swap(&mut pair.loaded, &mut pair.previous);
-                    overflow = Some((full, slot_idx));
-                }
-            }
-            pair.loaded.push(offset);
             slot.cached_frees += 1;
-            overflow
+            // The shared slot's co-users may have made room since.
+            if pair.push(offset) {
+                return None;
+            }
+            // Both full: move `previous` out of the way (reusing the spare
+            // empty from an earlier depot exchange when one is around,
+            // retargeted to the current adaptive capacity), then rotate.
+            let target_cap = self.ctl[class].cap.load(Ordering::Relaxed);
+            let mut empty = pair
+                .spare
+                .take()
+                .unwrap_or_else(|| Magazine::new(target_cap));
+            debug_assert!(empty.is_empty());
+            if empty.capacity() != target_cap {
+                empty.set_capacity(target_cap);
+            }
+            let full = std::mem::replace(&mut pair.previous, empty);
+            std::mem::swap(&mut pair.loaded, &mut pair.previous);
+            pair.loaded.push(offset);
+            Some((full, slot_idx))
         });
         if let Some((full, slot_idx)) = overflow {
             // Parking (and a possible backend flush of a whole magazine)
@@ -968,15 +1070,10 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
     }
 
     fn alloc(&self, size: usize) -> Option<usize> {
-        // The backend names the class: `granted_size_for` is the same ladder
-        // the constructor probed, so a hit here is a magazine class by
-        // construction — power-of-two orders over a plain tree, slab classes
-        // over a slab front-end.
-        match self
-            .backend
-            .granted_size_for(size)
-            .and_then(|granted| self.class_of_granted(granted))
-        {
+        // The table is the ladder the constructor probed, so the class it
+        // names is the backend's grant — power-of-two orders over a plain
+        // tree, slab classes over a slab front-end.
+        match self.class_of_request(size) {
             Some(class) => self.alloc_cached(class),
             None => self.backend.alloc(size),
         }
@@ -1063,14 +1160,23 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         self.backend.granted_size_of_live(offset)
     }
 
+    /// The table's class for every cached size (the backend's own ladder,
+    /// probed once: spaced classes over a slab front-end); forwarded above
+    /// the largest class.
     fn granted_size_for(&self, size: usize) -> Option<usize> {
-        // Forwarded, not derived from the geometry: a slab front-end
-        // underneath grants spaced (non-power-of-two) classes.
-        self.backend.granted_size_for(size)
+        match self.class_of_request(size) {
+            Some(class) => Some(self.class_size(class)),
+            None => self.backend.granted_size_for(size),
+        }
     }
 
+    /// The probed alignment of the table's class for every cached size;
+    /// forwarded above the largest class.
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        self.backend.grant_alignment_for(size)
+        match self.class_of_request(size) {
+            Some(class) => Some(self.class_alignment(class)),
+            None => self.backend.grant_alignment_for(size),
+        }
     }
 
     fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
@@ -1164,5 +1270,55 @@ impl<A: BuddyBackend> Drop for OrphanGuard<'_, A> {
         if !self.chunks.is_empty() {
             self.cache.publish_orphans(&mut self.chunks);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
+    use nbbs_slab::SlabBackend;
+
+    use super::MagazineCache;
+
+    /// The cache over `backend` answers the grant ladder as the backend
+    /// does for every size up to one granule past its largest class, and
+    /// names a class for exactly the class sizes.
+    fn the_table_answers_the_ladder_of<A: BuddyBackend>(backend: A, granule: usize) {
+        let cache = MagazineCache::new(backend);
+        let classes = cache.classes.clone();
+        let largest = *classes.last().expect("a cached ladder");
+        for size in 0..=largest + granule {
+            let backend = cache.backend();
+            assert_eq!(
+                cache.granted_size_for(size),
+                backend.granted_size_for(size),
+                "granted size of a {size}-byte request"
+            );
+            assert_eq!(
+                cache.grant_alignment_for(size),
+                backend.grant_alignment_for(size),
+                "alignment of a {size}-byte request"
+            );
+            assert_eq!(
+                cache.class_of_granted(size),
+                classes.iter().position(|&class| class == size),
+                "class of a {size}-byte grant"
+            );
+        }
+        assert_eq!(1 << cache.shift, granule);
+        assert_eq!(cache.table.len(), largest / granule);
+    }
+
+    #[test]
+    fn the_class_table_matches_the_backend_ladder() {
+        // The shipped tree's 32 B units and 64 KiB largest block (2 048
+        // entries), over a smaller span.
+        let shipped = BuddyConfig::new(1 << 20, 32, 64 << 10).unwrap();
+        the_table_answers_the_ladder_of(NbbsFourLevel::new(shipped), 32);
+        let small = BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap();
+        the_table_answers_the_ladder_of(NbbsOneLevel::new(small), 8);
+        // Spaced 8 B-granule classes up to the slab's cutoff, the tree's
+        // powers of two above it.
+        the_table_answers_the_ladder_of(SlabBackend::new(NbbsFourLevel::new(shipped)), 8);
     }
 }

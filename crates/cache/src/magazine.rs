@@ -100,6 +100,31 @@ impl ClassMags {
     pub(crate) fn len(&self) -> usize {
         self.loaded.len() + self.previous.len()
     }
+
+    /// A hit: pops from `loaded`, swapping `previous` in when `loaded` is
+    /// empty.  `None` when both are empty.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        if self.loaded.is_empty() {
+            std::mem::swap(&mut self.loaded, &mut self.previous);
+        }
+        self.loaded.pop()
+    }
+
+    /// A parked free: pushes into `loaded`, swapping an empty `previous` in
+    /// when `loaded` is full.  `false` (and nothing pushed) when both are
+    /// full.
+    #[inline]
+    pub(crate) fn push(&mut self, offset: usize) -> bool {
+        if self.loaded.is_full() {
+            if !self.previous.is_empty() {
+                return false;
+            }
+            std::mem::swap(&mut self.loaded, &mut self.previous);
+        }
+        self.loaded.push(offset);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +171,22 @@ mod tests {
         let all = m.take_all();
         assert_eq!(all, vec![0, 64]);
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn the_pair_swaps_at_its_boundaries() {
+        let mut pair = ClassMags::new(2);
+        assert_eq!(pair.pop(), None, "both empty");
+        for off in [0, 8, 16, 24] {
+            assert!(pair.push(off));
+        }
+        assert!(!pair.push(32), "both full");
+        assert_eq!((pair.loaded.len(), pair.previous.len()), (2, 2));
+        assert_eq!(pair.pop(), Some(24));
+        assert_eq!(pair.pop(), Some(16));
+        assert_eq!(pair.pop(), Some(8), "previous swapped in");
+        assert_eq!(pair.pop(), Some(0));
+        assert_eq!(pair.pop(), None);
     }
 
     #[test]

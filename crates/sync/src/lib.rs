@@ -28,7 +28,8 @@
 //!   next to it
 //!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
 //!   publishes and `nbbs-obs` tags events with.
-//! * [`owned`] — the claim rule ([`Claim`]) and
+//! * [`owned`] — the claim rule ([`Claim`], entered with the
+//!   [`ThreadToken`] a caller reads once per operation) and
 //!   [`OwnedSlots`], a per-thread table whose owner enters its slot with
 //!   plain stores while a remote reader pays an asymmetric
 //!   (`membarrier(2)`) barrier: the cache's slot table, and the claim
@@ -61,7 +62,7 @@ pub mod zeroed;
 
 pub use backoff::Backoff;
 pub use cycles::{cycles_now, CycleTimer};
-pub use owned::{Claim, OwnedSlots};
+pub use owned::{Claim, OwnedSlots, ThreadToken};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};

@@ -16,7 +16,8 @@
 //! A thread's token is [`thread_ordinal`]` + 1`; ordinals are never reused,
 //! so no two threads ever hold the same token.  Its entry in a table of `n`
 //! (a power of two) is `(token - 1) & (n - 1)`, the same entry
-//! [`thread_stripe`] names.  The thread owns the
+//! [`thread_stripe`] names; an entry reads the token once
+//! ([`ThreadToken::current`]) and finds both from it.  The thread owns the
 //! entry if the entry's owner word equals its token, or if a
 //! `compare_exchange(0, token)` succeeds on first use ([`Claim::hold`]); it
 //! gives the entry up with a store of 0 ([`Claim::release`]).  A thread
@@ -117,6 +118,7 @@
 //! protocol, not the barrier; the pair is argued above.
 
 use std::cell::UnsafeCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{compiler_fence, fence, AtomicU8, Ordering};
 
 #[cfg(nbbs_model)]
@@ -131,6 +133,38 @@ use crate::{thread_ordinal, thread_stripe, Backoff, CachePadded};
 #[inline]
 fn thread_token() -> usize {
     thread_ordinal() + 1
+}
+
+/// The calling thread's claim token, read once per entry and handed both to
+/// the stripe lookup ([`ThreadToken::stripe`]) and to the claim
+/// ([`Claim::hold`]), so an entry reads the thread-local ordinal once.
+///
+/// Only [`ThreadToken::current`] makes one, and it cannot leave the thread
+/// (it is neither `Send` nor `Sync`): a token always names the thread that
+/// holds it, which is what makes a claim an identity.
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadToken {
+    token: usize,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl ThreadToken {
+    /// The calling thread's token.
+    #[inline]
+    pub fn current() -> Self {
+        ThreadToken {
+            token: thread_token(),
+            _this_thread: PhantomData,
+        }
+    }
+
+    /// The thread's entry in a table of `len` stripes (`len` a power of
+    /// two): the entry [`thread_stripe`] names.
+    #[inline]
+    pub fn stripe(self, len: usize) -> usize {
+        debug_assert!(len.is_power_of_two());
+        (self.token - 1) & (len - 1)
+    }
 }
 
 /// The owner word of a claimable entry: 0 while free, otherwise the
@@ -148,13 +182,13 @@ impl Claim {
         }
     }
 
-    /// Whether the calling thread holds this entry, claiming it first if
-    /// nobody does.  Once held it is one relaxed load of a word only the
-    /// holder writes; an entry another live thread holds costs the same
-    /// load and no write.
+    /// Whether the thread `me` names — the calling thread — holds this
+    /// entry, claiming it first if nobody does.  Once held it is one
+    /// relaxed load of a word only the holder writes; an entry another live
+    /// thread holds costs the same load and no write.
     #[inline]
-    pub fn hold(&self) -> bool {
-        let token = thread_token();
+    pub fn hold(&self, me: ThreadToken) -> bool {
+        let token = me.token;
         match self.owner.load(Ordering::Relaxed) {
             held if held == token => true,
             0 => self
@@ -487,9 +521,10 @@ impl<T> OwnedSlots<T> {
     /// entry nested in another panics, a locked or remote one hangs.
     #[inline]
     pub fn with_mine<R>(&self, f: impl FnOnce(usize, &mut T) -> R) -> R {
-        let stripe = thread_stripe(self.slots.len());
+        let me = ThreadToken::current();
+        let stripe = me.stripe(self.slots.len());
         let slot = &self.slots[stripe];
-        if slot.claim.hold() {
+        if slot.claim.hold(me) {
             self.enter_owned(slot, |data| f(stripe, data))
         } else {
             self.shared[stripe].with_locked(|data| f(stripe, data))
