@@ -170,21 +170,27 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         &self.odometer
     }
 
-    /// Books a grant of `granted` bytes for `layout` on the calling
-    /// thread's odometer stripe: what every route that hands out a block
-    /// counts, this facade's `allocate` and the global shell's magazine hit
-    /// alike.
+    /// Counts one `realloc` outcome on the calling thread's odometer stripe:
+    /// a grow (`grew`) or a shrink, `moved` or in place.  What `grow` and
+    /// `shrink` count, for the global shell's `realloc` hits.
     #[inline]
-    pub(crate) fn book_grant(&self, layout: Layout, granted: usize) {
-        self.odometer
-            .add(layout.size().max(1) as u64, granted as u64);
+    pub(crate) fn count_resize(&self, grew: bool, moved: bool) {
+        let tally: fn(&Counts) -> &AtomicU64 = match (grew, moved) {
+            (true, false) => |c| &c.grows_in_place,
+            (true, true) => |c| &c.grows_moved,
+            (false, false) => |c| &c.shrinks_in_place,
+            (false, true) => |c| &c.shrinks_moved,
+        };
+        self.odometer.count(tally);
     }
 
     /// Books a successful grant: requested-vs-granted byte accounting on
     /// the calling thread's odometer stripe plus the (sampled)
-    /// heap-profiler capture.
+    /// heap-profiler capture.  The global shell's magazine hits book theirs
+    /// in the cache's slots instead ([`nbbs_cache::MagazineCache::pop_hit`]).
     fn account_grant(&self, layout: Layout, granted: usize, offset: Option<usize>) {
-        self.book_grant(layout, granted);
+        self.odometer
+            .add(layout.size().max(1) as u64, granted as u64);
         if let (Some(profiler), Some(offset)) = (self.profiler(), offset) {
             profiler.record_alloc(offset, granted);
         }

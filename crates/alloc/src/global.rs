@@ -8,24 +8,33 @@
 //! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
 //! built.  What the shell adds around the stack:
 //!
-//! * **Cached, and a hit skips the facade.**  Requests route through
-//!   `MagazineCache<NbbsFourLevel>`, so the hot path is a per-thread
-//!   magazine pop/push instead of a tree walk.  On a build with no recorder
-//!   the shell takes that pop/push itself: `alloc` resolves
-//!   `max(size, align)` to a class with one read of the cache's flat table
-//!   ([`MagazineCache::class_of_request`]) and, when the class's chunks are
-//!   aligned enough for the layout, pops the calling thread's slot
-//!   ([`MagazineCache::pop_hit`]).  A hit books exactly what the facade
-//!   books for a grant — the block's pages committed in the region, the
-//!   odometer's requested and granted bytes — and returns `base + offset`.
-//!   `dealloc` resolves the layout the same way and parks the block with
-//!   [`MagazineCache::push_hit`], after the same debug audit of its class
-//!   that the facade's sized free runs.  Everything else goes through the
-//!   facade as before: a miss (both magazines empty), a park into two full
-//!   magazines, a request above the cache's largest class or one whose
-//!   class is not aligned enough, every `realloc`, the bypass route below, and every call of a
-//!   build that `NBBS_OBS`, `NBBS_TRACE` or `NBBS_PROFILE` armed — so each
-//!   call is still recorded and every profiler sample taken.
+//! * **Cached, and a hit touches only the thread's slot.**  Requests route
+//!   through `MagazineCache<NbbsFourLevel>`, so the hot path is a
+//!   per-thread magazine pop/push instead of a tree walk.  On a build with
+//!   no recorder the shell takes that pop/push itself: `alloc` resolves
+//!   `max(size, align)` with one read of the cache's flat table
+//!   ([`MagazineCache::class_of_request`], which gives the class and its
+//!   alignment) and, when the class's chunks are aligned enough for the
+//!   layout, pops the calling thread's slot ([`MagazineCache::pop_hit`]).
+//!   The pop books the requested and granted bytes in the slot, beside the
+//!   hit count, where [`NbbsGlobalAlloc::bytes_served`] and
+//!   [`NbbsGlobalAlloc::metrics`] add them to the facade's odometer.  It
+//!   also says whether the chunk lay below its magazine's watermark, that
+//!   is, whether a refill may have loaded it straight from the tree: only
+//!   then does the hit commit its pages in the region, since a chunk a
+//!   release parked was committed when it was served and the scrubber
+//!   cannot claim it while it is parked.  `dealloc` resolves the layout
+//!   the same way and parks the block with [`MagazineCache::push_hit`],
+//!   after the same debug audit of its class that the facade's sized free
+//!   runs.  `realloc` between two cached classes is a hit too: the same
+//!   class keeps the block (grown or shrunk in place), another pops the
+//!   new class, copies and parks the old block (moved).  Everything else
+//!   goes through the facade as before: a miss (the magazines of the
+//!   class asked for are empty), a park into two full magazines, a request
+//!   above the cache's largest class or one whose class is not aligned
+//!   enough, the bypass route below, and every call of a build that
+//!   `NBBS_OBS`, `NBBS_TRACE` or `NBBS_PROFILE` armed — so each call is
+//!   still recorded and every profiler sample taken.
 //! * **`OnceLock::get_or_init` first touch.**  The old adapter guarded
 //!   initialization with an `initializing` spin-flag: while one thread
 //!   built the region, every other first-touch thread was waved off to the
@@ -35,9 +44,10 @@
 //!   microseconds the build takes and then get buddy memory like everyone
 //!   else; only the building thread's own re-entrant metadata allocations
 //!   fall through to `System` (they must — the state does not exist yet).
-//! * **In-place realloc.**  `realloc` goes through [`NbbsAllocator::grow`] /
-//!   [`NbbsAllocator::shrink`], so growing a `Vec` inside its granted buddy
-//!   block is free.
+//! * **In-place realloc.**  A `realloc` whose new layout names the class
+//!   the block already has keeps the block, on the hit route or through
+//!   [`NbbsAllocator::grow`] / [`NbbsAllocator::shrink`], so growing a
+//!   `Vec` inside its granted buddy block is free.
 //! * **Foreign threads drain on exit.**  Every thread that touches the
 //!   allocator is registered with `nbbs-cache`'s exit registry; its
 //!   magazines flow back to the tree when it dies.
@@ -51,9 +61,13 @@
 //! recursing miss-into-miss.  The facade cuts the knot with a thread-local
 //! bypass latch: while a thread is inside a facade operation, any nested
 //! allocation it performs skips the cache and goes straight to the raw tree
-//! (or `System` if the tree cannot serve it).  The latch is also left
-//! permanently engaged on a thread once its exit drain has run, so the
-//! teardown's own frees cannot re-park chunks into the slot being emptied.
+//! (or `System` if the tree cannot serve it).  The hit route runs under the
+//! latch as well: a magazine a drain emptied has no buffer, so the first
+//! park after `drain_cache()` allocates inside the slot entry, and without
+//! the latch that allocation would enter the same slot again.  The latch is
+//! also left permanently engaged on a thread once its exit drain has run,
+//! so the teardown's own frees cannot re-park chunks into the slot being
+//! emptied.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,7 +207,8 @@ impl State {
 
     /// The class `layout` is served from on the hit route: the cache's
     /// table entry for `max(size, align)`, when its chunks are aligned
-    /// enough that the facade would not bump the request.  `None` — the
+    /// enough that the facade would not bump the request (the entry
+    /// carries the class's alignment, so this is one read).  `None` — the
     /// facade's route — for a build with a recorder (whose every call must
     /// be recorded), above the largest class, or for an alignment the
     /// class does not guarantee.
@@ -202,37 +217,35 @@ impl State {
         if self.facade.recorder().is_some() {
             return None;
         }
-        let cache = self.cache();
-        let class =
-            cache.class_of_request(NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout))?;
-        (cache.class_alignment(class) >= layout.align()).then_some(class)
+        let (class, align) = self
+            .cache()
+            .class_of_request(NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout))?;
+        (align >= layout.align()).then_some(class)
     }
 
-    /// A magazine hit served straight to the caller: the chunk comes off
-    /// the thread's slot and is booked as the facade books a grant — its
-    /// pages committed, the odometer's requested and granted bytes.
-    /// `None` when the hit route does not apply or the magazines are empty.
+    /// A magazine hit of class `class` served straight to the caller: the
+    /// chunk comes off the thread's slot, which books `layout`'s requested
+    /// bytes and the class size granted in the same entry, and its pages
+    /// are committed if a refill may have loaded it straight from the tree
+    /// (a chunk a release parked was committed when it was served).  `None`
+    /// when the magazines are empty.
     #[inline]
-    fn alloc_hit(&self, layout: Layout) -> Option<*mut u8> {
-        let class = self.hit_class(layout)?;
+    fn pop_hit(&self, class: usize, layout: Layout) -> Option<*mut u8> {
         let cache = self.cache();
-        let offset = cache.pop_hit(class)?;
-        let granted = cache.class_size(class);
+        let (offset, fresh) = cache.pop_hit(class, layout.size().max(1))?;
         let region = self.facade.region();
-        region.commit_range(offset, granted);
-        self.facade.book_grant(layout, granted);
+        if fresh {
+            region.commit_range(offset, cache.class_size(class));
+        }
         // SAFETY: the cache hands out offsets of its own region's blocks.
         Some(unsafe { region.base().as_ptr().add(offset) })
     }
 
-    /// A release parked straight in the thread's slot, under the class
-    /// `layout` names (the facade's sized-free contract).  `false` when the
-    /// hit route does not apply or the magazines are full.
+    /// A release of the block at `offset` parked straight in the thread's
+    /// slot under class `class`, which the block's layout names (the
+    /// facade's sized-free contract).  `false` when the magazines are full.
     #[inline]
-    fn dealloc_hit(&self, offset: usize, layout: Layout) -> bool {
-        let Some(class) = self.hit_class(layout) else {
-            return false;
-        };
+    fn park_hit(&self, class: usize, offset: usize) -> bool {
         let cache = self.cache();
         // The sized free's audit, as `MagazineCache::dealloc_sized` runs
         // it on the facade's route.
@@ -242,6 +255,56 @@ impl State {
             "sized free of offset {offset} names the wrong class"
         );
         cache.push_hit(class, offset)
+    }
+
+    /// An allocation on the hit route; `None` when it does not apply or the
+    /// magazines are empty.
+    #[inline]
+    fn alloc_hit(&self, layout: Layout) -> Option<*mut u8> {
+        self.pop_hit(self.hit_class(layout)?, layout)
+    }
+
+    /// A release on the hit route; `false` when it does not apply or the
+    /// magazines are full.
+    #[inline]
+    fn dealloc_hit(&self, offset: usize, layout: Layout) -> bool {
+        self.hit_class(layout)
+            .is_some_and(|class| self.park_hit(class, offset))
+    }
+
+    /// A `realloc` on the hit route, between two cached classes.  The same
+    /// class keeps the block, counted as grown or shrunk in place.  Another
+    /// class pops a block of it, copies `min(old, new)` bytes and parks the
+    /// old block (the facade releases it when its pair is full), counted as
+    /// moved, with the requested bytes booked at the new size.  `None`, with
+    /// nothing done, when the route does not apply — a block outside the
+    /// region, a layout or a new size outside the cached classes or their
+    /// alignment — or the new class's magazines are empty.
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::realloc`'s contract for `ptr`, `layout` and `new_size`.
+    #[inline]
+    unsafe fn realloc_hit(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> Option<*mut u8> {
+        let old = self.hit_class(layout)?;
+        let new_layout = Layout::from_size_align(new_size, layout.align()).ok()?;
+        let new = self.hit_class(new_layout)?;
+        let block = NonNull::new(ptr)?;
+        let offset = self.facade.region().offset_of(block)?;
+        let grew = new_size >= layout.size();
+        if new == old {
+            self.facade.count_resize(grew, false);
+            return Some(ptr);
+        }
+        let moved = self.pop_hit(new, new_layout)?;
+        // SAFETY: distinct blocks, each holding at least the bytes copied.
+        unsafe { std::ptr::copy_nonoverlapping(ptr, moved, layout.size().min(new_size)) };
+        if !self.park_hit(old, offset) {
+            // SAFETY: the caller's block, released once under its layout.
+            unsafe { self.facade.deallocate(block, layout) };
+        }
+        self.facade.count_resize(grew, true);
+        Some(moved)
     }
 }
 
@@ -485,11 +548,15 @@ impl NbbsGlobalAlloc {
 
     /// Cumulative `(buddy, system)` bytes served, by requested size.
     ///
-    /// The buddy figure is the facade's `requested_bytes` odometer: every
-    /// allocation the facade granted, a moved `realloc` at its new size, an
-    /// in-place one not at all (it serves nothing new).  What the nested
-    /// raw route hands out — the stack's own bookkeeping, and threads past
-    /// their exit drain — bypasses the facade and is not part of it.
+    /// The buddy figure is every allocation the stack granted, a moved
+    /// `realloc` at its new size, an in-place one not at all (it serves
+    /// nothing new).  It is the sum of two tallies: the facade's
+    /// `requested_bytes` odometer, for what went through the facade, and
+    /// the bytes the hit route booked in the cache's slots.  What the
+    /// nested raw route hands out — the stack's own bookkeeping, and
+    /// threads past their exit drain — is in neither.  A remote read-out of
+    /// the cache's slots (one heavy barrier), like
+    /// [`NbbsGlobalAlloc::cache_stats`].
     pub fn bytes_served(&self) -> (u64, u64) {
         let stats = self.facade_stats();
         (stats.requested_bytes, stats.system_bytes)
@@ -510,18 +577,24 @@ impl NbbsGlobalAlloc {
     }
 
     /// The facade's counters (grow/shrink split, requested/granted
-    /// odometers — all zero until the state is built) with the shell's own
-    /// two added: `system_bytes` and `system_failovers`.  Read through
+    /// odometers — all zero until the state is built) plus the bytes the
+    /// hit route booked in the cache's slots, with the shell's own two
+    /// added: `system_bytes` and `system_failovers`.  Read through
     /// [`NbbsGlobalAlloc::metrics`]`.facade`.
     fn facade_stats(&self) -> FacadeStatsSnapshot {
-        FacadeStatsSnapshot {
-            system_bytes: self.system_bytes.load(Ordering::Relaxed),
-            system_failovers: self.system_failovers(),
-            ..self
-                .built_state()
-                .map(|s| s.facade.facade_stats())
-                .unwrap_or_default()
-        }
+        let mut stats = self
+            .built_state()
+            .map(|s| {
+                let mut stats = s.facade.facade_stats();
+                let (requested, granted) = s.cache().hit_bytes();
+                stats.requested_bytes += requested;
+                stats.granted_bytes += granted;
+                stats
+            })
+            .unwrap_or_default();
+        stats.system_bytes = self.system_bytes.load(Ordering::Relaxed);
+        stats.system_failovers = self.system_failovers();
+        stats
     }
 
     /// One synchronous decommit-scrubber pass over the backing region (see
@@ -748,13 +821,18 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
             }
             return fresh;
         }
-        // The facade's own `GlobalAlloc::realloc` carries the whole dance
-        // (ownership discrimination, in-place grow/shrink, migrate-to-System
-        // on exhaustion) and counts what the buddy served; the wrapper only
+        // Between two cached classes with the new one's magazines loaded,
+        // the hit route does the whole call.  Otherwise the facade's own
+        // `GlobalAlloc::realloc` carries the whole dance (ownership
+        // discrimination, in-place grow/shrink, migrate-to-System on
+        // exhaustion) and counts what the buddy served; the wrapper only
         // adds the bypass bracket, thread registration, and the system
         // side of the byte-share accounting.
         let _op = BypassGuard::engage();
         Self::register_current_thread(state);
+        if let Some(out) = state.realloc_hit(ptr, layout, new_size) {
+            return out;
+        }
         let out = state.facade.realloc(ptr, layout, new_size);
         if !out.is_null() && !state.facade.owns(out) {
             self.system_bytes
@@ -1240,6 +1318,83 @@ mod tests {
         let rc = unsafe { mincore(start as *mut _, len, vec.as_mut_ptr()) };
         assert_eq!(rc, 0, "mincore failed");
         vec.iter().filter(|&&b| b & 1 != 0).count()
+    }
+
+    /// Two threads churn several classes, each freeing half of what it
+    /// allocates and sending the other half to its peer to free.
+    fn churn_with_remote_frees(a: &NbbsGlobalAlloc) {
+        const SIZES: [usize; 6] = [24, 100, 300, 1000, 2500, 6000];
+        type Batch = Vec<(usize, Layout)>;
+        let free = |batch: Batch| {
+            for (p, layout) in batch {
+                // SAFETY: allocated below under `layout`, freed once.
+                unsafe { a.dealloc(p as *mut u8, layout) };
+            }
+        };
+        let (to_second, from_first) = std::sync::mpsc::channel::<Batch>();
+        let (to_first, from_second) = std::sync::mpsc::channel::<Batch>();
+        std::thread::scope(|s| {
+            let threads =
+                [(to_second, from_second), (to_first, from_first)].map(|(peer, inbox)| {
+                    s.spawn(move || {
+                        for round in 0..40 {
+                            let mut mine: Batch = (0..48)
+                                .map(|i| {
+                                    let size = SIZES[(i + round) % SIZES.len()];
+                                    let layout = Layout::from_size_align(size, 8).unwrap();
+                                    // SAFETY: a non-zero layout.
+                                    let p = unsafe { a.alloc(layout) };
+                                    assert!(a.owns(p), "{layout:?} was served by the buddy");
+                                    // SAFETY: the block holds `size` bytes.
+                                    unsafe { p.write_bytes(0xA5, size) };
+                                    (p as usize, layout)
+                                })
+                                .collect();
+                            peer.send(mine.split_off(24)).unwrap();
+                            free(mine);
+                            while let Ok(batch) = inbox.try_recv() {
+                                free(batch);
+                            }
+                        }
+                        drop(peer);
+                        // Until the peer is done sending.
+                        inbox.into_iter().for_each(free);
+                    })
+                });
+            // An explicit join waits for each thread's exit drain.
+            for thread in threads {
+                thread.join().unwrap();
+            }
+        });
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_night_gives_back_every_page_the_hits_wrote() {
+        // A refilled chunk must be committed when a hit serves it: a page
+        // written without being marked committed is one the scrubber
+        // believes is already given back, and it stays resident.
+        const TOTAL: usize = 4 << 20;
+        let a = NbbsGlobalAlloc::new(TOTAL, 32, 16 << 10);
+        a.build_once(Arming::default);
+        let base = a.built_state().unwrap().facade.region().base().as_ptr();
+        for night in 0..4 {
+            churn_with_remote_frees(&a);
+            a.drain_cache();
+            a.scrub_pass();
+            assert_eq!(a.buddy_allocated_bytes(), 0, "night {night}: nothing live");
+            assert_eq!(
+                a.metrics().memory.unwrap().committed_bytes,
+                0,
+                "night {night}: committed"
+            );
+            assert_eq!(
+                resident_pages(base, TOTAL),
+                0,
+                "night {night}: pages of the arena still resident"
+            );
+        }
+        assert!(a.cache_stats().unwrap().hits > 0, "the days hit");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!  ┌────────────────────────────────────────────────────────────────┐
 //!  │  #[global_allocator]  NbbsGlobalAlloc          (nbbs-alloc)    │
 //!  │     lazy OnceLock build · System fail-over · exit drains       │
-//!  │     unarmed hit: one class-table read, then the thread's       │
-//!  │     slot: MagazineCache::pop_hit / push_hit ─────────────┐     │
+//!  │     unarmed alloc/free/realloc hit: one class-table read,      │
+//!  │     then the thread's slot: pop_hit / push_hit ──────────┐     │
 //!  ├──────────────────────────────────────────────────────────┼─────┤
 //!  │  NbbsAllocator<A>: Layout-aware facade     (nbbs-alloc)  │     │
 //!  │     allocate / allocate_zeroed / deallocate / grow /     │     │
@@ -54,10 +54,11 @@
 //! cannot recurse, and per-thread exit drains so short-lived threads return
 //! their magazines to the tree.  Its stack is exactly the one drawn above —
 //! tree, cache, facade, set by three sizes, observed when the `NBBS_*`
-//! environment arms it.  A build with no recorder sends a magazine hit
+//! environment arms it.  A build with no recorder sends a magazine hit —
+//! an allocation, a release, or a `realloc` between two cached classes —
 //! from the shell straight to the calling thread's cache slot (the arrow
-//! above), booking what the facade would book; everything else goes
-//! through the facade.  [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
+//! above), which books the bytes the facade would book; everything else
+//! goes through the facade.  [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
 //! buddy/system shares, grow-in-place rates and the cache hit rate when the
 //! process ends.
 //!

@@ -23,11 +23,13 @@ const GROW_SPILL_MAGAZINES: usize = 2;
 /// multi-thousand-chunk tree walk.
 const REFILL_BATCH_MAX: usize = 64;
 
-/// Builds the flat request → class table over an ascending class ladder:
-/// one entry per granule — the largest power of two dividing every class —
-/// up to the largest class, each naming the smallest class that holds the
-/// granule's top size.  Returns the table and `log2` of the granule.
-fn class_table(classes: &[usize]) -> (Box<[u8]>, u32) {
+/// Builds the flat request → class table over an ascending class ladder
+/// and each class's alignment: one entry per granule — the largest power
+/// of two dividing every class — up to the largest class, each naming the
+/// smallest class that holds the granule's top size in its low byte and
+/// `log2` of that class's alignment in its high byte.  Returns the table
+/// and `log2` of the granule.
+fn class_table(classes: &[usize], alignment: impl Fn(usize) -> usize) -> (Box<[u16]>, u32) {
     let shift = classes
         .iter()
         .map(|size| size.trailing_zeros())
@@ -35,10 +37,13 @@ fn class_table(classes: &[usize]) -> (Box<[u8]>, u32) {
         .unwrap_or(0);
     let mut table = Vec::with_capacity(classes.last().map_or(0, |&largest| largest >> shift));
     for (class, &size) in classes.iter().enumerate() {
+        let class = u8::try_from(class).expect("at most 256 cached classes");
+        let align = alignment(size);
+        debug_assert!(align.is_power_of_two(), "alignment {align} of class {size}");
         // The granules above the previous class, up to and with this one.
         table.resize(
             size >> shift,
-            u8::try_from(class).expect("at most 256 cached classes"),
+            u16::from(class) | (align.trailing_zeros() as u16) << 8,
         );
     }
     (table.into(), shift)
@@ -61,7 +66,7 @@ struct Counters {
 }
 
 /// One thread slot — everything an entry of it may touch: the per-class
-/// magazine pairs and the slot's share of the two hit-path tallies, plain
+/// magazine pairs and the slot's share of the hit-path tallies, plain
 /// integers bumped inside the entry a hit makes anyway.  The bytes a slot
 /// parks are not stored: [`MagazineCache::cached_bytes`] sums them from the
 /// magazine lengths.
@@ -71,6 +76,11 @@ struct Slot {
     hits: u64,
     /// Releases this slot absorbed into a magazine.
     cached_frees: u64,
+    /// Bytes asked for by the hits of a front end that books its grants
+    /// here ([`MagazineCache::pop_hit`]).
+    requested: u64,
+    /// Bytes those hits were granted (their class sizes).
+    granted: u64,
 }
 
 /// Per-class adaptive-resize state.
@@ -104,16 +114,32 @@ struct ClassCtl {
 /// magazines to the same shard, falling back to batched backend releases.
 ///
 /// A request is resolved to its class once, by one read of a flat table
-/// built from the probed ladder ([`MagazineCache::class_of_request`]: one
-/// byte per granule up to the largest class).  The same table answers
+/// built from the probed ladder ([`MagazineCache::class_of_request`]: two
+/// bytes per granule up to the largest class, the class and the `log2` of
+/// its alignment).  The same table answers
 /// [`BuddyBackend::granted_size_for`], [`BuddyBackend::grant_alignment_for`]
 /// and a sized free's class for every cached size, so a cached request
 /// never asks the backend what it would grant.  The hot path is two
-/// halves, [`MagazineCache::pop_hit`] and [`MagazineCache::push_hit`]:
-/// the trait's allocation and releases run them first and go on to the
-/// depot and the backend only when they fail, and a front end that has
-/// resolved the class itself (the `nbbs-alloc` global shell) calls them
-/// directly.
+/// halves: the trait's allocation and releases pop and park first and go
+/// on to the depot and the backend only when that fails, and a front end
+/// that has resolved the class itself (the `nbbs-alloc` global shell)
+/// calls the same halves directly, [`MagazineCache::pop_hit`] and
+/// [`MagazineCache::push_hit`].  That hit books its requested and granted
+/// bytes in the slot beside `hits` ([`MagazineCache::hit_bytes`] sums
+/// them), and learns from the magazine's watermark whether the chunk may
+/// have come straight from a refill.  Entries below a magazine's
+/// watermark may have been loaded by a refill, so their pages may still
+/// need committing; entries above it were parked by a release, so they
+/// were committed when they were served, and while parked they are live
+/// in the backend, where the decommit scrubber (which claims only free
+/// blocks) cannot reach them.  The trait's own pop ignores the watermark,
+/// since a region over the cache commits every block it serves.
+///
+/// A slot's magazine emptied by a drain has no buffer left, so the first
+/// park after it allocates inside the slot entry.  Under a
+/// registered `#[global_allocator]` that allocation comes back to the
+/// allocator on the same thread; the front end must send it past the
+/// cache (the global shell's bypass latch does).
 ///
 /// Slots are grouped into shards (one depot shard per group, the analogue of
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
@@ -144,10 +170,11 @@ struct ClassCtl {
 /// treating cached chunks as live.
 ///
 /// An entry of a slot covers its magazine pairs *and* its share of the
-/// `hits` / `cached_frees` tallies, so a hit counts itself with a plain
-/// increment inside the entry it makes anyway.  Nothing stores how many
-/// bytes a slot parks.  The read-outs and drains —
-/// [`MagazineCache::snapshot`], [`MagazineCache::cached_bytes`] (and through
+/// `hits` / `cached_frees` tallies and of the hit route's requested and
+/// granted bytes, so a hit counts itself with plain increments inside the
+/// entry it makes anyway.  Nothing stores how many bytes a slot parks.  The
+/// read-outs and drains — [`MagazineCache::snapshot`],
+/// [`MagazineCache::hit_bytes`], [`MagazineCache::cached_bytes`] (and through
 /// it [`MagazineCache::allocated_bytes`]), [`MagazineCache::cached_chunks`],
 /// [`MagazineCache::contains_cached`], [`MagazineCache::drain_all`] and
 /// `Debug` — enter every slot as a remote, once per call: they take every
@@ -177,21 +204,21 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// slab classes when a slab front-end sits underneath.  Class `k`
     /// caches chunks of exactly `classes[k]` bytes.
     classes: Box<[usize]>,
-    /// The flat request → class table: entry `i` is the class of every
-    /// request in `(i << shift, (i + 1) << shift]`, one byte per *granule*
+    /// The flat request → class table: entry `i` describes every request
+    /// in `(i << shift, (i + 1) << shift]`, one entry per *granule*
     /// (`1 << shift`, the largest power of two dividing every class: 32 B
     /// over the shipped tree, 8 B over the slab) up to the largest class.
+    /// Its low byte is the class, its high byte `log2` of the alignment the
+    /// backend guarantees that class's chunks
+    /// ([`BuddyBackend::grant_alignment_for`], probed once: the class size
+    /// for a plain tree, the class granule for a slab's spaced class).
     /// Classes are granule multiples, so no entry straddles two classes,
     /// and [`MagazineCache::class_of_request`] is one shift and one load —
     /// it answers the grant ladder for every cached size, in place of
     /// asking the backend and searching `classes`.
-    table: Box<[u8]>,
+    table: Box<[u16]>,
     /// `log2` of the table's granule.
     shift: u32,
-    /// Per class, the alignment the backend guarantees its chunks
-    /// ([`BuddyBackend::grant_alignment_for`], probed once): the class size
-    /// for a plain tree, the class granule for a slab's spaced class.
-    class_align: Box<[usize]>,
     /// A thread's slot is its [`nbbs_sync::thread_stripe`] in this table,
     /// the thread→stripe rule every per-thread table in the stack shares,
     /// claimed on first use; beside each, the shared slot of threads whose
@@ -284,15 +311,11 @@ impl<A: BuddyBackend> MagazineCache<A> {
             probe = granted + 1;
         }
         let classes: Box<[usize]> = classes.into();
-        let (table, shift) = class_table(&classes);
-        let class_align = classes
-            .iter()
-            .map(|&size| {
-                backend
-                    .grant_alignment_for(size)
-                    .expect("a class the ladder granted has an alignment")
-            })
-            .collect();
+        let (table, shift) = class_table(&classes, |size| {
+            backend
+                .grant_alignment_for(size)
+                .expect("a class the ladder granted has an alignment")
+        });
         let slots = OwnedSlots::new(config.resolved_slots(), || Slot {
             mags: classes
                 .iter()
@@ -300,6 +323,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 .collect(),
             hits: 0,
             cached_frees: 0,
+            requested: 0,
+            granted: 0,
         });
         let shard_count = config.resolved_shards();
         let group_count = config.resolved_groups();
@@ -324,7 +349,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             classes,
             table,
             shift,
-            class_align,
             slots,
             shards,
             group_count,
@@ -474,20 +498,15 @@ impl<A: BuddyBackend> MagazineCache<A> {
         self.classes[class]
     }
 
-    /// The alignment the backend guarantees every chunk of class `class`.
+    /// The class a request of `size` bytes is granted and the alignment
+    /// the backend guarantees its chunks, or `None` above the largest class
+    /// (where the backend answers): one table read.  A request of 0 bytes
+    /// is granted the smallest class, as on the ladder.
     #[inline]
-    pub fn class_alignment(&self, class: usize) -> usize {
-        self.class_align[class]
-    }
-
-    /// The class a request of `size` bytes is granted, or `None` above the
-    /// largest class (where the backend answers): one table read.  A
-    /// request of 0 bytes is granted the smallest class, as on the ladder.
-    #[inline]
-    pub fn class_of_request(&self, size: usize) -> Option<usize> {
+    pub fn class_of_request(&self, size: usize) -> Option<(usize, usize)> {
         self.table
             .get(size.saturating_sub(1) >> self.shift)
-            .map(|&class| usize::from(class))
+            .map(|&entry| (usize::from(entry as u8), 1 << (entry >> 8)))
     }
 
     /// Size class caching chunks of exactly `granted` bytes, if cached: the
@@ -497,6 +516,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     #[inline]
     fn class_of_granted(&self, granted: usize) -> Option<usize> {
         self.class_of_request(granted)
+            .map(|(class, _)| class)
             .filter(|&class| self.classes[class] == granted)
     }
 
@@ -588,16 +608,31 @@ impl<A: BuddyBackend> MagazineCache<A> {
         );
     }
 
-    /// The hit half of an allocation of class `class`: pops the calling
-    /// thread's magazine pair (`loaded`, then a swapped-in `previous`) and
-    /// counts the hit.  `None` when both are empty — the caller goes on to
-    /// the depot and the backend, as [`BuddyBackend::alloc`] does.
+    /// The hit half of an allocation of class `class` for a front end that
+    /// books its grants in the cache: pops the calling thread's magazine
+    /// pair (`loaded`, then a swapped-in `previous`), counts the hit and
+    /// books `requested` bytes asked for and the class size granted in the
+    /// same entry ([`MagazineCache::hit_bytes`]).  Returns the offset and
+    /// whether it lay below its magazine's watermark — a chunk a refill may
+    /// have loaded straight from the backend, whose pages the caller must
+    /// commit; any other was committed when it was last served.  `None`
+    /// when both magazines are empty — the caller goes on to the depot and
+    /// the backend, as [`BuddyBackend::alloc`] does.
     #[inline]
-    pub fn pop_hit(&self, class: usize) -> Option<usize> {
+    pub fn pop_hit(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
+        self.pop_booked(class, requested as u64, self.classes[class] as u64)
+    }
+
+    /// Pops the calling thread's pair of class `class`, counting the hit
+    /// and booking `requested` and `granted` bytes.
+    #[inline]
+    fn pop_booked(&self, class: usize, requested: u64, granted: u64) -> Option<(usize, bool)> {
         self.slots.with_mine(|_, slot| {
-            let off = slot.mags[class].pop()?;
+            let popped = slot.mags[class].pop()?;
             slot.hits += 1;
-            Some(off)
+            slot.requested += requested;
+            slot.granted += granted;
+            Some(popped)
         })
     }
 
@@ -617,8 +652,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Serves one allocation of class `class`, preferring the magazines.
+    /// The watermark is not asked: the caller's grant books nothing here,
+    /// and a region over the cache commits every block it serves.
     fn alloc_cached(&self, class: usize) -> Option<usize> {
-        if let Some(off) = self.pop_hit(class) {
+        if let Some((off, _)) = self.pop_booked(class, 0, 0) {
             return Some(off);
         }
         let class_size = self.class_size(class);
@@ -627,7 +664,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
         // the stripe and the refill batch its pair is sized for.
         let entered = self.slots.with_mine(|slot_idx, slot| {
             let pair = &mut slot.mags[class];
-            if let Some(off) = pair.pop() {
+            if let Some((off, _)) = pair.pop() {
                 slot.hits += 1;
                 return Ok(off);
             }
@@ -642,7 +679,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 self.counters
                     .depot_exchanges
                     .fetch_add(1, Ordering::Relaxed);
-                let off = pair.loaded.pop().expect("depot magazines are full");
+                let (off, _) = pair.loaded.pop().expect("depot magazines are full");
                 slot.hits += 1;
                 return Ok(off);
             }
@@ -728,7 +765,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 } else {
                     break;
                 };
-                target.push(off);
+                target.push_fresh(off);
                 guard.chunks.pop();
                 refilled += 1;
             }
@@ -1034,6 +1071,18 @@ impl<A: BuddyBackend> MagazineCache<A> {
         found || self.orphans.lock().iter().any(|&(off, _)| off == offset)
     }
 
+    /// The `(requested, granted)` bytes booked by [`MagazineCache::pop_hit`]
+    /// over every slot, cumulative.  A remote read-out (see *Consistency*
+    /// on the type).
+    pub fn hit_bytes(&self) -> (u64, u64) {
+        let (mut requested, mut granted) = (0, 0);
+        self.slots.for_each_slot(|slot| {
+            requested += slot.requested;
+            granted += slot.granted;
+        });
+        (requested, granted)
+    }
+
     /// Point-in-time copy of the cache counters: the slow-path atomics,
     /// plus `hits` and `cached_frees` folded from the per-slot tallies.  A
     /// remote read-out (see *Consistency* on the type).
@@ -1074,7 +1123,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         // names is the backend's grant — power-of-two orders over a plain
         // tree, slab classes over a slab front-end.
         match self.class_of_request(size) {
-            Some(class) => self.alloc_cached(class),
+            Some((class, _)) => self.alloc_cached(class),
             None => self.backend.alloc(size),
         }
     }
@@ -1165,7 +1214,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
     /// the largest class.
     fn granted_size_for(&self, size: usize) -> Option<usize> {
         match self.class_of_request(size) {
-            Some(class) => Some(self.class_size(class)),
+            Some((class, _)) => Some(self.class_size(class)),
             None => self.backend.granted_size_for(size),
         }
     }
@@ -1174,7 +1223,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
     /// forwarded above the largest class.
     fn grant_alignment_for(&self, size: usize) -> Option<usize> {
         match self.class_of_request(size) {
-            Some(class) => Some(self.class_alignment(class)),
+            Some((_, align)) => Some(align),
             None => self.backend.grant_alignment_for(size),
         }
     }

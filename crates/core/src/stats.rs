@@ -362,15 +362,17 @@ impl NodeStatsSnapshot {
 
 /// Point-in-time copy of the counters of the `Layout` facade (`nbbs-alloc`).
 ///
-/// `grow`/`shrink` resolve either *in place* (the granted buddy block
-/// already covers the new layout — no copy, no backend traffic) or by
+/// `grow`/`shrink` resolve either *in place* (the new layout names the
+/// class the block already has — no copy, no backend traffic) or by
 /// *moving* (allocate + copy + release).  The split is the facade's own
 /// figure of merit: buddy blocks over-provision by construction, so a
 /// healthy workload should see most grows land in place.
 ///
 /// `NbbsAllocator` fills what it owns; `system_bytes` and
 /// `system_failovers` belong to the `NbbsGlobalAlloc` shell, which adds
-/// them, and stay zero for a bare facade.
+/// them, and stay zero for a bare facade.  The shell also counts the calls
+/// its magazine hits serve past the facade: their requested and granted
+/// bytes (booked in the cache's slots) and their realloc outcomes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FacadeStatsSnapshot {
     /// `grow` calls resolved without moving the block.

@@ -10,9 +10,10 @@
 //! magazine cache → layout-aware facade).  Every `Vec`, `String` and
 //! `HashMap` below is buddy memory; over-aligned requests are served by
 //! rounding to `max(size, align)` (power-of-two blocks are naturally
-//! aligned); `realloc` resolves in place whenever the granted block covers
-//! the new size; and threads drain their magazines back to the tree when
-//! they exit.
+//! aligned); `realloc` resolves in place whenever the new layout names the
+//! class the block already has (a realloc between two cached classes is a
+//! magazine hit either way); and threads drain their magazines back to the
+//! tree when they exit.
 //!
 //! The burst at the end races 8 threads through direct `GlobalAlloc`
 //! calls — all released by one barrier, so the first allocations race the
@@ -113,7 +114,7 @@ fn main() {
     let churned: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
     println!("4 threads churned {churned} bytes of short-lived vectors");
 
-    // Growing a Vec inside its granted buddy block reallocs in place.
+    // Growing a Vec within its block's class reallocs in place.
     let mut grower: Vec<u8> = Vec::with_capacity(100); // granted 128 bytes
     grower.extend(std::iter::repeat_n(0xA5u8, 100));
     grower.reserve_exact(128 - 100); // still inside the granted block

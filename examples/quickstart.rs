@@ -186,8 +186,8 @@ fn main() {
     //    NbbsAllocator speaks Layout instead of sizes: over-aligned
     //    requests are served by the buddy itself (round to max(size,
     //    align) — power-of-two blocks are naturally aligned), and
-    //    grow/shrink resolve *in place* whenever the granted block already
-    //    covers the new layout (pure level math, no tree walk).  For
+    //    grow/shrink resolve *in place* whenever the new layout names the
+    //    class the block already has (pure level math, no tree walk).  For
     //    whole-program use, `nbbs_alloc::NbbsGlobalAlloc` packages this
     //    stack for #[global_allocator]: lazy OnceLock construction,
     //    System fail-over for oversized requests, and per-thread exit

@@ -1,10 +1,11 @@
 //! The global shell's magazine hit route: a request whose class has a
 //! chunk in the calling thread's magazines goes from `NbbsGlobalAlloc`
-//! straight to the thread's cache slot, past the facade.  These tests pin
-//! down that the shortcut books everything the facade's route books — the
-//! odometer, the cache's hit/miss tallies, the region's committed pages —
-//! that a recording build still takes the facade's route, and that the
-//! sized-free audit still runs on it.
+//! straight to the thread's cache slot, past the facade, and so does a
+//! `realloc` between two cached classes.  These tests pin down that the
+//! shortcut books everything the facade's route books — the requested and
+//! granted bytes, the realloc split, the cache's hit/miss tallies, the
+//! region's committed pages — that a recording build still takes the
+//! facade's route, and that the sized-free audit still runs on it.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,4 +242,252 @@ fn a_free_under_another_class_fails_the_audit_on_the_hit_route() {
         let p = a.alloc(granted);
         a.dealloc(p, wrong);
     }
+}
+
+/// The facade's realloc split and requested bytes, read together.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Resized {
+    grows_in_place: u64,
+    grows_moved: u64,
+    shrinks_in_place: u64,
+    shrinks_moved: u64,
+    requested: u64,
+}
+
+fn resized(a: &NbbsGlobalAlloc) -> Resized {
+    let facade = a.metrics().facade.expect("the shell has a facade");
+    Resized {
+        grows_in_place: facade.grows_in_place,
+        grows_moved: facade.grows_moved,
+        shrinks_in_place: facade.shrinks_in_place,
+        shrinks_moved: facade.shrinks_moved,
+        requested: facade.requested_bytes,
+    }
+}
+
+impl std::ops::Sub for Resized {
+    type Output = Resized;
+    fn sub(self, before: Resized) -> Resized {
+        Resized {
+            grows_in_place: self.grows_in_place - before.grows_in_place,
+            grows_moved: self.grows_moved - before.grows_moved,
+            shrinks_in_place: self.shrinks_in_place - before.shrinks_in_place,
+            shrinks_moved: self.shrinks_moved - before.shrinks_moved,
+            requested: self.requested - before.requested,
+        }
+    }
+}
+
+/// Byte `i` of a block written by [`fill`].
+fn pattern(i: usize) -> u8 {
+    (i % 251) as u8
+}
+
+/// Writes [`pattern`] over the first `len` bytes at `p`.
+///
+/// # Safety
+///
+/// `p` holds at least `len` writable bytes.
+unsafe fn fill(p: *mut u8, len: usize) {
+    for i in 0..len {
+        p.add(i).write(pattern(i));
+    }
+}
+
+/// Whether the first `len` bytes at `p` still read [`pattern`].
+///
+/// # Safety
+///
+/// `p` holds at least `len` readable bytes.
+unsafe fn holds_pattern(p: *const u8, len: usize) -> bool {
+    (0..len).all(|i| *p.add(i) == pattern(i))
+}
+
+/// Reallocs `p` (live under `layout`) to `new_size`, checks the pattern
+/// survived the call, and books what the call should count in `expect`:
+/// in place when the two sizes name the same class, moved otherwise, the
+/// requested bytes at the new size only when it moved.
+///
+/// # Safety
+///
+/// `p` is live under `layout` and holds the pattern over `layout.size()`.
+unsafe fn realloc_checked(
+    a: &NbbsGlobalAlloc,
+    p: *mut u8,
+    layout: Layout,
+    new_size: usize,
+    expect: &mut Resized,
+) -> (*mut u8, Layout) {
+    let class = |size: usize| size.max(layout.align()).next_power_of_two().max(UNIT);
+    let same = class(layout.size()) == class(new_size);
+    let grew = new_size >= layout.size();
+    let q = a.realloc(p, layout, new_size);
+    assert!(a.owns(q), "{layout:?} -> {new_size} stayed in the buddy");
+    assert_eq!(q as usize % layout.align(), 0);
+    assert_eq!(
+        q == p,
+        same,
+        "{layout:?} -> {new_size}: in place iff same class"
+    );
+    assert!(
+        holds_pattern(q, layout.size().min(new_size)),
+        "{layout:?} -> {new_size}: contents"
+    );
+    match (grew, same) {
+        (true, true) => expect.grows_in_place += 1,
+        (true, false) => expect.grows_moved += 1,
+        (false, true) => expect.shrinks_in_place += 1,
+        (false, false) => expect.shrinks_moved += 1,
+    }
+    if !same {
+        expect.requested += new_size as u64;
+    }
+    let new_layout = Layout::from_size_align(new_size, layout.align()).unwrap();
+    fill(q, new_size);
+    (q, new_layout)
+}
+
+#[test]
+fn reallocs_across_every_class_boundary_keep_contents_and_count_exactly() {
+    let a = unarmed();
+    for align in [8, 64] {
+        // Load every class's magazines, so the moves below are hits.
+        churn_every_class(&a);
+        let misses = a.cache_stats().unwrap().misses;
+        let before = resized(&a);
+        let mut expect = Resized::default();
+        let layout = Layout::from_size_align(1, align).unwrap();
+        // SAFETY: every block is live under the layout it is passed with,
+        // and the last one is freed under its own.
+        unsafe {
+            let p = a.alloc(layout);
+            fill(p, 1);
+            expect.requested += 1;
+            let (mut p, mut layout) = (p, layout);
+            // Up across every boundary: the top of a class, then one past it.
+            let mut class = UNIT;
+            while class < LARGEST {
+                for size in [class - 1, class, class + 1] {
+                    (p, layout) = realloc_checked(&a, p, layout, size, &mut expect);
+                }
+                class *= 2;
+            }
+            (p, layout) = realloc_checked(&a, p, layout, LARGEST, &mut expect);
+            // And back down, shrinking within a class and then out of it.
+            while class > UNIT {
+                for size in [class / 2 + 1, class / 2] {
+                    (p, layout) = realloc_checked(&a, p, layout, size, &mut expect);
+                }
+                class /= 2;
+            }
+            a.dealloc(p, layout);
+        }
+        assert_eq!(resized(&a) - before, expect, "align {align}");
+        assert_eq!(
+            a.cache_stats().unwrap().misses,
+            misses,
+            "every move was a magazine hit"
+        );
+    }
+    a.drain_cache();
+    assert_eq!(a.buddy_allocated_bytes(), 0, "nothing is live");
+}
+
+#[test]
+fn a_realloc_into_empty_magazines_goes_to_the_facade_and_succeeds() {
+    let a = unarmed();
+    let small = Layout::from_size_align(100, 8).unwrap();
+    let big = 4 << 10;
+    // SAFETY: each block is live under the layout it is passed with.
+    unsafe {
+        let p = a.alloc(small);
+        fill(p, small.size());
+        // Nothing of 4 KiB was ever allocated: its magazines are empty.
+        let misses = a.cache_stats().unwrap().misses;
+        let before = resized(&a);
+        let mut expect = Resized {
+            grows_moved: 1,
+            requested: big as u64,
+            ..Resized::default()
+        };
+        let (q, layout) = realloc_checked(&a, p, small, big, &mut Resized::default());
+        assert_eq!(a.cache_stats().unwrap().misses, misses + 1, "a refill");
+        assert_eq!(resized(&a) - before, expect, "counted once, as moved");
+        // The refill loaded the class: the next move into it is a hit.
+        let hits = a.cache_stats().unwrap().hits;
+        let r = a.alloc(small);
+        let (s, layout_s) = realloc_checked(&a, r, small, big, &mut expect);
+        assert_eq!(a.cache_stats().unwrap().hits, hits + 2);
+        a.dealloc(q, layout);
+        a.dealloc(s, layout_s);
+    }
+}
+
+#[test]
+fn over_aligned_layouts_keep_their_alignment_through_realloc() {
+    let a = unarmed();
+    // SAFETY: each block is live under the layout it is passed with.
+    unsafe {
+        // Within the classes: the class's blocks are aligned to their size.
+        let page = Layout::from_size_align(8, 4096).unwrap();
+        let mut expect = Resized::default();
+        let before = resized(&a);
+        let p = a.alloc(page);
+        fill(p, page.size());
+        expect.requested += 8;
+        let (p, page) = realloc_checked(&a, p, page, 4096, &mut expect);
+        let (p, page) = realloc_checked(&a, p, page, 5000, &mut expect);
+        let (p, page) = realloc_checked(&a, p, page, 16, &mut expect);
+        a.dealloc(p, page);
+        assert_eq!(resized(&a) - before, expect);
+        // Past the largest class: the facade sends it to `System`, and
+        // nothing is counted.
+        let huge = Layout::from_size_align(64, 2 * LARGEST).unwrap();
+        let before = resized(&a);
+        let p = a.alloc(huge);
+        assert!(!a.owns(p));
+        fill(p, 64);
+        let q = a.realloc(p, huge, 128);
+        assert!(!a.owns(q) && (q as usize).is_multiple_of(huge.align()));
+        assert!(holds_pattern(q, 64));
+        a.dealloc(q, Layout::from_size_align(128, huge.align()).unwrap());
+        let counted = resized(&a) - before;
+        assert_eq!(
+            (
+                counted.grows_in_place,
+                counted.grows_moved,
+                counted.requested
+            ),
+            (0, 0, 0)
+        );
+    }
+}
+
+#[test]
+fn a_recording_build_records_every_realloc() {
+    let a = built_under(&[("NBBS_OBS", "1")]);
+    let events = |a: &NbbsGlobalAlloc, kind| {
+        a.metrics()
+            .latency_of(kind)
+            .map_or(0, |latency| latency.count)
+    };
+    churn_every_class(&a);
+    let (grows, shrinks) = (events(&a, OpKind::Grow), events(&a, OpKind::Shrink));
+    let before = resized(&a);
+    let mut expect = Resized::default();
+    let layout = Layout::from_size_align(40, 8).unwrap();
+    // SAFETY: each block is live under the layout it is passed with.
+    unsafe {
+        let p = a.alloc(layout);
+        fill(p, layout.size());
+        expect.requested += 40;
+        let (p, layout) = realloc_checked(&a, p, layout, 60, &mut expect); // grow in place
+        let (p, layout) = realloc_checked(&a, p, layout, 3000, &mut expect); // grow, moved
+        let (p, layout) = realloc_checked(&a, p, layout, 2500, &mut expect); // shrink in place
+        let (p, layout) = realloc_checked(&a, p, layout, 33, &mut expect); // shrink, moved
+        a.dealloc(p, layout);
+    }
+    assert_eq!(events(&a, OpKind::Grow) - grows, 2);
+    assert_eq!(events(&a, OpKind::Shrink) - shrinks, 2);
+    assert_eq!(resized(&a) - before, expect);
 }

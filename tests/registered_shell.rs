@@ -1,0 +1,133 @@
+//! `NbbsGlobalAlloc` as this test binary's own `#[global_allocator]`: every
+//! allocation of the harness and of the tests, `String` growth, thread
+//! exits and the shell's read-outs included, goes through the shell's hit
+//! route and its facade, re-entering the allocator wherever the stack's
+//! own bookkeeping allocates.
+
+use std::alloc::{GlobalAlloc, Layout};
+
+use nbbs_alloc::NbbsGlobalAlloc;
+
+/// The shipped geometry.
+const LARGEST: usize = 64 << 10;
+
+#[global_allocator]
+static GLOBAL: NbbsGlobalAlloc = NbbsGlobalAlloc::new(64 << 20, 32, LARGEST);
+
+/// The `i`-th byte the tests write.
+fn letter(i: usize) -> u8 {
+    b'a' + (i % 26) as u8
+}
+
+#[test]
+fn a_free_after_a_drain_parks_into_a_magazine_without_a_buffer() {
+    let boxes: Vec<Box<[u8; 48]>> = (0..64).map(|i| Box::new([i as u8; 48])).collect();
+    // Empties every magazine, taking their buffers with them.
+    GLOBAL.drain_cache();
+    let drained = GLOBAL.cache_stats().unwrap().drained;
+    for (i, b) in boxes.into_iter().enumerate() {
+        assert!(b.iter().all(|&x| x == i as u8));
+        // The first park allocates the magazine's buffer inside the slot
+        // entry: that allocation must go past the cache.
+        drop(b);
+    }
+    let again: Vec<Box<u64>> = (0..64).map(Box::new).collect();
+    assert!(again.iter().enumerate().all(|(i, b)| **b == i as u64));
+    assert!(again
+        .iter()
+        .all(|b| GLOBAL.owns(&**b as *const u64 as *mut u8)));
+    assert!(GLOBAL.cache_stats().unwrap().drained >= drained);
+}
+
+#[test]
+fn a_string_grows_and_shrinks_across_every_class() {
+    let mut s = String::new();
+    let mut sizes = Vec::new();
+    while s.len() < LARGEST {
+        s.push(char::from(letter(s.len())));
+        assert!(GLOBAL.owns(s.as_mut_ptr()), "at {}", s.len());
+        if sizes.last() != Some(&s.capacity()) {
+            sizes.push(s.capacity());
+        }
+    }
+    assert_eq!(sizes.last(), Some(&LARGEST), "grew through {sizes:?}");
+    assert!(s.bytes().enumerate().all(|(i, b)| b == letter(i)));
+    // Back down one class at a time, each `shrink_to_fit` a shrinking realloc.
+    let mut len = s.len();
+    while len > 1 {
+        len /= 2;
+        s.truncate(len);
+        s.shrink_to_fit();
+        assert_eq!(s.capacity(), len);
+        assert!(GLOBAL.owns(s.as_mut_ptr()), "at {len}");
+        assert!(
+            s.bytes().enumerate().all(|(i, b)| b == letter(i)),
+            "at {len}"
+        );
+    }
+}
+
+#[test]
+fn reallocs_through_the_registered_shell_keep_their_bytes() {
+    // Direct calls, across every class boundary and back.
+    let mut layout = Layout::from_size_align(1, 8).unwrap();
+    // SAFETY: the block is live under `layout` at every call, and is freed
+    // under the last one.
+    unsafe {
+        let mut p = GLOBAL.alloc(layout);
+        p.write(letter(0));
+        let mut class = 32;
+        let mut sizes: Vec<usize> = Vec::new();
+        while class <= LARGEST {
+            sizes.extend([class, class + 1]);
+            class *= 2;
+        }
+        sizes.extend(sizes.clone().into_iter().rev());
+        for size in sizes {
+            let kept = layout.size().min(size);
+            p = GLOBAL.realloc(p, layout, size);
+            assert!(!p.is_null());
+            for i in 0..kept {
+                assert_eq!(*p.add(i), letter(i), "byte {i} at {size}");
+            }
+            for i in kept..size {
+                p.add(i).write(letter(i));
+            }
+            layout = Layout::from_size_align(size, 8).unwrap();
+        }
+        GLOBAL.dealloc(p, layout);
+    }
+}
+
+#[test]
+fn threads_that_exit_drain_what_they_parked() {
+    let drained = GLOBAL.cache_stats().unwrap().drained;
+    let handles: Vec<_> = (0..4)
+        .map(|t| {
+            std::thread::spawn(move || {
+                let mut kept: Vec<String> = Vec::new();
+                for i in 0..200 {
+                    let mut s = String::with_capacity(16);
+                    for j in 0..(i % 37) * 11 {
+                        s.push(char::from(letter(i + j + t)));
+                    }
+                    if i % 3 == 0 {
+                        kept.push(s);
+                    }
+                }
+                // Handed back to the spawner, to be freed by another thread.
+                kept
+            })
+        })
+        .collect();
+    let mut total = 0;
+    for h in handles {
+        let kept = h.join().unwrap();
+        total += kept.iter().map(String::len).sum::<usize>();
+    }
+    assert!(total > 0);
+    assert!(
+        GLOBAL.cache_stats().unwrap().drained > drained,
+        "the exiting threads drained their magazines"
+    );
+}
