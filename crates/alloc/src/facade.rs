@@ -8,7 +8,15 @@ use std::sync::Arc;
 use nbbs::error::AllocError;
 use nbbs::{BuddyBackend, BuddyRegion, FacadeStatsSnapshot};
 use nbbs_obs::{size_detail, HeapProfiler, OpKind, Recorder};
-use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim, ThreadToken};
+use nbbs_sync::{default_stripes, CachePadded, Claim, ThreadToken};
+
+/// The buddy request size for `layout` before any alignment bump: rounding
+/// to `max(size, align)` makes a *naturally aligned* (power-of-two) grant
+/// satisfy the alignment for free.
+#[inline]
+pub(crate) fn base_request_size(layout: Layout) -> usize {
+    layout.size().max(layout.align()).max(1)
+}
 
 /// A layout-aware allocator over any [`BuddyBackend`].
 ///
@@ -61,9 +69,8 @@ use nbbs_sync::{default_stripes, thread_stripe, CachePadded, Claim, ThreadToken}
 pub struct NbbsAllocator<A: BuddyBackend> {
     region: BuddyRegion<A>,
     /// The cumulative counts: the `(requested, granted)` byte odometer and
-    /// the grow/shrink split; shared with the global shell's exit hook,
-    /// which gives the exiting thread's stripe up.
-    odometer: Arc<Odometer>,
+    /// the grow/shrink split.
+    odometer: Odometer,
     /// Optional observer.  Every *public* facade operation records exactly
     /// one event (a moved grow is one `Grow`, not a `Grow` + `Alloc` +
     /// `Free`), and when the handle carries a heap profiler every granted
@@ -78,7 +85,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     pub fn new(backend: A) -> Self {
         NbbsAllocator {
             region: BuddyRegion::new(backend),
-            odometer: Arc::new(Odometer::new(default_stripes())),
+            odometer: Odometer::new(default_stripes()),
             obs: None,
         }
     }
@@ -99,7 +106,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
 
     /// The observer's heap profiler, when both are there.
     #[inline]
-    pub(crate) fn profiler(&self) -> Option<&HeapProfiler> {
+    fn profiler(&self) -> Option<&HeapProfiler> {
         self.obs.as_ref().and_then(|rec| rec.profiler())
     }
 
@@ -113,17 +120,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         &self.region
     }
 
-    /// The buddy request size for `layout` before any alignment bump:
-    /// rounding to `max(size, align)` makes a *naturally aligned*
-    /// (power-of-two) grant satisfy the alignment for free.
-    #[inline]
-    pub(crate) fn base_request_size(layout: Layout) -> usize {
-        layout.size().max(layout.align()).max(1)
-    }
-
     /// The request size actually sent to the backend for `layout`.
     ///
-    /// Starts from [`Self::base_request_size`].  When the backend's grant
+    /// Starts from [`base_request_size`].  When the backend's grant
     /// for that size is not naturally aligned far enough — a slab
     /// front-end's spaced classes (say 96 bytes) guarantee only their
     /// granule alignment — the request is bumped to the next power of two:
@@ -131,7 +130,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
     /// power-of-two grant is aligned to its own size.
     #[inline]
     pub(crate) fn request_size(&self, layout: Layout) -> usize {
-        let want = Self::base_request_size(layout);
+        let want = base_request_size(layout);
         match self.backend().grant_alignment_for(want) {
             Some(align) if align < layout.align() => want.next_power_of_two(),
             _ => want,
@@ -164,30 +163,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         self.odometer.totals()
     }
 
-    /// The odometer, for a hook that must give the exiting thread's stripe
-    /// up ([`Odometer::release_mine`]).
-    pub(crate) fn odometer(&self) -> &Arc<Odometer> {
-        &self.odometer
-    }
-
-    /// Counts one `realloc` outcome on the calling thread's odometer stripe:
-    /// a grow (`grew`) or a shrink, `moved` or in place.  What `grow` and
-    /// `shrink` count, for the global shell's `realloc` hits.
-    #[inline]
-    pub(crate) fn count_resize(&self, grew: bool, moved: bool) {
-        let tally: fn(&Counts) -> &AtomicU64 = match (grew, moved) {
-            (true, false) => |c| &c.grows_in_place,
-            (true, true) => |c| &c.grows_moved,
-            (false, false) => |c| &c.shrinks_in_place,
-            (false, true) => |c| &c.shrinks_moved,
-        };
-        self.odometer.count(tally);
-    }
-
     /// Books a successful grant: requested-vs-granted byte accounting on
     /// the calling thread's odometer stripe plus the (sampled)
-    /// heap-profiler capture.  The global shell's magazine hits book theirs
-    /// in the cache's slots instead ([`nbbs_cache::MagazineCache::pop_hit`]).
+    /// heap-profiler capture.
     fn account_grant(&self, layout: Layout, granted: usize, offset: Option<usize>) {
         self.odometer
             .add(layout.size().max(1) as u64, granted as u64);
@@ -207,7 +185,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             &self.obs,
             OpKind::Alloc,
             || self.allocate_inner(layout),
-            |out| (size_detail(Self::base_request_size(layout)), out.is_ok()),
+            |out| (size_detail(base_request_size(layout)), out.is_ok()),
         )
     }
 
@@ -266,7 +244,7 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             OpKind::Free,
             // SAFETY: the caller's contract, passed on unchanged.
             || unsafe { self.deallocate_inner(ptr, layout) },
-            |_| (size_detail(Self::base_request_size(layout)), true),
+            |_| (size_detail(base_request_size(layout)), true),
         )
     }
 
@@ -291,10 +269,9 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         }
     }
 
-    /// What every release route does before the block at `offset` goes back
-    /// to a backend — this facade's `deallocate` and the global shell's
-    /// nested raw route alike: the profiler sees it go.
-    pub(crate) fn note_release(&self, offset: usize) {
+    /// What a release does before the block at `offset` goes back to the
+    /// backend: the profiler sees it go.
+    fn note_release(&self, offset: usize) {
         if let Some(profiler) = self.profiler() {
             profiler.record_free(offset);
         }
@@ -340,15 +317,15 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             OpKind::Grow,
             // SAFETY: the caller's contract, passed on unchanged.
             || unsafe { self.grow_inner(ptr, old_layout, new_layout) },
-            |out| {
-                (
-                    size_detail(Self::base_request_size(new_layout)),
-                    out.is_ok(),
-                )
-            },
+            |out| (size_detail(base_request_size(new_layout)), out.is_ok()),
         )
     }
 
+    /// [`NbbsAllocator::grow`] without the latency recording.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`NbbsAllocator::grow`].
     unsafe fn grow_inner(
         &self,
         ptr: NonNull<u8>,
@@ -364,13 +341,16 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         }
         let new_block = self.allocate_inner(new_layout)?;
         // SAFETY: distinct blocks; the old block holds `old_layout.size()`
-        // initialized-or-caller-owned bytes and the new one is larger.
-        std::ptr::copy_nonoverlapping(
-            ptr.as_ptr(),
-            new_block.cast::<u8>().as_ptr(),
-            old_layout.size(),
-        );
-        self.deallocate_inner(ptr, old_layout);
+        // initialized-or-caller-owned bytes and the new one is larger, and
+        // the old one is released once, under the caller's layout.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                ptr.as_ptr(),
+                new_block.cast::<u8>().as_ptr(),
+                old_layout.size(),
+            );
+            self.deallocate_inner(ptr, old_layout);
+        }
         self.odometer.count(|c| &c.grows_moved);
         Ok(new_block)
     }
@@ -404,15 +384,15 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
             OpKind::Shrink,
             // SAFETY: the caller's contract, passed on unchanged.
             || unsafe { self.shrink_inner(ptr, old_layout, new_layout) },
-            |out| {
-                (
-                    size_detail(Self::base_request_size(new_layout)),
-                    out.is_ok(),
-                )
-            },
+            |out| (size_detail(base_request_size(new_layout)), out.is_ok()),
         )
     }
 
+    /// [`NbbsAllocator::shrink`] without the latency recording.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`NbbsAllocator::shrink`].
     unsafe fn shrink_inner(
         &self,
         ptr: NonNull<u8>,
@@ -436,13 +416,16 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
         }
         let new_block = self.allocate_inner(new_layout)?;
         // SAFETY: distinct blocks; the new one holds `new_layout.size()`
-        // bytes, at most what the old one held.
-        std::ptr::copy_nonoverlapping(
-            ptr.as_ptr(),
-            new_block.cast::<u8>().as_ptr(),
-            new_layout.size(),
-        );
-        self.deallocate_inner(ptr, old_layout);
+        // bytes, at most what the old one held, and the old one is released
+        // once, under the caller's layout.
+        unsafe {
+            std::ptr::copy_nonoverlapping(
+                ptr.as_ptr(),
+                new_block.cast::<u8>().as_ptr(),
+                new_layout.size(),
+            );
+            self.deallocate_inner(ptr, old_layout);
+        }
         self.odometer.count(|c| &c.shrinks_moved);
         Ok(new_block)
     }
@@ -458,12 +441,11 @@ impl<A: BuddyBackend> NbbsAllocator<A> {
 /// and stores: no read-modify-write, on a line no other thread writes.  A
 /// thread whose stripe another live thread holds adds to that stripe's
 /// shared line with `fetch_add`, so crowded threads spread over as many
-/// lines as there are stripes.  The global shell's exit hook gives a thread's stripe up
-/// ([`Odometer::release_mine`]); the stripe of a thread that exits without
-/// it stays claimed, and later threads mapping there use its shared line —
-/// exact, and as spread as a table of plain atomic stripes.  Every line
-/// only grows, and [`Odometer::totals`] sums them, exactly at quiescence.
-pub(crate) struct Odometer {
+/// lines as there are stripes.  The stripe of a thread that exits stays
+/// claimed, and later threads mapping there use its shared line — exact,
+/// and as spread as a table of plain atomic stripes.  Every line only
+/// grows, and [`Odometer::totals`] sums them, exactly at quiescence.
+struct Odometer {
     stripes: Box<[Stripe]>,
     shared: Box<[CachePadded<Counts>]>,
 }
@@ -563,14 +545,6 @@ impl Odometer {
             ..FacadeStatsSnapshot::default()
         }
     }
-
-    /// Gives the calling thread's stripe up, so the next thread mapping to
-    /// it can own it; what it counted stays.
-    pub(crate) fn release_mine(&self) {
-        self.stripes[thread_stripe(self.stripes.len())]
-            .claim
-            .release();
-    }
 }
 
 // SAFETY: blocks come either from the region (released back to it, matched
@@ -586,7 +560,8 @@ unsafe impl<A: BuddyBackend> GlobalAlloc for NbbsAllocator<A> {
             Ok(block) => block.cast::<u8>().as_ptr(),
             // Oversized or exhausted: keep the program running on the
             // system allocator, as the paper's front ends would fail over.
-            Err(_) => System.alloc(layout),
+            // SAFETY: the caller's contract for `layout`.
+            Err(_) => unsafe { System.alloc(layout) },
         }
     }
 
@@ -597,46 +572,57 @@ unsafe impl<A: BuddyBackend> GlobalAlloc for NbbsAllocator<A> {
         match self.allocate(layout) {
             Ok(block) => {
                 let ptr = block.cast::<u8>().as_ptr();
-                ptr.write_bytes(0, layout.size());
+                // SAFETY: a fresh block of at least `layout.size()` bytes.
+                unsafe { ptr.write_bytes(0, layout.size()) };
                 ptr
             }
-            Err(_) => System.alloc_zeroed(layout),
+            // SAFETY: the caller's contract for `layout`.
+            Err(_) => unsafe { System.alloc_zeroed(layout) },
         }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        match NonNull::new(ptr) {
-            Some(nn) if self.region.contains(nn) => self.deallocate(nn, layout),
-            _ => System.dealloc(ptr, layout),
+        // SAFETY: the caller's contract; a block outside the region is
+        // `System`'s.
+        unsafe {
+            match NonNull::new(ptr) {
+                Some(nn) if self.region.contains(nn) => self.deallocate(nn, layout),
+                _ => System.dealloc(ptr, layout),
+            }
         }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let Some(nn) = NonNull::new(ptr) else {
-            return System.realloc(ptr, layout, new_size);
+        let Some(nn) = NonNull::new(ptr).filter(|&nn| self.region.contains(nn)) else {
+            // SAFETY: the caller's contract; a block outside the region is
+            // `System`'s.
+            return unsafe { System.realloc(ptr, layout, new_size) };
         };
-        if !self.region.contains(nn) {
-            return System.realloc(ptr, layout, new_size);
-        }
         let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
             return std::ptr::null_mut();
         };
-        let moved_or_kept = if new_size >= layout.size() {
-            self.grow(nn, layout, new_layout)
-        } else {
-            self.shrink(nn, layout, new_layout)
-        };
-        match moved_or_kept {
-            Ok(block) => block.cast::<u8>().as_ptr(),
-            Err(_) => {
-                // The buddy cannot serve the new layout: migrate to the
-                // system allocator, preserving the contents.
-                let sys = System.alloc(new_layout);
-                if !sys.is_null() {
-                    std::ptr::copy_nonoverlapping(ptr, sys, layout.size().min(new_size));
-                    self.deallocate(nn, layout);
+        // SAFETY: the caller's contract: `nn` is live under `layout`, and
+        // the grow or the shrink is chosen by the size.  On the migration
+        // the blocks are distinct, each holding the bytes copied, and the
+        // old one is released once.
+        unsafe {
+            let moved_or_kept = if new_size >= layout.size() {
+                self.grow(nn, layout, new_layout)
+            } else {
+                self.shrink(nn, layout, new_layout)
+            };
+            match moved_or_kept {
+                Ok(block) => block.cast::<u8>().as_ptr(),
+                Err(_) => {
+                    // The buddy cannot serve the new layout: migrate to the
+                    // system allocator, preserving the contents.
+                    let sys = System.alloc(new_layout);
+                    if !sys.is_null() {
+                        std::ptr::copy_nonoverlapping(ptr, sys, layout.size().min(new_size));
+                        self.deallocate(nn, layout);
+                    }
+                    sys
                 }
-                sys
             }
         }
     }
@@ -676,6 +662,7 @@ mod tests {
             let block = a.allocate(layout).unwrap();
             assert!(block.len() >= size);
             assert_eq!(block.cast::<u8>().as_ptr() as usize % align, 0);
+            // SAFETY: each block is used within its size and freed once, under its layout.
             unsafe {
                 block.cast::<u8>().as_ptr().write_bytes(0xA5, block.len());
                 a.deallocate(block.cast(), layout);
@@ -691,6 +678,7 @@ mod tests {
         let block = a.allocate(layout).unwrap();
         assert!(a.owns(block.cast::<u8>().as_ptr()));
         assert_eq!(block.len(), 8192, "request rounded to max(size, align)");
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(block.cast(), layout) };
     }
 
@@ -699,23 +687,28 @@ mod tests {
         let a = facade();
         let layout = Layout::from_size_align(256, 8).unwrap();
         let dirty = a.allocate(layout).unwrap();
+        // SAFETY: each block is used within its size and freed once, under its layout.
         unsafe {
             dirty.cast::<u8>().as_ptr().write_bytes(0xFF, dirty.len());
             a.deallocate(dirty.cast(), layout);
         }
         let clean = a.allocate_zeroed(layout).unwrap();
+        // SAFETY: a live block holding at least the bytes read.
         let bytes = unsafe { std::slice::from_raw_parts(clean.cast::<u8>().as_ptr(), clean.len()) };
         assert!(bytes.iter().all(|&b| b == 0));
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(clean.cast(), layout) };
 
         // The `GlobalAlloc` entry zeroes a recycled block too, and sends what
         // the buddy cannot serve to `System.alloc_zeroed`.
         let reads_zero = |p: *mut u8, len: usize| {
             !p.is_null()
+                // SAFETY: a live block holding at least the bytes read.
                 && unsafe { std::slice::from_raw_parts(p, len) }
                     .iter()
                     .all(|&b| b == 0)
         };
+        // SAFETY: each block is used within its size and freed once, under its layout.
         unsafe {
             let p = GlobalAlloc::alloc(&a, layout);
             p.write_bytes(0xFF, layout.size());
@@ -736,13 +729,17 @@ mod tests {
         let old = Layout::from_size_align(100, 8).unwrap(); // granted 128
         let block = a.allocate(old).unwrap();
         let p = block.cast::<u8>();
+        // SAFETY: a live block holding at least the bytes written.
         unsafe { p.as_ptr().write_bytes(0x7E, 100) };
         let new = Layout::from_size_align(128, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let grown = unsafe { a.grow(p, old, new).unwrap() };
         assert_eq!(grown.cast::<u8>(), p, "no move needed");
         assert_eq!(a.facade_stats().grows_in_place, 1);
+        // SAFETY: a live block holding at least the bytes read.
         let bytes = unsafe { std::slice::from_raw_parts(p.as_ptr(), 100) };
         assert!(bytes.iter().all(|&b| b == 0x7E));
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(p, new) };
         assert_eq!(a.allocated_bytes(), 0);
     }
@@ -754,16 +751,20 @@ mod tests {
         let block = a.allocate(old).unwrap();
         let p = block.cast::<u8>();
         for i in 0..100 {
+            // SAFETY: a live block holding at least the bytes written.
             unsafe { p.as_ptr().add(i).write(i as u8) };
         }
         let new = Layout::from_size_align(1000, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let grown = unsafe { a.grow(p, old, new).unwrap() };
         assert_ne!(grown.cast::<u8>(), p);
         assert_eq!(a.facade_stats().grows_moved, 1);
+        // SAFETY: a live block holding at least the bytes read.
         let bytes = unsafe { std::slice::from_raw_parts(grown.cast::<u8>().as_ptr(), 100) };
         for (i, &b) in bytes.iter().enumerate() {
             assert_eq!(b, i as u8);
         }
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(grown.cast(), new) };
         assert_eq!(a.allocated_bytes(), 0);
     }
@@ -774,13 +775,17 @@ mod tests {
         let old = Layout::from_size_align(4096, 8).unwrap();
         let block = a.allocate(old).unwrap();
         let p = block.cast::<u8>();
+        // SAFETY: a live block holding at least the bytes written.
         unsafe { p.as_ptr().write_bytes(0x3C, 64) };
         let new = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let shrunk = unsafe { a.shrink(p, old, new).unwrap() };
         assert_eq!(a.facade_stats().shrinks_moved, 1);
         assert!(a.allocated_bytes() <= 64, "difference released");
+        // SAFETY: a live block holding at least the bytes read.
         let bytes = unsafe { std::slice::from_raw_parts(shrunk.cast::<u8>().as_ptr(), 64) };
         assert!(bytes.iter().all(|&b| b == 0x3C));
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(shrunk.cast(), new) };
     }
 
@@ -791,9 +796,11 @@ mod tests {
         let block = a.allocate(old).unwrap();
         let p = block.cast::<u8>();
         let new = Layout::from_size_align(70, 8).unwrap(); // still granted 128
+                                                           // SAFETY: a live block of this facade, under its layout.
         let shrunk = unsafe { a.shrink(p, old, new).unwrap() };
         assert_eq!(shrunk.cast::<u8>(), p);
         assert_eq!(a.facade_stats().shrinks_in_place, 1);
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(p, new) };
     }
 
@@ -807,9 +814,12 @@ mod tests {
         let block = a.allocate(old).unwrap();
         let p = block.cast::<u8>();
         let big = Layout::from_size_align(5000, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let grown = unsafe { a.grow(p, old, big).unwrap() };
         let small = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let shrunk = unsafe { a.shrink(grown.cast(), big, small).unwrap() };
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(shrunk.cast(), small) };
         // One event per public call: the moved grow and moved shrink must
         // not double-record their internal alloc/free legs.
@@ -831,6 +841,7 @@ mod tests {
         assert_eq!(stats.requested_bytes, 100);
         assert_eq!(stats.granted_bytes, granted);
         assert!(stats.granted_over_requested() >= 1.0);
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(block.cast(), layout) };
         // Frees do not rewind the odometer: both figures are cumulative.
         assert_eq!(a.facade_stats().requested_bytes, 100);
@@ -838,34 +849,8 @@ mod tests {
         let zst = Layout::from_size_align(0, 1).unwrap();
         let z = a.allocate(zst).unwrap();
         assert_eq!(a.facade_stats().requested_bytes, 101);
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(z.cast(), zst) };
-    }
-
-    #[test]
-    fn a_released_odometer_stripe_is_claimed_by_the_next_thread() {
-        let odometer = Arc::new(Odometer::new(1));
-        odometer.add(1, 2);
-        let booked_by_another = |requested, granted| {
-            let odometer = Arc::clone(&odometer);
-            std::thread::spawn(move || {
-                odometer.add(requested, granted);
-                odometer.stripes[0].claim.hold(ThreadToken::current())
-            })
-            .join()
-            .unwrap()
-        };
-        // Held by this thread: the other one books on the shared line.
-        assert!(!booked_by_another(10, 20));
-        assert_eq!(odometer.shared[0].requested.load(Ordering::Relaxed), 10);
-        // Given up: the next thread claims it and adds to what it holds.
-        odometer.release_mine();
-        assert!(booked_by_another(100, 200));
-        assert_eq!(
-            odometer.stripes[0].counts.requested.load(Ordering::Relaxed),
-            101
-        );
-        let totals = odometer.totals();
-        assert_eq!((totals.requested_bytes, totals.granted_bytes), (111, 222));
     }
 
     #[test]
@@ -910,18 +895,21 @@ mod tests {
         let block = a.allocate(layout).unwrap();
         let live = profiler.report();
         assert_eq!(live.attributed_live_bytes(), block.len() as u64);
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(block.cast(), layout) };
         assert_eq!(profiler.report().attributed_live_bytes(), 0);
         // Reallocs track too: the moved block swaps one live entry for
         // another at the new size.
         let small = a.allocate(layout).unwrap();
         let big_layout = Layout::from_size_align(5000, 8).unwrap();
+        // SAFETY: a live block of this facade, under its layout.
         let big = unsafe { a.grow(small.cast(), layout, big_layout).unwrap() };
         assert_eq!(
             profiler.report().attributed_live_bytes(),
             big.len() as u64,
             "old block freed, new block live"
         );
+        // SAFETY: a live block of this facade, under its layout.
         unsafe { a.deallocate(big.cast(), big_layout) };
         assert_eq!(profiler.report().attributed_live_bytes(), 0);
         assert!(rec.ring().is_empty(), "profiling alone times nothing");
@@ -931,6 +919,7 @@ mod tests {
     fn global_alloc_falls_back_to_system_for_oversized() {
         let a = facade();
         let layout = Layout::from_size_align(1 << 20, 8).unwrap();
+        // SAFETY: each block is used within its size and freed once, under its layout.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -944,6 +933,7 @@ mod tests {
     fn global_realloc_round_trips_through_grow_and_shrink() {
         let a = facade();
         let layout = Layout::from_size_align(100, 8).unwrap();
+        // SAFETY: each block is used within its size and freed once, under its layout.
         unsafe {
             let p = a.alloc(layout);
             assert!(a.owns(p));

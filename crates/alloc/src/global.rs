@@ -1,53 +1,39 @@
-//! The `#[global_allocator]` entry point: a lazily-built, magazine-cached
-//! [`NbbsAllocator`] behind a `const`-constructible shell.
+//! The `#[global_allocator]` entry point: a `const`-constructible shell
+//! that drives a lazily built, magazine-cached buddy region itself.
 //!
-//! The stack is three layers — the lock-free [`NbbsFourLevel`] tree, a
-//! [`MagazineCache`] over it, the [`NbbsAllocator`] facade over that — and
-//! the shell's three sizes are all there is to configure.  Observation and
-//! the background scrubber are armed by the environment alone (`NBBS_OBS`,
+//! The stack is the lock-free [`NbbsFourLevel`] tree, a [`MagazineCache`]
+//! over it and the [`BuddyRegion`] that maps their offsets to memory; the
+//! shell's three sizes are all there is to configure.  Observation and the
+//! background scrubber are armed by the environment alone (`NBBS_OBS`,
 //! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
 //! built.  What the shell adds around the stack:
 //!
-//! * **Cached, and a hit touches only the thread's slot.**  Requests route
-//!   through `MagazineCache<NbbsFourLevel>`, so the hot path is a
-//!   per-thread magazine pop/push instead of a tree walk.  On a build with
-//!   no recorder the shell takes that pop/push itself: `alloc` resolves
-//!   `max(size, align)` with one read of the cache's flat table
-//!   ([`MagazineCache::class_of_request`], which gives the class and its
-//!   alignment) and, when the class's chunks are aligned enough for the
-//!   layout, pops the calling thread's slot ([`MagazineCache::pop_hit`]).
-//!   The pop books the requested and granted bytes in the slot, beside the
-//!   hit count, where [`NbbsGlobalAlloc::bytes_served`] and
-//!   [`NbbsGlobalAlloc::metrics`] add them to the facade's odometer.  It
-//!   also says whether the chunk lay below its magazine's watermark, that
-//!   is, whether a refill may have loaded it straight from the tree: only
-//!   then does the hit commit its pages in the region, since a chunk a
-//!   release parked was committed when it was served and the scrubber
-//!   cannot claim it while it is parked.  `dealloc` resolves the layout
-//!   the same way and parks the block with [`MagazineCache::push_hit`],
-//!   after the same debug audit of its class that the facade's sized free
-//!   runs.  `realloc` between two cached classes is a hit too: the same
-//!   class keeps the block (grown or shrunk in place), another pops the
-//!   new class, copies and parks the old block (moved).  Everything else
-//!   goes through the facade as before: a miss (the magazines of the
-//!   class asked for are empty), a park into two full magazines, a request
-//!   above the cache's largest class or one whose class is not aligned
-//!   enough, the bypass route below, and every call of a build that
-//!   `NBBS_OBS`, `NBBS_TRACE` or `NBBS_PROFILE` armed — so each call is
-//!   still recorded and every profiler sample taken.
-//! * **`OnceLock::get_or_init` first touch.**  The old adapter guarded
-//!   initialization with an `initializing` spin-flag: while one thread
-//!   built the region, every other first-touch thread was waved off to the
-//!   system allocator — under a concurrent start, a slice of early
-//!   allocations (often long-lived ones) permanently escaped the buddy.
-//!   Here the losing threads *block* on the `OnceLock` for the few
-//!   microseconds the build takes and then get buddy memory like everyone
-//!   else; only the building thread's own re-entrant metadata allocations
+//! * **One route for every call.**  `alloc`, `dealloc` and `realloc`
+//!   resolve `max(size, align)` to a class with one read of the cache's
+//!   flat table ([`MagazineCache::class_of_request`]) and call the cache's
+//!   two class-level entry points, [`MagazineCache::alloc_class`] and
+//!   [`MagazineCache::free_class`], whose hit touches only the calling
+//!   thread's slot.  A grant books its requested and granted bytes in the
+//!   slot, and `realloc` counts its grow/shrink split there
+//!   ([`MagazineCache::count_resize`]), so [`NbbsGlobalAlloc::metrics`]
+//!   reads one sum ([`MagazineCache::served`]).  A grant also says whether
+//!   the chunk may have come straight from the tree; only then are its
+//!   pages committed in the region, since a chunk a release parked was
+//!   committed when it was served and the scrubber cannot claim it while it
+//!   is parked.  A layout above the largest class goes to `System`, and so
+//!   does one whose class the tree has no block of left (a failover).  A
+//!   build the environment armed times every call as one event, with the
+//!   cache's miss, refill and flush events nested inside, and offers its
+//!   profiler every grant and release.
+//! * **`OnceLock::get_or_init` first touch.**  Threads that touch the
+//!   allocator while it is being built *block* on the `OnceLock` for the
+//!   few microseconds the build takes and then get buddy memory like
+//!   everyone else, so no early (often long-lived) allocation escapes the
+//!   buddy; only the building thread's own re-entrant metadata allocations
 //!   fall through to `System` (they must — the state does not exist yet).
-//! * **In-place realloc.**  A `realloc` whose new layout names the class
-//!   the block already has keeps the block, on the hit route or through
-//!   [`NbbsAllocator::grow`] / [`NbbsAllocator::shrink`], so growing a
-//!   `Vec` inside its granted buddy block is free.
+//! * **In-place realloc.**  A `realloc` whose new size names the class the
+//!   block already has keeps the block, so growing a `Vec` inside its
+//!   granted buddy block is free.
 //! * **Foreign threads drain on exit.**  Every thread that touches the
 //!   allocator is registered with `nbbs-cache`'s exit registry; its
 //!   magazines flow back to the tree when it dies.
@@ -58,16 +44,15 @@
 //! cache's own bookkeeping (refill batches, magazine rotations, drain
 //! scratch space) allocates, and those allocations arrive back at this very
 //! allocator — potentially while the cache holds a slot lock, or forever
-//! recursing miss-into-miss.  The facade cuts the knot with a thread-local
-//! bypass latch: while a thread is inside a facade operation, any nested
+//! recursing miss-into-miss.  The shell cuts the knot with a thread-local
+//! bypass latch: while a thread is inside one of its calls, any nested
 //! allocation it performs skips the cache and goes straight to the raw tree
-//! (or `System` if the tree cannot serve it).  The hit route runs under the
-//! latch as well: a magazine a drain emptied has no buffer, so the first
-//! park after `drain_cache()` allocates inside the slot entry, and without
-//! the latch that allocation would enter the same slot again.  The latch is
-//! also left permanently engaged on a thread once its exit drain has run,
-//! so the teardown's own frees cannot re-park chunks into the slot being
-//! emptied.
+//! (or `System` if the tree cannot serve it).  That covers hits too: a
+//! magazine a drain emptied has no buffer, so the first park after
+//! `drain_cache()` allocates inside the slot entry, and without the latch
+//! that allocation would enter the same slot again.  The latch is also left
+//! permanently engaged on a thread once its exit drain has run, so the
+//! teardown's own frees cannot re-park chunks into the slot being emptied.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -75,19 +60,21 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use nbbs::{BuddyBackend, BuddyConfig, FacadeStatsSnapshot, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, FacadeStatsSnapshot, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
-use nbbs_obs::{MetricsRegistry, Recorder, DEFAULT_PROFILE_STRIDE};
+use nbbs_obs::{
+    size_detail, HeapProfiler, MetricsRegistry, OpKind, Recorder, DEFAULT_PROFILE_STRIDE,
+};
 
-use crate::facade::{NbbsAllocator, Odometer};
+use crate::facade::base_request_size;
 
 type CachedTree = MagazineCache<NbbsFourLevel>;
 
 thread_local! {
-    /// True while this thread is inside a facade operation (or exiting):
-    /// nested allocations bypass the cache.  `Cell<bool>` with const init
-    /// has no destructor, so the flag stays readable through every phase of
-    /// thread teardown.
+    /// True while this thread is inside one of the shell's calls (or
+    /// exiting): nested allocations bypass the cache.  `Cell<bool>` with
+    /// const init has no destructor, so the flag stays readable through
+    /// every phase of thread teardown.
     static BYPASS: Cell<bool> = const { Cell::new(false) };
 
     /// Address of the exit hook this thread last registered its exit drain
@@ -99,16 +86,7 @@ fn bypass_active() -> bool {
     BYPASS.try_with(Cell::get).unwrap_or(true)
 }
 
-/// `System.alloc`, or `System.alloc_zeroed` for a zeroed request.
-unsafe fn system_alloc(layout: Layout, zeroed: bool) -> *mut u8 {
-    if zeroed {
-        System.alloc_zeroed(layout)
-    } else {
-        System.alloc(layout)
-    }
-}
-
-/// RAII engagement of the bypass latch around one facade operation.
+/// RAII engagement of the bypass latch around one call of the shell.
 struct BypassGuard;
 
 impl BypassGuard {
@@ -126,19 +104,14 @@ impl Drop for BypassGuard {
 
 /// The exit-drain hook handed to `nbbs-cache`: latches the bypass for good
 /// (the thread is dying; everything it frees from here on must go straight
-/// to the tree), empties the thread's slot and gives it up, and gives the
-/// thread's odometer stripe up too, so the next thread mapping to either
-/// owns it.
-struct ExitLatch {
-    cache: Arc<CachedTree>,
-    odometer: Arc<Odometer>,
-}
+/// to the tree), then empties the thread's slot and gives it up, so the
+/// next thread mapping to it owns it.
+struct ExitLatch(Arc<CachedTree>);
 
 impl DrainOnExit for ExitLatch {
     fn drain(&self) {
         let _ = BYPASS.try_with(|b| b.set(true));
-        self.cache.drain_current_thread();
-        self.odometer.release_mine();
+        self.0.drain_current_thread();
     }
 }
 
@@ -188,133 +161,153 @@ impl Arming {
 }
 
 struct State {
-    /// The whole stack: the magazine cache is `facade.backend()`, the tree
-    /// under it `facade.backend().backend()`.
-    facade: NbbsAllocator<Arc<CachedTree>>,
+    /// The whole stack: the region over the cache over the tree.
+    region: BuddyRegion<Arc<CachedTree>>,
     exit_hook: Arc<ExitLatch>,
-    /// What the environment armed when the stack was built.  The observer
-    /// itself — one `Recorder` shared by the facade and the cache's slow
-    /// paths — is reached through the facade.
+    /// The observer the environment armed, if any: the shell times every
+    /// call on it, the cache its slow paths, and its heap profiler (if it
+    /// has one) sees every grant and release.
+    obs: Option<Arc<Recorder>>,
+    /// What the environment armed when the stack was built.
     env: Arming,
 }
 
 impl State {
-    /// The magazine cache.
     #[inline]
     fn cache(&self) -> &CachedTree {
-        self.facade.backend()
+        self.region.backend()
     }
 
-    /// The class `layout` is served from on the hit route: the cache's
-    /// table entry for `max(size, align)`, when its chunks are aligned
-    /// enough that the facade would not bump the request (the entry
-    /// carries the class's alignment, so this is one read).  `None` — the
-    /// facade's route — for a build with a recorder (whose every call must
-    /// be recorded), above the largest class, or for an alignment the
-    /// class does not guarantee.
     #[inline]
-    fn hit_class(&self, layout: Layout) -> Option<usize> {
-        if self.facade.recorder().is_some() {
-            return None;
-        }
-        let (class, align) = self
-            .cache()
-            .class_of_request(NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout))?;
-        (align >= layout.align()).then_some(class)
+    fn profiler(&self) -> Option<&HeapProfiler> {
+        self.obs.as_ref()?.profiler()
     }
 
-    /// A magazine hit of class `class` served straight to the caller: the
-    /// chunk comes off the thread's slot, which books `layout`'s requested
-    /// bytes and the class size granted in the same entry, and its pages
-    /// are committed if a refill may have loaded it straight from the tree
-    /// (a chunk a release parked was committed when it was served).  `None`
-    /// when the magazines are empty.
+    /// The class `layout` is served from: the cache's table entry for
+    /// `max(size, align)`, or `None` above the largest class.  On the
+    /// power-of-two tree a class's blocks are aligned to its size, which is
+    /// at least `max(size, align)`, so the class is always aligned enough.
     #[inline]
-    fn pop_hit(&self, class: usize, layout: Layout) -> Option<*mut u8> {
+    fn class_of(&self, layout: Layout) -> Option<usize> {
+        let (class, align) = self.cache().class_of_request(base_request_size(layout))?;
+        debug_assert!(align >= layout.align(), "class {class} under {layout:?}");
+        Some(class)
+    }
+
+    #[inline]
+    fn ptr_at(&self, offset: usize) -> *mut u8 {
+        // SAFETY: every offset the stack hands out lies inside the region's
+        // mapping.
+        unsafe { self.region.base().as_ptr().add(offset) }
+    }
+
+    /// A grant of class `class` for `layout`, from the calling thread's
+    /// slot when it holds one.  Its pages are committed if it may have come
+    /// straight from the tree (a chunk a release parked was committed when
+    /// it was served), and the profiler is offered it.  `None` when the
+    /// tree has no block of the class left.
+    #[inline(always)]
+    fn grant(&self, class: usize, layout: Layout) -> Option<*mut u8> {
         let cache = self.cache();
-        let (offset, fresh) = cache.pop_hit(class, layout.size().max(1))?;
-        let region = self.facade.region();
+        let (offset, fresh) = cache.alloc_class(class, layout.size().max(1))?;
+        let size = cache.class_size(class);
         if fresh {
-            region.commit_range(offset, cache.class_size(class));
+            self.region.commit_range(offset, size);
         }
-        // SAFETY: the cache hands out offsets of its own region's blocks.
-        Some(unsafe { region.base().as_ptr().add(offset) })
+        if let Some(profiler) = self.profiler() {
+            profiler.record_alloc(offset, size);
+        }
+        Some(self.ptr_at(offset))
     }
 
-    /// A release of the block at `offset` parked straight in the thread's
-    /// slot under class `class`, which the block's layout names (the
-    /// facade's sized-free contract).  `false` when the magazines are full.
-    #[inline]
-    fn park_hit(&self, class: usize, offset: usize) -> bool {
+    /// Releases the block at `offset`, whose class `layout` names, into the
+    /// calling thread's slot.
+    #[inline(always)]
+    fn free(&self, offset: usize, layout: Layout) {
+        if let Some(profiler) = self.profiler() {
+            profiler.record_free(offset);
+        }
         let cache = self.cache();
-        // The sized free's audit, as `MagazineCache::dealloc_sized` runs
-        // it on the facade's route.
-        debug_assert_eq!(
-            cache.backend().granted_size_of_live(offset),
-            Some(cache.class_size(class)),
-            "sized free of offset {offset} names the wrong class"
-        );
-        cache.push_hit(class, offset)
+        match self.class_of(layout) {
+            Some(class) => {
+                // The sized free's audit, as `MagazineCache::dealloc_sized`
+                // runs it.
+                debug_assert_eq!(
+                    cache.backend().granted_size_of_live(offset),
+                    Some(cache.class_size(class)),
+                    "sized free of offset {offset} names the wrong class"
+                );
+                cache.free_class(class, offset);
+            }
+            // Unreachable for a region block; let the cache look it up.
+            None => cache.dealloc(offset),
+        }
     }
 
-    /// An allocation on the hit route; `None` when it does not apply or the
-    /// magazines are empty.
-    #[inline]
-    fn alloc_hit(&self, layout: Layout) -> Option<*mut u8> {
-        self.pop_hit(self.hit_class(layout)?, layout)
+    /// The nested route's grant: a block of `layout`'s class straight from
+    /// the tree, past the cache (which may be mid-entry above us on this
+    /// thread's stack), its pages committed by hand.  A block allocated here
+    /// and freed on the normal route goes down the stack under its class.
+    fn raw_grant(&self, layout: Layout) -> Option<*mut u8> {
+        let size = self.cache().class_size(self.class_of(layout)?);
+        let offset = self.cache().backend().alloc(size)?;
+        self.region.commit_range(offset, size);
+        Some(self.ptr_at(offset))
     }
 
-    /// A release on the hit route; `false` when it does not apply or the
-    /// magazines are full.
-    #[inline]
-    fn dealloc_hit(&self, offset: usize, layout: Layout) -> bool {
-        self.hit_class(layout)
-            .is_some_and(|class| self.park_hit(class, offset))
+    /// The nested route's release: straight to the tree.  The block may
+    /// have come from the normal route (a thread's frees after its exit
+    /// drain, the old block of a re-entrant realloc): the profiler must see
+    /// a sampled one go.
+    fn raw_free(&self, offset: usize) {
+        if let Some(profiler) = self.profiler() {
+            profiler.record_free(offset);
+        }
+        self.cache().backend().dealloc(offset);
     }
 
-    /// A `realloc` on the hit route, between two cached classes.  The same
-    /// class keeps the block, counted as grown or shrunk in place.  Another
-    /// class pops a block of it, copies `min(old, new)` bytes and parks the
-    /// old block (the facade releases it when its pair is full), counted as
-    /// moved, with the requested bytes booked at the new size.  `None`, with
-    /// nothing done, when the route does not apply — a block outside the
-    /// region, a layout or a new size outside the cached classes or their
-    /// alignment — or the new class's magazines are empty.
+    /// A `realloc` of the block at `ptr` (`offset` in the region) from
+    /// `layout` to `new_layout`.  The same class keeps the block, counted
+    /// as grown or shrunk in place.  Another class takes a grant, copies
+    /// `min(old, new)` bytes and releases the old block, counted as moved.
+    /// `None`, with the block untouched, when the new layout has no class
+    /// or its grant failed.
     ///
     /// # Safety
     ///
-    /// `GlobalAlloc::realloc`'s contract for `ptr`, `layout` and `new_size`.
-    #[inline]
-    unsafe fn realloc_hit(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> Option<*mut u8> {
-        let old = self.hit_class(layout)?;
-        let new_layout = Layout::from_size_align(new_size, layout.align()).ok()?;
-        let new = self.hit_class(new_layout)?;
-        let block = NonNull::new(ptr)?;
-        let offset = self.facade.region().offset_of(block)?;
-        let grew = new_size >= layout.size();
-        if new == old {
-            self.facade.count_resize(grew, false);
-            return Some(ptr);
-        }
-        let moved = self.pop_hit(new, new_layout)?;
-        // SAFETY: distinct blocks, each holding at least the bytes copied.
-        unsafe { std::ptr::copy_nonoverlapping(ptr, moved, layout.size().min(new_size)) };
-        if !self.park_hit(old, offset) {
-            // SAFETY: the caller's block, released once under its layout.
-            unsafe { self.facade.deallocate(block, layout) };
-        }
-        self.facade.count_resize(grew, true);
-        Some(moved)
+    /// `ptr` is live under `layout` (`GlobalAlloc::realloc`'s contract).
+    unsafe fn realloc(
+        &self,
+        ptr: *mut u8,
+        offset: usize,
+        layout: Layout,
+        new_layout: Layout,
+    ) -> Option<*mut u8> {
+        let new = self.class_of(new_layout)?;
+        let moved = self.class_of(layout) != Some(new);
+        let out = if moved {
+            let out = self.grant(new, new_layout)?;
+            let len = layout.size().min(new_layout.size());
+            // SAFETY: distinct blocks, each holding at least `len` bytes.
+            unsafe { std::ptr::copy_nonoverlapping(ptr, out, len) };
+            self.free(offset, layout);
+            out
+        } else {
+            ptr
+        };
+        self.cache()
+            .count_resize(new_layout.size() >= layout.size(), moved);
+        Some(out)
     }
 }
 
-/// Global-allocator facade over the cached non-blocking buddy.
+/// Global allocator over the cached non-blocking buddy.
 ///
 /// Construction is `const` so it can sit in a `#[global_allocator]` static;
-/// the full stack (tree → magazine cache → facade, over one region) is
-/// built on first use under [`OnceLock::get_or_init`], with whatever the
-/// `NBBS_*` environment arms.  Invalid size combinations degrade to the
-/// system allocator instead of panicking.
+/// the stack (tree → magazine cache, over one region) is built on first use
+/// under [`OnceLock::get_or_init`], with whatever the `NBBS_*` environment
+/// arms.  Invalid size combinations degrade to the system allocator
+/// instead of panicking.
 ///
 /// ```no_run
 /// use nbbs_alloc::NbbsGlobalAlloc;
@@ -344,7 +337,7 @@ pub struct NbbsGlobalAlloc {
 }
 
 impl NbbsGlobalAlloc {
-    /// Creates the facade.  The three sizes follow [`BuddyConfig::new`];
+    /// Creates the shell.  The three sizes follow [`BuddyConfig::new`];
     /// invalid combinations make every request fall back to the system
     /// allocator (a global allocator must not panic).
     pub const fn new(total_memory: usize, min_size: usize, max_size: usize) -> Self {
@@ -385,7 +378,7 @@ impl NbbsGlobalAlloc {
     fn build(&self, env: Arming) -> Option<State> {
         let config = BuddyConfig::new(self.total_memory, self.min_size, self.max_size).ok()?;
         // One handle for the whole stack.
-        let recorder = match (env.recording, env.profile_stride) {
+        let obs = match (env.recording, env.profile_stride) {
             (true, Some(stride)) => Some(Recorder::new().with_profiler(stride)),
             (true, None) => Some(Recorder::new()),
             (false, Some(stride)) => Some(Recorder::profiler_only(stride)),
@@ -397,28 +390,20 @@ impl NbbsGlobalAlloc {
             CacheConfig::default(),
             "cached-4lvl-nb",
         );
-        cache.set_recorder(recorder.clone());
+        cache.set_recorder(obs.clone());
         let cache = Arc::new(cache);
-        let mut facade = NbbsAllocator::new(Arc::clone(&cache));
-        if let Some(recorder) = recorder {
-            facade = facade.with_recorder(recorder);
-        }
+        let region = BuddyRegion::new(Arc::clone(&cache));
         // The background decommit scrubber: every `scrub_ms` milliseconds
         // it claims quiescent free blocks through the allocation CAS
         // protocol and returns their pages to the kernel, so a long-idle
         // process's RSS follows its live set instead of its high-water mark.
         if let Some(ms) = env.scrub_ms {
-            facade
-                .region()
-                .start_scrubber(std::time::Duration::from_millis(ms));
+            region.start_scrubber(std::time::Duration::from_millis(ms));
         }
-        let exit_hook = Arc::new(ExitLatch {
-            cache,
-            odometer: Arc::clone(facade.odometer()),
-        });
         Some(State {
-            facade,
-            exit_hook,
+            region,
+            exit_hook: Arc::new(ExitLatch(cache)),
+            obs,
             env,
         })
     }
@@ -428,6 +413,13 @@ impl NbbsGlobalAlloc {
     /// buddy exists).
     fn built_state(&self) -> Option<&State> {
         self.state.get().and_then(|s| s.as_ref())
+    }
+
+    /// The built state and `ptr`'s offset in its region, when the buddy
+    /// served `ptr`.
+    fn owned(&self, ptr: *mut u8) -> Option<(&State, usize)> {
+        let state = self.built_state()?;
+        Some((state, state.region.offset_of(NonNull::new(ptr)?)?))
     }
 
     /// Registers this thread's exit drain, once per thread (fast-path: one
@@ -448,6 +440,25 @@ impl NbbsGlobalAlloc {
         });
     }
 
+    /// `System.alloc`, or `System.alloc_zeroed` for a zeroed request,
+    /// counted in the system bytes.
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::alloc`'s contract for `layout`.
+    unsafe fn system_alloc(&self, layout: Layout, zeroed: bool) -> *mut u8 {
+        self.system_bytes
+            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract.
+        unsafe {
+            if zeroed {
+                System.alloc_zeroed(layout)
+            } else {
+                System.alloc(layout)
+            }
+        }
+    }
+
     /// `alloc` (`zeroed == false`) and `alloc_zeroed` in one body: the
     /// route is the same, only the two ends differ.  A buddy block is
     /// zeroed here, since chunks are recycled dirty; a request that goes to
@@ -456,106 +467,65 @@ impl NbbsGlobalAlloc {
     /// pages rather than a memset.  The stack's own metadata arrays below
     /// 64 KiB are such requests while the stack is being built (larger ones
     /// are mapped directly, see [`nbbs_sync::zeroed_slice`]).
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::alloc`'s contract for `layout`.
     #[inline(always)]
     unsafe fn serve(&self, layout: Layout, zeroed: bool) -> *mut u8 {
-        let Some(state) = self.state() else {
-            self.system_bytes
-                .fetch_add(layout.size() as u64, Ordering::Relaxed);
-            return system_alloc(layout, zeroed);
+        let block = match self.state() {
+            Some(state) if bypass_active() => state.raw_grant(layout),
+            Some(state) => {
+                let _op = BypassGuard::engage();
+                Self::register_current_thread(state);
+                let class = state.class_of(layout);
+                let block = Recorder::time(
+                    &state.obs,
+                    OpKind::Alloc,
+                    || state.grant(class?, layout),
+                    |block| (size_detail(base_request_size(layout)), block.is_some()),
+                );
+                // A class the tree has no block of left is a failover: the
+                // built stack failed a request it serves.
+                if block.is_none() && class.is_some() {
+                    self.system_failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                block
+            }
+            None => None,
         };
-        if bypass_active() {
-            return self.raw_alloc(state, layout, zeroed);
-        }
-        let _op = BypassGuard::engage();
-        Self::register_current_thread(state);
-        let served = match state.alloc_hit(layout) {
-            Some(ptr) => Ok(ptr),
-            None => state
-                .facade
-                .allocate(layout)
-                .map(|block| block.cast::<u8>().as_ptr()),
-        };
-        match served {
-            Ok(ptr) => {
+        match block {
+            Some(ptr) => {
                 if zeroed {
-                    ptr.write_bytes(0, layout.size());
+                    // SAFETY: a fresh block of at least `layout.size()` bytes.
+                    unsafe { ptr.write_bytes(0, layout.size()) };
                 }
                 ptr
             }
-            Err(err) => {
-                // An oversized request is routine System traffic; anything
-                // else means the built stack *failed* a servable request —
-                // the degraded-mode event the failover odometer counts.
-                if !matches!(err, nbbs::error::AllocError::TooLarge { .. }) {
-                    self.system_failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                self.system_bytes
-                    .fetch_add(layout.size() as u64, Ordering::Relaxed);
-                system_alloc(layout, zeroed)
-            }
+            // SAFETY: the caller's contract.
+            None => unsafe { self.system_alloc(layout, zeroed) },
         }
-    }
-
-    /// Raw-tree service for re-entrant allocations: the cache is somewhere
-    /// above us on this thread's stack (possibly holding a slot lock), so
-    /// go straight to the lock-free tree and fail over to `System`.
-    unsafe fn raw_alloc(&self, state: &State, layout: Layout, zeroed: bool) -> *mut u8 {
-        // The raw path serves straight from the power-of-two tree, whose
-        // grants are naturally aligned — no slab in the way, so the base
-        // request needs no alignment bump.  For the same reason the facade's
-        // `request_size` bumps nothing either, so the tree grants here
-        // exactly the class `granted_size(layout)` names: a block allocated
-        // on this route and freed on the normal one goes down the stack
-        // under its true size.
-        let want = NbbsAllocator::<Arc<CachedTree>>::base_request_size(layout);
-        let tree = state.facade.backend().backend();
-        if want <= tree.max_size() {
-            if let Some(offset) = tree.alloc(want) {
-                // This path bypasses the region's granting wrapper, so the
-                // decommit bookkeeping must be told by hand that these pages
-                // are in use again.
-                state.facade.region().commit_range(offset, want);
-                let ptr = state.facade.region().base().as_ptr().add(offset);
-                if zeroed {
-                    ptr.write_bytes(0, layout.size());
-                }
-                return ptr;
-            }
-        }
-        self.system_bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
-        system_alloc(layout, zeroed)
-    }
-
-    unsafe fn raw_dealloc(&self, state: &State, offset: usize) {
-        // The block may have come from the facade path (a thread's frees
-        // after its exit drain, the old block of a re-entrant realloc): the
-        // profiler must see a sampled one go.
-        state.facade.note_release(offset);
-        state.facade.backend().backend().dealloc(offset);
     }
 
     /// Bytes currently served by the buddy region (excludes system
     /// fallback; a magazine-parked chunk counts as free).
     pub fn buddy_allocated_bytes(&self) -> usize {
-        self.built_state().map_or(0, |s| s.facade.allocated_bytes())
+        self.built_state().map_or(0, |s| s.region.allocated_bytes())
     }
 
     /// Whether `ptr` was served by the buddy region.
     pub fn owns(&self, ptr: *mut u8) -> bool {
-        self.built_state().is_some_and(|s| s.facade.owns(ptr))
+        self.owned(ptr).is_some()
     }
 
     /// Cumulative `(buddy, system)` bytes served, by requested size.
     ///
     /// The buddy figure is every allocation the stack granted, a moved
     /// `realloc` at its new size, an in-place one not at all (it serves
-    /// nothing new).  It is the sum of two tallies: the facade's
-    /// `requested_bytes` odometer, for what went through the facade, and
-    /// the bytes the hit route booked in the cache's slots.  What the
-    /// nested raw route hands out — the stack's own bookkeeping, and
-    /// threads past their exit drain — is in neither.  A remote read-out of
-    /// the cache's slots (one heavy barrier), like
+    /// nothing new): the requested bytes each grant booked in the cache's
+    /// slots.  What the nested raw route hands out — the stack's own
+    /// bookkeeping, and threads past their exit drain — is not in it.  A
+    /// remote read-out of the cache's slots (one heavy barrier), like
     /// [`NbbsGlobalAlloc::cache_stats`].
     pub fn bytes_served(&self) -> (u64, u64) {
         let stats = self.facade_stats();
@@ -572,25 +542,17 @@ impl NbbsGlobalAlloc {
 
     /// Counters of the magazine-cache layer, if the state has been built.
     pub fn cache_stats(&self) -> Option<nbbs::CacheStatsSnapshot> {
-        self.built_state()
-            .and_then(|s| s.facade.backend().cache_stats())
+        self.built_state().map(|s| s.cache().snapshot())
     }
 
-    /// The facade's counters (grow/shrink split, requested/granted
-    /// odometers — all zero until the state is built) plus the bytes the
-    /// hit route booked in the cache's slots, with the shell's own two
-    /// added: `system_bytes` and `system_failovers`.  Read through
-    /// [`NbbsGlobalAlloc::metrics`]`.facade`.
+    /// What the grants booked in the cache's slots (the grow/shrink split,
+    /// the requested/granted bytes — all zero until the state is built),
+    /// with the shell's own two counters added: `system_bytes` and
+    /// `system_failovers`.  Read through [`NbbsGlobalAlloc::metrics`]`.facade`.
     fn facade_stats(&self) -> FacadeStatsSnapshot {
         let mut stats = self
             .built_state()
-            .map(|s| {
-                let mut stats = s.facade.facade_stats();
-                let (requested, granted) = s.cache().hit_bytes();
-                stats.requested_bytes += requested;
-                stats.granted_bytes += granted;
-                stats
-            })
+            .map(|s| s.cache().served())
             .unwrap_or_default();
         stats.system_bytes = self.system_bytes.load(Ordering::Relaxed);
         stats.system_failovers = self.system_failovers();
@@ -601,8 +563,7 @@ impl NbbsGlobalAlloc {
     /// `BuddyRegion::scrub_pass`); returns the bytes decommitted.  The
     /// background variant is armed by `NBBS_SCRUB=<ms>`.
     pub fn scrub_pass(&self) -> usize {
-        self.built_state()
-            .map_or(0, |s| s.facade.region().scrub_pass())
+        self.built_state().map_or(0, |s| s.region.scrub_pass())
     }
 
     /// Returns every magazine-parked chunk to the tree (a quiescent-point
@@ -610,14 +571,14 @@ impl NbbsGlobalAlloc {
     pub fn drain_cache(&self) {
         if let Some(state) = self.built_state() {
             let _op = BypassGuard::engage();
-            state.facade.backend().drain_all();
+            state.cache().drain_all();
         }
     }
 
     /// The stack's observer: present when built under `NBBS_OBS=1`,
     /// `NBBS_TRACE=…` or `NBBS_PROFILE=<stride>`.
     fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.built_state().and_then(|s| s.facade.recorder())
+        self.built_state()?.obs.as_ref()
     }
 
     /// When built under `NBBS_TRACE`: stops the event ring and dumps it as
@@ -627,7 +588,7 @@ impl NbbsGlobalAlloc {
     fn dump_trace(&self) {
         let Some((dump, rec)) = self
             .built_state()
-            .and_then(|s| s.env.trace.as_ref().zip(s.facade.recorder()))
+            .and_then(|s| s.env.trace.as_ref().zip(s.obs.as_ref()))
         else {
             return;
         };
@@ -641,17 +602,17 @@ impl NbbsGlobalAlloc {
 
     /// The full telemetry of the stack as one unified
     /// [`nbbs_obs::StackSnapshot`] — backend and cache counters, magazine
-    /// capacities, the facade's byte shares and realloc split (`.facade`),
-    /// the region's committed bytes and scrubber counters (`.memory`, once
-    /// the stack is built), and (when recording) tail-latency percentiles
-    /// per operation kind.
+    /// capacities, the byte shares and realloc split (`.facade`), the
+    /// region's committed bytes and scrubber counters (`.memory`, once the
+    /// stack is built), and (when recording) tail-latency percentiles per
+    /// operation kind.
     pub fn metrics(&self) -> nbbs_obs::StackSnapshot {
         let mut reg = MetricsRegistry::new("nbbs-alloc");
         reg.set_facade(self.facade_stats());
         if let Some(state) = self.built_state() {
-            reg.observe_backend(state.facade.backend());
-            reg.set_memory(Some(state.facade.region().memory_stats()));
-            if let Some(rec) = state.facade.recorder() {
+            reg.observe_backend(state.cache());
+            reg.set_memory(Some(state.region.memory_stats()));
+            if let Some(rec) = &state.obs {
                 reg.set_recorder(Arc::clone(rec));
             }
         }
@@ -659,9 +620,9 @@ impl NbbsGlobalAlloc {
     }
 
     /// A human-readable telemetry dump: buddy/system byte share, the
-    /// facade's grow-in-place rate, cache hit rate, committed memory, and —
-    /// when armed — tail-latency percentiles, the event ring's `[flight]`
-    /// crash dump and the ranked heap profile.
+    /// grow-in-place rate, cache hit rate, committed memory, and — when
+    /// armed — tail-latency percentiles, the event ring's `[flight]` crash
+    /// dump and the ranked heap profile.
     ///
     /// Rendered by [`nbbs_obs::MetricsRegistry`] (the one exposition path
     /// every binary in the workspace shares); this is what
@@ -768,83 +729,95 @@ mod exit_dump {
     }
 }
 
-// SAFETY: every pointer is either region-owned (allocated from and released
-// to the facade/tree, discriminated by address range) or System-owned; the
-// facade guarantees layout fit (see `NbbsAllocator`'s `GlobalAlloc` impl),
-// and the raw bypass serves from the same region with the same natural
-// alignment guarantee.
+// SAFETY: every pointer is either region-owned (granted and released by the
+// stack, told apart by address range) or System-owned.  A region block is
+// a whole block of the class `max(size, align)` names, whose size is at
+// least that and whose address is aligned to it on the power-of-two tree,
+// so every layout requirement is met on the cached route and the raw one
+// alike; `realloc` keeps the first `min(old, new)` bytes on every path.
 unsafe impl GlobalAlloc for NbbsGlobalAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.serve(layout, false)
+        // SAFETY: the caller's contract.
+        unsafe { self.serve(layout, false) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.serve(layout, true)
+        // SAFETY: the caller's contract.
+        unsafe { self.serve(layout, true) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if let (Some(state), Some(nn)) = (self.built_state(), NonNull::new(ptr)) {
-            if let Some(offset) = state.facade.region().offset_of(nn) {
-                if bypass_active() {
-                    self.raw_dealloc(state, offset);
-                } else {
-                    let _op = BypassGuard::engage();
-                    Self::register_current_thread(state);
-                    if !state.dealloc_hit(offset, layout) {
-                        state.facade.deallocate(nn, layout);
-                    }
-                }
-                return;
+        match self.owned(ptr) {
+            Some((state, offset)) if bypass_active() => state.raw_free(offset),
+            Some((state, offset)) => {
+                let _op = BypassGuard::engage();
+                Self::register_current_thread(state);
+                Recorder::time(
+                    &state.obs,
+                    OpKind::Free,
+                    || state.free(offset, layout),
+                    |_| (size_detail(base_request_size(layout)), true),
+                );
             }
+            // SAFETY: outside the region, so `System` allocated it, under
+            // `layout` (the caller's contract).
+            None => unsafe { System.dealloc(ptr, layout) },
         }
-        System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let Some(state) = self.built_state() else {
-            return System.realloc(ptr, layout, new_size);
-        };
-        if bypass_active() {
-            // Re-entrant realloc (rare: a Vec growing inside the cache's own
-            // bookkeeping): raw alloc + copy + raw free keeps the cache out.
-            let Some(offset) = NonNull::new(ptr).and_then(|nn| state.facade.region().offset_of(nn))
-            else {
-                return System.realloc(ptr, layout, new_size);
-            };
-            let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
-                return std::ptr::null_mut();
-            };
-            let fresh = self.raw_alloc(state, new_layout, false);
-            if !fresh.is_null() {
-                std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
-                self.raw_dealloc(state, offset);
+        let Some((state, offset)) = self.owned(ptr) else {
+            // SAFETY: as in `dealloc`.
+            let out = unsafe { System.realloc(ptr, layout, new_size) };
+            if !out.is_null() {
+                self.system_bytes
+                    .fetch_add(new_size as u64, Ordering::Relaxed);
             }
-            return fresh;
-        }
-        // Between two cached classes with the new one's magazines loaded,
-        // the hit route does the whole call.  Otherwise the facade's own
-        // `GlobalAlloc::realloc` carries the whole dance (ownership
-        // discrimination, in-place grow/shrink, migrate-to-System on
-        // exhaustion) and counts what the buddy served; the wrapper only
-        // adds the bypass bracket, thread registration, and the system
-        // side of the byte-share accounting.
-        let _op = BypassGuard::engage();
-        Self::register_current_thread(state);
-        if let Some(out) = state.realloc_hit(ptr, layout, new_size) {
             return out;
-        }
-        let out = state.facade.realloc(ptr, layout, new_size);
-        if !out.is_null() && !state.facade.owns(out) {
-            self.system_bytes
-                .fetch_add(new_size as u64, Ordering::Relaxed);
-            // A buddy block moved out of the region although the buddy
-            // could have held the new size: the built stack failed a
-            // servable request, as `alloc` counts it.
-            let was_buddy = NonNull::new(ptr).is_some_and(|nn| state.facade.region().contains(nn));
-            let servable = Layout::from_size_align(new_size, layout.align())
-                .is_ok_and(|new_layout| state.facade.granted_size(new_layout).is_some());
-            if was_buddy && servable {
+        };
+        let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
+            return std::ptr::null_mut();
+        };
+        // A re-entrant realloc (rare: a Vec growing inside the cache's own
+        // bookkeeping) takes the raw route: a raw grant, a copy and a raw
+        // free keep the cache out.
+        let raw = bypass_active();
+        let _op = (!raw).then(BypassGuard::engage);
+        let moved = if raw {
+            state.raw_grant(new_layout)
+        } else {
+            Self::register_current_thread(state);
+            let kind = if new_size >= layout.size() {
+                OpKind::Grow
+            } else {
+                OpKind::Shrink
+            };
+            let kept_or_moved = Recorder::time(
+                &state.obs,
+                kind,
+                // SAFETY: the caller's contract.
+                || unsafe { state.realloc(ptr, offset, layout, new_layout) },
+                |out| (size_detail(base_request_size(new_layout)), out.is_some()),
+            );
+            if let Some(out) = kept_or_moved {
+                return out;
+            }
+            // The buddy cannot serve the new size, so the block migrates to
+            // `System`; a size the buddy holds is a failover, as in `alloc`.
+            if state.class_of(new_layout).is_some() {
                 self.system_failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            None
+        };
+        // SAFETY: `new_layout` has the caller's non-zero size.
+        let out = moved.unwrap_or_else(|| unsafe { self.system_alloc(new_layout, false) });
+        if !out.is_null() {
+            // SAFETY: distinct blocks, each holding the bytes copied.
+            unsafe { std::ptr::copy_nonoverlapping(ptr, out, layout.size().min(new_size)) };
+            if raw {
+                state.raw_free(offset);
+            } else {
+                state.free(offset, layout);
             }
         }
         out
@@ -872,6 +845,7 @@ mod tests {
     fn serves_small_requests_from_the_cached_buddy() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
         let layout = Layout::from_size_align(512, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -890,6 +864,7 @@ mod tests {
     fn over_aligned_requests_are_buddy_served() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
         let layout = Layout::from_size_align(64, 4096).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -904,6 +879,7 @@ mod tests {
     fn oversized_requests_fall_back_to_system() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 12);
         let layout = Layout::from_size_align(1 << 16, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -917,6 +893,7 @@ mod tests {
     fn invalid_configuration_degrades_to_system() {
         let a = NbbsGlobalAlloc::new(1000, 64, 512); // not a power of two
         let layout = Layout::from_size_align(128, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());
@@ -929,6 +906,7 @@ mod tests {
     fn realloc_grows_in_place_within_the_granted_block() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
         let layout = Layout::from_size_align(100, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             p.write_bytes(0x11, 100);
@@ -994,6 +972,7 @@ mod tests {
                     barrier.wait();
                     let mut all_buddy = true;
                     for _ in 0..100 {
+                        // SAFETY: each block is freed once, under the layout it came with.
                         unsafe {
                             let p = a.alloc(layout);
                             assert!(!p.is_null());
@@ -1020,6 +999,7 @@ mod tests {
         // report has no per-node service shares to print.
         let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
         let layout = Layout::from_size_align(100, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             let q = a.realloc(p, layout, 128); // in-place grow
@@ -1039,6 +1019,7 @@ mod tests {
             ..Arming::default()
         });
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(a.owns(p));
@@ -1061,6 +1042,7 @@ mod tests {
         // Whatever NBBS_* the suite runs under, this build sees none.
         a.build_once(Arming::default);
         let layout = Layout::from_size_align(128, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
@@ -1129,6 +1111,7 @@ mod tests {
     #[test]
     fn each_armed_part_builds_the_matching_handle() {
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         let touch = |a: &NbbsGlobalAlloc| unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
@@ -1166,6 +1149,7 @@ mod tests {
         let a: &'static NbbsGlobalAlloc =
             Box::leak(Box::new(NbbsGlobalAlloc::new(1 << 16, 64, 1 << 10)));
         let layout = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
@@ -1182,6 +1166,7 @@ mod tests {
             ..Arming::default()
         });
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert!(a.owns(p));
@@ -1216,6 +1201,7 @@ mod tests {
             ..Arming::default()
         });
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             assert_eq!(heap_profile(&a).unwrap().attributed_live_bytes(), 256);
@@ -1230,6 +1216,7 @@ mod tests {
         // 2 KiB arena: two 1 KiB blocks, then the buddy is out of memory.
         let a = NbbsGlobalAlloc::new(2048, 64, 1024);
         let layout = Layout::from_size_align(1024, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p1 = a.alloc(layout);
             let p2 = a.alloc(layout);
@@ -1254,6 +1241,7 @@ mod tests {
     fn metrics_carry_committed_memory_and_scrub_counters() {
         let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
         let layout = Layout::from_size_align(512, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
@@ -1270,6 +1258,15 @@ mod tests {
         let mem = a.metrics().memory.unwrap();
         assert!(mem.scrub_passes >= 1);
         assert_eq!(mem.committed_bytes, 0);
+        // The nested route commits the whole block too: 9 000 B get 16 KiB.
+        let nested = Layout::from_size_align(9000, 8).unwrap();
+        // SAFETY: the block is freed once, under the layout it came with.
+        unsafe {
+            let _latched = BypassGuard::engage();
+            let p = a.alloc(nested);
+            assert_eq!(a.metrics().memory.unwrap().committed_bytes, 16 << 10);
+            a.dealloc(p, nested);
+        }
         let report = a.stats_report();
         assert!(report.contains("  memory   "), "{report}");
         assert!(report.contains("  scrub    "), "{report}");
@@ -1288,6 +1285,7 @@ mod tests {
         // it was.
         a.build_once(|| Arming::parse(env(&[("NBBS_SCRUB", "5")])));
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
@@ -1377,7 +1375,7 @@ mod tests {
         const TOTAL: usize = 4 << 20;
         let a = NbbsGlobalAlloc::new(TOTAL, 32, 16 << 10);
         a.build_once(Arming::default);
-        let base = a.built_state().unwrap().facade.region().base().as_ptr();
+        let base = a.built_state().unwrap().region.base().as_ptr();
         for night in 0..4 {
             churn_with_remote_frees(&a);
             a.drain_cache();
@@ -1403,10 +1401,12 @@ mod tests {
         let block = Layout::from_size_align(1 << 12, 8).unwrap();
         let reads_zero = |p: *mut u8| {
             assert!(!p.is_null());
+            // SAFETY: a live block of `block.size()` bytes.
             unsafe { std::slice::from_raw_parts(p, block.size()) }
                 .iter()
                 .all(|&b| b == 0)
         };
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             // Buddy, after a dirty free: every block of the arena has been
             // written, so whichever one comes back was dirty.
@@ -1460,6 +1460,7 @@ mod tests {
     fn exhaustion_falls_back_to_system_instead_of_failing() {
         let a = NbbsGlobalAlloc::new(1024, 64, 1024);
         let layout = Layout::from_size_align(1024, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let p1 = a.alloc(layout);
             let p2 = a.alloc(layout);
@@ -1472,10 +1473,15 @@ mod tests {
     }
 
     /// Allocates `layout` until a block lands in `System`; returns them all.
+    ///
+    /// # Safety
+    ///
+    /// `layout` has a non-zero size.
     unsafe fn fill_until_system(a: &NbbsGlobalAlloc, layout: Layout) -> Vec<*mut u8> {
         let mut blocks = Vec::new();
         loop {
-            let p = a.alloc(layout);
+            // SAFETY: the caller's contract.
+            let p = unsafe { a.alloc(layout) };
             assert!(!p.is_null());
             blocks.push(p);
             if !a.owns(p) {
@@ -1490,6 +1496,7 @@ mod tests {
         let big = Layout::from_size_align(1 << 16, 8).unwrap();
         let page = Layout::from_size_align(1 << 12, 8).unwrap();
         let small = Layout::from_size_align(64, 8).unwrap();
+        // SAFETY: each block is freed once, under the layout it came with.
         unsafe {
             let mut bigs = fill_until_system(&a, big);
             assert_eq!(a.system_failovers(), 1);

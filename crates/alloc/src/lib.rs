@@ -1,23 +1,18 @@
-//! # nbbs-alloc — the layout-aware allocator facade over the NBBS stack
+//! # nbbs-alloc — the allocator front ends over the NBBS stack
 //!
 //! The NBBS paper positions its non-blocking buddy as a *back-end*
 //! allocator; PRs 1–2 of this reproduction built the front end the paper
 //! alludes to (a Bonwick-style magazine cache with sharded lock-free
-//! depots).  This crate adds the final layer — the one real Rust programs
-//! actually call — and completes the stack:
+//! depots).  This crate adds the layer real Rust programs actually call,
+//! in two shapes over the same cache:
 //!
 //! ```text
 //!  ┌────────────────────────────────────────────────────────────────┐
 //!  │  #[global_allocator]  NbbsGlobalAlloc          (nbbs-alloc)    │
 //!  │     lazy OnceLock build · System fail-over · exit drains       │
-//!  │     unarmed alloc/free/realloc hit: one class-table read,      │
-//!  │     then the thread's slot: pop_hit / push_hit ──────────┐     │
-//!  ├──────────────────────────────────────────────────────────┼─────┤
-//!  │  NbbsAllocator<A>: Layout-aware facade     (nbbs-alloc)  │     │
-//!  │     allocate / allocate_zeroed / deallocate / grow /     │     │
-//!  │     shrink; over-aligned ⇒ max(size, align); in-place    │     │
-//!  │     realloc; misses, full magazines, armed builds        │     │
-//!  ├──────────────────────────────────────────────────────────▼─────┤
+//!  │     every call: one class-table read, then the cache's         │
+//!  │     alloc_class / free_class on the thread's slot              │
+//!  ├────────────────────────────────────────────────────────────────┤
 //!  │  MagazineCache<B>: per-thread magazines        (nbbs-cache)    │
 //!  │     flat request → class table · loaded/previous pairs ·       │
 //!  │     sharded lock-free depots · adaptive capacities ·           │
@@ -28,11 +23,25 @@
 //!  └────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! [`NbbsAllocator`] is generic over any [`nbbs::BuddyBackend`] — wrap the
-//! bare tree for a PR-0-style thin adapter, a [`nbbs_cache::MagazineCache`]
-//! for the production configuration, or an `Arc<dyn BuddyBackend>` from the
-//! workload factory for ablations.  Two properties fall out of the buddy
-//! geometry rather than extra bookkeeping:
+//! [`NbbsGlobalAlloc`] is the shipped shell: `const`-constructible, lazily
+//! built under `OnceLock::get_or_init` (concurrent first touches block
+//! briefly instead of leaking to `System`, fixing the deprecated core
+//! adapter's race), with a thread-local bypass latch so the cache's own
+//! bookkeeping allocations cannot recurse, and per-thread exit drains so
+//! short-lived threads return their magazines to the tree.  Its stack is
+//! exactly the one drawn above, over one region, set by three sizes and
+//! observed when the `NBBS_*` environment arms it.  Every call resolves
+//! its class once and goes to the calling thread's cache slot, which books
+//! what the shell reports; [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
+//! buddy/system shares, grow-in-place rates and the cache hit rate when
+//! the process ends.
+//!
+//! [`NbbsAllocator`] is the generic `Layout` adapter for compositions: it
+//! speaks `Layout` over any [`nbbs::BuddyBackend`] — the bare tree, a
+//! [`nbbs_cache::MagazineCache`], a slab or a multi-node set under one, or
+//! an `Arc<dyn BuddyBackend>` from the workload factory for ablations.  Two
+//! properties fall out of the buddy geometry rather than extra
+//! bookkeeping, in both front ends:
 //!
 //! * **Alignment is free.**  A granted block of `2^k` bytes is `2^k`-aligned
 //!   (the region base is `max_size`-aligned), so an over-aligned `Layout`
@@ -45,22 +54,6 @@
 //!   return the same pointer — and, for the same reason,
 //!   [`NbbsAllocator::deallocate`] can tell the stack the block's size
 //!   instead of having it looked up.
-//!
-//! [`NbbsGlobalAlloc`] packages the cached facade for
-//! `#[global_allocator]` use: `const`-constructible, lazily built under
-//! `OnceLock::get_or_init` (concurrent first touches block briefly instead
-//! of leaking to `System`, fixing the deprecated core adapter's race), with
-//! a thread-local bypass latch so the cache's own bookkeeping allocations
-//! cannot recurse, and per-thread exit drains so short-lived threads return
-//! their magazines to the tree.  Its stack is exactly the one drawn above —
-//! tree, cache, facade, set by three sizes, observed when the `NBBS_*`
-//! environment arms it.  A build with no recorder sends a magazine hit —
-//! an allocation, a release, or a `realloc` between two cached classes —
-//! from the shell straight to the calling thread's cache slot (the arrow
-//! above), which books the bytes the facade would book; everything else
-//! goes through the facade.  [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
-//! buddy/system shares, grow-in-place rates and the cache hit rate when the
-//! process ends.
 //!
 //! ```
 //! use std::alloc::Layout;
@@ -86,7 +79,7 @@
 //! # Error handling: a failed grant propagates
 //!
 //! As in the paper, where NBALLOC simply fails when no chunk is free, a
-//! failed grant goes up the stack unchanged: tree → cache → facade.  A
+//! failed grant goes up the stack unchanged: tree → cache → front end.  A
 //! cache miss makes one backend call, and if that call grants nothing the
 //! allocation fails; [`NbbsAllocator::allocate`] returns the error
 //! ([`nbbs::error::AllocError::OutOfMemory`] through a cache, the
@@ -97,6 +90,7 @@
 //! and counts the event ([`NbbsGlobalAlloc::system_failovers`]).
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(rust_2018_idioms)]
 
 mod facade;

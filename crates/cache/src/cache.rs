@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nbbs::error::FreeError;
-use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, TreeInspect};
+use nbbs::{BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, Geometry, TreeInspect};
 use nbbs_obs::{OpKind, Recorder};
 use nbbs_sync::{thread_stripe, CachePadded, OwnedSlots, SpinLock};
 
@@ -66,21 +66,53 @@ struct Counters {
 }
 
 /// One thread slot — everything an entry of it may touch: the per-class
-/// magazine pairs and the slot's share of the hit-path tallies, plain
-/// integers bumped inside the entry a hit makes anyway.  The bytes a slot
-/// parks are not stored: [`MagazineCache::cached_bytes`] sums them from the
-/// magazine lengths.
+/// magazine pairs and the slot's share of the tallies, plain integers
+/// bumped inside the entry a grant or a park makes anyway.  The bytes a
+/// slot parks are not stored: [`MagazineCache::cached_bytes`] sums them
+/// from the magazine lengths.
+#[derive(Default)]
 struct Slot {
     mags: Vec<ClassMags>,
     /// Allocations this slot served from a magazine.
     hits: u64,
     /// Releases this slot absorbed into a magazine.
     cached_frees: u64,
-    /// Bytes asked for by the hits of a front end that books its grants
-    /// here ([`MagazineCache::pop_hit`]).
+    /// Bytes asked for by the grants served through this slot
+    /// ([`MagazineCache::alloc_class`]).
     requested: u64,
-    /// Bytes those hits were granted (their class sizes).
+    /// Bytes those grants were given (their class sizes).
     granted: u64,
+    /// The realloc split counted in this slot
+    /// ([`MagazineCache::count_resize`]), indexed `2 * grew + moved`.
+    resizes: [u64; 4],
+}
+
+// `OwnedSlots` pads each entry to whole 128 B lines: the claim's line, then
+// the slot's flags and this struct.  Up to 120 B that is 256 B; past it
+// every entry takes a third line, which moves a burst-and-idle workload's
+// resident set.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 120);
+
+impl Slot {
+    /// A hit of class `class`: pops the pair, counts it and books
+    /// `requested` and `granted` bytes.
+    #[inline]
+    fn pop(&mut self, class: usize, requested: usize, granted: usize) -> Option<(usize, bool)> {
+        let popped = self.mags[class].pop()?;
+        self.hits += 1;
+        self.requested += requested as u64;
+        self.granted += granted as u64;
+        Some(popped)
+    }
+
+    /// A park of class `class`, counted; `false` when both magazines are
+    /// full.
+    #[inline]
+    fn park(&mut self, class: usize, offset: usize) -> bool {
+        let parked = self.mags[class].push(offset);
+        self.cached_frees += u64::from(parked);
+        parked
+    }
 }
 
 /// Per-class adaptive-resize state.
@@ -119,21 +151,18 @@ struct ClassCtl {
 /// its alignment).  The same table answers
 /// [`BuddyBackend::granted_size_for`], [`BuddyBackend::grant_alignment_for`]
 /// and a sized free's class for every cached size, so a cached request
-/// never asks the backend what it would grant.  The hot path is two
-/// halves: the trait's allocation and releases pop and park first and go
-/// on to the depot and the backend only when that fails, and a front end
-/// that has resolved the class itself (the `nbbs-alloc` global shell)
-/// calls the same halves directly, [`MagazineCache::pop_hit`] and
-/// [`MagazineCache::push_hit`].  That hit books its requested and granted
-/// bytes in the slot beside `hits` ([`MagazineCache::hit_bytes`] sums
-/// them), and learns from the magazine's watermark whether the chunk may
-/// have come straight from a refill.  Entries below a magazine's
-/// watermark may have been loaded by a refill, so their pages may still
-/// need committing; entries above it were parked by a release, so they
-/// were committed when they were served, and while parked they are live
-/// in the backend, where the decommit scrubber (which claims only free
-/// blocks) cannot reach them.  The trait's own pop ignores the watermark,
-/// since a region over the cache commits every block it serves.
+/// never asks the backend what it would grant.  The trait's calls and a
+/// front end that resolved the class itself (the `nbbs-alloc` global
+/// shell) share two class-level entry points, [`MagazineCache::alloc_class`]
+/// and [`MagazineCache::free_class`]: a hit or a park is one inlined slot
+/// entry, the depot, refill and flush are out of line.  A grant books its
+/// requested and granted bytes in the slot ([`MagazineCache::served`] sums
+/// them) and says whether the chunk may have come straight from the
+/// backend — the first chunk of a miss, or an entry below its magazine's
+/// watermark — so that its pages may still need committing.  Entries above
+/// the watermark were parked by a release: committed when they were
+/// served, and live in the backend while parked, where the decommit
+/// scrubber (which claims only free blocks) cannot reach them.
 ///
 /// A slot's magazine emptied by a drain has no buffer left, so the first
 /// park after it allocates inside the slot entry.  Under a
@@ -144,12 +173,6 @@ struct ClassCtl {
 /// Slots are grouped into shards (one depot shard per group, the analogue of
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
 /// group boundary instead of bouncing chunks across the whole machine.
-/// With [`CacheConfig::node_groups`] set, the shard set is further
-/// partitioned into per-NUMA-node banks keyed by the
-/// [`CacheConfig::node_of`] hook: every exchange (park, refill pop)
-/// stays within the calling thread's bank, so a depot shard never spans
-/// nodes — the right configuration when the backend underneath is a
-/// multi-node `NodeSet`.
 ///
 /// Magazine capacities are *adaptive* (Bonwick's dynamic resizing): a class
 /// whose bursts keep spilling past its depot shard doubles its capacity (up
@@ -158,8 +181,8 @@ struct ClassCtl {
 /// [`CacheConfig::cache_bytes_budget`] bounds the total bytes parked.
 ///
 /// `MagazineCache` implements [`BuddyBackend`] itself, so it nests unchanged
-/// inside `BuddyRegion`, the `nbbs-alloc` facade (`NbbsGlobalAlloc`), a NUMA
-/// `NodeSet` and the workload factory.
+/// inside `BuddyRegion` (so under the `nbbs-alloc` shell and facade), a
+/// NUMA `NodeSet` and the workload factory.
 ///
 /// # Consistency
 ///
@@ -170,11 +193,11 @@ struct ClassCtl {
 /// treating cached chunks as live.
 ///
 /// An entry of a slot covers its magazine pairs *and* its share of the
-/// `hits` / `cached_frees` tallies and of the hit route's requested and
-/// granted bytes, so a hit counts itself with plain increments inside the
-/// entry it makes anyway.  Nothing stores how many bytes a slot parks.  The
+/// `hits` / `cached_frees` tallies and of the served bytes and realloc
+/// split, so a hit counts itself with plain increments inside the entry it
+/// makes anyway.  Nothing stores how many bytes a slot parks.  The
 /// read-outs and drains — [`MagazineCache::snapshot`],
-/// [`MagazineCache::hit_bytes`], [`MagazineCache::cached_bytes`] (and through
+/// [`MagazineCache::served`], [`MagazineCache::cached_bytes`] (and through
 /// it [`MagazineCache::allocated_bytes`]), [`MagazineCache::cached_chunks`],
 /// [`MagazineCache::contains_cached`], [`MagazineCache::drain_all`] and
 /// `Debug` — enter every slot as a remote, once per call: they take every
@@ -224,20 +247,10 @@ pub struct MagazineCache<A: BuddyBackend> {
     /// claimed on first use; beside each, the shared slot of threads whose
     /// stripe another live thread holds.
     slots: OwnedSlots<Slot>,
-    /// Depot shards, partitioned into `group_count` contiguous banks of
-    /// `group_shards` shards each (one bank per NUMA-node group; a single
-    /// machine-wide bank by default).  A thread on group `g` in slot `s`
-    /// exchanges magazines with shard
-    /// `g * group_shards + (s & group_shard_mask)` only — magazine traffic
-    /// (parks, refill pops) never crosses the bank boundary, so a
-    /// shard never mixes chunks from two nodes.
+    /// Depot shards, a power of two of them: a thread in slot `s`
+    /// exchanges magazines (parks, refill pops) with shard
+    /// `s & (shards.len() - 1)` only.
     shards: Box<[CachePadded<DepotShard>]>,
-    /// Number of node-group banks (`CacheConfig::node_groups`, power of two).
-    group_count: usize,
-    /// Shards per bank (power of two).
-    group_shards: usize,
-    /// `group_shards - 1`: the within-bank shard mask.
-    group_shard_mask: usize,
     /// Adaptive capacity controllers, one per class.
     ctl: Box<[ClassCtl]>,
     /// Resolved byte budget (caps adaptive magazine growth; split across
@@ -321,14 +334,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 .iter()
                 .map(|&size| ClassMags::new(config.capacity_for(size)))
                 .collect(),
-            hits: 0,
-            cached_frees: 0,
-            requested: 0,
-            granted: 0,
+            ..Slot::default()
         });
         let shard_count = config.resolved_shards();
-        let group_count = config.resolved_groups();
-        let group_shards = shard_count / group_count;
         let shards = (0..shard_count)
             .map(|_| CachePadded::new(DepotShard::new(classes.len(), config.depot_magazines)))
             .collect();
@@ -351,9 +359,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             shift,
             slots,
             shards,
-            group_count,
-            group_shards,
-            group_shard_mask: group_shards - 1,
             ctl,
             budget,
             shard_budget: budget / shard_count,
@@ -411,28 +416,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
         self.shards.len()
     }
 
-    /// Number of node-group banks the depot shards are partitioned into.
-    pub fn node_group_count(&self) -> usize {
-        self.group_count
-    }
-
-    /// The node-group bank of the calling thread (always 0 without
-    /// [`CacheConfig::node_groups`]).
-    fn current_group(&self) -> usize {
-        if self.group_count == 1 {
-            0
-        } else {
-            // `group_count` is a power of two.
-            self.config.node_of.map_or(0, |f| f.call()) & (self.group_count - 1)
-        }
-    }
-
-    /// The depot shard a given slot exchanges magazines with, for the
-    /// calling thread: its node-group bank, then its slot's shard within
-    /// the bank.
+    /// The depot shard slot `slot_idx` exchanges magazines with.
     #[inline]
     fn shard_of(&self, slot_idx: usize) -> usize {
-        self.current_group() * self.group_shards + (slot_idx & self.group_shard_mask)
+        slot_idx & (self.shards.len() - 1)
     }
 
     /// The depot shard the calling thread exchanges magazines with.
@@ -608,80 +595,49 @@ impl<A: BuddyBackend> MagazineCache<A> {
         );
     }
 
-    /// The hit half of an allocation of class `class` for a front end that
-    /// books its grants in the cache: pops the calling thread's magazine
-    /// pair (`loaded`, then a swapped-in `previous`), counts the hit and
-    /// books `requested` bytes asked for and the class size granted in the
-    /// same entry ([`MagazineCache::hit_bytes`]).  Returns the offset and
-    /// whether it lay below its magazine's watermark — a chunk a refill may
-    /// have loaded straight from the backend, whose pages the caller must
-    /// commit; any other was committed when it was last served.  `None`
-    /// when both magazines are empty — the caller goes on to the depot and
-    /// the backend, as [`BuddyBackend::alloc`] does.
+    /// Serves one allocation of class `class`: the calling thread's
+    /// magazine pair (`loaded`, then a swapped-in `previous`), its depot
+    /// shard, then a batched refill.  A grant counts as a hit or a miss and
+    /// books `requested` bytes and the class size in the slot; a failed one
+    /// books nothing.  Returns the offset and whether it may have come
+    /// straight from the backend (`fresh`), whose pages a front end working
+    /// in raw offsets must commit.  `None` when the backend has no chunk of
+    /// the class left.  A hit is this one slot entry; the rest is out of
+    /// line.
     #[inline]
-    pub fn pop_hit(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
-        self.pop_booked(class, requested as u64, self.classes[class] as u64)
+    pub fn alloc_class(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
+        let granted = self.classes[class];
+        self.slots
+            .with_mine(|_, slot| slot.pop(class, requested, granted))
+            .or_else(|| self.alloc_miss(class, requested))
     }
 
-    /// Pops the calling thread's pair of class `class`, counting the hit
-    /// and booking `requested` and `granted` bytes.
-    #[inline]
-    fn pop_booked(&self, class: usize, requested: u64, granted: u64) -> Option<(usize, bool)> {
-        self.slots.with_mine(|_, slot| {
-            let popped = slot.mags[class].pop()?;
-            slot.hits += 1;
-            slot.requested += requested;
-            slot.granted += granted;
-            Some(popped)
-        })
-    }
-
-    /// The park half of a release of a chunk of class `class` at `offset`:
-    /// pushes it onto the calling thread's magazine pair (`loaded`, or an
-    /// empty `previous` swapped in) and counts the cached free.  `false`
-    /// when both are full — the caller goes on to the rotation and the
-    /// depot, as [`BuddyBackend::dealloc_sized`] does.  The caller vouches
-    /// that the chunk is live and of class `class`.
-    #[inline]
-    pub fn push_hit(&self, class: usize, offset: usize) -> bool {
-        self.slots.with_mine(|_, slot| {
-            let parked = slot.mags[class].push(offset);
-            slot.cached_frees += u64::from(parked);
-            parked
-        })
-    }
-
-    /// Serves one allocation of class `class`, preferring the magazines.
-    /// The watermark is not asked: the caller's grant books nothing here,
-    /// and a region over the cache commits every block it serves.
-    fn alloc_cached(&self, class: usize) -> Option<usize> {
-        if let Some((off, _)) = self.pop_booked(class, 0, 0) {
-            return Some(off);
-        }
+    /// [`MagazineCache::alloc_class`] past empty magazines: the depot
+    /// exchange, then the refill.
+    #[inline(never)]
+    fn alloc_miss(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
         let class_size = self.class_size(class);
         // A hit (the shared slot's co-users may have loaded the pair since)
         // or a depot exchange leaves the slot with its chunk; a miss with
         // the stripe and the refill batch its pair is sized for.
         let entered = self.slots.with_mine(|slot_idx, slot| {
-            let pair = &mut slot.mags[class];
-            if let Some((off, _)) = pair.pop() {
-                slot.hits += 1;
-                return Ok(off);
+            if let Some(hit) = slot.pop(class, requested, class_size) {
+                return Ok(hit);
             }
 
             // Both magazines empty: exchange with the slot group's depot
             // shard (a full magazine in via one lock-free pop, our empty
             // `loaded` out — recirculated as the spare for the next overflow
             // rotation).
+            let pair = &mut slot.mags[class];
             if let Some(full) = self.shards[self.shard_of(slot_idx)].pop_full(class, class_size) {
                 let empty = std::mem::replace(&mut pair.loaded, full);
                 pair.spare.get_or_insert(empty);
                 self.counters
                     .depot_exchanges
                     .fetch_add(1, Ordering::Relaxed);
-                let (off, _) = pair.loaded.pop().expect("depot magazines are full");
-                slot.hits += 1;
-                return Ok(off);
+                let hit = slot.pop(class, requested, class_size);
+                return Ok(hit.expect("depot magazines are full"));
             }
 
             // Own shard dry too.  Both magazines are empty, which is the one
@@ -690,7 +646,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             // slot — the backend refill below runs outside it, so a remote
             // read-out (or, on the shared slot, another thread's hit) is not
             // stalled behind our tree walks (mirror of the flush in
-            // `dealloc_cached`).
+            // `free_overflow`).
             let target = self.ctl[class].cap.load(Ordering::Relaxed);
             if pair.loaded.capacity() != target {
                 pair.loaded.set_capacity(target);
@@ -699,7 +655,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             Err((pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX))
         });
         let batch = match entered {
-            Ok(off) => return Some(off),
+            Ok(hit) => return Some(hit),
             Err(miss) => miss,
         };
 
@@ -729,18 +685,25 @@ impl<A: BuddyBackend> MagazineCache<A> {
         Recorder::time(
             &self.obs,
             OpKind::CacheRefill,
-            || self.refill(class, batch, &mut guard),
+            || self.refill(class, batch, requested, &mut guard),
             |&refilled| (refilled.unwrap_or(0), refilled.is_some()),
         );
         let (first, _) = guard.chunks.pop().expect("first survives the refill");
-        Some(first)
+        Some((first, true))
     }
 
     /// The batched half of a miss: allocates up to `batch` more chunks of
-    /// `class` behind `guard.chunks[0]`, loads what fits into the calling
-    /// thread's magazines and hands any surplus back.  Returns how many
-    /// chunks were loaded, `None` when the backend had none to give.
-    fn refill(&self, class: usize, batch: usize, guard: &mut OrphanGuard<'_, A>) -> Option<u64> {
+    /// `class` behind `guard.chunks[0]`, books the grant of that first one
+    /// (`requested` bytes), loads what fits into the calling thread's
+    /// magazines and hands any surplus back.  Returns how many chunks were
+    /// loaded, `None` when the backend had none to give.
+    fn refill(
+        &self,
+        class: usize,
+        batch: usize,
+        requested: usize,
+        guard: &mut OrphanGuard<'_, A>,
+    ) -> Option<u64> {
         let class_size = self.class_size(class);
         for _ in 0..batch {
             match self.backend.alloc(class_size) {
@@ -748,12 +711,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 None => break,
             }
         }
-        if guard.chunks.len() == 1 {
-            return None;
-        }
+        let gave = guard.chunks.len() > 1;
         // The slot may have changed since the miss left it; load whatever
         // fits and hand any surplus back to the backend.
         let refilled = self.slots.with_mine(|_, slot| {
+            slot.requested += requested as u64;
+            slot.granted += class_size as u64;
             let pair = &mut slot.mags[class];
             let mut refilled = 0u64;
             while guard.chunks.len() > 1 {
@@ -783,21 +746,32 @@ impl<A: BuddyBackend> MagazineCache<A> {
             self.backend.dealloc(off);
             guard.chunks.pop();
         }
-        Some(refilled)
+        gave.then_some(refilled)
     }
 
-    /// Absorbs one release of class `class`.
-    fn dealloc_cached(&self, class: usize, offset: usize) {
-        if self.push_hit(class, offset) {
-            return;
+    /// Absorbs one release of a chunk of class `class` at `offset`: parks
+    /// it in the calling thread's magazine pair (`loaded`, or an empty
+    /// `previous` swapped in), or, when both are full, rotates them and
+    /// sends the full one to the depot shard or the backend.  The caller
+    /// vouches that the chunk is live and of class `class`.  A park is this
+    /// one slot entry; the rotation is out of line.
+    #[inline]
+    pub fn free_class(&self, class: usize, offset: usize) {
+        if !self.slots.with_mine(|_, slot| slot.park(class, offset)) {
+            self.free_overflow(class, offset);
         }
+    }
+
+    /// [`MagazineCache::free_class`] into two full magazines.
+    #[inline(never)]
+    fn free_overflow(&self, class: usize, offset: usize) {
         let overflow = self.slots.with_mine(|slot_idx, slot| {
-            let pair = &mut slot.mags[class];
-            slot.cached_frees += 1;
             // The shared slot's co-users may have made room since.
-            if pair.push(offset) {
+            if slot.park(class, offset) {
                 return None;
             }
+            slot.cached_frees += 1;
+            let pair = &mut slot.mags[class];
             // Both full: move `previous` out of the way (reusing the spare
             // empty from an earlier depot exchange when one is around,
             // retargeted to the current adaptive capacity), then rotate.
@@ -828,7 +802,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// share of the byte budget is exhausted.
     ///
     /// `full` must hold at least one chunk: the depot's pop consumer
-    /// (`alloc_cached`'s exchange) assumes parked magazines are non-empty.
+    /// (`alloc_miss`'s exchange) assumes parked magazines are non-empty.
     fn park_full_magazine(&self, class: usize, mut full: Magazine, slot_idx: usize) {
         debug_assert!(!full.is_empty(), "parking an empty magazine");
         let class_size = self.class_size(class);
@@ -1071,16 +1045,38 @@ impl<A: BuddyBackend> MagazineCache<A> {
         found || self.orphans.lock().iter().any(|&(off, _)| off == offset)
     }
 
-    /// The `(requested, granted)` bytes booked by [`MagazineCache::pop_hit`]
-    /// over every slot, cumulative.  A remote read-out (see *Consistency*
-    /// on the type).
-    pub fn hit_bytes(&self) -> (u64, u64) {
-        let (mut requested, mut granted) = (0, 0);
+    /// Counts one `realloc` outcome of a front end in the calling thread's
+    /// slot: a grow (`grew`) or a shrink, `moved` to another class or kept
+    /// in place.
+    #[inline]
+    pub fn count_resize(&self, grew: bool, moved: bool) {
+        let index = 2 * usize::from(grew) + usize::from(moved);
+        self.slots.with_mine(|_, slot| slot.resizes[index] += 1);
+    }
+
+    /// What [`MagazineCache::alloc_class`] and
+    /// [`MagazineCache::count_resize`] booked, summed over every slot, in
+    /// the snapshot's fields (its two `system_*` stay zero).  A remote
+    /// read-out (see *Consistency* on the type).
+    pub fn served(&self) -> FacadeStatsSnapshot {
+        let (mut requested, mut granted, mut resizes) = (0, 0, [0; 4]);
         self.slots.for_each_slot(|slot| {
             requested += slot.requested;
             granted += slot.granted;
+            for (sum, count) in resizes.iter_mut().zip(slot.resizes) {
+                *sum += count;
+            }
         });
-        (requested, granted)
+        let [shrinks_in_place, shrinks_moved, grows_in_place, grows_moved] = resizes;
+        FacadeStatsSnapshot {
+            grows_in_place,
+            grows_moved,
+            shrinks_in_place,
+            shrinks_moved,
+            requested_bytes: requested,
+            granted_bytes: granted,
+            ..FacadeStatsSnapshot::default()
+        }
     }
 
     /// Point-in-time copy of the cache counters: the slow-path atomics,
@@ -1123,7 +1119,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         // names is the backend's grant — power-of-two orders over a plain
         // tree, slab classes over a slab front-end.
         match self.class_of_request(size) {
-            Some((class, _)) => self.alloc_cached(class),
+            Some((class, _)) => self.alloc_class(class, size).map(|(off, _)| off),
             None => self.backend.alloc(size),
         }
     }
@@ -1134,7 +1130,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
             .granted_size_of_live(offset)
             .and_then(|granted| self.class_of_granted(granted))
         {
-            Some(class) => self.dealloc_cached(class, offset),
+            Some(class) => self.free_class(class, offset),
             // Unknown size class (backend without the lookup hook, or a
             // class above the cutoff): pass straight through.
             None => self.backend.dealloc(offset),
@@ -1143,10 +1139,10 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
 
     /// The release for a caller that knows the chunk's granted size: the
     /// class comes from `granted`, so a chunk that parks in a magazine
-    /// touches nothing but this thread's slot.  Shares `dealloc_cached`
-    /// with [`BuddyBackend::dealloc`]; the two differ only in where the
-    /// class comes from.  A size that is not one of the cache's classes
-    /// goes on to the backend, size attached.
+    /// touches nothing but this thread's slot.  Shares
+    /// [`MagazineCache::free_class`] with [`BuddyBackend::dealloc`]; the
+    /// two differ only in where the class comes from.  A size that is not
+    /// one of the cache's classes goes on to the backend, size attached.
     fn dealloc_sized(&self, offset: usize, granted: usize) {
         // The audit of the caller's claim, on every sized free of every
         // suite run in debug; release builds never ask.
@@ -1156,7 +1152,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
             "sized free of offset {offset} names the wrong class"
         );
         match self.class_of_granted(granted) {
-            Some(class) => self.dealloc_cached(class, offset),
+            Some(class) => self.free_class(class, offset),
             None => self.backend.dealloc_sized(offset, granted),
         }
     }
@@ -1180,7 +1176,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
                 if self.contains_cached(offset) {
                     return Err(FreeError::NotAllocated { offset });
                 }
-                self.dealloc_cached(class, offset);
+                self.free_class(class, offset);
                 Ok(())
             }
             None => self.backend.try_dealloc(offset),

@@ -1,37 +1,5 @@
 //! Configuration of the magazine cache layer.
 
-/// The calling thread's NUMA-node group, as a plain function pointer so the
-/// cache stays free of any topology crate (`nbbs-numa::current_node` slots
-/// straight in).
-///
-/// Wrapped in a newtype so [`CacheConfig`] keeps its derived `Copy`
-/// semantics while comparing the pointer by address (two configs with the
-/// same hook compare equal; the comparison never calls the function).
-#[derive(Clone, Copy)]
-pub struct NodeOfFn(pub fn() -> usize);
-
-impl NodeOfFn {
-    /// The group the calling thread belongs to.
-    #[inline]
-    pub fn call(&self) -> usize {
-        (self.0)()
-    }
-}
-
-impl std::fmt::Debug for NodeOfFn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NodeOfFn({:p})", self.0 as *const ())
-    }
-}
-
-impl PartialEq for NodeOfFn {
-    fn eq(&self, other: &Self) -> bool {
-        std::ptr::eq(self.0 as *const (), other.0 as *const ())
-    }
-}
-
-impl Eq for NodeOfFn {}
-
 /// Tuning knobs for [`crate::MagazineCache`].
 ///
 /// Every size class up to the backend's `max_size` is cached.
@@ -65,24 +33,8 @@ pub struct CacheConfig {
     /// per-NUMA-node depots.  `None` sizes the shard set from
     /// [`nbbs_sync::available_cpus`] (about one shard per two CPUs);
     /// the resolved count is a power of two and never exceeds the slot
-    /// count (but is always at least [`CacheConfig::node_groups`], so every
-    /// group owns at least one shard).
+    /// count.
     pub depot_shards: Option<usize>,
-    /// Number of NUMA-node groups the depot shards are partitioned into.
-    ///
-    /// With `Some(n)` the shard set is split into `n` (rounded up to a
-    /// power of two) contiguous banks; every magazine exchange — park
-    /// and refill pop — stays within the calling thread's bank, so a depot shard never holds magazines
-    /// from two nodes and cached chunks never migrate across the node
-    /// boundary through the depot.  The calling thread's bank comes from
-    /// [`CacheConfig::node_of`] (falling back to group 0 when unset).
-    /// `None` (the default) keeps one machine-wide bank — exactly the
-    /// pre-NUMA behaviour.
-    pub node_groups: Option<usize>,
-    /// Hook telling the cache which node group the calling thread belongs
-    /// to (e.g. `nbbs_numa::current_node`); only consulted when
-    /// [`CacheConfig::node_groups`] is set.
-    pub node_of: Option<NodeOfFn>,
     /// Number of thread slots (each slot holds one pair of magazines per
     /// class).  A thread looks for its slot at its
     /// [`nbbs_sync::thread_stripe`] and owns it if it claims it first
@@ -118,8 +70,6 @@ impl Default for CacheConfig {
             magazine_bytes: 32 << 10,
             depot_magazines: 64,
             depot_shards: None,
-            node_groups: None,
-            node_of: None,
             slots: None,
             max_magazine_capacity: 8192,
             cache_bytes_budget: None,
@@ -141,26 +91,16 @@ impl CacheConfig {
         }
     }
 
-    /// Resolved node-group count: a power of two, at least 1.
-    pub(crate) fn resolved_groups(&self) -> usize {
-        self.node_groups.unwrap_or(1).max(1).next_power_of_two()
-    }
-
     /// Resolved depot shard count: a power of two, at least 1, at most the
     /// resolved slot count (a shard with no slots routed to it would be
-    /// dead weight) — but never below the node-group count, so each group
-    /// owns at least one private shard and depot traffic never spans
-    /// groups.
+    /// dead weight).
     pub(crate) fn resolved_shards(&self) -> usize {
         let slots = self.resolved_slots();
         let requested = match self.depot_shards {
             Some(n) => n.max(1),
             None => nbbs_sync::available_cpus().map_or(4, |n| (n / 2).max(1)),
         };
-        requested
-            .next_power_of_two()
-            .min(slots)
-            .max(self.resolved_groups())
+        requested.next_power_of_two().min(slots)
     }
 
     /// Resolved cache byte budget for a backend managing `total_memory`.
@@ -212,44 +152,6 @@ mod tests {
         assert!(auto.is_power_of_two());
         assert!(auto >= 1);
         assert!(auto <= CacheConfig::default().resolved_slots());
-    }
-
-    #[test]
-    fn node_groups_round_up_and_reserve_shards() {
-        assert_eq!(CacheConfig::default().resolved_groups(), 1);
-        let cfg = CacheConfig {
-            node_groups: Some(3),
-            ..CacheConfig::default()
-        };
-        assert_eq!(cfg.resolved_groups(), 4, "rounded up to a power of two");
-        // Each group must own at least one shard, even when fewer shards
-        // were requested than groups exist.
-        let cfg = CacheConfig {
-            slots: Some(2),
-            depot_shards: Some(1),
-            node_groups: Some(4),
-            ..CacheConfig::default()
-        };
-        assert_eq!(cfg.resolved_shards(), 4);
-        assert_eq!(cfg.resolved_shards() % cfg.resolved_groups(), 0);
-    }
-
-    #[test]
-    fn node_of_hook_compares_by_address() {
-        fn a() -> usize {
-            0
-        }
-        fn b() -> usize {
-            1
-        }
-        assert_eq!(NodeOfFn(a), NodeOfFn(a));
-        assert_ne!(NodeOfFn(a), NodeOfFn(b));
-        assert_eq!(NodeOfFn(b).call(), 1);
-        let cfg = CacheConfig {
-            node_of: Some(NodeOfFn(a)),
-            ..CacheConfig::default()
-        };
-        assert_eq!(cfg, cfg.clone());
     }
 
     #[test]

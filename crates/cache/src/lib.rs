@@ -87,7 +87,7 @@ mod magazine;
 mod verify;
 
 pub use cache::{MagazineCache, ThreadDrainGuard};
-pub use config::{CacheConfig, NodeOfFn};
+pub use config::CacheConfig;
 pub use exit::{drain_on_thread_exit, DrainOnExit};
 pub use verify::{verify_cached, verify_cached_empty};
 
@@ -360,72 +360,6 @@ mod tests {
         m.dealloc(off);
         assert_eq!(m.allocated_bytes(), 0);
         assert_eq!(m.cache_stats().unwrap().cached_frees, 1);
-    }
-
-    #[test]
-    fn node_groups_partition_the_depot_shards() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static FAKE_NODE: AtomicUsize = AtomicUsize::new(0);
-        fn fake_node() -> usize {
-            FAKE_NODE.load(Ordering::Relaxed)
-        }
-        // Two node groups, one shard each, one shared slot: flipping the
-        // fake node moves the same thread between banks deterministically.
-        let c = MagazineCache::with_config(
-            NbbsOneLevel::new(cfg()),
-            CacheConfig {
-                magazine_capacity: 2,
-                magazine_bytes: 16,
-                depot_magazines: 4,
-                slots: Some(1),
-                depot_shards: Some(2),
-                node_groups: Some(2),
-                node_of: Some(NodeOfFn(fake_node)),
-                max_magazine_capacity: 2,
-                ..CacheConfig::default()
-            },
-        );
-        assert_eq!(c.depot_shard_count(), 2);
-        assert_eq!(c.node_group_count(), 2);
-
-        FAKE_NODE.store(0, Ordering::Relaxed);
-        let bank0 = c.current_shard();
-        FAKE_NODE.store(1, Ordering::Relaxed);
-        let bank1 = c.current_shard();
-        assert_ne!(bank0, bank1, "each group owns its own shard");
-
-        // Park full magazines while homed on group 0.
-        FAKE_NODE.store(0, Ordering::Relaxed);
-        let offs: Vec<_> = (0..12).filter_map(|_| c.alloc(8)).collect();
-        for off in offs {
-            c.dealloc(off);
-        }
-        assert!(c.depot_parked_magazines(bank0) > 0, "group 0 parked");
-        assert_eq!(c.depot_parked_magazines(bank1), 0, "group 1 untouched");
-        c.drain_current_thread(); // empty the slot, keep the depot
-
-        // Homed on group 1, the parked magazines are invisible: the refill
-        // misses to the backend instead of reaching across the node
-        // boundary.
-        FAKE_NODE.store(1, Ordering::Relaxed);
-        let misses_before = c.snapshot().misses;
-        let off = c.alloc(8).unwrap();
-        c.dealloc(off);
-        let s = c.snapshot();
-        assert!(s.misses > misses_before, "cross-bank depot is off limits");
-        c.drain_current_thread();
-
-        // Back on group 0, the parked magazines serve again.
-        FAKE_NODE.store(0, Ordering::Relaxed);
-        let exchanges_before = c.snapshot().depot_exchanges;
-        let off = c.alloc(8).unwrap();
-        c.dealloc(off);
-        assert!(
-            c.snapshot().depot_exchanges > exchanges_before,
-            "own bank still circulates magazines"
-        );
-        c.drain_all();
-        assert_eq!(c.backend().allocated_bytes(), 0);
     }
 
     #[test]

@@ -64,16 +64,19 @@ impl Magazine {
         self.entries.len()
     }
 
+    #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
+    #[inline]
     pub(crate) fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity()
     }
 
     /// Parks a released offset, above the watermark; the caller must have
     /// checked [`Magazine::is_full`].
+    #[inline]
     pub(crate) fn push(&mut self, offset: usize) {
         debug_assert!(!self.is_full());
         self.entries.push(offset);

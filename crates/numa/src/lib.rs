@@ -11,7 +11,6 @@
 //!  │  NbbsAllocator                                    (nbbs-alloc)   │
 //!  ├──────────────────────────────────────────────────────────────────┤
 //!  │  MagazineCache<NodeSet<_>>                        (nbbs-cache)   │
-//!  │     node-grouped depot shards (CacheConfig::node_groups)         │
 //!  ├──────────────────────────────────────────────────────────────────┤
 //!  │  NodeSet<A: BuddyBackend>                         (nbbs-numa)    │
 //!  │     widened geometry · home-first routing · per-node telemetry   │
@@ -45,4 +44,4 @@ pub mod topology;
 
 pub use nbbs::NodeStatsSnapshot;
 pub use nodeset::{NodePolicy, NodeSet};
-pub use topology::{current_node, Topology, TopologySource};
+pub use topology::{Topology, TopologySource};

@@ -19,8 +19,6 @@
 //! handed out by one process-wide counter), so tests and benchmarks get
 //! reproducible per-node spreads regardless of the host.
 
-use std::sync::OnceLock;
-
 /// Where a [`Topology`] got its node count (and CPU map) from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySource {
@@ -198,34 +196,6 @@ impl Default for Topology {
     }
 }
 
-static GLOBAL: OnceLock<Topology> = OnceLock::new();
-
-/// Installs `topology` as the process-wide topology read by
-/// [`current_node`], if none was installed yet.  Returns whether this call
-/// installed it.
-///
-/// The first caller wins — typically the `#[global_allocator]` build, so
-/// the cache's node-group hook and the `NodeSet` routing agree on the node
-/// layout for the whole process.
-pub fn install_global(topology: Topology) -> bool {
-    GLOBAL.set(topology).is_ok()
-}
-
-/// The process-wide topology: whatever [`install_global`] installed, or
-/// [`Topology::detect`] on first use.
-pub fn global() -> &'static Topology {
-    GLOBAL.get_or_init(Topology::detect)
-}
-
-/// The calling thread's home node in the process-wide topology.
-///
-/// A plain `fn` so it can be handed to `nbbs_cache::CacheConfig::node_of`
-/// (the cache's node-group hook takes a function pointer to stay free of
-/// this crate).
-pub fn current_node() -> usize {
-    global().current_node()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,15 +259,5 @@ mod tests {
     fn missing_sysfs_root_yields_none() {
         let ghost = std::path::Path::new("/this/path/does/not/exist/node");
         assert!(Topology::from_sysfs_root(ghost).is_none());
-    }
-
-    #[test]
-    fn global_topology_is_a_process_singleton() {
-        let a = global() as *const Topology;
-        let b = global() as *const Topology;
-        assert_eq!(a, b);
-        assert!(current_node() < global().node_count());
-        // A late install is a no-op once the singleton exists.
-        assert!(!install_global(Topology::synthetic(64)));
     }
 }

@@ -154,23 +154,25 @@ impl Recorder {
     /// recorder.  `describe` turns the finished operation into the event's
     /// `detail` payload and whether it succeeded; it runs only when the
     /// event is recorded, so an un-armed layer pays one `Option` test.
-    #[inline]
+    /// `op` appears once in the body, so a caller's inlined fast path is
+    /// not compiled twice (timed and untimed) into the caller.
+    #[inline(always)]
     pub fn time<T>(
         obs: &Option<Arc<Recorder>>,
         kind: OpKind,
         op: impl FnOnce() -> T,
         describe: impl FnOnce(&T) -> (u64, bool),
     ) -> T {
-        match obs {
-            Some(rec) if rec.timing => {
-                let t0 = cycles_now();
-                let out = op();
-                let (detail, ok) = describe(&out);
-                rec.record_since(kind, t0, detail, OpOutcome::from_ok(ok));
-                out
-            }
-            _ => op(),
+        let started = obs
+            .as_deref()
+            .filter(|rec| rec.timing)
+            .map(|rec| (rec, cycles_now()));
+        let out = op();
+        if let Some((rec, t0)) = started {
+            let (detail, ok) = describe(&out);
+            rec.record_since(kind, t0, detail, OpOutcome::from_ok(ok));
         }
+        out
     }
 
     /// Records one operation that started at TSC value `start_cycles`.

@@ -20,7 +20,7 @@
 //! ([`ThreadToken::current`]) and finds both from it.  The thread owns the
 //! entry if the entry's owner word equals its token, or if a
 //! `compare_exchange(0, token)` succeeds on first use ([`Claim::hold`]); it
-//! gives the entry up with a store of 0 ([`Claim::release`]).  A thread
+//! gives the entry up with a store of 0 ([`OwnedSlots::release_mine`]).  A thread
 //! whose entry another live thread holds uses the *shared* entry of the
 //! same index instead — one per stripe, so threads crowded onto the table
 //! (more live threads than entries, or entries still held by threads that
@@ -196,14 +196,6 @@ impl Claim {
                 .compare_exchange(0, token, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok(),
             _ => false,
-        }
-    }
-
-    /// Gives the entry up if the calling thread holds it: one store of 0
-    /// (Release, so the next claimant sees what this holder left).
-    pub fn release(&self) {
-        if self.held() {
-            self.owner.store(0, Ordering::Release);
         }
     }
 

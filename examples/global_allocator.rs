@@ -1,4 +1,4 @@
-//! Using the cached NBBS facade as the program's global allocator.
+//! Using the cached NBBS buddy as the program's global allocator.
 //!
 //! Run with:
 //! ```text
@@ -6,8 +6,9 @@
 //! ```
 //!
 //! The program's `#[global_allocator]` is `nbbs_alloc::NbbsGlobalAlloc` —
-//! the full stack of this reproduction (lock-free buddy tree → per-thread
-//! magazine cache → layout-aware facade).  Every `Vec`, `String` and
+//! the shipped stack of this reproduction (the shell → per-thread magazine
+//! cache → lock-free buddy tree, every call one class-table read and one
+//! visit to the thread's cache slot).  Every `Vec`, `String` and
 //! `HashMap` below is buddy memory; over-aligned requests are served by
 //! rounding to `max(size, align)` (power-of-two blocks are naturally
 //! aligned); `realloc` resolves in place whenever the new layout names the
@@ -17,7 +18,7 @@
 //!
 //! The burst at the end races 8 threads through direct `GlobalAlloc`
 //! calls — all released by one barrier, so the first allocations race the
-//! adapter's region construction.  The facade's `OnceLock` first touch
+//! adapter's region construction.  The shell's `OnceLock` first touch
 //! keeps the whole burst in the buddy, over-aligned requests included.
 
 use std::alloc::{GlobalAlloc, Layout};
@@ -118,15 +119,15 @@ fn main() {
     let mut grower: Vec<u8> = Vec::with_capacity(100); // granted 128 bytes
     grower.extend(std::iter::repeat_n(0xA5u8, 100));
     grower.reserve_exact(128 - 100); // still inside the granted block
-    let facade = GLOBAL
+    let served = GLOBAL
         .metrics()
         .facade
-        .expect("facade is live once anything allocated");
+        .expect("the shares are live once anything allocated");
     println!(
         "realloc behaviour so far: {} grows in place, {} moved ({:.0}% in place)",
-        facade.grows_in_place,
-        facade.grows_moved,
-        facade.grow_in_place_rate() * 100.0
+        served.grows_in_place,
+        served.grows_moved,
+        served.grow_in_place_rate() * 100.0
     );
 
     // A deliberately huge allocation exceeds max_size and transparently
@@ -138,19 +139,16 @@ fn main() {
         GLOBAL.owns(big.as_ptr() as *mut u8)
     );
 
-    // A concurrent burst with over-aligned requests mixed in: the facade's
+    // A concurrent burst with over-aligned requests mixed in: the shell's
     // OnceLock first touch keeps the whole burst in the buddy even while
     // the losing first-touch threads race region construction.
-    let facade_share = burst_buddy_share(&GLOBAL, |p| GLOBAL.owns(p));
+    let share = burst_buddy_share(&GLOBAL, |p| GLOBAL.owns(p));
     println!("\nbytes-served-by-buddy share over an 8-thread burst (incl. over-aligned):");
-    println!(
-        "  cached facade (nbbs-alloc)   {:>7.3}%",
-        facade_share * 100.0
-    );
-    if facade_share > 0.99 {
-        println!("  -> the facade kept the whole burst in the buddy");
+    println!("  NbbsGlobalAlloc (nbbs-alloc)  {:>7.3}%", share * 100.0);
+    if share > 0.99 {
+        println!("  -> the shell kept the whole burst in the buddy");
     } else {
-        println!("  -> WARNING: expected the facade to keep the whole burst in the buddy");
+        println!("  -> WARNING: expected the shell to keep the whole burst in the buddy");
     }
 
     drop(map);

@@ -21,9 +21,7 @@
 //!
 //! 1. **balanced**: threads churn `Layout` allocations through
 //!    `NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>>`; the per-node
-//!    share table shows home-routing keeping traffic local (and the cache's
-//!    depot shards are partitioned per node, so parked chunks stay local
-//!    too);
+//!    share table shows home-routing keeping traffic local;
 //! 2. **skewed**: a `Pinned(0)` policy hammers node 0 until it overflows —
 //!    the remote-fallback counters make the spill visible.
 
@@ -32,8 +30,8 @@ use std::sync::Arc;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
-use nbbs_cache::{CacheConfig, MagazineCache, NodeOfFn};
-use nbbs_numa::{topology, NodePolicy, NodeSet, Topology};
+use nbbs_cache::MagazineCache;
+use nbbs_numa::{NodePolicy, NodeSet, Topology};
 use nbbs_workloads::rng::SplitMix64;
 
 const PER_NODE: usize = 8 << 20; // 8 MiB per "NUMA node"
@@ -73,30 +71,17 @@ fn main() {
     } else {
         nodes_arg
     };
-    // The process-wide topology backs the cache's node-group hook below.
-    topology::install_global(Topology::synthetic(nodes));
-
     // ---------------------------------------------------------------
-    // Scenario 1: balanced — the full stack.  Home-first routing through
-    // the facade; the magazine cache's depot shards are banked per node so
-    // cached chunks never migrate across the node boundary either.
+    // Scenario 1: balanced — the full stack, home-first routing through
+    // the facade.
     // ---------------------------------------------------------------
-    let cache = MagazineCache::with_config_and_name(
-        node_set(nodes, NodePolicy::HomeFirst),
-        CacheConfig {
-            node_groups: Some(nodes),
-            node_of: Some(NodeOfFn(nbbs_numa::current_node)),
-            ..CacheConfig::default()
-        },
-        "cached-numa-4lvl-nb",
-    );
+    let cache = MagazineCache::new(node_set(nodes, NodePolicy::HomeFirst));
     let facade = Arc::new(NbbsAllocator::new(cache));
     println!(
-        "facade over {} nodes x {} MiB, {} depot shard(s) in {} node bank(s)",
+        "facade over {} nodes x {} MiB, {} depot shard(s)",
         nodes,
         PER_NODE >> 20,
         facade.backend().depot_shard_count(),
-        facade.backend().node_group_count(),
     );
     let workers: Vec<_> = (0..threads)
         .map(|t| {

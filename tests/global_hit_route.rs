@@ -1,11 +1,11 @@
-//! The global shell's magazine hit route: a request whose class has a
-//! chunk in the calling thread's magazines goes from `NbbsGlobalAlloc`
-//! straight to the thread's cache slot, past the facade, and so does a
-//! `realloc` between two cached classes.  These tests pin down that the
-//! shortcut books everything the facade's route books — the requested and
-//! granted bytes, the realloc split, the cache's hit/miss tallies, the
-//! region's committed pages — that a recording build still takes the
-//! facade's route, and that the sized-free audit still runs on it.
+//! The global shell's one route: every call `NbbsGlobalAlloc` serves from
+//! the buddy resolves its class and goes to the calling thread's cache
+//! slot, a hit staying there and a miss going on to the depot and a refill.
+//! These tests pin down that the route books exactly what it serves — the
+//! requested and granted bytes, the realloc split, the cache's hit/miss
+//! tallies, the region's committed pages — that a recording build takes
+//! the same route and records every call, and that the sized-free audit
+//! runs on it.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +48,7 @@ fn built_under(vars: &[(&str, &str)]) -> NbbsGlobalAlloc {
     a
 }
 
-/// A shell built with nothing armed: its hits take the shortcut.
+/// A shell built with nothing armed.
 fn unarmed() -> NbbsGlobalAlloc {
     built_under(&[])
 }
@@ -100,15 +100,15 @@ fn churn_every_class(a: &NbbsGlobalAlloc) -> Asked {
     asked
 }
 
-/// The odometer and the cache tallies, read together.
+/// The served bytes and the cache tallies, read together.
 fn counts(a: &NbbsGlobalAlloc) -> (Asked, u64) {
     let metrics = a.metrics();
-    let facade = metrics.facade.expect("the shell has a facade");
+    let served = metrics.facade.expect("the shell reports its shares");
     let cache = metrics.cache.expect("the shell has a cache");
     let asked = Asked {
         allocations: cache.hits + cache.misses,
-        requested: facade.requested_bytes,
-        granted: facade.granted_bytes,
+        requested: served.requested_bytes,
+        granted: served.granted_bytes,
     };
     (asked, cache.hits)
 }
@@ -223,8 +223,11 @@ fn a_recording_build_records_every_call() {
             .map_or(0, |latency| latency.count)
     };
     let (allocs, frees) = (events(&a, OpKind::Alloc), events(&a, OpKind::Free));
+    let (before, hits_before) = counts(&a);
     let asked = churn_every_class(&a);
-    assert!(a.cache_stats().unwrap().hits > 0, "the churn hit");
+    let (after, hits_after) = counts(&a);
+    assert!(hits_after > hits_before, "an armed build hits the slot");
+    assert_eq!(after.allocations - before.allocations, asked.allocations);
     assert_eq!(events(&a, OpKind::Alloc) - allocs, asked.allocations);
     assert_eq!(events(&a, OpKind::Free) - frees, asked.allocations);
 }
@@ -244,7 +247,7 @@ fn a_free_under_another_class_fails_the_audit_on_the_hit_route() {
     }
 }
 
-/// The facade's realloc split and requested bytes, read together.
+/// The realloc split and requested bytes, read together.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct Resized {
     grows_in_place: u64,
@@ -255,13 +258,13 @@ struct Resized {
 }
 
 fn resized(a: &NbbsGlobalAlloc) -> Resized {
-    let facade = a.metrics().facade.expect("the shell has a facade");
+    let served = a.metrics().facade.expect("the shell reports its shares");
     Resized {
-        grows_in_place: facade.grows_in_place,
-        grows_moved: facade.grows_moved,
-        shrinks_in_place: facade.shrinks_in_place,
-        shrinks_moved: facade.shrinks_moved,
-        requested: facade.requested_bytes,
+        grows_in_place: served.grows_in_place,
+        grows_moved: served.grows_moved,
+        shrinks_in_place: served.shrinks_in_place,
+        shrinks_moved: served.shrinks_moved,
+        requested: served.requested_bytes,
     }
 }
 
@@ -394,7 +397,7 @@ fn reallocs_across_every_class_boundary_keep_contents_and_count_exactly() {
 }
 
 #[test]
-fn a_realloc_into_empty_magazines_goes_to_the_facade_and_succeeds() {
+fn a_realloc_into_empty_magazines_refills_and_succeeds() {
     let a = unarmed();
     let small = Layout::from_size_align(100, 8).unwrap();
     let big = 4 << 10;
@@ -440,7 +443,7 @@ fn over_aligned_layouts_keep_their_alignment_through_realloc() {
         let (p, page) = realloc_checked(&a, p, page, 16, &mut expect);
         a.dealloc(p, page);
         assert_eq!(resized(&a) - before, expect);
-        // Past the largest class: the facade sends it to `System`, and
+        // Past the largest class: the shell sends it to `System`, and
         // nothing is counted.
         let huge = Layout::from_size_align(64, 2 * LARGEST).unwrap();
         let before = resized(&a);
@@ -473,6 +476,7 @@ fn a_recording_build_records_every_realloc() {
     };
     churn_every_class(&a);
     let (grows, shrinks) = (events(&a, OpKind::Grow), events(&a, OpKind::Shrink));
+    let hits = a.cache_stats().unwrap().hits;
     let before = resized(&a);
     let mut expect = Resized::default();
     let layout = Layout::from_size_align(40, 8).unwrap();
@@ -490,4 +494,8 @@ fn a_recording_build_records_every_realloc() {
     assert_eq!(events(&a, OpKind::Grow) - grows, 2);
     assert_eq!(events(&a, OpKind::Shrink) - shrinks, 2);
     assert_eq!(resized(&a) - before, expect);
+    assert!(
+        a.cache_stats().unwrap().hits >= hits + 3,
+        "the allocation and both moves hit the slot"
+    );
 }
