@@ -32,9 +32,13 @@ pub enum ScanPolicy {
     /// concurrent allocations of the same size (used by the scan-start
     /// ablation).
     FirstFit,
-    /// Scans start from a per-thread scattered position (hash of the thread
-    /// id) and wrap around the level.  This is the paper's recommendation and
-    /// the default.
+    /// Scans start from a per-thread point in the span and wrap around the
+    /// level.  The point is seeded from a hash of a per-thread counter, so
+    /// threads start far apart, and each grant moves it to the end of the
+    /// granted block, so one thread's grants of any size stay together (a
+    /// scan that lost a node to another thread moves it a seed step
+    /// further, so threads that meet part again).  This is the paper's
+    /// recommendation and the default.
     #[default]
     Scattered,
 }

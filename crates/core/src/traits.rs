@@ -334,7 +334,9 @@ pub trait BuddyBackend: Send + Sync {
     /// [`OccupancySnapshot`]: claim the quiescent block, release its
     /// physical frames, free it back.  A targeted claim (rather than an
     /// anonymous `alloc(size)`) is what gives the scrubber full coverage —
-    /// the scan cursors would keep handing it the block it just freed —
+    /// an anonymous grant takes whichever free block follows the calling
+    /// thread's scan point, so it could not aim at the snapshot's blocks,
+    /// and it would move the point that thread's next grants start from —
     /// and a stale snapshot entry fails harmlessly: the claim is the same
     /// CAS protocol as allocation, so it refuses any block that gained an
     /// occupant since the walk.  Backends without a status tree keep the

@@ -38,44 +38,93 @@ use crate::stats::{OpStats, OpStatsSnapshot};
 use crate::status::is_occupied;
 use crate::traits::{BuddyBackend, TreeInspect};
 
-/// Per-thread scan cursor.
+/// Per-thread scan cursor: one point in the span, whatever the level.
 ///
-/// Concurrent allocations bound to the same level start probing from
-/// scattered positions (§III-B): the cursor is seeded from a hash of a
-/// monotone thread counter, so threads start far apart.  It is additionally
-/// advanced past every successful allocation so that a thread does not
-/// rescan the run of chunks it just occupied — without this the level scan
-/// degenerates to quadratic cost in batch-allocation patterns such as the
-/// Thread Test benchmark.
+/// Concurrent allocations start probing from scattered positions (§III-B):
+/// each thread's point is seeded from the high bits of the Fibonacci hash
+/// of a monotone thread counter, so consecutive threads start a
+/// golden-ratio fraction of the span apart (never less than a quarter).
+/// The point is a 64-bit fraction of the span, not a node: a scan at level
+/// `L` starts at the first node of `L` whose chunk starts at or after it,
+/// and a grant moves it to the end of the granted block.  So a thread's
+/// grants follow one another in address space across size classes, and a
+/// thread does not rescan the run of chunks it just occupied — without
+/// this the level scan degenerates to quadratic cost in batch-allocation
+/// patterns such as the Thread Test benchmark.
+///
+/// Two points that meet would march on together, each thread taking the
+/// node after the other's, so a scan that lost a node to another thread
+/// (its `TRYALLOC` failed on the very node it had read free) moves its
+/// point one seed step past the block's end instead: the threads part
+/// again by the golden ratio.  A lone thread never loses a node, so its
+/// grants stay together.
 mod scan_cursor {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    static NEXT_SEED: AtomicUsize = AtomicUsize::new(0);
+    /// Marks a thread that has not scanned yet.  A seed can equal it only
+    /// after 2^64 threads, and no point a grant leaves does (its low 34
+    /// bits are those of 0 or of `STEP`).
+    const UNSEEDED: u64 = u64::MAX;
+
+    static NEXT_SEED: AtomicU64 = AtomicU64::new(0);
     thread_local! {
-        static CURSOR: Cell<usize> = const { Cell::new(usize::MAX) };
+        static POINT: Cell<u64> = const { Cell::new(UNSEEDED) };
     }
 
-    /// Current cursor value for the calling thread (seeding it on first use).
+    /// The golden ratio's fraction of the span: the step between two
+    /// consecutive threads' seeds.
+    pub(super) const STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    /// The point of the `raw`-th thread: the Fibonacci hash of `raw`,
+    /// whose high bits step by the golden ratio's fraction of the span.
     #[inline]
-    pub(super) fn get() -> usize {
-        CURSOR.with(|s| {
-            let mut v = s.get();
-            if v == usize::MAX {
-                // Fibonacci hashing of a monotone thread counter spreads
-                // starting points uniformly over any level width.
-                let raw = NEXT_SEED.fetch_add(1, Ordering::Relaxed);
-                v = raw.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                s.set(v);
+    pub(super) fn seed(raw: u64) -> u64 {
+        raw.wrapping_mul(STEP)
+    }
+
+    /// The calling thread's point (seeding it on first use).
+    #[inline]
+    pub(super) fn point() -> u64 {
+        POINT.with(|p| {
+            let mut v = p.get();
+            if v == UNSEEDED {
+                v = seed(NEXT_SEED.fetch_add(1, Ordering::Relaxed));
+                p.set(v);
             }
             v
         })
     }
 
-    /// Moves the calling thread's cursor just past the node it last reserved.
+    /// Sets the calling thread's point.
     #[inline]
-    pub(super) fn advance_past(node: usize) {
-        CURSOR.with(|s| s.set(node + 1));
+    pub(super) fn set(point: u64) {
+        POINT.with(|p| p.set(point));
+    }
+
+    /// Position of the first node of `level` whose chunk starts at or
+    /// after `point`, wrapping to 0 past the level's last node.
+    #[inline]
+    pub(super) fn start_position(point: u64, level: u32) -> usize {
+        // ceil(point · 2^level / 2^64), then mod 2^level.
+        let position = ((u128::from(point) << level) + u128::from(u64::MAX)) >> 64;
+        position as usize & ((1usize << level) - 1)
+    }
+
+    /// The point at the end of the node at `position` of `level` (0 past
+    /// the level's last node).
+    #[inline]
+    pub(super) fn end_of(position: usize, level: u32) -> u64 {
+        (((position as u128 + 1) << 64) >> level) as u64
+    }
+
+    /// Moves the calling thread's point past the node at `position` of
+    /// `level` it was just granted: to the block's end, and one seed step
+    /// further if the scan lost a node to another thread on the way.
+    #[inline]
+    pub(super) fn advance_past(position: usize, level: u32, raced: bool) {
+        let end = end_of(position, level);
+        set(if raced { end.wrapping_add(STEP) } else { end });
     }
 }
 
@@ -214,7 +263,9 @@ impl<S: NodeStore> BuddyTree<S> {
         let count = self.geo.nodes_at_level(level);
         let start = match self.scan_policy {
             ScanPolicy::FirstFit => first,
-            ScanPolicy::Scattered => first + (scan_cursor::get() % count),
+            ScanPolicy::Scattered => {
+                first + scan_cursor::start_position(scan_cursor::point(), level)
+            }
         };
 
         // Scan [start, first + count) and then wrap to [first, start).
@@ -239,8 +290,9 @@ impl<S: NodeStore> BuddyTree<S> {
     /// descriptor or when the block gained an occupant since it was
     /// observed (the claim is the ordinary `TRYALLOC` CAS protocol, so a
     /// stale target simply fails).  On success the caller owns the block as
-    /// if `alloc(size)` had returned it.  The scan cursor is deliberately
-    /// not advanced: maintenance claims must not perturb placement.
+    /// if `alloc(size)` had returned it.  The thread's scan point is
+    /// deliberately left where it was: maintenance claims must not perturb
+    /// placement.
     pub fn claim_block(&self, offset: usize, size: usize) -> bool {
         let Some(n) = self.node_of_block(offset, size) else {
             return false;
@@ -315,6 +367,7 @@ impl<S: NodeStore> BuddyTree<S> {
     /// including the sub-tree skip after a failed `TRYALLOC`.
     fn scan_range(&self, level: u32, from: usize, to: usize) -> Option<usize> {
         let mut i = from;
+        let mut raced = false;
         while i < to {
             if self.store.is_free(i) {
                 match self.store.try_alloc_node(i, &self.stats) {
@@ -322,15 +375,19 @@ impl<S: NodeStore> BuddyTree<S> {
                         let offset = self.geo.offset_of(i);
                         self.record_grant(i, offset, self.geo.size_of_level(level));
                         if self.scan_policy == ScanPolicy::Scattered {
-                            scan_cursor::advance_past(i);
+                            scan_cursor::advance_past(i - (1 << level), level, raced);
                         }
                         return Some(offset);
                     }
                     Err(failed_at) => {
                         // Skip the whole subtree rooted at the conflicting
                         // ancestor (lines A18–A19): the next candidate at this
-                        // level is the first node outside that subtree.
+                        // level is the first node outside that subtree.  A
+                        // failure at `i` itself, which read free, means
+                        // another thread is at work there: it took the node
+                        // first, or a release below it is still in flight.
                         self.stats.record_skip(1);
+                        raced |= failed_at == i;
                         let d = 1usize << (level - self.geo.level_of(failed_at));
                         i = (failed_at + 1) * d;
                         continue;
@@ -775,6 +832,232 @@ pub(crate) mod suite {
         }
     }
 
+    /// The shipped tree's geometry: 64 MiB of 32 B units, 64 KiB largest.
+    fn shipped<S: NodeStore>() -> BuddyTree<S> {
+        buddy::<S>(64 << 20, 32, 64 << 10)
+    }
+
+    /// The point at the start of the node at `position` of `level`.
+    fn start_of(position: u64, level: u32) -> u64 {
+        ((u128::from(position) << 64) >> level) as u64
+    }
+
+    /// Position of the first node of `level` at or after `point`, wrapping
+    /// to 0: the rule the scan must follow, written by division.
+    fn first_at_or_after(point: u64, level: u32) -> usize {
+        let position = u128::from(point).div_ceil((1u128 << 64) >> level);
+        (position % (1u128 << level)) as usize
+    }
+
+    /// Circular distance between two offsets of a span of `total` bytes.
+    fn circular_distance(a: usize, b: usize, total: usize) -> usize {
+        let d = a.abs_diff(b);
+        d.min(total - d)
+    }
+
+    pub(crate) fn the_scan_starts_at_the_first_node_at_or_after_the_point<S: NodeStore>() {
+        let b = shipped::<S>();
+        let g = *b.geometry();
+        for level in 0..=g.depth() {
+            let last = (1u64 << level) - 1;
+            // Not `u64::MAX`: that value marks an unseeded thread, and no
+            // block's end is it.
+            let mut points = vec![0, 1, 1 << 63, (1 << 63) - 1, u64::MAX - 1];
+            points.extend([1, 2, 12_345].map(scan_cursor::seed));
+            for position in [1, last / 3, last] {
+                let at = start_of(position, level);
+                points.extend([at.saturating_sub(1), at, at + 1]);
+            }
+            for point in points {
+                let position = first_at_or_after(point, level);
+                assert_eq!(
+                    scan_cursor::start_position(point, level),
+                    position,
+                    "level {level}, point {point:#x}"
+                );
+                if level < g.max_level() {
+                    continue;
+                }
+                // The tree is empty, so the scan takes the node it starts at
+                // and moves the point to that node's end.
+                scan_cursor::set(point);
+                let offset = b.alloc_at_level(level).unwrap();
+                assert_eq!(offset, position * g.size_of_level(level), "level {level}");
+                assert_eq!(scan_cursor::point(), start_of(position as u64 + 1, level));
+                b.dealloc(offset);
+            }
+        }
+        assert_clean(&b);
+    }
+
+    pub(crate) fn advancing_past_a_levels_last_node_wraps_to_position_0<S: NodeStore>() {
+        let b = shipped::<S>();
+        let g = *b.geometry();
+        for level in 0..=g.depth() {
+            let last = g.nodes_at_level(level) - 1;
+            assert_eq!(scan_cursor::end_of(last, level), 0, "level {level}");
+            assert_eq!(scan_cursor::start_position(0, level), 0);
+            if level < g.max_level() {
+                continue;
+            }
+            scan_cursor::set(start_of(last as u64, level));
+            let tail = b.alloc_at_level(level).unwrap();
+            assert_eq!(tail, g.total_memory() - g.size_of_level(level));
+            assert_eq!(scan_cursor::point(), 0, "level {level}");
+            let head = b.alloc_at_level(level).unwrap();
+            assert_eq!(head, 0, "level {level}");
+            b.dealloc(tail);
+            b.dealloc(head);
+        }
+        assert_clean(&b);
+    }
+
+    pub(crate) fn consecutive_seeds_start_a_quarter_of_the_span_apart<S: NodeStore>() {
+        let b = shipped::<S>();
+        let g = *b.geometry();
+        let total = g.total_memory();
+        for level in g.max_level()..=g.depth() {
+            let mut starts = (0..32u64).map(|raw| {
+                scan_cursor::set(scan_cursor::seed(raw));
+                let offset = b.alloc_at_level(level).unwrap();
+                b.dealloc(offset);
+                offset
+            });
+            let mut previous = starts.next().unwrap();
+            for start in starts {
+                let apart = circular_distance(previous, start, total);
+                assert!(apart >= total / 4, "level {level}: {previous} and {start}");
+                previous = start;
+            }
+        }
+        assert_clean(&b);
+    }
+
+    /// A scan that lost a node to another thread moves its point one seed
+    /// step past its block's end, so its next grant lands at least a
+    /// quarter of the span from where the two threads met.
+    pub(crate) fn a_scan_that_lost_a_node_moves_a_seed_step_on<S: NodeStore>() {
+        let b = shipped::<S>();
+        let g = *b.geometry();
+        let total = g.total_memory();
+        for level in g.max_level()..=g.depth() {
+            let position = g.nodes_at_level(level) / 3;
+            let end = scan_cursor::end_of(position, level);
+            scan_cursor::advance_past(position, level, false);
+            assert_eq!(scan_cursor::point(), end, "level {level}");
+            scan_cursor::advance_past(position, level, true);
+            assert_eq!(scan_cursor::point(), end.wrapping_add(scan_cursor::STEP));
+            let next = b.alloc_at_level(level).unwrap();
+            let met = (position + 1) * g.size_of_level(level);
+            assert!(
+                circular_distance(next, met, total) >= total / 4,
+                "level {level}: {next} after meeting at {met}"
+            );
+            b.dealloc(next);
+        }
+        assert_clean(&b);
+    }
+
+    pub(crate) fn a_coarser_request_starts_after_the_grants_end<S: NodeStore>() {
+        let b = shipped::<S>();
+        let g = *b.geometry();
+        let total = g.total_memory();
+        let unit = g.min_size();
+        // A unit inside the span and the span's last unit (whose end wraps).
+        let last_unit = start_of((total / unit - 1) as u64, g.depth());
+        for point in [scan_cursor::seed(7), last_unit] {
+            for level in g.max_level()..g.depth() {
+                scan_cursor::set(point);
+                let fine = b.alloc(unit).unwrap();
+                let coarse = b.alloc_at_level(level).unwrap();
+                let size = g.size_of_level(level);
+                assert_eq!(
+                    coarse,
+                    (fine + unit).next_multiple_of(size) % total,
+                    "level {level}, after the unit at {fine}"
+                );
+                b.dealloc(fine);
+                b.dealloc(coarse);
+            }
+        }
+        assert_clean(&b);
+    }
+
+    /// One thread cycling through the size classes keeps its grants close
+    /// together: the smallest circular window of the span holding all of
+    /// them is at most twice the bytes they were granted.
+    pub(crate) fn one_threads_grants_stay_together_across_size_classes<S: NodeStore>() {
+        let b = shipped::<S>();
+        let total = b.geometry().total_memory();
+        let mut grants: Vec<(usize, usize)> = (0..2_000)
+            .map(|i| {
+                let request = 16usize << (i % 9);
+                let granted = b.geometry().granted_size(request).unwrap();
+                (b.alloc(request).unwrap(), granted)
+            })
+            .collect();
+        grants.sort_unstable();
+        let granted: usize = grants.iter().map(|&(_, size)| size).sum();
+        let (first, _) = grants[0];
+        let (last, last_size) = grants[grants.len() - 1];
+        let widest_gap = grants
+            .windows(2)
+            .map(|w| w[1].0 - (w[0].0 + w[0].1))
+            .chain([first + total - (last + last_size)])
+            .max()
+            .unwrap();
+        let window = total - widest_gap;
+        assert!(
+            window <= 2 * granted,
+            "{granted} B granted across a {window} B window"
+        );
+        for (offset, _) in grants {
+            b.dealloc(offset);
+        }
+        assert_clean(&b);
+    }
+
+    /// One thread churning at about 60 % occupancy finds a free node within
+    /// two skips per allocation on average: its scans start where its last
+    /// grant ended, whatever the size class.  It holds 4 096 blocks of 4, 8
+    /// or 16 KiB on a 64 MiB tree of 4 KiB units (the benchmark's
+    /// `tree-direct` geometry and sizes) and replaces a random one of them
+    /// 20 000 times.
+    #[cfg(feature = "op-stats")]
+    pub(crate) fn a_churning_thread_skips_at_most_two_nodes_per_allocation<S: NodeStore>() {
+        fn xorshift(state: &mut u64) -> u64 {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            *state
+        }
+        let b = buddy::<S>(64 << 20, 4 << 10, 64 << 10);
+        let mut rng = 0x2545_F491_4F6C_DD1D;
+        let size = |rng: &mut u64| (4 << 10) << (xorshift(rng) % 3);
+        scan_cursor::set(scan_cursor::seed(1));
+        let mut live: Vec<usize> = (0..4096)
+            .map(|_| b.alloc(size(&mut rng)).unwrap())
+            .collect();
+        let before = b.op_stats();
+        for _ in 0..20_000 {
+            let slot = xorshift(&mut rng) as usize % live.len();
+            b.dealloc(live[slot]);
+            live[slot] = b.alloc(size(&mut rng)).unwrap();
+        }
+        let after = b.op_stats();
+        let allocs = after.allocs - before.allocs;
+        let skipped = after.nodes_skipped - before.nodes_skipped;
+        let per_alloc = skipped as f64 / allocs as f64;
+        assert!(
+            per_alloc <= 2.0,
+            "{skipped} nodes skipped in {allocs} allocations ({per_alloc:.2} each)"
+        );
+        for offset in live {
+            b.dealloc(offset);
+        }
+        assert_clean(&b);
+    }
+
     pub(crate) fn first_fit_packs_from_the_left<S: NodeStore>() {
         let b = buddy_first_fit::<S>(1024, 64, 1024);
         let a = b.alloc(64).unwrap();
@@ -1006,6 +1289,12 @@ pub(crate) mod suite {
                 try_alloc_reports_reason,
                 alloc_at_level_matches_order_semantics,
                 scattered_scan_still_finds_last_free_chunk,
+                the_scan_starts_at_the_first_node_at_or_after_the_point,
+                advancing_past_a_levels_last_node_wraps_to_position_0,
+                consecutive_seeds_start_a_quarter_of_the_span_apart,
+                a_scan_that_lost_a_node_moves_a_seed_step_on,
+                a_coarser_request_starts_after_the_grants_end,
+                one_threads_grants_stay_together_across_size_classes,
                 first_fit_packs_from_the_left,
                 mixed_size_workload_settles_clean,
                 concurrent_allocations_never_overlap,
@@ -1017,6 +1306,10 @@ pub(crate) mod suite {
                 index_names_every_node_of_every_level,
                 a_scrub_run_frees_its_blocks_and_drops_its_index_pages,
                 debug_output_mentions_sizes
+            );
+            #[cfg(feature = "op-stats")]
+            $crate::tree::suite::instantiate!($store:
+                a_churning_thread_skips_at_most_two_nodes_per_allocation
             );
         };
         ($store:ty: $($name:ident),*) => {
