@@ -10,11 +10,11 @@
 //!
 //! ## Bunch representation
 //!
-//! A bunch rooted at a node of level `4k` covers levels `4k ..= min(4k+3, depth)`
-//! — up to 15 nodes, of which only the (at most) 8 nodes of the *lowest*
-//! covered level are physically stored, 5 status bits each (40 bits total) in
-//! one `AtomicU64` (Figure 7).  The state of the internal in-bunch nodes is
-//! *derived* from the stored ones (Figure 6):
+//! A bunch covers up to four consecutive levels — up to 15 nodes, of which
+//! only the (at most) 8 nodes of the *lowest* covered level are physically
+//! stored, 5 status bits each (40 bits total) in one `AtomicU64` (Figure 7).
+//! The state of the internal in-bunch nodes is *derived* from the stored
+//! ones (Figure 6):
 //!
 //! * a node's left/right **partial occupancy** is the OR of the occupancy
 //!   bits of the stored nodes below that branch;
@@ -31,6 +31,23 @@
 //!   bunch (the parent of the current bunch's root), i.e. one CAS every four
 //!   levels;
 //! * nothing is ever written for in-bunch internal nodes.
+//!
+//! **Reproduction note: the bunches are bottom-aligned.**  The bunches are
+//! §III-D's, but their roots sit at the levels `r ≡ depth + 1 (mod 4)`, so
+//! the lowest bunch of every path ends at the leaves, and the levels left
+//! over at the top, `(depth + 1) % 4` of them, form a partial bunch at the
+//! root (a full one when that is 0).  Rooting them at levels 0, 4, 8, …
+//! instead leaves the partial bunch at the leaves: on the shipped 64 MiB /
+//! 32 B tree (depth 21) its words hold two leaves each, so the layer of
+//! 2^20 words is most of the 1 118 481 words (8.5 MiB) reserved, and 4 MiB
+//! of packed 32 B blocks write 560 KiB of words.  Bottom-aligned, the
+//! leaves are stored eight to a word: 279 621 words (2.1 MiB), 148 KiB for
+//! the same blocks, and no level's grant crosses more bunch boundaries
+//! than before.  The price falls on the classes whose level now roots a
+//! larger layer (128/256 B and 2/4 KiB on the shipped tree), which write
+//! more word pages per byte packed; small blocks dominate what the shipped
+//! stack asks of the tree, so the layout follows them.  A leaf-layer word
+//! page covers 128 KiB of arena there, the same as an `index[]` page.
 //!
 //! [`NbbsFourLevel`] is the shared shell ([`BuddyTree`]: Algorithm 1 /
 //! `NBALLOC`, `NBFREE`, `index[]`) over [`BunchStore`].  This file holds
@@ -115,21 +132,23 @@
 //!
 //! Under `--cfg nbbs_model` the bunch words below (and the shell's
 //! `index[]`) become shadow atomics and the `nbbs-model` crate enumerates every SC interleaving of these
-//! accesses for 2–3 threads over the minimal non-degenerate geometry (two
-//! leaves sharing a bunch word, one boundary into the root word):
-//! release/release and release/allocate are exhaustively clean (88 / 29
-//! sleep-set-distinct schedules; pruning cross-validated by a 36,300-run
-//! unpruned sweep), and release/release/allocate is clean exhaustively
-//! (32,600 sleep-set-distinct schedules, one-time run) and under a sound
-//! preemption-bound-3 search (19,864 schedules, no pruning) on every push
-//! — while the same bounded search run against either historical bug (the
-//! PR-1 early-break or the `unmark` exclusion) produces a replayable
-//! witness within the first ~1,300 schedules.  (While the gauge was one
-//! word the three pruned counts read 176, 58 and 195,600: every thread's
-//! closing RMW then conflicted with every other's, and the sleep sets had
-//! to explore all 2! or 3! orders of them.  On stripes of their own they
-//! are independent and one order stands for all; the unpruned and the
-//! bounded counts, which do not look at addresses, did not move.)
+//! accesses for 2–3 threads over a minimal one-boundary geometry (a
+//! depth-5 tree: eight leaves sharing a bunch word, one boundary into the
+//! two-level root word): release/release and release/allocate are
+//! exhaustively clean (88 / 29 sleep-set-distinct schedules; pruning
+//! cross-validated by a 36,300-run unpruned sweep), and
+//! release/release/allocate is clean under a sound preemption-bound-3
+//! search (19,414 schedules, no pruning) on every push, and was clean
+//! exhaustively on the root-aligned layout (32,600 schedules, one-time
+//! run).  Re-injected, the `unmark` exclusion yields a replayable witness
+//! at schedule 1,300 of the bounded search and the PR-1 early break at
+//! schedule 6 of the exhaustive release/release search.  (While the
+//! gauge was one word the three pruned counts read 176, 58 and 195,600:
+//! every thread's closing RMW then conflicted with every other's, and the
+//! sleep sets had to explore all 2! or 3! orders of them.  On stripes of
+//! their own they are independent and one order stands for all; the
+//! unpruned and the bounded counts, which do not look at addresses, did
+//! not move.)
 
 // Under `--cfg nbbs_model` the bunch words become *shadow* atomics (same API,
 // every access a scheduler yield point) so the `nbbs-model` crate can
@@ -161,15 +180,15 @@ pub const BUNCH_LEVELS: u32 = 4;
 /// is precomputed once at construction time.
 #[derive(Debug, Clone, Copy)]
 struct LevelParams {
-    /// In-bunch depth of the level (`level % 4`): shift from a node to its
-    /// bunch root.
+    /// In-bunch depth of the level (`level - root_level`): shift from a node
+    /// to its bunch root.
     to_root: u32,
     /// Shift from a node to its first stored descendant (`floor - level`).
     span: u32,
     /// Shift from the bunch root to the stored level (`floor - root_level`).
     root_to_floor: u32,
-    /// `word_offset[root_level / 4] - 2^root_level`, so that the word index
-    /// of a bunch root `r` is simply `word_base + r`.
+    /// Index of the layer's first word minus `2^root_level`, so that the
+    /// word index of a bunch root `r` is simply `word_base + r`.
     word_base: isize,
 }
 
@@ -180,8 +199,6 @@ struct LevelParams {
 #[derive(Debug, Clone)]
 pub struct BunchGeometry {
     geo: Geometry,
-    /// `word_offset[k]` = index of the first word of bunches rooted at level `4k`.
-    word_offset: Vec<usize>,
     /// Total number of bunch words.
     word_count: usize,
     /// Precomputed per-level constants, indexed by tree level.
@@ -189,34 +206,40 @@ pub struct BunchGeometry {
 }
 
 impl BunchGeometry {
-    /// Builds the bunch layout for the given tree geometry.
+    /// Builds the bunch layout for the given tree geometry: full bunches
+    /// rooted at every level `r` with `r ≡ depth + 1 (mod 4)`, so the lowest
+    /// one stores the leaves, and a top bunch at level 0 holding the
+    /// `(depth + 1) % 4` levels left above them (a full bunch when that is
+    /// 0).  Each layer of bunch roots owns a contiguous run of words, the
+    /// root word first.
     pub fn new(geo: Geometry) -> Self {
-        let mut word_offset = Vec::new();
-        let mut acc = 0usize;
+        let top = (geo.depth() + 1) % BUNCH_LEVELS;
+        let mut word_count = 0usize;
         let mut root_level = 0u32;
-        while root_level <= geo.depth() {
-            word_offset.push(acc);
-            acc += 1usize << root_level;
-            root_level += BUNCH_LEVELS;
-        }
+        let mut word_base = 0isize;
         let levels = (0..=geo.depth())
             .map(|level| {
-                let to_root = level % BUNCH_LEVELS;
-                let root_level = level - to_root;
-                let floor = (root_level + BUNCH_LEVELS - 1).min(geo.depth());
+                if level == 0 || (level >= top && (level - top).is_multiple_of(BUNCH_LEVELS)) {
+                    root_level = level;
+                    word_base = word_count as isize - (1isize << level);
+                    word_count += 1usize << level;
+                }
+                let floor = if root_level < top {
+                    top - 1
+                } else {
+                    root_level + BUNCH_LEVELS - 1
+                };
                 LevelParams {
-                    to_root,
+                    to_root: level - root_level,
                     span: floor - level,
                     root_to_floor: floor - root_level,
-                    word_base: word_offset[(root_level / BUNCH_LEVELS) as usize] as isize
-                        - (1isize << root_level),
+                    word_base,
                 }
             })
             .collect();
         BunchGeometry {
             geo,
-            word_offset,
-            word_count: acc,
+            word_count,
             levels,
         }
     }
@@ -236,33 +259,28 @@ impl BunchGeometry {
     /// Level of the root of the bunch containing a node at `level`.
     #[inline]
     pub fn bunch_root_level(&self, level: u32) -> u32 {
-        level - (level % BUNCH_LEVELS)
+        level - self.levels[level as usize].to_root
     }
 
     /// Root node of the bunch containing node `n`.
     #[inline]
     pub fn bunch_root(&self, n: usize) -> usize {
-        let level = self.geo.level_of(n);
-        n >> (level % BUNCH_LEVELS)
+        n >> self.levels[self.geo.level_of(n) as usize].to_root
     }
 
-    /// Level whose nodes are physically stored for the bunch rooted at
-    /// `root_level` (the bunch's lowest covered level).
+    /// Level whose nodes are physically stored for the bunch containing a
+    /// node at `level` (the bunch's lowest covered level).
     #[inline]
-    pub fn floor_level(&self, root_level: u32) -> u32 {
-        (root_level + BUNCH_LEVELS - 1).min(self.geo.depth())
+    pub fn floor_level(&self, level: u32) -> u32 {
+        level + self.levels[level as usize].span
     }
 
     /// Index of the bunch word for the bunch rooted at node `root`.
     #[inline]
     pub fn word_of_root(&self, root: usize) -> usize {
-        let root_level = self.geo.level_of(root);
-        debug_assert_eq!(
-            root_level % BUNCH_LEVELS,
-            0,
-            "node {root} is not a bunch root"
-        );
-        self.word_offset[(root_level / BUNCH_LEVELS) as usize] + (root - (1usize << root_level))
+        let p = self.levels[self.geo.level_of(root) as usize];
+        debug_assert_eq!(p.to_root, 0, "node {root} is not a bunch root");
+        (p.word_base + root as isize) as usize
     }
 
     /// Location of node `n` inside its bunch: `(word index, first slot,
@@ -599,11 +617,18 @@ impl NodeStore for BunchStore {
     /// on them covers.
     #[cfg(nbbs_model)]
     fn model_addr_labels(&self) -> Vec<(usize, String)> {
+        let bgeo = &self.bgeo;
+        // The first word of each layer of bunch roots, with the levels it covers.
+        let layers: Vec<(usize, u32, u32)> = (0..=bgeo.geo.depth())
+            .filter(|&level| bgeo.bunch_root_level(level) == level)
+            .map(|r| (bgeo.word_of_root(1 << r), r, bgeo.floor_level(r)))
+            .collect();
         let label = |(w, word): (usize, &AtomicU64)| {
-            // Recover the root level of the bunch this word belongs to.
-            let bucket = self.bgeo.word_offset.iter().rposition(|&off| off <= w);
-            let root_level = bucket.unwrap_or(0) as u32 * BUNCH_LEVELS;
-            let floor = self.bgeo.floor_level(root_level);
+            let &(_, root_level, floor) = layers
+                .iter()
+                .rev()
+                .find(|&&(first, ..)| first <= w)
+                .expect("word 0 is the root bunch's");
             (
                 word.model_addr(),
                 format!("word[{w}]@L{root_level}..{floor}"),
@@ -702,73 +727,126 @@ mod tests {
             let g = bg(8, 1);
             assert_eq!(g.word_count(), 1);
 
-            // depth 9: roots at levels 0, 4, 8.
+            // depth 9: a top bunch of levels 0..=1, then roots at levels 2, 6.
             let g = bg(512, 1);
-            assert_eq!(g.word_count(), 1 + 16 + 256);
+            assert_eq!(g.word_count(), 1 + 4 + 64);
+
+            // The shipped 64 MiB / 32 B tree (depth 21): roots at 0, 2, 6,
+            // 10, 14, 18, so the leaves are stored eight to a word.
+            let g = bg(64 << 20, 32);
+            assert_eq!(g.word_count(), 1 + 4 + 64 + 1024 + 16_384 + 262_144);
+            assert_eq!(g.word_count(), 279_621);
+
+            // 64 MiB / 4 KiB (depth 14): roots at 0, 3, 7, 11.
+            let g = bg(64 << 20, 4 << 10);
+            assert_eq!(g.word_count(), 2_185);
         }
 
         #[test]
         fn floor_level_clamps_to_depth() {
+            // The lowest bunch always ends at the leaves.
             let g = bg(128, 1); // depth 7
             assert_eq!(g.floor_level(0), 3);
             assert_eq!(g.floor_level(4), 7);
-            let g = bg(64, 1); // depth 6
-            assert_eq!(g.floor_level(4), 6);
+            let g = bg(64, 1); // depth 6: top bunch 0..=2, then 3..=6
+            assert_eq!(g.floor_level(0), 2);
+            assert_eq!(g.floor_level(2), 2);
+            assert_eq!(g.floor_level(3), 6);
+            assert_eq!(g.floor_level(5), 6);
             let g = bg(4, 1); // depth 2
             assert_eq!(g.floor_level(0), 2);
+            let g = bg(64 << 20, 32); // depth 21
+            assert_eq!(g.floor_level(0), 1);
+            assert_eq!(g.floor_level(2), 5);
+            assert_eq!(g.floor_level(18), 21);
         }
 
         #[test]
         fn locate_root_bunch_nodes() {
-            let g = bg(256, 1); // depth 8
-                                // Root bunch: root level 0, floor level 3 (8 stored nodes 8..15).
+            // depth 7: a full root bunch of levels 0..=3 (stored nodes 8..15).
+            let g = bg(128, 1);
             assert_eq!(g.locate(1), (0, 0, 8));
             assert_eq!(g.locate(2), (0, 0, 4));
             assert_eq!(g.locate(3), (0, 4, 4));
             assert_eq!(g.locate(7), (0, 6, 2));
             assert_eq!(g.locate(8), (0, 0, 1));
             assert_eq!(g.locate(15), (0, 7, 1));
+            // depth 8: the root bunch is level 0 alone.
+            let g = bg(256, 1);
+            assert_eq!(g.locate(1), (0, 0, 1));
         }
 
         #[test]
         fn locate_second_bunch_layer() {
-            let g = bg(256, 1); // depth 8: bunch roots at levels 0, 4, 8
-                                // Bunch rooted at node 16 (level 4): word 1, covers levels 4..=7.
-            assert_eq!(g.bunch_root(16), 16);
-            assert_eq!(g.locate(16), (1, 0, 8));
-            assert_eq!(g.bunch_root(17 << 3), 17);
-            assert_eq!(g.locate(17), (2, 0, 8));
-            // Node 16's children at level 5.
-            assert_eq!(g.locate(32), (1, 0, 4));
-            assert_eq!(g.locate(33), (1, 4, 4));
-            // Stored nodes of bunch 16 are level-7 nodes 128..=135.
-            assert_eq!(g.locate(128), (1, 0, 1));
-            assert_eq!(g.locate(135), (1, 7, 1));
-            // Level-8 nodes live in their own (partial) bunches below.
-            let (w, slot, width) = g.locate(256);
-            assert_eq!((slot, width), (0, 1));
-            assert!(w > 16);
+            // depth 8: bunch roots at levels 0, 1, 5.  The bunch rooted at
+            // node 2 (level 1) is word 1 and covers levels 1..=4.
+            let g = bg(256, 1);
+            assert_eq!(g.bunch_root(2), 2);
+            assert_eq!(g.locate(2), (1, 0, 8));
+            assert_eq!(g.bunch_root(24), 3);
+            assert_eq!(g.locate(3), (2, 0, 8));
+            // Node 2's children at level 2.
+            assert_eq!(g.locate(4), (1, 0, 4));
+            assert_eq!(g.locate(5), (1, 4, 4));
+            // Stored nodes of bunch 2 are level-4 nodes 16..=23.
+            assert_eq!(g.locate(16), (1, 0, 1));
+            assert_eq!(g.locate(23), (1, 7, 1));
+            assert_eq!(g.locate(24), (2, 0, 1));
+            // The leaves (level 8) are stored eight to a word in the bunches
+            // rooted at level 5, whose words follow.
+            assert_eq!(g.bunch_root(256), 32);
+            assert_eq!(g.word_of_root(32), 3);
+            assert_eq!(g.locate(256), (3, 0, 1));
+            assert_eq!(g.locate(263), (3, 7, 1));
+            assert_eq!(g.locate(264), (4, 0, 1));
+            assert_eq!(g.locate(511), (34, 7, 1));
+            assert_eq!(g.word_count(), 35);
         }
 
         #[test]
-        fn partial_bottom_bunches() {
-            let g = bg(64, 1); // depth 6: bunch roots at 0 and 4; floor(4) = 6
-                               // A bunch rooted at level 4 stores the level-6 nodes (4 of them).
-            assert_eq!(g.locate(16), (1, 0, 4));
+        fn partial_top_bunch() {
+            let g = bg(64, 1); // depth 6: top bunch 0..=2 stores the 4 level-2 nodes
+            assert_eq!(g.locate(1), (0, 0, 4));
+            assert_eq!(g.locate(2), (0, 0, 2));
+            assert_eq!(g.locate(4), (0, 0, 1));
+            assert_eq!(g.locate(7), (0, 3, 1));
+            // Below it, full bunches rooted at level 3 store the leaves.
+            assert_eq!(g.locate(8), (1, 0, 8));
             assert_eq!(g.locate(64), (1, 0, 1));
-            assert_eq!(g.locate(67), (1, 3, 1));
-            assert_eq!(g.locate(17), (2, 0, 4));
+            assert_eq!(g.locate(71), (1, 7, 1));
+            assert_eq!(g.locate(9), (2, 0, 8));
+            let g = bg(1 << 12, 1); // depth 12: the top bunch is the root alone
+            assert_eq!(g.locate(1), (0, 0, 1));
+            assert_eq!(g.locate(2), (1, 0, 8));
         }
 
         #[test]
-        fn bunch_root_is_ancestor_at_multiple_of_four() {
-            let g = bg(1 << 10, 1); // depth 10
-            for n in [1usize, 2, 7, 15, 16, 100, 1023, 1024, 2047] {
-                let root = g.bunch_root(n);
-                let rl = g.geometry().level_of(root);
-                assert_eq!(rl % 4, 0);
-                assert!(g.geometry().is_ancestor_or_self(root, n));
-                assert!(g.geometry().level_of(n) - rl < 4);
+        fn bunch_roots_are_bottom_aligned_at_every_depth() {
+            for depth in 0..=21u32 {
+                let g = bg(1 << depth, 1);
+                let geo = *g.geometry();
+                assert_eq!(geo.depth(), depth);
+                assert_eq!(g.floor_level(depth), depth);
+                let mut words = 0;
+                for level in 0..=depth {
+                    let rl = g.bunch_root_level(level);
+                    assert!(
+                        rl == 0 || (depth + 1 - rl).is_multiple_of(4),
+                        "depth {depth}"
+                    );
+                    let floor = g.floor_level(level);
+                    assert!(level - rl < 4 && floor - rl < 4, "depth {depth}");
+                    // Only the top bunch may hold fewer than four levels.
+                    assert!(rl == 0 || floor - rl == 3, "depth {depth}");
+                    if rl == level {
+                        words += 1usize << level;
+                    }
+                    let n = (1usize << level) + (1usize << level) / 3;
+                    let root = g.bunch_root(n);
+                    assert_eq!(geo.level_of(root), rl);
+                    assert!(geo.is_ancestor_or_self(root, n));
+                }
+                assert_eq!(g.word_count(), words, "depth {depth}");
             }
         }
     }
@@ -953,5 +1031,30 @@ mod tests {
             c4 * 2 < c1,
             "expected ≥2x fewer CAS for 4lvl (1lvl={c1}, 4lvl={c4})"
         );
+    }
+
+    /// On the shipped 64 MiB / 32 B / 64 KiB tree (bunch roots at levels
+    /// 2, 6, 10, 14, 18; `max_level` 10) a grant at level `l` is one CAS on
+    /// its own word plus one per bunch boundary `c` it climbs across, and
+    /// its release `c` coalescing marks, one clear and `c` unmarks.
+    #[cfg(feature = "op-stats")]
+    #[test]
+    fn a_grant_and_its_release_cost_one_cas_per_bunch_boundary() {
+        let b = NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap());
+        assert_eq!(b.geometry().max_level(), 10);
+        for level in 10..=21u32 {
+            let c = [14, 18].into_iter().filter(|&r| r <= level).count() as u64;
+            let before = b.op_stats().cas_ops;
+            let offset = b.alloc_at_level(level).unwrap();
+            let granted = b.op_stats().cas_ops;
+            b.dealloc(offset);
+            let released = b.op_stats().cas_ops;
+            assert_eq!(
+                (granted - before, released - granted),
+                (1 + c, 1 + 2 * c),
+                "CAS for a grant and a release at level {level}"
+            );
+        }
+        assert_clean(&b);
     }
 }

@@ -126,7 +126,7 @@ pub trait BuddyBackend: Send + Sync {
     /// offset 64 reads as a live 64-byte block), so the checked release of
     /// an interior offset can succeed and free half of a live block.  The blind spot is
     /// documented, not patched: a release never clears its `index[]` entry
-    /// (the paper's design), and ROADMAP item 4 weighs the three ways to
+    /// (the paper's design), and ROADMAP item 11 weighs the three ways to
     /// close it.
     fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
 

@@ -101,7 +101,7 @@ impl<S: Send + Sync + 'static> Program<S> {
     }
 
     /// Installs an address-labelling hook so witness traces print cell
-    /// names (e.g. `word[0]@L0..3`) instead of raw addresses.
+    /// names (e.g. `word[0]@L0..1`) instead of raw addresses.
     pub fn labels(
         mut self,
         f: impl Fn(&S) -> Vec<(usize, String)> + Send + Sync + 'static,
@@ -551,18 +551,23 @@ impl Explorer {
 /// 3-thread space.  Sleep-set inheritance is automatically off under a
 /// bound (the combination would under-approximate the advertised bound;
 /// see [`Explorer::sleep_sets`]), so the bounded search is a *sound*
-/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: both
-/// historical bugs of this protocol — the PR-1 phase-1 early break and
-/// the `unmark` exclusion blindness — produce witnesses well inside it
-/// (the exclusion bug falls within the first ~1,300 schedules), and it
-/// keeps the per-push search at a few seconds.
+/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: the
+/// `unmark` exclusion blindness, re-injected, produces a witness at
+/// schedule 1,300 of it, and it keeps the per-push search at a few
+/// seconds.  The other historical bug, the PR-1 phase-1 early break, is
+/// caught by the exhaustive 2-thread `free-free` at schedule 6.  On the
+/// root-aligned bunch layout the bound-3 search caught it too (schedule
+/// 2,001); with bottom-aligned bunches its allocation shares the releases'
+/// bunch word, holds the branch the early break strands, and its own
+/// release in the drain clears it.
 ///
 /// The 3-thread space has also been explored **exhaustively**: once after
 /// the exclusion fix (195,600 sleep-set-distinct schedules, all clean —
 /// 2026-07) and once on the striped gauge (32,600, a sixth: the three
 /// closing gauge RMWs no longer conflict, so one of their 3! orders
-/// stands for all — 2026-10, all clean); the per-push bound-3 run (19,864
-/// schedules) is the regression guard, not the proof.
+/// stands for all — 2026-10, all clean), both on the root-aligned
+/// layout; the per-push bound-3 run (19,414 schedules) is the regression
+/// guard, not the proof.
 pub fn recommended_explorer(threads: usize) -> Explorer {
     if threads <= 2 {
         Explorer::exhaustive()

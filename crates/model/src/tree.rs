@@ -10,21 +10,25 @@
 //!
 //! ## Geometry
 //!
-//! All configs run on the **minimal non-degenerate one-boundary
-//! geometry**: 256 bytes at 8-byte units, whole-region max — a depth-5
-//! tree whose leaves (level 5) are stored two-per-bunch-word (bunch roots
-//! at level 4), with levels 0–3 folded into the root bunch word.  Buddy
-//! leaves 32 and 33 share bunch word 1, so a release of either exercises
-//! the *intra-bunch* `subtree_slots_busy` aggregate against its sibling's
-//! slot **and** crosses exactly one bunch boundary: the
-//! coalescing/occupancy bits of node 8 (slot 0 of the root word) —
-//! precisely the interplay the PR-1 release/release bug lived in and the
-//! word the residual `OCC|COAL` stray bit was once observed on (ROADMAP).
-//! A depth-4 tree would be smaller but *degenerate*: its leaves live in
-//! single-slot words, `subtree_slots_busy` at the departure bunch is
-//! vacuously false, and the historical bug is unreachable — verified by
-//! re-injecting the PR-1 bug, which depth 4 misses and this geometry
-//! catches.  First-fit scanning keeps every run deterministic.
+//! All configs run on the **minimal one-boundary geometry**: 256 bytes
+//! at 8-byte units, whole-region max — a depth-5 tree.  The bunches are
+//! bottom-aligned (`nbbs::fourlvl`): the leaves (level 5) are stored eight
+//! to a word in the bunches rooted at level 2 (words 1–4), and levels 0–1
+//! form the partial root bunch, word 0, which stores nodes 2 and 3.  Buddy
+//! leaves 32 and 33 share bunch word 1 (root node 4) with leaves 34–39, so
+//! a release of either exercises the *intra-bunch* `subtree_slots_busy`
+//! aggregate against its sibling's slot **and** crosses exactly one bunch
+//! boundary: the coalescing/occupancy bits of node 2 (slot 0 of the root
+//! word) — the interplay the PR-1 release/release bug lived in and the
+//! kind of boundary the residual `OCC|COAL` stray bit was once observed on
+//! (ROADMAP).  The smaller depth-4 tree would also share leaves within a
+//! word (eight per word under roots 2 and 3, below a root bunch of node 1
+//! alone) and cross one boundary, but its root bunch is a single node;
+//! depth 5 keeps the counts comparable with those taken on the root-aligned
+//! layout, where depth 5 was the smallest tree whose leaves shared a word.
+//! The allocation of `free-unmark-alloc` may land on leaf 34, which
+//! shares the releases' word, so a release's `subtree_slots_busy` can see
+//! it.  First-fit scanning keeps every run deterministic.
 //!
 //! Over the 1-level store the same geometry is a depth-5 tree of status
 //! bytes: leaves 32 and 33 are the children of node 16, and a release that
@@ -62,7 +66,7 @@ use nbbs::{BuddyConfig, ScanPolicy};
 use crate::Program;
 
 /// Total bytes of the model geometry (depth-5 tree at 8-byte units:
-/// leaves are stored two per bunch word, so buddy releases interact both
+/// leaves are stored eight per bunch word, so buddy releases interact both
 /// inside their shared word and across the boundary into the root word).
 pub const TOTAL: usize = 256;
 /// Allocation-unit size.
@@ -175,10 +179,10 @@ pub fn check_final<S: NodeStore>(
 
 /// Two releases racing in one shared bunch word *and* over the shared
 /// bunch boundary: thread 0 frees the chunk at offset 0 (leaf 32), thread
-/// 1 frees offset 8 (leaf 33).  The two leaves are the stored slots of
-/// bunch word 1 (root 16), so each release's `subtree_slots_busy` check
+/// 1 frees offset 8 (leaf 33).  The two leaves are stored slots 0 and 1
+/// of bunch word 1 (root 4), so each release's `subtree_slots_busy` check
 /// aggregates over its sibling's in-flight state, and both climbs target
-/// node 8's slot in the root bunch word.  This is the release/release
+/// node 2's slot in the root bunch word.  This is the release/release
 /// shape of the residual race (and of the fixed PR-1 bug).
 pub fn free_free<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
@@ -224,7 +228,7 @@ pub fn free_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
 /// under a preemption bound ([`crate::recommended_explorer`]); the exhaustive
 /// space is 32,600 sleep-set-distinct schedules (~6 min in release on two
 /// vCPUs, verified clean once after the fix and again on the striped
-/// gauge), the bound-3 space 19,864.
+/// gauge, both on the root-aligned layout), the bound-3 space 19,414.
 pub fn free_unmark_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
         || base_state(2, 3),
@@ -255,7 +259,7 @@ mod tests {
 
     /// Floors asserted by CI so a pruning regression cannot silently empty
     /// the search (measured: free/free explores 88 sleep-set-distinct
-    /// schedules, free/alloc 29, free/unmark/alloc 19,864 at sound
+    /// schedules, free/alloc 29, free/unmark/alloc 19,414 at sound
     /// preemption bound 3; anything far below says the explorer stopped
     /// exploring).  The two exhaustive counts are half of what they were
     /// while `allocated_bytes` was one word (176 / 58): each thread now

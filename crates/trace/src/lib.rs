@@ -10,4 +10,4 @@
 //! `benchmark/run.sh` builds without `--locked`: removing the package would
 //! make every benchmark build rewrite that file.  The benchmark PR that next
 //! refreshes the lock deletes this directory together with the two
-//! vestigial `nbbs-trace` manifest lines (ROADMAP item 4).
+//! vestigial `nbbs-trace` manifest lines (ROADMAP item 2).

@@ -15,7 +15,8 @@
 //! ```
 //! `variant` is `4lvl` (default) or `1lvl`; `depth` sizes the tree
 //! (`total = 8 << depth` bytes, 8-byte units, whole-region max requests, so
-//! the climb spans `depth / 4 + 1` bunch boundaries); `rounds` bounds the
+//! a leaf's climb crosses `depth / 4` bunch boundaries, and the top bunch
+//! holds `(depth + 1) % 4` levels, or four when that is 0); `rounds` bounds the
 //! soak (default 2M — expect hours for a full soak, interrupt freely; CI
 //! runs a few thousand rounds as a smoke test so the residual race keeps
 //! being hunted continuously).
