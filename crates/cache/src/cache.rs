@@ -836,23 +836,29 @@ impl<A: BuddyBackend> MagazineCache<A> {
         Recorder::time(
             &self.obs,
             OpKind::CacheFlush,
-            || {
-                let mut guard = OrphanGuard {
-                    cache: self,
-                    chunks: mag
-                        .take_all()
-                        .into_iter()
-                        .map(|off| (off, class_size))
-                        .collect(),
-                };
-                while let Some(&(off, _)) = guard.chunks.last() {
-                    self.backend.dealloc(off);
-                    guard.chunks.pop();
-                    self.counters.flushed.fetch_add(1, Ordering::Relaxed);
-                }
-            },
+            || self.release_magazine(&mut mag, class_size, &self.counters.flushed),
             |_| (n, true),
         );
+    }
+
+    /// Empties `mag` into the backend, counting each chunk in `counter`.
+    ///
+    /// Freed before popped: a panic mid-release publishes exactly the
+    /// chunks not yet returned, never double-freeing the rest.
+    fn release_magazine(&self, mag: &mut Magazine, class_size: usize, counter: &AtomicU64) {
+        let mut guard = OrphanGuard {
+            cache: self,
+            chunks: mag
+                .take_all()
+                .into_iter()
+                .map(|off| (off, class_size))
+                .collect(),
+        };
+        while let Some(&(off, _)) = guard.chunks.last() {
+            self.backend.dealloc(off);
+            guard.chunks.pop();
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Returns every chunk cached by the calling thread's slot to the
@@ -871,26 +877,19 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// magazines of the co-located threads — those now on the same shared
     /// slot — as well: still correct, merely conservative.
     pub fn drain_current_thread(&self) {
-        let mut drained = Vec::new();
-        self.slots
-            .with_mine(|_, slot| self.take_slot(slot, &mut drained));
-        self.slots
-            .with_shared(|slot| self.take_slot(slot, &mut drained));
+        self.slots.with_mine(|_, slot| self.drain_slot(slot));
+        self.slots.with_shared(|slot| self.drain_slot(slot));
         self.slots.release_mine();
-        self.release_drained(drained);
     }
 
-    /// Moves every chunk out of `slot`'s magazines into `drained`.
-    fn take_slot(&self, slot: &mut Slot, drained: &mut Vec<(usize, usize)>) {
+    /// Returns every chunk of `slot`'s magazines to the backend, one
+    /// magazine at a time, so a drain holds at most one magazine's worth
+    /// of offsets outside the cache.
+    fn drain_slot(&self, slot: &mut Slot) {
         for (class, pair) in slot.mags.iter_mut().enumerate() {
             let class_size = self.class_size(class);
-            for off in pair
-                .loaded
-                .take_all()
-                .into_iter()
-                .chain(pair.previous.take_all())
-            {
-                drained.push((off, class_size));
+            for mag in [&mut pair.loaded, &mut pair.previous] {
+                self.release_magazine(mag, class_size, &self.counters.drained);
             }
         }
     }
@@ -902,9 +901,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// teardown); also invoked by `Drop`.  Enters every slot as a remote
     /// (see *Consistency* on the type).
     pub fn drain_all(&self) {
-        let mut drained = Vec::new();
-        self.slots
-            .for_each_slot(|slot| self.take_slot(slot, &mut drained));
+        self.slots.for_each_slot(|slot| self.drain_slot(slot));
         // Exclude concurrent inspections: their temporarily popped magazines
         // would otherwise dodge the drain and be restored afterwards.
         let _inspecting = self.inspect_lock.lock();
@@ -912,35 +909,15 @@ impl<A: BuddyBackend> MagazineCache<A> {
             for class in 0..self.classes.len() {
                 let class_size = self.class_size(class);
                 for mut m in shard.drain_class(class, class_size) {
-                    for off in m.take_all() {
-                        drained.push((off, class_size));
-                    }
+                    self.release_magazine(&mut m, class_size, &self.counters.drained);
                 }
             }
         }
         drop(_inspecting);
-        self.release_drained(drained);
         // A full drain is the designated recovery point: return whatever a
         // panicked thread stranded as well, so `verify_cached_empty` after a
         // storm sees a truly empty cache.
         self.rescue_orphans();
-    }
-
-    fn release_drained(&self, drained: Vec<(usize, usize)>) {
-        if drained.is_empty() {
-            return;
-        }
-        // Freed before popped: a panic mid-release publishes exactly the
-        // chunks not yet returned, never double-freeing the rest.
-        let mut guard = OrphanGuard {
-            cache: self,
-            chunks: drained,
-        };
-        while let Some(&(off, _)) = guard.chunks.last() {
-            self.backend.dealloc(off);
-            guard.chunks.pop();
-            self.counters.drained.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// RAII guard draining the calling thread's slot, and giving it up,

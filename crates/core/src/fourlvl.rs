@@ -46,8 +46,13 @@
 //! than before.  The price falls on the classes whose level now roots a
 //! larger layer (128/256 B and 2/4 KiB on the shipped tree), which write
 //! more word pages per byte packed; small blocks dominate what the shipped
-//! stack asks of the tree, so the layout follows them.  A leaf-layer word
-//! page covers 128 KiB of arena there, the same as an `index[]` page.
+//! stack asks of the tree, so the layout follows them.  The layers are
+//! stored deepest first, which puts every layer of a page or more on a
+//! page boundary, so a leaf-layer word page covers an aligned 128 KiB of
+//! arena there, the same as an `index[]` page, and a scrub run gives both
+//! back page for page ([`BuddyTree::free_scrub_run`]): on a 64 KiB run it
+//! drops the layers rooted at levels 14 and 18, below the bunch of levels
+//! 10–13 its claim wrote.
 //!
 //! [`NbbsFourLevel`] is the shared shell ([`BuddyTree`]: Algorithm 1 /
 //! `NBALLOC`, `NBFREE`, `index[]`) over [`BunchStore`].  This file holds
@@ -138,11 +143,14 @@
 //! exhaustively clean (88 / 29 sleep-set-distinct schedules; pruning
 //! cross-validated by a 36,300-run unpruned sweep), and
 //! release/release/allocate is clean under a sound preemption-bound-3
-//! search (19,414 schedules, no pruning) on every push, and was clean
+//! search (31,038 schedules, no pruning) on every push, and was clean
 //! exhaustively on the root-aligned layout (32,600 schedules, one-time
-//! run).  Re-injected, the `unmark` exclusion yields a replayable witness
-//! at schedule 1,300 of the bounded search and the PR-1 early break at
-//! schedule 6 of the exhaustive release/release search.  (While the
+//! run).  So is release/release racing a 64-byte allocation (30,542).
+//! Re-injected, the `unmark` exclusion yields a replayable witness at
+//! schedule 2,238 of the first bounded search, and the phase-1 early
+//! break (the first release race, fixed in `free_node`) at schedule 3,847
+//! of the second and at schedule 6 of the exhaustive
+//! release/release search.  (While the
 //! gauge was one word the three pruned counts read 176, 58 and 195,600:
 //! every thread's closing RMW then conflicted with every other's, and the
 //! sleep sets had to explore all 2! or 3! orders of them.  On stripes of
@@ -158,6 +166,7 @@
 #[cfg(nbbs_model)]
 use nbbs_sync::shadow::AtomicU64;
 use nbbs_sync::ZeroedSlice;
+use std::ops::Range;
 #[cfg(not(nbbs_model))]
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering;
@@ -211,18 +220,26 @@ impl BunchGeometry {
     /// one stores the leaves, and a top bunch at level 0 holding the
     /// `(depth + 1) % 4` levels left above them (a full bunch when that is
     /// 0).  Each layer of bunch roots owns a contiguous run of words, the
-    /// root word first.
+    /// deepest layer first and the root word last.  A layer then starts at
+    /// a multiple of sixteen times its own size (every deeper layer is at
+    /// least that), so any layer of a page or more starts on a page
+    /// boundary, and the words under an aligned stretch of arena fill
+    /// whole pages ([`BunchStore`]'s drop under a scrub run).
     pub fn new(geo: Geometry) -> Self {
         let top = (geo.depth() + 1) % BUNCH_LEVELS;
+        let is_root =
+            |level: u32| level == 0 || (level >= top && (level - top).is_multiple_of(BUNCH_LEVELS));
         let mut word_count = 0usize;
+        let mut first_word = vec![0usize; geo.depth() as usize + 1];
+        for root_level in (0..=geo.depth()).rev().filter(|&l| is_root(l)) {
+            first_word[root_level as usize] = word_count;
+            word_count += 1usize << root_level;
+        }
         let mut root_level = 0u32;
-        let mut word_base = 0isize;
         let levels = (0..=geo.depth())
             .map(|level| {
-                if level == 0 || (level >= top && (level - top).is_multiple_of(BUNCH_LEVELS)) {
+                if is_root(level) {
                     root_level = level;
-                    word_base = word_count as isize - (1isize << level);
-                    word_count += 1usize << level;
                 }
                 let floor = if root_level < top {
                     top - 1
@@ -233,7 +250,7 @@ impl BunchGeometry {
                     to_root: level - root_level,
                     span: floor - level,
                     root_to_floor: floor - root_level,
-                    word_base,
+                    word_base: first_word[root_level as usize] as isize - (1isize << root_level),
                 }
             })
             .collect();
@@ -281,6 +298,13 @@ impl BunchGeometry {
         let p = self.levels[self.geo.level_of(root) as usize];
         debug_assert_eq!(p.to_root, 0, "node {root} is not a bunch root");
         (p.word_base + root as isize) as usize
+    }
+
+    /// The words of the layer rooted at `root_level` whose bunches lie
+    /// under the arena bytes `bytes` (aligned to that level's chunk size).
+    pub fn words_under(&self, root_level: u32, bytes: Range<usize>) -> Range<usize> {
+        let first = self.word_of_root(self.geo.node_at_offset(root_level, bytes.start));
+        first..first + bytes.len() / self.geo.size_of_level(root_level)
     }
 
     /// Location of node `n` inside its bunch: `(word index, first slot,
@@ -609,6 +633,24 @@ impl NodeStore for BunchStore {
         status
     }
 
+    /// Drops the words of every bunch layer rooted below the floor of the
+    /// bunch holding `level` (the layer the claims wrote stays), whole
+    /// pages only.  The layers are stored deepest first and page-aligned,
+    /// so an aligned run of a page's worth of bunches frees that page.
+    unsafe fn discard_under(&self, bytes: Range<usize>, level: u32) -> usize {
+        let depth = self.bgeo.geo.depth();
+        (self.bgeo.floor_level(level) + 1..=depth)
+            .step_by(BUNCH_LEVELS as usize)
+            .map(|root_level| {
+                let words = self.bgeo.words_under(root_level, bytes.clone());
+                // SAFETY: bunch words are atomics, and the caller's
+                // contract (`NodeStore::discard_under`) keeps every store
+                // away from them while they go.
+                unsafe { self.words.discard(words) }
+            })
+            .sum()
+    }
+
     fn debug_fields(&self, out: &mut std::fmt::DebugStruct<'_, '_>) {
         out.field("bunch_words", &self.bgeo.word_count());
     }
@@ -618,23 +660,15 @@ impl NodeStore for BunchStore {
     #[cfg(nbbs_model)]
     fn model_addr_labels(&self) -> Vec<(usize, String)> {
         let bgeo = &self.bgeo;
-        // The first word of each layer of bunch roots, with the levels it covers.
-        let layers: Vec<(usize, u32, u32)> = (0..=bgeo.geo.depth())
+        let whole = 0..bgeo.geo.total_memory();
+        (0..=bgeo.geo.depth())
             .filter(|&level| bgeo.bunch_root_level(level) == level)
-            .map(|r| (bgeo.word_of_root(1 << r), r, bgeo.floor_level(r)))
-            .collect();
-        let label = |(w, word): (usize, &AtomicU64)| {
-            let &(_, root_level, floor) = layers
-                .iter()
-                .rev()
-                .find(|&&(first, ..)| first <= w)
-                .expect("word 0 is the root bunch's");
-            (
-                word.model_addr(),
-                format!("word[{w}]@L{root_level}..{floor}"),
-            )
-        };
-        self.words.iter().enumerate().map(label).collect()
+            .flat_map(|r| {
+                let levels = format!("@L{r}..{}", bgeo.floor_level(r));
+                bgeo.words_under(r, whole.clone())
+                    .map(move |w| (self.words[w].model_addr(), format!("word[{w}]{levels}")))
+            })
+            .collect()
     }
 }
 
@@ -652,6 +686,11 @@ mod tests {
     /// Bunch word `w` of the allocator.
     fn word_of(b: &NbbsFourLevel, w: usize) -> u64 {
         b.store().words[w].load(Ordering::Acquire)
+    }
+
+    /// The root bunch's word.
+    fn root_word(b: &NbbsFourLevel) -> u64 {
+        word_of(b, b.bunch_geometry().word_of_root(1))
     }
 
     /// Asserts that no status bit is left anywhere in the tree.
@@ -763,61 +802,63 @@ mod tests {
 
         #[test]
         fn locate_root_bunch_nodes() {
-            // depth 7: a full root bunch of levels 0..=3 (stored nodes 8..15).
+            // depth 7: a full root bunch of levels 0..=3 (stored nodes
+            // 8..15), stored last, after the 16 words of the layer below.
             let g = bg(128, 1);
-            assert_eq!(g.locate(1), (0, 0, 8));
-            assert_eq!(g.locate(2), (0, 0, 4));
-            assert_eq!(g.locate(3), (0, 4, 4));
-            assert_eq!(g.locate(7), (0, 6, 2));
-            assert_eq!(g.locate(8), (0, 0, 1));
-            assert_eq!(g.locate(15), (0, 7, 1));
-            // depth 8: the root bunch is level 0 alone.
+            assert_eq!(g.locate(1), (16, 0, 8));
+            assert_eq!(g.locate(2), (16, 0, 4));
+            assert_eq!(g.locate(3), (16, 4, 4));
+            assert_eq!(g.locate(7), (16, 6, 2));
+            assert_eq!(g.locate(8), (16, 0, 1));
+            assert_eq!(g.locate(15), (16, 7, 1));
+            // depth 8: the root bunch is level 0 alone, after 32 + 2 words.
             let g = bg(256, 1);
-            assert_eq!(g.locate(1), (0, 0, 1));
+            assert_eq!(g.locate(1), (34, 0, 1));
         }
 
         #[test]
         fn locate_second_bunch_layer() {
-            // depth 8: bunch roots at levels 0, 1, 5.  The bunch rooted at
-            // node 2 (level 1) is word 1 and covers levels 1..=4.
+            // depth 8: bunch roots at levels 0, 1, 5, stored deepest
+            // first.  The leaves (level 8) are stored eight to a word in
+            // the 32 bunches rooted at level 5, words 0..=31.
             let g = bg(256, 1);
-            assert_eq!(g.bunch_root(2), 2);
-            assert_eq!(g.locate(2), (1, 0, 8));
-            assert_eq!(g.bunch_root(24), 3);
-            assert_eq!(g.locate(3), (2, 0, 8));
-            // Node 2's children at level 2.
-            assert_eq!(g.locate(4), (1, 0, 4));
-            assert_eq!(g.locate(5), (1, 4, 4));
-            // Stored nodes of bunch 2 are level-4 nodes 16..=23.
-            assert_eq!(g.locate(16), (1, 0, 1));
-            assert_eq!(g.locate(23), (1, 7, 1));
-            assert_eq!(g.locate(24), (2, 0, 1));
-            // The leaves (level 8) are stored eight to a word in the bunches
-            // rooted at level 5, whose words follow.
             assert_eq!(g.bunch_root(256), 32);
-            assert_eq!(g.word_of_root(32), 3);
-            assert_eq!(g.locate(256), (3, 0, 1));
-            assert_eq!(g.locate(263), (3, 7, 1));
-            assert_eq!(g.locate(264), (4, 0, 1));
-            assert_eq!(g.locate(511), (34, 7, 1));
+            assert_eq!(g.word_of_root(32), 0);
+            assert_eq!(g.locate(256), (0, 0, 1));
+            assert_eq!(g.locate(263), (0, 7, 1));
+            assert_eq!(g.locate(264), (1, 0, 1));
+            assert_eq!(g.locate(511), (31, 7, 1));
+            // The bunch rooted at node 2 (level 1) is word 32 and covers
+            // levels 1..=4.
+            assert_eq!(g.bunch_root(2), 2);
+            assert_eq!(g.locate(2), (32, 0, 8));
+            assert_eq!(g.bunch_root(24), 3);
+            assert_eq!(g.locate(3), (33, 0, 8));
+            // Node 2's children at level 2.
+            assert_eq!(g.locate(4), (32, 0, 4));
+            assert_eq!(g.locate(5), (32, 4, 4));
+            // Stored nodes of bunch 2 are level-4 nodes 16..=23.
+            assert_eq!(g.locate(16), (32, 0, 1));
+            assert_eq!(g.locate(23), (32, 7, 1));
+            assert_eq!(g.locate(24), (33, 0, 1));
             assert_eq!(g.word_count(), 35);
         }
 
         #[test]
         fn partial_top_bunch() {
             let g = bg(64, 1); // depth 6: top bunch 0..=2 stores the 4 level-2 nodes
-            assert_eq!(g.locate(1), (0, 0, 4));
-            assert_eq!(g.locate(2), (0, 0, 2));
-            assert_eq!(g.locate(4), (0, 0, 1));
-            assert_eq!(g.locate(7), (0, 3, 1));
+            assert_eq!(g.locate(1), (8, 0, 4));
+            assert_eq!(g.locate(2), (8, 0, 2));
+            assert_eq!(g.locate(4), (8, 0, 1));
+            assert_eq!(g.locate(7), (8, 3, 1));
             // Below it, full bunches rooted at level 3 store the leaves.
-            assert_eq!(g.locate(8), (1, 0, 8));
-            assert_eq!(g.locate(64), (1, 0, 1));
-            assert_eq!(g.locate(71), (1, 7, 1));
-            assert_eq!(g.locate(9), (2, 0, 8));
+            assert_eq!(g.locate(8), (0, 0, 8));
+            assert_eq!(g.locate(64), (0, 0, 1));
+            assert_eq!(g.locate(71), (0, 7, 1));
+            assert_eq!(g.locate(9), (1, 0, 8));
             let g = bg(1 << 12, 1); // depth 12: the top bunch is the root alone
-            assert_eq!(g.locate(1), (0, 0, 1));
-            assert_eq!(g.locate(2), (1, 0, 8));
+            assert_eq!(g.locate(1), (512 + 32 + 2, 0, 1));
+            assert_eq!(g.locate(2), (512 + 32, 0, 8));
         }
 
         #[test]
@@ -849,6 +890,27 @@ mod tests {
                 assert_eq!(g.word_count(), words, "depth {depth}");
             }
         }
+
+        #[test]
+        fn layers_are_stored_deepest_first_and_page_aligned() {
+            // The shipped tree: layers rooted at 18, 14, 10, 6, 2, 0.
+            let g = bg(64 << 20, 32);
+            let mut first = 0;
+            for r in [18u32, 14, 10, 6, 2, 0] {
+                assert_eq!(g.word_of_root(1 << r), first, "layer {r}");
+                let bytes = 0..g.geometry().total_memory();
+                assert_eq!(g.words_under(r, bytes), first..first + (1 << r));
+                if 8usize << r >= 4096 {
+                    assert!((first * 8).is_multiple_of(4096), "layer {r}");
+                }
+                first += 1 << r;
+            }
+            assert_eq!(first, g.word_count());
+            // 128 KiB of arena holds 512 leaf-layer bunches: one page of
+            // words, the same as one page of `index[]`.
+            assert_eq!(g.words_under(18, 128 << 10..256 << 10), 512..1024);
+            assert_eq!(g.words_under(14, 0..2 << 20), 262_144..262_656);
+        }
     }
 
     #[test]
@@ -878,12 +940,12 @@ mod tests {
 
     #[test]
     fn direct_allocation_of_mid_bunch_node_occupies_stored_slots() {
-        let b = buddy_first_fit(1 << 10, 8, 1 << 10); // depth 7
-                                                      // Allocate half the region: node 2 (level 1), inside the root bunch,
-                                                      // covering stored slots 0..4 of word 0.
+        // depth 7.  Allocate half the region: node 2 (level 1), inside the
+        // root bunch, covering stored slots 0..4 of its word.
+        let b = buddy_first_fit(1 << 10, 8, 1 << 10);
         let off = b.alloc(1 << 9).unwrap();
         assert_eq!(off, 0);
-        let word = word_of(&b, 0);
+        let word = root_word(&b);
         for slot in 0..4 {
             assert_eq!(get_slot(word, slot), BUSY, "slot {slot}");
         }
@@ -917,7 +979,7 @@ mod tests {
         assert_eq!(get_slot(word, s_leaf), BUSY);
         // Parent bunch (root bunch): exactly the stored node 8 carries the
         // partial-occupancy mark for its left child (node 16).
-        let root_word = word_of(&b, 0);
+        let root_word = root_word(&b);
         assert_eq!(get_slot(root_word, 0), OCC_LEFT);
         for slot in 1..8 {
             assert_eq!(get_slot(root_word, slot), 0, "slot {slot}");
@@ -933,7 +995,7 @@ mod tests {
         let off = b.alloc(8).unwrap();
         // The root bunch stores levels 0..=3; allocations must mark the
         // level-3 stored ancestor (node 8) because level 3 == max_level.
-        let root_word = word_of(&b, 0);
+        let root_word = root_word(&b);
         assert_eq!(get_slot(root_word, 0), OCC_LEFT);
         b.dealloc(off);
         assert_clean(&b);
@@ -945,7 +1007,7 @@ mod tests {
         // bunch layer; the root bunch (levels 0..3) must never be touched.
         let b = buddy_first_fit(1 << 10, 8, 1 << 5);
         let off = b.alloc(8).unwrap();
-        assert_eq!(word_of(&b, 0), 0);
+        assert_eq!(root_word(&b), 0);
         b.dealloc(off);
         assert_clean(&b);
     }

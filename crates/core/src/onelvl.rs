@@ -29,6 +29,7 @@
 #[cfg(nbbs_model)]
 use nbbs_sync::shadow::AtomicU8;
 use nbbs_sync::ZeroedSlice;
+use std::ops::Range;
 #[cfg(not(nbbs_model))]
 use std::sync::atomic::AtomicU8;
 use std::sync::atomic::Ordering;
@@ -183,6 +184,22 @@ impl NodeStore for ByteStore {
     #[inline]
     fn node_status(&self, n: usize) -> u8 {
         self.tree[n].load(Ordering::Acquire)
+    }
+
+    /// Drops the status bytes of every level below `level` under `bytes`:
+    /// one contiguous node range per level, whole pages only.
+    unsafe fn discard_under(&self, bytes: Range<usize>, level: u32) -> usize {
+        let geo = &self.geo;
+        (level + 1..=geo.depth())
+            .map(|l| {
+                let first = geo.node_at_offset(l, bytes.start);
+                let count = bytes.len() / geo.size_of_level(l);
+                // SAFETY: status bytes are atomics, and the caller's
+                // contract (`NodeStore::discard_under`) keeps every store
+                // away from them while they go.
+                unsafe { self.tree.discard(first..first + count) }
+            })
+            .sum()
     }
 
     #[cfg(nbbs_model)]

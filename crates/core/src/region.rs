@@ -17,8 +17,9 @@
 //! call (one `madvise`, one TLB shoot-down, instead of one per block), and
 //! only then frees the blocks back.  It offers the run to the backend whole
 //! first ([`BuddyBackend::scrub_dealloc_run`]): a tree frees it there and,
-//! still under the claims, gives back the pages of its `index[]` that only
-//! the run's units use; a backend that declines gets the blocks one by one.
+//! still under the claims, gives back the pages of its `index[]` and of its
+//! node storage that only the run uses; a backend that declines gets the
+//! blocks one by one.
 //! A run is capped at 2 MiB and 1/16 of the span (never less than one
 //! block), which bounds what the scrubber can keep from a concurrent
 //! allocation; the held blocks live in a guard whose `Drop` frees them, so
@@ -150,7 +151,9 @@ struct Run<'a, A: BuddyBackend> {
 impl<A: BuddyBackend> Run<'_, A> {
     /// Releases the run's frames with one kernel call, then frees its
     /// blocks, the whole run in one backend call where the backend takes
-    /// it; returns the bytes newly decommitted and leaves the run empty.
+    /// it (a tree drops its metadata pages under the run there, and for
+    /// its node pages first waits out the scans already at work in the
+    /// run); returns the bytes newly decommitted and leaves the run empty.
     fn release(&mut self) -> usize {
         if self.held.is_empty() {
             return 0;
@@ -391,9 +394,11 @@ impl<A: BuddyBackend> BuddyRegion<A> {
     ///
     /// A tree frees a run in one call and drops the whole pages of its
     /// `index[]` that only the run's units use (one page per 128 KiB of
-    /// 32 B units); a wrapper that routes or intercepts the scrubber's
-    /// release (a slotted set, a lock, a fault injector) frees it block by
-    /// block and gives back no metadata.
+    /// 32 B units) and of the node storage below the run's blocks (on the
+    /// shipped 4-level tree, a leaf-layer word page per 128 KiB and a page
+    /// of the layer above per 2 MiB); a wrapper that routes or intercepts
+    /// the scrubber's release (a slotted set, a lock, a fault injector)
+    /// frees it block by block and gives back no metadata.
     pub fn scrub_pass(&self) -> usize {
         self.inner.scrub_pass()
     }
@@ -662,7 +667,10 @@ mod tests {
     #[test]
     fn each_run_gives_back_the_index_pages_under_it() {
         // The shipped tree: 64 MiB of 32 B units, a 2 MiB `index[]`, one
-        // page of it per 128 KiB of span.
+        // page of it per 128 KiB of span.  Its 64 KiB blocks are level 10,
+        // the root of a bunch of levels 10–13, and the two bunch layers
+        // below it, rooted at levels 14 and 18, hold 2^14 and 2^18 words,
+        // page-aligned: every run covers whole pages of them too.
         const TOTAL: usize = 64 << 20;
         const BLOCK: usize = 64 << 10;
         let r = BuddyRegion::new(NbbsFourLevel::new(
@@ -678,10 +686,16 @@ mod tests {
         let stats = r.memory_stats();
         assert_eq!(stats.decommit_calls, (TOTAL / RUN_CAP_BYTES) as u64);
         if page_size() == 4096 {
+            // Node pages go only where the scrubber can wait scans out.
+            let words = if nbbs_sync::Grace::new().can_wait() {
+                ((1 << 14) + (1 << 18)) * 8
+            } else {
+                0
+            };
             assert_eq!(
                 stats.metadata_decommitted_bytes,
-                (TOTAL / 32) as u64,
-                "every run covers whole index pages, so all of it went: {stats}"
+                (TOTAL / 32 + words) as u64,
+                "every run covers whole index and word pages, so all of them went: {stats}"
             );
         }
         assert_eq!(r.allocated_bytes(), 0, "the tree freed every run");

@@ -17,17 +17,27 @@
 //! * [`crate::fourlvl::BunchStore`]: four levels per 64-bit word, the bunch
 //!   editions of the same three procedures ([`crate::NbbsFourLevel`]).
 //!
-//! Under `--cfg nbbs_model` `index[]` below, like each store's words and the
-//! gauge's stripes, is a shadow atomic, so the `nbbs-model` crate enumerates
-//! the interleavings of exactly the accesses this file and the stores make.
+//! One thing the paper's shell does not have: every scan and claim is a
+//! section of a per-tree [`Grace`] table and first checks the range a
+//! scrub run is dropping node pages under, so that drop can close the run
+//! to them and wait out those already at work there
+//! ([`BuddyTree::free_scrub_run`]).  Entering and leaving a section are
+//! two plain stores on the thread's own line.
+//!
+//! Under `--cfg nbbs_model` `index[]` below, like each store's words, the
+//! gauge's stripes, the section counters and the dropping range, is a
+//! shadow atomic, so the `nbbs-model` crate enumerates the interleavings
+//! of exactly the accesses this file and the stores make.
 
 #[cfg(nbbs_model)]
-use nbbs_sync::shadow::AtomicU8;
-use nbbs_sync::ZeroedSlice;
+use nbbs_sync::shadow::{AtomicU64, AtomicU8};
+use nbbs_sync::{Grace, ZeroedSlice};
 use std::fmt;
-#[cfg(not(nbbs_model))]
-use std::sync::atomic::AtomicU8;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
+#[cfg(not(nbbs_model))]
+use std::sync::atomic::{AtomicU64, AtomicU8};
+use std::sync::Mutex;
 
 use crate::config::{BuddyConfig, ScanPolicy};
 use crate::error::FreeError;
@@ -171,6 +181,17 @@ pub trait NodeStore: sealed::Sealed + Send + Sync + Sized {
     /// per Figure 6 for the 4-level.
     fn node_status(&self, n: usize) -> u8;
 
+    /// Gives back the whole pages of node storage that lie under the arena
+    /// bytes `bytes` and below the bunch (4-level) or the level (1-level)
+    /// of a block at `level`; returns how many bytes went.
+    ///
+    /// # Safety
+    ///
+    /// `bytes` must be covered by blocks the caller holds, none deeper than
+    /// `level`, and no `TRYALLOC` may be at work under them
+    /// ([`BuddyTree::free_scrub_run`]).
+    unsafe fn discard_under(&self, bytes: Range<usize>, level: u32) -> usize;
+
     /// Store-specific `Debug` fields, printed between the sizes and
     /// `allocated_bytes`.
     fn debug_fields(&self, _out: &mut fmt::DebugStruct<'_, '_>) {}
@@ -206,6 +227,16 @@ pub struct BuddyTree<S> {
     /// Bytes currently handed out (granted sizes), counted per thread so
     /// the last step of an operation stays on the caller's own line.
     allocated: ByteGauge,
+    /// Every scan and claim is a section of it, so a scrub run can wait out
+    /// those that began before it closed its range
+    /// ([`BuddyTree::free_scrub_run`]).
+    grace: Grace,
+    /// The units `[start, end)` whose node storage a scrub run is dropping,
+    /// packed `start << 32 | end` (0: none).  Scans and claims leave every
+    /// node overlapping them alone.
+    dropping: AtomicU64,
+    /// Makes scrub runs take turns at `dropping`.
+    drops: Mutex<()>,
     stats: OpStats,
 }
 
@@ -227,6 +258,9 @@ impl<S: NodeStore> BuddyTree<S> {
             store,
             index,
             allocated: ByteGauge::new(),
+            grace: Grace::new(),
+            dropping: AtomicU64::new(0),
+            drops: Mutex::new(()),
             stats: OpStats::new(),
         }
     }
@@ -259,6 +293,7 @@ impl<S: NodeStore> BuddyTree<S> {
     /// rather than byte sizes.
     pub fn alloc_at_level(&self, level: u32) -> Option<usize> {
         debug_assert!(level >= self.geo.max_level() && level <= self.geo.depth());
+        let _scan = self.grace.enter();
         let first = self.geo.first_node_of_level(level);
         let count = self.geo.nodes_at_level(level);
         let start = match self.scan_policy {
@@ -297,7 +332,10 @@ impl<S: NodeStore> BuddyTree<S> {
         let Some(n) = self.node_of_block(offset, size) else {
             return false;
         };
-        if self.store.try_alloc_node(n, &self.stats).is_err() {
+        let _claim = self.grace.enter();
+        if self.past_dropping(n, self.geo.level_of(n)).is_some()
+            || self.store.try_alloc_node(n, &self.stats).is_err()
+        {
             return false;
         }
         self.record_grant(n, offset, size);
@@ -314,35 +352,62 @@ impl<S: NodeStore> BuddyTree<S> {
         .then(|| self.geo.node_at(level, offset / size))
     }
 
-    /// Frees a run of blocks the decommit scrubber holds and gives the
-    /// `index[]` pages under the run back to the kernel; returns how many
-    /// bytes of `index[]` went back.
+    /// Frees a run of blocks the decommit scrubber holds and gives back the
+    /// metadata pages under the run: those of `index[]`, and those of the
+    /// node storage below the bunch (4-level) or the level (1-level) of the
+    /// run's deepest block.  Returns how many bytes of metadata went back.
     ///
     /// `run` lists `(offset, size)` of adjacent blocks in ascending order,
     /// each claimed with [`BuddyTree::claim_block`] and held by the caller,
     /// who gives up all of them by this call.  Holding them is what makes
-    /// the drop sound: every unit of the run lies in a held block, and only
-    /// a successful grant writes an entry (none can succeed inside a held
-    /// block) while only the free of a live block needs one.  Each node is
-    /// rebuilt from its `(offset, size)`, never from the dropped entries.
-    /// Pages the run covers only in part stay, so a run shorter than
-    /// `page_size * min_size` bytes (128 KiB of 32 B units) gives back
-    /// nothing, and a heap-backed `index[]` (under 64 KiB) never does.
+    /// the drops sound, on two different grounds.
+    ///
+    /// * `index[]`: every unit of the run lies in a held block, and only a
+    ///   successful grant writes an entry (none can succeed inside a held
+    ///   block) while only the free of a live block needs one.  Nothing
+    ///   writes the dropped entries while they go, and nothing needs them.
+    /// * Node storage: the claims marked every block `OCC` in storage the
+    ///   drop keeps, and no grant, release or `UNMARK` climb starts below a
+    ///   held block.  But a scan that reaches a node there lands its
+    ///   `TRYALLOC` CAS on it and only then climbs to the held ancestor,
+    ///   where it fails and `free_node` rolls its marks back.  A drop under
+    ///   such a transient could wipe some of its stores and keep others,
+    ///   and its rollback, which stops where its own coalescing mark is
+    ///   gone, would leave the rest behind; a transient whose climb arrives
+    ///   after the free would even succeed on a node whose mark is gone.
+    ///   So the call first closes the run to scans and claims: it
+    ///   publishes the run's range, which every `TRYALLOC` of a scan or a
+    ///   claim checks first and skips, and waits out every scan and claim
+    ///   that began before ([`nbbs_sync::Grace`]).  Then nothing writes
+    ///   under the run, every transient that did has rolled back, and the
+    ///   storage dropped reads zero, as it did.  `nbbs-model`'s
+    ///   `scrub-alloc` configs check this, and find both failures when the
+    ///   range or the wait is left out.
+    ///
+    /// Each node is rebuilt from its `(offset, size)`, never from the
+    /// dropped entries.  Pages the run covers only in part stay, so a run
+    /// shorter than `page_size * min_size` bytes (128 KiB of 32 B units)
+    /// gives back nothing, and an array under 64 KiB is heap-backed and
+    /// never does.  Such a run skips the node drop and its wait.  A process
+    /// without the asymmetric barrier the wait needs (`membarrier(2)`)
+    /// keeps its node pages.  The wait is one system call and, at worst,
+    /// the rest of a scan preempted mid-flight; runs take turns at it.
     /// Allocates nothing.  Panics, before it frees anything, if `run` is
     /// not adjacent blocks of this tree.  A block the caller does not hold
     /// is a logic error of the rank of a double free: besides freeing it,
-    /// the call may drop the entry of a live block inside it, whose own
-    /// release then finds no node.
+    /// the call may drop the entry and the node marks of a live block
+    /// inside it, whose own release then finds no node.
     pub fn free_scrub_run(&self, run: &[(usize, usize)]) -> usize {
         let Some(&(start, _)) = run.first() else {
             return 0;
         };
         let mut end = start;
+        let mut deepest = 0;
         for &(offset, size) in run {
-            assert!(
-                offset == end && self.node_of_block(offset, size).is_some(),
-                "scrub run {run:?} is not adjacent blocks of this tree"
-            );
+            let Some(n) = self.node_of_block(offset, size).filter(|_| offset == end) else {
+                panic!("scrub run {run:?} is not adjacent blocks of this tree");
+            };
+            deepest = deepest.max(self.geo.level_of(n));
             end += size;
         }
         let units = start / self.geo.min_size()..end / self.geo.min_size();
@@ -352,7 +417,21 @@ impl<S: NodeStore> BuddyTree<S> {
         // grant writes an entry, so nothing stores into the range while the
         // pages go.  A racing checked release of a stray offset reads the
         // stale entry or 0, and either way finds no live block there.
-        let dropped = unsafe { self.index.discard(units) };
+        let mut dropped = unsafe { self.index.discard(units.clone()) };
+        let fills_a_page = cfg!(nbbs_model) || units.len() >= crate::mapping::page_size();
+        if fills_a_page && self.grace.can_wait() {
+            let _turn = self.drops.lock().unwrap_or_else(|e| e.into_inner());
+            let packed = (units.start as u64) << 32 | units.end as u64;
+            self.dropping.store(packed, Ordering::SeqCst);
+            self.grace.wait_out();
+            // SAFETY: the held blocks of `run` cover `[start, end)` and none
+            // is deeper than `deepest`.  Every scan and claim that began
+            // before the range was published has ended, and every later one
+            // skips the range, so nothing stores under the run while the
+            // pages go, and what was stored there has been rolled back.
+            dropped += unsafe { self.store.discard_under(start..end, deepest) };
+            self.dropping.store(0, Ordering::Release);
+        }
         for &(offset, size) in run {
             let n = self
                 .node_of_block(offset, size)
@@ -370,6 +449,11 @@ impl<S: NodeStore> BuddyTree<S> {
         let mut raced = false;
         while i < to {
             if self.store.is_free(i) {
+                if let Some(past) = self.past_dropping(i, level) {
+                    self.stats.record_skip(1);
+                    i = past;
+                    continue;
+                }
                 match self.store.try_alloc_node(i, &self.stats) {
                     Ok(()) => {
                         let offset = self.geo.offset_of(i);
@@ -399,6 +483,22 @@ impl<S: NodeStore> BuddyTree<S> {
             i += 1;
         }
         None
+    }
+
+    /// If node `n` of `level` overlaps the range a scrub run is dropping
+    /// node storage under, the first node of `level` past that range.
+    #[inline]
+    fn past_dropping(&self, n: usize, level: u32) -> Option<usize> {
+        let packed = self.dropping.load(Ordering::Relaxed);
+        if packed == 0 {
+            return None;
+        }
+        let unit = self.geo.min_size();
+        let start = (packed >> 32) as usize * unit;
+        let end = (packed & u64::from(u32::MAX)) as usize * unit;
+        let (offset, size) = (self.geo.offset_of(n), self.geo.size_of_level(level));
+        (offset < end && offset + size > start)
+            .then(|| self.geo.first_node_of_level(level) + end.div_ceil(size))
     }
 
     /// What follows a successful `TRYALLOC` of node `n`: record which node
@@ -473,6 +573,8 @@ impl<S: NodeStore> BuddyTree<S> {
     #[cfg(nbbs_model)]
     pub fn model_addr_labels(&self) -> Vec<(usize, String)> {
         let mut labels: Vec<_> = self.allocated.model_addr_labels().collect();
+        labels.extend(self.grace.model_addr_labels());
+        labels.push((self.dropping.model_addr(), "dropping".to_string()));
         labels.extend(self.store.model_addr_labels());
         for (u, cell) in self.index.iter().enumerate() {
             labels.push((cell.model_addr(), format!("index[{u}]")));
@@ -1224,7 +1326,12 @@ pub(crate) mod suite {
     /// adjacent blocks is refused before anything is freed.
     pub(crate) fn a_scrub_run_frees_its_blocks_and_drops_its_index_pages<S: NodeStore>() {
         // 64 Ki units of 64 B: a mapped `index[]` of 64 KiB, one page of it
-        // per four 64 KiB blocks.
+        // per four 64 KiB blocks.  The deepest nodes take the same: a byte
+        // per leaf after the 64 KiB of levels 0–15 (1-level), or a word per
+        // eight leaves in the layer rooted at level 13, stored first
+        // (4-level).  The blocks are level 6; the levels between (7–15, or
+        // the bunch layer rooted at level 9) hold too little per block to
+        // fill a page under nine of them.
         const BLOCK: usize = 64 << 10;
         let b = buddy::<S>(1 << 22, 64, BLOCK);
         let blocks = (1 << 22) / BLOCK;
@@ -1237,12 +1344,14 @@ pub(crate) mod suite {
         assert!(refused.is_err(), "a gap in the run is refused");
         assert_eq!(b.allocated_bytes(), 1 << 22, "and nothing was freed");
 
-        // Blocks 1..=9: the index pages of blocks 4..=7 only.
+        // Blocks 1..=9: the index page and the leaf page of blocks 4..=7
+        // only.
         let run: Vec<_> = (1..10).map(|i| (i * BLOCK, BLOCK)).collect();
         let dropped = b.free_scrub_run(&run);
         let page = crate::mapping::page_size();
         if cfg!(all(target_os = "linux", not(nbbs_model))) && page == 4096 {
-            assert_eq!(dropped, page);
+            let nodes = if b.grace.can_wait() { page } else { 0 };
+            assert_eq!(dropped, page + nodes);
         }
         let units_per_block = BLOCK / 64;
         let entry = |i: usize| b.recorded_node_of_unit(i * units_per_block);
@@ -1261,6 +1370,26 @@ pub(crate) mod suite {
         assert_eq!(entry(5), Some(b.geometry().node_at_offset(6, 5 * BLOCK)));
         for off in offs {
             b.dealloc(off);
+        }
+        assert_clean(&b);
+    }
+
+    /// While a scrub run drops node pages, scans step over its range and
+    /// claims inside it fail; once it is done both reach it again.
+    pub(crate) fn scans_and_claims_skip_the_range_a_run_is_dropping<S: NodeStore>() {
+        let b = buddy_first_fit::<S>(1 << 16, 64, 1 << 12);
+        let units = (4096 / 64) as u64..(3 * 4096 / 64) as u64;
+        b.dropping
+            .store(units.start << 32 | units.end, Ordering::SeqCst);
+        assert_eq!(b.alloc(64), Some(0), "before the range");
+        assert_eq!(b.alloc(4096), Some(3 * 4096), "a 4 KiB block past it");
+        assert_eq!(b.alloc(64), Some(64));
+        assert!(!b.claim_block(4096, 64), "inside the range");
+        assert!(!b.claim_block(0, 1 << 12), "overlapping it");
+        b.dropping.store(0, Ordering::SeqCst);
+        assert!(b.claim_block(4096, 64));
+        for offset in [0, 64, 3 * 4096, 4096] {
+            b.dealloc(offset);
         }
         assert_clean(&b);
     }
@@ -1305,6 +1434,7 @@ pub(crate) mod suite {
                 granted_size_of_live_tracks_allocations,
                 index_names_every_node_of_every_level,
                 a_scrub_run_frees_its_blocks_and_drops_its_index_pages,
+                scans_and_claims_skip_the_range_a_run_is_dropping,
                 debug_output_mentions_sizes
             );
             #[cfg(feature = "op-stats")]

@@ -101,7 +101,7 @@ impl<S: Send + Sync + 'static> Program<S> {
     }
 
     /// Installs an address-labelling hook so witness traces print cell
-    /// names (e.g. `word[0]@L0..1`) instead of raw addresses.
+    /// names (e.g. `word[4]@L0..1`) instead of raw addresses.
     pub fn labels(
         mut self,
         f: impl Fn(&S) -> Vec<(usize, String)> + Send + Sync + 'static,
@@ -548,26 +548,27 @@ impl Explorer {
 
 /// The search settings each config is meant to run under: exhaustive for
 /// the 2-thread spaces, preemption-bounded (CHESS-style, bound 3) for the
-/// 3-thread space.  Sleep-set inheritance is automatically off under a
+/// 3-thread spaces.  Sleep-set inheritance is automatically off under a
 /// bound (the combination would under-approximate the advertised bound;
 /// see [`Explorer::sleep_sets`]), so the bounded search is a *sound*
-/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: the
-/// `unmark` exclusion blindness, re-injected, produces a witness at
-/// schedule 1,300 of it, and it keeps the per-push search at a few
-/// seconds.  The other historical bug, the PR-1 phase-1 early break, is
-/// caught by the exhaustive 2-thread `free-free` at schedule 6.  On the
-/// root-aligned bunch layout the bound-3 search caught it too (schedule
-/// 2,001); with bottom-aligned bunches its allocation shares the releases'
-/// bunch word, holds the branch the early break strands, and its own
-/// release in the drain clears it.
+/// bound-3 enumeration.  Bound 3 is no arbitrary smoke level: each
+/// historical bug, re-injected, yields a witness within it, and it keeps
+/// the per-push search at seconds.  The `unmark` exclusion blindness is
+/// found at schedule 2,238 of `free-unmark-alloc`.  The phase-1 early
+/// break (the first release race, fixed in `free_node`) is found at schedule 3,847 of `free-free-alloc64`, and at
+/// schedule 6 of the exhaustive 2-thread `free-free`.  `free-unmark-alloc`
+/// does not find it (24,705 schedules clean): with bottom-aligned bunches
+/// its unit always lands in the releases' bunch word, holds the branch the
+/// early break strands, and its own release in the drain clears it.
 ///
 /// The 3-thread space has also been explored **exhaustively**: once after
 /// the exclusion fix (195,600 sleep-set-distinct schedules, all clean —
 /// 2026-07) and once on the striped gauge (32,600, a sixth: the three
 /// closing gauge RMWs no longer conflict, so one of their 3! orders
 /// stands for all — 2026-10, all clean), both on the root-aligned
-/// layout; the per-push bound-3 run (19,414 schedules) is the regression
-/// guard, not the proof.
+/// layout; the per-push bound-3 run (31,038 schedules since scans are
+/// sections of the tree's grace table) is the regression guard, not the
+/// proof.
 pub fn recommended_explorer(threads: usize) -> Explorer {
     if threads <= 2 {
         Explorer::exhaustive()
@@ -602,9 +603,10 @@ impl Config {
     }
 }
 
-/// Every shipped configuration: the three 4-level ones, the two 2-thread
-/// ones over the 1-level tree, then the three hand-over configs over the
-/// owned slots.
+/// Every shipped configuration: the four release races on the 4-level
+/// tree, the two 2-thread ones over the 1-level tree, a scrub run's
+/// release racing an allocation on each tree, then the three hand-over
+/// configs over the owned slots.
 #[cfg(nbbs_model)]
 pub fn all_configs() -> Vec<Config> {
     use nbbs::fourlvl::BunchStore;
@@ -613,8 +615,11 @@ pub fn all_configs() -> Vec<Config> {
         Config::new("free-free", tree::free_free::<BunchStore>()),
         Config::new("free-alloc", tree::free_alloc::<BunchStore>()),
         Config::new("free-unmark-alloc", tree::free_unmark_alloc::<BunchStore>()),
+        Config::new("free-free-alloc64", tree::free_free_alloc64::<BunchStore>()),
         Config::new("1lvl-free-free", tree::free_free::<ByteStore>()),
         Config::new("1lvl-free-alloc", tree::free_alloc::<ByteStore>()),
+        Config::new("scrub-alloc", tree::scrub_alloc::<BunchStore>()),
+        Config::new("1lvl-scrub-alloc", tree::scrub_alloc::<ByteStore>()),
         Config::new("cell-owner-drain", cell::owner_drain()),
         Config::new("cell-claim-readout", cell::claim_readout()),
         Config::new("cell-release-claim", cell::release_claim()),

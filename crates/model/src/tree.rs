@@ -4,31 +4,36 @@
 //! `index[]` (`nbbs::tree`), both node stores (`nbbs::fourlvl`'s bunch
 //! words, `nbbs::onelvl`'s status bytes) and the gauge's stripes onto the
 //! shadow atomics, so every access to them becomes a scheduler yield point.
-//! The configs are generic over the store; the three historical ones run
-//! on the 4-level tree, and release/release and release/allocate run on the
-//! 1-level tree as well.
+//! The configs are generic over the store; the four release races run on
+//! the 4-level tree, release/release and release/allocate run on the
+//! 1-level tree as well, and a scrub run's release racing an allocation
+//! runs on both.
 //!
 //! ## Geometry
 //!
 //! All configs run on the **minimal one-boundary geometry**: 256 bytes
 //! at 8-byte units, whole-region max — a depth-5 tree.  The bunches are
 //! bottom-aligned (`nbbs::fourlvl`): the leaves (level 5) are stored eight
-//! to a word in the bunches rooted at level 2 (words 1–4), and levels 0–1
-//! form the partial root bunch, word 0, which stores nodes 2 and 3.  Buddy
-//! leaves 32 and 33 share bunch word 1 (root node 4) with leaves 34–39, so
-//! a release of either exercises the *intra-bunch* `subtree_slots_busy`
-//! aggregate against its sibling's slot **and** crosses exactly one bunch
-//! boundary: the coalescing/occupancy bits of node 2 (slot 0 of the root
-//! word) — the interplay the PR-1 release/release bug lived in and the
-//! kind of boundary the residual `OCC|COAL` stray bit was once observed on
-//! (ROADMAP).  The smaller depth-4 tree would also share leaves within a
+//! to a word in the bunches rooted at level 2 (words 0–3, the deepest
+//! layer first), and levels 0–1 form the partial root bunch, word 4, which
+//! stores nodes 2 and 3.  Buddy leaves 32 and 33 share bunch word 0 (root
+//! node 4) with leaves 34–39, so a release of either exercises the
+//! *intra-bunch* `subtree_slots_busy` aggregate against its sibling's slot
+//! **and** crosses exactly one bunch boundary: the coalescing/occupancy
+//! bits of node 2 (slot 0 of the root word) — the interplay the first
+//! release/release bug lived in and the kind of boundary the residual
+//! `OCC|COAL` stray bit was once observed on (ROADMAP).  The smaller depth-4 tree would also share leaves within a
 //! word (eight per word under roots 2 and 3, below a root bunch of node 1
 //! alone) and cross one boundary, but its root bunch is a single node;
 //! depth 5 keeps the counts comparable with those taken on the root-aligned
 //! layout, where depth 5 was the smallest tree whose leaves shared a word.
 //! The allocation of `free-unmark-alloc` may land on leaf 34, which
 //! shares the releases' word, so a release's `subtree_slots_busy` can see
-//! it.  First-fit scanning keeps every run deterministic.
+//! it; the 64-byte block of `free-free-alloc64` lands on node 5, in the
+//! other branch of node 2, unless both releases are done.  `scrub-alloc`
+//! holds node 2 as a scrub run and node 3 as a live block, both in the
+//! root word, and frees the run while a unit allocation scans the leaves
+//! under both.  First-fit scanning keeps every run deterministic.
 //!
 //! Over the 1-level store the same geometry is a depth-5 tree of status
 //! bytes: leaves 32 and 33 are the children of node 16, and a release that
@@ -38,7 +43,18 @@
 //! sleep-set-distinct schedules (the first releaser finds its buddy
 //! occupied and stops at node 16, so the two climbs only meet there),
 //! release/allocate 933 (the allocation's own five-node climb interleaves
-//! with the release's two).
+//! with the release's two).  The scrub run's release is 23 schedules on
+//! either tree: the drops conflict with the allocation only through the
+//! published range, its section counter and the nodes under node 2.
+//! Each safeguard of the node drop, left out, yields a replayable
+//! witness.  Without the wait (schedule 29 on the 4-level tree, 32 on the
+//! 1-level one), a scan whose leaf CAS the drop wiped climbs once the run
+//! is free and is granted a leaf that reads free, or its rollback stops at
+//! a wiped coalescing mark and leaves the marks above it.  Without the
+//! published range (schedules 21 and 16), a scan that begins after the
+//! wait writes under the run while its pages go, to the same effect.  A
+//! drop of the held block's own bunch word (the root word, which the live
+//! block shares) fails at schedule 1.
 //!
 //! ## What is checked after every complete schedule
 //!
@@ -180,7 +196,7 @@ pub fn check_final<S: NodeStore>(
 /// Two releases racing in one shared bunch word *and* over the shared
 /// bunch boundary: thread 0 frees the chunk at offset 0 (leaf 32), thread
 /// 1 frees offset 8 (leaf 33).  The two leaves are stored slots 0 and 1
-/// of bunch word 1 (root 4), so each release's `subtree_slots_busy` check
+/// of bunch word 0 (root 4), so each release's `subtree_slots_busy` check
 /// aggregates over its sibling's in-flight state, and both climbs target
 /// node 2's slot in the root bunch word.  This is the release/release
 /// shape of the residual race (and of the fixed PR-1 bug).
@@ -228,7 +244,7 @@ pub fn free_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
 /// under a preemption bound ([`crate::recommended_explorer`]); the exhaustive
 /// space is 32,600 sleep-set-distinct schedules (~6 min in release on two
 /// vCPUs, verified clean once after the fix and again on the striped
-/// gauge, both on the root-aligned layout), the bound-3 space 19,414.
+/// gauge, both on the root-aligned layout), the bound-3 space 31,038.
 pub fn free_unmark_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     Program::new(
         || base_state(2, 3),
@@ -250,6 +266,87 @@ pub fn free_unmark_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
     .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
 }
 
+/// Both buddy releases racing the allocation of a 64-byte block (level 2,
+/// a bunch root): while either leaf is still held the scan fails on node 4
+/// and takes node 5, in the right branch of node 2, and only once both
+/// releases have cleared their slots can it take node 4.  Unlike
+/// `free_unmark_alloc`'s unit, which always lands in the releases' bunch
+/// word, this allocation leaves the releases' branch to them in most
+/// schedules, so the drain in [`check_final`] does not heal what they left
+/// on node 2: a phase-1 early break (both releases stopping at each other's
+/// busy slot, the first release race) strands node 2's left branch, and
+/// this search
+/// finds it within preemption bound 3.
+pub fn free_free_alloc64<S: NodeStore + 'static>() -> Program<TreeState<S>> {
+    Program::new(
+        || base_state(2, 3),
+        |s: &TreeState<S>| {
+            let r = s.allocs[2]
+                .lock()
+                .unwrap()
+                .expect("thread 2 ran to completion");
+            let off = r.ok_or("allocation failed although free blocks were always available")?;
+            check_final(s, &BTreeMap::from([(off, 8 * UNIT)]))
+        },
+    )
+    .thread(|s: &TreeState<S>| s.tree.dealloc(0))
+    .thread(|s: &TreeState<S>| s.tree.dealloc(UNIT))
+    .thread(|s: &TreeState<S>| {
+        let r = s.tree.alloc(8 * UNIT);
+        *s.allocs[2].lock().unwrap() = Some(r);
+    })
+    .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
+}
+
+/// The block the scrubber holds in `scrub_alloc`, and the live one beside
+/// it: nodes 2 and 3, the two halves of the root bunch.
+const HALF: usize = TOTAL / 2;
+
+/// The scrubber's release of a run racing an allocation.  The setup
+/// claims `(0, HALF)`, which thread 0 holds as a scrub run, and
+/// `(HALF, HALF)`, a live block.  Thread 0 frees the run with
+/// `free_scrub_run`: it drops the run's `index[]` entries (units 0–15),
+/// publishes the run's range, waits out the allocation's section if it
+/// began before, drops the node storage under node 2 (the leaf words 0
+/// and 1 of the 4-level tree, the 30 status bytes of levels 2–5 of the
+/// 1-level one), each drop one shadow store of 0 per element, and frees
+/// node 2.  Thread 1 allocates a unit: its scan lands failing `TRYALLOC`s
+/// under the run while it is held, skips it while its range is published,
+/// and may take leaf 32 once it is free.  This checks the ground of both
+/// drops (see [`BuddyTree::free_scrub_run`]).
+pub fn scrub_alloc<S: NodeStore + 'static>() -> Program<TreeState<S>> {
+    Program::new(
+        || {
+            let state = base_state(0, 2);
+            assert!(state.tree.claim_block(0, HALF), "setup claim of the run");
+            assert!(state.tree.claim_block(HALF, HALF), "setup live block");
+            state
+        },
+        |s: &TreeState<S>| {
+            let r = s.allocs[1]
+                .lock()
+                .unwrap()
+                .expect("thread 1 ran to completion");
+            let mut live = BTreeMap::from([(HALF, HALF)]);
+            if let Some(off) = r {
+                if off >= HALF {
+                    return Err(format!("allocation at {off}, inside the live block"));
+                }
+                live.insert(off, UNIT);
+            }
+            check_final(s, &live)
+        },
+    )
+    .thread(|s: &TreeState<S>| {
+        s.tree.free_scrub_run(&[(0, HALF)]);
+    })
+    .thread(|s: &TreeState<S>| {
+        let r = s.tree.alloc(UNIT);
+        *s.allocs[1].lock().unwrap() = Some(r);
+    })
+    .labels(|s: &TreeState<S>| s.tree.model_addr_labels())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +356,7 @@ mod tests {
 
     /// Floors asserted by CI so a pruning regression cannot silently empty
     /// the search (measured: free/free explores 88 sleep-set-distinct
-    /// schedules, free/alloc 29, free/unmark/alloc 19,414 at sound
+    /// schedules, free/alloc 29, free/unmark/alloc 31,038 at sound
     /// preemption bound 3; anything far below says the explorer stopped
     /// exploring).  The two exhaustive counts are half of what they were
     /// while `allocated_bytes` was one word (176 / 58): each thread now
@@ -267,13 +364,18 @@ mod tests {
     /// independent, and the sleep sets explore one of their two orders.
     /// Were two workers' ordinals to collide modulo the stripe count the
     /// run would explore both again, so the counts can only read higher.
-    /// The bounded search does not prune and counts what it did before.
+    /// The bounded search does not prune: it counts every step, and grew
+    /// from 19,414 when scans became sections of the tree's grace table.
     const FREE_FREE_MIN_SCHEDULES: u64 = 50;
     const FREE_ALLOC_MIN_SCHEDULES: u64 = 15;
     const FREE_UNMARK_ALLOC_MIN_SCHEDULES: u64 = 10_000;
+    // The bounded search of free/free/alloc64: 30,542 measured.
+    const FREE_FREE_ALLOC64_MIN_SCHEDULES: u64 = 10_000;
     // The 1-level tree over the same geometry: 78 and 933 measured.
     const ONE_LEVEL_FREE_FREE_MIN_SCHEDULES: u64 = 40;
     const ONE_LEVEL_FREE_ALLOC_MIN_SCHEDULES: u64 = 500;
+    // A scrub run's release racing an allocation: 23 on either tree.
+    const SCRUB_ALLOC_MIN_SCHEDULES: u64 = 12;
 
     fn run<S: NodeStore + 'static>(name: &str, prog: &Program<TreeState<S>>, floor: u64) {
         let report = recommended_explorer(prog.thread_count()).explore(prog);
@@ -317,6 +419,29 @@ mod tests {
             "free-unmark-alloc",
             &free_unmark_alloc::<BunchStore>(),
             FREE_UNMARK_ALLOC_MIN_SCHEDULES,
+        );
+    }
+
+    #[test]
+    fn free_free_alloc64_is_clean_within_preemption_bound() {
+        run(
+            "free-free-alloc64",
+            &free_free_alloc64::<BunchStore>(),
+            FREE_FREE_ALLOC64_MIN_SCHEDULES,
+        );
+    }
+
+    #[test]
+    fn scrub_alloc_is_exhaustively_clean() {
+        run(
+            "scrub-alloc",
+            &scrub_alloc::<BunchStore>(),
+            SCRUB_ALLOC_MIN_SCHEDULES,
+        );
+        run(
+            "1lvl-scrub-alloc",
+            &scrub_alloc::<ByteStore>(),
+            SCRUB_ALLOC_MIN_SCHEDULES,
         );
     }
 

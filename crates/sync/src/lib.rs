@@ -34,6 +34,10 @@
 //!   plain stores while a remote reader pays an asymmetric
 //!   (`membarrier(2)`) barrier: the cache's slot table, and the claim
 //!   behind the facade's odometer stripes.
+//! * [`grace`] — [`Grace`], per-thread section counters on the same claim
+//!   rule and barrier pair: a thread that changed memory behind other
+//!   threads' atomics waits out every operation that began before it (the
+//!   trees' node-page drop under a scrub run).
 //! * [`shadow`] — instrumented counterparts of the `std::sync::atomic`
 //!   types whose every access is a yield point reporting to a deterministic
 //!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores) and
@@ -51,6 +55,7 @@
 
 pub mod backoff;
 pub mod cycles;
+pub mod grace;
 pub mod owned;
 pub mod pad;
 pub mod shadow;
@@ -62,6 +67,7 @@ pub mod zeroed;
 
 pub use backoff::Backoff;
 pub use cycles::{cycles_now, CycleTimer};
+pub use grace::Grace;
 pub use owned::{Claim, OwnedSlots, ThreadToken};
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};

@@ -203,6 +203,12 @@ impl Claim {
     fn held(&self) -> bool {
         self.owner.load(Ordering::Relaxed) == thread_token()
     }
+
+    /// Whether any thread holds this entry.
+    #[cfg(all(test, not(nbbs_model)))]
+    pub(crate) fn is_held(&self) -> bool {
+        self.owner.load(Ordering::Relaxed) != 0
+    }
 }
 
 /// The two halves of the asymmetric barrier (see the module docs).
@@ -251,7 +257,7 @@ impl Barrier {
     }
 
     /// The remote's half.
-    fn heavy(self) {
+    pub(crate) fn heavy(self) {
         match self {
             Barrier::Asymmetric => membarrier::private_expedited(),
             Barrier::Symmetric => fence(Ordering::SeqCst),
@@ -350,7 +356,7 @@ struct Slot<T> {
 
 /// One round of a spin-wait on the flag the caller just read.
 #[inline]
-fn snooze(backoff: &Backoff) {
+pub(crate) fn snooze(backoff: &Backoff) {
     #[cfg(not(nbbs_model))]
     backoff.snooze();
     #[cfg(nbbs_model)]

@@ -397,6 +397,12 @@ fn yield_for(access: Access) {
     }
 }
 
+/// The logical id of the calling worker, or `None` on a thread the
+/// scheduler does not run (a config's setup, the explorer itself).
+pub fn current_worker() -> Option<usize> {
+    CTX.with(|c| c.borrow().as_ref().map(|&(_, tid)| tid))
+}
+
 /// One round of a spin-wait whose exit condition the caller just read.
 ///
 /// A worker that re-reads an unchanged cell makes no progress, so under a
@@ -542,6 +548,17 @@ macro_rules! shadow_atomic {
             /// the model build allocates and constructs nothing new.
             fn zeroed_slice(n: usize) -> crate::zeroed::ZeroedSlice<Self> {
                 (0..n).map(|_| Self::new(0)).collect::<Box<[_]>>().into()
+            }
+
+            /// The kernel's zero page as the checker sees it: one store of
+            /// 0 per element, each a step the racing accesses interleave
+            /// with, so any store a racing thread made before the drop
+            /// reached its element is lost.  Returns the elements' size, as
+            /// if their pages went, so callers act on the drop as they
+            /// would on a mapped array.
+            fn discard_unmapped(elements: &[Self]) -> usize {
+                elements.iter().for_each(|e| e.store(0, Ordering::Relaxed));
+                std::mem::size_of_val(elements)
             }
         }
     };

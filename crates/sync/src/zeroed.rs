@@ -23,7 +23,9 @@
 //!
 //! Under `--cfg nbbs_model` the shadow atomics ([`crate::shadow`])
 //! implement [`Zeroable`] by building element by element, so the model
-//! build constructs exactly what it always did and call sites carry no cfg.
+//! build constructs exactly what it always did, and a discard is one
+//! shadow store of 0 per element of the range, so the checker interleaves
+//! the drop with the accesses racing it.  Call sites carry no cfg.
 
 use std::alloc::Layout;
 use std::ops::{Deref, Range};
@@ -67,6 +69,13 @@ pub unsafe trait Zeroable: Sized {
         // one `Box` frees with), and all-zero bytes are a valid `Self`.
         ZeroedSlice::from(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, n)) })
     }
+
+    /// What [`ZeroedSlice::discard`] does to `elements` of an array that
+    /// owns no mapping; returns the bytes given back.  The default does
+    /// nothing and returns 0: a heap block keeps its memory.
+    fn discard_unmapped(_elements: &[Self]) -> usize {
+        0
+    }
 }
 
 /// `n` zero values of `T` (see the [module docs](self)).
@@ -109,15 +118,19 @@ impl<T: Zeroable> ZeroedSlice<T> {
     /// Every element on those pages reads zero afterwards, and a page costs
     /// resident memory again only once an element on it is written.  Pages
     /// the range covers only in part are kept.  A heap-backed array (under
-    /// 64 KiB, where `mmap` is not available, or of shadow atomics, which
-    /// are built element by element) gives nothing back and returns 0.
+    /// 64 KiB, or where `mmap` is not available) gives nothing back and
+    /// returns 0.  An array of shadow atomics stores 0 into every element
+    /// of the range, one step of the schedule each, and returns their size.
     ///
     /// # Safety
     ///
     /// `T` must be an atomic type, and no other thread may write an element
-    /// in `elements` while the call runs: the kernel sets those elements to
-    /// zero behind the type's back, and a store racing it could be lost.  A
-    /// racing atomic load reads the old value or zero.
+    /// in `elements` while the call runs.  The kernel sets those elements to
+    /// zero behind the type's back: a store that lands before the page goes
+    /// is wiped, and a writer whose translation of the page is still stale
+    /// writes to the old frame, which nobody reads afterwards.  Nor may a
+    /// thread go on relying on a store it made there before the call: that
+    /// store is gone too.  A racing atomic load reads the old value or zero.
     pub unsafe fn discard(&self, elements: Range<usize>) -> usize {
         assert!(
             elements.start <= elements.end && elements.end <= self.len,
@@ -125,7 +138,7 @@ impl<T: Zeroable> ZeroedSlice<T> {
             self.len
         );
         if self.mapped == 0 {
-            return 0;
+            return T::discard_unmapped(&self[elements]);
         }
         let size = std::mem::size_of::<T>();
         let page = sys::page_size();

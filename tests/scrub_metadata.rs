@@ -4,18 +4,24 @@
 //! holds, drops the pages of `index[]` that only the run's units use.  An
 //! entry lost under a live block would send that block's free to the wrong
 //! node (or to none), and an entry written into a page as it goes would be
-//! lost the same way.  These tests churn blocks of every size from several
-//! threads while another thread loops `scrub_pass` over a tree whose
-//! `index[]` is mapped, so its pages really go, and check what such a loss
-//! would break: every block's header survives until its owner frees it, the
-//! byte gauge returns to 0 and the tree audits clean.
+//! lost the same way.  These tests churn blocks from several threads while
+//! another thread loops `scrub_pass` over a tree whose `index[]` is mapped,
+//! so its pages really go, and check what such a loss would break: every
+//! block's header survives until its owner frees it, the byte gauge returns
+//! to 0 and the tree audits clean.  The blocks are of every size, or of
+//! 256 B or less: then nearly every scan that meets a held run does so at
+//! the leaves, below the run's bunch, and the run's release must leave no
+//! mark of those scans behind, so every maximal block can be granted
+//! afterwards.  Those tests do not count dropped pages: a looping pass
+//! decommits what the workers free a few chunks at a time, so its runs
+//! rarely cover a whole `index[]` page.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use nbbs::verify::audit_empty;
-use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, NbbsOneLevel};
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, NbbsOneLevel, TreeInspect};
 use nbbs_cache::MagazineCache;
 
 /// 8 MiB of 32 B units: a 256 KiB `index[]`, mapped, one page of it per
@@ -83,32 +89,48 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
+/// Block sizes of every class, 32 B to 64 KiB.
+const EVERY_CLASS: usize = 12;
+/// Block sizes of 32 B to 256 B.
+const SMALL_CLASSES: usize = 4;
+
 /// `WORKERS` threads allocate, tag, check and free blocks of 32 B to
-/// 64 KiB while a scrubber loops; each worker's last blocks are checked
-/// and freed only once the scrubber has stopped.  Then the caches are
-/// drained and a last pass must find every granted page free.  Returns
-/// the metadata bytes the passes gave back while the workers ran.
-fn churn_under_a_scrubbing_loop<A: BuddyBackend>(region: &BuddyRegion<A>) -> u64 {
+/// `32 << (classes - 1)` bytes while a scrubber loops; they start once its
+/// first pass is done, so the loop is running however briefly they churn.
+/// Each worker's last blocks are checked and freed only once the scrubber
+/// has stopped.  Then
+/// the caches are drained and a last pass must find every granted page
+/// free.  Returns the metadata bytes the passes gave back while the
+/// workers ran.
+fn churn_under_a_scrubbing_loop<A: BuddyBackend>(region: &BuddyRegion<A>, classes: usize) -> u64 {
     let stop = AtomicBool::new(false);
+    let scrubbing = AtomicBool::new(false);
     let survivors: Vec<Held> = std::thread::scope(|s| {
         let scrubber = s.spawn(|| {
             let mut passes = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            loop {
                 region.scrub_pass();
                 passes += 1;
+                scrubbing.store(true, Ordering::Release);
+                if stop.load(Ordering::Acquire) {
+                    break passes;
+                }
             }
-            passes
         });
         let stop_scrubber = StopOnDrop(&stop);
         let workers: Vec<_> = (0..WORKERS)
             .map(|w| {
+                let scrubbing = &scrubbing;
                 s.spawn(move || {
+                    while !scrubbing.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1);
                     let mut held: Vec<Held> = Vec::with_capacity(HELD);
                     for i in 0..OPS {
                         rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
                         if held.len() < HELD && (held.is_empty() || rng >> 63 == 0) {
-                            let size = 32usize << ((rng >> 40) % 12);
+                            let size = 32usize << ((rng >> 40) as usize % classes);
                             let ptr = region
                                 .alloc_bytes(size)
                                 .expect("the span has room beyond the held blocks");
@@ -149,7 +171,7 @@ const MAPPED: bool = cfg!(target_os = "linux");
 #[test]
 fn index_pages_go_under_racing_allocations_on_the_four_level_tree() {
     let region = BuddyRegion::new(NbbsFourLevel::new(config()));
-    let dropped = churn_under_a_scrubbing_loop(&region);
+    let dropped = churn_under_a_scrubbing_loop(&region, EVERY_CLASS);
     assert!(
         dropped > 0 || !MAPPED,
         "no racing pass dropped an index page"
@@ -160,7 +182,7 @@ fn index_pages_go_under_racing_allocations_on_the_four_level_tree() {
 #[test]
 fn index_pages_go_under_racing_allocations_on_the_one_level_tree() {
     let region = BuddyRegion::new(NbbsOneLevel::new(config()));
-    let dropped = churn_under_a_scrubbing_loop(&region);
+    let dropped = churn_under_a_scrubbing_loop(&region, EVERY_CLASS);
     assert!(
         dropped > 0 || !MAPPED,
         "no racing pass dropped an index page"
@@ -176,9 +198,42 @@ fn index_pages_go_under_racing_allocations_on_the_one_level_tree() {
 #[test]
 fn index_pages_go_under_racing_allocations_through_the_cache() {
     let region = BuddyRegion::new(Arc::new(MagazineCache::new(NbbsFourLevel::new(config()))));
-    churn_under_a_scrubbing_loop(&region);
+    churn_under_a_scrubbing_loop(&region, EVERY_CLASS);
     let dropped = region.memory_stats().metadata_decommitted_bytes;
     assert!(dropped > 0 || !MAPPED, "the cache lost the forward");
     let cache: &MagazineCache<NbbsFourLevel> = region.backend();
     audit_empty(cache).assert_clean();
+}
+
+/// Every maximal block of a quiescent, empty tree can be granted: no mark
+/// a scan left under a released run holds a branch.
+fn every_maximal_block_is_granted<A: BuddyBackend + TreeInspect>(tree: &A) {
+    let (total, max) = (tree.total_memory(), tree.max_size());
+    let blocks: Vec<_> = (0..total / max)
+        .map(|i| {
+            tree.alloc(max)
+                .unwrap_or_else(|| panic!("maximal block {i} of {} refused", total / max))
+        })
+        .collect();
+    assert_eq!(tree.alloc(max), None);
+    for offset in blocks {
+        tree.dealloc(offset);
+    }
+    audit_empty(tree).assert_clean();
+}
+
+#[test]
+fn small_blocks_churn_under_the_scrubber_on_the_four_level_tree() {
+    let region = BuddyRegion::new(NbbsFourLevel::new(config()));
+    churn_under_a_scrubbing_loop(&region, SMALL_CLASSES);
+    audit_empty(region.backend()).assert_clean();
+    every_maximal_block_is_granted(region.backend());
+}
+
+#[test]
+fn small_blocks_churn_under_the_scrubber_on_the_one_level_tree() {
+    let region = BuddyRegion::new(NbbsOneLevel::new(config()));
+    churn_under_a_scrubbing_loop(&region, SMALL_CLASSES);
+    audit_empty(region.backend()).assert_clean();
+    every_maximal_block_is_granted(region.backend());
 }
