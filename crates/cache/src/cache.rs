@@ -836,23 +836,20 @@ impl<A: BuddyBackend> MagazineCache<A> {
         Recorder::time(
             &self.obs,
             OpKind::CacheFlush,
-            || self.release_magazine(&mut mag, class_size, &self.counters.flushed),
+            || self.release_offsets(mag.take_all(), class_size, &self.counters.flushed),
             |_| (n, true),
         );
     }
 
-    /// Empties `mag` into the backend, counting each chunk in `counter`.
+    /// Returns the offsets a magazine held to the backend, counting each
+    /// chunk in `counter`.
     ///
     /// Freed before popped: a panic mid-release publishes exactly the
     /// chunks not yet returned, never double-freeing the rest.
-    fn release_magazine(&self, mag: &mut Magazine, class_size: usize, counter: &AtomicU64) {
+    fn release_offsets(&self, offsets: Vec<usize>, class_size: usize, counter: &AtomicU64) {
         let mut guard = OrphanGuard {
             cache: self,
-            chunks: mag
-                .take_all()
-                .into_iter()
-                .map(|off| (off, class_size))
-                .collect(),
+            chunks: offsets.into_iter().map(|off| (off, class_size)).collect(),
         };
         while let Some(&(off, _)) = guard.chunks.last() {
             self.backend.dealloc(off);
@@ -875,21 +872,40 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// holds its stripe, and may since have come to own its own slot, so
     /// what it parked there would otherwise outlive it.  That takes the
     /// magazines of the co-located threads — those now on the same shared
-    /// slot — as well: still correct, merely conservative.
+    /// slot — as well: still correct, merely conservative.  The thread's
+    /// entry in the trees' section tables goes with its slot
+    /// ([`nbbs_sync::Grace::release_mine`]).
     pub fn drain_current_thread(&self) {
-        self.slots.with_mine(|_, slot| self.drain_slot(slot));
-        self.slots.with_shared(|slot| self.drain_slot(slot));
+        let mut taken = self.taken();
+        self.slots
+            .with_mine(|_, slot| self.take_slot(slot, &mut taken.mags));
+        self.slots
+            .with_shared(|slot| self.take_slot(slot, &mut taken.mags));
         self.slots.release_mine();
+        taken.release();
+        nbbs_sync::Grace::release_mine();
     }
 
-    /// Returns every chunk of `slot`'s magazines to the backend, one
-    /// magazine at a time, so a drain holds at most one magazine's worth
-    /// of offsets outside the cache.
-    fn drain_slot(&self, slot: &mut Slot) {
+    /// An empty holder for the magazines a drain takes out.  A drain takes
+    /// them under the slot locks (and the inspection lock) and releases them
+    /// once it has given those back, so an owner entering meanwhile waits
+    /// for the moves, never for the backend.  What it holds meanwhile is the
+    /// magazines' own buffers, never a copy of their offsets.
+    fn taken(&self) -> TakenMagazines<'_, A> {
+        TakenMagazines {
+            cache: self,
+            mags: Vec::new(),
+        }
+    }
+
+    /// Moves the offsets of every non-empty magazine of `slot` into
+    /// `taken`.
+    fn take_slot(&self, slot: &mut Slot, taken: &mut Vec<(usize, Vec<usize>)>) {
         for (class, pair) in slot.mags.iter_mut().enumerate() {
-            let class_size = self.class_size(class);
             for mag in [&mut pair.loaded, &mut pair.previous] {
-                self.release_magazine(mag, class_size, &self.counters.drained);
+                if !mag.is_empty() {
+                    taken.push((self.class_size(class), mag.take_all()));
+                }
             }
         }
     }
@@ -901,7 +917,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// teardown); also invoked by `Drop`.  Enters every slot as a remote
     /// (see *Consistency* on the type).
     pub fn drain_all(&self) {
-        self.slots.for_each_slot(|slot| self.drain_slot(slot));
+        let mut taken = self.taken();
+        self.slots
+            .for_each_slot(|slot| self.take_slot(slot, &mut taken.mags));
         // Exclude concurrent inspections: their temporarily popped magazines
         // would otherwise dodge the drain and be restored afterwards.
         let _inspecting = self.inspect_lock.lock();
@@ -909,11 +927,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
             for class in 0..self.classes.len() {
                 let class_size = self.class_size(class);
                 for mut m in shard.drain_class(class, class_size) {
-                    self.release_magazine(&mut m, class_size, &self.counters.drained);
+                    taken.mags.push((class_size, m.take_all()));
                 }
             }
         }
         drop(_inspecting);
+        taken.release();
         // A full drain is the designated recovery point: return whatever a
         // panicked thread stranded as well, so `verify_cached_empty` after a
         // storm sees a truly empty cache.
@@ -1291,6 +1310,37 @@ impl<A: BuddyBackend> Drop for OrphanGuard<'_, A> {
     fn drop(&mut self) {
         if !self.chunks.is_empty() {
             self.cache.publish_orphans(&mut self.chunks);
+        }
+    }
+}
+
+/// Magazines a drain took out, `(class size, offsets)`, not yet released
+/// ([`MagazineCache::taken`]).  If a release unwinds, the rest are
+/// published like an [`OrphanGuard`]'s.
+struct TakenMagazines<'a, A: BuddyBackend> {
+    cache: &'a MagazineCache<A>,
+    mags: Vec<(usize, Vec<usize>)>,
+}
+
+impl<A: BuddyBackend> TakenMagazines<'_, A> {
+    /// Returns every chunk to the backend, counting them as drained.
+    fn release(mut self) {
+        let cache = self.cache;
+        while let Some((class_size, offsets)) = self.mags.pop() {
+            cache.release_offsets(offsets, class_size, &cache.counters.drained);
+        }
+    }
+}
+
+impl<A: BuddyBackend> Drop for TakenMagazines<'_, A> {
+    fn drop(&mut self) {
+        let mut chunks: Vec<(usize, usize)> = self
+            .mags
+            .drain(..)
+            .flat_map(|(class_size, offsets)| offsets.into_iter().map(move |off| (off, class_size)))
+            .collect();
+        if !chunks.is_empty() {
+            self.cache.publish_orphans(&mut chunks);
         }
     }
 }

@@ -22,7 +22,11 @@
 //! scrub run is dropping node pages under, so that drop can close the run
 //! to them and wait out those already at work there
 //! ([`BuddyTree::free_scrub_run`]).  Entering and leaving a section are
-//! two plain stores on the thread's own line.
+//! two plain stores on the thread's own line while the thread holds its
+//! entry; a thread done with the trees gives it up
+//! ([`Grace::release_mine`]), as the magazine cache's per-thread drain
+//! does, so a later thread on its stripe is not left counting in the
+//! shared pair.
 //!
 //! Under `--cfg nbbs_model` `index[]` below, like each store's words, the
 //! gauge's stripes, the section counters and the dropping range, is a
@@ -37,7 +41,6 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 #[cfg(not(nbbs_model))]
 use std::sync::atomic::{AtomicU64, AtomicU8};
-use std::sync::Mutex;
 
 use crate::config::{BuddyConfig, ScanPolicy};
 use crate::error::FreeError;
@@ -233,10 +236,8 @@ pub struct BuddyTree<S> {
     grace: Grace,
     /// The units `[start, end)` whose node storage a scrub run is dropping,
     /// packed `start << 32 | end` (0: none).  Scans and claims leave every
-    /// node overlapping them alone.
+    /// node overlapping them alone.  Written only under `grace`'s turn.
     dropping: AtomicU64,
-    /// Makes scrub runs take turns at `dropping`.
-    drops: Mutex<()>,
     stats: OpStats,
 }
 
@@ -260,7 +261,6 @@ impl<S: NodeStore> BuddyTree<S> {
             allocated: ByteGauge::new(),
             grace: Grace::new(),
             dropping: AtomicU64::new(0),
-            drops: Mutex::new(()),
             stats: OpStats::new(),
         }
     }
@@ -420,10 +420,10 @@ impl<S: NodeStore> BuddyTree<S> {
         let mut dropped = unsafe { self.index.discard(units.clone()) };
         let fills_a_page = cfg!(nbbs_model) || units.len() >= crate::mapping::page_size();
         if fills_a_page && self.grace.can_wait() {
-            let _turn = self.drops.lock().unwrap_or_else(|e| e.into_inner());
+            let turn = self.grace.turn();
             let packed = (units.start as u64) << 32 | units.end as u64;
             self.dropping.store(packed, Ordering::SeqCst);
-            self.grace.wait_out();
+            turn.wait_out();
             // SAFETY: the held blocks of `run` cover `[start, end)` and none
             // is deeper than `deepest`.  Every scan and claim that began
             // before the range was published has ended, and every later one

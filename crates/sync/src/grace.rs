@@ -5,7 +5,7 @@
 //! the kernel under a scrub run) may need to know that every operation that
 //! could have touched that memory before the change has finished.
 //! [`Grace`] tracks such operations as *sections*: a thread wraps each one
-//! in [`Grace::enter`], and [`Grace::wait_out`] returns once every section
+//! in [`Grace::enter`], and [`Turn::wait_out`] returns once every section
 //! that began before it was called has ended.  Sections never wait, so the
 //! operations they wrap keep their progress guarantee; only `wait_out`
 //! blocks, and only on sections already running.
@@ -13,7 +13,11 @@
 //! # The owner's section
 //!
 //! The table has [`STRIPES`] entries, claimed by the [claim
-//! rule](crate::owned#the-claim-rule).  The thread holding its entry counts
+//! rule](crate::owned#the-claim-rule).  A thread done with the tables gives
+//! its entry up in every live table at once ([`Grace::release_mine`]; the
+//! tables are listed process-wide as they are built): the magazine
+//! cache's per-thread drain does so at thread exit, and a thread that
+//! enters again claims again.  The thread holding its entry counts
 //! its sections in `seq`, a word only it writes: `seq` is odd while it is
 //! inside one.  Entering is `seq := seq + 1; light()`, leaving is
 //! `seq := seq + 1` (Release): no read-modify-write and no hardware fence.
@@ -25,7 +29,10 @@
 //! after its odd store, `wait_out` reads the odd value and waits for the
 //! section to end.  If it lies before, every access of the section comes
 //! after the barrier and so after whatever the caller did before
-//! `wait_out`: the section never saw the old memory.
+//! `wait_out`: the section never saw the old memory.  An entry changes
+//! hands only between sections: the release store follows the owner's last
+//! `seq` store, and the next claim's `compare_exchange` (Acquire) reads it,
+//! so the new owner counts on from the old one's even `seq`.
 //!
 //! That needs the asymmetric barrier (`membarrier(2)`), so a table whose
 //! process has none cannot wait sections out: [`Grace::can_wait`] says so
@@ -42,8 +49,10 @@
 //! waits until the old parity's count reads 0, so sections that begin
 //! afterwards, which count under the new parity, cannot hold it up.  These
 //! are sequentially consistent read-modify-writes, fences in their own
-//! right.  Calls to `wait_out` take turns, so the parity a call waits on is
-//! never the one new sections count under.
+//! right.  Only the holder of the table's [`Turn`] waits, so the parity a
+//! call waits on is never the one new sections count under.  The turn also
+//! serves the caller: what it publishes before waiting (the range a scrub
+//! run closes) stays its own until the turn drops.
 //!
 //! Under `--cfg nbbs_model` the counters are [`crate::shadow`] atomics and
 //! the waits park in [`crate::shadow::spin_wait`].  Each scheduled worker
@@ -55,7 +64,7 @@
 //! barrier pair is invisible; the configs check the waiting.
 
 use std::sync::atomic::{compiler_fence, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 #[cfg(nbbs_model)]
 use crate::shadow::AtomicUsize;
@@ -67,6 +76,12 @@ use crate::{Backoff, CachePadded, Claim, ThreadToken};
 
 /// Entries per table (a power of two, as the claim rule asks).
 pub const STRIPES: usize = 16;
+
+/// A table's entries.
+type Stripes = [CachePadded<Stripe>];
+
+/// Every table built, so a thread can give its entries up in all of them.
+static TABLES: Mutex<Vec<Weak<Stripes>>> = Mutex::new(Vec::new());
 
 /// One entry: the claim, the owner's count and the others' pair.
 #[derive(Default)]
@@ -83,16 +98,16 @@ struct Stripe {
 
 /// A table of per-thread section counters (see the [module docs](self)).
 ///
-/// The entries are boxed: a table sits inside each tree, and 2 KiB of
-/// padded entries inline would be copied through every frame that builds
-/// one.
+/// The entries are on the heap: a table sits inside each tree, and 2 KiB
+/// of padded entries inline would be copied through every frame that
+/// builds one.
 pub struct Grace {
-    stripes: Box<[CachePadded<Stripe>]>,
+    stripes: Arc<Stripes>,
     /// Moved on by every `wait_out`; its parity names the `shared` counter
     /// new sections count under.  Written only by `wait_out`.
     epoch: AtomicUsize,
-    /// Makes calls to `wait_out` take turns.
-    waiting: Mutex<()>,
+    /// Held by the [`Turn`].
+    turn: Mutex<()>,
 }
 
 impl Default for Grace {
@@ -104,12 +119,17 @@ impl Default for Grace {
 impl Grace {
     /// An empty table.  Asks nothing of the kernel.
     pub fn new() -> Self {
+        let stripes: Arc<Stripes> = (0..STRIPES)
+            .map(|_| CachePadded::new(Stripe::default()))
+            .collect();
+        let mut tables = TABLES.lock().unwrap_or_else(|e| e.into_inner());
+        tables.retain(|t| t.strong_count() > 0);
+        tables.push(Arc::downgrade(&stripes));
+        drop(tables);
         Grace {
-            stripes: (0..STRIPES)
-                .map(|_| CachePadded::new(Stripe::default()))
-                .collect(),
+            stripes,
             epoch: AtomicUsize::new(0),
-            waiting: Mutex::new(()),
+            turn: Mutex::new(()),
         }
     }
 
@@ -159,39 +179,33 @@ impl Grace {
         (&self.stripes[entry], true)
     }
 
-    /// Whether [`Grace::wait_out`] can work in this process: it needs the
+    /// Whether [`Turn::wait_out`] can work in this process: it needs the
     /// asymmetric barrier.  The first call registers the process for it.
     pub fn can_wait(&self) -> bool {
         cfg!(nbbs_model) || Barrier::process() == Barrier::Asymmetric
     }
 
-    /// Returns once every section of this table that began before the call
-    /// has ended.  Sections that begin meanwhile do not hold it up.  Called
-    /// from inside a section of this table it would wait on itself.
-    ///
-    /// # Panics
-    ///
-    /// If [`Grace::can_wait`] is false.
-    pub fn wait_out(&self) {
-        assert!(
-            self.can_wait(),
-            "no asymmetric barrier to wait sections out"
-        );
-        let _turn = self.waiting.lock().unwrap_or_else(|e| e.into_inner());
+    /// Takes the table's turn at waiting sections out, blocking while
+    /// another thread holds it.
+    pub fn turn(&self) -> Turn<'_> {
+        Turn {
+            grace: self,
+            _held: self.turn.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
+
+    /// Gives up the calling thread's entry in every live table, so the
+    /// next thread on its stripe owns it instead of counting its sections
+    /// in the shared pair.  For a thread done with the tables, about to
+    /// exit; one that enters again claims again.  Must not be called from
+    /// inside a section: the next owner would count on from an odd `seq`.
+    pub fn release_mine() {
         #[cfg(not(nbbs_model))]
-        Barrier::process().heavy();
-        let old = self.epoch.fetch_add(1, Ordering::SeqCst) & 1;
-        for stripe in self.stripes.iter() {
-            let seq = stripe.seq.load(Ordering::Acquire);
-            if seq % 2 == 1 {
-                let backoff = Backoff::new();
-                while stripe.seq.load(Ordering::Acquire) == seq {
-                    snooze(&backoff);
-                }
-            }
-            let backoff = Backoff::new();
-            while stripe.shared[old].load(Ordering::Acquire) != 0 {
-                snooze(&backoff);
+        {
+            let me = ThreadToken::current();
+            let tables = TABLES.lock().unwrap_or_else(|e| e.into_inner());
+            for stripes in tables.iter().filter_map(Weak::upgrade) {
+                stripes[me.stripe(STRIPES)].claim.release(me);
             }
         }
     }
@@ -208,6 +222,46 @@ impl Grace {
             ]
         });
         std::iter::once(epoch).chain(stripes)
+    }
+}
+
+/// The turn of one table's waiter ([`Grace::turn`]); dropping it lets the
+/// next waiter in.
+pub struct Turn<'a> {
+    grace: &'a Grace,
+    _held: MutexGuard<'a, ()>,
+}
+
+impl Turn<'_> {
+    /// Returns once every section of the table that began before the call
+    /// has ended.  Sections that begin meanwhile do not hold it up.  Called
+    /// from inside a section of the table it would wait on itself.
+    ///
+    /// # Panics
+    ///
+    /// If [`Grace::can_wait`] is false.
+    pub fn wait_out(&self) {
+        let grace = self.grace;
+        assert!(
+            grace.can_wait(),
+            "no asymmetric barrier to wait sections out"
+        );
+        #[cfg(not(nbbs_model))]
+        Barrier::process().heavy();
+        let old = grace.epoch.fetch_add(1, Ordering::SeqCst) & 1;
+        for stripe in grace.stripes.iter() {
+            let seq = stripe.seq.load(Ordering::Acquire);
+            if seq % 2 == 1 {
+                let backoff = Backoff::new();
+                while stripe.seq.load(Ordering::Acquire) == seq {
+                    snooze(&backoff);
+                }
+            }
+            let backoff = Backoff::new();
+            while stripe.shared[old].load(Ordering::Acquire) != 0 {
+                snooze(&backoff);
+            }
+        }
     }
 }
 
@@ -243,8 +297,8 @@ mod tests {
         let grace = Grace::new();
         drop(grace.enter());
         if grace.can_wait() {
-            grace.wait_out();
-            grace.wait_out();
+            grace.turn().wait_out();
+            grace.turn().wait_out();
         }
     }
 
@@ -268,7 +322,7 @@ mod tests {
             });
             is_open.recv().unwrap();
             let waiter = s.spawn(move || {
-                grace.wait_out();
+                grace.turn().wait_out();
                 assert!(
                     ended.load(Ordering::Acquire),
                     "returned before the section ended"
@@ -305,5 +359,28 @@ mod tests {
         }
         assert!(grace.stripes.iter().all(|s| s.claim.is_held()));
         waits_for_an_open_section(&grace);
+    }
+
+    #[test]
+    fn a_released_entry_passes_to_the_next_thread_on_its_stripe() {
+        let grace = Grace::new();
+        // Twice as many threads as stripes, one after the other, each
+        // giving its entry up before it exits: each owns its entry.  A
+        // second table's entries go as well.
+        let other = Grace::new();
+        for _ in 0..2 * STRIPES {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for table in [&grace, &other] {
+                        let section = table.enter();
+                        assert!(section.leave.is_some(), "a dead thread holds the entry");
+                    }
+                    Grace::release_mine();
+                });
+            });
+        }
+        for table in [&grace, &other] {
+            assert!(!table.stripes.iter().any(|s| s.claim.is_held()));
+        }
     }
 }

@@ -204,6 +204,14 @@ impl Claim {
         self.owner.load(Ordering::Relaxed) == thread_token()
     }
 
+    /// Gives the entry up if the thread `me` names holds it.
+    #[cfg_attr(nbbs_model, allow(dead_code))]
+    pub(crate) fn release(&self, me: ThreadToken) {
+        if self.owner.load(Ordering::Relaxed) == me.token {
+            self.owner.store(0, Ordering::Release);
+        }
+    }
+
     /// Whether any thread holds this entry.
     #[cfg(all(test, not(nbbs_model)))]
     pub(crate) fn is_held(&self) -> bool {

@@ -254,18 +254,22 @@ fn a_night_gives_back_the_data_and_the_index_a_day_wrote() {
         (2 << 20) + words,
         "every page of index[] and of the layers below the claims lies under a run"
     );
-    if words == 0 {
-        eprintln!("skipped the bound: this process keeps its word pages");
-        return;
-    }
     // What stays is the words the day wrote on the blocks' paths above the
     // dropped layers, and the heap the pass itself took.  The 4 KiB blocks
     // are level 14, the root of a layer the pass drops, and their climbs
     // mark the 1 024 words (8 KiB) of the layer rooted at level 10, which
     // the claims wrote as well.  32 KiB is allowed for the heap.  It read
     // +28 KiB run alone and +8 KiB after the other tests on x86-64 Linux.
+    // Where the words stay, so does the layer rooted at level 14: 16 384
+    // words, 128 KiB, one page per 2 MiB of arena, so a block every 32 KiB
+    // writes every page of it; 64 KiB is allowed for the heap there.
+    let within = if words == 0 {
+        night < 128 + 64
+    } else {
+        night <= 8 + 32
+    };
     assert!(
-        night <= 8 + 32,
+        within,
         "{night} KiB stayed resident after the night ({day} KiB after the day)"
     );
     assert_eq!(region.allocated_bytes(), 0);
