@@ -61,7 +61,6 @@ struct Counters {
     drained: AtomicU64,
     depot_spills: AtomicU64,
     resize_grows: AtomicU64,
-    resize_shrinks: AtomicU64,
     orphan_rescues: AtomicU64,
 }
 
@@ -176,9 +175,11 @@ struct ClassCtl {
 ///
 /// Magazine capacities are *adaptive* (Bonwick's dynamic resizing): a class
 /// whose bursts keep spilling past its depot shard doubles its capacity (up
-/// to [`CacheConfig::max_magazine_capacity`] and a per-class share of the
-/// byte budget), and byte-budget pressure shrinks it again.  The
-/// [`CacheConfig::cache_bytes_budget`] bounds the total bytes parked.
+/// to [`CacheConfig::max_magazine_capacity`] and an eighth of the byte
+/// budget per magazine).  Capacities only grow.  The
+/// [`CacheConfig::cache_bytes_budget`] bounds the total bytes parked: a
+/// full magazine that would take its depot shard past its share goes back
+/// to the backend whole, and the class keeps its capacity.
 ///
 /// `MagazineCache` implements [`BuddyBackend`] itself, so it nests unchanged
 /// inside `BuddyRegion` (so under the `nbbs-alloc` shell and facade), a
@@ -535,23 +536,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
         }
     }
 
-    /// Records byte-budget pressure on `class` and shrinks its capacity.
-    fn note_pressure(&self, class: usize) {
-        self.counters.depot_spills.fetch_add(1, Ordering::Relaxed);
-        let ctl = &self.ctl[class];
-        let cur = ctl.cap.load(Ordering::Relaxed);
-        let target = (cur / 2).max(2);
-        if target < cur
-            && ctl
-                .cap
-                .compare_exchange(cur, target, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.counters.resize_shrinks.fetch_add(1, Ordering::Relaxed);
-            ctl.spills.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Publishes chunks a panic stranded mid-flight; the next toucher
     /// rescues them.  Called from [`OrphanGuard::drop`] during unwinds.
     fn publish_orphans(&self, chunks: &mut Vec<(usize, usize)>) {
@@ -648,9 +632,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
             // stalled behind our tree walks (mirror of the flush in
             // `free_overflow`).
             let target = self.ctl[class].cap.load(Ordering::Relaxed);
-            if pair.loaded.capacity() != target {
-                pair.loaded.set_capacity(target);
-                pair.previous.set_capacity(target);
+            if pair.loaded.capacity() < target {
+                pair.loaded.grow_to(target);
+                pair.previous.grow_to(target);
             }
             Err((pair.loaded.capacity() / 2).clamp(1, REFILL_BATCH_MAX))
         });
@@ -781,8 +765,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 .take()
                 .unwrap_or_else(|| Magazine::new(target_cap));
             debug_assert!(empty.is_empty());
-            if empty.capacity() != target_cap {
-                empty.set_capacity(target_cap);
+            if empty.capacity() < target_cap {
+                empty.grow_to(target_cap);
             }
             let full = std::mem::replace(&mut pair.previous, empty);
             std::mem::swap(&mut pair.loaded, &mut pair.previous);
@@ -799,7 +783,10 @@ impl<A: BuddyBackend> MagazineCache<A> {
 
     /// Parks a full magazine in the slot group's depot shard, or returns its
     /// chunks to the backend when the shard is at capacity or the shard's
-    /// share of the byte budget is exhausted.
+    /// share of the byte budget is exhausted.  Either refusal counts as a
+    /// depot spill; only the first is a grow signal, and budget pressure
+    /// changes no capacity (Bonwick & Adams answer memory pressure by
+    /// reaping the depot, never by shrinking magazines).
     ///
     /// `full` must hold at least one chunk: the depot's pop consumer
     /// (`alloc_miss`'s exchange) assumes parked magazines are non-empty.
@@ -824,8 +811,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 }
             }
         } else {
-            // Byte budget exhausted — a shrink signal.
-            self.note_pressure(class);
+            // Byte budget exhausted: the magazine's chunks go back to the
+            // backend and the class keeps its capacity.  Shrinking it here
+            // would knock every class a burst pushes past the budget down to
+            // its floor, and the next burst would miss on nearly every
+            // magazine.
+            self.counters.depot_spills.fetch_add(1, Ordering::Relaxed);
         }
         self.flush_magazine(full, class_size);
     }
@@ -1094,7 +1085,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
             drained: self.counters.drained.load(Ordering::Relaxed),
             depot_spills: self.counters.depot_spills.load(Ordering::Relaxed),
             resize_grows: self.counters.resize_grows.load(Ordering::Relaxed),
-            resize_shrinks: self.counters.resize_shrinks.load(Ordering::Relaxed),
             orphan_rescues: self.counters.orphan_rescues.load(Ordering::Relaxed),
             depot_shards: self.shards.len() as u64,
         }

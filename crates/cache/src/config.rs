@@ -5,10 +5,11 @@
 /// Every size class up to the backend's `max_size` is cached.
 /// [`CacheConfig::magazine_capacity`] and [`CacheConfig::magazine_bytes`]
 /// only seed the *initial* magazine capacity of each class; the cache then
-/// grows a class's capacity when its bursts keep spilling past the depot,
-/// and shrinks it under byte-budget pressure (Bonwick's dynamic magazine
-/// resizing), staying within [`CacheConfig::max_magazine_capacity`] and
-/// [`CacheConfig::cache_bytes_budget`].
+/// grows a class's capacity when its bursts keep spilling past the depot
+/// (Bonwick's dynamic magazine resizing), staying within
+/// [`CacheConfig::max_magazine_capacity`] and an eighth of
+/// [`CacheConfig::cache_bytes_budget`] per magazine.  Capacities never
+/// shrink: byte-budget pressure flushes magazines instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Initial maximum entries in one magazine (applies to the smallest
@@ -54,9 +55,10 @@ pub struct CacheConfig {
     /// Byte budget bounding what the cache keeps parked.  The budget is
     /// split evenly across the depot shards: a shard refuses to park
     /// further magazines once its own parked bytes reach its share (the
-    /// gate reads one shard-local counter, never a global sum), and the
-    /// refusal is the controller's shrink signal.  The budget also caps
-    /// adaptive growth — one magazine never exceeds an eighth of it.
+    /// gate reads one shard-local counter, never a global sum), and a
+    /// refused magazine goes back to the backend whole, its class keeping
+    /// its capacity.  The budget also caps adaptive growth — one magazine
+    /// never exceeds an eighth of it.
     /// Slot-resident magazines are bounded by those capacity ceilings
     /// rather than by the budget directly.  `None` resolves to a quarter
     /// of the backend's managed memory.

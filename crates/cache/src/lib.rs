@@ -45,8 +45,10 @@
 //!   back to batched backend releases; circulation never crosses the shard
 //!   (slot-group) boundary, the analogue of per-NUMA-node depots.
 //! * **Magazine capacities adapt** (Bonwick dynamic resizing): sustained
-//!   depot spills double a class's capacity, byte-budget pressure halves
-//!   it, all within [`config::CacheConfig::cache_bytes_budget`].
+//!   depot spills double a class's capacity, within
+//!   [`config::CacheConfig::cache_bytes_budget`]; capacities only grow.
+//!   Byte-budget pressure flushes whole magazines to the backend and
+//!   leaves the capacity alone.
 //! * **Foreign threads drain on exit**: any thread — including ones that
 //!   reach the cache only through a `#[global_allocator]` facade
 //!   (`nbbs-alloc`) — gets its slot assigned panic-free on first touch, and

@@ -46,16 +46,13 @@ impl Magazine {
         self.capacity as usize
     }
 
-    /// Retargets an *empty* magazine to a new capacity (the adaptive resize
-    /// controller only ever changes capacities at rotation/refill points,
-    /// where the magazine holds nothing).
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+    /// Raises an *empty* magazine's capacity to `capacity` (the adaptive
+    /// controller only ever grows a class's capacity, and magazines adopt
+    /// it at rotation/refill points, where they hold nothing).
+    pub(crate) fn grow_to(&mut self, capacity: usize) {
         debug_assert!(self.is_empty(), "resizing a non-empty magazine");
-        if capacity > self.capacity() {
-            self.entries.reserve(capacity - self.entries.len());
-        } else if capacity < self.capacity() {
-            self.entries.shrink_to(capacity);
-        }
+        debug_assert!(capacity >= self.capacity(), "capacities only grow");
+        self.entries.reserve(capacity);
         self.capacity = Self::narrow(capacity);
     }
 
@@ -190,19 +187,22 @@ mod tests {
     }
 
     #[test]
-    fn set_capacity_grows_and_shrinks_empty_magazines() {
+    fn grow_to_raises_an_empty_magazines_capacity() {
         let mut m = Magazine::new(2);
-        m.set_capacity(8);
+        m.grow_to(8);
         assert_eq!(m.capacity(), 8);
         for off in 0..8 {
             m.push(off * 8);
         }
         assert!(m.is_full());
         assert_eq!(m.take_all().len(), 8);
-        m.set_capacity(2);
-        assert_eq!(m.capacity(), 2);
-        m.push(0);
-        m.push(8);
+        // A drained magazine has no buffer; growing it takes a new one.
+        m.grow_to(16);
+        assert_eq!(m.capacity(), 16);
+        assert!(m.entries.capacity() >= 16);
+        for off in 0..16 {
+            m.push(off * 8);
+        }
         assert!(m.is_full());
     }
 

@@ -82,9 +82,15 @@ impl<A: BuddyBackend> RegionInner<A> {
     /// in one [`BuddyBackend::scrub_dealloc_run`] call that also drops the
     /// backend's metadata pages under the run, or block by block if the
     /// backend declines.
-    /// A run ends when the next chunk is not adjacent, is already
-    /// decommitted, fails its claim (each of these leaves a gap) or would
-    /// take the run past [`RegionInner::run_cap`].
+    /// A chunk whose pages are all decommitted already joins a run that
+    /// has a chunk with a page to release: it has no frame left to
+    /// release, but the metadata pages under a span that went back in
+    /// pieces go whole once the span is free end to end.  It is claimed
+    /// only then, because a claim writes the tree's metadata: claiming
+    /// every such chunk would fault in the whole `index[]` of a span no
+    /// grant ever touched.
+    /// A run ends when the next chunk is not adjacent, fails its claim
+    /// (leaving a gap) or would take the run past [`RegionInner::run_cap`].
     /// That cap is also the bound on what the scrubber keeps from a
     /// concurrent allocation at any moment: one run, where a
     /// block-at-a-time pass kept one block.
@@ -109,22 +115,31 @@ impl<A: BuddyBackend> RegionInner<A> {
                 held: Vec::with_capacity((cap / min_block).min(chunks.len())),
                 start: 0,
                 len: 0,
+                dirty: 0,
             };
-            for &(off, size) in &chunks {
-                if off != run.start + run.len || run.len + size > cap {
-                    freed += run.release();
+            // `chunks[i - waiting..i]`: decommitted chunks of `waiting_len`
+            // bytes past the run's end, claimed once the run has a chunk
+            // with pages.
+            let (mut waiting, mut waiting_len) = (0, 0);
+            for (i, &(off, size)) in chunks.iter().enumerate() {
+                let reach = run.start + run.len + waiting_len;
+                if off != reach || run.len + waiting_len + size > cap {
+                    freed += run.close(&chunks[i - waiting..i]);
                     run.start = off;
+                    (waiting, waiting_len) = (0, 0);
                 }
-                if self.mapping.is_fully_decommitted(off, size)
-                    || !self.backend.scrub_claim(off, size)
-                {
-                    continue; // the gap ends the run at the next chunk
+                if self.mapping.is_fully_decommitted(off, size) {
+                    waiting += 1;
+                    waiting_len += size;
+                    continue;
                 }
-                debug_assert!(run.held.len() < run.held.capacity());
-                run.held.push((off, size));
-                run.len += size;
+                for &(gone, gone_size) in &chunks[i - waiting..i] {
+                    freed += run.take(gone, gone_size, false);
+                }
+                (waiting, waiting_len) = (0, 0);
+                freed += run.take(off, size, true);
             }
-            freed += run.release();
+            freed += run.close(&chunks[chunks.len() - waiting..]);
         }
         self.scrub_passes.fetch_add(1, Ordering::Relaxed);
         freed
@@ -133,7 +148,8 @@ impl<A: BuddyBackend> RegionInner<A> {
 
 /// The blocks a scrub pass has claimed and not yet given back, as
 /// `(offset, size)`: one run of adjacent free chunks covering
-/// `[start, start + len)`.
+/// `[start, start + len)`, `dirty` of which had a page left to release
+/// when they were claimed.
 ///
 /// A guard, so held blocks go back on every exit: a panic between the first
 /// claim and the last release (an injected fault in `scrub_dealloc`, a
@@ -146,26 +162,59 @@ struct Run<'a, A: BuddyBackend> {
     held: Vec<(usize, usize)>,
     start: usize,
     len: usize,
+    dirty: usize,
 }
 
 impl<A: BuddyBackend> Run<'_, A> {
+    /// Claims the chunk at the run's end into the run; `dirty` if it has a
+    /// page to release.  A failed claim leaves a gap: the run goes back
+    /// and the next one starts past the chunk.  Returns the bytes that
+    /// release decommitted.
+    fn take(&mut self, off: usize, size: usize, dirty: bool) -> usize {
+        debug_assert_eq!(off, self.start + self.len);
+        if !self.region.backend.scrub_claim(off, size) {
+            let freed = self.release();
+            self.start = off + size;
+            return freed;
+        }
+        debug_assert!(self.held.len() < self.held.capacity());
+        self.held.push((off, size));
+        self.len += size;
+        self.dirty += usize::from(dirty);
+        0
+    }
+
+    /// Ends the run: claims the decommitted chunks `trailing` it if it has
+    /// a page to release, then releases it.  Returns the bytes decommitted.
+    fn close(&mut self, trailing: &[(usize, usize)]) -> usize {
+        let mut freed = 0;
+        for &(off, size) in trailing {
+            if self.dirty == 0 {
+                break; // nothing to release, or a failed claim ended the run
+            }
+            freed += self.take(off, size, false);
+        }
+        freed + self.release()
+    }
+
     /// Releases the run's frames with one kernel call, then frees its
     /// blocks, the whole run in one backend call where the backend takes
     /// it (a tree drops its metadata pages under the run there, and for
     /// its node pages first waits out the scans already at work in the
     /// run); returns the bytes newly decommitted and leaves the run empty.
     fn release(&mut self) -> usize {
+        let dirty = std::mem::take(&mut self.dirty);
         if self.held.is_empty() {
             return 0;
         }
         let region = self.region;
         let freed = region.mapping.decommit(self.start, self.len);
         if freed > 0 {
-            // Every held block had a page left to release when it was
+            // The blocks that had a page left to release when they were
             // claimed (two passes racing over one block may both count it).
             region
                 .scrub_blocks
-                .fetch_add(self.held.len() as u64, Ordering::Relaxed);
+                .fetch_add(dirty as u64, Ordering::Relaxed);
             region
                 .scrub_bytes
                 .fetch_add(freed as u64, Ordering::Relaxed);
@@ -711,7 +760,67 @@ mod tests {
     }
 
     #[test]
-    fn live_and_decommitted_blocks_each_split_the_run() {
+    fn a_span_freed_in_two_halves_gives_back_its_whole_index_on_the_second_pass() {
+        // The shipped tree, every 64 KiB block granted and touched.  The
+        // first night finds every other block free: each is a run of its
+        // own, too short to cover a page of `index[]` (one per 128 KiB).
+        // The second finds the rest free too, beside blocks the first pass
+        // decommitted, and its 2 MiB runs cover every page.
+        const TOTAL: usize = 64 << 20;
+        const BLOCK: usize = 64 << 10;
+        let r = BuddyRegion::new(NbbsFourLevel::new(
+            BuddyConfig::new(TOTAL, 32, BLOCK).unwrap(),
+        ));
+        let blocks: Vec<_> = (0..TOTAL / BLOCK)
+            .map(|_| r.alloc_bytes(BLOCK).expect("full capacity"))
+            .collect();
+        for p in &blocks {
+            for at in (0..BLOCK).step_by(page_size()) {
+                unsafe { p.as_ptr().add(at).write(0xEE) };
+            }
+        }
+        let (odd, even): (Vec<_>, Vec<_>) = blocks
+            .into_iter()
+            .partition(|p| r.offset_of(*p).unwrap() / BLOCK % 2 == 1);
+        for p in odd {
+            r.dealloc_bytes(p);
+        }
+        assert_eq!(r.scrub_pass(), TOTAL / 2);
+        let first = r.memory_stats();
+        assert_eq!(first.decommit_calls, (TOTAL / BLOCK / 2) as u64);
+        for p in even {
+            r.dealloc_bytes(p);
+        }
+        assert_eq!(r.scrub_pass(), TOTAL / 2);
+        let second = r.memory_stats();
+        assert_eq!(
+            second.decommit_calls - first.decommit_calls,
+            (TOTAL / RUN_CAP_BYTES) as u64,
+            "the decommitted blocks joined the runs"
+        );
+        assert_eq!(second.scrub_blocks, (TOTAL / BLOCK) as u64);
+        if page_size() == 4096 {
+            assert_eq!(first.metadata_decommitted_bytes, 0, "{first}");
+            // The bunch layers below the blocks go too, where scans can be
+            // waited out (see `each_run_gives_back_the_index_pages_under_it`).
+            let words = if nbbs_sync::Grace::new().can_wait() {
+                ((1 << 14) + (1 << 18)) * 8
+            } else {
+                0
+            };
+            assert_eq!(
+                second.metadata_decommitted_bytes,
+                (TOTAL / 32 + words) as u64,
+                "the second pass drops the whole index[] and the words below: {second}"
+            );
+        }
+        assert_eq!(r.allocated_bytes(), 0);
+        assert_eq!(r.committed_bytes(), 0);
+        crate::verify::audit_empty(r.backend()).assert_clean();
+    }
+
+    #[test]
+    fn live_blocks_split_the_run_and_decommitted_ones_extend_it() {
         let page = page_size();
         let block = page * 4;
         const BLOCKS: usize = 256;
@@ -741,9 +850,10 @@ mod tests {
         let stats = r.memory_stats();
         assert_eq!(stats.scrub_blocks, scrubbed as u64);
         assert_eq!(stats.scrub_bytes, (scrubbed * block) as u64);
-        // Three free spans, each cut into runs of at most the cap, plus the
-        // call that decommitted `GONE` by hand: no run crossed a gap.
-        let spans = [LIVE, GONE - LIVE - 1, BLOCKS - GONE - 1];
+        // Two free spans either side of the live block, each cut into runs
+        // of at most the cap, plus the call that decommitted `GONE` by hand:
+        // no run crossed the live block, and `GONE` split none.
+        let spans = [LIVE, BLOCKS - LIVE - 1];
         let runs: usize = spans.iter().map(|s| s.div_ceil(cap_blocks)).sum();
         assert_eq!(stats.decommit_calls, 1 + runs as u64);
 
@@ -779,7 +889,7 @@ mod tests {
         r.dealloc_bytes(p);
 
         // Every block is free, but only the one that held the grant has a
-        // page to release: one claim, one kernel call.
+        // page to release: one kernel call, and no claim past that block.
         assert_eq!(r.scrub_pass(), page);
         let stats = r.memory_stats();
         assert_eq!(stats.scrub_blocks, 1);

@@ -173,11 +173,8 @@ pub struct CacheStatsSnapshot {
     /// counted in `flushed`).
     pub depot_spills: u64,
     /// Adaptive-resize events that grew a size class's magazine capacity
-    /// (triggered by sustained depot spills).
+    /// (triggered by sustained depot spills; capacities never shrink).
     pub resize_grows: u64,
-    /// Adaptive-resize events that shrank a size class's magazine capacity
-    /// (triggered by cache byte-budget pressure).
-    pub resize_shrinks: u64,
     /// Chunks rescued from the orphan list: chunks a panic stranded
     /// mid-flush/refill/drain, re-published by the unwinding thread and
     /// returned to the backend by the next toucher.
@@ -219,7 +216,6 @@ impl CacheStatsSnapshot {
         self.drained += other.drained;
         self.depot_spills += other.depot_spills;
         self.resize_grows += other.resize_grows;
-        self.resize_shrinks += other.resize_shrinks;
         self.orphan_rescues += other.orphan_rescues;
         self.depot_shards += other.depot_shards;
     }
@@ -230,8 +226,7 @@ impl fmt::Display for CacheStatsSnapshot {
         write!(
             f,
             "hits={} misses={} hit-rate={:.3} cached-frees={} flushed={} refilled={} \
-             depot={} drained={} shards={} spills={} grows={} shrinks={} \
-             rescued={}",
+             depot={} drained={} shards={} spills={} grows={} rescued={}",
             self.hits,
             self.misses,
             self.hit_rate(),
@@ -243,7 +238,6 @@ impl fmt::Display for CacheStatsSnapshot {
             self.depot_shards,
             self.depot_spills,
             self.resize_grows,
-            self.resize_shrinks,
             self.orphan_rescues
         )
     }
@@ -732,7 +726,7 @@ mod tests {
         let b = CacheStatsSnapshot {
             hits: 5,
             flushed: 7,
-            resize_shrinks: 1,
+            resize_grows: 1,
             depot_shards: 4,
             ..CacheStatsSnapshot::default()
         };
@@ -741,12 +735,11 @@ mod tests {
         assert_eq!(a.misses, 2);
         assert_eq!(a.flushed, 7);
         assert_eq!(a.depot_spills, 1);
-        assert_eq!(a.resize_grows, 3);
-        assert_eq!(a.resize_shrinks, 1);
+        assert_eq!(a.resize_grows, 4);
         assert_eq!(a.depot_shards, 8, "shards sum across instances");
         let s = a.to_string();
         assert!(s.contains("shards=8"));
-        assert!(s.contains("grows=3"));
+        assert!(s.contains("grows=4"));
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl StackSnapshot {
             let _ = writeln!(
                 out,
                 "  cache    depot: {} exchanges over {} shards, {} spills; \
-                 resize +{}/-{}",
-                c.depot_exchanges, c.depot_shards, c.depot_spills, c.resize_grows, c.resize_shrinks
+                 {} capacity grows",
+                c.depot_exchanges, c.depot_shards, c.depot_spills, c.resize_grows
             );
         }
         if let Some(caps) = &self.capacities {
@@ -280,7 +280,7 @@ impl StackSnapshot {
                 out,
                 ",\"cache\":{{\"hits\":{},\"misses\":{},\"cached_frees\":{},\"flushed\":{},\
                  \"refilled\":{},\"depot_exchanges\":{},\"drained\":{},\"depot_spills\":{},\
-                 \"resize_grows\":{},\"resize_shrinks\":{},\
+                 \"resize_grows\":{},\
                  \"orphan_rescues\":{},\"depot_shards\":{}}}",
                 c.hits,
                 c.misses,
@@ -291,7 +291,6 @@ impl StackSnapshot {
                 c.drained,
                 c.depot_spills,
                 c.resize_grows,
-                c.resize_shrinks,
                 c.orphan_rescues,
                 c.depot_shards
             );

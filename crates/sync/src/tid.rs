@@ -73,20 +73,62 @@ static CPUS: AtomicUsize = AtomicUsize::new(0);
 /// What [`CPUS`] holds when the platform would not say.
 const CPUS_UNREADABLE: usize = usize::MAX;
 
-/// `std::thread::available_parallelism`, read once per process.
+/// How many CPUs this process may run on, read once per process: the
+/// size of its affinity mask (`sched_getaffinity(2)`, one system call) on
+/// Linux, `std::thread::available_parallelism` elsewhere or when the call
+/// fails.
 ///
-/// On a cgroup-limited host the call opens and parses several files
-/// (~100 µs), and the shipped stack asks for it four times while it is
-/// built (the cache's slot table twice, its depot shards, the facade's
-/// odometer), so the first answer is kept.  Two threads racing the first
-/// call both ask and store the same answer.
+/// The affinity mask is the right count for striping per-thread tables: it
+/// bounds how many of the process's threads run at once.  A cgroup CPU
+/// quota, which `available_parallelism` also reads (opening and parsing
+/// several files, ~100 µs), limits CPU *time*, not how many threads run
+/// at once, so it does not narrow the stripes threads contend on.  The
+/// shipped stack asks four times while it is built (the cache's slot table
+/// twice, its depot shards, the facade's odometer), so the first answer is
+/// kept.  Two threads racing the first call both ask and store the same
+/// answer.
 pub fn available_cpus() -> Option<usize> {
     let mut cpus = CPUS.load(Ordering::Relaxed);
     if cpus == 0 {
-        cpus = std::thread::available_parallelism().map_or(CPUS_UNREADABLE, |n| n.get());
+        cpus = affinity::cpus()
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(CPUS_UNREADABLE);
         CPUS.store(cpus, Ordering::Relaxed);
     }
     (cpus != CPUS_UNREADABLE).then_some(cpus)
+}
+
+/// The calling thread's affinity mask, through libc (std links it
+/// already).
+#[cfg(target_os = "linux")]
+mod affinity {
+    use std::os::raw::c_int;
+
+    /// A mask of 1 024 CPUs, glibc's `cpu_set_t`.
+    const MASK_WORDS: usize = 1024 / 64;
+
+    extern "C" {
+        fn sched_getaffinity(pid: c_int, size: usize, mask: *mut u64) -> c_int;
+    }
+
+    /// CPUs in the mask; `None` if the call fails (a machine past 1 024
+    /// CPUs) or the mask is empty.
+    pub(super) fn cpus() -> Option<usize> {
+        let mut mask = [0u64; MASK_WORDS];
+        // SAFETY: `mask` is `size_of_val(&mask)` writable bytes; pid 0 is
+        // the calling thread.
+        let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+        let n: u32 = mask.iter().map(|w| w.count_ones()).sum();
+        (rc == 0 && n > 0).then_some(n as usize)
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    /// No affinity call here: the caller falls back.
+    pub(super) fn cpus() -> Option<usize> {
+        None
+    }
 }
 
 /// How many stripes a per-thread table gets when nobody says otherwise:
@@ -152,6 +194,27 @@ mod tests {
         assert_eq!(CPUS.load(Ordering::Relaxed), memo, "nothing re-read");
         assert_eq!(available_cpus(), (memo != CPUS_UNREADABLE).then_some(memo));
         assert!(first.is_power_of_two());
+    }
+
+    /// The count is the affinity mask the kernel reports for the process
+    /// (`taskset -c 0` makes it 1), not the machine's CPUs or a quota.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn available_cpus_counts_the_allowed_list() {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let list = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+            .expect("a Cpus_allowed_list line")
+            .trim();
+        let allowed: usize = list
+            .split(',')
+            .map(|range| match range.split_once('-') {
+                Some((lo, hi)) => hi.parse::<usize>().unwrap() - lo.parse::<usize>().unwrap() + 1,
+                None => 1,
+            })
+            .sum();
+        assert_eq!(available_cpus(), Some(allowed), "Cpus_allowed_list: {list}");
     }
 
     #[test]

@@ -490,11 +490,11 @@ fn adaptive_growth_converges_on_repeated_bursts() {
     );
 }
 
-/// Byte-budget pressure shrinks capacities: with a budget far below the
-/// burst's footprint, parking is refused and the class's capacity decays
-/// instead of growing.
+/// Byte-budget pressure flushes without shrinking: with a budget far below
+/// the burst's footprint, parking is refused, the refused magazines go back
+/// to the backend whole, and the class keeps its capacity.
 #[test]
-fn budget_pressure_shrinks_capacities() {
+fn budget_pressure_flushes_without_shrinking() {
     let cache = MagazineCache::with_config(
         NbbsOneLevel::new(backend_config()),
         CacheConfig {
@@ -507,8 +507,7 @@ fn budget_pressure_shrinks_capacities() {
         },
     );
     let class = 0;
-    let initial = cache.magazine_capacity(class);
-    assert_eq!(initial, 16);
+    assert_eq!(cache.magazine_capacity(class), 16);
     for _ in 0..6 {
         let offs: Vec<_> = (0..120).filter_map(|_| cache.alloc(8)).collect();
         for off in offs {
@@ -516,15 +515,72 @@ fn budget_pressure_shrinks_capacities() {
         }
     }
     let snap = cache.snapshot();
-    assert!(snap.resize_shrinks > 0, "no shrink despite budget pressure");
-    assert!(
-        cache.magazine_capacity(class) < initial,
-        "capacity did not shrink under pressure"
+    assert!(snap.depot_spills > 0, "no spill despite budget pressure");
+    assert!(snap.flushed > 0, "the refused magazines were not flushed");
+    assert_eq!(
+        cache.magazine_capacity(class),
+        16,
+        "budget pressure changed the capacity"
     );
     assert!(
         cache.cached_bytes() <= 256 + 16 * 8 * 2,
         "parked bytes far exceed the budget: {}",
         cache.cached_bytes()
+    );
+    cache.drain_all();
+    assert_eq!(cache.cached_bytes(), 0);
+    audit_empty(cache.backend()).assert_clean();
+}
+
+/// Bursts of 40 MiB of 16 KiB blocks through one slot and one shard whose
+/// default budget is 16 MiB: every burst pushes magazines past the budget.
+/// Those go back to the tree, and the class keeps the capacity the first
+/// burst grew, so a later burst refills in large batches and misses a few
+/// dozen times.  Were the capacity halved on every refusal, each burst
+/// would knock it to its floor and the next would miss hundreds of times.
+#[test]
+fn repeated_bursts_past_the_budget_keep_their_magazines() {
+    const CLASS_SIZE: usize = 16 << 10;
+    const BURST: usize = 2_560;
+    let cache = MagazineCache::with_config(
+        NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap()),
+        CacheConfig {
+            slots: Some(1),
+            depot_shards: Some(1),
+            ..CacheConfig::default()
+        },
+    );
+    assert_eq!(cache.cache_bytes_budget(), 16 << 20);
+    assert!(BURST * CLASS_SIZE > cache.cache_bytes_budget());
+    let class = cache
+        .class_capacities()
+        .iter()
+        .position(|&(size, _)| size == CLASS_SIZE)
+        .expect("16 KiB is a cached class");
+    let mut misses = Vec::new();
+    let mut capacities = vec![cache.magazine_capacity(class)];
+    for _ in 0..8 {
+        let before = cache.snapshot().misses;
+        let offs: Vec<_> = (0..BURST).filter_map(|_| cache.alloc(CLASS_SIZE)).collect();
+        assert_eq!(offs.len(), BURST, "the tree serves the whole burst");
+        for off in offs {
+            cache.dealloc(off);
+        }
+        misses.push(cache.snapshot().misses - before);
+        capacities.push(cache.magazine_capacity(class));
+    }
+    assert!(
+        cache.snapshot().depot_spills > 0,
+        "no burst went past the budget: {misses:?}"
+    );
+    assert!(
+        capacities.windows(2).all(|w| w[1] >= w[0]),
+        "the 16 KiB capacity fell: {capacities:?}"
+    );
+    assert!(
+        misses[1..].iter().all(|&m| m <= 40),
+        "a burst after the first missed more than 40 times: {misses:?} \
+         (capacities {capacities:?})"
     );
     cache.drain_all();
     assert_eq!(cache.cached_bytes(), 0);
