@@ -1,9 +1,9 @@
 //! The `#[global_allocator]` entry point: a `const`-constructible shell
 //! that drives a lazily built, magazine-cached buddy region itself.
 //!
-//! The stack is the lock-free [`NbbsFourLevel`] tree, a [`MagazineCache`]
-//! over it and the [`BuddyRegion`] that maps their offsets to memory; the
-//! shell's three sizes are all there is to configure.  Observation and the
+//! The stack is the lock-free [`NbbsFourLevel`] tree, the [`BuddyRegion`]
+//! that maps its offsets to memory and a [`MagazineCache`] over the region;
+//! the shell's three sizes are all there is to configure.  Observation and the
 //! background scrubber are armed by the environment alone (`NBBS_OBS`,
 //! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
 //! built.  What the shell adds around the stack:
@@ -16,15 +16,14 @@
 //!   thread's slot.  A grant books its requested and granted bytes in the
 //!   slot, and `realloc` counts its grow/shrink split there
 //!   ([`MagazineCache::count_resize`]), so [`NbbsGlobalAlloc::metrics`]
-//!   reads one sum ([`MagazineCache::served`]).  A grant also says whether
-//!   the chunk may have come straight from the tree; only then are its
-//!   pages committed in the region, since a chunk a release parked was
-//!   committed when it was served and the scrubber cannot claim it while it
-//!   is parked.  A layout above the largest class goes to `System`, and so
-//!   does one whose class the tree has no block of left (a failover).  A
-//!   build the environment armed times every call as one event, with the
-//!   cache's miss, refill and flush events nested inside, and offers its
-//!   profiler every grant and release.
+//!   reads one sum ([`MagazineCache::served`]).  The region commits a
+//!   block's pages when the tree grants it (a refill, the nested route
+//!   below), never on a hit or a park: a parked chunk is live in the tree,
+//!   out of the scrubber's reach.  A layout above the largest class goes to
+//!   `System`, and so does one whose class the tree has no block of left
+//!   (a failover).  A build the environment armed times every call as one
+//!   event, with the cache's miss, refill and flush events nested inside,
+//!   and offers its profiler every grant and release.
 //! * **`OnceLock::get_or_init` first touch.**  Threads that touch the
 //!   allocator while it is being built *block* on the `OnceLock` for the
 //!   few microseconds the build takes and then get buddy memory like
@@ -58,7 +57,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, FacadeStatsSnapshot, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
@@ -68,7 +67,7 @@ use nbbs_obs::{
 
 use crate::facade::base_request_size;
 
-type CachedTree = MagazineCache<NbbsFourLevel>;
+type CachedRegion = MagazineCache<BuddyRegion<NbbsFourLevel>>;
 
 thread_local! {
     /// True while this thread is inside one of the shell's calls (or
@@ -105,13 +104,15 @@ impl Drop for BypassGuard {
 /// The exit-drain hook handed to `nbbs-cache`: latches the bypass for good
 /// (the thread is dying; everything it frees from here on must go straight
 /// to the tree), then empties the thread's slot and gives it up, so the
-/// next thread mapping to it owns it.
-struct ExitLatch(Arc<CachedTree>);
+/// next thread mapping to it owns it.  Weak, so a dropped shell unmaps.
+struct ExitLatch(Weak<CachedRegion>);
 
 impl DrainOnExit for ExitLatch {
     fn drain(&self) {
         let _ = BYPASS.try_with(|b| b.set(true));
-        self.0.drain_current_thread();
+        if let Some(cache) = self.0.upgrade() {
+            cache.drain_current_thread();
+        }
     }
 }
 
@@ -161,8 +162,8 @@ impl Arming {
 }
 
 struct State {
-    /// The whole stack: the region over the cache over the tree.
-    region: BuddyRegion<Arc<CachedTree>>,
+    /// The whole stack: the cache over the region over the tree.
+    cache: Arc<CachedRegion>,
     exit_hook: Arc<ExitLatch>,
     /// The observer the environment armed, if any: the shell times every
     /// call on it, the cache its slow paths, and its heap profiler (if it
@@ -174,8 +175,8 @@ struct State {
 
 impl State {
     #[inline]
-    fn cache(&self) -> &CachedTree {
-        self.region.backend()
+    fn region(&self) -> &BuddyRegion<NbbsFourLevel> {
+        self.cache.backend()
     }
 
     #[inline]
@@ -189,7 +190,7 @@ impl State {
     /// at least `max(size, align)`, so the class is always aligned enough.
     #[inline]
     fn class_of(&self, layout: Layout) -> Option<usize> {
-        let (class, align) = self.cache().class_of_request(base_request_size(layout))?;
+        let (class, align) = self.cache.class_of_request(base_request_size(layout))?;
         debug_assert!(align >= layout.align(), "class {class} under {layout:?}");
         Some(class)
     }
@@ -198,22 +199,17 @@ impl State {
     fn ptr_at(&self, offset: usize) -> *mut u8 {
         // SAFETY: every offset the stack hands out lies inside the region's
         // mapping.
-        unsafe { self.region.base().as_ptr().add(offset) }
+        unsafe { self.region().base().as_ptr().add(offset) }
     }
 
     /// A grant of class `class` for `layout`, from the calling thread's
-    /// slot when it holds one.  Its pages are committed if it may have come
-    /// straight from the tree (a chunk a release parked was committed when
-    /// it was served), and the profiler is offered it.  `None` when the
+    /// slot when it holds one, offered to the profiler.  `None` when the
     /// tree has no block of the class left.
     #[inline(always)]
     fn grant(&self, class: usize, layout: Layout) -> Option<*mut u8> {
-        let cache = self.cache();
-        let (offset, fresh) = cache.alloc_class(class, layout.size().max(1))?;
+        let cache = &self.cache;
+        let offset = cache.alloc_class(class, layout.size().max(1))?;
         let size = cache.class_size(class);
-        if fresh {
-            self.region.commit_range(offset, size);
-        }
         if let Some(profiler) = self.profiler() {
             profiler.record_alloc(offset, size);
         }
@@ -227,7 +223,7 @@ impl State {
         if let Some(profiler) = self.profiler() {
             profiler.record_free(offset);
         }
-        let cache = self.cache();
+        let cache = &self.cache;
         match self.class_of(layout) {
             Some(class) => {
                 // The sized free's audit, as `MagazineCache::dealloc_sized`
@@ -244,14 +240,13 @@ impl State {
         }
     }
 
-    /// The nested route's grant: a block of `layout`'s class straight from
-    /// the tree, past the cache (which may be mid-entry above us on this
-    /// thread's stack), its pages committed by hand.  A block allocated here
-    /// and freed on the normal route goes down the stack under its class.
+    /// The nested route's grant: a block of `layout`'s class from the
+    /// region, past the cache (which may be mid-entry above us on this
+    /// thread's stack).  A block allocated here and freed on the normal
+    /// route goes down the stack under its class.
     fn raw_grant(&self, layout: Layout) -> Option<*mut u8> {
-        let size = self.cache().class_size(self.class_of(layout)?);
-        let offset = self.cache().backend().alloc(size)?;
-        self.region.commit_range(offset, size);
+        let size = self.cache.class_size(self.class_of(layout)?);
+        let offset = self.region().alloc(size)?;
         Some(self.ptr_at(offset))
     }
 
@@ -263,7 +258,7 @@ impl State {
         if let Some(profiler) = self.profiler() {
             profiler.record_free(offset);
         }
-        self.cache().backend().dealloc(offset);
+        self.region().dealloc(offset);
     }
 
     /// A `realloc` of the block at `ptr` (`offset` in the region) from
@@ -295,7 +290,7 @@ impl State {
         } else {
             ptr
         };
-        self.cache()
+        self.cache
             .count_resize(new_layout.size() >= layout.size(), moved);
         Some(out)
     }
@@ -304,7 +299,7 @@ impl State {
 /// Global allocator over the cached non-blocking buddy.
 ///
 /// Construction is `const` so it can sit in a `#[global_allocator]` static;
-/// the stack (tree → magazine cache, over one region) is built on first use
+/// the stack (tree → region → magazine cache) is built on first use
 /// under [`OnceLock::get_or_init`], with whatever the `NBBS_*` environment
 /// arms.  Invalid size combinations degrade to the system allocator
 /// instead of panicking.
@@ -386,13 +381,13 @@ impl NbbsGlobalAlloc {
         }
         .map(Arc::new);
         let mut cache = MagazineCache::with_config_and_name(
-            NbbsFourLevel::new(config),
+            BuddyRegion::new(NbbsFourLevel::new(config)),
             CacheConfig::default(),
             "cached-4lvl-nb",
         );
         cache.set_recorder(obs.clone());
         let cache = Arc::new(cache);
-        let region = BuddyRegion::new(Arc::clone(&cache));
+        let region = cache.backend();
         // The background decommit scrubber: every `scrub_ms` milliseconds
         // it claims quiescent free blocks through the allocation CAS
         // protocol and returns their pages to the kernel, so a long-idle
@@ -401,8 +396,8 @@ impl NbbsGlobalAlloc {
             region.start_scrubber(std::time::Duration::from_millis(ms));
         }
         Some(State {
-            region,
-            exit_hook: Arc::new(ExitLatch(cache)),
+            exit_hook: Arc::new(ExitLatch(Arc::downgrade(&cache))),
+            cache,
             obs,
             env,
         })
@@ -419,7 +414,7 @@ impl NbbsGlobalAlloc {
     /// served `ptr`.
     fn owned(&self, ptr: *mut u8) -> Option<(&State, usize)> {
         let state = self.built_state()?;
-        Some((state, state.region.offset_of(NonNull::new(ptr)?)?))
+        Some((state, state.region().offset_of(NonNull::new(ptr)?)?))
     }
 
     /// Registers this thread's exit drain, once per thread (fast-path: one
@@ -510,7 +505,7 @@ impl NbbsGlobalAlloc {
     /// Bytes currently served by the buddy region (excludes system
     /// fallback; a magazine-parked chunk counts as free).
     pub fn buddy_allocated_bytes(&self) -> usize {
-        self.built_state().map_or(0, |s| s.region.allocated_bytes())
+        self.built_state().map_or(0, |s| s.cache.allocated_bytes())
     }
 
     /// Whether `ptr` was served by the buddy region.
@@ -542,7 +537,7 @@ impl NbbsGlobalAlloc {
 
     /// Counters of the magazine-cache layer, if the state has been built.
     pub fn cache_stats(&self) -> Option<nbbs::CacheStatsSnapshot> {
-        self.built_state().map(|s| s.cache().snapshot())
+        self.built_state().map(|s| s.cache.snapshot())
     }
 
     /// What the grants booked in the cache's slots (the grow/shrink split,
@@ -552,7 +547,7 @@ impl NbbsGlobalAlloc {
     fn facade_stats(&self) -> FacadeStatsSnapshot {
         let mut stats = self
             .built_state()
-            .map(|s| s.cache().served())
+            .map(|s| s.cache.served())
             .unwrap_or_default();
         stats.system_bytes = self.system_bytes.load(Ordering::Relaxed);
         stats.system_failovers = self.system_failovers();
@@ -563,7 +558,7 @@ impl NbbsGlobalAlloc {
     /// `BuddyRegion::scrub_pass`); returns the bytes decommitted.  The
     /// background variant is armed by `NBBS_SCRUB=<ms>`.
     pub fn scrub_pass(&self) -> usize {
-        self.built_state().map_or(0, |s| s.region.scrub_pass())
+        self.built_state().map_or(0, |s| s.region().scrub_pass())
     }
 
     /// Returns every magazine-parked chunk to the tree (a quiescent-point
@@ -571,7 +566,7 @@ impl NbbsGlobalAlloc {
     pub fn drain_cache(&self) {
         if let Some(state) = self.built_state() {
             let _op = BypassGuard::engage();
-            state.cache().drain_all();
+            state.cache.drain_all();
         }
     }
 
@@ -610,8 +605,8 @@ impl NbbsGlobalAlloc {
         let mut reg = MetricsRegistry::new("nbbs-alloc");
         reg.set_facade(self.facade_stats());
         if let Some(state) = self.built_state() {
-            reg.observe_backend(state.cache());
-            reg.set_memory(Some(state.region.memory_stats()));
+            reg.observe_backend(&*state.cache);
+            reg.set_memory(Some(state.region().memory_stats()));
             if let Some(rec) = &state.obs {
                 reg.set_recorder(Arc::clone(rec));
             }
@@ -1249,12 +1244,24 @@ mod tests {
         let mem = a.metrics().memory.expect("state built");
         assert_eq!(mem.managed_bytes, 1 << 20);
         let page = nbbs::mapping::page_size() as u64;
-        assert_eq!(mem.committed_bytes, page, "one grant, one page committed");
+        // The grant was a miss: the region committed the pages of its block
+        // and of every block the refill took behind it, as the tree granted
+        // them, one run of adjacent blocks.
+        let granted = 512 * (1 + a.cache_stats().unwrap().refilled);
+        assert!(granted > 512, "the miss refilled the magazines");
+        assert!(
+            (granted..=granted.next_multiple_of(page) + page).contains(&mem.committed_bytes),
+            "{granted} B granted, {} B committed",
+            mem.committed_bytes
+        );
         // Magazine-parked chunks are backend-live and refuse scrub claims;
         // drain first so the pass sees a fully idle tree.
         a.drain_cache();
         let freed = a.scrub_pass();
-        assert_eq!(freed as u64, page, "the granted page was decommitted");
+        assert_eq!(
+            freed as u64, mem.committed_bytes,
+            "the refill's pages were decommitted"
+        );
         let mem = a.metrics().memory.unwrap();
         assert!(mem.scrub_passes >= 1);
         assert_eq!(mem.committed_bytes, 0);
@@ -1375,7 +1382,7 @@ mod tests {
         const TOTAL: usize = 4 << 20;
         let a = NbbsGlobalAlloc::new(TOTAL, 32, 16 << 10);
         a.build_once(Arming::default);
-        let base = a.built_state().unwrap().region.base().as_ptr();
+        let base = a.built_state().unwrap().region().base().as_ptr();
         for night in 0..4 {
             churn_with_remote_frees(&a);
             a.drain_cache();

@@ -18,6 +18,9 @@
 //!  │     sharded lock-free depots · adaptive capacities ·           │
 //!  │     foreign-thread exit drains                                 │
 //!  ├────────────────────────────────────────────────────────────────┤
+//!  │  BuddyRegion<T>: commits what the tree grants  (nbbs)          │
+//!  │     offsets → pointers · background decommit scrubber          │
+//!  ├────────────────────────────────────────────────────────────────┤
 //!  │  NbbsFourLevel / NbbsOneLevel: lock-free tree  (nbbs)          │
 //!  │     CAS-only alloc/free/coalesce over a contiguous region      │
 //!  └────────────────────────────────────────────────────────────────┘
@@ -29,8 +32,8 @@
 //! adapter's race), with a thread-local bypass latch so the cache's own
 //! bookkeeping allocations cannot recurse, and per-thread exit drains so
 //! short-lived threads return their magazines to the tree.  Its stack is
-//! exactly the one drawn above, over one region, set by three sizes and
-//! observed when the `NBBS_*` environment arms it.  Every call resolves
+//! exactly the one drawn above, set by three sizes and observed when the
+//! `NBBS_*` environment arms it.  Every call resolves
 //! its class once and goes to the calling thread's cache slot, which books
 //! what the shell reports; [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
 //! buddy/system shares, grow-in-place rates and the cache hit rate when

@@ -96,7 +96,7 @@ impl Slot {
     /// A hit of class `class`: pops the pair, counts it and books
     /// `requested` and `granted` bytes.
     #[inline]
-    fn pop(&mut self, class: usize, requested: usize, granted: usize) -> Option<(usize, bool)> {
+    fn pop(&mut self, class: usize, requested: usize, granted: usize) -> Option<usize> {
         let popped = self.mags[class].pop()?;
         self.hits += 1;
         self.requested += requested as u64;
@@ -156,12 +156,9 @@ struct ClassCtl {
 /// and [`MagazineCache::free_class`]: a hit or a park is one inlined slot
 /// entry, the depot, refill and flush are out of line.  A grant books its
 /// requested and granted bytes in the slot ([`MagazineCache::served`] sums
-/// them) and says whether the chunk may have come straight from the
-/// backend — the first chunk of a miss, or an entry below its magazine's
-/// watermark — so that its pages may still need committing.  Entries above
-/// the watermark were parked by a release: committed when they were
-/// served, and live in the backend while parked, where the decommit
-/// scrubber (which claims only free blocks) cannot reach them.
+/// them) and calls nothing below the slot: over a `BuddyRegion` (the
+/// global shell's stack) a refill commits the pages of the blocks it takes,
+/// and a parked chunk is live in the backend, out of the scrubber's reach.
 ///
 /// A slot's magazine emptied by a drain has no buffer left, so the first
 /// park after it allocates inside the slot entry.  Under a
@@ -182,8 +179,8 @@ struct ClassCtl {
 /// to the backend whole, and the class keeps its capacity.
 ///
 /// `MagazineCache` implements [`BuddyBackend`] itself, so it nests unchanged
-/// inside `BuddyRegion` (so under the `nbbs-alloc` shell and facade), a
-/// NUMA `NodeSet` and the workload factory.
+/// inside `BuddyRegion` (so under the `nbbs-alloc` facade), a NUMA
+/// `NodeSet` and the workload factory; the global shell puts it over one.
 ///
 /// # Consistency
 ///
@@ -537,9 +534,9 @@ impl<A: BuddyBackend> MagazineCache<A> {
     }
 
     /// Publishes chunks a panic stranded mid-flight; the next toucher
-    /// rescues them.  Called from [`OrphanGuard::drop`] during unwinds.
-    fn publish_orphans(&self, chunks: &mut Vec<(usize, usize)>) {
-        self.orphans.lock().append(chunks);
+    /// rescues them.  Called from the guards' `Drop` during unwinds.
+    fn publish_orphans(&self, chunks: impl IntoIterator<Item = (usize, usize)>) {
+        self.orphans.lock().extend(chunks);
         self.orphaned.store(true, Ordering::Release);
     }
 
@@ -583,13 +580,11 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// magazine pair (`loaded`, then a swapped-in `previous`), its depot
     /// shard, then a batched refill.  A grant counts as a hit or a miss and
     /// books `requested` bytes and the class size in the slot; a failed one
-    /// books nothing.  Returns the offset and whether it may have come
-    /// straight from the backend (`fresh`), whose pages a front end working
-    /// in raw offsets must commit.  `None` when the backend has no chunk of
-    /// the class left.  A hit is this one slot entry; the rest is out of
-    /// line.
+    /// books nothing.  Returns the offset, or `None` when the backend has
+    /// no chunk of the class left.  A hit is this one slot entry, with no
+    /// call into the backend; the rest is out of line.
     #[inline]
-    pub fn alloc_class(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
+    pub fn alloc_class(&self, class: usize, requested: usize) -> Option<usize> {
         let granted = self.classes[class];
         self.slots
             .with_mine(|_, slot| slot.pop(class, requested, granted))
@@ -599,7 +594,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// [`MagazineCache::alloc_class`] past empty magazines: the depot
     /// exchange, then the refill.
     #[inline(never)]
-    fn alloc_miss(&self, class: usize, requested: usize) -> Option<(usize, bool)> {
+    fn alloc_miss(&self, class: usize, requested: usize) -> Option<usize> {
         let class_size = self.class_size(class);
         // A hit (the shared slot's co-users may have loaded the pair since)
         // or a depot exchange leaves the slot with its chunk; a miss with
@@ -673,7 +668,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             |&refilled| (refilled.unwrap_or(0), refilled.is_some()),
         );
         let (first, _) = guard.chunks.pop().expect("first survives the refill");
-        Some((first, true))
+        Some(first)
     }
 
     /// The batched half of a miss: allocates up to `batch` more chunks of
@@ -712,7 +707,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 } else {
                     break;
                 };
-                target.push_fresh(off);
+                target.push(off);
                 guard.chunks.pop();
                 refilled += 1;
             }
@@ -832,19 +827,20 @@ impl<A: BuddyBackend> MagazineCache<A> {
         );
     }
 
-    /// Returns the offsets a magazine held to the backend, counting each
-    /// chunk in `counter`.
+    /// Returns a magazine's offsets to the backend from its own buffer (a
+    /// flush in a caller's free allocates nothing), counting each in `counter`.
     ///
     /// Freed before popped: a panic mid-release publishes exactly the
     /// chunks not yet returned, never double-freeing the rest.
     fn release_offsets(&self, offsets: Vec<usize>, class_size: usize, counter: &AtomicU64) {
-        let mut guard = OrphanGuard {
+        let mut guard = ClassOrphans {
             cache: self,
-            chunks: offsets.into_iter().map(|off| (off, class_size)).collect(),
+            offsets,
+            class_size,
         };
-        while let Some(&(off, _)) = guard.chunks.last() {
+        while let Some(&off) = guard.offsets.last() {
             self.backend.dealloc(off);
-            guard.chunks.pop();
+            guard.offsets.pop();
             counter.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1105,7 +1101,7 @@ impl<A: BuddyBackend> BuddyBackend for MagazineCache<A> {
         // names is the backend's grant — power-of-two orders over a plain
         // tree, slab classes over a slab front-end.
         match self.class_of_request(size) {
-            Some((class, _)) => self.alloc_class(class, size).map(|(off, _)| off),
+            Some((class, _)) => self.alloc_class(class, size),
             None => self.backend.alloc(size),
         }
     }
@@ -1299,7 +1295,24 @@ struct OrphanGuard<'a, A: BuddyBackend> {
 impl<A: BuddyBackend> Drop for OrphanGuard<'_, A> {
     fn drop(&mut self) {
         if !self.chunks.is_empty() {
-            self.cache.publish_orphans(&mut self.chunks);
+            self.cache.publish_orphans(self.chunks.drain(..));
+        }
+    }
+}
+
+/// An [`OrphanGuard`] for one class's offsets, released where they lie.
+struct ClassOrphans<'a, A: BuddyBackend> {
+    cache: &'a MagazineCache<A>,
+    offsets: Vec<usize>,
+    class_size: usize,
+}
+
+impl<A: BuddyBackend> Drop for ClassOrphans<'_, A> {
+    fn drop(&mut self) {
+        if !self.offsets.is_empty() {
+            let size = self.class_size;
+            self.cache
+                .publish_orphans(self.offsets.drain(..).map(|off| (off, size)));
         }
     }
 }
@@ -1324,13 +1337,10 @@ impl<A: BuddyBackend> TakenMagazines<'_, A> {
 
 impl<A: BuddyBackend> Drop for TakenMagazines<'_, A> {
     fn drop(&mut self) {
-        let mut chunks: Vec<(usize, usize)> = self
-            .mags
-            .drain(..)
-            .flat_map(|(class_size, offsets)| offsets.into_iter().map(move |off| (off, class_size)))
-            .collect();
-        if !chunks.is_empty() {
-            self.cache.publish_orphans(&mut chunks);
+        if !self.mags.is_empty() {
+            let left = self.mags.drain(..);
+            let left = left.flat_map(|(size, offs)| offs.into_iter().map(move |off| (off, size)));
+            self.cache.publish_orphans(left);
         }
     }
 }

@@ -5,26 +5,12 @@
 /// The LIFO order deliberately hands back the most recently freed chunk
 /// first, which is the one most likely to still be cache-hot — the same
 /// reasoning as Bonwick's magazine layer in the Solaris slab allocator.
-///
-/// # The watermark
-///
-/// `fresh` splits the entries in two.  Those below it may have come
-/// straight from a refill ([`Magazine::push_fresh`]): blocks the backend
-/// has just granted, whose pages a front end working in raw offsets must
-/// still commit.  Those at or above it were parked by a release
-/// ([`Magazine::push`]): they were served, so their pages were committed
-/// then, and while parked they are live in the backend, where the
-/// decommit scrubber (which claims only free blocks) cannot reach them.
-/// A refill raises the watermark to the top; a pop reports which side its
-/// entry came from and lowers the watermark to the new top if it was
-/// above it.  The watermark travels with the magazine through swaps and
-/// the depot, and [`Magazine::take_all`] clears it.  Capacity and
-/// watermark are `u32`s, so a magazine stays at 32 bytes.
+/// A pop owes nothing: under the global shell the region beneath committed
+/// every entry's pages when the tree granted the chunk to a refill.
 #[derive(Debug)]
 pub(crate) struct Magazine {
     entries: Vec<usize>,
-    capacity: u32,
-    fresh: u32,
+    capacity: usize,
 }
 
 impl Magazine {
@@ -32,18 +18,13 @@ impl Magazine {
     pub(crate) fn new(capacity: usize) -> Self {
         Magazine {
             entries: Vec::with_capacity(capacity),
-            capacity: Self::narrow(capacity),
-            fresh: 0,
+            capacity,
         }
-    }
-
-    fn narrow(capacity: usize) -> u32 {
-        u32::try_from(capacity).expect("a magazine capacity fits in 32 bits")
     }
 
     /// Maximum number of offsets this magazine holds.
     pub(crate) fn capacity(&self) -> usize {
-        self.capacity as usize
+        self.capacity
     }
 
     /// Raises an *empty* magazine's capacity to `capacity` (the adaptive
@@ -53,7 +34,7 @@ impl Magazine {
         debug_assert!(self.is_empty(), "resizing a non-empty magazine");
         debug_assert!(capacity >= self.capacity(), "capacities only grow");
         self.entries.reserve(capacity);
-        self.capacity = Self::narrow(capacity);
+        self.capacity = capacity;
     }
 
     /// Current number of cached offsets.
@@ -71,39 +52,22 @@ impl Magazine {
         self.entries.len() >= self.capacity()
     }
 
-    /// Parks a released offset, above the watermark; the caller must have
-    /// checked [`Magazine::is_full`].
+    /// Parks an offset; the caller must have checked [`Magazine::is_full`].
     #[inline]
     pub(crate) fn push(&mut self, offset: usize) {
         debug_assert!(!self.is_full());
         self.entries.push(offset);
     }
 
-    /// Loads an offset a refill took from the backend, raising the
-    /// watermark over it; the caller must have checked
-    /// [`Magazine::is_full`].
-    pub(crate) fn push_fresh(&mut self, offset: usize) {
-        self.push(offset);
-        self.fresh = self.entries.len() as u32;
-    }
-
-    /// Pops the most recently pushed offset, and whether it lay below the
-    /// watermark (it may have come from a refill).
+    /// Pops the most recently pushed offset.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(usize, bool)> {
-        let offset = self.entries.pop()?;
-        let top = self.entries.len() as u32;
-        let fresh = top < self.fresh;
-        if fresh {
-            self.fresh = top;
-        }
-        Some((offset, fresh))
+    pub(crate) fn pop(&mut self) -> Option<usize> {
+        self.entries.pop()
     }
 
-    /// Removes and returns all cached offsets, clearing the watermark.  The
-    /// buffer goes with them: the next push allocates a new one.
+    /// Removes and returns all cached offsets.  The buffer goes with them:
+    /// the next push allocates a new one.
     pub(crate) fn take_all(&mut self) -> Vec<usize> {
-        self.fresh = 0;
         std::mem::take(&mut self.entries)
     }
 
@@ -142,10 +106,9 @@ impl ClassMags {
     }
 
     /// A hit: pops from `loaded`, swapping `previous` in when `loaded` is
-    /// empty, with whether the entry lay below its magazine's watermark.
-    /// `None` when both are empty.
+    /// empty.  `None` when both are empty.
     #[inline]
-    pub(crate) fn pop(&mut self) -> Option<(usize, bool)> {
+    pub(crate) fn pop(&mut self) -> Option<usize> {
         if self.loaded.is_empty() {
             std::mem::swap(&mut self.loaded, &mut self.previous);
         }
@@ -181,8 +144,8 @@ mod tests {
         m.push(16);
         assert!(m.is_full());
         assert_eq!(m.len(), 2);
-        assert_eq!(m.pop(), Some((16, false)));
-        assert_eq!(m.pop(), Some((8, false)));
+        assert_eq!(m.pop(), Some(16));
+        assert_eq!(m.pop(), Some(8));
         assert_eq!(m.pop(), None);
     }
 
@@ -226,10 +189,10 @@ mod tests {
         }
         assert!(!pair.push(32), "both full");
         assert_eq!((pair.loaded.len(), pair.previous.len()), (2, 2));
-        assert_eq!(pair.pop(), Some((24, false)));
-        assert_eq!(pair.pop(), Some((16, false)));
-        assert_eq!(pair.pop(), Some((8, false)), "previous swapped in");
-        assert_eq!(pair.pop(), Some((0, false)));
+        assert_eq!(pair.pop(), Some(24));
+        assert_eq!(pair.pop(), Some(16));
+        assert_eq!(pair.pop(), Some(8), "previous swapped in");
+        assert_eq!(pair.pop(), Some(0));
         assert_eq!(pair.pop(), None);
     }
 
@@ -239,52 +202,6 @@ mod tests {
             std::mem::size_of::<Magazine>(),
             std::mem::size_of::<Vec<usize>>() + 8
         );
-    }
-
-    #[test]
-    fn the_watermark_marks_refilled_entries_until_they_pop() {
-        let mut m = Magazine::new(8);
-        m.push(0); // parked before the refill
-        m.push_fresh(8);
-        m.push_fresh(16);
-        m.push(24); // parked on top of the refill
-        assert_eq!(m.pop(), Some((24, false)));
-        assert_eq!(m.pop(), Some((16, true)));
-        // A release parks above the lowered watermark.
-        m.push(32);
-        assert_eq!(m.pop(), Some((32, false)));
-        assert_eq!(m.pop(), Some((8, true)));
-        // Below the refill, but under its raised watermark: reported fresh,
-        // which costs a commit that finds nothing to do, never a missed one.
-        assert_eq!(m.pop(), Some((0, true)));
-        assert_eq!(m.pop(), None);
-        m.push(40);
-        assert_eq!(m.pop(), Some((40, false)), "an empty magazine has none");
-    }
-
-    #[test]
-    fn take_all_clears_the_watermark_and_the_buffer() {
-        let mut m = Magazine::new(4);
-        m.push_fresh(0);
-        m.push_fresh(8);
-        assert_eq!(m.take_all(), vec![0, 8]);
-        assert_eq!(m.entries.capacity(), 0, "no buffer left");
-        m.push(16);
-        assert_eq!(m.pop(), Some((16, false)));
-    }
-
-    #[test]
-    fn the_watermark_moves_with_its_magazine_through_swaps() {
-        let mut pair = ClassMags::new(2);
-        pair.loaded.push_fresh(0);
-        pair.loaded.push_fresh(8);
-        // `loaded` is full: the release swaps the empty `previous` in, and
-        // the refilled magazine goes aside with its watermark.
-        assert!(pair.push(16));
-        assert_eq!(pair.pop(), Some((16, false)));
-        assert_eq!(pair.pop(), Some((8, true)), "the refill swapped back in");
-        assert_eq!(pair.pop(), Some((0, true)));
-        assert_eq!(pair.pop(), None);
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! kernel has not backed it.)  The scrubber skips a block whose pages are
 //! all marked, so it never claims one that was never granted.
 //!
+//! The region's grant clears the marks ([`crate::BuddyRegion`]); under a
+//! magazine cache that is the refill, and a hit clears nothing.
+//!
 //! All bitmap operations are lock-free (`fetch_or` / `fetch_and` over
 //! `AtomicU64` words, each preceded by a load that skips the RMW when it
 //! would change nothing, so a grant over committed pages writes no shared

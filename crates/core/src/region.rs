@@ -31,6 +31,11 @@
 //! touch, and the grant path clears the accounting marks.  A fresh span
 //! starts with every page marked, so the scrubber only ever claims blocks
 //! some grant has covered.
+//!
+//! A grant through the region clears the marks of its block: its own
+//! [`BuddyBackend::alloc`] too, so a region may sit *under* a cache, where
+//! a refill commits what the tree grants and a hit never touches the
+//! mapping (a parked chunk is live in the tree, out of the scrubber's reach).
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::{AllocError, FreeError};
+use crate::geometry::Geometry;
 use crate::mapping::Mapping;
 use crate::stats::MemoryStatsSnapshot;
 use crate::traits::BuddyBackend;
@@ -317,8 +323,7 @@ impl<A: BuddyBackend> BuddyRegion<A> {
 
     /// Allocates at least `size` bytes and returns a pointer into the region.
     pub fn alloc_bytes(&self, size: usize) -> Option<NonNull<u8>> {
-        let offset = self.inner.backend.alloc(size)?;
-        self.note_grant(offset, size);
+        let offset = self.alloc(size)?;
         // SAFETY: `offset < total_memory`, so the resulting pointer stays
         // within the mapping backing this region.
         Some(unsafe { NonNull::new_unchecked(self.base().as_ptr().add(offset)) })
@@ -326,8 +331,7 @@ impl<A: BuddyBackend> BuddyRegion<A> {
 
     /// Fallible variant of [`BuddyRegion::alloc_bytes`].
     pub fn try_alloc_bytes(&self, size: usize) -> Result<NonNull<u8>, AllocError> {
-        let offset = self.inner.backend.try_alloc(size)?;
-        self.note_grant(offset, size);
+        let offset = self.try_alloc(size)?;
         // SAFETY: as above.
         Ok(unsafe { NonNull::new_unchecked(self.base().as_ptr().add(offset)) })
     }
@@ -413,10 +417,10 @@ impl<A: BuddyBackend> BuddyRegion<A> {
         }
     }
 
-    /// Clears the decommit accounting for `[offset, offset + len)`.  Used
-    /// by front-ends that hand out region memory without going through
-    /// [`BuddyRegion::alloc_bytes`] (e.g. a global-allocator facade working
-    /// in raw offsets).
+    /// Clears the decommit accounting for `[offset, offset + len)`.  For
+    /// callers that write region memory without a grant through the region
+    /// (a front end handing out the backend's raw offsets, a test dirtying
+    /// the span by hand).
     pub fn commit_range(&self, offset: usize, len: usize) {
         self.inner.mapping.commit_range(offset, len);
     }
@@ -496,6 +500,48 @@ impl<A: BuddyBackend> BuddyRegion<A> {
             h.stop.store(true, Ordering::Release);
             let _ = h.thread.join();
         }
+    }
+}
+
+/// Forwards each listed method to the region's backend.
+macro_rules! to_backend {
+    ($(fn $method:ident(&self $(, $arg:ident: $ty:ty)*) $(-> $ret:ty)?;)*) => {
+        $(fn $method(&self $(, $arg: $ty)*) $(-> $ret)? {
+            self.inner.backend.$method($($arg),*)
+        })*
+    };
+}
+
+/// The region as a layer of offsets: a grant clears the commit marks of its
+/// block, as [`BuddyRegion::alloc_bytes`] does; the rest is the backend's.
+impl<A: BuddyBackend> BuddyBackend for BuddyRegion<A> {
+    fn alloc(&self, size: usize) -> Option<usize> {
+        let offset = self.inner.backend.alloc(size)?;
+        self.note_grant(offset, size);
+        Some(offset)
+    }
+
+    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
+        let offset = self.inner.backend.try_alloc(size)?;
+        self.note_grant(offset, size);
+        Ok(offset)
+    }
+
+    fn inner(&self) -> Option<&dyn BuddyBackend> {
+        Some(&self.inner.backend)
+    }
+
+    to_backend! {
+        fn name(&self) -> &'static str;
+        fn geometry(&self) -> &Geometry;
+        fn dealloc(&self, offset: usize);
+        fn dealloc_sized(&self, offset: usize, granted: usize);
+        fn try_dealloc(&self, offset: usize) -> Result<(), FreeError>;
+        fn allocated_bytes(&self) -> usize;
+        fn granted_size_of_live(&self, offset: usize) -> Option<usize>;
+        fn granted_size_for(&self, size: usize) -> Option<usize>;
+        fn grant_alignment_for(&self, size: usize) -> Option<usize>;
+        fn scrub_dealloc_run(&self, run: &[(usize, usize)]) -> Option<usize>;
     }
 }
 

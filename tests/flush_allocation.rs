@@ -1,0 +1,129 @@
+//! A free that overflows its magazines and finds the depot over its byte
+//! budget flushes a whole magazine back to the tree, inside the caller's
+//! free.  Under a registered `#[global_allocator]` that free is the
+//! allocator's own, so the flush must allocate nothing: it releases the
+//! offsets from the magazine's own buffer, and only a release that unwinds
+//! copies what is left to the orphan list.
+//!
+//! This binary registers a counting allocator over `System` that counts
+//! the calling thread's allocations while a test arms it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs_cache::{CacheConfig, MagazineCache};
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static COUNT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, counting the allocations of a thread that armed it.
+struct Counting;
+
+impl Counting {
+    fn note() {
+        let _ = ARMED.try_with(|armed| {
+            if armed.get() {
+                COUNT.with(|count| count.set(count.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every call is `System`'s, under the caller's contract.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    COUNT.with(|count| count.set(0));
+    ARMED.with(|armed| armed.set(true));
+    f();
+    ARMED.with(|armed| armed.set(false));
+    COUNT.with(Cell::get)
+}
+
+/// Magazines of four in every class and one depot shard whose byte budget
+/// holds one magazine of 1 KiB chunks and less than one of 64 B more.
+const SMALL: usize = 64;
+const LARGE: usize = 1024;
+const CAPACITY: usize = 4;
+
+#[test]
+fn a_free_that_flushes_a_magazine_allocates_nothing() {
+    let config = CacheConfig {
+        magazine_capacity: CAPACITY,
+        magazine_bytes: 1 << 20,
+        max_magazine_capacity: CAPACITY,
+        depot_shards: Some(1),
+        slots: Some(1),
+        cache_bytes_budget: Some(CAPACITY * (LARGE + SMALL) - 1),
+        ..CacheConfig::default()
+    };
+    let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 20, 32, 4 << 10).unwrap());
+    let cache = MagazineCache::with_config(tree, config);
+    let parked = || cache.depot_parked_magazines(0);
+    // Frees of `2 * CAPACITY + 1` chunks of `size` fill both magazines of
+    // the class and park the full one in the depot.
+    let park_one = |size: usize| {
+        let chunks: Vec<_> = (0..=2 * CAPACITY)
+            .map(|_| cache.backend().alloc(size).unwrap())
+            .collect();
+        for offset in chunks {
+            cache.dealloc_sized(offset, size);
+        }
+    };
+
+    // The small class takes its magazine back from the depot, which leaves
+    // the emptied one as the slot's spare: the next overflow rotates it in
+    // and needs no new magazine.
+    park_one(SMALL);
+    assert_eq!(parked(), 1);
+    let mut held: Vec<_> = (0..=CAPACITY + 1)
+        .map(|_| cache.alloc(SMALL).unwrap())
+        .collect();
+    assert_eq!(parked(), 0, "the sixth allocation took the magazine back");
+    // The large class fills the depot's budget.
+    park_one(LARGE);
+    assert_eq!(parked(), 1);
+
+    // Both small magazines full, then the free that overflows them.
+    let last = held.pop().unwrap();
+    for offset in held {
+        cache.dealloc_sized(offset, SMALL);
+    }
+    let flushed = cache.snapshot().flushed;
+    let allocations = allocations_in(|| cache.dealloc_sized(last, SMALL));
+    assert_eq!(
+        cache.snapshot().flushed - flushed,
+        CAPACITY as u64,
+        "the budget refused the magazine and it went back to the tree"
+    );
+    assert_eq!(allocations, 0, "the flushing free allocated");
+
+    cache.drain_all();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
+}

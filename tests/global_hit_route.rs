@@ -178,7 +178,7 @@ fn threads_hitting_beside_a_reader_keep_the_counts_exact() {
 }
 
 #[test]
-fn a_hit_commits_the_pages_of_a_scrubbed_block_again() {
+fn a_refill_commits_the_pages_of_a_scrubbed_block_again() {
     let a = unarmed();
     let page = nbbs::mapping::page_size();
     let block = Layout::from_size_align(page, 8).unwrap();
@@ -195,20 +195,27 @@ fn a_hit_commits_the_pages_of_a_scrubbed_block_again() {
     a.drain_cache();
     assert!(a.scrub_pass() >= 2 * page, "both blocks decommitted");
     assert_eq!(committed(&a), 0);
-    // A miss refills the magazine from the scrubbed tree, then a hit
-    // serves one of the refilled blocks: each is committed as it goes out.
-    let hits = a.cache_stats().unwrap().hits;
+    // A miss refills the magazine from the scrubbed tree: the region
+    // commits every block the tree grants it.  A hit then serves one of
+    // them and commits nothing more.
+    let before = a.cache_stats().unwrap();
     // SAFETY: as above.
     unsafe {
         let p = a.alloc(block);
-        assert_eq!(committed(&a), page as u64, "the miss");
+        let refill = a.cache_stats().unwrap();
+        assert_eq!(refill.misses, before.misses + 1, "the first is a miss");
+        let taken = 1 + refill.refilled - before.refilled;
+        assert!(taken > 1, "the miss refilled the magazines");
+        assert_eq!(committed(&a), taken * page as u64, "the refill");
         let q = a.alloc(block);
         assert_eq!(
             a.cache_stats().unwrap().hits,
-            hits + 1,
+            refill.hits + 1,
             "the second is a hit"
         );
-        assert_eq!(committed(&a), 2 * page as u64, "the hit");
+        assert_eq!(committed(&a), taken * page as u64, "the hit");
+        p.write_bytes(2, page);
+        q.write_bytes(2, page);
         a.dealloc(p, block);
         a.dealloc(q, block);
     }

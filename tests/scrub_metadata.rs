@@ -14,15 +14,19 @@
 //! mark of those scans behind, so every maximal block can be granted
 //! afterwards.  Those tests do not count dropped pages: a looping pass
 //! decommits what the workers free a few chunks at a time, so its runs
-//! rarely cover a whole `index[]` page.
+//! rarely cover a whole `index[]` page.  The last test runs the global
+//! shell's composition, the cache over the region, under the background
+//! scrubber: refills commit what the tree grants while passes decommit,
+//! and after a drain one pass must leave no page of the arena resident.
 
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use nbbs::verify::audit_empty;
 use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, NbbsOneLevel, TreeInspect};
-use nbbs_cache::MagazineCache;
+use nbbs_cache::{CacheConfig, MagazineCache};
 
 /// 8 MiB of 32 B units: a 256 KiB `index[]`, mapped, one page of it per
 /// 128 KiB of span.  A run is capped at 1/16 of the span, 512 KiB.
@@ -236,4 +240,109 @@ fn small_blocks_churn_under_the_scrubber_on_the_one_level_tree() {
     churn_under_a_scrubbing_loop(&region, SMALL_CLASSES);
     audit_empty(region.backend()).assert_clean();
     every_maximal_block_is_granted(region.backend());
+}
+
+/// Pages of `[base, base + len)` the kernel has backed, by `mincore(2)`.
+#[cfg(target_os = "linux")]
+fn resident_pages(base: NonNull<u8>, len: usize) -> usize {
+    extern "C" {
+        fn mincore(addr: *mut std::ffi::c_void, length: usize, vec: *mut u8) -> std::ffi::c_int;
+    }
+    let page = nbbs::mapping::page_size();
+    let mut vec = vec![0u8; len.div_ceil(page)];
+    // SAFETY: the region maps `len` bytes from its page-aligned base, and
+    // `vec` has one byte per page of them.
+    let rc = unsafe { mincore(base.as_ptr().cast(), len, vec.as_mut_ptr()) };
+    assert_eq!(rc, 0, "mincore failed");
+    vec.iter().filter(|&&b| b & 1 != 0).count()
+}
+
+/// Passes the background scrubber makes at least while the workers churn.
+const PASSES: u64 = 50;
+
+/// The global shell's composition: the cache over the region, so a refill
+/// writes the commit marks of the blocks the tree grants it while the
+/// background scrubber sets marks of the runs it gives back.  Magazines of
+/// four, no depot and a drain of the worker's slot every 256 operations
+/// send the parked chunks back to the tree and the misses to it, so the
+/// scrubber has freed blocks to give back and the refills take them again.
+/// Workers write a tag into every page of their blocks and check it before
+/// the free (a page the scrubber gave back under a live or parked chunk
+/// reads zero), until the scrubber has made [`PASSES`] passes.  Once the
+/// caches are drained, one pass must leave no page of the arena resident:
+/// a page written while marked decommitted would stay.
+#[cfg(target_os = "linux")]
+#[test]
+fn refills_commit_under_a_background_scrubber_and_a_night_gives_every_page_back() {
+    let small = CacheConfig {
+        magazine_capacity: 4,
+        max_magazine_capacity: 4,
+        depot_magazines: 0,
+        ..CacheConfig::default()
+    };
+    let cache = MagazineCache::with_config(BuddyRegion::new(NbbsFourLevel::new(config())), small);
+    let region = cache.backend();
+    let page = nbbs::mapping::page_size();
+    region.start_scrubber(Duration::from_millis(1));
+    while region.memory_stats().scrub_passes == 0 {
+        std::thread::yield_now();
+    }
+    std::thread::scope(|s| {
+        for w in 0..WORKERS {
+            let cache = &cache;
+            s.spawn(move || {
+                let base = region.base().as_ptr();
+                let mut rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1);
+                let mut held: Vec<(usize, usize, u64)> = Vec::with_capacity(HELD);
+                for i in 0.. {
+                    if i >= OPS && i % 1024 == 0 && region.memory_stats().scrub_passes >= PASSES {
+                        break;
+                    }
+                    if i % 256 == 255 {
+                        // Everything parked goes back to the tree, and the
+                        // next allocations of each class refill.
+                        cache.drain_current_thread();
+                    }
+                    rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    if held.len() < HELD && (held.is_empty() || rng >> 63 == 0) {
+                        let size = 32usize << ((rng >> 40) as usize % EVERY_CLASS);
+                        let offset = cache.alloc(size).expect("the span has room");
+                        let tag = ((w as u64) << 56) | i as u64;
+                        for at in (0..size).step_by(page.min(size)) {
+                            // SAFETY: a live block of `size` bytes.
+                            unsafe { base.add(offset + at).cast::<u64>().write(tag) };
+                        }
+                        held.push((offset, size, tag));
+                    } else {
+                        let (offset, size, tag) =
+                            held.swap_remove((rng >> 32) as usize % held.len());
+                        for at in (0..size).step_by(page.min(size)) {
+                            // SAFETY: as above, until the free below.
+                            let read = unsafe { base.add(offset + at).cast::<u64>().read() };
+                            assert_eq!(read, tag, "page {at} of a live {size}-byte block");
+                        }
+                        cache.dealloc_sized(offset, size);
+                    }
+                }
+                for (offset, size, _) in held {
+                    cache.dealloc_sized(offset, size);
+                }
+            });
+        }
+    });
+    region.stop_scrubber();
+    assert!(
+        region.memory_stats().scrub_bytes > 0 && cache.snapshot().refilled > 0,
+        "the scrubber gave pages back while refills took blocks"
+    );
+    cache.drain_all();
+    region.scrub_pass();
+    assert_eq!(region.allocated_bytes(), 0);
+    assert_eq!(region.committed_bytes(), 0, "the last pass took everything");
+    assert_eq!(
+        resident_pages(region.base(), region.total_memory()),
+        0,
+        "pages of the arena still resident after the night"
+    );
+    audit_empty(region.backend()).assert_clean();
 }

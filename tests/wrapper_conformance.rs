@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use nbbs::error::FreeError;
 use nbbs::mapping::page_size;
 use nbbs::{
-    BuddyBackend, BuddyConfig, CacheStatsSnapshot, ElasticSet, FragStatsSnapshot, Geometry,
-    LockedBuddy, NbbsFourLevel, OccupancySnapshot, OpStatsSnapshot,
+    BuddyBackend, BuddyConfig, BuddyRegion, CacheStatsSnapshot, ElasticSet, FragStatsSnapshot,
+    Geometry, LockedBuddy, NbbsFourLevel, OccupancySnapshot, OpStatsSnapshot,
 };
 use nbbs_cache::MagazineCache;
 use nbbs_chaos::FaultInjecting;
@@ -268,6 +268,13 @@ const CASES: &[Case] = &[
         forwards_the_run: false,
     },
     Case {
+        wrapper: "BuddyRegion",
+        wrap: |p| Box::new(BuddyRegion::new(p)),
+        own: nothing,
+        hands_the_size_on: true,
+        forwards_the_run: true,
+    },
+    Case {
         wrapper: "MagazineCache",
         wrap: |p| Box::new(MagazineCache::new(p)),
         // The cache *is* the caching layer the two cache hooks describe.
@@ -392,4 +399,57 @@ fn a_scrub_run_reaches_the_tree_through_arc_cache_and_slab() {
     }
     assert_eq!(stack.allocated_bytes(), 0, "the tree freed the run");
     nbbs::verify::audit_empty(SlabBackend::inner(stack.backend())).assert_clean();
+}
+
+/// The global shell's composition, the cache over a region over the tree.
+/// The region hands the lookups and the sized release to the tree; it
+/// commits a block's pages when the tree grants it, so a chunk parked in a
+/// magazine keeps its pages (and its bytes) through a scrub pass, and a
+/// drained cache leaves nothing committed after one pass.
+#[test]
+fn a_cache_over_a_region_reaches_the_tree_and_keeps_its_parked_pages() {
+    const LARGEST: usize = 64 << 10;
+    let tree = NbbsFourLevel::new(BuddyConfig::new(4 << 20, 32, LARGEST).unwrap());
+    let stack = MagazineCache::new(BuddyRegion::new(tree));
+    let region = stack.backend();
+    let tree = region.backend();
+    let page = page_size();
+    for size in [1, 33, page - 1, page, LARGEST, LARGEST + 1] {
+        assert_eq!(region.granted_size_for(size), tree.granted_size_for(size));
+        assert_eq!(
+            region.grant_alignment_for(size),
+            tree.grant_alignment_for(size)
+        );
+    }
+
+    // A miss: the region commits the block and the refill behind it.
+    let offset = stack.alloc(page).expect("an empty tree");
+    assert_eq!(region.granted_size_of_live(offset), Some(page));
+    let ptr = region.base().as_ptr().wrapping_add(offset);
+    // SAFETY: a live block of `page` bytes.
+    unsafe { ptr.write_bytes(0xA5, page) };
+    let committed = region.committed_bytes();
+    assert!(committed > page, "the refill's blocks are committed too");
+
+    // Parked, the chunk is live in the tree: no pass claims it.
+    stack.dealloc_sized(offset, page);
+    assert!(stack.contains_cached(offset));
+    assert_eq!(region.scrub_pass(), 0, "every committed block is parked");
+    assert_eq!(region.committed_bytes(), committed);
+    // SAFETY: the chunk is parked, not freed in the tree; its pages stay.
+    assert_eq!(unsafe { *ptr.add(page - 1) }, 0xA5, "the parked bytes");
+    assert_eq!(stack.alloc(page), Some(offset), "a hit serves it back");
+    stack.dealloc_sized(offset, page);
+
+    // The sized release reaches the tree through the region.
+    let raw = region.alloc(LARGEST).expect("room for a largest block");
+    assert_eq!(tree.granted_size_of_live(raw), Some(LARGEST));
+    region.dealloc_sized(raw, LARGEST);
+    assert_eq!(tree.granted_size_of_live(raw), None, "freed in the tree");
+
+    stack.drain_all();
+    assert_eq!(tree.allocated_bytes(), 0);
+    region.scrub_pass();
+    assert_eq!(region.committed_bytes(), 0, "one pass after the drain");
+    nbbs::verify::audit_empty(tree).assert_clean();
 }
