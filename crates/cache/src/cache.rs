@@ -8,9 +8,32 @@ use nbbs::{BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, Geometry, Tree
 use nbbs_obs::{OpKind, Recorder};
 use nbbs_sync::{thread_stripe, CachePadded, OwnedSlots, SpinLock};
 
-use crate::config::CacheConfig;
 use crate::depot::DepotShard;
 use crate::magazine::{ClassMags, Magazine};
+
+/// Bytes a class's magazine starts with: a class of `size` bytes starts at
+/// `clamp(MAGAZINE_BYTES / size, 2, MAGAZINE_ENTRIES)` entries, so every
+/// class from 512 B to 16 KiB starts with 32 KiB.
+const MAGAZINE_BYTES: usize = 32 << 10;
+
+/// Entries the magazines of the smallest classes start with.
+const MAGAZINE_ENTRIES: usize = 64;
+
+/// Ceiling for grown capacities (entries).  Growth also stops at an eighth
+/// of the byte budget per magazine.
+const MAX_MAGAZINE_ENTRIES: usize = 8192;
+
+/// Full magazines each depot shard keeps per class; a further park of the
+/// class spills to the backend.
+const DEPOT_MAGAZINES: usize = 64;
+
+/// Thread slots per depot shard.
+const SLOTS_PER_SHARD: usize = 4;
+
+/// The capacity a class of `size` bytes starts with.
+fn initial_capacity(size: usize) -> usize {
+    (MAGAZINE_BYTES / size.max(1)).clamp(2, MAGAZINE_ENTRIES)
+}
 
 /// Spilled magazines of one class (since the last capacity change) that
 /// trigger a doubling of that class's magazine capacity: a burst that keeps
@@ -170,13 +193,23 @@ struct ClassCtl {
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
 /// group boundary instead of bouncing chunks across the whole machine.
 ///
+/// The cache takes its shape from the backend: a class of `size` bytes
+/// starts with `clamp(32 KiB / size, 2, 64)` entries per magazine, each
+/// depot shard keeps up to 64 full magazines per class, and the byte
+/// budget is a quarter of the backend's [`BuddyBackend::total_memory`].
+/// The one settable value is the slot count
+/// ([`MagazineCache::with_slots`]); one depot shard serves every four
+/// slots.
+///
 /// Magazine capacities are *adaptive* (Bonwick's dynamic resizing): a class
-/// whose bursts keep spilling past its depot shard doubles its capacity (up
-/// to [`CacheConfig::max_magazine_capacity`] and an eighth of the byte
-/// budget per magazine).  Capacities only grow.  The
-/// [`CacheConfig::cache_bytes_budget`] bounds the total bytes parked: a
-/// full magazine that would take its depot shard past its share goes back
-/// to the backend whole, and the class keeps its capacity.
+/// whose bursts keep spilling past its depot shard doubles its capacity.
+/// Growth stops at 8 192 entries and at an eighth of the byte budget per
+/// magazine.  That is a rule on growth only: a class may start above it (a
+/// 4 KiB class over a 64 KiB span starts at 8 × 4 KiB = 32 KiB against a
+/// 16 KiB budget), and then it does not grow.  Capacities only grow.  The
+/// budget bounds the total bytes parked: a full magazine that would take
+/// its depot shard past its share goes back to the backend whole, and the
+/// class keeps its capacity.
 ///
 /// `MagazineCache` implements [`BuddyBackend`] itself, so it nests unchanged
 /// inside `BuddyRegion` (so under the `nbbs-alloc` facade), a NUMA
@@ -218,7 +251,6 @@ struct ClassCtl {
 pub struct MagazineCache<A: BuddyBackend> {
     backend: A,
     name: &'static str,
-    config: CacheConfig,
     /// Cached size classes, ascending — probed from the backend's
     /// [`BuddyBackend::granted_size_for`] ladder at construction, so the
     /// table is the power-of-two orders for a plain tree and the spaced
@@ -293,18 +325,20 @@ pub struct MagazineCache<A: BuddyBackend> {
 }
 
 impl<A: BuddyBackend> MagazineCache<A> {
-    /// Wraps `backend` with a default-configured cache.
+    /// Wraps `backend` with a slot per stripe
+    /// ([`nbbs_sync::default_stripes`]).
     pub fn new(backend: A) -> Self {
-        Self::with_config(backend, CacheConfig::default())
+        Self::with_slots(backend, nbbs_sync::default_stripes())
     }
 
-    /// Wraps `backend` with an explicit configuration.
-    pub fn with_config(backend: A, config: CacheConfig) -> Self {
-        Self::with_config_and_name(backend, config, "cached")
-    }
-
-    /// Wraps `backend` under a custom report name (e.g. `"cached-4lvl-nb"`).
-    pub fn with_config_and_name(backend: A, config: CacheConfig, name: &'static str) -> Self {
+    /// Wraps `backend` with `slots` thread slots, rounded up to a power of
+    /// two, and one depot shard per four of them.  A thread looks for its
+    /// slot at its [`nbbs_sync::thread_stripe`] and owns it if it claims it
+    /// first ([`nbbs_sync::owned`]'s claim rule); a thread whose stripe
+    /// another live thread holds uses that stripe's shared slot, under its
+    /// lock.
+    pub fn with_slots(backend: A, slots: usize) -> Self {
+        let slots = slots.max(1).next_power_of_two();
         let cutoff = backend.geometry().max_size();
         // Probe the backend's grant ladder ascending: asking what a request
         // of `probe` bytes would be granted yields the next class, and
@@ -327,31 +361,30 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 .grant_alignment_for(size)
                 .expect("a class the ladder granted has an alignment")
         });
-        let slots = OwnedSlots::new(config.resolved_slots(), || Slot {
+        let shard_count = (slots / SLOTS_PER_SHARD).max(1);
+        let slots = OwnedSlots::new(slots, || Slot {
             mags: classes
                 .iter()
-                .map(|&size| ClassMags::new(config.capacity_for(size)))
+                .map(|&size| ClassMags::new(initial_capacity(size)))
                 .collect(),
             ..Slot::default()
         });
-        let shard_count = config.resolved_shards();
         let shards = (0..shard_count)
-            .map(|_| CachePadded::new(DepotShard::new(classes.len(), config.depot_magazines)))
+            .map(|_| CachePadded::new(DepotShard::new(classes.len(), DEPOT_MAGAZINES)))
             .collect();
         let ctl = classes
             .iter()
             .map(|&size| ClassCtl {
-                cap: AtomicUsize::new(config.capacity_for(size)),
+                cap: AtomicUsize::new(initial_capacity(size)),
                 spills: AtomicUsize::new(0),
             })
             .collect();
         // Budget from the backend's *logical* span: a multi-node NodeSet
         // reports a widened (power-of-two) geometry but manages less.
-        let budget = config.resolved_budget(backend.total_memory());
+        let budget = (backend.total_memory() / 4).max(1);
         MagazineCache {
             backend,
-            name,
-            config,
+            name: "cached",
             classes,
             table,
             shift,
@@ -366,6 +399,12 @@ impl<A: BuddyBackend> MagazineCache<A> {
             counters: Counters::default(),
             obs: None,
         }
+    }
+
+    /// Renames the cache in reports (e.g. `"cached-4lvl-nb"`).
+    pub fn with_name(mut self, name: &'static str) -> Self {
+        self.name = name;
+        self
     }
 
     /// Attaches a latency recorder to the cache's slow paths: misses
@@ -392,11 +431,6 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// The wrapped backend.
     pub fn backend(&self) -> &A {
         &self.backend
-    }
-
-    /// The cache configuration in effect.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Number of cached size classes.
@@ -445,7 +479,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
             .collect()
     }
 
-    /// The resolved byte budget bounding the cache's parked chunks.
+    /// The byte budget bounding the cache's parked chunks: a quarter of the
+    /// backend's managed memory.
     pub fn cache_bytes_budget(&self) -> usize {
         self.budget
     }
@@ -505,11 +540,11 @@ impl<A: BuddyBackend> MagazineCache<A> {
             .filter(|&class| self.classes[class] == granted)
     }
 
-    /// The adaptive capacity ceiling of `class`: the configured maximum,
-    /// further bounded so one magazine never exceeds 1/8 of the byte budget.
+    /// The capacity `class` may grow to: 8 192 entries, and a magazine of
+    /// at most an eighth of the byte budget.
     fn max_capacity_for(&self, class: usize) -> usize {
         let by_budget = self.budget / (8 * self.class_size(class));
-        self.config.max_magazine_capacity.min(by_budget).max(2)
+        MAX_MAGAZINE_ENTRIES.min(by_budget).max(2)
     }
 
     /// Records a depot spill of `class` and grows its capacity once the
@@ -1350,7 +1385,7 @@ mod tests {
     use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
     use nbbs_slab::SlabBackend;
 
-    use super::MagazineCache;
+    use super::{initial_capacity, MagazineCache};
 
     /// The cache over `backend` answers the grant ladder as the backend
     /// does for every size up to one granule past its largest class, and
@@ -1392,5 +1427,34 @@ mod tests {
         // Spaced 8 B-granule classes up to the slab's cutoff, the tree's
         // powers of two above it.
         the_table_answers_the_ladder_of(SlabBackend::new(NbbsFourLevel::new(shipped)), 8);
+    }
+
+    /// What the cache derives: the capacity a class starts with from its
+    /// size, a power-of-two slot table, one depot shard per four slots
+    /// (never more shards than slots), a budget of a quarter of memory.
+    #[test]
+    fn the_shape_derives_from_the_class_sizes_and_the_slots() {
+        assert_eq!(initial_capacity(8), 64);
+        assert_eq!(initial_capacity(1024), 32);
+        assert_eq!(initial_capacity(16 << 10), 2);
+        assert_eq!(initial_capacity(64 << 10), 2);
+        let tree = || NbbsOneLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap());
+        let shape = |slots| {
+            let cache = MagazineCache::with_slots(tree(), slots);
+            (cache.slot_count(), cache.depot_shard_count())
+        };
+        assert_eq!(shape(0), (1, 1));
+        assert_eq!(shape(3), (4, 1));
+        assert_eq!(shape(8), (8, 2));
+        assert_eq!(shape(9), (16, 4));
+        let auto = MagazineCache::new(tree());
+        assert!(auto.slot_count().is_power_of_two());
+        assert!(auto.depot_shard_count().is_power_of_two());
+        assert!(auto.depot_shard_count() <= auto.slot_count());
+        assert_eq!(auto.cache_bytes_budget(), (1 << 16) / 4);
+        let capacities: Vec<usize> = (0..auto.class_count())
+            .map(|c| auto.magazine_capacity(c))
+            .collect();
+        assert_eq!(capacities, [64, 64, 64, 64, 64, 64, 64, 32, 16, 8]);
     }
 }

@@ -98,17 +98,12 @@ pub fn drain_on_thread_exit(hook: Arc<dyn DrainOnExit>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheConfig;
     use nbbs::{BuddyConfig, NbbsOneLevel};
 
     fn cache() -> Arc<MagazineCache<NbbsOneLevel>> {
-        Arc::new(MagazineCache::with_config(
+        Arc::new(MagazineCache::with_slots(
             NbbsOneLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap()),
-            CacheConfig {
-                slots: Some(1),
-                depot_magazines: 0,
-                ..CacheConfig::default()
-            },
+            1,
         ))
     }
 
@@ -143,7 +138,9 @@ mod tests {
         })
         .join()
         .unwrap();
-        // No depot (`depot_magazines: 0`), so a clean slot means a clean cache.
+        // Eight chunks never overflow a 64-entry magazine, so nothing reached
+        // the depot: a clean slot means a clean cache.
+        assert_eq!(c.snapshot().depot_exchanges, 0);
         assert_eq!(c.cached_bytes(), 0, "exit hook drained the slot");
         assert_eq!(c.backend().allocated_bytes(), 0);
     }

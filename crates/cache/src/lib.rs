@@ -7,9 +7,18 @@
 //! path rarely touches the shared structure.  This crate adds that missing
 //! layer: [`MagazineCache`] wraps any [`nbbs::BuddyBackend`] with
 //! size-class-indexed, per-thread-slot magazines (bounded LIFO stacks of
-//! chunk offsets, one per buddy order up to a configurable cutoff) plus a
-//! *sharded* depot of full magazines — one shard per group of thread slots,
-//! each a lock-free Treiber stack ([`nbbs_sync::BoundedStack`]).
+//! chunk offsets, one per class of the backend's grant ladder up to its
+//! largest block) plus a *sharded* depot of full magazines — one shard per
+//! four thread slots, each a lock-free Treiber stack
+//! ([`nbbs_sync::BoundedStack`]).
+//!
+//! Nothing is tuned: the cache takes its shape from the backend it wraps.
+//! A class of `size` bytes starts with `clamp(32 KiB / size, 2, 64)`
+//! entries per magazine, a depot shard keeps up to 64 full magazines per
+//! class, and the byte budget is a quarter of the backend's managed
+//! memory.  Only the slot count can be set
+//! ([`MagazineCache::with_slots`]; [`MagazineCache::new`] takes
+//! [`nbbs_sync::default_stripes`]).
 //!
 //! * **Hits** (magazine pop / push) run no locked instruction for a thread
 //!   that owns its slot: a thread claims the cache-padded slot of its stripe
@@ -45,8 +54,8 @@
 //!   back to batched backend releases; circulation never crosses the shard
 //!   (slot-group) boundary, the analogue of per-NUMA-node depots.
 //! * **Magazine capacities adapt** (Bonwick dynamic resizing): sustained
-//!   depot spills double a class's capacity, within
-//!   [`config::CacheConfig::cache_bytes_budget`]; capacities only grow.
+//!   depot spills double a class's capacity, up to 8 192 entries and an
+//!   eighth of the byte budget per magazine; capacities only grow.
 //!   Byte-budget pressure flushes whole magazines to the backend and
 //!   leaves the capacity alone.
 //! * **Foreign threads drain on exit**: any thread — including ones that
@@ -82,14 +91,12 @@
 #![warn(rust_2018_idioms)]
 
 mod cache;
-pub mod config;
 mod depot;
 pub mod exit;
 mod magazine;
 mod verify;
 
 pub use cache::{MagazineCache, ThreadDrainGuard};
-pub use config::CacheConfig;
 pub use exit::{drain_on_thread_exit, DrainOnExit};
 pub use verify::{verify_cached, verify_cached_empty};
 
@@ -106,17 +113,10 @@ mod tests {
         BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap()
     }
 
+    /// A one-slot cache over a 64 KiB span: a 16 KiB budget, magazines of
+    /// 64 entries up to the 256 B class.
     fn small_cache() -> MagazineCache<NbbsOneLevel> {
-        MagazineCache::with_config(
-            NbbsOneLevel::new(cfg()),
-            CacheConfig {
-                magazine_capacity: 4,
-                magazine_bytes: 1 << 12,
-                depot_magazines: 2,
-                slots: Some(1),
-                ..CacheConfig::default()
-            },
-        )
+        MagazineCache::with_slots(NbbsOneLevel::new(cfg()), 1)
     }
 
     #[test]
@@ -150,29 +150,21 @@ mod tests {
         use nbbs_obs::{OpKind, Recorder};
 
         let rec = Arc::new(Recorder::new());
-        let c = MagazineCache::with_config(
-            NbbsOneLevel::new(cfg()),
-            CacheConfig {
-                magazine_capacity: 2,
-                depot_magazines: 1,
-                slots: Some(1),
-                max_magazine_capacity: 2,
-                ..CacheConfig::default()
-            },
-        )
-        .with_recorder(Arc::clone(&rec));
+        let c = small_cache().with_recorder(Arc::clone(&rec));
 
         // First allocation of a class is a miss with a batched refill.
-        let off = c.alloc(64).unwrap();
+        let off = c.alloc(256).unwrap();
         assert_eq!(rec.snapshot(OpKind::CacheMiss).total(), 1);
         assert_eq!(rec.snapshot(OpKind::CacheRefill).total(), 1);
         c.dealloc(off);
 
-        // Overflow the tiny magazines until a whole magazine is flushed.
-        let held: Vec<_> = (0..16).filter_map(|_| c.alloc(64)).collect();
+        // Overflow the 64-entry magazines of 256 B: the first full one
+        // fills the depot's 16 KiB budget, the second is flushed.
+        let held: Vec<_> = (0..200).filter_map(|_| c.alloc(256)).collect();
         for off in held {
             c.dealloc(off);
         }
+        assert!(c.snapshot().flushed > 0);
         assert!(
             rec.snapshot(OpKind::CacheFlush).total() > 0,
             "overflow past the depot must reach flush_magazine"
@@ -333,8 +325,9 @@ mod tests {
     #[test]
     fn depot_circulates_full_magazines() {
         let c = small_cache();
-        // Fill loaded + previous + one depot magazine for class 0.
-        let offs: Vec<_> = (0..12).filter_map(|_| c.alloc(8)).collect();
+        // Fill loaded + previous (64 entries each) and overflow one
+        // magazine of class 0 into the depot.
+        let offs: Vec<_> = (0..2 * 64 + 1).filter_map(|_| c.alloc(8)).collect();
         for &off in &offs {
             c.dealloc(off);
         }

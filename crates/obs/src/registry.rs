@@ -1,9 +1,9 @@
 //! The unified metrics registry.
 //!
-//! Five PRs grew per-layer counters — `OpStatsSnapshot` (tree),
-//! `CacheStatsSnapshot` and magazine capacities (cache), per-node shares
-//! (`nbbs-numa`), buddy/system byte shares and realloc counters (facade) —
-//! each snapshotted and printed ad hoc by whichever binary wanted them.
+//! Each layer keeps its own counters — `OpStatsSnapshot` (tree),
+//! `CacheStatsSnapshot` and magazine capacities (cache), fragmentation
+//! counters (slab), buddy/system byte shares and realloc counters (facade),
+//! committed memory (region).
 //! [`MetricsRegistry`] collects all of them, plus the latency histograms of
 //! an attached [`Recorder`], into one typed [`StackSnapshot`] with a single
 //! text-table and a single hand-rolled JSON exposition, so every binary in
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use nbbs::{
     BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot,
-    NodeStatsSnapshot, OccupancySnapshot, OpStatsSnapshot, CAS_LEVELS,
+    OccupancySnapshot, OpStatsSnapshot, CAS_LEVELS,
 };
 
 use crate::hist::LatencyPercentiles;
@@ -35,8 +35,6 @@ pub struct StackSnapshot {
     pub cache: Option<CacheStatsSnapshot>,
     /// Converged per-class magazine capacities, if the stack has a cache.
     pub capacities: Option<Vec<(usize, usize)>>,
-    /// Per-node service shares (empty for single-arena stacks).
-    pub nodes: Vec<NodeStatsSnapshot>,
     /// Per-class fragmentation counters, if the stack has a slab layer
     /// (committed-over-requested ratio, live pages, passthrough traffic).
     pub frag: Option<FragStatsSnapshot>,
@@ -215,22 +213,6 @@ impl StackSnapshot {
                 );
             }
         }
-        if !self.nodes.is_empty() {
-            let total_served: u64 = self.nodes.iter().map(NodeStatsSnapshot::served).sum();
-            for n in &self.nodes {
-                let share = if total_served == 0 {
-                    0.0
-                } else {
-                    n.served() as f64 / total_served as f64 * 100.0
-                };
-                let _ = writeln!(
-                    out,
-                    "  node {}:  {share:>5.1}% of allocations ({} local, {} remote-fallback, \
-                     {} failed, {} B live)",
-                    n.node, n.local_allocs, n.remote_allocs, n.failed_allocs, n.allocated_bytes
-                );
-            }
-        }
         for (kind, p) in &self.latency {
             let _ = writeln!(
                 out,
@@ -249,7 +231,9 @@ impl StackSnapshot {
     }
 
     /// Renders the snapshot as one JSON object (one line, no trailing
-    /// newline) — the exposition format of `BENCH_*.json` sidecar records.
+    /// newline): the machine-readable twin of
+    /// [`StackSnapshot::text_table`], for a program that logs what the
+    /// global shell's `metrics()` returns.  No file is written from it.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -327,20 +311,6 @@ impl StackSnapshot {
                 frag.passthrough_allocs,
                 classes.join(",")
             );
-        }
-        if !self.nodes.is_empty() {
-            let rendered: Vec<String> = self
-                .nodes
-                .iter()
-                .map(|n| {
-                    format!(
-                        "{{\"node\":{},\"allocated_bytes\":{},\"local_allocs\":{},\
-                         \"remote_allocs\":{},\"failed_allocs\":{}}}",
-                        n.node, n.allocated_bytes, n.local_allocs, n.remote_allocs, n.failed_allocs
-                    )
-                })
-                .collect();
-            let _ = write!(out, ",\"nodes\":[{}]", rendered.join(","));
         }
         if let Some(f) = &self.facade {
             let _ = write!(
@@ -472,7 +442,6 @@ pub struct MetricsRegistry {
     backend_ops: OpStatsSnapshot,
     cache: Option<CacheStatsSnapshot>,
     capacities: Option<Vec<(usize, usize)>>,
-    nodes: Vec<NodeStatsSnapshot>,
     frag: Option<FragStatsSnapshot>,
     facade: Option<FacadeStatsSnapshot>,
     occupancy: Option<OccupancySnapshot>,
@@ -518,12 +487,6 @@ impl MetricsRegistry {
         self
     }
 
-    /// Sets the per-node service shares.
-    pub fn set_nodes(&mut self, nodes: Vec<NodeStatsSnapshot>) -> &mut Self {
-        self.nodes = nodes;
-        self
-    }
-
     /// Sets the slab layer's fragmentation counters directly.
     pub fn set_frag(&mut self, frag: Option<FragStatsSnapshot>) -> &mut Self {
         self.frag = frag;
@@ -533,12 +496,6 @@ impl MetricsRegistry {
     /// Sets the facade byte shares and realloc counters.
     pub fn set_facade(&mut self, facade: FacadeStatsSnapshot) -> &mut Self {
         self.facade = Some(facade);
-        self
-    }
-
-    /// Sets the tree occupancy snapshot directly.
-    pub fn set_occupancy(&mut self, occupancy: Option<OccupancySnapshot>) -> &mut Self {
-        self.occupancy = occupancy;
         self
     }
 
@@ -572,7 +529,6 @@ impl MetricsRegistry {
             backend_ops: self.backend_ops,
             cache: self.cache,
             capacities: self.capacities.clone(),
-            nodes: self.nodes.clone(),
             frag: self.frag.clone(),
             facade: self.facade,
             occupancy: self.occupancy.clone(),
@@ -608,19 +564,6 @@ mod tests {
             ..Default::default()
         }))
         .set_capacities(Some(vec![(64, 8), (128, 16)]))
-        .set_nodes(vec![
-            NodeStatsSnapshot {
-                node: 0,
-                local_allocs: 80,
-                remote_allocs: 5,
-                ..Default::default()
-            },
-            NodeStatsSnapshot {
-                node: 1,
-                local_allocs: 15,
-                ..Default::default()
-            },
-        ])
         .set_facade(FacadeStatsSnapshot {
             requested_bytes: 1000,
             grows_in_place: 3,
@@ -638,7 +581,6 @@ mod tests {
         assert!(table.contains("== nbbs stack: unit =="), "{table}");
         assert!(table.contains("100.0% buddy share"), "{table}");
         assert!(table.contains("90.0% hit rate"), "{table}");
-        assert!(table.contains("node 0"), "{table}");
         assert!(table.contains("latency  alloc"), "{table}");
         assert!(table.contains("10 allocs"), "{table}");
         assert!(table.contains("degraded: 2 system failovers\n"), "{table}");
@@ -646,7 +588,6 @@ mod tests {
         let json = snap.to_json();
         assert!(json.starts_with("{\"label\":\"unit\""), "{json}");
         assert!(json.contains("\"cache\":{\"hits\":90"), "{json}");
-        assert!(json.contains("\"nodes\":[{\"node\":0"), "{json}");
         assert!(json.contains("\"facade\":{\"buddy_bytes\":1000"), "{json}");
         assert!(json.contains("\"system_failovers\":2"), "{json}");
         assert!(json.contains("\"orphan_rescues\":0"), "{json}");

@@ -2,12 +2,14 @@
 //!
 //! The buddy tree rounds every request up to a power of two, so a 40-byte
 //! session object burns 64 bytes — ~40% of a small-object heap wasted at
-//! scale.  [`SlabBackend`] kills that internal fragmentation below a
-//! configurable cutoff (default ≤ 2 KiB): requests are served from
-//! jemalloc-style *spaced* size classes (8, 16, 24, …, 64, 80, 96, 112,
-//! 128, 160, … — four classes per doubling, ≤ 25% worst-case waste above
-//! the granule) carved out of fixed-size pages granted by the underlying
-//! buddy tree.  Requests above the cutoff pass through unchanged.
+//! scale.  [`SlabBackend`] kills that internal fragmentation up to a 2 KiB
+//! cutoff: requests are served from jemalloc-style *spaced* size classes
+//! (8, 16, 24, …, 64, 80, 96, 112, 128, 160, … — four classes per
+//! doubling, ≤ 25% worst-case waste above the granule) carved out of
+//! 16 KiB pages granted by the underlying buddy tree (clamped into the
+//! tree's block sizes; the cutoff falls to half a page when the page is
+//! smaller).  Requests above the cutoff pass through unchanged.  Nothing
+//! else is tuned.
 //!
 //! ## Offset-world "intrusive" metadata
 //!
@@ -36,10 +38,9 @@
 //!
 //! ## Page reclaim hysteresis
 //!
-//! A fully-freed page is kept warm while its class holds fewer than
-//! [`SlabConfig::keep_empty_pages`] empty pages; beyond that it is retired
-//! to the buddy (generation bumped, offset returned) so capacity flows
-//! back to large requests.  [`BuddyBackend::drain_cache`] retires *all*
+//! A fully-freed page is kept warm while its class holds fewer than two
+//! empty pages; beyond that it is retired to the buddy (generation bumped,
+//! offset returned) so capacity flows back to large requests.  [`BuddyBackend::drain_cache`] retires *all*
 //! empty pages, mirroring the magazine cache's drain semantics.
 //!
 //! ## Stacking
@@ -65,6 +66,18 @@ use nbbs_sync::{zeroed_slice, BoundedStack, CachePadded, SpinLock, ZeroedSlice};
 /// Smallest class size and slot granule: every class size is a multiple of
 /// this, so every object offset is too.
 const GRANULE: usize = 8;
+
+/// Largest request served from a size class; bigger requests pass through
+/// to the buddy.  Lowered so the largest class fits twice into a page.
+const CUTOFF: usize = 2048;
+
+/// Bytes per slab page granted from the buddy, clamped into the buddy's
+/// `[min_size, max_size]`.
+const PAGE_SIZE: usize = 16 << 10;
+
+/// Reclaim hysteresis: fully-free pages each class keeps warm before
+/// further empties are retired to the buddy.
+const KEEP_EMPTY_PAGES: usize = 2;
 
 // State-word layout: | ONLIST:1 | generation:39 | class+1:8 | used:16 |.
 // `class+1 == 0` means the page is not (currently) a slab page.
@@ -142,33 +155,6 @@ fn class_table(cutoff: usize, page_size: usize) -> Vec<usize> {
     classes
 }
 
-/// Configuration of a [`SlabBackend`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlabConfig {
-    /// Largest request served from a size class; bigger requests pass
-    /// through to the buddy.  Clamped down so the largest class fits twice
-    /// into a page.  Default 2048.
-    pub cutoff: usize,
-    /// Bytes per slab page granted from the buddy.  Rounded to a power of
-    /// two and clamped into the buddy's `[min_size, max_size]`.  Default
-    /// 16 KiB.
-    pub page_size: usize,
-    /// Reclaim hysteresis: up to this many fully-free pages are kept warm
-    /// per class before further empties are retired to the buddy.
-    /// Default 2.
-    pub keep_empty_pages: usize,
-}
-
-impl Default for SlabConfig {
-    fn default() -> Self {
-        SlabConfig {
-            cutoff: 2048,
-            page_size: 16 << 10,
-            keep_empty_pages: 2,
-        }
-    }
-}
-
 /// Cache-padded per-class counters (hot on the refill/flush paths).
 #[derive(Debug, Default)]
 struct ClassCounters {
@@ -217,7 +203,6 @@ pub struct SlabBackend<A> {
     geometry: Geometry,
     page_size: usize,
     cutoff: usize,
-    keep_empty_pages: usize,
     classes: Vec<usize>,
     class_ctl: Vec<ClassCtl>,
     /// One state word per page slot of the managed span.
@@ -241,25 +226,12 @@ pub struct SlabBackend<A> {
 }
 
 impl<A: BuddyBackend> SlabBackend<A> {
-    /// Wraps `inner` with the default [`SlabConfig`].
+    /// Wraps `inner`: 16 KiB pages (clamped into `inner`'s block sizes)
+    /// carved into the classes up to 2 KiB (and at most half a page).
     pub fn new(inner: A) -> Self {
-        Self::with_config_and_name(inner, SlabConfig::default(), "slab")
-    }
-
-    /// Wraps `inner` with an explicit configuration.
-    pub fn with_config(inner: A, config: SlabConfig) -> Self {
-        Self::with_config_and_name(inner, config, "slab")
-    }
-
-    /// Wraps `inner` with an explicit configuration and report name.
-    pub fn with_config_and_name(inner: A, config: SlabConfig, name: &'static str) -> Self {
         let inner_geo = *inner.geometry();
-        let page_size = config
-            .page_size
-            .max(GRANULE)
-            .next_power_of_two()
-            .clamp(inner_geo.min_size(), inner_geo.max_size());
-        let classes = class_table(config.cutoff, page_size);
+        let page_size = PAGE_SIZE.clamp(inner_geo.min_size(), inner_geo.max_size());
+        let classes = class_table(CUTOFF, page_size);
         let cutoff = classes.last().copied().unwrap_or(0);
         // The slab's own geometry: granule-sized allocation units, so the
         // cache's offset-alignment checks accept class-spaced offsets.  The
@@ -284,11 +256,10 @@ impl<A: BuddyBackend> SlabBackend<A> {
             .collect();
         SlabBackend {
             inner,
-            name,
+            name: "slab",
             geometry,
             page_size,
             cutoff,
-            keep_empty_pages: config.keep_empty_pages,
             classes,
             class_ctl,
             // Zeroed memory: a page slot's words cost a frame only once a
@@ -303,6 +274,12 @@ impl<A: BuddyBackend> SlabBackend<A> {
             has_orphans: AtomicBool::new(false),
             obs: None,
         }
+    }
+
+    /// Renames the slab in reports (e.g. `"slab-4lvl-nb"`).
+    pub fn with_name(mut self, name: &'static str) -> Self {
+        self.name = name;
+        self
     }
 
     /// Attaches a latency recorder: page grants, page retires and orphan
@@ -568,7 +545,7 @@ impl<A: BuddyBackend> SlabBackend<A> {
     fn on_page_empty(&self, idx: usize, class: usize) {
         let ctl = &self.class_ctl[class];
         let mut kept = ctl.counters.empty_pages.load(Ordering::Relaxed);
-        while (kept as usize) < self.keep_empty_pages {
+        while (kept as usize) < KEEP_EMPTY_PAGES {
             match ctl.counters.empty_pages.compare_exchange_weak(
                 kept,
                 kept + 1,
@@ -666,7 +643,7 @@ impl<A: BuddyBackend> SlabBackend<A> {
     /// Retires every fully-free page regardless of the hysteresis — the
     /// slab half of [`BuddyBackend::drain_cache`] and the
     /// [`BuddyBackend::trim_empty_pages`] payload.  Without this, a class
-    /// that goes idle would keep its `keep_empty_pages` warm pages bound
+    /// that goes idle would keep its two warm pages bound
     /// forever, hiding them from the decommit scrubber.  Returns how many
     /// pages went back to the buddy.
     fn reclaim_empty_pages(&self) -> usize {
@@ -864,7 +841,7 @@ impl<A: BuddyBackend> BuddyBackend for SlabBackend<A> {
     }
 
     /// Returns idle classes' warm empty pages to the buddy (bypassing the
-    /// `keep_empty_pages` hysteresis) so the scrubber can decommit them.
+    /// two-page hysteresis) so the scrubber can decommit them.
     fn trim_empty_pages(&self) -> usize {
         self.rescue_orphaned_pages();
         self.reclaim_empty_pages() + self.inner.trim_empty_pages()
@@ -1030,21 +1007,17 @@ mod tests {
 
     #[test]
     fn hysteresis_keeps_k_pages_then_retires() {
-        let config = SlabConfig {
-            keep_empty_pages: 1,
-            ..SlabConfig::default()
-        };
-        let s = SlabBackend::with_config(tree(), config);
+        let s = slab();
         let per_page = s.page_size() / 2048;
-        // Fill three pages of the 2048 class, then free everything: one
-        // empty page stays warm, the others retire to the buddy.
-        let offs: Vec<usize> = (0..3 * per_page).map(|_| s.alloc(2048).unwrap()).collect();
-        assert_eq!(s.frag_snapshot().pages_live, 3);
+        // Fill four pages of the 2048 class, then free everything: two
+        // empty pages stay warm, the others retire to the buddy.
+        let offs: Vec<usize> = (0..4 * per_page).map(|_| s.alloc(2048).unwrap()).collect();
+        assert_eq!(s.frag_snapshot().pages_live, 4);
         for &o in &offs {
             s.dealloc(o);
         }
         let snap = s.frag_snapshot();
-        assert_eq!(snap.pages_live, 1, "K=1 page kept warm");
+        assert_eq!(snap.pages_live, 2, "K=2 pages kept warm");
         assert_eq!(snap.pages_retired, 2);
         // The retired capacity can satisfy a large buddy request again.
         let big = s.alloc(1 << 16).unwrap();

@@ -83,10 +83,11 @@ const CPUS_UNREADABLE: usize = usize::MAX;
 /// quota, which `available_parallelism` also reads (opening and parsing
 /// several files, ~100 µs), limits CPU *time*, not how many threads run
 /// at once, so it does not narrow the stripes threads contend on.  The
-/// shipped stack asks four times while it is built (the cache's slot table
-/// twice, its depot shards, the facade's odometer), so the first answer is
-/// kept.  Two threads racing the first call both ask and store the same
-/// answer.
+/// shipped stack asks once while it is built, for the cache's slot count
+/// ([`default_stripes`]; the depot shards follow from the slots), and every
+/// other cache or facade built in the process asks again, so the first
+/// answer is kept.  Two threads racing the first call both ask and store
+/// the same answer.
 pub fn available_cpus() -> Option<usize> {
     let mut cpus = CPUS.load(Ordering::Relaxed);
     if cpus == 0 {

@@ -65,7 +65,7 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
-use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_cache::MagazineCache;
 use nbbs_chaos::FaultInjecting;
 use nbbs_workloads::factory::{AllocatorKind, SharedBackend};
 use nbbs_workloads::harness::{FigureSpec, Harness, Metric, SweepConfig, Workload};
@@ -327,10 +327,10 @@ fn overhead(
     measurements
 }
 
-/// The default-configured cache the overhead A/Bs run Larson on, over
-/// `backend`: [`larson_tree`] or a wrapper around it.
+/// The cache the overhead A/Bs run Larson on, over `backend`:
+/// [`larson_tree`] or a wrapper around it.
 fn larson_cache<A: BuddyBackend>(backend: A, name: &'static str) -> MagazineCache<A> {
-    MagazineCache::with_config_and_name(backend, CacheConfig::default(), name)
+    MagazineCache::new(backend).with_name(name)
 }
 
 fn larson_tree(opts: &Options) -> NbbsFourLevel {

@@ -8,9 +8,9 @@ use nbbs::{
     BuddyBackend, BuddyConfig, LockedFourLevel, LockedOneLevel, NbbsFourLevel, NbbsOneLevel,
 };
 use nbbs_baselines::{CloudwuBuddy, LinuxBuddy};
-use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_cache::MagazineCache;
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
-use nbbs_slab::{SlabBackend, SlabConfig};
+use nbbs_slab::SlabBackend;
 
 /// A shareable, dynamically-typed back-end allocator.
 pub type SharedBackend = Arc<dyn BuddyBackend>;
@@ -209,10 +209,7 @@ impl Finish for Sampled {
 
 /// The composition of every kind, in one place.
 fn build_with(kind: AllocatorKind, config: BuddyConfig, f: impl Finish) -> SharedBackend {
-    let cache = CacheConfig::default();
-    let slab = |name| {
-        SlabBackend::with_config_and_name(NbbsFourLevel::new(config), slab_config(config), name)
-    };
+    let slab = || SlabBackend::new(NbbsFourLevel::new(config)).with_name("slab-4lvl-nb");
     match kind {
         AllocatorKind::FourLevelNb => f.finish(NbbsFourLevel::new(config)),
         AllocatorKind::OneLevelNb => f.finish(NbbsOneLevel::new(config)),
@@ -220,23 +217,17 @@ fn build_with(kind: AllocatorKind, config: BuddyConfig, f: impl Finish) -> Share
         AllocatorKind::OneLevelSl => f.finish(LockedOneLevel::new(NbbsOneLevel::new(config))),
         AllocatorKind::BuddySl => f.finish(CloudwuBuddy::new(config)),
         AllocatorKind::LinuxBuddy => f.finish(LinuxBuddy::new(config)),
-        AllocatorKind::Cached4LvlNb => f.finish(MagazineCache::with_config_and_name(
-            NbbsFourLevel::new(config),
-            cache,
-            "cached-4lvl-nb",
-        )),
-        AllocatorKind::Cached1LvlNb => f.finish(MagazineCache::with_config_and_name(
-            NbbsOneLevel::new(config),
-            cache,
-            "cached-1lvl-nb",
-        )),
+        AllocatorKind::Cached4LvlNb => {
+            f.finish(MagazineCache::new(NbbsFourLevel::new(config)).with_name("cached-4lvl-nb"))
+        }
+        AllocatorKind::Cached1LvlNb => {
+            f.finish(MagazineCache::new(NbbsOneLevel::new(config)).with_name("cached-1lvl-nb"))
+        }
         AllocatorKind::Numa4LvlNb => f.finish(build_node_set(config)),
-        AllocatorKind::Slab4LvlNb => f.finish(slab("slab-4lvl-nb")),
-        AllocatorKind::CachedSlab4LvlNb => f.finish(MagazineCache::with_config_and_name(
-            slab("slab-4lvl-nb"),
-            cache,
-            "cached-slab-4lvl-nb",
-        )),
+        AllocatorKind::Slab4LvlNb => f.finish(slab()),
+        AllocatorKind::CachedSlab4LvlNb => {
+            f.finish(MagazineCache::new(slab()).with_name("cached-slab-4lvl-nb"))
+        }
     }
 }
 
@@ -254,20 +245,6 @@ pub fn build_recorded(
     stride: u32,
 ) -> SharedBackend {
     build_with(kind, config, Sampled { recorder, stride })
-}
-
-/// The slab configuration for the `slab-*` kinds: the defaults (2 KiB
-/// cutoff, 16 KiB pages), clamped so tiny test arenas still build.  The
-/// constructor clamps the page to the tree's limits on its own; keeping the
-/// cutoff below the page keeps at least two objects per page.
-fn slab_config(config: BuddyConfig) -> SlabConfig {
-    let defaults = SlabConfig::default();
-    let page_size = defaults.page_size.min(config.max_size());
-    SlabConfig {
-        cutoff: defaults.cutoff.min(page_size / 2),
-        page_size,
-        ..defaults
-    }
 }
 
 /// Builds the `numa-4lvl-nb` configuration: one `NbbsFourLevel` per

@@ -132,11 +132,12 @@ fn main() {
     //    lock-free magazine stack per group of thread slots, so chunks
     //    never circulate across the group boundary), and magazine
     //    capacities adapt to the workload: bursts that keep spilling past
-    //    a depot shard double the class's capacity, byte-budget pressure
-    //    halves it.  CacheConfig exposes the knobs: `depot_shards` (None =
-    //    auto, ~one per two CPUs), `depot_magazines` (0 bypasses the
-    //    depot), `max_magazine_capacity`, and `cache_bytes_budget` (None =
-    //    a quarter of the managed region).
+    //    a depot shard double the class's capacity.  A burst past the byte
+    //    budget (a quarter of the managed region) sends whole magazines
+    //    back to the tree and leaves the capacity alone.  Nothing is
+    //    tuned: the shape comes from the backend, and only the slot count
+    //    can be set (`MagazineCache::with_slots`; one depot shard per four
+    //    slots).
     // ------------------------------------------------------------------
     let cached = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
     println!(
@@ -443,7 +444,7 @@ fn main() {
     // 12. Killing power-of-two waste (`nbbs-slab`): the buddy tree rounds
     //     every request up to a power of two, so a 40-byte session object
     //     burns 64 bytes — a 1.60 committed/requested ratio.  SlabBackend
-    //     serves requests at or below a cutoff (default 2 KiB) from
+    //     serves requests at or below a 2 KiB cutoff from
     //     jemalloc-style *spaced* size classes (8, 16, …, 64, 80, 96, 112,
     //     128, 160, …; ≤ 25% worst-case waste) carved out of buddy-granted
     //     pages; bigger requests pass through unchanged.  It is itself a
@@ -452,12 +453,10 @@ fn main() {
     //     stack on it unchanged — the benchmark's
     //     `slab.committed_over_requested` is the measured ratio.
     // ------------------------------------------------------------------
-    use nbbs_slab::{SlabBackend, SlabConfig};
+    use nbbs_slab::SlabBackend;
 
-    let slab = SlabBackend::with_config(
-        NbbsFourLevel::new(config),
-        SlabConfig::default(), // cutoff 2 KiB, 16 KiB pages, keep 2 empties
-    );
+    // Cutoff 2 KiB, 16 KiB pages, two empty pages kept warm per class.
+    let slab = SlabBackend::new(NbbsFourLevel::new(config));
     println!(
         "slab ladder: {} classes up to {} B over {} B pages (first ten: {:?})",
         slab.class_sizes().len(),

@@ -43,7 +43,7 @@ use nbbs_alloc::NbbsAllocator;
 use nbbs_baselines::CloudwuBuddy;
 use nbbs_cache::MagazineCache;
 use nbbs_obs::{MetricsRegistry, Recorder};
-use nbbs_slab::{SlabBackend, SlabConfig};
+use nbbs_slab::SlabBackend;
 use nbbs_workloads::rng::SplitMix64;
 
 /// One in-flight request: a connection buffer plus a (grown) response
@@ -342,23 +342,16 @@ fn main() {
         ),
         (
             "cached-4lvl-nb (magazines)",
-            Arc::new(MagazineCache::with_config_and_name(
-                NbbsFourLevel::new(config),
-                nbbs_cache::CacheConfig::default(),
-                "cached-4lvl-nb",
-            )),
+            Arc::new(MagazineCache::new(NbbsFourLevel::new(config)).with_name("cached-4lvl-nb")),
         ),
         (
             "cached-slab-4lvl-nb (+slab)",
-            Arc::new(MagazineCache::with_config_and_name(
-                SlabBackend::with_config_and_name(
-                    NbbsFourLevel::new(config),
-                    SlabConfig::default(),
-                    "slab-4lvl-nb",
-                ),
-                nbbs_cache::CacheConfig::default(),
-                "cached-slab-4lvl-nb",
-            )),
+            Arc::new(
+                MagazineCache::new(
+                    SlabBackend::new(NbbsFourLevel::new(config)).with_name("slab-4lvl-nb"),
+                )
+                .with_name("cached-slab-4lvl-nb"),
+            ),
         ),
         ("buddy-sl (spin lock)", Arc::new(CloudwuBuddy::new(config))),
     ];

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use nbbs::verify::audit_empty;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
 use nbbs_baselines::ReferenceBuddy;
-use nbbs_cache::{verify_cached, verify_cached_empty, CacheConfig, MagazineCache};
+use nbbs_cache::{verify_cached, verify_cached_empty, MagazineCache};
 use nbbs_workloads::rng::SplitMix64;
 
 // Generous headroom: the worst-case generated live set (~300 KiB granted)
@@ -41,14 +41,14 @@ fn backend_config() -> BuddyConfig {
         .with_scan_policy(ScanPolicy::FirstFit)
 }
 
-fn small_cache_config() -> CacheConfig {
-    CacheConfig {
-        magazine_capacity: 8,
-        magazine_bytes: 512,
-        depot_magazines: 2,
-        slots: Some(1),
-        ..CacheConfig::default()
-    }
+/// Units of 512 B and blocks up to 4 KiB over 8 MiB: the four classes
+/// start with 64, 32, 16 and 8 entries a magazine, so a thread's random
+/// walk overflows the larger ones into the depot within a few dozen frees.
+const LARGE_UNIT: usize = 512;
+const LARGE_TOTAL: usize = 8 << 20;
+
+fn large_class_config() -> BuddyConfig {
+    BuddyConfig::new(LARGE_TOTAL, LARGE_UNIT, 4 << 10).unwrap()
 }
 
 #[derive(Debug, Clone)]
@@ -77,10 +77,7 @@ proptest! {
     #[test]
     fn cached_one_level_matches_oracle_behaviour(ops in ops_strategy()) {
         let mut oracle = ReferenceBuddy::new(backend_config());
-        let cache = MagazineCache::with_config(
-            NbbsOneLevel::new(backend_config()),
-            small_cache_config(),
-        );
+        let cache = MagazineCache::with_slots(NbbsOneLevel::new(backend_config()), 1);
         let geo = *cache.geometry();
         let mut oracle_live: Vec<usize> = Vec::new();
         let mut cache_live: Vec<(usize, usize)> = Vec::new();
@@ -138,16 +135,7 @@ proptest! {
     /// backend to exactly the caller-live set.
     #[test]
     fn thread_exit_drain_leaks_nothing(ops in ops_strategy()) {
-        let cache = Arc::new(MagazineCache::with_config(
-            NbbsFourLevel::new(backend_config()),
-            CacheConfig {
-                magazine_capacity: 8,
-                magazine_bytes: 512,
-                depot_magazines: 2,
-                slots: Some(64),
-                ..CacheConfig::default()
-            },
-        ));
+        let cache = Arc::new(MagazineCache::with_slots(NbbsFourLevel::new(backend_config()), 64));
         let worker = {
             let cache = Arc::clone(&cache);
             let ops = ops.clone();
@@ -197,14 +185,9 @@ proptest! {
 #[test]
 fn concurrent_cached_chunks_never_overlap_in_space_and_time() {
     for slots in [1usize, 16] {
-        let cache = Arc::new(MagazineCache::with_config(
-            NbbsFourLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 10).unwrap()),
-            CacheConfig {
-                magazine_capacity: 8,
-                magazine_bytes: 1 << 10,
-                slots: Some(slots),
-                ..CacheConfig::default()
-            },
+        let cache = Arc::new(MagazineCache::with_slots(
+            NbbsFourLevel::new(large_class_config()),
+            slots,
         ));
         let epoch = Arc::new(AtomicUsize::new(0));
         let log: ChunkLifetimeLog = Arc::new(Mutex::new(Vec::new()));
@@ -219,7 +202,7 @@ fn concurrent_cached_chunks_never_overlap_in_space_and_time() {
                     let mut held: Vec<(usize, usize, usize)> = Vec::new();
                     for _ in 0..2_000 {
                         if held.is_empty() || rng.next_u64() & 1 == 0 {
-                            let size = 8usize << rng.next_below(8);
+                            let size = LARGE_UNIT << rng.next_below(4);
                             if let Some(off) = cache.alloc(size) {
                                 let granted = cache.geometry().granted_size(size).unwrap();
                                 let start = epoch.fetch_add(1, Ordering::SeqCst);
@@ -260,6 +243,10 @@ fn concurrent_cached_chunks_never_overlap_in_space_and_time() {
             }
         }
         drop(entries);
+        assert!(
+            cache.snapshot().depot_exchanges > 0,
+            "slots={slots}: no depot exchange"
+        );
         assert_eq!(cache.allocated_bytes(), 0);
         cache.drain_all();
         assert_eq!(cache.backend().allocated_bytes(), 0);
@@ -369,13 +356,10 @@ fn drained_cache_restores_full_backend_capacity() {
 /// outer's chunks re-parked inside a freshly-drained inner cache.
 #[test]
 fn nested_cache_drain_reaches_the_tree() {
-    let nested = MagazineCache::with_config_and_name(
-        MagazineCache::new(NbbsFourLevel::new(
-            BuddyConfig::new(1 << 16, 8, 1 << 10).unwrap(),
-        )),
-        CacheConfig::default(),
-        "cached-cached-4lvl-nb",
-    );
+    let nested = MagazineCache::new(MagazineCache::new(NbbsFourLevel::new(
+        BuddyConfig::new(1 << 16, 8, 1 << 10).unwrap(),
+    )))
+    .with_name("cached-cached-4lvl-nb");
     let mut held = Vec::new();
     for _ in 0..64 {
         if let Some(off) = nested.alloc(64) {
@@ -400,29 +384,21 @@ fn nested_cache_drain_reaches_the_tree() {
 /// and every other shard stays empty.
 #[test]
 fn overflow_parks_only_in_the_callers_shard() {
-    let cache = MagazineCache::with_config(
-        NbbsOneLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 4,
-            magazine_bytes: 32,
-            depot_magazines: 8,
-            slots: Some(4),
-            depot_shards: Some(4),
-            ..CacheConfig::default()
-        },
-    );
+    // Sixteen slots, so four shards.
+    let cache = MagazineCache::with_slots(NbbsOneLevel::new(backend_config()), 16);
     assert_eq!(cache.depot_shard_count(), 4);
     let home = cache.current_shard();
     assert!(home < 4);
     assert_eq!(home, cache.current_shard(), "shard routing is stable");
-    // Overflow enough same-class chunks to park several full magazines.
-    let offs: Vec<_> = (0..32).filter_map(|_| cache.alloc(8)).collect();
-    assert_eq!(offs.len(), 32);
+    // Overflow enough same-class chunks to park several full magazines:
+    // the 8 B class holds 64 a magazine, two in the slot.
+    let offs: Vec<_> = (0..5 * 64).filter_map(|_| cache.alloc(8)).collect();
+    assert_eq!(offs.len(), 5 * 64);
     for off in offs {
         cache.dealloc(off);
     }
     assert!(
-        cache.depot_parked_magazines(home) > 0,
+        cache.depot_parked_magazines(home) >= 2,
         "nothing parked in the caller's shard"
     );
     for shard in 0..cache.depot_shard_count() {
@@ -446,28 +422,22 @@ fn overflow_parks_only_in_the_callers_shard() {
 
 /// Adaptive growth converges: a repeated burst that overruns the initial
 /// magazine geometry grows the class's capacity until the burst parks
-/// entirely — the last repetitions flush nothing to the backend.
+/// entirely — the last repetitions flush nothing to the backend.  The 8 B
+/// class starts at 64 entries, so its slot and its shard's 64 depot
+/// magazines park 4 224 chunks; the burst is larger.
 #[test]
 fn adaptive_growth_converges_on_repeated_bursts() {
-    let cache = MagazineCache::with_config(
-        NbbsOneLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 4,
-            magazine_bytes: 32,
-            depot_magazines: 1,
-            slots: Some(1),
-            max_magazine_capacity: 128,
-            ..CacheConfig::default()
-        },
-    );
+    const BURST: usize = 6_000;
+    let cache = MagazineCache::with_slots(NbbsOneLevel::new(backend_config()), 1);
     let class = 0;
     let initial = cache.magazine_capacity(class);
-    assert_eq!(initial, 4);
+    assert_eq!(initial, 64);
+    assert!(BURST > (2 + 64) * initial);
     let mut flushed_per_burst = Vec::new();
     for _ in 0..10 {
         let before = cache.snapshot().flushed;
-        let offs: Vec<_> = (0..100).filter_map(|_| cache.alloc(8)).collect();
-        assert_eq!(offs.len(), 100);
+        let offs: Vec<_> = (0..BURST).filter_map(|_| cache.alloc(8)).collect();
+        assert_eq!(offs.len(), BURST);
         for off in offs {
             cache.dealloc(off);
         }
@@ -492,24 +462,21 @@ fn adaptive_growth_converges_on_repeated_bursts() {
 
 /// Byte-budget pressure flushes without shrinking: with a budget far below
 /// the burst's footprint, parking is refused, the refused magazines go back
-/// to the backend whole, and the class keeps its capacity.
+/// to the backend whole, and the class keeps its capacity.  The 1 KiB
+/// class starts at 32 entries, so eight of its magazines fill the 256 KiB
+/// budget of the 1 MiB span long before the depot's 64.
 #[test]
 fn budget_pressure_flushes_without_shrinking() {
-    let cache = MagazineCache::with_config(
-        NbbsOneLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 16,
-            magazine_bytes: 16 * 8,
-            depot_magazines: 8,
-            slots: Some(1),
-            cache_bytes_budget: Some(256),
-            ..CacheConfig::default()
-        },
-    );
-    let class = 0;
-    assert_eq!(cache.magazine_capacity(class), 16);
+    const CLASS_SIZE: usize = 1 << 10;
+    let cache = MagazineCache::with_slots(NbbsOneLevel::new(backend_config()), 1);
+    let budget = cache.cache_bytes_budget();
+    assert_eq!(budget, 256 << 10);
+    let class = cache.class_count() - 1;
+    assert_eq!(cache.class_size(class), CLASS_SIZE);
+    assert_eq!(cache.magazine_capacity(class), 32);
     for _ in 0..6 {
-        let offs: Vec<_> = (0..120).filter_map(|_| cache.alloc(8)).collect();
+        let offs: Vec<_> = (0..400).filter_map(|_| cache.alloc(CLASS_SIZE)).collect();
+        assert_eq!(offs.len(), 400);
         for off in offs {
             cache.dealloc(off);
         }
@@ -517,13 +484,14 @@ fn budget_pressure_flushes_without_shrinking() {
     let snap = cache.snapshot();
     assert!(snap.depot_spills > 0, "no spill despite budget pressure");
     assert!(snap.flushed > 0, "the refused magazines were not flushed");
+    assert_eq!(snap.resize_grows, 0, "budget pressure is no grow signal");
     assert_eq!(
         cache.magazine_capacity(class),
-        16,
+        32,
         "budget pressure changed the capacity"
     );
     assert!(
-        cache.cached_bytes() <= 256 + 16 * 8 * 2,
+        cache.cached_bytes() <= budget + 32 * CLASS_SIZE * 2,
         "parked bytes far exceed the budget: {}",
         cache.cached_bytes()
     );
@@ -542,14 +510,11 @@ fn budget_pressure_flushes_without_shrinking() {
 fn repeated_bursts_past_the_budget_keep_their_magazines() {
     const CLASS_SIZE: usize = 16 << 10;
     const BURST: usize = 2_560;
-    let cache = MagazineCache::with_config(
+    let cache = MagazineCache::with_slots(
         NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap()),
-        CacheConfig {
-            slots: Some(1),
-            depot_shards: Some(1),
-            ..CacheConfig::default()
-        },
+        1,
     );
+    assert_eq!(cache.depot_shard_count(), 1);
     assert_eq!(cache.cache_bytes_budget(), 16 << 20);
     assert!(BURST * CLASS_SIZE > cache.cache_bytes_budget());
     let class = cache
@@ -592,17 +557,13 @@ fn repeated_bursts_past_the_budget_keep_their_magazines() {
 /// backend to pristine and leaves no magazine parked anywhere.
 #[test]
 fn drains_cover_every_depot_shard() {
-    let cache = Arc::new(MagazineCache::with_config(
+    // Thirty-two slots, so eight shards: eight threads on consecutive
+    // stripes land in eight different shards.
+    let cache = Arc::new(MagazineCache::with_slots(
         NbbsFourLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 8,
-            magazine_bytes: 64,
-            depot_magazines: 16,
-            slots: Some(8),
-            depot_shards: Some(8),
-            ..CacheConfig::default()
-        },
+        32,
     ));
+    assert_eq!(cache.depot_shard_count(), 8);
     let handles: Vec<_> = (0..8)
         .map(|t| {
             let cache = Arc::clone(&cache);
@@ -635,8 +596,12 @@ fn drains_cover_every_depot_shard() {
         !shards_used.is_empty(),
         "threads reported no shard assignment"
     );
-    // Thread guards drained the slots; the depot shards may still hold
-    // parked magazines.  allocated_bytes must already be zero (cache-aware).
+    // Thread guards drained the slots; the depot shards still hold parked
+    // magazines.  allocated_bytes must already be zero (cache-aware).
+    let parked: usize = (0..cache.depot_shard_count())
+        .map(|shard| cache.depot_parked_magazines(shard))
+        .sum();
+    assert!(parked > 0, "no magazine reached a depot shard");
     assert_eq!(cache.allocated_bytes(), 0);
     cache.drain_all();
     for shard in 0..cache.depot_shard_count() {
@@ -657,17 +622,12 @@ fn drains_cover_every_depot_shard() {
 /// (nothing is caller-live here).
 #[test]
 fn cached_bytes_is_exact_after_concurrent_exchanges() {
-    let cache = Arc::new(MagazineCache::with_config(
-        NbbsFourLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 8,
-            magazine_bytes: 64,
-            depot_magazines: 4,
-            slots: Some(4),
-            depot_shards: Some(2),
-            ..CacheConfig::default()
-        },
+    // Eight slots, so two shards.
+    let cache = Arc::new(MagazineCache::with_slots(
+        NbbsFourLevel::new(large_class_config()),
+        8,
     ));
+    assert_eq!(cache.depot_shard_count(), 2);
     let handles: Vec<_> = (0..6)
         .map(|t| {
             let cache = Arc::clone(&cache);
@@ -676,7 +636,7 @@ fn cached_bytes_is_exact_after_concurrent_exchanges() {
                 let mut held = Vec::new();
                 for _ in 0..5_000 {
                     if held.is_empty() || rng.next_u64() & 1 == 0 {
-                        if let Some(off) = cache.alloc(8 << rng.next_below(3)) {
+                        if let Some(off) = cache.alloc(LARGE_UNIT << rng.next_below(4)) {
                             held.push(off);
                         }
                     } else {
@@ -695,6 +655,7 @@ fn cached_bytes_is_exact_after_concurrent_exchanges() {
     }
     // Quiescent: every chunk the backend holds is parked in the cache, and
     // the per-slot sums and per-shard counters must agree byte for byte.
+    assert!(cache.snapshot().depot_exchanges > 0, "no shard exchange");
     assert_eq!(cache.cached_bytes(), cache.backend().allocated_bytes());
     let counted: usize = cache.cached_chunks().iter().map(|&(_, s)| s).sum();
     assert_eq!(cache.cached_bytes(), counted);
@@ -711,16 +672,10 @@ fn derived_readouts_hold_under_load_and_are_exact_at_quiescence() {
     use std::sync::Barrier;
 
     const WORKERS: usize = 6;
-    let cache = Arc::new(MagazineCache::with_config(
-        NbbsFourLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 8,
-            magazine_bytes: 256,
-            depot_magazines: 4,
-            // Fewer slots than workers: every slot lock is shared.
-            slots: Some(2),
-            ..CacheConfig::default()
-        },
+    // Fewer slots than workers: every slot lock is shared.
+    let cache = Arc::new(MagazineCache::with_slots(
+        NbbsFourLevel::new(large_class_config()),
+        2,
     ));
     let start = Arc::new(Barrier::new(WORKERS + 1));
     let done = Arc::new(AtomicBool::new(false));
@@ -752,7 +707,7 @@ fn derived_readouts_hold_under_load_and_are_exact_at_quiescence() {
                     if held.is_empty() || rng.next_u64() & 1 == 0 {
                         // Four cached classes; powers of two, so the grant
                         // is the request.  The arena never runs dry.
-                        let size = 8usize << rng.next_below(4);
+                        let size = LARGE_UNIT << rng.next_below(4);
                         let off = cache.alloc(size).expect("ample headroom");
                         held.push((off, size));
                         allocs += 1;
@@ -777,6 +732,10 @@ fn derived_readouts_hold_under_load_and_are_exact_at_quiescence() {
     assert!(reader.join().unwrap() > 0, "the reader ran alongside");
 
     let stats = cache.cache_stats().unwrap();
+    assert!(
+        stats.depot_exchanges > 0,
+        "no depot exchange under the reader"
+    );
     assert_eq!(
         stats.alloc_requests(),
         allocs,
@@ -841,19 +800,16 @@ fn owned_slots_survive_a_storm_of_owners_sharers_exits_and_remote_readers() {
     const WAVES: usize = 4;
     const PER_WAVE: usize = 6;
     const OPS: usize = 3_000;
-    let cache = Arc::new(MagazineCache::with_config(
-        NbbsFourLevel::new(backend_config()),
-        CacheConfig {
-            magazine_capacity: 8,
-            magazine_bytes: 256,
-            depot_magazines: 4,
-            slots: Some(SLOTS),
-            ..CacheConfig::default()
-        },
+    let cache = Arc::new(MagazineCache::with_slots(
+        NbbsFourLevel::new(large_class_config()),
+        SLOTS,
     ));
     // One tag per allocation unit: 0 while no live holder covers it.
-    let tags: Arc<Vec<AtomicUsize>> =
-        Arc::new((0..TOTAL / MIN).map(|_| AtomicUsize::new(0)).collect());
+    let tags: Arc<Vec<AtomicUsize>> = Arc::new(
+        (0..LARGE_TOTAL / LARGE_UNIT)
+            .map(|_| AtomicUsize::new(0))
+            .collect(),
+    );
     let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reader = {
         let (cache, done) = (Arc::clone(&cache), Arc::clone(&done));
@@ -893,17 +849,17 @@ fn owned_slots_survive_a_storm_of_owners_sharers_exits_and_remote_readers() {
                     let mut held: Vec<(usize, usize)> = Vec::new();
                     let mut allocs = 0u64;
                     let release = |off: usize, size: usize| {
-                        for unit in off / MIN..(off + size) / MIN {
+                        for unit in off / LARGE_UNIT..(off + size) / LARGE_UNIT {
                             tags[unit].store(0, Ordering::Release);
                         }
                         cache.dealloc(off);
                     };
                     for _ in 0..OPS {
                         if held.is_empty() || rng.next_u64() & 1 == 0 {
-                            let size = MIN << rng.next_below(4);
+                            let size = LARGE_UNIT << rng.next_below(4);
                             let off = cache.alloc(size).expect("ample headroom");
                             allocs += 1;
-                            for unit in off / MIN..(off + size) / MIN {
+                            for unit in off / LARGE_UNIT..(off + size) / LARGE_UNIT {
                                 let prior = tags[unit].swap(tag, Ordering::AcqRel);
                                 assert_eq!(prior, 0, "unit {unit} of {off} held by {prior} too");
                             }
@@ -926,9 +882,31 @@ fn owned_slots_survive_a_storm_of_owners_sharers_exits_and_remote_readers() {
     }
     done.store(true, Ordering::Release);
     assert!(reader.join().unwrap() > 0, "the reader ran alongside");
-    assert_eq!(cache.snapshot().alloc_requests(), allocs);
+    let stats = cache.snapshot();
+    assert_eq!(stats.alloc_requests(), allocs);
+    assert!(stats.depot_exchanges > 0, "no depot exchange in the storm");
     assert_eq!(cache.allocated_bytes(), 0);
     cache.drain_all();
     verify_cached_empty(&cache).assert_clean();
     assert_eq!(cache.backend().allocated_bytes(), 0);
+}
+
+/// The shape of the shipped cache, `MagazineCache<BuddyRegion<NbbsFourLevel>>`
+/// on the global shell's 64 MiB / 32 B / 64 KiB: twelve classes, each
+/// starting with `clamp(32 KiB / class, 2, 64)` entries, a budget of a
+/// quarter of the span, a slot table of `default_stripes()` and one depot
+/// shard per four slots.
+#[test]
+fn the_shipped_cache_has_the_shipped_shape() {
+    let tree = NbbsFourLevel::new(BuddyConfig::new(64 << 20, 32, 64 << 10).unwrap());
+    let cache = MagazineCache::new(nbbs::BuddyRegion::new(tree));
+    let classes: Vec<usize> = (0..cache.class_count())
+        .map(|c| cache.class_size(c))
+        .collect();
+    assert_eq!(classes, (0..12).map(|k| 32 << k).collect::<Vec<_>>());
+    let capacities: Vec<usize> = (0..12).map(|c| cache.magazine_capacity(c)).collect();
+    assert_eq!(capacities, [64, 64, 64, 64, 64, 32, 16, 8, 4, 2, 2, 2]);
+    assert_eq!(cache.cache_bytes_budget(), 16 << 20);
+    assert_eq!(cache.slot_count(), nbbs_sync::default_stripes());
+    assert_eq!(cache.depot_shard_count(), (cache.slot_count() / 4).max(1));
 }

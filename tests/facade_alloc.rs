@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use nbbs::error::FreeError;
 use nbbs::{BuddyBackend, BuddyConfig, Geometry, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
-use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache};
+use nbbs_cache::{drain_on_thread_exit, DrainOnExit, MagazineCache};
 
 const TOTAL: usize = 1 << 20;
 const MIN: usize = 16;
@@ -253,15 +253,7 @@ fn zero_on_reuse_across_the_decommit_boundary() {
 #[test]
 fn foreign_threads_drain_on_exit() {
     let config = BuddyConfig::new(1 << 18, 8, 1 << 12).unwrap();
-    // No depot: cached bytes live in slots only and a fully-drained cache
-    // reads exactly zero.
-    let cache = Arc::new(MagazineCache::with_config(
-        NbbsFourLevel::new(config),
-        CacheConfig {
-            depot_magazines: 0,
-            ..CacheConfig::default()
-        },
-    ));
+    let cache = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
     let facade = Arc::new(NbbsAllocator::new(Arc::clone(&cache)));
 
     let handles: Vec<_> = (0..6)
@@ -294,6 +286,10 @@ fn foreign_threads_drain_on_exit() {
     for h in handles {
         h.join().unwrap();
     }
+    // A thread holds at most 25 blocks, so no slot ever overflows its two
+    // 64-entry magazines: cached bytes live in slots only, and a
+    // fully-drained cache reads exactly zero.
+    assert_eq!(cache.snapshot().depot_exchanges, 0);
     assert_eq!(facade.allocated_bytes(), 0, "no user-live memory");
     assert_eq!(
         cache.cached_bytes(),

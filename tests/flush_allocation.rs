@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
-use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_cache::MagazineCache;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
@@ -66,30 +66,32 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     COUNT.with(Cell::get)
 }
 
-/// Magazines of four in every class and one depot shard whose byte budget
-/// holds one magazine of 1 KiB chunks and less than one of 64 B more.
+/// One slot and one depot shard over a 128 KiB span, so a 32 KiB budget:
+/// it holds one magazine of 1 KiB chunks (32 of them) and not one of 64 B
+/// (64 of them, 4 KiB) more.
 const SMALL: usize = 64;
+const SMALL_CAPACITY: usize = 64;
 const LARGE: usize = 1024;
-const CAPACITY: usize = 4;
+const LARGE_CAPACITY: usize = 32;
 
 #[test]
 fn a_free_that_flushes_a_magazine_allocates_nothing() {
-    let config = CacheConfig {
-        magazine_capacity: CAPACITY,
-        magazine_bytes: 1 << 20,
-        max_magazine_capacity: CAPACITY,
-        depot_shards: Some(1),
-        slots: Some(1),
-        cache_bytes_budget: Some(CAPACITY * (LARGE + SMALL) - 1),
-        ..CacheConfig::default()
+    let tree = NbbsFourLevel::new(BuddyConfig::new(128 << 10, 32, 4 << 10).unwrap());
+    let cache = MagazineCache::with_slots(tree, 1);
+    assert_eq!(cache.depot_shard_count(), 1);
+    assert_eq!(cache.cache_bytes_budget(), LARGE_CAPACITY * LARGE);
+    assert!(cache.cache_bytes_budget() < LARGE_CAPACITY * LARGE + SMALL_CAPACITY * SMALL);
+    let capacity_of = |size: usize| {
+        let (class, _) = cache.class_of_request(size).unwrap();
+        cache.magazine_capacity(class)
     };
-    let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 20, 32, 4 << 10).unwrap());
-    let cache = MagazineCache::with_config(tree, config);
+    assert_eq!(capacity_of(SMALL), SMALL_CAPACITY);
+    assert_eq!(capacity_of(LARGE), LARGE_CAPACITY);
     let parked = || cache.depot_parked_magazines(0);
-    // Frees of `2 * CAPACITY + 1` chunks of `size` fill both magazines of
+    // Frees of `2 * capacity + 1` chunks of `size` fill both magazines of
     // the class and park the full one in the depot.
-    let park_one = |size: usize| {
-        let chunks: Vec<_> = (0..=2 * CAPACITY)
+    let park_one = |size: usize, capacity: usize| {
+        let chunks: Vec<_> = (0..=2 * capacity)
             .map(|_| cache.backend().alloc(size).unwrap())
             .collect();
         for offset in chunks {
@@ -100,14 +102,14 @@ fn a_free_that_flushes_a_magazine_allocates_nothing() {
     // The small class takes its magazine back from the depot, which leaves
     // the emptied one as the slot's spare: the next overflow rotates it in
     // and needs no new magazine.
-    park_one(SMALL);
+    park_one(SMALL, SMALL_CAPACITY);
     assert_eq!(parked(), 1);
-    let mut held: Vec<_> = (0..=CAPACITY + 1)
+    let mut held: Vec<_> = (0..=SMALL_CAPACITY + 1)
         .map(|_| cache.alloc(SMALL).unwrap())
         .collect();
-    assert_eq!(parked(), 0, "the sixth allocation took the magazine back");
+    assert_eq!(parked(), 0, "the last allocation took the magazine back");
     // The large class fills the depot's budget.
-    park_one(LARGE);
+    park_one(LARGE, LARGE_CAPACITY);
     assert_eq!(parked(), 1);
 
     // Both small magazines full, then the free that overflows them.
@@ -119,7 +121,7 @@ fn a_free_that_flushes_a_magazine_allocates_nothing() {
     let allocations = allocations_in(|| cache.dealloc_sized(last, SMALL));
     assert_eq!(
         cache.snapshot().flushed - flushed,
-        CAPACITY as u64,
+        SMALL_CAPACITY as u64,
         "the budget refused the magazine and it went back to the tree"
     );
     assert_eq!(allocations, 0, "the flushing free allocated");

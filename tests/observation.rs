@@ -11,45 +11,32 @@ use std::sync::Arc;
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
-use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_cache::MagazineCache;
 use nbbs_obs::{jsoncheck, OpKind, Recorder, FLIGHT_TAIL};
-use nbbs_slab::{SlabBackend, SlabConfig};
+use nbbs_slab::SlabBackend;
 use nbbs_workloads::rng::SplitMix64;
 
 type Stack = NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>;
 
-/// Tree → slab → cache → facade, every layer handed the same `rec`.  A
-/// 64 KiB arena and two-entry magazines keep each slow path a few
-/// operations away.
+/// Tree → slab → cache → facade, every layer handed the same `rec`.  The
+/// 64 KiB arena gives the one-slot cache a 16 KiB byte budget, less than
+/// one full magazine of the 320 B class (64 entries, 20 KiB), so a flush
+/// is 129 frees away; the slab's pages are 4 KiB, the tree's largest block.
 fn stack(rec: &Arc<Recorder>) -> Stack {
     let config = BuddyConfig::new(1 << 16, 16, 1 << 12).unwrap();
-    let slab = SlabBackend::with_config(
-        NbbsFourLevel::new(config),
-        SlabConfig {
-            keep_empty_pages: 0,
-            ..SlabConfig::default()
-        },
-    )
-    .with_recorder(Arc::clone(rec));
-    let cache = MagazineCache::with_config(
-        slab,
-        CacheConfig {
-            magazine_capacity: 2,
-            max_magazine_capacity: 2,
-            depot_magazines: 1,
-            slots: Some(1),
-            ..CacheConfig::default()
-        },
-    )
-    .with_recorder(Arc::clone(rec));
+    let slab = SlabBackend::new(NbbsFourLevel::new(config)).with_recorder(Arc::clone(rec));
+    let cache = MagazineCache::with_slots(slab, 1).with_recorder(Arc::clone(rec));
     NbbsAllocator::new(cache).with_recorder(Arc::clone(rec))
 }
+
+/// The slab class whose full magazine the budget refuses.
+const FLUSHED: usize = 320;
 
 /// Drives `a` through every cause in [`CAUSES`] and back to empty; returns
 /// the most bytes the heap profiler attributed on the way.
 fn drive(a: &Stack, rec: &Recorder) -> u64 {
     let small = Layout::from_size_align(64, 8).unwrap();
-    let mid = Layout::from_size_align(1024, 8).unwrap();
+    let mid = Layout::from_size_align(128, 8).unwrap();
     let ptr = |block: std::ptr::NonNull<[u8]>| block.cast::<u8>();
     // SAFETY: every block is released (or moved) exactly once, with the
     // layout it was last allocated, grown or shrunk to.
@@ -59,12 +46,26 @@ fn drive(a: &Stack, rec: &Recorder) -> u64 {
         let grown = a.grow(ptr(block), small, mid).unwrap();
         let shrunk = a.shrink(ptr(grown), mid, small).unwrap();
         a.deallocate(ptr(shrunk), small);
-        // Sixteen frees overrun two magazines and the one depot slot.
+        // Sixteen blocks for the profiler to attribute.
         let burst: Vec<_> = (0..16).map(|_| a.allocate(small).unwrap()).collect();
         let attributed = rec.profiler().unwrap().report().attributed_live_bytes();
         for block in burst {
             a.deallocate(ptr(block), small);
         }
+        // Frees past both magazines of the 320 B class, on the cache below
+        // the facade (a facade event per free would overrun the dump's
+        // tail): the budget refuses the full magazine and it is flushed.
+        let cache = a.backend();
+        let (class, _) = cache.class_of_request(FLUSHED).unwrap();
+        let capacity = cache.magazine_capacity(class);
+        assert!(capacity * FLUSHED > cache.cache_bytes_budget());
+        let chunks: Vec<_> = (0..=2 * capacity)
+            .map(|_| cache.alloc(FLUSHED).unwrap())
+            .collect();
+        for offset in chunks {
+            cache.dealloc_sized(offset, FLUSHED);
+        }
+        assert_eq!(cache.snapshot().flushed, capacity as u64);
         // Draining empties the slab's pages, which it hands back.
         a.backend().drain_cache();
         assert_eq!(a.allocated_bytes(), 0);
@@ -82,7 +83,7 @@ const CAUSES: [(OpKind, &str); 9] = [
     (OpKind::CacheRefill, "the batch behind that miss"),
     (
         OpKind::CacheFlush,
-        "frees past both magazines and the depot",
+        "frees past both magazines, the budget refusing the full one",
     ),
     (OpKind::PageGrant, "the slab binding a page to a class"),
     (OpKind::PageRetire, "the drain emptying that page"),

@@ -26,7 +26,7 @@ use std::time::Duration;
 
 use nbbs::verify::audit_empty;
 use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, NbbsOneLevel, TreeInspect};
-use nbbs_cache::{CacheConfig, MagazineCache};
+use nbbs_cache::MagazineCache;
 
 /// 8 MiB of 32 B units: a 256 KiB `index[]`, mapped, one page of it per
 /// 128 KiB of span.  A run is capped at 1/16 of the span, 512 KiB.
@@ -262,10 +262,10 @@ const PASSES: u64 = 50;
 
 /// The global shell's composition: the cache over the region, so a refill
 /// writes the commit marks of the blocks the tree grants it while the
-/// background scrubber sets marks of the runs it gives back.  Magazines of
-/// four, no depot and a drain of the worker's slot every 256 operations
-/// send the parked chunks back to the tree and the misses to it, so the
-/// scrubber has freed blocks to give back and the refills take them again.
+/// background scrubber sets marks of the runs it gives back.  A drain of
+/// the worker's slot every 256 operations sends the parked chunks back to
+/// the tree and the misses to it, so the scrubber has freed blocks to give
+/// back and the refills take them again.
 /// Workers write a tag into every page of their blocks and check it before
 /// the free (a page the scrubber gave back under a live or parked chunk
 /// reads zero), until the scrubber has made [`PASSES`] passes.  Once the
@@ -274,13 +274,7 @@ const PASSES: u64 = 50;
 #[cfg(target_os = "linux")]
 #[test]
 fn refills_commit_under_a_background_scrubber_and_a_night_gives_every_page_back() {
-    let small = CacheConfig {
-        magazine_capacity: 4,
-        max_magazine_capacity: 4,
-        depot_magazines: 0,
-        ..CacheConfig::default()
-    };
-    let cache = MagazineCache::with_config(BuddyRegion::new(NbbsFourLevel::new(config())), small);
+    let cache = MagazineCache::new(BuddyRegion::new(NbbsFourLevel::new(config())));
     let region = cache.backend();
     let page = nbbs::mapping::page_size();
     region.start_scrubber(Duration::from_millis(1));

@@ -19,27 +19,20 @@ use nbbs_cache::MagazineCache;
 use nbbs_chaos::{FaultInjecting, FaultPlan};
 use nbbs_numa::{NodePolicy, NodeSet, Topology};
 use nbbs_obs::{OpKind, Recorded, Recorder};
-use nbbs_slab::{SlabBackend, SlabConfig};
+use nbbs_slab::SlabBackend;
 use nbbs_workloads::rng::SplitMix64;
 
 const TOTAL: usize = 1 << 20;
 const MIN: usize = 64;
-const MAX: usize = 1 << 14;
+/// The tree's largest block, so the slabs carve 8 KiB pages.
+const MAX: usize = 8 << 10;
 
 fn cfg() -> BuddyConfig {
     BuddyConfig::new(TOTAL, MIN, MAX).unwrap()
 }
 
-fn slab_config() -> SlabConfig {
-    SlabConfig {
-        cutoff: 2048,
-        page_size: 8 << 10,
-        keep_empty_pages: 2,
-    }
-}
-
 fn slab() -> SlabBackend<NbbsFourLevel> {
-    SlabBackend::with_config_and_name(NbbsFourLevel::new(cfg()), slab_config(), "slab-4lvl-nb")
+    SlabBackend::new(NbbsFourLevel::new(cfg())).with_name("slab-4lvl-nb")
 }
 
 fn slab_stack() -> NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>> {
@@ -270,7 +263,7 @@ fn cross_thread_frees_route_to_the_owning_page() {
 #[test]
 fn fault_storm_during_page_grants_orphans_nothing() {
     let injected = FaultInjecting::new(NbbsFourLevel::new(cfg()), FaultPlan::storm(0x51AB_5EED));
-    let slab = SlabBackend::with_config(injected, slab_config());
+    let slab = SlabBackend::new(injected);
     let mut rng = SplitMix64::new(0x51AB_5EED);
     let mut live: Vec<usize> = Vec::new();
     let mut transients = 0u64;
@@ -316,7 +309,7 @@ fn panic_storm_through_the_slab_orphans_nothing() {
         NbbsFourLevel::new(cfg()),
         FaultPlan::panic_storm(0x51AB_0BAD),
     );
-    let slab = SlabBackend::with_config(injected, slab_config());
+    let slab = SlabBackend::new(injected);
     let mut rng = SplitMix64::new(0x51AB_0BAD);
     let mut live: Vec<usize> = Vec::new();
     let mut interrupted: Vec<usize> = Vec::new();
@@ -411,7 +404,7 @@ fn slab_composes_under_node_set() {
     let per_node = BuddyConfig::new(1 << 18, MIN, 1 << 13).unwrap();
     let set = NodeSet::with_topology(
         (0..NODES)
-            .map(|_| SlabBackend::with_config(NbbsFourLevel::new(per_node), slab_config()))
+            .map(|_| SlabBackend::new(NbbsFourLevel::new(per_node)))
             .collect(),
         Topology::synthetic(NODES),
         NodePolicy::HomeFirst,
@@ -450,7 +443,7 @@ fn slab_composes_under_node_set() {
 #[test]
 fn slab_composes_under_elastic_set() {
     let stack = NbbsAllocator::new(ElasticSet::new(2, |_| {
-        SlabBackend::with_config(NbbsFourLevel::new(cfg()), slab_config())
+        SlabBackend::new(NbbsFourLevel::new(cfg()))
     }));
     let layout = Layout::from_size_align(40, 16).unwrap();
     let blocks: Vec<NonNull<u8>> = (0..64)
