@@ -8,32 +8,11 @@ use nbbs::{BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, Geometry, Tree
 use nbbs_obs::{OpKind, Recorder};
 use nbbs_sync::{thread_stripe, CachePadded, OwnedSlots, SpinLock};
 
+use crate::config::{
+    budget, initial_capacity, shard_count, slot_count, DEPOT_MAGAZINES, MAX_MAGAZINE_ENTRIES,
+};
 use crate::depot::DepotShard;
 use crate::magazine::{ClassMags, Magazine};
-
-/// Bytes a class's magazine starts with: a class of `size` bytes starts at
-/// `clamp(MAGAZINE_BYTES / size, 2, MAGAZINE_ENTRIES)` entries, so every
-/// class from 512 B to 16 KiB starts with 32 KiB.
-const MAGAZINE_BYTES: usize = 32 << 10;
-
-/// Entries the magazines of the smallest classes start with.
-const MAGAZINE_ENTRIES: usize = 64;
-
-/// Ceiling for grown capacities (entries).  Growth also stops at an eighth
-/// of the byte budget per magazine.
-const MAX_MAGAZINE_ENTRIES: usize = 8192;
-
-/// Full magazines each depot shard keeps per class; a further park of the
-/// class spills to the backend.
-const DEPOT_MAGAZINES: usize = 64;
-
-/// Thread slots per depot shard.
-const SLOTS_PER_SHARD: usize = 4;
-
-/// The capacity a class of `size` bytes starts with.
-fn initial_capacity(size: usize) -> usize {
-    (MAGAZINE_BYTES / size.max(1)).clamp(2, MAGAZINE_ENTRIES)
-}
 
 /// Spilled magazines of one class (since the last capacity change) that
 /// trigger a doubling of that class's magazine capacity: a burst that keeps
@@ -338,7 +317,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// another live thread holds uses that stripe's shared slot, under its
     /// lock.
     pub fn with_slots(backend: A, slots: usize) -> Self {
-        let slots = slots.max(1).next_power_of_two();
+        let slots = slot_count(slots);
         let cutoff = backend.geometry().max_size();
         // Probe the backend's grant ladder ascending: asking what a request
         // of `probe` bytes would be granted yields the next class, and
@@ -361,7 +340,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
                 .grant_alignment_for(size)
                 .expect("a class the ladder granted has an alignment")
         });
-        let shard_count = (slots / SLOTS_PER_SHARD).max(1);
+        let shard_count = shard_count(slots);
         let slots = OwnedSlots::new(slots, || Slot {
             mags: classes
                 .iter()
@@ -381,7 +360,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             .collect();
         // Budget from the backend's *logical* span: a multi-node NodeSet
         // reports a widened (power-of-two) geometry but manages less.
-        let budget = (backend.total_memory() / 4).max(1);
+        let budget = budget(backend.total_memory());
         MagazineCache {
             backend,
             name: "cached",
@@ -1385,7 +1364,7 @@ mod tests {
     use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
     use nbbs_slab::SlabBackend;
 
-    use super::{initial_capacity, MagazineCache};
+    use super::MagazineCache;
 
     /// The cache over `backend` answers the grant ladder as the backend
     /// does for every size up to one granule past its largest class, and
@@ -1427,34 +1406,5 @@ mod tests {
         // Spaced 8 B-granule classes up to the slab's cutoff, the tree's
         // powers of two above it.
         the_table_answers_the_ladder_of(SlabBackend::new(NbbsFourLevel::new(shipped)), 8);
-    }
-
-    /// What the cache derives: the capacity a class starts with from its
-    /// size, a power-of-two slot table, one depot shard per four slots
-    /// (never more shards than slots), a budget of a quarter of memory.
-    #[test]
-    fn the_shape_derives_from_the_class_sizes_and_the_slots() {
-        assert_eq!(initial_capacity(8), 64);
-        assert_eq!(initial_capacity(1024), 32);
-        assert_eq!(initial_capacity(16 << 10), 2);
-        assert_eq!(initial_capacity(64 << 10), 2);
-        let tree = || NbbsOneLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap());
-        let shape = |slots| {
-            let cache = MagazineCache::with_slots(tree(), slots);
-            (cache.slot_count(), cache.depot_shard_count())
-        };
-        assert_eq!(shape(0), (1, 1));
-        assert_eq!(shape(3), (4, 1));
-        assert_eq!(shape(8), (8, 2));
-        assert_eq!(shape(9), (16, 4));
-        let auto = MagazineCache::new(tree());
-        assert!(auto.slot_count().is_power_of_two());
-        assert!(auto.depot_shard_count().is_power_of_two());
-        assert!(auto.depot_shard_count() <= auto.slot_count());
-        assert_eq!(auto.cache_bytes_budget(), (1 << 16) / 4);
-        let capacities: Vec<usize> = (0..auto.class_count())
-            .map(|c| auto.magazine_capacity(c))
-            .collect();
-        assert_eq!(capacities, [64, 64, 64, 64, 64, 64, 64, 32, 16, 8]);
     }
 }

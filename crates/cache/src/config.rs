@@ -1,169 +1,117 @@
-//! Configuration of the magazine cache layer.
+//! The cache's shape: the constants it is built with and the values it
+//! derives from the backend it wraps and the slot count it is given.
+//! Nothing here is settable; [`crate::MagazineCache::with_slots`] is the
+//! one value a caller chooses.
 
-/// Tuning knobs for [`crate::MagazineCache`].
-///
-/// Every size class up to the backend's `max_size` is cached.
-/// [`CacheConfig::magazine_capacity`] and [`CacheConfig::magazine_bytes`]
-/// only seed the *initial* magazine capacity of each class; the cache then
-/// grows a class's capacity when its bursts keep spilling past the depot
-/// (Bonwick's dynamic magazine resizing), staying within
-/// [`CacheConfig::max_magazine_capacity`] and an eighth of
-/// [`CacheConfig::cache_bytes_budget`] per magazine.  Capacities never
-/// shrink: byte-budget pressure flushes magazines instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Initial maximum entries in one magazine (applies to the smallest
-    /// classes; the adaptive controller may grow past this, up to
-    /// [`CacheConfig::max_magazine_capacity`]).
-    pub magazine_capacity: usize,
-    /// Initial per-magazine byte budget: a class's starting capacity is
-    /// `clamp(magazine_bytes / class_size, 2, magazine_capacity)`.
-    pub magazine_bytes: usize,
-    /// Maximum full magazines each depot *shard* retains per size class
-    /// before flushes start returning chunks to the backend; `0` bypasses
-    /// the depot (overflow goes straight back to the backend and refills
-    /// always come from it).
-    ///
-    /// The memory one class can strand is bounded by
-    /// `depot_shards * depot_magazines` magazines and, globally, by
-    /// [`CacheConfig::cache_bytes_budget`].
-    pub depot_magazines: usize,
-    /// Number of depot shards (one per group of thread slots): full/empty
-    /// magazine exchange stays within the calling thread's shard, so chunk
-    /// circulation stops at the slot-group boundary — the analogue of
-    /// per-NUMA-node depots.  `None` sizes the shard set from
-    /// [`nbbs_sync::available_cpus`] (about one shard per two CPUs);
-    /// the resolved count is a power of two and never exceeds the slot
-    /// count.
-    pub depot_shards: Option<usize>,
-    /// Number of thread slots (each slot holds one pair of magazines per
-    /// class).  A thread looks for its slot at its
-    /// [`nbbs_sync::thread_stripe`] and owns it if it claims it first
-    /// ([`nbbs_sync::owned`]'s claim rule): an owner enters with plain
-    /// stores, and keeps the slot until its exit drain gives it up.  A
-    /// thread whose stripe another live thread holds uses that stripe's
-    /// shared slot, under its lock; the shared slots are extra and not
-    /// counted here.  `None` sizes the table with [`nbbs_sync::default_stripes`] —
-    /// the size of the facade's odometer, so a thread that owns its slot
-    /// here looks at the same stripe of the odometer.
-    pub slots: Option<usize>,
-    /// Ceiling for adaptively grown magazine capacities (entries); at a
-    /// class's initial capacity it keeps that class from growing.  Each
-    /// class is additionally capped so a single magazine never exceeds 1/8
-    /// of the cache byte budget.
-    pub max_magazine_capacity: usize,
-    /// Byte budget bounding what the cache keeps parked.  The budget is
-    /// split evenly across the depot shards: a shard refuses to park
-    /// further magazines once its own parked bytes reach its share (the
-    /// gate reads one shard-local counter, never a global sum), and a
-    /// refused magazine goes back to the backend whole, its class keeping
-    /// its capacity.  The budget also caps adaptive growth — one magazine
-    /// never exceeds an eighth of it.
-    /// Slot-resident magazines are bounded by those capacity ceilings
-    /// rather than by the budget directly.  `None` resolves to a quarter
-    /// of the backend's managed memory.
-    pub cache_bytes_budget: Option<usize>,
+/// Bytes a class's magazine starts with: a class of `size` bytes starts at
+/// `clamp(MAGAZINE_BYTES / size, 2, MAGAZINE_ENTRIES)` entries, so every
+/// class from 512 B to 16 KiB starts with 32 KiB.
+const MAGAZINE_BYTES: usize = 32 << 10;
+
+/// Entries the magazines of the smallest classes start with.
+const MAGAZINE_ENTRIES: usize = 64;
+
+/// Ceiling for grown capacities (entries).  Growth also stops at an eighth
+/// of the byte budget per magazine.
+pub(crate) const MAX_MAGAZINE_ENTRIES: usize = 8192;
+
+/// Full magazines each depot shard keeps per class; a further park of the
+/// class spills to the backend.
+pub(crate) const DEPOT_MAGAZINES: usize = 64;
+
+/// Thread slots per depot shard.
+const SLOTS_PER_SHARD: usize = 4;
+
+/// The capacity a class of `size` bytes starts with.
+pub(crate) fn initial_capacity(size: usize) -> usize {
+    (MAGAZINE_BYTES / size.max(1)).clamp(2, MAGAZINE_ENTRIES)
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            magazine_capacity: 64,
-            magazine_bytes: 32 << 10,
-            depot_magazines: 64,
-            depot_shards: None,
-            slots: None,
-            max_magazine_capacity: 8192,
-            cache_bytes_budget: None,
-        }
-    }
+/// The slot table for `requested` slots: at least one, rounded up to a
+/// power of two.
+pub(crate) fn slot_count(requested: usize) -> usize {
+    requested.max(1).next_power_of_two()
 }
 
-impl CacheConfig {
-    /// Initial magazine capacity for a class of `class_size` bytes.
-    pub(crate) fn capacity_for(&self, class_size: usize) -> usize {
-        (self.magazine_bytes / class_size.max(1)).clamp(2, self.magazine_capacity.max(2))
-    }
+/// Depot shards for a table of `slots` slots: one per four, at least one.
+pub(crate) fn shard_count(slots: usize) -> usize {
+    (slots / SLOTS_PER_SHARD).max(1)
+}
 
-    /// Resolved slot count (a power of two for cheap modulo).
-    pub(crate) fn resolved_slots(&self) -> usize {
-        match self.slots {
-            Some(n) => n.max(1).next_power_of_two(),
-            None => nbbs_sync::default_stripes(),
-        }
-    }
-
-    /// Resolved depot shard count: a power of two, at least 1, at most the
-    /// resolved slot count (a shard with no slots routed to it would be
-    /// dead weight).
-    pub(crate) fn resolved_shards(&self) -> usize {
-        let slots = self.resolved_slots();
-        let requested = match self.depot_shards {
-            Some(n) => n.max(1),
-            None => nbbs_sync::available_cpus().map_or(4, |n| (n / 2).max(1)),
-        };
-        requested.next_power_of_two().min(slots)
-    }
-
-    /// Resolved cache byte budget for a backend managing `total_memory`.
-    pub(crate) fn resolved_budget(&self, total_memory: usize) -> usize {
-        self.cache_bytes_budget
-            .unwrap_or_else(|| (total_memory / 4).max(1))
-    }
+/// The byte budget over a backend managing `total_memory` bytes: a quarter
+/// of it.
+pub(crate) fn budget(total_memory: usize) -> usize {
+    (total_memory / 4).max(1)
 }
 
 #[cfg(test)]
 mod tests {
+    use nbbs::{BuddyConfig, NbbsOneLevel};
+
     use super::*;
+    use crate::MagazineCache;
+
+    fn tree() -> NbbsOneLevel {
+        NbbsOneLevel::new(BuddyConfig::new(1 << 16, 8, 1 << 12).unwrap())
+    }
 
     #[test]
     fn capacity_scales_down_with_class_size() {
-        let cfg = CacheConfig::default();
-        assert_eq!(cfg.capacity_for(8), 64);
-        assert_eq!(cfg.capacity_for(1024), 32);
-        assert_eq!(cfg.capacity_for(16 << 10), 2);
+        assert_eq!(initial_capacity(8), 64);
+        assert_eq!(initial_capacity(1024), 32);
+        assert_eq!(initial_capacity(16 << 10), 2);
+        assert_eq!(initial_capacity(64 << 10), 2);
+        // A cache starts every class at its derived capacity.
+        let cache = MagazineCache::new(tree());
+        let capacities: Vec<usize> = (0..cache.class_count())
+            .map(|c| cache.magazine_capacity(c))
+            .collect();
+        assert_eq!(capacities, [64, 64, 64, 64, 64, 64, 64, 32, 16, 8]);
     }
 
     #[test]
     fn explicit_slots_round_up_to_power_of_two() {
-        let cfg = CacheConfig {
-            slots: Some(3),
-            ..CacheConfig::default()
-        };
-        assert_eq!(cfg.resolved_slots(), 4);
-        let auto = CacheConfig::default().resolved_slots();
+        assert_eq!(slot_count(0), 1);
+        assert_eq!(slot_count(3), 4);
+        assert_eq!(slot_count(9), 16);
+        assert_eq!(MagazineCache::with_slots(tree(), 3).slot_count(), 4);
+        let auto = MagazineCache::new(tree()).slot_count();
         assert!(auto.is_power_of_two());
         assert!(auto >= 1);
     }
 
     #[test]
     fn shards_never_exceed_slots() {
-        let cfg = CacheConfig {
-            slots: Some(4),
-            depot_shards: Some(64),
-            ..CacheConfig::default()
+        for slots in [1, 2, 4, 8, 16, 64] {
+            let shards = shard_count(slots);
+            assert!(shards.is_power_of_two());
+            assert!(
+                shards >= 1 && shards <= slots,
+                "{slots} slots, {shards} shards"
+            );
+        }
+        assert_eq!(shard_count(4), 1);
+        assert_eq!(shard_count(8), 2);
+        let shape = |slots| {
+            let cache = MagazineCache::with_slots(tree(), slots);
+            (cache.slot_count(), cache.depot_shard_count())
         };
-        assert_eq!(cfg.resolved_shards(), 4);
-        let cfg = CacheConfig {
-            slots: Some(16),
-            depot_shards: Some(3),
-            ..CacheConfig::default()
-        };
-        assert_eq!(cfg.resolved_shards(), 4, "rounded up to a power of two");
-        let auto = CacheConfig::default().resolved_shards();
-        assert!(auto.is_power_of_two());
-        assert!(auto >= 1);
-        assert!(auto <= CacheConfig::default().resolved_slots());
+        assert_eq!(shape(0), (1, 1));
+        assert_eq!(shape(3), (4, 1));
+        assert_eq!(shape(8), (8, 2));
+        assert_eq!(shape(9), (16, 4));
+        let auto = MagazineCache::new(tree());
+        assert!(auto.depot_shard_count().is_power_of_two());
+        assert!(auto.depot_shard_count() <= auto.slot_count());
     }
 
     #[test]
     fn budget_defaults_to_a_quarter_of_memory() {
-        let cfg = CacheConfig::default();
-        assert_eq!(cfg.resolved_budget(64 << 20), 16 << 20);
-        let explicit = CacheConfig {
-            cache_bytes_budget: Some(1 << 10),
-            ..CacheConfig::default()
-        };
-        assert_eq!(explicit.resolved_budget(64 << 20), 1 << 10);
+        assert_eq!(budget(64 << 20), 16 << 20);
+        assert_eq!(budget(1), 1, "never a zero budget");
+        assert_eq!(
+            MagazineCache::new(tree()).cache_bytes_budget(),
+            (1 << 16) / 4
+        );
     }
 }

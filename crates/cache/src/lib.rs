@@ -91,6 +91,7 @@
 #![warn(rust_2018_idioms)]
 
 mod cache;
+mod config;
 mod depot;
 pub mod exit;
 mod magazine;
