@@ -172,18 +172,21 @@ struct ClassCtl {
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
 /// group boundary instead of bouncing chunks across the whole machine.
 ///
-/// The cache takes its shape from the backend: a class of `size` bytes
-/// starts with `clamp(32 KiB / size, 2, 64)` entries per magazine, each
-/// depot shard keeps up to 64 full magazines per class, and the byte
-/// budget is a quarter of the backend's [`BuddyBackend::total_memory`].
-/// The one settable value is the slot count
-/// ([`MagazineCache::with_slots`]); one depot shard serves every four
-/// slots.
+/// The cache takes its shape from the backend and from the constants of
+/// the crate's `config.rs`: a class's magazine starts at a fixed byte size
+/// (within a floor and a ceiling of entries, so the smallest classes start
+/// below it and the largest above), each depot shard keeps a fixed number
+/// of full magazines per class, and the byte budget is a fixed share of
+/// the backend's [`BuddyBackend::total_memory`];
+/// [`MagazineCache::class_capacities`] and
+/// [`MagazineCache::cache_bytes_budget`] read them back.  The one settable
+/// value is the slot count ([`MagazineCache::with_slots`]); the depot
+/// shards follow it ([`MagazineCache::depot_shard_count`]).
 ///
 /// Magazine capacities are *adaptive* (Bonwick's dynamic resizing): a class
 /// whose bursts keep spilling past its depot shard doubles its capacity.
-/// Growth stops at 8 192 entries and at an eighth of the byte budget per
-/// magazine.  That is a rule on growth only: a class may start above it (a
+/// Growth stops at a ceiling of entries and at an eighth of the byte
+/// budget per magazine.  That is a rule on growth only: a class may start above it (a
 /// 4 KiB class over a 64 KiB span starts at 8 × 4 KiB = 32 KiB against a
 /// 16 KiB budget), and then it does not grow.  Capacities only grow.  The
 /// budget bounds the total bytes parked: a full magazine that would take
@@ -458,7 +461,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
             .collect()
     }
 
-    /// The byte budget bounding the cache's parked chunks: a quarter of the
+    /// The byte budget bounding the cache's parked chunks, a share of the
     /// backend's managed memory.
     pub fn cache_bytes_budget(&self) -> usize {
         self.budget
@@ -519,8 +522,8 @@ impl<A: BuddyBackend> MagazineCache<A> {
             .filter(|&class| self.classes[class] == granted)
     }
 
-    /// The capacity `class` may grow to: 8 192 entries, and a magazine of
-    /// at most an eighth of the byte budget.
+    /// The capacity `class` may grow to: `MAX_MAGAZINE_ENTRIES`, and a
+    /// magazine of at most an eighth of the byte budget.
     fn max_capacity_for(&self, class: usize) -> usize {
         let by_budget = self.budget / (8 * self.class_size(class));
         MAX_MAGAZINE_ENTRIES.min(by_budget).max(2)

@@ -12,13 +12,10 @@
 //! four thread slots, each a lock-free Treiber stack
 //! ([`nbbs_sync::BoundedStack`]).
 //!
-//! Nothing is tuned: the cache takes its shape from the backend it wraps.
-//! A class of `size` bytes starts with `clamp(32 KiB / size, 2, 64)`
-//! entries per magazine, a depot shard keeps up to 64 full magazines per
-//! class, and the byte budget is a quarter of the backend's managed
-//! memory.  Only the slot count can be set
-//! ([`MagazineCache::with_slots`]; [`MagazineCache::new`] takes
-//! [`nbbs_sync::default_stripes`]).
+//! Nothing is tuned: the cache takes its shape from the backend it wraps
+//! and from fixed constants (see [`MagazineCache`] for the rules).  Only
+//! the slot count can be set ([`MagazineCache::with_slots`];
+//! [`MagazineCache::new`] takes [`nbbs_sync::default_stripes`]).
 //!
 //! * **Hits** (magazine pop / push) run no locked instruction for a thread
 //!   that owns its slot: a thread claims the cache-padded slot of its stripe
@@ -54,8 +51,8 @@
 //!   back to batched backend releases; circulation never crosses the shard
 //!   (slot-group) boundary, the analogue of per-NUMA-node depots.
 //! * **Magazine capacities adapt** (Bonwick dynamic resizing): sustained
-//!   depot spills double a class's capacity, up to 8 192 entries and an
-//!   eighth of the byte budget per magazine; capacities only grow.
+//!   depot spills double a class's capacity, up to a fixed ceiling;
+//!   capacities only grow.
 //!   Byte-budget pressure flushes whole magazines to the backend and
 //!   leaves the capacity alone.
 //! * **Foreign threads drain on exit**: any thread — including ones that
@@ -193,11 +190,17 @@ mod tests {
 
     #[test]
     fn distinct_offsets_under_mixed_traffic() {
-        let c = small_cache();
+        // Classes of 1 KiB to 16 KiB start with 32 down to 2 entries, so
+        // a window of 25 live chunks overflows the larger ones into the
+        // depot.
+        let c = MagazineCache::with_slots(
+            NbbsOneLevel::new(BuddyConfig::new(1 << 20, 1 << 10, 1 << 14).unwrap()),
+            1,
+        );
         let mut live = std::collections::HashSet::new();
         let mut held = Vec::new();
         for i in 0..200usize {
-            let size = 8usize << (i % 5);
+            let size = 1024usize << (i % 5);
             if let Some(off) = c.alloc(size) {
                 assert!(live.insert(off), "offset {off} handed out twice");
                 held.push((off, size));
@@ -212,6 +215,10 @@ mod tests {
             c.dealloc(off);
         }
         assert_eq!(c.allocated_bytes(), 0);
+        assert!(
+            c.snapshot().depot_exchanges > 0,
+            "nothing reached the depot"
+        );
     }
 
     #[test]
@@ -267,11 +274,16 @@ mod tests {
     #[test]
     fn drain_all_returns_everything_to_backend() {
         let c = small_cache();
-        let offs: Vec<_> = (0..8).filter_map(|_| c.alloc(8)).collect();
-        assert_eq!(offs.len(), 8);
+        // Past two 64-entry magazines: the overflow parks in the depot.
+        let offs: Vec<_> = (0..200).filter_map(|_| c.alloc(8)).collect();
+        assert_eq!(offs.len(), 200);
         for off in offs {
             c.dealloc(off);
         }
+        assert!(
+            c.snapshot().depot_exchanges > 0,
+            "nothing reached the depot"
+        );
         assert!(c.cached_bytes() > 0);
         c.drain_all();
         assert_eq!(c.cached_bytes(), 0);

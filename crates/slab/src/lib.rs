@@ -68,7 +68,7 @@ use nbbs_sync::{zeroed_slice, BoundedStack, CachePadded, SpinLock, ZeroedSlice};
 const GRANULE: usize = 8;
 
 /// Largest request served from a size class; bigger requests pass through
-/// to the buddy.  Lowered so the largest class fits twice into a page.
+/// to the buddy.  `class_table` also stops at half a page.
 const CUTOFF: usize = 2048;
 
 /// Bytes per slab page granted from the buddy, clamped into the buddy's

@@ -133,11 +133,10 @@ fn main() {
     //    never circulate across the group boundary), and magazine
     //    capacities adapt to the workload: bursts that keep spilling past
     //    a depot shard double the class's capacity.  A burst past the byte
-    //    budget (a quarter of the managed region) sends whole magazines
-    //    back to the tree and leaves the capacity alone.  Nothing is
-    //    tuned: the shape comes from the backend, and only the slot count
-    //    can be set (`MagazineCache::with_slots`; one depot shard per four
-    //    slots).
+    //    budget sends whole magazines back to the tree and leaves the
+    //    capacity alone.  Nothing is tuned: the shape comes from the
+    //    backend, and only the slot count can be set
+    //    (`MagazineCache::with_slots`; the depot shards follow it).
     // ------------------------------------------------------------------
     let cached = Arc::new(MagazineCache::new(NbbsFourLevel::new(config)));
     println!(

@@ -20,14 +20,14 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use nbbs::verify::audit_empty;
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
+use nbbs::{
+    BuddyBackend, BuddyConfig, CacheStatsSnapshot, NbbsFourLevel, NbbsOneLevel, ScanPolicy,
+};
 use nbbs_baselines::ReferenceBuddy;
 use nbbs_cache::{verify_cached, verify_cached_empty, MagazineCache};
 use nbbs_workloads::rng::SplitMix64;
 
-// Generous headroom: the worst-case generated live set (~300 KiB granted)
-// plus the cache's bounded working set stays far below the region size, so
-// allocation success must match the oracle exactly.
+// The other tests' span: units of 8 B and blocks up to 1 KiB over 1 MiB.
 const TOTAL: usize = 1 << 20;
 const MIN: usize = 8;
 const MAX: usize = 1 << 10;
@@ -51,132 +51,242 @@ fn large_class_config() -> BuddyConfig {
     BuddyConfig::new(LARGE_TOTAL, LARGE_UNIT, 4 << 10).unwrap()
 }
 
+/// The walks' span: units of 2 KiB and blocks up to 16 KiB over 4 MiB.
+/// The four classes start with 16, 8, 4 and 2 entries (32 KiB a
+/// magazine), so a walk's frees park magazines within a few dozen
+/// operations, and the 1 MiB budget (a quarter of the span) refuses parks
+/// after a burst or two.  The worst generated live set (about 1 MiB) plus
+/// one burst, the slot's magazines and the budget stays below the span,
+/// so allocation success must match the oracle exactly.
+const WALK_TOTAL: usize = 4 << 20;
+const WALK_MAX: usize = 16 << 10;
+
+fn walk_config() -> BuddyConfig {
+    BuddyConfig::new(WALK_TOTAL, 2 << 10, WALK_MAX)
+        .unwrap()
+        .with_scan_policy(ScanPolicy::FirstFit)
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     Alloc(usize),
     Free(usize),
+    /// `n` allocations of one size, then their frees, newest first.
+    Burst(usize, usize),
 }
 
 fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
-            3 => (1usize..=MAX).prop_map(Op::Alloc),
-            2 => (0usize..64).prop_map(Op::Free),
+            30 => (1usize..=WALK_MAX).prop_map(Op::Alloc),
+            20 => (0usize..64).prop_map(Op::Free),
+            1 => (1usize..=WALK_MAX, 16usize..=64).prop_map(|(size, n)| Op::Burst(size, n)),
         ],
         1..300,
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A fixed walk through every slow path: random traffic between bursts
+/// of 64 chunks of the 16 KiB and the 8 KiB class.  The first burst parks
+/// 30 magazines (960 KiB), the second takes the depot past the budget and
+/// is flushed, and each later burst takes parked magazines back.
+fn fixed_walk() -> Vec<Op> {
+    let mut rng = SplitMix64::new(0x0AC1E);
+    let mut ops = Vec::new();
+    for _ in 0..4 {
+        for _ in 0..40 {
+            ops.push(if rng.next_below(5) < 3 {
+                Op::Alloc(1 + rng.next_below(WALK_MAX))
+            } else {
+                Op::Free(rng.next_below(64))
+            });
+        }
+        ops.push(Op::Burst(WALK_MAX, 64));
+        ops.push(Op::Burst(WALK_MAX / 2, 64));
+    }
+    ops
+}
 
-    /// Behavioural differential against the oracle: the cached allocator
-    /// succeeds exactly when the oracle does (the workload leaves ample
-    /// headroom for the bounded magazine working set), conserves accounting,
-    /// and never hands out overlapping or misaligned chunks.
-    #[test]
-    fn cached_one_level_matches_oracle_behaviour(ops in ops_strategy()) {
-        let mut oracle = ReferenceBuddy::new(backend_config());
-        let cache = MagazineCache::with_slots(NbbsOneLevel::new(backend_config()), 1);
-        let geo = *cache.geometry();
-        let mut oracle_live: Vec<usize> = Vec::new();
-        let mut cache_live: Vec<(usize, usize)> = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Alloc(size) => {
-                    let expected = oracle.alloc(size);
-                    let got = cache.alloc(size);
-                    prop_assert_eq!(
-                        expected.is_some(),
-                        got.is_some(),
-                        "alloc({}) success diverged from oracle", size
-                    );
-                    if let Some(off) = got {
-                        let granted = geo.granted_size(size).unwrap();
-                        prop_assert!(off + granted <= geo.total_memory());
-                        prop_assert_eq!(off % granted, 0, "misaligned cached chunk");
-                        for &(o, g) in &cache_live {
-                            prop_assert!(off + granted <= o || o + g <= off,
-                                "cache handed out overlapping chunks");
-                        }
-                        cache_live.push((off, granted));
-                    }
-                    if let Some(off) = expected {
-                        oracle_live.push(off);
-                    }
-                }
-                Op::Free(k) => {
-                    if oracle_live.is_empty() { continue; }
-                    let i = k % oracle_live.len();
-                    oracle.dealloc(oracle_live.swap_remove(i));
-                    let (off, _) = cache_live.swap_remove(i);
+/// Runs `ops` on the calling thread: a burst's chunks are freed before
+/// the next operation.  Returns the `(offset, granted)` chunks left live.
+fn run_ops<A: BuddyBackend>(cache: &MagazineCache<A>, ops: &[Op]) -> Vec<(usize, usize)> {
+    let mut live: Vec<(usize, usize)> = Vec::new();
+    let alloc = |live: &mut Vec<(usize, usize)>, size: usize| {
+        if let Some(off) = cache.alloc(size) {
+            live.push((off, cache.geometry().granted_size(size).unwrap()));
+        }
+    };
+    for op in ops {
+        match *op {
+            Op::Alloc(size) => alloc(&mut live, size),
+            Op::Free(k) => {
+                if !live.is_empty() {
+                    let (off, _) = live.swap_remove(k % live.len());
                     cache.dealloc(off);
                 }
             }
-            prop_assert_eq!(cache.allocated_bytes(), oracle.allocated_bytes(),
-                "user-visible accounting diverged from oracle");
+            Op::Burst(size, n) => {
+                let base = live.len();
+                for _ in 0..n {
+                    alloc(&mut live, size);
+                }
+                for (off, _) in live.split_off(base).into_iter().rev() {
+                    cache.dealloc(off);
+                }
+            }
         }
-        // Quiescent audit through the cache, with the surviving live set.
-        let live: BTreeMap<usize, usize> =
-            cache_live.iter().map(|&(off, granted)| (off, granted)).collect();
-        verify_cached(&cache, &live, true).assert_clean();
-        // Release everything and drain: the backend must be pristine.
-        for (off, _) in cache_live {
-            cache.dealloc(off);
+    }
+    live
+}
+
+/// Behavioural differential against the oracle: drives `ops` through a
+/// one-slot cache and [`ReferenceBuddy`] side by side.  The cache succeeds
+/// exactly when the oracle does, its accounting matches after every
+/// operation, and it never hands out overlapping or misaligned chunks.
+/// Returns the cache's counters at the end of the walk.
+fn oracle_walk(ops: &[Op]) -> CacheStatsSnapshot {
+    let mut oracle = ReferenceBuddy::new(walk_config());
+    let cache = MagazineCache::with_slots(NbbsOneLevel::new(walk_config()), 1);
+    let geo = *cache.geometry();
+    // Index-aligned: the oracle's offset, the cache's offset and grant.
+    let mut live: Vec<(usize, usize, usize)> = Vec::new();
+    let agree = |oracle: &ReferenceBuddy| {
+        assert_eq!(
+            cache.allocated_bytes(),
+            oracle.allocated_bytes(),
+            "user-visible accounting diverged from oracle"
+        );
+    };
+    let alloc = |live: &mut Vec<(usize, usize, usize)>, oracle: &mut ReferenceBuddy, size| {
+        let expected = oracle.alloc(size);
+        let got = cache.alloc(size);
+        assert_eq!(
+            expected.is_some(),
+            got.is_some(),
+            "alloc({size}) success diverged from oracle"
+        );
+        if let (Some(want), Some(off)) = (expected, got) {
+            let granted = geo.granted_size(size).unwrap();
+            assert!(off + granted <= geo.total_memory());
+            assert_eq!(off % granted, 0, "misaligned cached chunk");
+            for &(_, o, g) in live.iter() {
+                assert!(
+                    off + granted <= o || o + g <= off,
+                    "cache handed out overlapping chunks"
+                );
+            }
+            live.push((want, off, granted));
         }
-        cache.drain_all();
-        prop_assert_eq!(cache.backend().allocated_bytes(), 0);
-        audit_empty(cache.backend()).assert_clean();
+        agree(oracle);
+    };
+    let free = |(want, off, _): (usize, usize, usize), oracle: &mut ReferenceBuddy| {
+        oracle.dealloc(want);
+        cache.dealloc(off);
+        agree(oracle);
+    };
+    for op in ops {
+        match *op {
+            Op::Alloc(size) => alloc(&mut live, &mut oracle, size),
+            Op::Free(k) => {
+                if !live.is_empty() {
+                    free(live.swap_remove(k % live.len()), &mut oracle);
+                }
+            }
+            Op::Burst(size, n) => {
+                let base = live.len();
+                for _ in 0..n {
+                    alloc(&mut live, &mut oracle, size);
+                }
+                while live.len() > base {
+                    free(live.pop().unwrap(), &mut oracle);
+                }
+            }
+        }
+    }
+    let stats = cache.snapshot();
+    // Quiescent audit through the cache, with the surviving live set.
+    let held: BTreeMap<usize, usize> = live.iter().map(|&(_, off, g)| (off, g)).collect();
+    verify_cached(&cache, &held, true).assert_clean();
+    // Release everything and drain: the backend must be pristine.
+    for (_, off, _) in live {
+        cache.dealloc(off);
+    }
+    cache.drain_all();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
+    audit_empty(cache.backend()).assert_clean();
+    stats
+}
+
+/// The thread-exit drain path: `ops` run on a worker thread holding a
+/// drain guard over a 64-slot cache (16 depot shards, so a 64 KiB share
+/// of the budget each).  The guard leaves no chunk in the worker's slot;
+/// the depot keeps what it parked, and a final drain returns the backend
+/// to exactly the caller-live set.  Returns the cache's counters and the
+/// bytes still parked once the worker is gone.
+fn exit_walk(ops: &[Op]) -> (CacheStatsSnapshot, usize) {
+    let cache = Arc::new(MagazineCache::with_slots(
+        NbbsFourLevel::new(walk_config()),
+        64,
+    ));
+    let worker = {
+        let cache = Arc::clone(&cache);
+        let ops = ops.to_vec();
+        std::thread::spawn(move || {
+            let _guard = cache.thread_guard();
+            run_ops(&cache, &ops)
+        })
+    };
+    let survivors = worker.join().unwrap();
+    let stats = cache.snapshot();
+    let parked = cache.cached_bytes();
+    // The guard drained the worker's slot; only depot magazines (full
+    // ones parked by overflow) may still hold chunks.
+    let expected: usize = survivors.iter().map(|&(_, g)| g).sum();
+    assert_eq!(cache.allocated_bytes(), expected);
+    let live: BTreeMap<usize, usize> = survivors.iter().copied().collect();
+    verify_cached(&cache, &live, true).assert_clean();
+    cache.drain_all();
+    assert_eq!(
+        cache.backend().allocated_bytes(),
+        expected,
+        "drain returned a caller-live chunk (or leaked a parked one)"
+    );
+    for (off, _) in survivors {
+        cache.dealloc(off);
+    }
+    cache.drain_all();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
+    audit_empty(cache.backend()).assert_clean();
+    (stats, parked)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn cached_one_level_matches_oracle_behaviour(ops in ops_strategy()) {
+        oracle_walk(&ops);
     }
 
-    /// The thread-exit drain path: every operation sequence, executed on a
-    /// worker thread holding a drain guard, leaves no chunk parked in the
-    /// worker's slot once the thread exits; a final depot drain returns the
-    /// backend to exactly the caller-live set.
     #[test]
     fn thread_exit_drain_leaks_nothing(ops in ops_strategy()) {
-        let cache = Arc::new(MagazineCache::with_slots(NbbsFourLevel::new(backend_config()), 64));
-        let worker = {
-            let cache = Arc::clone(&cache);
-            let ops = ops.clone();
-            std::thread::spawn(move || {
-                let _guard = cache.thread_guard();
-                let mut live: Vec<(usize, usize)> = Vec::new();
-                for op in ops {
-                    match op {
-                        Op::Alloc(size) => {
-                            if let Some(off) = cache.alloc(size) {
-                                let granted = cache.geometry().granted_size(size).unwrap();
-                                live.push((off, granted));
-                            }
-                        }
-                        Op::Free(k) => {
-                            if live.is_empty() { continue; }
-                            let (off, _) = live.swap_remove(k % live.len());
-                            cache.dealloc(off);
-                        }
-                    }
-                }
-                live
-            })
-        };
-        let survivors = worker.join().unwrap();
-        // The guard drained the worker's slot; only depot magazines (full
-        // ones parked by overflow) may still hold chunks.
-        let expected: usize = survivors.iter().map(|&(_, g)| g).sum();
-        prop_assert_eq!(cache.allocated_bytes(), expected);
-        let live: BTreeMap<usize, usize> = survivors.iter().copied().collect();
-        verify_cached(&cache, &live, true).assert_clean();
-        cache.drain_all();
-        prop_assert_eq!(cache.backend().allocated_bytes(), expected,
-            "drain returned a caller-live chunk (or leaked a parked one)");
-        for (off, _) in survivors {
-            cache.dealloc(off);
-        }
-        cache.drain_all();
-        prop_assert_eq!(cache.backend().allocated_bytes(), 0);
-        audit_empty(cache.backend()).assert_clean();
+        exit_walk(&ops);
     }
+}
+
+/// Both walks take the depot and the budget's refusal under their checks:
+/// magazines are parked and taken back, and some are flushed.
+#[test]
+fn fixed_walks_cross_the_depot_and_the_budget() {
+    let ops = fixed_walk();
+    let oracle = oracle_walk(&ops);
+    assert!(oracle.depot_exchanges > 0, "{oracle:?}");
+    assert!(oracle.flushed > 0, "{oracle:?}");
+    assert!(oracle.depot_spills > 0, "{oracle:?}");
+    let (exit, parked) = exit_walk(&ops);
+    assert!(exit.depot_exchanges > 0, "{exit:?}");
+    assert!(exit.flushed > 0, "{exit:?}");
+    assert!(parked > 0, "the exit drain emptied the depot");
 }
 
 /// Concurrent storm through the cache: chunks never overlap in space while
