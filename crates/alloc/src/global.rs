@@ -10,20 +10,33 @@
 //!
 //! * **One route for every call.**  `alloc`, `dealloc` and `realloc`
 //!   resolve `max(size, align)` to a class with one read of the cache's
-//!   flat table ([`MagazineCache::class_of_request`]) and call the cache's
-//!   two class-level entry points, [`MagazineCache::alloc_class`] and
-//!   [`MagazineCache::free_class`], whose hit touches only the calling
-//!   thread's slot.  A grant books its requested and granted bytes in the
-//!   slot, and `realloc` counts its grow/shrink split there
-//!   ([`MagazineCache::count_resize`]), so [`NbbsGlobalAlloc::metrics`]
-//!   reads one sum ([`MagazineCache::served`]).  The region commits a
-//!   block's pages when the tree grants it (a refill, the nested route
-//!   below), never on a hit or a park: a parked chunk is live in the tree,
-//!   out of the scrubber's reach.  A layout above the largest class goes to
+//!   flat table ([`MagazineCache::class_of_request`]) and go to the calling
+//!   thread's slot.  A hit or a park is each entry point's inlined fast
+//!   path: one `OnceLock` read, one thread-local compare (the thread's key
+//!   matches the shell's only while the thread is registered with it,
+//!   outside any call of it, not exiting, and nothing is armed), the table
+//!   read, [`MagazineCache::try_hit`] or [`MagazineCache::try_park`] (an
+//!   owner entry of the slot that never allocates or waits), and
+//!   `base + offset` from a base and length the shell keeps.  A `realloc`
+//!   that keeps its class is one slot entry booking its grow/shrink split
+//!   ([`MagazineCache::count_resize`]); one that moves is a hit, a copy and
+//!   a park.  Everything else — the build, the nested route, registration,
+//!   an armed build, misses, overflows, failover, `System` — is one cold
+//!   call per entry point, into the out-of-line halves of the cache's
+//!   class-level entry points, [`MagazineCache::alloc_miss`] and
+//!   [`MagazineCache::free_overflow`] (whole on their own: each enters the
+//!   slot once and pops or parks first), so a refused hit is not tried
+//!   twice.  A grant books its requested
+//!   and granted bytes in the slot, so [`NbbsGlobalAlloc::metrics`] reads
+//!   one sum ([`MagazineCache::served`]).  The region commits a block's
+//!   pages when the tree grants it (a refill, the nested route below),
+//!   never on a hit or a park: a parked chunk is live in the tree, out of
+//!   the scrubber's reach.  A layout above the largest class goes to
 //!   `System`, and so does one whose class the tree has no block of left
-//!   (a failover).  A build the environment armed times every call as one
-//!   event, with the cache's miss, refill and flush events nested inside,
-//!   and offers its profiler every grant and release.
+//!   (a failover).  A build the environment armed never takes the fast
+//!   path: it times every call as one event, with the cache's miss, refill
+//!   and flush events nested inside, and offers its profiler every grant
+//!   and release.
 //! * **`OnceLock::get_or_init` first touch.**  Threads that touch the
 //!   allocator while it is being built *block* on the `OnceLock` for the
 //!   few microseconds the build takes and then get buddy memory like
@@ -44,18 +57,20 @@
 //! scratch space) allocates, and those allocations arrive back at this very
 //! allocator — potentially while the cache holds a slot lock, or forever
 //! recursing miss-into-miss.  The shell cuts the knot with a thread-local
-//! bypass latch: while a thread is inside one of its calls, any nested
-//! allocation it performs skips the cache and goes straight to the raw tree
-//! (or `System` if the tree cannot serve it).  That covers hits too: a
-//! magazine a drain emptied has no buffer, so the first park after
-//! `drain_cache()` allocates inside the slot entry, and without the latch
-//! that allocation would enter the same slot again.  The latch is also left
-//! permanently engaged on a thread once its exit drain has run, so the
-//! teardown's own frees cannot re-park chunks into the slot being emptied.
+//! bypass latch: while a thread is inside one of its calls off the fast
+//! path, any nested allocation it performs skips the cache and goes
+//! straight to the raw tree (or `System` if the tree cannot serve it).  The
+//! latch is engaged only off the fast path: the inlined hit and park
+//! allocate nothing (a park into a magazine whose buffer a drain took
+//! refuses, and the slow free grows the buffer under the latch), so they
+//! need none.  Engaging the latch clears the thread's key, so a nested call
+//! never takes the fast path, and releasing it puts the key back.  The
+//! latch is also left permanently engaged on a thread once its exit drain
+//! has run, with a key no shell matches, so the teardown's own frees cannot
+//! re-park chunks into the slot being emptied.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -64,52 +79,78 @@ use nbbs_cache::{drain_on_thread_exit, DrainOnExit, MagazineCache};
 use nbbs_obs::{
     size_detail, HeapProfiler, MetricsRegistry, OpKind, Recorder, DEFAULT_PROFILE_STRIDE,
 };
+use nbbs_sync::CachePadded;
 
 use crate::facade::base_request_size;
 
 type CachedRegion = MagazineCache<BuddyRegion<NbbsFourLevel>>;
 
 thread_local! {
-    /// True while this thread is inside one of the shell's calls (or
-    /// exiting): nested allocations bypass the cache.  `Cell<bool>` with
-    /// const init has no destructor, so the flag stays readable through
-    /// every phase of thread teardown.
+    /// True while this thread is inside one of the shell's calls off the
+    /// fast path (or exiting): nested allocations bypass the cache.
+    /// `Cell<bool>` with const init has no destructor, so the flag stays
+    /// readable through every phase of thread teardown.
     static BYPASS: Cell<bool> = const { Cell::new(false) };
 
-    /// Address of the exit hook this thread last registered its exit drain
-    /// with — the fast path of the once-per-thread registration.
-    static REGISTERED_WITH: Cell<usize> = const { Cell::new(0) };
+    /// The fast path's key: [`State::key`] of the shell this thread
+    /// registered its exit drain with, while the thread is outside any call
+    /// of the shell off the fast path, not exiting and the shell is
+    /// unarmed.  Anything else matches no shell's key, and the call goes
+    /// the slow way: 0 on a thread that never registered and inside a call
+    /// (the latch clears it), the key with its low bit set under an armed
+    /// shell, [`EXITED`] once the exit drain ran.  Const init and no
+    /// destructor, like `BYPASS`.
+    static KEY: Cell<usize> = const { Cell::new(0) };
 }
+
+/// The key of a thread whose exit drain has run: it matches no shell, and
+/// no latch restores another over it.
+const EXITED: usize = usize::MAX;
 
 fn bypass_active() -> bool {
     BYPASS.try_with(Cell::get).unwrap_or(true)
 }
 
-/// RAII engagement of the bypass latch around one call of the shell.
-struct BypassGuard;
+/// RAII engagement of the bypass latch around one call of the shell off
+/// the fast path.  It clears the thread's key for the call and puts back
+/// the one it holds (the registration may have replaced it) when the call
+/// ends — unless the thread's exit drain ran meanwhile, which leaves the
+/// key [`EXITED`] and the latch engaged for good.
+struct BypassGuard {
+    key: usize,
+}
 
 impl BypassGuard {
     fn engage() -> BypassGuard {
         let _ = BYPASS.try_with(|b| b.set(true));
-        BypassGuard
+        BypassGuard {
+            key: KEY.try_with(|k| k.replace(0)).unwrap_or(EXITED),
+        }
     }
 }
 
 impl Drop for BypassGuard {
     fn drop(&mut self) {
-        let _ = BYPASS.try_with(|b| b.set(false));
+        let _ = KEY.try_with(|k| {
+            if k.get() != EXITED {
+                k.set(self.key);
+            }
+            let _ = BYPASS.try_with(|b| b.set(k.get() == EXITED));
+        });
     }
 }
 
 /// The exit-drain hook handed to `nbbs-cache`: latches the bypass for good
-/// (the thread is dying; everything it frees from here on must go straight
-/// to the tree), then empties the thread's slot and gives it up, so the
-/// next thread mapping to it owns it.  Weak, so a dropped shell unmaps.
+/// and retires the thread's key (the thread is dying; everything it frees
+/// from here on must go straight to the tree), then empties the thread's
+/// slot and gives it up, so the next thread mapping to it owns it.  Weak,
+/// so a dropped shell unmaps.
 struct ExitLatch(Weak<CachedRegion>);
 
 impl DrainOnExit for ExitLatch {
     fn drain(&self) {
         let _ = BYPASS.try_with(|b| b.set(true));
+        let _ = KEY.try_with(|k| k.set(EXITED));
         if let Some(cache) = self.0.upgrade() {
             cache.drain_current_thread();
         }
@@ -171,6 +212,14 @@ struct State {
     obs: Option<Arc<Recorder>>,
     /// What the environment armed when the stack was built.
     env: Arming,
+    /// The region's base address and length, read once when the stack is
+    /// built: the fast path's ownership test and `base + offset`.
+    base: usize,
+    len: usize,
+    /// The fast path's key: the exit hook's address, which no other live
+    /// shell has (a thread registered with a hook keeps it alive).  A
+    /// thread whose [`KEY`] equals it takes the fast path on this shell.
+    key: usize,
 }
 
 impl State {
@@ -195,20 +244,42 @@ impl State {
         Some(class)
     }
 
+    /// The address of the block at `offset`: every offset the stack hands
+    /// out lies inside the region's mapping.
     #[inline]
     fn ptr_at(&self, offset: usize) -> *mut u8 {
-        // SAFETY: every offset the stack hands out lies inside the region's
-        // mapping.
-        unsafe { self.region().base().as_ptr().add(offset) }
+        (self.base + offset) as *mut u8
     }
 
-    /// A grant of class `class` for `layout`, from the calling thread's
-    /// slot when it holds one, offered to the profiler.  `None` when the
-    /// tree has no block of the class left.
+    /// `ptr`'s offset in the region, when the region holds it.
+    #[inline]
+    fn offset_of(&self, ptr: *mut u8) -> Option<usize> {
+        let offset = (ptr as usize).wrapping_sub(self.base);
+        (offset < self.len).then_some(offset)
+    }
+
+    /// The sized free's audit, as `MagazineCache::dealloc_sized` runs it:
+    /// in a debug build, the block at `offset` must be live in `class`.
+    #[inline(always)]
+    fn audit(&self, offset: usize, class: usize) {
+        debug_assert_eq!(
+            self.cache.backend().granted_size_of_live(offset),
+            Some(self.cache.class_size(class)),
+            "sized free of offset {offset} names the wrong class"
+        );
+    }
+
+    /// A grant of class `class` for `layout` off the fast path, from the
+    /// calling thread's slot or its stripe's shared one, offered to the
+    /// profiler.  `None` when the tree has no block of the class left.  It
+    /// goes straight to the cache's out-of-line half, which pops first:
+    /// where the fast path ran, its `try_hit` refused already, and
+    /// `alloc_class` would try the same hit again; where it did not (an
+    /// armed build, a thread's first call), the half is a whole grant.
     #[inline(always)]
     fn grant(&self, class: usize, layout: Layout) -> Option<*mut u8> {
         let cache = &self.cache;
-        let offset = cache.alloc_class(class, layout.size().max(1))?;
+        let offset = cache.alloc_miss(class, layout.size().max(1))?;
         let size = cache.class_size(class);
         if let Some(profiler) = self.profiler() {
             profiler.record_alloc(offset, size);
@@ -223,20 +294,14 @@ impl State {
         if let Some(profiler) = self.profiler() {
             profiler.record_free(offset);
         }
-        let cache = &self.cache;
         match self.class_of(layout) {
+            // The out-of-line half, as in `grant`.
             Some(class) => {
-                // The sized free's audit, as `MagazineCache::dealloc_sized`
-                // runs it.
-                debug_assert_eq!(
-                    cache.backend().granted_size_of_live(offset),
-                    Some(cache.class_size(class)),
-                    "sized free of offset {offset} names the wrong class"
-                );
-                cache.free_class(class, offset);
+                self.audit(offset, class);
+                self.cache.free_overflow(class, offset);
             }
             // Unreachable for a region block; let the cache look it up.
-            None => cache.dealloc(offset),
+            None => self.cache.dealloc(offset),
         }
     }
 
@@ -322,13 +387,21 @@ pub struct NbbsGlobalAlloc {
     min_size: usize,
     max_size: usize,
     state: OnceLock<Option<State>>,
+    /// On lines of their own: every `System`-routed request writes them,
+    /// and beside the `OnceLock` every call reads, each write would take
+    /// that line from every other thread.
+    system: CachePadded<SystemCounters>,
+}
+
+/// The shell's two `System` counters.
+struct SystemCounters {
     /// Bytes that fell through to the system allocator (oversized requests,
     /// exhaustion, and the metadata of the initial build).
-    system_bytes: AtomicU64,
+    bytes: AtomicU64,
     /// Requests the *built* buddy stack failed that were rescued by
-    /// `System` — degraded-mode events, distinct from `system_bytes`' routine
+    /// `System` — degraded-mode events, distinct from `bytes`' routine
     /// oversized/bootstrap traffic.
-    system_failovers: AtomicU64,
+    failovers: AtomicU64,
 }
 
 impl NbbsGlobalAlloc {
@@ -341,8 +414,10 @@ impl NbbsGlobalAlloc {
             min_size,
             max_size,
             state: OnceLock::new(),
-            system_bytes: AtomicU64::new(0),
-            system_failovers: AtomicU64::new(0),
+            system: CachePadded::new(SystemCounters {
+                bytes: AtomicU64::new(0),
+                failovers: AtomicU64::new(0),
+            }),
         }
     }
 
@@ -392,8 +467,13 @@ impl NbbsGlobalAlloc {
         if let Some(ms) = env.scrub_ms {
             region.start_scrubber(std::time::Duration::from_millis(ms));
         }
+        let (base, len) = (region.base().as_ptr() as usize, region.total_memory());
+        let exit_hook = Arc::new(ExitLatch(Arc::downgrade(&cache)));
         Some(State {
-            exit_hook: Arc::new(ExitLatch(Arc::downgrade(&cache))),
+            base,
+            len,
+            key: Arc::as_ptr(&exit_hook) as usize,
+            exit_hook,
             cache,
             obs,
             env,
@@ -411,25 +491,35 @@ impl NbbsGlobalAlloc {
     /// served `ptr`.
     fn owned(&self, ptr: *mut u8) -> Option<(&State, usize)> {
         let state = self.built_state()?;
-        Some((state, state.region().offset_of(NonNull::new(ptr)?)?))
+        Some((state, state.offset_of(ptr)?))
     }
 
-    /// Registers this thread's exit drain, once per thread (fast-path: one
-    /// TLS compare).  Runs under the bypass latch, so the registry's own
-    /// allocation cannot recurse into the cache.
+    /// The built state, when the calling thread may take the fast path on
+    /// it: one `OnceLock` read and one thread-local compare ([`KEY`]).
+    #[inline(always)]
+    fn fast(&self) -> Option<&State> {
+        let state = self.state.get()?.as_ref()?;
+        (KEY.with(Cell::get) == state.key).then_some(state)
+    }
+
+    /// Registers this thread's exit drain, once per thread: when the key
+    /// the call `op` latched will put back is not this shell's, registers
+    /// the hook (the registry deduplicates) and makes this shell's key the
+    /// one put back — with its low bit set under an armed shell, so that
+    /// the fast path never matches it and every call is timed.  Runs under
+    /// the bypass latch, so the registry's own allocation cannot recurse
+    /// into the cache.
     ///
     /// Keyed on the exit hook's address, not the shell's: the thread's
     /// registry keeps a clone of every hook it was given, so a hook's
     /// address cannot be reused while a thread still compares against it.
     /// A shell's can — a new one built where a dropped one stood.
-    fn register_current_thread(state: &State) {
-        let hook = Arc::as_ptr(&state.exit_hook) as usize;
-        let _ = REGISTERED_WITH.try_with(|r| {
-            if r.get() != hook {
-                drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
-                r.set(hook);
-            }
-        });
+    fn register_current_thread(state: &State, op: &mut BypassGuard) {
+        let key = state.key | usize::from(state.obs.is_some());
+        if op.key != key {
+            drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
+            op.key = key;
+        }
     }
 
     /// `System.alloc`, or `System.alloc_zeroed` for a zeroed request,
@@ -439,7 +529,8 @@ impl NbbsGlobalAlloc {
     ///
     /// `GlobalAlloc::alloc`'s contract for `layout`.
     unsafe fn system_alloc(&self, layout: Layout, zeroed: bool) -> *mut u8 {
-        self.system_bytes
+        self.system
+            .bytes
             .fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's contract.
         unsafe {
@@ -451,25 +542,26 @@ impl NbbsGlobalAlloc {
         }
     }
 
-    /// `alloc` (`zeroed == false`) and `alloc_zeroed` in one body: the
-    /// route is the same, only the two ends differ.  A buddy block is
-    /// zeroed here, since chunks are recycled dirty; a request that goes to
-    /// `System` (before or during the build, oversized, failed over) asks
-    /// it for zeroed memory, which for a large size is fresh demand-zero
-    /// pages rather than a memset.  The stack's own metadata arrays below
+    /// `alloc` (`zeroed == false`) and `alloc_zeroed` past the fast path,
+    /// in one body: the route is the same, only the two ends differ.  A
+    /// buddy block is zeroed here, since chunks are recycled dirty; a
+    /// request that goes to `System` (before or during the build,
+    /// oversized, failed over) asks it for zeroed memory, which for a large
+    /// size is fresh demand-zero pages rather than a memset.  The stack's own metadata arrays below
     /// 64 KiB are such requests while the stack is being built (larger ones
     /// are mapped directly, see [`nbbs_sync::zeroed_slice`]).
     ///
     /// # Safety
     ///
     /// `GlobalAlloc::alloc`'s contract for `layout`.
-    #[inline(always)]
-    unsafe fn serve(&self, layout: Layout, zeroed: bool) -> *mut u8 {
+    #[cold]
+    #[inline(never)]
+    unsafe fn alloc_slow(&self, layout: Layout, zeroed: bool) -> *mut u8 {
         let block = match self.state() {
             Some(state) if bypass_active() => state.raw_grant(layout),
             Some(state) => {
-                let _op = BypassGuard::engage();
-                Self::register_current_thread(state);
+                let mut op = BypassGuard::engage();
+                Self::register_current_thread(state, &mut op);
                 let class = state.class_of(layout);
                 let block = Recorder::time(
                     &state.obs,
@@ -480,7 +572,7 @@ impl NbbsGlobalAlloc {
                 // A class the tree has no block of left is a failover: the
                 // built stack failed a request it serves.
                 if block.is_none() && class.is_some() {
-                    self.system_failovers.fetch_add(1, Ordering::Relaxed);
+                    self.system.failovers.fetch_add(1, Ordering::Relaxed);
                 }
                 block
             }
@@ -529,7 +621,7 @@ impl NbbsGlobalAlloc {
     /// — oversized requests, pre-build metadata — does not count; this is
     /// the degraded-mode odometer.
     pub fn system_failovers(&self) -> u64 {
-        self.system_failovers.load(Ordering::Relaxed)
+        self.system.failovers.load(Ordering::Relaxed)
     }
 
     /// Counters of the magazine-cache layer, if the state has been built.
@@ -546,7 +638,7 @@ impl NbbsGlobalAlloc {
             .built_state()
             .map(|s| s.cache.served())
             .unwrap_or_default();
-        stats.system_bytes = self.system_bytes.load(Ordering::Relaxed);
+        stats.system_bytes = self.system.bytes.load(Ordering::Relaxed);
         stats.system_failovers = self.system_failovers();
         stats
     }
@@ -721,29 +813,88 @@ mod exit_dump {
     }
 }
 
-// SAFETY: every pointer is either region-owned (granted and released by the
-// stack, told apart by address range) or System-owned.  A region block is
-// a whole block of the class `max(size, align)` names, whose size is at
-// least that and whose address is aligned to it on the power-of-two tree,
-// so every layout requirement is met on the cached route and the raw one
-// alike; `realloc` keeps the first `min(old, new)` bytes on every path.
-unsafe impl GlobalAlloc for NbbsGlobalAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's contract.
-        unsafe { self.serve(layout, false) }
+/// The fast path of every entry point, inlined, and the rest of each behind
+/// one cold call.  The fast path runs only on a thread whose key matches
+/// the built shell's (see [`KEY`]), so outside any call of the shell, with
+/// nothing armed; it enters the thread's own slot with
+/// [`MagazineCache::try_hit`] and [`MagazineCache::try_park`], which
+/// allocate nothing and never wait, so it needs no latch.  Whatever they
+/// refuse goes the slow way, which starts again from the top.
+impl NbbsGlobalAlloc {
+    /// `alloc`'s fast path: a hit of `layout`'s class.
+    #[inline(always)]
+    fn alloc_fast(&self, layout: Layout) -> Option<*mut u8> {
+        let state = self.fast()?;
+        let class = state.class_of(layout)?;
+        let offset = state.cache.try_hit(class, layout.size().max(1))?;
+        Some(state.ptr_at(offset))
     }
 
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's contract.
-        unsafe { self.serve(layout, true) }
+    /// `dealloc`'s fast path: parks a region block in its class; `false`,
+    /// with nothing done, when it cannot.
+    #[inline(always)]
+    fn dealloc_fast(&self, ptr: *mut u8, layout: Layout) -> bool {
+        let Some(state) = self.fast() else {
+            return false;
+        };
+        let (Some(offset), Some(class)) = (state.offset_of(ptr), state.class_of(layout)) else {
+            return false;
+        };
+        state.audit(offset, class);
+        state.cache.try_park(class, offset)
     }
 
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+    /// `realloc`'s fast path: a block that keeps its class is one slot
+    /// entry booking the grow or shrink; one that moves is a hit, a copy
+    /// and a park (the slow free when the park refuses), then the booking.
+    /// `None`, with nothing done, when it is none of these.
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::realloc`'s contract.
+    #[inline(always)]
+    unsafe fn realloc_fast(
+        &self,
+        ptr: *mut u8,
+        layout: Layout,
+        new_size: usize,
+    ) -> Option<*mut u8> {
+        let state = self.fast()?;
+        let offset = state.offset_of(ptr)?;
+        let new_layout = Layout::from_size_align(new_size, layout.align()).ok()?;
+        let (old, new) = (state.class_of(layout)?, state.class_of(new_layout)?);
+        let cache = &state.cache;
+        let grew = new_size >= layout.size();
+        if old == new {
+            cache.count_resize(grew, false);
+            return Some(ptr);
+        }
+        let out = state.ptr_at(cache.try_hit(new, new_size)?);
+        // SAFETY: distinct blocks, each holding at least the bytes copied.
+        unsafe { std::ptr::copy_nonoverlapping(ptr, out, layout.size().min(new_size)) };
+        state.audit(offset, old);
+        if !cache.try_park(old, offset) {
+            // SAFETY: `ptr` is live under `layout` (the caller's contract)
+            // and released here once.
+            unsafe { self.dealloc_slow(ptr, layout) };
+        }
+        cache.count_resize(grew, true);
+        Some(out)
+    }
+
+    /// `dealloc` past the fast path.
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::dealloc`'s contract.
+    #[cold]
+    #[inline(never)]
+    unsafe fn dealloc_slow(&self, ptr: *mut u8, layout: Layout) {
         match self.owned(ptr) {
             Some((state, offset)) if bypass_active() => state.raw_free(offset),
             Some((state, offset)) => {
-                let _op = BypassGuard::engage();
-                Self::register_current_thread(state);
+                let mut op = BypassGuard::engage();
+                Self::register_current_thread(state, &mut op);
                 Recorder::time(
                     &state.obs,
                     OpKind::Free,
@@ -757,12 +908,20 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
         }
     }
 
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+    /// `realloc` past the fast path.
+    ///
+    /// # Safety
+    ///
+    /// `GlobalAlloc::realloc`'s contract.
+    #[cold]
+    #[inline(never)]
+    unsafe fn realloc_slow(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let Some((state, offset)) = self.owned(ptr) else {
-            // SAFETY: as in `dealloc`.
+            // SAFETY: as in `dealloc_slow`.
             let out = unsafe { System.realloc(ptr, layout, new_size) };
             if !out.is_null() {
-                self.system_bytes
+                self.system
+                    .bytes
                     .fetch_add(new_size as u64, Ordering::Relaxed);
             }
             return out;
@@ -774,32 +933,34 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
         // bookkeeping) takes the raw route: a raw grant, a copy and a raw
         // free keep the cache out.
         let raw = bypass_active();
-        let _op = (!raw).then(BypassGuard::engage);
-        let moved = if raw {
-            state.raw_grant(new_layout)
-        } else {
-            Self::register_current_thread(state);
-            let kind = if new_size >= layout.size() {
-                OpKind::Grow
-            } else {
-                OpKind::Shrink
-            };
-            let kept_or_moved = Recorder::time(
-                &state.obs,
-                kind,
-                // SAFETY: the caller's contract.
-                || unsafe { state.realloc(ptr, offset, layout, new_layout) },
-                |out| (size_detail(base_request_size(new_layout)), out.is_some()),
-            );
-            if let Some(out) = kept_or_moved {
-                return out;
+        let mut op = (!raw).then(BypassGuard::engage);
+        let moved = match op.as_mut() {
+            None => state.raw_grant(new_layout),
+            Some(op) => {
+                Self::register_current_thread(state, op);
+                let kind = if new_size >= layout.size() {
+                    OpKind::Grow
+                } else {
+                    OpKind::Shrink
+                };
+                let kept_or_moved = Recorder::time(
+                    &state.obs,
+                    kind,
+                    // SAFETY: the caller's contract.
+                    || unsafe { state.realloc(ptr, offset, layout, new_layout) },
+                    |out| (size_detail(base_request_size(new_layout)), out.is_some()),
+                );
+                if let Some(out) = kept_or_moved {
+                    return out;
+                }
+                // The buddy cannot serve the new size, so the block migrates
+                // to `System`; a size the buddy holds is a failover, as in
+                // `alloc`.
+                if state.class_of(new_layout).is_some() {
+                    self.system.failovers.fetch_add(1, Ordering::Relaxed);
+                }
+                None
             }
-            // The buddy cannot serve the new size, so the block migrates to
-            // `System`; a size the buddy holds is a failover, as in `alloc`.
-            if state.class_of(new_layout).is_some() {
-                self.system_failovers.fetch_add(1, Ordering::Relaxed);
-            }
-            None
         };
         // SAFETY: `new_layout` has the caller's non-zero size.
         let out = moved.unwrap_or_else(|| unsafe { self.system_alloc(new_layout, false) });
@@ -813,6 +974,54 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
             }
         }
         out
+    }
+}
+
+// SAFETY: every pointer is either region-owned (granted and released by the
+// stack, told apart by address range) or System-owned.  A region block is
+// a whole block of the class `max(size, align)` names, whose size is at
+// least that and whose address is aligned to it on the power-of-two tree,
+// so every layout requirement is met on the fast path, the cached route and
+// the raw one alike; `realloc` keeps the first `min(old, new)` bytes on
+// every path.
+unsafe impl GlobalAlloc for NbbsGlobalAlloc {
+    #[inline]
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        match self.alloc_fast(layout) {
+            Some(ptr) => ptr,
+            // SAFETY: the caller's contract.
+            None => unsafe { self.alloc_slow(layout, false) },
+        }
+    }
+
+    #[inline]
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        match self.alloc_fast(layout) {
+            Some(ptr) => {
+                // SAFETY: a block of at least `layout.size()` bytes.
+                unsafe { ptr.write_bytes(0, layout.size()) };
+                ptr
+            }
+            // SAFETY: the caller's contract.
+            None => unsafe { self.alloc_slow(layout, true) },
+        }
+    }
+
+    #[inline]
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if !self.dealloc_fast(ptr, layout) {
+            // SAFETY: the caller's contract.
+            unsafe { self.dealloc_slow(ptr, layout) }
+        }
+    }
+
+    #[inline]
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's contract, for both.
+        match unsafe { self.realloc_fast(ptr, layout, new_size) } {
+            Some(out) => out,
+            None => unsafe { self.realloc_slow(ptr, layout, new_size) },
+        }
     }
 }
 
@@ -831,6 +1040,36 @@ mod tests {
         let a = NbbsGlobalAlloc::new(1 << 18, 64, 1 << 12);
         a.build_once(|| arming);
         a
+    }
+
+    /// Every call reads the `OnceLock`; a `System`-routed request writes
+    /// the counters.  No 128-byte span (a line and the one the adjacent-line
+    /// prefetcher pairs with it) holds both.
+    #[test]
+    fn the_system_counters_have_their_lines_to_themselves() {
+        use std::mem::{offset_of, size_of};
+        let counters = offset_of!(NbbsGlobalAlloc, system);
+        assert_eq!(counters % 128, 0);
+        let end = counters + size_of::<CachePadded<SystemCounters>>();
+        let others = [
+            (
+                offset_of!(NbbsGlobalAlloc, state),
+                size_of::<OnceLock<Option<State>>>(),
+            ),
+            (
+                offset_of!(NbbsGlobalAlloc, total_memory),
+                size_of::<usize>(),
+            ),
+            (offset_of!(NbbsGlobalAlloc, min_size), size_of::<usize>()),
+            (offset_of!(NbbsGlobalAlloc, max_size), size_of::<usize>()),
+        ];
+        for (start, len) in others {
+            assert!(
+                start + len <= counters || start >= end,
+                "a field at {start}..{} shares the counters' span {counters}..{end}",
+                start + len
+            );
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!  ┌────────────────────────────────────────────────────────────────┐
 //!  │  #[global_allocator]  NbbsGlobalAlloc          (nbbs-alloc)    │
 //!  │     lazy OnceLock build · System fail-over · exit drains       │
-//!  │     every call: one class-table read, then the cache's         │
-//!  │     alloc_class / free_class on the thread's slot              │
+//!  │     inlined hit/park: key compare · class-table read ·         │
+//!  │     try_hit / try_park on the thread's slot; the rest cold     │
 //!  ├────────────────────────────────────────────────────────────────┤
 //!  │  MagazineCache<B>: per-thread magazines        (nbbs-cache)    │
 //!  │     flat request → class table · loaded/previous pairs ·       │
@@ -35,7 +35,10 @@
 //! exactly the one drawn above, set by three sizes and observed when the
 //! `NBBS_*` environment arms it.  Every call resolves
 //! its class once and goes to the calling thread's cache slot, which books
-//! what the shell reports; [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
+//! what the shell reports.  A hit or a park is inlined into each entry
+//! point and takes no latch (it cannot allocate); misses, overflows, the
+//! nested route and armed builds are one cold call away.
+//! [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
 //! buddy/system shares, grow-in-place rates and the cache hit rate when
 //! the process ends.
 //!

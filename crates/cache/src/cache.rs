@@ -107,10 +107,18 @@ impl Slot {
     }
 
     /// A park of class `class`, counted; `false` when both magazines are
-    /// full.
+    /// full or the one it would push into has no buffer left
+    /// ([`ClassMags::push`]): it never allocates.
     #[inline]
     fn park(&mut self, class: usize, offset: usize) -> bool {
         let parked = self.mags[class].push(offset);
+        self.cached_frees += u64::from(parked);
+        parked
+    }
+
+    /// [`Slot::park`] that grows a drained magazine's buffer.
+    fn park_growing(&mut self, class: usize, offset: usize) -> bool {
+        let parked = self.mags[class].push_growing(offset);
         self.cached_frees += u64::from(parked);
         parked
     }
@@ -162,11 +170,20 @@ struct ClassCtl {
 /// global shell's stack) a refill commits the pages of the blocks it takes,
 /// and a parked chunk is live in the backend, out of the scrubber's reach.
 ///
-/// A slot's magazine emptied by a drain has no buffer left, so the first
-/// park after it allocates inside the slot entry.  Under a
-/// registered `#[global_allocator]` that allocation comes back to the
-/// allocator on the same thread; the front end must send it past the
-/// cache (the global shell's bypass latch does).
+/// The hit and the park are also exposed alone,
+/// [`MagazineCache::try_hit`] and [`MagazineCache::try_park`]: an owner
+/// entry that allocates nothing and never waits, refusing (with nothing
+/// done) whatever it cannot finish there, so a front end can inline them
+/// and send the rest to the out-of-line halves of
+/// `alloc_class`/`free_class`, [`MagazineCache::alloc_miss`] and
+/// [`MagazineCache::free_overflow`].  A slot's magazine
+/// emptied by a drain has no buffer left, so a park into it refuses and
+/// `free_class` grows the buffer out of line (`Vec::push`'s growth), and a
+/// refill after a drain grows it the same way inside its entry.  Under a
+/// registered `#[global_allocator]` those allocations come back to the
+/// allocator on the same thread; the front end must send them past the
+/// cache (the global shell's bypass latch does, and its inlined hit and
+/// park, which never allocate, run without it).
 ///
 /// Slots are grouped into shards (one depot shard per group, the analogue of
 /// per-NUMA-node depots), so full/empty magazine circulation stops at the
@@ -602,16 +619,34 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// call into the backend; the rest is out of line.
     #[inline]
     pub fn alloc_class(&self, class: usize, requested: usize) -> Option<usize> {
-        let granted = self.classes[class];
-        self.slots
-            .with_mine(|_, slot| slot.pop(class, requested, granted))
+        self.try_hit(class, requested)
             .or_else(|| self.alloc_miss(class, requested))
     }
 
-    /// [`MagazineCache::alloc_class`] past empty magazines: the depot
-    /// exchange, then the refill.
+    /// The hit half of [`MagazineCache::alloc_class`]: a chunk of class
+    /// `class` from the calling thread's own magazines, counted and booked
+    /// like any grant, or `None` — the magazines are empty, or the thread
+    /// does not hold its slot free of any other entry
+    /// ([`nbbs_sync::OwnedSlots::try_mine`]) — with nothing done.  One
+    /// owner entry: no lock, no wait, no allocation, no backend call.
+    #[inline]
+    pub fn try_hit(&self, class: usize, requested: usize) -> Option<usize> {
+        let granted = self.classes[class];
+        self.slots
+            .try_mine(|_, slot| slot.pop(class, requested, granted))
+            .flatten()
+    }
+
+    /// [`MagazineCache::alloc_class`] past a refused [`MagazineCache::try_hit`],
+    /// out of line: one entry of the thread's slot, or of its stripe's
+    /// shared one, that pops if it can (the shared slot's co-users may have
+    /// loaded the pair, a revoked owner enters under the lock) and
+    /// otherwise exchanges with the depot shard; then the refill.  Alone it
+    /// is a whole grant, so a caller whose inlined `try_hit` refused calls
+    /// it directly rather than enter the slot once more through
+    /// `alloc_class`.
     #[inline(never)]
-    fn alloc_miss(&self, class: usize, requested: usize) -> Option<usize> {
+    pub fn alloc_miss(&self, class: usize, requested: usize) -> Option<usize> {
         let class_size = self.class_size(class);
         // A hit (the shared slot's co-users may have loaded the pair since)
         // or a depot exchange leaves the slot with its chunk; a miss with
@@ -753,17 +788,39 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// one slot entry; the rotation is out of line.
     #[inline]
     pub fn free_class(&self, class: usize, offset: usize) {
-        if !self.slots.with_mine(|_, slot| slot.park(class, offset)) {
+        if !self.try_park(class, offset) {
             self.free_overflow(class, offset);
         }
     }
 
-    /// [`MagazineCache::free_class`] into two full magazines.
+    /// The park half of [`MagazineCache::free_class`]: parks the chunk of
+    /// class `class` at `offset` in the calling thread's own magazines,
+    /// counted, or returns `false` with nothing done — both magazines are
+    /// full, the one it would push into has no buffer since a drain, or the
+    /// thread does not hold its slot free of any other entry
+    /// ([`nbbs_sync::OwnedSlots::try_mine`]).  One owner entry: no lock, no
+    /// wait, no allocation, no backend call.  The caller vouches that the
+    /// chunk is live and of class `class`.
+    #[inline]
+    pub fn try_park(&self, class: usize, offset: usize) -> bool {
+        self.slots
+            .try_mine(|_, slot| slot.park(class, offset))
+            .unwrap_or(false)
+    }
+
+    /// [`MagazineCache::free_class`] past a refused [`MagazineCache::try_park`],
+    /// out of line: into the stripe's shared slot, into a magazine whose
+    /// buffer a drain took (growing a new one here, inside the entry, where
+    /// a registered `#[global_allocator]` shell has its latch engaged), or
+    /// into two full magazines, rotating one out.  Alone it is a whole
+    /// release, so a caller whose inlined `try_park` refused calls it
+    /// directly.  The caller vouches that the chunk is live and of class
+    /// `class`.
     #[inline(never)]
-    fn free_overflow(&self, class: usize, offset: usize) {
+    pub fn free_overflow(&self, class: usize, offset: usize) {
         let overflow = self.slots.with_mine(|slot_idx, slot| {
-            // The shared slot's co-users may have made room since.
-            if slot.park(class, offset) {
+            // A drained buffer, or the shared slot's co-users made room.
+            if slot.park_growing(class, offset) {
                 return None;
             }
             slot.cached_frees += 1;

@@ -25,7 +25,11 @@
 //!   magazine pairs together with its `hits` / `cached_frees` tallies, which
 //!   a hit bumps as plain integers.  A thread whose stripe another live
 //!   thread holds shares that stripe's locked slot with the others in its
-//!   position.
+//!   position.  The hit and the park alone ([`MagazineCache::try_hit`],
+//!   [`MagazineCache::try_park`]) never allocate, lock or wait: what they
+//!   cannot finish in the owner's entry they refuse, for a front end to
+//!   inline them and send the rest to the out-of-line halves
+//!   ([`MagazineCache::alloc_miss`], [`MagazineCache::free_overflow`]).
 //! * **Two release entries, one magazine push.**
 //!   [`nbbs::BuddyBackend::dealloc_sized`] takes the chunk's granted size
 //!   from the caller (the `nbbs-alloc` facade computes it from the `Layout`

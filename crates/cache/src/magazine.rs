@@ -52,7 +52,15 @@ impl Magazine {
         self.entries.len() >= self.capacity()
     }
 
+    /// Whether a push fits the buffer the magazine has: a drain takes the
+    /// buffer ([`Magazine::take_all`]), and the next pushes grow a new one.
+    #[inline]
+    pub(crate) fn has_room(&self) -> bool {
+        self.entries.len() < self.entries.capacity()
+    }
+
     /// Parks an offset; the caller must have checked [`Magazine::is_full`].
+    /// Allocates when the buffer has no room ([`Magazine::has_room`]).
     #[inline]
     pub(crate) fn push(&mut self, offset: usize) {
         debug_assert!(!self.is_full());
@@ -115,16 +123,32 @@ impl ClassMags {
         self.loaded.pop()
     }
 
-    /// A parked free: pushes into `loaded`, swapping an empty `previous` in
-    /// when `loaded` is full.  `false` (and nothing pushed) when both are
-    /// full.
+    /// A parked free, which never allocates: pushes into `loaded`, swapping
+    /// an empty `previous` in when `loaded` is full.  `false` (and nothing
+    /// pushed) when both are full, or when the magazine it would push into
+    /// has no room in its buffer because a drain took it:
+    /// [`ClassMags::push_growing`] parks there.
     #[inline]
     pub(crate) fn push(&mut self, offset: usize) -> bool {
+        self.push_into(offset, false)
+    }
+
+    /// [`ClassMags::push`] that grows a drained magazine's buffer as
+    /// `Vec::push` does (allocating): `false` only when both are full.
+    pub(crate) fn push_growing(&mut self, offset: usize) -> bool {
+        self.push_into(offset, true)
+    }
+
+    #[inline]
+    fn push_into(&mut self, offset: usize, grow: bool) -> bool {
         if self.loaded.is_full() {
             if !self.previous.is_empty() {
                 return false;
             }
             std::mem::swap(&mut self.loaded, &mut self.previous);
+        }
+        if !grow && !self.loaded.has_room() {
+            return false;
         }
         self.loaded.push(offset);
         true
@@ -194,6 +218,25 @@ mod tests {
         assert_eq!(pair.pop(), Some(8), "previous swapped in");
         assert_eq!(pair.pop(), Some(0));
         assert_eq!(pair.pop(), None);
+    }
+
+    #[test]
+    fn a_drained_pair_refuses_the_push_that_would_allocate() {
+        let mut pair = ClassMags::new(8);
+        assert!(pair.push(0));
+        assert!(pair.loaded.take_all() == [0] && pair.previous.take_all().is_empty());
+        assert!(!pair.push(8), "no buffer left to push into");
+        assert_eq!(pair.len(), 0);
+        assert!(pair.push_growing(8));
+        // The grown buffer takes the next pushes until it is full again.
+        let room = pair.loaded.entries.capacity() - 1;
+        assert!(room > 0);
+        for i in 0..room {
+            assert!(pair.push(16 + 8 * i), "push {i} fits the grown buffer");
+        }
+        assert!(!pair.push(4096), "the buffer is full below the capacity");
+        assert!(pair.push_growing(4096));
+        assert_eq!(pair.len(), room + 2);
     }
 
     #[test]

@@ -36,7 +36,11 @@
 //!   `busy.store(true, Relaxed); light(); if revoked.load(Acquire) {
 //!   busy.store(false, Release); <locked entry> }`, and on the way out —
 //!   unwinding included — `busy.store(false, Release)`.  No read-modify-write,
-//!   no hardware fence.
+//!   no hardware fence.  [`OwnedSlots::try_mine`] is the same entry without
+//!   the fallbacks: where `with_mine` would take a lock (a revoked slot, a
+//!   stripe another thread holds) or panic (a nested entry), it returns
+//!   `None` and runs nothing, so a caller can inline the owner's path and
+//!   keep the rest out of line.
 //! * **Locked entry** (a shared slot, and an owner that found its slot
 //!   revoked): take the slot's lock.  Nobody enters such a slot without it:
 //!   a shared slot has no owner, and a revoked owner is the only thread
@@ -104,11 +108,13 @@
 //!   nested in its own, by either path, would alias the slot, and a release
 //!   from inside would let the next claimant in beside it: both panic, in
 //!   every build, on a mark only the owner reads and writes (`inside`, a
-//!   plain load and store of a line the entry writes anyway).  A locked or
+//!   plain load and store of a line the entry writes anyway); a nested
+//!   [`OwnedSlots::try_mine`] refuses on the same mark.  A locked or
 //!   remote entry inside any entry waits on itself — a hang, as a nested
 //!   spin lock always was, never an alias.  Callers keep re-entrant
 //!   allocations out (the global shell's bypass latch does so for the
-//!   cache).
+//!   cache, and its inlined hit and park, which enter through `try_mine`,
+//!   allocate nothing).
 //!
 //! Under `--cfg nbbs_model` the flags and the owner word are
 //! [`crate::shadow`] atomics and every spin-wait is a
@@ -435,14 +441,11 @@ impl Drop for Clears<'_> {
 struct Inside<'a>(&'a std::sync::atomic::AtomicBool);
 
 impl<'a> Inside<'a> {
-    /// Sets the mark; panics if the owner is inside already, before it
-    /// touches anything, so the entry it is nested in stays intact.
+    /// Sets the mark.  The caller has read it clear: a nested entry is
+    /// refused before it touches anything, so the entry it is nested in
+    /// stays intact.
     #[inline]
     fn enter(mark: &'a std::sync::atomic::AtomicBool) -> Self {
-        assert!(
-            !mark.load(Ordering::Relaxed),
-            "an owner entered its own slot twice"
-        );
         mark.store(true, Ordering::Relaxed);
         Inside(mark)
     }
@@ -453,6 +456,17 @@ impl Drop for Inside<'_> {
     fn drop(&mut self) {
         self.0.store(false, Ordering::Relaxed);
     }
+}
+
+/// Why an owner entry did not run its closure, with the closure and the
+/// stripe when [`OwnedSlots::with_mine`] still runs it elsewhere.
+enum Refused<F> {
+    /// Another live thread holds the stripe's slot.
+    Held(F, usize),
+    /// The thread is inside an entry of its slot already.
+    Nested,
+    /// A remote holds the slot: its lock is the way in.
+    Revoked(F, usize),
 }
 
 /// A table of thread-owned slots, each with a shared slot beside it.
@@ -523,17 +537,77 @@ impl<T> OwnedSlots<T> {
     /// If the thread holds its slot, or claims it now, this is the owner
     /// entry: plain stores, no read-modify-write, no hardware fence in the
     /// asymmetric mode.  Otherwise `f` runs on the stripe's shared slot
-    /// under its lock.  `f` must not call back into the table: an owner
-    /// entry nested in another panics, a locked or remote one hangs.
+    /// under its lock, and an owner whose slot a remote revoked runs `f` on
+    /// its own slot under the lock; both are out of line.  `f` must not
+    /// call back into the table: an owner entry nested in another panics,
+    /// a locked or remote one hangs.
     #[inline]
     pub fn with_mine<R>(&self, f: impl FnOnce(usize, &mut T) -> R) -> R {
+        match self.enter_mine(f) {
+            Ok(out) => out,
+            Err(refused) => self.refused(refused),
+        }
+    }
+
+    /// The owner entry alone: `f`'s result if the calling thread holds its
+    /// slot (or claims it now) and a remote has not revoked it, `None`
+    /// otherwise — for a thread whose stripe another live thread holds, for
+    /// an entry nested in one of the same slot, and for a revoked slot —
+    /// with `f` not run.  It never takes a lock and never waits.
+    #[inline]
+    pub fn try_mine<R>(&self, f: impl FnOnce(usize, &mut T) -> R) -> Option<R> {
+        self.enter_mine(f).ok()
+    }
+
+    /// The owner entry (module docs), the one place its protocol is
+    /// written: `Ok` with `f`'s result, or `f` handed back, not run, with
+    /// the reason.
+    #[inline(always)]
+    fn enter_mine<R, F: FnOnce(usize, &mut T) -> R>(&self, f: F) -> Result<R, Refused<F>> {
         let me = ThreadToken::current();
         let stripe = me.stripe(self.slots.len());
         let slot = &self.slots[stripe];
-        if slot.claim.hold(me) {
-            self.enter_owned(slot, |data| f(stripe, data))
-        } else {
-            self.shared[stripe].with_locked(|data| f(stripe, data))
+        if !slot.claim.hold(me) {
+            return Err(Refused::Held(f, stripe));
+        }
+        if slot.inside.load(Ordering::Relaxed) {
+            return Err(Refused::Nested);
+        }
+        let _inside = Inside::enter(&slot.inside);
+        slot.busy.store(true, Ordering::Relaxed);
+        self.barrier.light();
+        let revoked = slot.revoked.load(Ordering::Acquire);
+        #[cfg(nbbs_model)]
+        let revoked = revoked && !self.skip_revoked_check;
+        if revoked {
+            slot.busy.store(false, Ordering::Release);
+            return Err(Refused::Revoked(f, stripe));
+        }
+        let _leave = Clears(&slot.busy);
+        // SAFETY: `busy` is set and `revoked` read false after the barrier,
+        // so no remote is inside and none enters before `_leave` clears
+        // `busy` (module docs); only this thread holds the slot's token and
+        // `_inside` proves it is in no other entry of the slot, so no other
+        // owner entry exists, and the claim cannot pass to another thread
+        // before `_inside` ends (`release_mine` refuses); lock holders
+        // other than remotes never enter an owned slot.
+        Ok(f(stripe, unsafe { &mut *slot.data.get() }))
+    }
+
+    /// [`OwnedSlots::with_mine`] past a refused owner entry: the stripe's
+    /// shared slot under its lock, the thread's own slot under its lock
+    /// while a remote holds it, or the panic of a nested entry.
+    #[cold]
+    #[inline(never)]
+    fn refused<R, F: FnOnce(usize, &mut T) -> R>(&self, refused: Refused<F>) -> R {
+        match refused {
+            Refused::Held(f, stripe) => self.shared[stripe].with_locked(|data| f(stripe, data)),
+            Refused::Nested => panic!("an owner entered its own slot twice"),
+            Refused::Revoked(f, stripe) => {
+                let slot = &self.slots[stripe];
+                let _inside = Inside::enter(&slot.inside);
+                slot.with_locked(|data| f(stripe, data))
+            }
         }
     }
 
@@ -544,30 +618,6 @@ impl<T> OwnedSlots<T> {
     /// exit reaches it.
     pub fn with_shared<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.shared[thread_stripe(self.slots.len())].with_locked(f)
-    }
-
-    /// The owner entry (module docs).
-    #[inline]
-    fn enter_owned<R>(&self, slot: &Slot<T>, f: impl FnOnce(&mut T) -> R) -> R {
-        let _inside = Inside::enter(&slot.inside);
-        slot.busy.store(true, Ordering::Relaxed);
-        self.barrier.light();
-        let revoked = slot.revoked.load(Ordering::Acquire);
-        #[cfg(nbbs_model)]
-        let revoked = revoked && !self.skip_revoked_check;
-        if revoked {
-            slot.busy.store(false, Ordering::Release);
-            return slot.with_locked(f);
-        }
-        let _leave = Clears(&slot.busy);
-        // SAFETY: `busy` is set and `revoked` read false after the barrier,
-        // so no remote is inside and none enters before `_leave` clears
-        // `busy` (module docs); only this thread holds the slot's token and
-        // `_inside` proves it is in no other entry of the slot, so no other
-        // owner entry exists, and the claim cannot pass to another thread
-        // before `_inside` ends (`release_mine` refuses); lock holders
-        // other than remotes never enter an owned slot.
-        f(unsafe { &mut *slot.data.get() })
     }
 
     /// Gives up the calling thread's slot if it holds it, so a later thread
@@ -800,6 +850,73 @@ mod tests {
     fn a_release_from_inside_the_slot_panics() {
         let slots = OwnedSlots::new(1, || 0u64);
         slots.with_mine(|_, _| slots.release_mine());
+    }
+
+    /// `try_mine` runs nothing on a stripe another live thread holds: no
+    /// shared slot, no lock.
+    #[test]
+    fn try_mine_refuses_a_stripe_another_live_thread_holds() {
+        for barrier in modes() {
+            let slots = Arc::new(OwnedSlots::with_barrier(1, || 0u64, barrier));
+            assert_eq!(slots.try_mine(|_, n| std::mem::replace(n, 1)), Some(0));
+            let other = Arc::clone(&slots);
+            let refused = std::thread::spawn(move || other.try_mine(|_, n| *n += 10).is_none())
+                .join()
+                .unwrap();
+            assert!(refused, "{barrier:?}");
+            let mut seen = Vec::new();
+            slots.for_each_slot(|n| seen.push(*n));
+            assert_eq!(seen, [1, 0], "nothing ran, in either slot");
+        }
+    }
+
+    /// Nested in an entry of its own slot, by either entry, `try_mine`
+    /// refuses where `with_mine` panics, and leaves the outer entry intact.
+    #[test]
+    fn try_mine_refuses_an_entry_nested_in_its_own() {
+        let slots = OwnedSlots::new(1, || 0u64);
+        let nested = slots.with_mine(|_, n| {
+            *n += 1;
+            slots.try_mine(|_, m| *m += 10)
+        });
+        assert_eq!(nested, None);
+        let nested = slots.try_mine(|_, n| {
+            *n += 1;
+            slots.try_mine(|_, m| *m += 10)
+        });
+        assert_eq!(nested, Some(None));
+        assert_eq!(slots.try_mine(|_, n| *n), Some(2), "usable afterwards");
+    }
+
+    /// While a remote's `for_each_slot` holds the slot, the owner's
+    /// `try_mine` refuses instead of waiting for the lock; once the remote
+    /// reopened the slot it enters again and sees the remote's write.
+    #[test]
+    fn try_mine_refuses_a_slot_a_remote_holds() {
+        for barrier in modes() {
+            let slots = Arc::new(OwnedSlots::with_barrier(1, || 0u64, barrier));
+            assert_eq!(slots.try_mine(|_, n| *n), Some(0), "claimed");
+            let (inside, inside_rx) = std::sync::mpsc::channel();
+            let (done, done_rx) = std::sync::mpsc::channel::<()>();
+            let remote = {
+                let slots = Arc::clone(&slots);
+                std::thread::spawn(move || {
+                    let mut first = true;
+                    slots.for_each_slot(|n| {
+                        if std::mem::take(&mut first) {
+                            inside.send(()).unwrap();
+                            done_rx.recv().unwrap();
+                            *n += 100;
+                        }
+                    });
+                })
+            };
+            inside_rx.recv().unwrap();
+            assert_eq!(slots.try_mine(|_, n| *n += 1), None, "{barrier:?}");
+            done.send(()).unwrap();
+            remote.join().unwrap();
+            assert_eq!(slots.try_mine(|_, n| *n), Some(100), "{barrier:?}");
+        }
     }
 
     /// The nested entry's panic leaves the outer one's marks to its own

@@ -25,20 +25,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// so its storage is never torn down and the access cannot fail.  No path
 /// falls back to a shared id — an ordinal is an identity ([`crate::owned`]'s
 /// claim tokens are ordinals), and two threads answering the same one would
-/// both own one slot.
+/// both own one slot.  Inlined, the thread-local read alone: every cache
+/// slot entry reads it; the first use is out of line.
+#[inline]
 pub fn thread_ordinal() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
+    match ORDINAL.with(Cell::get) {
+        usize::MAX => first_ordinal(),
+        id => id,
     }
-    ORDINAL.with(|c| {
-        let mut id = c.get();
-        if id == usize::MAX {
-            id = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(id);
-        }
-        id
-    })
+}
+
+thread_local! {
+    /// The thread's [`thread_ordinal`], `usize::MAX` until its first use.
+    static ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// Hands the calling thread the next ordinal, on its first use.
+#[cold]
+#[inline(never)]
+fn first_ordinal() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    ORDINAL.with(|c| c.set(id));
+    id
 }
 
 /// The calling thread's entry in a table of `len` per-thread stripes (`len`

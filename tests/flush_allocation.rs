@@ -129,3 +129,44 @@ fn a_free_that_flushes_a_magazine_allocates_nothing() {
     cache.drain_all();
     assert_eq!(cache.backend().allocated_bytes(), 0);
 }
+
+/// The inlined halves of a grant and a release: on a warmed cache a hit
+/// and a park allocate nothing.  After a drain took the magazines'
+/// buffers, the park refuses, still allocating nothing, and `free_class`
+/// parks the chunk out of line, with the one allocation of the new buffer.
+#[test]
+fn a_hit_and_a_park_never_allocate() {
+    let tree = NbbsFourLevel::new(BuddyConfig::new(128 << 10, 32, 4 << 10).unwrap());
+    let cache = MagazineCache::with_slots(tree, 1);
+    let (class, _) = cache.class_of_request(SMALL).unwrap();
+    let warm = cache.alloc_class(class, SMALL).unwrap();
+    cache.free_class(class, warm);
+    let allocations = allocations_in(|| {
+        for _ in 0..1000 {
+            let offset = cache.try_hit(class, SMALL).expect("a warmed magazine hits");
+            assert!(cache.try_park(class, offset), "and takes the chunk back");
+        }
+    });
+    assert_eq!(allocations, 0, "a hit or a park allocated");
+
+    let offset = cache.try_hit(class, SMALL).unwrap();
+    cache.drain_all();
+    let cached_frees = cache.snapshot().cached_frees;
+    let refused = allocations_in(|| assert!(!cache.try_park(class, offset)));
+    assert_eq!(refused, 0, "the refused park allocated");
+    assert_eq!(
+        cache.snapshot().cached_frees,
+        cached_frees,
+        "nothing parked"
+    );
+    let parked = allocations_in(|| cache.free_class(class, offset));
+    assert_eq!(
+        parked, 1,
+        "the drained magazine's new buffer, and nothing else"
+    );
+    assert_eq!(cache.snapshot().cached_frees, cached_frees + 1);
+    assert_eq!(cache.cached_bytes(), SMALL);
+
+    cache.drain_all();
+    assert_eq!(cache.backend().allocated_bytes(), 0);
+}

@@ -27,8 +27,9 @@ fn a_free_after_a_drain_parks_into_a_magazine_without_a_buffer() {
     let drained = GLOBAL.cache_stats().unwrap().drained;
     for (i, b) in boxes.into_iter().enumerate() {
         assert!(b.iter().all(|&x| x == i as u8));
-        // The first park allocates the magazine's buffer inside the slot
-        // entry: that allocation must go past the cache.
+        // The inlined park refuses a magazine without a buffer; the slow
+        // free grows one inside the slot entry, and that allocation must go
+        // past the cache.
         drop(b);
     }
     let again: Vec<Box<u64>> = (0..64).map(Box::new).collect();
@@ -130,4 +131,44 @@ fn threads_that_exit_drain_what_they_parked() {
         GLOBAL.cache_stats().unwrap().drained > drained,
         "the exiting threads drained their magazines"
     );
+}
+
+/// A shell beside the registered one, driven by direct calls only, so its
+/// byte count is one test's alone.
+static SECOND: NbbsGlobalAlloc = NbbsGlobalAlloc::new(1 << 20, 32, 4 << 10);
+
+/// A thread whose first call of a shell is a free takes the slow path on
+/// it, and that call registers the thread's exit drain: the hits that
+/// follow park nothing the exit leaves behind.
+#[test]
+fn a_thread_whose_first_call_is_a_free_is_registered_by_it() {
+    let layout = Layout::new::<[u64; 4]>();
+    // SAFETY: every block is freed once, under `layout`.
+    unsafe {
+        // Builds the shell and warms this thread's slot.
+        let p = SECOND.alloc(layout);
+        SECOND.dealloc(p, layout);
+        let before = SECOND.buddy_allocated_bytes();
+        let drained = SECOND.cache_stats().unwrap().drained;
+        let given = SECOND.alloc(layout) as usize;
+        let kept = std::thread::spawn(move || {
+            SECOND.dealloc(given as *mut u8, layout);
+            let mut kept = [0usize; 4];
+            for k in &mut kept {
+                *k = SECOND.alloc(layout) as usize;
+                assert!(SECOND.owns(*k as *mut u8));
+            }
+            kept
+        })
+        .join()
+        .unwrap();
+        assert!(
+            SECOND.cache_stats().unwrap().drained > drained,
+            "the thread's exit drained its slot"
+        );
+        for p in kept {
+            SECOND.dealloc(p as *mut u8, layout);
+        }
+        assert_eq!(SECOND.buddy_allocated_bytes(), before);
+    }
 }
