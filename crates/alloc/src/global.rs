@@ -173,7 +173,10 @@ enum TraceDump {
 struct Arming {
     /// `NBBS_OBS`: latency recording; implied by `NBBS_TRACE`.
     recording: bool,
-    /// `NBBS_TRACE`: dump the event ring when the process exits.
+    /// `NBBS_TRACE`: record, and dump the event ring when the process
+    /// exits — from the `atexit` hook that
+    /// [`NbbsGlobalAlloc::print_stats_on_exit`] registers, so only in a
+    /// program that calls it.
     trace: Option<TraceDump>,
     /// `NBBS_PROFILE=<stride>`: the heap profiler (a stride that does not
     /// parse means the default one).

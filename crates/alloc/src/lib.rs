@@ -38,12 +38,15 @@
 //! what the shell reports.  A hit or a park is inlined into each entry
 //! point and takes no latch (it cannot allocate); misses, overflows, the
 //! nested route and armed builds are one cold call away.
-//! [`NbbsGlobalAlloc::print_stats_on_exit`] dumps
-//! buddy/system shares, grow-in-place rates and the cache hit rate when
-//! the process ends.
+//! [`NbbsGlobalAlloc::print_stats_on_exit`] registers an `atexit` hook
+//! that dumps buddy/system shares, grow-in-place rates and the cache hit
+//! rate when the process ends, and writes the chrome trace that
+//! `NBBS_TRACE` asks for: the environment arms the recording, but nothing
+//! is written at exit unless the program made that call.
 //!
-//! [`NbbsAllocator`] is the generic `Layout` adapter for compositions: it
-//! speaks `Layout` over any [`nbbs::BuddyBackend`] — the bare tree, a
+//! [`NbbsAllocator`] is the generic `Layout` adapter for compositions the
+//! shell does not build: it speaks `Layout` over any
+//! [`nbbs::BuddyBackend`] — the bare tree, a
 //! [`nbbs_cache::MagazineCache`], a slab or a multi-node set under one, or
 //! an `Arc<dyn BuddyBackend>` from the workload factory for ablations.  Two
 //! properties fall out of the buddy geometry rather than extra
@@ -54,15 +57,14 @@
 //!   is served by rounding the request to `max(size, align)` — nothing
 //!   punts to the system allocator for alignment.
 //! * **Realloc is usually free.**  The granted size is a pure function of
-//!   the request ([`nbbs::BuddyBackend::granted_size_for`]), so
-//!   [`NbbsAllocator::grow`] / [`NbbsAllocator::shrink`] can prove "the new
-//!   layout still names this block's class" with level math alone and
-//!   return the same pointer — and, for the same reason,
+//!   the request ([`nbbs::BuddyBackend::granted_size_for`]), so `realloc`
+//!   can prove "the new size still names this block's class" with level
+//!   math alone and return the same pointer — and, for the same reason,
 //!   [`NbbsAllocator::deallocate`] can tell the stack the block's size
 //!   instead of having it looked up.
 //!
 //! ```
-//! use std::alloc::Layout;
+//! use std::alloc::{GlobalAlloc, Layout};
 //! use nbbs::{BuddyConfig, NbbsFourLevel};
 //! use nbbs_alloc::NbbsAllocator;
 //! use nbbs_cache::MagazineCache;
@@ -73,12 +75,13 @@
 //! // Over-aligned: a 64-byte payload on a 4 KiB boundary, buddy-served.
 //! let layout = Layout::from_size_align(64, 4096).unwrap();
 //! let block = alloc.allocate(layout).unwrap();
-//! assert_eq!(block.cast::<u8>().as_ptr() as usize % 4096, 0);
+//! let p = block.cast::<u8>().as_ptr();
+//! assert_eq!(p as usize % 4096, 0);
 //!
 //! // Growing within the granted block keeps the pointer.
-//! let grown = unsafe { alloc.grow(block.cast(), layout, Layout::from_size_align(4096, 8).unwrap()) }.unwrap();
-//! assert_eq!(grown.cast::<u8>(), block.cast::<u8>());
-//! unsafe { alloc.deallocate(grown.cast(), Layout::from_size_align(4096, 8).unwrap()) };
+//! let grown = unsafe { alloc.realloc(p, layout, 4096) };
+//! assert_eq!(grown, p);
+//! unsafe { alloc.dealloc(grown, Layout::from_size_align(4096, 4096).unwrap()) };
 //! assert_eq!(alloc.allocated_bytes(), 0);
 //! ```
 

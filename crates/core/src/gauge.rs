@@ -5,9 +5,8 @@
 //! conflict on no tree node still take turns owning its cache line, and the
 //! line it shares with the tree's read-mostly fields goes with it.
 //! [`ByteGauge`] spreads the count over [`STRIPES`] cache-padded words
-//! indexed by [`nbbs_sync::thread_stripe`] — the rule the cache's slots and
-//! the facade's odometer follow — so a thread adds and subtracts on a line
-//! of its own.
+//! indexed by [`nbbs_sync::thread_stripe`] — the rule the cache's slots
+//! follow — so a thread adds and subtracts on a line of its own.
 //!
 //! The stripes hold two's-complement partial sums: a block allocated on one
 //! thread and freed on another leaves `+n` on the first stripe and `-n` on

@@ -37,49 +37,11 @@ use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Fallback page granule when the platform page size cannot be queried.
-const FALLBACK_PAGE_SIZE: usize = 4096;
-
 #[cfg(target_os = "linux")]
-mod sys {
-    use std::os::raw::{c_int, c_void};
-
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_PRIVATE: c_int = 2;
-    pub const MAP_ANONYMOUS: c_int = 0x20;
-    pub const MADV_DONTNEED: c_int = 4;
-    pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-    // std already links libc; declaring the handful of calls we need keeps
-    // the crate dependency-free.
-    extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-        pub fn getpagesize() -> c_int;
-    }
-}
+use nbbs_sync::pages;
 
 /// The platform page size (the decommit granule), falling back to 4 KiB.
-pub fn page_size() -> usize {
-    #[cfg(target_os = "linux")]
-    {
-        // SAFETY: getpagesize has no preconditions.
-        let p = unsafe { sys::getpagesize() };
-        if p > 0 {
-            return p as usize;
-        }
-    }
-    FALLBACK_PAGE_SIZE
-}
+pub use nbbs_sync::pages::page_size;
 
 /// How the span is backed (and must be released).
 enum Backing {
@@ -168,22 +130,9 @@ impl Mapping {
             .checked_mul(page)
             .and_then(|l| l.checked_add(if align > page { align } else { 0 }))
             .expect("mapping length overflow");
-        // SAFETY: anonymous private mapping, no fd, no fixed address.
-        let raw = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                map_len,
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        assert!(
-            raw != sys::MAP_FAILED && !raw.is_null(),
-            "mmap of {map_len} bytes failed"
-        );
-        let map_base = raw as *mut u8;
+        let map_base = pages::map(map_len)
+            .unwrap_or_else(|| panic!("mmap of {map_len} bytes failed"))
+            .as_ptr();
         let aligned = (map_base as usize).next_multiple_of(align);
         // mmap returns page-aligned memory, and any align > page is a
         // multiple of page, so `aligned` stays page-aligned: offset-space
@@ -277,16 +226,10 @@ impl Mapping {
         let span = (end - first) * self.page_size;
         #[cfg(target_os = "linux")]
         {
-            // SAFETY: the range lies inside the mapping, is page-aligned
-            // (base is page-aligned), and the caller owns it exclusively.
-            let rc = unsafe {
-                sys::madvise(
-                    self.base.as_ptr().add(start_byte) as *mut std::os::raw::c_void,
-                    span,
-                    sys::MADV_DONTNEED,
-                )
-            };
-            debug_assert_eq!(rc, 0, "madvise(MADV_DONTNEED) failed");
+            // SAFETY: the range is whole pages of the mapping (base is
+            // page-aligned), and the caller owns it exclusively.
+            let released = unsafe { pages::release(self.base.add(start_byte), span) };
+            debug_assert!(released, "madvise(MADV_DONTNEED) failed");
         }
         #[cfg(not(target_os = "linux"))]
         {
@@ -407,7 +350,7 @@ impl Drop for Mapping {
             #[cfg(target_os = "linux")]
             Backing::Mapped { map_base, map_len } => {
                 // SAFETY: exactly the reservation made in `reserve`.
-                unsafe { sys::munmap(map_base as *mut std::os::raw::c_void, map_len) };
+                unsafe { pages::unmap(NonNull::new_unchecked(map_base), map_len) };
             }
             #[cfg(not(target_os = "linux"))]
             Backing::Heap { raw, layout } => {

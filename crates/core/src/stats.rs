@@ -354,33 +354,32 @@ impl NodeStatsSnapshot {
     }
 }
 
-/// Point-in-time copy of the counters of the `Layout` facade (`nbbs-alloc`).
+/// Point-in-time copy of what the `NbbsGlobalAlloc` shell (`nbbs-alloc`)
+/// reports of the calls it served; only the shell fills it.
 ///
-/// `grow`/`shrink` resolve either *in place* (the new layout names the
-/// class the block already has — no copy, no backend traffic) or by
-/// *moving* (allocate + copy + release).  The split is the facade's own
-/// figure of merit: buddy blocks over-provision by construction, so a
-/// healthy workload should see most grows land in place.
+/// A `realloc` resolves either *in place* (the new size names the class
+/// the block already has — no copy, no backend traffic) or by *moving*
+/// (allocate + copy + release).  The split is the shell's own figure of
+/// merit: buddy blocks over-provision by construction, so a healthy
+/// workload should see most grows land in place.
 ///
-/// `NbbsAllocator` fills what it owns; `system_bytes` and
-/// `system_failovers` belong to the `NbbsGlobalAlloc` shell, which adds
-/// them, and stay zero for a bare facade.  The shell also counts the calls
-/// its magazine hits serve past the facade: their requested and granted
-/// bytes (booked in the cache's slots) and their realloc outcomes.
+/// The requested and granted bytes and the realloc outcomes are booked in
+/// the cache's slots; `system_bytes` and `system_failovers` are the
+/// shell's own two counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FacadeStatsSnapshot {
-    /// `grow` calls resolved without moving the block.
+    /// Growing `realloc`s resolved without moving the block.
     pub grows_in_place: u64,
-    /// `grow` calls that allocated a larger block and copied.
+    /// Growing `realloc`s that allocated a larger block and copied.
     pub grows_moved: u64,
-    /// `shrink` calls resolved without moving the block.
+    /// Shrinking `realloc`s resolved without moving the block.
     pub shrinks_in_place: u64,
-    /// `shrink` calls that moved to a smaller size class (releasing the
+    /// Shrinking `realloc`s that moved to a smaller size class (releasing the
     /// difference back to the buddy).
     pub shrinks_moved: u64,
     /// Cumulative bytes *asked for* by successful allocations
     /// (`layout.size()`, zero-sized grilled up to 1) — the one odometer of
-    /// bytes the buddy granted for.  An in-place `grow` allocates nothing
+    /// bytes the buddy granted for.  An in-place `realloc` allocates nothing
     /// and adds nothing.
     pub requested_bytes: u64,
     /// Cumulative bytes *handed out* for those allocations (the granted
@@ -396,7 +395,7 @@ pub struct FacadeStatsSnapshot {
 }
 
 impl FacadeStatsSnapshot {
-    /// Fraction of `grow` calls that resolved in place (0.0 when no grow
+    /// Fraction of growing `realloc`s that resolved in place (0.0 when no grow
     /// ran).
     pub fn grow_in_place_rate(&self) -> f64 {
         let total = self.grows_in_place + self.grows_moved;
@@ -407,7 +406,7 @@ impl FacadeStatsSnapshot {
         }
     }
 
-    /// Granted-to-requested byte ratio at the facade boundary — internal
+    /// Granted-to-requested byte ratio at the shell boundary — internal
     /// fragmentation as the *end user* experiences it (1.0 means no waste,
     /// and covers the nothing-allocated-yet case).  Unlike
     /// [`FragStatsSnapshot::ratio`], which sees magazine refill batches,

@@ -213,9 +213,9 @@ pub trait BuddyBackend: Send + Sync {
     /// This is the layout-aware companion to
     /// [`BuddyBackend::granted_size_of_live`]: because the granted size is a
     /// pure function of the request size, a front end that knows what it
-    /// asked for (e.g. the `nbbs-alloc` facade, which always has the
+    /// asked for (the `nbbs-alloc` front ends, which always have the
     /// caller's `Layout` in hand) can decide whether an in-place
-    /// `grow`/`shrink` fits inside the block it already holds — no tree walk,
+    /// `realloc` fits inside the block it already holds — no tree walk,
     /// no `index[]` lookup, just level math.  A leaf answers from its
     /// geometry; wrappers forward to their backend so the answer reflects
     /// the innermost grant policy.

@@ -17,8 +17,8 @@
 //! with one ([`Recorder::with_profiler`]), a sampled allocation-site
 //! [`HeapProfiler`] dumped as a ranked [`ProfileReport`].
 //!
-//! **How a layer records.**  The facade, the cache and the slab each hold
-//! one `Option<Arc<Recorder>>` and wrap a slow path in [`Recorder::time`]:
+//! **How a layer records.**  A layer that can be observed holds one
+//! `Option<Arc<Recorder>>` and wraps a slow path in [`Recorder::time`]:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -43,11 +43,13 @@
 //! touching its loop.
 //!
 //! **How it is armed.**  In code, pass the handle to each layer's
-//! `with_recorder` (`NbbsAllocator`, `MagazineCache`, `SlabBackend`).  The
-//! shipped `NbbsGlobalAlloc` is armed by its process's environment alone:
-//! `NBBS_OBS=1`, `NBBS_TRACE=1|<path>` (chrome trace at exit, to stderr or
-//! the file) and `NBBS_PROFILE=<stride>`, which `nbbs-alloc` parses in one
-//! place.
+//! `with_recorder` (`MagazineCache`, `SlabBackend`).  The shipped
+//! `NbbsGlobalAlloc` is armed by its process's environment alone:
+//! `NBBS_OBS=1`, `NBBS_TRACE=1|<path>` and `NBBS_PROFILE=<stride>`, which
+//! `nbbs-alloc` parses in one place.  `NBBS_TRACE` records, but the chrome
+//! trace (to stderr or the file) is written at exit only by the `atexit`
+//! hook that `NbbsGlobalAlloc::print_stats_on_exit` registers: a program
+//! that never calls it writes no trace.
 //!
 //! Around the handle: [`MetricsRegistry`] / [`StackSnapshot`] unify every
 //! counter family of the stack with one text-table and JSON exposition, and

@@ -14,18 +14,19 @@ use crate::ring::TraceRing;
 
 /// The operations the stack records, one histogram each.
 ///
-/// The first four are facade/workload-level operations; the `Cache*` kinds
-/// are the magazine cache's backend-touching slow paths.
+/// The first four are front-end/workload-level operations (the global
+/// shell's calls, a workload driver's); the `Cache*` kinds are the magazine
+/// cache's backend-touching slow paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum OpKind {
-    /// An allocation observed at the facade or workload boundary.
+    /// An allocation observed at the shell or workload boundary.
     Alloc = 0,
-    /// A release observed at the facade or workload boundary.
+    /// A release observed at the shell or workload boundary.
     Free = 1,
-    /// An in-place-or-move grow at the facade.
+    /// An in-place-or-move grow at the shell.
     Grow = 2,
-    /// An in-place-or-move shrink at the facade.
+    /// An in-place-or-move shrink at the shell.
     Shrink = 3,
     /// A cache miss: the first backend allocation a miss performs.
     CacheMiss = 4,
@@ -107,7 +108,7 @@ impl OpOutcome {
 /// sampled allocation-site [`HeapProfiler`].
 ///
 /// Shared as `Arc<Recorder>` by every instrumented layer of one allocator
-/// stack, so a single snapshot, crash dump or trace export sees the facade,
+/// stack, so a single snapshot, crash dump or trace export sees the shell,
 /// the cache and the slab together.  The handle knows which of its parts
 /// are on: a profiler-only recorder ([`Recorder::profiler_only`]) times
 /// nothing.

@@ -2,7 +2,7 @@
 //!
 //! Each layer keeps its own counters — `OpStatsSnapshot` (tree),
 //! `CacheStatsSnapshot` and magazine capacities (cache), fragmentation
-//! counters (slab), buddy/system byte shares and realloc counters (facade),
+//! counters (slab), buddy/system byte shares and realloc counters (shell),
 //! committed memory (region).
 //! [`MetricsRegistry`] collects all of them, plus the latency histograms of
 //! an attached [`Recorder`], into one typed [`StackSnapshot`] with a single
@@ -38,7 +38,7 @@ pub struct StackSnapshot {
     /// Per-class fragmentation counters, if the stack has a slab layer
     /// (committed-over-requested ratio, live pages, passthrough traffic).
     pub frag: Option<FragStatsSnapshot>,
-    /// Facade byte shares and realloc counters, if the stack has a facade.
+    /// The shell's byte shares and realloc counters, if it reports them.
     pub facade: Option<FacadeStatsSnapshot>,
     /// Tree occupancy (per-level fill, free-block runs, external
     /// fragmentation), if the backend exposes a status tree.
@@ -67,7 +67,7 @@ impl StackSnapshot {
         let mut out = String::new();
         let _ = writeln!(out, "== nbbs stack: {} ==", self.label);
         if let Some(f) = &self.facade {
-            // The buddy figure is the facade's requested-bytes odometer.
+            // The buddy figure is the shell's requested-bytes odometer.
             if f.requested_bytes + f.system_bytes > 0 {
                 let _ = writeln!(
                     out,

@@ -72,7 +72,8 @@ use crate::shadow::AtomicUsize;
 use std::sync::atomic::AtomicUsize;
 
 use crate::owned::{snooze, Barrier};
-use crate::{Backoff, CachePadded, Claim, ThreadToken};
+use crate::owned::{Claim, ThreadToken};
+use crate::{Backoff, CachePadded};
 
 /// Entries per table (a power of two, as the claim rule asks).
 pub const STRIPES: usize = 16;

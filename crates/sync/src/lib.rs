@@ -23,17 +23,16 @@
 //!   cache's thread slots and `nbbs-numa`'s synthetic home-node assignment
 //!   so both layers agree on which threads are "the same"; on top of it
 //!   [`thread_stripe`] / [`default_stripes`], the one rule by which every
-//!   per-thread table (cache slots, the facade's odometer) is indexed and
-//!   sized (over [`available_cpus`], the CPU count read once per process);
+//!   per-thread table (the cache's slots) is indexed and sized (over
+//!   [`available_cpus`], the CPU count read once per process);
 //!   next to it
 //!   [`set_thread_node`] / [`thread_node`], the home-node hint `nbbs-numa`
 //!   publishes and `nbbs-obs` tags events with.
-//! * [`owned`] — the claim rule ([`Claim`], entered with the
-//!   [`ThreadToken`] a caller reads once per operation) and
+//! * [`owned`] — the claim rule (an owner word per entry, entered with the
+//!   thread token a caller reads once per operation) and
 //!   [`OwnedSlots`], a per-thread table whose owner enters its slot with
 //!   plain stores while a remote reader pays an asymmetric
-//!   (`membarrier(2)`) barrier: the cache's slot table, and the claim
-//!   behind the facade's odometer stripes.
+//!   (`membarrier(2)`) barrier: the cache's slot table.
 //! * [`grace`] — [`Grace`], per-thread section counters on the same claim
 //!   rule and barrier pair: a thread that changed memory behind other
 //!   threads' atomics waits out every operation that began before it (the
@@ -43,6 +42,9 @@
 //!   scheduler; the `nbbs` trees (`nbbs::tree` and both node stores) and
 //!   [`OwnedSlots`] compile against them under `--cfg nbbs_model` so the
 //!   `nbbs-model` crate can enumerate their interleavings.
+//! * [`pages`] — the page system calls (`mmap`, `munmap`, `madvise`, the
+//!   page size), declared once for the metadata arrays below and the
+//!   trees' backing `Mapping` in `nbbs`.
 //! * [`zeroed_slice`] — span-sized arrays of atomics taken from memory the
 //!   kernel zeroes on demand (an anonymous mapping from 64 KiB up,
 //!   `alloc_zeroed` below), so the trees' and the slab's metadata costs a
@@ -58,6 +60,7 @@ pub mod cycles;
 pub mod grace;
 pub mod owned;
 pub mod pad;
+pub mod pages;
 pub mod shadow;
 pub mod spinlock;
 pub mod ticket;
@@ -68,7 +71,7 @@ pub mod zeroed;
 pub use backoff::Backoff;
 pub use cycles::{cycles_now, CycleTimer};
 pub use grace::Grace;
-pub use owned::{Claim, OwnedSlots, ThreadToken};
+pub use owned::OwnedSlots;
 pub use pad::CachePadded;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use ticket::{TicketLock, TicketLockGuard};

@@ -17,16 +17,16 @@
 //! so no two threads ever hold the same token.  Its entry in a table of `n`
 //! (a power of two) is `(token - 1) & (n - 1)`, the same entry
 //! [`thread_stripe`] names; an entry reads the token once
-//! ([`ThreadToken::current`]) and finds both from it.  The thread owns the
+//! (`ThreadToken::current`) and finds both from it.  The thread owns the
 //! entry if the entry's owner word equals its token, or if a
-//! `compare_exchange(0, token)` succeeds on first use ([`Claim::hold`]); it
+//! `compare_exchange(0, token)` succeeds on first use (`Claim::hold`); it
 //! gives the entry up with a store of 0 ([`OwnedSlots::release_mine`]).  A thread
 //! whose entry another live thread holds uses the *shared* entry of the
 //! same index instead — one per stripe, so threads crowded onto the table
 //! (more live threads than entries, or entries still held by threads that
 //! exited without giving them up) spread over as many shared entries as
-//! there are stripes.  The same rule serves the cache's slots and the
-//! facade's odometer stripes (which need only the [`Claim`]).
+//! there are stripes.  The same rule serves the cache's slots and
+//! [`Grace`](crate::Grace)'s section counters (which need only the claim).
 //!
 //! # Entering a slot
 //!
@@ -149,7 +149,7 @@ fn thread_token() -> usize {
 /// (it is neither `Send` nor `Sync`): a token always names the thread that
 /// holds it, which is what makes a claim an identity.
 #[derive(Clone, Copy, Debug)]
-pub struct ThreadToken {
+pub(crate) struct ThreadToken {
     token: usize,
     _this_thread: PhantomData<*const ()>,
 }
@@ -157,7 +157,7 @@ pub struct ThreadToken {
 impl ThreadToken {
     /// The calling thread's token.
     #[inline]
-    pub fn current() -> Self {
+    pub(crate) fn current() -> Self {
         ThreadToken {
             token: thread_token(),
             _this_thread: PhantomData,
@@ -167,7 +167,7 @@ impl ThreadToken {
     /// The thread's entry in a table of `len` stripes (`len` a power of
     /// two): the entry [`thread_stripe`] names.
     #[inline]
-    pub fn stripe(self, len: usize) -> usize {
+    pub(crate) fn stripe(self, len: usize) -> usize {
         debug_assert!(len.is_power_of_two());
         (self.token - 1) & (len - 1)
     }
@@ -176,13 +176,13 @@ impl ThreadToken {
 /// The owner word of a claimable entry: 0 while free, otherwise the
 /// claim token (ordinal plus one) of the thread that claimed it.
 #[derive(Debug, Default)]
-pub struct Claim {
+pub(crate) struct Claim {
     owner: AtomicUsize,
 }
 
 impl Claim {
     /// An unclaimed entry.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         Claim {
             owner: AtomicUsize::new(0),
         }
@@ -193,7 +193,7 @@ impl Claim {
     /// relaxed load of a word only the holder writes; an entry another live
     /// thread holds costs the same load and no write.
     #[inline]
-    pub fn hold(&self, me: ThreadToken) -> bool {
+    pub(crate) fn hold(&self, me: ThreadToken) -> bool {
         let token = me.token;
         match self.owner.load(Ordering::Relaxed) {
             held if held == token => true,

@@ -1,11 +1,11 @@
 //! Process-wide monotone thread ordinals.
 //!
 //! Several layers of the stack key per-thread state by a small dense id —
-//! the magazine cache's thread slots (`nbbs-cache`), the facade's odometer
-//! stripes (`nbbs-alloc`), the synthetic home-node assignment
-//! (`nbbs-numa`).  Keeping the counter *here*, in the one crate they all
-//! depend on, guarantees they see the **same** id for the same thread: a
-//! thread's cache slot, its odometer stripe and its synthetic home node are
+//! the magazine cache's thread slots (`nbbs-cache`), the trees' byte gauge
+//! (`nbbs`), the synthetic home-node assignment (`nbbs-numa`).  Keeping
+//! the counter *here*, in the one crate they all depend on, guarantees
+//! they see the **same** id for the same thread: a thread's cache slot,
+//! its gauge stripe and its synthetic home node are
 //! derived from one ordinal ([`thread_stripe`] is the one thread→stripe
 //! rule), so slot-group banking and node routing agree by construction.
 //! The home node itself is published here too
@@ -55,7 +55,7 @@ fn first_ordinal() -> usize {
 ///
 /// This is the process-wide thread→stripe rule.  Every striped structure in
 /// the stack indexes itself with it — the magazine cache's slots, the
-/// facade's odometer, the trees' byte gauge.  The stripe is where a thread
+/// trees' byte gauge.  The stripe is where a thread
 /// *looks*; whether it owns what it finds there is the claim rule's
 /// business ([`crate::owned`]): the first live thread to reach a stripe
 /// claims it, and a thread that finds its stripe held by another live

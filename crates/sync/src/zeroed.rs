@@ -31,6 +31,8 @@ use std::alloc::Layout;
 use std::ops::{Deref, Range};
 use std::ptr::NonNull;
 
+use crate::pages;
+
 /// Arrays of at least this many bytes are mapped on their own.
 const MAP_FROM_BYTES: usize = 64 << 10;
 
@@ -51,7 +53,7 @@ pub unsafe trait Zeroable: Sized {
             return ZeroedSlice::from(Box::<[Self]>::default());
         }
         if layout.size() >= MAP_FROM_BYTES && layout.align() <= 4096 {
-            if let Some(raw) = sys::map(layout.size()) {
+            if let Some(raw) = pages::map(layout.size()) {
                 return ZeroedSlice {
                     ptr: raw.cast(),
                     len: n,
@@ -141,7 +143,7 @@ impl<T: Zeroable> ZeroedSlice<T> {
             return T::discard_unmapped(&self[elements]);
         }
         let size = std::mem::size_of::<T>();
-        let page = sys::page_size();
+        let page = pages::page_size();
         let first = (elements.start * size).next_multiple_of(page);
         let end = elements.end * size / page * page;
         if end <= first {
@@ -151,7 +153,7 @@ impl<T: Zeroable> ZeroedSlice<T> {
         // `[first, end)` is whole pages inside the `len * size` bytes of the
         // array, which lie inside the mapping.  The caller guarantees no
         // element there is written meanwhile, and zero is a valid `T`.
-        let released = unsafe { sys::release(self.ptr.cast::<u8>().add(first), end - first) };
+        let released = unsafe { pages::release(self.ptr.cast::<u8>().add(first), end - first) };
         if released {
             end - first
         } else {
@@ -182,108 +184,9 @@ impl<T> Drop for ZeroedSlice<T> {
             // mapping is ours and unmapped once, after them.
             unsafe {
                 std::ptr::drop_in_place(elements);
-                sys::unmap(self.ptr.cast(), self.mapped);
+                pages::unmap(self.ptr.cast(), self.mapped);
             }
         }
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod sys {
-    use std::os::raw::{c_int, c_void};
-    use std::ptr::NonNull;
-
-    const PROT_READ: c_int = 1;
-    const PROT_WRITE: c_int = 2;
-    const MAP_PRIVATE: c_int = 2;
-    const MAP_ANONYMOUS: c_int = 0x20;
-    const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-    const MADV_DONTNEED: c_int = 4;
-
-    // std links libc already.
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-        fn getpagesize() -> c_int;
-    }
-
-    /// The kernel's page size, 4 KiB if it cannot be read.
-    pub(super) fn page_size() -> usize {
-        // SAFETY: `getpagesize` has no preconditions.
-        match unsafe { getpagesize() } {
-            p if p > 0 => p as usize,
-            _ => 4096,
-        }
-    }
-
-    /// Drops the frames behind `[raw, raw + len)`; whether the kernel did.
-    ///
-    /// # Safety
-    ///
-    /// The range must be whole pages of a private anonymous mapping from
-    /// [`map`] whose contents nobody needs: they read zero afterwards.
-    pub(super) unsafe fn release(raw: NonNull<u8>, len: usize) -> bool {
-        madvise(raw.as_ptr().cast(), len, MADV_DONTNEED) == 0
-    }
-
-    /// A fresh private anonymous mapping of `len` bytes (page-aligned,
-    /// zero on first read), or `None` if the kernel refuses one.
-    pub(super) fn map(len: usize) -> Option<NonNull<u8>> {
-        // SAFETY: anonymous private mapping, no fd, no fixed address.
-        let raw = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS,
-                -1,
-                0,
-            )
-        };
-        if raw == MAP_FAILED {
-            return None;
-        }
-        NonNull::new(raw.cast())
-    }
-
-    /// Unmaps what [`map`] returned for the same `len`.  It runs in `Drop`,
-    /// so a failure (which leaves the pages mapped) is not reported.
-    ///
-    /// # Safety
-    ///
-    /// `raw` and `len` must be a live mapping from [`map`], referenced by
-    /// nothing after this call.
-    pub(super) unsafe fn unmap(raw: NonNull<u8>, len: usize) {
-        munmap(raw.as_ptr().cast(), len);
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-mod sys {
-    use std::ptr::NonNull;
-
-    pub(super) fn map(_len: usize) -> Option<NonNull<u8>> {
-        None
-    }
-
-    pub(super) unsafe fn unmap(_raw: NonNull<u8>, _len: usize) {
-        unreachable!("nothing is mapped where `map` always declines")
-    }
-
-    pub(super) fn page_size() -> usize {
-        4096
-    }
-
-    pub(super) unsafe fn release(_raw: NonNull<u8>, _len: usize) -> bool {
-        unreachable!("nothing is mapped where `map` always declines")
     }
 }
 
@@ -328,7 +231,7 @@ mod tests {
         let n = 64 << 10;
         let bytes: ZeroedSlice<AtomicU8> = zeroed_slice(n);
         bytes.iter().for_each(|b| b.store(7, Ordering::Relaxed));
-        let page = sys::page_size();
+        let page = pages::page_size();
         let (from, to) = (page / 2, 5 * page + 1);
         // SAFETY: atomics, and no other thread holds the array.
         let released = unsafe { bytes.discard(from..to) };

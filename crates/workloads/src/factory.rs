@@ -116,8 +116,11 @@ impl AllocatorKind {
     /// Whether the configuration is non-blocking (lock-free).
     ///
     /// The cached variants are *almost* non-blocking: the backend below them
-    /// is lock-free, but magazine hits briefly hold a per-thread-slot spin
-    /// lock, so they do not qualify.  The multi-node router qualifies: its
+    /// is lock-free, and an owner's magazine hit runs no locked instruction
+    /// at all, but two paths wait, so they do not qualify.  A thread whose
+    /// stripe another live thread holds uses the stripe's shared slot under
+    /// its spin lock, and a remote read-out or drain revokes every slot and
+    /// waits each owner out of its entry.  The multi-node router qualifies: its
     /// routing is pure arithmetic plus relaxed counters over lock-free
     /// per-node trees.
     pub fn is_non_blocking(self) -> bool {

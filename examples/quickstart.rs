@@ -185,16 +185,16 @@ fn main() {
     //
     //    NbbsAllocator speaks Layout instead of sizes: over-aligned
     //    requests are served by the buddy itself (round to max(size,
-    //    align) — power-of-two blocks are naturally aligned), and
-    //    grow/shrink resolve *in place* whenever the new layout names the
-    //    class the block already has (pure level math, no tree walk).  For
-    //    whole-program use, `nbbs_alloc::NbbsGlobalAlloc` packages this
-    //    stack for #[global_allocator]: lazy OnceLock construction,
+    //    align) — power-of-two blocks are naturally aligned), and a
+    //    realloc stays *in place* whenever the new size names the class
+    //    the block already has (pure level math, no tree walk).  For
+    //    whole-program use, `nbbs_alloc::NbbsGlobalAlloc` drives the cache
+    //    itself for #[global_allocator]: lazy OnceLock construction,
     //    System fail-over for oversized requests, and per-thread exit
     //    drains — see examples/global_allocator.rs.
     // ------------------------------------------------------------------
-    use nbbs_alloc::NbbsAllocator;
-    use std::alloc::Layout;
+    use nbbs_alloc::{NbbsAllocator, NbbsGlobalAlloc};
+    use std::alloc::{GlobalAlloc, Layout};
 
     let facade = NbbsAllocator::new(MagazineCache::new(NbbsFourLevel::new(config)));
     // A 64-byte payload on a 4 KiB boundary: one buddy block, no fallback.
@@ -208,18 +208,20 @@ fn main() {
     );
     unsafe { facade.deallocate(block.cast(), aligned) };
 
-    // Growing inside the granted block keeps the pointer (no copy).
+    // Growing inside the granted block keeps the pointer (no copy);
+    // growing past it moves the block to the next class.
     let small = Layout::from_size_align(100, 8).unwrap(); // granted 128
-    let grown_layout = Layout::from_size_align(128, 8).unwrap();
-    let p = facade.allocate(small).expect("plenty of space");
-    let grown = unsafe { facade.grow(p.cast(), small, grown_layout) }.expect("fits in place");
-    assert_eq!(grown.cast::<u8>(), p.cast::<u8>());
-    unsafe { facade.deallocate(grown.cast(), grown_layout) };
-    let fstats = facade.facade_stats();
-    println!(
-        "facade realloc: {} in-place grows, {} moved",
-        fstats.grows_in_place, fstats.grows_moved
-    );
+    unsafe {
+        let p = facade.alloc(small);
+        let grown = facade.realloc(p, small, 128);
+        let moved = facade.realloc(grown, Layout::from_size_align(128, 8).unwrap(), 129);
+        println!(
+            "facade realloc: 100 -> 128 in place: {}, 128 -> 129 moved: {}",
+            grown == p,
+            moved != grown
+        );
+        facade.dealloc(moved, Layout::from_size_align(129, 8).unwrap());
+    }
     assert_eq!(facade.allocated_bytes(), 0);
 
     // ------------------------------------------------------------------
@@ -232,7 +234,7 @@ fn main() {
     //    NBBS_NUMA_NODES override, or a deterministic synthetic
     //    assignment) with nearest-first remote fallback, and frees return
     //    to the owning node from any thread.  It is a composition, not
-    //    part of the shipped `NbbsGlobalAlloc` (tree -> cache -> facade);
+    //    part of the shipped `NbbsGlobalAlloc` (tree -> cache -> shell);
     //    examples/numa_multi_instance.rs builds the whole multi-node stack.
     // ------------------------------------------------------------------
     use nbbs_numa::{NodePolicy, NodeSet, Topology};
@@ -471,7 +473,7 @@ fn main() {
         slab.granted_size_for(40).unwrap()
     );
 
-    // The full production stack, slab interposed: facade -> cache -> slab
+    // A slab-interposed stack: facade -> cache -> slab
     // -> tree.  A 40-byte-heavy mix now commits what it requests.
     let slab_stack = NbbsAllocator::new(MagazineCache::new(SlabBackend::new(NbbsFourLevel::new(
         config,
@@ -539,41 +541,35 @@ fn main() {
 
     // ------------------------------------------------------------------
     //     (b) HeapProfiler — sampled allocation-site profiling, the
-    //     recorder's optional third part.  Hand the facade a recorder that
-    //     carries one (`Recorder::new().with_profiler(stride)`, or
-    //     `profiler_only` as here, which times nothing; stride 1 here,
-    //     production uses 1-in-64 and scales the estimates back up) and
-    //     every sampled allocation captures a backtrace into a lock-free
-    //     site table.  The report ranks sites by live bytes — at
-    //     quiescence it must attribute everything the facade still holds.
-    //     `NBBS_PROFILE=64` arms the same profiler on NbbsGlobalAlloc.
+    //     recorder's optional third part.  `NBBS_PROFILE=<stride>` arms
+    //     it on NbbsGlobalAlloc (read once, when the first allocation
+    //     builds the stack; stride 1 here, production uses 1-in-64 and
+    //     scales the estimates back up): every sampled grant captures a
+    //     backtrace into a lock-free site table, and the report in
+    //     `stats_report()` ranks sites by live bytes — at quiescence it
+    //     attributes everything the shell still holds.
     // ------------------------------------------------------------------
-    let profiling = Arc::new(Recorder::profiler_only(1));
-    let profiler = profiling.profiler().expect("armed just above");
-    let profiled = NbbsAllocator::new(MagazineCache::new(NbbsFourLevel::new(config)))
-        .with_recorder(Arc::clone(&profiling));
+    let profiled = NbbsGlobalAlloc::new(1 << 20, 32, 4 << 10);
     let layout = Layout::from_size_align(256, 8).unwrap();
-    let held: Vec<_> = (0..32)
-        .filter_map(|_| profiled.allocate(layout).ok())
-        .collect();
-    let report = profiler.report();
+    std::env::set_var("NBBS_PROFILE", "1");
+    let held: Vec<*mut u8> = (0..32).map(|_| unsafe { profiled.alloc(layout) }).collect();
+    std::env::remove_var("NBBS_PROFILE");
+    let report = profiled.stats_report();
+    let profile = &report[report.find("== heap profile").expect("armed above")..];
     println!(
-        "heap profiler attributes {} B live across {} site(s) \
-         (facade holds {} B): \n{}",
-        report.attributed_live_bytes(),
-        report.sites.len(),
-        profiled.allocated_bytes(),
-        report.text(3)
+        "the shell holds {} B; its heap profile:\n{profile}",
+        profiled.buddy_allocated_bytes()
     );
-    assert_eq!(
-        report.attributed_live_bytes(),
-        profiled.allocated_bytes() as u64,
+    assert!(
+        profile.starts_with(&format!(
+            "== heap profile: {} B live",
+            profiled.buddy_allocated_bytes()
+        )),
         "stride-1 profiling attributes every live byte"
     );
-    for block in held {
-        unsafe { profiled.deallocate(block.cast(), layout) };
+    for p in held {
+        unsafe { profiled.dealloc(p, layout) };
     }
-    assert_eq!(profiler.report().attributed_live_bytes(), 0);
 
     // ------------------------------------------------------------------
     // 14. Elastic regions: a BuddyRegion's mapping is demand-zero, so the

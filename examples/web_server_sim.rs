@@ -19,9 +19,10 @@
 //! Worker threads play request handlers driving the *layout-aware* facade —
 //! the API a real server's buffers actually need: each incoming "request"
 //! allocates a cache-line-aligned connection buffer and a response buffer
-//! that *grows in steps* as the handler streams the body
-//! ([`NbbsAllocator::grow`] resolves most of those steps in place, because
-//! buddy blocks over-provision to the next power of two), and completed
+//! that *grows in steps* as the handler streams the body (through
+//! `GlobalAlloc::realloc`, which resolves many of those steps in place,
+//! because buddy blocks over-provision to the next power of two, and moves
+//! a step the buddy cannot serve to `System`), and completed
 //! responses are handed to other workers, so the freeing thread is often
 //! not the allocating thread.
 //!
@@ -33,7 +34,7 @@
 //! stop rounding up to powers of two), and the spin-locked tree baseline —
 //! the same ordering Figure 10 shows, now measured at the facade level.
 
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +43,7 @@ use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_baselines::CloudwuBuddy;
 use nbbs_cache::MagazineCache;
-use nbbs_obs::{MetricsRegistry, Recorder};
+use nbbs_obs::MetricsRegistry;
 use nbbs_slab::SlabBackend;
 use nbbs_workloads::rng::SplitMix64;
 
@@ -58,25 +59,20 @@ struct Request {
 /// Connection buffers sit on cache-line boundaries.
 const CONN_ALIGN: usize = 64;
 
+/// Releases both buffers; a response moved to `System` goes back there.
 fn release(facade: &NbbsAllocator<Arc<dyn BuddyBackend>>, req: Request) {
     unsafe {
-        facade.deallocate(
-            NonNull::new(req.conn as *mut u8).expect("tracked pointers are non-null"),
-            req.conn_layout,
-        );
-        facade.deallocate(
-            NonNull::new(req.resp as *mut u8).expect("tracked pointers are non-null"),
-            req.resp_layout,
-        );
+        facade.dealloc(req.conn as *mut u8, req.conn_layout);
+        facade.dealloc(req.resp as *mut u8, req.resp_layout);
     }
 }
 
 fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: f64) -> u64 {
-    let recorder = Arc::new(Recorder::new());
-    let facade =
-        Arc::new(NbbsAllocator::new(Arc::clone(&alloc)).with_recorder(Arc::clone(&recorder)));
+    let facade = Arc::new(NbbsAllocator::new(Arc::clone(&alloc)));
     let stop = Arc::new(AtomicBool::new(false));
     let completed = Arc::new(AtomicU64::new(0));
+    // Body steps that stayed in place, and steps that moved.
+    let steps = Arc::new([AtomicU64::new(0), AtomicU64::new(0)]);
     let exchange: Arc<crossbeam::queue::SegQueue<Request>> =
         Arc::new(crossbeam::queue::SegQueue::new());
 
@@ -86,13 +82,14 @@ fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: 
             let stop = Arc::clone(&stop);
             let completed = Arc::clone(&completed);
             let exchange = Arc::clone(&exchange);
+            let steps = Arc::clone(&steps);
             std::thread::spawn(move || {
                 let mut rng = SplitMix64::new(0xBEEF ^ t as u64);
                 let mut in_flight: Vec<Request> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
                     // Accept a new "request": headers up to 1 KiB on a cache
                     // line; the response starts small and streams its body
-                    // in up-to-2 KiB chunks through grow().
+                    // in up-to-2 KiB chunks through realloc().
                     let header = 64 + rng.next_below(960);
                     let conn_layout = Layout::from_size_align(header, CONN_ALIGN)
                         .expect("sizes stay well-formed");
@@ -110,36 +107,21 @@ fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: 
                             continue;
                         }
                     };
-                    let mut resp_ptr: NonNull<u8> = resp.cast();
+                    let mut resp_ptr = resp.cast::<u8>().as_ptr();
                     // Stream the body: one to four grow steps.
-                    let mut ok = true;
                     for _ in 0..1 + rng.next_below(4) {
                         let new_size = resp_layout.size() + 256 + rng.next_below(2 << 10);
-                        let new_layout =
+                        let grown = unsafe { facade.realloc(resp_ptr, resp_layout, new_size) };
+                        assert!(!grown.is_null(), "System takes what the buddy cannot");
+                        steps[usize::from(grown != resp_ptr)].fetch_add(1, Ordering::Relaxed);
+                        resp_ptr = grown;
+                        resp_layout =
                             Layout::from_size_align(new_size, 8).expect("sizes stay well-formed");
-                        match unsafe { facade.grow(resp_ptr, resp_layout, new_layout) } {
-                            Ok(grown) => {
-                                resp_ptr = grown.cast();
-                                resp_layout = new_layout;
-                            }
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ok {
-                        unsafe {
-                            facade.deallocate(conn.cast(), conn_layout);
-                            facade.deallocate(resp_ptr, resp_layout);
-                        }
-                        std::thread::yield_now();
-                        continue;
                     }
                     in_flight.push(Request {
                         conn: conn.cast::<u8>().as_ptr() as usize,
                         conn_layout,
-                        resp: resp_ptr.as_ptr() as usize,
+                        resp: resp_ptr as usize,
                         resp_layout,
                     });
 
@@ -176,14 +158,16 @@ fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: 
         release(&facade, req);
     }
     assert_eq!(facade.allocated_bytes(), 0, "no request may leak");
-    // One registry snapshot replaces the ad-hoc stat printlns: it picks up
-    // the backend's cache stats (if any), the facade's grow/shrink path
-    // split, and the facade-level latency histogram in a single table.
+    // One registry snapshot picks up the backend's counters and the cache
+    // stats (if any) in a single table.
     let mut registry = MetricsRegistry::new(label);
     registry.observe_backend(alloc.as_ref());
-    registry.set_facade(facade.facade_stats());
-    registry.set_recorder(Arc::clone(&recorder));
-    println!("{}", registry.snapshot().text_table());
+    print!("{}", registry.snapshot().text_table());
+    println!(
+        "  body     {} steps in place, {} moved\n",
+        steps[0].load(Ordering::Relaxed),
+        steps[1].load(Ordering::Relaxed)
+    );
     // Return any magazine-cached buffers to the tree (no-op for uncached
     // backends) so the next candidate starts from pristine state.
     alloc.drain_cache();

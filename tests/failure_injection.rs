@@ -2,7 +2,7 @@
 //! invalid requests, invalid frees, recovery after out-of-memory, a failed
 //! grant under the magazine cache, and multi-node fallback behaviour.
 
-use std::alloc::Layout;
+use std::alloc::{GlobalAlloc, Layout};
 use std::ptr::NonNull;
 
 use proptest::prelude::*;
@@ -321,45 +321,47 @@ fn exhaustion_surfaces_oom_through_the_nodeset_and_recovers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Dirty-reuse property: `allocate_zeroed` must always hand back all-
-    /// zero memory even when the chunk it reuses was just scribbled on and
-    /// round-tripped through a magazine (the cache returns recycled chunks
-    /// without touching the backing bytes — zeroing is the facade's job).
+    /// Dirty-reuse property: `GlobalAlloc::alloc_zeroed` must always hand
+    /// back all-zero memory even when the chunk it reuses was just
+    /// scribbled on and round-tripped through a magazine (the cache returns
+    /// recycled chunks without touching the backing bytes — zeroing is the
+    /// front end's job).
     #[test]
     fn allocate_zeroed_never_leaks_dirty_bytes(ops in collection::vec((1usize..=2048, 0usize..=2), 1..200)) {
         let cfg = BuddyConfig::new(1 << 16, 64, 1 << 14).unwrap();
         let alloc = NbbsAllocator::new(MagazineCache::new(NbbsFourLevel::new(cfg)));
-        let mut live: Vec<(NonNull<u8>, Layout)> = Vec::new();
+        let mut live: Vec<(*mut u8, Layout)> = Vec::new();
         for (size, action) in ops {
             if action == 2 || live.len() > 24 {
                 if live.is_empty() {
                     continue;
                 }
                 let (ptr, layout) = live.swap_remove(size % live.len());
-                unsafe { alloc.deallocate(ptr, layout) };
+                unsafe { alloc.dealloc(ptr, layout) };
                 continue;
             }
             let layout = Layout::from_size_align(size, 8).unwrap();
-            let block = if action == 1 {
-                alloc.allocate_zeroed(layout)
-            } else {
-                alloc.allocate(layout)
+            let ptr = unsafe {
+                if action == 1 {
+                    alloc.alloc_zeroed(layout)
+                } else {
+                    alloc.alloc(layout)
+                }
             };
-            let Ok(block) = block else { continue };
-            let ptr = block.cast::<u8>();
+            prop_assert!(!ptr.is_null(), "the buddy or System serves it");
             if action == 1 {
                 for i in 0..size {
-                    let byte = unsafe { ptr.as_ptr().add(i).read() };
+                    let byte = unsafe { ptr.add(i).read() };
                     prop_assert_eq!(byte, 0, "dirty byte at offset {} of a zeroed {}-byte block", i, size);
                 }
             }
             // Scribble over the whole block so any future reuse of this
             // chunk starts from maximally dirty bytes.
-            unsafe { std::ptr::write_bytes(ptr.as_ptr(), 0xAA, size) };
+            unsafe { std::ptr::write_bytes(ptr, 0xAA, size) };
             live.push((ptr, layout));
         }
         for (ptr, layout) in live {
-            unsafe { alloc.deallocate(ptr, layout) };
+            unsafe { alloc.dealloc(ptr, layout) };
         }
         prop_assert_eq!(alloc.allocated_bytes(), 0);
     }

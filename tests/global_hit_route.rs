@@ -5,12 +5,18 @@
 //! requested and granted bytes, the realloc split, the cache's hit/miss
 //! tallies, the region's committed pages — that a recording build takes
 //! the same route and records every call, and that the sized-free audit
-//! runs on it.
+//! runs on it — and walk a local shell against the shared System mirror
+//! (`tests/common`).
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use proptest::prelude::*;
+
+use common::Front;
 use nbbs_alloc::NbbsGlobalAlloc;
 use nbbs_obs::OpKind;
 
@@ -51,6 +57,41 @@ fn built_under(vars: &[(&str, &str)]) -> NbbsGlobalAlloc {
 /// A shell built with nothing armed.
 fn unarmed() -> NbbsGlobalAlloc {
     built_under(&[])
+}
+
+impl Front for NbbsGlobalAlloc {
+    fn night(&self) {
+        self.scrub_pass();
+    }
+    fn live_bytes(&self) -> Option<usize> {
+        Some(self.buddy_allocated_bytes())
+    }
+    /// Once the magazines are drained nothing is live, and once a scrub
+    /// pass ran nothing of the span stays committed.
+    fn audit(&self) {
+        self.drain_cache();
+        assert_eq!(self.buddy_allocated_bytes(), 0);
+        self.scrub_pass();
+        assert_eq!(self.metrics().memory.unwrap().committed_bytes, 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shipped shell agrees with the System mirror, on its inlined hit
+    /// and park and its cold paths alike; one allocation in five may
+    /// exceed the largest class and go to `System`.
+    #[test]
+    fn the_shell_matches_system_oracle(
+        ops in common::ops(
+            1..150,
+            prop_oneof![4 => common::layouts(5000, 12), 1 => common::layouts(2 * LARGEST, 12)],
+            5000,
+        )
+    ) {
+        common::walk(&unarmed(), ops);
+    }
 }
 
 /// What one churn asked for, summed over its calls.

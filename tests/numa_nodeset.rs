@@ -1,16 +1,17 @@
 //! Differential and cross-node routing tests of the `nbbs-numa` stack:
-//! `NbbsAllocator<NodeSet<NbbsFourLevel>>` against the System-mirror oracle
-//! (the `tests/facade_alloc.rs` harness re-targeted at the multi-node
-//! backend), plus cross-node free routing with and without the magazine
-//! cache interposed.
+//! `NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>>` against the
+//! shared System-mirror walk (`tests/common`), plus cross-node free
+//! routing with and without the magazine cache interposed.
+
+mod common;
 
 use std::alloc::Layout;
 use std::collections::BTreeMap;
-use std::ptr::NonNull;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use common::Front;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{verify_cached_empty, MagazineCache};
@@ -30,150 +31,38 @@ fn node_set(nodes: usize) -> NodeSet<NbbsFourLevel> {
     )
 }
 
-fn facade() -> NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>> {
+type Stack = NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>>;
+
+fn facade() -> Stack {
     NbbsAllocator::new(MagazineCache::new(node_set(NODES)))
 }
 
-/// One step of a generated layout workload (mirrors `facade_alloc.rs`).
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc {
-        size: usize,
-        align_log: u32,
-        zeroed: bool,
-    },
-    Free(usize),
-    Realloc {
-        idx: usize,
-        size: usize,
-    },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..u64::MAX).prop_map(|bits| Op::Alloc {
-            size: 1 + (bits % 5000) as usize,
-            align_log: ((bits >> 24) % 13) as u32, // 1 B .. 4 KiB
-            zeroed: (bits >> 40) & 1 == 1,
-        }),
-        2 => (0usize..64).prop_map(Op::Free),
-        3 => (0u64..u64::MAX).prop_map(|bits| Op::Realloc {
-            idx: (bits % 64) as usize,
-            size: 1 + ((bits >> 16) % 5000) as usize,
-        }),
-    ]
-}
-
-/// A live facade block plus its `System`-side mirror of expected contents.
-struct LiveBlock {
-    ptr: NonNull<u8>,
-    layout: Layout,
-    mirror: Vec<u8>,
-}
-
-impl LiveBlock {
-    fn contents_match(&self) -> bool {
-        let actual = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.layout.size()) };
-        actual == self.mirror.as_slice()
+impl Front for Stack {
+    fn night(&self) {
+        self.region().scrub_pass();
     }
-}
-
-fn fill(block: &mut LiveBlock, seed: usize) {
-    for (i, byte) in block.mirror.iter_mut().enumerate() {
-        *byte = (seed ^ i).wrapping_mul(0x9E) as u8;
+    fn live_bytes(&self) -> Option<usize> {
+        Some(self.allocated_bytes())
     }
-    unsafe {
-        std::ptr::copy_nonoverlapping(
-            block.mirror.as_ptr(),
-            block.ptr.as_ptr(),
-            block.mirror.len(),
-        );
+    /// Every node's tree is back to empty once the cache is drained.
+    fn audit(&self) {
+        self.backend().drain_all();
+        let set = self.backend().backend();
+        assert_eq!(set.allocated_bytes(), 0);
+        for i in 0..set.node_count() {
+            nbbs::verify::audit_empty(set.node(i)).assert_clean();
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The multi-node facade agrees with the System-mirror oracle over
-    /// arbitrary allocate/grow/shrink/deallocate sequences: contents
+    /// The multi-node facade agrees with the System mirror: contents
     /// preserved, alignment honoured, no overlap across node boundaries.
     #[test]
-    fn numa_facade_matches_system_oracle(ops in proptest::collection::vec(op_strategy(), 1..150)) {
-        let alloc = facade();
-        let mut live: Vec<LiveBlock> = Vec::new();
-        let mut event = 0usize;
-        for op in ops {
-            event += 1;
-            match op {
-                Op::Alloc { size, align_log, zeroed } => {
-                    let layout = Layout::from_size_align(size, 1 << align_log).unwrap();
-                    let block = if zeroed {
-                        alloc.allocate_zeroed(layout)
-                    } else {
-                        alloc.allocate(layout)
-                    };
-                    let Ok(block) = block else { continue }; // transient OOM
-                    let ptr = block.cast::<u8>();
-                    prop_assert!(block.len() >= size);
-                    prop_assert_eq!(ptr.as_ptr() as usize % layout.align(), 0);
-                    if zeroed {
-                        let bytes = unsafe {
-                            std::slice::from_raw_parts(ptr.as_ptr(), block.len())
-                        };
-                        prop_assert!(bytes.iter().all(|&b| b == 0));
-                    }
-                    let mut fresh = LiveBlock { ptr, layout, mirror: vec![0u8; size] };
-                    fill(&mut fresh, event);
-                    live.push(fresh);
-                }
-                Op::Free(k) => {
-                    if live.is_empty() { continue; }
-                    let block = live.swap_remove(k % live.len());
-                    prop_assert!(block.contents_match(), "contents intact at release");
-                    unsafe { alloc.deallocate(block.ptr, block.layout) };
-                }
-                Op::Realloc { idx, size } => {
-                    if live.is_empty() { continue; }
-                    let idx = idx % live.len();
-                    let block = &mut live[idx];
-                    let new_layout =
-                        Layout::from_size_align(size, block.layout.align()).unwrap();
-                    let result = unsafe {
-                        if size >= block.layout.size() {
-                            alloc.grow(block.ptr, block.layout, new_layout)
-                        } else {
-                            alloc.shrink(block.ptr, block.layout, new_layout)
-                        }
-                    };
-                    let Ok(moved) = result else { continue }; // transient OOM
-                    let kept = block.layout.size().min(size);
-                    block.ptr = moved.cast::<u8>();
-                    block.layout = new_layout;
-                    prop_assert_eq!(block.ptr.as_ptr() as usize % new_layout.align(), 0);
-                    let survived = unsafe {
-                        std::slice::from_raw_parts(block.ptr.as_ptr(), kept)
-                    };
-                    prop_assert_eq!(survived, &block.mirror[..kept]);
-                    block.mirror.resize(size, 0);
-                    fill(block, event);
-                }
-            }
-            for block in &live {
-                prop_assert!(block.contents_match(), "no live block was clobbered");
-            }
-        }
-        for block in live.drain(..) {
-            prop_assert!(block.contents_match());
-            unsafe { alloc.deallocate(block.ptr, block.layout) };
-        }
-        prop_assert_eq!(alloc.allocated_bytes(), 0, "everything returned");
-        // Drain the cache and check every node's tree came back clean.
-        alloc.backend().drain_all();
-        let set = alloc.backend().backend();
-        prop_assert_eq!(set.allocated_bytes(), 0);
-        for i in 0..set.node_count() {
-            nbbs::verify::audit_empty(set.node(i)).assert_clean();
-        }
+    fn numa_facade_matches_system_oracle(ops in common::ops(1..150, common::layouts(5000, 12), 5000)) {
+        common::walk(&facade(), ops);
     }
 }
 
@@ -420,7 +309,7 @@ fn oversize_requests_fail_over_per_node() {
     let alloc = facade();
     let too_big = Layout::from_size_align(MAX + 1, 8).unwrap();
     assert!(alloc.allocate(too_big).is_err(), "above per-node max_size");
-    assert_eq!(alloc.granted_size(too_big), None);
+    assert_eq!(alloc.backend().granted_size_for(MAX + 1), None);
     // At exactly the per-node ceiling the buddy serves it.
     let ceiling = Layout::from_size_align(MAX, 8).unwrap();
     let block = alloc.allocate(ceiling).expect("per-node max is servable");

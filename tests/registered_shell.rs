@@ -1,11 +1,16 @@
 //! `NbbsGlobalAlloc` as this test binary's own `#[global_allocator]`: every
 //! allocation of the harness and of the tests, `String` growth, thread
 //! exits and the shell's read-outs included, goes through the shell's hit
-//! route and its facade, re-entering the allocator wherever the stack's
-//! own bookkeeping allocates.
+//! route and its cold paths, re-entering the allocator wherever the
+//! stack's own bookkeeping allocates.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout};
 
+use proptest::prelude::*;
+
+use common::Front;
 use nbbs_alloc::NbbsGlobalAlloc;
 
 /// The shipped geometry.
@@ -13,6 +18,36 @@ const LARGEST: usize = 64 << 10;
 
 #[global_allocator]
 static GLOBAL: NbbsGlobalAlloc = NbbsGlobalAlloc::new(64 << 20, 32, LARGEST);
+
+impl Front for NbbsGlobalAlloc {
+    fn night(&self) {
+        self.scrub_pass();
+    }
+    /// The harness's other threads allocate from it too.
+    fn live_bytes(&self) -> Option<usize> {
+        None
+    }
+    /// Nothing to close for the same reason: the walk's own checks are the
+    /// test.
+    fn audit(&self) {}
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The registered shell agrees with the System mirror while the
+    /// walk's own `Vec`s and the stack's bookkeeping allocate from it.
+    #[test]
+    fn the_registered_shell_matches_system_oracle(
+        ops in common::ops(
+            1..150,
+            prop_oneof![4 => common::layouts(5000, 12), 1 => common::layouts(2 * LARGEST, 12)],
+            5000,
+        )
+    ) {
+        common::walk(&GLOBAL, ops);
+    }
+}
 
 /// The `i`-th byte the tests write.
 fn letter(i: usize) -> u8 {

@@ -1,10 +1,11 @@
 //! Integration tests of the full slab stack:
 //! `NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>` against the
-//! System-mirror oracle (the `tests/facade_alloc.rs` harness re-targeted at
-//! the slab-fronted backend, with the size mix biased below the slab
-//! cutoff), cross-thread frees routed back to the owning slab page, fault
-//! storms during page grants, and composition of the slab under the
-//! `Recorded`, `FaultInjecting` and `NodeSet` wrappers.
+//! shared System-mirror walk (`tests/common`, with the size mix biased
+//! below the slab cutoff), cross-thread frees routed back to the owning
+//! slab page, fault storms during page grants, and composition of the slab
+//! under the `Recorded`, `FaultInjecting` and `NodeSet` wrappers.
+
+mod common;
 
 use std::alloc::Layout;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -13,6 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use common::Front;
 use nbbs::{AllocError, BuddyBackend, BuddyConfig, ElasticSet, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::MagazineCache;
@@ -35,13 +37,15 @@ fn slab() -> SlabBackend<NbbsFourLevel> {
     SlabBackend::new(NbbsFourLevel::new(cfg())).with_name("slab-4lvl-nb")
 }
 
-fn slab_stack() -> NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>> {
+type Stack = NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>;
+
+fn slab_stack() -> Stack {
     NbbsAllocator::new(MagazineCache::new(slab()))
 }
 
 /// Drains the whole stack (magazines, then warm slab pages) and proves the
 /// innermost tree is back to a fully-coalesced empty state.
-fn assert_stack_quiescent(stack: &NbbsAllocator<MagazineCache<SlabBackend<NbbsFourLevel>>>) {
+fn assert_stack_quiescent(stack: &Stack) {
     assert_eq!(stack.allocated_bytes(), 0, "no user-live memory");
     stack.backend().drain_cache();
     assert_eq!(stack.backend().cached_bytes(), 0, "magazines fully drained");
@@ -50,165 +54,38 @@ fn assert_stack_quiescent(stack: &NbbsAllocator<MagazineCache<SlabBackend<NbbsFo
     nbbs::verify::audit_empty(tree).assert_clean();
 }
 
-/// One step of a generated layout workload (mirrors `facade_alloc.rs`, with
-/// the size mix weighted to the slab's small-object range).
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc {
-        size: usize,
-        align_log: u32,
-        zeroed: bool,
-    },
-    Free(usize),
-    Realloc {
-        idx: usize,
-        size: usize,
-    },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        // Mostly sizes at or below the 2 KiB cutoff so the slab classes do
-        // the serving; the tail crosses into buddy passthrough territory.
-        4 => (0u64..u64::MAX).prop_map(|bits| Op::Alloc {
-            size: 1 + (bits % 2048) as usize,
-            align_log: ((bits >> 24) % 10) as u32, // 1 B .. 512 B
-            zeroed: (bits >> 40) & 1 == 1,
-        }),
-        1 => (0u64..u64::MAX).prop_map(|bits| Op::Alloc {
-            size: 2049 + (bits % 6000) as usize,
-            align_log: ((bits >> 24) % 13) as u32, // 1 B .. 4 KiB
-            zeroed: (bits >> 40) & 1 == 1,
-        }),
-        2 => (0usize..64).prop_map(Op::Free),
-        3 => (0u64..u64::MAX).prop_map(|bits| Op::Realloc {
-            idx: (bits % 64) as usize,
-            size: 1 + ((bits >> 16) % 4000) as usize,
-        }),
-    ]
-}
-
-/// A live facade block plus its `System`-side mirror of expected contents.
-struct LiveBlock {
-    ptr: NonNull<u8>,
-    layout: Layout,
-    mirror: Vec<u8>,
-}
-
-impl LiveBlock {
-    fn contents_match(&self) -> bool {
-        let actual = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.layout.size()) };
-        actual == self.mirror.as_slice()
+impl Front for Stack {
+    fn night(&self) {
+        self.region().scrub_pass();
     }
-}
-
-/// Deterministic fill pattern for the `n`-th allocation event.
-fn fill(block: &mut LiveBlock, seed: usize) {
-    for (i, byte) in block.mirror.iter_mut().enumerate() {
-        *byte = (seed ^ i).wrapping_mul(0x9E) as u8;
+    fn live_bytes(&self) -> Option<usize> {
+        Some(self.allocated_bytes())
     }
-    unsafe {
-        std::ptr::copy_nonoverlapping(
-            block.mirror.as_ptr(),
-            block.ptr.as_ptr(),
-            block.mirror.len(),
-        );
+    fn audit(&self) {
+        assert_stack_quiescent(self);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The slab-fronted facade agrees with the System-mirror oracle over
-    /// arbitrary allocate/grow/shrink/deallocate sequences: contents are
-    /// preserved across grow/shrink, every pointer honours its layout's
-    /// alignment (slab class offsets are not power-of-two aligned, so this
-    /// exercises the facade's alignment bump), no two live blocks overlap,
-    /// and `allocate_zeroed` scrubs recycled class objects.
+    /// The slab-fronted facade agrees with the System mirror.  Most sizes
+    /// sit at or below the 2 KiB cutoff, so the slab classes serve them;
+    /// their offsets are not power-of-two aligned, which exercises the
+    /// facade's alignment bump.  The tail crosses into the buddy
+    /// passthrough.
     #[test]
-    fn slab_stack_matches_system_oracle(ops in proptest::collection::vec(op_strategy(), 1..120)) {
-        let alloc = slab_stack();
-        let mut live: Vec<LiveBlock> = Vec::new();
-        let mut event = 0usize;
-        for op in ops {
-            event += 1;
-            match op {
-                Op::Alloc { size, align_log, zeroed } => {
-                    let layout = Layout::from_size_align(size, 1 << align_log).unwrap();
-                    let block = if zeroed {
-                        alloc.allocate_zeroed(layout)
-                    } else {
-                        alloc.allocate(layout)
-                    };
-                    let Ok(block) = block else { continue }; // transient OOM
-                    let ptr = block.cast::<u8>();
-                    prop_assert!(block.len() >= size, "slice covers the request");
-                    prop_assert_eq!(
-                        ptr.as_ptr() as usize % layout.align(), 0,
-                        "alignment honoured"
-                    );
-                    if zeroed {
-                        let bytes = unsafe {
-                            std::slice::from_raw_parts(ptr.as_ptr(), block.len())
-                        };
-                        prop_assert!(
-                            bytes.iter().all(|&b| b == 0),
-                            "allocate_zeroed scrubbed a recycled chunk"
-                        );
-                    }
-                    let mut fresh = LiveBlock { ptr, layout, mirror: vec![0u8; size] };
-                    fill(&mut fresh, event);
-                    live.push(fresh);
-                }
-                Op::Free(k) => {
-                    if live.is_empty() { continue; }
-                    let block = live.swap_remove(k % live.len());
-                    prop_assert!(block.contents_match(), "contents intact at release");
-                    unsafe { alloc.deallocate(block.ptr, block.layout) };
-                }
-                Op::Realloc { idx, size } => {
-                    if live.is_empty() { continue; }
-                    let idx = idx % live.len();
-                    let block = &mut live[idx];
-                    let new_layout =
-                        Layout::from_size_align(size, block.layout.align()).unwrap();
-                    let result = unsafe {
-                        if size >= block.layout.size() {
-                            alloc.grow(block.ptr, block.layout, new_layout)
-                        } else {
-                            alloc.shrink(block.ptr, block.layout, new_layout)
-                        }
-                    };
-                    let Ok(moved) = result else { continue }; // transient OOM
-                    let kept = block.layout.size().min(size);
-                    block.ptr = moved.cast::<u8>();
-                    block.layout = new_layout;
-                    prop_assert_eq!(
-                        block.ptr.as_ptr() as usize % new_layout.align(), 0,
-                        "alignment preserved across realloc"
-                    );
-                    let survived = unsafe {
-                        std::slice::from_raw_parts(block.ptr.as_ptr(), kept)
-                    };
-                    prop_assert_eq!(
-                        survived, &block.mirror[..kept],
-                        "contents preserved across grow/shrink"
-                    );
-                    block.mirror.resize(size, 0);
-                    fill(block, event);
-                }
-            }
-            // Full cross-check: any overlap between live blocks — including
-            // two class objects sharing a slab slot — corrupts a pattern.
-            for block in &live {
-                prop_assert!(block.contents_match(), "no live block was clobbered");
-            }
-        }
-        for block in live.drain(..) {
-            prop_assert!(block.contents_match());
-            unsafe { alloc.deallocate(block.ptr, block.layout) };
-        }
-        prop_assert_eq!(alloc.allocated_bytes(), 0, "everything returned");
+    fn slab_stack_matches_system_oracle(
+        ops in common::ops(
+            1..120,
+            prop_oneof![
+                4 => common::layouts(2048, 9),
+                1 => common::layouts(6000, 12).prop_map(|(size, align)| (2048 + size, align)),
+            ],
+            4000,
+        )
+    ) {
+        common::walk(&slab_stack(), ops);
     }
 }
 
