@@ -8,44 +8,42 @@
 //! `NBBS_TRACE`, `NBBS_PROFILE`, `NBBS_SCRUB`), read once when the stack is
 //! built.  What the shell adds around the stack:
 //!
-//! * **One route for every call.**  `alloc`, `dealloc` and `realloc`
-//!   resolve `max(size, align)` to a class with one read of the cache's
-//!   flat table ([`MagazineCache::class_of_request`]) and go to the calling
-//!   thread's slot.  A hit or a park is each entry point's inlined fast
-//!   path: one `OnceLock` read, one thread-local compare (the thread's key
-//!   matches the shell's only while the thread is registered with it,
-//!   outside any call of it, not exiting, and nothing is armed), the table
-//!   read, [`MagazineCache::try_hit`] or [`MagazineCache::try_park`] (an
-//!   owner entry of the slot that never allocates or waits), and
-//!   `base + offset` from a base and length the shell keeps.  A `realloc`
-//!   that keeps its class is one slot entry booking its grow/shrink split
-//!   ([`MagazineCache::count_resize`]); one that moves is a hit, a copy and
-//!   a park.  Everything else — the build, the nested route, registration,
-//!   an armed build, misses, overflows, failover, `System` — is one cold
-//!   call per entry point, into the out-of-line halves of the cache's
-//!   class-level entry points, [`MagazineCache::alloc_miss`] and
-//!   [`MagazineCache::free_overflow`] (whole on their own: each enters the
-//!   slot once and pops or parks first), so a refused hit is not tried
-//!   twice.  A grant books its requested
-//!   and granted bytes in the slot, so [`NbbsGlobalAlloc::metrics`] reads
-//!   one sum ([`MagazineCache::served`]).  The region commits a block's
-//!   pages when the tree grants it (a refill, the nested route below),
-//!   never on a hit or a park: a parked chunk is live in the tree, out of
-//!   the scrubber's reach.  A layout above the largest class goes to
-//!   `System`, and so does one whose class the tree has no block of left
-//!   (a failover).  A build the environment armed never takes the fast
-//!   path: it times every call as one event, with the cache's miss, refill
-//!   and flush events nested inside, and offers its profiler every grant
-//!   and release.
+//! * **One route for every call.**  `alloc` and `dealloc` resolve
+//!   `max(size, align)` to a class with one read of the cache's flat table
+//!   ([`MagazineCache::class_of_request`]) and go to the calling thread's
+//!   slot.  A hit or a park is each one's inlined fast path, taken by a
+//!   thread whose key matches the shell's ([`KEY`]).  Everything else — the
+//!   build, the nested route, registration, an armed build, misses,
+//!   overflows, failover, `System` — is one cold call into the cache's
+//!   out-of-line halves, [`MagazineCache::alloc_miss`] and
+//!   [`MagazineCache::free_overflow`], which pop or park first, so a
+//!   refused hit is not tried twice.  A grant books its requested and
+//!   granted bytes in the slot, so [`NbbsGlobalAlloc::metrics`] reads one
+//!   sum ([`MagazineCache::served`]).  The region commits a block's pages
+//!   when the tree grants it (a refill, the nested route), never on a hit
+//!   or a park: a parked chunk is live in the tree, out of the scrubber's
+//!   reach.  A layout above the largest class goes to `System`, and so does
+//!   one whose class the tree has no block of left (a failover).  An armed
+//!   build never takes the fast path: it times every call as one event,
+//!   with the cache's events nested inside, and offers its profiler every
+//!   grant and release.
+//! * **`realloc` is the other two.**  A region block whose new size names
+//!   the class it already has is kept: the grow or shrink is booked in the
+//!   slot ([`MagazineCache::count_resize`]), inlined for a thread on the
+//!   fast path, so growing a `Vec` inside its granted buddy block is free.
+//!   A `System` block goes to `System.realloc`.  Any other `realloc` is the
+//!   shell's own `alloc`, a copy of `min(old, new)` bytes and its own
+//!   `dealloc`, each with its own fast path, miss, failover, nested route
+//!   and `System` fallback.  It is booked as moved when the region holds
+//!   the new block and the latch is not engaged (a nested call books
+//!   nothing, as its `alloc` does not).  An armed build times each as one
+//!   grow/shrink event, a move's `alloc` and `dealloc` nested in it.
 //! * **`OnceLock::get_or_init` first touch.**  Threads that touch the
 //!   allocator while it is being built *block* on the `OnceLock` for the
 //!   few microseconds the build takes and then get buddy memory like
 //!   everyone else, so no early (often long-lived) allocation escapes the
 //!   buddy; only the building thread's own re-entrant metadata allocations
 //!   fall through to `System` (they must — the state does not exist yet).
-//! * **In-place realloc.**  A `realloc` whose new size names the class the
-//!   block already has keeps the block, so growing a `Vec` inside its
-//!   granted buddy block is free.
 //! * **Foreign threads drain on exit.**  Every thread that touches the
 //!   allocator is registered with `nbbs-cache`'s exit registry; its
 //!   magazines flow back to the tree when it dies.
@@ -60,14 +58,15 @@
 //! bypass latch: while a thread is inside one of its calls off the fast
 //! path, any nested allocation it performs skips the cache and goes
 //! straight to the raw tree (or `System` if the tree cannot serve it).  The
-//! latch is engaged only off the fast path: the inlined hit and park
-//! allocate nothing (a park into a magazine whose buffer a drain took
-//! refuses, and the slow free grows the buffer under the latch), so they
-//! need none.  Engaging the latch clears the thread's key, so a nested call
-//! never takes the fast path, and releasing it puts the key back.  The
-//! latch is also left permanently engaged on a thread once its exit drain
-//! has run, with a key no shell matches, so the teardown's own frees cannot
-//! re-park chunks into the slot being emptied.
+//! latch lives in the fast path's key word ([`KEY`]): engaging it stores a
+//! sentinel no shell's key equals, so a nested call never takes the fast
+//! path and reads one word to find the latch, and releasing it puts the
+//! key back.  The latch is engaged only off the fast path: the inlined hit
+//! and park allocate nothing (a park into a magazine whose buffer a drain
+//! took refuses, and the slow free grows the buffer under the latch), so
+//! they need none.  Once a thread's exit drain has run, the word holds a
+//! second sentinel for good, so the teardown's own frees cannot re-park
+//! chunks into the slot being emptied.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -86,46 +85,63 @@ use crate::facade::base_request_size;
 type CachedRegion = MagazineCache<BuddyRegion<NbbsFourLevel>>;
 
 thread_local! {
-    /// True while this thread is inside one of the shell's calls off the
-    /// fast path (or exiting): nested allocations bypass the cache.
-    /// `Cell<bool>` with const init has no destructor, so the flag stays
-    /// readable through every phase of thread teardown.
-    static BYPASS: Cell<bool> = const { Cell::new(false) };
-
-    /// The fast path's key: [`State::key`] of the shell this thread
-    /// registered its exit drain with, while the thread is outside any call
-    /// of the shell off the fast path, not exiting and the shell is
-    /// unarmed.  Anything else matches no shell's key, and the call goes
-    /// the slow way: 0 on a thread that never registered and inside a call
-    /// (the latch clears it), the key with its low bit set under an armed
-    /// shell, [`EXITED`] once the exit drain ran.  Const init and no
-    /// destructor, like `BYPASS`.
+    /// The fast path's key and the bypass latch, in one word: [`State::key`]
+    /// of the shell the thread registered with while it may take that
+    /// shell's fast path (outside any call of it off the fast path, not
+    /// exiting, unarmed); 0 before it registered; the key with its low bit
+    /// set under an armed shell; [`LATCHED`] or [`EXITED`] while the latch
+    /// is engaged.  Keys are aligned addresses, so neither sentinel is one.
+    /// Const init and no destructor: readable through all of teardown.
     static KEY: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The key of a thread whose exit drain has run: it matches no shell, and
-/// no latch restores another over it.
+/// The key inside a call of the shell off the fast path.
+const LATCHED: usize = usize::MAX - 1;
+
+/// The key of a thread whose exit drain has run: it bypasses the cache for
+/// good, and no latch restores another over it.
 const EXITED: usize = usize::MAX;
 
+/// Whether the latch is engaged: the key is [`LATCHED`] or [`EXITED`].
+#[inline]
 fn bypass_active() -> bool {
-    BYPASS.try_with(Cell::get).unwrap_or(true)
+    KEY.try_with(Cell::get).unwrap_or(EXITED) >= LATCHED
 }
 
 /// RAII engagement of the bypass latch around one call of the shell off
-/// the fast path.  It clears the thread's key for the call and puts back
-/// the one it holds (the registration may have replaced it) when the call
-/// ends — unless the thread's exit drain ran meanwhile, which leaves the
-/// key [`EXITED`] and the latch engaged for good.
+/// the fast path: the key is [`LATCHED`] for the call, and the one it held
+/// (or the one the registration put in its place) comes back when the call
+/// ends, unless the exit drain ran meanwhile and left it [`EXITED`] for good.
 struct BypassGuard {
     key: usize,
 }
 
 impl BypassGuard {
     fn engage() -> BypassGuard {
-        let _ = BYPASS.try_with(|b| b.set(true));
         BypassGuard {
-            key: KEY.try_with(|k| k.replace(0)).unwrap_or(EXITED),
+            key: KEY.try_with(|k| k.replace(LATCHED)).unwrap_or(EXITED),
         }
+    }
+
+    /// Engages the latch for a call of `state`'s shell and registers the
+    /// thread's exit drain with it, once per thread: when the key the latch
+    /// will put back is not this shell's, registers the hook (the registry
+    /// deduplicates, and its own allocation finds the latch engaged) and
+    /// makes this shell's key the one put back — with its low bit set under
+    /// an armed shell, so the fast path never matches it.
+    ///
+    /// Keyed on the exit hook's address, not the shell's: the thread's
+    /// registry keeps a clone of every hook it was given, so a hook's
+    /// address cannot be reused while a thread still compares against it.
+    /// A shell's can — a new one built where a dropped one stood.
+    fn enter(state: &State) -> BypassGuard {
+        let mut op = BypassGuard::engage();
+        let key = state.key | usize::from(state.obs.is_some());
+        if op.key != key {
+            drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
+            op.key = key;
+        }
+        op
     }
 }
 
@@ -135,21 +151,18 @@ impl Drop for BypassGuard {
             if k.get() != EXITED {
                 k.set(self.key);
             }
-            let _ = BYPASS.try_with(|b| b.set(k.get() == EXITED));
         });
     }
 }
 
-/// The exit-drain hook handed to `nbbs-cache`: latches the bypass for good
-/// and retires the thread's key (the thread is dying; everything it frees
-/// from here on must go straight to the tree), then empties the thread's
-/// slot and gives it up, so the next thread mapping to it owns it.  Weak,
-/// so a dropped shell unmaps.
+/// The exit-drain hook handed to `nbbs-cache`: retires the thread's key,
+/// latching the bypass for good (all a dying thread frees goes straight to
+/// the tree), then empties the thread's slot and gives it up to the next
+/// thread mapping to it.  Weak, so a dropped shell unmaps.
 struct ExitLatch(Weak<CachedRegion>);
 
 impl DrainOnExit for ExitLatch {
     fn drain(&self) {
-        let _ = BYPASS.try_with(|b| b.set(true));
         let _ = KEY.try_with(|k| k.set(EXITED));
         if let Some(cache) = self.0.upgrade() {
             cache.drain_current_thread();
@@ -270,97 +283,6 @@ impl State {
             Some(self.cache.class_size(class)),
             "sized free of offset {offset} names the wrong class"
         );
-    }
-
-    /// A grant of class `class` for `layout` off the fast path, from the
-    /// calling thread's slot or its stripe's shared one, offered to the
-    /// profiler.  `None` when the tree has no block of the class left.  It
-    /// goes straight to the cache's out-of-line half, which pops first:
-    /// where the fast path ran, its `try_hit` refused already, and
-    /// `alloc_class` would try the same hit again; where it did not (an
-    /// armed build, a thread's first call), the half is a whole grant.
-    #[inline(always)]
-    fn grant(&self, class: usize, layout: Layout) -> Option<*mut u8> {
-        let cache = &self.cache;
-        let offset = cache.alloc_miss(class, layout.size().max(1))?;
-        let size = cache.class_size(class);
-        if let Some(profiler) = self.profiler() {
-            profiler.record_alloc(offset, size);
-        }
-        Some(self.ptr_at(offset))
-    }
-
-    /// Releases the block at `offset`, whose class `layout` names, into the
-    /// calling thread's slot.
-    #[inline(always)]
-    fn free(&self, offset: usize, layout: Layout) {
-        if let Some(profiler) = self.profiler() {
-            profiler.record_free(offset);
-        }
-        match self.class_of(layout) {
-            // The out-of-line half, as in `grant`.
-            Some(class) => {
-                self.audit(offset, class);
-                self.cache.free_overflow(class, offset);
-            }
-            // Unreachable for a region block; let the cache look it up.
-            None => self.cache.dealloc(offset),
-        }
-    }
-
-    /// The nested route's grant: a block of `layout`'s class from the
-    /// region, past the cache (which may be mid-entry above us on this
-    /// thread's stack).  A block allocated here and freed on the normal
-    /// route goes down the stack under its class.
-    fn raw_grant(&self, layout: Layout) -> Option<*mut u8> {
-        let size = self.cache.class_size(self.class_of(layout)?);
-        let offset = self.region().alloc(size)?;
-        Some(self.ptr_at(offset))
-    }
-
-    /// The nested route's release: straight to the tree.  The block may
-    /// have come from the normal route (a thread's frees after its exit
-    /// drain, the old block of a re-entrant realloc): the profiler must see
-    /// a sampled one go.
-    fn raw_free(&self, offset: usize) {
-        if let Some(profiler) = self.profiler() {
-            profiler.record_free(offset);
-        }
-        self.region().dealloc(offset);
-    }
-
-    /// A `realloc` of the block at `ptr` (`offset` in the region) from
-    /// `layout` to `new_layout`.  The same class keeps the block, counted
-    /// as grown or shrunk in place.  Another class takes a grant, copies
-    /// `min(old, new)` bytes and releases the old block, counted as moved.
-    /// `None`, with the block untouched, when the new layout has no class
-    /// or its grant failed.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` is live under `layout` (`GlobalAlloc::realloc`'s contract).
-    unsafe fn realloc(
-        &self,
-        ptr: *mut u8,
-        offset: usize,
-        layout: Layout,
-        new_layout: Layout,
-    ) -> Option<*mut u8> {
-        let new = self.class_of(new_layout)?;
-        let moved = self.class_of(layout) != Some(new);
-        let out = if moved {
-            let out = self.grant(new, new_layout)?;
-            let len = layout.size().min(new_layout.size());
-            // SAFETY: distinct blocks, each holding at least `len` bytes.
-            unsafe { std::ptr::copy_nonoverlapping(ptr, out, len) };
-            self.free(offset, layout);
-            out
-        } else {
-            ptr
-        };
-        self.cache
-            .count_resize(new_layout.size() >= layout.size(), moved);
-        Some(out)
     }
 }
 
@@ -492,8 +414,9 @@ impl NbbsGlobalAlloc {
 
     /// The built state and `ptr`'s offset in its region, when the buddy
     /// served `ptr`.
+    #[inline]
     fn owned(&self, ptr: *mut u8) -> Option<(&State, usize)> {
-        let state = self.built_state()?;
+        let state = self.state.get()?.as_ref()?;
         Some((state, state.offset_of(ptr)?))
     }
 
@@ -505,54 +428,15 @@ impl NbbsGlobalAlloc {
         (KEY.with(Cell::get) == state.key).then_some(state)
     }
 
-    /// Registers this thread's exit drain, once per thread: when the key
-    /// the call `op` latched will put back is not this shell's, registers
-    /// the hook (the registry deduplicates) and makes this shell's key the
-    /// one put back — with its low bit set under an armed shell, so that
-    /// the fast path never matches it and every call is timed.  Runs under
-    /// the bypass latch, so the registry's own allocation cannot recurse
-    /// into the cache.
-    ///
-    /// Keyed on the exit hook's address, not the shell's: the thread's
-    /// registry keeps a clone of every hook it was given, so a hook's
-    /// address cannot be reused while a thread still compares against it.
-    /// A shell's can — a new one built where a dropped one stood.
-    fn register_current_thread(state: &State, op: &mut BypassGuard) {
-        let key = state.key | usize::from(state.obs.is_some());
-        if op.key != key {
-            drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
-            op.key = key;
-        }
-    }
-
-    /// `System.alloc`, or `System.alloc_zeroed` for a zeroed request,
-    /// counted in the system bytes.
-    ///
-    /// # Safety
-    ///
-    /// `GlobalAlloc::alloc`'s contract for `layout`.
-    unsafe fn system_alloc(&self, layout: Layout, zeroed: bool) -> *mut u8 {
-        self.system
-            .bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract.
-        unsafe {
-            if zeroed {
-                System.alloc_zeroed(layout)
-            } else {
-                System.alloc(layout)
-            }
-        }
-    }
-
     /// `alloc` (`zeroed == false`) and `alloc_zeroed` past the fast path,
     /// in one body: the route is the same, only the two ends differ.  A
     /// buddy block is zeroed here, since chunks are recycled dirty; a
     /// request that goes to `System` (before or during the build,
     /// oversized, failed over) asks it for zeroed memory, which for a large
-    /// size is fresh demand-zero pages rather than a memset.  The stack's own metadata arrays below
-    /// 64 KiB are such requests while the stack is being built (larger ones
-    /// are mapped directly, see [`nbbs_sync::zeroed_slice`]).
+    /// size is fresh demand-zero pages rather than a memset.  The stack's
+    /// own metadata arrays below 64 KiB are such requests while the stack
+    /// is being built (larger ones are mapped directly, see
+    /// [`nbbs_sync::zeroed_slice`]).
     ///
     /// # Safety
     ///
@@ -561,15 +445,31 @@ impl NbbsGlobalAlloc {
     #[inline(never)]
     unsafe fn alloc_slow(&self, layout: Layout, zeroed: bool) -> *mut u8 {
         let block = match self.state() {
-            Some(state) if bypass_active() => state.raw_grant(layout),
+            // The nested route: a block of the class from the region, past
+            // the cache (which may be mid-entry above us on this thread's
+            // stack); it goes down the stack under its class when freed.
+            Some(state) if bypass_active() => state
+                .class_of(layout)
+                .and_then(|class| state.region().alloc(state.cache.class_size(class)))
+                .map(|offset| state.ptr_at(offset)),
             Some(state) => {
-                let mut op = BypassGuard::engage();
-                Self::register_current_thread(state, &mut op);
+                let _op = BypassGuard::enter(state);
                 let class = state.class_of(layout);
+                // Straight to the cache's out-of-line half, which pops
+                // first: where the fast path ran, its `try_hit` refused
+                // already; where it did not (an armed build, a thread's
+                // first call), the half is a whole grant.
                 let block = Recorder::time(
                     &state.obs,
                     OpKind::Alloc,
-                    || state.grant(class?, layout),
+                    || {
+                        let class = class?;
+                        let offset = state.cache.alloc_miss(class, layout.size().max(1))?;
+                        if let Some(profiler) = state.profiler() {
+                            profiler.record_alloc(offset, state.cache.class_size(class));
+                        }
+                        Some(state.ptr_at(offset))
+                    },
                     |block| (size_detail(base_request_size(layout)), block.is_some()),
                 );
                 // A class the tree has no block of left is a failover: the
@@ -581,16 +481,23 @@ impl NbbsGlobalAlloc {
             }
             None => None,
         };
-        match block {
-            Some(ptr) => {
-                if zeroed {
-                    // SAFETY: a fresh block of at least `layout.size()` bytes.
-                    unsafe { ptr.write_bytes(0, layout.size()) };
-                }
-                ptr
+        if let Some(ptr) = block {
+            if zeroed {
+                // SAFETY: a fresh block of at least `layout.size()` bytes.
+                unsafe { ptr.write_bytes(0, layout.size()) };
             }
-            // SAFETY: the caller's contract.
-            None => unsafe { self.system_alloc(layout, zeroed) },
+            return ptr;
+        }
+        self.system
+            .bytes
+            .fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract.
+        unsafe {
+            if zeroed {
+                System.alloc_zeroed(layout)
+            } else {
+                System.alloc(layout)
+            }
         }
     }
 
@@ -816,13 +723,9 @@ mod exit_dump {
     }
 }
 
-/// The fast path of every entry point, inlined, and the rest of each behind
-/// one cold call.  The fast path runs only on a thread whose key matches
-/// the built shell's (see [`KEY`]), so outside any call of the shell, with
-/// nothing armed; it enters the thread's own slot with
-/// [`MagazineCache::try_hit`] and [`MagazineCache::try_park`], which
-/// allocate nothing and never wait, so it needs no latch.  Whatever they
-/// refuse goes the slow way, which starts again from the top.
+/// The fast paths of `alloc` and `dealloc` (module docs, *One route for
+/// every call*; they need no latch, see *Re-entrancy*), and what each does
+/// past them, which starts again from the top.
 impl NbbsGlobalAlloc {
     /// `alloc`'s fast path: a hit of `layout`'s class.
     #[inline(always)]
@@ -847,44 +750,6 @@ impl NbbsGlobalAlloc {
         state.cache.try_park(class, offset)
     }
 
-    /// `realloc`'s fast path: a block that keeps its class is one slot
-    /// entry booking the grow or shrink; one that moves is a hit, a copy
-    /// and a park (the slow free when the park refuses), then the booking.
-    /// `None`, with nothing done, when it is none of these.
-    ///
-    /// # Safety
-    ///
-    /// `GlobalAlloc::realloc`'s contract.
-    #[inline(always)]
-    unsafe fn realloc_fast(
-        &self,
-        ptr: *mut u8,
-        layout: Layout,
-        new_size: usize,
-    ) -> Option<*mut u8> {
-        let state = self.fast()?;
-        let offset = state.offset_of(ptr)?;
-        let new_layout = Layout::from_size_align(new_size, layout.align()).ok()?;
-        let (old, new) = (state.class_of(layout)?, state.class_of(new_layout)?);
-        let cache = &state.cache;
-        let grew = new_size >= layout.size();
-        if old == new {
-            cache.count_resize(grew, false);
-            return Some(ptr);
-        }
-        let out = state.ptr_at(cache.try_hit(new, new_size)?);
-        // SAFETY: distinct blocks, each holding at least the bytes copied.
-        unsafe { std::ptr::copy_nonoverlapping(ptr, out, layout.size().min(new_size)) };
-        state.audit(offset, old);
-        if !cache.try_park(old, offset) {
-            // SAFETY: `ptr` is live under `layout` (the caller's contract)
-            // and released here once.
-            unsafe { self.dealloc_slow(ptr, layout) };
-        }
-        cache.count_resize(grew, true);
-        Some(out)
-    }
-
     /// `dealloc` past the fast path.
     ///
     /// # Safety
@@ -894,14 +759,35 @@ impl NbbsGlobalAlloc {
     #[inline(never)]
     unsafe fn dealloc_slow(&self, ptr: *mut u8, layout: Layout) {
         match self.owned(ptr) {
-            Some((state, offset)) if bypass_active() => state.raw_free(offset),
+            // The nested route: straight to the tree.  The block may have
+            // come from the normal route (a thread's frees after its exit
+            // drain, the old block of a nested realloc): the profiler must
+            // see a sampled one go.
+            Some((state, offset)) if bypass_active() => {
+                if let Some(profiler) = state.profiler() {
+                    profiler.record_free(offset);
+                }
+                state.region().dealloc(offset);
+            }
             Some((state, offset)) => {
-                let mut op = BypassGuard::engage();
-                Self::register_current_thread(state, &mut op);
+                let _op = BypassGuard::enter(state);
                 Recorder::time(
                     &state.obs,
                     OpKind::Free,
-                    || state.free(offset, layout),
+                    || {
+                        if let Some(profiler) = state.profiler() {
+                            profiler.record_free(offset);
+                        }
+                        match state.class_of(layout) {
+                            // The out-of-line half, as in `alloc_slow`.
+                            Some(class) => {
+                                state.audit(offset, class);
+                                state.cache.free_overflow(class, offset);
+                            }
+                            // Unreachable for a region block: a lookup.
+                            None => state.cache.dealloc(offset),
+                        }
+                    },
                     |_| (size_detail(base_request_size(layout)), true),
                 );
             }
@@ -911,72 +797,23 @@ impl NbbsGlobalAlloc {
         }
     }
 
-    /// `realloc` past the fast path.
-    ///
-    /// # Safety
-    ///
-    /// `GlobalAlloc::realloc`'s contract.
+    /// `realloc`'s in-place resize past its fast path: registered and
+    /// booked under the latch, timed as one event under an armed build;
+    /// under a latch already engaged (a nested call, a thread past its exit
+    /// drain) it books nothing.
     #[cold]
     #[inline(never)]
-    unsafe fn realloc_slow(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let Some((state, offset)) = self.owned(ptr) else {
-            // SAFETY: as in `dealloc_slow`.
-            let out = unsafe { System.realloc(ptr, layout, new_size) };
-            if !out.is_null() {
-                self.system
-                    .bytes
-                    .fetch_add(new_size as u64, Ordering::Relaxed);
-            }
-            return out;
-        };
-        let Ok(new_layout) = Layout::from_size_align(new_size, layout.align()) else {
-            return std::ptr::null_mut();
-        };
-        // A re-entrant realloc (rare: a Vec growing inside the cache's own
-        // bookkeeping) takes the raw route: a raw grant, a copy and a raw
-        // free keep the cache out.
-        let raw = bypass_active();
-        let mut op = (!raw).then(BypassGuard::engage);
-        let moved = match op.as_mut() {
-            None => state.raw_grant(new_layout),
-            Some(op) => {
-                Self::register_current_thread(state, op);
-                let kind = if new_size >= layout.size() {
-                    OpKind::Grow
-                } else {
-                    OpKind::Shrink
-                };
-                let kept_or_moved = Recorder::time(
-                    &state.obs,
-                    kind,
-                    // SAFETY: the caller's contract.
-                    || unsafe { state.realloc(ptr, offset, layout, new_layout) },
-                    |out| (size_detail(base_request_size(new_layout)), out.is_some()),
-                );
-                if let Some(out) = kept_or_moved {
-                    return out;
-                }
-                // The buddy cannot serve the new size, so the block migrates
-                // to `System`; a size the buddy holds is a failover, as in
-                // `alloc`.
-                if state.class_of(new_layout).is_some() {
-                    self.system.failovers.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        };
-        // SAFETY: `new_layout` has the caller's non-zero size.
-        let out = moved.unwrap_or_else(|| unsafe { self.system_alloc(new_layout, false) });
-        if !out.is_null() {
-            // SAFETY: distinct blocks, each holding the bytes copied.
-            unsafe { std::ptr::copy_nonoverlapping(ptr, out, layout.size().min(new_size)) };
-            if raw {
-                state.raw_free(offset);
-            } else {
-                state.free(offset, layout);
-            }
+    fn resize_slow(state: &State, kind: OpKind, new_layout: Layout, grew: bool) {
+        if bypass_active() {
+            return;
         }
-        out
+        let _op = BypassGuard::enter(state);
+        Recorder::time(
+            &state.obs,
+            kind,
+            || state.cache.count_resize(grew, false),
+            |_| (size_detail(base_request_size(new_layout)), true),
+        );
     }
 }
 
@@ -1020,11 +857,51 @@ unsafe impl GlobalAlloc for NbbsGlobalAlloc {
 
     #[inline]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // SAFETY: the caller's contract, for both.
-        match unsafe { self.realloc_fast(ptr, layout, new_size) } {
-            Some(out) => out,
-            None => unsafe { self.realloc_slow(ptr, layout, new_size) },
+        let Some((state, _)) = self.owned(ptr) else {
+            // SAFETY: outside the region, so `System` allocated it, under
+            // `layout` (the caller's contract).
+            let out = unsafe { System.realloc(ptr, layout, new_size) };
+            if !out.is_null() {
+                self.system
+                    .bytes
+                    .fetch_add(new_size as u64, Ordering::Relaxed);
+            }
+            return out;
+        };
+        // SAFETY: the caller's contract: `new_size`, rounded up to the
+        // alignment, does not overflow `isize`.
+        let new_layout = unsafe { Layout::from_size_align_unchecked(new_size, layout.align()) };
+        let grew = new_size >= layout.size();
+        let kind = if grew { OpKind::Grow } else { OpKind::Shrink };
+        let class = state.class_of(new_layout);
+        if class.is_some() && class == state.class_of(layout) {
+            if KEY.with(Cell::get) == state.key {
+                state.cache.count_resize(grew, false);
+            } else {
+                Self::resize_slow(state, kind, new_layout, grew);
+            }
+            return ptr;
         }
+        let in_region = |out| state.offset_of(out).is_some();
+        Recorder::time(
+            &state.obs,
+            kind,
+            // SAFETY: the caller's contract: `ptr` is live under `layout`.
+            // The blocks are distinct, each holding the bytes copied, and
+            // the old one is released once, under its layout.
+            || unsafe {
+                let out = self.alloc(new_layout);
+                if !out.is_null() {
+                    std::ptr::copy_nonoverlapping(ptr, out, layout.size().min(new_size));
+                    self.dealloc(ptr, layout);
+                }
+                if in_region(out) && !bypass_active() {
+                    state.cache.count_resize(grew, true);
+                }
+                out
+            },
+            |&out| (size_detail(base_request_size(new_layout)), in_region(out)),
+        )
     }
 }
 
@@ -1771,5 +1648,45 @@ mod tests {
             }
         }
         assert_eq!(a.buddy_allocated_bytes(), 0);
+    }
+
+    #[test]
+    fn calls_past_the_exit_latch_take_the_raw_route_and_book_nothing() {
+        let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
+        a.build_once(Arming::default);
+        let layout = |size| Layout::from_size_align(size, 8).unwrap();
+        // What the raw route leaves alone: the cache's counters, and what
+        // the grants and the realloc split booked.
+        let tallies = |a: &NbbsGlobalAlloc| (a.cache_stats(), a.facade_stats());
+        let on_a_thread =
+            |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        // SAFETY: each block is live under the layout it is passed with, and
+        // the last one is freed once under its own.
+        on_a_thread(&|| unsafe {
+            // Registered, with the class's magazines loaded, then drained.
+            a.dealloc(a.alloc(layout(100)), layout(100));
+            a.built_state().unwrap().exit_hook.drain();
+            let (before, live) = (tallies(&a), a.buddy_allocated_bytes());
+            let p = a.alloc(layout(100));
+            assert!(a.owns(p));
+            assert_eq!(a.buddy_allocated_bytes(), live + 128, "a raw grant");
+            p.write_bytes(0x5A, 100);
+            assert_eq!(a.realloc(p, layout(100), 120), p, "the same class");
+            let q = a.realloc(p, layout(120), 1000);
+            assert!(a.owns(q) && q != p, "a raw move");
+            assert!((0..100).all(|i| *q.add(i) == 0x5A), "its contents");
+            assert_eq!(a.buddy_allocated_bytes(), live + 1024);
+            a.dealloc(q, layout(1000));
+            assert_eq!(a.buddy_allocated_bytes(), live);
+            assert_eq!(tallies(&a), before, "the raw route books nothing");
+        });
+        let hits = a.cache_stats().unwrap().hits;
+        // SAFETY: each block is freed once, under the layout it came with.
+        on_a_thread(&|| unsafe {
+            for _ in 0..2 {
+                a.dealloc(a.alloc(layout(100)), layout(100));
+            }
+        });
+        assert!(a.cache_stats().unwrap().hits > hits, "a later thread hits");
     }
 }

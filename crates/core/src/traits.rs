@@ -30,15 +30,16 @@ use crate::stats::{CacheStatsSnapshot, FragStatsSnapshot, OpStatsSnapshot};
 /// the methods whose answer it changes — nothing else.  Every optional
 /// read-out and maintenance method defaults to asking `inner()` first, so a
 /// hook the wrapper never heard of answers with the wrapped backend's value
-/// instead of the leaf default.  Three things do not come through `inner()`
-/// and want a one-line forward of their own: [`BuddyBackend::try_alloc`]
-/// (its default goes through `self.alloc`, so a wrapper's own gate or lock
+/// instead of the leaf default.  Four methods want a one-line forward of
+/// their own.  [`BuddyBackend::try_alloc`] does not come through `inner()`:
+/// its default goes through `self.alloc`, so a wrapper's own gate or lock
 /// is never skipped, at the price of losing the inner backend's error
-/// detail) and the per-operation lookups
+/// detail.  The per-operation lookups
 /// [`BuddyBackend::granted_size_of_live`],
 /// [`BuddyBackend::granted_size_for`] and
-/// [`BuddyBackend::grant_alignment_for`], which caches and the facade call
-/// on every request and which should stay statically dispatched.
+/// [`BuddyBackend::grant_alignment_for`] do reach `inner()` by default, but
+/// through a `&dyn BuddyBackend`; caches and the facade call them on every
+/// request, so forward them by hand to keep them statically dispatched.
 ///
 /// [`BuddyBackend::dealloc_sized`] follows the `try_alloc` pattern: its
 /// default is `self.dealloc(offset)`, so a wrapper's gate, lock or route is
