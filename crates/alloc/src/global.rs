@@ -24,9 +24,10 @@
 //!   or a park: a parked chunk is live in the tree, out of the scrubber's
 //!   reach.  A layout above the largest class goes to `System`, and so does
 //!   one whose class the tree has no block of left (a failover).  An armed
-//!   build never takes the fast path: it times every call as one event,
-//!   with the cache's events nested inside, and offers its profiler every
-//!   grant and release.
+//!   build never takes the fast path: its recorder (`NBBS_OBS`,
+//!   `NBBS_TRACE`) times every call as one event, with the cache's events
+//!   nested inside, and its profiler (`NBBS_PROFILE`) sees every grant and
+//!   release.
 //! * **`realloc` is the other two.**  A region block whose new size names
 //!   the class it already has is kept: the grow or shrink is booked in the
 //!   slot ([`MagazineCache::count_resize`]), inlined for a thread on the
@@ -36,7 +37,7 @@
 //!   `dealloc`, each with its own fast path, miss, failover, nested route
 //!   and `System` fallback.  It is booked as moved when the region holds
 //!   the new block and the latch is not engaged (a nested call books
-//!   nothing, as its `alloc` does not).  An armed build times each as one
+//!   nothing, as its `alloc` does not).  A recording build times each as one
 //!   grow/shrink event, a move's `alloc` and `dealloc` nested in it.
 //! * **`OnceLock::get_or_init` first touch.**  Threads that touch the
 //!   allocator while it is being built *block* on the `OnceLock` for the
@@ -73,10 +74,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, FacadeStatsSnapshot, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, NbbsFourLevel, ShellStatsSnapshot};
 use nbbs_cache::{drain_on_thread_exit, DrainOnExit, MagazineCache};
 use nbbs_obs::{
-    size_detail, HeapProfiler, MetricsRegistry, OpKind, Recorder, DEFAULT_PROFILE_STRIDE,
+    size_detail, HeapProfiler, OpKind, Recorder, StackSnapshot, DEFAULT_PROFILE_STRIDE,
 };
 use nbbs_sync::CachePadded;
 
@@ -136,7 +137,8 @@ impl BypassGuard {
     /// A shell's can — a new one built where a dropped one stood.
     fn enter(state: &State) -> BypassGuard {
         let mut op = BypassGuard::engage();
-        let key = state.key | usize::from(state.obs.is_some());
+        let armed = state.obs.is_some() || state.profiler.is_some();
+        let key = state.key | usize::from(armed);
         if op.key != key {
             drain_on_thread_exit(Arc::clone(&state.exit_hook) as Arc<dyn DrainOnExit>);
             op.key = key;
@@ -222,10 +224,12 @@ struct State {
     /// The whole stack: the cache over the region over the tree.
     cache: Arc<CachedRegion>,
     exit_hook: Arc<ExitLatch>,
-    /// The observer the environment armed, if any: the shell times every
-    /// call on it, the cache its slow paths, and its heap profiler (if it
-    /// has one) sees every grant and release.
+    /// The recorder `NBBS_OBS` or `NBBS_TRACE` armed, if any: the shell
+    /// times every call on it, and the cache its slow paths.
     obs: Option<Arc<Recorder>>,
+    /// The heap profiler `NBBS_PROFILE` armed, if any: it sees every grant
+    /// and release.
+    profiler: Option<Box<HeapProfiler>>,
     /// What the environment armed when the stack was built.
     env: Arming,
     /// The region's base address and length, read once when the stack is
@@ -242,11 +246,6 @@ impl State {
     #[inline]
     fn region(&self) -> &BuddyRegion<NbbsFourLevel> {
         self.cache.backend()
-    }
-
-    #[inline]
-    fn profiler(&self) -> Option<&HeapProfiler> {
-        self.obs.as_ref()?.profiler()
     }
 
     /// The class `layout` is served from: the cache's table entry for
@@ -372,14 +371,11 @@ impl NbbsGlobalAlloc {
 
     fn build(&self, env: Arming) -> Option<State> {
         let config = BuddyConfig::new(self.total_memory, self.min_size, self.max_size).ok()?;
-        // One handle for the whole stack.
-        let obs = match (env.recording, env.profile_stride) {
-            (true, Some(stride)) => Some(Recorder::new().with_profiler(stride)),
-            (true, None) => Some(Recorder::new()),
-            (false, Some(stride)) => Some(Recorder::profiler_only(stride)),
-            (false, None) => None,
-        }
-        .map(Arc::new);
+        // One recorder for the whole stack.
+        let obs = env.recording.then(|| Arc::new(Recorder::new()));
+        let profiler = env
+            .profile_stride
+            .map(|stride| Box::new(HeapProfiler::new(stride)));
         let mut cache = MagazineCache::new(BuddyRegion::new(NbbsFourLevel::new(config)))
             .with_name("cached-4lvl-nb");
         cache.set_recorder(obs.clone());
@@ -401,6 +397,7 @@ impl NbbsGlobalAlloc {
             exit_hook,
             cache,
             obs,
+            profiler,
             env,
         })
     }
@@ -465,7 +462,7 @@ impl NbbsGlobalAlloc {
                     || {
                         let class = class?;
                         let offset = state.cache.alloc_miss(class, layout.size().max(1))?;
-                        if let Some(profiler) = state.profiler() {
+                        if let Some(profiler) = &state.profiler {
                             profiler.record_alloc(offset, state.cache.class_size(class));
                         }
                         Some(state.ptr_at(offset))
@@ -522,7 +519,7 @@ impl NbbsGlobalAlloc {
     /// remote read-out of the cache's slots (one heavy barrier), like
     /// [`NbbsGlobalAlloc::cache_stats`].
     pub fn bytes_served(&self) -> (u64, u64) {
-        let stats = self.facade_stats();
+        let stats = self.shell_stats();
         (stats.requested_bytes, stats.system_bytes)
     }
 
@@ -542,8 +539,8 @@ impl NbbsGlobalAlloc {
     /// What the grants booked in the cache's slots (the grow/shrink split,
     /// the requested/granted bytes — all zero until the state is built),
     /// with the shell's own two counters added: `system_bytes` and
-    /// `system_failovers`.  Read through [`NbbsGlobalAlloc::metrics`]`.facade`.
-    fn facade_stats(&self) -> FacadeStatsSnapshot {
+    /// `system_failovers`.  Read through [`NbbsGlobalAlloc::metrics`]`.shell`.
+    fn shell_stats(&self) -> ShellStatsSnapshot {
         let mut stats = self
             .built_state()
             .map(|s| s.cache.served())
@@ -569,12 +566,6 @@ impl NbbsGlobalAlloc {
         }
     }
 
-    /// The stack's observer: present when built under `NBBS_OBS=1`,
-    /// `NBBS_TRACE=…` or `NBBS_PROFILE=<stride>`.
-    fn recorder(&self) -> Option<&Arc<Recorder>> {
-        self.built_state()?.obs.as_ref()
-    }
-
     /// When built under `NBBS_TRACE`: stops the event ring and dumps it as
     /// chrome-trace JSON, to the file the variable named or to stderr for
     /// `NBBS_TRACE=1`.  No-op otherwise.  Runs from the
@@ -596,21 +587,23 @@ impl NbbsGlobalAlloc {
 
     /// The full telemetry of the stack as one unified
     /// [`nbbs_obs::StackSnapshot`] — backend and cache counters, magazine
-    /// capacities, the byte shares and realloc split (`.facade`), the
+    /// capacities, the byte shares and realloc split (`.shell`), the
     /// region's committed bytes and scrubber counters (`.memory`, once the
     /// stack is built), and (when recording) tail-latency percentiles per
-    /// operation kind.
-    pub fn metrics(&self) -> nbbs_obs::StackSnapshot {
-        let mut reg = MetricsRegistry::new("nbbs-alloc");
-        reg.set_facade(self.facade_stats());
-        if let Some(state) = self.built_state() {
-            reg.observe_backend(&*state.cache);
-            reg.set_memory(Some(state.region().memory_stats()));
-            if let Some(rec) = &state.obs {
-                reg.set_recorder(Arc::clone(rec));
-            }
-        }
-        reg.snapshot()
+    /// operation kind.  Reading it never builds the stack.
+    pub fn metrics(&self) -> StackSnapshot {
+        const LABEL: &str = "nbbs-alloc";
+        let state = self.built_state();
+        let mut snap = match state {
+            Some(s) => StackSnapshot::of(LABEL, &*s.cache, s.obs.as_deref()),
+            None => StackSnapshot {
+                label: LABEL.to_string(),
+                ..StackSnapshot::default()
+            },
+        };
+        snap.shell = Some(self.shell_stats());
+        snap.memory = state.map(|s| s.region().memory_stats());
+        snap
     }
 
     /// A human-readable telemetry dump: buddy/system byte share, the
@@ -618,19 +611,20 @@ impl NbbsGlobalAlloc {
     /// armed — tail-latency percentiles, the event ring's `[flight]` crash
     /// dump and the ranked heap profile.
     ///
-    /// Rendered by [`nbbs_obs::MetricsRegistry`] (the one exposition path
-    /// every binary in the workspace shares); this is what
+    /// Rendered by [`StackSnapshot::text_table`] (the one table every
+    /// binary in the workspace prints); this is what
     /// [`NbbsGlobalAlloc::print_stats_on_exit`] writes to stderr when the
     /// process ends.
     pub fn stats_report(&self) -> String {
         let mut out = self.metrics().text_table();
-        if let Some(rec) = self.recorder() {
-            if !rec.ring().is_empty() {
-                out.push_str(&rec.ring().flight_dump());
-            }
-            if let Some(profiler) = rec.profiler() {
-                out.push_str(&profiler.report().text(10));
-            }
+        let Some(state) = self.built_state() else {
+            return out;
+        };
+        if let Some(rec) = state.obs.as_ref().filter(|rec| !rec.ring().is_empty()) {
+            out.push_str(&rec.ring().flight_dump());
+        }
+        if let Some(profiler) = &state.profiler {
+            out.push_str(&profiler.report().text(10));
         }
         out
     }
@@ -764,7 +758,7 @@ impl NbbsGlobalAlloc {
             // drain, the old block of a nested realloc): the profiler must
             // see a sampled one go.
             Some((state, offset)) if bypass_active() => {
-                if let Some(profiler) = state.profiler() {
+                if let Some(profiler) = &state.profiler {
                     profiler.record_free(offset);
                 }
                 state.region().dealloc(offset);
@@ -775,7 +769,7 @@ impl NbbsGlobalAlloc {
                     &state.obs,
                     OpKind::Free,
                     || {
-                        if let Some(profiler) = state.profiler() {
+                        if let Some(profiler) = &state.profiler {
                             profiler.record_free(offset);
                         }
                         match state.class_of(layout) {
@@ -798,7 +792,7 @@ impl NbbsGlobalAlloc {
     }
 
     /// `realloc`'s in-place resize past its fast path: registered and
-    /// booked under the latch, timed as one event under an armed build;
+    /// booked under the latch, timed as one event under a recording build;
     /// under a latch already engaged (a nested call, a thread past its exit
     /// drain) it books nothing.
     #[cold]
@@ -910,9 +904,15 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
+    /// `a`'s recorder: present when built under `NBBS_OBS=1` or
+    /// `NBBS_TRACE=…`.
+    fn recorder(a: &NbbsGlobalAlloc) -> Option<&Arc<Recorder>> {
+        a.built_state()?.obs.as_ref()
+    }
+
     /// The ranked heap profile of `a`'s armed profiler, if it has one.
     fn heap_profile(a: &NbbsGlobalAlloc) -> Option<nbbs_obs::ProfileReport> {
-        Some(a.recorder()?.profiler()?.report())
+        Some(a.built_state()?.profiler.as_ref()?.report())
     }
 
     /// A small shell built as if the environment armed `arming`.
@@ -968,7 +968,25 @@ mod tests {
         // The chunk parks in a magazine: user-visible accounting is zero.
         assert_eq!(a.buddy_allocated_bytes(), 0);
         assert!(a.cache_stats().unwrap().cached_frees > 0);
-        assert_eq!(a.facade_stats().buddy_share(), 1.0);
+        assert_eq!(a.shell_stats().buddy_share(), 1.0);
+    }
+
+    #[test]
+    fn reading_a_shell_that_served_nothing_does_not_build_it() {
+        let a = NbbsGlobalAlloc::new(1 << 20, 64, 1 << 16);
+        let metrics = a.metrics();
+        let report = a.stats_report();
+        assert_eq!(a.bytes_served(), (0, 0));
+        assert!(a.cache_stats().is_none());
+        assert_eq!(a.scrub_pass(), 0);
+        a.drain_cache();
+        assert!(a.state.get().is_none(), "a read built the stack");
+        assert!(metrics.memory.is_none() && metrics.cache.is_none());
+        assert_eq!(metrics.shell, Some(ShellStatsSnapshot::default()));
+        assert!(
+            report.starts_with("== nbbs stack: nbbs-alloc =="),
+            "{report}"
+        );
     }
 
     #[test]
@@ -983,7 +1001,7 @@ mod tests {
             assert_eq!(p as usize % 4096, 0);
             a.dealloc(p, layout);
         }
-        assert_eq!(a.facade_stats().buddy_share(), 1.0);
+        assert_eq!(a.shell_stats().buddy_share(), 1.0);
     }
 
     #[test]
@@ -997,7 +1015,7 @@ mod tests {
             assert!(!a.owns(p));
             a.dealloc(p, layout);
         }
-        assert!(a.facade_stats().buddy_share() < 1.0);
+        assert!(a.shell_stats().buddy_share() < 1.0);
     }
 
     #[test]
@@ -1026,7 +1044,7 @@ mod tests {
             assert_eq!(*q.add(99), 0x11);
             a.dealloc(q, Layout::from_size_align(128, 8).unwrap());
         }
-        assert_eq!(a.facade_stats().grows_in_place, 1);
+        assert_eq!(a.shell_stats().grows_in_place, 1);
         // An in-place grow serves nothing new: the buddy figure stays the
         // one 100-byte allocation.
         assert_eq!(a.bytes_served().0, 100);
@@ -1101,7 +1119,7 @@ mod tests {
                 "a first-touch thread fell back to System"
             );
         }
-        assert_eq!(a.facade_stats().buddy_share(), 1.0);
+        assert_eq!(a.shell_stats().buddy_share(), 1.0);
     }
 
     #[test]
@@ -1136,14 +1154,14 @@ mod tests {
             let q = a.realloc(p, layout, 2048); // moved grow
             a.dealloc(q, Layout::from_size_align(2048, 8).unwrap());
         }
-        assert!(a.recorder().is_some());
+        assert!(recorder(&a).is_some());
         let report = a.stats_report();
         assert!(report.contains("latency  alloc"), "{report}");
         assert!(report.contains("latency  grow"), "{report}");
         assert!(report.contains("[flight]"), "{report}");
-        let json = a.metrics().to_json();
-        assert!(json.contains("\"latency\":{"), "{json}");
-        assert!(json.contains("\"p99_ns\":"), "{json}");
+        let metrics = a.metrics();
+        let grow = metrics.latency_of(OpKind::Grow).expect("a grow recorded");
+        assert!(grow.p99_ns.is_finite(), "{grow:?}");
     }
 
     #[test]
@@ -1157,7 +1175,7 @@ mod tests {
             let p = a.alloc(layout);
             a.dealloc(p, layout);
         }
-        assert!(a.recorder().is_none());
+        assert!(recorder(&a).is_none());
         assert!(!a.stats_report().contains("latency"), "no latency section");
     }
 
@@ -1238,14 +1256,14 @@ mod tests {
         let slices = nbbs_obs::jsoncheck::validate_chrome_trace(&doc).expect("valid trace");
         assert_eq!(slices, 4, "alloc (a miss and its refill under it), free");
         assert!(
-            !a.recorder().unwrap().ring().is_recording(),
+            !recorder(&a).unwrap().ring().is_recording(),
             "dump stops it"
         );
-        // Profile alone: a handle that times nothing.
+        // Profile alone: a profiler and no recorder.
         let a = armed(Arming::parse(env(&[("NBBS_PROFILE", "2")])));
         touch(&a);
         assert_eq!(heap_profile(&a).unwrap().stride, 2);
-        assert!(a.recorder().unwrap().ring().is_empty());
+        assert!(recorder(&a).is_none());
         assert!(!a.stats_report().contains("latency"), "no latency section");
         a.dump_trace(); // not armed: nothing to do
     }
@@ -1290,19 +1308,16 @@ mod tests {
             a.dealloc(p, layout);
         }
         assert_eq!(heap_profile(&a).unwrap().attributed_live_bytes(), 0);
-        assert!(
-            a.recorder().unwrap().ring().is_empty(),
-            "profiling alone reads no timestamp"
-        );
+        assert!(recorder(&a).is_none(), "profiling alone reads no timestamp");
         // Requested-vs-granted flows into the unified snapshot.
-        let share = a.metrics().facade.expect("facade share present");
+        let share = a.metrics().shell.expect("shell share present");
         assert_eq!(share.requested_bytes, 256);
         assert_eq!(share.granted_bytes, 256);
     }
 
     #[test]
     fn frees_on_the_bypass_path_reach_the_profiler() {
-        // A block sampled on the facade path and freed with the bypass
+        // A block sampled on the cached route and freed with the bypass
         // latch engaged (a thread past its exit drain, the old block of a
         // re-entrant realloc) used to stay live in the profile until its
         // offset was recycled.
@@ -1343,8 +1358,7 @@ mod tests {
             report.contains("degraded: 1 system failovers\n"),
             "{report}"
         );
-        let json = a.metrics().to_json();
-        assert!(json.contains("\"system_failovers\":1"), "{json}");
+        assert_eq!(a.metrics().shell.unwrap().system_failovers, 1);
     }
 
     #[test]
@@ -1392,11 +1406,6 @@ mod tests {
         let report = a.stats_report();
         assert!(report.contains("  memory   "), "{report}");
         assert!(report.contains("  scrub    "), "{report}");
-        let json = a.metrics().to_json();
-        assert!(
-            json.contains("\"memory\":{\"managed_bytes\":1048576"),
-            "{json}"
-        );
     }
 
     #[test]
@@ -1657,7 +1666,7 @@ mod tests {
         let layout = |size| Layout::from_size_align(size, 8).unwrap();
         // What the raw route leaves alone: the cache's counters, and what
         // the grants and the realloc split booked.
-        let tallies = |a: &NbbsGlobalAlloc| (a.cache_stats(), a.facade_stats());
+        let tallies = |a: &NbbsGlobalAlloc| (a.cache_stats(), a.shell_stats());
         let on_a_thread =
             |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
         // SAFETY: each block is live under the layout it is passed with, and

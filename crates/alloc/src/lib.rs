@@ -107,4 +107,4 @@ mod global;
 
 pub use facade::NbbsAllocator;
 pub use global::NbbsGlobalAlloc;
-pub use nbbs::FacadeStatsSnapshot;
+pub use nbbs::ShellStatsSnapshot;

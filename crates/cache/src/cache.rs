@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nbbs::error::FreeError;
-use nbbs::{BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, Geometry, TreeInspect};
+use nbbs::{BuddyBackend, CacheStatsSnapshot, Geometry, ShellStatsSnapshot, TreeInspect};
 use nbbs_obs::{OpKind, Recorder};
 use nbbs_sync::{thread_stripe, CachePadded, OwnedSlots, SpinLock};
 
@@ -1115,7 +1115,7 @@ impl<A: BuddyBackend> MagazineCache<A> {
     /// [`MagazineCache::count_resize`] booked, summed over every slot, in
     /// the snapshot's fields (its two `system_*` stay zero).  A remote
     /// read-out (see *Consistency* on the type).
-    pub fn served(&self) -> FacadeStatsSnapshot {
+    pub fn served(&self) -> ShellStatsSnapshot {
         let (mut requested, mut granted, mut resizes) = (0, 0, [0; 4]);
         self.slots.for_each_slot(|slot| {
             requested += slot.requested;
@@ -1125,14 +1125,14 @@ impl<A: BuddyBackend> MagazineCache<A> {
             }
         });
         let [shrinks_in_place, shrinks_moved, grows_in_place, grows_moved] = resizes;
-        FacadeStatsSnapshot {
+        ShellStatsSnapshot {
             grows_in_place,
             grows_moved,
             shrinks_in_place,
             shrinks_moved,
             requested_bytes: requested,
             granted_bytes: granted,
-            ..FacadeStatsSnapshot::default()
+            ..ShellStatsSnapshot::default()
         }
     }
 

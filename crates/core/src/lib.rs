@@ -128,7 +128,7 @@ pub use onelvl::NbbsOneLevel;
 pub use region::BuddyRegion;
 pub use slotset::{nearest_first_order, SlotSet};
 pub use stats::{
-    CacheStatsSnapshot, FacadeStatsSnapshot, FragClassSnapshot, FragStatsSnapshot,
-    MemoryStatsSnapshot, NodeStatsSnapshot, OpStats, OpStatsSnapshot, CAS_LEVELS,
+    CacheStatsSnapshot, FragClassSnapshot, FragStatsSnapshot, MemoryStatsSnapshot,
+    NodeStatsSnapshot, OpStats, OpStatsSnapshot, ShellStatsSnapshot, CAS_LEVELS,
 };
 pub use traits::{BuddyBackend, TreeInspect};

@@ -81,6 +81,7 @@ pub struct Mapping {
 // SAFETY: the span is only dereferenced through disjoint ranges handed out
 // by a thread-safe buddy backend; the bitmap is atomic.
 unsafe impl Send for Mapping {}
+// SAFETY: as above; every field a shared reference writes is atomic.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {

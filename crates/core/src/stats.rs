@@ -5,8 +5,8 @@
 //! [`CacheStatsSnapshot`] (`nbbs-cache`), [`FragStatsSnapshot`]
 //! (`nbbs-slab`), [`NodeStatsSnapshot`] (`nbbs-numa`),
 //! [`MemoryStatsSnapshot`] ([`crate::BuddyRegion`]) and
-//! [`FacadeStatsSnapshot`] (`nbbs-alloc`).  Every layer and `nbbs-obs`
-//! already depend on this crate, so a registry, a report or a
+//! [`ShellStatsSnapshot`] (`nbbs-alloc`).  Every layer and `nbbs-obs`
+//! already depend on this crate, so a stack snapshot, a report or a
 //! `dyn BuddyBackend` hook takes the value the layer filled in instead of
 //! a field-by-field copy; `nbbs-numa` and `nbbs-alloc` re-export theirs.
 //!
@@ -367,7 +367,7 @@ impl NodeStatsSnapshot {
 /// the cache's slots; `system_bytes` and `system_failovers` are the
 /// shell's own two counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FacadeStatsSnapshot {
+pub struct ShellStatsSnapshot {
     /// Growing `realloc`s resolved without moving the block.
     pub grows_in_place: u64,
     /// Growing `realloc`s that allocated a larger block and copied.
@@ -378,7 +378,7 @@ pub struct FacadeStatsSnapshot {
     /// difference back to the buddy).
     pub shrinks_moved: u64,
     /// Cumulative bytes *asked for* by successful allocations
-    /// (`layout.size()`, zero-sized grilled up to 1) — the one odometer of
+    /// (`layout.size()`, a zero size counted as 1) — the one odometer of
     /// bytes the buddy granted for.  An in-place `realloc` allocates nothing
     /// and adds nothing.
     pub requested_bytes: u64,
@@ -394,7 +394,7 @@ pub struct FacadeStatsSnapshot {
     pub system_failovers: u64,
 }
 
-impl FacadeStatsSnapshot {
+impl ShellStatsSnapshot {
     /// Fraction of growing `realloc`s that resolved in place (0.0 when no grow
     /// ran).
     pub fn grow_in_place_rate(&self) -> f64 {

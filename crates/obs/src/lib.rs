@@ -6,16 +6,14 @@
 //! here, behind one handle.
 //!
 //! **What the handle owns.**  A [`Recorder`] is one allocator stack's
-//! observer: one lock-free log-bucketed [`LatencyHistogram`] per [`OpKind`]
-//! (p50…p99.9/max, calibrated to nanoseconds via [`tsc_hz`]); one
+//! timer: one lock-free log-bucketed [`LatencyHistogram`] per [`OpKind`]
+//! (p50…p99.9/max, calibrated to nanoseconds via [`tsc_hz`]), and one
 //! [`TraceRing`] of the same events (start TSC, duration, kind, detail,
 //! NUMA node, outcome), recording from the moment the recorder exists, with
 //! two views — [`TraceRing::flight_dump`], the run-length `[flight]` tail
 //! that `atexit` hooks, panic paths and failing soak assertions print, and
 //! [`TraceRing::to_chrome_json`], the chrome://tracing timeline, windowed
-//! by [`TraceRing::stop`] / [`TraceRing::start`] epochs; and, when armed
-//! with one ([`Recorder::with_profiler`]), a sampled allocation-site
-//! [`HeapProfiler`] dumped as a ranked [`ProfileReport`].
+//! by [`TraceRing::stop`] / [`TraceRing::start`] epochs.
 //!
 //! **How a layer records.**  A layer that can be observed holds one
 //! `Option<Arc<Recorder>>` and wraps a slow path in [`Recorder::time`]:
@@ -36,8 +34,7 @@
 //! assert!(rec.ring().flight_dump().contains("cache_refill"));
 //! ```
 //!
-//! A profiler-only handle ([`Recorder::profiler_only`]) reads no timestamp
-//! either, and a new cause costs one [`OpKind`] variant and one such call.
+//! A new cause costs one [`OpKind`] variant and one such call.
 //! [`Recorded`] is the same thing as a `BuddyBackend` wrapper (sampled by a
 //! per-thread stride), which instruments every workload driver without
 //! touching its loop.
@@ -51,10 +48,13 @@
 //! hook that `NbbsGlobalAlloc::print_stats_on_exit` registers: a program
 //! that never calls it writes no trace.
 //!
-//! Around the handle: [`MetricsRegistry`] / [`StackSnapshot`] unify every
-//! counter family of the stack with one text-table and JSON exposition, and
-//! [`jsoncheck`] is the strict parser every emitted format is gated by (the
-//! build environment is offline — no serde).  The crate depends only on
+//! Around the handle: [`StackSnapshot::of`] reads every counter family of a
+//! stack, and the recorder's percentiles, into one value with one text
+//! table; the sampled allocation-site [`HeapProfiler`] (the global shell
+//! holds one beside its recorder under `NBBS_PROFILE`) dumps a ranked
+//! [`ProfileReport`]; and [`jsoncheck`] is the strict parser the emitted
+//! JSON (the chrome trace, the benchmark rows) is gated by (the build
+//! environment is offline — no serde).  The crate depends only on
 //! `nbbs` and `nbbs-sync`, so every higher layer can use it without cycles:
 //! each layer's snapshot type lives in [`nbbs::stats`], the recording
 //! thread's NUMA node arrives through `nbbs_sync::thread_node`.
@@ -76,7 +76,7 @@ pub use hist::{
 pub use profile::{HeapProfiler, ProfileReport, SiteReport, DEFAULT_PROFILE_STRIDE};
 pub use recorded::{Recorded, DEFAULT_SAMPLE_STRIDE};
 pub use recorder::{size_detail, OpKind, OpOutcome, Recorder};
-pub use registry::{MetricsRegistry, StackSnapshot};
+pub use registry::StackSnapshot;
 pub use ring::{TraceEvent, TraceRing, TRACE_CAPACITY, TRACE_RINGS};
 
 /// Hand-rolled JSON helpers shared by every exposition path in the

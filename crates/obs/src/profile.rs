@@ -25,8 +25,6 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::json;
-
 /// Default sampling stride: profile one in every 64 allocations.
 pub const DEFAULT_PROFILE_STRIDE: u32 = 64;
 
@@ -144,36 +142,6 @@ impl ProfileReport {
         if self.sites.len() > limit {
             let _ = writeln!(out, "  ... {} more site(s)", self.sites.len() - limit);
         }
-        out
-    }
-
-    /// Renders the whole report as one JSON object.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"stride\":{},\"sampled_allocs\":{},\"dropped_samples\":{},\
-             \"attributed_live_bytes\":{},\"sites\":[",
-            self.stride,
-            self.sampled_allocs,
-            self.dropped_samples,
-            self.attributed_live_bytes()
-        );
-        for (i, s) in self.sites.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"label\":\"{}\",\"live_bytes\":{},\"live_objects\":{},\
-                 \"est_cum_bytes\":{},\"est_cum_allocs\":{}}}",
-                if i == 0 { "" } else { "," },
-                json::esc(&s.label),
-                s.live_bytes,
-                s.live_objects,
-                s.est_cum_bytes,
-                s.est_cum_allocs
-            );
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -537,21 +505,18 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_text_and_valid_json() {
+    fn report_renders_text() {
         let prof = HeapProfiler::new(4);
         for i in 0..32 {
             prof.record_alloc(i * 256, 64);
         }
         let report = prof.report();
         assert_eq!(report.sampled_allocs, 8, "stride 4 over 32 allocs");
+        assert_eq!((report.stride, report.attributed_live_bytes()), (4, 8 * 64));
         let text = report.text(5);
-        assert!(text.contains("== heap profile:"), "{text}");
-        let json = report.to_json();
-        let doc = crate::jsoncheck::parse(&json).expect("valid JSON");
-        assert_eq!(doc.get("stride").unwrap().as_f64(), Some(4.0), "{json}");
-        assert_eq!(
-            doc.get("attributed_live_bytes").unwrap().as_f64(),
-            Some(report.attributed_live_bytes() as f64)
+        assert!(
+            text.starts_with("== heap profile: 512 B live over 1 site(s) (stride 4, 8 sampled"),
+            "{text}"
         );
     }
 

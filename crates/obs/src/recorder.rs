@@ -9,7 +9,6 @@ use std::sync::Arc;
 use nbbs_sync::cycles_now;
 
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
-use crate::profile::HeapProfiler;
 use crate::ring::TraceRing;
 
 /// The operations the stack records, one histogram each.
@@ -103,55 +102,27 @@ impl OpOutcome {
     }
 }
 
-/// The per-stack observation handle: one latency histogram per [`OpKind`],
-/// the event ring of recent operations, and — when armed with one — the
-/// sampled allocation-site [`HeapProfiler`].
+/// The per-stack observation handle: one latency histogram per [`OpKind`]
+/// and the event ring of recent operations.
 ///
 /// Shared as `Arc<Recorder>` by every instrumented layer of one allocator
 /// stack, so a single snapshot, crash dump or trace export sees the shell,
-/// the cache and the slab together.  The handle knows which of its parts
-/// are on: a profiler-only recorder ([`Recorder::profiler_only`]) times
-/// nothing.
+/// the cache and the slab together.
 pub struct Recorder {
     hists: [LatencyHistogram; OpKind::COUNT],
     ring: TraceRing,
-    profiler: Option<HeapProfiler>,
-    /// Whether [`Recorder::time`] reads timestamps (off for a
-    /// profiler-only handle).
-    timing: bool,
 }
 
 impl Recorder {
-    /// Creates an empty recorder: latency histograms and the event ring on,
-    /// no heap profiler.
+    /// Creates an empty recorder.
     pub fn new() -> Self {
         Recorder {
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
             ring: TraceRing::new(),
-            profiler: None,
-            timing: true,
         }
     }
 
-    /// Adds a heap profiler sampling one in `stride` allocations.
-    #[must_use]
-    pub fn with_profiler(mut self, stride: u32) -> Self {
-        self.profiler = Some(HeapProfiler::new(stride));
-        self
-    }
-
-    /// A handle whose only armed part is the heap profiler: layers holding
-    /// it offer grants and frees to the profiler and read no timestamp.
-    pub fn profiler_only(stride: u32) -> Self {
-        Recorder {
-            hists: std::array::from_fn(|_| LatencyHistogram::new()),
-            ring: TraceRing::with_geometry(1, 1),
-            profiler: Some(HeapProfiler::new(stride)),
-            timing: false,
-        }
-    }
-
-    /// Runs `op`, timing it as one `kind` event when `obs` holds a timing
+    /// Runs `op`, timing it as one `kind` event when `obs` holds a
     /// recorder.  `describe` turns the finished operation into the event's
     /// `detail` payload and whether it succeeded; it runs only when the
     /// event is recorded, so an un-armed layer pays one `Option` test.
@@ -164,10 +135,7 @@ impl Recorder {
         op: impl FnOnce() -> T,
         describe: impl FnOnce(&T) -> (u64, bool),
     ) -> T {
-        let started = obs
-            .as_deref()
-            .filter(|rec| rec.timing)
-            .map(|rec| (rec, cycles_now()));
+        let started = obs.as_deref().map(|rec| (rec, cycles_now()));
         let out = op();
         if let Some((rec, t0)) = started {
             let (detail, ok) = describe(&out);
@@ -221,11 +189,6 @@ impl Recorder {
     /// ([`TraceRing::to_chrome_json`]) views.
     pub fn ring(&self) -> &TraceRing {
         &self.ring
-    }
-
-    /// The heap profiler, when this handle was armed with one.
-    pub fn profiler(&self) -> Option<&HeapProfiler> {
-        self.profiler.as_ref()
     }
 }
 
@@ -320,35 +283,31 @@ mod tests {
     }
 
     #[test]
-    fn time_records_only_on_a_timing_handle() {
-        let describe = |out: &Option<u32>| (7, out.is_some());
-        let none = None;
+    fn time_records_only_on_an_armed_handle() {
         assert_eq!(
-            Recorder::time(&none, OpKind::Alloc, || Some(1), describe),
+            Recorder::time(
+                &None,
+                OpKind::Alloc,
+                || Some(1),
+                |_| unreachable!("an unarmed layer describes nothing"),
+            ),
             Some(1)
         );
 
         let armed = Some(Arc::new(Recorder::new()));
         assert_eq!(
-            Recorder::time(&armed, OpKind::Alloc, || None, describe),
+            Recorder::time(
+                &armed,
+                OpKind::Alloc,
+                || None::<u32>,
+                |out| (7, out.is_some())
+            ),
             None
         );
         let rec = armed.as_ref().unwrap();
         assert_eq!(rec.snapshot(OpKind::Alloc).total(), 1);
         let ev = rec.ring().events()[0];
         assert_eq!((ev.class, ev.outcome), (7, OpOutcome::Failed));
-
-        let profiling = Some(Arc::new(Recorder::profiler_only(1)));
-        Recorder::time(
-            &profiling,
-            OpKind::Alloc,
-            || Some(1),
-            |_| unreachable!("a profiler-only handle describes nothing"),
-        );
-        let rec = profiling.as_ref().unwrap();
-        assert!(rec.profiler().is_some());
-        assert_eq!(rec.merged_snapshot(&OpKind::ALL).total(), 0);
-        assert!(rec.ring().is_empty());
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! The unified metrics registry.
+//! The one snapshot of an allocator stack.
 //!
 //! Each layer keeps its own counters — `OpStatsSnapshot` (tree),
 //! `CacheStatsSnapshot` and magazine capacities (cache), fragmentation
 //! counters (slab), buddy/system byte shares and realloc counters (shell),
-//! committed memory (region).
-//! [`MetricsRegistry`] collects all of them, plus the latency histograms of
-//! an attached [`Recorder`], into one typed [`StackSnapshot`] with a single
-//! text-table and a single hand-rolled JSON exposition, so every binary in
-//! the workspace reports identically.
+//! committed memory (region).  [`StackSnapshot::of`] reads what a
+//! `dyn BuddyBackend` reports, plus the latency histograms of a
+//! [`Recorder`], into one typed [`StackSnapshot`] with a single text table,
+//! so every binary in the workspace reports identically.  The figures no
+//! backend reports (the shell's, the region's) are plain fields the caller
+//! sets.
 //!
 //! The crate sits *below* `nbbs-cache`/`nbbs-numa`/`nbbs-alloc` in the
 //! dependency graph; every layer's snapshot type is declared in
-//! [`nbbs::stats`], which all of them depend on, so the registry takes the
+//! [`nbbs::stats`], which all of them depend on, so the snapshot takes the
 //! very values the layers filled in.
 
-use std::sync::Arc;
-
 use nbbs::{
-    BuddyBackend, CacheStatsSnapshot, FacadeStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot,
-    OccupancySnapshot, OpStatsSnapshot, CAS_LEVELS,
+    BuddyBackend, CacheStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OccupancySnapshot,
+    OpStatsSnapshot, ShellStatsSnapshot, CAS_LEVELS,
 };
 
 use crate::hist::LatencyPercentiles;
@@ -38,8 +37,9 @@ pub struct StackSnapshot {
     /// Per-class fragmentation counters, if the stack has a slab layer
     /// (committed-over-requested ratio, live pages, passthrough traffic).
     pub frag: Option<FragStatsSnapshot>,
-    /// The shell's byte shares and realloc counters, if it reports them.
-    pub facade: Option<FacadeStatsSnapshot>,
+    /// The global shell's byte shares and realloc counters, if it reports
+    /// them.
+    pub shell: Option<ShellStatsSnapshot>,
     /// Tree occupancy (per-level fill, free-block runs, external
     /// fragmentation), if the backend exposes a status tree.
     pub occupancy: Option<OccupancySnapshot>,
@@ -52,6 +52,45 @@ pub struct StackSnapshot {
 }
 
 impl StackSnapshot {
+    /// The snapshot of the stack `backend` heads: everything it reports
+    /// (operation counters, cache counters, magazine capacities, slab
+    /// fragmentation counters, occupancy), and the percentiles of every
+    /// kind `recorder` holds samples of.  `shell` and `memory` stay `None`.
+    ///
+    /// ```
+    /// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+    /// use nbbs_obs::StackSnapshot;
+    ///
+    /// let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap());
+    /// let a = tree.alloc(100).unwrap();
+    /// tree.dealloc(a);
+    ///
+    /// let snap = StackSnapshot::of("example", &tree, None);
+    /// assert!(snap.occupancy.is_some());
+    /// assert!(snap.text_table().starts_with("== nbbs stack: example =="));
+    /// ```
+    pub fn of(label: &str, backend: &dyn BuddyBackend, recorder: Option<&Recorder>) -> Self {
+        let latency = recorder.map_or_else(Vec::new, |rec| {
+            OpKind::ALL
+                .into_iter()
+                .map(|kind| (kind, rec.snapshot(kind)))
+                .filter(|(_, snap)| !snap.is_empty())
+                .map(|(kind, snap)| (kind, snap.percentiles()))
+                .collect()
+        });
+        StackSnapshot {
+            label: label.to_string(),
+            backend_ops: backend.stats(),
+            cache: backend.cache_stats(),
+            capacities: backend.cache_class_capacities(),
+            frag: backend.frag_stats(),
+            shell: None,
+            occupancy: backend.occupancy(),
+            memory: None,
+            latency,
+        }
+    }
+
     /// The latency summary of one kind, if it recorded any samples.
     pub fn latency_of(&self, kind: OpKind) -> Option<&LatencyPercentiles> {
         self.latency
@@ -66,12 +105,12 @@ impl StackSnapshot {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "== nbbs stack: {} ==", self.label);
-        if let Some(f) = &self.facade {
+        if let Some(f) = &self.shell {
             // The buddy figure is the shell's requested-bytes odometer.
             if f.requested_bytes + f.system_bytes > 0 {
                 let _ = writeln!(
                     out,
-                    "  facade   {} B buddy / {} B system ({:.1}% buddy share)",
+                    "  shell    {} B buddy / {} B system ({:.1}% buddy share)",
                     f.requested_bytes,
                     f.system_bytes,
                     f.buddy_share() * 100.0
@@ -79,7 +118,7 @@ impl StackSnapshot {
             }
             let _ = writeln!(
                 out,
-                "  facade   realloc: {} grows in place, {} moved ({:.1}% in place); \
+                "  shell    realloc: {} grows in place, {} moved ({:.1}% in place); \
                  {} shrinks in place, {} moved",
                 f.grows_in_place,
                 f.grows_moved,
@@ -90,7 +129,7 @@ impl StackSnapshot {
             if f.requested_bytes > 0 {
                 let _ = writeln!(
                     out,
-                    "  facade   {:.2} granted/requested ({} B granted over {} B asked)",
+                    "  shell    {:.2} granted/requested ({} B granted over {} B asked)",
                     f.granted_over_requested(),
                     f.granted_bytes,
                     f.requested_bytes
@@ -99,7 +138,7 @@ impl StackSnapshot {
             if f.system_failovers > 0 {
                 let _ = writeln!(
                     out,
-                    "  facade   degraded: {} system failovers",
+                    "  shell    degraded: {} system failovers",
                     f.system_failovers
                 );
             }
@@ -229,170 +268,6 @@ impl StackSnapshot {
         }
         out
     }
-
-    /// Renders the snapshot as one JSON object (one line, no trailing
-    /// newline): the machine-readable twin of
-    /// [`StackSnapshot::text_table`], for a program that logs what the
-    /// global shell's `metrics()` returns.  No file is written from it.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(out, "{{\"label\":\"{}\"", crate::json::esc(&self.label));
-        let ops = &self.backend_ops;
-        let _ = write!(
-            out,
-            ",\"backend_ops\":{{\"allocs\":{},\"frees\":{},\"failed_allocs\":{},\
-             \"cas_ops\":{},\"cas_failures\":{},\"nodes_skipped\":{}",
-            ops.allocs,
-            ops.frees,
-            ops.failed_allocs,
-            ops.cas_ops,
-            ops.cas_failures,
-            ops.nodes_skipped
-        );
-        if ops.has_level_contention() {
-            let bins: Vec<String> = ops
-                .cas_failures_by_level
-                .iter()
-                .map(|c| c.to_string())
-                .collect();
-            let _ = write!(out, ",\"cas_failures_by_level\":[{}]", bins.join(","));
-        }
-        out.push('}');
-        if let Some(c) = &self.cache {
-            let _ = write!(
-                out,
-                ",\"cache\":{{\"hits\":{},\"misses\":{},\"cached_frees\":{},\"flushed\":{},\
-                 \"refilled\":{},\"depot_exchanges\":{},\"drained\":{},\"depot_spills\":{},\
-                 \"resize_grows\":{},\
-                 \"orphan_rescues\":{},\"depot_shards\":{}}}",
-                c.hits,
-                c.misses,
-                c.cached_frees,
-                c.flushed,
-                c.refilled,
-                c.depot_exchanges,
-                c.drained,
-                c.depot_spills,
-                c.resize_grows,
-                c.orphan_rescues,
-                c.depot_shards
-            );
-        }
-        if let Some(caps) = &self.capacities {
-            let rendered: Vec<String> = caps
-                .iter()
-                .map(|(class, cap)| format!("[{class},{cap}]"))
-                .collect();
-            let _ = write!(out, ",\"magazine_capacities\":[{}]", rendered.join(","));
-        }
-        if let Some(frag) = &self.frag {
-            let classes: Vec<String> = frag
-                .classes
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"class_size\":{},\"bytes_requested\":{},\"bytes_committed\":{},\
-                         \"live_objects\":{}}}",
-                        c.class_size, c.bytes_requested, c.bytes_committed, c.live_objects
-                    )
-                })
-                .collect();
-            let _ = write!(
-                out,
-                ",\"frag\":{{\"ratio\":{},\"bytes_requested\":{},\"bytes_committed\":{},\
-                 \"pages_live\":{},\"pages_retired\":{},\"passthrough_allocs\":{},\
-                 \"classes\":[{}]}}",
-                crate::json::num(frag.ratio()),
-                frag.bytes_requested(),
-                frag.bytes_committed(),
-                frag.pages_live,
-                frag.pages_retired,
-                frag.passthrough_allocs,
-                classes.join(",")
-            );
-        }
-        if let Some(f) = &self.facade {
-            let _ = write!(
-                out,
-                ",\"facade\":{{\"buddy_bytes\":{},\"system_bytes\":{},\"grows_in_place\":{},\
-                 \"grows_moved\":{},\"shrinks_in_place\":{},\"shrinks_moved\":{},\
-                 \"system_failovers\":{},\
-                 \"requested_bytes\":{},\"granted_bytes\":{},\"granted_over_requested\":{}}}",
-                f.requested_bytes,
-                f.system_bytes,
-                f.grows_in_place,
-                f.grows_moved,
-                f.shrinks_in_place,
-                f.shrinks_moved,
-                f.system_failovers,
-                f.requested_bytes,
-                f.granted_bytes,
-                crate::json::num(f.granted_over_requested())
-            );
-        }
-        if let Some(occ) = &self.occupancy {
-            let levels: Vec<String> = occ
-                .levels
-                .iter()
-                .map(|l| {
-                    format!(
-                        "{{\"chunk_size\":{},\"nodes\":{},\"free\":{},\"occupied\":{},\
-                         \"busy\":{},\"fill\":{}}}",
-                        l.chunk_size,
-                        l.nodes,
-                        l.free,
-                        l.occupied,
-                        l.busy,
-                        crate::json::num(l.fill())
-                    )
-                })
-                .collect();
-            let _ = write!(
-                out,
-                ",\"occupancy\":{{\"total_free_bytes\":{},\"largest_free_block\":{},\
-                 \"free_blocks\":{},\"external_frag\":{},\"merged_trees\":{},\
-                 \"levels\":[{}]}}",
-                occ.total_free_bytes,
-                occ.largest_free_block,
-                occ.free_blocks,
-                crate::json::num(occ.external_frag()),
-                occ.merged_trees,
-                levels.join(",")
-            );
-        }
-        if let Some(m) = &self.memory {
-            let _ = write!(
-                out,
-                ",\"memory\":{{\"managed_bytes\":{},\"committed_bytes\":{},\
-                 \"decommitted_bytes\":{},\"committed_ratio\":{},\"scrub_passes\":{},\
-                 \"scrub_blocks\":{},\"scrub_bytes\":{},\"decommit_calls\":{},\
-                 \"metadata_decommitted_bytes\":{},\"recommitted_bytes\":{},\
-                 \"trimmed_pages\":{}}}",
-                m.managed_bytes,
-                m.committed_bytes,
-                m.decommitted_bytes,
-                crate::json::num(m.committed_ratio()),
-                m.scrub_passes,
-                m.scrub_blocks,
-                m.scrub_bytes,
-                m.decommit_calls,
-                m.metadata_decommitted_bytes,
-                m.recommitted_bytes,
-                m.trimmed_pages
-            );
-        }
-        if !self.latency.is_empty() {
-            let rendered: Vec<String> = self
-                .latency
-                .iter()
-                .map(|(k, p)| format!("\"{}\":{}", k.name(), p.to_json()))
-                .collect();
-            let _ = write!(out, ",\"latency\":{{{}}}", rendered.join(","));
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Formats a byte size compactly for the occupancy heatmap row.
@@ -419,217 +294,98 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Collects the per-layer snapshots of one allocator stack and produces
-/// [`StackSnapshot`]s.
-///
-/// ```
-/// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
-/// use nbbs_obs::MetricsRegistry;
-///
-/// let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap());
-/// let a = tree.alloc(100).unwrap();
-/// tree.dealloc(a);
-///
-/// let mut reg = MetricsRegistry::new("example");
-/// reg.observe_backend(&tree);
-/// let snap = reg.snapshot();
-/// println!("{}", snap.text_table());
-/// assert!(snap.to_json().starts_with("{\"label\":\"example\""));
-/// ```
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    label: String,
-    backend_ops: OpStatsSnapshot,
-    cache: Option<CacheStatsSnapshot>,
-    capacities: Option<Vec<(usize, usize)>>,
-    frag: Option<FragStatsSnapshot>,
-    facade: Option<FacadeStatsSnapshot>,
-    occupancy: Option<OccupancySnapshot>,
-    memory: Option<MemoryStatsSnapshot>,
-    recorder: Option<Arc<Recorder>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry for the stack called `label`.
-    pub fn new(label: impl Into<String>) -> Self {
-        MetricsRegistry {
-            label: label.into(),
-            ..Default::default()
-        }
-    }
-
-    /// Pulls everything a `dyn BuddyBackend` exposes: operation counters,
-    /// cache counters, magazine capacities and slab fragmentation counters.
-    pub fn observe_backend(&mut self, backend: &dyn BuddyBackend) -> &mut Self {
-        self.backend_ops = backend.stats();
-        self.cache = backend.cache_stats();
-        self.capacities = backend.cache_class_capacities();
-        self.frag = backend.frag_stats();
-        self.occupancy = backend.occupancy();
-        self
-    }
-
-    /// Sets the backend operation counters directly.
-    pub fn set_backend_ops(&mut self, ops: OpStatsSnapshot) -> &mut Self {
-        self.backend_ops = ops;
-        self
-    }
-
-    /// Sets the cache counters directly.
-    pub fn set_cache(&mut self, cache: Option<CacheStatsSnapshot>) -> &mut Self {
-        self.cache = cache;
-        self
-    }
-
-    /// Sets the per-class magazine capacities directly.
-    pub fn set_capacities(&mut self, caps: Option<Vec<(usize, usize)>>) -> &mut Self {
-        self.capacities = caps;
-        self
-    }
-
-    /// Sets the slab layer's fragmentation counters directly.
-    pub fn set_frag(&mut self, frag: Option<FragStatsSnapshot>) -> &mut Self {
-        self.frag = frag;
-        self
-    }
-
-    /// Sets the facade byte shares and realloc counters.
-    pub fn set_facade(&mut self, facade: FacadeStatsSnapshot) -> &mut Self {
-        self.facade = Some(facade);
-        self
-    }
-
-    /// Sets the committed-memory and scrubber figures (from
-    /// `BuddyRegion::memory_stats`).
-    pub fn set_memory(&mut self, memory: Option<MemoryStatsSnapshot>) -> &mut Self {
-        self.memory = memory;
-        self
-    }
-
-    /// Attaches the stack's latency recorder; its histograms are merged
-    /// into every subsequent [`MetricsRegistry::snapshot`].
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) -> &mut Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// Produces the unified snapshot (histograms are merged now).
-    pub fn snapshot(&self) -> StackSnapshot {
-        let mut latency = Vec::new();
-        if let Some(rec) = &self.recorder {
-            for kind in OpKind::ALL {
-                let snap = rec.snapshot(kind);
-                if !snap.is_empty() {
-                    latency.push((kind, snap.percentiles()));
-                }
-            }
-        }
-        StackSnapshot {
-            label: self.label.clone(),
-            backend_ops: self.backend_ops,
-            cache: self.cache,
-            capacities: self.capacities.clone(),
-            frag: self.frag.clone(),
-            facade: self.facade,
-            occupancy: self.occupancy.clone(),
-            memory: self.memory,
-            latency,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::OpOutcome;
+    use nbbs::{BuddyConfig, NbbsFourLevel};
+
+    /// A snapshot labelled `label` that reports nothing.
+    fn bare(label: &str) -> StackSnapshot {
+        StackSnapshot {
+            label: label.to_string(),
+            ..StackSnapshot::default()
+        }
+    }
 
     #[test]
     fn snapshot_unifies_every_layer() {
-        let rec = Arc::new(Recorder::new());
+        let rec = Recorder::new();
         rec.record_cycles(OpKind::Alloc, 120, 7, OpOutcome::Ok);
         rec.record_cycles(OpKind::Free, 80, 7, OpOutcome::Ok);
-        let mut reg = MetricsRegistry::new("unit");
-        reg.set_backend_ops(OpStatsSnapshot {
-            allocs: 10,
-            frees: 9,
-            cas_ops: 40,
-            cas_failures: 4,
-            ..Default::default()
-        })
-        .set_cache(Some(CacheStatsSnapshot {
-            hits: 90,
-            misses: 10,
-            refilled: 10,
-            depot_shards: 4,
-            ..Default::default()
-        }))
-        .set_capacities(Some(vec![(64, 8), (128, 16)]))
-        .set_facade(FacadeStatsSnapshot {
-            requested_bytes: 1000,
-            grows_in_place: 3,
-            grows_moved: 1,
-            system_failovers: 2,
-            ..Default::default()
-        })
-        .set_recorder(Arc::clone(&rec));
-        let snap = reg.snapshot();
+        let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap());
+        let snap = StackSnapshot {
+            backend_ops: OpStatsSnapshot {
+                allocs: 10,
+                frees: 9,
+                cas_ops: 40,
+                cas_failures: 4,
+                ..Default::default()
+            },
+            cache: Some(CacheStatsSnapshot {
+                hits: 90,
+                misses: 10,
+                refilled: 10,
+                depot_shards: 4,
+                ..Default::default()
+            }),
+            capacities: Some(vec![(64, 8), (128, 16)]),
+            shell: Some(ShellStatsSnapshot {
+                requested_bytes: 1000,
+                grows_in_place: 3,
+                grows_moved: 1,
+                system_failovers: 2,
+                ..Default::default()
+            }),
+            ..StackSnapshot::of("unit", &tree, Some(&rec))
+        };
         assert_eq!(snap.latency.len(), 2, "alloc and free recorded");
-        assert!(snap.latency_of(OpKind::Alloc).is_some());
+        assert_eq!(snap.latency_of(OpKind::Alloc).map(|p| p.count), Some(1));
         assert!(snap.latency_of(OpKind::Grow).is_none());
 
         let table = snap.text_table();
         assert!(table.contains("== nbbs stack: unit =="), "{table}");
         assert!(table.contains("100.0% buddy share"), "{table}");
         assert!(table.contains("90.0% hit rate"), "{table}");
+        assert!(
+            table.contains("magazine capacities: 64B\u{d7}8 128B\u{d7}16"),
+            "{table}"
+        );
         assert!(table.contains("latency  alloc"), "{table}");
         assert!(table.contains("10 allocs"), "{table}");
         assert!(table.contains("degraded: 2 system failovers\n"), "{table}");
-
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"label\":\"unit\""), "{json}");
-        assert!(json.contains("\"cache\":{\"hits\":90"), "{json}");
-        assert!(json.contains("\"facade\":{\"buddy_bytes\":1000"), "{json}");
-        assert!(json.contains("\"system_failovers\":2"), "{json}");
-        assert!(json.contains("\"orphan_rescues\":0"), "{json}");
-        assert!(
-            json.contains("\"latency\":{\"alloc\":{\"count\":1"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"magazine_capacities\":[[64,8],[128,16]]"),
-            "{json}"
-        );
-        assert!(!json.contains('\n'));
+        assert!(table.contains("occupancy by chunk"), "{table}");
     }
 
     #[test]
     fn empty_registry_renders_minimal_output() {
-        let snap = MetricsRegistry::new("bare").snapshot();
-        let table = snap.text_table();
+        let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap());
+        let snap = StackSnapshot::of("bare", &tree, Some(&Recorder::new()));
+        assert!(snap.cache.is_none() && snap.shell.is_none() && snap.memory.is_none());
+        assert!(snap.latency.is_empty(), "no kind recorded a sample");
+        let table = bare("bare").text_table();
         assert!(table.contains("bare"));
-        assert!(!table.contains("facade"), "no facade section: {table}");
+        assert!(!table.contains("shell"), "no shell section: {table}");
         assert!(!table.contains("cache"), "no cache section: {table}");
-        let json = snap.to_json();
-        assert!(json.contains("\"backend_ops\""));
-        assert!(!json.contains("\"cache\""));
-        assert!(!json.contains("\"latency\""));
+        assert!(!table.contains("latency"), "no latency section: {table}");
     }
 
     #[test]
     fn frag_counters_render_when_present() {
-        let mut reg = MetricsRegistry::new("slab");
-        reg.set_frag(Some(FragStatsSnapshot {
-            classes: vec![nbbs::FragClassSnapshot {
-                class_size: 40,
-                bytes_requested: 400,
-                bytes_committed: 440,
-                live_objects: 3,
-            }],
-            pages_live: 2,
-            pages_retired: 1,
-            passthrough_allocs: 7,
-        }));
-        let snap = reg.snapshot();
+        let snap = StackSnapshot {
+            frag: Some(FragStatsSnapshot {
+                classes: vec![nbbs::FragClassSnapshot {
+                    class_size: 40,
+                    bytes_requested: 400,
+                    bytes_committed: 440,
+                    live_objects: 3,
+                }],
+                pages_live: 2,
+                pages_retired: 1,
+                passthrough_allocs: 7,
+            }),
+            ..bare("slab")
+        };
         let table = snap.text_table();
         assert!(
             table.contains("slab     1.10 committed/requested"),
@@ -639,65 +395,50 @@ mod tests {
             table.contains("2 pages live, 1 retired, 7 passthrough"),
             "{table}"
         );
-        let json = snap.to_json();
-        assert!(json.contains("\"frag\":{\"ratio\":1.100"), "{json}");
-        assert!(
-            json.contains("\"classes\":[{\"class_size\":40,\"bytes_requested\":400"),
-            "{json}"
-        );
         // Slab-free stacks carry no frag section at all.
-        let bare = MetricsRegistry::new("bare").snapshot();
-        assert!(bare.frag.is_none());
-        assert!(!bare.to_json().contains("\"frag\""));
+        assert!(!bare("bare").text_table().contains("slab"));
     }
 
     #[test]
     fn occupancy_and_request_accounting_render() {
-        use nbbs::{BuddyConfig, NbbsFourLevel};
         let tree = NbbsFourLevel::new(BuddyConfig::new(1 << 16, 64, 1 << 12).unwrap());
         let hold = tree.alloc(4096).unwrap();
-        let mut reg = MetricsRegistry::new("occ");
-        reg.observe_backend(&tree).set_facade(FacadeStatsSnapshot {
-            requested_bytes: 4000,
-            granted_bytes: 4096,
-            ..Default::default()
-        });
-        let snap = reg.snapshot();
-        assert!(snap.occupancy.is_some(), "trees report occupancy");
+        let snap = StackSnapshot {
+            shell: Some(ShellStatsSnapshot {
+                requested_bytes: 4000,
+                granted_bytes: 4096,
+                ..Default::default()
+            }),
+            ..StackSnapshot::of("occ", &tree, None)
+        };
+        let occ = snap.occupancy.as_ref().expect("trees report occupancy");
+        assert_eq!(occ.total_free_bytes, (1 << 16) - 4096);
         let table = snap.text_table();
         assert!(table.contains("occupancy by chunk: 4K:"), "{table}");
         assert!(table.contains("external frag"), "{table}");
         assert!(table.contains("1.02 granted/requested"), "{table}");
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"occupancy\":{\"total_free_bytes\":"),
-            "{json}"
-        );
-        assert!(json.contains("\"requested_bytes\":4000"), "{json}");
-        assert!(json.contains("\"granted_over_requested\":1.024"), "{json}");
         tree.dealloc(hold);
         // Backends without a tree stay silent.
-        let bare = MetricsRegistry::new("bare").snapshot();
-        assert!(bare.occupancy.is_none());
-        assert!(!bare.to_json().contains("\"occupancy\""));
+        assert!(!bare("bare").text_table().contains("tree "));
     }
 
     #[test]
     fn memory_and_scrub_sections_render_when_present() {
-        let mut reg = MetricsRegistry::new("mem");
-        reg.set_memory(Some(MemoryStatsSnapshot {
-            managed_bytes: 1 << 20,
-            committed_bytes: 1 << 18,
-            decommitted_bytes: (1 << 20) - (1 << 18),
-            scrub_passes: 3,
-            scrub_blocks: 12,
-            scrub_bytes: 786_432,
-            decommit_calls: 4,
-            recommitted_bytes: 4096,
-            metadata_decommitted_bytes: 8192,
-            trimmed_pages: 2,
-        }));
-        let snap = reg.snapshot();
+        let snap = StackSnapshot {
+            memory: Some(MemoryStatsSnapshot {
+                managed_bytes: 1 << 20,
+                committed_bytes: 1 << 18,
+                decommitted_bytes: (1 << 20) - (1 << 18),
+                scrub_passes: 3,
+                scrub_blocks: 12,
+                scrub_bytes: 786_432,
+                decommit_calls: 4,
+                recommitted_bytes: 4096,
+                metadata_decommitted_bytes: 8192,
+                trimmed_pages: 2,
+            }),
+            ..bare("mem")
+        };
         let table = snap.text_table();
         assert!(
             table.contains("memory   262144 B committed of 1048576 B managed (25.0%)"),
@@ -707,30 +448,20 @@ mod tests {
         assert!(table.contains("decommitted in 4 calls"), "{table}");
         assert!(table.contains("8192 B of metadata"), "{table}");
         assert!(table.contains("2 pages trimmed"), "{table}");
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"memory\":{\"managed_bytes\":1048576,\"committed_bytes\":262144"),
-            "{json}"
-        );
-        assert!(json.contains("\"scrub_passes\":3"), "{json}");
-        assert!(
-            json.contains("\"metadata_decommitted_bytes\":8192"),
-            "{json}"
-        );
         // Regions that never scrubbed hide the scrub row but keep the gauge.
-        let mut quiet = MetricsRegistry::new("quiet");
-        quiet.set_memory(Some(MemoryStatsSnapshot {
-            managed_bytes: 4096,
-            committed_bytes: 4096,
-            ..Default::default()
-        }));
-        let table = quiet.snapshot().text_table();
+        let quiet = StackSnapshot {
+            memory: Some(MemoryStatsSnapshot {
+                managed_bytes: 4096,
+                committed_bytes: 4096,
+                ..Default::default()
+            }),
+            ..bare("quiet")
+        };
+        let table = quiet.text_table();
         assert!(table.contains("memory   4096 B committed"), "{table}");
         assert!(!table.contains("scrub "), "{table}");
         // Stacks without a region stay silent.
-        let bare = MetricsRegistry::new("bare").snapshot();
-        assert!(bare.memory.is_none());
-        assert!(!bare.to_json().contains("\"memory\""));
+        assert!(!bare("bare").text_table().contains("memory"));
     }
 
     #[test]
@@ -746,11 +477,11 @@ mod tests {
         let mut ops = OpStatsSnapshot::default();
         ops.cas_failures_by_level[2] = 5;
         ops.cas_ops = 10;
-        let mut reg = MetricsRegistry::new("heat");
-        reg.set_backend_ops(ops);
-        let snap = reg.snapshot();
+        let snap = StackSnapshot {
+            backend_ops: ops,
+            ..bare("heat")
+        };
         assert!(snap.text_table().contains("L2:5"), "{}", snap.text_table());
-        assert!(snap.to_json().contains("\"cas_failures_by_level\":[0,0,5,"));
     }
 
     #[test]

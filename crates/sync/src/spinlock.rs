@@ -49,6 +49,7 @@ pub struct SpinLock<T: ?Sized> {
 // SAFETY: the lock provides exclusive access to `data`, so it is `Sync` as
 // long as the protected value can be sent between threads.
 unsafe impl<T: ?Sized + Send> Sync for SpinLock<T> {}
+// SAFETY: the lock owns `data`, so moving it moves a `T: Send`.
 unsafe impl<T: ?Sized + Send> Send for SpinLock<T> {}
 
 /// RAII guard returned by [`SpinLock::lock`]; releases the lock when dropped.

@@ -33,6 +33,7 @@ pub struct TicketLock<T: ?Sized> {
 
 // SAFETY: exclusive access to `data` is mediated by the ticket protocol.
 unsafe impl<T: ?Sized + Send> Sync for TicketLock<T> {}
+// SAFETY: the lock owns `data`, so moving it moves a `T: Send`.
 unsafe impl<T: ?Sized + Send> Send for TicketLock<T> {}
 
 /// RAII guard returned by [`TicketLock::lock`].

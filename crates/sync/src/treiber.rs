@@ -98,6 +98,8 @@ pub struct BoundedStack<T> {
 // (see the module docs), so sharing the stack only requires the payload to be
 // sendable between threads.
 unsafe impl<T: Send> Send for BoundedStack<T> {}
+// SAFETY: as above: a shared reference moves a payload in or out of a slot
+// only while it owns that slot, so `T: Send` is all sharing needs.
 unsafe impl<T: Send> Sync for BoundedStack<T> {}
 
 impl<T> BoundedStack<T> {

@@ -193,7 +193,9 @@ impl<T> Drop for ZeroedSlice<T> {
 // SAFETY: each std atomic has the in-memory representation of its integer,
 // so all-zero bytes are `new(0)`.
 unsafe impl Zeroable for std::sync::atomic::AtomicU8 {}
+// SAFETY: as above.
 unsafe impl Zeroable for std::sync::atomic::AtomicU32 {}
+// SAFETY: as above.
 unsafe impl Zeroable for std::sync::atomic::AtomicU64 {}
 
 #[cfg(test)]

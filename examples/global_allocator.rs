@@ -121,7 +121,7 @@ fn main() {
     grower.reserve_exact(128 - 100); // still inside the granted block
     let served = GLOBAL
         .metrics()
-        .facade
+        .shell
         .expect("the shares are live once anything allocated");
     println!(
         "realloc behaviour so far: {} grows in place, {} moved ({:.0}% in place)",

@@ -317,15 +317,15 @@ fn main() {
     //     benchmark harness samples one in 64 operations
     //     (`Recorded::sampled` with `DEFAULT_SAMPLE_STRIDE`) so recording
     //     stays in the measurement noise; a diagnostic run records
-    //     everything, as here.  `MetricsRegistry` then folds the whole
+    //     everything, as here.  `StackSnapshot::of` then folds the whole
     //     stack — backend counters, cache hit rates, magazine capacities,
-    //     facade shares, and the recorded percentiles — into one
-    //     `StackSnapshot` with `text_table()` / `to_json()` exposition
-    //     (the same table `NbbsGlobalAlloc::stats_report()` prints).
+    //     and the recorded percentiles — into one snapshot whose
+    //     `text_table()` is the table `NbbsGlobalAlloc::stats_report()`
+    //     prints.
     //     With the `op-stats` feature the backend additionally counts CAS
     //     retries per tree level.
     // ------------------------------------------------------------------
-    use nbbs_obs::{MetricsRegistry, OpKind, Recorded, Recorder};
+    use nbbs_obs::{OpKind, Recorded, Recorder, StackSnapshot};
 
     let recorder = Arc::new(Recorder::new());
     let observed = Arc::new(Recorded::new(
@@ -354,10 +354,8 @@ fn main() {
         "observed alloc latency over {} samples: p50 {:.0} ns, p99 {:.0} ns, p99.9 {:.0} ns",
         alloc_lat.count, alloc_lat.p50_ns, alloc_lat.p99_ns, alloc_lat.p999_ns
     );
-    let mut registry = MetricsRegistry::new("quickstart");
-    registry.observe_backend(observed.as_ref());
-    registry.set_recorder(Arc::clone(&recorder));
-    print!("{}", registry.snapshot().text_table());
+    let snapshot = StackSnapshot::of("quickstart", observed.as_ref(), Some(&recorder));
+    print!("{}", snapshot.text_table());
     // The recorder's event ring keeps each thread's most recent operations
     // for post-mortem dumps (panic hooks, soak REPRO paths); section 13
     // exports the same slots as a timeline:

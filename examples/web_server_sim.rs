@@ -43,7 +43,7 @@ use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_baselines::CloudwuBuddy;
 use nbbs_cache::MagazineCache;
-use nbbs_obs::MetricsRegistry;
+use nbbs_obs::StackSnapshot;
 use nbbs_slab::SlabBackend;
 use nbbs_workloads::rng::SplitMix64;
 
@@ -158,11 +158,12 @@ fn simulate(label: &str, alloc: Arc<dyn BuddyBackend>, threads: usize, seconds: 
         release(&facade, req);
     }
     assert_eq!(facade.allocated_bytes(), 0, "no request may leak");
-    // One registry snapshot picks up the backend's counters and the cache
-    // stats (if any) in a single table.
-    let mut registry = MetricsRegistry::new(label);
-    registry.observe_backend(alloc.as_ref());
-    print!("{}", registry.snapshot().text_table());
+    // One snapshot picks up the backend's counters and the cache stats (if
+    // any) in a single table.
+    print!(
+        "{}",
+        StackSnapshot::of(label, alloc.as_ref(), None).text_table()
+    );
     println!(
         "  body     {} steps in place, {} moved\n",
         steps[0].load(Ordering::Relaxed),

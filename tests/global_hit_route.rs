@@ -144,7 +144,7 @@ fn churn_every_class(a: &NbbsGlobalAlloc) -> Asked {
 /// The served bytes and the cache tallies, read together.
 fn counts(a: &NbbsGlobalAlloc) -> (Asked, u64) {
     let metrics = a.metrics();
-    let served = metrics.facade.expect("the shell reports its shares");
+    let served = metrics.shell.expect("the shell reports its shares");
     let cache = metrics.cache.expect("the shell has a cache");
     let asked = Asked {
         allocations: cache.hits + cache.misses,
@@ -306,7 +306,7 @@ struct Resized {
 }
 
 fn resized(a: &NbbsGlobalAlloc) -> Resized {
-    let served = a.metrics().facade.expect("the shell reports its shares");
+    let served = a.metrics().shell.expect("the shell reports its shares");
     Resized {
         grows_in_place: served.grows_in_place,
         grows_moved: served.grows_moved,
